@@ -1,8 +1,8 @@
 // Package repro's root benchmarks regenerate each table and figure of
 // the paper at benchmark scale (tiny splits, no pretraining) so that
 // `go test -bench=.` exercises every experiment path end to end. The
-// full-fidelity runs live in cmd/ffbench; the numbers recorded from
-// them are in EXPERIMENTS.md.
+// full-fidelity runs live in cmd/ffbench. For performance claims both
+// are superseded by bench/ (see bench/README.md).
 package repro
 
 import (

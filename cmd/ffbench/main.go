@@ -1,6 +1,5 @@
 // Command ffbench regenerates the paper's tables and figures. Each
-// -experiment corresponds to one evaluation artifact (see DESIGN.md's
-// per-experiment index):
+// -experiment corresponds to one evaluation artifact:
 //
 //	datasets      Figure 3b (dataset details table)
 //	bandwidth     Figure 4  (bandwidth vs event F1, both MC archs)

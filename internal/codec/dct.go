@@ -1,6 +1,6 @@
 // Package codec is a block-transform video codec that stands in for
-// H.264 in this reproduction (see DESIGN.md §1). It implements the
-// properties Figure 4 of the paper depends on:
+// H.264 in this reproduction. It implements the properties Figure 4 of
+// the paper depends on:
 //
 //   - bits-used accounting that responds to scene motion (static
 //     backgrounds compress well through temporal prediction, moving

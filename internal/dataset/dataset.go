@@ -10,7 +10,7 @@
 // fractions match the paper's (≈16% for Jackson, ≈22% for Roadway);
 // event durations are shortened proportionally so that working-scale
 // runs still contain enough unique events for stable event-level
-// metrics (see DESIGN.md §4).
+// metrics.
 //
 // Ground truth is exact by construction: a frame is labelled positive
 // when a target-kind object overlaps the task region, and events are

@@ -2,8 +2,8 @@
 // paper's evaluation (§4) on the synthetic substrate, at working scale
 // with paper-scale cost projections. Each experiment prints the same
 // rows/series the paper reports and returns structured results for
-// tests. The per-experiment index in DESIGN.md maps figures to the
-// functions here.
+// tests. The -experiment list at the top of cmd/ffbench/main.go maps
+// figures to the functions here.
 package experiments
 
 import (

@@ -446,7 +446,7 @@ func TestPushFastPathMatchesNetwork(t *testing.T) {
 
 // TestPushZeroAlloc pins steady-state MC.Push at zero allocations per
 // frame for both the immediate and the windowed (ring-buffered)
-// architectures.
+// architectures, the frame that repacks Touched weights included.
 func TestPushZeroAlloc(t *testing.T) {
 	base := testBase(t)
 	for _, arch := range []Arch{LocalizedBinary, WindowedLocalizedBinary} {
@@ -463,6 +463,15 @@ func TestPushZeroAlloc(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(50, func() { mc.Push(fm) }); n != 0 {
 			t.Fatalf("%v: Push allocates %v objects per frame, want 0", arch, n)
+		}
+		params := mc.Net().Params()
+		if n := testing.AllocsPerRun(50, func() {
+			for _, p := range params {
+				p.Touch()
+			}
+			mc.Push(fm)
+		}); n != 0 {
+			t.Fatalf("%v: Push allocates %v objects on the frame that repacks, want 0", arch, n)
 		}
 	}
 }
@@ -540,8 +549,8 @@ func TestFlushRecordsScores(t *testing.T) {
 }
 
 // TestPushFastPathTracksTraining verifies the streaming fast path sees
-// weight updates made after the first Push (frozen programs read live
-// parameters).
+// weight updates made after the first Push (frozen programs repack
+// Touched parameters).
 func TestPushFastPathTracksTraining(t *testing.T) {
 	base := testBase(t)
 	mc, err := NewMC(Spec{Name: "live", Arch: LocalizedBinary, Seed: 8}, base, 96, 54)
@@ -555,11 +564,12 @@ func TestPushFastPathTracksTraining(t *testing.T) {
 		for i := range p.Value.Data {
 			p.Value.Data[i] *= 1.1
 		}
+		p.Touch() // the contract for raw Value.Data writes
 	}
 	mc.Reset()
 	after := mc.Push(fm)[0].Prob
 	if before == after {
-		t.Fatal("Push ignored a weight update: fast path snapshotted weights")
+		t.Fatal("Push ignored a weight update: fast path served stale weights")
 	}
 	want := sigmoid(mc.Net().Forward(mc.CropMap(fm), false).Data[0])
 	diff := float64(after) - float64(want)
@@ -568,5 +578,78 @@ func TestPushFastPathTracksTraining(t *testing.T) {
 	}
 	if diff > 1e-5 {
 		t.Fatalf("post-update Push %v vs net %v", after, want)
+	}
+}
+
+// TestPushTracksLoadAndFineTune is the retraining loop's view of the
+// staleness contract: an MC restored by LoadMC streams the saved
+// weights, and after train.Fit fine-tunes its net in place (what
+// retrain.Service does to a loaded incumbent) the very next Push
+// streams the fine-tuned ones, although the fast path had already
+// packed the old weights.
+func TestPushTracksLoadAndFineTune(t *testing.T) {
+	base := testBase(t)
+	for _, arch := range []Arch{LocalizedBinary, WindowedLocalizedBinary} {
+		orig, err := NewMC(Spec{Name: "ft-" + arch.String(), Arch: arch, Hidden: 16, Seed: 14}, base, 96, 54)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var saved bytes.Buffer
+		if err := orig.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		mc, err := LoadMC(&saved, base, 96, 54)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := tensor.NewRNG(15)
+		fms := make([]*tensor.Tensor, 8)
+		for i := range fms {
+			fms[i] = tensor.New(mc.FeatureMapShape()...)
+			rng.FillNormal(fms[i], 0, 1)
+		}
+		stream := func(when string) []float32 {
+			t.Helper()
+			mc.Reset()
+			var cls []Classification
+			for _, fm := range fms {
+				cls = append(cls, mc.Push(fm)...)
+			}
+			cls = append(cls, mc.Flush()...)
+			if len(cls) != len(fms) {
+				t.Fatalf("%v %s: %d classifications for %d frames", arch, when, len(cls), len(fms))
+			}
+			probs := make([]float32, len(cls))
+			for i, c := range cls {
+				want := mc.Prob(mc.BuildInput(fms, c.Frame))
+				if abs(float64(c.Prob)-float64(want)) > 1e-5 {
+					t.Fatalf("%v %s frame %d: streamed %v vs net %v", arch, when, c.Frame, c.Prob, want)
+				}
+				probs[i] = c.Prob
+			}
+			return probs
+		}
+		before := stream("after LoadMC")
+		for i, c := range before {
+			if want := orig.Prob(orig.BuildInput(fms, i)); abs(float64(c)-float64(want)) > 1e-5 {
+				t.Fatalf("%v: loaded MC streams %v for frame %d, the saved one computes %v", arch, c, i, want)
+			}
+		}
+
+		samples := make([]train.Sample, len(fms))
+		for i := range fms {
+			samples[i] = train.Sample{X: mc.BuildInput(fms, i), Y: float32(i % 2)}
+		}
+		if _, err := train.Fit(mc.Net(), samples, train.Config{Epochs: 2, BatchSize: 4, Seed: 1, Optimizer: train.NewAdam(0.01)}); err != nil {
+			t.Fatal(err)
+		}
+		after := stream("after fine-tune")
+		moved := false
+		for i := range after {
+			moved = moved || after[i] != before[i]
+		}
+		if !moved {
+			t.Fatalf("%v: fine-tuning changed no streamed probability", arch)
+		}
 	}
 }

@@ -43,8 +43,9 @@ type MC struct {
 	pushed   int
 	decided  int
 
-	// Inference fast path (compiled lazily on first use; reads live
-	// weights, so training the net and streaming interleave safely).
+	// Inference fast path (compiled lazily on first use; repacks
+	// weights the optimizer Touched, so training the net and streaming
+	// interleave safely).
 	// prog covers the whole net for the plain architectures and the
 	// post-concat head for the windowed one; reduceProg is the
 	// windowed per-frame 1×1 reduction.
@@ -245,8 +246,8 @@ func ChannelStats(fms []*tensor.Tensor) (mean, std []float32) {
 }
 
 // ensureFastPath lazily compiles the MC's frozen inference programs
-// and workspace arenas. Programs read live weights, so training the
-// MC's net after compilation stays coherent. Compilation cannot fail
+// and workspace arenas. Programs never serve stale weights, so training
+// the MC's net after compilation stays coherent. Compilation cannot fail
 // for the fixed Figure 2 architectures; a failure is a programming
 // error in build() and panics.
 func (m *MC) ensureFastPath() {

@@ -829,7 +829,8 @@ func (a *Agent) Flush() ([]core.Upload, error) {
 // their uploads still ship), stops the reconnect monitor, flushes and
 // closes the per-stream archives, ships what the wire will still
 // take, says goodbye, closes the connection, and waits for the loops
-// to drain. Safe to call when never connected.
+// to drain. Safe to call when never connected, more than once, and
+// when the controller has already ended the session.
 func (a *Agent) Close() error {
 	a.sessMu.Lock()
 	alreadyClosed := a.closed
@@ -870,6 +871,16 @@ func (a *Agent) Close() error {
 	a.wmu.Unlock()
 	cerr := conn.Close()
 	a.wg.Wait()
+	// The controller may end the session first (its own goodbye, an
+	// eviction, a shutdown): the control loop then closes conn under
+	// us, and the goodbye and this second Close fail on a closed
+	// connection. A session that is already gone needs no goodbye.
+	if connGone(err) {
+		err = nil
+	}
+	if connGone(cerr) {
+		cerr = nil
+	}
 	if stopErr != nil {
 		return stopErr
 	}
@@ -877,6 +888,12 @@ func (a *Agent) Close() error {
 		return err
 	}
 	return cerr
+}
+
+// connGone reports whether err is what I/O on a connection returns
+// once either end has closed it: the session is over, not broken.
+func connGone(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe)
 }
 
 // sendUploads sequences a batch of uploads into the resend buffer and
@@ -961,7 +978,13 @@ func (a *Agent) flushPending() error {
 		}
 		rec := a.pending[a.unsent]
 		a.pmu.Unlock()
+		// The send time goes on record before the write: the ack can
+		// come back before the write returns, and handleUploadAck must
+		// find it, or the round trip is never observed.
 		t0 := time.Now()
+		a.pmu.Lock()
+		a.sentAt[rec.Seq] = t0
+		a.pmu.Unlock()
 		if err := transport.WriteRecordDeadline(conn, transport.KindUpload, rec, a.cfg.WriteTimeout); err != nil {
 			conn.Close()
 			return fmt.Errorf("fleet: send upload: %w", err)
@@ -972,7 +995,6 @@ func (a *Agent) flushPending() error {
 			o.Trace.Record(obs.StageUpload, a.uploadStreamID(rec.MCName), int64(rec.Start), t0, d)
 		}
 		a.pmu.Lock()
-		a.sentAt[rec.Seq] = t0
 		// Advance past what we just wrote by sequence number — a
 		// concurrent ack may have trimmed the buffer under us.
 		for a.unsent < len(a.pending) && a.pending[a.unsent].Seq <= rec.Seq {
@@ -1008,7 +1030,7 @@ func (a *Agent) controlLoop(conn net.Conn) error {
 	for {
 		kind, body, err := transport.ReadRecord(conn)
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
+			if connGone(err) {
 				return nil
 			}
 			return err

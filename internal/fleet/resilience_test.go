@@ -3,11 +3,13 @@ package fleet
 import (
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/filter"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -422,5 +424,170 @@ func TestSessionRequestTimeouts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// heldConn gives a simnet connection TCP's close semantics (I/O after
+// Close and a second Close fail with net.ErrClosed, where simnet's own
+// Close is idempotent) and can hold a write until the test releases
+// it, so the test decides which side closes first.
+type heldConn struct {
+	net.Conn
+	hold    chan struct{} // non-nil: a Write announces itself on writing, then waits here
+	writing chan struct{}
+	wrote   func() // non-nil: called after a Write's bytes are on the wire, before it returns
+	once    sync.Once
+	closed  chan struct{}
+}
+
+func (c *heldConn) Write(b []byte) (int, error) {
+	if c.hold != nil {
+		c.writing <- struct{}{}
+		<-c.hold
+	}
+	select {
+	case <-c.closed:
+		return 0, net.ErrClosed
+	default:
+	}
+	n, err := c.Conn.Write(b)
+	if c.wrote != nil {
+		c.wrote()
+	}
+	return n, err
+}
+
+func (c *heldConn) Close() error {
+	err := net.ErrClosed
+	c.once.Do(func() {
+		close(c.closed)
+		err = c.Conn.Close()
+	})
+	return err
+}
+
+// TestAgentCloseAfterControllerClosedFirst is the close-race
+// regression: Agent.Close has found a live session and is writing its
+// goodbye when the controller ends the session, so the agent's control
+// loop closes the connection under it. Both the goodbye and Close's
+// own conn.Close then fail with "use of closed network connection";
+// that is a clean close, not an error.
+func TestAgentCloseAfterControllerClosedFirst(t *testing.T) {
+	base := testBase()
+	edgeCfg := core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base, UploadBitrate: 30_000}
+	n := simnet.New(5)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController(ControllerConfig{Timeout: 5 * time.Second})
+	ctrl.Serve(ln)
+	defer ctrl.Close()
+
+	hc := &heldConn{writing: make(chan struct{}), closed: make(chan struct{})}
+	agent, err := NewAgent(AgentConfig{Node: "edge-c", Edge: edgeCfg, Heartbeat: -1,
+		Dial: func(network, addr string) (net.Conn, error) {
+			c, err := n.Dial("edge-c", addr)
+			hc.Conn = c
+			return hc, err
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agent.AddStream("cam0", 48, 27, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Connect("sim", "dc"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "session registered", func() bool { return len(ctrl.ListNodes()) == 1 })
+
+	// Heartbeats are off and nothing is pending, so the agent's next
+	// write is the goodbye.
+	hc.hold = make(chan struct{})
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- agent.Close() }()
+	<-hc.writing // Close is committed to the live session
+	if err := ctrl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-hc.closed // the control loop saw the controller's EOF and closed the connection
+	close(hc.hold)
+	if err := <-closeErr; err != nil {
+		t.Fatalf("Close after the controller closed first: %v", err)
+	}
+	if err := agent.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestUploadRTTObservedWhenAckBeatsWrite: the controller's ack can
+// reach the agent's control loop before the upload's Write has
+// returned to the sender (a loaded box does this to loopback TCP).
+// The round trip must still be observed: the send time has to be on
+// record before the bytes leave, or the ack finds nothing to retire,
+// the upload-RTT histogram stays empty and heartbeats never carry it.
+func TestUploadRTTObservedWhenAckBeatsWrite(t *testing.T) {
+	base := testBase()
+	observer := obs.NewObserver(obs.Options{})
+	edgeCfg := core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base, UploadBitrate: 30_000, Obs: observer}
+	n := simnet.New(6)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController(ControllerConfig{Timeout: 5 * time.Second})
+	ctrl.Serve(ln)
+	defer ctrl.Close()
+
+	hc := &heldConn{closed: make(chan struct{})}
+	agent, err := NewAgent(AgentConfig{Node: "edge-rtt", Edge: edgeCfg, Heartbeat: -1,
+		Dial: func(network, addr string) (net.Conn, error) {
+			c, err := n.Dial("edge-rtt", addr)
+			hc.Conn = c
+			return hc, err
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := agent.AddStream("cam0", 48, 27, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := filter.NewMC(filter.Spec{Name: "rtt-mc", Arch: filter.LocalizedBinary, Hidden: 8, Seed: 3}, base, 48, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.Deploy(mc, -1); err != nil { // every frame matches: uploads flow
+		t.Fatal(err)
+	}
+	if err := agent.Connect("sim", "dc"); err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+
+	// Every write now lingers after its bytes are out until an ack has
+	// been retired (or, for the writes that complete no record, 50 ms).
+	hc.wrote = func() {
+		for deadline := time.Now().Add(50 * time.Millisecond); observer.UploadRTT.Count() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	bg := vision.Background(48, 27, nil, 2)
+	scene := &vision.Scene{Background: bg, NoiseStd: 0.01}
+	for i := 0; i < 12; i++ {
+		if _, err := agent.ProcessFrame("cam0", scene.Render(nil, 1, tensor.NewRNG(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ups, err := agent.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agent.Stats().Uploads == 0 && len(ups) == 0 {
+		t.Fatal("no uploads were sent (vacuous)")
+	}
+	if observer.UploadRTT.Count() == 0 {
+		t.Fatal("uploads were acked while their writes were still returning, and no round trip was observed")
 	}
 }

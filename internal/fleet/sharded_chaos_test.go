@@ -601,11 +601,17 @@ func TestShardedChaosSoak(t *testing.T) {
 	}
 
 	// The heartbeat-gap digests cover the fleet: sessions heartbeat on
-	// every shard, so each shard's histogram has observations.
-	for _, s := range ctrl.ShardStats() {
-		if s.Sessions > 0 && s.HeartbeatGap.Count == 0 {
-			t.Fatalf("shard %d has %d sessions but no heartbeat-gap observations", s.Shard, s.Sessions)
+	// every shard, so each shard's histogram gets observations. A gap
+	// takes two heartbeats on one session, and the sessions of the
+	// shards the re-shard added may be younger than that when the
+	// script ends: wait for them.
+	waitSoak(t, "heartbeat-gap observations on every shard with sessions", func() bool {
+		for _, s := range ctrl.ShardStats() {
+			if s.Sessions > 0 && s.HeartbeatGap.Count == 0 {
+				return false
+			}
 		}
-	}
+		return true
+	}, func() string { return fmt.Sprintf("%+v", ctrl.ShardStats()) })
 	_ = rcAfter
 }

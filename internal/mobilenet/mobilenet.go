@@ -9,7 +9,7 @@
 // feature extractor. Microclassifiers are trained on top of whatever
 // the base DNN emits, so the system-level properties under study
 // (computation sharing, layer-choice granularity trade-offs, marginal
-// cost) are preserved. See DESIGN.md §1.
+// cost) are preserved.
 package mobilenet
 
 import (
@@ -64,7 +64,7 @@ type Config struct {
 	// the published architecture. Defaults to off: with deterministic
 	// He-initialized weights the activations are already well-scaled,
 	// and inference-mode BatchNorm with fresh statistics is an
-	// identity. (See DESIGN.md.)
+	// identity.
 	BatchNorm bool
 	// Seed drives the deterministic weight initialization.
 	Seed int64
@@ -95,8 +95,9 @@ type Model struct {
 	tapOf map[string]string
 
 	// progMu guards the per-input-shape compiled inference programs.
-	// Programs read live weights, so they are compiled once per shape
-	// and shared by every Extractor.
+	// Programs never serve stale weights (nn.Param.Touch), so they are
+	// compiled once per shape and shared by every Extractor, packed
+	// weights included.
 	progMu sync.Mutex
 	progs  map[[4]int]*nn.Program
 
@@ -212,9 +213,10 @@ func (m *Model) MAddsTo(stage string, in []int) (int64, error) {
 }
 
 // program returns the compiled inference program for an input shape,
-// compiling it on first use. Programs read live weights, so one
-// compilation per shape serves the model's whole lifetime — including
-// through pretraining, which mutates the weights in place.
+// compiling it on first use. Programs repack weights their optimizer
+// Touched, so one compilation per shape serves the model's whole
+// lifetime — including through pretraining, which mutates the weights
+// in place.
 func (m *Model) program(shape [4]int) (*nn.Program, error) {
 	m.progMu.Lock()
 	defer m.progMu.Unlock()

@@ -220,7 +220,8 @@ func TestExtractorMatchesLayerwise(t *testing.T) {
 }
 
 // TestExtractorZeroAlloc pins the steady-state Extract and
-// ExtractMulti paths at zero heap allocations per frame.
+// ExtractMulti paths at zero heap allocations per frame, the frame
+// that repacks Touched weights included.
 func TestExtractorZeroAlloc(t *testing.T) {
 	m := New(Config{WidthMult: 0.25, Seed: 2})
 	x := tensor.New(1, 30, 40, 3)
@@ -246,6 +247,17 @@ func TestExtractorZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("ExtractMulti allocates %v objects per frame, want 0", n)
+	}
+	params := m.Net.Params()
+	if n := testing.AllocsPerRun(20, func() {
+		for _, p := range params {
+			p.Touch()
+		}
+		if _, err := ext.ExtractMulti(x, stages); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ExtractMulti allocates %v objects on the frame that repacks, want 0", n)
 	}
 }
 

@@ -100,7 +100,7 @@ func (c *Conv2D) MAdds(in []int) int64 {
 	return int64(out[0]) * int64(out[1]) * int64(out[2]) * int64(c.inC) * int64(c.Kernel*c.Kernel) * int64(c.Filters)
 }
 
-// Forward implements Layer. It runs on the im2col+GEMM fast path (see
+// Forward implements Layer. It runs on the lowered-GEMM fast path (see
 // fastpath.go); the historical direct loop survives as the reference
 // kernel in reference.go, which the fast path is test-pinned against.
 func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
@@ -111,7 +111,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	g := c.geom(x.Shape)
 	out := tensor.New(g.n, g.oh, g.ow, g.f)
 	ep := tensor.Epilogue{Bias: c.B.Value.Data}
-	convForward(g, x.Data, c.W.Value.Data, out.Data, ep, convScratch{})
+	convForward(g, x.Data, c.W.Value.Data, out.Data, ep)
 	if training {
 		c.lastX = x
 	}
@@ -243,7 +243,7 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tenso
 	g := d.geom(x.Shape)
 	out := tensor.New(g.n, g.oh, g.ow, g.ic)
 	ep := tensor.Epilogue{Bias: d.B.Value.Data}
-	depthwiseForward(g, x.Data, d.W.Value.Data, out.Data, ep, false, nil)
+	depthwiseForward(g, x.Data, d.W.Value.Data, out.Data, ep)
 	if training {
 		d.lastX = x
 	}

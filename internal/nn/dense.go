@@ -104,7 +104,7 @@ func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	n := d.OutShape(x.Shape)[0]
 	out := tensor.New(n, d.Out)
 	ep := tensor.Epilogue{Bias: d.B.Value.Data}
-	denseForward(d, x.Data, out.Data, n, ep, convScratch{})
+	gemmRows(n, d.Out, d.In, x.Data, d.W.Value.Data, out.Data, ep)
 	if training {
 		d.lastX = x
 	}

@@ -4,21 +4,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file holds the inference fast path's layer kernels: im2col
-// lowering plus the GEMM-backed convolution and fully-connected
-// forward passes, and a specialized direct depthwise kernel. The same
-// kernels serve two callers with different buffer policies:
+// This file holds the inference fast path's layer kernels: the
+// single-pass convolution lowering plus the GEMM-backed convolution and
+// fully-connected forward passes, and a specialized direct depthwise
+// kernel. The same kernels serve two callers with different buffer
+// policies:
 //
 //   - The layers' Forward methods (training and ad-hoc inference)
-//     allocate their scratch per call and parallelize row blocks with
-//     parFor. Results are bitwise independent of the worker count
-//     because every output row is computed by the same sequential
-//     k-loop regardless of which goroutine runs it.
-//   - Compiled inference programs (program.go) pass preallocated
-//     workspace scratch and run serially, so steady-state per-frame
-//     execution performs zero heap allocations; cross-frame
-//     parallelism comes from streams and microclassifier fan-out, not
-//     from inside a kernel.
+//     allocate their scratch and pack their weights per call, and
+//     parallelize row blocks with parFor. Results are bitwise
+//     independent of the worker count because every output row is
+//     computed by the same sequential k-loop regardless of which
+//     goroutine runs it.
+//   - Compiled inference programs (program.go) hold the weights already
+//     packed, pass preallocated workspace scratch and run serially, so
+//     steady-state per-frame execution performs zero heap allocations
+//     and re-lowers nothing that did not change since the last frame;
+//     cross-frame parallelism comes from streams and microclassifier
+//     fan-out, not from inside a kernel.
 
 // convGeom captures the resolved geometry of one convolution.
 type convGeom struct {
@@ -45,149 +48,141 @@ func (d *DepthwiseConv2D) geom(shape []int) convGeom {
 }
 
 // isPointwise reports whether the convolution is a 1×1 stride-1
-// unpadded map — in which case im2col is the identity and the GEMM
-// reads the input activations directly.
+// unpadded map — in which case the lowered matrix is the input itself
+// and the GEMM reads the activations directly.
 func (g convGeom) isPointwise() bool {
 	return g.k == 1 && g.s == 1 && g.padY == 0 && g.padX == 0
 }
 
-// colWidth is the im2col matrix's row length (K·K·inC).
+// colWidth is the lowered matrix's row length (K·K·inC).
 func (g convGeom) colWidth() int { return g.k * g.k * g.ic }
 
-// im2col lowers the NHWC input block rows [row0, row1) — output rows
-// indexed (b, oy, ox) in row-major order over [n, oh, ow] — into the
-// column matrix col, one row of K·K·inC per output position, zero
-// padding out-of-bounds taps. The (kx, ci) tail of each row matches
-// the input's (x, channel) layout, so in-bounds spans are single
-// copies.
-func (g convGeom) im2col(xd []float32, row0, row1 int, col []float32) {
+// lowerPanels lowers the NHWC input for output rows [row0, row1) —
+// indexed (b, oy, ox) in row-major order over [n, oh, ow] — straight
+// into the GEMM's A-panel layout (tensor.GemmPanels): what im2col
+// followed by the GEMM's own packing pass would produce, in one pass
+// over the input and with no row-major matrix in between. Row r of the
+// lowered matrix is the K·K·inC receptive field of output position r,
+// zero where a tap falls outside the input; its (kx, ci) runs match the
+// input's (x, channel) layout, so a panel's four rows interleave as
+// whole spans. zeros is a read-only run of at least inC zeros. Lanes of
+// the last panel past row1 repeat row1-1. dst needs
+// tensor.PackASize(row1-row0, colWidth()) elements.
+func (g convGeom) lowerPanels(xd []float32, row0, row1 int, zeros, dst []float32) {
 	kw := g.colWidth()
 	rowC := g.k * g.ic
-	for r := row0; r < row1; r++ {
-		b := r / (g.oh * g.ow)
-		oy := r / g.ow % g.oh
-		ox := r % g.ow
-		dst := col[(r-row0)*kw : (r-row0+1)*kw]
-		iy0 := oy*g.s - g.padY
-		ix0 := ox*g.s - g.padX
-		kxLo, kxHi := 0, g.k
-		if ix0 < 0 {
-			kxLo = -ix0
+	zeros = zeros[:g.ic]
+	var (
+		rowBase    [4]int  // index of input pixel (b, 0, ix0), possibly left of the row
+		iy0        [4]int  // input y of tap ky=0
+		kxLo, kxHi [4]int  // taps [kxLo, kxHi) fall inside the input's width
+		wide       [4]bool // every kx does
+		src        [4][]float32
+	)
+	for p0 := row0; p0 < row1; p0 += 4 {
+		for l := range src {
+			r := p0 + l
+			if r >= row1 {
+				r = row1 - 1
+			}
+			b, oy, ox := r/(g.oh*g.ow), r/g.ow%g.oh, r%g.ow
+			ix0 := ox*g.s - g.padX
+			iy0[l] = oy*g.s - g.padY
+			rowBase[l] = (b*g.h*g.w + ix0) * g.ic
+			kxLo[l], kxHi[l] = 0, g.k
+			if ix0 < 0 {
+				kxLo[l] = -ix0
+			}
+			if ix0+g.k > g.w {
+				kxHi[l] = g.w - ix0
+			}
+			wide[l] = kxLo[l] == 0 && kxHi[l] == g.k
 		}
-		if ix0+g.k > g.w {
-			kxHi = g.w - ix0
-		}
+		panel := dst[(p0-row0)*kw : (p0-row0+4)*kw]
 		for ky := 0; ky < g.k; ky++ {
-			iy := iy0 + ky
-			seg := dst[ky*rowC : (ky+1)*rowC]
-			if iy < 0 || iy >= g.h {
-				for i := range seg {
-					seg[i] = 0
-				}
+			seg := panel[ky*rowC*4 : (ky+1)*rowC*4]
+			var at [4]int   // index of input pixel (b, iy, ix0), possibly left of the row
+			var inY [4]bool // input row iy exists
+			whole := true
+			for l := range at {
+				iy := iy0[l] + ky
+				inY[l] = iy >= 0 && iy < g.h
+				at[l] = rowBase[l] + iy*g.w*g.ic
+				whole = whole && inY[l] && wide[l]
+			}
+			if whole {
+				tensor.VecInterleave4(seg, xd[at[0]:at[0]+rowC], xd[at[1]:at[1]+rowC],
+					xd[at[2]:at[2]+rowC], xd[at[3]:at[3]+rowC])
 				continue
 			}
-			for i := 0; i < kxLo*g.ic; i++ {
-				seg[i] = 0
-			}
-			if kxHi > kxLo {
-				src := ((b*g.h+iy)*g.w + ix0 + kxLo) * g.ic
-				copy(seg[kxLo*g.ic:kxHi*g.ic], xd[src:src+(kxHi-kxLo)*g.ic])
-			}
-			for i := kxHi * g.ic; i < rowC; i++ {
-				seg[i] = 0
+			for kx := 0; kx < g.k; kx++ {
+				for l := range src {
+					src[l] = zeros
+					if inY[l] && kx >= kxLo[l] && kx < kxHi[l] {
+						o := at[l] + kx*g.ic
+						src[l] = xd[o : o+g.ic]
+					}
+				}
+				tensor.VecInterleave4(seg[kx*g.ic*4:(kx+1)*g.ic*4], src[0], src[1], src[2], src[3])
 			}
 		}
 	}
 }
 
-// convScratch bundles the scratch buffers a GEMM-lowered convolution
-// needs. The compiled-program path supplies workspace-owned buffers;
-// the nil scratch means "allocate per call" (training path).
-type convScratch struct {
-	col    []float32 // im2col rows (unused for pointwise convs)
-	packA  []float32
-	packB  []float32
-	serial bool // run single-threaded (workspace buffers are not shareable)
+// rowBlock returns the row-block length the training path splits an
+// m-row GEMM into: whole 4-row panels, so blocks never share one.
+func rowBlock(m int) int {
+	blocks := gemmBlocks(m)
+	return ((m+blocks-1)/blocks + 3) &^ 3
 }
 
-// convForward runs the convolution as im2col+GEMM with the fused
-// epilogue, writing into out (length n·oh·ow·f).
-func convForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, sc convScratch) {
+// convForward runs the convolution as a lowered GEMM with the fused
+// epilogue, writing into out (length n·oh·ow·f). This is the layers'
+// Forward path: it packs the weights and allocates its scratch per
+// call, and splits the rows across parFor blocks.
+func convForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue) {
 	m := g.n * g.oh * g.ow
 	kk := g.colWidth()
 	if m == 0 {
 		return
 	}
 	if g.isPointwise() {
-		gemmRows(m, g.f, kk, xd, wd, out, ep, sc)
-		return
-	}
-	// Lower then multiply in row blocks so the col matrix stays modest
-	// and row blocks can run on separate goroutines.
-	if sc.serial {
-		if sc.col == nil {
-			sc.col = make([]float32, m*kk)
-		}
-		g.im2col(xd, 0, m, sc.col)
-		gemmRows(m, g.f, kk, sc.col, wd, out, ep, sc)
+		gemmRows(m, g.f, kk, xd, wd, out, ep)
 		return
 	}
 	pb := make([]float32, tensor.PackBSize(kk, g.f))
 	tensor.PackB(kk, g.f, wd, pb)
-	blocks := gemmBlocks(m)
-	chunk := (m + blocks - 1) / blocks
-	chunk = (chunk + 3) &^ 3
+	zeros := make([]float32, g.ic)
+	chunk := rowBlock(m)
 	parFor((m+chunk-1)/chunk, func(bi int) {
 		// Address a closure-local copy of the epilogue: taking &ep on
-		// the shared parameter would force it (and every serial-path
-		// caller's epilogue) onto the heap.
+		// the shared parameter would force it onto the heap for every
+		// caller.
 		epc := ep
 		lo := bi * chunk
 		hi := lo + chunk
 		if hi > m {
 			hi = m
 		}
-		rows := hi - lo
-		col := make([]float32, rows*kk)
-		g.im2col(xd, lo, hi, col)
-		if rows < 8 {
-			// Tiny tail block: the unpacked path needs no scratch.
-			tensor.Gemm(rows, g.f, kk, col, wd, out[lo*g.f:], &epc, nil, nil)
-			return
-		}
-		tensor.GemmPacked(rows, g.f, kk, col, pb, out[lo*g.f:], &epc,
-			make([]float32, tensor.PackASize(rows, kk)))
+		ap := make([]float32, tensor.PackASize(hi-lo, kk))
+		g.lowerPanels(xd, lo, hi, zeros, ap)
+		tensor.GemmPanels(hi-lo, g.f, kk, ap, pb, out[lo*g.f:], &epc)
 	})
 }
 
-// gemmRows multiplies an already-lowered activation matrix against the
-// weights, serially with supplied scratch or across parFor row blocks.
-func gemmRows(m, n, k int, a, b, c []float32, ep tensor.Epilogue, sc convScratch) {
-	if sc.serial {
-		if m >= 8 && (sc.packA == nil || sc.packB == nil) {
-			sc.packA = make([]float32, tensor.PackASize(m, k))
-			sc.packB = make([]float32, tensor.PackBSize(k, n))
-		}
-		// Address a block-local copy: taking &ep directly would flip the
-		// parFor closure below to a by-reference capture and heap-move
-		// the parameter for every caller, including this zero-alloc
-		// serial path.
-		epSerial := ep
-		tensor.Gemm(m, n, k, a, b, c, &epSerial, sc.packA, sc.packB)
-		return
-	}
-	if m < 8 {
-		epSmall := ep
+// gemmRows multiplies a row-major activation matrix against the
+// weights across parFor row blocks (the layers' Forward path).
+func gemmRows(m, n, k int, a, b, c []float32, ep tensor.Epilogue) {
+	if m < tensor.SmallM {
+		epSmall := ep // see convForward
 		tensor.Gemm(m, n, k, a, b, c, &epSmall, nil, nil)
 		return
 	}
 	pb := make([]float32, tensor.PackBSize(k, n))
 	tensor.PackB(k, n, b, pb)
-	blocks := gemmBlocks(m)
-	chunk := (m + blocks - 1) / blocks
-	chunk = (chunk + 3) &^ 3
+	chunk := rowBlock(m)
 	parFor((m+chunk-1)/chunk, func(bi int) {
-		epc := ep // see convForward: keep the shared parameter off the heap
+		epc := ep // see convForward
 		lo := bi * chunk
 		hi := lo + chunk
 		if hi > m {
@@ -215,16 +210,6 @@ func gemmBlocks(m int) int {
 	return w
 }
 
-// dwRepLen returns the scratch length the vectorized stride-1
-// depthwise path needs: K·K period-repeated weight rows plus repeated
-// bias, scale, and shift rows, each of length ow·C.
-func dwRepLen(g convGeom) int {
-	if !dwVectorizable(g) {
-		return 0
-	}
-	return (g.k*g.k + 3) * g.ow * g.ic
-}
-
 // dwVectorizable reports whether the row-vectorized depthwise kernel
 // applies: stride 1 makes every (ky,kx) tap a contiguous shifted span
 // of the input row, and the row must be long enough to amortize the
@@ -233,68 +218,65 @@ func dwVectorizable(g convGeom) bool {
 	return g.s == 1 && g.ow*g.ic >= 32
 }
 
+// The row-vectorized kernel consumes its per-channel operands tiled
+// across a full output row (length ow·C) so they read as flat spans:
+// dwTapsLen floats of weights, one row per (ky,kx) tap, and dwEpiLen
+// floats of bias, scale and shift rows.
+func dwTapsLen(g convGeom) int { return g.k * g.k * g.ow * g.ic }
+func dwEpiLen(g convGeom) int  { return 3 * g.ow * g.ic }
+
 // depthwiseForward is the specialized direct depthwise kernel: each
 // channel convolves with its own K×K filter, bias is preloaded, and
 // the batch-norm scale/shift and ReLU epilogue are fused into the same
 // pass over the row. Stride-1 layers run the row-vectorized kernel
-// (whole-row SSE spans against period-repeated weights); strided
-// layers run the per-tap kernel with hoisted bounds. There are no
-// data-dependent branches on activation values in either path.
-func depthwiseForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, serial bool, rep []float32) {
-	if dwVectorizable(g) {
-		if rep == nil {
-			rep = make([]float32, dwRepLen(g))
-		}
-		dwBuildRep(g, wd, ep, rep)
-		if serial {
-			for job := 0; job < g.n*g.oh; job++ {
-				depthwiseRowVec(g, xd, out, ep, rep, job)
-			}
-			return
-		}
-		parFor(g.n*g.oh, func(job int) { depthwiseRowVec(g, xd, out, ep, rep, job) })
+// (whole-row SSE spans against row-tiled weights); strided layers run
+// the per-tap kernel with hoisted bounds. There are no data-dependent
+// branches on activation values in either path. This is the layers'
+// Forward path: it tiles per call and splits the rows across parFor.
+func depthwiseForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue) {
+	if !dwVectorizable(g) {
+		parFor(g.n*g.oh, func(job int) { depthwiseRow(g, xd, wd, out, ep, job) })
 		return
 	}
-	if serial {
-		// Inline loop: no closure, so the arena path stays
-		// allocation-free.
-		for job := 0; job < g.n*g.oh; job++ {
-			depthwiseRow(g, xd, wd, out, ep, job)
-		}
-		return
-	}
-	parFor(g.n*g.oh, func(job int) { depthwiseRow(g, xd, wd, out, ep, job) })
+	taps, epi := make([]float32, dwTapsLen(g)), make([]float32, dwEpiLen(g))
+	dwTileWeights(g, wd, taps)
+	dwTileEpilogue(g, ep, epi)
+	parFor(g.n*g.oh, func(job int) { depthwiseRowVec(g, xd, out, ep, taps, epi, job) })
 }
 
-// dwBuildRep tiles the per-channel weight, bias, scale, and shift
-// vectors across a full output row so the row kernel can consume them
-// as flat spans. Rebuilt from the live parameters on every execution
-// (one extra pass over K²·ow·C floats, 1/K² of the kernel's work).
-func dwBuildRep(g convGeom, wd []float32, ep tensor.Epilogue, rep []float32) {
+// dwTile repeats the per-channel vector src across one output row.
+func dwTile(g convGeom, src, row []float32) {
+	for ox := 0; ox < g.ow; ox++ {
+		copy(row[ox*g.ic:(ox+1)*g.ic], src)
+	}
+}
+
+// dwTileWeights tiles each tap's per-channel weights across an output
+// row. It depends on the weights alone, so a compiled program keeps
+// the result and rebuilds it only when the weights move.
+func dwTileWeights(g convGeom, wd, taps []float32) {
 	rowW := g.ow * g.ic
 	for kidx := 0; kidx < g.k*g.k; kidx++ {
-		row := rep[kidx*rowW : (kidx+1)*rowW]
-		src := wd[kidx*g.ic : (kidx+1)*g.ic]
-		for ox := 0; ox < g.ow; ox++ {
-			copy(row[ox*g.ic:(ox+1)*g.ic], src)
+		dwTile(g, wd[kidx*g.ic:(kidx+1)*g.ic], taps[kidx*rowW:(kidx+1)*rowW])
+	}
+}
+
+// dwTileEpilogue tiles the bias, scale and shift vectors. Scale and
+// shift are the batch-norm fold of running statistics that carry no
+// version stamp, so this part is rebuilt on every execution (three
+// rows against the kernel's K² rows of work).
+func dwTileEpilogue(g convGeom, ep tensor.Epilogue, epi []float32) {
+	rowW := g.ow * g.ic
+	if ep.Bias != nil {
+		dwTile(g, ep.Bias, epi[:rowW])
+	} else {
+		for i := range epi[:rowW] {
+			epi[i] = 0
 		}
 	}
-	tile := func(slot int, src []float32, fill float32) {
-		row := rep[(g.k*g.k+slot)*rowW : (g.k*g.k+slot+1)*rowW]
-		if src == nil {
-			for i := range row {
-				row[i] = fill
-			}
-			return
-		}
-		for ox := 0; ox < g.ow; ox++ {
-			copy(row[ox*g.ic:(ox+1)*g.ic], src)
-		}
-	}
-	tile(0, ep.Bias, 0)
 	if ep.Scale != nil {
-		tile(1, ep.Scale, 0)
-		tile(2, ep.Shift, 0)
+		dwTile(g, ep.Scale, epi[rowW:2*rowW])
+		dwTile(g, ep.Shift, epi[2*rowW:3*rowW])
 	}
 }
 
@@ -302,11 +284,11 @@ func dwBuildRep(g convGeom, wd []float32, ep tensor.Epilogue, rep []float32) {
 // job) as whole-row vector operations: one VecMulAdd per in-bounds
 // (ky,kx) tap over the contiguous [oxLo,oxHi) span, then the fused
 // epilogue over the row.
-func depthwiseRowVec(g convGeom, xd, out []float32, ep tensor.Epilogue, rep []float32, job int) {
+func depthwiseRowVec(g convGeom, xd, out []float32, ep tensor.Epilogue, taps, epi []float32, job int) {
 	rowW := g.ow * g.ic
 	b, oy := job/g.oh, job%g.oh
 	acc := out[job*rowW : (job+1)*rowW : (job+1)*rowW]
-	copy(acc, rep[g.k*g.k*rowW:(g.k*g.k+1)*rowW]) // bias (or zeros)
+	copy(acc, epi[:rowW]) // bias (or zeros)
 	iy0 := oy - g.padY
 	kyLo, kyHi := 0, g.k
 	if iy0 < 0 {
@@ -332,13 +314,11 @@ func depthwiseRowVec(g convGeom, xd, out []float32, ep tensor.Epilogue, rep []fl
 			span := (oxHi - oxLo) * g.ic
 			xo := xRow + (oxLo+kx-g.padX)*g.ic
 			wo := (ky*g.k+kx)*rowW + oxLo*g.ic
-			tensor.VecMulAdd(acc[oxLo*g.ic:oxLo*g.ic+span], xd[xo:xo+span], rep[wo:wo+span])
+			tensor.VecMulAdd(acc[oxLo*g.ic:oxLo*g.ic+span], xd[xo:xo+span], taps[wo:wo+span])
 		}
 	}
 	if ep.Scale != nil {
-		sc := rep[(g.k*g.k+1)*rowW : (g.k*g.k+2)*rowW]
-		sh := rep[(g.k*g.k+2)*rowW : (g.k*g.k+3)*rowW]
-		tensor.VecScaleShift(acc, sc, sh)
+		tensor.VecScaleShift(acc, epi[rowW:2*rowW], epi[2*rowW:3*rowW])
 	}
 	if ep.ReLU {
 		if ep.Cap > 0 {
@@ -412,9 +392,4 @@ func depthwiseRow(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, job int
 			}
 		}
 	}
-}
-
-// denseForward runs y = xW + b (plus fused activation) as a GEMM.
-func denseForward(d *Dense, xd, out []float32, batch int, ep tensor.Epilogue, sc convScratch) {
-	gemmRows(batch, d.Out, d.In, xd, d.W.Value.Data, out, ep, sc)
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -141,10 +142,10 @@ func TestProgramMatchesNetwork(t *testing.T) {
 	}
 }
 
-// TestProgramTracksLiveWeights verifies that a compiled program reads
-// live parameters: mutating weights after Compile must change the
-// program's output without recompilation (the property that makes
-// interleaved training and frozen inference safe).
+// TestProgramTracksLiveWeights verifies that a compiled program never
+// serves stale weights: mutating weights (and Touching them) after the
+// program has run must change its output without recompilation (the
+// property that makes interleaved training and frozen inference safe).
 func TestProgramTracksLiveWeights(t *testing.T) {
 	net, x := buildFusedNet(t)
 	prog, err := Compile(net, x.Shape)
@@ -158,6 +159,7 @@ func TestProgramTracksLiveWeights(t *testing.T) {
 		for i := range p.Value.Data {
 			p.Value.Data[i] *= 1.5
 		}
+		p.Touch() // the contract for raw Value.Data writes
 	}
 	after := prog.Run(ws, x)
 	close5(t, "live-weights", after, net.Forward(x.Clone(), false), 1e-5)
@@ -169,12 +171,13 @@ func TestProgramTracksLiveWeights(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("program output unchanged after weight mutation: weights were snapshotted")
+		t.Fatal("program output unchanged after weight mutation: stale packed weights served")
 	}
 }
 
 // TestProgramZeroAlloc pins the steady-state execution of a compiled
-// program at zero heap allocations per frame.
+// program at zero heap allocations per frame — and the run that
+// repacks after a weight update too: repacking is in place.
 func TestProgramZeroAlloc(t *testing.T) {
 	net, x := buildFusedNet(t)
 	prog, err := Compile(net, x.Shape)
@@ -182,9 +185,61 @@ func TestProgramZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := prog.NewWorkspace()
-	prog.Run(ws, x) // warm up
+	prog.Run(ws, x) // warm up: first pack
 	if n := testing.AllocsPerRun(50, func() { prog.Run(ws, x) }); n != 0 {
 		t.Fatalf("program Run allocates %v objects per frame, want 0", n)
+	}
+	params := net.Params()
+	if n := testing.AllocsPerRun(50, func() {
+		for _, p := range params {
+			p.Touch()
+		}
+		prog.Run(ws, x)
+	}); n != 0 {
+		t.Fatalf("program Run allocates %v objects when it repacks, want 0", n)
+	}
+}
+
+// TestProgramConcurrentWorkspaces runs two workspaces of one program
+// from two goroutines, starting on weights that were just Touched so
+// both race to repack. Run under -race; the outputs must equal the
+// layer-by-layer pass bit for bit on every iteration.
+func TestProgramConcurrentWorkspaces(t *testing.T) {
+	net, x := buildFusedNet(t)
+	prog, err := Compile(net, x.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		for _, p := range net.Params() {
+			for i := range p.Value.Data {
+				p.Value.Data[i] *= 1.01
+			}
+			p.Touch()
+		}
+		want := prog.Run(prog.NewWorkspace(), x).Clone()
+		for _, p := range net.Params() {
+			p.Touch() // stale again, with nobody having repacked yet
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ws := prog.NewWorkspace()
+				for i := 0; i < 20; i++ {
+					got := prog.Run(ws, x)
+					for j := range want.Data {
+						if got.Data[j] != want.Data[j] {
+							t.Errorf("round %d run %d: [%d] %v, want %v", round, i, j, got.Data[j], want.Data[j])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close5(t, "concurrent", want, net.Forward(x.Clone(), false), 1e-5)
 	}
 }
 
@@ -270,5 +325,113 @@ func TestForwardDeterministicAcrossWorkers(t *testing.T) {
 		if serial.Data[i] != parallel.Data[i] {
 			t.Fatalf("conv forward depends on worker count at %d", i)
 		}
+	}
+}
+
+// im2col is the first pass of the previous three-pass lowering, kept as
+// the oracle for lowerPanels: it lowers the NHWC input block rows
+// [row0, row1) into a row-major matrix, one row of K·K·inC per output
+// position, zero where a tap falls outside the input.
+func (g convGeom) im2col(xd []float32, row0, row1 int, col []float32) {
+	kw := g.colWidth()
+	rowC := g.k * g.ic
+	for r := row0; r < row1; r++ {
+		b := r / (g.oh * g.ow)
+		oy := r / g.ow % g.oh
+		ox := r % g.ow
+		dst := col[(r-row0)*kw : (r-row0+1)*kw]
+		iy0 := oy*g.s - g.padY
+		ix0 := ox*g.s - g.padX
+		for ky := 0; ky < g.k; ky++ {
+			for kx := 0; kx < g.k; kx++ {
+				seg := dst[ky*rowC+kx*g.ic : ky*rowC+(kx+1)*g.ic]
+				iy, ix := iy0+ky, ix0+kx
+				if iy < 0 || iy >= g.h || ix < 0 || ix >= g.w {
+					for i := range seg {
+						seg[i] = 0
+					}
+					continue
+				}
+				src := ((b*g.h+iy)*g.w + ix) * g.ic
+				copy(seg, xd[src:src+g.ic])
+			}
+		}
+	}
+}
+
+// convThreePass is the previous program path for one convolution:
+// im2col into a row-major matrix, then tensor.Gemm, which packs both
+// operands and runs the microkernel (or, under tensor.SmallM rows,
+// streams B unpacked).
+func convThreePass(l *Conv2D, x *tensor.Tensor) *tensor.Tensor {
+	g := l.geom(x.Shape)
+	m, kk := g.n*g.oh*g.ow, g.colWidth()
+	col := x.Data
+	if !g.isPointwise() {
+		col = make([]float32, m*kk)
+		g.im2col(x.Data, 0, m, col)
+	}
+	out := tensor.New(g.n, g.oh, g.ow, g.f)
+	tensor.Gemm(m, g.f, kk, col, l.W.Value.Data, out.Data, &tensor.Epilogue{Bias: l.B.Value.Data},
+		make([]float32, tensor.PackASize(m, kk)), make([]float32, tensor.PackBSize(kk, g.f)))
+	return out
+}
+
+// TestConvLoweringBitwiseMatchesThreePass pins the single-pass
+// lowering (and the prepacked weights behind it) to the previous
+// im2col → pack → kernel route with ==, not a tolerance: the golden
+// digests of bench/ depend on every output element keeping its
+// sequential mul-then-add order over k. Both callers are checked: the
+// layers' Forward at two worker counts, and a compiled program.
+func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
+	table := append(convShapeTable[:len(convShapeTable):len(convShapeTable)], []struct {
+		name           string
+		h, w, ic, f    int
+		kernel, stride int
+		pad            Padding
+		batch          int
+	}{
+		{"rows-mod4-1", 5, 5, 4, 8, 3, 1, Same, 1},  // m=25
+		{"rows-mod4-2", 3, 6, 4, 16, 3, 1, Same, 1}, // m=18, the 6×3 maps of a 96×39 frame
+		{"cols-mod8-1", 6, 6, 8, 9, 3, 1, Valid, 1}, // n=9
+		{"pointwise-rows-mod4", 3, 6, 64, 128, 1, 1, Same, 1},
+		{"pointwise-under-smallm", 2, 3, 16, 12, 1, 1, Same, 1},
+		{"windowed-mc-head", 4, 6, 160, 32, 3, 1, Same, 1}, // 24×1440×32
+	}...)
+	old := Workers
+	defer func() { Workers = old }()
+	for _, tc := range table {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := tensor.NewRNG(21)
+			l := NewConv2D("c", tc.ic, tc.f, tc.kernel, tc.stride, tc.pad, rng)
+			rng.FillNormal(l.B.Value, 0, 0.5)
+			x := tensor.New(tc.batch, tc.h, tc.w, tc.ic)
+			rng.FillNormal(x, 0, 1)
+			want := convThreePass(l, x)
+
+			same := func(who string, got *tensor.Tensor) {
+				t.Helper()
+				if !got.SameShape(want) {
+					t.Fatalf("%s: shape %v vs %v", who, got.Shape, want.Shape)
+				}
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("%s: [%d] %v, three-pass oracle %v", who, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+			Workers = 1
+			same("Forward", l.Forward(x, false))
+			Workers = 3
+			same("Forward/3 workers", l.Forward(x, false))
+
+			prog, err := CompileLayers("c", []Layer{l}, x.Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := prog.NewWorkspace()
+			same("Program.Run", prog.Run(ws, x))
+			same("Program.Run again", prog.Run(ws, x))
+		})
 	}
 }

@@ -13,12 +13,21 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
 
 // Param is a learnable tensor together with its gradient accumulator.
 // Optimizers in internal/train consume Params.
+//
+// A Param carries a version stamp. Compiled programs keep weight
+// matrices in their kernels' packed layout and compare the stamp on
+// every execution to learn when to repack, so whoever writes
+// Value.Data in place must call Touch afterwards: train.SGD.Step,
+// train.Adam.Step and LoadParams do; code that pokes Value.Data
+// directly does so itself. The layers' Forward methods read Value
+// directly and need no Touch.
 type Param struct {
 	// Name identifies the parameter for serialization and debugging,
 	// e.g. "conv1/weights".
@@ -28,7 +37,13 @@ type Param struct {
 	// Grad accumulates dLoss/dValue during Backward. It has the same
 	// shape as Value and is zeroed by optimizers after each step.
 	Grad *tensor.Tensor
+
+	version atomic.Uint64 // Touch count
 }
+
+// Touch records that Value changed. Like the write it follows, it must
+// be ordered before any Program run that is to see the new weights.
+func (p *Param) Touch() { p.version.Add(1) }
 
 func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}

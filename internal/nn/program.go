@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -15,15 +17,23 @@ import (
 // into a Workspace's preallocated slot buffers so the steady state
 // performs zero heap allocations.
 //
-// Programs hold no weight copies: every op reads its layer's live
-// Param tensors (and batch-norm running statistics) at execution time,
-// so a program can never go stale with respect to training — training
-// a network and running its compiled program interleave safely, and
-// the program never touches training state (activation caches, ReLU
-// masks, batch-norm batch statistics).
+// Programs never serve stale weights. The weight matrix of every GEMM
+// op (and the row-tiled taps of the vectorized depthwise kernel) is
+// kept in the layout its kernel consumes, packed on the first run that
+// reaches the op and shared by every Workspace; each execution
+// compares the copy's stamp with the Param's version and repacks, in
+// place, only when the Param was Touched since (see Param). Everything
+// else — biases, batch-norm parameters and running statistics, the
+// weights of ops too small to be worth packing — is read live at
+// execution time. So training a network and running its compiled
+// program interleave safely, and the program never touches training
+// state (activation caches, ReLU masks, batch-norm batch statistics).
 //
-// A Program is immutable after Compile and safe to share across
-// goroutines; each concurrent executor needs its own Workspace.
+// A Program's structure is immutable after Compile and it is safe to
+// share across goroutines; each concurrent executor needs its own
+// Workspace. As before, writing weights while a run is in flight is a
+// data race; runs that start after the write and its Touch see the new
+// weights.
 type Program struct {
 	name    string
 	inShape []int
@@ -32,8 +42,47 @@ type Program struct {
 	byName  map[string]int // layer name -> op producing its output
 
 	maxPackA   int
-	maxPackB   int
-	maxScratch int // per-channel scale+shift scratch (2·C)
+	maxScratch int       // per-channel scale+shift scratch (2·C)
+	zeros      []float32 // read-only: lowerPanels' out-of-bounds taps
+}
+
+// packedWeights is one op's copy of its layer's weights in kernel
+// layout, owned by the Program and shared by its executors.
+type packedWeights struct {
+	src  *Param
+	size int
+	pack func(dst []float32) // lowers src.Value into dst
+
+	mu    sync.Mutex
+	stamp atomic.Uint64 // src's version + 1 at the last pack; 0: never packed
+	data  []float32
+}
+
+// fresh returns the packed copy, first repacking it if src was Touched
+// since the last pack. The steady state is two atomic loads and one
+// compare. Executors that find the copy stale at the same time
+// serialize on mu and all but the first find it fresh again; no
+// executor can still be reading the old copy, since the weight write
+// that staled it already had to be ordered after every earlier run.
+func (pw *packedWeights) fresh() []float32 {
+	if pw.stamp.Load() != pw.src.version.Load()+1 {
+		pw.repack()
+	}
+	return pw.data
+}
+
+func (pw *packedWeights) repack() {
+	pw.mu.Lock()
+	defer pw.mu.Unlock()
+	v := pw.src.version.Load() + 1
+	if pw.stamp.Load() == v {
+		return
+	}
+	if pw.data == nil {
+		pw.data = make([]float32, pw.size)
+	}
+	pw.pack(pw.data)
+	pw.stamp.Store(v)
 }
 
 type opKind int
@@ -57,7 +106,12 @@ type progOp struct {
 	name string // the last fused source layer: the tap address
 	in   int    // input slot, -1 = program input
 	out  int    // output slot
-	col  int    // conv only: im2col slot, -1 when lowered in place
+	epi  int    // vectorized depthwise (pw != nil) only: tiled bias/scale/shift slot
+
+	// pw is the packed weight copy of a conv/dense op that runs the
+	// panel GEMM or a depthwise op that runs the vectorized kernel; nil
+	// when the op reads its weights live.
+	pw *packedWeights
 
 	conv  *Conv2D
 	dw    *DepthwiseConv2D
@@ -108,13 +162,15 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 		p.byName[op.name] = len(p.ops) - 1
 		cur = op.out
 	}
-	needGemm := func(m, n, k int) {
+	// panelGemm prepares an m-row product against w (k×n row-major)
+	// on the panel GEMM: A-panel scratch in the workspace, B panels in
+	// the program.
+	panelGemm := func(m, n, k int, w *Param) *packedWeights {
 		if a := tensor.PackASize(m, k); a > p.maxPackA {
 			p.maxPackA = a
 		}
-		if b := tensor.PackBSize(k, n); b > p.maxPackB {
-			p.maxPackB = b
-		}
+		return &packedWeights{src: w, size: tensor.PackBSize(k, n),
+			pack: func(dst []float32) { tensor.PackB(k, n, w.Value.Data, dst) }}
 	}
 	needScratch := func(c int) {
 		if 2*c > p.maxScratch {
@@ -128,7 +184,7 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 		consumed := 1
 		switch t := l.(type) {
 		case *Conv2D:
-			op := progOp{kind: opConv, conv: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opConv, conv: t, in: cur, name: t.LayerName}
 			op.g = t.geom(shape)
 			shape = t.OutShape(shape)
 			if bn, ok := fuseBN(layers, i+consumed, op.g.f); ok {
@@ -140,15 +196,20 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 				op.act, op.name = r, r.LayerName
 				consumed++
 			}
-			if !op.g.isPointwise() {
-				op.col = addSlot([]int{op.g.n * op.g.oh * op.g.ow, op.g.colWidth()}, -1)
+			// A non-pointwise conv always takes the panel GEMM: its
+			// input has to be lowered anyway, and lowering straight
+			// into panels needs no matrix in between.
+			if m := op.g.n * op.g.oh * op.g.ow; !op.g.isPointwise() || m >= tensor.SmallM {
+				op.pw = panelGemm(m, op.g.f, op.g.colWidth(), t.W)
+				if !op.g.isPointwise() && op.g.ic > len(p.zeros) {
+					p.zeros = make([]float32, op.g.ic)
+				}
 			}
-			needGemm(op.g.n*op.g.oh*op.g.ow, op.g.f, op.g.colWidth())
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *DepthwiseConv2D:
-			op := progOp{kind: opDepthwise, dw: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opDepthwise, dw: t, in: cur, name: t.LayerName}
 			op.g = t.geom(shape)
 			shape = t.OutShape(shape)
 			if bn, ok := fuseBN(layers, i+consumed, op.g.ic); ok {
@@ -160,28 +221,30 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 				op.act, op.name = r, r.LayerName
 				consumed++
 			}
-			if rl := dwRepLen(op.g); rl > 0 {
-				// Scratch for the row-vectorized kernel's repeated
-				// weight/bias/scale/shift rows.
-				op.col = addSlot([]int{rl}, -1)
+			if g := op.g; dwVectorizable(g) {
+				op.pw = &packedWeights{src: t.W, size: dwTapsLen(g),
+					pack: func(dst []float32) { dwTileWeights(g, t.W.Value.Data, dst) }}
+				op.epi = addSlot([]int{dwEpiLen(g)}, -1)
 			}
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *Dense:
-			op := progOp{kind: opDense, dense: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opDense, dense: t, in: cur, name: t.LayerName}
 			op.batch = t.OutShape(shape)[0]
 			shape = t.OutShape(shape)
 			if r, ok := fuseReLU(layers, i+consumed); ok {
 				op.act, op.name = r, r.LayerName
 				consumed++
 			}
-			needGemm(op.batch, t.Out, t.In)
+			if op.batch >= tensor.SmallM {
+				op.pw = panelGemm(op.batch, t.Out, t.In, t.W)
+			}
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *BatchNorm:
-			op := progOp{kind: opBatchNorm, bn: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opBatchNorm, bn: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			if r, ok := fuseReLU(layers, i+consumed); ok {
 				op.act, op.name = r, r.LayerName
@@ -192,37 +255,37 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			emit(op)
 
 		case *ReLU:
-			op := progOp{kind: opReLU, act: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opReLU, act: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *MaxPool2D:
-			op := progOp{kind: opMaxPool, mp: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opMaxPool, mp: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *AvgPool2D:
-			op := progOp{kind: opAvgPool, avg: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opAvgPool, avg: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *GlobalAvgPool:
-			op := progOp{kind: opGlobalAvgPool, gap: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opGlobalAvgPool, gap: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *GlobalMax:
-			op := progOp{kind: opGlobalMax, gmax: t, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opGlobalMax, gmax: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
 		case *Sigmoid:
-			op := progOp{kind: opSigmoid, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opSigmoid, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, -1)
 			emit(op)
@@ -231,7 +294,7 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			if cur < 0 {
 				return nil, fmt.Errorf("nn: compile %q: %s cannot be the first layer", name, t.LayerName)
 			}
-			op := progOp{kind: opView, in: cur, col: -1, name: t.LayerName}
+			op := progOp{kind: opView, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, cur)
 			emit(op)
@@ -291,16 +354,16 @@ func (p *Program) OpIndex(layerName string) (int, bool) {
 func (p *Program) NumOps() int { return len(p.ops) }
 
 // NewWorkspace allocates the arena a single executor needs: one buffer
-// per op output (plus im2col and packing scratch), all sized at
-// compile time. Workspaces are not safe for concurrent use; allocate
-// one per goroutine and reuse it across frames — after the first Run
-// the steady state allocates nothing.
+// per op output plus the A-panel scratch, all sized at compile time
+// (packed weights live in the Program, not here). Workspaces are not
+// safe for concurrent use; allocate one per goroutine and reuse it
+// across frames — after the first Run the steady state allocates
+// nothing.
 func (p *Program) NewWorkspace() *Workspace {
 	ws := &Workspace{
 		prog:    p,
 		bufs:    make([]*tensor.Tensor, len(p.slots)),
 		packA:   make([]float32, p.maxPackA),
-		packB:   make([]float32, p.maxPackB),
 		scratch: make([]float32, p.maxScratch),
 	}
 	for i, s := range p.slots {
@@ -314,13 +377,12 @@ func (p *Program) NewWorkspace() *Workspace {
 }
 
 // Workspace is the per-executor arena for one compiled Program: slot
-// buffers for every op output, im2col scratch, and GEMM packing
-// buffers. See Program.NewWorkspace.
+// buffers for every op output, the GEMM's A-panel buffer, and the
+// batch-norm fold scratch. See Program.NewWorkspace.
 type Workspace struct {
 	prog    *Program
 	bufs    []*tensor.Tensor
 	packA   []float32
-	packB   []float32
 	scratch []float32
 }
 
@@ -393,11 +455,17 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		if op.act != nil {
 			ep.ReLU, ep.Cap = true, op.act.Cap
 		}
-		sc := convScratch{packA: ws.packA, packB: ws.packB, serial: true}
-		if op.col >= 0 {
-			sc.col = ws.bufs[op.col].Data
+		g := op.g
+		m, kk := g.n*g.oh*g.ow, g.colWidth()
+		switch {
+		case op.pw == nil:
+			tensor.Gemm(m, g.f, kk, in.Data, op.conv.W.Value.Data, out.Data, &ep, nil, nil)
+		case g.isPointwise():
+			tensor.GemmPacked(m, g.f, kk, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
+		default:
+			g.lowerPanels(in.Data, 0, m, p.zeros, ws.packA)
+			tensor.GemmPanels(m, g.f, kk, ws.packA, op.pw.fresh(), out.Data, &ep)
 		}
-		convForward(op.g, in.Data, op.conv.W.Value.Data, out.Data, ep, sc)
 
 	case opDepthwise:
 		ep := tensor.Epilogue{Bias: op.dw.B.Value.Data}
@@ -407,19 +475,31 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		if op.act != nil {
 			ep.ReLU, ep.Cap = true, op.act.Cap
 		}
-		var rep []float32
-		if op.col >= 0 {
-			rep = ws.bufs[op.col].Data
+		// Inline loops, no closure: the arena path stays allocation-free.
+		g := op.g
+		if op.pw == nil {
+			for job := 0; job < g.n*g.oh; job++ {
+				depthwiseRow(g, in.Data, op.dw.W.Value.Data, out.Data, ep, job)
+			}
+			break
 		}
-		depthwiseForward(op.g, in.Data, op.dw.W.Value.Data, out.Data, ep, true, rep)
+		taps, epi := op.pw.fresh(), ws.bufs[op.epi].Data
+		dwTileEpilogue(g, ep, epi)
+		for job := 0; job < g.n*g.oh; job++ {
+			depthwiseRowVec(g, in.Data, out.Data, ep, taps, epi, job)
+		}
 
 	case opDense:
 		ep := tensor.Epilogue{Bias: op.dense.B.Value.Data}
 		if op.act != nil {
 			ep.ReLU, ep.Cap = true, op.act.Cap
 		}
-		denseForward(op.dense, in.Data, out.Data, op.batch,
-			ep, convScratch{packA: ws.packA, packB: ws.packB, serial: true})
+		d := op.dense
+		if op.pw == nil {
+			tensor.Gemm(op.batch, d.Out, d.In, in.Data, d.W.Value.Data, out.Data, &ep, nil, nil)
+		} else {
+			tensor.GemmPacked(op.batch, d.Out, d.In, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
+		}
 
 	case opBatchNorm:
 		scale, shift := bnFold(op.bn, ws.scratch)

@@ -57,6 +57,7 @@ func LoadParams(r io.Reader, net *Network) error {
 			return fmt.Errorf("nn: parameter %q size mismatch: saved %d, network %d", sp.Name, len(sp.Data), p.Value.Len())
 		}
 		copy(p.Value.Data, sp.Data)
+		p.Touch()
 		seen[sp.Name] = true
 	}
 	for name := range byName {

@@ -1,0 +1,96 @@
+package nn_test
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+	"repro/internal/train"
+)
+
+// stalenessNet has one op of every kind that keeps a packed weight
+// copy: a lowered 3×3 conv, a vectorized depthwise, a pointwise conv
+// and a dense layer with at least tensor.SmallM rows.
+func stalenessNet() (*nn.Network, *tensor.Tensor) {
+	g := tensor.NewRNG(31)
+	net := nn.NewNetwork("stale")
+	net.Add(nn.NewConv2D("conv1", 3, 8, 3, 1, nn.Same, g)).
+		Add(nn.NewBatchNorm("conv1/bn", 8)).
+		Add(nn.NewReLU("conv1/relu")).
+		Add(nn.NewDepthwiseConv2D("conv2/dw", 8, 3, 1, nn.Same, g)).
+		Add(nn.NewReLU("conv2/relu")).
+		Add(nn.NewConv2D("conv2/sep", 8, 16, 1, 1, nn.Same, g)).
+		Add(nn.NewReLU("conv2/sep/relu")).
+		Add(nn.NewFlatten("flatten")).
+		Add(nn.NewDense("fc", 6*7*16, 5, g))
+	x := tensor.New(8, 6, 7, 3)
+	g.FillNormal(x, 0, 1)
+	return net, x
+}
+
+// TestProgramNeverServesStaleWeights sweeps the in-place weight
+// writers: after an SGD step, an Adam step and a LoadParams, the
+// compiled program (which has already run, so it holds packed copies)
+// must agree with the layer-by-layer pass, and every packed copy must
+// equal a fresh lowering of the live weights. The training forwards
+// also move the batch-norm running statistics, which carry no stamp:
+// the program folds them on every run.
+func TestProgramNeverServesStaleWeights(t *testing.T) {
+	net, x := stalenessNet()
+	prog, err := nn.Compile(net, x.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := prog.NewWorkspace()
+
+	check := func(after string) {
+		t.Helper()
+		got, want := prog.Run(ws, x), net.Forward(x.Clone(), false)
+		for i := range want.Data {
+			g, w := float64(got.Data[i]), float64(want.Data[i])
+			if math.Abs(g-w) > 1e-5*(1+math.Abs(w)) {
+				t.Fatalf("after %s: [%d] program %v vs network %v", after, i, g, w)
+			}
+		}
+		n, err := prog.CheckPacked()
+		if err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+		if n != 4 {
+			t.Fatalf("after %s: %d packed copies checked, want 4 (conv, depthwise, pointwise, dense)", after, n)
+		}
+	}
+	step := func(opt train.Optimizer) {
+		out := net.Forward(x.Clone(), true)
+		grad := tensor.New(out.Shape...)
+		tensor.NewRNG(32).FillNormal(grad, 0, 1)
+		net.Backward(grad)
+		opt.Step(net.Params())
+	}
+
+	check("compile")
+	var saved bytes.Buffer
+	if err := nn.SaveParams(&saved, net); err != nil {
+		t.Fatal(err)
+	}
+	before := prog.Run(ws, x).Clone()
+
+	step(train.NewSGD(0.05, 0.9, 1e-4))
+	check("SGD step")
+	step(train.NewAdam(0.01))
+	check("Adam step")
+	moved := false
+	for i, v := range prog.Run(ws, x).Data {
+		moved = moved || v != before.Data[i]
+	}
+	if !moved {
+		t.Fatal("two optimizer steps left the program's output unchanged")
+	}
+
+	if err := nn.LoadParams(&saved, net); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadParams")
+}

@@ -7,7 +7,7 @@
 // of the evaluation datasets (different backgrounds, positions and
 // schedules), so this is transfer learning in exactly the paper's
 // sense: generic visual features learned offline, reused by every
-// microclassifier (§5.1). See DESIGN.md §1.
+// microclassifier (§5.1).
 package pretrain
 
 import (

@@ -27,11 +27,13 @@ package tensor
 const (
 	gemmMR = 4
 	gemmNR = 8
-	// gemmSmallM switches to the unpacked row-block path: below this
-	// row count the packing passes cost more than they save (the whole
-	// B matrix is streamed exactly once either way).
-	gemmSmallM = 8
 )
+
+// SmallM switches Gemm to the unpacked row-block path: below this row
+// count the packing passes cost more than they save (the whole B matrix
+// is streamed exactly once either way), so a caller deciding whether to
+// keep a packed B for an m-row product needs one only when m >= SmallM.
+const SmallM = 8
 
 // Epilogue describes the fused write-back applied to every GEMM output
 // element, in order: add Bias[j], then scale/shift (the inference-time
@@ -139,27 +141,20 @@ func PackB(k, n int, b, dst []float32) {
 	}
 }
 
-// packA packs row-major A (m×k) into row panels of height gemmMR,
-// zero-padded past m.
+// packA packs row-major A (m×k) into row panels of height gemmMR:
+// panel i0 holds rows [i0, i0+4) interleaved per k-step, so element
+// (i0+r, p) sits at dst[i0*k + p*4 + r] (VecInterleave4's layout). The
+// lanes of the last panel past m repeat row m-1; GemmPanels discards
+// what the microkernel computes for them.
 func packA(m, k int, a, dst []float32) {
+	row := func(i int) []float32 {
+		if i >= m {
+			i = m - 1
+		}
+		return a[i*k : (i+1)*k]
+	}
 	for i0 := 0; i0 < m; i0 += gemmMR {
-		panel := dst[i0*k : (i0+gemmMR)*k]
-		iMax := m - i0
-		if iMax > gemmMR {
-			iMax = gemmMR
-		}
-		for r := 0; r < gemmMR; r++ {
-			if r >= iMax {
-				for p := 0; p < k; p++ {
-					panel[p*gemmMR+r] = 0
-				}
-				continue
-			}
-			row := a[(i0+r)*k : (i0+r+1)*k]
-			for p, v := range row {
-				panel[p*gemmMR+r] = v
-			}
-		}
+		VecInterleave4(dst[i0*k:(i0+gemmMR)*k], row(i0), row(i0+1), row(i0+2), row(i0+3))
 	}
 }
 
@@ -173,33 +168,54 @@ func packA(m, k int, a, dst []float32) {
 // identical results.
 func GemmPacked(m, n, k int, a, bp, c []float32, ep *Epilogue, scratchA []float32) {
 	packA(m, k, a, scratchA)
+	GemmPanels(m, n, k, scratchA, bp, c, ep)
+}
+
+// GemmPanels is GemmPacked for an A that is already in panel layout
+// (see packA; PackASize(m, k) elements): every 4-row panel, the ragged
+// last one included, runs through the microkernel. What the lanes of
+// the last panel past m hold is irrelevant: their outputs land in a
+// stack tile and are dropped.
+func GemmPanels(m, n, k int, ap, bp, c []float32, ep *Epilogue) {
 	nFull := n - n%gemmNR
 	i0 := 0
 	for ; i0+gemmMR <= m; i0 += gemmMR {
-		ap := scratchA[i0*k : (i0+gemmMR)*k]
+		panel := ap[i0*k : (i0+gemmMR)*k]
 		c0 := c[(i0+0)*n : (i0+1)*n]
 		c1 := c[(i0+1)*n : (i0+2)*n]
 		c2 := c[(i0+2)*n : (i0+3)*n]
 		c3 := c[(i0+3)*n : (i0+4)*n]
 		for j0 := 0; j0 < nFull; j0 += gemmNR {
-			kern4x8(k, ap, bp[j0*k:(j0+gemmNR)*k], c0[j0:], c1[j0:], c2[j0:], c3[j0:])
+			kern4x8(k, panel, bp[j0*k:(j0+gemmNR)*k], c0[j0:], c1[j0:], c2[j0:], c3[j0:])
 		}
 		if nFull < n {
-			kernColsTail(k, n-nFull, ap, bp[nFull*k:], c0[nFull:], c1[nFull:], c2[nFull:], c3[nFull:])
+			kernColsTail(k, n-nFull, panel, bp[nFull*k:], c0[nFull:], c1[nFull:], c2[nFull:], c3[nFull:])
 		}
 		ep.Apply(c0, 0)
 		ep.Apply(c1, 0)
 		ep.Apply(c2, 0)
 		ep.Apply(c3, 0)
 	}
-	for ; i0 < m; i0++ {
-		// Trailing rows past the last full 4-row panel: their packed
-		// lanes exist (zero-padded panel), computed scalar.
-		lane := i0 % gemmMR
-		ap := scratchA[(i0-lane)*k:]
-		row := c[i0*n : (i0+1)*n]
-		kernRowTail(k, n, lane, ap, bp, row)
-		ep.Apply(row, 0)
+	if i0 == m {
+		return
+	}
+	// Ragged last panel: each 4×8 tile goes to the stack and only the
+	// live rows (and, in the zero-padded last B panel, the live
+	// columns) are copied out. Same kernel, same k order as above.
+	panel := ap[i0*k : (i0+gemmMR)*k]
+	var tile [gemmMR][gemmNR]float32
+	for j0 := 0; j0 < n; j0 += gemmNR {
+		kern4x8(k, panel, bp[j0*k:(j0+gemmNR)*k], tile[0][:], tile[1][:], tile[2][:], tile[3][:])
+		w := n - j0
+		if w > gemmNR {
+			w = gemmNR
+		}
+		for r := 0; i0+r < m; r++ {
+			copy(c[(i0+r)*n+j0:(i0+r)*n+j0+w], tile[r][:w])
+		}
+	}
+	for i := i0; i < m; i++ {
+		ep.Apply(c[i*n:(i+1)*n], 0)
 	}
 }
 
@@ -219,26 +235,7 @@ func kernColsTail(k, nj int, ap, bpPanel []float32, c0, c1, c2, c3 []float32) {
 	}
 }
 
-// kernRowTail computes one full C row for a trailing row (lane within
-// its zero-padded A panel), scalar.
-func kernRowTail(k, n, lane int, ap, bp []float32, row []float32) {
-	for j0 := 0; j0 < n; j0 += gemmNR {
-		panel := bp[j0*k:]
-		jMax := n - j0
-		if jMax > gemmNR {
-			jMax = gemmNR
-		}
-		for jj := 0; jj < jMax; jj++ {
-			var s float32
-			for p := 0; p < k; p++ {
-				s += ap[p*gemmMR+lane] * panel[p*gemmNR+jj]
-			}
-			row[j0+jj] = s
-		}
-	}
-}
-
-// gemmSmall handles short A blocks (m < gemmSmallM) without packing:
+// gemmSmall handles short A blocks (m < SmallM) without packing:
 // B is streamed once in row order while up to four C rows accumulate
 // in cache.
 func gemmSmall(m, n, k int, a, b, c []float32, ep *Epilogue) {
@@ -299,7 +296,7 @@ func axpy1(n, k int, a, b, c []float32) {
 // Gemm computes C = A·B (A m×k, B k×n, C m×n, all row-major) with the
 // fused epilogue applied on write-back. scratchA and scratchB are
 // packing buffers of at least PackASize/PackBSize elements; they (and
-// ep) may be nil only when m < gemmSmallM, where the unpacked path
+// ep) may be nil only when m < SmallM, where the unpacked path
 // runs. C is fully overwritten.
 func Gemm(m, n, k int, a, b, c []float32, ep *Epilogue, scratchA, scratchB []float32) {
 	if m <= 0 || n <= 0 {
@@ -314,7 +311,7 @@ func Gemm(m, n, k int, a, b, c []float32, ep *Epilogue, scratchA, scratchB []flo
 		}
 		return
 	}
-	if m < gemmSmallM {
+	if m < SmallM {
 		gemmSmall(m, n, k, a, b, c, ep)
 		return
 	}

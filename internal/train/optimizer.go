@@ -10,7 +10,8 @@ import (
 // Optimizer updates parameters from their accumulated gradients and
 // zeroes the gradients afterwards.
 type Optimizer interface {
-	// Step applies one update to every parameter.
+	// Step applies one update to every parameter and Touches it, so
+	// compiled programs over the same network repack what moved.
 	Step(params []*nn.Param)
 }
 
@@ -52,6 +53,7 @@ func (s *SGD) Step(params []*nn.Param) {
 		} else {
 			p.Value.AXPY(-s.LR, g)
 		}
+		p.Touch()
 		g.Zero()
 	}
 }
@@ -103,6 +105,7 @@ func (a *Adam) Step(params []*nn.Param) {
 			vhat := v.Data[i] / bc2
 			p.Value.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Eps)
 		}
+		p.Touch()
 		g.Zero()
 	}
 }

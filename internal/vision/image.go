@@ -1,9 +1,9 @@
 // Package vision is the synthetic wide-angle camera substrate: a
 // procedural scene renderer that stands in for the paper's Jackson
-// Hole and Roadway camera feeds (see DESIGN.md §1). It reproduces the
-// statistical structure the paper relies on — a fixed camera, a static
-// background, small moving objects, sensor noise, and slow lighting
-// drift — while providing exact ground truth by construction.
+// Hole and Roadway camera feeds. It reproduces the statistical
+// structure the paper relies on — a fixed camera, a static background,
+// small moving objects, sensor noise, and slow lighting drift — while
+// providing exact ground truth by construction.
 package vision
 
 import (

@@ -127,8 +127,9 @@ func main() {
 	w := os.Stdout
 
 	// The JSON report collects every experiment's structured result
-	// (the same structs the tests consume) plus wall-clock timings, so
-	// the perf trajectory can be tracked across commits (BENCH_*.json).
+	// (the same structs the tests consume) plus wall-clock timings.
+	// Performance claims across commits are measured by bench/ (see
+	// bench/README.md), not by comparing these reports.
 	report := struct {
 		Options     experiments.Options `json:"options"`
 		Results     map[string]any      `json:"results"`

@@ -23,6 +23,7 @@ import (
 	"repro/internal/mobilenet"
 	"repro/internal/obs"
 	"repro/internal/pretrain"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -70,6 +71,8 @@ func main() {
 		cfg.BrightnessDrift = float32(*bdrift)
 	}
 	d := dataset.Generate(cfg)
+	log.Info("ffrun: starting", "dataset", *dsName, "frames", cfg.Frames,
+		"size", fmt.Sprintf("%dx%d", cfg.Width, cfg.Height), "kernel", tensor.Kernel())
 
 	// The base DNN must match fftrain's (same seed derivation).
 	base := mobilenet.New(mobilenet.Config{WidthMult: 0.25, BatchNorm: true, Seed: 1 + 100})

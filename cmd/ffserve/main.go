@@ -22,6 +22,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/tensor"
 	"repro/internal/vision"
 )
 
@@ -241,7 +242,7 @@ func main() {
 		log.Error("ffserve: listen failed", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	log.Info("ffserve: listening", "addr", bound.String(), "protocols", "v2 + legacy v1")
+	log.Info("ffserve: listening", "addr", bound.String(), "protocols", "v2 + legacy v1", "kernel", tensor.Kernel())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/filter"
@@ -48,6 +50,14 @@ type KernelPath struct {
 
 // KernelsResult is the structured output of the kernel benchmark.
 type KernelsResult struct {
+	// Kernel is the GEMM microkernel tier that produced the numbers
+	// (tensor.Kernel: "avx2", "sse" or "generic"), GOARCH and CPU the
+	// machine it was selected on (CPU is the model string of
+	// /proc/cpuinfo, empty where there is none).
+	Kernel string `json:"kernel"`
+	GOARCH string `json:"goarch"`
+	CPU    string `json:"cpu"`
+
 	FrameWidth  int          `json:"frame_width"`
 	FrameHeight int          `json:"frame_height"`
 	WidthMult   float64      `json:"width_mult"`
@@ -59,8 +69,10 @@ type KernelsResult struct {
 // quantity every Figure 5/6 throughput number is built from — on the
 // frozen, fused, arena-backed execution path, alongside the retained
 // naive reference kernels. It records ns/frame and allocs/frame for
-// the base-DNN extraction and the per-MC marginal push, so BENCH_*.json
-// artifacts track the kernel-level perf trajectory across PRs.
+// the base-DNN extraction and the per-MC marginal push, stamped with
+// the microkernel tier that ran. It is a quick look at the kernels, not
+// the perf ledger: performance claims are measured by bench/ (see
+// bench/README.md).
 func Kernels(w io.Writer, o Options, frames int) (*KernelsResult, error) {
 	o.fillDefaults()
 	if frames <= 0 {
@@ -72,7 +84,8 @@ func Kernels(w io.Writer, o Options, frames int) (*KernelsResult, error) {
 	x := tensor.New(1, height, width, 3)
 	tensor.NewRNG(o.Seed+1).FillNormal(x, 0, 1)
 
-	res := &KernelsResult{FrameWidth: width, FrameHeight: height, WidthMult: o.MCWidthMult, Frames: frames}
+	res := &KernelsResult{Kernel: tensor.Kernel(), GOARCH: runtime.GOARCH, CPU: cpuModel(),
+		FrameWidth: width, FrameHeight: height, WidthMult: o.MCWidthMult, Frames: frames}
 
 	stage := "conv5_6/sep"
 	ext := base.NewExtractor()
@@ -123,7 +136,8 @@ func Kernels(w io.Writer, o Options, frames int) (*KernelsResult, error) {
 	pushAllocs := allocsPerFrame(10, func() { mc.Push(fm) })
 	res.Paths = append(res.Paths, kernelPath("mc-push", mc.Stage(), pushNs, pushQ, pushAllocs, 0, mc.MAddsPerFrame(true)))
 
-	fmt.Fprintf(w, "Inference kernel fast path (%dx%d, width-mult %.2f, %d frames)\n", width, height, o.MCWidthMult, frames)
+	fmt.Fprintf(w, "Inference kernel fast path (%dx%d, width-mult %.2f, %d frames; %s kernel, %s, %s)\n",
+		width, height, o.MCWidthMult, frames, res.Kernel, res.GOARCH, res.CPU)
 	fmt.Fprintf(w, "%-18s %-12s %12s %10s %10s %10s %12s %9s\n", "path", "stage", "ns/frame", "p50", "p95", "p99", "ref ns/frame", "speedup")
 	for _, p := range res.Paths {
 		ref, sp := "-", "-"
@@ -135,6 +149,21 @@ func Kernels(w io.Writer, o Options, frames int) (*KernelsResult, error) {
 			p.Name, p.Stage, p.NsPerFrame, p.P50NsPerFrame, p.P95NsPerFrame, p.P99NsPerFrame, ref, sp)
 	}
 	return res, nil
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" on a
+// system that has none.
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 func kernelPath(name, stage string, ns float64, q obs.Summary, allocs, refNs float64, madds int64) KernelPath {

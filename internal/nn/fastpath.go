@@ -230,9 +230,10 @@ func dwEpiLen(g convGeom) int  { return 3 * g.ow * g.ic }
 // the batch-norm scale/shift and ReLU epilogue are fused into the same
 // pass over the row. Stride-1 layers run the row-vectorized kernel
 // (whole-row SSE spans against row-tiled weights); strided layers run
-// the per-tap kernel with hoisted bounds. There are no data-dependent
-// branches on activation values in either path. This is the layers'
-// Forward path: it tiles per call and splits the rows across parFor.
+// the per-tap kernel with hoisted bounds, vectorized over the channel
+// span. There are no data-dependent branches on activation values in
+// either path. This is the layers' Forward path: it tiles per call and
+// splits the rows across parFor.
 func depthwiseForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue) {
 	if !dwVectorizable(g) {
 		parFor(g.n*g.oh, func(job int) { depthwiseRow(g, xd, wd, out, ep, job) })
@@ -330,7 +331,9 @@ func depthwiseRowVec(g convGeom, xd, out []float32, ep tensor.Epilogue, taps, ep
 }
 
 // depthwiseRow computes one output row (batch b, row oy encoded in
-// job).
+// job) of a strided depthwise convolution, one output pixel at a time:
+// each in-bounds tap is one tensor.VecMulAdd over the pixel's channel
+// span, and the shared vector epilogue closes the pixel.
 func depthwiseRow(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, job int) {
 	b, oy := job/g.oh, job%g.oh
 	iy0 := oy*g.s - g.padY
@@ -341,6 +344,8 @@ func depthwiseRow(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, job int
 	if iy0+g.k > g.h {
 		kyHi = g.h - iy0
 	}
+	tail := ep // what follows the taps: the bias is already in acc
+	tail.Bias = nil
 	for ox := 0; ox < g.ow; ox++ {
 		dst := ((b*g.oh+oy)*g.ow + ox) * g.ic
 		acc := out[dst : dst+g.ic : dst+g.ic]
@@ -367,29 +372,9 @@ func depthwiseRow(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, job int
 				wOff := (ky*g.k + kx) * g.ic
 				xin := xd[src : src+g.ic : src+g.ic]
 				wv := wd[wOff : wOff+g.ic : wOff+g.ic]
-				for ci := range acc {
-					acc[ci] += xin[ci] * wv[ci]
-				}
+				tensor.VecMulAdd(acc, xin, wv)
 			}
 		}
-		if ep.Scale != nil || ep.ReLU {
-			if ep.Scale != nil {
-				sc := ep.Scale
-				sh := ep.Shift
-				for ci := range acc {
-					acc[ci] = acc[ci]*sc[ci] + sh[ci]
-				}
-			}
-			if ep.ReLU {
-				cap := ep.Cap
-				for ci, v := range acc {
-					if v < 0 {
-						acc[ci] = 0
-					} else if cap > 0 && v > cap {
-						acc[ci] = cap
-					}
-				}
-			}
-		}
+		tail.Apply(acc, 0)
 	}
 }

@@ -435,3 +435,99 @@ func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
 		})
 	}
 }
+
+// depthwiseRowScalar is the arithmetic of the previous depthwiseRow
+// (bounds tested per tap rather than hoisted), kept as the oracle the
+// channel-vectorized one is pinned to bit for bit: scalar loops over
+// the channel span for every tap and for the epilogue.
+func depthwiseRowScalar(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, job int) {
+	b, oy := job/g.oh, job%g.oh
+	iy0 := oy*g.s - g.padY
+	for ox := 0; ox < g.ow; ox++ {
+		dst := ((b*g.oh+oy)*g.ow + ox) * g.ic
+		acc := out[dst : dst+g.ic]
+		for i := range acc {
+			acc[i] = 0
+			if ep.Bias != nil {
+				acc[i] = ep.Bias[i]
+			}
+		}
+		ix0 := ox*g.s - g.padX
+		for ky := 0; ky < g.k; ky++ {
+			for kx := 0; kx < g.k; kx++ {
+				iy, ix := iy0+ky, ix0+kx
+				if iy < 0 || iy >= g.h || ix < 0 || ix >= g.w {
+					continue
+				}
+				xin := xd[((b*g.h+iy)*g.w+ix)*g.ic:]
+				wv := wd[(ky*g.k+kx)*g.ic:]
+				for ci := range acc {
+					acc[ci] += xin[ci] * wv[ci]
+				}
+			}
+		}
+		for ci, v := range acc {
+			if ep.Scale != nil {
+				v = v*ep.Scale[ci] + ep.Shift[ci]
+			}
+			if ep.ReLU {
+				if v < 0 {
+					v = 0
+				} else if ep.Cap > 0 && v > ep.Cap {
+					v = ep.Cap
+				}
+			}
+			acc[ci] = v
+		}
+	}
+}
+
+// TestDepthwiseRowBitwiseMatchesScalar pins the strided depthwise
+// kernel's vector spans to the scalar loops they replaced with ==, with
+// channel counts that are all vector tail or leave one, at the padded
+// edges, and under every epilogue.
+func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
+	rng := tensor.NewRNG(41)
+	for _, tc := range []struct {
+		h, w, ic, k, s int
+		pad            Padding
+	}{
+		{9, 11, 8, 3, 2, Same}, {8, 12, 16, 3, 2, Same}, {7, 9, 13, 3, 2, Same},
+		{11, 13, 32, 5, 3, Same}, {10, 8, 9, 3, 2, Valid}, {6, 5, 64, 3, 2, Same},
+		{7, 9, 5, 3, 2, Same}, // narrower than any vector body: all tail
+		{3, 3, 8, 3, 1, Same}, // stride 1 on a row too short for depthwiseRowVec
+	} {
+		l := NewDepthwiseConv2D("d", tc.ic, tc.k, tc.s, tc.pad, rng)
+		x := tensor.New(2, tc.h, tc.w, tc.ic)
+		rng.FillNormal(x, 0, 1)
+		g := l.geom(x.Shape)
+		if dwVectorizable(g) {
+			t.Fatalf("%+v runs depthwiseRowVec, not depthwiseRow", tc)
+		}
+		vec := func(n int) []float32 {
+			v := tensor.New(n)
+			rng.FillNormal(v, 0, 1)
+			return v.Data
+		}
+		bias, scale, shift := vec(tc.ic), vec(tc.ic), vec(tc.ic)
+		for ei, ep := range []tensor.Epilogue{
+			{},
+			{Bias: bias},
+			{Bias: bias, ReLU: true},
+			{Bias: bias, Scale: scale, Shift: shift},
+			{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 1},
+		} {
+			n := g.n * g.oh * g.ow * g.ic
+			got, want := make([]float32, n), make([]float32, n)
+			for job := 0; job < g.n*g.oh; job++ {
+				depthwiseRow(g, x.Data, l.W.Value.Data, got, ep, job)
+				depthwiseRowScalar(g, x.Data, l.W.Value.Data, want, ep, job)
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%+v ep#%d: [%d] %v, scalar oracle %v", tc, ei, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -108,9 +108,10 @@ type progOp struct {
 	out  int    // output slot
 	epi  int    // vectorized depthwise (pw != nil) only: tiled bias/scale/shift slot
 
-	// pw is the packed weight copy of a conv/dense op that runs the
-	// panel GEMM or a depthwise op that runs the vectorized kernel; nil
-	// when the op reads its weights live.
+	// pw is the packed weight copy of a conv or dense op (every one
+	// runs the panel GEMM, whatever its row count) or of a depthwise op
+	// that runs the vectorized kernel; nil for a depthwise op on the
+	// strided kernel, which reads its weights live.
 	pw *packedWeights
 
 	conv  *Conv2D
@@ -196,14 +197,9 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 				op.act, op.name = r, r.LayerName
 				consumed++
 			}
-			// A non-pointwise conv always takes the panel GEMM: its
-			// input has to be lowered anyway, and lowering straight
-			// into panels needs no matrix in between.
-			if m := op.g.n * op.g.oh * op.g.ow; !op.g.isPointwise() || m >= tensor.SmallM {
-				op.pw = panelGemm(m, op.g.f, op.g.colWidth(), t.W)
-				if !op.g.isPointwise() && op.g.ic > len(p.zeros) {
-					p.zeros = make([]float32, op.g.ic)
-				}
+			op.pw = panelGemm(op.g.n*op.g.oh*op.g.ow, op.g.f, op.g.colWidth(), t.W)
+			if !op.g.isPointwise() && op.g.ic > len(p.zeros) {
+				p.zeros = make([]float32, op.g.ic)
 			}
 			op.out = addSlot(shape, -1)
 			emit(op)
@@ -237,9 +233,7 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 				op.act, op.name = r, r.LayerName
 				consumed++
 			}
-			if op.batch >= tensor.SmallM {
-				op.pw = panelGemm(op.batch, t.Out, t.In, t.W)
-			}
+			op.pw = panelGemm(op.batch, t.Out, t.In, t.W)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
@@ -457,12 +451,9 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		}
 		g := op.g
 		m, kk := g.n*g.oh*g.ow, g.colWidth()
-		switch {
-		case op.pw == nil:
-			tensor.Gemm(m, g.f, kk, in.Data, op.conv.W.Value.Data, out.Data, &ep, nil, nil)
-		case g.isPointwise():
+		if g.isPointwise() {
 			tensor.GemmPacked(m, g.f, kk, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
-		default:
+		} else {
 			g.lowerPanels(in.Data, 0, m, p.zeros, ws.packA)
 			tensor.GemmPanels(m, g.f, kk, ws.packA, op.pw.fresh(), out.Data, &ep)
 		}
@@ -495,11 +486,7 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 			ep.ReLU, ep.Cap = true, op.act.Cap
 		}
 		d := op.dense
-		if op.pw == nil {
-			tensor.Gemm(op.batch, d.Out, d.In, in.Data, d.W.Value.Data, out.Data, &ep, nil, nil)
-		} else {
-			tensor.GemmPacked(op.batch, d.Out, d.In, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
-		}
+		tensor.GemmPacked(op.batch, d.Out, d.In, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
 
 	case opBatchNorm:
 		scale, shift := bnFold(op.bn, ws.scratch)

@@ -12,7 +12,7 @@ import (
 
 // stalenessNet has one op of every kind that keeps a packed weight
 // copy: a lowered 3×3 conv, a vectorized depthwise, a pointwise conv
-// and a dense layer with at least tensor.SmallM rows.
+// and a dense layer, all with eight or more GEMM rows.
 func stalenessNet() (*nn.Network, *tensor.Tensor) {
 	g := tensor.NewRNG(31)
 	net := nn.NewNetwork("stale")
@@ -30,6 +30,22 @@ func stalenessNet() (*nn.Network, *tensor.Tensor) {
 	return net, x
 }
 
+// stalenessNetFewRows is the shape of a microclassifier's tail: a
+// pointwise conv over a 2×3 map (m = 6) and a dense layer at batch 1.
+// Ops this short used to read their weights live; they hold packed
+// copies like every other GEMM op now.
+func stalenessNetFewRows() (*nn.Network, *tensor.Tensor) {
+	g := tensor.NewRNG(33)
+	net := nn.NewNetwork("stale-few-rows")
+	net.Add(nn.NewConv2D("pw", 8, 16, 1, 1, nn.Same, g)).
+		Add(nn.NewReLU("pw/relu")).
+		Add(nn.NewFlatten("flatten")).
+		Add(nn.NewDense("fc", 2*3*16, 5, g))
+	x := tensor.New(1, 2, 3, 8)
+	g.FillNormal(x, 0, 1)
+	return net, x
+}
+
 // TestProgramNeverServesStaleWeights sweeps the in-place weight
 // writers: after an SGD step, an Adam step and a LoadParams, the
 // compiled program (which has already run, so it holds packed copies)
@@ -38,7 +54,17 @@ func stalenessNet() (*nn.Network, *tensor.Tensor) {
 // also move the batch-norm running statistics, which carry no stamp:
 // the program folds them on every run.
 func TestProgramNeverServesStaleWeights(t *testing.T) {
-	net, x := stalenessNet()
+	t.Run("conv, depthwise, pointwise, dense", func(t *testing.T) {
+		net, x := stalenessNet()
+		neverServesStaleWeights(t, net, x, 4)
+	})
+	t.Run("pointwise at m=6, dense at batch 1", func(t *testing.T) {
+		net, x := stalenessNetFewRows()
+		neverServesStaleWeights(t, net, x, 2)
+	})
+}
+
+func neverServesStaleWeights(t *testing.T, net *nn.Network, x *tensor.Tensor, packed int) {
 	prog, err := nn.Compile(net, x.Shape)
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +84,8 @@ func TestProgramNeverServesStaleWeights(t *testing.T) {
 		if err != nil {
 			t.Fatalf("after %s: %v", after, err)
 		}
-		if n != 4 {
-			t.Fatalf("after %s: %d packed copies checked, want 4 (conv, depthwise, pointwise, dense)", after, n)
+		if n != packed {
+			t.Fatalf("after %s: %d packed copies checked, want %d", after, n, packed)
 		}
 	}
 	step := func(opt train.Optimizer) {

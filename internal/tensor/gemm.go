@@ -13,26 +13,30 @@ package tensor
 // internal/nn is already the row-major [k*k*inC, outC] matrix this GEMM
 // wants, so weights never need transposition.
 //
-// The inner microkernel computes a 4×8 register tile from packed
-// panels. On amd64 it is four-lane SSE assembly (gemm_kernel_amd64.s);
-// elsewhere a portable Go kernel runs (gemm_kernel_generic.go). Both
-// accumulate each output element over k in the same sequential order,
-// so results are bitwise identical across kernels, row splits, and
-// worker counts.
+// The inner microkernel computes a register tile from packed panels:
+// A in panels of four rows, B in panels of eight columns. amd64 has two
+// tiers, picked once at package initialization (gemm_kernel_amd64.go):
+// an eight-lane AVX2 kernel that runs two adjacent A panels as one 8×8
+// tile where the CPU has it, and the four-lane SSE 4×8 kernel of the
+// amd64 baseline for everything else, a leftover single panel included.
+// Other architectures, and -tags purego, run a portable Go 4×8 kernel
+// (gemm_kernel_generic.go). Every kernel accumulates each output
+// element over k in the same sequential multiply-then-add order, so
+// results are bitwise identical across kernels, row splits, and worker
+// counts.
 
-// gemmMR×gemmNR is the register tile computed by the microkernel: four
-// A rows against eight B columns (two four-lane vectors), which fills
-// the sixteen-register amd64 XMM budget with eight accumulators plus
-// streamed operands.
+// gemmMR×gemmNR is the panel geometry, and the tile of the 4×8
+// kernels: four A rows against eight B columns.
 const (
 	gemmMR = 4
 	gemmNR = 8
 )
 
 // SmallM switches Gemm to the unpacked row-block path: below this row
-// count the packing passes cost more than they save (the whole B matrix
-// is streamed exactly once either way), so a caller deciding whether to
-// keep a packed B for an m-row product needs one only when m >= SmallM.
+// count packing B for a single product costs more than it saves (the
+// whole B matrix is streamed exactly once either way). A caller that
+// already holds a packed B has nothing to save and calls GemmPacked
+// whatever m is.
 const SmallM = 8
 
 // Epilogue describes the fused write-back applied to every GEMM output
@@ -173,12 +177,13 @@ func GemmPacked(m, n, k int, a, bp, c []float32, ep *Epilogue, scratchA []float3
 
 // GemmPanels is GemmPacked for an A that is already in panel layout
 // (see packA; PackASize(m, k) elements): every 4-row panel, the ragged
-// last one included, runs through the microkernel. What the lanes of
-// the last panel past m hold is irrelevant: their outputs land in a
-// stack tile and are dropped.
+// last one included, runs through a microkernel — in pairs through the
+// eight-row tier where there is one, the rest through the 4×8 kernel.
+// What the lanes of the last panel past m hold is irrelevant: their
+// outputs land in a stack tile and are dropped.
 func GemmPanels(m, n, k int, ap, bp, c []float32, ep *Epilogue) {
 	nFull := n - n%gemmNR
-	i0 := 0
+	i0 := gemmPanelPairs(m, n, k, ap, bp, c, ep)
 	for ; i0+gemmMR <= m; i0 += gemmMR {
 		panel := ap[i0*k : (i0+gemmMR)*k]
 		c0 := c[(i0+0)*n : (i0+1)*n]

@@ -2,10 +2,18 @@
 
 package tensor
 
+// Kernel names the GEMM microkernel tier this process runs: "avx2" or
+// "sse" on amd64, "generic" for the portable Go kernel.
+func Kernel() string { return "generic" }
+
+// gemmPanelPairs is the eight-row tier of GemmPanels; the portable
+// build has none, so no rows are completed.
+func gemmPanelPairs(m, n, k int, ap, bp, c []float32, ep *Epilogue) int { return 0 }
+
 // kern4x8 is the portable microkernel: one 4×8 tile from packed panels
 // (A interleaved by 4 rows, B by 8 columns), stored raw into the four
 // C rows. Each output element accumulates over p sequentially, so the
-// result is bitwise identical to the amd64 SSE kernel.
+// result is bitwise identical to the amd64 kernels.
 func kern4x8(k int, ap, bp, c0, c1, c2, c3 []float32) {
 	var t0, t1, t2, t3 [gemmNR]float32
 	for p := 0; p < k; p++ {

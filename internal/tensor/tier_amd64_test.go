@@ -1,0 +1,118 @@
+//go:build amd64 && !purego
+
+package tensor
+
+import (
+	"math"
+	"os"
+	"strings"
+	"testing"
+)
+
+// kernelTiers lists the assembly tiers this machine can run; use()
+// makes GemmPanels walk that tier until the test ends.
+func kernelTiers(t *testing.T) []kernelTier {
+	detected := useAVX2
+	t.Cleanup(func() { useAVX2 = detected })
+	tiers := []kernelTier{{"sse", func() { useAVX2 = false }}}
+	if detectAVX2() {
+		tiers = append(tiers, kernelTier{"avx2", func() { useAVX2 = true }})
+	}
+	return tiers
+}
+
+// TestKernelDispatch checks that the CPUID probe is what selected the
+// tier at package initialization, that the probe agrees with the
+// operating system's view of the CPU, and that the selection is what
+// GemmPanels walks: with the flag off no rows go through the eight-row
+// tier.
+func TestKernelDispatch(t *testing.T) {
+	have := detectAVX2()
+	if useAVX2 != have {
+		t.Fatalf("useAVX2 = %v at start-up, CPUID probe says %v", useAVX2, have)
+	}
+	if want := map[bool]string{true: "avx2", false: "sse"}[have]; Kernel() != want {
+		t.Fatalf("Kernel() = %q, want %q", Kernel(), want)
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if key, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "flags" {
+				listed := strings.Contains(" "+flags+" ", " avx2 ")
+				if listed != have {
+					t.Fatalf("/proc/cpuinfo lists avx2: %v, CPUID probe says %v", listed, have)
+				}
+				break
+			}
+		}
+	}
+	t.Logf("dispatch: CPUID probe avx2=%v, kernel %q", have, Kernel())
+
+	tiers := kernelTiers(t)
+	g := NewRNG(16)
+	const n, k = 9, 5
+	bp := randMat(g, PackBSize(k, n))
+	pairRows := func(m, k int) int {
+		return gemmPanelPairs(m, n, k, randMat(g, PackASize(m, k)), bp, make([]float32, m*n), nil)
+	}
+	tiers[0].use()
+	if Kernel() != "sse" {
+		t.Fatalf("flag forced off: Kernel() = %q", Kernel())
+	}
+	for m := 1; m <= 17; m++ {
+		if got := pairRows(m, k); got != 0 {
+			t.Fatalf("flag forced off: %d of %d rows took the eight-row tier", got, m)
+		}
+	}
+	if !have {
+		return
+	}
+	tiers[1].use()
+	for m, want := range map[int]int{1: 0, 4: 0, 5: 5, 7: 7, 8: 8, 9: 8, 12: 8, 13: 13, 16: 16, 17: 16} {
+		if got := pairRows(m, k); got != want {
+			t.Fatalf("avx2: %d of %d rows took the eight-row tier, want %d", got, m, want)
+		}
+	}
+	if got := pairRows(9, 0); got != 0 {
+		t.Fatalf("avx2, k=0: %d rows took the eight-row tier, which has no panel to read", got)
+	}
+}
+
+// TestKernelTiersKeepNaNPayloads holds the two assembly tiers to more
+// than the generic tier can be held to: with several different NaNs in
+// the operands, which one survives a product or a sum depends on
+// operand order, and the AVX2 kernel keeps the SSE kernel's.
+func TestKernelTiersKeepNaNPayloads(t *testing.T) {
+	tiers := kernelTiers(t)
+	if len(tiers) < 2 {
+		t.Skip("one assembly tier on this machine")
+	}
+	g := NewRNG(17)
+	const m, n, k = 13, 17, 40
+	a, b := randMat(g, m*k), randMat(g, k*n)
+	for i, payload := range []uint32{0x7fc00001, 0xffc00002, 0x7fc12345, 0x7fa00000, 0xffc00000} {
+		a[(i*53)%len(a)] = math.Float32frombits(payload)
+		b[(i*71)%len(b)] = math.Float32frombits(payload ^ 0x100)
+		a[(i*31+7)%len(a)] = inf32
+		b[(i*29+3)%len(b)] = 0
+	}
+	bp := make([]float32, PackBSize(k, n))
+	PackB(k, n, b, bp)
+	ep := &Epilogue{Bias: randMat(g, n), ReLU: true, Cap: 6}
+	out := [2][]float32{make([]float32, m*n), make([]float32, m*n)}
+	nans := 0
+	for i, tier := range tiers {
+		tier.use()
+		GemmPacked(m, n, k, a, bp, out[i], ep, make([]float32, PackASize(m, k)))
+	}
+	for _, v := range out[0] {
+		if v != v {
+			nans++
+		}
+	}
+	if nans == 0 || nans == m*n {
+		t.Fatalf("%d of %d outputs are NaN: the table exercises nothing", nans, m*n)
+	}
+	if i := sameBits(out[0], out[1]); i >= 0 {
+		t.Fatalf("[%d] sse %#08x, avx2 %#08x", i, math.Float32bits(out[0][i]), math.Float32bits(out[1][i]))
+	}
+}

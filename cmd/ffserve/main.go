@@ -1,9 +1,9 @@
 // Command ffserve runs the datacenter side of FilterForward as a
 // network service: the fleet controller accepts edge sessions (see
-// ffrun -connect; legacy v1 upload pipes still work), optionally
-// deploys a microclassifier to every node that connects, demand-
-// fetches event context from edge archives, and periodically prints
-// the fleet registry and per-application upload summaries.
+// ffrun -connect), optionally deploys a microclassifier to every node
+// that connects, demand-fetches event context from edge archives, and
+// periodically prints the fleet registry and per-application upload
+// summaries.
 package main
 
 import (
@@ -242,7 +242,7 @@ func main() {
 		log.Error("ffserve: listen failed", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	log.Info("ffserve: listening", "addr", bound.String(), "protocols", "v2 + legacy v1", "kernel", tensor.Kernel())
+	log.Info("ffserve: listening", "addr", bound.String(), "kernel", tensor.Kernel())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
@@ -381,7 +381,7 @@ func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht
 		observer.Reg.Gauge("ff_fleet_health").Set(int64(status))
 	}
 
-	if len(nodes) == 0 && len(apps) == 0 && ctrl.LegacyReceived() == 0 {
+	if len(nodes) == 0 && len(apps) == 0 {
 		return
 	}
 
@@ -446,9 +446,6 @@ func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht
 			fmt.Printf("  edge archives: %.1f MB on disk, %d segments evicted (%.1f MB reclaimed)\n",
 				float64(sum.ArchiveBytes)/1e6, sum.ArchiveEvictedSegments, float64(sum.ArchiveEvictedBytes)/1e6)
 		}
-	}
-	if legacy := ctrl.LegacyReceived(); legacy > 0 {
-		fmt.Printf("  legacy v1: %d uploads\n", legacy)
 	}
 
 	for _, a := range apps {

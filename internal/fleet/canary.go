@@ -75,7 +75,10 @@ const (
 // canaryState is one (stream, MC) pair's canary-evaluation state on
 // its node record. Like driftState it lives in nodeState, so a Resize
 // re-home moves it wholesale and an in-flight window is never lost or
-// double-decided across shards.
+// double-decided across shards. The candidate, epoch, outcome, and
+// reason are logged (start, epoch, and verdict records); the window
+// anchors and progress are soft state observeCanary keeps from
+// heartbeats, until a verdict record freezes the progress fields.
 type canaryState struct {
 	// mc, threshold, and version describe the candidate artifact;
 	// mc is kept for reconciliation (re-pushing the shadow to a
@@ -101,8 +104,10 @@ type canaryState struct {
 	// heartbeats counts shadow-carrying heartbeats since the window
 	// opened — the expiry clock.
 	heartbeats int
-	// agreePSI, spread, and passDelta are the decision inputs at
-	// verdict time (or the latest observed values while evaluating).
+	// observations is the shadow window's score count; agreePSI,
+	// spread, and passDelta are the decision inputs — at verdict time,
+	// or the latest observed values while evaluating.
+	observations                uint64
 	agreePSI, spread, passDelta float64
 	// outcome is "" while evaluating, then one of the Canary*
 	// constants. Terminal states are kept for reporting; starting a
@@ -112,23 +117,14 @@ type canaryState struct {
 	reason string
 }
 
-// canaryEvent is one verdict, collected under the shard lock and
-// acted on (promote/rollback round trips, logging) outside it.
-type canaryEvent struct {
-	node, stream, mc            string
-	version                     uint64
-	outcome                     string
-	reason                      string
-	observations                uint64
-	agreePSI, spread, passDelta float64
-}
-
 // observeCanary folds one heartbeat's shadow sketches into the node's
-// canary state and returns any verdicts reached. The caller holds the
-// owning shard's mutex; verdict side effects (the promote/rollback
-// round trips) must run outside it.
-func observeCanary(st *nodeState, node string, hb Heartbeat, cfg CanaryConfig) []canaryEvent {
-	var events []canaryEvent
+// canary windows (soft state) and returns a verdict record for every
+// window that reached one. It decides nothing itself: the caller,
+// holding the owning shard's mutex, commits the records, and the
+// verdict's side effects (the promote/rollback round trips) must run
+// outside that mutex.
+func observeCanary(st *nodeState, node string, hb Heartbeat, cfg CanaryConfig) []*canaryVerdictRec {
+	var verdicts []*canaryVerdictRec
 	for stream, mcs := range hb.ShadowScores {
 		for mc, cur := range mcs {
 			key := stream + "/" + mc
@@ -168,6 +164,7 @@ func observeCanary(st *nodeState, node string, hb Heartbeat, cfg CanaryConfig) [
 
 			shadowWin := cur.Sub(cs.baseShadow)
 			liveWin := live.Sub(cs.baseLive)
+			cs.observations = shadowWin.Count
 			cs.spread = shadowWin.StdDev()
 			cs.passDelta = shadowWin.PassRate() - liveWin.PassRate()
 			if cs.passDelta < 0 {
@@ -175,42 +172,37 @@ func observeCanary(st *nodeState, node string, hb Heartbeat, cfg CanaryConfig) [
 			}
 			cs.agreePSI = obs.PSI(liveWin, shadowWin)
 
-			if shadowWin.Count < cfg.Window || liveWin.Count < cfg.Window {
+			var outcome, reason string
+			switch {
+			case shadowWin.Count < cfg.Window || liveWin.Count < cfg.Window:
 				// No verdict until BOTH windows fill: with an empty or
 				// short live window the pass-rate comparison degenerates
 				// to the candidate's absolute pass rate, which would
 				// spuriously roll back (or promote) healthy candidates.
-				if cs.heartbeats >= cfg.ExpireAfter {
-					cs.outcome = CanaryExpired
-					cs.reason = fmt.Sprintf("window shadow %d/%d live %d/%d after %d heartbeats",
-						shadowWin.Count, cfg.Window, liveWin.Count, cfg.Window, cs.heartbeats)
-					events = append(events, canaryEventFrom(node, stream, mc, cs, shadowWin.Count))
+				if cs.heartbeats < cfg.ExpireAfter {
+					continue
 				}
-				continue
-			}
-			switch {
+				outcome = CanaryExpired
+				reason = fmt.Sprintf("window shadow %d/%d live %d/%d after %d heartbeats",
+					shadowWin.Count, cfg.Window, liveWin.Count, cfg.Window, cs.heartbeats)
 			case cs.spread < cfg.MinSpread:
-				cs.outcome = CanaryRolledBack
-				cs.reason = fmt.Sprintf("degenerate scores: spread %.4f < %.4f", cs.spread, cfg.MinSpread)
+				outcome = CanaryRolledBack
+				reason = fmt.Sprintf("degenerate scores: spread %.4f < %.4f", cs.spread, cfg.MinSpread)
 			case cs.passDelta > cfg.MaxPassDelta:
-				cs.outcome = CanaryRolledBack
-				cs.reason = fmt.Sprintf("pass-rate gap %.3f > %.3f", cs.passDelta, cfg.MaxPassDelta)
+				outcome = CanaryRolledBack
+				reason = fmt.Sprintf("pass-rate gap %.3f > %.3f", cs.passDelta, cfg.MaxPassDelta)
 			default:
-				cs.outcome = CanaryPromoted
+				outcome = CanaryPromoted
 			}
-			events = append(events, canaryEventFrom(node, stream, mc, cs, shadowWin.Count))
+			verdicts = append(verdicts, &canaryVerdictRec{
+				Node: node, Stream: stream, Name: mc, Version: cs.version,
+				Outcome: outcome, Reason: reason,
+				Observations: cs.observations, Heartbeats: cs.heartbeats,
+				AgreePSI: cs.agreePSI, Spread: cs.spread, PassDelta: cs.passDelta,
+			})
 		}
 	}
-	return events
-}
-
-func canaryEventFrom(node, stream, mc string, cs *canaryState, observations uint64) canaryEvent {
-	return canaryEvent{
-		node: node, stream: stream, mc: mc,
-		version: cs.version, outcome: cs.outcome, reason: cs.reason,
-		observations: observations,
-		agreePSI:     cs.agreePSI, spread: cs.spread, passDelta: cs.passDelta,
-	}
+	return verdicts
 }
 
 // StartCanary ships candidate MC bytes (a filter.(*MC).Save stream,
@@ -236,11 +228,14 @@ func (c *Controller) StartCanary(node, stream string, mc []byte, threshold float
 	hasIncumbent := false
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
 		sess = sh.liveSessionLocked(node)
-		cs := &canaryState{mc: mc, threshold: threshold, version: info.Version, epoch: 1}
+		rec := &canaryStartRec{
+			Node: node, Stream: stream, Name: info.Name,
+			MC: mc, Threshold: threshold, Version: info.Version,
+		}
 		if dep, ok := st.intent[stream][info.Name]; ok {
 			hasIncumbent = true
 			if inc, err := filter.MCInfo(bytes.NewReader(dep.mc)); err == nil {
-				cs.incumbentVersion = inc.Version
+				rec.IncumbentVersion = inc.Version
 			}
 		} else if sess != nil {
 			// Not intent-managed: accept a directly deployed incumbent
@@ -248,22 +243,13 @@ func (c *Controller) StartCanary(node, stream string, mc []byte, threshold float
 			if hb, at := sess.LastHeartbeat(); !at.IsZero() {
 				if _, ok := hb.Scores[stream][info.Name]; ok {
 					hasIncumbent = true
-					cs.incumbentVersion = hb.ScoreVersions[stream][info.Name]
+					rec.IncumbentVersion = hb.ScoreVersions[stream][info.Name]
 				}
 			}
 		}
-		if !hasIncumbent {
-			return
+		if hasIncumbent {
+			sh.commit(rec)
 		}
-		if st.canary == nil {
-			st.canary = make(map[string]*canaryState)
-		}
-		st.canary[key] = cs
-		sh.persist(wrecCanaryStart, canaryStartRec{
-			Node: node, Stream: stream, Name: info.Name,
-			MC: mc, Threshold: threshold, Version: info.Version,
-			IncumbentVersion: cs.incumbentVersion,
-		})
 	})
 	if !hasIncumbent {
 		return fmt.Errorf("fleet: canary %s/%s: no live incumbent %q to evaluate against", node, key, info.Name)
@@ -277,9 +263,8 @@ func (c *Controller) StartCanary(node, stream string, mc []byte, threshold float
 	if err != nil && errors.Is(err, ErrRejected) {
 		// The node answered and refused the shadow: the canary can
 		// never evaluate, drop it.
-		c.onNode(node, true, func(sh *shard, st *nodeState) {
-			delete(st.canary, key)
-			sh.persist(wrecCanaryVerdict, canaryVerdictRec{
+		c.onNode(node, true, func(sh *shard, _ *nodeState) {
+			sh.commit(&canaryVerdictRec{
 				Node: node, Stream: stream, Name: info.Name,
 				Version: info.Version, Outcome: canaryRemoved,
 			})
@@ -292,66 +277,57 @@ func (c *Controller) StartCanary(node, stream string, mc []byte, threshold float
 // the promote swap (riding the deploy-generation machinery, so a
 // reconnecting node converges on the candidate) or the shadow
 // rollback. Invoked from noteHeartbeat's dispatch goroutine.
-func (c *Controller) resolveCanary(ev canaryEvent) {
-	switch ev.outcome {
+func (c *Controller) resolveCanary(v *canaryVerdictRec) {
+	key := v.Stream + "/" + v.Name
+	// current finds the record the verdict was reached on, or nil when
+	// a new StartCanary replaced it between the verdict and this
+	// goroutine: promoting then would ship the unevaluated replacement,
+	// and withdrawing would kill it — the replacement is left to its own
+	// evaluation, and stale leftovers on the edge to reconciliation.
+	current := func(st *nodeState) *canaryState {
+		if cs := st.canary[key]; cs != nil && v.Outcome == cs.outcome && v.Version == cs.version {
+			return cs
+		}
+		return nil
+	}
+	var sess *Session
+	switch v.Outcome {
 	case CanaryPromoted:
 		var gen uint64
-		var version uint64
-		var sess *Session
-		c.onNode(ev.node, true, func(sh *shard, st *nodeState) {
-			cs := st.canary[ev.stream+"/"+ev.mc]
-			if cs == nil || cs.outcome != CanaryPromoted || cs.version != ev.version {
-				// The record no longer matches the verdict: a new
-				// StartCanary replaced it between the verdict and this
-				// goroutine. Promoting now would ship the unevaluated
-				// replacement — leave it to its own evaluation.
+		c.onNode(v.Node, true, func(sh *shard, st *nodeState) {
+			cs := current(st)
+			if cs == nil {
 				return
 			}
-			if st.intent[ev.stream] == nil {
-				st.intent[ev.stream] = make(map[string]deployment)
-			}
-			st.intent[ev.stream][ev.mc] = deployment{mc: cs.mc, threshold: cs.threshold, version: cs.version}
-			st.gen++
-			gen = st.gen
-			version = cs.version
-			sh.persist(wrecIntent, intentRec{
-				Node: ev.node, Stream: ev.stream, Name: ev.mc,
-				MC: cs.mc, Threshold: cs.threshold, Version: cs.version, Gen: st.gen,
+			gen = st.gen + 1
+			sh.commit(&intentRec{
+				Node: v.Node, Stream: v.Stream, Name: v.Name,
+				MC: cs.mc, Threshold: cs.threshold, Version: cs.version, Gen: gen,
 			})
-			sess = sh.liveSessionLocked(ev.node)
+			sess = sh.liveSessionLocked(v.Node)
 		})
-		if gen == 0 || sess == nil {
-			// Stale verdict (gen untouched), or the node dropped
-			// between verdict and swap — in the latter case the intent
-			// now carries the candidate, so reconciliation finishes
-			// the promotion on reconnect.
+		if sess == nil {
+			// Stale verdict, or the node dropped between verdict and swap
+			// — in the latter case the intent now carries the candidate,
+			// so reconciliation finishes the promotion on reconnect.
 			return
 		}
-		if err := sess.promoteCanary(ev.stream, ev.mc, gen, version); err != nil {
+		if err := sess.promoteCanary(v.Stream, v.Name, gen, v.Version); err != nil {
 			c.cfg.Log.Warn("fleet: canary promote push failed",
-				"node", ev.node, "target", ev.stream+"/"+ev.mc, "err", err)
+				"node", v.Node, "target", key, "err", err)
 		}
 	case CanaryRolledBack, CanaryExpired:
-		var sess *Session
-		stale := false
-		c.onNode(ev.node, false, func(sh *shard, st *nodeState) {
-			cs := st.canary[ev.stream+"/"+ev.mc]
-			if cs == nil || cs.outcome != ev.outcome || cs.version != ev.version {
-				// A new canary owns the shadow slot (StartCanary
-				// replaced the record): withdrawing would kill the
-				// fresh candidate. Stale leftovers on the edge are
-				// reconciliation's job.
-				stale = true
-				return
+		c.onNode(v.Node, false, func(sh *shard, st *nodeState) {
+			if current(st) != nil {
+				sess = sh.liveSessionLocked(v.Node)
 			}
-			sess = sh.liveSessionLocked(ev.node)
 		})
-		if stale || sess == nil {
+		if sess == nil {
 			return
 		}
-		if err := sess.undeployCanary(ev.stream, ev.mc); err != nil {
+		if err := sess.undeployCanary(v.Stream, v.Name); err != nil {
 			c.cfg.Log.Warn("fleet: canary rollback push failed",
-				"node", ev.node, "target", ev.stream+"/"+ev.mc, "err", err)
+				"node", v.Node, "target", key, "err", err)
 		}
 	}
 }
@@ -393,7 +369,7 @@ func (c *Controller) CanaryReports() []CanaryReport {
 				out = append(out, CanaryReport{
 					Node: name, Stream: stream, MC: mc,
 					Version: cs.version, IncumbentVersion: cs.incumbentVersion,
-					Observations: cs.lastShadow.Sub(cs.baseShadow).Count,
+					Observations: cs.observations,
 					Heartbeats:   cs.heartbeats,
 					AgreePSI:     cs.agreePSI, Spread: cs.spread, PassDelta: cs.passDelta,
 					State: state, Reason: cs.reason,

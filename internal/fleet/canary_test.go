@@ -33,6 +33,18 @@ func canaryHB(live, shadow []float64) Heartbeat {
 	}
 }
 
+// observeCanaryApplied runs the evaluator over one heartbeat the way
+// noteHeartbeat does — observe, then apply every verdict record to the
+// node (named "n0") — and returns the verdicts.
+func observeCanaryApplied(st *nodeState, hb Heartbeat, cfg CanaryConfig) []*canaryVerdictRec {
+	verdicts := observeCanary(st, "n0", hb, cfg)
+	state := shardState{nodes: map[string]*nodeState{"n0": st}}
+	for _, v := range verdicts {
+		state.apply(v)
+	}
+	return verdicts
+}
+
 func canaryTestState() *nodeState {
 	return &nodeState{canary: map[string]*canaryState{
 		"cam0/mc": {version: 2, incumbentVersion: 1},
@@ -50,7 +62,7 @@ func TestObserveCanaryPromote(t *testing.T) {
 	// First shadow-carrying heartbeat anchors the live window (the
 	// incumbent already has history) and is below the window: no
 	// verdict yet.
-	evs := observeCanary(st, "n0", canaryHB(alt(0.2, 0.7, 32), alt(0.3, 0.8, 8)), cfg)
+	evs := observeCanaryApplied(st, canaryHB(alt(0.2, 0.7, 32), alt(0.3, 0.8, 8)), cfg)
 	if len(evs) != 0 {
 		t.Fatalf("verdict before window filled: %+v", evs)
 	}
@@ -61,15 +73,15 @@ func TestObserveCanaryPromote(t *testing.T) {
 
 	// The window fills with matched behavior: 16 fresh shadow scores
 	// and 16 fresh live scores, both passing half the time.
-	evs = observeCanary(st, "n0", canaryHB(alt(0.2, 0.7, 48), alt(0.3, 0.8, 16)), cfg)
+	evs = observeCanaryApplied(st, canaryHB(alt(0.2, 0.7, 48), alt(0.3, 0.8, 16)), cfg)
 	if len(evs) != 1 {
 		t.Fatalf("want one verdict, got %+v", evs)
 	}
 	ev := evs[0]
-	if ev.outcome != CanaryPromoted || ev.version != 2 || ev.observations != 16 {
+	if ev.Outcome != CanaryPromoted || ev.Version != 2 || ev.Observations != 16 || ev.Heartbeats != 2 {
 		t.Fatalf("promote verdict: %+v", ev)
 	}
-	if ev.node != "n0" || ev.stream != "cam0" || ev.mc != "mc" {
+	if ev.Node != "n0" || ev.Stream != "cam0" || ev.Name != "mc" {
 		t.Fatalf("verdict identity: %+v", ev)
 	}
 	if cs.outcome != CanaryPromoted {
@@ -78,7 +90,7 @@ func TestObserveCanaryPromote(t *testing.T) {
 
 	// Decided canaries are terminal: further heartbeats (the promote
 	// round trip is still in flight) produce no second verdict.
-	if evs := observeCanary(st, "n0", canaryHB(alt(0.2, 0.7, 64), alt(0.3, 0.8, 32)), cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st, canaryHB(alt(0.2, 0.7, 64), alt(0.3, 0.8, 32)), cfg); len(evs) != 0 {
 		t.Fatalf("verdict on decided canary: %+v", evs)
 	}
 }
@@ -93,18 +105,18 @@ func TestObserveCanaryRollbackPassDelta(t *testing.T) {
 
 	// Incumbent passes nothing (scores below 0.5); the candidate
 	// passes everything while keeping nonzero spread.
-	if evs := observeCanary(st, "n0", canaryHB(alt(0.2, 0.3, 16), alt(0.6, 0.9, 8)), cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st, canaryHB(alt(0.2, 0.3, 16), alt(0.6, 0.9, 8)), cfg); len(evs) != 0 {
 		t.Fatalf("verdict before window filled: %+v", evs)
 	}
-	evs := observeCanary(st, "n0", canaryHB(alt(0.2, 0.3, 32), alt(0.6, 0.9, 16)), cfg)
-	if len(evs) != 1 || evs[0].outcome != CanaryRolledBack {
+	evs := observeCanaryApplied(st, canaryHB(alt(0.2, 0.3, 32), alt(0.6, 0.9, 16)), cfg)
+	if len(evs) != 1 || evs[0].Outcome != CanaryRolledBack {
 		t.Fatalf("want rollback, got %+v", evs)
 	}
-	if !strings.Contains(evs[0].reason, "pass-rate gap") {
-		t.Fatalf("rollback reason: %q", evs[0].reason)
+	if !strings.Contains(evs[0].Reason, "pass-rate gap") {
+		t.Fatalf("rollback reason: %q", evs[0].Reason)
 	}
-	if evs[0].passDelta <= cfg.MaxPassDelta {
-		t.Fatalf("passDelta %.3f should exceed %.3f", evs[0].passDelta, cfg.MaxPassDelta)
+	if evs[0].PassDelta <= cfg.MaxPassDelta {
+		t.Fatalf("passDelta %.3f should exceed %.3f", evs[0].PassDelta, cfg.MaxPassDelta)
 	}
 }
 
@@ -116,18 +128,18 @@ func TestObserveCanaryRollbackDegenerate(t *testing.T) {
 	cfg.fillDefaults()
 	st := canaryTestState()
 
-	if evs := observeCanary(st, "n0", canaryHB(alt(0.6, 0.9, 16), repeat(0.7, 8)), cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st, canaryHB(alt(0.6, 0.9, 16), repeat(0.7, 8)), cfg); len(evs) != 0 {
 		t.Fatalf("verdict before window filled: %+v", evs)
 	}
-	evs := observeCanary(st, "n0", canaryHB(alt(0.6, 0.9, 32), repeat(0.7, 16)), cfg)
-	if len(evs) != 1 || evs[0].outcome != CanaryRolledBack {
+	evs := observeCanaryApplied(st, canaryHB(alt(0.6, 0.9, 32), repeat(0.7, 16)), cfg)
+	if len(evs) != 1 || evs[0].Outcome != CanaryRolledBack {
 		t.Fatalf("want rollback, got %+v", evs)
 	}
-	if !strings.Contains(evs[0].reason, "degenerate") {
-		t.Fatalf("rollback reason: %q", evs[0].reason)
+	if !strings.Contains(evs[0].Reason, "degenerate") {
+		t.Fatalf("rollback reason: %q", evs[0].Reason)
 	}
-	if evs[0].spread >= cfg.MinSpread {
-		t.Fatalf("spread %.4f should be under %.4f", evs[0].spread, cfg.MinSpread)
+	if evs[0].Spread >= cfg.MinSpread {
+		t.Fatalf("spread %.4f should be under %.4f", evs[0].Spread, cfg.MinSpread)
 	}
 }
 
@@ -143,22 +155,22 @@ func TestObserveCanaryExpiry(t *testing.T) {
 	// shadow saw a few frames once, then the stream stalled.
 	hb := canaryHB(alt(0.2, 0.7, 4), alt(0.3, 0.8, 4))
 	for i := 0; i < 2; i++ {
-		if evs := observeCanary(st, "n0", hb, cfg); len(evs) != 0 {
+		if evs := observeCanaryApplied(st, hb, cfg); len(evs) != 0 {
 			t.Fatalf("verdict on heartbeat %d: %+v", i+1, evs)
 		}
 	}
-	evs := observeCanary(st, "n0", hb, cfg)
-	if len(evs) != 1 || evs[0].outcome != CanaryExpired {
+	evs := observeCanaryApplied(st, hb, cfg)
+	if len(evs) != 1 || evs[0].Outcome != CanaryExpired {
 		t.Fatalf("want expiry, got %+v", evs)
 	}
-	if !strings.Contains(evs[0].reason, "heartbeats") {
-		t.Fatalf("expiry reason: %q", evs[0].reason)
+	if !strings.Contains(evs[0].Reason, "heartbeats") {
+		t.Fatalf("expiry reason: %q", evs[0].Reason)
 	}
 
 	// A shadow sketch with no canary record (a stale shadow whose
 	// rollback has not reached the node yet) is ignored, not a panic.
 	orphan := &nodeState{}
-	if evs := observeCanary(orphan, "n0", hb, cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(orphan, hb, cfg); len(evs) != 0 {
 		t.Fatalf("events for untracked shadow: %+v", evs)
 	}
 }
@@ -183,22 +195,22 @@ func TestObserveCanaryLiveWindowGate(t *testing.T) {
 	st := canaryTestState()
 
 	hb := canaryHB(alt(0.2, 0.7, 8), alt(0.6, 0.9, 16))
-	if evs := observeCanary(st, "n0", hb, cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st, hb, cfg); len(evs) != 0 {
 		t.Fatalf("verdict with empty live window: %+v", evs)
 	}
 
 	// The incumbent stalls (same cumulative live sketch) while the
 	// shadow keeps scoring: the live window never fills and the
 	// canary expires rather than deciding blind.
-	if evs := observeCanary(st, "n0", canaryHB(alt(0.2, 0.7, 8), alt(0.6, 0.9, 32)), cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st, canaryHB(alt(0.2, 0.7, 8), alt(0.6, 0.9, 32)), cfg); len(evs) != 0 {
 		t.Fatalf("verdict with unfilled live window: %+v", evs)
 	}
-	evs := observeCanary(st, "n0", canaryHB(alt(0.2, 0.7, 8), alt(0.6, 0.9, 48)), cfg)
-	if len(evs) != 1 || evs[0].outcome != CanaryExpired {
+	evs := observeCanaryApplied(st, canaryHB(alt(0.2, 0.7, 8), alt(0.6, 0.9, 48)), cfg)
+	if len(evs) != 1 || evs[0].Outcome != CanaryExpired {
 		t.Fatalf("want expiry, got %+v", evs)
 	}
-	if !strings.Contains(evs[0].reason, "live 0/16") {
-		t.Fatalf("expiry reason should name the live window: %q", evs[0].reason)
+	if !strings.Contains(evs[0].Reason, "live 0/16") {
+		t.Fatalf("expiry reason should name the live window: %q", evs[0].Reason)
 	}
 
 	// No live sketch at all (the incumbent exists in intent but the
@@ -207,7 +219,7 @@ func TestObserveCanaryLiveWindowGate(t *testing.T) {
 	noLive := Heartbeat{ShadowScores: map[string]map[string]obs.SketchSnapshot{
 		"cam0": {"mc": cumSketch(alt(0.6, 0.9, 32))},
 	}}
-	if evs := observeCanary(st2, "n0", noLive, cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st2, noLive, cfg); len(evs) != 0 {
 		t.Fatalf("verdict with no live sketch: %+v", evs)
 	}
 }
@@ -223,13 +235,13 @@ func TestObserveCanaryEpochReAnchor(t *testing.T) {
 	st := canaryTestState()
 	cs := st.canary["cam0/mc"]
 
-	if evs := observeCanary(st, "n0", withShadowEpoch(canaryHB(alt(0.2, 0.7, 32), alt(0.3, 0.8, 8)), 1), cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st, withShadowEpoch(canaryHB(alt(0.2, 0.7, 32), alt(0.3, 0.8, 8)), 1), cfg); len(evs) != 0 {
 		t.Fatalf("verdict before window filled: %+v", evs)
 	}
 
 	// Install 2 reports the same shadow count as install 1's last
 	// heartbeat, under a new epoch.
-	if evs := observeCanary(st, "n0", withShadowEpoch(canaryHB(alt(0.2, 0.7, 48), alt(0.3, 0.8, 8)), 2), cfg); len(evs) != 0 {
+	if evs := observeCanaryApplied(st, withShadowEpoch(canaryHB(alt(0.2, 0.7, 48), alt(0.3, 0.8, 8)), 2), cfg); len(evs) != 0 {
 		t.Fatalf("verdict across sketch lifetimes: %+v", evs)
 	}
 	if cs.seenEpoch != 2 {
@@ -241,8 +253,8 @@ func TestObserveCanaryEpochReAnchor(t *testing.T) {
 
 	// The re-anchored windows fill and decide on install 2's span
 	// only: 16 fresh observations each side, matched behavior.
-	evs := observeCanary(st, "n0", withShadowEpoch(canaryHB(alt(0.2, 0.7, 64), alt(0.3, 0.8, 16)), 2), cfg)
-	if len(evs) != 1 || evs[0].outcome != CanaryPromoted || evs[0].observations != 16 {
+	evs := observeCanaryApplied(st, withShadowEpoch(canaryHB(alt(0.2, 0.7, 64), alt(0.3, 0.8, 16)), 2), cfg)
+	if len(evs) != 1 || evs[0].Outcome != CanaryPromoted || evs[0].Observations != 16 {
 		t.Fatalf("want promote on re-anchored window, got %+v", evs)
 	}
 }
@@ -293,8 +305,8 @@ func TestResolveCanaryStaleVerdict(t *testing.T) {
 	// Version mismatch (verdict was for the replaced candidate) and
 	// outcome mismatch (the replacement is still evaluating): both
 	// must leave intent and generation untouched.
-	ctrl.resolveCanary(canaryEvent{node: "n0", stream: "cam0", mc: "mc", version: 2, outcome: CanaryPromoted})
-	ctrl.resolveCanary(canaryEvent{node: "n0", stream: "cam0", mc: "mc", version: 3, outcome: CanaryPromoted})
+	ctrl.resolveCanary(&canaryVerdictRec{Node: "n0", Stream: "cam0", Name: "mc", Version: 2, Outcome: CanaryPromoted})
+	ctrl.resolveCanary(&canaryVerdictRec{Node: "n0", Stream: "cam0", Name: "mc", Version: 3, Outcome: CanaryPromoted})
 	ctrl.onNode("n0", true, func(_ *shard, st *nodeState) {
 		if len(st.intent) != 0 {
 			t.Errorf("stale promote wrote intent: %+v", st.intent)
@@ -310,8 +322,9 @@ func TestResolveCanaryStaleVerdict(t *testing.T) {
 
 // TestReconcileShadowWithdrawal diffs a resume hello's reported
 // shadows against the canary ledger: undecided candidates are
-// re-pushed under a bumped epoch, while shadows whose record is
-// decided (a lost rollback push) or untracked are withdrawn.
+// re-pushed under the next epoch (which serveSession commits; the diff
+// itself mutates nothing), while shadows whose record is decided (a
+// lost rollback push) or untracked are withdrawn.
 func TestReconcileShadowWithdrawal(t *testing.T) {
 	st := &nodeState{canary: map[string]*canaryState{
 		"cam0/live-one": {mc: []byte{1}, version: 5, epoch: 1},
@@ -336,8 +349,8 @@ func TestReconcileShadowWithdrawal(t *testing.T) {
 	if len(rePush) != 1 || rePush[0].name != "live-one" || rePush[0].version != 5 || rePush[0].epoch != 2 {
 		t.Fatalf("re-push items: %+v", rePush)
 	}
-	if st.canary["cam0/live-one"].epoch != 2 {
-		t.Fatalf("record epoch not bumped: %d", st.canary["cam0/live-one"].epoch)
+	if st.canary["cam0/live-one"].epoch != 1 {
+		t.Fatalf("the diff bumped the record epoch itself: %d", st.canary["cam0/live-one"].epoch)
 	}
 	if len(withdrawn) != 2 || !withdrawn["dead-one"] || !withdrawn["untracked"] {
 		t.Fatalf("withdrawals: %v", withdrawn)

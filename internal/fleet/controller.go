@@ -108,9 +108,11 @@ type deployment struct {
 // node name. It survives sessions — when the node reconnects, the
 // owning shard reconciles the node's reported state against the
 // intent here, and upload accounting continues without duplication —
-// and it survives re-homes: a shard-count change moves the record
-// itself to the new owner, so the ledger high-water mark, intent, and
-// lifecycle counters never fork.
+// and it survives re-homes: a shard-count change moves the whole
+// record to the new owner as one move-in, so the ledger high-water
+// mark, intent, and lifecycle counters never fork. intent, gen,
+// lastSeq, dc, rehomed, and the logged parts of drift and canary change
+// only in shardState.apply; evicted and reconnects are soft.
 type nodeState struct {
 	// intent is the intended deployment: stream -> MC name -> bytes.
 	intent map[string]map[string]deployment
@@ -131,8 +133,8 @@ type nodeState struct {
 	rehomed int
 	// drift is the per-(stream, MC) drift-detection state, keyed
 	// "stream/mc". It rides the node record: a Resize moves the whole
-	// nodeState pointer, so baselines, window boundaries, and scores
-	// survive re-homes without forking or resetting.
+	// record, so baselines, window boundaries, and scores survive
+	// re-homes without forking or resetting.
 	drift map[string]*driftState
 	// canary is the per-(stream, MC) canary-evaluation state, keyed
 	// "stream/mc" like drift. It rides the node record through
@@ -164,7 +166,7 @@ type Controller struct {
 	ln     net.Listener
 	shards []*shard
 	ring   *ring
-	conns  map[net.Conn]struct{} // every open conn, incl. pre-hello and legacy
+	conns  map[net.Conn]struct{} // every open conn, incl. pre-hello
 	wg     sync.WaitGroup
 
 	// recovery holds the stats of the StateDir replay OpenController
@@ -259,15 +261,6 @@ func (c *Controller) placement(node string) (int, uint64) {
 	return c.ring.owner(node), c.epoch.Load()
 }
 
-// shardAt returns the shard at an index that is known to exist
-// (index 0 always does: the controller never has fewer than one
-// shard, and shrinks retire the highest indices first).
-func (c *Controller) shardAt(i int) *shard {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards[i]
-}
-
 // snapshotShards returns the current shard slice for iteration.
 func (c *Controller) snapshotShards() []*shard {
 	c.mu.Lock()
@@ -308,10 +301,9 @@ func (c *Controller) onNode(name string, create bool, f func(*shard, *nodeState)
 }
 
 // Datacenter returns a merged snapshot of every shard's aggregate
-// receiver: every deduplicated upload from every session (and legacy
-// v1 connection), keyed "node/stream/mc" (legacy uploads keep their
-// own naming). The snapshot is consistent per shard and safe to query
-// while sessions are live.
+// receiver: every deduplicated upload from every session, keyed
+// "node/stream/mc". The snapshot is consistent per shard and safe to
+// query while sessions are live.
 func (c *Controller) Datacenter() *core.Datacenter {
 	merged := core.NewDatacenter()
 	for _, sh := range c.snapshotShards() {
@@ -391,7 +383,7 @@ func (c *Controller) Serve(ln net.Listener) {
 }
 
 // Close stops the listener, tears down every open connection (live
-// sessions, legacy pipes, and half-finished handshakes alike), and
+// sessions and half-finished handshakes alike), and
 // waits for their goroutines to drain. A durable controller then
 // writes a final snapshot per shard and closes the state store, so
 // the next open replays no wal at all.
@@ -447,39 +439,25 @@ func (c *Controller) teardown() error {
 	return err
 }
 
-// handleConn negotiates the protocol version and routes one
-// connection to its shard. The pre-hello reads are bounded by the
+// handleConn checks the protocol header, reads and validates the
+// hello, resolves the owning shard on the consistent-hash ring, and
+// hands the connection over pinned to the placement epoch. The shard
+// re-checks the epoch before registering and redirects if a resize
+// raced the hand-off. The pre-hello reads are bounded by the
 // controller timeout: a peer that dials and stalls must not pin a
-// goroutine and connection until controller shutdown.
+// goroutine and connection until controller shutdown. A peer
+// announcing a version this build does not speak is refused with
+// transport.ErrVersion and the connection closed.
 func (c *Controller) handleConn(conn net.Conn) error {
 	if err := conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout)); err != nil {
 		return err
 	}
-	v, err := transport.ReadHeader(conn)
-	if err != nil {
+	if _, err := transport.ReadHeader(conn); err != nil {
 		return err
 	}
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return err
 	}
-	switch v {
-	case transport.Version1:
-		// Legacy pipes carry no node identity to hash; they all park
-		// on shard 0, which always exists.
-		return c.shardAt(0).serveLegacy(conn)
-	case transport.Version2:
-		return c.routeSession(conn)
-	default:
-		return fmt.Errorf("fleet: %w %d", transport.ErrVersion, v)
-	}
-}
-
-// routeSession reads and validates the hello, resolves the owning
-// shard on the consistent-hash ring, and hands the connection over as
-// a Forward pinned to the placement epoch. The shard re-checks the
-// epoch before registering and redirects if a resize raced the
-// hand-off.
-func (c *Controller) routeSession(conn net.Conn) error {
 	// The hello must arrive within the controller timeout; after it,
 	// liveness (when enabled) takes over the read bounds.
 	kind, body, err := transport.ReadRecordDeadline(conn, c.cfg.Timeout)
@@ -497,11 +475,10 @@ func (c *Controller) routeSession(conn net.Conn) error {
 		return errors.New("fleet: hello without a node name")
 	}
 	c.mu.Lock()
-	idx := c.ring.owner(hello.Node)
-	sh := c.shards[idx]
+	sh := c.shards[c.ring.owner(hello.Node)]
 	epoch := c.epoch.Load()
 	c.mu.Unlock()
-	return sh.serveSession(conn, Forward{Shard: idx, Epoch: epoch, Hello: hello})
+	return sh.serveSession(conn, hello, epoch)
 }
 
 // Resize changes the shard count live and returns how many nodes
@@ -514,8 +491,8 @@ func (c *Controller) routeSession(conn net.Conn) error {
 // closed with a redirect — the edge reconnects and its resume hello
 // reconciles on the new shard exactly like any other reconnect.
 // Shrinking folds the retired shards' aggregate history (ledger
-// totals, datacenter, legacy counters) into shard 0, so fleet-global
-// sums are preserved.
+// totals, datacenter) into shard 0, so fleet-global sums are
+// preserved.
 func (c *Controller) Resize(shards int) (moved int, err error) {
 	if shards < 1 {
 		return 0, fmt.Errorf("fleet: shard count %d, need at least 1", shards)
@@ -604,14 +581,14 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 			}
 		}
 		from.mu.Unlock()
-		st.rehomed++
-		to.mu.Lock()
-		to.nodes[m.node] = st
-		// The move-in record carries the node's full state at its new
+		// The move-in record carries the node's full state at its next
 		// incarnation: whichever log last wrote the node at the highest
 		// Rehomed wins recovery, so the stale copy still sitting in the
 		// source shard's log can never resurrect.
-		to.persist(wrecMoveIn, moveInRec{Node: toNodeSnap(m.node, st)})
+		snap := toNodeSnap(m.node, st)
+		snap.Rehomed++
+		to.mu.Lock()
+		to.commit(&moveInRec{Node: snap})
 		to.mu.Unlock()
 		moved++
 		c.cfg.Log.Info("fleet: node re-homed",
@@ -625,37 +602,21 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 		base := c.shards[0]
 		for _, sh := range c.shards[shards:] {
 			sh.mu.Lock()
-			legacy, uploads, uploadBits := sh.legacy, sh.uploads, sh.uploadBits
-			var ups []core.Upload
-			for _, app := range sh.dc.KnownApplications() {
-				ups = append(ups, sh.dc.Uploads(app)...)
-			}
+			fold := &foldRec{Uploads: sh.uploads, UploadBits: sh.uploadBits, DC: dcSnap(sh.dc)}
 			w := sh.wal
 			sh.wal = nil
 			sh.mu.Unlock()
-			base.mu.Lock()
-			base.legacy += legacy
-			base.uploads += uploads
-			base.uploadBits += uploadBits
-			base.dc.ReceiveAll(ups)
-			// On a durable controller the fold is a WAL record keyed by
-			// the retired store's identity — committed and synced before
-			// the retired directory is deleted, so a crash anywhere in
-			// the shrink either replays the fold or re-folds the
-			// surviving directory, never loses it, and (via the identity
-			// key) never counts it twice.
-			durable := true
-			if w != nil && base.wal != nil {
-				fold := foldRec{
-					FromID: w.ID(),
-					Legacy: legacy, Uploads: uploads, UploadBits: uploadBits,
-				}
-				for _, u := range ups {
-					fold.DC = append(fold.DC, toUpSnap(u))
-				}
-				base.folded = append(base.folded, w.ID())
-				durable = base.persist(wrecFold, fold) && base.wal.Sync() == nil
+			// On a durable controller the fold is keyed by the retired
+			// store's identity, and committed and synced before the
+			// retired directory is deleted — so a crash anywhere in the
+			// shrink either replays the fold or re-folds the surviving
+			// directory, never loses it, and (via the identity key) never
+			// counts it twice.
+			if w != nil {
+				fold.FromID = w.ID()
 			}
+			base.mu.Lock()
+			durable := base.commit(fold) && (base.wal == nil || base.wal.Sync() == nil)
 			base.mu.Unlock()
 			if w != nil {
 				dir := w.Dir()
@@ -700,7 +661,8 @@ type reconcileItem struct {
 	canary  bool
 	version uint64
 	// epoch is the canary re-push's install counter (see
-	// DeployRequest.Epoch).
+	// DeployRequest.Epoch): the record's epoch plus one, which the
+	// caller commits before pushing.
 	epoch uint64
 }
 
@@ -749,11 +711,10 @@ func reconcileWorkLocked(st *nodeState, hello Hello) []reconcileItem {
 			continue
 		}
 		stream, name, _ := strings.Cut(key, "/")
-		cs.epoch++
 		d := deployment{mc: cs.mc, threshold: cs.threshold}
 		work = append(work, reconcileItem{
 			stream: stream, name: name, dep: &d, canary: true,
-			version: cs.version, epoch: cs.epoch,
+			version: cs.version, epoch: cs.epoch + 1,
 		})
 	}
 	// Reported shadows with no undecided canary record are withdrawn:
@@ -923,17 +884,6 @@ func (c *Controller) Session(node string) (*Session, error) {
 	return s, nil
 }
 
-// LegacyReceived returns the uploads accepted over v1 connections.
-func (c *Controller) LegacyReceived() int {
-	total := 0
-	for _, sh := range c.snapshotShards() {
-		sh.mu.Lock()
-		total += sh.legacy
-		sh.mu.Unlock()
-	}
-	return total
-}
-
 // Deploy ships serialized microclassifier bytes (a filter.(*MC).Save
 // stream, e.g. an fftrain weights file) to a stream of the named
 // node, recording the deployment as intent on the owning shard so a
@@ -953,16 +903,11 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 	var sess *Session
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
 		if nameErr == nil {
-			if st.intent[stream] == nil {
-				st.intent[stream] = make(map[string]deployment)
-			}
 			prev, had = st.intent[stream][name]
-			st.intent[stream][name] = deployment{mc: mc, threshold: threshold, version: info.Version}
-			st.gen++
-			gen = st.gen
-			sh.persist(wrecIntent, intentRec{
+			gen = st.gen + 1
+			sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: name,
-				MC: mc, Threshold: threshold, Version: info.Version, Gen: st.gen,
+				MC: mc, Threshold: threshold, Version: info.Version, Gen: gen,
 			})
 		}
 		sess = sh.liveSessionLocked(node)
@@ -977,22 +922,15 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 	err := sess.deploy(stream, mc, threshold, gen, info.Version)
 	if err != nil && nameErr == nil && errors.Is(err, ErrRejected) {
 		// The node answered and refused: this intent can never apply.
-		// The rollback re-resolves the node record — a resize may have
-		// moved it (pointer and all) to another shard mid round trip.
+		// Roll back to the previous deployment, or to none. The rollback
+		// re-resolves the node record — a resize may have moved it to
+		// another shard mid round trip.
 		c.onNode(node, true, func(sh *shard, st *nodeState) {
-			rec := intentRec{Node: node, Stream: stream, Name: name, Remove: true}
-			if had {
-				st.intent[stream][name] = prev
-				rec = intentRec{
-					Node: node, Stream: stream, Name: name,
-					MC: prev.mc, Threshold: prev.threshold, Version: prev.version,
-				}
-			} else {
-				delete(st.intent[stream], name)
-			}
-			st.gen++
-			rec.Gen = st.gen
-			sh.persist(wrecIntent, rec)
+			sh.commit(&intentRec{
+				Node: node, Stream: stream, Name: name,
+				MC: prev.mc, Threshold: prev.threshold, Version: prev.version,
+				Gen: st.gen + 1, Remove: !had,
+			})
 		})
 	}
 	return err
@@ -1008,10 +946,8 @@ func (c *Controller) Undeploy(node, stream, mcName string) error {
 	var sess *Session
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
 		if _, had := st.intent[stream][mcName]; had {
-			delete(st.intent[stream], mcName)
-			st.gen++
-			sh.persist(wrecIntent, intentRec{
-				Node: node, Stream: stream, Name: mcName, Gen: st.gen, Remove: true,
+			sh.commit(&intentRec{
+				Node: node, Stream: stream, Name: mcName, Gen: st.gen + 1, Remove: true,
 			})
 		}
 		gen = st.gen

@@ -71,7 +71,10 @@ func (d *DriftConfig) fillDefaults() {
 // each window against the baseline frozen when the pair first reached
 // MinCount. The state lives in nodeState, so a Resize re-home moves
 // it wholesale with the node record and no window is ever lost or
-// double-scored across shards.
+// double-scored across shards. Only the baseline freeze is logged (a
+// driftBaselineRec, which starts the pair over at the baseline);
+// everything after it — window boundary, scores, drifted flag — is
+// soft state observeScores keeps from heartbeats.
 type driftState struct {
 	// baseline is the frozen reference distribution; baselineSet
 	// guards it (an all-zero snapshot is a legal baseline only after
@@ -106,12 +109,16 @@ type driftEvent struct {
 }
 
 // observeScores folds one heartbeat's cumulative score sketches into
-// the node's drift state and returns any threshold transitions.
-// versions carries the model version behind each sketch (nil from
-// agents predating versioning). The caller holds the owning shard's
-// mutex.
-func observeScores(st *nodeState, node string, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) []driftEvent {
-	var events []driftEvent
+// the node's drift windows (soft state) and returns any threshold
+// transitions, plus a freeze record for every pair whose baseline is
+// due — first reaching MinCount, or again after a redeploy reset. It
+// freezes nothing itself: the caller, holding the owning shard's
+// mutex, commits the records, so a restarted controller scores windows
+// against the same reference distribution instead of re-accumulating
+// one shifted by however long the outage lasted. versions carries the
+// model version behind each sketch (nil from agents predating
+// versioning).
+func observeScores(st *nodeState, node string, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) (events []driftEvent, freezes []*driftBaselineRec) {
 	for stream, mcs := range scores {
 		for mc, cur := range mcs {
 			key := stream + "/" + mc
@@ -139,9 +146,7 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 			ds.last = cur
 			if !ds.baselineSet {
 				if cur.Count >= cfg.MinCount {
-					ds.baseline = cur
-					ds.prev = cur
-					ds.baselineSet = true
+					freezes = append(freezes, &driftBaselineRec{Node: node, Key: key, Baseline: cur, Version: ver})
 				}
 				continue
 			}
@@ -163,14 +168,15 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 			ds.drifted = drifted
 		}
 	}
-	return events
+	return events, freezes
 }
 
-// noteHeartbeat is the shard's per-heartbeat drift hook, invoked from
-// the session reader goroutine. It scores the heartbeat's sketches
-// against the node's drift state and logs threshold transitions; a
-// heartbeat landing after the session died or the node re-homed is
-// ignored, mirroring acceptUpload's staleness rules.
+// noteHeartbeat is the shard's per-heartbeat drift and canary hook,
+// invoked from the session reader goroutine. It runs the observers
+// over the heartbeat's sketches, commits the records they return
+// (baseline freezes, canary verdicts), and logs threshold transitions
+// and verdicts; a heartbeat landing after the session died or the node
+// re-homed is ignored, mirroring acceptUpload's staleness rules.
 func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 	if len(hb.Scores) == 0 && len(hb.ShadowScores) == 0 {
 		return
@@ -187,47 +193,13 @@ func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 		sh.mu.Unlock()
 		return
 	}
-	// Capture which pairs already had a frozen baseline: a freeze (or a
-	// reset-and-refreeze after a redeploy) during this observation is
-	// logged below, so a restarted controller scores windows against
-	// the same reference distribution instead of re-accumulating one
-	// shifted by however long the outage lasted.
-	var preBase map[string]obs.SketchSnapshot
-	if sh.wal != nil {
-		preBase = make(map[string]obs.SketchSnapshot)
-		for stream, mcs := range hb.Scores {
-			for mc := range mcs {
-				key := stream + "/" + mc
-				if ds := st.drift[key]; ds != nil && ds.baselineSet {
-					preBase[key] = ds.baseline
-				}
-			}
-		}
+	events, freezes := observeScores(st, s.node, hb.Scores, hb.ScoreVersions, sh.c.cfg.Drift)
+	verdicts := observeCanary(st, s.node, hb, sh.c.cfg.Canary)
+	for _, rec := range freezes {
+		sh.commit(rec)
 	}
-	events := observeScores(st, s.node, hb.Scores, hb.ScoreVersions, sh.c.cfg.Drift)
-	canaryEvents := observeCanary(st, s.node, hb, sh.c.cfg.Canary)
-	if sh.wal != nil {
-		for stream, mcs := range hb.Scores {
-			for mc := range mcs {
-				key := stream + "/" + mc
-				ds := st.drift[key]
-				if ds == nil || !ds.baselineSet {
-					continue
-				}
-				if old, ok := preBase[key]; ok && old == ds.baseline {
-					continue
-				}
-				sh.persist(wrecDriftBaseline, driftBaselineRec{
-					Node: s.node, Key: key, Baseline: ds.baseline, Version: ds.version,
-				})
-			}
-		}
-		for _, ev := range canaryEvents {
-			sh.persist(wrecCanaryVerdict, canaryVerdictRec{
-				Node: ev.node, Stream: ev.stream, Name: ev.mc,
-				Version: ev.version, Outcome: ev.outcome, Reason: ev.reason,
-			})
-		}
+	for _, rec := range verdicts {
+		sh.commit(rec)
 	}
 	sh.mu.Unlock()
 	for _, ev := range events {
@@ -241,24 +213,23 @@ func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 				"psi", ev.psi, "ks", ev.ks, "window", ev.window)
 		}
 	}
-	for _, ev := range canaryEvents {
-		ev := ev
-		if ev.outcome == CanaryPromoted {
+	for _, v := range verdicts {
+		if v.Outcome == CanaryPromoted {
 			sh.c.cfg.Log.Info("fleet: canary promoted",
-				"node", ev.node, "target", ev.stream+"/"+ev.mc, "shard", sh.id,
-				"version", ev.version, "observations", ev.observations,
-				"agree_psi", ev.agreePSI, "spread", ev.spread, "pass_delta", ev.passDelta)
+				"node", v.Node, "target", v.Stream+"/"+v.Name, "shard", sh.id,
+				"version", v.Version, "observations", v.Observations,
+				"agree_psi", v.AgreePSI, "spread", v.Spread, "pass_delta", v.PassDelta)
 		} else {
-			sh.c.cfg.Log.Warn("fleet: canary "+ev.outcome,
-				"node", ev.node, "target", ev.stream+"/"+ev.mc, "shard", sh.id,
-				"version", ev.version, "observations", ev.observations,
-				"reason", ev.reason)
+			sh.c.cfg.Log.Warn("fleet: canary "+v.Outcome,
+				"node", v.Node, "target", v.Stream+"/"+v.Name, "shard", sh.id,
+				"version", v.Version, "observations", v.Observations,
+				"reason", v.Reason)
 		}
 		// The verdict's round trips (promote swap / shadow removal)
 		// must not run on this goroutine: it is the session reader,
 		// and a round trip here would wait on an ack only this
 		// goroutine can deliver.
-		go sh.c.resolveCanary(ev)
+		go sh.c.resolveCanary(v)
 	}
 }
 

@@ -18,6 +18,18 @@ func cumSketch(scores []float64) obs.SketchSnapshot {
 	return s.Snapshot()
 }
 
+// observeScoresApplied runs the detector over one heartbeat the way
+// noteHeartbeat does — observe, then apply every baseline-freeze
+// record to the node (named "n0") — and returns the transitions.
+func observeScoresApplied(st *nodeState, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) []driftEvent {
+	events, freezes := observeScores(st, "n0", scores, versions, cfg)
+	state := shardState{nodes: map[string]*nodeState{"n0": st}}
+	for _, f := range freezes {
+		state.apply(f)
+	}
+	return events
+}
+
 // repeat returns n copies of v.
 func repeat(v float64, n int) []float64 {
 	out := make([]float64, n)
@@ -36,7 +48,7 @@ func TestObserveScoresLifecycle(t *testing.T) {
 	cfg.fillDefaults()
 	st := &nodeState{}
 	hb := func(scores []float64) []driftEvent {
-		return observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+		return observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 			"cam0": {"mc": cumSketch(scores)},
 		}, nil, cfg)
 	}
@@ -56,6 +68,7 @@ func TestObserveScoresLifecycle(t *testing.T) {
 	if evs := hb(base); len(evs) != 0 {
 		t.Fatalf("events at baseline freeze: %v", evs)
 	}
+	ds = st.drift["cam0/mc"] // the freeze starts the pair over with a fresh record
 	if !ds.baselineSet || ds.baseline.Count != cfg.MinCount {
 		t.Fatalf("baseline not frozen at MinCount: %+v", ds)
 	}
@@ -107,7 +120,7 @@ func TestObserveScoresWindowAccumulation(t *testing.T) {
 	cfg.fillDefaults()
 	st := &nodeState{}
 	scores := repeat(0.3, 20)
-	observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+	observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 		"cam0": {"mc": cumSketch(scores)},
 	}, nil, cfg)
 	ds := st.drift["cam0/mc"]
@@ -115,7 +128,7 @@ func TestObserveScoresWindowAccumulation(t *testing.T) {
 	// scored every 4 heartbeats.
 	for i := 0; i < 8; i++ {
 		scores = append(scores, repeat(0.3, 5)...)
-		observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+		observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 			"cam0": {"mc": cumSketch(scores)},
 		}, nil, cfg)
 	}
@@ -132,7 +145,7 @@ func TestObserveScoresRedeployReset(t *testing.T) {
 	cfg.fillDefaults()
 	st := &nodeState{}
 	for i := 1; i <= 3; i++ {
-		observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+		observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 			"cam0": {"mc": cumSketch(repeat(0.2, i*int(cfg.MinCount)))},
 		}, nil, cfg)
 	}
@@ -144,12 +157,13 @@ func TestObserveScoresRedeployReset(t *testing.T) {
 	// 0.2-heavy baseline that would read as drift, but the reset must
 	// refreeze on the new distribution instead.
 	fresh := repeat(0.9, int(cfg.MinCount))
-	evs := observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+	evs := observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 		"cam0": {"mc": cumSketch(fresh)},
 	}, nil, cfg)
 	if len(evs) != 0 {
 		t.Fatalf("redeploy fired events: %v", evs)
 	}
+	ds = st.drift["cam0/mc"]
 	if !ds.baselineSet || ds.baseline.Count != cfg.MinCount || ds.windows != 0 {
 		t.Fatalf("redeploy did not refreeze baseline: %+v", ds)
 	}
@@ -174,7 +188,7 @@ func TestObserveScoresVersionKeyedReset(t *testing.T) {
 	}
 	// Version 1 establishes a 0.2-heavy baseline and a scored window.
 	for i := 1; i <= 2; i++ {
-		observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+		observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 			"cam0": {"mc": cumSketch(repeat(0.2, i*int(cfg.MinCount)))},
 		}, vers(1), cfg)
 	}
@@ -187,12 +201,13 @@ func TestObserveScoresVersionKeyedReset(t *testing.T) {
 	// so the count-regression check cannot see the swap. The scores are
 	// 0.9-heavy — against the stale baseline that reads as drift.
 	busy := repeat(0.9, 3*int(cfg.MinCount))
-	evs := observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+	evs := observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 		"cam0": {"mc": cumSketch(busy)},
 	}, vers(2), cfg)
 	if len(evs) != 0 {
 		t.Fatalf("version swap fired phantom drift events: %v", evs)
 	}
+	ds = st.drift["cam0/mc"]
 	if ds.version != 2 || ds.windows != 0 {
 		t.Fatalf("detector state not reset on version change: %+v", ds)
 	}
@@ -220,7 +235,7 @@ func TestDriftConfigOff(t *testing.T) {
 	both.fillDefaults()
 	st := &nodeState{}
 	hb := func(scores []float64) []driftEvent {
-		return observeScores(st, "n0", map[string]map[string]obs.SketchSnapshot{
+		return observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 			"cam0": {"mc": cumSketch(scores)},
 		}, nil, both)
 	}

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
+	"net"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -355,36 +358,60 @@ func TestLiveDeployUndeployAndErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyV1Compatibility checks the controller still serves
-// pre-fleet v1 upload pipes.
-func TestLegacyV1Compatibility(t *testing.T) {
+// TestV1HeaderRefused pins what replaced the one-way v1 pipe: a
+// peer announcing version 1 is refused with transport.ErrVersion, its
+// connection closed, nothing it sent accounted — no session, no node
+// record, no upload — and Close still drains.
+func TestV1HeaderRefused(t *testing.T) {
 	ctrl := NewController(ControllerConfig{})
 	addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Close()
 
-	client, err := transport.Dial("tcp", addr.String())
+	// The refusal itself, seen from inside: handleConn's error.
+	peer, served := net.Pipe()
+	go func() {
+		transport.WriteHeader(peer, 1)
+		peer.Close()
+	}()
+	if err := ctrl.handleConn(served); !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("v1 header error = %v, want transport.ErrVersion", err)
+	}
+	served.Close()
+
+	// And from outside, over the listener: the old client's whole
+	// conversation (header, an upload, goodbye) gets a closed connection
+	// and leaves no trace.
+	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ups := []core.Upload{
-		{MCName: "old-mc", EventID: 1, Start: 3, End: 9, Bits: 512, Final: true},
-		{MCName: "old-mc", EventID: 2, Start: 20, End: 24, Bits: 256, Final: true},
-	}
-	if err := client.SendAll(ups); err != nil {
+	defer conn.Close()
+	if err := transport.WriteHeader(conn, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
+	up := core.Upload{MCName: "old-mc", EventID: 1, Start: 3, End: 9, Bits: 512, Final: true}
+	// The controller may close before these land; only the outcome matters.
+	_ = transport.WriteRecord(conn, transport.KindUpload, transport.ToRecord(up))
+	_ = transport.WriteRecord(conn, transport.KindBye, struct{}{})
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("refused connection still open: read %d bytes, err %v", n, err)
 	}
-	waitFor(t, "legacy uploads", func() bool { return ctrl.LegacyReceived() == 2 })
-	if got := ctrl.Datacenter().Uploads("old-mc"); len(got) != 2 || got[0].Start != 3 {
-		t.Fatalf("legacy uploads wrong: %+v", got)
+	if nodes := ctrl.ListNodes(); len(nodes) != 0 {
+		t.Fatalf("refused connection registered a session: %+v", nodes)
 	}
-	if len(ctrl.ListNodes()) != 0 {
-		t.Fatal("legacy connection created a session")
+	for _, s := range ctrl.ShardStats() {
+		if s.Nodes != 0 || s.Sessions != 0 || s.Uploads != 0 {
+			t.Fatalf("refused connection left state behind: %+v", s)
+		}
+	}
+	if got := ctrl.Datacenter().KnownApplications(); len(got) != 0 {
+		t.Fatalf("refused connection's upload was accounted: %v", got)
+	}
+	if err := ctrl.Close(); err != nil {
+		t.Fatalf("close after a refused connection: %v", err)
 	}
 }
 

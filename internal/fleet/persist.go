@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -15,11 +18,27 @@ import (
 	"repro/internal/walog"
 )
 
-// Per-shard WAL record kinds. Every mutation of durable per-node state
-// (intent, ledger, canary lifecycle, drift baselines) appends one of
-// these to the owning shard's log before the mutation is acknowledged
-// anywhere; snapshots compact them. The numbers are on-disk format —
-// append only, never renumber.
+// The shard is a deterministic state machine over typed records. Every
+// mutation of a logged field — a node's intent, deploy generation, and
+// dedup high-water mark, the node and shard ledgers and their totals, a
+// canary's start, install epoch, and verdict, a drift baseline freeze,
+// a node arriving from another shard, a retired shard's history folding
+// in — is one record below, and shardState.apply is the only code that
+// performs it. The live path (shard.commit) logs the record and then
+// applies the typed value it already holds; recovery (replayLog) decodes
+// each logged record and calls the same apply. Replay equals live by
+// construction, not by keeping two copies of every mutation in step.
+//
+// What heartbeats alone derive is soft state and has no record: a drift
+// pair's window boundary, scores, and drifted flag (and the reset of a
+// pair whose model version changed — replay restores the last frozen
+// baseline and the first heartbeat re-detects the change), an undecided
+// canary's window anchors and progress, a node's evicted/reconnects
+// counters, and the existence of a node record with nothing logged in
+// it. Snapshots carry soft state as a convenience; a WAL-only recovery
+// starts it from zero and the next heartbeats rebuild it.
+//
+// The kind numbers are on-disk format — append only, never renumber.
 const (
 	// wrecIntent records one intent change: a deploy (MC set), an
 	// undeploy or rollback (Remove), with the node's post-op generation.
@@ -46,22 +65,61 @@ const (
 	// wrecMoveIn records a node state arriving on this shard — a
 	// Resize re-home, or recovery placing a node on a different shard
 	// than the log it was recovered from. The payload is the full node
-	// state; replay adopts it wholesale, and the Rehomed counter acts
+	// state; apply adopts it wholesale, and the Rehomed counter acts
 	// as the incarnation number that picks the winner when several logs
 	// hold copies of the same node.
 	wrecMoveIn uint8 = 8
 	// wrecFold records a retired shard's aggregate history (ledger
-	// totals, datacenter, legacy counter) folding into this shard, keyed
-	// by the retired log's directory identity so replay never counts a
-	// fold twice even if the retired directory survives a crash.
+	// totals, datacenter) folding into this shard, keyed by the retired
+	// log's directory identity so replay never counts a fold twice even
+	// if the retired directory survives a crash.
 	wrecFold uint8 = 9
-	// wrecLegacyUpload records one upload received over a v1 pipe
-	// (shard 0 only; no node identity, no dedup).
-	wrecLegacyUpload uint8 = 10
+	// Kind 10 was wrecLegacyUpload (an upload over the retired one-way
+	// protocol). Reserved: never reuse the number. A log that still
+	// holds one fails replay with the unknown-kind error.
 )
 
+// record is one typed WAL record: the argument of shardState.apply.
+type record interface{ kind() uint8 }
+
+func (*intentRec) kind() uint8        { return wrecIntent }
+func (*uploadRec) kind() uint8        { return wrecUpload }
+func (*seqResetRec) kind() uint8      { return wrecSeqReset }
+func (*canaryStartRec) kind() uint8   { return wrecCanaryStart }
+func (*canaryEpochRec) kind() uint8   { return wrecCanaryEpoch }
+func (*canaryVerdictRec) kind() uint8 { return wrecCanaryVerdict }
+func (*driftBaselineRec) kind() uint8 { return wrecDriftBaseline }
+func (*moveInRec) kind() uint8        { return wrecMoveIn }
+func (*foldRec) kind() uint8          { return wrecFold }
+
+// newRecord maps an on-disk kind to an empty record to decode into.
+var newRecord = [...]func() record{
+	wrecIntent:        func() record { return new(intentRec) },
+	wrecUpload:        func() record { return new(uploadRec) },
+	wrecSeqReset:      func() record { return new(seqResetRec) },
+	wrecCanaryStart:   func() record { return new(canaryStartRec) },
+	wrecCanaryEpoch:   func() record { return new(canaryEpochRec) },
+	wrecCanaryVerdict: func() record { return new(canaryVerdictRec) },
+	wrecDriftBaseline: func() record { return new(driftBaselineRec) },
+	wrecMoveIn:        func() record { return new(moveInRec) },
+	wrecFold:          func() record { return new(foldRec) },
+}
+
+// decodeRecord turns one logged (kind, payload) back into its typed
+// record.
+func decodeRecord(kind uint8, payload []byte) (record, error) {
+	if int(kind) >= len(newRecord) || newRecord[kind] == nil {
+		return nil, fmt.Errorf("unknown wal record kind %d", kind)
+	}
+	rec := newRecord[kind]()
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
 // canaryRemoved is the wrecCanaryVerdict outcome for a canary record
-// dropped entirely (the edge rejected the shadow deploy) — replay
+// dropped entirely (the edge rejected the shadow deploy) — apply
 // deletes the record instead of marking it decided.
 const canaryRemoved = "removed"
 
@@ -104,11 +162,21 @@ type canaryEpochRec struct {
 	Epoch              uint64
 }
 
-// canaryVerdictRec is the wrecCanaryVerdict payload.
+// canaryVerdictRec is the wrecCanaryVerdict payload: the verdict and
+// the evaluation window it was reached on, frozen — everything
+// CanaryReport prints for a decided canary, so the report reads the
+// same before a crash and after a WAL-only recovery. (Logs written
+// before the window fields existed decode them as zero.)
 type canaryVerdictRec struct {
 	Node, Stream, Name string
 	Version            uint64
 	Outcome, Reason    string
+	// Observations is the shadow window's score count and Heartbeats
+	// the expiry clock at verdict time; AgreePSI, Spread, and PassDelta
+	// are the decision inputs.
+	Observations                uint64
+	Heartbeats                  int
+	AgreePSI, Spread, PassDelta float64
 }
 
 // driftBaselineRec is the wrecDriftBaseline payload.
@@ -123,18 +191,153 @@ type moveInRec struct {
 	Node nodeSnap
 }
 
-// foldRec is the wrecFold payload.
+// foldRec is the wrecFold payload. FromID is zero only on an in-memory
+// controller, whose shards have no store and so no identity.
 type foldRec struct {
 	FromID     uint64
-	Legacy     int
 	Uploads    int
 	UploadBits int64
 	DC         []upSnap
 }
 
-// legacyUploadRec is the wrecLegacyUpload payload.
-type legacyUploadRec struct {
-	Rec transport.UploadRecord
+// shardState is the durable part of a shard: what a snapshot holds and
+// what the log's records rebuild. The live shard embeds one and
+// recovery builds one per log directory, both through apply.
+type shardState struct {
+	nodes map[string]*nodeState
+	dc    *core.Datacenter // aggregate across the shard's nodes, keyed "node/stream/mc"
+	// uploads and uploadBits are the shard ledger totals: every
+	// deduplicated upload accepted, across all of the shard's nodes.
+	uploads    int
+	uploadBits int64
+	// folded lists retired shard stores whose aggregate history this
+	// shard has absorbed (fold records), by store identity — carried in
+	// snapshots so a crash between a fold and the retired directory's
+	// deletion cannot double-count it. Only shard 0 folds.
+	folded []uint64
+}
+
+func newShardState() shardState {
+	return shardState{nodes: make(map[string]*nodeState), dc: core.NewDatacenter()}
+}
+
+// node returns (creating if needed) the record for a node name. Live
+// callers hold the shard mutex and own the node under the current
+// placement epoch.
+func (s *shardState) node(name string) *nodeState {
+	st := s.nodes[name]
+	if st == nil {
+		st = &nodeState{
+			intent: make(map[string]map[string]deployment),
+			dc:     core.NewDatacenter(),
+		}
+		s.nodes[name] = st
+	}
+	return st
+}
+
+// apply performs one record's mutation. It is the only writer of the
+// logged fields (see the vocabulary above) and it never fails. Every
+// kind is also idempotent — absolute generations, max-merged epochs,
+// overwritten baselines, identity-keyed folds, seq-deduped uploads —
+// so a record reaching a state that already reflects it changes
+// nothing.
+func (s *shardState) apply(rec record) {
+	switch r := rec.(type) {
+	case *intentRec:
+		st := s.node(r.Node)
+		if r.Remove {
+			delete(st.intent[r.Stream], r.Name)
+		} else {
+			if st.intent[r.Stream] == nil {
+				st.intent[r.Stream] = make(map[string]deployment)
+			}
+			st.intent[r.Stream][r.Name] = deployment{mc: r.MC, threshold: r.Threshold, version: r.Version}
+		}
+		if r.Gen > st.gen {
+			st.gen = r.Gen
+		}
+	case *uploadRec:
+		st := s.node(r.Node)
+		up := r.Rec.ToUpload()
+		if r.Rec.Seq != 0 {
+			if r.Rec.Seq <= st.lastSeq {
+				return // a retransmission, or a record the snapshot already counted
+			}
+			st.lastSeq = r.Rec.Seq
+		}
+		st.dc.Receive(up)
+		// The aggregate view prefixes the node name so two nodes running
+		// the same application don't collide; the per-node and per-session
+		// datacenters keep the edge's own naming.
+		up.MCName = r.Node + "/" + up.MCName
+		s.dc.Receive(up)
+		s.uploads++
+		s.uploadBits += up.Bits
+	case *seqResetRec:
+		s.node(r.Node).lastSeq = 0
+	case *canaryStartRec:
+		st := s.node(r.Node)
+		if st.canary == nil {
+			st.canary = make(map[string]*canaryState)
+		}
+		st.canary[r.Stream+"/"+r.Name] = &canaryState{
+			mc: r.MC, threshold: r.Threshold, version: r.Version,
+			incumbentVersion: r.IncumbentVersion, epoch: 1,
+		}
+	case *canaryEpochRec:
+		if cs := s.node(r.Node).canary[r.Stream+"/"+r.Name]; cs != nil && r.Epoch > cs.epoch {
+			cs.epoch = r.Epoch
+		}
+	case *canaryVerdictRec:
+		st := s.node(r.Node)
+		key := r.Stream + "/" + r.Name
+		cs := st.canary[key]
+		if cs == nil || cs.version != r.Version {
+			return // verdict for a replaced record: ignore
+		}
+		if r.Outcome == canaryRemoved {
+			delete(st.canary, key)
+			return
+		}
+		cs.outcome, cs.reason = r.Outcome, r.Reason
+		cs.observations, cs.heartbeats = r.Observations, r.Heartbeats
+		cs.agreePSI, cs.spread, cs.passDelta = r.AgreePSI, r.Spread, r.PassDelta
+	case *driftBaselineRec:
+		st := s.node(r.Node)
+		if st.drift == nil {
+			st.drift = make(map[string]*driftState)
+		}
+		// A freeze starts the pair over: the window boundary and latest
+		// snapshot sit at the baseline, nothing is scored yet.
+		st.drift[r.Key] = &driftState{
+			baseline: r.Baseline, baselineSet: true,
+			prev: r.Baseline, last: r.Baseline, version: r.Version,
+		}
+	case *moveInRec:
+		// Wholesale replacement: the moved-in state is the node's whole
+		// truth at move time; anything this shard accumulated before is a
+		// stale earlier incarnation (A→B→A re-homes land here).
+		s.nodes[r.Node.Name] = nodeFromSnap(r.Node)
+	case *foldRec:
+		// Folds are keyed by the retired store's identity: a record whose
+		// source this shard already absorbed (the snapshot preceding it
+		// was taken after the fold applied) must not double-count. With
+		// no store there is no identity, and nothing to replay the fold.
+		if r.FromID != 0 {
+			if slices.Contains(s.folded, r.FromID) {
+				return
+			}
+			s.folded = append(s.folded, r.FromID)
+		}
+		s.uploads += r.Uploads
+		s.uploadBits += r.UploadBits
+		for _, u := range r.DC {
+			s.dc.Receive(u.toUpload())
+		}
+	default:
+		panic(fmt.Sprintf("fleet: apply: no mutation defined for record %T", rec))
+	}
 }
 
 // upSnap is core.Upload's durable form. Controller-side uploads carry
@@ -209,6 +412,10 @@ type canarySnap struct {
 	Heartbeats                  int
 	AgreePSI, Spread, PassDelta float64
 	Outcome, Reason             string
+	// Count is canaryState.observations, the shadow window's score count.
+	// (The short name keeps a snapshot's gob type header no larger than
+	// it was before the field existed.)
+	Count uint64
 }
 
 // nodeSnap is nodeState's durable form — what snapshots and move-in
@@ -282,6 +489,7 @@ func toNodeSnap(name string, st *nodeState) nodeSnap {
 			Heartbeats: cs.heartbeats,
 			AgreePSI:   cs.agreePSI, Spread: cs.spread, PassDelta: cs.passDelta,
 			Outcome: cs.outcome, Reason: cs.reason,
+			Count: cs.observations,
 		})
 	}
 	return ns
@@ -324,15 +532,16 @@ func nodeFromSnap(ns nodeSnap) *nodeState {
 			heartbeats: cs.Heartbeats,
 			agreePSI:   cs.AgreePSI, spread: cs.Spread, passDelta: cs.PassDelta,
 			outcome: cs.Outcome, reason: cs.Reason,
+			observations: cs.Count,
 		}
 	}
 	return st
 }
 
-// shardSnap is one shard's snapshot payload: the aggregate history
-// plus every node record, compacting the wal.
+// shardSnap is shardState's durable form — one shard's snapshot
+// payload: the aggregate history plus every node record, compacting
+// the wal.
 type shardSnap struct {
-	Legacy     int
 	Uploads    int
 	UploadBits int64
 	DC         []upSnap
@@ -344,6 +553,31 @@ type shardSnap struct {
 	Folded []uint64
 }
 
+func (s *shardState) toSnap() shardSnap {
+	snap := shardSnap{
+		Uploads: s.uploads, UploadBits: s.uploadBits,
+		DC:     dcSnap(s.dc),
+		Folded: slices.Clone(s.folded),
+	}
+	for _, name := range slices.Sorted(maps.Keys(s.nodes)) {
+		snap.Nodes = append(snap.Nodes, toNodeSnap(name, s.nodes[name]))
+	}
+	return snap
+}
+
+func stateFromSnap(snap shardSnap) shardState {
+	s := shardState{
+		nodes:   make(map[string]*nodeState, len(snap.Nodes)),
+		dc:      dcFromSnap(snap.DC),
+		uploads: snap.Uploads, uploadBits: snap.UploadBits,
+		folded: snap.Folded,
+	}
+	for _, ns := range snap.Nodes {
+		s.nodes[ns.Name] = nodeFromSnap(ns)
+	}
+	return s
+}
+
 func encodeRec(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -352,275 +586,79 @@ func encodeRec(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func decodeRec(b []byte, into any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(into)
-}
-
-// persist appends one record to the shard's wal (no-op without a
-// state dir). Callers hold sh.mu. It returns false only on an append
-// failure — the caller decides whether the op is refusable (uploads
-// withhold their ack so the edge retransmits) or best-effort.
+// commit is the live half of the state machine: compact if due (once
+// SnapshotEvery records have accumulated since the last snapshot), log
+// the record, apply it. Callers hold sh.mu. It reports whether the
+// record reached the log (always true without a state dir). An append
+// failure is logged and the record still applies — durability is
+// best-effort for every kind but an upload, which is neither applied
+// nor, by acceptUpload, acked: the edge keeps it buffered and
+// retransmits, so an acked upload is always on disk.
 //
-// Compaction runs BEFORE the append, never after. At entry, every
-// previously appended record has been applied to shard state (each
-// call site applies-then-persists or persists-then-applies within one
-// critical section), so a snapshot taken here captures exactly the
-// compacted records. The new record then lands in the fresh wal and
-// replays on top of the snapshot. Compacting after the append would
-// be wrong for persist-then-apply sites (acceptUpload): the snapshot
-// would capture state without the just-logged record, then delete the
-// old wal holding it — losing an accepted upload. The converse —
-// apply-then-persist sites whose record lands after a snapshot that
-// already reflects it — is safe because every record kind replays
-// idempotently (absolute generations, max-merged epochs, overwritten
-// baselines, identity-keyed folds, seq-deduped uploads).
-func (sh *shard) persist(kind uint8, v any) bool {
-	if sh.wal == nil {
-		return true
-	}
-	sh.maybeSnapshotLocked()
-	payload, err := encodeRec(v)
-	if err == nil {
-		err = sh.wal.Append(kind, payload)
-	}
-	if err == nil && sh.c.cfg.WALSync {
-		err = sh.wal.Sync()
-	}
-	if err != nil {
-		sh.c.cfg.Log.Error("fleet: wal append failed",
-			"shard", sh.id, "kind", kind, "err", err)
-		return false
-	}
-	return true
-}
-
-// maybeSnapshotLocked compacts the wal once enough records accumulate
-// since the last snapshot. Callers hold sh.mu.
-func (sh *shard) maybeSnapshotLocked() {
-	if sh.wal == nil || sh.c.cfg.SnapshotEvery < 0 {
-		return
-	}
-	if sh.wal.Pending() >= sh.c.cfg.SnapshotEvery {
-		if err := sh.snapshotLocked(); err != nil {
-			sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id, "err", err)
+// Compaction runs BEFORE the append, never after: at entry every
+// logged record has been applied, so a snapshot taken here captures
+// exactly the records it compacts away, and the new record lands in
+// the fresh wal to replay on top of it. Compacting after the append
+// would snapshot state that lacks the just-logged record and then
+// delete the wal holding it.
+func (sh *shard) commit(rec record) bool {
+	logged := true
+	if sh.wal != nil {
+		if every := sh.c.cfg.SnapshotEvery; every >= 0 && sh.wal.Pending() >= every {
+			if err := sh.snapshotLocked(); err != nil {
+				sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id, "err", err)
+			}
+		}
+		payload, err := encodeRec(rec)
+		if err == nil {
+			err = sh.wal.Append(rec.kind(), payload)
+		}
+		if err == nil && sh.c.cfg.WALSync {
+			err = sh.wal.Sync()
+		}
+		if err != nil {
+			sh.c.cfg.Log.Error("fleet: wal append failed",
+				"shard", sh.id, "kind", rec.kind(), "err", err)
+			logged = false
 		}
 	}
+	if !logged && rec.kind() == wrecUpload {
+		return false
+	}
+	sh.apply(rec)
+	return logged
 }
 
 // snapshotLocked writes the shard's full state as a snapshot,
-// compacting the wal. Callers hold sh.mu.
+// compacting the wal. Callers hold sh.mu and a shard with a wal.
 func (sh *shard) snapshotLocked() error {
-	if sh.wal == nil {
-		return nil
-	}
-	snap := shardSnap{
-		Legacy: sh.legacy, Uploads: sh.uploads, UploadBits: sh.uploadBits,
-		DC:     dcSnap(sh.dc),
-		Folded: append([]uint64(nil), sh.folded...),
-	}
-	names := make([]string, 0, len(sh.nodes))
-	for name := range sh.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		snap.Nodes = append(snap.Nodes, toNodeSnap(name, sh.nodes[name]))
-	}
-	payload, err := encodeRec(snap)
+	payload, err := encodeRec(sh.toSnap())
 	if err != nil {
 		return err
 	}
 	return sh.wal.WriteSnapshot(payload)
 }
 
-// replayState is one log directory's recovered contents.
-type replayState struct {
-	dirID   uint64
-	nodes   map[string]*nodeState
-	legacy  int
-	uploads int
-	bits    int64
-	dc      *core.Datacenter
-	folded  []uint64
-	records int
-}
-
-// replayLog rebuilds a shard's state from its snapshot and wal.
-func replayLog(l *walog.Log) (*replayState, error) {
-	rs := &replayState{
-		dirID: l.ID(),
-		nodes: make(map[string]*nodeState),
-		dc:    core.NewDatacenter(),
-	}
+// replayLog rebuilds one log directory's shard state — its snapshot,
+// then every wal record through apply — and counts the records.
+func replayLog(l *walog.Log) (shardState, int, error) {
+	s := newShardState()
 	if snap := l.Snapshot(); snap != nil {
 		var ss shardSnap
-		if err := decodeRec(snap, &ss); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
+		if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&ss); err != nil {
+			return s, 0, fmt.Errorf("snapshot: %w", err)
 		}
-		rs.legacy, rs.uploads, rs.bits = ss.Legacy, ss.Uploads, ss.UploadBits
-		rs.dc = dcFromSnap(ss.DC)
-		rs.folded = append(rs.folded, ss.Folded...)
-		for _, ns := range ss.Nodes {
-			rs.nodes[ns.Name] = nodeFromSnap(ns)
-		}
+		s = stateFromSnap(ss)
 	}
-	for i, rec := range l.Records() {
-		if err := rs.apply(rec.Kind, rec.Payload); err != nil {
-			return nil, fmt.Errorf("record %d (kind %d): %w", i, rec.Kind, err)
+	records := l.Records()
+	for i, r := range records {
+		rec, err := decodeRecord(r.Kind, r.Payload)
+		if err != nil {
+			return s, i, fmt.Errorf("record %d (kind %d): %w", i, r.Kind, err)
 		}
-		rs.records++
+		s.apply(rec)
 	}
-	return rs, nil
-}
-
-// node returns (creating if needed) a node state being rebuilt.
-func (rs *replayState) node(name string) *nodeState {
-	st := rs.nodes[name]
-	if st == nil {
-		st = &nodeState{
-			intent: make(map[string]map[string]deployment),
-			dc:     core.NewDatacenter(),
-		}
-		rs.nodes[name] = st
-	}
-	return st
-}
-
-func (rs *replayState) apply(kind uint8, payload []byte) error {
-	switch kind {
-	case wrecIntent:
-		var r intentRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		st := rs.node(r.Node)
-		if r.Remove {
-			delete(st.intent[r.Stream], r.Name)
-		} else {
-			if st.intent[r.Stream] == nil {
-				st.intent[r.Stream] = make(map[string]deployment)
-			}
-			st.intent[r.Stream][r.Name] = deployment{mc: r.MC, threshold: r.Threshold, version: r.Version}
-		}
-		if r.Gen > st.gen {
-			st.gen = r.Gen
-		}
-	case wrecUpload:
-		var r uploadRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		st := rs.node(r.Node)
-		up := r.Rec.ToUpload()
-		if r.Rec.Seq != 0 {
-			if r.Rec.Seq <= st.lastSeq {
-				return nil // replay is idempotent against duplicated records
-			}
-			st.lastSeq = r.Rec.Seq
-		}
-		st.dc.Receive(up)
-		tagged := up
-		tagged.MCName = r.Node + "/" + up.MCName
-		rs.dc.Receive(tagged)
-		rs.uploads++
-		rs.bits += up.Bits
-	case wrecLegacyUpload:
-		var r legacyUploadRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		rs.dc.Receive(r.Rec.ToUpload())
-		rs.legacy++
-	case wrecSeqReset:
-		var r seqResetRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		rs.node(r.Node).lastSeq = 0
-	case wrecCanaryStart:
-		var r canaryStartRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		st := rs.node(r.Node)
-		if st.canary == nil {
-			st.canary = make(map[string]*canaryState)
-		}
-		st.canary[r.Stream+"/"+r.Name] = &canaryState{
-			mc: r.MC, threshold: r.Threshold, version: r.Version,
-			incumbentVersion: r.IncumbentVersion, epoch: 1,
-		}
-	case wrecCanaryEpoch:
-		var r canaryEpochRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		st := rs.node(r.Node)
-		if cs := st.canary[r.Stream+"/"+r.Name]; cs != nil && r.Epoch > cs.epoch {
-			cs.epoch = r.Epoch
-		}
-	case wrecCanaryVerdict:
-		var r canaryVerdictRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		st := rs.node(r.Node)
-		key := r.Stream + "/" + r.Name
-		cs := st.canary[key]
-		if cs == nil || cs.version != r.Version {
-			return nil // verdict for a replaced record: ignore
-		}
-		if r.Outcome == canaryRemoved {
-			delete(st.canary, key)
-			return nil
-		}
-		cs.outcome, cs.reason = r.Outcome, r.Reason
-	case wrecDriftBaseline:
-		var r driftBaselineRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		st := rs.node(r.Node)
-		if st.drift == nil {
-			st.drift = make(map[string]*driftState)
-		}
-		st.drift[r.Key] = &driftState{
-			baseline: r.Baseline, baselineSet: true,
-			prev: r.Baseline, last: r.Baseline, version: r.Version,
-		}
-	case wrecMoveIn:
-		var r moveInRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		// Wholesale replacement: the moved-in state is the node's whole
-		// truth at move time; anything this log accumulated before is a
-		// stale earlier incarnation (A→B→A re-homes land here).
-		rs.nodes[r.Node.Name] = nodeFromSnap(r.Node)
-	case wrecFold:
-		var r foldRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		// Folds are keyed by the retired store's identity: a record whose
-		// source this log already absorbed (the snapshot preceding it was
-		// taken after the fold applied) must not double-count.
-		for _, id := range rs.folded {
-			if id == r.FromID {
-				return nil
-			}
-		}
-		rs.legacy += r.Legacy
-		rs.uploads += r.Uploads
-		rs.bits += r.UploadBits
-		for _, u := range r.DC {
-			rs.dc.Receive(u.toUpload())
-		}
-		rs.folded = append(rs.folded, r.FromID)
-	default:
-		return fmt.Errorf("unknown wal record kind %d", kind)
-	}
-	return nil
+	return s, len(records), nil
 }
 
 // RecoveryStats summarizes a controller's state recovery from its
@@ -657,13 +695,13 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 // Ordering contract with Resize re-homing: node records recovered from
 // a log whose directory index no longer matches the current ring are
 // re-homed at recovery — the winning copy's incarnation (Rehomed) is
-// bumped and a move-in record lands in the new owner's wal before any
-// snapshot is written, so a crash at any point leaves the newest
-// incarnation durable exactly once. Retired directories (index beyond
-// the configured shard count) have their aggregate history folded into
-// shard 0 via a fold record keyed by directory identity, then are
-// deleted; the identity list in shard 0's state makes the fold
-// idempotent if the deletion is lost.
+// bumped and a move-in record is committed and synced to the new
+// owner's wal before the stale copy is dropped from memory, so a crash
+// at any point leaves the newest incarnation durable exactly once.
+// Retired directories (index beyond the configured shard count) have
+// their aggregate history folded into shard 0 via a fold record keyed
+// by directory identity, then are deleted; the identity list in shard
+// 0's state makes the fold idempotent if the deletion is lost.
 func (c *Controller) recoverState() (*RecoveryStats, error) {
 	start := time.Now()
 	stats := &RecoveryStats{}
@@ -677,10 +715,11 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	}
 
 	type recovered struct {
-		idx  int
-		path string
-		log  *walog.Log
-		rs   *replayState
+		idx     int
+		path    string
+		log     *walog.Log
+		state   shardState
+		records int
 	}
 	var dirs []recovered
 	for i, path := range paths {
@@ -688,12 +727,12 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: open shard log %s: %w", path, err)
 		}
-		rs, err := replayLog(l)
+		state, records, err := replayLog(l)
 		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("fleet: replay %s: %w", path, err)
 		}
-		dirs = append(dirs, recovered{idx: idxs[i], path: path, log: l, rs: rs})
+		dirs = append(dirs, recovered{idx: idxs[i], path: path, log: l, state: state, records: records})
 		stats.SnapshotBytes += l.SnapshotSize()
 		stats.TornBytes += l.TornBytes()
 	}
@@ -703,37 +742,30 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	// already been absorbed — skip its contents, delete it.
 	folded := make(map[uint64]bool)
 	for _, d := range dirs {
-		for _, id := range d.rs.folded {
+		for _, id := range d.state.folded {
 			folded[id] = true
 		}
 	}
 	kept := dirs[:0]
 	for _, d := range dirs {
-		if folded[d.rs.dirID] {
+		if folded[d.log.ID()] {
 			d.log.Close()
 			_ = os.RemoveAll(d.path)
 			stats.FoldedDirs++
 			continue
 		}
 		kept = append(kept, d)
-		stats.RecordsReplayed += d.rs.records
+		stats.RecordsReplayed += d.records
 	}
 	dirs = kept
 
-	// Attach logs and aggregates: in-range directories map to their
-	// shard; out-of-range ones (a previous run had more shards) retire —
-	// aggregates fold into shard 0, recorded durably before deletion.
-	shard0 := c.shards[0]
+	// Attach logs and state: an in-range directory's replayed state IS
+	// its shard's state; out-of-range ones (a previous run had more
+	// shards) retire below.
 	var retired []recovered
 	for _, d := range dirs {
 		if d.idx < len(c.shards) {
-			sh := c.shards[d.idx]
-			sh.wal = d.log
-			sh.legacy, sh.uploads, sh.uploadBits = d.rs.legacy, d.rs.uploads, d.rs.bits
-			sh.dc = d.rs.dc
-			if d.idx == 0 {
-				sh.folded = d.rs.folded
-			}
+			c.shards[d.idx].wal, c.shards[d.idx].shardState = d.log, d.state
 			continue
 		}
 		retired = append(retired, d)
@@ -749,101 +781,81 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 		}
 		sh.wal = l
 	}
+	// Retired directories fold their aggregates into shard 0, durably
+	// before deletion. A directory whose fold did not reach the log
+	// stays in place — it is the only durable copy of its history, and
+	// the next recovery folds it.
+	shard0 := c.shards[0]
+	var absorbed []recovered
 	for _, d := range retired {
-		fold := foldRec{
-			FromID: d.rs.dirID,
-			Legacy: d.rs.legacy, Uploads: d.rs.uploads, UploadBits: d.rs.bits,
-			DC: dcSnap(d.rs.dc),
+		fold := &foldRec{
+			FromID:  d.log.ID(),
+			Uploads: d.state.uploads, UploadBits: d.state.uploadBits,
+			DC: dcSnap(d.state.dc),
 		}
-		if ok := func() bool {
-			payload, err := encodeRec(fold)
-			if err == nil {
-				err = shard0.wal.Append(wrecFold, payload)
-			}
-			if err == nil {
-				err = shard0.wal.Sync()
-			}
-			if err != nil {
-				c.cfg.Log.Error("fleet: recovery fold append failed", "dir", d.path, "err", err)
-				return false
-			}
-			return true
-		}(); !ok {
-			// Leave the directory in place: without a durable fold
-			// record, deleting it would lose its history.
+		if !shard0.commit(fold) || shard0.wal.Sync() != nil {
+			c.cfg.Log.Error("fleet: recovery fold not durable, keeping state dir", "dir", d.path)
 			d.log.Close()
 			continue
 		}
-		shard0.legacy += d.rs.legacy
-		shard0.uploads += d.rs.uploads
-		shard0.uploadBits += d.rs.bits
-		for _, app := range d.rs.dc.KnownApplications() {
-			shard0.dc.ReceiveAll(d.rs.dc.Uploads(app))
-		}
-		shard0.folded = append(shard0.folded, d.rs.dirID)
+		absorbed = append(absorbed, d)
 		stats.FoldedDirs++
 	}
 
 	// Resolve node winners across logs by incarnation (Rehomed): every
 	// move between logs bumps it, so the highest copy is the newest.
 	// Ties break toward higher generation, then lower directory index —
-	// deterministic, and unreachable when move ordering held.
+	// deterministic, and unreachable when move ordering held. Retired
+	// directories are considered too: their nodes moved out before
+	// retirement (Resize empties a shard before folding it), so copies
+	// there are stale except in the crash window where the fold record
+	// committed and the move-in lost the race.
 	type winner struct {
 		st     *nodeState
 		srcIdx int
 	}
 	winners := make(map[string]winner)
-	consider := func(idx int, name string, st *nodeState) {
-		w, ok := winners[name]
-		if !ok || st.rehomed > w.st.rehomed ||
-			(st.rehomed == w.st.rehomed && (st.gen > w.st.gen ||
-				(st.gen == w.st.gen && idx < w.srcIdx))) {
-			winners[name] = winner{st: st, srcIdx: idx}
-		}
-	}
 	for _, d := range dirs {
-		if d.idx >= len(c.shards) {
-			// Retired: its nodes moved out before retirement (Resize
-			// empties a shard before folding it), so copies here are
-			// stale — but consider them anyway for crash windows where
-			// the fold record committed and the move-in lost the race.
-			for name, st := range d.rs.nodes {
-				consider(d.idx, name, st)
+		for name, st := range d.state.nodes {
+			w, ok := winners[name]
+			if !ok || cmp.Or(
+				cmp.Compare(st.rehomed, w.st.rehomed),
+				cmp.Compare(st.gen, w.st.gen),
+				cmp.Compare(w.srcIdx, d.idx)) > 0 {
+				winners[name] = winner{st: st, srcIdx: d.idx}
 			}
-			continue
-		}
-		for name, st := range d.rs.nodes {
-			consider(d.idx, name, st)
 		}
 	}
 
 	// Place winners under the current ring. A node landing on a shard
-	// other than its source log is a re-home: bump the incarnation and
-	// write a durable move-in to the new owner before any compaction,
-	// so no crash can leave two logs claiming the same incarnation.
-	names := make([]string, 0, len(winners))
-	for name := range winners {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	// other than its source log is a re-home: a move-in at the next
+	// incarnation, durable on the new owner before anything else, so no
+	// crash can leave two logs claiming the same incarnation. Then every
+	// shard drops what it does not own — losing copies and moved-out
+	// winners alike (the owner's own copy is the winner by now: either
+	// it won from the shard's own log, or the move-in replaced it).
+	for _, name := range slices.Sorted(maps.Keys(winners)) {
 		w := winners[name]
 		target := c.ring.owner(name)
+		if w.srcIdx == target {
+			continue
+		}
+		snap := toNodeSnap(name, w.st)
+		snap.Rehomed++
 		sh := c.shards[target]
-		if w.srcIdx != target {
-			w.st.rehomed++
-			payload, err := encodeRec(moveInRec{Node: toNodeSnap(name, w.st)})
-			if err == nil {
-				err = sh.wal.Append(wrecMoveIn, payload)
-			}
-			if err == nil {
-				err = sh.wal.Sync()
-			}
-			if err != nil {
-				return nil, fmt.Errorf("fleet: recovery move-in %q to shard %d: %w", name, target, err)
+		if !sh.commit(&moveInRec{Node: snap}) {
+			return nil, fmt.Errorf("fleet: recovery move-in %q to shard %d: wal append failed", name, target)
+		}
+		if err := sh.wal.Sync(); err != nil {
+			return nil, fmt.Errorf("fleet: recovery move-in %q to shard %d: %w", name, target, err)
+		}
+	}
+	for i, sh := range c.shards {
+		for name := range sh.nodes {
+			if c.ring.owner(name) != i {
+				delete(sh.nodes, name)
 			}
 		}
-		sh.nodes[name] = w.st
 	}
 	stats.Nodes = len(winners)
 
@@ -854,10 +866,8 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 			c.cfg.Log.Error("fleet: recovery snapshot failed", "shard", sh.id, "err", err)
 		}
 	}
-	for _, d := range retired {
-		if d.log != nil {
-			d.log.Close()
-		}
+	for _, d := range absorbed {
+		d.log.Close()
 		_ = os.RemoveAll(d.path)
 	}
 

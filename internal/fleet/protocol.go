@@ -97,18 +97,6 @@ type Redirect struct {
 	Reason string
 }
 
-// Forward hands a validated hello from the router to the owning shard
-// together with the placement epoch the routing decision was made
-// under. The shard rejects (redirects) the hello if the epoch moved
-// before registration, so a node is never registered on a shard that
-// no longer owns it. It also frames the hello when a routing tier
-// forwards it over the wire to a remote shard.
-type Forward struct {
-	Shard int
-	Epoch uint64
-	Hello Hello
-}
-
 // DeployRequest ships a microclassifier to an edge stream
 // (datacenter → edge). MC is the filter.(*MC).Save stream — the
 // architecture spec, the nn serializer's weight records, and the

@@ -2,14 +2,11 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -31,26 +28,18 @@ type shard struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*Session
-	nodes    map[string]*nodeState
-	dc       *core.Datacenter // aggregate across this shard's sessions
-	legacy   int              // uploads received over v1 connections
-	// uploads and uploadBits are the shard ledger totals: every
-	// deduplicated upload accepted, across all of the shard's nodes.
-	uploads    int
-	uploadBits int64
+	// shardState is the durable part — node records, the aggregate
+	// datacenter, ledger totals, folded store identities. Its logged
+	// fields change only through commit (log, then apply); see
+	// persist.go.
+	shardState
 	// redirects counts hellos and sessions this shard turned away
 	// because the placement epoch moved under them.
 	redirects int
 	// wal is the shard's durable state store (nil on an in-memory
-	// controller): every intent, ledger, canary, and drift-baseline
-	// mutation appends here before it is acknowledged anywhere, and
-	// snapshots compact it. Guarded by mu.
+	// controller): commit appends every record here before applying
+	// it, and snapshots compact it. Guarded by mu.
 	wal *walog.Log
-	// folded lists retired shard stores whose aggregate history this
-	// shard has absorbed (fold records), by store identity — carried in
-	// snapshots so a crash between a fold and the retired directory's
-	// deletion cannot double-count it. Only shard 0 folds.
-	folded []uint64
 
 	// hbGap observes the gap between consecutive heartbeats of each
 	// session — the shard's control-latency signal.
@@ -59,27 +48,12 @@ type shard struct {
 
 func newShard(id int, c *Controller) *shard {
 	return &shard{
-		id:       id,
-		c:        c,
-		sessions: make(map[uint64]*Session),
-		nodes:    make(map[string]*nodeState),
-		dc:       core.NewDatacenter(),
-		hbGap:    &obs.Histogram{},
+		id:         id,
+		c:          c,
+		sessions:   make(map[uint64]*Session),
+		shardState: newShardState(),
+		hbGap:      &obs.Histogram{},
 	}
-}
-
-// node returns the durable state for a node name. Callers hold sh.mu
-// and own the node under the current placement epoch.
-func (sh *shard) node(name string) *nodeState {
-	st := sh.nodes[name]
-	if st == nil {
-		st = &nodeState{
-			intent: make(map[string]map[string]deployment),
-			dc:     core.NewDatacenter(),
-		}
-		sh.nodes[name] = st
-	}
-	return st
 }
 
 // liveSessionLocked returns the newest session for a node, nil when
@@ -94,53 +68,14 @@ func (sh *shard) liveSessionLocked(node string) *Session {
 	return best
 }
 
-// serveLegacy drains a v1 one-way upload pipe into the shard's
-// datacenter — backward compatibility with pre-fleet edges. Legacy
-// pipes carry no node identity, so the router parks them all on
-// shard 0 rather than hashing nothing.
-func (sh *shard) serveLegacy(conn net.Conn) error {
-	for {
-		kind, body, err := transport.ReadRecord(conn)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		switch kind {
-		case transport.KindUpload:
-			var rec transport.UploadRecord
-			if err := transport.DecodeRecord(body, &rec); err != nil {
-				return err
-			}
-			sh.mu.Lock()
-			// Persist before applying: legacy records replay by
-			// re-aggregating, so the record must never land after a
-			// snapshot that already counted it. Durability is still
-			// best-effort — v1 pipes have no acks, so a failed append
-			// cannot ask the peer to retransmit; the upload is kept in
-			// memory regardless.
-			sh.persist(wrecLegacyUpload, legacyUploadRec{Rec: rec})
-			sh.dc.Receive(rec.ToUpload())
-			sh.legacy++
-			sh.mu.Unlock()
-		case transport.KindBye:
-			return nil
-		default:
-			return fmt.Errorf("fleet: v1 peer sent record kind %d", kind)
-		}
-	}
-}
-
 // serveSession registers and runs one edge session whose hello the
-// router forwarded. fwd pins the placement epoch the routing decision
-// was made under: if a concurrent Resize moved the epoch before the
+// router validated. epoch is the placement epoch the routing decision
+// was made under: if a concurrent Resize moved it before the
 // registration critical section, the shard mutates nothing and
 // redirects — the edge redials and the (new) owner registers it. The
 // check sits before any state change, so a stale placement can never
 // split a node's ledger or lifecycle counters across shards.
-func (sh *shard) serveSession(conn net.Conn, fwd Forward) error {
-	hello := fwd.Hello
+func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 	cfg := &sh.c.cfg
 	liveness := time.Duration(0)
 	if cfg.HeartbeatMiss > 0 && hello.HeartbeatEvery > 0 {
@@ -148,7 +83,7 @@ func (sh *shard) serveSession(conn net.Conn, fwd Forward) error {
 	}
 
 	sh.mu.Lock()
-	if sh.c.epoch.Load() != fwd.Epoch {
+	if sh.c.epoch.Load() != epoch {
 		// Placement moved while the hello was in flight. The routing
 		// decision may still be right (most resizes move few nodes),
 		// but re-checking here would need c.mu under sh.mu — the wrong
@@ -186,8 +121,7 @@ func (sh *shard) serveSession(conn net.Conn, fwd Forward) error {
 		// upload the new process sends as a "duplicate". The reset must
 		// be logged: replaying the old mark over the new incarnation's
 		// uploads would drop them all the same way after a restart.
-		st.lastSeq = 0
-		sh.persist(wrecSeqReset, seqResetRec{Node: hello.Node})
+		sh.commit(&seqResetRec{Node: hello.Node})
 	}
 	gen := st.gen
 	// Snapshot the reconciliation work in the same critical section
@@ -197,11 +131,11 @@ func (sh *shard) serveSession(conn net.Conn, fwd Forward) error {
 	// that rolls back valid intent.
 	work := reconcileWorkLocked(st, hello)
 	for _, w := range work {
-		// Canary re-pushes bumped the shadow's install epoch; the bump
-		// must be durable, or a replayed canary would trust sketches
-		// from an install it no longer knows about.
+		// Canary re-pushes go out under the shadow's next install epoch;
+		// the bump must be durable, or a replayed canary would trust
+		// sketches from an install it no longer knows about.
 		if w.canary && w.dep != nil {
-			sh.persist(wrecCanaryEpoch, canaryEpochRec{
+			sh.commit(&canaryEpochRec{
 				Node: hello.Node, Stream: w.stream, Name: w.name, Epoch: w.epoch,
 			})
 		}
@@ -269,10 +203,9 @@ func (sh *shard) serveSession(conn net.Conn, fwd Forward) error {
 // longer owns the node record (re-home raced the delivery), is
 // dropped WITHOUT an ack: no shard is accounting it here, so the edge
 // must keep it buffered and retransmit to the node's current owner.
-// Fresh uploads land in the node and shard datacenters and the shard
-// ledger totals.
+// Fresh uploads are committed: logged, then applied to the node and
+// shard datacenters and the shard ledger totals.
 func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, ack bool) {
-	up := rec.ToUpload()
 	sh.mu.Lock()
 	// An evicted session must not touch the node ledger: its
 	// replacement may already have reset the dedup high-water mark,
@@ -297,30 +230,18 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 		sh.mu.Unlock()
 		return false, true
 	}
-	// Log before ack, mutate after log: an upload whose record did not
-	// reach the wal is refused without an ack, so the edge keeps it
-	// buffered and retransmits — at-least-once delivery plus the
-	// durable high-water mark is what keeps the ledger exactly-once
-	// across controller crashes.
-	if !sh.persist(wrecUpload, uploadRec{Node: s.node, Rec: rec}) {
-		sh.mu.Unlock()
+	// Log before ack: an upload whose record did not reach the wal is
+	// neither applied nor acked, so the edge keeps it buffered and
+	// retransmits — at-least-once delivery plus the durable high-water
+	// mark is what keeps the ledger exactly-once across controller
+	// crashes.
+	logged := sh.commit(&uploadRec{Node: s.node, Rec: rec})
+	sh.mu.Unlock()
+	if !logged {
 		return false, false
 	}
-	if rec.Seq != 0 {
-		st.lastSeq = rec.Seq
-	}
-	st.dc.Receive(up)
-	// The aggregate view prefixes the node name so two nodes running
-	// the same application don't collide; the per-node and per-session
-	// datacenters keep the edge's own naming.
-	tagged := up
-	tagged.MCName = s.node + "/" + up.MCName
-	sh.dc.Receive(tagged)
-	sh.uploads++
-	sh.uploadBits += up.Bits
-	sh.mu.Unlock()
 	if hook := sh.c.cfg.OnUpload; hook != nil {
-		hook(s, up)
+		hook(s, rec.ToUpload())
 	}
 	return true, true
 }
@@ -420,8 +341,6 @@ type ShardStat struct {
 	// deduplicated upload the shard ever accepted.
 	Uploads    int
 	UploadBits int64
-	// Legacy counts uploads over v1 pipes (always on shard 0).
-	Legacy int
 	// Redirects counts hellos turned away under a stale placement
 	// epoch.
 	Redirects int
@@ -441,7 +360,6 @@ func (sh *shard) stats() ShardStat {
 		Sessions:     len(sh.sessions),
 		Uploads:      sh.uploads,
 		UploadBits:   sh.uploadBits,
-		Legacy:       sh.legacy,
 		Redirects:    sh.redirects,
 		HeartbeatGap: sh.hbGap.Summary(),
 	}

@@ -2,9 +2,9 @@
 // and a datacenter over a real network connection. The paper's
 // evaluation models the uplink as a bandwidth constraint
 // (internal/core's token bucket); this package provides the wire layer
-// a deployment needs: length-prefixed gob frames over any net.Conn, a
-// legacy one-way server that feeds a core.Datacenter, and the framing
-// primitives internal/fleet layers its bidirectional control plane on.
+// a deployment needs: length-prefixed gob frames over any net.Conn —
+// the framing primitives internal/fleet layers its bidirectional
+// control plane on.
 //
 // The protocol is deliberately simple and version-tagged:
 //
@@ -18,14 +18,14 @@
 // bounded chunks, so a hostile or damaged header cannot force a large
 // up-front allocation.
 //
-// Version 1 is the original one-way upload pipe: the edge writes the
-// header and streams KindUpload records until KindBye. Version 2 keeps
-// the identical framing but makes the connection bidirectional: after
-// the client header the server answers with its own header, and both
-// sides exchange the fleet record kinds (session hello, microclassifier
-// deploy/undeploy, demand-fetch request/response, heartbeats). Payload
-// schemas for the v2 kinds live in internal/fleet; this package only
-// fixes the kind numbers and the framing.
+// Version 2 is the only version served: the connection is
+// bidirectional — after the client header the server answers with its
+// own header, and both sides exchange the fleet record kinds (session
+// hello, microclassifier deploy/undeploy, demand-fetch
+// request/response, heartbeats). Payload schemas live in
+// internal/fleet; this package only fixes the kind numbers and the
+// framing. Version 1, a one-way upload pipe with no node identity and
+// no acks, is no longer spoken: a peer announcing it gets ErrVersion.
 //
 // Reconstructed frames are not shipped (the receiver decodes uploads
 // from the coded bits in a real deployment); metadata, ranges, event
@@ -33,6 +33,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -40,7 +41,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -53,26 +53,25 @@ import (
 // bump the handshake would succeed and every record would desync.
 const magic = 0xFF00FF05
 
-// Protocol versions. A client announces the highest version it speaks
-// in its header; a v2 server echoes the version it accepts back.
+// Protocol versions. A client announces the version it speaks in its
+// header; the server echoes the version it accepts back.
 const (
-	// Version1 is the legacy one-way upload protocol.
-	Version1 = 1
-	// Version2 adds the bidirectional fleet control plane.
+	// Version2 is the bidirectional fleet control plane, and the oldest
+	// version this build speaks.
 	Version2 = 2
 	// MaxVersion is the newest version this build speaks.
 	MaxVersion = Version2
 )
 
-// Record kinds. Kinds 1–2 exist since version 1; the rest require
-// version 2.
+// Record kinds. The numbers are wire format: append only, never
+// renumber.
 const (
 	// KindUpload carries one UploadRecord (edge → datacenter).
 	KindUpload uint8 = 1
 	// KindBye closes the session cleanly (either direction).
 	KindBye uint8 = 2
 	// KindHello announces an edge node and its stream inventory
-	// (edge → datacenter, first record of a v2 session).
+	// (edge → datacenter, first record of a session).
 	KindHello uint8 = 3
 	// KindWelcome acknowledges a hello with a session ID
 	// (datacenter → edge, first record after the server header).
@@ -114,12 +113,6 @@ const (
 	// node; the edge reconnects and its resume hello reconciles on the
 	// new owner exactly like any other reconnect.
 	KindRedirect uint8 = 13
-	// KindForward hands a validated hello from the router to the
-	// owning shard (router → shard). It pins the placement epoch the
-	// routing decision was made under, so a shard can detect a
-	// concurrent re-shard and redirect instead of registering a node
-	// it no longer owns.
-	KindForward uint8 = 14
 )
 
 // MaxRecordBytes bounds a single record payload, keeping a
@@ -156,9 +149,8 @@ func WriteHeader(w io.Writer, version uint16) error {
 }
 
 // ReadHeader reads and validates a protocol header, returning the
-// peer's announced version. Versions above MaxVersion (or zero) fail
-// with an error wrapping ErrVersion; the caller decides which of the
-// valid versions it serves.
+// peer's announced version. Versions below Version2 or above
+// MaxVersion fail with an error wrapping ErrVersion.
 func ReadHeader(r io.Reader) (uint16, error) {
 	var hdr [6]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -168,7 +160,7 @@ func ReadHeader(r io.Reader) (uint16, error) {
 		return 0, errors.New("transport: bad magic")
 	}
 	v := binary.BigEndian.Uint16(hdr[4:6])
-	if v == 0 || v > MaxVersion {
+	if v < Version2 || v > MaxVersion {
 		return 0, fmt.Errorf("transport: %w %d", ErrVersion, v)
 	}
 	return v, nil
@@ -177,21 +169,21 @@ func ReadHeader(r io.Reader) (uint16, error) {
 // WriteRecord gob-encodes payload and writes one framed record to w.
 // The caller is responsible for serializing concurrent writers.
 func WriteRecord(w io.Writer, kind uint8, payload any) error {
-	var bufWriter countingBuffer
-	if err := gob.NewEncoder(&bufWriter).Encode(payload); err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
 	}
-	if len(bufWriter.data) > MaxRecordBytes {
-		return fmt.Errorf("transport: record of %d bytes exceeds limit", len(bufWriter.data))
+	if buf.Len() > MaxRecordBytes {
+		return fmt.Errorf("transport: record of %d bytes exceeds limit", buf.Len())
 	}
 	var hdr [recHeaderLen]byte
 	hdr[0] = kind
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(bufWriter.data)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(bufWriter.data))
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(buf.Len()))
+	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(buf.Bytes()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(bufWriter.data)
+	_, err := w.Write(buf.Bytes())
 	return err
 }
 
@@ -286,7 +278,7 @@ var zeroChunk [readChunk]byte
 
 // DecodeRecord gob-decodes a record payload read by ReadRecord.
 func DecodeRecord(body []byte, into any) error {
-	if err := gob.NewDecoder(bytesReader(body)).Decode(into); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(into); err != nil {
 		return fmt.Errorf("transport: decode: %w", err)
 	}
 	return nil
@@ -303,8 +295,8 @@ type UploadRecord struct {
 	// Seq is the sender-assigned upload sequence number, strictly
 	// increasing per edge node across reconnects. Receivers
 	// deduplicate retransmissions by it and acknowledge it with
-	// KindUploadAck; zero means unsequenced (legacy v1 senders), which
-	// is never deduplicated or acked.
+	// KindUploadAck; zero means unsequenced, which is never deduplicated
+	// or acked (the fleet agent sequences every upload it sends).
 	Seq uint64
 }
 
@@ -316,189 +308,4 @@ func ToRecord(u core.Upload) UploadRecord {
 // ToUpload converts a received record back to a core.Upload.
 func (r UploadRecord) ToUpload() core.Upload {
 	return core.Upload{MCName: r.MCName, EventID: r.EventID, Start: r.Start, End: r.End, Bits: r.Bits, Final: r.Final}
-}
-
-// Client streams uploads to a datacenter endpoint over protocol v1. It
-// is safe for a single goroutine (the edge pipeline loop). The fleet
-// agent (internal/fleet) supersedes it for bidirectional sessions.
-type Client struct {
-	conn net.Conn
-	w    io.Writer
-}
-
-// Dial connects to a datacenter listener.
-func Dial(network, addr string) (*Client, error) {
-	conn, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewClient(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewClient wraps an established connection, writing the handshake.
-func NewClient(conn net.Conn) (*Client, error) {
-	c := &Client{conn: conn, w: conn}
-	if err := WriteHeader(c.w, Version1); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Send transmits one upload.
-func (c *Client) Send(u core.Upload) error {
-	return WriteRecord(c.w, KindUpload, ToRecord(u))
-}
-
-// SendAll transmits a batch of uploads.
-func (c *Client) SendAll(us []core.Upload) error {
-	for _, u := range us {
-		if err := c.Send(u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close sends the goodbye record and closes the connection.
-func (c *Client) Close() error {
-	err := WriteRecord(c.w, KindBye, struct{}{})
-	cerr := c.conn.Close()
-	if err != nil {
-		return err
-	}
-	return cerr
-}
-
-// Server accepts legacy v1 edge connections and forwards their uploads
-// into a core.Datacenter. The fleet controller (internal/fleet)
-// supersedes it for v2 sessions and serves v1 peers for compatibility.
-type Server struct {
-	dc *core.Datacenter
-
-	mu       sync.Mutex
-	listener net.Listener
-	received int
-	wg       sync.WaitGroup
-}
-
-// NewServer wraps a datacenter.
-func NewServer(dc *core.Datacenter) *Server {
-	return &Server{dc: dc}
-}
-
-// Listen starts accepting on the given address and returns the bound
-// address (useful with ":0").
-func (s *Server) Listen(network, addr string) (net.Addr, error) {
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer conn.Close()
-				_ = s.ServeConn(conn)
-			}()
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-// Close stops the listener and waits for in-flight connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	ln := s.listener
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Received returns the number of uploads accepted so far.
-func (s *Server) Received() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.received
-}
-
-// ServeConn processes one edge connection until goodbye or error. It
-// is exported so tests (and in-process deployments) can drive it over
-// net.Pipe. Only protocol v1 peers are served; v2 peers belong to the
-// fleet controller.
-func (s *Server) ServeConn(conn io.Reader) error {
-	v, err := ReadHeader(conn)
-	if err != nil {
-		return err
-	}
-	if v != Version1 {
-		return fmt.Errorf("transport: %w %d (legacy server speaks v1 only)", ErrVersion, v)
-	}
-	for {
-		kind, body, err := ReadRecord(conn)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		switch kind {
-		case KindUpload:
-			var rec UploadRecord
-			if err := DecodeRecord(body, &rec); err != nil {
-				return fmt.Errorf("transport: decode upload: %w", err)
-			}
-			s.mu.Lock()
-			s.dc.Receive(rec.ToUpload())
-			s.received++
-			s.mu.Unlock()
-		case KindBye:
-			return nil
-		default:
-			return fmt.Errorf("transport: unknown record kind %d", kind)
-		}
-	}
-}
-
-// countingBuffer is a minimal growable write buffer.
-type countingBuffer struct{ data []byte }
-
-func (b *countingBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-// bytesReader avoids importing bytes for one call site.
-type sliceReader struct {
-	data []byte
-	off  int
-}
-
-func bytesReader(b []byte) *sliceReader { return &sliceReader{data: b} }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
 }

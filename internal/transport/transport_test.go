@@ -12,192 +12,32 @@ import (
 	"repro/internal/core"
 )
 
-func sampleUploads() []core.Upload {
-	return []core.Upload{
-		{MCName: "mc-a", EventID: 1, Start: 10, End: 20, Bits: 4096, Final: false},
-		{MCName: "mc-a", EventID: 1, Start: 20, End: 25, Bits: 2048, Final: true},
-		{MCName: "mc-b", EventID: 1, Start: 12, End: 18, Bits: 999, Final: true},
-	}
-}
-
-func TestRoundTripOverTCP(t *testing.T) {
-	dc := core.NewDatacenter()
-	srv := NewServer(dc)
-	addr, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.SendAll(sampleUploads()); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Received() < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.Received() != 3 {
-		t.Fatalf("received %d uploads, want 3", srv.Received())
-	}
-
-	got := dc.Uploads("mc-a")
-	if len(got) != 2 || got[0].Start != 10 || got[1].End != 25 || !got[1].Final {
-		t.Fatalf("mc-a uploads wrong: %+v", got)
-	}
-	labels := dc.PredictedLabels("mc-b", 30)
-	for i := 12; i < 18; i++ {
-		if !labels[i] {
-			t.Fatalf("mc-b frame %d missing", i)
+// TestReadHeaderRejects pins every way a handshake is refused: each
+// version this build does not speak (zero, the retired one-way v1, and
+// anything above MaxVersion) wraps ErrVersion; a wrong magic and a
+// handshake cut short are errors of their own.
+func TestReadHeaderRejects(t *testing.T) {
+	for _, v := range []uint16{0, 1, MaxVersion + 1, 99} {
+		var buf bytes.Buffer
+		if err := WriteHeader(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadHeader(&buf); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d error = %v, want ErrVersion", v, err)
 		}
 	}
-}
-
-func TestRoundTripOverPipe(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	dc := core.NewDatacenter()
-	srv := NewServer(dc)
-
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-
-	client, err := NewClient(cConn)
-	if err != nil {
+	if _, err := ReadHeader(bytes.NewReader([]byte{0, 1, 2, 3, 0, 2})); err == nil || errors.Is(err, ErrVersion) {
+		t.Errorf("bad magic error = %v, want a non-version error", err)
+	}
+	if _, err := ReadHeader(bytes.NewReader([]byte{0xFF, 0x00})); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated handshake error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	var ok bytes.Buffer
+	if err := WriteHeader(&ok, Version2); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Send(sampleUploads()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if len(dc.Uploads("mc-a")) != 1 {
-		t.Fatal("upload not delivered")
-	}
-}
-
-func TestServerRejectsBadMagic(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		cConn.Write([]byte{0, 1, 2, 3, 4, 5})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestServerRejectsOversizedRecord(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		// Valid handshake, then a record claiming 1 GB.
-		hdr := []byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x01}
-		cConn.Write(hdr)
-		cConn.Write([]byte{KindUpload, 0x40, 0x00, 0x00, 0x00})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
-		t.Fatal("oversized record accepted")
-	}
-}
-
-func TestServerRejectsUnsupportedVersion(t *testing.T) {
-	// Version above MaxVersion fails in ReadHeader.
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		cConn.Write([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x63}) // version 99
-		cConn.Close()
-	}()
-	if err := <-done; !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 99 error = %v, want ErrVersion", err)
-	}
-
-	// Version 2 is valid on the wire but not served by the legacy
-	// server (the fleet controller owns v2 sessions).
-	cConn2, sConn2 := net.Pipe()
-	go func() { done <- srv.ServeConn(sConn2) }()
-	go func() {
-		WriteHeader(cConn2, Version2)
-		cConn2.Close()
-	}()
-	if err := <-done; !errors.Is(err, ErrVersion) {
-		t.Fatalf("v2 on legacy server error = %v, want ErrVersion", err)
-	}
-}
-
-func TestReadHeaderRejectsVersionZero(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHeader(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadHeader(&buf); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 0 error = %v, want ErrVersion", err)
-	}
-}
-
-func TestServerRejectsTruncatedStream(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		// Valid handshake, then a record whose 100-byte payload is
-		// cut off after 10 bytes.
-		WriteHeader(cConn, Version1)
-		cConn.Write([]byte{KindUpload, 0x00, 0x00, 0x00, 0x64})
-		cConn.Write(make([]byte, 10))
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
-		t.Fatal("truncated record accepted")
-	}
-}
-
-func TestServerRejectsTruncatedHandshake(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		cConn.Write([]byte{0xFF, 0x00})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
-		t.Fatal("truncated handshake accepted")
-	}
-}
-
-func TestServerRejectsUnknownKind(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		WriteHeader(cConn, Version1)
-		WriteRecord(cConn, 0x7F, struct{}{})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
-		t.Fatal("unknown record kind accepted")
+	if v, err := ReadHeader(&ok); err != nil || v != Version2 {
+		t.Errorf("version 2 handshake = %d, %v", v, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,20 +13,16 @@ import (
 
 func TestDCTRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	var b, orig [blockSize][blockSize]float64
-	for y := range b {
-		for x := range b[y] {
-			b[y][x] = rng.Uniform(-128, 128)
-			orig[y][x] = b[y][x]
-		}
+	var b, orig block
+	for i := range b {
+		b[i] = rng.Uniform(-128, 128)
+		orig[i] = b[i]
 	}
 	fdct8x8(&b)
-	idct8x8(&b)
-	for y := range b {
-		for x := range b[y] {
-			if math.Abs(b[y][x]-orig[y][x]) > 1e-9 {
-				t.Fatalf("DCT round trip lost %v at (%d,%d)", b[y][x]-orig[y][x], y, x)
-			}
+	idct8x8(&b, nonzeroMap(&b))
+	for i := range b {
+		if math.Abs(b[i]-orig[i]) > 1e-9 {
+			t.Fatalf("DCT round trip lost %v at %d", b[i]-orig[i], i)
 		}
 	}
 }
@@ -34,20 +31,16 @@ func TestDCTParseval(t *testing.T) {
 	// Orthonormal DCT preserves energy.
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
-		var b [blockSize][blockSize]float64
+		var b block
 		var in float64
-		for y := range b {
-			for x := range b[y] {
-				b[y][x] = rng.Uniform(-1, 1)
-				in += b[y][x] * b[y][x]
-			}
+		for i := range b {
+			b[i] = rng.Uniform(-1, 1)
+			in += b[i] * b[i]
 		}
 		fdct8x8(&b)
 		var out float64
-		for y := range b {
-			for x := range b[y] {
-				out += b[y][x] * b[y][x]
-			}
+		for _, v := range b {
+			out += v * v
 		}
 		return math.Abs(in-out) < 1e-9*(1+in)
 	}
@@ -57,7 +50,7 @@ func TestDCTParseval(t *testing.T) {
 }
 
 func TestZigzagCoversAllOnce(t *testing.T) {
-	seen := map[[2]int]bool{}
+	seen := map[uint8]bool{}
 	for _, p := range zigzag {
 		if seen[p] {
 			t.Fatalf("zigzag repeats %v", p)
@@ -67,26 +60,34 @@ func TestZigzagCoversAllOnce(t *testing.T) {
 	if len(seen) != 64 {
 		t.Fatalf("zigzag covers %d cells", len(seen))
 	}
-	if zigzag[0] != [2]int{0, 0} || zigzag[1] != [2]int{0, 1} || zigzag[2] != [2]int{1, 0} {
-		t.Fatalf("zigzag start wrong: %v", zigzag[:3])
+	// (0,0), (0,1), (1,0), (2,0), (1,1), (0,2) as row*8+col.
+	if want := []uint8{0, 1, 8, 16, 9, 2}; !slices.Equal(zigzag[:6], want) {
+		t.Fatalf("zigzag starts %v, want %v", zigzag[:6], want)
 	}
 }
 
 func TestQuantizeMoreQPFewerBits(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	var src [blockSize][blockSize]float64
-	for y := range src {
-		for x := range src[y] {
-			src[y][x] = rng.Uniform(-100, 100)
-		}
+	var src block
+	for i := range src {
+		src[i] = rng.Uniform(-100, 100)
 	}
 	blkLo := src
 	blkHi := src
-	bitsLo := quantizeBlock(&blkLo, 10)
-	bitsHi := quantizeBlock(&blkHi, 200)
+	var lo, hi stepTable
+	lo.set(10)
+	hi.set(200)
+	bitsLo, _ := quantizeBlock(&blkLo, &lo)
+	bitsHi, _ := quantizeBlock(&blkHi, &hi)
 	if bitsHi >= bitsLo {
 		t.Fatalf("qp 200 used %d bits, qp 10 used %d; want fewer at higher qp", bitsHi, bitsLo)
 	}
+}
+
+func ycbcrRoundTrip(im *vision.Image) *vision.Image {
+	p := newPlanes(im.W, im.H)
+	toYCbCr(im, &p)
+	return fromYCbCr(&p)
 }
 
 func TestYCbCrRoundTripApprox(t *testing.T) {
@@ -98,7 +99,7 @@ func TestYCbCrRoundTripApprox(t *testing.T) {
 			im.Set(x, y, float32(x)/16, 0.5, float32(y)/16)
 		}
 	}
-	back := fromYCbCr(toYCbCr(im))
+	back := ycbcrRoundTrip(im)
 	if p := vision.PSNR(im, back); p < 25 {
 		t.Fatalf("YCbCr round-trip PSNR %v too low", p)
 	}
@@ -109,7 +110,7 @@ func TestYCbCrGrayExact(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = 0.5
 	}
-	back := fromYCbCr(toYCbCr(im))
+	back := ycbcrRoundTrip(im)
 	if p := vision.PSNR(im, back); p < 45 {
 		t.Fatalf("gray round-trip PSNR %v", p)
 	}
@@ -237,6 +238,17 @@ func TestEncoderStatsAndReset(t *testing.T) {
 	out := enc.Encode(frames[0])
 	if !out.Keyframe {
 		t.Fatal("frame after Reset must be a keyframe")
+	}
+	if out := enc.Encode(frames[1]); out.Keyframe {
+		t.Fatal("second frame after Reset must predict from the first")
+	}
+	// Reset starts a new GOP, not a new lifetime: the three totals
+	// keep describing the same six frames.
+	if got := enc.FramesEncoded(); got != 6 {
+		t.Fatalf("FramesEncoded() = %d after 4 frames, a Reset and 2 more; want 6", got)
+	}
+	if got, want := enc.AverageBitrate(), float64(enc.TotalBits())/6*15; got != want {
+		t.Fatalf("AverageBitrate() = %v, want TotalBits/FramesEncoded*FPS = %v", got, want)
 	}
 }
 

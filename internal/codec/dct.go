@@ -17,13 +17,20 @@
 // 4:2:0 chroma subsampling in Y'CbCr space.
 package codec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // blockSize is the transform size.
 const blockSize = 8
 
-// dctCos holds the DCT-II basis: dctCos[k][n] = c(k)·cos(π(2n+1)k/16).
-var dctCos [blockSize][blockSize]float64
+// block is one 8×8 block, row-major.
+type block [blockSize * blockSize]float64
+
+// dctCos holds the DCT-II basis, dctCos[k][n] = c(k)·cos(π(2n+1)k/16),
+// and dctCosT its transpose.
+var dctCos, dctCosT [blockSize][blockSize]float64
 
 func init() {
 	for k := 0; k < blockSize; k++ {
@@ -33,58 +40,125 @@ func init() {
 		}
 		for n := 0; n < blockSize; n++ {
 			dctCos[k][n] = c * math.Cos(math.Pi*float64(2*n+1)*float64(k)/(2*blockSize))
+			dctCosT[n][k] = dctCos[k][n]
 		}
 	}
 }
 
-// fdct8x8 computes the forward 2-D DCT of an 8×8 block in place
-// (rows then columns).
-func fdct8x8(b *[blockSize][blockSize]float64) {
-	var tmp [blockSize][blockSize]float64
-	// Rows.
-	for y := 0; y < blockSize; y++ {
-		for k := 0; k < blockSize; k++ {
-			var s float64
-			for n := 0; n < blockSize; n++ {
-				s += b[y][n] * dctCos[k][n]
-			}
-			tmp[y][k] = s
+// The exact-order rule. Every transform output is, by definition,
+//
+//	s := +0; for i = 0…7 { s += in[i]·cos[·][i] }
+//
+// with the product rounded before the add. The kernels below keep
+// that sum and that order for every output and only change which
+// outputs are in flight together: eight at a time, one accumulator
+// each, so the adds of one output no longer wait on each other's
+// latency. The product is written float64(v*c): the Go spec lets a
+// compiler fuse x*y+z into one rounding (arm64, ppc64le, riscv64 and
+// GOAMD64=v3 do) and the explicit conversion forbids it, so the bits
+// do not depend on the target.
+//
+// A term whose input is ±0 may be skipped: the accumulator starts at
+// +0, a sum of floats is −0 only when both addends are −0, so the
+// accumulator is never −0, and adding ±0 to anything but −0 returns
+// it unchanged.
+
+// fdctRows computes, for each of the eight rows r of src,
+// dst[k][r] = Σ_n src[r][n]·cos[k][n] (n ascending): a one-dimensional
+// forward pass that writes its output transposed, so that two of them
+// make the two-dimensional transform, row pass first.
+func fdctRows(dst, src *block) {
+	for r := 0; r < blockSize; r++ {
+		row := src[r*blockSize : r*blockSize+blockSize]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for n, v := range row {
+			c := &dctCosT[n]
+			s0 += float64(v * c[0])
+			s1 += float64(v * c[1])
+			s2 += float64(v * c[2])
+			s3 += float64(v * c[3])
+			s4 += float64(v * c[4])
+			s5 += float64(v * c[5])
+			s6 += float64(v * c[6])
+			s7 += float64(v * c[7])
 		}
-	}
-	// Columns.
-	for x := 0; x < blockSize; x++ {
-		for k := 0; k < blockSize; k++ {
-			var s float64
-			for n := 0; n < blockSize; n++ {
-				s += tmp[n][x] * dctCos[k][n]
-			}
-			b[k][x] = s
-		}
+		dst[0*blockSize+r] = s0
+		dst[1*blockSize+r] = s1
+		dst[2*blockSize+r] = s2
+		dst[3*blockSize+r] = s3
+		dst[4*blockSize+r] = s4
+		dst[5*blockSize+r] = s5
+		dst[6*blockSize+r] = s6
+		dst[7*blockSize+r] = s7
 	}
 }
 
-// idct8x8 computes the inverse 2-D DCT of an 8×8 block in place.
-func idct8x8(b *[blockSize][blockSize]float64) {
-	var tmp [blockSize][blockSize]float64
-	// Columns.
+// fdct8x8 computes the forward 2-D DCT of a block in place (rows then
+// columns): tmp[k][y] = Σ_n b[y][n]·cos[k][n], then
+// b[k][x] = Σ_n tmp[x][n]·cos[k][n].
+func fdct8x8(b *block) {
+	var tmp block
+	fdctRows(&tmp, b)
+	fdctRows(b, &tmp)
+}
+
+// idct8x8 computes the inverse 2-D DCT of a block in place (columns
+// then rows), visiting only the coefficients named in nz: bit x*8+k
+// is set for every nonzero b[k][x] (it may be set for zero ones too).
+func idct8x8(b *block, nz uint64) {
+	var tmp block
+	var cols uint8 // bit x set: column x is visited
+	// Columns: tmp[n][x] = Σ_k b[k][x]·cos[k][n].
 	for x := 0; x < blockSize; x++ {
-		for n := 0; n < blockSize; n++ {
-			var s float64
-			for k := 0; k < blockSize; k++ {
-				s += b[k][x] * dctCos[k][n]
-			}
-			tmp[n][x] = s
+		col := uint8(nz >> (x * blockSize))
+		if col == 0 {
+			continue
 		}
+		cols |= 1 << x
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for ; col != 0; col &= col - 1 {
+			k := bits.TrailingZeros8(col)
+			v := b[k*blockSize+x]
+			c := &dctCos[k]
+			s0 += float64(v * c[0])
+			s1 += float64(v * c[1])
+			s2 += float64(v * c[2])
+			s3 += float64(v * c[3])
+			s4 += float64(v * c[4])
+			s5 += float64(v * c[5])
+			s6 += float64(v * c[6])
+			s7 += float64(v * c[7])
+		}
+		tmp[0*blockSize+x] = s0
+		tmp[1*blockSize+x] = s1
+		tmp[2*blockSize+x] = s2
+		tmp[3*blockSize+x] = s3
+		tmp[4*blockSize+x] = s4
+		tmp[5*blockSize+x] = s5
+		tmp[6*blockSize+x] = s6
+		tmp[7*blockSize+x] = s7
 	}
-	// Rows.
+	// Rows: b[y][n] = Σ_k tmp[y][k]·cos[k][n], over the visited
+	// columns k of tmp; the others are all zero.
 	for y := 0; y < blockSize; y++ {
-		for n := 0; n < blockSize; n++ {
-			var s float64
-			for k := 0; k < blockSize; k++ {
-				s += tmp[y][k] * dctCos[k][n]
-			}
-			b[y][n] = s
+		row := tmp[y*blockSize : y*blockSize+blockSize]
+		out := b[y*blockSize : y*blockSize+blockSize]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for m := cols; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros8(m)
+			v := row[k]
+			c := &dctCos[k]
+			s0 += float64(v * c[0])
+			s1 += float64(v * c[1])
+			s2 += float64(v * c[2])
+			s3 += float64(v * c[3])
+			s4 += float64(v * c[4])
+			s5 += float64(v * c[5])
+			s6 += float64(v * c[6])
+			s7 += float64(v * c[7])
 		}
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
 	}
 }
 
@@ -101,21 +175,22 @@ var jpegLuma = [blockSize][blockSize]float64{
 	{72, 92, 95, 98, 112, 100, 103, 99},
 }
 
-// zigzag is the standard 8×8 zig-zag scan order.
+// zigzag is the standard 8×8 zig-zag scan order, as indices into a
+// block.
 var zigzag = buildZigzag()
 
-func buildZigzag() [blockSize * blockSize][2]int {
-	var order [blockSize * blockSize][2]int
+func buildZigzag() [blockSize * blockSize]uint8 {
+	var order [blockSize * blockSize]uint8
 	i := 0
 	for s := 0; s < 2*blockSize-1; s++ {
 		if s%2 == 0 {
-			for y := minInt(s, blockSize-1); y >= 0 && s-y < blockSize; y-- {
-				order[i] = [2]int{y, s - y}
+			for y := min(s, blockSize-1); y >= 0 && s-y < blockSize; y-- {
+				order[i] = uint8(y*blockSize + s - y)
 				i++
 			}
 		} else {
-			for x := minInt(s, blockSize-1); x >= 0 && s-x < blockSize; x-- {
-				order[i] = [2]int{s - x, x}
+			for x := min(s, blockSize-1); x >= 0 && s-x < blockSize; x-- {
+				order[i] = uint8((s-x)*blockSize + x)
 				i++
 			}
 		}
@@ -123,55 +198,73 @@ func buildZigzag() [blockSize * blockSize][2]int {
 	return order
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// stepTable is the quantizer of one QP in zig-zag order:
+// step = max(1, Q·qp/50), so qp 50 is JPEG quality ~50 and larger qp
+// is coarser. half[i] = step[i]/2 exactly (a power-of-two scaling of
+// a value ≥ 1).
+type stepTable struct {
+	step, half [blockSize * blockSize]float64
 }
 
-// quantizeBlock transforms, quantizes, and reconstructs one 8×8 block
-// of pixel values in [0,255], returning the coded size in bits. qp
-// scales the JPEG matrix: step = max(1, Q·qp/50), so qp 50 is JPEG
-// quality ~50 and larger qp is coarser.
-func quantizeBlock(b *[blockSize][blockSize]float64, qp float64) (bits int64) {
-	fdct8x8(b)
-	nonzero := 0
-	run := 0
-	for _, pos := range zigzag[:] {
-		y, x := pos[0], pos[1]
-		step := jpegLuma[y][x] * qp / 50
+// set fills the table for qp.
+func (t *stepTable) set(qp float64) {
+	for i, pos := range zigzag {
+		step := jpegLuma[pos/blockSize][pos%blockSize] * qp / 50
 		if step < 1 {
 			step = 1
 		}
-		level := math.Round(b[y][x] / step)
-		b[y][x] = level * step
-		if level == 0 {
-			run++
-			continue
-		}
-		nonzero++
-		// Entropy-size model: run-length prefix (~2 bits plus 1 per 4
-		// zeros skipped) + magnitude class + sign.
-		mag := int64(math.Abs(level))
-		bits += 2 + int64(run/4) + int64(bitsOf(mag)) + 1
-		run = 0
+		t.step[i] = step
+		t.half[i] = step / 2
 	}
-	if nonzero == 0 {
-		bits = 1 // coded-block flag only
-	} else {
-		bits += 8 // block header
-	}
-	idct8x8(b)
-	return bits
 }
 
-// bitsOf returns the number of bits in the binary magnitude of v>=1.
-func bitsOf(v int64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
+// quantizeBlock transforms, quantizes, and reconstructs one block of
+// (finite) residuals in place, returning the coded size in bits. coded
+// is false when every level is zero: the reconstructed residual is
+// then all +0, and b is left holding the transform, not zeros.
+func quantizeBlock(b *block, t *stepTable) (size int64, coded bool) {
+	fdct8x8(b)
+	// First find the nonzero levels, without a branch per coefficient
+	// (which way it would go is close to a coin toss in the middle of
+	// the scan): bit i of live is set when zig-zag position i has one.
+	// |c| < step/2 ⇔ |c/step| rounds to a float below 0.5 ⇔ the level
+	// is ±0: step/2 is exact, and the float quotient of anything below
+	// it is at most the float just below 0.5.
+	var live uint64
+	for i, pos := range &zigzag {
+		var bit uint64
+		if math.Abs(b[pos]) >= t.half[i] {
+			bit = 1
+		}
+		live |= bit << i
 	}
-	return n
+	if live == 0 {
+		return 1, false // coded-block flag only
+	}
+	// Then code them. The zero levels in between are never written:
+	// nz tells idct8x8 which coefficients to read, and nothing reads
+	// the sign of a zero (see the exact-order rule).
+	//
+	// The level is math.Round(c/step), round half away from zero,
+	// computed as trunc(|q|+0.5) with q's sign: for 0.5 ≤ |q| < 2^51
+	// the two agree, because m−0.5 ≤ |q| < m+0.5 puts |q|+0.5 in
+	// [m, m+1) at least one float spacing below m+1, so the sum cannot
+	// round up to m+1. (Here |q| is at most 8·255.)
+	var nz uint64
+	next := 0 // zig-zag position after the previous nonzero level
+	for ; live != 0; live &= live - 1 {
+		i := bits.TrailingZeros64(live)
+		pos := zigzag[i]
+		step := t.step[i]
+		q := b[pos] / step
+		mag := int64(math.Abs(q) + 0.5)
+		b[pos] = math.Copysign(float64(mag), q) * step
+		// Entropy-size model: run-length prefix (~2 bits plus 1 per 4
+		// zeros skipped) + magnitude class + sign.
+		size += 2 + int64(uint(i-next)/4) + int64(bits.Len64(uint64(mag))) + 1
+		next = i + 1
+		nz |= 1 << (pos%blockSize*blockSize + pos/blockSize)
+	}
+	idct8x8(b, nz)
+	return size + 8, true // + block header
 }

@@ -42,7 +42,8 @@ type Frame struct {
 	// Bits is the coded size of this frame.
 	Bits int64
 	// Recon is the decoder-side reconstruction (what a datacenter
-	// application would actually see).
+	// application would actually see): a fresh image the caller owns.
+	// EncodeBits leaves it nil.
 	Recon *vision.Image
 	// Keyframe reports whether the frame was intra-coded.
 	Keyframe bool
@@ -53,14 +54,24 @@ type Frame struct {
 // Encoder compresses a stream of frames. It is stateful: P-frames
 // predict from the previous reconstruction, and the rate controller
 // carries bit debt across frames.
+//
+// The encoder owns every plane it works on (an arena sized once for
+// the configured dimensions): the source frame in Y'CbCr, the
+// reconstruction being written and the previous reconstruction it
+// predicts from, the last two swapping roles each frame. None of them
+// is ever handed out, so steady-state encoding allocates only what
+// Encode returns.
 type Encoder struct {
 	cfg Config
 
-	qp        float64
-	prevY     *plane
-	prevCb    *plane
-	prevCr    *plane
-	frameIdx  int
+	qp    float64
+	steps stepTable
+
+	src, recon, prev planes
+	flat             planes // all 128: the "prediction" of an intra frame
+
+	gopPos    int // frames coded since NewEncoder or Reset; prev is valid when > 0
+	frames    int
 	totalBits int64
 }
 
@@ -70,82 +81,93 @@ func NewEncoder(cfg Config) *Encoder {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic(fmt.Sprintf("codec: bad dims %dx%d", cfg.Width, cfg.Height))
 	}
-	return &Encoder{cfg: cfg, qp: cfg.InitialQP}
+	e := &Encoder{cfg: cfg, qp: cfg.InitialQP}
+	for _, p := range []*planes{&e.src, &e.recon, &e.prev, &e.flat} {
+		*p = newPlanes(cfg.Width, cfg.Height)
+	}
+	for _, p := range e.flat {
+		for i := range p.pix {
+			p.pix[i] = 128
+		}
+	}
+	return e
 }
 
 // Encode compresses one frame and returns its coded size and
 // reconstruction.
 func (e *Encoder) Encode(im *vision.Image) Frame {
-	if im.W != e.cfg.Width || im.H != e.cfg.Height {
-		panic(fmt.Sprintf("codec: frame %dx%d does not match encoder %dx%d", im.W, im.H, e.cfg.Width, e.cfg.Height))
-	}
-	intra := e.frameIdx%e.cfg.GOP == 0 || e.prevY == nil
-	y, cb, cr := toYCbCr(im)
-	ry := newPlane(y.w, y.h)
-	rcb := newPlane(cb.w, cb.h)
-	rcr := newPlane(cr.w, cr.h)
-
-	var predY, predCb, predCr *plane
-	if !intra {
-		predY, predCb, predCr = e.prevY, e.prevCb, e.prevCr
-	}
-	bits := codePlane(y, predY, ry, e.qp)
-	bits += codePlane(cb, predCb, rcb, e.qp)
-	bits += codePlane(cr, predCr, rcr, e.qp)
-	bits += 64 // frame header
-
-	e.prevY, e.prevCb, e.prevCr = ry, rcb, rcr
-	e.frameIdx++
-	e.totalBits += bits
-	out := Frame{Bits: bits, Recon: fromYCbCr(ry, rcb, rcr), Keyframe: intra, QP: e.qp}
-	e.adaptQP(bits, intra)
+	out := e.EncodeBits(im)
+	out.Recon = fromYCbCr(&e.prev)
 	return out
 }
 
-// adaptQP steers the quantizer toward the per-frame bit budget.
-// Keyframes are allowed several times the budget (they are rare), so
-// they only contribute damped feedback.
-func (e *Encoder) adaptQP(bits int64, intra bool) {
-	if e.cfg.TargetBitrate <= 0 {
-		return
+// EncodeBits compresses one frame exactly as Encode does, state and
+// rate control included, but does not build the RGB reconstruction
+// (Frame.Recon is nil). It does not allocate. Callers that only
+// account for coded size (the edge node's archive, uploads that do not
+// keep reconstructions) use it.
+func (e *Encoder) EncodeBits(im *vision.Image) Frame {
+	if im.W != e.cfg.Width || im.H != e.cfg.Height {
+		panic(fmt.Sprintf("codec: frame %dx%d does not match encoder %dx%d", im.W, im.H, e.cfg.Width, e.cfg.Height))
 	}
-	budget := e.cfg.TargetBitrate / float64(e.cfg.FPS)
-	if budget <= 0 {
-		return
+	intra := e.gopPos%e.cfg.GOP == 0
+	pred := &e.prev
+	if intra {
+		pred = &e.flat
 	}
+	toYCbCr(im, &e.src)
+	e.steps.set(e.qp)
+	bits := int64(64) // frame header
+	for i := range e.src {
+		bits += codePlane(&e.src[i], &pred[i], &e.recon[i], &e.steps)
+	}
+	e.prev, e.recon = e.recon, e.prev
+	e.gopPos++
+	e.frames++
+	e.totalBits += bits
+	out := Frame{Bits: bits, Keyframe: intra, QP: e.qp}
+	e.qp = nextQP(&e.cfg, e.qp, bits, intra)
+	return out
+}
+
+// nextQP steers the quantizer toward the per-frame bit budget: the QP
+// for the frame after one that took bits at qp. Keyframes are allowed
+// several times the budget (they are rare), so they only contribute
+// damped feedback.
+func nextQP(cfg *Config, qp float64, bits int64, intra bool) float64 {
+	if cfg.TargetBitrate <= 0 {
+		return qp
+	}
+	budget := cfg.TargetBitrate / float64(cfg.FPS)
 	ratio := float64(bits) / budget
 	if intra {
 		ratio /= 4 // keyframes may spend ~4x the average
 	}
 	// Multiplicative-increase proportional controller with damping.
-	e.qp *= math.Pow(ratio, 0.3)
-	if e.qp < 1 {
-		e.qp = 1
-	}
-	if e.qp > 400 {
-		e.qp = 400
-	}
+	qp *= math.Pow(ratio, 0.3)
+	return min(max(qp, 1), 400)
 }
 
 // TotalBits returns the bits spent so far.
 func (e *Encoder) TotalBits() int64 { return e.totalBits }
 
-// FramesEncoded returns the number of frames consumed.
-func (e *Encoder) FramesEncoded() int { return e.frameIdx }
+// FramesEncoded returns the number of frames consumed. Like TotalBits
+// it counts over the encoder's lifetime, across Reset.
+func (e *Encoder) FramesEncoded() int { return e.frames }
 
 // AverageBitrate returns the realized bits per second so far.
 func (e *Encoder) AverageBitrate() float64 {
-	if e.frameIdx == 0 {
+	if e.frames == 0 {
 		return 0
 	}
-	return float64(e.totalBits) / float64(e.frameIdx) * float64(e.cfg.FPS)
+	return float64(e.totalBits) / float64(e.frames) * float64(e.cfg.FPS)
 }
 
 // Reset clears temporal state (the next frame becomes a keyframe) but
-// keeps the adapted QP, modelling the start of a new coded segment.
+// keeps the adapted QP and the lifetime totals, modelling the start of
+// a new coded segment.
 func (e *Encoder) Reset() {
-	e.prevY, e.prevCb, e.prevCr = nil, nil, nil
-	e.frameIdx = 0
+	e.gopPos = 0
 }
 
 // EncodeSegment compresses a sequence of frames as an independent
@@ -154,12 +176,19 @@ func (e *Encoder) Reset() {
 // matched event before upload (§3.5).
 func EncodeSegment(cfg Config, frames []*vision.Image) (int64, []*vision.Image) {
 	enc := NewEncoder(cfg)
-	var bits int64
 	recons := make([]*vision.Image, len(frames))
 	for i, f := range frames {
-		out := enc.Encode(f)
-		bits += out.Bits
-		recons[i] = out.Recon
+		recons[i] = enc.Encode(f).Recon
 	}
-	return bits, recons
+	return enc.TotalBits(), recons
+}
+
+// SegmentBits is EncodeSegment for callers that do not need the
+// reconstructions: the same bits, without building them.
+func SegmentBits(cfg Config, frames []*vision.Image) int64 {
+	enc := NewEncoder(cfg)
+	for _, f := range frames {
+		enc.EncodeBits(f)
+	}
+	return enc.TotalBits()
 }

@@ -8,74 +8,74 @@ type plane struct {
 	pix  []float32
 }
 
-func newPlane(w, h int) *plane {
-	return &plane{w: w, h: h, pix: make([]float32, w*h)}
+// planes is one frame in Y'CbCr 4:2:0: full-resolution Y and
+// half-resolution (rounded up) Cb and Cr.
+type planes [3]plane
+
+func newPlanes(w, h int) planes {
+	cw, ch := (w+1)/2, (h+1)/2
+	pix := make([]float32, w*h+2*cw*ch)
+	return planes{
+		{w, h, pix[: w*h : w*h]},
+		{cw, ch, pix[w*h : w*h+cw*ch : w*h+cw*ch]},
+		{cw, ch, pix[w*h+cw*ch:]},
+	}
 }
 
-func (p *plane) at(x, y int) float32 {
-	// Clamp-to-edge addressing pads frames whose dims are not block
-	// multiples.
-	if x >= p.w {
-		x = p.w - 1
-	}
-	if y >= p.h {
-		y = p.h - 1
-	}
-	return p.pix[y*p.w+x]
-}
-
-func (p *plane) set(x, y int, v float32) {
-	if x >= p.w || y >= p.h {
-		return
-	}
-	p.pix[y*p.w+x] = v
-}
-
-// toYCbCr converts an RGB image ([0,1]) into full-resolution Y and
-// half-resolution Cb, Cr planes scaled to [0,255] (BT.601).
-func toYCbCr(im *vision.Image) (y, cb, cr *plane) {
-	y = newPlane(im.W, im.H)
-	cw, ch := (im.W+1)/2, (im.H+1)/2
-	cb = newPlane(cw, ch)
-	cr = newPlane(cw, ch)
-	cbSum := make([]float32, cw*ch)
-	crSum := make([]float32, cw*ch)
-	cnt := make([]float32, cw*ch)
-	for yy := 0; yy < im.H; yy++ {
-		for xx := 0; xx < im.W; xx++ {
-			r, g, b := im.At(xx, yy)
-			lum := 0.299*r + 0.587*g + 0.114*b
-			y.pix[yy*im.W+xx] = lum * 255
-			ci := (yy/2)*cw + xx/2
-			cbSum[ci] += ((b-lum)*0.564 + 0.5) * 255
-			crSum[ci] += ((r-lum)*0.713 + 0.5) * 255
-			cnt[ci]++
+// toYCbCr converts an RGB image ([0,1]) into dst, scaled to [0,255]
+// (BT.601). A chroma sample is the mean of the (up to four) pixels of
+// its 2×2 cell, summed from +0 in raster order: top-left, top-right,
+// bottom-left, bottom-right. Here and in fromYCbCr a product that
+// feeds a sum is written float32(x*y) so that no target fuses the two
+// (see the exact-order rule in dct.go).
+func toYCbCr(im *vision.Image, dst *planes) {
+	y, cb, cr := &dst[0], &dst[1], &dst[2]
+	w, cw := im.W, cb.w
+	for cy := 0; cy < cb.h; cy++ {
+		rows := min(2, im.H-2*cy)
+		cbRow := cb.pix[cy*cw : cy*cw+cw]
+		crRow := cr.pix[cy*cw : cy*cw+cw]
+		for cx := range cbRow {
+			cols := min(2, w-2*cx)
+			var cbSum, crSum float32
+			for dy := 0; dy < rows; dy++ {
+				off := (2*cy+dy)*w + 2*cx
+				rgb := im.Pix[off*3 : (off+cols)*3]
+				lums := y.pix[off : off+cols]
+				for i := range lums {
+					r, g, b := rgb[3*i], rgb[3*i+1], rgb[3*i+2]
+					lum := float32(0.299*r) + float32(0.587*g) + float32(0.114*b)
+					lums[i] = lum * 255
+					cbSum += float32((float32((b-lum)*0.564) + 0.5) * 255)
+					crSum += float32((float32((r-lum)*0.713) + 0.5) * 255)
+				}
+			}
+			n := float32(rows * cols)
+			cbRow[cx] = cbSum / n
+			crRow[cx] = crSum / n
 		}
 	}
-	for i := range cbSum {
-		if cnt[i] > 0 {
-			cb.pix[i] = cbSum[i] / cnt[i]
-			cr.pix[i] = crSum[i] / cnt[i]
-		}
-	}
-	return y, cb, cr
 }
 
-// fromYCbCr reconstructs an RGB image from Y and subsampled Cb, Cr
-// planes (nearest-neighbour chroma upsampling).
-func fromYCbCr(y, cb, cr *plane) *vision.Image {
+// fromYCbCr reconstructs an RGB image from src (nearest-neighbour
+// chroma upsampling). The image is freshly allocated and the caller's
+// to keep.
+func fromYCbCr(src *planes) *vision.Image {
+	y, cb, cr := &src[0], &src[1], &src[2]
 	im := vision.NewImage(y.w, y.h)
-	cw := cb.w
 	for yy := 0; yy < y.h; yy++ {
-		for xx := 0; xx < y.w; xx++ {
-			lum := y.pix[yy*y.w+xx] / 255
-			ci := (yy/2)*cw + xx/2
-			cbv := cb.pix[ci]/255 - 0.5
-			crv := cr.pix[ci]/255 - 0.5
+		lums := y.pix[yy*y.w : yy*y.w+y.w]
+		cbRow := cb.pix[(yy/2)*cb.w : (yy/2)*cb.w+cb.w]
+		crRow := cr.pix[(yy/2)*cb.w : (yy/2)*cb.w+cb.w]
+		rgb := im.Pix[yy*y.w*3 : (yy*y.w+y.w)*3]
+		for xx, l := range lums {
+			lum := l / 255
+			cbv := cbRow[xx/2]/255 - 0.5
+			crv := crRow[xx/2]/255 - 0.5
 			r := lum + crv/0.713
 			b := lum + cbv/0.564
-			g := (lum - 0.299*r - 0.114*b) / 0.587
-			im.Set(xx, yy, clamp01(r), clamp01(g), clamp01(b))
+			g := (lum - float32(0.299*r) - float32(0.114*b)) / 0.587
+			rgb[3*xx], rgb[3*xx+1], rgb[3*xx+2] = clamp01(r), clamp01(g), clamp01(b)
 		}
 	}
 	return im
@@ -91,41 +91,57 @@ func clamp01(v float32) float32 {
 	return v
 }
 
-// codePlane codes src against the prediction pred (nil for intra),
-// writing the reconstruction into recon and returning the bits used.
-func codePlane(src, pred, recon *plane, qp float64) int64 {
+// codePlane codes src against the prediction pred (a flat 128 plane
+// for intra), writing the reconstruction into recon and returning the
+// bits used. Frames whose dimensions are not block multiples are
+// padded by clamp-to-edge: the last row and column of residuals repeat
+// to fill the ragged blocks, and the padding is not written back.
+func codePlane(src, pred, recon *plane, t *stepTable) int64 {
 	var bits int64
-	var blk [blockSize][blockSize]float64
+	var blk block
+	w := src.w
 	for by := 0; by < src.h; by += blockSize {
-		for bx := 0; bx < src.w; bx += blockSize {
-			// Residual (or raw for intra, shifted to be zero-centred).
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					v := float64(src.at(bx+x, by+y))
-					if pred != nil {
-						v -= float64(pred.at(bx+x, by+y))
-					} else {
-						v -= 128
-					}
-					blk[y][x] = v
+		rows := min(blockSize, src.h-by)
+		for bx := 0; bx < w; bx += blockSize {
+			cols := min(blockSize, w-bx)
+			for y := 0; y < rows; y++ {
+				off := (by+y)*w + bx
+				s := src.pix[off : off+cols]
+				p := pred.pix[off : off+cols]
+				row := blk[y*blockSize : y*blockSize+blockSize]
+				for x, v := range s {
+					row[x] = float64(v) - float64(p[x])
+				}
+				for x := cols; x < blockSize; x++ {
+					row[x] = row[cols-1]
 				}
 			}
-			bits += quantizeBlock(&blk, qp)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					v := blk[y][x]
-					if pred != nil {
-						v += float64(pred.at(bx+x, by+y))
-					} else {
-						v += 128
-					}
+			for y := rows; y < blockSize; y++ {
+				copy(blk[y*blockSize:y*blockSize+blockSize], blk[(rows-1)*blockSize:])
+			}
+			b, coded := quantizeBlock(&blk, t)
+			bits += b
+			for y := 0; y < rows; y++ {
+				off := (by+y)*w + bx
+				p := pred.pix[off : off+cols]
+				r := recon.pix[off : off+cols]
+				if !coded {
+					// The reconstruction is the prediction: it is
+					// already in [0,255] and never −0, so adding +0
+					// and clamping would return it unchanged.
+					copy(r, p)
+					continue
+				}
+				row := blk[y*blockSize : y*blockSize+blockSize]
+				for x, pv := range p {
+					v := row[x] + float64(pv)
 					if v < 0 {
 						v = 0
 					}
 					if v > 255 {
 						v = 255
 					}
-					recon.set(bx+x, by+y, float32(v))
+					r[x] = float32(v)
 				}
 			}
 		}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/codec"
 	"repro/internal/filter"
 	"repro/internal/mobilenet"
 	"repro/internal/tensor"
@@ -572,18 +574,62 @@ type frameSlice []*vision.Image
 
 func (s frameSlice) Frame(i int) *vision.Image { return s[i] }
 
+// TestArchiveAccounting: the bits the node accounts for the archive
+// and for its uploads are those an independent codec.Encoder spends on
+// the same frames — whether or not the node builds reconstructions.
 func TestArchiveAccounting(t *testing.T) {
 	base := testBase()
-	cfg := Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base,
-		UploadBitrate: 50_000, ArchiveToDisk: true}
-	e := newNode(t, cfg, map[filter.Arch]float32{filter.LocalizedBinary: 2})
-	for _, f := range testFrames(5) {
-		if _, err := e.ProcessFrame(f); err != nil {
+	frames := testFrames(20)
+	for _, keep := range []bool{false, true} {
+		cfg := Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base,
+			UploadBitrate: 50_000, ArchiveToDisk: true, MaxChunkFrames: 8, KeepReconstructions: keep}
+		e := newNode(t, cfg, map[filter.Arch]float32{filter.LocalizedBinary: -1}) // always positive
+		var ups []Upload
+		for _, f := range frames {
+			u, err := e.ProcessFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ups = append(ups, u...)
+		}
+		tail, err := e.Flush()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if e.Stats().ArchivedBits <= 0 {
-		t.Fatal("archive bits not accounted")
+		ups = append(ups, tail...)
+
+		ccfg := codec.Config{Width: 48, Height: 27, FPS: 15, TargetBitrate: 4 * cfg.UploadBitrate}
+		archive := codec.NewEncoder(ccfg)
+		for _, f := range frames {
+			archive.Encode(f)
+		}
+		if got := e.Stats().ArchivedBits; got != archive.TotalBits() {
+			t.Fatalf("keep %v: ArchivedBits = %d, an independent encoder spends %d", keep, got, archive.TotalBits())
+		}
+
+		ccfg.TargetBitrate = cfg.UploadBitrate
+		var uploaded int64
+		for _, u := range ups {
+			bits, recons := codec.EncodeSegment(ccfg, frames[u.Start:u.End])
+			if u.Bits != bits {
+				t.Fatalf("keep %v: upload [%d,%d) = %d bits, an independent encoder spends %d", keep, u.Start, u.End, u.Bits, bits)
+			}
+			uploaded += bits
+			if !keep {
+				if u.Frames != nil {
+					t.Fatalf("upload [%d,%d) carries reconstructions without KeepReconstructions", u.Start, u.End)
+				}
+				continue
+			}
+			for i, r := range recons {
+				if !slices.Equal(u.Frames[i].Pix, r.Pix) {
+					t.Fatalf("upload [%d,%d): reconstruction %d differs from an independent encoder's", u.Start, u.End, i)
+				}
+			}
+		}
+		if got := e.Stats().UploadedBits; got != uploaded || uploaded == 0 {
+			t.Fatalf("keep %v: UploadedBits = %d, uploads sum to %d", keep, got, uploaded)
+		}
 	}
 }
 

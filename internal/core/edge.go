@@ -814,8 +814,7 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 	var archiveTime time.Duration
 	if e.archive != nil {
 		ta := time.Now()
-		out := e.archive.Encode(img)
-		archivedBits = out.Bits
+		archivedBits = e.archive.EncodeBits(img).Bits
 		archiveTime = time.Since(ta)
 		if o != nil {
 			o.ArchiveEncode.Observe(archiveTime)
@@ -1044,30 +1043,31 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 		}
 		frames = append(frames, img)
 	}
-	t0 := time.Now()
-	bits, recons := codec.EncodeSegment(codec.Config{
+	up := Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: end, Final: final}
+	segCfg := codec.Config{
 		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
 		TargetBitrate: e.cfg.UploadBitrate,
-	}, frames)
+	}
+	t0 := time.Now()
+	if e.cfg.KeepReconstructions {
+		up.Bits, up.Frames = codec.EncodeSegment(segCfg, frames)
+	} else {
+		up.Bits = codec.SegmentBits(segCfg, frames)
+	}
 	encodeTime := time.Since(t0)
 	if e.obs != nil {
 		e.obs.Encode.Observe(encodeTime)
 		e.obs.Trace.Record(obs.StageEncode, e.sid, int64(start), t0, encodeTime)
 	}
-
-	up := Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: end, Bits: bits, Final: final}
-	if e.cfg.KeepReconstructions {
-		up.Frames = recons
-	}
 	if e.uplink != nil {
-		up.Delay = e.uplink.Send(bits)
+		up.Delay = e.uplink.Send(up.Bits)
 	}
 	e.mu.Lock()
 	e.stats.EncodeTime += encodeTime
 	if up.Delay > e.stats.MaxUplinkDelay {
 		e.stats.MaxUplinkDelay = up.Delay
 	}
-	e.stats.UploadedBits += bits
+	e.stats.UploadedBits += up.Bits
 	e.stats.UploadedFrames += end - start
 	e.stats.Uploads++
 	e.mu.Unlock()

@@ -292,14 +292,20 @@ func (m *MC) streamInput(fm *tensor.Tensor) *tensor.Tensor {
 		fm.CropHWInto(m.cropBuf, m.cropFM.Y0, m.cropFM.Y1, m.cropFM.X0, m.cropFM.X1)
 	}
 	if m.normMean != nil {
-		c := len(m.normMean)
-		data := m.cropBuf.Data
-		for i := range data {
-			ci := i % c
-			data[i] = (data[i] - m.normMean[ci]) * m.normInvStd[ci]
-		}
+		m.normalize(m.cropBuf.Data)
 	}
 	return m.cropBuf
+}
+
+// normalize applies the per-channel input normalization to NHWC data
+// in place, one pixel (one run of channels) at a time.
+func (m *MC) normalize(data []float32) {
+	mean, invStd := m.normMean, m.normInvStd[:len(m.normMean)]
+	for c := len(mean); len(data) >= c; data = data[c:] {
+		for ci, v := range data[:c] {
+			data[ci] = (v - mean[ci]) * invStd[ci]
+		}
+	}
 }
 
 // CropMap applies the MC's crop and input normalization to a raw
@@ -313,11 +319,7 @@ func (m *MC) CropMap(fm *tensor.Tensor) *tensor.Tensor {
 		if out == fm {
 			out = fm.Clone()
 		}
-		c := len(m.normMean)
-		for i := range out.Data {
-			ci := i % c
-			out.Data[i] = (out.Data[i] - m.normMean[ci]) * m.normInvStd[ci]
-		}
+		m.normalize(out.Data)
 	}
 	return out
 }

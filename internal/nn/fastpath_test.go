@@ -531,3 +531,41 @@ func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestStandaloneBatchNormBitwise pins the per-pixel loop of a
+// batch-norm that no conv precedes (so nothing folds it into a GEMM
+// epilogue) to the per-element definition out[i] = in[i]·scale[i%c] +
+// shift[i%c], with and without the fused capped ReLU, bit for bit.
+func TestStandaloneBatchNormBitwise(t *testing.T) {
+	const c = 5
+	g := tensor.NewRNG(12)
+	bn := NewBatchNorm("bn", c)
+	g.FillNormal(bn.Gamma.Value, 1, 0.3)
+	g.FillNormal(bn.Beta.Value, 0, 0.3)
+	g.FillNormal(bn.RunningMean, 0, 0.5)
+	bn.RunningVar.Fill(0.7)
+	x := tensor.New(1, 3, 4, c)
+	g.FillNormal(x, 0, 4)
+	scale, shift := bnFold(bn, make([]float32, 2*c))
+
+	for _, relu6 := range []bool{false, true} {
+		net := NewNetwork("bn-alone").Add(bn)
+		if relu6 {
+			net.Add(NewReLU6("relu6"))
+		}
+		prog, err := Compile(net, x.Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := prog.Run(prog.NewWorkspace(), x)
+		for i, v := range x.Data {
+			want := float32(v*scale[i%c]) + shift[i%c]
+			if relu6 {
+				want = min(max(want, 0), 6)
+			}
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want) {
+				t.Fatalf("relu6 %v: [%d] = %v, want %v", relu6, i, got.Data[i], want)
+			}
+		}
+	}
+}

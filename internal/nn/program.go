@@ -496,16 +496,19 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		if relu {
 			cap = op.act.Cap
 		}
-		for i, v := range in.Data {
-			v = v*scale[i%c] + shift[i%c]
-			if relu {
-				if v < 0 {
-					v = 0
-				} else if cap > 0 && v > cap {
-					v = cap
+		for px := 0; px+c <= len(in.Data); px += c {
+			src, dst := in.Data[px:px+c], out.Data[px:px+c]
+			for ci, v := range src {
+				v = float32(v*scale[ci]) + shift[ci]
+				if relu {
+					if v < 0 {
+						v = 0
+					} else if cap > 0 && v > cap {
+						v = cap
+					}
 				}
+				dst[ci] = v
 			}
-			out.Data[i] = v
 		}
 
 	case opReLU:

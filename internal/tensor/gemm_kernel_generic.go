@@ -12,8 +12,10 @@ func gemmPanelPairs(m, n, k int, ap, bp, c []float32, ep *Epilogue) int { return
 
 // kern4x8 is the portable microkernel: one 4×8 tile from packed panels
 // (A interleaved by 4 rows, B by 8 columns), stored raw into the four
-// C rows. Each output element accumulates over p sequentially, so the
-// result is bitwise identical to the amd64 kernels.
+// C rows. Each output element accumulates over p sequentially, with the
+// product rounded before the add (float32(a*b) keeps a compiler that
+// may fuse x*y + z from doing so), so the result is bitwise identical to
+// the amd64 kernels on every target.
 func kern4x8(k int, ap, bp, c0, c1, c2, c3 []float32) {
 	var t0, t1, t2, t3 [gemmNR]float32
 	for p := 0; p < k; p++ {
@@ -22,10 +24,10 @@ func kern4x8(k int, ap, bp, c0, c1, c2, c3 []float32) {
 		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
 		for j := 0; j < gemmNR; j++ {
 			b := bv[j]
-			t0[j] += a0 * b
-			t1[j] += a1 * b
-			t2[j] += a2 * b
-			t3[j] += a3 * b
+			t0[j] += float32(a0 * b)
+			t1[j] += float32(a1 * b)
+			t2[j] += float32(a2 * b)
+			t3[j] += float32(a3 * b)
 		}
 	}
 	copy(c0[:gemmNR], t0[:])

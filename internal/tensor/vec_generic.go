@@ -3,14 +3,17 @@
 package tensor
 
 // Portable element-wise kernels; see vec_amd64.go for the SSE
-// versions. Per-element operations and ordering are identical.
+// versions. Per-element operations and ordering are identical, and so
+// are the roundings: the Go spec lets a compiler fuse x*y + z into one
+// rounding (arm64, ppc64le, riscv64 do), and an explicit float32(x*y)
+// forbids it, so every product below is written that way.
 
 // VecMulAdd computes dst[i] += a[i] * b[i].
 func VecMulAdd(dst, a, b []float32) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	for i := range dst {
-		dst[i] += a[i] * b[i]
+		dst[i] += float32(a[i] * b[i])
 	}
 }
 
@@ -18,7 +21,7 @@ func VecMulAdd(dst, a, b []float32) {
 func VecAxpy(alpha float32, x, y []float32) {
 	x = x[:len(y)]
 	for i := range y {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 
@@ -35,7 +38,7 @@ func VecScaleShift(dst, scale, shift []float32) {
 	scale = scale[:len(dst)]
 	shift = shift[:len(dst)]
 	for i := range dst {
-		dst[i] = dst[i]*scale[i] + shift[i]
+		dst[i] = float32(dst[i]*scale[i]) + shift[i]
 	}
 }
 

@@ -2,8 +2,9 @@
 // paper's evaluation (§4) on the synthetic substrate, at working scale
 // with paper-scale cost projections. Each experiment prints the same
 // rows/series the paper reports and returns structured results for
-// tests. The -experiment list at the top of cmd/ffbench/main.go maps
-// figures to the functions here.
+// tests. The table in cmd/ffbench/main.go maps figures to the
+// functions here. Nothing else lives here: subsystems the paper does
+// not evaluate are measured by bench/ and proven by their own tests.
 package experiments
 
 import (
@@ -44,14 +45,6 @@ type Options struct {
 	// PretrainSamples and PretrainEpochs size the pretext task
 	// (defaults 512 / 8).
 	PretrainSamples, PretrainEpochs int
-	// Parallel runs the performance experiments on the concurrent edge
-	// runtime: phase 2 of the pipeline fans MCs across Workers
-	// goroutines. Results are identical to the serial schedule; only
-	// the timing changes.
-	Parallel bool
-	// Workers sizes the goroutine pool for Parallel runs and the
-	// multi-stream scheduler sweep (default GOMAXPROCS).
-	Workers int
 	// Verbose enables progress logging to the experiment writer.
 	Verbose bool
 }
@@ -81,23 +74,6 @@ func (o *Options) fillDefaults() {
 	if o.PretrainEpochs <= 0 {
 		o.PretrainEpochs = 8
 	}
-}
-
-// mcWorkers returns the phase-2 MC fan-out width performance
-// experiments pass to core.Config: serial unless Parallel.
-func (o Options) mcWorkers() int {
-	if !o.Parallel {
-		return 0
-	}
-	return o.poolWorkers()
-}
-
-// poolWorkers returns the configured worker-pool size.
-func (o Options) poolWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // datasetPair generates the train (day 1) and test (day 2) splits.

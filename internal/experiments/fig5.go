@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -26,6 +27,22 @@ var throughputSystems = []string{
 type ThroughputPoint struct {
 	K   int
 	FPS map[string]float64
+}
+
+// MarshalJSON writes a missing entry as null: JSON has no NaN, and
+// without this a report holding Figure 5 fails to encode.
+func (p ThroughputPoint) MarshalJSON() ([]byte, error) {
+	fps := make(map[string]*float64, len(p.FPS))
+	for sys, v := range p.FPS {
+		fps[sys] = nil
+		if !math.IsNaN(v) {
+			fps[sys] = &v
+		}
+	}
+	return json.Marshal(struct {
+		K   int
+		FPS map[string]*float64
+	}{p.K, fps})
 }
 
 // ThroughputResult holds both the measured working-scale curves and
@@ -112,7 +129,7 @@ func Throughput(w io.Writer, o Options, ks []int, frames int) (*ThroughputResult
 func measureFF(o Options, base *mobilenet.Model, d *dataset.Dataset, imgs []*vision.Image, arch filter.Arch, k int) (float64, error) {
 	edge, err := core.NewEdgeNode(core.Config{
 		FrameWidth: d.Cfg.Width, FrameHeight: d.Cfg.Height, FPS: d.Cfg.FPS,
-		Base: base, UploadBitrate: 100_000, MCWorkers: o.mcWorkers(),
+		Base: base, UploadBitrate: 100_000,
 	})
 	if err != nil {
 		return 0, err

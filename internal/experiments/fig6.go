@@ -49,7 +49,7 @@ func Breakdown(w io.Writer, o Options, arch filter.Arch, ks []int, frames int) (
 	for _, k := range ks {
 		edge, err := core.NewEdgeNode(core.Config{
 			FrameWidth: d.Cfg.Width, FrameHeight: d.Cfg.Height, FPS: d.Cfg.FPS,
-			Base: base, UploadBitrate: 100_000, MCWorkers: o.mcWorkers(),
+			Base: base, UploadBitrate: 100_000,
 		})
 		if err != nil {
 			return nil, err

@@ -216,10 +216,10 @@ func TestRestartChaosSoak(t *testing.T) {
 		t.Fatalf("no snapshot loaded despite SnapshotEvery=%d: %+v", cfg.SnapshotEvery, stats2)
 	}
 	ctrl = ctrl2 // the assertion closures below read through ctrl
-	ctrl.Serve(ln2)
 
 	// Recovered generations are exactly the acknowledged ones — never
-	// zero, never regressed — before any agent even reconnects.
+	// zero, never regressed — before any agent even reconnects: Serve
+	// waits until both recovered-state checks have run.
 	for _, c := range all {
 		_, gen := ctrl.Intent(c.name)
 		if gen != genBefore[c.name] {
@@ -233,6 +233,7 @@ func TestRestartChaosSoak(t *testing.T) {
 			t.Fatalf("%s recovered ledger %d uploads, accepted %d before crash", c.name, got, ledgerBefore[c.name])
 		}
 	}
+	ctrl.Serve(ln2)
 
 	for _, c := range all {
 		waitFor(t, c.name+" reconnected after restart", func() bool {

@@ -440,6 +440,25 @@ func TestShardedChaosSoak(t *testing.T) {
 	}
 
 	// ---- Phase 4: final feed on the resized fleet, then converge. --
+	// A re-homed canary node's resume re-pushes the candidate under a
+	// bumped epoch, and the edge swaps it in with an empty sketch.
+	// Frames fed before that push lands are scored by the old shadow
+	// and lost to the re-anchored window, so wait until every canary
+	// edge runs the install the controller last committed.
+	for _, i := range canaryIdx {
+		c := agents[i]
+		installed := func() (edge map[string]uint64, want uint64) {
+			ctrl.onNode(c.name, false, func(_ *shard, st *nodeState) { want = st.canary["cam0/mc-soak"].epoch })
+			return c.edge.ShadowEpochs(), want
+		}
+		waitSoak(t, c.name+" re-pushed shadow landed", func() bool {
+			edge, want := installed()
+			return len(edge) == 1 && edge["mc-soak"] == want
+		}, func() string {
+			edge, want := installed()
+			return fmt.Sprintf("edge epochs=%v controller epoch=%d", edge, want)
+		})
+	}
 	feedAll(4)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(agents))

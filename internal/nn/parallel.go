@@ -8,9 +8,8 @@ import (
 
 // Workers controls the maximum goroutine fan-out used inside
 // convolution loops. It defaults to GOMAXPROCS. Set it to 1 for fully
-// deterministic single-threaded timing (the performance experiments in
-// internal/experiments do this so that throughput trends reflect
-// algorithmic cost, not scheduler noise).
+// deterministic single-threaded timing (bench/ does this so that its
+// timings reflect algorithmic cost, not scheduler noise).
 var Workers = runtime.GOMAXPROCS(0)
 
 // parallelThreshold is the minimum number of loop iterations before

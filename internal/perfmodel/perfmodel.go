@@ -8,7 +8,7 @@
 // This repository reproduces those trends two ways:
 //
 //  1. directly, by running the real pipeline at working scale
-//     (internal/experiments), and
+//     (experiments.Throughput and experiments.Breakdown), and
 //  2. analytically at paper scale, using exact multiply-add counts
 //     from the same layer implementations (this package) combined
 //     with per-system execution rates calibrated on the host engine —

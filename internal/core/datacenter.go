@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"sort"
 
 	"repro/internal/vision"
@@ -28,6 +30,31 @@ func (d *Datacenter) ReceiveAll(us []Upload) {
 	for _, u := range us {
 		d.Receive(u)
 	}
+}
+
+// Absorb accepts every upload another receiver holds, in its order.
+func (d *Datacenter) Absorb(o *Datacenter) {
+	for name, us := range o.uploads {
+		d.uploads[name] = append(d.uploads[name], us...)
+	}
+}
+
+// GobEncode encodes the received uploads, so a receiver can be part of
+// a gob-encoded value (the fleet controller's snapshots and fold
+// records). Only the accounting fields take space on a controller:
+// its uploads carry no Frames and no Delay, and gob skips zero fields.
+func (d *Datacenter) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(d.uploads)
+	return buf.Bytes(), err
+}
+
+// GobDecode replaces the receiver's uploads with the encoded ones. gob
+// allocates a top-level map even for an empty ledger, so Receive can
+// write into the result.
+func (d *Datacenter) GobDecode(data []byte) error {
+	d.uploads = nil
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(&d.uploads)
 }
 
 // KnownApplications returns the sorted MC names that have received at

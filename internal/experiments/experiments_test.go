@@ -156,12 +156,12 @@ func TestBreakdownSmoke(t *testing.T) {
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	// MC time grows with k; base DNN time stays roughly flat.
-	if res.Points[1].MCSeconds <= res.Points[0].MCSeconds {
-		t.Fatal("MC time did not grow with k")
-	}
-	if res.Points[1].BaseSeconds > res.Points[0].BaseSeconds*3 {
-		t.Fatal("base DNN time should not grow with k")
+	// Only deterministic facts: how the times compare across k depends
+	// on the machine's load, and bench/ measures it.
+	for i, k := range []int{1, 8} {
+		if p := res.Points[i]; p.K != k || p.BaseSeconds <= 0 || p.MCSeconds <= 0 {
+			t.Fatalf("point %d = %+v, want K=%d with positive times", i, p, k)
+		}
 	}
 }
 

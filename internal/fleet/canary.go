@@ -64,7 +64,7 @@ func (c *CanaryConfig) fillDefaults() {
 	}
 }
 
-// Canary outcomes, as recorded in canaryState.outcome and
+// Canary outcomes, as recorded in canaryState.Outcome and
 // CanaryReport.State ("" / "evaluating" while undecided).
 const (
 	CanaryPromoted   = "promoted"
@@ -80,41 +80,41 @@ const (
 // anchors and progress are soft state observeCanary keeps from
 // heartbeats, until a verdict record freezes the progress fields.
 type canaryState struct {
-	// mc, threshold, and version describe the candidate artifact;
-	// mc is kept for reconciliation (re-pushing the shadow to a
+	// MC, Threshold, and Version describe the candidate artifact;
+	// MC is kept for reconciliation (re-pushing the shadow to a
 	// reconnecting node) and for the promotion intent.
-	mc        []byte
-	threshold float32
-	version   uint64
-	// incumbentVersion is the live model's version when the canary
+	MC        []byte
+	Threshold float32
+	Version   uint64
+	// IncumbentVersion is the live model's version when the canary
 	// started, reported back in CanaryReport.
-	incumbentVersion uint64
-	// epoch is the controller's install counter for the shadow slot:
+	IncumbentVersion uint64
+	// Epoch is the controller's install counter for the shadow slot:
 	// 1 on the StartCanary push, bumped on every reconciliation
 	// re-push. Carried in DeployRequest.Epoch and echoed back in
-	// heartbeats. seenEpoch is the last echoed value; any change means
+	// heartbeats. SeenEpoch is the last echoed value; any change means
 	// the shadow was reinstalled and the window must re-anchor, even
 	// when the fresh sketch's count caught up with the old one.
-	epoch, seenEpoch uint64
-	// baseLive and baseShadow anchor the evaluation window: the
+	Epoch, SeenEpoch uint64
+	// BaseLive and BaseShadow anchor the evaluation window: the
 	// cumulative live and shadow snapshots when the window opened.
-	// lastLive/lastShadow are the latest cumulative snapshots.
-	baseLive, baseShadow obs.SketchSnapshot
-	lastLive, lastShadow obs.SketchSnapshot
-	// heartbeats counts shadow-carrying heartbeats since the window
+	// LastLive/LastShadow are the latest cumulative snapshots.
+	BaseLive, BaseShadow obs.SketchSnapshot
+	LastLive, LastShadow obs.SketchSnapshot
+	// Heartbeats counts shadow-carrying heartbeats since the window
 	// opened — the expiry clock.
-	heartbeats int
-	// observations is the shadow window's score count; agreePSI,
-	// spread, and passDelta are the decision inputs — at verdict time,
+	Heartbeats int
+	// Observations is the shadow window's score count; AgreePSI,
+	// Spread, and PassDelta are the decision inputs — at verdict time,
 	// or the latest observed values while evaluating.
-	observations                uint64
-	agreePSI, spread, passDelta float64
-	// outcome is "" while evaluating, then one of the Canary*
+	Observations                uint64
+	AgreePSI, Spread, PassDelta float64
+	// Outcome is "" while evaluating, then one of the Canary*
 	// constants. Terminal states are kept for reporting; starting a
 	// new canary for the pair replaces the record.
-	outcome string
-	// reason annotates rollbacks with what tripped them.
-	reason string
+	Outcome string
+	// Reason annotates rollbacks with what tripped them.
+	Reason string
 }
 
 // observeCanary folds one heartbeat's shadow sketches into the node's
@@ -128,49 +128,49 @@ func observeCanary(st *nodeState, node string, hb Heartbeat, cfg CanaryConfig) [
 	for stream, mcs := range hb.ShadowScores {
 		for mc, cur := range mcs {
 			key := stream + "/" + mc
-			cs := st.canary[key]
-			if cs == nil || cs.outcome != "" {
+			cs := st.Canary[key]
+			if cs == nil || cs.Outcome != "" {
 				// No canary started for this pair (a stale shadow the
 				// rollback hasn't reached yet) or already decided.
 				continue
 			}
 			live := hb.Scores[stream][mc]
 			epoch := hb.ShadowEpochs[stream][mc]
-			if epoch != cs.seenEpoch || cur.Count < cs.lastShadow.Count {
+			if epoch != cs.SeenEpoch || cur.Count < cs.LastShadow.Count {
 				// The shadow was reinstalled (reconciliation re-pushed
 				// the candidate after a reconnect): re-anchor the
 				// window on the fresh sketches. The epoch check catches
 				// a fresh sketch whose count already caught up between
 				// heartbeats; count regression is the fallback for
 				// agents predating epochs (always echoing zero).
-				cs.baseShadow = obs.SketchSnapshot{}
-				cs.baseLive = live
+				cs.BaseShadow = obs.SketchSnapshot{}
+				cs.BaseLive = live
 			}
-			cs.seenEpoch = epoch
-			if cs.heartbeats == 0 {
+			cs.SeenEpoch = epoch
+			if cs.Heartbeats == 0 {
 				// First shadow-carrying heartbeat: anchor the live
 				// side so the window compares the same frame span.
-				cs.baseLive = live
+				cs.BaseLive = live
 			}
-			if live.Count < cs.baseLive.Count {
+			if live.Count < cs.BaseLive.Count {
 				// The incumbent's sketch restarted (redeployed while
 				// the canary ran): re-anchor the live side rather than
 				// subtract across sketch lifetimes.
-				cs.baseLive = live
+				cs.BaseLive = live
 			}
-			cs.heartbeats++
-			cs.lastShadow = cur
-			cs.lastLive = live
+			cs.Heartbeats++
+			cs.LastShadow = cur
+			cs.LastLive = live
 
-			shadowWin := cur.Sub(cs.baseShadow)
-			liveWin := live.Sub(cs.baseLive)
-			cs.observations = shadowWin.Count
-			cs.spread = shadowWin.StdDev()
-			cs.passDelta = shadowWin.PassRate() - liveWin.PassRate()
-			if cs.passDelta < 0 {
-				cs.passDelta = -cs.passDelta
+			shadowWin := cur.Sub(cs.BaseShadow)
+			liveWin := live.Sub(cs.BaseLive)
+			cs.Observations = shadowWin.Count
+			cs.Spread = shadowWin.StdDev()
+			cs.PassDelta = shadowWin.PassRate() - liveWin.PassRate()
+			if cs.PassDelta < 0 {
+				cs.PassDelta = -cs.PassDelta
 			}
-			cs.agreePSI = obs.PSI(liveWin, shadowWin)
+			cs.AgreePSI = obs.PSI(liveWin, shadowWin)
 
 			var outcome, reason string
 			switch {
@@ -179,26 +179,26 @@ func observeCanary(st *nodeState, node string, hb Heartbeat, cfg CanaryConfig) [
 				// short live window the pass-rate comparison degenerates
 				// to the candidate's absolute pass rate, which would
 				// spuriously roll back (or promote) healthy candidates.
-				if cs.heartbeats < cfg.ExpireAfter {
+				if cs.Heartbeats < cfg.ExpireAfter {
 					continue
 				}
 				outcome = CanaryExpired
 				reason = fmt.Sprintf("window shadow %d/%d live %d/%d after %d heartbeats",
-					shadowWin.Count, cfg.Window, liveWin.Count, cfg.Window, cs.heartbeats)
-			case cs.spread < cfg.MinSpread:
+					shadowWin.Count, cfg.Window, liveWin.Count, cfg.Window, cs.Heartbeats)
+			case cs.Spread < cfg.MinSpread:
 				outcome = CanaryRolledBack
-				reason = fmt.Sprintf("degenerate scores: spread %.4f < %.4f", cs.spread, cfg.MinSpread)
-			case cs.passDelta > cfg.MaxPassDelta:
+				reason = fmt.Sprintf("degenerate scores: spread %.4f < %.4f", cs.Spread, cfg.MinSpread)
+			case cs.PassDelta > cfg.MaxPassDelta:
 				outcome = CanaryRolledBack
-				reason = fmt.Sprintf("pass-rate gap %.3f > %.3f", cs.passDelta, cfg.MaxPassDelta)
+				reason = fmt.Sprintf("pass-rate gap %.3f > %.3f", cs.PassDelta, cfg.MaxPassDelta)
 			default:
 				outcome = CanaryPromoted
 			}
 			verdicts = append(verdicts, &canaryVerdictRec{
-				Node: node, Stream: stream, Name: mc, Version: cs.version,
+				Node: node, Stream: stream, Name: mc, Version: cs.Version,
 				Outcome: outcome, Reason: reason,
-				Observations: cs.observations, Heartbeats: cs.heartbeats,
-				AgreePSI: cs.agreePSI, Spread: cs.spread, PassDelta: cs.passDelta,
+				Observations: cs.Observations, Heartbeats: cs.Heartbeats,
+				AgreePSI: cs.AgreePSI, Spread: cs.Spread, PassDelta: cs.PassDelta,
 			})
 		}
 	}
@@ -232,9 +232,9 @@ func (c *Controller) StartCanary(node, stream string, mc []byte, threshold float
 			Node: node, Stream: stream, Name: info.Name,
 			MC: mc, Threshold: threshold, Version: info.Version,
 		}
-		if dep, ok := st.intent[stream][info.Name]; ok {
+		if dep, ok := st.Intent[stream][info.Name]; ok {
 			hasIncumbent = true
-			if inc, err := filter.MCInfo(bytes.NewReader(dep.mc)); err == nil {
+			if inc, err := filter.MCInfo(bytes.NewReader(dep.MC)); err == nil {
 				rec.IncumbentVersion = inc.Version
 			}
 		} else if sess != nil {
@@ -285,7 +285,7 @@ func (c *Controller) resolveCanary(v *canaryVerdictRec) {
 	// and withdrawing would kill it — the replacement is left to its own
 	// evaluation, and stale leftovers on the edge to reconciliation.
 	current := func(st *nodeState) *canaryState {
-		if cs := st.canary[key]; cs != nil && v.Outcome == cs.outcome && v.Version == cs.version {
+		if cs := st.Canary[key]; cs != nil && v.Outcome == cs.Outcome && v.Version == cs.Version {
 			return cs
 		}
 		return nil
@@ -299,10 +299,10 @@ func (c *Controller) resolveCanary(v *canaryVerdictRec) {
 			if cs == nil {
 				return
 			}
-			gen = st.gen + 1
+			gen = st.Gen + 1
 			sh.commit(&intentRec{
 				Node: v.Node, Stream: v.Stream, Name: v.Name,
-				MC: cs.mc, Threshold: cs.threshold, Version: cs.version, Gen: gen,
+				MC: cs.MC, Threshold: cs.Threshold, Version: cs.Version, Gen: gen,
 			})
 			sess = sh.liveSessionLocked(v.Node)
 		})
@@ -359,20 +359,20 @@ func (c *Controller) CanaryReports() []CanaryReport {
 	var out []CanaryReport
 	for _, sh := range c.snapshotShards() {
 		sh.mu.Lock()
-		for name, st := range sh.nodes {
-			for key, cs := range st.canary {
+		for name, st := range sh.Nodes {
+			for key, cs := range st.Canary {
 				stream, mc, _ := strings.Cut(key, "/")
-				state := cs.outcome
+				state := cs.Outcome
 				if state == "" {
 					state = "evaluating"
 				}
 				out = append(out, CanaryReport{
 					Node: name, Stream: stream, MC: mc,
-					Version: cs.version, IncumbentVersion: cs.incumbentVersion,
-					Observations: cs.observations,
-					Heartbeats:   cs.heartbeats,
-					AgreePSI:     cs.agreePSI, Spread: cs.spread, PassDelta: cs.passDelta,
-					State: state, Reason: cs.reason,
+					Version: cs.Version, IncumbentVersion: cs.IncumbentVersion,
+					Observations: cs.Observations,
+					Heartbeats:   cs.Heartbeats,
+					AgreePSI:     cs.AgreePSI, Spread: cs.Spread, PassDelta: cs.PassDelta,
+					State: state, Reason: cs.Reason,
 				})
 			}
 		}

@@ -38,7 +38,7 @@ func canaryHB(live, shadow []float64) Heartbeat {
 // node (named "n0") — and returns the verdicts.
 func observeCanaryApplied(st *nodeState, hb Heartbeat, cfg CanaryConfig) []*canaryVerdictRec {
 	verdicts := observeCanary(st, "n0", hb, cfg)
-	state := shardState{nodes: map[string]*nodeState{"n0": st}}
+	state := shardState{Nodes: map[string]*nodeState{"n0": st}}
 	for _, v := range verdicts {
 		state.apply(v)
 	}
@@ -46,8 +46,8 @@ func observeCanaryApplied(st *nodeState, hb Heartbeat, cfg CanaryConfig) []*cana
 }
 
 func canaryTestState() *nodeState {
-	return &nodeState{canary: map[string]*canaryState{
-		"cam0/mc": {version: 2, incumbentVersion: 1},
+	return &nodeState{Canary: map[string]*canaryState{
+		"cam0/mc": {Version: 2, IncumbentVersion: 1},
 	}}
 }
 
@@ -66,8 +66,8 @@ func TestObserveCanaryPromote(t *testing.T) {
 	if len(evs) != 0 {
 		t.Fatalf("verdict before window filled: %+v", evs)
 	}
-	cs := st.canary["cam0/mc"]
-	if cs.outcome != "" || cs.heartbeats != 1 {
+	cs := st.Canary["cam0/mc"]
+	if cs.Outcome != "" || cs.Heartbeats != 1 {
 		t.Fatalf("state after first heartbeat: %+v", cs)
 	}
 
@@ -84,8 +84,8 @@ func TestObserveCanaryPromote(t *testing.T) {
 	if ev.Node != "n0" || ev.Stream != "cam0" || ev.Name != "mc" {
 		t.Fatalf("verdict identity: %+v", ev)
 	}
-	if cs.outcome != CanaryPromoted {
-		t.Fatalf("state outcome after promote: %q", cs.outcome)
+	if cs.Outcome != CanaryPromoted {
+		t.Fatalf("state outcome after promote: %q", cs.Outcome)
 	}
 
 	// Decided canaries are terminal: further heartbeats (the promote
@@ -233,7 +233,7 @@ func TestObserveCanaryEpochReAnchor(t *testing.T) {
 	cfg := CanaryConfig{Window: 16}
 	cfg.fillDefaults()
 	st := canaryTestState()
-	cs := st.canary["cam0/mc"]
+	cs := st.Canary["cam0/mc"]
 
 	if evs := observeCanaryApplied(st, withShadowEpoch(canaryHB(alt(0.2, 0.7, 32), alt(0.3, 0.8, 8)), 1), cfg); len(evs) != 0 {
 		t.Fatalf("verdict before window filled: %+v", evs)
@@ -244,11 +244,11 @@ func TestObserveCanaryEpochReAnchor(t *testing.T) {
 	if evs := observeCanaryApplied(st, withShadowEpoch(canaryHB(alt(0.2, 0.7, 48), alt(0.3, 0.8, 8)), 2), cfg); len(evs) != 0 {
 		t.Fatalf("verdict across sketch lifetimes: %+v", evs)
 	}
-	if cs.seenEpoch != 2 {
-		t.Fatalf("seenEpoch = %d, want 2", cs.seenEpoch)
+	if cs.SeenEpoch != 2 {
+		t.Fatalf("seenEpoch = %d, want 2", cs.SeenEpoch)
 	}
-	if want := cumSketch(alt(0.2, 0.7, 48)); cs.baseLive != want {
-		t.Fatalf("live window not re-anchored:\n got %+v\nwant %+v", cs.baseLive, want)
+	if want := cumSketch(alt(0.2, 0.7, 48)); cs.BaseLive != want {
+		t.Fatalf("live window not re-anchored:\n got %+v\nwant %+v", cs.BaseLive, want)
 	}
 
 	// The re-anchored windows fill and decide on install 2's span
@@ -298,8 +298,8 @@ func TestResolveCanaryStaleVerdict(t *testing.T) {
 	defer ctrl.Close()
 
 	ctrl.onNode("n0", true, func(_ *shard, st *nodeState) {
-		st.canary = map[string]*canaryState{
-			"cam0/mc": {mc: []byte{9}, version: 3},
+		st.Canary = map[string]*canaryState{
+			"cam0/mc": {MC: []byte{9}, Version: 3},
 		}
 	})
 	// Version mismatch (verdict was for the replaced candidate) and
@@ -308,14 +308,14 @@ func TestResolveCanaryStaleVerdict(t *testing.T) {
 	ctrl.resolveCanary(&canaryVerdictRec{Node: "n0", Stream: "cam0", Name: "mc", Version: 2, Outcome: CanaryPromoted})
 	ctrl.resolveCanary(&canaryVerdictRec{Node: "n0", Stream: "cam0", Name: "mc", Version: 3, Outcome: CanaryPromoted})
 	ctrl.onNode("n0", true, func(_ *shard, st *nodeState) {
-		if len(st.intent) != 0 {
-			t.Errorf("stale promote wrote intent: %+v", st.intent)
+		if len(st.Intent) != 0 {
+			t.Errorf("stale promote wrote intent: %+v", st.Intent)
 		}
-		if st.gen != 0 {
-			t.Errorf("stale promote bumped generation to %d", st.gen)
+		if st.Gen != 0 {
+			t.Errorf("stale promote bumped generation to %d", st.Gen)
 		}
-		if st.canary["cam0/mc"].outcome != "" {
-			t.Errorf("stale promote touched the replacement record: %+v", st.canary["cam0/mc"])
+		if st.Canary["cam0/mc"].Outcome != "" {
+			t.Errorf("stale promote touched the replacement record: %+v", st.Canary["cam0/mc"])
 		}
 	})
 }
@@ -326,9 +326,9 @@ func TestResolveCanaryStaleVerdict(t *testing.T) {
 // itself mutates nothing), while shadows whose record is decided (a
 // lost rollback push) or untracked are withdrawn.
 func TestReconcileShadowWithdrawal(t *testing.T) {
-	st := &nodeState{canary: map[string]*canaryState{
-		"cam0/live-one": {mc: []byte{1}, version: 5, epoch: 1},
-		"cam0/dead-one": {mc: []byte{2}, version: 6, epoch: 1, outcome: CanaryRolledBack},
+	st := &nodeState{Canary: map[string]*canaryState{
+		"cam0/live-one": {MC: []byte{1}, Version: 5, Epoch: 1},
+		"cam0/dead-one": {MC: []byte{2}, Version: 6, Epoch: 1, Outcome: CanaryRolledBack},
 	}}
 	hello := Hello{Shadows: map[string][]string{
 		"cam0": {"dead-one", "live-one", "untracked"},
@@ -349,8 +349,8 @@ func TestReconcileShadowWithdrawal(t *testing.T) {
 	if len(rePush) != 1 || rePush[0].name != "live-one" || rePush[0].version != 5 || rePush[0].epoch != 2 {
 		t.Fatalf("re-push items: %+v", rePush)
 	}
-	if st.canary["cam0/live-one"].epoch != 1 {
-		t.Fatalf("the diff bumped the record epoch itself: %d", st.canary["cam0/live-one"].epoch)
+	if st.Canary["cam0/live-one"].Epoch != 1 {
+		t.Fatalf("the diff bumped the record epoch itself: %d", st.Canary["cam0/live-one"].Epoch)
 	}
 	if len(withdrawn) != 2 || !withdrawn["dead-one"] || !withdrawn["untracked"] {
 		t.Fatalf("withdrawals: %v", withdrawn)

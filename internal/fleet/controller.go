@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -95,13 +94,13 @@ type ControllerConfig struct {
 // per-shard snapshot compactions.
 const DefaultSnapshotEvery = 1024
 
-// deployment is one intended microclassifier deployment. version
-// mirrors the Spec.Version decoded from mc, cached so reconciliation
+// deployment is one intended microclassifier deployment. Version
+// mirrors the Spec.Version decoded from MC, cached so reconciliation
 // can restate it without re-decoding the artifact.
 type deployment struct {
-	mc        []byte
-	threshold float32
-	version   uint64
+	MC        []byte
+	Threshold float32
+	Version   uint64
 }
 
 // nodeState is a shard's durable record of one edge node, keyed by
@@ -110,37 +109,41 @@ type deployment struct {
 // intent here, and upload accounting continues without duplication —
 // and it survives re-homes: a shard-count change moves the whole
 // record to the new owner as one move-in, so the ledger high-water
-// mark, intent, and lifecycle counters never fork. intent, gen,
-// lastSeq, dc, rehomed, and the logged parts of drift and canary change
-// only in shardState.apply; evicted and reconnects are soft.
+// mark, intent, and lifecycle counters never fork. Intent, Gen,
+// LastSeq, DC, and the logged parts of Drift and Canary change only in
+// shardState.apply; Evicted and Reconnects are soft.
 type nodeState struct {
-	// intent is the intended deployment: stream -> MC name -> bytes.
-	intent map[string]map[string]deployment
-	// gen counts intent changes; deploy/undeploy requests carry it so
+	// Intent is the intended deployment: stream -> MC name -> bytes.
+	Intent map[string]map[string]deployment
+	// Gen counts intent changes; deploy/undeploy requests carry it so
 	// the node can report how current it is in a resume hello.
-	gen uint64
-	// lastSeq is the highest upload sequence number accepted from the
+	Gen uint64
+	// LastSeq is the highest upload sequence number accepted from the
 	// node; retransmissions at or below it are dropped.
-	lastSeq uint64
-	// dc accumulates the node's deduplicated uploads across sessions.
-	dc *core.Datacenter
-	// evicted counts sessions the controller force-closed (liveness
+	LastSeq uint64
+	// DC accumulates the node's deduplicated uploads across sessions.
+	DC *core.Datacenter
+	// Evicted counts sessions the controller force-closed (liveness
 	// timeouts and stale sessions replaced by a reconnect).
-	evicted int
-	// reconnects counts resume hellos accepted for the node.
-	reconnects int
-	// rehomed counts shard moves (Resize placing the node elsewhere).
-	rehomed int
-	// drift is the per-(stream, MC) drift-detection state, keyed
+	Evicted int
+	// Reconnects counts resume hellos accepted for the node.
+	Reconnects int
+	// Rehomed counts moves between logs (a Resize re-home, or recovery
+	// placing the node on a different shard than its source log). The
+	// mover bumps it just before committing the move-in record that
+	// carries it, so it doubles as the node's incarnation number: when
+	// several logs hold copies of the node, the highest Rehomed wins.
+	Rehomed int
+	// Drift is the per-(stream, MC) drift-detection state, keyed
 	// "stream/mc". It rides the node record: a Resize moves the whole
 	// record, so baselines, window boundaries, and scores survive
 	// re-homes without forking or resetting.
-	drift map[string]*driftState
-	// canary is the per-(stream, MC) canary-evaluation state, keyed
-	// "stream/mc" like drift. It rides the node record through
+	Drift map[string]*driftState
+	// Canary is the per-(stream, MC) canary-evaluation state, keyed
+	// "stream/mc" like Drift. It rides the node record through
 	// re-homes the same way, so an in-flight canary window survives a
 	// Resize without losing its baselines or double-deciding.
-	canary map[string]*canaryState
+	Canary map[string]*canaryState
 }
 
 // Controller is the datacenter side of the fleet control plane: a
@@ -286,7 +289,7 @@ func (c *Controller) onNode(name string, create bool, f func(*shard, *nodeState)
 			sh.mu.Unlock()
 			continue
 		}
-		st := sh.nodes[name]
+		st := sh.Nodes[name]
 		if st == nil {
 			if !create {
 				sh.mu.Unlock()
@@ -308,9 +311,7 @@ func (c *Controller) Datacenter() *core.Datacenter {
 	merged := core.NewDatacenter()
 	for _, sh := range c.snapshotShards() {
 		sh.mu.Lock()
-		for _, app := range sh.dc.KnownApplications() {
-			merged.ReceiveAll(sh.dc.Uploads(app))
-		}
+		merged.Absorb(sh.DC)
 		sh.mu.Unlock()
 	}
 	return merged
@@ -330,7 +331,7 @@ func (c *Controller) WithDatacenter(f func(*core.Datacenter)) {
 // the controller has never seen.
 func (c *Controller) WithNodeDatacenter(node string, f func(*core.Datacenter)) error {
 	ok := c.onNode(node, false, func(_ *shard, st *nodeState) {
-		f(st.dc)
+		f(st.DC)
 	})
 	if !ok {
 		return fmt.Errorf("fleet: unknown node %q", node)
@@ -546,7 +547,7 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 	var moves []move
 	for idx, sh := range c.shards {
 		sh.mu.Lock()
-		for name := range sh.nodes {
+		for name := range sh.Nodes {
 			if to := c.ring.owner(name); to != idx {
 				moves = append(moves, move{node: name, from: idx, to: to})
 			}
@@ -563,12 +564,12 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 	for _, m := range moves {
 		from, to := c.shards[m.from], c.shards[m.to]
 		from.mu.Lock()
-		st := from.nodes[m.node]
+		st := from.Nodes[m.node]
 		if st == nil {
 			from.mu.Unlock()
 			continue
 		}
-		delete(from.nodes, m.node)
+		delete(from.Nodes, m.node)
 		for id, s := range from.sessions {
 			if s.Node() == m.node {
 				// Not an eviction: the node did nothing wrong, the map
@@ -585,10 +586,9 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 		// incarnation: whichever log last wrote the node at the highest
 		// Rehomed wins recovery, so the stale copy still sitting in the
 		// source shard's log can never resurrect.
-		snap := toNodeSnap(m.node, st)
-		snap.Rehomed++
 		to.mu.Lock()
-		to.commit(&moveInRec{Node: snap})
+		st.Rehomed++
+		to.commit(&moveInRec{Name: m.node, Node: st})
 		to.mu.Unlock()
 		moved++
 		c.cfg.Log.Info("fleet: node re-homed",
@@ -599,37 +599,12 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 		// Retired shards no longer own nodes (the moves above emptied
 		// them), but their accepted-upload history must survive for
 		// fleet-global sums: fold it into shard 0.
-		base := c.shards[0]
 		for _, sh := range c.shards[shards:] {
 			sh.mu.Lock()
-			fold := &foldRec{Uploads: sh.uploads, UploadBits: sh.uploadBits, DC: dcSnap(sh.dc)}
 			w := sh.wal
 			sh.wal = nil
 			sh.mu.Unlock()
-			// On a durable controller the fold is keyed by the retired
-			// store's identity, and committed and synced before the
-			// retired directory is deleted — so a crash anywhere in the
-			// shrink either replays the fold or re-folds the surviving
-			// directory, never loses it, and (via the identity key) never
-			// counts it twice.
-			if w != nil {
-				fold.FromID = w.ID()
-			}
-			base.mu.Lock()
-			durable := base.commit(fold) && (base.wal == nil || base.wal.Sync() == nil)
-			base.mu.Unlock()
-			if w != nil {
-				dir := w.Dir()
-				w.Close()
-				if durable {
-					_ = os.RemoveAll(dir)
-				} else {
-					// Without a durable fold record the directory is the
-					// only copy of this history: leave it for the next
-					// recovery to fold.
-					c.cfg.Log.Error("fleet: retired shard fold not durable, keeping state dir", "dir", dir)
-				}
-			}
+			c.shards[0].absorb(&sh.shardState, w)
 		}
 		c.shards = c.shards[:shards]
 	}
@@ -675,7 +650,7 @@ type reconcileItem struct {
 // lock.
 func reconcileWorkLocked(st *nodeState, hello Hello) []reconcileItem {
 	var work []reconcileItem
-	for stream, mcs := range st.intent {
+	for stream, mcs := range st.Intent {
 		reported := hello.Deployed[stream]
 		has := make(map[string]bool, len(reported))
 		for _, name := range reported {
@@ -692,10 +667,10 @@ func reconcileWorkLocked(st *nodeState, hello Hello) []reconcileItem {
 	// history for the node (gen > 0). A fresh controller (restarted
 	// process) seeing an unknown returning node must adopt it as-is,
 	// not strip MCs a predecessor shipped.
-	if st.gen > 0 {
+	if st.Gen > 0 {
 		for stream, reported := range hello.Deployed {
 			for _, name := range reported {
-				if _, intended := st.intent[stream][name]; !intended {
+				if _, intended := st.Intent[stream][name]; !intended {
 					work = append(work, reconcileItem{stream: stream, name: name})
 				}
 			}
@@ -706,15 +681,15 @@ func reconcileWorkLocked(st *nodeState, hello Hello) []reconcileItem {
 	// window picks back up from the fresh sketch. The bumped epoch
 	// tells the evaluator to re-anchor even if the fresh sketch's
 	// count catches up with the old one between heartbeats.
-	for key, cs := range st.canary {
-		if cs.outcome != "" {
+	for key, cs := range st.Canary {
+		if cs.Outcome != "" {
 			continue
 		}
 		stream, name, _ := strings.Cut(key, "/")
-		d := deployment{mc: cs.mc, threshold: cs.threshold}
+		d := deployment{MC: cs.MC, Threshold: cs.Threshold}
 		work = append(work, reconcileItem{
 			stream: stream, name: name, dep: &d, canary: true,
-			version: cs.version, epoch: cs.epoch + 1,
+			version: cs.Version, epoch: cs.Epoch + 1,
 		})
 	}
 	// Reported shadows with no undecided canary record are withdrawn:
@@ -723,7 +698,7 @@ func reconcileWorkLocked(st *nodeState, hello Hello) []reconcileItem {
 	// candidate scoring every frame forever.
 	for stream, reported := range hello.Shadows {
 		for _, name := range reported {
-			if cs := st.canary[stream+"/"+name]; cs == nil || cs.outcome != "" {
+			if cs := st.Canary[stream+"/"+name]; cs == nil || cs.Outcome != "" {
 				work = append(work, reconcileItem{stream: stream, name: name, canary: true})
 			}
 		}
@@ -744,11 +719,11 @@ func runReconcile(s *Session, gen uint64, work []reconcileItem) {
 	for _, w := range work {
 		switch {
 		case w.canary && w.dep != nil:
-			_ = s.deployCanary(w.stream, w.dep.mc, w.dep.threshold, w.version, w.epoch)
+			_ = s.deployCanary(w.stream, w.dep.MC, w.dep.Threshold, w.version, w.epoch)
 		case w.canary:
 			_ = s.undeployCanary(w.stream, w.name)
 		case w.dep != nil:
-			_ = s.deploy(w.stream, w.dep.mc, w.dep.threshold, gen, w.dep.version)
+			_ = s.deploy(w.stream, w.dep.MC, w.dep.Threshold, gen, w.dep.Version)
 		default:
 			_ = s.undeploy(w.stream, w.name, gen)
 		}
@@ -786,9 +761,9 @@ func (c *Controller) ListNodes() []NodeInfo {
 		for _, s := range sh.sessions {
 			sessions = append(sessions, s)
 		}
-		counters := make(map[string][2]int, len(sh.nodes))
-		for name, st := range sh.nodes {
-			counters[name] = [2]int{st.evicted, st.reconnects}
+		counters := make(map[string][2]int, len(sh.Nodes))
+		for name, st := range sh.Nodes {
+			counters[name] = [2]int{st.Evicted, st.Reconnects}
 		}
 		sh.mu.Unlock()
 		for _, s := range sessions {
@@ -822,9 +797,9 @@ func (c *Controller) ListNodes() []NodeInfo {
 func (c *Controller) Lifecycle() (evicted, reconnects int) {
 	for _, sh := range c.snapshotShards() {
 		sh.mu.Lock()
-		for _, st := range sh.nodes {
-			evicted += st.evicted
-			reconnects += st.reconnects
+		for _, st := range sh.Nodes {
+			evicted += st.Evicted
+			reconnects += st.Reconnects
 		}
 		sh.mu.Unlock()
 	}
@@ -837,8 +812,8 @@ func (c *Controller) Rehomed() int {
 	total := 0
 	for _, sh := range c.snapshotShards() {
 		sh.mu.Lock()
-		for _, st := range sh.nodes {
-			total += st.rehomed
+		for _, st := range sh.Nodes {
+			total += st.Rehomed
 		}
 		sh.mu.Unlock()
 	}
@@ -903,8 +878,8 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 	var sess *Session
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
 		if nameErr == nil {
-			prev, had = st.intent[stream][name]
-			gen = st.gen + 1
+			prev, had = st.Intent[stream][name]
+			gen = st.Gen + 1
 			sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: name,
 				MC: mc, Threshold: threshold, Version: info.Version, Gen: gen,
@@ -928,8 +903,8 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 		c.onNode(node, true, func(sh *shard, st *nodeState) {
 			sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: name,
-				MC: prev.mc, Threshold: prev.threshold, Version: prev.version,
-				Gen: st.gen + 1, Remove: !had,
+				MC: prev.MC, Threshold: prev.Threshold, Version: prev.Version,
+				Gen: st.Gen + 1, Remove: !had,
 			})
 		})
 	}
@@ -945,12 +920,12 @@ func (c *Controller) Undeploy(node, stream, mcName string) error {
 	var gen uint64
 	var sess *Session
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
-		if _, had := st.intent[stream][mcName]; had {
+		if _, had := st.Intent[stream][mcName]; had {
 			sh.commit(&intentRec{
-				Node: node, Stream: stream, Name: mcName, Gen: st.gen + 1, Remove: true,
+				Node: node, Stream: stream, Name: mcName, Gen: st.Gen + 1, Remove: true,
 			})
 		}
-		gen = st.gen
+		gen = st.Gen
 		sess = sh.liveSessionLocked(node)
 	})
 	if sess == nil {
@@ -974,8 +949,8 @@ func (c *Controller) Intent(node string) (map[string][]string, uint64) {
 	var out map[string][]string
 	var gen uint64
 	c.onNode(node, false, func(_ *shard, st *nodeState) {
-		out = make(map[string][]string, len(st.intent))
-		for stream, mcs := range st.intent {
+		out = make(map[string][]string, len(st.Intent))
+		for stream, mcs := range st.Intent {
 			names := make([]string, 0, len(mcs))
 			for name := range mcs {
 				names = append(names, name)
@@ -983,7 +958,7 @@ func (c *Controller) Intent(node string) (map[string][]string, uint64) {
 			sort.Strings(names)
 			out[stream] = names
 		}
-		gen = st.gen
+		gen = st.Gen
 	})
 	return out, gen
 }
@@ -995,9 +970,9 @@ func (c *Controller) IntentMCBytes(node, stream, mcName string) ([]byte, bool) {
 	var out []byte
 	var ok bool
 	c.onNode(node, false, func(_ *shard, st *nodeState) {
-		dep, found := st.intent[stream][mcName]
+		dep, found := st.Intent[stream][mcName]
 		if found {
-			out = append([]byte(nil), dep.mc...)
+			out = append([]byte(nil), dep.MC...)
 			ok = true
 		}
 	})
@@ -1009,10 +984,10 @@ func (c *Controller) IntentMCBytes(node, stream, mcName string) ([]byte, bool) {
 // a candidate from.
 func (c *Controller) IntentDeployment(node, stream, mcName string) (mc []byte, threshold float32, ok bool) {
 	c.onNode(node, false, func(_ *shard, st *nodeState) {
-		dep, found := st.intent[stream][mcName]
+		dep, found := st.Intent[stream][mcName]
 		if found {
-			mc = append([]byte(nil), dep.mc...)
-			threshold = dep.threshold
+			mc = append([]byte(nil), dep.MC...)
+			threshold = dep.Threshold
 			ok = true
 		}
 	})

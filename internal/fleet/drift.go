@@ -76,27 +76,27 @@ func (d *DriftConfig) fillDefaults() {
 // everything after it — window boundary, scores, drifted flag — is
 // soft state observeScores keeps from heartbeats.
 type driftState struct {
-	// baseline is the frozen reference distribution; baselineSet
+	// Baseline is the frozen reference distribution; BaselineSet
 	// guards it (an all-zero snapshot is a legal baseline only after
 	// an explicit freeze, which MinCount makes impossible).
-	baseline    obs.SketchSnapshot
-	baselineSet bool
-	// prev is the cumulative snapshot at the last window boundary;
-	// last is the latest cumulative snapshot seen (its Count going
+	Baseline    obs.SketchSnapshot
+	BaselineSet bool
+	// Prev is the cumulative snapshot at the last window boundary;
+	// Last is the latest cumulative snapshot seen (its Count going
 	// backwards marks an MC redeploy, which resets the pair).
-	prev obs.SketchSnapshot
-	last obs.SketchSnapshot
-	// version is the model version behind the sketches (zero for
+	Prev obs.SketchSnapshot
+	Last obs.SketchSnapshot
+	// Version is the model version behind the sketches (zero for
 	// agents predating versioning). A version change marks a redeploy
 	// even when the fresh sketch's count has already caught up to the
 	// old cumulative count between heartbeats.
-	version uint64
-	// psi and ks are the most recent window's scores; windows counts
-	// scored windows; drifted is the current threshold state, kept so
+	Version uint64
+	// PSI and KS are the most recent window's scores; Windows counts
+	// scored windows; Drifted is the current threshold state, kept so
 	// events fire on transitions, not on every heartbeat.
-	psi, ks float64
-	windows int
-	drifted bool
+	PSI, KS float64
+	Windows int
+	Drifted bool
 }
 
 // driftEvent is one threshold transition, collected under the shard
@@ -122,16 +122,16 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 	for stream, mcs := range scores {
 		for mc, cur := range mcs {
 			key := stream + "/" + mc
-			if st.drift == nil {
-				st.drift = make(map[string]*driftState)
+			if st.Drift == nil {
+				st.Drift = make(map[string]*driftState)
 			}
-			ds := st.drift[key]
+			ds := st.Drift[key]
 			if ds == nil {
 				ds = &driftState{}
-				st.drift[key] = ds
+				st.Drift[key] = ds
 			}
 			ver := versions[stream][mc]
-			if (ds.last.Count > 0 && ver != ds.version) || cur.Count < ds.last.Count {
+			if (ds.Last.Count > 0 && ver != ds.Version) || cur.Count < ds.Last.Count {
 				// The model version changed, or the cumulative count
 				// went backwards (a redeploy reported by an agent too
 				// old to carry versions): the sketches now describe a
@@ -142,30 +142,30 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 				// heartbeats.
 				*ds = driftState{}
 			}
-			ds.version = ver
-			ds.last = cur
-			if !ds.baselineSet {
+			ds.Version = ver
+			ds.Last = cur
+			if !ds.BaselineSet {
 				if cur.Count >= cfg.MinCount {
 					freezes = append(freezes, &driftBaselineRec{Node: node, Key: key, Baseline: cur, Version: ver})
 				}
 				continue
 			}
-			win := cur.Sub(ds.prev)
+			win := cur.Sub(ds.Prev)
 			if win.Count < cfg.MinCount {
 				continue
 			}
-			ds.psi = obs.PSI(ds.baseline, win)
-			ds.ks = obs.KS(ds.baseline, win)
-			ds.windows++
-			ds.prev = cur
-			drifted := ds.psi >= cfg.PSI || ds.ks >= cfg.KS
-			if drifted != ds.drifted {
+			ds.PSI = obs.PSI(ds.Baseline, win)
+			ds.KS = obs.KS(ds.Baseline, win)
+			ds.Windows++
+			ds.Prev = cur
+			drifted := ds.PSI >= cfg.PSI || ds.KS >= cfg.KS
+			if drifted != ds.Drifted {
 				events = append(events, driftEvent{
-					node: node, key: key, psi: ds.psi, ks: ds.ks,
+					node: node, key: key, psi: ds.PSI, ks: ds.KS,
 					window: win.Count, started: drifted,
 				})
 			}
-			ds.drifted = drifted
+			ds.Drifted = drifted
 		}
 	}
 	return events, freezes
@@ -188,7 +188,7 @@ func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 		return
 	default:
 	}
-	st := sh.nodes[s.node]
+	st := sh.Nodes[s.node]
 	if st == nil {
 		sh.mu.Unlock()
 		return
@@ -260,16 +260,16 @@ func (c *Controller) DriftReports() []DriftReport {
 	var out []DriftReport
 	for _, sh := range c.snapshotShards() {
 		sh.mu.Lock()
-		for name, st := range sh.nodes {
-			for key, ds := range st.drift {
+		for name, st := range sh.Nodes {
+			for key, ds := range st.Drift {
 				stream, mc, _ := strings.Cut(key, "/")
 				r := DriftReport{
 					Node: name, Stream: stream, MC: mc,
-					Version: ds.version, PSI: ds.psi, KS: ds.ks,
-					Total: ds.last.Count, Windows: ds.windows, Drifted: ds.drifted,
+					Version: ds.Version, PSI: ds.PSI, KS: ds.KS,
+					Total: ds.Last.Count, Windows: ds.Windows, Drifted: ds.Drifted,
 				}
-				if ds.baselineSet {
-					r.Baseline = ds.baseline.Count
+				if ds.BaselineSet {
+					r.Baseline = ds.Baseline.Count
 				}
 				out = append(out, r)
 			}

@@ -23,7 +23,7 @@ func cumSketch(scores []float64) obs.SketchSnapshot {
 // record to the node (named "n0") — and returns the transitions.
 func observeScoresApplied(st *nodeState, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) []driftEvent {
 	events, freezes := observeScores(st, "n0", scores, versions, cfg)
-	state := shardState{nodes: map[string]*nodeState{"n0": st}}
+	state := shardState{Nodes: map[string]*nodeState{"n0": st}}
 	for _, f := range freezes {
 		state.apply(f)
 	}
@@ -58,8 +58,8 @@ func TestObserveScoresLifecycle(t *testing.T) {
 	if evs := hb(low); len(evs) != 0 {
 		t.Fatalf("events before baseline: %v", evs)
 	}
-	ds := st.drift["cam0/mc"]
-	if ds == nil || ds.baselineSet {
+	ds := st.Drift["cam0/mc"]
+	if ds == nil || ds.BaselineSet {
 		t.Fatalf("baseline frozen below MinCount (state %+v)", ds)
 	}
 
@@ -68,8 +68,8 @@ func TestObserveScoresLifecycle(t *testing.T) {
 	if evs := hb(base); len(evs) != 0 {
 		t.Fatalf("events at baseline freeze: %v", evs)
 	}
-	ds = st.drift["cam0/mc"] // the freeze starts the pair over with a fresh record
-	if !ds.baselineSet || ds.baseline.Count != cfg.MinCount {
+	ds = st.Drift["cam0/mc"] // the freeze starts the pair over with a fresh record
+	if !ds.BaselineSet || ds.Baseline.Count != cfg.MinCount {
 		t.Fatalf("baseline not frozen at MinCount: %+v", ds)
 	}
 
@@ -78,7 +78,7 @@ func TestObserveScoresLifecycle(t *testing.T) {
 	if evs := hb(calm); len(evs) != 0 {
 		t.Fatalf("events on stationary window: %v", evs)
 	}
-	if ds.windows != 1 || ds.psi >= cfg.PSI || ds.drifted {
+	if ds.Windows != 1 || ds.PSI >= cfg.PSI || ds.Drifted {
 		t.Fatalf("stationary window misdetected: %+v", ds)
 	}
 
@@ -92,7 +92,7 @@ func TestObserveScoresLifecycle(t *testing.T) {
 	if evs[0].node != "n0" || evs[0].key != "cam0/mc" {
 		t.Fatalf("event identity = %+v", evs[0])
 	}
-	if !ds.drifted || ds.psi < cfg.PSI && ds.ks < cfg.KS {
+	if !ds.Drifted || ds.PSI < cfg.PSI && ds.KS < cfg.KS {
 		t.Fatalf("shifted window not flagged: %+v", ds)
 	}
 
@@ -108,7 +108,7 @@ func TestObserveScoresLifecycle(t *testing.T) {
 	if len(evs) != 1 || evs[0].started {
 		t.Fatalf("recovery events = %v, want one cleared", evs)
 	}
-	if ds.drifted {
+	if ds.Drifted {
 		t.Fatalf("still flagged after recovery: %+v", ds)
 	}
 }
@@ -123,7 +123,7 @@ func TestObserveScoresWindowAccumulation(t *testing.T) {
 	observeScoresApplied(st, map[string]map[string]obs.SketchSnapshot{
 		"cam0": {"mc": cumSketch(scores)},
 	}, nil, cfg)
-	ds := st.drift["cam0/mc"]
+	ds := st.Drift["cam0/mc"]
 	// Dribble in 5 observations per heartbeat: windows must only be
 	// scored every 4 heartbeats.
 	for i := 0; i < 8; i++ {
@@ -132,8 +132,8 @@ func TestObserveScoresWindowAccumulation(t *testing.T) {
 			"cam0": {"mc": cumSketch(scores)},
 		}, nil, cfg)
 	}
-	if ds.windows != 2 {
-		t.Fatalf("scored %d windows over 40 dribbled observations, want 2", ds.windows)
+	if ds.Windows != 2 {
+		t.Fatalf("scored %d windows over 40 dribbled observations, want 2", ds.Windows)
 	}
 }
 
@@ -149,8 +149,8 @@ func TestObserveScoresRedeployReset(t *testing.T) {
 			"cam0": {"mc": cumSketch(repeat(0.2, i*int(cfg.MinCount)))},
 		}, nil, cfg)
 	}
-	ds := st.drift["cam0/mc"]
-	if !ds.baselineSet || ds.windows != 2 {
+	ds := st.Drift["cam0/mc"]
+	if !ds.BaselineSet || ds.Windows != 2 {
 		t.Fatalf("setup state: %+v", ds)
 	}
 	// New incarnation scores high from the start — against the old
@@ -163,12 +163,12 @@ func TestObserveScoresRedeployReset(t *testing.T) {
 	if len(evs) != 0 {
 		t.Fatalf("redeploy fired events: %v", evs)
 	}
-	ds = st.drift["cam0/mc"]
-	if !ds.baselineSet || ds.baseline.Count != cfg.MinCount || ds.windows != 0 {
+	ds = st.Drift["cam0/mc"]
+	if !ds.BaselineSet || ds.Baseline.Count != cfg.MinCount || ds.Windows != 0 {
 		t.Fatalf("redeploy did not refreeze baseline: %+v", ds)
 	}
-	if ds.baseline.Mean() < 0.8 {
-		t.Fatalf("refrozen baseline mean %v still reflects old model", ds.baseline.Mean())
+	if ds.Baseline.Mean() < 0.8 {
+		t.Fatalf("refrozen baseline mean %v still reflects old model", ds.Baseline.Mean())
 	}
 }
 
@@ -192,8 +192,8 @@ func TestObserveScoresVersionKeyedReset(t *testing.T) {
 			"cam0": {"mc": cumSketch(repeat(0.2, i*int(cfg.MinCount)))},
 		}, vers(1), cfg)
 	}
-	ds := st.drift["cam0/mc"]
-	if !ds.baselineSet || ds.windows != 1 || ds.version != 1 {
+	ds := st.Drift["cam0/mc"]
+	if !ds.BaselineSet || ds.Windows != 1 || ds.Version != 1 {
 		t.Fatalf("setup state: %+v", ds)
 	}
 	// Version 2 arrives on a busy stream: its fresh sketch has already
@@ -207,11 +207,11 @@ func TestObserveScoresVersionKeyedReset(t *testing.T) {
 	if len(evs) != 0 {
 		t.Fatalf("version swap fired phantom drift events: %v", evs)
 	}
-	ds = st.drift["cam0/mc"]
-	if ds.version != 2 || ds.windows != 0 {
+	ds = st.Drift["cam0/mc"]
+	if ds.Version != 2 || ds.Windows != 0 {
 		t.Fatalf("detector state not reset on version change: %+v", ds)
 	}
-	if !ds.baselineSet || ds.baseline.Mean() < 0.8 {
+	if !ds.BaselineSet || ds.Baseline.Mean() < 0.8 {
 		t.Fatalf("baseline not refrozen on the new model: %+v", ds)
 	}
 }
@@ -245,11 +245,11 @@ func TestDriftConfigOff(t *testing.T) {
 	if evs := hb(shifted); len(evs) != 0 {
 		t.Fatalf("disabled detector fired: %v", evs)
 	}
-	ds := st.drift["cam0/mc"]
-	if ds.windows != 1 || ds.drifted {
+	ds := st.Drift["cam0/mc"]
+	if ds.Windows != 1 || ds.Drifted {
 		t.Fatalf("disabled detector flagged drift: %+v", ds)
 	}
-	if ds.psi < DefaultDriftPSI {
-		t.Fatalf("test window too tame to prove anything: psi=%v", ds.psi)
+	if ds.PSI < DefaultDriftPSI {
+		t.Fatalf("test window too tame to prove anything: psi=%v", ds.PSI)
 	}
 }

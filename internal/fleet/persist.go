@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -33,10 +32,11 @@ import (
 // pair's window boundary, scores, and drifted flag (and the reset of a
 // pair whose model version changed — replay restores the last frozen
 // baseline and the first heartbeat re-detects the change), an undecided
-// canary's window anchors and progress, a node's evicted/reconnects
+// canary's window anchors and progress, a node's Evicted/Reconnects
 // counters, and the existence of a node record with nothing logged in
-// it. Snapshots carry soft state as a convenience; a WAL-only recovery
-// starts it from zero and the next heartbeats rebuild it.
+// it. A snapshot is shardState itself, gob-encoded, so soft state rides
+// along in it; a WAL-only recovery starts soft state from zero and the
+// next heartbeats rebuild it.
 //
 // The kind numbers are on-disk format — append only, never renumber.
 const (
@@ -64,19 +64,21 @@ const (
 	wrecDriftBaseline uint8 = 7
 	// wrecMoveIn records a node state arriving on this shard — a
 	// Resize re-home, or recovery placing a node on a different shard
-	// than the log it was recovered from. The payload is the full node
-	// state; apply adopts it wholesale, and the Rehomed counter acts
+	// than the log it was recovered from. The payload is the nodeState
+	// itself; apply adopts it wholesale, and the Rehomed counter acts
 	// as the incarnation number that picks the winner when several logs
 	// hold copies of the same node.
-	wrecMoveIn uint8 = 8
+	wrecMoveIn uint8 = 11
 	// wrecFold records a retired shard's aggregate history (ledger
 	// totals, datacenter) folding into this shard, keyed by the retired
 	// log's directory identity so replay never counts a fold twice even
 	// if the retired directory survives a crash.
-	wrecFold uint8 = 9
-	// Kind 10 was wrecLegacyUpload (an upload over the retired one-way
-	// protocol). Reserved: never reuse the number. A log that still
-	// holds one fails replay with the unknown-kind error.
+	wrecFold uint8 = 12
+	// Kinds 8 and 9 were the move-in and fold records of the format
+	// that mirrored the state in separate snapshot structs, and kind 10
+	// was an upload over the retired one-way protocol. Reserved: never
+	// reuse the numbers. A log that still holds one fails replay with
+	// the unknown-kind error instead of being half-decoded.
 )
 
 // record is one typed WAL record: the argument of shardState.apply.
@@ -188,7 +190,8 @@ type driftBaselineRec struct {
 
 // moveInRec is the wrecMoveIn payload.
 type moveInRec struct {
-	Node nodeSnap
+	Name string
+	Node *nodeState
 }
 
 // foldRec is the wrecFold payload. FromID is zero only on an in-memory
@@ -197,41 +200,41 @@ type foldRec struct {
 	FromID     uint64
 	Uploads    int
 	UploadBits int64
-	DC         []upSnap
+	DC         *core.Datacenter
 }
 
-// shardState is the durable part of a shard: what a snapshot holds and
-// what the log's records rebuild. The live shard embeds one and
-// recovery builds one per log directory, both through apply.
+// shardState is the durable part of a shard: what the log's records
+// rebuild, and — gob-encoded as it stands — what a snapshot holds. The
+// live shard embeds one and recovery builds one per log directory, both
+// through apply. Every field of it and of the types it holds is
+// exported, because gob encodes only exported fields.
 type shardState struct {
-	nodes map[string]*nodeState
-	dc    *core.Datacenter // aggregate across the shard's nodes, keyed "node/stream/mc"
-	// uploads and uploadBits are the shard ledger totals: every
+	Nodes map[string]*nodeState
+	DC    *core.Datacenter // aggregate across the shard's nodes, keyed "node/stream/mc"
+	// Uploads and UploadBits are the shard ledger totals: every
 	// deduplicated upload accepted, across all of the shard's nodes.
-	uploads    int
-	uploadBits int64
-	// folded lists retired shard stores whose aggregate history this
-	// shard has absorbed (fold records), by store identity — carried in
-	// snapshots so a crash between a fold and the retired directory's
-	// deletion cannot double-count it. Only shard 0 folds.
-	folded []uint64
+	Uploads    int
+	UploadBits int64
+	// Folded lists the directory identities of retired shard stores
+	// whose aggregate history this shard has absorbed (fold records):
+	// recovery skips and deletes a directory in this list, so a crash
+	// between a fold and the retired directory's removal cannot
+	// double-count it. Only shard 0 folds.
+	Folded []uint64
 }
 
 func newShardState() shardState {
-	return shardState{nodes: make(map[string]*nodeState), dc: core.NewDatacenter()}
+	return shardState{Nodes: make(map[string]*nodeState), DC: core.NewDatacenter()}
 }
 
 // node returns (creating if needed) the record for a node name. Live
 // callers hold the shard mutex and own the node under the current
 // placement epoch.
 func (s *shardState) node(name string) *nodeState {
-	st := s.nodes[name]
+	st := s.Nodes[name]
 	if st == nil {
-		st = &nodeState{
-			intent: make(map[string]map[string]deployment),
-			dc:     core.NewDatacenter(),
-		}
-		s.nodes[name] = st
+		st = &nodeState{DC: core.NewDatacenter()}
+		s.Nodes[name] = st
 	}
 	return st
 }
@@ -247,341 +250,119 @@ func (s *shardState) apply(rec record) {
 	case *intentRec:
 		st := s.node(r.Node)
 		if r.Remove {
-			delete(st.intent[r.Stream], r.Name)
+			delete(st.Intent[r.Stream], r.Name)
 		} else {
-			if st.intent[r.Stream] == nil {
-				st.intent[r.Stream] = make(map[string]deployment)
+			// Maps are made on first write, here as in the drift and
+			// canary cases: a node record can be decoded with any of them
+			// nil (gob keeps a nil map nil).
+			if st.Intent == nil {
+				st.Intent = make(map[string]map[string]deployment)
 			}
-			st.intent[r.Stream][r.Name] = deployment{mc: r.MC, threshold: r.Threshold, version: r.Version}
+			if st.Intent[r.Stream] == nil {
+				st.Intent[r.Stream] = make(map[string]deployment)
+			}
+			st.Intent[r.Stream][r.Name] = deployment{MC: r.MC, Threshold: r.Threshold, Version: r.Version}
 		}
-		if r.Gen > st.gen {
-			st.gen = r.Gen
+		if r.Gen > st.Gen {
+			st.Gen = r.Gen
 		}
 	case *uploadRec:
 		st := s.node(r.Node)
 		up := r.Rec.ToUpload()
 		if r.Rec.Seq != 0 {
-			if r.Rec.Seq <= st.lastSeq {
+			if r.Rec.Seq <= st.LastSeq {
 				return // a retransmission, or a record the snapshot already counted
 			}
-			st.lastSeq = r.Rec.Seq
+			st.LastSeq = r.Rec.Seq
 		}
-		st.dc.Receive(up)
+		st.DC.Receive(up)
 		// The aggregate view prefixes the node name so two nodes running
 		// the same application don't collide; the per-node and per-session
 		// datacenters keep the edge's own naming.
 		up.MCName = r.Node + "/" + up.MCName
-		s.dc.Receive(up)
-		s.uploads++
-		s.uploadBits += up.Bits
+		s.DC.Receive(up)
+		s.Uploads++
+		s.UploadBits += up.Bits
 	case *seqResetRec:
-		s.node(r.Node).lastSeq = 0
+		s.node(r.Node).LastSeq = 0
 	case *canaryStartRec:
 		st := s.node(r.Node)
-		if st.canary == nil {
-			st.canary = make(map[string]*canaryState)
+		if st.Canary == nil {
+			st.Canary = make(map[string]*canaryState)
 		}
-		st.canary[r.Stream+"/"+r.Name] = &canaryState{
-			mc: r.MC, threshold: r.Threshold, version: r.Version,
-			incumbentVersion: r.IncumbentVersion, epoch: 1,
+		st.Canary[r.Stream+"/"+r.Name] = &canaryState{
+			MC: r.MC, Threshold: r.Threshold, Version: r.Version,
+			IncumbentVersion: r.IncumbentVersion, Epoch: 1,
 		}
 	case *canaryEpochRec:
-		if cs := s.node(r.Node).canary[r.Stream+"/"+r.Name]; cs != nil && r.Epoch > cs.epoch {
-			cs.epoch = r.Epoch
+		if cs := s.node(r.Node).Canary[r.Stream+"/"+r.Name]; cs != nil && r.Epoch > cs.Epoch {
+			cs.Epoch = r.Epoch
 		}
 	case *canaryVerdictRec:
 		st := s.node(r.Node)
 		key := r.Stream + "/" + r.Name
-		cs := st.canary[key]
-		if cs == nil || cs.version != r.Version {
+		cs := st.Canary[key]
+		if cs == nil || cs.Version != r.Version {
 			return // verdict for a replaced record: ignore
 		}
 		if r.Outcome == canaryRemoved {
-			delete(st.canary, key)
+			delete(st.Canary, key)
 			return
 		}
-		cs.outcome, cs.reason = r.Outcome, r.Reason
-		cs.observations, cs.heartbeats = r.Observations, r.Heartbeats
-		cs.agreePSI, cs.spread, cs.passDelta = r.AgreePSI, r.Spread, r.PassDelta
+		cs.Outcome, cs.Reason = r.Outcome, r.Reason
+		cs.Observations, cs.Heartbeats = r.Observations, r.Heartbeats
+		cs.AgreePSI, cs.Spread, cs.PassDelta = r.AgreePSI, r.Spread, r.PassDelta
 	case *driftBaselineRec:
 		st := s.node(r.Node)
-		if st.drift == nil {
-			st.drift = make(map[string]*driftState)
+		if st.Drift == nil {
+			st.Drift = make(map[string]*driftState)
 		}
 		// A freeze starts the pair over: the window boundary and latest
 		// snapshot sit at the baseline, nothing is scored yet.
-		st.drift[r.Key] = &driftState{
-			baseline: r.Baseline, baselineSet: true,
-			prev: r.Baseline, last: r.Baseline, version: r.Version,
+		st.Drift[r.Key] = &driftState{
+			Baseline: r.Baseline, BaselineSet: true,
+			Prev: r.Baseline, Last: r.Baseline, Version: r.Version,
 		}
 	case *moveInRec:
 		// Wholesale replacement: the moved-in state is the node's whole
 		// truth at move time; anything this shard accumulated before is a
 		// stale earlier incarnation (A→B→A re-homes land here).
-		s.nodes[r.Node.Name] = nodeFromSnap(r.Node)
+		s.Nodes[r.Name] = r.Node
 	case *foldRec:
 		// Folds are keyed by the retired store's identity: a record whose
 		// source this shard already absorbed (the snapshot preceding it
 		// was taken after the fold applied) must not double-count. With
 		// no store there is no identity, and nothing to replay the fold.
 		if r.FromID != 0 {
-			if slices.Contains(s.folded, r.FromID) {
+			if slices.Contains(s.Folded, r.FromID) {
 				return
 			}
-			s.folded = append(s.folded, r.FromID)
+			s.Folded = append(s.Folded, r.FromID)
 		}
-		s.uploads += r.Uploads
-		s.uploadBits += r.UploadBits
-		for _, u := range r.DC {
-			s.dc.Receive(u.toUpload())
-		}
+		s.Uploads += r.Uploads
+		s.UploadBits += r.UploadBits
+		s.DC.Absorb(r.DC)
 	default:
 		panic(fmt.Sprintf("fleet: apply: no mutation defined for record %T", rec))
 	}
 }
 
-// upSnap is core.Upload's durable form. Controller-side uploads carry
-// no pixel data or uplink delay (both are edge-local), so only the
-// accounting fields persist.
-type upSnap struct {
-	MCName  string
-	EventID uint64
-	Start   int
-	End     int
-	Bits    int64
-	Final   bool
-}
+// stateFormat heads every snapshot: the payload is gob(stateFormat)
+// followed by gob(shardState). gob matches fields by name and silently
+// drops those it cannot place, so a snapshot written under other field
+// names would decode into a state that quietly lost them; recovery
+// refuses any snapshot that does not start with this number instead.
+// Bump it whenever a durable field is renamed or changes meaning.
+const stateFormat = 2
 
-func toUpSnap(u core.Upload) upSnap {
-	return upSnap{MCName: u.MCName, EventID: u.EventID, Start: u.Start, End: u.End, Bits: u.Bits, Final: u.Final}
-}
-
-func (u upSnap) toUpload() core.Upload {
-	return core.Upload{MCName: u.MCName, EventID: u.EventID, Start: u.Start, End: u.End, Bits: u.Bits, Final: u.Final}
-}
-
-func dcSnap(dc *core.Datacenter) []upSnap {
-	var out []upSnap
-	apps := dc.KnownApplications()
-	sort.Strings(apps)
-	for _, app := range apps {
-		for _, u := range dc.Uploads(app) {
-			out = append(out, toUpSnap(u))
-		}
-	}
-	return out
-}
-
-func dcFromSnap(ups []upSnap) *core.Datacenter {
-	dc := core.NewDatacenter()
-	for _, u := range ups {
-		dc.Receive(u.toUpload())
-	}
-	return dc
-}
-
-// depSnap is one intent entry's durable form.
-type depSnap struct {
-	Stream, Name string
-	MC           []byte
-	Threshold    float32
-	Version      uint64
-}
-
-// driftSnap is driftState's durable form, keyed "stream/mc".
-type driftSnap struct {
-	Key         string
-	Baseline    obs.SketchSnapshot
-	BaselineSet bool
-	Prev, Last  obs.SketchSnapshot
-	Version     uint64
-	PSI, KS     float64
-	Windows     int
-	Drifted     bool
-}
-
-// canarySnap is canaryState's durable form, keyed "stream/mc".
-type canarySnap struct {
-	Key                         string
-	MC                          []byte
-	Threshold                   float32
-	Version, IncumbentVersion   uint64
-	Epoch, SeenEpoch            uint64
-	BaseLive, BaseShadow        obs.SketchSnapshot
-	LastLive, LastShadow        obs.SketchSnapshot
-	Heartbeats                  int
-	AgreePSI, Spread, PassDelta float64
-	Outcome, Reason             string
-	// Count is canaryState.observations, the shadow window's score count.
-	// (The short name keeps a snapshot's gob type header no larger than
-	// it was before the field existed.)
-	Count uint64
-}
-
-// nodeSnap is nodeState's durable form — what snapshots and move-in
-// records carry.
-type nodeSnap struct {
-	Name         string
-	Gen, LastSeq uint64
-	Intent       []depSnap
-	Uploads      []upSnap
-	Evicted      int
-	Reconnects   int
-	// Rehomed doubles as the node's incarnation number: every move
-	// between logs (a Resize re-home, or recovery placing the node on a
-	// different shard than its source log) bumps it, so when several
-	// logs hold copies of the same node, the highest Rehomed is the
-	// newest and wins.
-	Rehomed int
-	Drift   []driftSnap
-	Canary  []canarySnap
-}
-
-func toNodeSnap(name string, st *nodeState) nodeSnap {
-	ns := nodeSnap{
-		Name: name, Gen: st.gen, LastSeq: st.lastSeq,
-		Evicted: st.evicted, Reconnects: st.reconnects, Rehomed: st.rehomed,
-		Uploads: dcSnap(st.dc),
-	}
-	streams := make([]string, 0, len(st.intent))
-	for stream := range st.intent {
-		streams = append(streams, stream)
-	}
-	sort.Strings(streams)
-	for _, stream := range streams {
-		mcs := st.intent[stream]
-		names := make([]string, 0, len(mcs))
-		for n := range mcs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			dep := mcs[n]
-			ns.Intent = append(ns.Intent, depSnap{Stream: stream, Name: n, MC: dep.mc, Threshold: dep.threshold, Version: dep.version})
-		}
-	}
-	keys := make([]string, 0, len(st.drift))
-	for k := range st.drift {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ds := st.drift[k]
-		ns.Drift = append(ns.Drift, driftSnap{
-			Key: k, Baseline: ds.baseline, BaselineSet: ds.baselineSet,
-			Prev: ds.prev, Last: ds.last, Version: ds.version,
-			PSI: ds.psi, KS: ds.ks, Windows: ds.windows, Drifted: ds.drifted,
-		})
-	}
-	keys = keys[:0]
-	for k := range st.canary {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		cs := st.canary[k]
-		ns.Canary = append(ns.Canary, canarySnap{
-			Key: k, MC: cs.mc, Threshold: cs.threshold,
-			Version: cs.version, IncumbentVersion: cs.incumbentVersion,
-			Epoch: cs.epoch, SeenEpoch: cs.seenEpoch,
-			BaseLive: cs.baseLive, BaseShadow: cs.baseShadow,
-			LastLive: cs.lastLive, LastShadow: cs.lastShadow,
-			Heartbeats: cs.heartbeats,
-			AgreePSI:   cs.agreePSI, Spread: cs.spread, PassDelta: cs.passDelta,
-			Outcome: cs.outcome, Reason: cs.reason,
-			Count: cs.observations,
-		})
-	}
-	return ns
-}
-
-func nodeFromSnap(ns nodeSnap) *nodeState {
-	st := &nodeState{
-		intent:  make(map[string]map[string]deployment),
-		gen:     ns.Gen,
-		lastSeq: ns.LastSeq,
-		dc:      dcFromSnap(ns.Uploads),
-		evicted: ns.Evicted, reconnects: ns.Reconnects, rehomed: ns.Rehomed,
-	}
-	for _, d := range ns.Intent {
-		if st.intent[d.Stream] == nil {
-			st.intent[d.Stream] = make(map[string]deployment)
-		}
-		st.intent[d.Stream][d.Name] = deployment{mc: d.MC, threshold: d.Threshold, version: d.Version}
-	}
-	for _, d := range ns.Drift {
-		if st.drift == nil {
-			st.drift = make(map[string]*driftState)
-		}
-		st.drift[d.Key] = &driftState{
-			baseline: d.Baseline, baselineSet: d.BaselineSet,
-			prev: d.Prev, last: d.Last, version: d.Version,
-			psi: d.PSI, ks: d.KS, windows: d.Windows, drifted: d.Drifted,
-		}
-	}
-	for _, cs := range ns.Canary {
-		if st.canary == nil {
-			st.canary = make(map[string]*canaryState)
-		}
-		st.canary[cs.Key] = &canaryState{
-			mc: cs.MC, threshold: cs.Threshold,
-			version: cs.Version, incumbentVersion: cs.IncumbentVersion,
-			epoch: cs.Epoch, seenEpoch: cs.SeenEpoch,
-			baseLive: cs.BaseLive, baseShadow: cs.BaseShadow,
-			lastLive: cs.LastLive, lastShadow: cs.LastShadow,
-			heartbeats: cs.Heartbeats,
-			agreePSI:   cs.AgreePSI, spread: cs.Spread, passDelta: cs.PassDelta,
-			outcome: cs.Outcome, reason: cs.Reason,
-			observations: cs.Count,
-		}
-	}
-	return st
-}
-
-// shardSnap is shardState's durable form — one shard's snapshot
-// payload: the aggregate history plus every node record, compacting
-// the wal.
-type shardSnap struct {
-	Uploads    int
-	UploadBits int64
-	DC         []upSnap
-	Nodes      []nodeSnap
-	// Folded lists the directory identities of retired shard logs whose
-	// aggregates this shard has absorbed: replay skips (and deletes) a
-	// directory in this list, so a crash between a fold and the retired
-	// directory's removal cannot double-count its history.
-	Folded []uint64
-}
-
-func (s *shardState) toSnap() shardSnap {
-	snap := shardSnap{
-		Uploads: s.uploads, UploadBits: s.uploadBits,
-		DC:     dcSnap(s.dc),
-		Folded: slices.Clone(s.folded),
-	}
-	for _, name := range slices.Sorted(maps.Keys(s.nodes)) {
-		snap.Nodes = append(snap.Nodes, toNodeSnap(name, s.nodes[name]))
-	}
-	return snap
-}
-
-func stateFromSnap(snap shardSnap) shardState {
-	s := shardState{
-		nodes:   make(map[string]*nodeState, len(snap.Nodes)),
-		dc:      dcFromSnap(snap.DC),
-		uploads: snap.Uploads, uploadBits: snap.UploadBits,
-		folded: snap.Folded,
-	}
-	for _, ns := range snap.Nodes {
-		s.nodes[ns.Name] = nodeFromSnap(ns)
-	}
-	return s
-}
-
-func encodeRec(v any) ([]byte, error) {
+// encodeGob gob-encodes vs, in order, as one stream.
+func encodeGob(vs ...any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+	enc := gob.NewEncoder(&buf)
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
+			return nil, err
+		}
 	}
 	return buf.Bytes(), nil
 }
@@ -609,7 +390,7 @@ func (sh *shard) commit(rec record) bool {
 				sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id, "err", err)
 			}
 		}
-		payload, err := encodeRec(rec)
+		payload, err := encodeGob(rec)
 		if err == nil {
 			err = sh.wal.Append(rec.kind(), payload)
 		}
@@ -632,11 +413,41 @@ func (sh *shard) commit(rec record) bool {
 // snapshotLocked writes the shard's full state as a snapshot,
 // compacting the wal. Callers hold sh.mu and a shard with a wal.
 func (sh *shard) snapshotLocked() error {
-	payload, err := encodeRec(sh.toSnap())
+	payload, err := encodeGob(stateFormat, &sh.shardState)
 	if err != nil {
 		return err
 	}
 	return sh.wal.WriteSnapshot(payload)
+}
+
+// absorb folds a retired shard's aggregate history — ledger totals and
+// datacenter — into sh, always shard 0, and retires the shard's log w
+// (nil on an in-memory controller). The fold record is keyed by w's
+// identity and committed and synced before w's directory is deleted,
+// so a crash anywhere either replays the fold or re-folds the surviving
+// directory, and never counts it twice. A directory whose fold did not
+// reach the log stays in place: it is the only durable copy of its
+// history, and the next recovery folds it. absorb reports whether the
+// fold is durable. Callers must not hold sh.mu.
+func (sh *shard) absorb(from *shardState, w *walog.Log) bool {
+	fold := &foldRec{Uploads: from.Uploads, UploadBits: from.UploadBits, DC: from.DC}
+	if w != nil {
+		fold.FromID = w.ID()
+	}
+	sh.mu.Lock()
+	durable := sh.commit(fold) && (sh.wal == nil || sh.wal.Sync() == nil)
+	sh.mu.Unlock()
+	if w == nil {
+		return durable
+	}
+	dir := w.Dir()
+	w.Close()
+	if durable {
+		_ = os.RemoveAll(dir)
+	} else {
+		sh.c.cfg.Log.Error("fleet: retired shard fold not durable, keeping state dir", "dir", dir)
+	}
+	return durable
 }
 
 // replayLog rebuilds one log directory's shard state — its snapshot,
@@ -644,11 +455,15 @@ func (sh *shard) snapshotLocked() error {
 func replayLog(l *walog.Log) (shardState, int, error) {
 	s := newShardState()
 	if snap := l.Snapshot(); snap != nil {
-		var ss shardSnap
-		if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&ss); err != nil {
+		dec := gob.NewDecoder(bytes.NewReader(snap))
+		var format int
+		if err := dec.Decode(&format); err != nil || format != stateFormat {
+			return s, 0, fmt.Errorf("snapshot is not in state format %d (written by an older version?)", stateFormat)
+		}
+		s = shardState{}
+		if err := dec.Decode(&s); err != nil {
 			return s, 0, fmt.Errorf("snapshot: %w", err)
 		}
-		s = stateFromSnap(ss)
 	}
 	records := l.Records()
 	for i, r := range records {
@@ -698,10 +513,9 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 // bumped and a move-in record is committed and synced to the new
 // owner's wal before the stale copy is dropped from memory, so a crash
 // at any point leaves the newest incarnation durable exactly once.
-// Retired directories (index beyond the configured shard count) have
-// their aggregate history folded into shard 0 via a fold record keyed
-// by directory identity, then are deleted; the identity list in shard
-// 0's state makes the fold idempotent if the deletion is lost.
+// Retired directories (index beyond the configured shard count) are
+// then folded into shard 0 and deleted, exactly as Resize retires a
+// shard (shard.absorb).
 func (c *Controller) recoverState() (*RecoveryStats, error) {
 	start := time.Now()
 	stats := &RecoveryStats{}
@@ -742,7 +556,7 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	// already been absorbed — skip its contents, delete it.
 	folded := make(map[uint64]bool)
 	for _, d := range dirs {
-		for _, id := range d.state.folded {
+		for _, id := range d.state.Folded {
 			folded[id] = true
 		}
 	}
@@ -781,46 +595,25 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 		}
 		sh.wal = l
 	}
-	// Retired directories fold their aggregates into shard 0, durably
-	// before deletion. A directory whose fold did not reach the log
-	// stays in place — it is the only durable copy of its history, and
-	// the next recovery folds it.
-	shard0 := c.shards[0]
-	var absorbed []recovered
-	for _, d := range retired {
-		fold := &foldRec{
-			FromID:  d.log.ID(),
-			Uploads: d.state.uploads, UploadBits: d.state.uploadBits,
-			DC: dcSnap(d.state.dc),
-		}
-		if !shard0.commit(fold) || shard0.wal.Sync() != nil {
-			c.cfg.Log.Error("fleet: recovery fold not durable, keeping state dir", "dir", d.path)
-			d.log.Close()
-			continue
-		}
-		absorbed = append(absorbed, d)
-		stats.FoldedDirs++
-	}
-
 	// Resolve node winners across logs by incarnation (Rehomed): every
 	// move between logs bumps it, so the highest copy is the newest.
 	// Ties break toward higher generation, then lower directory index —
 	// deterministic, and unreachable when move ordering held. Retired
 	// directories are considered too: their nodes moved out before
 	// retirement (Resize empties a shard before folding it), so copies
-	// there are stale except in the crash window where the fold record
-	// committed and the move-in lost the race.
+	// there are stale unless a crash cut that Resize short before it
+	// moved them out.
 	type winner struct {
 		st     *nodeState
 		srcIdx int
 	}
 	winners := make(map[string]winner)
 	for _, d := range dirs {
-		for name, st := range d.state.nodes {
+		for name, st := range d.state.Nodes {
 			w, ok := winners[name]
 			if !ok || cmp.Or(
-				cmp.Compare(st.rehomed, w.st.rehomed),
-				cmp.Compare(st.gen, w.st.gen),
+				cmp.Compare(st.Rehomed, w.st.Rehomed),
+				cmp.Compare(st.Gen, w.st.Gen),
 				cmp.Compare(w.srcIdx, d.idx)) > 0 {
 				winners[name] = winner{st: st, srcIdx: d.idx}
 			}
@@ -840,10 +633,9 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 		if w.srcIdx == target {
 			continue
 		}
-		snap := toNodeSnap(name, w.st)
-		snap.Rehomed++
+		w.st.Rehomed++
 		sh := c.shards[target]
-		if !sh.commit(&moveInRec{Node: snap}) {
+		if !sh.commit(&moveInRec{Name: name, Node: w.st}) {
 			return nil, fmt.Errorf("fleet: recovery move-in %q to shard %d: wal append failed", name, target)
 		}
 		if err := sh.wal.Sync(); err != nil {
@@ -851,24 +643,28 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 		}
 	}
 	for i, sh := range c.shards {
-		for name := range sh.nodes {
+		for name := range sh.Nodes {
 			if c.ring.owner(name) != i {
-				delete(sh.nodes, name)
+				delete(sh.Nodes, name)
 			}
 		}
 	}
 	stats.Nodes = len(winners)
 
+	// With every winner durable on its owner, retired directories hold
+	// only stale copies and aggregate history: fold and delete them.
+	for _, d := range retired {
+		if c.shards[0].absorb(&d.state, d.log) {
+			stats.FoldedDirs++
+		}
+	}
+
 	// Compact: with move-ins and folds durable, snapshot order across
-	// shards no longer matters. Then retire the absorbed directories.
+	// shards no longer matters.
 	for _, sh := range c.shards {
 		if err := sh.snapshotLocked(); err != nil {
 			c.cfg.Log.Error("fleet: recovery snapshot failed", "shard", sh.id, "err", err)
 		}
-	}
-	for _, d := range absorbed {
-		d.log.Close()
-		_ = os.RemoveAll(d.path)
 	}
 
 	stats.Replay = time.Since(start)

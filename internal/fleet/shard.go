@@ -107,14 +107,14 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 		if old.Node() == hello.Node {
 			old.evict()
 			delete(sh.sessions, id)
-			st.evicted++
+			st.Evicted++
 			cfg.Log.Warn("fleet: stale session replaced",
-				"node", hello.Node, "shard", sh.id, "session", id, "evicted", st.evicted)
+				"node", hello.Node, "shard", sh.id, "session", id, "evicted", st.Evicted)
 		}
 	}
 	if hello.Resume {
-		st.reconnects++
-	} else if st.lastSeq != 0 {
+		st.Reconnects++
+	} else if st.LastSeq != 0 {
 		// A fresh (non-resume) hello is a new edge incarnation whose
 		// upload sequence space restarts at 1; keeping the previous
 		// incarnation's high-water mark would silently drop every
@@ -123,7 +123,7 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 		// uploads would drop them all the same way after a restart.
 		sh.commit(&seqResetRec{Node: hello.Node})
 	}
-	gen := st.gen
+	gen := st.Gen
 	// Snapshot the reconciliation work in the same critical section
 	// that registers the session: intent recorded by a concurrent
 	// Deploy (e.g. an OnSession hook) after this point has its own
@@ -181,9 +181,9 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 	if terminal := s.Err(); errors.Is(terminal, ErrLiveness) {
 		sh.mu.Lock()
 		evicted := 0
-		if st := sh.nodes[s.node]; st != nil {
-			st.evicted++
-			evicted = st.evicted
+		if st := sh.Nodes[s.node]; st != nil {
+			st.Evicted++
+			evicted = st.Evicted
 		}
 		sh.mu.Unlock()
 		cfg.Log.Warn("fleet: liveness eviction",
@@ -221,12 +221,12 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 	// No auto-create: after a re-home the node record lives on another
 	// shard, and this session is a dead man walking (markDone raced
 	// with the move). Refusing keeps the moved ledger authoritative.
-	st := sh.nodes[s.node]
+	st := sh.Nodes[s.node]
 	if st == nil {
 		sh.mu.Unlock()
 		return false, false
 	}
-	if rec.Seq != 0 && rec.Seq <= st.lastSeq {
+	if rec.Seq != 0 && rec.Seq <= st.LastSeq {
 		sh.mu.Unlock()
 		return false, true
 	}
@@ -257,7 +257,7 @@ func (sh *shard) loads() []metrics.NodeLoad {
 	var loads []metrics.NodeLoad
 	for _, s := range sh.sessions {
 		hb, _ := s.LastHeartbeat()
-		ns := sh.nodes[s.Node()]
+		ns := sh.Nodes[s.Node()]
 		for i, si := range s.Streams() {
 			st := hb.Streams[si.Name]
 			load := metrics.NodeLoad{
@@ -281,25 +281,25 @@ func (sh *shard) loads() []metrics.NodeLoad {
 			}
 			if ns != nil {
 				prefix := si.Name + "/"
-				for key, ds := range ns.drift {
+				for key, ds := range ns.Drift {
 					if !strings.HasPrefix(key, prefix) {
 						continue
 					}
-					if ds.drifted {
+					if ds.Drifted {
 						load.Drifted++
 					}
-					if ds.psi > load.DriftPSI {
-						load.DriftPSI = ds.psi
+					if ds.PSI > load.DriftPSI {
+						load.DriftPSI = ds.PSI
 					}
-					if ds.ks > load.DriftKS {
-						load.DriftKS = ds.ks
+					if ds.KS > load.DriftKS {
+						load.DriftKS = ds.KS
 					}
 				}
-				for key, cs := range ns.canary {
+				for key, cs := range ns.Canary {
 					if !strings.HasPrefix(key, prefix) {
 						continue
 					}
-					switch cs.outcome {
+					switch cs.Outcome {
 					case "":
 						load.CanariesActive++
 					case CanaryPromoted:
@@ -318,8 +318,8 @@ func (sh *shard) loads() []metrics.NodeLoad {
 				load.UploadRTTLat = hb.UploadRTT
 				load.PendingUploads = hb.PendingUploads
 				if ns != nil {
-					load.Evicted = ns.evicted
-					load.Reconnects = ns.reconnects
+					load.Evicted = ns.Evicted
+					load.Reconnects = ns.Reconnects
 				}
 			}
 			loads = append(loads, load)
@@ -356,10 +356,10 @@ func (sh *shard) stats() ShardStat {
 	defer sh.mu.Unlock()
 	return ShardStat{
 		Shard:        sh.id,
-		Nodes:        len(sh.nodes),
+		Nodes:        len(sh.Nodes),
 		Sessions:     len(sh.sessions),
-		Uploads:      sh.uploads,
-		UploadBits:   sh.uploadBits,
+		Uploads:      sh.Uploads,
+		UploadBits:   sh.UploadBits,
 		Redirects:    sh.redirects,
 		HeartbeatGap: sh.hbGap.Summary(),
 	}

@@ -448,7 +448,7 @@ func TestShardedChaosSoak(t *testing.T) {
 	for _, i := range canaryIdx {
 		c := agents[i]
 		installed := func() (edge map[string]uint64, want uint64) {
-			ctrl.onNode(c.name, false, func(_ *shard, st *nodeState) { want = st.canary["cam0/mc-soak"].epoch })
+			ctrl.onNode(c.name, false, func(_ *shard, st *nodeState) { want = st.Canary["cam0/mc-soak"].Epoch })
 			return c.edge.ShadowEpochs(), want
 		}
 		waitSoak(t, c.name+" re-pushed shadow landed", func() bool {

@@ -173,67 +173,52 @@ type FleetSummary struct {
 }
 
 // SummarizeFleet rolls up per-node heartbeat loads into a fleet
-// summary.
+// summary: each load as a one-node summary, merged.
 func SummarizeFleet(nodes []NodeLoad) FleetSummary {
 	var s FleetSummary
 	for _, n := range nodes {
-		s.Nodes++
-		s.Frames += n.Frames
-		s.Uploads += n.Uploads
-		s.UploadedBits += n.UploadedBits
-		s.DemandFetchBits += n.DemandFetchBits
-		s.ArchivedBits += n.ArchivedBits
-		s.ArchiveBytes += n.ArchiveBytes
-		s.ArchiveEvictedSegments += n.ArchiveEvictedSegments
-		s.ArchiveEvictedBytes += n.ArchiveEvictedBytes
-		s.Evicted += n.Evicted
-		s.Reconnects += n.Reconnects
-		s.PendingUploads += n.PendingUploads
-		s.ExtractLat.Merge(n.ExtractLat)
-		s.MCPushLat.Merge(n.MCPushLat)
-		s.QueueWaitLat.Merge(n.QueueWaitLat)
-		s.UploadRTTLat.Merge(n.UploadRTTLat)
-		if n.Frames > 0 && n.FPS > 0 {
-			s.RatedSeconds += float64(n.Frames) / float64(n.FPS)
-			s.RatedBits += n.UploadedBits + n.DemandFetchBits
-		}
-		// The hot-spot pick must be a proper semilattice (deterministic
-		// under reordering) or sharded rollups would disagree with the
-		// unsharded one: ties on bitrate break toward the smaller name.
-		if br := n.Bitrate(); br > s.MaxNodeBitrate ||
-			(br > 0 && br == s.MaxNodeBitrate && n.Node < s.MaxNode) {
-			s.MaxNodeBitrate = br
-			s.MaxNode = n.Node
-		}
-		s.Scores.Merge(n.Scores)
-		s.Drifted += n.Drifted
-		if n.DriftPSI > s.MaxDriftPSI ||
-			(n.DriftPSI > 0 && n.DriftPSI == s.MaxDriftPSI && n.Node < s.MaxDriftNode) {
-			s.MaxDriftPSI = n.DriftPSI
-			s.MaxDriftNode = n.Node
-		}
-		if n.DriftKS > s.MaxDriftKS {
-			s.MaxDriftKS = n.DriftKS
-		}
-		if n.MCVersion > s.MaxMCVersion {
-			s.MaxMCVersion = n.MCVersion
-		}
-		s.CanariesActive += n.CanariesActive
-		s.CanariesPromoted += n.CanariesPromoted
-		s.CanariesRolledBack += n.CanariesRolledBack
-		s.CanariesExpired += n.CanariesExpired
-	}
-	if s.RatedSeconds > 0 {
-		s.AverageBitrate = float64(s.RatedBits) / s.RatedSeconds
+		s.Merge(n.summary())
 	}
 	return s
 }
 
-// Merge folds another summary into s — the cross-shard rollup. Counts
-// and totals add; latency digests merge with the same worst-case
-// semantics SummarizeFleet uses (obs.Summary.Merge); AverageBitrate is
-// recomputed from the exact RatedBits/RatedSeconds sums; the hot-spot
-// node is the bitrate maximum with the same smaller-name tie-break.
+// summary is the load as a one-node FleetSummary. A load is the hot
+// spot (MaxNode) only with a positive bitrate, and the drift hot spot
+// (MaxDriftNode) only with a positive PSI, so a load with neither
+// never names itself in a merge.
+func (n NodeLoad) summary() FleetSummary {
+	s := FleetSummary{
+		Nodes: 1, Frames: n.Frames, Uploads: n.Uploads,
+		UploadedBits: n.UploadedBits, DemandFetchBits: n.DemandFetchBits,
+		ArchivedBits: n.ArchivedBits, ArchiveBytes: n.ArchiveBytes,
+		ArchiveEvictedSegments: n.ArchiveEvictedSegments, ArchiveEvictedBytes: n.ArchiveEvictedBytes,
+		Evicted: n.Evicted, Reconnects: n.Reconnects, PendingUploads: n.PendingUploads,
+		ExtractLat: n.ExtractLat, MCPushLat: n.MCPushLat,
+		QueueWaitLat: n.QueueWaitLat, UploadRTTLat: n.UploadRTTLat,
+		Scores: n.Scores, Drifted: n.Drifted, MaxDriftKS: n.DriftKS, MaxMCVersion: n.MCVersion,
+		CanariesActive: n.CanariesActive, CanariesPromoted: n.CanariesPromoted,
+		CanariesRolledBack: n.CanariesRolledBack, CanariesExpired: n.CanariesExpired,
+	}
+	if n.Frames > 0 && n.FPS > 0 {
+		s.RatedSeconds = float64(n.Frames) / float64(n.FPS)
+		s.RatedBits = n.UploadedBits + n.DemandFetchBits
+	}
+	if br := n.Bitrate(); br > 0 {
+		s.MaxNodeBitrate, s.MaxNode = br, n.Node
+	}
+	if n.DriftPSI > 0 {
+		s.MaxDriftPSI, s.MaxDriftNode = n.DriftPSI, n.Node
+	}
+	return s
+}
+
+// Merge folds another summary into s — the cross-shard rollup, and the
+// one merge rule SummarizeFleet applies load by load. Counts and totals
+// add; latency digests merge worst-case (obs.Summary.Merge);
+// AverageBitrate is recomputed from the exact RatedBits/RatedSeconds
+// sums; the hot-spot picks are maxima whose ties break toward the
+// smaller name, a proper semilattice, so the pick does not depend on
+// the order loads arrive in.
 // Merge is associative and commutative, so shards may report in any
 // order, grouping, or interleaving and the rollup is identical — and
 // equal to SummarizeFleet over the concatenated loads.

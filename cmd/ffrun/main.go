@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"sort"
@@ -26,35 +28,47 @@ import (
 	"repro/internal/tensor"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, runs the stream
+// writing its report to stdout and its log to stderr, and returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ffrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dsName    = flag.String("dataset", "roadway", "jackson|roadway")
-		width     = flag.Int("width", 96, "working-scale frame width")
-		frames    = flag.Int("frames", 1200, "stream length")
-		seed      = flag.Int64("seed", 2, "stream seed (2 = the test day)")
-		bdrift    = flag.Float64("brightness-drift", -1, "override the dataset's sinusoidal lighting-drift amplitude (-1 keeps the dataset default; e.g. 0.7 induces a strong day-night shift for drift-detection smokes)")
-		weights   = flag.String("weights", "", "MC weights from fftrain (required unless the controller deploys one)")
-		threshold = flag.Float64("threshold", 0.5, "decision threshold from fftrain")
-		bitrate   = flag.Float64("bitrate", 60_000, "upload re-encode bitrate (b/s)")
-		uplink    = flag.Float64("uplink", 0, "uplink capacity in b/s (0 = unmodelled)")
-		connect   = flag.String("connect", "", "optional ffserve address to join as a fleet agent")
-		nodeName  = flag.String("node", "edge", "node name announced to the controller")
-		stream    = flag.String("stream", "cam0", "stream name announced to the controller")
-		reconnect = flag.Bool("reconnect", true, "auto-reconnect with backoff when the controller session dies; buffered uploads are retransmitted and deduplicated on resume")
+		dsName    = fs.String("dataset", "roadway", "jackson|roadway")
+		width     = fs.Int("width", 96, "working-scale frame width")
+		frames    = fs.Int("frames", 1200, "stream length")
+		seed      = fs.Int64("seed", 2, "stream seed (2 = the test day)")
+		bdrift    = fs.Float64("brightness-drift", -1, "override the dataset's sinusoidal lighting-drift amplitude (-1 keeps the dataset default; e.g. 0.7 induces a strong day-night shift for drift-detection smokes)")
+		weights   = fs.String("weights", "", "MC weights from fftrain (required unless the controller deploys one)")
+		threshold = fs.Float64("threshold", 0.5, "decision threshold from fftrain")
+		bitrate   = fs.Float64("bitrate", 60_000, "upload re-encode bitrate (b/s)")
+		uplink    = fs.Float64("uplink", 0, "uplink capacity in b/s (0 = unmodelled)")
+		connect   = fs.String("connect", "", "optional ffserve address to join as a fleet agent")
+		nodeName  = fs.String("node", "edge", "node name announced to the controller")
+		stream    = fs.String("stream", "cam0", "stream name announced to the controller")
+		reconnect = fs.Bool("reconnect", true, "auto-reconnect with backoff when the controller session dies; buffered uploads are retransmitted and deduplicated on resume")
 
-		archiveDir     = flag.String("archive-dir", "", "archive the full original stream to per-stream segment files under this directory; demand-fetch then serves from disk")
-		archiveBudget  = flag.Int64("archive-budget", 0, "archive byte budget (0 = unbounded; oldest segments evicted first)")
-		archiveBitrate = flag.Float64("archive-bitrate", 0, "codec-model bitrate accounted for the continuous archive (b/s; default 4x -bitrate)")
+		archiveDir     = fs.String("archive-dir", "", "archive the full original stream to per-stream segment files under this directory; demand-fetch then serves from disk")
+		archiveBudget  = fs.Int64("archive-budget", 0, "archive byte budget (0 = unbounded; oldest segments evicted first)")
+		archiveBitrate = fs.Float64("archive-bitrate", 0, "codec-model bitrate accounted for the continuous archive (b/s; default 4x -bitrate)")
 
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/trace.json, and /debug/pprof on this address (empty disables)")
-		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON lines")
-		slowFrame = flag.Duration("slow-frame", 0, "log the full span chain of frames slower than this (0 disables)")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/trace.json, and /debug/pprof on this address (empty disables)")
+		logJSON   = fs.Bool("log-json", false, "emit structured logs as JSON lines")
+		slowFrame = fs.Duration("slow-frame", 0, "log the full span chain of frames slower than this (0 disables)")
 	)
-	flag.Parse()
-	log := obs.NewLogger(os.Stderr, *logJSON, slog.LevelInfo)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	log := obs.NewLogger(stderr, *logJSON, slog.LevelInfo)
 	if *weights == "" && *connect == "" {
 		log.Error("ffrun: -weights is required (train one with fftrain), unless -connect lets the controller deploy one")
-		os.Exit(1)
+		return 1
 	}
 
 	var cfg dataset.Config
@@ -65,7 +79,7 @@ func main() {
 		cfg = dataset.Roadway(*width, *frames, *seed)
 	default:
 		log.Error("ffrun: unknown dataset", "dataset", *dsName)
-		os.Exit(1)
+		return 1
 	}
 	if *bdrift >= 0 {
 		cfg.BrightnessDrift = float32(*bdrift)
@@ -78,7 +92,7 @@ func main() {
 	base := mobilenet.New(mobilenet.Config{WidthMult: 0.25, BatchNorm: true, Seed: 1 + 100})
 	if _, err := pretrain.Run(base, pretrain.Config{Seed: 1 + 101}); err != nil {
 		log.Error("ffrun: pretrain failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	// Observability is always on: the instrumentation is alloc-free on
@@ -89,7 +103,7 @@ func main() {
 		dbg, err := obs.ServeDebug(*debugAddr, observer)
 		if err != nil {
 			log.Error("ffrun: debug server failed", "err", err)
-			os.Exit(1)
+			return 1
 		}
 		defer dbg.Close()
 		log.Info("ffrun: debug server listening",
@@ -112,13 +126,13 @@ func main() {
 	})
 	if err != nil {
 		log.Error("ffrun: agent setup failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	// The dataset is also the node's local archive for demand-fetch.
 	edge, err := agent.AddStream(*stream, cfg.Width, cfg.Height, d)
 	if err != nil {
 		log.Error("ffrun: add stream failed", "stream", *stream, "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	var mcName string
@@ -126,11 +140,11 @@ func main() {
 		mc, err := filter.LoadMCFile(*weights, base, cfg.Width, cfg.Height)
 		if err != nil {
 			log.Error("ffrun: load weights failed", "weights", *weights, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := edge.Deploy(mc, float32(*threshold)); err != nil {
 			log.Error("ffrun: deploy failed", "mc", mc.Spec().Name, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		mcName = mc.Spec().Name
 	}
@@ -144,7 +158,7 @@ func main() {
 	if *connect != "" {
 		if err := agent.Connect("tcp", *connect); err != nil {
 			log.Error("ffrun: connect failed", "addr", *connect, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		log.Info("ffrun: connected", "addr", *connect, "node", *nodeName, "session", agent.SessionID())
 	}
@@ -161,7 +175,7 @@ func main() {
 				// gives up here.
 				if !*reconnect {
 					log.Error("ffrun: controller disconnected before deploying")
-					os.Exit(1)
+					return 1
 				}
 				time.Sleep(100 * time.Millisecond)
 			case <-time.After(100 * time.Millisecond):
@@ -176,10 +190,10 @@ func main() {
 		ups, err := agent.ProcessFrame(*stream, d.Frame(i))
 		if err != nil {
 			log.Error("ffrun: process frame failed", "frame", i, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		for _, u := range ups {
-			fmt.Printf("upload: mc=%s event=%d frames=[%d,%d) bits=%d final=%v\n",
+			fmt.Fprintf(stdout, "upload: mc=%s event=%d frames=[%d,%d) bits=%d final=%v\n",
 				u.MCName, u.EventID, u.Start, u.End, u.Bits, u.Final)
 		}
 		dc.ReceiveAll(ups)
@@ -187,7 +201,7 @@ func main() {
 	ups, err := agent.Flush()
 	if err != nil {
 		log.Error("ffrun: flush failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	dc.ReceiveAll(ups)
 
@@ -200,7 +214,7 @@ func main() {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if pending, dropped := agent.PendingUploads(); agent.Reconnects() > 0 || agent.Rehomes() > 0 || dropped > 0 || pending > 0 {
-		fmt.Printf("fleet resilience   %d reconnects, %d shard re-homes (last shard %d), %d uploads awaiting ack, %d dropped by buffer cap\n",
+		fmt.Fprintf(stdout, "fleet resilience   %d reconnects, %d shard re-homes (last shard %d), %d uploads awaiting ack, %d dropped by buffer cap\n",
 			agent.Reconnects(), agent.Rehomes(), agent.Shard(), pending, dropped)
 	}
 
@@ -211,38 +225,39 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("deployed model     %s v%d\n", name, vers[name])
+			fmt.Fprintf(stdout, "deployed model     %s v%d\n", name, vers[name])
 		}
 	}
 
 	st := agent.Stats()
-	fmt.Printf("\nframes processed   %d\n", st.Frames)
-	fmt.Printf("uploads            %d (%d frames, %d bits)\n", st.Uploads, st.UploadedFrames, st.UploadedBits)
-	fmt.Printf("average uplink     %.1f kb/s\n", st.AverageUploadBitrate(cfg.FPS)/1000)
+	fmt.Fprintf(stdout, "\nframes processed   %d\n", st.Frames)
+	fmt.Fprintf(stdout, "uploads            %d (%d frames, %d bits)\n", st.Uploads, st.UploadedFrames, st.UploadedBits)
+	fmt.Fprintf(stdout, "average uplink     %.1f kb/s\n", st.AverageUploadBitrate(cfg.FPS)/1000)
 	if s := observer.Frame.Summary(); s.Count > 0 {
-		fmt.Printf("frame latency      p50 %s, p95 %s, p99 %s, max %s\n",
+		fmt.Fprintf(stdout, "frame latency      p50 %s, p95 %s, p99 %s, max %s\n",
 			time.Duration(s.P50), time.Duration(s.P95), time.Duration(s.P99), time.Duration(s.Max))
 	}
 	if s := observer.Extract.Summary(); s.Count > 0 {
-		fmt.Printf("extract latency    p50 %s, p95 %s, p99 %s\n",
+		fmt.Fprintf(stdout, "extract latency    p50 %s, p95 %s, p99 %s\n",
 			time.Duration(s.P50), time.Duration(s.P95), time.Duration(s.P99))
 	}
 	if ast, ok := agent.ArchiveStats(*stream); ok {
-		fmt.Printf("archive            %d frames in %d segments, %.1f MB on disk (%d bits coded)\n",
+		fmt.Fprintf(stdout, "archive            %d frames in %d segments, %.1f MB on disk (%d bits coded)\n",
 			ast.Frames, ast.Segments, float64(ast.Bytes)/1e6, ast.ArchivedBits)
 		if ast.EvictedSegments > 0 {
-			fmt.Printf("archive retention  %d segments evicted, %.1f MB reclaimed; oldest retained frame %d\n",
+			fmt.Fprintf(stdout, "archive retention  %d segments evicted, %.1f MB reclaimed; oldest retained frame %d\n",
 				ast.EvictedSegments, float64(ast.EvictedBytes)/1e6, ast.OldestFrame)
 		}
 		if st.DemandFetches > 0 {
-			fmt.Printf("demand fetches     %d (%d bits served from disk)\n", st.DemandFetches, st.DemandFetchBits)
+			fmt.Fprintf(stdout, "demand fetches     %d (%d bits served from disk)\n", st.DemandFetches, st.DemandFetchBits)
 		}
 	}
 	if mcName != "" {
 		pred := dc.PredictedLabels(*stream+"/"+mcName, cfg.Frames)
 		r := metrics.Evaluate(d.Labels, pred)
-		fmt.Printf("event precision    %.3f\n", r.Precision)
-		fmt.Printf("event recall       %.3f\n", r.Recall)
-		fmt.Printf("event F1           %.3f\n", r.F1)
+		fmt.Fprintf(stdout, "event precision    %.3f\n", r.Precision)
+		fmt.Fprintf(stdout, "event recall       %.3f\n", r.Recall)
+		fmt.Fprintf(stdout, "event F1           %.3f\n", r.F1)
 	}
+	return 0
 }

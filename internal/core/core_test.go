@@ -476,6 +476,10 @@ func TestMetaEvictedWithFrames(t *testing.T) {
 	}
 }
 
+// TestMultiStreamDeployUndeploy drives live deploy and undeploy
+// through the scheduler: an MC that joins mid-stream reports events in
+// stream coordinates from its deployment frame on, and its undeploy
+// drains stream-prefixed final uploads.
 func TestMultiStreamDeployUndeploy(t *testing.T) {
 	base := testBase()
 	m, err := NewMultiStreamNode(Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base, UploadBitrate: 50_000})
@@ -485,30 +489,49 @@ func TestMultiStreamDeployUndeploy(t *testing.T) {
 	if _, err := m.AddStream("cam0", 48, 27); err != nil {
 		t.Fatal(err)
 	}
-	mc, err := filter.NewMC(filter.Spec{Name: "m", Arch: filter.PoolingClassifier, Seed: 4}, base, 48, 27)
-	if err != nil {
+	sched := m.NewScheduler(SchedulerConfig{Workers: 2})
+	defer sched.Close()
+	newMC := func(name string, seed int64) *filter.MC {
+		mc, err := filter.NewMC(filter.Spec{Name: name, Arch: filter.PoolingClassifier, Seed: seed}, base, 48, 27)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mc
+	}
+	if err := sched.Deploy("cam0", newMC("m", 4), -1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Deploy("cam0", mc, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Deploy("nope", mc, -1); err == nil {
+	if err := sched.Deploy("nope", newMC("m", 4), -1); err == nil {
 		t.Fatal("deploy to unknown stream accepted")
 	}
-	for _, f := range testFrames(7) {
-		if _, err := m.ProcessFrame("cam0", f); err != nil {
+	frames := testFrames(7)
+	for i, f := range frames {
+		if i == 3 {
+			if err := sched.Deploy("cam0", newMC("late", 5), -1); err != nil {
+				t.Fatalf("mid-stream deploy: %v", err)
+			}
+		}
+		if err := sched.Submit("cam0", f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ups, err := m.Undeploy("cam0", "m")
+	ups, err := sched.Undeploy("cam0", "late")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ups) == 0 || ups[0].MCName != "cam0/m" {
+	if len(ups) == 0 || ups[0].MCName != "cam0/late" {
 		t.Fatalf("undeploy uploads not stream-prefixed: %+v", ups)
 	}
-	if _, err := m.Undeploy("nope", "m"); err == nil {
+	for _, u := range ups {
+		if u.Start < 3 {
+			t.Fatalf("late MC upload starts at %d, before its deployment frame 3", u.Start)
+		}
+	}
+	if _, err := sched.Undeploy("nope", "m"); err == nil {
 		t.Fatal("undeploy on unknown stream accepted")
+	}
+	if err := sched.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/filter"
-	"repro/internal/vision"
 )
 
 // MultiStreamNode hosts several camera streams on one edge node — the
@@ -13,11 +10,13 @@ import (
 // single camera stream, or fewer MCs on several streams" (§3.2). Each
 // stream has its own pipeline state (classifier windows, smoothing,
 // events, frame buffer) but every stream shares the single base DNN
-// model, so weights are resident once.
+// model, so weights are resident once. A Scheduler (NewScheduler)
+// drives the streams: frames, live deploys, undeploys and flushes.
 type MultiStreamNode struct {
-	cfg     Config
-	streams map[string]*EdgeNode
-	order   []string
+	cfg       Config
+	streams   map[string]*EdgeNode
+	order     []string
+	scheduled bool // a Scheduler exists; it covers only the streams it saw
 }
 
 // NewMultiStreamNode constructs an empty node; cfg supplies shared
@@ -32,8 +31,11 @@ func NewMultiStreamNode(cfg Config) (*MultiStreamNode, error) {
 
 // AddStream registers a camera stream and returns its pipeline so the
 // caller can deploy microclassifiers on it. Frame dimensions may
-// differ per stream.
+// differ per stream. Streams are added before the first NewScheduler.
 func (m *MultiStreamNode) AddStream(name string, frameW, frameH int) (*EdgeNode, error) {
+	if m.scheduled {
+		return nil, fmt.Errorf("core: add stream %q after a scheduler started", name)
+	}
 	if _, dup := m.streams[name]; dup {
 		return nil, fmt.Errorf("core: duplicate stream %q", name)
 	}
@@ -55,29 +57,6 @@ func (m *MultiStreamNode) Stream(name string) *EdgeNode { return m.streams[name]
 // StreamNames returns the registered stream names in addition order.
 func (m *MultiStreamNode) StreamNames() []string {
 	return append([]string(nil), m.order...)
-}
-
-// ProcessFrame pushes one frame of the named stream.
-func (m *MultiStreamNode) ProcessFrame(stream string, img *vision.Image) ([]Upload, error) {
-	e, ok := m.streams[stream]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown stream %q", stream)
-	}
-	ups, err := e.ProcessFrame(img)
-	return prefixUploads(stream, ups), err
-}
-
-// FlushAll drains every stream.
-func (m *MultiStreamNode) FlushAll() ([]Upload, error) {
-	var all []Upload
-	for _, name := range m.order {
-		ups, err := m.streams[name].Flush()
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, prefixUploads(name, ups)...)
-	}
-	return all, nil
 }
 
 // Stats aggregates counters across streams; per-MC entries are keyed
@@ -107,52 +86,4 @@ func (m *MultiStreamNode) Stats() Stats {
 		}
 	}
 	return total
-}
-
-// Deploy installs a microclassifier on the named stream. Unlike
-// EdgeNode.Deploy this is live: it works mid-stream (the fleet agent's
-// remote-deployment path).
-func (m *MultiStreamNode) Deploy(stream string, mc *filter.MC, threshold float32) error {
-	e, ok := m.streams[stream]
-	if !ok {
-		return fmt.Errorf("core: unknown stream %q", stream)
-	}
-	return e.DeployLive(mc, threshold)
-}
-
-// Undeploy removes a microclassifier from the named stream, returning
-// its final uploads with the stream-prefixed MC names the node's
-// ProcessFrame emits.
-func (m *MultiStreamNode) Undeploy(stream, mcName string) ([]Upload, error) {
-	e, ok := m.streams[stream]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown stream %q", stream)
-	}
-	ups, err := e.Undeploy(mcName)
-	if err != nil {
-		return nil, err
-	}
-	return prefixUploads(stream, ups), nil
-}
-
-// DeployBalanced spreads k identical microclassifier specs across the
-// registered streams round-robin, a convenience for symmetric
-// deployments. Like Deploy it is live: it works mid-stream, each MC
-// starting at its stream's next frame.
-func (m *MultiStreamNode) DeployBalanced(specs []filter.Spec, threshold float32) error {
-	if len(m.order) == 0 {
-		return fmt.Errorf("core: no streams registered")
-	}
-	for i, spec := range specs {
-		name := m.order[i%len(m.order)]
-		e := m.streams[name]
-		mc, err := filter.NewMC(spec, m.cfg.Base, e.cfg.FrameWidth, e.cfg.FrameHeight)
-		if err != nil {
-			return err
-		}
-		if err := e.DeployLive(mc, threshold); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -34,24 +34,28 @@ func TestMultiStreamBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var ups []Upload
-	for i := 0; i < 6; i++ {
-		u1, err := node.ProcessFrame("cam-a", vision.NewImage(48, 27))
-		if err != nil {
-			t.Fatal(err)
-		}
-		u2, err := node.ProcessFrame("cam-b", vision.NewImage(64, 36))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ups = append(ups, u1...)
-		ups = append(ups, u2...)
+	col := NewUploadCollector()
+	sched := node.NewScheduler(SchedulerConfig{Workers: 2, OnResult: col.OnResult})
+	defer sched.Close()
+	if _, err := node.AddStream("cam-c", 48, 27); err == nil {
+		t.Fatal("stream added after the scheduler started: no worker would ever drive it")
 	}
-	tail, err := node.FlushAll()
+	for i := 0; i < 6; i++ {
+		if err := sched.Submit("cam-a", vision.NewImage(48, 27)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.Submit("cam-b", vision.NewImage(64, 36)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail, err := sched.FlushAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ups = append(ups, tail...)
+	if err := sched.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ups := append(append(col.Uploads("cam-a"), col.Uploads("cam-b")...), tail...)
 	seenA, seenB := false, false
 	for _, u := range ups {
 		if strings.HasPrefix(u.MCName, "cam-a/") {
@@ -71,94 +75,7 @@ func TestMultiStreamBasics(t *testing.T) {
 	if len(st.MCTimeBy) != 2 {
 		t.Fatalf("per-MC stats entries = %d", len(st.MCTimeBy))
 	}
-	if _, err := node.ProcessFrame("nope", vision.NewImage(1, 1)); err == nil {
+	if err := sched.Submit("nope", vision.NewImage(1, 1)); err == nil {
 		t.Fatal("unknown stream accepted")
-	}
-}
-
-func TestMultiStreamDeployBalanced(t *testing.T) {
-	base := testBase()
-	node, _ := NewMultiStreamNode(Config{FrameWidth: 1, FrameHeight: 1, Base: base, UploadBitrate: 30_000})
-	node.AddStream("a", 48, 27)
-	node.AddStream("b", 48, 27)
-	specs := make([]filter.Spec, 5)
-	for i := range specs {
-		specs[i] = filter.Spec{Name: "mc" + string(rune('0'+i)), Arch: filter.PoolingClassifier, Seed: int64(i)}
-	}
-	if err := node.DeployBalanced(specs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	// Round-robin: 3 on a, 2 on b.
-	if got := len(node.Stream("a").MCNames()); got != 3 {
-		t.Fatalf("stream a has %d MCs, want 3", got)
-	}
-	if got := len(node.Stream("b").MCNames()); got != 2 {
-		t.Fatalf("stream b has %d MCs, want 2", got)
-	}
-}
-
-// DeployBalanced is documented live: it must work after streams have
-// started flowing (it previously used EdgeNode.Deploy, which errors
-// mid-stream).
-func TestMultiStreamDeployBalancedMidStream(t *testing.T) {
-	base := testBase()
-	node, err := NewMultiStreamNode(Config{FrameWidth: 1, FrameHeight: 1, FPS: 15, Base: base, UploadBitrate: 30_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b"} {
-		if _, err := node.AddStream(name, 48, 27); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Each stream needs one pre-start MC so frames can flow.
-	if err := node.DeployBalanced([]filter.Spec{
-		{Name: "pre0", Arch: filter.PoolingClassifier, Seed: 1},
-		{Name: "pre1", Arch: filter.PoolingClassifier, Seed: 2},
-	}, -1); err != nil {
-		t.Fatal(err)
-	}
-	frames := testFrames(6)
-	for _, f := range frames[:3] {
-		for _, name := range []string{"a", "b"} {
-			if _, err := node.ProcessFrame(name, f); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// The balanced deploy joins mid-stream.
-	specs := []filter.Spec{
-		{Name: "late0", Arch: filter.PoolingClassifier, Seed: 3},
-		{Name: "late1", Arch: filter.PoolingClassifier, Seed: 4},
-		{Name: "late2", Arch: filter.PoolingClassifier, Seed: 5},
-	}
-	if err := node.DeployBalanced(specs, -1); err != nil {
-		t.Fatalf("mid-stream balanced deploy: %v", err)
-	}
-	if got := len(node.Stream("a").MCNames()); got != 3 {
-		t.Fatalf("stream a has %d MCs, want 3", got)
-	}
-	for _, f := range frames[3:] {
-		for _, name := range []string{"a", "b"} {
-			if _, err := node.ProcessFrame(name, f); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ups, err := node.FlushAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lateUp bool
-	for _, u := range ups {
-		if u.MCName == "a/late0" || u.MCName == "b/late1" || u.MCName == "a/late2" {
-			lateUp = true
-			if u.Start < 3 {
-				t.Fatalf("late MC upload starts at %d, before its deployment frame 3", u.Start)
-			}
-		}
-	}
-	if !lateUp {
-		t.Fatal("mid-stream balanced MCs produced no uploads")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -21,7 +22,7 @@ type Result struct {
 	// submitted frame).
 	Frame int
 	// Uploads carries any segments that became ready, MC names
-	// prefixed "<stream>/" as MultiStreamNode.ProcessFrame emits them.
+	// prefixed "<stream>/".
 	Uploads []Upload
 	// Err is the pipeline error, if any. The stream keeps accepting
 	// frames after an error; callers decide whether to stop.
@@ -75,10 +76,10 @@ type streamQueue struct {
 // (its mutex) provides the happens-before edge when a stream migrates
 // between workers.
 //
-// While a scheduler is running, drive its node only through the
-// scheduler: direct calls to MultiStreamNode.ProcessFrame, Deploy,
-// Undeploy, or FlushAll would race with the workers. Registering new
-// streams on the node requires a new scheduler. Observer methods
+// While a scheduler is running, drive its streams only through the
+// scheduler: direct calls to an EdgeNode's ProcessFrame, Deploy or
+// Flush would race with the workers. The node takes no new streams
+// once it has had a scheduler. Observer methods
 // (MultiStreamNode.Stats, EdgeNode.Stats/Meta/MCNames) remain safe at
 // any time.
 type Scheduler struct {
@@ -99,12 +100,13 @@ type Scheduler struct {
 	firstErr error
 }
 
-// NewScheduler starts a worker pool over the node's current streams.
-// Close it to release the workers.
+// NewScheduler starts a worker pool over the node's streams, after
+// which the node takes no new ones. Close it to release the workers.
 func (m *MultiStreamNode) NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	m.scheduled = true
 	s := &Scheduler{node: m, cfg: cfg, queues: make(map[string]*streamQueue, len(m.order))}
 	s.cond = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
@@ -117,6 +119,10 @@ func (m *MultiStreamNode) NewScheduler(cfg SchedulerConfig) *Scheduler {
 	}
 	return s
 }
+
+// ErrSchedulerClosed is what every entry point of a closed scheduler
+// returns.
+var ErrSchedulerClosed = errors.New("core: scheduler closed")
 
 // Workers returns the pool size.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
@@ -132,7 +138,7 @@ func (s *Scheduler) Submit(stream string, img *vision.Image) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return fmt.Errorf("core: scheduler closed")
+		return ErrSchedulerClosed
 	}
 	s.push(q, schedItem{img: img, frame: q.submitted, enq: time.Now()})
 	q.submitted++
@@ -143,58 +149,51 @@ func (s *Scheduler) Submit(stream string, img *vision.Image) error {
 // Do runs fn on the named stream's pipeline, serialized with that
 // stream's in-flight frames (fn runs after everything submitted
 // before it, before anything submitted after). It blocks until fn
-// returns. This is the live-control path: deploys, undeploys, and
-// demand fetches interleave with a running stream race-free.
-func (s *Scheduler) Do(stream string, fn func(e *EdgeNode) error) error {
+// returns, and returns fn's uploads with MC names prefixed
+// "<stream>/", as Result.Uploads carries them. This is the
+// live-control path: deploys, undeploys, flushes and demand fetches
+// interleave with a running stream race-free.
+func (s *Scheduler) Do(stream string, fn func(e *EdgeNode) ([]Upload, error)) ([]Upload, error) {
 	q, err := s.queue(stream)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var ups []Upload
 	done := make(chan error, 1)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return fmt.Errorf("core: scheduler closed")
+		return nil, ErrSchedulerClosed
 	}
-	s.push(q, schedItem{op: func(e *EdgeNode) { done <- fn(e) }})
+	s.push(q, schedItem{op: func(e *EdgeNode) {
+		var err error
+		ups, err = fn(e)
+		done <- err
+	}})
 	s.mu.Unlock()
-	return <-done
+	if err := <-done; err != nil {
+		return nil, err
+	}
+	return prefixUploads(stream, ups), nil
 }
 
 // Deploy installs a microclassifier live on the named stream, after
 // the stream's in-flight frames.
 func (s *Scheduler) Deploy(stream string, mc *filter.MC, threshold float32) error {
-	return s.Do(stream, func(e *EdgeNode) error { return e.DeployLive(mc, threshold) })
+	_, err := s.Do(stream, func(e *EdgeNode) ([]Upload, error) { return nil, e.DeployLive(mc, threshold) })
+	return err
 }
 
 // Undeploy removes a microclassifier from the named stream, returning
 // its final uploads with stream-prefixed MC names.
 func (s *Scheduler) Undeploy(stream, mcName string) ([]Upload, error) {
-	var ups []Upload
-	err := s.Do(stream, func(e *EdgeNode) error {
-		u, err := e.Undeploy(mcName)
-		ups = prefixUploads(stream, u)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ups, nil
+	return s.Do(stream, func(e *EdgeNode) ([]Upload, error) { return e.Undeploy(mcName) })
 }
 
 // Flush drains the named stream's pipeline tail after its in-flight
 // frames, returning the final uploads with stream-prefixed MC names.
 func (s *Scheduler) Flush(stream string) ([]Upload, error) {
-	var ups []Upload
-	err := s.Do(stream, func(e *EdgeNode) error {
-		u, err := e.Flush()
-		ups = prefixUploads(stream, u)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ups, nil
+	return s.Do(stream, (*EdgeNode).Flush)
 }
 
 // FlushAll drains every stream in registration order.
@@ -324,8 +323,8 @@ func (s *Scheduler) recordErr(err error) {
 	s.errMu.Unlock()
 }
 
-// prefixUploads rewrites MC names to "<stream>/<mc>", the naming
-// MultiStreamNode.ProcessFrame emits.
+// prefixUploads rewrites MC names to "<stream>/<mc>", the naming every
+// scheduler result carries.
 func prefixUploads(stream string, ups []Upload) []Upload {
 	for i := range ups {
 		ups[i].MCName = stream + "/" + ups[i].MCName
@@ -335,7 +334,8 @@ func prefixUploads(stream string, ups []Upload) []Upload {
 
 // UploadCollector is a ready-made OnResult sink that records each
 // stream's uploads in processing order — what a sequential loop over
-// MultiStreamNode.ProcessFrame would have accumulated per stream.
+// each stream's EdgeNode.ProcessFrame would have accumulated, with
+// stream-prefixed MC names.
 type UploadCollector struct {
 	mu       sync.Mutex
 	byStream map[string][]Upload

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +10,8 @@ import (
 // TestSchedulerShutdownDrains pins the graceful-shutdown contract:
 // Close returns only after every submitted item has been processed
 // AND its OnResult callback has returned (a deterministic drain), and
-// afterwards every entry point fails fast with a "scheduler closed"
-// error instead of hanging or panicking.
+// afterwards every entry point fails fast with ErrSchedulerClosed
+// instead of hanging or panicking.
 func TestSchedulerShutdownDrains(t *testing.T) {
 	node := buildSchedNode(t, 2)
 	streams := node.StreamNames()
@@ -51,13 +51,13 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	}
 
 	// Submit-after-close regression: every entry point reports closure.
-	if err := sched.Submit(streams[0], frames[0]); err == nil || !strings.Contains(err.Error(), "closed") {
+	if err := sched.Submit(streams[0], frames[0]); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Submit after Close: %v, want scheduler-closed error", err)
 	}
-	if err := sched.Do(streams[0], func(*EdgeNode) error { return nil }); err == nil || !strings.Contains(err.Error(), "closed") {
+	if _, err := sched.Do(streams[0], func(*EdgeNode) ([]Upload, error) { return nil, nil }); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Do after Close: %v, want scheduler-closed error", err)
 	}
-	if _, err := sched.Flush(streams[0]); err == nil || !strings.Contains(err.Error(), "closed") {
+	if _, err := sched.Flush(streams[0]); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Flush after Close: %v, want scheduler-closed error", err)
 	}
 	if _, err := sched.FlushAll(); err == nil {
@@ -83,7 +83,7 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	wg.Wait()
 
 	// The node remains usable directly after its scheduler is gone.
-	if _, err := node.ProcessFrame(streams[0], frames[0]); err != nil {
+	if _, err := node.Stream(streams[0]).ProcessFrame(frames[0]); err != nil {
 		t.Fatalf("node unusable after scheduler shutdown: %v", err)
 	}
 }

@@ -82,11 +82,11 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 	seqUps := make(map[string][]Upload)
 	for i := 0; i < nFrames; i++ {
 		for _, name := range streams {
-			ups, err := seq.ProcessFrame(name, frames[name][i])
+			ups, err := seq.Stream(name).ProcessFrame(frames[name][i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqUps[name] = append(seqUps[name], ups...)
+			seqUps[name] = append(seqUps[name], prefixUploads(name, ups)...)
 		}
 	}
 	for _, name := range streams {

@@ -121,16 +121,19 @@ func TestThroughputSmoke(t *testing.T) {
 	if len(res.Measured) != 2 || len(res.Projected) != 2 {
 		t.Fatalf("points: measured %d projected %d", len(res.Measured), len(res.Projected))
 	}
+	// Measured rates are wall-clock and move with the machine's load;
+	// only their sanity is a fact (bench/ measures the numbers).
 	for _, p := range res.Measured {
 		for _, sys := range throughputSystems {
-			if v := p.FPS[sys]; v <= 0 || math.IsNaN(v) {
+			if v := p.FPS[sys]; v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("measured %s at k=%d: %v", sys, p.K, v)
 			}
 		}
 	}
-	// Independent classifiers scale ~1/k; FF should not.
-	dcRatio := res.Measured[0].FPS["discrete"] / res.Measured[1].FPS["discrete"]
-	ffRatio := res.Measured[0].FPS["ff-localized"] / res.Measured[1].FPS["ff-localized"]
+	// By multiply-add count, k independent classifiers cost exactly k
+	// times one; FF shares the base DNN, so it must scale better.
+	dcRatio := res.Projected[0].FPS["discrete"] / res.Projected[1].FPS["discrete"]
+	ffRatio := res.Projected[0].FPS["ff-localized"] / res.Projected[1].FPS["ff-localized"]
 	if ffRatio >= dcRatio {
 		t.Fatalf("FF scaled as badly as DCs: ff %v dc %v", ffRatio, dcRatio)
 	}

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -89,16 +90,14 @@ type AgentConfig struct {
 // Agent is the edge side of the fleet control plane. It wraps a
 // core.MultiStreamNode, connects to a controller, and serves the
 // datacenter's deploy/undeploy/demand-fetch requests while the local
-// pipeline loop feeds frames through ProcessFrame. Pipeline state is
-// guarded by a mutex, so control requests interleave safely between
-// frames.
+// frame loop feeds frames in.
 //
-// StartScheduler switches the agent to the concurrent runtime: frames
-// submitted with Submit run on a worker pool (one worker per stream
-// at a time), uploads ship to the controller from the workers, and
-// control requests serialize with each stream's in-flight frames
-// through the scheduler instead of the agent mutex. Per-stream
-// results are identical in both modes.
+// One runtime drives the pipeline: a core.Scheduler worker pool that
+// runs each stream on at most one worker at a time. Frames — waited
+// for with ProcessFrame, or queued with Submit — and every control
+// request go through the stream's scheduler queue, so they apply in
+// arrival order per stream, identically to a sequential loop. The pool
+// starts with one worker on first use; StartScheduler resizes it.
 //
 // With Reconnect enabled the agent survives session loss: uploads
 // carry sequence numbers and stay buffered until the controller acks
@@ -109,10 +108,9 @@ type Agent struct {
 	cfg  AgentConfig
 	node *core.MultiStreamNode
 
-	// mu guards the pipeline (node, archives) against concurrent
-	// access from the local frame loop and the remote control loop,
-	// and the sched pointer. While sched is non-nil, per-stream
-	// pipeline state is serialized by the scheduler instead.
+	// mu guards the agent's own bookkeeping: the stream registry, the
+	// managed inventory and the worker pool. Pipeline state belongs to
+	// the pool, and no pool work takes mu. mu nests outside sessMu.
 	mu       sync.Mutex
 	sched    *core.Scheduler
 	archives map[string]core.FrameSource
@@ -126,8 +124,8 @@ type Agent struct {
 	managed map[string]map[string]bool
 
 	// sendErrMu guards the first upload-shipping error hit by the
-	// scheduler's result callback (serial mode returns such errors
-	// directly from ProcessFrame).
+	// pool's result callback, for Wait to report (ProcessFrame and
+	// Flush return such errors directly).
 	sendErrMu sync.Mutex
 	sendErr   error
 
@@ -236,14 +234,12 @@ func (a *Agent) Node() *core.MultiStreamNode { return a.node }
 // stream also gets a persistent on-disk archive at ArchiveDir/<name>
 // (recovered if it already exists): ingest appends every original
 // frame and demand-fetch serves from disk. Streams must be added
-// before Connect so the hello inventory is complete, and before
-// StartScheduler so the worker pool covers them.
+// before Connect so the hello inventory is complete, and before the
+// worker pool starts (the first frame or control request) so the pool
+// covers them. Local MCs go on the returned pipeline before that too.
 func (a *Agent) AddStream(name string, frameW, frameH int, src core.FrameSource) (*core.EdgeNode, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.sched != nil {
-		return nil, errors.New("fleet: add stream while scheduler is running")
-	}
 	e, err := a.node.AddStream(name, frameW, frameH)
 	if err != nil {
 		return nil, err
@@ -389,16 +385,8 @@ func (a *Agent) handshake(conn net.Conn) error {
 	if kind == transport.KindRedirect {
 		// The hello landed on a shard that lost (or never had) the
 		// node while a re-shard was in flight. Redialing re-routes
-		// under the settled placement; count it so operators can see
-		// placement churn.
-		var rd Redirect
-		if err := transport.DecodeRecord(body, &rd); err != nil {
-			return err
-		}
-		a.sessMu.Lock()
-		a.rehomes++
-		a.sessMu.Unlock()
-		return fmt.Errorf("fleet: hello refused for shard %d (%s): %w", rd.Shard, rd.Reason, ErrRedirected)
+		// under the settled placement.
+		return a.redirected("hello refused for", body)
 	}
 	if kind != transport.KindWelcome {
 		return fmt.Errorf("fleet: controller answered record kind %d, want welcome", kind)
@@ -676,42 +664,61 @@ func (a *Agent) Stats() core.Stats {
 	return a.node.Stats()
 }
 
-// StartScheduler switches the agent to the concurrent multi-stream
-// runtime: a worker pool (default GOMAXPROCS when workers <= 0)
-// drives the streams, and frames enter through Submit. Uploads ship
-// to the controller from the worker that produced them, in per-stream
-// order. Call after AddStream, before the frame loop starts.
+// StartScheduler replaces the agent's worker pool with one of workers
+// workers (GOMAXPROCS when workers <= 0), so frames entered with Submit
+// run on up to that many streams at once. Uploads ship to the
+// controller from the worker that produced them, in per-stream order.
+// The running pool drains first, so whatever it already took — frames
+// or control requests — stays ahead of what follows.
 func (a *Agent) StartScheduler(workers int) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	_, err := a.swapPool(workers)
+	return err
+}
+
+// pool returns the worker pool that drives the streams, starting a
+// one-worker pool on first use.
+func (a *Agent) pool() (*core.Scheduler, error) { return a.swapPool(0) }
+
+// swapPool is the one place the worker pool changes. With workers == 0
+// it returns the running pool, starting a one-worker pool on first
+// use; a positive count replaces the running pool, and a closed agent
+// stops it. The old pool drains before anything replaces it, so two
+// pools never drive one stream at once — and since no pool work takes
+// a.mu, draining under it cannot deadlock.
+func (a *Agent) swapPool(workers int) (*core.Scheduler, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.sched != nil {
-		return errors.New("fleet: scheduler already running")
+	a.sessMu.Lock()
+	closed := a.closed
+	a.sessMu.Unlock()
+	if s := a.sched; s != nil {
+		if workers == 0 && !closed {
+			return s, nil
+		}
+		s.Close()
 	}
-	a.sendErrMu.Lock()
-	a.sendErr = nil // a fresh run starts with a clean slate
-	a.sendErrMu.Unlock()
+	if closed {
+		return a.sched, errors.New("fleet: agent closed")
+	}
 	a.sched = a.node.NewScheduler(core.SchedulerConfig{
-		Workers: workers,
+		Workers: max(workers, 1),
 		OnResult: func(r core.Result) {
-			if r.Err == nil {
-				if err := a.sendUploads(r.Uploads); err != nil {
-					a.recordSendErr(err)
+			if r.Err != nil {
+				return
+			}
+			if err := a.sendUploads(r.Uploads); err != nil {
+				a.sendErrMu.Lock()
+				if a.sendErr == nil {
+					a.sendErr = err
 				}
+				a.sendErrMu.Unlock()
 			}
 		},
 	})
-	return nil
-}
-
-// recordSendErr keeps the first upload-shipping failure so Wait and
-// StopScheduler can surface it — serial-mode ProcessFrame returns the
-// same error directly.
-func (a *Agent) recordSendErr(err error) {
-	a.sendErrMu.Lock()
-	if a.sendErr == nil {
-		a.sendErr = err
-	}
-	a.sendErrMu.Unlock()
+	return a.sched, nil
 }
 
 // takeSendErr consumes the recorded send error: each failure is
@@ -724,32 +731,24 @@ func (a *Agent) takeSendErr() error {
 	return err
 }
 
-// scheduler returns the running scheduler, nil in serial mode.
-func (a *Agent) scheduler() *core.Scheduler {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sched
-}
-
-// Submit feeds one frame of the named stream to the concurrent
-// runtime and returns without waiting; the frame's uploads ship to
-// the controller when it is processed. Without a running scheduler it
-// degrades to the synchronous ProcessFrame.
+// Submit feeds one frame of the named stream to the worker pool and
+// returns without waiting; the frame's uploads ship to the controller
+// when it is processed.
 func (a *Agent) Submit(stream string, img *vision.Image) error {
-	if s := a.scheduler(); s != nil {
-		return s.Submit(stream, img)
+	s, err := a.pool()
+	if err != nil {
+		return err
 	}
-	_, err := a.ProcessFrame(stream, img)
-	return err
+	return s.Submit(stream, img)
 }
 
 // Wait blocks until every submitted frame has been processed. It
 // returns the first pipeline or upload-shipping error recorded, if
 // any.
 func (a *Agent) Wait() error {
-	s := a.scheduler()
-	if s == nil {
-		return a.takeSendErr()
+	s, err := a.pool()
+	if err != nil {
+		return err
 	}
 	s.Wait()
 	if err := s.Err(); err != nil {
@@ -758,74 +757,44 @@ func (a *Agent) Wait() error {
 	return a.takeSendErr()
 }
 
-// StopScheduler drains in-flight frames, stops the worker pool, and
-// returns the agent to the serial runtime. The scheduler stays
-// published until the pool has fully drained, so concurrent control
-// requests never fall back to the serial path while workers are still
-// running (they get a clean "scheduler closed" error instead).
-func (a *Agent) StopScheduler() error {
-	a.mu.Lock()
-	s := a.sched
-	a.mu.Unlock()
-	if s == nil {
-		return nil
-	}
-	s.Close()
-	a.mu.Lock()
-	if a.sched == s {
-		a.sched = nil
-	}
-	a.mu.Unlock()
-	if err := s.Err(); err != nil {
-		return err
+// stopScheduler stops a closed agent's worker pool, draining in-flight
+// frames, and returns the first pipeline or upload-shipping error left
+// unreported.
+func (a *Agent) stopScheduler() error {
+	if s, _ := a.swapPool(0); s != nil {
+		if err := s.Err(); err != nil {
+			return err
+		}
 	}
 	return a.takeSendErr()
 }
 
 // ProcessFrame pushes one frame of the named stream through the
-// pipeline and ships any resulting uploads to the controller. The
-// uploads are also returned for local accounting.
+// pipeline, waits for it, and ships any resulting uploads to the
+// controller. The uploads are also returned for local accounting.
 func (a *Agent) ProcessFrame(stream string, img *vision.Image) ([]core.Upload, error) {
-	a.mu.Lock()
-	if a.sched != nil {
-		a.mu.Unlock()
-		return nil, errors.New("fleet: use Submit while the scheduler is running")
-	}
-	ups, err := a.node.ProcessFrame(stream, img)
-	a.mu.Unlock()
+	ups, err := a.withEdge(stream, func(e *core.EdgeNode) ([]core.Upload, error) { return e.ProcessFrame(img) })
 	if err != nil {
 		return nil, err
 	}
-	if err := a.sendUploads(ups); err != nil {
-		return ups, err
-	}
-	return ups, nil
+	return ups, a.sendUploads(ups)
 }
 
-// Flush drains every stream's pipeline tail and ships the final
-// uploads. In concurrent mode each stream's flush is serialized after
-// its in-flight frames.
+// Flush drains every stream's pipeline tail, each after its in-flight
+// frames, and ships the final uploads.
 func (a *Agent) Flush() ([]core.Upload, error) {
-	var ups []core.Upload
-	var err error
-	a.mu.Lock()
-	if s := a.sched; s != nil {
-		a.mu.Unlock()
-		ups, err = s.FlushAll()
-	} else {
-		ups, err = a.node.FlushAll()
-		a.mu.Unlock()
-	}
+	s, err := a.pool()
 	if err != nil {
 		return nil, err
 	}
-	if err := a.sendUploads(ups); err != nil {
-		return ups, err
+	ups, err := s.FlushAll()
+	if err != nil {
+		return nil, err
 	}
-	return ups, nil
+	return ups, a.sendUploads(ups)
 }
 
-// Close stops a running scheduler (draining in-flight frames so
+// Close stops the worker pool (draining in-flight frames so
 // their uploads still ship), stops the reconnect monitor, flushes and
 // closes the per-stream archives, ships what the wire will still
 // take, says goodbye, closes the connection, and waits for the loops
@@ -838,7 +807,7 @@ func (a *Agent) Close() error {
 	a.sessMu.Unlock()
 	a.stopOnce.Do(func() { close(a.reconnectStop) })
 
-	stopErr := a.StopScheduler()
+	stopErr := a.stopScheduler()
 	a.mu.Lock()
 	stores := make([]*archive.Store, 0, len(a.stores))
 	for _, st := range a.stores {
@@ -1063,22 +1032,28 @@ func (a *Agent) controlLoop(conn net.Conn) error {
 		case transport.KindRedirect:
 			// The node was re-homed to another shard mid-session. Treat
 			// it like any lost session — the reconnect monitor redials,
-			// and the resume hello reconciles on the new owner — but
-			// count it separately from fault-driven reconnects.
-			var rd Redirect
-			if err := transport.DecodeRecord(body, &rd); err != nil {
-				return err
-			}
-			a.sessMu.Lock()
-			a.rehomes++
-			a.sessMu.Unlock()
-			return fmt.Errorf("fleet: moved to shard %d (%s): %w", rd.Shard, rd.Reason, ErrRedirected)
+			// and the resume hello reconciles on the new owner.
+			return a.redirected("moved to", body)
 		case transport.KindBye:
 			return nil
 		default:
 			return fmt.Errorf("fleet: controller sent unknown record kind %d", kind)
 		}
 	}
+}
+
+// redirected decodes a redirect record, counts the re-home apart from
+// fault-driven reconnects (so operators can see placement churn), and
+// returns the ErrRedirected that ends the session or hello.
+func (a *Agent) redirected(what string, body []byte) error {
+	var rd Redirect
+	if err := transport.DecodeRecord(body, &rd); err != nil {
+		return err
+	}
+	a.sessMu.Lock()
+	a.rehomes++
+	a.sessMu.Unlock()
+	return fmt.Errorf("fleet: %s shard %d (%s): %w", what, rd.Shard, rd.Reason, ErrRedirected)
 }
 
 // uploadStreamID resolves an upload's interned trace-stream ID from
@@ -1141,115 +1116,80 @@ func (a *Agent) noteGen(gen uint64) {
 	a.sessMu.Unlock()
 }
 
-// withEdge runs f against a stream's edge node, serialized with the
-// stream's frames when the scheduler is running (the scheduler path)
-// and under a.mu otherwise (the serial path).
-func (a *Agent) withEdge(stream string, f func(*core.EdgeNode) error) error {
-	a.mu.Lock()
-	if s := a.sched; s != nil {
-		a.mu.Unlock()
-		return s.Do(stream, f)
+// withEdge runs f on the stream's pipeline through its scheduler
+// queue, serialized with the stream's frames, and returns f's uploads
+// prefixed "<stream>/". f runs on a worker, so it must not take a.mu.
+func (a *Agent) withEdge(stream string, f func(*core.EdgeNode) ([]core.Upload, error)) ([]core.Upload, error) {
+	for {
+		s, err := a.pool()
+		if err != nil {
+			return nil, err
+		}
+		// A pool StartScheduler retired after the lookup refuses f
+		// unrun; f then runs on the replacement.
+		if ups, err := s.Do(stream, f); !errors.Is(err, core.ErrSchedulerClosed) {
+			return ups, err
+		}
 	}
-	defer a.mu.Unlock()
-	e := a.node.Stream(stream)
-	if e == nil {
-		return fmt.Errorf("unknown stream %q", stream)
-	}
-	return f(e)
 }
 
-// handleDeploy reconstructs the shipped microclassifier against the
-// local base DNN and installs it live on the target stream. With the
-// scheduler running the deployment is serialized after the stream's
-// in-flight frames. Canary requests install the MC as a shadow
-// candidate instead, and Promote swaps an installed shadow into the
-// live slot (shipping the displaced incumbent's final uploads before
-// the ack, like an undeploy).
+// handleDeploy installs a shipped microclassifier on the target
+// stream after the stream's in-flight frames: live, or as a shadow
+// canary candidate for Canary requests. Promote swaps an installed
+// shadow into the live slot, shipping the displaced incumbent's final
+// uploads before the ack, like an undeploy.
 func (a *Agent) handleDeploy(req DeployRequest) {
-	if req.Promote {
-		var ups []core.Upload
-		err := a.withEdge(req.Stream, func(e *core.EdgeNode) error {
-			var perr error
-			ups, perr = e.PromoteShadow(req.MCName)
-			return perr
+	var mc *filter.MC
+	var err error
+	if !req.Promote {
+		mc, err = a.loadMC(req.Stream, req.MC)
+	}
+	var ups []core.Upload
+	if err == nil {
+		ups, err = a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
+			switch {
+			case req.Promote:
+				return e.PromoteShadow(req.MCName)
+			case req.Canary:
+				return nil, e.DeployShadow(mc, req.Threshold, req.Epoch)
+			}
+			return nil, e.DeployLive(mc, req.Threshold)
 		})
-		if err == nil {
-			a.mu.Lock()
-			a.noteManaged(req.Stream, req.MCName, true)
-			a.mu.Unlock()
-			a.noteGen(req.Gen)
-			err = a.sendUploads(ups)
-		}
-		a.ack(req.Seq, err)
-		return
 	}
-	if req.Canary {
-		err := func() error {
-			e := a.node.Stream(req.Stream)
-			if e == nil {
-				return fmt.Errorf("unknown stream %q", req.Stream)
-			}
-			cfg := e.Config()
-			mc, err := filter.LoadMC(bytes.NewReader(req.MC), cfg.Base, cfg.FrameWidth, cfg.FrameHeight)
-			if err != nil {
-				return err
-			}
-			return a.withEdge(req.Stream, func(e *core.EdgeNode) error {
-				return e.DeployShadow(mc, req.Threshold, req.Epoch)
-			})
-		}()
-		a.ack(req.Seq, err)
-		return
-	}
-	err := func() error {
-		e := a.node.Stream(req.Stream)
-		if e == nil {
-			return fmt.Errorf("unknown stream %q", req.Stream)
-		}
-		cfg := e.Config()
-		mc, err := filter.LoadMC(bytes.NewReader(req.MC), cfg.Base, cfg.FrameWidth, cfg.FrameHeight)
-		if err != nil {
-			return err
-		}
-		// The mode check must be atomic with the serial-path mutation:
-		// holding a.mu while a.sched is nil excludes StartScheduler,
-		// so no worker can be touching the stream concurrently.
+	if err == nil && !req.Canary {
 		// Only intent-tracked deployments (gen > 0) join the managed
 		// inventory reported in resume hellos: a direct Session.Deploy
 		// bypasses intent by contract, and announcing it would invite
 		// reconciliation to undeploy it as an intent-less extra.
-		managed := req.Gen > 0
-		a.mu.Lock()
-		if s := a.sched; s != nil {
-			a.mu.Unlock()
-			if err := s.Deploy(req.Stream, mc, req.Threshold); err != nil {
-				return err
-			}
-			if managed {
-				a.mu.Lock()
-				a.noteManaged(req.Stream, mc.Spec().Name, true)
-				a.mu.Unlock()
-			}
-			return nil
-		}
-		defer a.mu.Unlock()
-		if err := e.DeployLive(mc, req.Threshold); err != nil {
-			return err
-		}
-		if managed {
+		switch {
+		case req.Promote:
+			a.noteManaged(req.Stream, req.MCName, true)
+		case req.Gen > 0:
 			a.noteManaged(req.Stream, mc.Spec().Name, true)
 		}
-		return nil
-	}()
-	if err == nil {
 		a.noteGen(req.Gen)
+		err = a.sendUploads(ups)
 	}
 	a.ack(req.Seq, err)
 }
 
-// noteManaged updates the remote-managed MC inventory. Callers hold
-// a.mu.
+// loadMC decodes a shipped microclassifier against the stream's base
+// DNN and frame size, on the control loop rather than a worker.
+func (a *Agent) loadMC(stream string, data []byte) (*filter.MC, error) {
+	a.mu.Lock()
+	e := a.node.Stream(stream)
+	a.mu.Unlock()
+	if e == nil {
+		return nil, fmt.Errorf("unknown stream %q", stream)
+	}
+	cfg := e.Config()
+	return filter.LoadMC(bytes.NewReader(data), cfg.Base, cfg.FrameWidth, cfg.FrameHeight)
+}
+
+// noteManaged updates the remote-managed MC inventory.
 func (a *Agent) noteManaged(stream, name string, deployed bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if deployed {
 		if a.managed[stream] == nil {
 			a.managed[stream] = make(map[string]bool)
@@ -1261,37 +1201,19 @@ func (a *Agent) noteManaged(stream, name string, deployed bool) {
 }
 
 // handleUndeploy removes an MC, shipping its final uploads before the
-// ack so the controller sees a complete event record.
+// ack so the controller sees a complete event record. A canary
+// rollback discards the shadow candidate instead: shadows are never
+// part of the reconciled deployment set, so there is no managed
+// inventory or generation to touch.
 func (a *Agent) handleUndeploy(req UndeployRequest) {
-	if req.Canary {
-		// Canary rollback: discard the shadow candidate. No managed
-		// inventory or generation to touch — shadows are never part of
-		// the reconciled deployment set.
-		err := a.withEdge(req.Stream, func(e *core.EdgeNode) error {
-			return e.UndeployShadow(req.MCName)
-		})
-		a.ack(req.Seq, err)
-		return
-	}
-	var ups []core.Upload
-	var err error
-	a.mu.Lock()
-	if s := a.sched; s != nil {
-		a.mu.Unlock()
-		ups, err = s.Undeploy(req.Stream, req.MCName)
-		if err == nil {
-			a.mu.Lock()
-			a.noteManaged(req.Stream, req.MCName, false)
-			a.mu.Unlock()
+	ups, err := a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
+		if req.Canary {
+			return nil, e.UndeployShadow(req.MCName)
 		}
-	} else {
-		ups, err = a.node.Undeploy(req.Stream, req.MCName)
-		if err == nil {
-			a.noteManaged(req.Stream, req.MCName, false)
-		}
-		a.mu.Unlock()
-	}
-	if err == nil {
+		return e.Undeploy(req.MCName)
+	})
+	if err == nil && !req.Canary {
+		a.noteManaged(req.Stream, req.MCName, false)
 		a.noteGen(req.Gen)
 		err = a.sendUploads(ups)
 	}
@@ -1305,26 +1227,15 @@ func (a *Agent) handleUndeploy(req UndeployRequest) {
 // of the response trailer.
 func (a *Agent) handleFetch(req FetchRequest) {
 	resp := FetchResponse{Seq: req.Seq, Stream: req.Stream, Start: req.Start, End: req.End}
-	var recons []*vision.Image
-	var err error
 	a.mu.Lock()
 	src := a.archives[req.Stream]
-	if s := a.sched; s != nil {
-		a.mu.Unlock()
-		err = s.Do(req.Stream, func(e *core.EdgeNode) error {
-			var ferr error
-			recons, resp.Bits, ferr = e.FetchArchive(src, req.Start, req.End, req.Bitrate)
-			return ferr
-		})
-	} else {
-		e := a.node.Stream(req.Stream)
-		if e == nil {
-			err = fmt.Errorf("unknown stream %q", req.Stream)
-		} else {
-			recons, resp.Bits, err = e.FetchArchive(src, req.Start, req.End, req.Bitrate)
-		}
-		a.mu.Unlock()
-	}
+	a.mu.Unlock()
+	var recons []*vision.Image
+	_, err := a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
+		var err error
+		recons, resp.Bits, err = e.FetchArchive(src, req.Start, req.End, req.Bitrate)
+		return nil, err
+	})
 	if err != nil {
 		resp.Err = err.Error()
 	} else if req.IncludeData {

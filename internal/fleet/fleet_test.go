@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -415,23 +417,95 @@ func TestV1HeaderRefused(t *testing.T) {
 	}
 }
 
-// TestAgentSchedulerMatchesSerial runs the same two-stream workload
-// through a serial-mode agent and a scheduler-mode agent and checks
-// the controller receives identical per-stream uploads, while live
-// control (deploy/undeploy) rides along with the flowing frames.
-func TestAgentSchedulerMatchesSerial(t *testing.T) {
+// TestAgentMatchesSequentialEdge pins the order bench/heavy.go drives
+// an agent in — Connect, wire deploys before any frame, StartScheduler,
+// Submit/Wait rounds with a live deploy and an undeploy riding along,
+// Flush, Close — and the synchronous ProcessFrame path with no
+// StartScheduler: either way each stream's controller ledger equals a
+// sequential core.EdgeNode reference record for record.
+func TestAgentMatchesSequentialEdge(t *testing.T) {
 	base := testBase()
 	edgeCfg := core.Config{
-		FrameWidth: 1, FrameHeight: 1, FPS: 15, Base: base,
+		FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base,
 		UploadBitrate: 30_000, MaxChunkFrames: 4, MCWorkers: 2,
 	}
 	bg := vision.Background(48, 27, nil, 2)
 	scene := &vision.Scene{Background: bg, NoiseStd: 0.01}
-	frame := func(i int) *vision.Image { return scene.Render(nil, 1, tensor.NewRNG(int64(i))) }
+	frame := func(si, i int) *vision.Image { return scene.Render(nil, 1, tensor.NewRNG(int64(100*si+i))) }
 	streams := []string{"cam0", "cam1"}
-	const nFrames = 20
+	const rounds, deployAt, undeployAt = 20, 5, 15
+	mcBytes := []([]byte){saveMC(t, "m", 0), saveMC(t, "m", 1)}
+	liveBytes := saveMC(t, "live", 9)
+	keys := []string{"cam0/m", "cam1/m", "cam0/live"}
+	load := func(data []byte) *filter.MC {
+		mc, err := filter.LoadMC(bytes.NewReader(data), base, 48, 27)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mc
+	}
+	// byRecord orders a ledger on every field, so records sharing a
+	// start frame compare deterministically.
+	byRecord := func(ups []core.Upload) []core.Upload {
+		sort.Slice(ups, func(i, j int) bool {
+			a, b := ups[i], ups[j]
+			if a.Start != b.Start {
+				return a.Start < b.Start
+			}
+			if a.End != b.End {
+				return a.End < b.End
+			}
+			if a.EventID != b.EventID {
+				return a.EventID < b.EventID
+			}
+			return !a.Final && b.Final
+		})
+		return ups
+	}
 
-	run := func(node string, concurrent bool) map[string][]core.Upload {
+	// The reference: one plain EdgeNode per stream, driven in a loop.
+	ref := core.NewDatacenter()
+	for si, name := range streams {
+		cfg := edgeCfg
+		cfg.StreamLabel = name
+		e, err := core.NewEdgeNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Deploy(load(mcBytes[si]), -1); err != nil {
+			t.Fatal(err)
+		}
+		var ups []core.Upload
+		for i := 0; i < rounds; i++ {
+			if si == 0 && i == deployAt {
+				if err := e.DeployLive(load(liveBytes), -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if si == 0 && i == undeployAt {
+				tail, err := e.Undeploy("live")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ups = append(ups, tail...)
+			}
+			got, err := e.ProcessFrame(frame(si, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ups = append(ups, got...)
+		}
+		tail, err := e.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range append(ups, tail...) {
+			u.MCName = name + "/" + u.MCName
+			ref.Receive(u)
+		}
+	}
+
+	run := func(t *testing.T, node string, scheduled bool) {
 		ctrl := NewController(ControllerConfig{Timeout: 10 * time.Second})
 		addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -442,84 +516,61 @@ func TestAgentSchedulerMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for si, name := range streams {
-			e, err := agent.AddStream(name, 48, 27, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mc, err := filter.NewMC(filter.Spec{Name: "m", Arch: filter.PoolingClassifier, Seed: int64(si)}, base, 48, 27)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Deploy(mc, -1); err != nil {
+		defer agent.Close()
+		for _, name := range streams {
+			if _, err := agent.AddStream(name, 48, 27, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := agent.Connect("tcp", addr.String()); err != nil {
 			t.Fatal(err)
 		}
-		defer agent.Close()
-		if concurrent {
-			if err := agent.StartScheduler(4); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// A live MC joins cam0 over the wire mid-stream and leaves
-		// again, in both modes at the same frame positions.
-		live, err := filter.NewMC(filter.Spec{Name: "live", Arch: filter.PoolingClassifier, Seed: 9}, base, 48, 27)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := live.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
 		sess, err := ctrl.Session(node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < nFrames; i++ {
-			if i == 5 {
-				if concurrent {
-					if err := agent.Wait(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := ctrl.Deploy(node, "cam0", buf.Bytes(), -1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if i == 15 {
-				if concurrent {
-					if err := agent.Wait(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := sess.Undeploy("cam0", "live"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, name := range streams {
-				if err := agent.Submit(name, frame(i)); err != nil {
-					t.Fatal(err)
-				}
+		for si, name := range streams {
+			if err := ctrl.Deploy(node, name, mcBytes[si], -1); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if concurrent {
-			if err := agent.StopScheduler(); err != nil {
+		if scheduled {
+			if err := agent.StartScheduler(2); err != nil {
 				t.Fatal(err)
 			}
-			// The serial API works again after the scheduler stops.
-			if _, err := agent.ProcessFrame("cam1", frame(nFrames)); err != nil {
-				t.Fatal(err)
+		}
+		for i := 0; i < rounds; i++ {
+			if i == deployAt {
+				if err := ctrl.Deploy(node, "cam0", liveBytes, -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i == undeployAt {
+				if err := ctrl.Undeploy(node, "cam0", "live"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for si, name := range streams {
+				if scheduled {
+					err = agent.Submit(name, frame(si, i))
+				} else {
+					_, err = agent.ProcessFrame(name, frame(si, i))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if scheduled {
+				if err := agent.Wait(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if _, err := agent.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		// Close the agent and wait for the session to drain: the
-		// goodbye trails every upload on the wire, so once the session
-		// is done its datacenter is quiescent and safe to read.
+		// The goodbye trails every upload on the wire, so once the
+		// session is done its datacenter is quiescent and safe to read.
 		if err := agent.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -528,34 +579,76 @@ func TestAgentSchedulerMatchesSerial(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("session did not drain")
 		}
-		out := make(map[string][]core.Upload)
-		for _, name := range streams {
-			out[name] = sess.Datacenter().Uploads(name + "/m")
-		}
-		out["live"] = sess.Datacenter().Uploads("cam0/live")
-		return out
-	}
-
-	serial := run("edge-serial", false)
-	conc := run("edge-conc", true)
-	for key, want := range serial {
-		if key == "cam1" {
-			// The concurrent run processed one extra post-scheduler
-			// frame on cam1; compare the common prefix.
-			continue
-		}
-		got := conc[key]
-		if len(want) == 0 {
-			t.Fatalf("%s: serial baseline empty (vacuous)", key)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d uploads, want %d\n got %+v\nwant %+v", key, len(got), len(want), got, want)
-		}
-		for i := range want {
-			g, w := got[i], want[i]
-			if g.Start != w.Start || g.End != w.End || g.Bits != w.Bits || g.EventID != w.EventID || g.Final != w.Final {
-				t.Fatalf("%s upload %d differs:\n got %+v\nwant %+v", key, i, g, w)
+		for _, key := range keys {
+			got, want := byRecord(sess.Datacenter().Uploads(key)), byRecord(ref.Uploads(key))
+			if len(want) == 0 {
+				t.Fatalf("%s: reference ledger empty (vacuous)", key)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ledger differs from the sequential reference\n got %+v\nwant %+v", key, got, want)
+			}
+		}
+	}
+	t.Run("scheduler", func(t *testing.T) { run(t, "edge-sched", true) })
+	t.Run("process-frame", func(t *testing.T) { run(t, "edge-sync", false) })
+}
+
+// TestStartSchedulerUnderControlTraffic replaces the worker pool over
+// and over while the controller deploys and undeploys: a request caught
+// between a retired pool and its replacement must still apply, once,
+// on the new pool.
+func TestStartSchedulerUnderControlTraffic(t *testing.T) {
+	edgeCfg := core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: testBase(), UploadBitrate: 30_000}
+	ctrl := NewController(ControllerConfig{Timeout: 10 * time.Second})
+	addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	agent, err := NewAgent(AgentConfig{Node: "edge-swap", Edge: edgeCfg, Heartbeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	if _, err := agent.AddStream("cam0", 48, 27, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Connect("tcp", addr.String()); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := ctrl.Session("edge-swap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := saveMC(t, "ctl", 1)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 30; i++ {
+			if err := sess.Deploy("cam0", mc, -1); err != nil {
+				done <- fmt.Errorf("deploy %d: %w", i, err)
+				return
+			}
+			if err := sess.Undeploy("cam0", "ctl"); err != nil {
+				done <- fmt.Errorf("undeploy %d: %w", i, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for n := 1; ; n++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := agent.DeployedMCs("cam0"); len(got) != 0 {
+				t.Fatalf("deployed after the last undeploy: %v", got)
+			}
+			return
+		default:
+		}
+		if err := agent.StartScheduler(1 + n%3); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

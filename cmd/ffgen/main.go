@@ -4,11 +4,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -16,16 +18,28 @@ import (
 	"repro/internal/vision"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, prints the dataset
+// statistics to stdout (and any dumped frames), reports errors to
+// stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ffgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name   = flag.String("dataset", "jackson", "jackson|roadway")
-		width  = flag.Int("width", 192, "working-scale frame width")
-		frames = flag.Int("frames", 3000, "number of frames")
-		seed   = flag.Int64("seed", 1, "schedule seed (use seed+1 for the test day)")
-		dump   = flag.Int("dump", 0, "write this many sample frames as PNGs")
-		outDir = flag.String("out", ".", "directory for dumped frames")
+		name   = fs.String("dataset", "jackson", "jackson|roadway")
+		width  = fs.Int("width", 192, "working-scale frame width")
+		frames = fs.Int("frames", 3000, "number of frames")
+		seed   = fs.Int64("seed", 1, "schedule seed (use seed+1 for the test day)")
+		dump   = fs.Int("dump", 0, "write this many sample frames as PNGs")
+		outDir = fs.String("out", ".", "directory for dumped frames")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var cfg dataset.Config
 	switch *name {
@@ -34,17 +48,17 @@ func main() {
 	case "roadway":
 		cfg = dataset.Roadway(*width, *frames, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "ffgen: unknown dataset %q\n", *name)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ffgen: unknown dataset %q\n", *name)
+		return 1
 	}
 	d := dataset.Generate(cfg)
 	s := d.Stats()
-	fmt.Printf("dataset      %s (%s task)\n", cfg.Name, cfg.TaskName)
-	fmt.Printf("resolution   %dx%d (native %dx%d), %d fps\n", cfg.Width, cfg.Height, cfg.PaperWidth, cfg.PaperHeight, cfg.FPS)
-	fmt.Printf("frames       %d\n", s.Frames)
-	fmt.Printf("event frames %d (%.1f%%)\n", s.EventFrames, 100*s.EventFraction)
-	fmt.Printf("events       %d (mean length %.1f frames)\n", s.UniqueEvents, s.MeanEventLen)
-	fmt.Printf("task region  %+v (working coords)\n", cfg.Region())
+	fmt.Fprintf(stdout, "dataset      %s (%s task)\n", cfg.Name, cfg.TaskName)
+	fmt.Fprintf(stdout, "resolution   %dx%d (native %dx%d), %d fps\n", cfg.Width, cfg.Height, cfg.PaperWidth, cfg.PaperHeight, cfg.FPS)
+	fmt.Fprintf(stdout, "frames       %d\n", s.Frames)
+	fmt.Fprintf(stdout, "event frames %d (%.1f%%)\n", s.EventFrames, 100*s.EventFraction)
+	fmt.Fprintf(stdout, "events       %d (mean length %.1f frames)\n", s.UniqueEvents, s.MeanEventLen)
+	fmt.Fprintf(stdout, "task region  %+v (working coords)\n", cfg.Region())
 
 	if *dump > 0 {
 		step := *frames / *dump
@@ -54,12 +68,13 @@ func main() {
 		for i := 0; i < *frames && i/step < *dump; i += step {
 			path := filepath.Join(*outDir, fmt.Sprintf("%s-%06d-%v.png", cfg.Name, i, d.Labels[i]))
 			if err := writePNG(path, d.Frame(i)); err != nil {
-				fmt.Fprintf(os.Stderr, "ffgen: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "ffgen: %v\n", err)
+				return 1
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 		}
 	}
+	return 0
 }
 
 // writePNG converts a float RGB frame to an 8-bit PNG.

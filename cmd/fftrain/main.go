@@ -5,8 +5,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dataset"
@@ -19,17 +21,33 @@ import (
 	"repro/internal/train"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, trains and saves
+// the MC writing its progress to stdout and errors to stderr, and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fftrain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dsName = flag.String("dataset", "roadway", "jackson|roadway")
-		archS  = flag.String("arch", "localized", "detector|localized|windowed|pooling")
-		width  = flag.Int("width", 96, "working-scale frame width")
-		frames = flag.Int("frames", 1200, "training-day frames")
-		epochs = flag.Int("epochs", 8, "training epochs")
-		seed   = flag.Int64("seed", 1, "seed")
-		out    = flag.String("out", "mc.weights", "output weights file")
+		dsName = fs.String("dataset", "roadway", "jackson|roadway")
+		archS  = fs.String("arch", "localized", "detector|localized|windowed|pooling")
+		width  = fs.Int("width", 96, "working-scale frame width")
+		frames = fs.Int("frames", 1200, "training-day frames")
+		epochs = fs.Int("epochs", 8, "training epochs")
+		seed   = fs.Int64("seed", 1, "seed")
+		out    = fs.String("out", "mc.weights", "output weights file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fftrain:", err)
+		return 1
+	}
 
 	arch, ok := map[string]filter.Arch{
 		"detector":  filter.FullFrameObjectDetector,
@@ -38,8 +56,7 @@ func main() {
 		"pooling":   filter.PoolingClassifier,
 	}[*archS]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "fftrain: unknown arch %q\n", *archS)
-		os.Exit(1)
+		return fail(fmt.Errorf("unknown arch %q", *archS))
 	}
 	var cfg dataset.Config
 	switch *dsName {
@@ -48,40 +65,35 @@ func main() {
 	case "roadway":
 		cfg = dataset.Roadway(*width, *frames, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "fftrain: unknown dataset %q\n", *dsName)
-		os.Exit(1)
+		return fail(fmt.Errorf("unknown dataset %q", *dsName))
 	}
 	d := dataset.Generate(cfg)
 
-	fmt.Println("pretraining base DNN on the sprite pretext task ...")
+	fmt.Fprintln(stdout, "pretraining base DNN on the sprite pretext task ...")
 	base := mobilenet.New(mobilenet.Config{WidthMult: 0.25, BatchNorm: true, Seed: *seed + 100})
-	if _, err := pretrain.Run(base, pretrain.Config{Seed: *seed + 101, Log: os.Stdout}); err != nil {
-		fmt.Fprintln(os.Stderr, "fftrain:", err)
-		os.Exit(1)
+	if _, err := pretrain.Run(base, pretrain.Config{Seed: *seed + 101, Log: stdout}); err != nil {
+		return fail(err)
 	}
 
 	crop := cfg.Region()
 	spec := filter.Spec{Name: *dsName + "-" + *archS, Arch: arch, Crop: &crop, Seed: *seed + 1}
 	mc, err := filter.NewMC(spec, base, cfg.Width, cfg.Height)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftrain:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
-	fmt.Printf("extracting %s features for %d frames ...\n", mc.Stage(), cfg.Frames)
+	fmt.Fprintf(stdout, "extracting %s features for %d frames ...\n", mc.Stage(), cfg.Frames)
 	fms := make([]*tensor.Tensor, cfg.Frames)
 	for i := range fms {
 		fm, err := base.Extract(d.FrameTensor(i), mc.Stage())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftrain:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		fms[i] = fm
 	}
 	mean, std := filter.ChannelStats(fms)
 	if err := mc.SetNormalization(mean, std); err != nil {
-		fmt.Fprintln(os.Stderr, "fftrain:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	var samples []train.Sample
@@ -92,15 +104,14 @@ func main() {
 		}
 		samples = append(samples, train.Sample{X: mc.BuildInput(fms, i), Y: y})
 	}
-	fmt.Printf("training %s (%v) on %d samples ...\n", spec.Name, arch, len(samples))
+	fmt.Fprintf(stdout, "training %s (%v) on %d samples ...\n", spec.Name, arch, len(samples))
 	loss, err := train.Fit(mc.Net(), samples, train.Config{
 		Epochs: *epochs, BatchSize: 16, Seed: *seed, BalanceClasses: true,
 		Optimizer: train.NewAdam(0.003),
-		Progress:  func(e int, l float64) { fmt.Printf("  epoch %d loss %.4f\n", e, l) },
+		Progress:  func(e int, l float64) { fmt.Fprintf(stdout, "  epoch %d loss %.4f\n", e, l) },
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftrain:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	// Tune the threshold on the training day.
@@ -122,11 +133,11 @@ func main() {
 	best, th := metrics.BestF1(d.Labels, scores, grid, func(raw []bool) []bool {
 		return event.SmoothKofN(raw, event.DefaultN, event.DefaultK)
 	})
-	fmt.Printf("final loss %.4f; train-day event F1 %.3f at threshold %.2f\n", loss, best.F1, th)
+	fmt.Fprintf(stdout, "final loss %.4f; train-day event F1 %.3f at threshold %.2f\n", loss, best.F1, th)
 
 	if err := mc.SaveFile(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "fftrain:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Printf("saved weights to %s (deploy with: ffrun -weights %s -threshold %.2f)\n", *out, *out, th)
+	fmt.Fprintf(stdout, "saved weights to %s (deploy with: ffrun -weights %s -threshold %.2f)\n", *out, *out, th)
+	return 0
 }

@@ -17,6 +17,14 @@ func testBase(t *testing.T) *mobilenet.Model {
 	return mobilenet.New(mobilenet.Config{WidthMult: 0.25, Seed: 1})
 }
 
+// TestSigmoidRange checks the sigmoid every classifier's logit goes
+// through on its way to a score: saturated at both ends, 0.5 at 0.
+func TestSigmoidRange(t *testing.T) {
+	if lo, mid, hi := sigmoid(-100), sigmoid(0), sigmoid(100); lo > 1e-6 || mid != 0.5 || hi < 1-1e-6 {
+		t.Fatalf("sigmoid(-100, 0, 100) = %v, %v, %v", lo, mid, hi)
+	}
+}
+
 func TestMCDefaultStages(t *testing.T) {
 	// §3.4: the full-frame object detector taps the penultimate stage,
 	// the localized variants a middle stage.

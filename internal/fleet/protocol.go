@@ -120,8 +120,10 @@ type DeployRequest struct {
 	// alongside the same-named incumbent into a private sketch without
 	// affecting uploads, until the controller promotes or rolls it
 	// back. Older agents decode the field as false and treat the
-	// request as a live deploy — the controller only sends canary
-	// deploys to agents whose heartbeats carry version maps.
+	// request as a live deploy. Nothing on the controller checks for
+	// that: StartCanary asks only for a same-named incumbent (in intent,
+	// or in the node's last heartbeat sketches), so a canary assumes an
+	// agent that knows the field.
 	Canary bool
 	// Epoch is the controller's install counter for the canary's
 	// shadow slot, starting at 1 and bumped on every reconciliation

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -14,7 +13,7 @@ type ReLU struct {
 	LayerName string
 	Cap       float32 // 0 means uncapped
 
-	lastOutMask []uint8 // 1 where the unit was in the linear region
+	lastOut *tensor.Tensor // Backward reads the linear region off it
 }
 
 // NewReLU constructs an uncapped ReLU.
@@ -39,87 +38,43 @@ func (r *ReLU) MAdds(in []int) int64 { return 0 }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
-	var mask []uint8
+	r.forwardInto(x.Data, out.Data)
 	if training {
-		mask = make([]uint8, len(x.Data))
-	}
-	for i, v := range x.Data {
-		switch {
-		case v <= 0:
-			// out stays 0, mask stays 0
-		case r.Cap > 0 && v >= r.Cap:
-			out.Data[i] = r.Cap
-		default:
-			out.Data[i] = v
-			if training {
-				mask[i] = 1
-			}
-		}
-	}
-	if training {
-		r.lastOutMask = mask
+		r.lastOut = out
 	}
 	return out
 }
 
-// Backward implements Layer.
+// forwardInto writes the activation of x into out (the two may be the
+// same slice): the one loop, run by Forward and by a compiled
+// program's stand-alone ReLU op.
+func (r *ReLU) forwardInto(x, out []float32) {
+	cap := r.Cap
+	for i, v := range x {
+		switch {
+		case v <= 0:
+			out[i] = 0
+		case cap > 0 && v >= cap:
+			out[i] = cap
+		default:
+			out[i] = v
+		}
+	}
+}
+
+// Backward implements Layer. The gradient passes where the output is
+// in the linear region, strictly between 0 and Cap — exactly the inputs
+// Forward copied through, NaN aside.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.lastOutMask == nil {
+	if r.lastOut == nil {
 		panic(fmt.Sprintf("nn: %s Backward without training Forward", r.LayerName))
 	}
 	out := tensor.New(grad.Shape...)
-	for i, m := range r.lastOutMask {
-		if m == 1 {
+	for i, y := range r.lastOut.Data {
+		if 0 < y && (r.Cap <= 0 || y < r.Cap) {
 			out.Data[i] = grad.Data[i]
 		}
 	}
-	r.lastOutMask = nil
-	return out
-}
-
-// Sigmoid is the logistic activation 1/(1+e^-x), used as the output of
-// every binary classifier in the paper.
-type Sigmoid struct {
-	LayerName string
-	lastOut   *tensor.Tensor
-}
-
-// NewSigmoid constructs a sigmoid layer.
-func NewSigmoid(name string) *Sigmoid { return &Sigmoid{LayerName: name} }
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return s.LayerName }
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (s *Sigmoid) OutShape(in []int) []int { return append([]int(nil), in...) }
-
-// MAdds implements Layer.
-func (s *Sigmoid) MAdds(in []int) int64 { return 0 }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	if training {
-		s.lastOut = out
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if s.lastOut == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", s.LayerName))
-	}
-	out := tensor.New(grad.Shape...)
-	for i, y := range s.lastOut.Data {
-		out.Data[i] = grad.Data[i] * y * (1 - y)
-	}
-	s.lastOut = nil
+	r.lastOut = nil
 	return out
 }

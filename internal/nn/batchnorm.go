@@ -80,21 +80,12 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects %d channels, got %d", b.LayerName, b.Channels, c))
 	}
 	out := tensor.New(x.Shape...)
-	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
-	count := n * h * w
-
 	if !training {
-		for ci := 0; ci < c; ci++ {
-			invStd := float32(1 / math.Sqrt(float64(b.RunningVar.Data[ci]+b.Eps)))
-			scale := gamma[ci] * invStd
-			shift := beta[ci] - b.RunningMean.Data[ci]*scale
-			for p := 0; p < count; p++ {
-				off := p*c + ci
-				out.Data[off] = x.Data[off]*scale + shift
-			}
-		}
+		b.inferInto(x.Data, out.Data, make([]float32, 2*c))
 		return out
 	}
+	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
+	count := n * h * w
 
 	mean := make([]float64, c)
 	for p := 0; p < count; p++ {
@@ -135,6 +126,39 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	}
 	b.lastXHat, b.lastStd, b.lastN = xhat, std, count
 	return out
+}
+
+// bnFold writes the inference-time batch-norm fold into scratch (2·C
+// floats): scale = gamma/sqrt(var+eps), shift = beta - mean·scale. The
+// fold is recomputed from the live running statistics on every
+// execution (O(C), negligible next to the convolution it fuses into),
+// which is what keeps frozen programs coherent with ongoing training.
+func bnFold(bn *BatchNorm, scratch []float32) (scale, shift []float32) {
+	c := bn.Channels
+	scale, shift = scratch[:c], scratch[c:2*c]
+	gamma, beta := bn.Gamma.Value.Data, bn.Beta.Value.Data
+	mean, variance := bn.RunningMean.Data, bn.RunningVar.Data
+	for i := 0; i < c; i++ {
+		s := gamma[i] * float32(1/math.Sqrt(float64(variance[i]+bn.Eps)))
+		scale[i] = s
+		shift[i] = beta[i] - mean[i]*s
+	}
+	return scale, shift
+}
+
+// inferInto writes the inference-mode normalization of x into out,
+// out[i] = x[i]·scale[i%C] + shift[i%C] with the bnFold of scratch: the
+// one loop, run by Forward(x, false) and by a compiled program's
+// stand-alone batch-norm op.
+func (b *BatchNorm) inferInto(x, out, scratch []float32) {
+	scale, shift := bnFold(b, scratch)
+	c := b.Channels
+	for px := 0; px+c <= len(x); px += c {
+		src, dst := x[px:px+c], out[px:px+c]
+		for ci, v := range src {
+			dst[ci] = float32(v*scale[ci]) + shift[ci]
+		}
+	}
 }
 
 // Backward implements Layer using the standard batch-norm gradient.

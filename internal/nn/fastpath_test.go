@@ -86,59 +86,96 @@ func TestDenseFastMatchesReference(t *testing.T) {
 	}
 }
 
-// buildFusedNet assembles a conv+bn+relu / depthwise / dense stack that
-// exercises every fusion the compiler performs, with non-trivial
-// batch-norm running statistics.
-func buildFusedNet(t *testing.T) (*Network, *tensor.Tensor) {
+// sameBits fails unless got and want have one shape and the same
+// float32 bit patterns.
+func sameBits(t *testing.T, who string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v vs %v", who, got.Shape, want.Shape)
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: [%d] program %v, network %v", who, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// fusedHeads name the tails buildFusedNet closes its trunk with;
+// between them the three nets reach every operator a program runs.
+var fusedHeads = []string{"flatten-dense", "global-avg", "global-max"}
+
+// buildFusedNet assembles a stack that exercises every fusion the
+// compiler performs and every stand-alone op, with non-trivial
+// batch-norm running statistics: conv+BN+ReLU, a stride-1 (row-vectorized)
+// depthwise+BN+ReLU, a pointwise conv+ReLU, a stride-2 depthwise+BN,
+// max-pool, then a stand-alone ReLU, batch-norm and ReLU6, and one of
+// the fusedHeads: flatten, dense+ReLU6 and dense; global average pool
+// and dense; or a 1×1 conv to one logit and a global max.
+func buildFusedNet(t *testing.T, head string) (*Network, *tensor.Tensor) {
 	t.Helper()
 	g := tensor.NewRNG(6)
-	net := NewNetwork("fused")
+	bn := func(name string, c int) *BatchNorm {
+		b := NewBatchNorm(name, c)
+		g.FillNormal(b.Gamma.Value, 1, 0.2)
+		g.FillNormal(b.Beta.Value, 0, 0.2)
+		g.FillNormal(b.RunningMean, 0, 0.3)
+		g.FillUniform(b.RunningVar, 0.5, 1.5)
+		return b
+	}
 	conv := NewConv2D("conv1", 3, 8, 3, 2, Same, g)
 	g.FillNormal(conv.B.Value, 0, 0.5)
-	bn1 := NewBatchNorm("conv1/bn", 8)
-	g.FillNormal(bn1.Gamma.Value, 1, 0.2)
-	g.FillNormal(bn1.Beta.Value, 0, 0.2)
-	g.FillNormal(bn1.RunningMean, 0, 0.3)
-	bn1.RunningVar.Fill(1.3)
-	dw := NewDepthwiseConv2D("conv2/dw", 8, 3, 1, Same, g)
-	bn2 := NewBatchNorm("conv2/bn", 8)
-	g.FillNormal(bn2.Beta.Value, 0, 0.1)
-	bn2.RunningVar.Fill(0.8)
-	net.Add(conv).Add(bn1).Add(NewReLU("conv1/relu")).
-		Add(dw).Add(bn2).Add(NewReLU("conv2/relu")).
-		Add(NewConv2D("conv3/sep", 8, 16, 1, 1, Same, g)).
-		Add(NewReLU("conv3/relu")).
+	net := NewNetwork("fused-" + head)
+	net.Add(conv).Add(bn("conv1/bn", 8)).Add(NewReLU("conv1/relu")).
+		Add(NewDepthwiseConv2D("conv2/dw", 8, 3, 1, Same, g)).Add(bn("conv2/bn", 8)).Add(NewReLU("conv2/relu")).
+		Add(NewConv2D("conv3/sep", 8, 16, 1, 1, Same, g)).Add(NewReLU("conv3/relu")).
+		Add(NewDepthwiseConv2D("conv4/dw", 16, 3, 2, Same, g)).Add(bn("conv4/bn", 16)).
 		Add(NewMaxPool2D("pool", 2, 2, Same)).
-		Add(NewFlatten("flatten")).
-		Add(NewDense("fc1", 16*3*4, 10, g)).
-		Add(NewReLU6("fc1/relu6")).
-		Add(NewDense("fc2", 10, 1, g)).
-		Add(NewSigmoid("out"))
+		Add(NewReLU("pool/relu")).Add(bn("pool/bn", 16)).Add(NewReLU6("pool/relu6"))
+	switch head {
+	case "flatten-dense":
+		net.Add(NewFlatten("flatten")).
+			Add(NewDense("fc1", 2*2*16, 10, g)).Add(NewReLU6("fc1/relu6")).
+			Add(NewDense("fc2", 10, 1, g))
+	case "global-avg":
+		net.Add(NewGlobalAvgPool("gap")).Add(NewDense("fc", 16, 1, g))
+	case "global-max":
+		net.Add(NewConv2D("logits", 16, 1, 1, 1, Same, g)).Add(NewGlobalMax("gmax"))
+	default:
+		t.Fatalf("unknown head %q", head)
+	}
 	x := tensor.New(1, 9, 13, 3)
-	g.FillNormal(x, 0, 1)
+	g.FillNormal(x, 0, 4) // wide enough that both ReLU6s clip
 	return net, x
 }
 
-// TestProgramMatchesNetwork pins the frozen, fused program against the
-// layer-by-layer inference pass, including the batch-norm fold and the
-// intermediate tap outputs.
+// TestProgramMatchesNetwork pins the frozen, fused program to the
+// layer-by-layer inference pass bit for bit, the batch-norm fold
+// included: the final output and the output of every op (a fused
+// group's last layer). Both engines run each operator through the same
+// loop, so there is nothing to tolerate.
 func TestProgramMatchesNetwork(t *testing.T) {
-	net, x := buildFusedNet(t)
-	prog, err := Compile(net, x.Shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := prog.NewWorkspace()
-
-	want, wantTaps := net.ForwardTaps(x.Clone(), false, "conv1/relu", "conv2/relu", "conv3/relu", "out")
-	got := prog.Run(ws, x)
-	close5(t, "final", got, want, 1e-5)
-	for tap, w := range wantTaps {
-		idx, ok := prog.OpIndex(tap)
-		if !ok {
-			t.Fatalf("program has no tap %q", tap)
-		}
-		close5(t, tap, prog.Output(ws, idx), w, 1e-5)
+	for _, head := range fusedHeads {
+		t.Run(head, func(t *testing.T) {
+			net, x := buildFusedNet(t, head)
+			prog, err := Compile(net, x.Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := prog.NewWorkspace()
+			names := net.LayerNames()
+			want, wantTaps := net.ForwardTaps(x.Clone(), false, names...)
+			sameBits(t, "final", prog.Run(ws, x), want)
+			ops := map[int]bool{}
+			for _, name := range names {
+				if idx, ok := prog.OpIndex(name); ok {
+					sameBits(t, name, prog.Output(ws, idx), wantTaps[name])
+					ops[idx] = true
+				}
+			}
+			if len(ops) != len(prog.ops) {
+				t.Fatalf("compared %d of %d ops", len(ops), len(prog.ops))
+			}
+		})
 	}
 }
 
@@ -147,7 +184,7 @@ func TestProgramMatchesNetwork(t *testing.T) {
 // program has run must change its output without recompilation (the
 // property that makes interleaved training and frozen inference safe).
 func TestProgramTracksLiveWeights(t *testing.T) {
-	net, x := buildFusedNet(t)
+	net, x := buildFusedNet(t, "flatten-dense")
 	prog, err := Compile(net, x.Shape)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +199,7 @@ func TestProgramTracksLiveWeights(t *testing.T) {
 		p.Touch() // the contract for raw Value.Data writes
 	}
 	after := prog.Run(ws, x)
-	close5(t, "live-weights", after, net.Forward(x.Clone(), false), 1e-5)
+	sameBits(t, "live-weights", after, net.Forward(x.Clone(), false))
 	same := true
 	for i := range before.Data {
 		if before.Data[i] != after.Data[i] {
@@ -179,7 +216,7 @@ func TestProgramTracksLiveWeights(t *testing.T) {
 // program at zero heap allocations per frame — and the run that
 // repacks after a weight update too: repacking is in place.
 func TestProgramZeroAlloc(t *testing.T) {
-	net, x := buildFusedNet(t)
+	net, x := buildFusedNet(t, "flatten-dense")
 	prog, err := Compile(net, x.Shape)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +242,7 @@ func TestProgramZeroAlloc(t *testing.T) {
 // both race to repack. Run under -race; the outputs must equal the
 // layer-by-layer pass bit for bit on every iteration.
 func TestProgramConcurrentWorkspaces(t *testing.T) {
-	net, x := buildFusedNet(t)
+	net, x := buildFusedNet(t, "flatten-dense")
 	prog, err := Compile(net, x.Shape)
 	if err != nil {
 		t.Fatal(err)
@@ -239,16 +276,16 @@ func TestProgramConcurrentWorkspaces(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		close5(t, "concurrent", want, net.Forward(x.Clone(), false), 1e-5)
+		sameBits(t, "concurrent", want, net.Forward(x.Clone(), false))
 	}
 }
 
 // TestFrozenInferenceDoesNotContaminateTraining is the satellite
 // regression: running fused inference between a training forward and
-// its backward must not disturb activation caches, ReLU masks,
+// its backward must not disturb activation caches, pooling argmaxes,
 // batch-norm running statistics, or the resulting gradients.
 func TestFrozenInferenceDoesNotContaminateTraining(t *testing.T) {
-	build := func() (*Network, *tensor.Tensor) { return buildFusedNet(t) }
+	build := func() (*Network, *tensor.Tensor) { return buildFusedNet(t, "flatten-dense") }
 
 	// Gradients without any interleaved inference.
 	netA, x := build()

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -123,21 +124,37 @@ func TestGlobalMaxFindsAnyLocation(t *testing.T) {
 	}
 }
 
-func TestSigmoidRange(t *testing.T) {
-	s := NewSigmoid("s")
-	x := tensor.FromSlice([]float32{-100, 0, 100}, 3)
-	out := s.Forward(x, false)
-	if out.Data[0] > 1e-6 || out.Data[1] != 0.5 || out.Data[2] < 1-1e-6 {
-		t.Fatalf("sigmoid = %v", out.Data)
-	}
-}
-
 func TestReLU6Caps(t *testing.T) {
 	r := NewReLU6("r")
 	x := tensor.FromSlice([]float32{-3, 3, 9}, 3)
 	out := r.Forward(x, false)
 	if out.Data[0] != 0 || out.Data[1] != 3 || out.Data[2] != 6 {
 		t.Fatalf("relu6 = %v", out.Data)
+	}
+}
+
+// TestReLUBackwardMask pins the gradient mask Backward reads off the
+// cached output at the kinks, where finite differences cannot: the
+// gradient passes only where Forward copied the input through.
+func TestReLUBackwardMask(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	x := []float32{-1, negZero, 0, 1e-30, 0.5, 5.999, 6, 7}
+	for _, tc := range []struct {
+		r    *ReLU
+		pass []bool
+	}{
+		{NewReLU("r"), []bool{false, false, false, true, true, true, true, true}},
+		{NewReLU6("r6"), []bool{false, false, false, true, true, true, false, false}},
+	} {
+		tc.r.Forward(tensor.FromSlice(append([]float32(nil), x...), len(x)), true)
+		grad := tensor.New(len(x))
+		grad.Fill(1)
+		gin := tc.r.Backward(grad)
+		for i, want := range tc.pass {
+			if got := gin.Data[i] == 1; got != want {
+				t.Errorf("%s: x=%v passes gradient %v, want %v", tc.r.LayerName, x[i], got, want)
+			}
+		}
 	}
 }
 
@@ -216,7 +233,7 @@ func TestNetworkDuplicateNamePanics(t *testing.T) {
 			t.Fatal("duplicate layer name did not panic")
 		}
 	}()
-	net.Add(NewSigmoid("a"))
+	net.Add(NewReLU6("a"))
 	_ = g
 }
 

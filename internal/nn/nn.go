@@ -186,15 +186,6 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// NumParams returns the total learnable parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += p.Value.Len()
-	}
-	return total
-}
-
 // OutShape maps an input shape through every layer.
 func (n *Network) OutShape(in []int) []int {
 	for _, l := range n.layers {

@@ -44,14 +44,24 @@ func (m *MaxPool2D) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	n, h, w, c := checkRank4(m.LayerName, x.Shape)
-	oh, padY := outDim(h, m.Kernel, m.Stride, m.Pad)
-	ow, padX := outDim(w, m.Kernel, m.Stride, m.Pad)
-	out := tensor.New(n, oh, ow, c)
+	out := tensor.New(m.OutShape(x.Shape)...)
 	var arg []int32
 	if training {
 		arg = make([]int32, out.Len())
+		m.lastArg, m.lastShape = arg, append([]int(nil), x.Shape...)
 	}
+	m.forwardInto(x, out, arg)
+	return out
+}
+
+// forwardInto writes the window maxima of x into out: the one pooling
+// loop, run by Forward and by compiled programs. A non-nil arg also
+// receives the flat input offset of each maximum, where Backward routes
+// its gradient; programs pass nil.
+func (m *MaxPool2D) forwardInto(x, out *tensor.Tensor, arg []int32) {
+	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, padY := outDim(h, m.Kernel, m.Stride, m.Pad)
+	ow, padX := outDim(w, m.Kernel, m.Stride, m.Pad)
 	k, s := m.Kernel, m.Stride
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
@@ -60,7 +70,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 				for ci := 0; ci < c; ci++ {
 					first := true
 					var best float32
-					var bestOff int32
+					var at int
 					for ky := 0; ky < k; ky++ {
 						iy := oy*s - padY + ky
 						if iy < 0 || iy >= h {
@@ -72,25 +82,19 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 								continue
 							}
 							off := ((b*h+iy)*w+ix)*c + ci
-							v := x.Data[off]
-							if first || v > best {
-								best, bestOff, first = v, int32(off), false
+							if v := x.Data[off]; first || v > best {
+								best, at, first = v, off, false
 							}
 						}
 					}
 					out.Data[dst+ci] = best
-					if training {
-						arg[dst+ci] = bestOff
+					if arg != nil {
+						arg[dst+ci] = int32(at)
 					}
 				}
 			}
 		}
 	}
-	if training {
-		m.lastArg = arg
-		m.lastShape = append([]int(nil), x.Shape...)
-	}
-	return out
 }
 
 // Backward implements Layer.
@@ -103,141 +107,6 @@ func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		gin.Data[off] += grad.Data[i]
 	}
 	m.lastArg, m.lastShape = nil, nil
-	return gin
-}
-
-// AvgPool2D averages over K×K windows (counting only in-bounds taps).
-type AvgPool2D struct {
-	LayerName string
-	Kernel    int
-	Stride    int
-	Pad       Padding
-
-	lastShape []int
-}
-
-// NewAvgPool2D constructs an average-pooling layer.
-func NewAvgPool2D(name string, kernel, stride int, pad Padding) *AvgPool2D {
-	if kernel <= 0 || stride <= 0 {
-		panic(fmt.Sprintf("nn: bad AvgPool2D params kernel=%d stride=%d", kernel, stride))
-	}
-	return &AvgPool2D{LayerName: name, Kernel: kernel, Stride: stride, Pad: pad}
-}
-
-// Name implements Layer.
-func (a *AvgPool2D) Name() string { return a.LayerName }
-
-// Params implements Layer.
-func (a *AvgPool2D) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (a *AvgPool2D) OutShape(in []int) []int {
-	n, h, w, c := checkRank4(a.LayerName, in)
-	oh, _ := outDim(h, a.Kernel, a.Stride, a.Pad)
-	ow, _ := outDim(w, a.Kernel, a.Stride, a.Pad)
-	return []int{n, oh, ow, c}
-}
-
-// MAdds implements Layer.
-func (a *AvgPool2D) MAdds(in []int) int64 { return 0 }
-
-func (a *AvgPool2D) windows(x []int) (n, h, w, c, oh, ow, padY, padX int) {
-	n, h, w, c = checkRank4(a.LayerName, x)
-	oh, padY = outDim(h, a.Kernel, a.Stride, a.Pad)
-	ow, padX = outDim(w, a.Kernel, a.Stride, a.Pad)
-	return
-}
-
-// Forward implements Layer.
-func (a *AvgPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	n, h, w, c, oh, ow, padY, padX := a.windows(x.Shape)
-	out := tensor.New(n, oh, ow, c)
-	k, s := a.Kernel, a.Stride
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				dst := ((b*oh+oy)*ow + ox) * c
-				count := 0
-				for ky := 0; ky < k; ky++ {
-					iy := oy*s - padY + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < k; kx++ {
-						ix := ox*s - padX + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						count++
-						src := ((b*h+iy)*w + ix) * c
-						for ci := 0; ci < c; ci++ {
-							out.Data[dst+ci] += x.Data[src+ci]
-						}
-					}
-				}
-				if count > 0 {
-					inv := 1 / float32(count)
-					for ci := 0; ci < c; ci++ {
-						out.Data[dst+ci] *= inv
-					}
-				}
-			}
-		}
-	}
-	if training {
-		a.lastShape = append([]int(nil), x.Shape...)
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (a *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if a.lastShape == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", a.LayerName))
-	}
-	n, h, w, c, oh, ow, padY, padX := a.windows(a.lastShape)
-	gin := tensor.New(a.lastShape...)
-	k, s := a.Kernel, a.Stride
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				gsrc := ((b*oh+oy)*ow + ox) * c
-				count := 0
-				for ky := 0; ky < k; ky++ {
-					iy := oy*s - padY + ky
-					if iy >= 0 && iy < h {
-						for kx := 0; kx < k; kx++ {
-							ix := ox*s - padX + kx
-							if ix >= 0 && ix < w {
-								count++
-							}
-						}
-					}
-				}
-				if count == 0 {
-					continue
-				}
-				inv := 1 / float32(count)
-				for ky := 0; ky < k; ky++ {
-					iy := oy*s - padY + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < k; kx++ {
-						ix := ox*s - padX + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						dst := ((b*h+iy)*w + ix) * c
-						for ci := 0; ci < c; ci++ {
-							gin.Data[dst+ci] += grad.Data[gsrc+ci] * inv
-						}
-					}
-				}
-			}
-		}
-	}
-	a.lastShape = nil
 	return gin
 }
 
@@ -269,11 +138,22 @@ func (g *GlobalAvgPool) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	n, h, w, c := checkRank4(g.LayerName, x.Shape)
-	out := tensor.New(n, c)
+	out := tensor.New(g.OutShape(x.Shape)...)
+	g.forwardInto(x, out)
+	if training {
+		g.lastShape = append([]int(nil), x.Shape...)
+	}
+	return out
+}
+
+// forwardInto writes the spatial mean of x into out: the one loop, run
+// by Forward and by compiled programs.
+func (g *GlobalAvgPool) forwardInto(x, out *tensor.Tensor) {
+	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	inv := 1 / float32(h*w)
 	for b := 0; b < n; b++ {
 		acc := out.Data[b*c : (b+1)*c]
+		clear(acc)
 		for p := 0; p < h*w; p++ {
 			src := (b*h*w + p) * c
 			for ci := 0; ci < c; ci++ {
@@ -284,10 +164,6 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, training bool) *tensor.Tensor 
 			acc[ci] *= inv
 		}
 	}
-	if training {
-		g.lastShape = append([]int(nil), x.Shape...)
-	}
-	return out
 }
 
 // Backward implements Layer.
@@ -341,33 +217,37 @@ func (g *GlobalMax) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
 func (g *GlobalMax) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	n, h, w, c := checkRank4(g.LayerName, x.Shape)
-	out := tensor.New(n, c)
+	out := tensor.New(g.OutShape(x.Shape)...)
 	var arg []int32
 	if training {
-		arg = make([]int32, n*c)
+		arg = make([]int32, out.Len())
+		g.lastArg, g.lastShape = arg, append([]int(nil), x.Shape...)
 	}
+	g.forwardInto(x, out, arg)
+	return out
+}
+
+// forwardInto writes the spatial maximum of x into out: the one loop,
+// run by Forward and by compiled programs. A non-nil arg also receives
+// the flat input offset of each maximum, for Backward; programs pass
+// nil.
+func (g *GlobalMax) forwardInto(x, out *tensor.Tensor, arg []int32) {
+	n, hw, c := x.Shape[0], x.Shape[1]*x.Shape[2], x.Shape[3]
 	for b := 0; b < n; b++ {
 		for ci := 0; ci < c; ci++ {
-			best := x.Data[(b*h*w)*c+ci]
-			bestOff := int32((b*h*w)*c + ci)
-			for p := 1; p < h*w; p++ {
-				off := (b*h*w+p)*c + ci
-				if x.Data[off] > best {
-					best, bestOff = x.Data[off], int32(off)
+			at := b*hw*c + ci
+			best := x.Data[at]
+			for off := at + c; off < (b+1)*hw*c; off += c {
+				if v := x.Data[off]; v > best {
+					best, at = v, off
 				}
 			}
 			out.Data[b*c+ci] = best
-			if training {
-				arg[b*c+ci] = bestOff
+			if arg != nil {
+				arg[b*c+ci] = int32(at)
 			}
 		}
 	}
-	if training {
-		g.lastArg = arg
-		g.lastShape = append([]int(nil), x.Shape...)
-	}
-	return out
 }
 
 // Backward implements Layer.

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +14,9 @@ import (
 // the folded scale/shift and activation in the write-back), every
 // intermediate shape is resolved at compile time, and execution writes
 // into a Workspace's preallocated slot buffers so the steady state
-// performs zero heap allocations.
+// performs zero heap allocations. Every other layer runs as its own op
+// through the same inference loop its Forward uses, so the two engines
+// share one kernel per operator.
 //
 // Programs never serve stale weights. The weight matrix of every GEMM
 // op (and the row-tiled taps of the vectorized depthwise kernel) is
@@ -24,10 +25,11 @@ import (
 // compares the copy's stamp with the Param's version and repacks, in
 // place, only when the Param was Touched since (see Param). Everything
 // else — biases, batch-norm parameters and running statistics, the
-// weights of ops too small to be worth packing — is read live at
-// execution time. So training a network and running its compiled
-// program interleave safely, and the program never touches training
-// state (activation caches, ReLU masks, batch-norm batch statistics).
+// weights of a strided depthwise op (its kernel reads them in place) —
+// is read live at execution time. So training a network and running
+// its compiled program interleave safely, and the program never touches
+// training state (activation caches, pooling argmaxes, batch-norm batch
+// statistics).
 //
 // A Program's structure is immutable after Compile and it is safe to
 // share across goroutines; each concurrent executor needs its own
@@ -94,10 +96,8 @@ const (
 	opBatchNorm
 	opReLU
 	opMaxPool
-	opAvgPool
 	opGlobalAvgPool
 	opGlobalMax
-	opSigmoid
 	opView // shape-only (Flatten): output slot aliases the input slot
 )
 
@@ -120,7 +120,6 @@ type progOp struct {
 	bn    *BatchNorm
 	act   *ReLU
 	mp    *MaxPool2D
-	avg   *AvgPool2D
 	gap   *GlobalAvgPool
 	gmax  *GlobalMax
 
@@ -240,10 +239,6 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 		case *BatchNorm:
 			op := progOp{kind: opBatchNorm, bn: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
-			if r, ok := fuseReLU(layers, i+consumed); ok {
-				op.act, op.name = r, r.LayerName
-				consumed++
-			}
 			needScratch(t.Channels)
 			op.out = addSlot(shape, -1)
 			emit(op)
@@ -260,12 +255,6 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
-		case *AvgPool2D:
-			op := progOp{kind: opAvgPool, avg: t, in: cur, name: t.LayerName}
-			shape = t.OutShape(shape)
-			op.out = addSlot(shape, -1)
-			emit(op)
-
 		case *GlobalAvgPool:
 			op := progOp{kind: opGlobalAvgPool, gap: t, in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
@@ -278,12 +267,6 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
-		case *Sigmoid:
-			op := progOp{kind: opSigmoid, in: cur, name: t.LayerName}
-			shape = t.OutShape(shape)
-			op.out = addSlot(shape, -1)
-			emit(op)
-
 		case *Flatten:
 			if cur < 0 {
 				return nil, fmt.Errorf("nn: compile %q: %s cannot be the first layer", name, t.LayerName)
@@ -292,13 +275,6 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			shape = t.OutShape(shape)
 			op.out = addSlot(shape, cur)
 			emit(op)
-
-		case *Dropout:
-			// Inference identity: alias the name to the current op.
-			if cur < 0 {
-				return nil, fmt.Errorf("nn: compile %q: %s cannot be the first layer", name, t.LayerName)
-			}
-			p.byName[t.LayerName] = len(p.ops) - 1
 
 		default:
 			return nil, fmt.Errorf("nn: compile %q: unsupported layer %T (%s)", name, l, l.Name())
@@ -332,9 +308,6 @@ func fuseReLU(layers []Layer, i int) (*ReLU, bool) {
 // Name returns the program's name.
 func (p *Program) Name() string { return p.name }
 
-// InShape returns the input shape the program was compiled for.
-func (p *Program) InShape() []int { return append([]int(nil), p.inShape...) }
-
 // OpIndex resolves a layer name to the index of the op that produces
 // that layer's output (fused groups are addressed by their last
 // layer). It reports false for names whose intermediate value does not
@@ -343,9 +316,6 @@ func (p *Program) OpIndex(layerName string) (int, bool) {
 	i, ok := p.byName[layerName]
 	return i, ok
 }
-
-// NumOps returns the op count; RunTo accepts indices in [0, NumOps).
-func (p *Program) NumOps() int { return len(p.ops) }
 
 // NewWorkspace allocates the arena a single executor needs: one buffer
 // per op output plus the A-panel scratch, all sized at compile time
@@ -421,24 +391,6 @@ func (p *Program) Output(ws *Workspace, opIdx int) *tensor.Tensor {
 	return ws.bufs[p.ops[opIdx].out]
 }
 
-// bnFold writes the inference-time batch-norm fold into the workspace
-// scratch: scale = gamma/sqrt(var+eps), shift = beta - mean·scale. The
-// fold is recomputed from the live running statistics on every
-// execution (O(C), negligible next to the convolution it fuses into),
-// which is what keeps frozen programs coherent with ongoing training.
-func bnFold(bn *BatchNorm, scratch []float32) (scale, shift []float32) {
-	c := bn.Channels
-	scale, shift = scratch[:c], scratch[c:2*c]
-	gamma, beta := bn.Gamma.Value.Data, bn.Beta.Value.Data
-	mean, variance := bn.RunningMean.Data, bn.RunningVar.Data
-	for i := 0; i < c; i++ {
-		s := gamma[i] * float32(1/math.Sqrt(float64(variance[i]+bn.Eps)))
-		scale[i] = s
-		shift[i] = beta[i] - mean[i]*s
-	}
-	return scale, shift
-}
-
 func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 	switch op.kind {
 	case opConv:
@@ -489,179 +441,21 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		tensor.GemmPacked(op.batch, d.Out, d.In, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
 
 	case opBatchNorm:
-		scale, shift := bnFold(op.bn, ws.scratch)
-		c := op.bn.Channels
-		relu := op.act != nil
-		var cap float32
-		if relu {
-			cap = op.act.Cap
-		}
-		for px := 0; px+c <= len(in.Data); px += c {
-			src, dst := in.Data[px:px+c], out.Data[px:px+c]
-			for ci, v := range src {
-				v = float32(v*scale[ci]) + shift[ci]
-				if relu {
-					if v < 0 {
-						v = 0
-					} else if cap > 0 && v > cap {
-						v = cap
-					}
-				}
-				dst[ci] = v
-			}
-		}
+		op.bn.inferInto(in.Data, out.Data, ws.scratch)
 
 	case opReLU:
-		cap := op.act.Cap
-		for i, v := range in.Data {
-			switch {
-			case v <= 0:
-				out.Data[i] = 0
-			case cap > 0 && v >= cap:
-				out.Data[i] = cap
-			default:
-				out.Data[i] = v
-			}
-		}
+		op.act.forwardInto(in.Data, out.Data)
 
 	case opMaxPool:
-		maxPoolInto(op.mp, in, out)
-
-	case opAvgPool:
-		avgPoolInto(op.avg, in, out)
+		op.mp.forwardInto(in, out, nil)
 
 	case opGlobalAvgPool:
-		globalAvgPoolInto(in, out)
+		op.gap.forwardInto(in, out)
 
 	case opGlobalMax:
-		globalMaxInto(in, out)
-
-	case opSigmoid:
-		for i, v := range in.Data {
-			out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-		}
+		op.gmax.forwardInto(in, out, nil)
 
 	case opView:
 		// Output aliases input storage; nothing to compute.
-	}
-}
-
-// maxPoolInto is MaxPool2D.Forward without training state or
-// allocation.
-func maxPoolInto(m *MaxPool2D, x, out *tensor.Tensor) {
-	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, padY := outDim(h, m.Kernel, m.Stride, m.Pad)
-	ow, padX := outDim(w, m.Kernel, m.Stride, m.Pad)
-	k, s := m.Kernel, m.Stride
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				dst := ((b*oh+oy)*ow + ox) * c
-				for ci := 0; ci < c; ci++ {
-					first := true
-					var best float32
-					for ky := 0; ky < k; ky++ {
-						iy := oy*s - padY + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*s - padX + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							v := x.Data[((b*h+iy)*w+ix)*c+ci]
-							if first || v > best {
-								best, first = v, false
-							}
-						}
-					}
-					out.Data[dst+ci] = best
-				}
-			}
-		}
-	}
-}
-
-// avgPoolInto is AvgPool2D.Forward without training state or
-// allocation.
-func avgPoolInto(a *AvgPool2D, x, out *tensor.Tensor) {
-	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, padY := outDim(h, a.Kernel, a.Stride, a.Pad)
-	ow, padX := outDim(w, a.Kernel, a.Stride, a.Pad)
-	k, s := a.Kernel, a.Stride
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				dst := ((b*oh+oy)*ow + ox) * c
-				row := out.Data[dst : dst+c]
-				for i := range row {
-					row[i] = 0
-				}
-				count := 0
-				for ky := 0; ky < k; ky++ {
-					iy := oy*s - padY + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < k; kx++ {
-						ix := ox*s - padX + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						count++
-						src := ((b*h+iy)*w + ix) * c
-						for ci := 0; ci < c; ci++ {
-							row[ci] += x.Data[src+ci]
-						}
-					}
-				}
-				if count > 0 {
-					inv := 1 / float32(count)
-					for ci := range row {
-						row[ci] *= inv
-					}
-				}
-			}
-		}
-	}
-}
-
-// globalAvgPoolInto is GlobalAvgPool.Forward without training state or
-// allocation.
-func globalAvgPoolInto(x, out *tensor.Tensor) {
-	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	inv := 1 / float32(h*w)
-	for b := 0; b < n; b++ {
-		acc := out.Data[b*c : (b+1)*c]
-		for i := range acc {
-			acc[i] = 0
-		}
-		for p := 0; p < h*w; p++ {
-			src := (b*h*w + p) * c
-			for ci := 0; ci < c; ci++ {
-				acc[ci] += x.Data[src+ci]
-			}
-		}
-		for ci := range acc {
-			acc[ci] *= inv
-		}
-	}
-}
-
-// globalMaxInto is GlobalMax.Forward without training state or
-// allocation.
-func globalMaxInto(x, out *tensor.Tensor) {
-	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	for b := 0; b < n; b++ {
-		for ci := 0; ci < c; ci++ {
-			best := x.Data[(b*h*w)*c+ci]
-			for p := 1; p < h*w; p++ {
-				if v := x.Data[(b*h*w+p)*c+ci]; v > best {
-					best = v
-				}
-			}
-			out.Data[b*c+ci] = best
-		}
 	}
 }

@@ -4,38 +4,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file retains the original direct-loop forward kernels as
-// reference implementations. The production Forward passes run on the
-// im2col+GEMM fast path (see fastpath.go); these are kept for the
-// equivalence tests that pin the fast path to the simple definition of
-// each operator, and as readable documentation of the math.
+// This file keeps the original direct-loop forward kernels of the
+// layers the fast path rewrites (Conv2D, DepthwiseConv2D, Dense) as the
+// oracle the fast path is tested against, and as readable documentation
+// of the math. Nothing outside the tests calls them.
 //
 // One deliberate change from the historical kernels: the inner loops
 // used to skip zero activations (`if xv == 0 { continue }`). That made
 // throughput a function of activation sparsity — post-ReLU feature
 // maps are roughly half zeros, so the Figure 5/6 numbers depended on
 // the data flowing through the network rather than on its
-// multiply-add cost. The reference kernels now do the full dense work,
+// multiply-add cost. The reference kernels do the full dense work,
 // matching the cost model the paper's throughput analysis assumes.
-
-// ReferenceForward computes the layer's inference-mode forward pass
-// with the naive reference kernel for the layer types the fast path
-// rewrites (Conv2D, DepthwiseConv2D, Dense). Other layer types fall
-// back to their regular Forward in inference mode. It never mutates
-// layer state and is intended for equivalence tests and benchmark
-// baselines.
-func ReferenceForward(l Layer, x *tensor.Tensor) *tensor.Tensor {
-	switch t := l.(type) {
-	case *Conv2D:
-		return t.forwardReference(x)
-	case *DepthwiseConv2D:
-		return t.forwardReference(x)
-	case *Dense:
-		return t.forwardReference(x)
-	default:
-		return l.Forward(x, false)
-	}
-}
 
 // forwardReference is the naive direct convolution.
 func (c *Conv2D) forwardReference(x *tensor.Tensor) *tensor.Tensor {

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // savedParam is the on-disk form of one parameter tensor.
@@ -66,27 +65,4 @@ func LoadParams(r io.Reader, net *Network) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile saves net's parameters to path.
-func SaveFile(path string, net *Network) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveParams(f, net); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile restores net's parameters from path.
-func LoadFile(path string, net *Network) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadParams(f, net)
 }

@@ -201,22 +201,29 @@ func GemmPanels(m, n, k int, ap, bp, c []float32, ep *Epilogue) {
 		ep.Apply(c2, 0)
 		ep.Apply(c3, 0)
 	}
-	if i0 == m {
-		return
+	if i0 < m {
+		gemmRaggedBlock(gemmMR, m, n, k, i0, ap, bp, c, ep)
 	}
-	// Ragged last panel: each 4×8 tile goes to the stack and only the
-	// live rows (and, in the zero-padded last B panel, the live
-	// columns) are copied out. Same kernel, same k order as above.
-	panel := ap[i0*k : (i0+gemmMR)*k]
-	var tile [gemmMR][gemmNR]float32
+}
+
+// gemmRaggedBlock finishes rows [i0, m) of C, fewer than the h (4 or
+// 8) rows of the panel block that starts at i0: each h×8 tile goes to
+// the stack and only the live rows (and, in the zero-padded last B
+// panel, the live columns) are copied out, then the epilogue runs over
+// each live row. Same kernels, same k order as a full block.
+func gemmRaggedBlock(h, m, n, k, i0 int, ap, bp, c []float32, ep *Epilogue) {
+	block := ap[i0*k : (i0+h)*k]
+	var tile [2 * gemmMR * gemmNR]float32
 	for j0 := 0; j0 < n; j0 += gemmNR {
-		kern4x8(k, panel, bp[j0*k:(j0+gemmNR)*k], tile[0][:], tile[1][:], tile[2][:], tile[3][:])
-		w := n - j0
-		if w > gemmNR {
-			w = gemmNR
+		b := bp[j0*k : (j0+gemmNR)*k]
+		if h == gemmMR {
+			kern4x8(k, block, b, tile[:], tile[gemmNR:], tile[2*gemmNR:], tile[3*gemmNR:])
+		} else {
+			kern8x8(k, block, b, tile[:], gemmNR)
 		}
+		w := min(n-j0, gemmNR)
 		for r := 0; i0+r < m; r++ {
-			copy(c[(i0+r)*n+j0:(i0+r)*n+j0+w], tile[r][:w])
+			copy(c[(i0+r)*n+j0:(i0+r)*n+j0+w], tile[r*gemmNR:r*gemmNR+w])
 		}
 	}
 	for i := i0; i < m; i++ {

@@ -105,24 +105,7 @@ func gemmPanelPairs(m, n, k int, ap, bp, c []float32, ep *Epilogue) int {
 	if m-i0 <= gemmMR {
 		return i0
 	}
-	// Ragged pair (5 to 7 live rows): each 8×8 tile goes to the stack
-	// and only the live rows (and, in the zero-padded last B panel, the
-	// live columns) are copied out. Same kernel, same k order as above.
-	pair := ap[i0*k : (i0+pairRows)*k]
-	var tile [pairRows * gemmNR]float32
-	for j0 := 0; j0 < n; j0 += gemmNR {
-		kern8x8(k, pair, bp[j0*k:(j0+gemmNR)*k], tile[:], gemmNR)
-		w := n - j0
-		if w > gemmNR {
-			w = gemmNR
-		}
-		for r := 0; i0+r < m; r++ {
-			copy(c[(i0+r)*n+j0:(i0+r)*n+j0+w], tile[r*gemmNR:r*gemmNR+w])
-		}
-	}
-	for i := i0; i < m; i++ {
-		ep.Apply(c[i*n:(i+1)*n], 0)
-	}
+	gemmRaggedBlock(pairRows, m, n, k, i0, ap, bp, c, ep) // 5 to 7 live rows
 	return m
 }
 

@@ -10,6 +10,14 @@ func Kernel() string { return "generic" }
 // build has none, so no rows are completed.
 func gemmPanelPairs(m, n, k int, ap, bp, c []float32, ep *Epilogue) int { return 0 }
 
+// kern8x8 is the eight-row tile as two 4×8 tiles, row r stored raw at
+// c[r*ldc:]. gemmRaggedBlock names it for a ragged pair, which the
+// portable build never has: it walks no panel pairs.
+func kern8x8(k int, ap, bp, c []float32, ldc int) {
+	kern4x8(k, ap[:gemmMR*k], bp, c, c[ldc:], c[2*ldc:], c[3*ldc:])
+	kern4x8(k, ap[gemmMR*k:], bp, c[4*ldc:], c[5*ldc:], c[6*ldc:], c[7*ldc:])
+}
+
 // kern4x8 is the portable microkernel: one 4×8 tile from packed panels
 // (A interleaved by 4 rows, B by 8 columns), stored raw into the four
 // C rows. Each output element accumulates over p sequentially, with the

@@ -66,13 +66,3 @@ func (g *RNG) FillHe(t *Tensor, fanIn int) {
 	std := float32(math.Sqrt(2.0 / float64(fanIn)))
 	g.FillNormal(t, 0, std)
 }
-
-// FillXavier applies Glorot initialization: U(-a, a) with
-// a = sqrt(6/(fanIn+fanOut)). Used for sigmoid/linear output layers.
-func (g *RNG) FillXavier(t *Tensor, fanIn, fanOut int) {
-	if fanIn+fanOut <= 0 {
-		panic("tensor: FillXavier needs positive fan-in+fan-out")
-	}
-	a := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	g.FillUniform(t, -a, a)
-}

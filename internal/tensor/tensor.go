@@ -10,10 +10,7 @@
 // initialization. Anything layer-specific lives in internal/nn.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense float32 tensor with row-major layout. The last
 // dimension varies fastest. For image data the canonical layout is
@@ -65,9 +62,6 @@ func (t *Tensor) Len() int { return len(t.Data) }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // SameShape reports whether t and u have identical shapes.
 func (t *Tensor) SameShape(u *Tensor) bool {
@@ -139,16 +133,6 @@ func (t *Tensor) Offset(idx ...int) int {
 	return off
 }
 
-// AddInPlace adds u element-wise into t.
-func (t *Tensor) AddInPlace(u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", t.Shape, u.Shape))
-	}
-	for i, v := range u.Data {
-		t.Data[i] += v
-	}
-}
-
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {
@@ -196,15 +180,6 @@ func (t *Tensor) Max() (float32, int) {
 		}
 	}
 	return best, arg
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // String renders a compact description, not the full contents.

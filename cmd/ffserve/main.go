@@ -520,9 +520,9 @@ func printHealthLine(eng *health.Engine, status health.Status) {
 	fmt.Println(line)
 }
 
-// updateShardGauges mirrors per-shard load and heartbeat-cadence
-// stats into ff_fleet_shard_<i>_* gauges, the balance view that shows
-// a hot or empty shard at a glance.
+// updateShardGauges mirrors per-shard load, heartbeat-cadence and
+// compaction stats into ff_fleet_shard_<i>_* gauges, the balance view
+// that shows a hot or empty shard at a glance.
 func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 	o.Reg.Gauge("ff_fleet_shards").Set(int64(len(stats)))
 	for _, s := range stats {
@@ -532,6 +532,8 @@ func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 		o.Reg.ShardGauge(s.Shard, "ledger_bits").Set(s.UploadBits)
 		o.Reg.ShardGauge(s.Shard, "redirects").Set(int64(s.Redirects))
 		o.Reg.ShardGauge(s.Shard, "hb_gap_p95_ns").Set(s.HeartbeatGap.P95)
+		o.Reg.ShardGauge(s.Shard, "snapshots").Set(int64(s.Snapshots))
+		o.Reg.ShardGauge(s.Shard, "snapshot_bytes").Set(s.SnapshotBytes)
 	}
 }
 

@@ -38,6 +38,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// nodeUploads returns the uploads of one application in a node's
+// controller-side ledger, ordered by start frame.
+func nodeUploads(t *testing.T, ctrl *Controller, node, app string) []core.Upload {
+	t.Helper()
+	var ups []core.Upload
+	if err := ctrl.WithNodeDatacenter(node, func(dc *core.Datacenter) { ups = dc.Uploads(app) }); err != nil {
+		t.Fatal(err)
+	}
+	return ups
+}
+
 // trainTestMC trains a small localized MC on the training day and
 // returns its serialized form plus a deployment threshold guaranteed
 // to produce events on the test day.
@@ -225,10 +236,10 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("session received %d uploads, want %d", sess.Received(), len(want))
 	}
 
-	// Uploads are attributed to the session and match the baseline
+	// Uploads are attributed to the node and match the baseline
 	// exactly: same event IDs, frame ranges, and coded bit counts.
 	name := "cam0/fleet-mc"
-	got := sess.Datacenter().Uploads(name)
+	got := nodeUploads(t, ctrl, "edge-1", name)
 	wantSorted := dcBase.Uploads("fleet-mc")
 	if len(got) != len(wantSorted) {
 		t.Fatalf("got %d uploads, want %d", len(got), len(wantSorted))
@@ -351,7 +362,7 @@ func TestLiveDeployUndeployAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "drained uploads", func() bool { return sess.Received() > 0 })
-	ups := sess.Datacenter().Uploads("cam0/live")
+	ups := nodeUploads(t, ctrl, "edge-2", "cam0/live")
 	if len(ups) == 0 || !ups[len(ups)-1].Final {
 		t.Fatalf("undeploy did not drain a final upload: %+v", ups)
 	}
@@ -570,7 +581,7 @@ func TestAgentMatchesSequentialEdge(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The goodbye trails every upload on the wire, so once the
-		// session is done its datacenter is quiescent and safe to read.
+		// session is done the node's ledger holds all of them.
 		if err := agent.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -580,7 +591,7 @@ func TestAgentMatchesSequentialEdge(t *testing.T) {
 			t.Fatal("session did not drain")
 		}
 		for _, key := range keys {
-			got, want := byRecord(sess.Datacenter().Uploads(key)), byRecord(ref.Uploads(key))
+			got, want := byRecord(nodeUploads(t, ctrl, node, key)), byRecord(ref.Uploads(key))
 			if len(want) == 0 {
 				t.Fatalf("%s: reference ledger empty (vacuous)", key)
 			}

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -43,11 +45,6 @@ const (
 	// wrecIntent records one intent change: a deploy (MC set), an
 	// undeploy or rollback (Remove), with the node's post-op generation.
 	wrecIntent uint8 = 1
-	// wrecUpload records one deduplicated sequenced upload — the full
-	// record, not just the high-water mark, so recovery rebuilds the
-	// ledger record for record (a lost acked upload is unrecoverable:
-	// the edge retired it from its resend buffer on the ack).
-	wrecUpload uint8 = 2
 	// wrecSeqReset records a fresh (non-resume) hello zeroing the
 	// node's dedup high-water mark for a new edge incarnation.
 	wrecSeqReset uint8 = 3
@@ -74,11 +71,20 @@ const (
 	// log's directory identity so replay never counts a fold twice even
 	// if the retired directory survives a crash.
 	wrecFold uint8 = 12
-	// Kinds 8 and 9 were the move-in and fold records of the format
-	// that mirrored the state in separate snapshot structs, and kind 10
-	// was an upload over the retired one-way protocol. Reserved: never
-	// reuse the numbers. A log that still holds one fails replay with
-	// the unknown-kind error instead of being half-decoded.
+	// wrecUpload records one deduplicated sequenced upload — the full
+	// record, not just the high-water mark, so recovery rebuilds the
+	// ledger record for record (a lost acked upload is unrecoverable:
+	// the edge retired it from its resend buffer on the ack). It is the
+	// one kind not logged as gob: its payload is the node name, length
+	// prefixed, then the upload in transport.UploadRecord's binary
+	// layout (see uploadRec).
+	wrecUpload uint8 = 13
+	// Kind 2 was the gob-encoded upload record, kinds 8 and 9 the
+	// move-in and fold records of the format that mirrored the state in
+	// separate snapshot structs, and kind 10 an upload over the retired
+	// one-way protocol. Reserved: never reuse the numbers. A log that
+	// still holds one fails replay with the unknown-kind error instead
+	// of being half-decoded.
 )
 
 // record is one typed WAL record: the argument of shardState.apply.
@@ -108,13 +114,15 @@ var newRecord = [...]func() record{
 }
 
 // decodeRecord turns one logged (kind, payload) back into its typed
-// record.
+// record. A record's payload is the one a wire record of the same value
+// would carry (transport.AppendPayload): the binary layout for an
+// upload, gob for every other kind.
 func decodeRecord(kind uint8, payload []byte) (record, error) {
 	if int(kind) >= len(newRecord) || newRecord[kind] == nil {
 		return nil, fmt.Errorf("unknown wal record kind %d", kind)
 	}
 	rec := newRecord[kind]()
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(rec); err != nil {
+	if err := transport.DecodeRecord(payload, rec); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -138,10 +146,31 @@ type intentRec struct {
 	Remove bool
 }
 
-// uploadRec is the wrecUpload payload.
+// uploadRec is the wrecUpload payload, logged as
+//
+//	uvarint len(Node) | Node | Rec in transport.UploadRecord's layout
 type uploadRec struct {
 	Node string
 	Rec  transport.UploadRecord
+}
+
+func (r *uploadRec) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(r.Node)))
+	b = append(b, r.Node...)
+	return r.Rec.AppendBinary(b)
+}
+
+func (r *uploadRec) UnmarshalBinary(data []byte) error {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)-k) {
+		return errors.New("upload record: truncated node name")
+	}
+	var rec transport.UploadRecord
+	if err := rec.UnmarshalBinary(data[k+int(n):]); err != nil {
+		return err
+	}
+	r.Node, r.Rec = string(data[k:k+int(n)]), rec
+	return nil
 }
 
 // seqResetRec is the wrecSeqReset payload.
@@ -277,8 +306,8 @@ func (s *shardState) apply(rec record) {
 		}
 		st.DC.Receive(up)
 		// The aggregate view prefixes the node name so two nodes running
-		// the same application don't collide; the per-node and per-session
-		// datacenters keep the edge's own naming.
+		// the same application don't collide; the per-node datacenter
+		// keeps the edge's own naming.
 		up.MCName = r.Node + "/" + up.MCName
 		s.DC.Receive(up)
 		s.Uploads++
@@ -367,14 +396,13 @@ func encodeGob(vs ...any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// commit is the live half of the state machine: compact if due (once
-// SnapshotEvery records have accumulated since the last snapshot), log
-// the record, apply it. Callers hold sh.mu. It reports whether the
-// record reached the log (always true without a state dir). An append
-// failure is logged and the record still applies — durability is
-// best-effort for every kind but an upload, which is neither applied
-// nor, by acceptUpload, acked: the edge keeps it buffered and
-// retransmits, so an acked upload is always on disk.
+// commit is the live half of the state machine: compact if due (see
+// compactDue), log the record, apply it. Callers hold sh.mu. It reports
+// whether the record reached the log (always true without a state
+// dir). An append failure is logged and the record still applies —
+// durability is best-effort for every kind but an upload, which is
+// neither applied nor, by acceptUpload, acked: the edge keeps it
+// buffered and retransmits, so an acked upload is always on disk.
 //
 // Compaction runs BEFORE the append, never after: at entry every
 // logged record has been applied, so a snapshot taken here captures
@@ -385,12 +413,12 @@ func encodeGob(vs ...any) ([]byte, error) {
 func (sh *shard) commit(rec record) bool {
 	logged := true
 	if sh.wal != nil {
-		if every := sh.c.cfg.SnapshotEvery; every >= 0 && sh.wal.Pending() >= every {
+		if sh.compactDue() {
 			if err := sh.snapshotLocked(); err != nil {
 				sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id, "err", err)
 			}
 		}
-		payload, err := encodeGob(rec)
+		payload, err := transport.AppendPayload(nil, rec)
 		if err == nil {
 			err = sh.wal.Append(rec.kind(), payload)
 		}
@@ -410,6 +438,21 @@ func (sh *shard) commit(rec record) bool {
 	return logged
 }
 
+// compactDue reports whether commit should compact before its append:
+// once at least SnapshotEvery records AND at least as many bytes as the
+// last snapshot have accumulated in the active wal. The byte rule makes
+// every snapshot paid for by an equal volume of log appended after it,
+// so the bytes compaction writes, all but the newest snapshot, total at
+// most the bytes the wal took — linear in the run, where a record count
+// alone rewrites the whole growing state every SnapshotEvery records,
+// quadratic in the run. Recovery then reads the snapshot plus a wal no
+// larger than it (or than SnapshotEvery records): about twice the state.
+// Callers hold sh.mu and a shard with a wal.
+func (sh *shard) compactDue() bool {
+	every := sh.c.cfg.SnapshotEvery
+	return every >= 0 && sh.wal.Pending() >= every && sh.wal.Size() >= sh.wal.SnapshotSize()
+}
+
 // snapshotLocked writes the shard's full state as a snapshot,
 // compacting the wal. Callers hold sh.mu and a shard with a wal.
 func (sh *shard) snapshotLocked() error {
@@ -417,7 +460,11 @@ func (sh *shard) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	return sh.wal.WriteSnapshot(payload)
+	if err := sh.wal.WriteSnapshot(payload); err != nil {
+		return err
+	}
+	sh.snapshots++
+	return nil
 }
 
 // absorb folds a retired shard's aggregate history — ledger totals and

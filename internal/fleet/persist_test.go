@@ -9,8 +9,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/walog"
 )
@@ -143,7 +145,6 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 	up := transport.UploadRecord{MCName: "cam0/mc-1", EventID: 1, Start: 0, End: 4, Bits: 100, Final: true, Seq: 1}
 	recs := []record{
 		&intentRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", MC: []byte{1}, Threshold: 0.5, Version: 1, Gen: 1},
-		&uploadRec{Node: "edge-1", Rec: up},
 		&seqResetRec{Node: "edge-1"},
 		&canaryStartRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", MC: []byte{2}, Threshold: 0.5, Version: 2},
 		&canaryEpochRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", Epoch: 2},
@@ -151,6 +152,7 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 		&driftBaselineRec{Node: "edge-1", Key: "cam0/mc-1", Baseline: sk, Version: 1},
 		&moveInRec{Name: "edge-1", Node: fullState().Nodes["edge-1"]},
 		&foldRec{FromID: 5, Uploads: 1, UploadBits: 900, DC: fullState().DC},
+		&uploadRec{Node: "edge-1", Rec: up},
 	}
 	var kinds []int
 	for _, rec := range recs {
@@ -293,4 +295,85 @@ func readTree(t *testing.T, root string) map[string]string {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// TestCompactionAmortized drives 20k uploads into one durable shard at
+// the default SnapshotEvery and pins what the compaction rule promises.
+// Each snapshot is written only once the wal holds at least as many
+// bytes as the snapshot before it, so every snapshot but the newest is
+// paid for by wal appended after it: the bytes compaction writes total
+// at most the wal bytes appended plus the newest snapshot — linear in
+// the run. A crash then recovers the ledger record for record.
+func TestCompactionAmortized(t *testing.T) {
+	const uploads = 20_000
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ControllerConfig{Timeout: 10 * time.Second, StateDir: t.TempDir()}
+	ctrl, _, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Serve(ln)
+	defer func() { ctrl.Crash() }()
+	edge := dialScripted(t, n, Hello{Node: "edge-1"})
+	sh := ctrl.snapshotShards()[0]
+	walSize := func() int64 {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.wal.Size()
+	}
+
+	// Recovery at open wrote the first snapshot.
+	last := ctrl.ShardStats()[0]
+	if last.Snapshots != 1 || last.SnapshotBytes == 0 {
+		t.Fatalf("open wrote %d snapshots of %d bytes, want 1", last.Snapshots, last.SnapshotBytes)
+	}
+	snapBytes, walBytes := last.SnapshotBytes, int64(0)
+	for seq := uint64(1); seq <= uploads; seq++ {
+		compacted := walSize()
+		edge.upload(seq, 10*int(seq))
+		st := ctrl.ShardStats()[0]
+		if st.Snapshots == last.Snapshots {
+			continue
+		}
+		// The upload's commit compacted before appending it: the wal it
+		// retired held exactly what it held before the upload.
+		if st.Snapshots != last.Snapshots+1 {
+			t.Fatalf("upload %d: snapshot count %d → %d", seq, last.Snapshots, st.Snapshots)
+		}
+		if compacted < last.SnapshotBytes {
+			t.Fatalf("upload %d compacted a %d-byte wal after a %d-byte snapshot", seq, compacted, last.SnapshotBytes)
+		}
+		walBytes += compacted
+		snapBytes += st.SnapshotBytes
+		last = st
+	}
+	walBytes += walSize()
+	if last.Snapshots < 4 {
+		t.Fatalf("%d uploads compacted only %d times: the bound below is vacuous", uploads, last.Snapshots-1)
+	}
+	if snapBytes > walBytes+last.SnapshotBytes {
+		t.Fatalf("snapshots wrote %d bytes; wal appended %d and the newest snapshot is %d", snapBytes, walBytes, last.SnapshotBytes)
+	}
+	t.Logf("%d uploads: %d snapshots wrote %d bytes (newest %d), wal appended %d bytes",
+		uploads, last.Snapshots, snapBytes, last.SnapshotBytes, walBytes)
+
+	before := nodeUploads(t, ctrl, "edge-1", "cam0/mc-1")
+	if len(before) != uploads {
+		t.Fatalf("ledger holds %d uploads, %d were sent", len(before), uploads)
+	}
+	ctrl.Crash()
+	ctrl, stats, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RecordsReplayed == 0 {
+		t.Fatalf("recovery replayed no wal: %+v", stats)
+	}
+	if after := nodeUploads(t, ctrl, "edge-1", "cam0/mc-1"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovered ledger holds %d uploads and differs from the %d before the crash", len(after), len(before))
+	}
 }

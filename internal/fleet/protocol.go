@@ -16,6 +16,9 @@
 package fleet
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -279,6 +282,32 @@ type Heartbeat struct {
 // buffered upload with Seq at or below it; unacked uploads are
 // retransmitted after a reconnect and deduplicated by the receiver,
 // giving exactly-once upload accounting over an at-least-once wire.
+//
+// Like transport.UploadRecord, and unlike every other record here, its
+// payload is a fixed binary layout rather than gob: one uvarint, Seq.
 type UploadAck struct {
 	Seq uint64
+}
+
+// AppendBinary appends the ack's binary layout to b.
+func (a UploadAck) AppendBinary(b []byte) ([]byte, error) {
+	return binary.AppendUvarint(b, a.Seq), nil
+}
+
+// MarshalBinary returns the ack's binary layout; with UnmarshalBinary
+// it keeps gob symmetric should an ack ever be nested in a gob value.
+func (a UploadAck) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
+
+// UnmarshalBinary decodes exactly one ack's binary layout, refusing
+// truncated input and trailing bytes.
+func (a *UploadAck) UnmarshalBinary(data []byte) error {
+	seq, n := binary.Uvarint(data)
+	if n <= 0 {
+		return errors.New("upload ack: truncated or overlong sequence number")
+	}
+	if n != len(data) {
+		return fmt.Errorf("upload ack: %d trailing bytes", len(data)-n)
+	}
+	a.Seq = seq
+	return nil
 }

@@ -457,9 +457,9 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 	}
 }
 
-// liveKinds are the record kinds the current format writes; 8, 9 and
-// 10 are retired (see the kind constants).
-var liveKinds = []int{1, 2, 3, 4, 5, 6, 7, 11, 12}
+// liveKinds are the record kinds the current format writes; 2, 8, 9
+// and 10 are retired (see the kind constants).
+var liveKinds = []int{1, 3, 4, 5, 6, 7, 11, 12, 13}
 
 // TestRecordKindsRoundTrip pins the two statements of the kind-to-type
 // mapping against each other: the record a kind decodes into reports
@@ -473,7 +473,7 @@ func TestRecordKindsRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		// An empty payload fails in gob, past the kind lookup.
+		// An empty payload fails to decode, past the kind lookup.
 		if err == nil || strings.Contains(err.Error(), "unknown wal record kind") {
 			t.Errorf("kind %d: err %v, want a decode error", kind, err)
 		}
@@ -483,28 +483,43 @@ func TestRecordKindsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesRetiredKind pins the reserved record number: a log
-// still holding a kind-10 record (an upload over the retired one-way
-// protocol) fails recovery with the unknown-kind error rather than
-// being skipped or misread.
+// TestReplayRefusesRetiredKind pins the reserved upload record
+// numbers: a log still holding a kind-2 record (the gob-encoded upload
+// that kind 13's binary layout replaced) or a kind-10 record (an upload
+// over the retired one-way protocol) fails recovery with the
+// unknown-kind error rather than being skipped or misread.
 func TestReplayRefusesRetiredKind(t *testing.T) {
-	dir := t.TempDir()
-	l, err := walog.Open(filepath.Join(dir, shardDirName(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := encodeGob(struct{ Rec transport.UploadRecord }{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(10, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = OpenController(ControllerConfig{StateDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "unknown wal record kind 10") {
-		t.Fatalf("recovery over a kind-10 record: %v", err)
+	up := transport.UploadRecord{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true, Seq: 1}
+	for _, tc := range []struct {
+		kind   uint8
+		record any
+	}{
+		{2, struct {
+			Node string
+			Rec  transport.UploadRecord
+		}{"edge-1", up}},
+		{10, struct{ Rec transport.UploadRecord }{up}},
+	} {
+		t.Run(fmt.Sprintf("kind=%d", tc.kind), func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := walog.Open(filepath.Join(dir, shardDirName(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := encodeGob(tc.record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(tc.kind, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = OpenController(ControllerConfig{StateDir: dir})
+			if want := fmt.Sprintf("unknown wal record kind %d", tc.kind); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("recovery over a kind-%d record: %v", tc.kind, err)
+			}
+		})
 	}
 }

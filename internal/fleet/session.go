@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/vision"
@@ -36,9 +35,10 @@ var ErrEvicted = errors.New("fleet: session replaced by reconnect")
 var ErrRedirected = errors.New("fleet: session re-homed to another shard")
 
 // Session is the controller's view of one connected edge node. Its
-// uploads land in a per-session core.Datacenter, attributing every
-// received segment to the node that sent it. All methods are safe for
-// concurrent use.
+// uploads land in the owning shard's ledgers — the node's and the
+// shard's aggregate (Controller.WithNodeDatacenter and
+// Controller.Datacenter read them); the session itself only counts
+// them. All methods are safe for concurrent use.
 type Session struct {
 	id      uint64
 	node    string
@@ -63,7 +63,6 @@ type Session struct {
 	heartbeatAt time.Time
 	runErr      error
 
-	dc        *core.Datacenter
 	done      chan struct{}
 	closeOnce sync.Once
 
@@ -87,7 +86,6 @@ func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Du
 		resumed:     hello.Resume,
 		pending:     make(map[uint64]chan any),
 		fetchFrames: make(map[uint64][]*vision.Image),
-		dc:          core.NewDatacenter(),
 		done:        make(chan struct{}),
 		hbGap:       hbGap,
 		onHeartbeat: onHeartbeat,
@@ -108,13 +106,6 @@ func (s *Session) Resumed() bool { return s.resumed }
 func (s *Session) Streams() []StreamInfo {
 	return append([]StreamInfo(nil), s.streams...)
 }
-
-// Datacenter returns the per-session receiver holding every upload
-// this edge sent during this session (deduplicated: retransmissions
-// of uploads another session already accepted are dropped). Upload MC
-// names use the node's "stream/mc" prefix convention. For accounting
-// that survives reconnects, use Controller.WithNodeDatacenter.
-func (s *Session) Datacenter() *core.Datacenter { return s.dc }
 
 // Received returns the number of uploads accepted from this edge.
 func (s *Session) Received() int {
@@ -329,13 +320,13 @@ func (s *Session) write(kind uint8, payload any) error {
 // run is the session's reader loop; the controller drives it in the
 // connection's goroutine. It returns after a clean goodbye, a read
 // error, a liveness eviction, or the connection closing. onUpload
-// decides whether an upload is fresh (accepted → recorded in the
-// session datacenter) and whether to ack it. The two are distinct: a
-// dedup-dropped retransmission is refused but still acked so the edge
-// retires it, while an upload refused because this shard no longer
-// owns the node must NOT be acked — the edge keeps it buffered and
-// resends to the node's new owner, or exactly-once would silently
-// become at-most-once across a re-home.
+// decides whether an upload is fresh (accepted → counted by Received)
+// and whether to ack it. The two are distinct: a dedup-dropped
+// retransmission is refused but still acked so the edge retires it,
+// while an upload refused because this shard no longer owns the node
+// must NOT be acked — the edge keeps it buffered and resends to the
+// node's new owner, or exactly-once would silently become at-most-once
+// across a re-home.
 func (s *Session) run(onUpload func(*Session, transport.UploadRecord) (accept, ack bool)) error {
 	err := s.readLoop(onUpload)
 	s.markDone(err)
@@ -397,7 +388,6 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			}
 			if accept {
 				s.mu.Lock()
-				s.dc.Receive(rec.ToUpload())
 				s.received++
 				s.mu.Unlock()
 			}

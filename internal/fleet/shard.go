@@ -40,6 +40,9 @@ type shard struct {
 	// controller): commit appends every record here before applying
 	// it, and snapshots compact it. Guarded by mu.
 	wal *walog.Log
+	// snapshots counts the snapshots written to wal since the
+	// controller opened. Guarded by mu.
+	snapshots int
 
 	// hbGap observes the gap between consecutive heartbeats of each
 	// session — the shard's control-latency signal.
@@ -348,13 +351,20 @@ type ShardStat struct {
 	// heartbeats across the shard's sessions — its control-plane
 	// latency signal.
 	HeartbeatGap obs.Summary
+	// Snapshots counts the state snapshots the shard wrote since the
+	// controller opened (recovery's included), and SnapshotBytes is the
+	// newest one's size on disk — zero on an in-memory controller. A
+	// shard compacts only once its wal holds as many bytes as that
+	// snapshot, so a growing ledger snapshots ever more rarely.
+	Snapshots     int
+	SnapshotBytes int64
 }
 
 // stats snapshots the shard's ShardStat.
 func (sh *shard) stats() ShardStat {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return ShardStat{
+	st := ShardStat{
 		Shard:        sh.id,
 		Nodes:        len(sh.Nodes),
 		Sessions:     len(sh.sessions),
@@ -362,5 +372,10 @@ func (sh *shard) stats() ShardStat {
 		UploadBits:   sh.UploadBits,
 		Redirects:    sh.redirects,
 		HeartbeatGap: sh.hbGap.Summary(),
+		Snapshots:    sh.snapshots,
 	}
+	if sh.wal != nil {
+		st.SnapshotBytes = sh.wal.SnapshotSize()
+	}
+	return st
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// validRecordBytes frames one gob-encoded upload record.
+// validRecordBytes frames one upload record.
 func validRecordBytes(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -26,9 +26,10 @@ func FuzzReadHeader(f *testing.F) {
 	f.Add(ok.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00})
-	f.Add([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x63}) // bad version
-	f.Add([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x01}) // retired version 1
-	f.Add([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x00}) // version 0
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x06, 0x00, 0x63}) // bad version
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x06, 0x00, 0x01}) // retired version 1
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x06, 0x00, 0x00}) // version 0
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x02}) // gob upload layout magic
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05}) // bad magic
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := ReadHeader(bytes.NewReader(data))
@@ -72,6 +73,47 @@ func FuzzReadRecord(f *testing.F) {
 		var rec UploadRecord
 		_ = DecodeRecord(body, &rec)
 		_ = kind
+	})
+}
+
+// FuzzDecodeUpload feeds arbitrary payloads to the upload layout's
+// decoder: nothing panics, a refused input leaves the record untouched,
+// and an accepted one re-encodes to bytes that decode back to the same
+// record.
+func FuzzDecodeUpload(f *testing.F) {
+	valid, err := UploadRecord{MCName: "cam0/loc-crop", EventID: 41, Start: 1200, End: 1248, Bits: 187_344, Final: true, Seq: 977}.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	extremes, err := UploadRecord{EventID: 1<<64 - 1, Start: -1 << 62, End: 1<<62 - 1, Bits: -1, Seq: 1<<64 - 1}.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	badFinal := append([]byte(nil), valid...)
+	badFinal[len(badFinal)-3] = 2 // the Final byte precedes a 2-byte Seq
+	f.Add(valid)
+	f.Add(extremes)
+	f.Add(valid[:len(valid)-1])                     // truncated Seq
+	f.Add(append(valid[:len(valid):len(valid)], 0)) // trailing byte
+	f.Add(badFinal)
+	f.Add([]byte{0xFF, 0x01, 'x'}) // name longer than the input
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec UploadRecord
+		if err := DecodeRecord(data, &rec); err != nil {
+			if rec != (UploadRecord{}) {
+				t.Fatalf("refused input %x still set fields: %+v", data, rec)
+			}
+			return
+		}
+		again, err := rec.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back UploadRecord
+		if err := DecodeRecord(again, &back); err != nil || back != rec {
+			t.Fatalf("%x decoded to %+v, which re-encodes to %x and decodes to %+v (err %v)", data, rec, again, back, err)
+		}
 	})
 }
 

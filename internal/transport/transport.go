@@ -2,14 +2,22 @@
 // and a datacenter over a real network connection. The paper's
 // evaluation models the uplink as a bandwidth constraint
 // (internal/core's token bucket); this package provides the wire layer
-// a deployment needs: length-prefixed gob frames over any net.Conn —
-// the framing primitives internal/fleet layers its bidirectional
-// control plane on.
+// a deployment needs: length-prefixed, checksummed records over any
+// net.Conn — the framing primitives internal/fleet layers its
+// bidirectional control plane on.
 //
 // The protocol is deliberately simple and version-tagged:
 //
 //	uint32 magic | uint16 version | stream of records
-//	record: uint8 kind | uint32 length | uint32 crc32(payload) | gob payload
+//	record:  uint8 kind | uint32 length | uint32 crc32(payload) | payload
+//	payload: the fixed binary layout of KindUpload (UploadRecord) and
+//	         KindUploadAck (internal/fleet's UploadAck); gob otherwise
+//
+// The two records every upload costs have a binary layout because a
+// gob stream spends more on its type descriptor than on the record,
+// and decoding one compiles a decoder per record. Everything
+// else — hellos, deploys, fetches, heartbeats — is rare or large
+// enough for gob's self-description to be worth it.
 //
 // The per-record CRC turns wire damage (bit flips, mid-record byte
 // loss) into a typed ErrCorrupt at the reader instead of a gob decode
@@ -34,6 +42,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -47,11 +56,13 @@ import (
 )
 
 // magic identifies the wire format, including the record framing
-// revision. It was bumped (…04 → …05) when records gained the CRC
-// field: a pre-CRC build pairs with a CRC build only up to the
-// handshake, where the stale magic is rejected cleanly — without the
-// bump the handshake would succeed and every record would desync.
-const magic = 0xFF00FF05
+// revision and payload layouts. It was bumped (…04 → …05) when records
+// gained the CRC field, and again (…05 → …06) when upload and
+// upload-ack payloads left gob for their binary layout: an older build
+// pairs with this one only up to the handshake, where the stale magic
+// is rejected cleanly — without the bump the handshake would succeed
+// and the session would fail mid-stream on its first upload.
+const magic = 0xFF00FF06
 
 // Protocol versions. A client announces the version it speaks in its
 // header; the server echoes the version it accepts back.
@@ -166,24 +177,34 @@ func ReadHeader(r io.Reader) (uint16, error) {
 	return v, nil
 }
 
-// WriteRecord gob-encodes payload and writes one framed record to w.
-// The caller is responsible for serializing concurrent writers.
+// AppendPayload appends payload's record encoding to b: its
+// AppendBinary when it has one (the upload and upload-ack layouts), a
+// self-describing gob stream otherwise. DecodeRecord reverses it.
+func AppendPayload(b []byte, payload any) ([]byte, error) {
+	if ba, ok := payload.(encoding.BinaryAppender); ok {
+		return ba.AppendBinary(b)
+	}
+	out := bytes.NewBuffer(b)
+	err := gob.NewEncoder(out).Encode(payload)
+	return out.Bytes(), err
+}
+
+// WriteRecord encodes payload with AppendPayload and writes it to w as
+// one framed record in a single Write. The caller is responsible for
+// serializing concurrent writers.
 func WriteRecord(w io.Writer, kind uint8, payload any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+	buf, err := AppendPayload(make([]byte, recHeaderLen, recHeaderLen+64), payload)
+	if err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
 	}
-	if buf.Len() > MaxRecordBytes {
-		return fmt.Errorf("transport: record of %d bytes exceeds limit", buf.Len())
+	size := len(buf) - recHeaderLen
+	if size > MaxRecordBytes {
+		return fmt.Errorf("transport: record of %d bytes exceeds limit", size)
 	}
-	var hdr [recHeaderLen]byte
-	hdr[0] = kind
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(buf.Len()))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(buf.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
+	buf[0] = kind
+	binary.BigEndian.PutUint32(buf[1:5], uint32(size))
+	binary.BigEndian.PutUint32(buf[5:9], crc32.ChecksumIEEE(buf[recHeaderLen:]))
+	_, err = w.Write(buf)
 	return err
 }
 
@@ -276,15 +297,33 @@ func (r progressReader) Read(p []byte) (int, error) {
 // zeroChunk is the shared zero source ReadRecord grows buffers from.
 var zeroChunk [readChunk]byte
 
-// DecodeRecord gob-decodes a record payload read by ReadRecord.
+// DecodeRecord decodes a payload AppendPayload encoded — a record read
+// by ReadRecord — into into: with its UnmarshalBinary when it has one
+// (the upload and upload-ack layouts), gob otherwise.
 func DecodeRecord(body []byte, into any) error {
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(into); err != nil {
+	var err error
+	if bu, ok := into.(encoding.BinaryUnmarshaler); ok {
+		err = bu.UnmarshalBinary(body)
+	} else {
+		err = gob.NewDecoder(bytes.NewReader(body)).Decode(into)
+	}
+	if err != nil {
 		return fmt.Errorf("transport: decode: %w", err)
 	}
 	return nil
 }
 
 // UploadRecord is the wire form of core.Upload (without pixel data).
+// Its payload is a fixed binary layout, the fields in declaration
+// order:
+//
+//	uvarint len(MCName) | MCName | uvarint EventID | varint Start |
+//	varint End | varint Bits | uint8 Final (0 or 1) | uvarint Seq
+//
+// A record with a 13-byte name and frame-scale numbers takes 25 bytes,
+// 34 framed; the gob stream of the same record took 135. Decoding
+// refuses truncated input, trailing bytes and a Final byte other than
+// 0 or 1, and leaves the record untouched when it does.
 type UploadRecord struct {
 	MCName  string
 	EventID uint64
@@ -308,4 +347,122 @@ func ToRecord(u core.Upload) UploadRecord {
 // ToUpload converts a received record back to a core.Upload.
 func (r UploadRecord) ToUpload() core.Upload {
 	return core.Upload{MCName: r.MCName, EventID: r.EventID, Start: r.Start, End: r.End, Bits: r.Bits, Final: r.Final}
+}
+
+// AppendBinary appends the record's binary layout to b.
+func (r UploadRecord) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(r.MCName)))
+	b = append(b, r.MCName...)
+	b = binary.AppendUvarint(b, r.EventID)
+	b = binary.AppendVarint(b, int64(r.Start))
+	b = binary.AppendVarint(b, int64(r.End))
+	b = binary.AppendVarint(b, r.Bits)
+	final := byte(0)
+	if r.Final {
+		final = 1
+	}
+	b = append(b, final)
+	return binary.AppendUvarint(b, r.Seq), nil
+}
+
+// MarshalBinary returns the record's binary layout. With
+// UnmarshalBinary it makes gob use the layout too, should a record
+// ever be nested in a gob value.
+func (r UploadRecord) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
+
+// UnmarshalBinary decodes exactly one record's binary layout.
+func (r *UploadRecord) UnmarshalBinary(data []byte) error {
+	d := layoutReader{buf: data}
+	rec := UploadRecord{
+		MCName:  d.string(),
+		EventID: d.uvarint(),
+		Start:   d.int(),
+		End:     d.int(),
+		Bits:    d.varint(),
+		Final:   d.bool(),
+		Seq:     d.uvarint(),
+	}
+	if err := d.finish(); err != nil {
+		return fmt.Errorf("upload record: %w", err)
+	}
+	*r = rec
+	return nil
+}
+
+// layoutReader reads a binary layout field by field. The first
+// malformed field records an error and every later read returns zero,
+// so a decoder reads all its fields and checks once, in finish.
+type layoutReader struct {
+	buf []byte
+	err error
+}
+
+func (d *layoutReader) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.buf = nil
+}
+
+func (d *layoutReader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.fail(errors.New("truncated or overlong uvarint"))
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *layoutReader) varint() int64 {
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.fail(errors.New("truncated or overlong varint"))
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *layoutReader) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail(fmt.Errorf("%d overflows int", v))
+		return 0
+	}
+	return int(v)
+}
+
+func (d *layoutReader) bool() bool {
+	if len(d.buf) == 0 {
+		d.fail(errors.New("truncated flag"))
+		return false
+	}
+	v := d.buf[0]
+	if v > 1 {
+		d.fail(fmt.Errorf("flag byte %d, want 0 or 1", v))
+		return false
+	}
+	d.buf = d.buf[1:]
+	return v == 1
+}
+
+func (d *layoutReader) string() string {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		d.fail(fmt.Errorf("string of %d bytes, %d left", n, len(d.buf)))
+		return ""
+	}
+	s := string(d.buf[:n])
+	d.buf = d.buf[n:]
+	return s
+}
+
+// finish reports the first malformed field, or bytes left over after
+// the last one.
+func (d *layoutReader) finish() error {
+	if d.err == nil && len(d.buf) > 0 {
+		return fmt.Errorf("%d trailing bytes", len(d.buf))
+	}
+	return d.err
 }

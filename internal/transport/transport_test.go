@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,83 @@ func TestReadHeaderRejects(t *testing.T) {
 	}
 	if v, err := ReadHeader(&ok); err != nil || v != Version2 {
 		t.Errorf("version 2 handshake = %d, %v", v, err)
+	}
+}
+
+// TestReadHeaderRefusesGobUploadMagic pins the magic bump that came
+// with the binary upload layout: a peer still speaking gob uploads
+// announces the previous magic and is refused at the handshake, before
+// any record could be misread.
+func TestReadHeaderRefusesGobUploadMagic(t *testing.T) {
+	stale := []byte{0xFF, 0x00, 0xFF, 0x05, 0x00, Version2}
+	_, err := ReadHeader(bytes.NewReader(stale))
+	if err == nil || errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("previous-magic handshake error = %v, want bad magic", err)
+	}
+}
+
+// TestUploadLayout pins the upload record's wire bytes field by field,
+// and that WriteRecord and DecodeRecord go through the layout rather
+// than gob.
+func TestUploadLayout(t *testing.T) {
+	rec := UploadRecord{MCName: "cam0/loc-crop", EventID: 41, Start: 1200, End: 1248, Bits: 187_344, Final: true, Seq: 977}
+	want := []byte{13}
+	want = append(want, "cam0/loc-crop"...)
+	want = append(want,
+		41,         // EventID
+		0xE0, 0x12, // Start 1200, zigzag
+		0xC0, 0x13, // End 1248, zigzag
+		0xA0, 0xEF, 0x16, // Bits 187344, zigzag
+		1,          // Final
+		0xD1, 0x07, // Seq 977
+	)
+	got, err := rec.MarshalBinary()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("layout %x (err %v), want %x", got, err, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteRecord(&buf, KindUpload, rec); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != recHeaderLen+len(want) || buf.Len() != 34 {
+		t.Fatalf("framed upload is %d bytes, want 34", buf.Len())
+	}
+	_, body, err := ReadRecord(&buf)
+	if err != nil || !bytes.Equal(body, want) {
+		t.Fatalf("record body %x (err %v), want the layout %x", body, err, want)
+	}
+	var back UploadRecord
+	if err := DecodeRecord(body, &back); err != nil || back != rec {
+		t.Fatalf("decoded %+v (err %v), want %+v", back, err, rec)
+	}
+}
+
+// TestUploadLayoutRefusesMalformed: every strict prefix of a record,
+// a trailing byte, and a Final byte other than 0 or 1 are errors that
+// leave the target record as it was, never a half-filled one.
+func TestUploadLayoutRefusesMalformed(t *testing.T) {
+	valid, err := UploadRecord{MCName: "mc", EventID: 300, Start: -5, End: 70_000, Bits: 1 << 40, Final: true, Seq: 1 << 30}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]byte{append(valid[:len(valid):len(valid)], 0)}
+	for n := range valid {
+		bad = append(bad, valid[:n])
+	}
+	for final := byte(2); final != 0; final++ {
+		b := append([]byte(nil), valid...)
+		b[len(b)-6] = final // the Final byte precedes a 5-byte Seq
+		bad = append(bad, b)
+	}
+	sentinel := UploadRecord{MCName: "untouched", Seq: 7}
+	for _, b := range bad {
+		rec := sentinel
+		if err := DecodeRecord(b, &rec); err == nil {
+			t.Fatalf("%x decoded to %+v, want an error", b, rec)
+		}
+		if rec != sentinel {
+			t.Fatalf("refused %x changed the record to %+v", b, rec)
+		}
 	}
 }
 

@@ -55,7 +55,8 @@ func init() {
 // each, so the adds of one output no longer wait on each other's
 // latency. The product is written float64(v*c): the Go spec lets a
 // compiler fuse x*y+z into one rounding (arm64, ppc64le, riscv64 and
-// GOAMD64=v3 do) and the explicit conversion forbids it, so the bits
+// s390x do; amd64 does not, GOAMD64=v3 included) and the explicit
+// conversion forbids it, so the bits
 // do not depend on the target.
 //
 // A term whose input is ±0 may be skipped: the accumulator starts at

@@ -133,6 +133,8 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // fold is recomputed from the live running statistics on every
 // execution (O(C), negligible next to the convolution it fuses into),
 // which is what keeps frozen programs coherent with ongoing training.
+// The product is rounded before the subtraction, as on amd64, so that
+// no target fuses the two.
 func bnFold(bn *BatchNorm, scratch []float32) (scale, shift []float32) {
 	c := bn.Channels
 	scale, shift = scratch[:c], scratch[c:2*c]
@@ -141,7 +143,7 @@ func bnFold(bn *BatchNorm, scratch []float32) (scale, shift []float32) {
 	for i := 0; i < c; i++ {
 		s := gamma[i] * float32(1/math.Sqrt(float64(variance[i]+bn.Eps)))
 		scale[i] = s
-		shift[i] = beta[i] - mean[i]*s
+		shift[i] = beta[i] - float32(mean[i]*s)
 	}
 	return scale, shift
 }

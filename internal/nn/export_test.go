@@ -21,8 +21,6 @@ func (p *Program) CheckPacked() (checked int, err error) {
 			tensor.PackB(op.g.colWidth(), op.g.f, op.conv.W.Value.Data, want)
 		case opDense:
 			tensor.PackB(op.dense.In, op.dense.Out, op.dense.W.Value.Data, want)
-		case opDepthwise:
-			dwTileWeights(op.g, op.dw.W.Value.Data, want)
 		}
 		for j := range want {
 			if op.pw.data[j] != want[j] {

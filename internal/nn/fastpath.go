@@ -210,171 +210,62 @@ func gemmBlocks(m int) int {
 	return w
 }
 
-// dwVectorizable reports whether the row-vectorized depthwise kernel
-// applies: stride 1 makes every (ky,kx) tap a contiguous shifted span
-// of the input row, and the row must be long enough to amortize the
-// vector-call setup.
-func dwVectorizable(g convGeom) bool {
-	return g.s == 1 && g.ow*g.ic >= 32
-}
-
-// The row-vectorized kernel consumes its per-channel operands tiled
-// across a full output row (length ow·C) so they read as flat spans:
-// dwTapsLen floats of weights, one row per (ky,kx) tap, and dwEpiLen
-// floats of bias, scale and shift rows.
-func dwTapsLen(g convGeom) int { return g.k * g.k * g.ow * g.ic }
-func dwEpiLen(g convGeom) int  { return 3 * g.ow * g.ic }
-
-// depthwiseForward is the specialized direct depthwise kernel: each
-// channel convolves with its own K×K filter, bias is preloaded, and
-// the batch-norm scale/shift and ReLU epilogue are fused into the same
-// pass over the row. Stride-1 layers run the row-vectorized kernel
-// (whole-row SSE spans against row-tiled weights); strided layers run
-// the per-tap kernel with hoisted bounds, vectorized over the channel
-// span. There are no data-dependent branches on activation values in
-// either path. This is the layers' Forward path: it tiles per call and
-// splits the rows across parFor.
+// depthwiseForward is the layers' Forward path of the depthwise
+// convolution: depthwiseRow over every output row, the rows split
+// across parFor.
 func depthwiseForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue) {
-	if !dwVectorizable(g) {
-		parFor(g.n*g.oh, func(job int) { depthwiseRow(g, xd, wd, out, ep, job) })
-		return
-	}
-	taps, epi := make([]float32, dwTapsLen(g)), make([]float32, dwEpiLen(g))
-	dwTileWeights(g, wd, taps)
-	dwTileEpilogue(g, ep, epi)
-	parFor(g.n*g.oh, func(job int) { depthwiseRowVec(g, xd, out, ep, taps, epi, job) })
-}
-
-// dwTile repeats the per-channel vector src across one output row.
-func dwTile(g convGeom, src, row []float32) {
-	for ox := 0; ox < g.ow; ox++ {
-		copy(row[ox*g.ic:(ox+1)*g.ic], src)
-	}
-}
-
-// dwTileWeights tiles each tap's per-channel weights across an output
-// row. It depends on the weights alone, so a compiled program keeps
-// the result and rebuilds it only when the weights move.
-func dwTileWeights(g convGeom, wd, taps []float32) {
-	rowW := g.ow * g.ic
-	for kidx := 0; kidx < g.k*g.k; kidx++ {
-		dwTile(g, wd[kidx*g.ic:(kidx+1)*g.ic], taps[kidx*rowW:(kidx+1)*rowW])
-	}
-}
-
-// dwTileEpilogue tiles the bias, scale and shift vectors. Scale and
-// shift are the batch-norm fold of running statistics that carry no
-// version stamp, so this part is rebuilt on every execution (three
-// rows against the kernel's K² rows of work).
-func dwTileEpilogue(g convGeom, ep tensor.Epilogue, epi []float32) {
-	rowW := g.ow * g.ic
-	if ep.Bias != nil {
-		dwTile(g, ep.Bias, epi[:rowW])
-	} else {
-		for i := range epi[:rowW] {
-			epi[i] = 0
-		}
-	}
-	if ep.Scale != nil {
-		dwTile(g, ep.Scale, epi[rowW:2*rowW])
-		dwTile(g, ep.Shift, epi[2*rowW:3*rowW])
-	}
-}
-
-// depthwiseRowVec computes one output row (batch b, row oy encoded in
-// job) as whole-row vector operations: one VecMulAdd per in-bounds
-// (ky,kx) tap over the contiguous [oxLo,oxHi) span, then the fused
-// epilogue over the row.
-func depthwiseRowVec(g convGeom, xd, out []float32, ep tensor.Epilogue, taps, epi []float32, job int) {
-	rowW := g.ow * g.ic
-	b, oy := job/g.oh, job%g.oh
-	acc := out[job*rowW : (job+1)*rowW : (job+1)*rowW]
-	copy(acc, epi[:rowW]) // bias (or zeros)
-	iy0 := oy - g.padY
-	kyLo, kyHi := 0, g.k
-	if iy0 < 0 {
-		kyLo = -iy0
-	}
-	if iy0+g.k > g.h {
-		kyHi = g.h - iy0
-	}
-	for ky := kyLo; ky < kyHi; ky++ {
-		iy := iy0 + ky
-		xRow := ((b*g.h + iy) * g.w) * g.ic
-		for kx := 0; kx < g.k; kx++ {
-			oxLo, oxHi := 0, g.ow
-			if kx < g.padX {
-				oxLo = g.padX - kx
-			}
-			if lim := g.w - kx + g.padX; lim < oxHi {
-				oxHi = lim
-			}
-			if oxHi <= oxLo {
-				continue
-			}
-			span := (oxHi - oxLo) * g.ic
-			xo := xRow + (oxLo+kx-g.padX)*g.ic
-			wo := (ky*g.k+kx)*rowW + oxLo*g.ic
-			tensor.VecMulAdd(acc[oxLo*g.ic:oxLo*g.ic+span], xd[xo:xo+span], taps[wo:wo+span])
-		}
-	}
-	if ep.Scale != nil {
-		tensor.VecScaleShift(acc, epi[rowW:2*rowW], epi[2*rowW:3*rowW])
-	}
-	if ep.ReLU {
-		if ep.Cap > 0 {
-			tensor.VecReLUCap(acc, ep.Cap)
-		} else {
-			tensor.VecReLU(acc)
-		}
-	}
+	parFor(g.n*g.oh, func(job int) {
+		epc := ep // see convForward
+		depthwiseRow(g, xd, wd, out, &epc, job)
+	})
 }
 
 // depthwiseRow computes one output row (batch b, row oy encoded in
-// job) of a strided depthwise convolution, one output pixel at a time:
-// each in-bounds tap is one tensor.VecMulAdd over the pixel's channel
-// span, and the shared vector epilogue closes the pixel.
-func depthwiseRow(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, job int) {
+// job) of a depthwise convolution at any stride: each channel
+// convolves with its own K×K filter, the bias starts the accumulator,
+// and the batch-norm scale/shift and ReLU close it, all inside
+// tensor.DepthwiseSpan. The interior pixels, whose K columns all fall
+// inside the input row, are one span s·inC floats apart; each border
+// pixel is a span of its own. A span gets the taps, in (ky, kx) order,
+// that fall inside the input for every one of its pixels. Both the
+// layers' Forward and a compiled program run it, reading the weights
+// and the epilogue vectors live.
+func depthwiseRow(g convGeom, xd, wd, out []float32, ep *tensor.Epilogue, job int) {
 	b, oy := job/g.oh, job%g.oh
 	iy0 := oy*g.s - g.padY
-	kyLo, kyHi := 0, g.k
-	if iy0 < 0 {
-		kyLo = -iy0
+	kyLo, kyHi := max(0, -iy0), min(g.k, g.h-iy0)
+	// Interior: ox·s - padX ≥ 0 and ox·s - padX + K ≤ w.
+	oxLo, oxHi := (g.padX+g.s-1)/g.s, 0
+	if r := g.w + g.padX - g.k; r >= 0 {
+		oxHi = min(g.ow, r/g.s+1)
 	}
-	if iy0+g.k > g.h {
-		kyHi = g.h - iy0
+	var buf [9]tensor.Tap // a 3×3 kernel's taps stay on the stack
+	taps := buf[:]
+	if g.k*g.k > len(buf) {
+		taps = make([]tensor.Tap, g.k*g.k)
 	}
-	tail := ep // what follows the taps: the bias is already in acc
-	tail.Bias = nil
-	for ox := 0; ox < g.ow; ox++ {
-		dst := ((b*g.oh+oy)*g.ow + ox) * g.ic
-		acc := out[dst : dst+g.ic : dst+g.ic]
-		if ep.Bias != nil {
-			copy(acc, ep.Bias)
-		} else {
-			for i := range acc {
-				acc[i] = 0
-			}
+	row := out[job*g.ow*g.ic : (job+1)*g.ow*g.ic]
+	for ox0 := 0; ox0 < g.ow; {
+		ox1 := ox0 + 1
+		if ox0 == oxLo && oxLo < oxHi {
+			ox1 = oxHi
 		}
-		ix0 := ox*g.s - g.padX
-		kxLo, kxHi := 0, g.k
-		if ix0 < 0 {
-			kxLo = -ix0
-		}
-		if ix0+g.k > g.w {
-			kxHi = g.w - ix0
-		}
+		ix0 := ox0*g.s - g.padX // a span of several pixels is interior: every kx
+		kxLo, kxHi := max(0, -ix0), min(g.k, g.w-ix0)
+		n := 0
 		for ky := kyLo; ky < kyHi; ky++ {
-			iy := iy0 + ky
-			rowBase := (b*g.h + iy) * g.w
+			xRow := ((b*g.h+iy0+ky)*g.w + ix0) * g.ic
 			for kx := kxLo; kx < kxHi; kx++ {
-				src := (rowBase + ix0 + kx) * g.ic
-				wOff := (ky*g.k + kx) * g.ic
-				xin := xd[src : src+g.ic : src+g.ic]
-				wv := wd[wOff : wOff+g.ic : wOff+g.ic]
-				tensor.VecMulAdd(acc, xin, wv)
+				w := (ky*g.k + kx) * g.ic
+				// Field by field: a composite literal is built on the
+				// stack and copied, and the copy stalls on the stores
+				// just made.
+				taps[n].X = xd[xRow+kx*g.ic:]
+				taps[n].W = wd[w : w+g.ic]
+				n++
 			}
 		}
-		tail.Apply(acc, 0)
+		tensor.DepthwiseSpan(row[ox0*g.ic:ox1*g.ic], ox1-ox0, g.ic, g.s*g.ic, taps[:n], ep)
+		ox0 = ox1
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -473,10 +474,11 @@ func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
 	}
 }
 
-// depthwiseRowScalar is the arithmetic of the previous depthwiseRow
-// (bounds tested per tap rather than hoisted), kept as the oracle the
-// channel-vectorized one is pinned to bit for bit: scalar loops over
-// the channel span for every tap and for the epilogue.
+// depthwiseRowScalar is the arithmetic of the depthwise kernels before
+// the span kernel (bounds tested per tap rather than hoisted), kept as
+// the oracle the span kernel is pinned to bit for bit: scalar loops
+// over the channel span for every tap and for the epilogue, each
+// product rounded before its add.
 func depthwiseRowScalar(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, job int) {
 	b, oy := job/g.oh, job%g.oh
 	iy0 := oy*g.s - g.padY
@@ -499,13 +501,13 @@ func depthwiseRowScalar(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, j
 				xin := xd[((b*g.h+iy)*g.w+ix)*g.ic:]
 				wv := wd[(ky*g.k+kx)*g.ic:]
 				for ci := range acc {
-					acc[ci] += xin[ci] * wv[ci]
+					acc[ci] += float32(xin[ci] * wv[ci])
 				}
 			}
 		}
 		for ci, v := range acc {
 			if ep.Scale != nil {
-				v = v*ep.Scale[ci] + ep.Shift[ci]
+				v = float32(v*ep.Scale[ci]) + ep.Shift[ci]
 			}
 			if ep.ReLU {
 				if v < 0 {
@@ -519,34 +521,54 @@ func depthwiseRowScalar(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, j
 	}
 }
 
-// TestDepthwiseRowBitwiseMatchesScalar pins the strided depthwise
-// kernel's vector spans to the scalar loops they replaced with ==, with
-// channel counts that are all vector tail or leave one, at the padded
-// edges, and under every epilogue.
+// TestDepthwiseRowBitwiseMatchesScalar pins the depthwise kernel at
+// every stride to the scalar loops with ==, through both of its
+// callers: the layers' Forward path (depthwiseForward) under every
+// epilogue, and a compiled program fusing batch-norm and ReLU6. The
+// rows cover channel counts that are all vector tail or leave one, the
+// padded edges, rows with no interior span and rows that are nearly
+// all interior (the base DNN's 48-wide first depthwise layer), Valid
+// padding, and NaN, ±Inf and −0 in the input.
 func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 	rng := tensor.NewRNG(41)
+	inf := float32(math.Inf(1))
+	specials := []float32{inf - inf, inf, -inf, float32(math.Copysign(0, -1))}
 	for _, tc := range []struct {
 		h, w, ic, k, s int
 		pad            Padding
 	}{
 		{9, 11, 8, 3, 2, Same}, {8, 12, 16, 3, 2, Same}, {7, 9, 13, 3, 2, Same},
 		{11, 13, 32, 5, 3, Same}, {10, 8, 9, 3, 2, Valid}, {6, 5, 64, 3, 2, Same},
-		{7, 9, 5, 3, 2, Same}, // narrower than any vector body: all tail
-		{3, 3, 8, 3, 1, Same}, // stride 1 on a row too short for depthwiseRowVec
+		{7, 9, 5, 3, 2, Same},   // narrower than any vector: all tail
+		{3, 3, 8, 3, 1, Same},   // stride 1, every pixel a border pixel
+		{5, 48, 8, 3, 1, Same},  // stride 1, one 46-pixel interior span
+		{3, 6, 64, 3, 1, Same},  // stride 1, the 6×3 maps at 64 channels
+		{6, 9, 16, 3, 1, Valid}, // no border pixels at all
 	} {
 		l := NewDepthwiseConv2D("d", tc.ic, tc.k, tc.s, tc.pad, rng)
+		rng.FillNormal(l.B.Value, 0, 0.5)
 		x := tensor.New(2, tc.h, tc.w, tc.ic)
-		rng.FillNormal(x, 0, 1)
-		g := l.geom(x.Shape)
-		if dwVectorizable(g) {
-			t.Fatalf("%+v runs depthwiseRowVec, not depthwiseRow", tc)
+		rng.FillNormal(x, 0, 2)
+		for i, s := range specials {
+			x.Data[(i*131+7)%len(x.Data)] = s
 		}
+		g := l.geom(x.Shape)
 		vec := func(n int) []float32 {
 			v := tensor.New(n)
 			rng.FillNormal(v, 0, 1)
 			return v.Data
 		}
-		bias, scale, shift := vec(tc.ic), vec(tc.ic), vec(tc.ic)
+		bias, scale, shift := l.B.Value.Data, vec(tc.ic), vec(tc.ic)
+		n := g.n * g.oh * g.ow * g.ic
+		want := make([]float32, n)
+		same := func(who string, got []float32) {
+			t.Helper()
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%+v %s: [%d] %v, scalar oracle %v", tc, who, i, got[i], want[i])
+				}
+			}
+		}
 		for ei, ep := range []tensor.Epilogue{
 			{},
 			{Bias: bias},
@@ -554,18 +576,61 @@ func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 			{Bias: bias, Scale: scale, Shift: shift},
 			{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 1},
 		} {
-			n := g.n * g.oh * g.ow * g.ic
-			got, want := make([]float32, n), make([]float32, n)
 			for job := 0; job < g.n*g.oh; job++ {
-				depthwiseRow(g, x.Data, l.W.Value.Data, got, ep, job)
 				depthwiseRowScalar(g, x.Data, l.W.Value.Data, want, ep, job)
 			}
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%+v ep#%d: [%d] %v, scalar oracle %v", tc, ei, i, got[i], want[i])
-				}
-			}
+			got := make([]float32, n)
+			depthwiseForward(g, x.Data, l.W.Value.Data, got, ep)
+			same(fmt.Sprintf("Forward ep#%d", ei), got)
 		}
+
+		bn := NewBatchNorm("d/bn", tc.ic)
+		rng.FillNormal(bn.Gamma.Value, 1, 0.2)
+		rng.FillNormal(bn.Beta.Value, 0, 0.2)
+		rng.FillNormal(bn.RunningMean, 0, 0.3)
+		rng.FillUniform(bn.RunningVar, 0.5, 1.5)
+		prog, err := CompileLayers("d", []Layer{l, bn, NewReLU6("d/relu6")}, x.Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale, shift = bnFold(bn, make([]float32, 2*tc.ic))
+		ep := tensor.Epilogue{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 6}
+		for job := 0; job < g.n*g.oh; job++ {
+			depthwiseRowScalar(g, x.Data, l.W.Value.Data, want, ep, job)
+		}
+		same("Program with BN + ReLU6", prog.Run(prog.NewWorkspace(), x).Data)
+	}
+}
+
+// BenchmarkDepthwise times the base DNN's depthwise layers at the
+// benchmark's frame size (96×39 at width multiplier 0.25; width ×
+// height × channels below) as a compiled program runs them, fused with
+// batch-norm and ReLU: stride 1 and 2, 8 to 128 channels. It sits in nn,
+// not beside BenchmarkGemmPanels in tensor, because a layer is more
+// than its interior span: the border pixels and the tap lists are
+// part of the cost.
+func BenchmarkDepthwise(b *testing.B) {
+	for _, s := range []struct{ h, w, ic, stride int }{
+		{20, 48, 8, 1}, {20, 48, 16, 2}, {10, 24, 32, 1}, {10, 24, 32, 2},
+		{5, 12, 64, 1}, {5, 12, 64, 2}, {3, 6, 128, 1},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%d-s%d", s.w, s.h, s.ic, s.stride), func(b *testing.B) {
+			g := tensor.NewRNG(42)
+			l := NewDepthwiseConv2D("dw", s.ic, 3, s.stride, Same, g)
+			x := tensor.New(1, s.h, s.w, s.ic)
+			g.FillNormal(x, 0, 1)
+			prog, err := CompileLayers("dw", []Layer{l, NewBatchNorm("dw/bn", s.ic), NewReLU("dw/relu")}, x.Shape)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ws := prog.NewWorkspace()
+			prog.Run(ws, x)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prog.Run(ws, x)
+			}
+			b.ReportMetric(float64(l.MAdds(x.Shape))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAdd/s")
+		})
 	}
 }
 

@@ -19,14 +19,13 @@ import (
 // share one kernel per operator.
 //
 // Programs never serve stale weights. The weight matrix of every GEMM
-// op (and the row-tiled taps of the vectorized depthwise kernel) is
-// kept in the layout its kernel consumes, packed on the first run that
-// reaches the op and shared by every Workspace; each execution
+// op is kept in the layout its kernel consumes, packed on the first run
+// that reaches the op and shared by every Workspace; each execution
 // compares the copy's stamp with the Param's version and repacks, in
 // place, only when the Param was Touched since (see Param). Everything
 // else — biases, batch-norm parameters and running statistics, the
-// weights of a strided depthwise op (its kernel reads them in place) —
-// is read live at execution time. So training a network and running
+// weights of a depthwise op (its kernel reads them in place) — is read
+// live at execution time. So training a network and running
 // its compiled program interleave safely, and the program never touches
 // training state (activation caches, pooling argmaxes, batch-norm batch
 // statistics).
@@ -106,12 +105,10 @@ type progOp struct {
 	name string // the last fused source layer: the tap address
 	in   int    // input slot, -1 = program input
 	out  int    // output slot
-	epi  int    // vectorized depthwise (pw != nil) only: tiled bias/scale/shift slot
 
 	// pw is the packed weight copy of a conv or dense op (every one
-	// runs the panel GEMM, whatever its row count) or of a depthwise op
-	// that runs the vectorized kernel; nil for a depthwise op on the
-	// strided kernel, which reads its weights live.
+	// runs the panel GEMM, whatever its row count); nil for the other
+	// ops, a depthwise op included: its kernel reads the weights live.
 	pw *packedWeights
 
 	conv  *Conv2D
@@ -215,11 +212,6 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			if r, ok := fuseReLU(layers, i+consumed); ok {
 				op.act, op.name = r, r.LayerName
 				consumed++
-			}
-			if g := op.g; dwVectorizable(g) {
-				op.pw = &packedWeights{src: t.W, size: dwTapsLen(g),
-					pack: func(dst []float32) { dwTileWeights(g, t.W.Value.Data, dst) }}
-				op.epi = addSlot([]int{dwEpiLen(g)}, -1)
 			}
 			op.out = addSlot(shape, -1)
 			emit(op)
@@ -418,18 +410,9 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		if op.act != nil {
 			ep.ReLU, ep.Cap = true, op.act.Cap
 		}
-		// Inline loops, no closure: the arena path stays allocation-free.
-		g := op.g
-		if op.pw == nil {
-			for job := 0; job < g.n*g.oh; job++ {
-				depthwiseRow(g, in.Data, op.dw.W.Value.Data, out.Data, ep, job)
-			}
-			break
-		}
-		taps, epi := op.pw.fresh(), ws.bufs[op.epi].Data
-		dwTileEpilogue(g, ep, epi)
-		for job := 0; job < g.n*g.oh; job++ {
-			depthwiseRowVec(g, in.Data, out.Data, ep, taps, epi, job)
+		// Inline loop, no closure: the arena path stays allocation-free.
+		for job := 0; job < op.g.n*op.g.oh; job++ {
+			depthwiseRow(op.g, in.Data, op.dw.W.Value.Data, out.Data, &ep, job)
 		}
 
 	case opDense:

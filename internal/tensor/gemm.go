@@ -54,25 +54,18 @@ type Epilogue struct {
 	Cap   float32
 }
 
-// Apply transforms one output row (length n, column j0 offset into the
-// epilogue vectors) in place, as vectorized in-cache passes: bias,
-// then scale/shift, then ReLU. Exported so direct (non-GEMM) kernels —
-// the depthwise convolution — share the exact same write-back math.
-func (ep *Epilogue) Apply(row []float32, j0 int) {
-	if ep == nil {
+// Apply transforms the first m rows of c, each n columns long, in
+// place, in one pass: each vector of a row is loaded once, takes bias,
+// scale/shift and ReLU in registers and is stored once (applyVec); the
+// columns past the last whole vector, and every column of the portable
+// build, run applyOne in the same order.
+func (ep *Epilogue) Apply(c []float32, m, n int) {
+	if ep == nil || m <= 0 {
 		return
 	}
-	if ep.Bias != nil {
-		VecAdd(row, ep.Bias[j0:j0+len(row)])
-	}
-	if ep.Scale != nil {
-		VecScaleShift(row, ep.Scale[j0:j0+len(row)], ep.Shift[j0:j0+len(row)])
-	}
-	if ep.ReLU {
-		if ep.Cap > 0 {
-			VecReLUCap(row, ep.Cap)
-		} else {
-			VecReLU(row)
+	for j0 := ep.applyVec(c, m, n); j0 < n; j0++ {
+		for i := 0; i < m; i++ {
+			c[i*n+j0] = ep.applyOne(c[i*n+j0], j0)
 		}
 	}
 }
@@ -85,8 +78,15 @@ func (ep *Epilogue) applyOne(v float32, j int) float32 {
 	if ep.Bias != nil {
 		v += ep.Bias[j]
 	}
+	return ep.activate(v, j)
+}
+
+// activate runs what follows the bias for the element at column j:
+// scale/shift, then ReLU and its cap. The depthwise kernel starts its
+// accumulator at the bias, so this is all of the epilogue it has left.
+func (ep *Epilogue) activate(v float32, j int) float32 {
 	if ep.Scale != nil {
-		v = v*ep.Scale[j] + ep.Shift[j]
+		v = float32(v*ep.Scale[j]) + ep.Shift[j]
 	}
 	if ep.ReLU {
 		if v < 0 {
@@ -196,10 +196,7 @@ func GemmPanels(m, n, k int, ap, bp, c []float32, ep *Epilogue) {
 		if nFull < n {
 			kernColsTail(k, n-nFull, panel, bp[nFull*k:], c0[nFull:], c1[nFull:], c2[nFull:], c3[nFull:])
 		}
-		ep.Apply(c0, 0)
-		ep.Apply(c1, 0)
-		ep.Apply(c2, 0)
-		ep.Apply(c3, 0)
+		ep.Apply(c[i0*n:], gemmMR, n)
 	}
 	if i0 < m {
 		gemmRaggedBlock(gemmMR, m, n, k, i0, ap, bp, c, ep)
@@ -226,22 +223,21 @@ func gemmRaggedBlock(h, m, n, k, i0 int, ap, bp, c []float32, ep *Epilogue) {
 			copy(c[(i0+r)*n+j0:(i0+r)*n+j0+w], tile[r*gemmNR:r*gemmNR+w])
 		}
 	}
-	for i := i0; i < m; i++ {
-		ep.Apply(c[i*n:(i+1)*n], 0)
-	}
+	ep.Apply(c[i0*n:], m-i0, n)
 }
 
 // kernColsTail computes the trailing (n % 8) columns of one 4-row
-// block from the final zero-padded B panel.
+// block from the final zero-padded B panel, each product rounded
+// before its add on every target.
 func kernColsTail(k, nj int, ap, bpPanel []float32, c0, c1, c2, c3 []float32) {
 	for jj := 0; jj < nj; jj++ {
 		var s0, s1, s2, s3 float32
 		for p := 0; p < k; p++ {
 			b := bpPanel[p*gemmNR+jj]
-			s0 += ap[p*gemmMR+0] * b
-			s1 += ap[p*gemmMR+1] * b
-			s2 += ap[p*gemmMR+2] * b
-			s3 += ap[p*gemmMR+3] * b
+			s0 += float32(ap[p*gemmMR+0] * b)
+			s1 += float32(ap[p*gemmMR+1] * b)
+			s2 += float32(ap[p*gemmMR+2] * b)
+			s3 += float32(ap[p*gemmMR+3] * b)
 		}
 		c0[jj], c1[jj], c2[jj], c3[jj] = s0, s1, s2, s3
 	}
@@ -267,11 +263,7 @@ func gemmSmall(m, n, k int, a, b, c []float32, ep *Epilogue) {
 		axpy2(n, k, a[i0*k:], b, c[i0*n:])
 		axpy1(n, k, a[(i0+2)*k:], b, c[(i0+2)*n:])
 	}
-	if ep != nil {
-		for i := 0; i < m; i++ {
-			ep.Apply(c[i*n:(i+1)*n], 0)
-		}
-	}
+	ep.Apply(c, m, n)
 }
 
 func axpy4(n, k int, a, b, c []float32) {

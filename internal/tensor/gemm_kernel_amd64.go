@@ -98,9 +98,7 @@ func gemmPanelPairs(m, n, k int, ap, bp, c []float32, ep *Epilogue) int {
 			kernColsTail(k, nj, pair[:gemmMR*k], tail, rows[nFull:], rows[n+nFull:], rows[2*n+nFull:], rows[3*n+nFull:])
 			kernColsTail(k, nj, pair[gemmMR*k:], tail, rows[4*n+nFull:], rows[5*n+nFull:], rows[6*n+nFull:], rows[7*n+nFull:])
 		}
-		for r := 0; r < pairRows; r++ {
-			ep.Apply(rows[r*n:(r+1)*n], 0)
-		}
+		ep.Apply(rows, pairRows, n)
 	}
 	if m-i0 <= gemmMR {
 		return i0

@@ -157,9 +157,7 @@ func gemmPackedThreePass(m, n, k int, a, bp, c []float32, ep *Epilogue, scratchA
 			c[i0*n+j] = s
 		}
 	}
-	for i := 0; i < m; i++ {
-		ep.Apply(c[i*n:(i+1)*n], 0)
-	}
+	ep.Apply(c, m, n)
 }
 
 // TestGemmPackedBitwiseMatchesThreePass pins the interleaving packA

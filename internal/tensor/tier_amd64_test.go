@@ -97,7 +97,12 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	}
 	bp := make([]float32, PackBSize(k, n))
 	PackB(k, n, b, bp)
-	ep := &Epilogue{Bias: randMat(g, n), ReLU: true, Cap: 6}
+	// A row with a NaN in a is NaN in every column, so these NaNs in the
+	// epilogue meet NaN values of another payload.
+	ep := &Epilogue{Bias: randMat(g, n), Scale: randMat(g, n), Shift: randMat(g, n), ReLU: true, Cap: 6}
+	ep.Bias[2] = math.Float32frombits(0x7fc0b1a5)
+	ep.Scale[5] = math.Float32frombits(0xffc05ca1)
+	ep.Shift[6] = math.Float32frombits(0x7fc05f17)
 	out := [2][]float32{make([]float32, m*n), make([]float32, m*n)}
 	nans := 0
 	for i, tier := range tiers {
@@ -114,5 +119,46 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	}
 	if i := sameBits(out[0], out[1]); i >= 0 {
 		t.Fatalf("[%d] sse %#08x, avx2 %#08x", i, math.Float32bits(out[0][i]), math.Float32bits(out[1][i]))
+	}
+
+	// The depthwise span: NaNs of different payloads in the inputs, the
+	// weights and the bias meet in its products and sums. Tap t's weight
+	// for channel t is a NaN, and so is its input there at every pixel
+	// (both the four-pixel blocks and the single pixels after them), so
+	// each product in those lanes has two NaN operands; the bias of
+	// channel 9 is a NaN that the NaN products of that lane are added
+	// to, the NaN sums of channels 0 and 1 meet a NaN scale and shift,
+	// and tap 2's zero weight meets an infinite input.
+	const ic, npix, ntaps = 16, 7, 9
+	taps := make([]Tap, ntaps)
+	for t := range taps {
+		taps[t] = Tap{X: randMat(g, npix*ic), W: randMat(g, ic)}
+		taps[t].W[t] = math.Float32frombits(0x7fc00100 + uint32(t))
+		for p := 0; p < npix; p++ {
+			taps[t].X[p*ic+t] = math.Float32frombits(0xffc00200 + uint32(16*p+t))
+			taps[t].X[p*ic+9] = math.Float32frombits(0x7fc00300 + uint32(16*p+t))
+		}
+	}
+	taps[2].W[11], taps[2].X[3*ic+11] = 0, inf32
+	dwEp := &Epilogue{Bias: randMat(g, ic), Scale: randMat(g, ic), Shift: randMat(g, ic), ReLU: true, Cap: 6}
+	dwEp.Bias[9] = math.Float32frombits(0x7fc0beef)
+	dwEp.Scale[0] = math.Float32frombits(0xffc05ca1)
+	dwEp.Shift[1] = math.Float32frombits(0x7fc05f17)
+	for i, tier := range tiers {
+		tier.use()
+		out[i] = make([]float32, npix*ic)
+		DepthwiseSpan(out[i], npix, ic, ic, taps, dwEp)
+	}
+	nans = 0
+	for _, v := range out[0] {
+		if v != v {
+			nans++
+		}
+	}
+	if nans == 0 || nans == npix*ic {
+		t.Fatalf("depthwise: %d of %d outputs are NaN: the table exercises nothing", nans, npix*ic)
+	}
+	if i := sameBits(out[0], out[1]); i >= 0 {
+		t.Fatalf("depthwise [%d] sse %#08x, avx2 %#08x", i, math.Float32bits(out[0][i]), math.Float32bits(out[1][i]))
 	}
 }

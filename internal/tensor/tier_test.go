@@ -158,13 +158,80 @@ func TestKernelTiersBitwiseEqual(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("GEMM tiers covered: %s (this process runs %q)", tierNames(tiers), Kernel())
+}
+
+// tierNames lists the generic tier, which the tests compute directly,
+// and then the tiers they switched to.
+func tierNames(tiers []kernelTier) string {
 	names := []string{"generic"}
 	for _, tier := range tiers {
 		if tier.name != "generic" {
 			names = append(names, tier.name)
 		}
 	}
-	t.Logf("tiers covered: %s (this process runs %q)", strings.Join(names, " "), Kernel())
+	return strings.Join(names, " ")
+}
+
+// TestDepthwiseTiersBitwiseEqual runs DepthwiseSpan on every tier this
+// machine has and compares the outputs, as bit patterns, with the
+// generic tier (depthwiseGo over every channel). The channel counts are
+// all vector tail, one four-lane vector, vectors and a tail, and whole
+// eight-lane vectors; the pixel counts run the four-pixel blocks, the
+// single pixels after them, or both; the taps number one to nine, read
+// pixels one or two apart, and hold NaN, ±Inf, −0 and denormals in
+// inputs and weights. Every epilogue of TestKernelTiersBitwiseEqual
+// closes the span, and nothing past the span may be written.
+func TestDepthwiseTiersBitwiseEqual(t *testing.T) {
+	g := NewRNG(18)
+	tiers := kernelTiers(t)
+	const guard = 8
+	for _, ic := range []int{1, 3, 4, 5, 8, 13, 16, 64} {
+		bias, scale, shift := randMat(g, ic), randMat(g, ic), randMat(g, ic)
+		eps := []*Epilogue{
+			{},
+			{Bias: bias},
+			{Scale: scale, Shift: shift},
+			{ReLU: true},
+			{ReLU: true, Cap: 0.5},
+			{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 6},
+		}
+		for ntaps := 1; ntaps <= 9; ntaps++ {
+			for _, step := range []int{1, 2} {
+				for _, npix := range []int{1, 4, 7} {
+					xstride := step * ic
+					taps := make([]Tap, ntaps)
+					for i := range taps {
+						x, w := randMat(g, (npix-1)*xstride+ic), randMat(g, ic)
+						sprinkle(g, x)
+						sprinkle(g, w)
+						taps[i] = Tap{X: x, W: w}
+					}
+					want, got := make([]float32, npix*ic), make([]float32, npix*ic+guard)
+					for ei, ep := range eps {
+						depthwiseGo(want, npix, ic, xstride, 0, taps, ep)
+						for _, tier := range tiers {
+							tier.use()
+							for i := range got {
+								got[i] = -12345 // must be overwritten, and the guard kept
+							}
+							DepthwiseSpan(got[:npix*ic], npix, ic, xstride, taps, ep)
+							if i := sameBits(got[:npix*ic], want); i >= 0 {
+								t.Fatalf("%s, ic=%d taps=%d step=%d npix=%d ep#%d: [%d] %v (%#08x), generic tier %v (%#08x)",
+									tier.name, ic, ntaps, step, npix, ei, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+							}
+							for _, v := range got[npix*ic:] {
+								if v != -12345 {
+									t.Fatalf("%s, ic=%d taps=%d npix=%d: wrote past the span", tier.name, ic, ntaps, npix)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("depthwise tiers covered: %s (this process runs %q)", tierNames(tiers), Kernel())
 }
 
 // BenchmarkGemmPanels times the panel product on the shapes that carry

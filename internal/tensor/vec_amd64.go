@@ -2,23 +2,11 @@
 
 package tensor
 
-// Four-lane SSE element-wise kernels with scalar tails. These are the
-// vector primitives behind the depthwise convolution, the small-m GEMM
-// path, and the fused epilogue. Every function applies the exact same
-// per-element operation (and ordering) as the portable Go loops in
-// vec_generic.go, so results are bitwise identical across builds.
-
-// VecMulAdd computes dst[i] += a[i] * b[i].
-func VecMulAdd(dst, a, b []float32) {
-	n := len(dst)
-	q := n &^ 3
-	if q > 0 {
-		vecMulAddSSE(q, &dst[0], &a[0], &b[0])
-	}
-	for i := q; i < n; i++ {
-		dst[i] += a[i] * b[i]
-	}
-}
+// Four-lane SSE element-wise kernels with scalar tails: the small-m
+// GEMM path's axpy and the A-panel interleave. Every function applies
+// the exact same per-element operation (and ordering) as the portable
+// Go loops in vec_generic.go, so results are bitwise identical across
+// builds.
 
 // VecAxpy computes y[i] += alpha * x[i].
 func VecAxpy(alpha float32, x, y []float32) {
@@ -29,63 +17,6 @@ func VecAxpy(alpha float32, x, y []float32) {
 	}
 	for i := q; i < n; i++ {
 		y[i] += alpha * x[i]
-	}
-}
-
-// VecAdd computes dst[i] += b[i].
-func VecAdd(dst, b []float32) {
-	n := len(dst)
-	q := n &^ 3
-	if q > 0 {
-		vecAddSSE(q, &dst[0], &b[0])
-	}
-	for i := q; i < n; i++ {
-		dst[i] += b[i]
-	}
-}
-
-// VecScaleShift computes dst[i] = dst[i]*scale[i] + shift[i].
-func VecScaleShift(dst, scale, shift []float32) {
-	n := len(dst)
-	q := n &^ 3
-	if q > 0 {
-		vecScaleShiftSSE(q, &dst[0], &scale[0], &shift[0])
-	}
-	for i := q; i < n; i++ {
-		dst[i] = dst[i]*scale[i] + shift[i]
-	}
-}
-
-// VecReLU computes dst[i] = max(0, dst[i]), propagating NaN like the
-// scalar comparison does.
-func VecReLU(dst []float32) {
-	n := len(dst)
-	q := n &^ 3
-	if q > 0 {
-		vecReLUSSE(q, &dst[0])
-	}
-	for i := q; i < n; i++ {
-		if dst[i] < 0 {
-			dst[i] = 0
-		}
-	}
-}
-
-// VecReLUCap computes dst[i] = min(cap, max(0, dst[i])) (ReLU6 when
-// cap is 6), propagating NaN like the scalar comparisons do.
-func VecReLUCap(dst []float32, cap float32) {
-	n := len(dst)
-	q := n &^ 3
-	if q > 0 {
-		vecReLUCapSSE(q, &dst[0], cap)
-	}
-	for i := q; i < n; i++ {
-		v := dst[i]
-		if v < 0 {
-			dst[i] = 0
-		} else if v > cap {
-			dst[i] = cap
-		}
 	}
 }
 
@@ -108,22 +39,7 @@ func VecInterleave4(dst, s0, s1, s2, s3 []float32) {
 // Implemented in vec_amd64.s. n must be a positive multiple of 4.
 //
 //go:noescape
-func vecMulAddSSE(n int, dst, a, b *float32)
-
-//go:noescape
 func vecAxpySSE(n int, alpha float32, x, y *float32)
-
-//go:noescape
-func vecAddSSE(n int, dst, b *float32)
-
-//go:noescape
-func vecScaleShiftSSE(n int, dst, scale, shift *float32)
-
-//go:noescape
-func vecReLUSSE(n int, dst *float32)
-
-//go:noescape
-func vecReLUCapSSE(n int, dst *float32, cap float32)
 
 //go:noescape
 func vecInterleave4SSE(n int, dst, s0, s1, s2, s3 *float32)

@@ -6,29 +6,6 @@
 // n % 4 == 0 (scalar tails live in the Go wrappers). MULPS/ADDPS are
 // part of the amd64 baseline, so no feature detection is needed.
 
-// func vecMulAddSSE(n int, dst, a, b *float32)
-// dst[i] += a[i] * b[i]
-TEXT ·vecMulAddSSE(SB), NOSPLIT, $0-32
-	MOVQ n+0(FP), CX
-	MOVQ dst+8(FP), DI
-	MOVQ a+16(FP), SI
-	MOVQ b+24(FP), DX
-	SHRQ $2, CX
-
-mulAddLoop:
-	MOVUPS (SI), X0
-	MOVUPS (DX), X1
-	MULPS  X1, X0
-	MOVUPS (DI), X2
-	ADDPS  X0, X2
-	MOVUPS X2, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DX
-	ADDQ   $16, DI
-	DECQ   CX
-	JNZ    mulAddLoop
-	RET
-
 // func vecAxpySSE(n int, alpha float32, x, y *float32)
 // y[i] += alpha * x[i]
 TEXT ·vecAxpySSE(SB), NOSPLIT, $0-32
@@ -49,91 +26,6 @@ axpyLoop:
 	ADDQ   $16, DI
 	DECQ   CX
 	JNZ    axpyLoop
-	RET
-
-// func vecAddSSE(n int, dst, b *float32)
-// dst[i] += b[i]
-TEXT ·vecAddSSE(SB), NOSPLIT, $0-24
-	MOVQ n+0(FP), CX
-	MOVQ dst+8(FP), DI
-	MOVQ b+16(FP), SI
-	SHRQ $2, CX
-
-addLoop:
-	MOVUPS (DI), X0
-	MOVUPS (SI), X1
-	ADDPS  X1, X0
-	MOVUPS X0, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	DECQ   CX
-	JNZ    addLoop
-	RET
-
-// func vecScaleShiftSSE(n int, dst, scale, shift *float32)
-// dst[i] = dst[i]*scale[i] + shift[i]
-TEXT ·vecScaleShiftSSE(SB), NOSPLIT, $0-32
-	MOVQ n+0(FP), CX
-	MOVQ dst+8(FP), DI
-	MOVQ scale+16(FP), SI
-	MOVQ shift+24(FP), DX
-	SHRQ $2, CX
-
-scaleLoop:
-	MOVUPS (DI), X0
-	MOVUPS (SI), X1
-	MULPS  X1, X0
-	MOVUPS (DX), X2
-	ADDPS  X2, X0
-	MOVUPS X0, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DX
-	ADDQ   $16, DI
-	DECQ   CX
-	JNZ    scaleLoop
-	RET
-
-// func vecReLUSSE(n int, dst *float32)
-// dst[i] = max(0, dst[i]); NaN lanes keep their NaN (the max operand
-// order makes the unordered result come from the value register, which
-// matches the scalar `if v < 0` comparison).
-TEXT ·vecReLUSSE(SB), NOSPLIT, $0-16
-	MOVQ  n+0(FP), CX
-	MOVQ  dst+8(FP), DI
-	XORPS X3, X3
-	SHRQ  $2, CX
-
-reluLoop:
-	MOVUPS (DI), X0
-	MOVAPS X3, X1
-	MAXPS  X0, X1
-	MOVUPS X1, (DI)
-	ADDQ   $16, DI
-	DECQ   CX
-	JNZ    reluLoop
-	RET
-
-// func vecReLUCapSSE(n int, dst *float32, cap float32)
-// dst[i] = min(cap, max(0, dst[i])); NaN lanes propagate as in the
-// scalar comparisons.
-TEXT ·vecReLUCapSSE(SB), NOSPLIT, $0-20
-	MOVQ   n+0(FP), CX
-	MOVQ   dst+8(FP), DI
-	MOVSS  cap+16(FP), X4
-	SHUFPS $0x00, X4, X4
-	XORPS  X3, X3
-	SHRQ   $2, CX
-
-reluCapLoop:
-	MOVUPS (DI), X0
-	MOVAPS X3, X1
-	MAXPS  X0, X1
-	MOVAPS X4, X2
-	MINPS  X1, X2
-	MOVUPS X2, (DI)
-	ADDQ   $16, DI
-	DECQ   CX
-	JNZ    reluCapLoop
 	RET
 
 // func vecInterleave4SSE(n int, dst, s0, s1, s2, s3 *float32)

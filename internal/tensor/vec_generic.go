@@ -8,58 +8,11 @@ package tensor
 // rounding (arm64, ppc64le, riscv64 do), and an explicit float32(x*y)
 // forbids it, so every product below is written that way.
 
-// VecMulAdd computes dst[i] += a[i] * b[i].
-func VecMulAdd(dst, a, b []float32) {
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	for i := range dst {
-		dst[i] += float32(a[i] * b[i])
-	}
-}
-
 // VecAxpy computes y[i] += alpha * x[i].
 func VecAxpy(alpha float32, x, y []float32) {
 	x = x[:len(y)]
 	for i := range y {
 		y[i] += float32(alpha * x[i])
-	}
-}
-
-// VecAdd computes dst[i] += b[i].
-func VecAdd(dst, b []float32) {
-	b = b[:len(dst)]
-	for i := range dst {
-		dst[i] += b[i]
-	}
-}
-
-// VecScaleShift computes dst[i] = dst[i]*scale[i] + shift[i].
-func VecScaleShift(dst, scale, shift []float32) {
-	scale = scale[:len(dst)]
-	shift = shift[:len(dst)]
-	for i := range dst {
-		dst[i] = float32(dst[i]*scale[i]) + shift[i]
-	}
-}
-
-// VecReLU computes dst[i] = max(0, dst[i]), NaN-preserving.
-func VecReLU(dst []float32) {
-	for i, v := range dst {
-		if v < 0 {
-			dst[i] = 0
-		}
-	}
-}
-
-// VecReLUCap computes dst[i] = min(cap, max(0, dst[i])),
-// NaN-preserving.
-func VecReLUCap(dst []float32, cap float32) {
-	for i, v := range dst {
-		if v < 0 {
-			dst[i] = 0
-		} else if v > cap {
-			dst[i] = cap
-		}
 	}
 }
 
@@ -73,4 +26,14 @@ func VecInterleave4(dst, s0, s1, s2, s3 []float32) {
 	for i, v := range s0 {
 		dst[4*i], dst[4*i+1], dst[4*i+2], dst[4*i+3] = v, s1[i], s2[i], s3[i]
 	}
+}
+
+// applyVec is Epilogue.Apply's vector pass; the portable build has
+// none, so applyOne covers every column.
+func (ep *Epilogue) applyVec(c []float32, m, n int) int { return 0 }
+
+// depthwiseVec is DepthwiseSpan's vector kernel; the portable build has
+// none, so depthwiseGo computes every channel.
+func depthwiseVec(dst []float32, npix, ic, xstride int, taps []Tap, ep *Epilogue) int {
+	return 0
 }

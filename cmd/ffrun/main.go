@@ -233,13 +233,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "\nframes processed   %d\n", st.Frames)
 	fmt.Fprintf(stdout, "uploads            %d (%d frames, %d bits)\n", st.Uploads, st.UploadedFrames, st.UploadedBits)
 	fmt.Fprintf(stdout, "average uplink     %.1f kb/s\n", st.AverageUploadBitrate(cfg.FPS)/1000)
-	if s := observer.Frame.Summary(); s.Count > 0 {
+	if s := observer.Frame.Snapshot(); s.Count > 0 {
 		fmt.Fprintf(stdout, "frame latency      p50 %s, p95 %s, p99 %s, max %s\n",
-			time.Duration(s.P50), time.Duration(s.P95), time.Duration(s.P99), time.Duration(s.Max))
+			time.Duration(s.Quantile(0.50)), time.Duration(s.Quantile(0.95)), time.Duration(s.Quantile(0.99)), time.Duration(s.Max))
 	}
-	if s := observer.Extract.Summary(); s.Count > 0 {
+	if s := observer.Extract.Snapshot(); s.Count > 0 {
 		fmt.Fprintf(stdout, "extract latency    p50 %s, p95 %s, p99 %s\n",
-			time.Duration(s.P50), time.Duration(s.P95), time.Duration(s.P99))
+			time.Duration(s.Quantile(0.50)), time.Duration(s.Quantile(0.95)), time.Duration(s.Quantile(0.99)))
 	}
 	if ast, ok := agent.ArchiveStats(*stream); ok {
 		fmt.Fprintf(stdout, "archive            %d frames in %d segments, %.1f MB on disk (%d bits coded)\n",

@@ -299,13 +299,13 @@ func (h *healthTick) eval(sum metrics.FleetSummary, stats []fleet.ShardStat, evi
 		signals["drift_ks"] = sum.MaxDriftKS
 	}
 	if sum.ExtractLat.Count > 0 {
-		signals["extract_p99_ms"] = float64(sum.ExtractLat.P99) / 1e6
+		signals["extract_p99_ms"] = float64(sum.ExtractLat.Quantile(0.99)) / 1e6
 	}
+	// The slowest shard's cadence, not the fleet's: one stalled shard
+	// must not hide behind healthy ones.
 	var gap int64
 	for _, s := range stats {
-		if s.HeartbeatGap.Count > 0 && s.HeartbeatGap.P95 > gap {
-			gap = s.HeartbeatGap.P95
-		}
+		gap = max(gap, s.HeartbeatGap.Quantile(0.95))
 	}
 	if gap > 0 {
 		signals["hb_gap_p95_ms"] = float64(gap) / 1e6
@@ -399,7 +399,7 @@ func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht
 		for _, s := range stats {
 			fmt.Printf("  shard %d: %d node(s), %d session(s), %d ledger uploads, %d redirects, hb gap p95 %s\n",
 				s.Shard, s.Nodes, s.Sessions, s.Uploads, s.Redirects,
-				time.Duration(s.HeartbeatGap.P95))
+				time.Duration(s.HeartbeatGap.Quantile(0.95)))
 		}
 	}
 	if observer != nil {
@@ -411,18 +411,17 @@ func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht
 	if sum.Frames > 0 {
 		fmt.Printf("  fleet: %d uploads, %d bits, avg %.1f kb/s, hottest %s at %.1f kb/s\n",
 			sum.Uploads, sum.UploadedBits, sum.AverageBitrate/1000, sum.MaxNode, sum.MaxNodeBitrate/1000)
-		// The tails are worst-case merges across nodes: if these look
-		// fine, every node's tails are fine.
+		// Fleet-wide quantiles: the nodes' histograms merge exactly.
 		if sum.ExtractLat.Count > 0 {
 			fmt.Printf("  fleet latency: extract p50 %s p95 %s p99 %s; mc push p95 %s; queue wait p95 %s\n",
-				time.Duration(sum.ExtractLat.P50), time.Duration(sum.ExtractLat.P95),
-				time.Duration(sum.ExtractLat.P99), time.Duration(sum.MCPushLat.P95),
-				time.Duration(sum.QueueWaitLat.P95))
+				time.Duration(sum.ExtractLat.Quantile(0.50)), time.Duration(sum.ExtractLat.Quantile(0.95)),
+				time.Duration(sum.ExtractLat.Quantile(0.99)), time.Duration(sum.MCPushLat.Quantile(0.95)),
+				time.Duration(sum.QueueWaitLat.Quantile(0.95)))
 		}
 		if sum.UploadRTTLat.Count > 0 {
 			fmt.Printf("  fleet upload rtt: p50 %s p95 %s p99 %s (max %s)\n",
-				time.Duration(sum.UploadRTTLat.P50), time.Duration(sum.UploadRTTLat.P95),
-				time.Duration(sum.UploadRTTLat.P99), time.Duration(sum.UploadRTTLat.Max))
+				time.Duration(sum.UploadRTTLat.Quantile(0.50)), time.Duration(sum.UploadRTTLat.Quantile(0.95)),
+				time.Duration(sum.UploadRTTLat.Quantile(0.99)), time.Duration(sum.UploadRTTLat.Max))
 		}
 		// Drift status comes from the same rollup the gauges export:
 		// the worst recent window and how many (stream, MC) pairs are
@@ -463,11 +462,11 @@ func updateFleetGauges(o *obs.Observer, sum metrics.FleetSummary) {
 	o.Reg.Gauge("ff_fleet_uploaded_bits").Set(sum.UploadedBits)
 	o.Reg.Gauge("ff_fleet_evicted_sessions").Set(int64(sum.Evicted))
 	o.Reg.Gauge("ff_fleet_reconnects").Set(int64(sum.Reconnects))
-	o.Reg.Gauge("ff_fleet_extract_p95_ns").Set(sum.ExtractLat.P95)
-	o.Reg.Gauge("ff_fleet_extract_p99_ns").Set(sum.ExtractLat.P99)
-	o.Reg.Gauge("ff_fleet_mc_push_p95_ns").Set(sum.MCPushLat.P95)
-	o.Reg.Gauge("ff_fleet_queue_wait_p95_ns").Set(sum.QueueWaitLat.P95)
-	o.Reg.Gauge("ff_fleet_upload_rtt_p95_ns").Set(sum.UploadRTTLat.P95)
+	o.Reg.Gauge("ff_fleet_extract_p95_ns").Set(sum.ExtractLat.Quantile(0.95))
+	o.Reg.Gauge("ff_fleet_extract_p99_ns").Set(sum.ExtractLat.Quantile(0.99))
+	o.Reg.Gauge("ff_fleet_mc_push_p95_ns").Set(sum.MCPushLat.Quantile(0.95))
+	o.Reg.Gauge("ff_fleet_queue_wait_p95_ns").Set(sum.QueueWaitLat.Quantile(0.95))
+	o.Reg.Gauge("ff_fleet_upload_rtt_p95_ns").Set(sum.UploadRTTLat.Quantile(0.95))
 	o.Reg.Gauge("ff_fleet_pending_uploads").Set(int64(sum.PendingUploads))
 	// Drift gauges scale the float statistics by 1e3 (gauges are
 	// integers): ff_fleet_drift_score 250 == PSI 0.25.
@@ -488,6 +487,11 @@ func updateFleetGauges(o *obs.Observer, sum metrics.FleetSummary) {
 func describeFleetGauges(reg *obs.Registry) {
 	for name, help := range map[string]string{
 		"ff_fleet_health":             "SLO engine overall status (0 healthy, 1 degraded, 2 critical)",
+		"ff_fleet_extract_p95_ns":     "fleet-wide p95 base-DNN extraction latency, from every node's merged histogram (not the worst node's p95)",
+		"ff_fleet_extract_p99_ns":     "fleet-wide p99 base-DNN extraction latency, from every node's merged histogram (not the worst node's p99)",
+		"ff_fleet_mc_push_p95_ns":     "fleet-wide p95 MC push latency, from every node's merged histogram (not the worst node's p95)",
+		"ff_fleet_queue_wait_p95_ns":  "fleet-wide p95 scheduler queue wait, from every node's merged histogram (not the worst node's p95)",
+		"ff_fleet_upload_rtt_p95_ns":  "fleet-wide p95 upload send-to-ack round trip, from every node's merged histogram (not the worst node's p95)",
 		"ff_fleet_pending_uploads":    "edge-side upload backlog awaiting controller acks",
 		"ff_fleet_drift_score":        "worst per-stream PSI drift score across the fleet, scaled by 1e3",
 		"ff_fleet_drift_ks":           "worst per-stream binned KS drift score across the fleet, scaled by 1e3",
@@ -522,7 +526,8 @@ func printHealthLine(eng *health.Engine, status health.Status) {
 
 // updateShardGauges mirrors per-shard load, heartbeat-cadence and
 // compaction stats into ff_fleet_shard_<i>_* gauges, the balance view
-// that shows a hot or empty shard at a glance.
+// that shows a hot or empty shard at a glance, and each shard's
+// heartbeat handling time into ff_ctrl_shard_<i>_heartbeat_* gauges.
 func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 	o.Reg.Gauge("ff_fleet_shards").Set(int64(len(stats)))
 	for _, s := range stats {
@@ -531,9 +536,14 @@ func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 		o.Reg.ShardGauge(s.Shard, "ledger_uploads").Set(int64(s.Uploads))
 		o.Reg.ShardGauge(s.Shard, "ledger_bits").Set(s.UploadBits)
 		o.Reg.ShardGauge(s.Shard, "redirects").Set(int64(s.Redirects))
-		o.Reg.ShardGauge(s.Shard, "hb_gap_p95_ns").Set(s.HeartbeatGap.P95)
+		o.Reg.ShardGauge(s.Shard, "hb_gap_p95_ns").Set(s.HeartbeatGap.Quantile(0.95))
 		o.Reg.ShardGauge(s.Shard, "snapshots").Set(int64(s.Snapshots))
 		o.Reg.ShardGauge(s.Shard, "snapshot_bytes").Set(s.SnapshotBytes)
+		for _, q := range []float64{0.50, 0.99} {
+			name := fmt.Sprintf("ff_ctrl_shard_%d_heartbeat_p%.0f_ns", s.Shard, q*100)
+			o.Reg.Describe(name, "time the shard took to handle a heartbeat, from reading the record to the end of its drift and canary evaluation")
+			o.Reg.Gauge(name).Set(s.HeartbeatHandling.Quantile(q))
+		}
 	}
 }
 

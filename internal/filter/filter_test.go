@@ -506,12 +506,12 @@ func TestInstrumentedPushZeroAlloc(t *testing.T) {
 		for i := 0; i < mc.Lag()+3; i++ {
 			mc.Push(fm)
 		}
-		before := h.Summary().Count
+		before := h.Count()
 		skBefore := sk.Count()
 		if n := testing.AllocsPerRun(50, func() { mc.Push(fm) }); n != 0 {
 			t.Fatalf("%v: instrumented Push allocates %v objects per frame, want 0", arch, n)
 		}
-		if got := h.Summary().Count - before; got < 50 {
+		if got := h.Count() - before; got < 50 {
 			t.Fatalf("%v: histogram saw %d observations, want >= 50", arch, got)
 		}
 		if tr.Recorded() == 0 {

@@ -1348,10 +1348,10 @@ func (a *Agent) snapshot() Heartbeat {
 		}
 	}
 	if o := a.cfg.Edge.Obs; o != nil {
-		hb.Extract = o.Extract.Summary()
-		hb.MCPush = o.MCPush.Summary()
-		hb.QueueWait = o.QueueWait.Summary()
-		hb.UploadRTT = o.UploadRTT.Summary()
+		hb.Extract = o.Extract.Snapshot()
+		hb.MCPush = o.MCPush.Snapshot()
+		hb.QueueWait = o.QueueWait.Snapshot()
+		hb.UploadRTT = o.UploadRTT.Snapshot()
 	}
 	hb.PendingUploads, _ = a.PendingUploads()
 	return hb

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // StreamInfo describes one camera stream an edge node hosts,
@@ -229,33 +230,63 @@ type StreamStats struct {
 }
 
 // Heartbeat carries periodic per-stream stats (edge → datacenter),
-// plus node-level latency histogram summaries when the agent runs
-// with an observer. The summaries are node-wide (streams share one
-// observer), so the rollup side must attribute them once per node,
-// not once per stream. Zero-count summaries mean "not instrumented";
-// gob decodes heartbeats from older nodes with the fields zeroed.
+// plus node-level latency histograms when the agent runs with an
+// observer. The histograms are node-wide (streams share one observer),
+// so the rollup side must attribute them once per node, not once per
+// stream. Zero-count histograms mean "not instrumented".
+//
+// Like transport.UploadRecord, its payload is a fixed binary layout
+// rather than gob: the fields in declaration order, counts and
+// unsigned integers as uvarints, signed integers as zigzag varints,
+// strings as a uvarint length and the bytes.
+//
+//	Streams    count | count × (name | the 12 StreamStats fields in
+//	           order, MaxUplinkDelay as its 8 IEEE 754 bytes)
+//	Extract, MCPush, QueueWait, UploadRTT, each:
+//	           Count | Sum | Max | count | count × (index delta | bucket)
+//	Scores     count | count × (stream | count × (MC | Count | Passes |
+//	           Sum | SumSq | 32 bins))
+//	ScoreVersions: count | count × (stream | count × (MC | version))
+//	ShadowScores, ShadowVersions, ShadowEpochs: as Scores and
+//	           ScoreVersions
+//	PendingUploads
+//
+// A histogram sends only its nonzero buckets, each index as the delta
+// from the previous one (the first from -1), so in practice a handful
+// of the 40. A map of no entries, nil or not, is a count of 0 and
+// decodes to a nil map; inner maps too. Decoding refuses truncated
+// input, trailing bytes, an entry count the remaining bytes could not
+// hold, a duplicate map key, and a bucket index that does not increase
+// or reaches obs.NumBuckets, and leaves the heartbeat untouched when it
+// does.
+//
+// An agent that still sends gob heartbeats is refused at the
+// handshake: it announces the previous wire magic, which
+// transport.ReadHeader rejects before any record is read. No gob
+// heartbeat is decoded, so no field of one is ever zeroed or guessed.
 type Heartbeat struct {
 	Streams map[string]StreamStats
-	// Extract, MCPush, QueueWait, and UploadRTT digest the node's
+	// Extract, MCPush, QueueWait, and UploadRTT are the node's
 	// base-DNN extraction, MC classification, scheduler queue-wait,
-	// and upload send-to-ack latency histograms.
-	Extract   obs.Summary
-	MCPush    obs.Summary
-	QueueWait obs.Summary
-	UploadRTT obs.Summary
+	// and upload send-to-ack latency histograms, cumulative since the
+	// agent started. Snapshots merge exactly, so the fleet rollup
+	// reports true fleet-wide quantiles.
+	Extract   obs.HistSnapshot
+	MCPush    obs.HistSnapshot
+	QueueWait obs.HistSnapshot
+	UploadRTT obs.HistSnapshot
 	// Scores carries each stream's per-MC cumulative score sketches
 	// (stream → MC name → sketch since deploy) — the semantic signal
 	// the controller's drift detector consumes. Cumulative, like the
-	// latency summaries: the controller derives recent windows by
-	// subtracting the previous heartbeat's snapshot. Nil/missing means
-	// an older node or no deployed MCs; gob decodes heartbeats from
-	// older nodes with the field zeroed.
+	// latency histograms: the controller derives recent windows by
+	// subtracting the previous heartbeat's snapshot. Nil means no
+	// deployed MCs.
 	Scores map[string]map[string]obs.SketchSnapshot
 	// ScoreVersions carries the deployed model version behind each
 	// sketch in Scores (stream → MC name → filter.Spec.Version). The
-	// drift detector keys redeploy resets on version changes; agents
-	// predating versioning omit the map (gob zero) and the controller
-	// falls back to cumulative-count regression.
+	// drift detector keys redeploy resets on version changes; without
+	// a version the controller falls back to cumulative-count
+	// regression.
 	ScoreVersions map[string]map[string]uint64
 	// ShadowScores and ShadowVersions mirror Scores/ScoreVersions for
 	// canary candidates running in shadow mode — the
@@ -267,8 +298,8 @@ type Heartbeat struct {
 	// MC name → install counter). The canary evaluator re-anchors its
 	// window whenever a pair's epoch changes — cumulative-count
 	// regression alone misses a reinstalled shadow whose fresh sketch
-	// caught up between heartbeats. Agents predating the field omit it
-	// (gob zero) and the controller falls back to count regression.
+	// caught up between heartbeats. Without an epoch the controller
+	// falls back to count regression.
 	ShadowEpochs map[string]map[string]uint64
 	// PendingUploads is the node-level count of uploads buffered
 	// awaiting a controller ack — the edge's backlog, an SLO input on
@@ -277,14 +308,206 @@ type Heartbeat struct {
 	PendingUploads int
 }
 
+// Minimum encoded entry sizes, which bound the entry counts a
+// heartbeat decoder accepts: every string and varint takes at least a
+// byte.
+const (
+	minStreamBytes = 1 + 11 + 8         // name, 11 varints, MaxUplinkDelay
+	minSketchBytes = 4 + obs.SketchBins // Count, Passes, Sum, SumSq, bins
+)
+
+// AppendBinary appends the heartbeat's binary layout to b.
+func (hb Heartbeat) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(hb.Streams)))
+	for name, st := range hb.Streams {
+		b = transport.AppendString(b, name)
+		b = binary.AppendVarint(b, int64(st.Frames))
+		b = binary.AppendVarint(b, int64(st.Uploads))
+		b = binary.AppendVarint(b, int64(st.UploadedFrames))
+		b = binary.AppendVarint(b, st.UploadedBits)
+		b = binary.AppendVarint(b, st.DemandFetchBits)
+		b = binary.AppendVarint(b, int64(st.DemandFetches))
+		b = transport.AppendFloat64(b, st.MaxUplinkDelay)
+		b = binary.AppendVarint(b, st.ArchivedBits)
+		b = binary.AppendVarint(b, st.ArchiveBytes)
+		b = binary.AppendVarint(b, int64(st.ArchiveSegments))
+		b = binary.AppendVarint(b, int64(st.ArchiveEvictedSegments))
+		b = binary.AppendVarint(b, st.ArchiveEvictedBytes)
+	}
+	for _, h := range [...]*obs.HistSnapshot{&hb.Extract, &hb.MCPush, &hb.QueueWait, &hb.UploadRTT} {
+		b = appendHist(b, h)
+	}
+	b = appendNested(b, hb.Scores, appendSketch)
+	b = appendNested(b, hb.ScoreVersions, binary.AppendUvarint)
+	b = appendNested(b, hb.ShadowScores, appendSketch)
+	b = appendNested(b, hb.ShadowVersions, binary.AppendUvarint)
+	b = appendNested(b, hb.ShadowEpochs, binary.AppendUvarint)
+	return binary.AppendVarint(b, int64(hb.PendingUploads)), nil
+}
+
+// MarshalBinary returns the heartbeat's binary layout.
+func (hb Heartbeat) MarshalBinary() ([]byte, error) { return hb.AppendBinary(nil) }
+
+// UnmarshalBinary decodes exactly one heartbeat's binary layout.
+func (hb *Heartbeat) UnmarshalBinary(data []byte) error {
+	d := transport.NewLayoutReader(data)
+	var out Heartbeat
+	if n := d.Count(minStreamBytes); n > 0 {
+		out.Streams = make(map[string]StreamStats, n)
+		for ; n > 0; n-- {
+			name := d.String()
+			putUnique(&d, out.Streams, name, StreamStats{
+				Frames:                 d.Int(),
+				Uploads:                d.Int(),
+				UploadedFrames:         d.Int(),
+				UploadedBits:           d.Varint(),
+				DemandFetchBits:        d.Varint(),
+				DemandFetches:          d.Int(),
+				MaxUplinkDelay:         d.Float64(),
+				ArchivedBits:           d.Varint(),
+				ArchiveBytes:           d.Varint(),
+				ArchiveSegments:        d.Int(),
+				ArchiveEvictedSegments: d.Int(),
+				ArchiveEvictedBytes:    d.Varint(),
+			})
+		}
+	}
+	for _, h := range [...]*obs.HistSnapshot{&out.Extract, &out.MCPush, &out.QueueWait, &out.UploadRTT} {
+		readHist(&d, h)
+	}
+	readUvarint := (*transport.LayoutReader).Uvarint
+	out.Scores = readNested(&d, minSketchBytes, readSketch)
+	out.ScoreVersions = readNested(&d, 1, readUvarint)
+	out.ShadowScores = readNested(&d, minSketchBytes, readSketch)
+	out.ShadowVersions = readNested(&d, 1, readUvarint)
+	out.ShadowEpochs = readNested(&d, 1, readUvarint)
+	out.PendingUploads = d.Int()
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("heartbeat: %w", err)
+	}
+	*hb = out
+	return nil
+}
+
+// appendHist appends a histogram snapshot: Count, Sum, Max, then its
+// nonzero buckets as (index delta, count) pairs.
+func appendHist(b []byte, h *obs.HistSnapshot) []byte {
+	b = binary.AppendUvarint(b, h.Count)
+	b = binary.AppendVarint(b, h.Sum)
+	b = binary.AppendVarint(b, h.Max)
+	nonzero := 0
+	for _, c := range h.Buckets {
+		if c != 0 {
+			nonzero++
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(nonzero))
+	prev := -1
+	for i, c := range h.Buckets {
+		if c != 0 {
+			b = binary.AppendUvarint(b, uint64(i-prev))
+			b = binary.AppendUvarint(b, c)
+			prev = i
+		}
+	}
+	return b
+}
+
+// readHist reads what appendHist wrote into h, refusing a bucket index
+// that does not increase or falls outside the histogram.
+func readHist(d *transport.LayoutReader, h *obs.HistSnapshot) {
+	h.Count, h.Sum, h.Max = d.Uvarint(), d.Varint(), d.Varint()
+	prev := -1
+	for n := d.Count(2); n > 0; n-- { // an index delta and a count
+		delta, c := d.Uvarint(), d.Uvarint()
+		if delta == 0 {
+			d.Fail(errors.New("bucket indices do not increase"))
+			return
+		}
+		if delta >= uint64(obs.NumBuckets-prev) {
+			d.Fail(fmt.Errorf("bucket index %d+%d, want below %d", prev, delta, obs.NumBuckets))
+			return
+		}
+		prev += int(delta)
+		h.Buckets[prev] = c
+	}
+}
+
+func appendSketch(b []byte, s obs.SketchSnapshot) []byte {
+	b = binary.AppendUvarint(b, s.Count)
+	b = binary.AppendUvarint(b, s.Passes)
+	b = binary.AppendVarint(b, s.Sum)
+	b = binary.AppendVarint(b, s.SumSq)
+	for _, c := range s.Bins {
+		b = binary.AppendUvarint(b, c)
+	}
+	return b
+}
+
+func readSketch(d *transport.LayoutReader) obs.SketchSnapshot {
+	s := obs.SketchSnapshot{Count: d.Uvarint(), Passes: d.Uvarint(), Sum: d.Varint(), SumSq: d.Varint()}
+	for i := range s.Bins {
+		s.Bins[i] = d.Uvarint()
+	}
+	return s
+}
+
+// appendNested appends a stream → MC → value map.
+func appendNested[V any](b []byte, m map[string]map[string]V, appendV func([]byte, V) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m)))
+	for stream, inner := range m {
+		b = transport.AppendString(b, stream)
+		b = binary.AppendUvarint(b, uint64(len(inner)))
+		for mc, v := range inner {
+			b = transport.AppendString(b, mc)
+			b = appendV(b, v)
+		}
+	}
+	return b
+}
+
+// readNested reads what appendNested wrote; a value takes at least
+// minValueBytes.
+func readNested[V any](d *transport.LayoutReader, minValueBytes int, readV func(*transport.LayoutReader) V) map[string]map[string]V {
+	n := d.Count(2) // a stream name and an inner count
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]map[string]V, n)
+	for ; n > 0; n-- {
+		stream := d.String()
+		var inner map[string]V
+		if k := d.Count(1 + minValueBytes); k > 0 { // an MC name and a value
+			inner = make(map[string]V, k)
+			for ; k > 0; k-- {
+				mc := d.String()
+				putUnique(d, inner, mc, readV(d))
+			}
+		}
+		putUnique(d, m, stream, inner)
+	}
+	return m
+}
+
+// putUnique stores m[k] = v, failing the layout on a duplicate key: a
+// decoder that let the last entry win would accept two encodings of
+// one heartbeat.
+func putUnique[V any](d *transport.LayoutReader, m map[string]V, k string, v V) {
+	if _, dup := m[k]; dup {
+		d.Fail(fmt.Errorf("duplicate key %q", k))
+		return
+	}
+	m[k] = v
+}
+
 // UploadAck acknowledges one received upload by its edge-assigned
 // sequence number (datacenter → edge). The edge retires every
 // buffered upload with Seq at or below it; unacked uploads are
 // retransmitted after a reconnect and deduplicated by the receiver,
 // giving exactly-once upload accounting over an at-least-once wire.
 //
-// Like transport.UploadRecord, and unlike every other record here, its
-// payload is a fixed binary layout rather than gob: one uvarint, Seq.
+// Like transport.UploadRecord its payload is a fixed binary layout
+// rather than gob: one uvarint, Seq.
 type UploadAck struct {
 	Seq uint64
 }
@@ -301,12 +524,10 @@ func (a UploadAck) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) 
 // UnmarshalBinary decodes exactly one ack's binary layout, refusing
 // truncated input and trailing bytes.
 func (a *UploadAck) UnmarshalBinary(data []byte) error {
-	seq, n := binary.Uvarint(data)
-	if n <= 0 {
-		return errors.New("upload ack: truncated or overlong sequence number")
-	}
-	if n != len(data) {
-		return fmt.Errorf("upload ack: %d trailing bytes", len(data)-n)
+	d := transport.NewLayoutReader(data)
+	seq := d.Uvarint()
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("upload ack: %w", err)
 	}
 	a.Seq = seq
 	return nil

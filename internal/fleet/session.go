@@ -67,15 +67,17 @@ type Session struct {
 	closeOnce sync.Once
 
 	// hbGap, when non-nil, observes the gap between consecutive
-	// heartbeats — the owning shard's heartbeat-latency histogram.
-	hbGap *obs.Histogram
+	// heartbeats, and hbHandle the time from reading a heartbeat record
+	// to the return of onHeartbeat — the owning shard's heartbeat
+	// histograms.
+	hbGap, hbHandle *obs.Histogram
 	// onHeartbeat, when non-nil, runs in the reader goroutine for
 	// every heartbeat after it is stored — the shard's drift-detector
 	// hook. Called outside s.mu; it may take shard locks.
 	onHeartbeat func(*Session, Heartbeat)
 }
 
-func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Duration, hbGap *obs.Histogram, onHeartbeat func(*Session, Heartbeat)) *Session {
+func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Duration, hbGap, hbHandle *obs.Histogram, onHeartbeat func(*Session, Heartbeat)) *Session {
 	return &Session{
 		id:          id,
 		node:        hello.Node,
@@ -88,6 +90,7 @@ func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Du
 		fetchFrames: make(map[uint64][]*vision.Image),
 		done:        make(chan struct{}),
 		hbGap:       hbGap,
+		hbHandle:    hbHandle,
 		onHeartbeat: onHeartbeat,
 	}
 }
@@ -442,21 +445,8 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			s.mu.Unlock()
 			s.deliver(fr.Seq, fetchReply{resp: fr, frames: frames})
 		case transport.KindHeartbeat:
-			var hb Heartbeat
-			if err := transport.DecodeRecord(body, &hb); err != nil {
+			if err := s.handleHeartbeat(body); err != nil {
 				return err
-			}
-			now := time.Now()
-			s.mu.Lock()
-			prev := s.heartbeatAt
-			s.heartbeat = hb
-			s.heartbeatAt = now
-			s.mu.Unlock()
-			if s.hbGap != nil && !prev.IsZero() {
-				s.hbGap.Observe(now.Sub(prev))
-			}
-			if s.onHeartbeat != nil {
-				s.onHeartbeat(s, hb)
 			}
 		case transport.KindBye:
 			return nil
@@ -464,6 +454,32 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			return fmt.Errorf("fleet: edge %q sent unknown record kind %d", s.node, kind)
 		}
 	}
+}
+
+// handleHeartbeat decodes and stores one heartbeat record's payload,
+// observes the gap since the previous one, runs onHeartbeat, and
+// observes how long all of that took.
+func (s *Session) handleHeartbeat(body []byte) error {
+	now := time.Now()
+	var hb Heartbeat
+	if err := transport.DecodeRecord(body, &hb); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	prev := s.heartbeatAt
+	s.heartbeat = hb
+	s.heartbeatAt = now
+	s.mu.Unlock()
+	if s.hbGap != nil && !prev.IsZero() {
+		s.hbGap.Observe(now.Sub(prev))
+	}
+	if s.onHeartbeat != nil {
+		s.onHeartbeat(s, hb)
+	}
+	if s.hbHandle != nil {
+		s.hbHandle.Observe(time.Since(now))
+	}
+	return nil
 }
 
 // deliver hands a response to the waiter registered for seq; late or

@@ -45,8 +45,9 @@ type shard struct {
 	snapshots int
 
 	// hbGap observes the gap between consecutive heartbeats of each
-	// session — the shard's control-latency signal.
-	hbGap *obs.Histogram
+	// session — the shard's control-latency signal — and hbHandle how
+	// long the shard spent handling each one.
+	hbGap, hbHandle *obs.Histogram
 }
 
 func newShard(id int, c *Controller) *shard {
@@ -56,6 +57,7 @@ func newShard(id int, c *Controller) *shard {
 		sessions:   make(map[uint64]*Session),
 		shardState: newShardState(),
 		hbGap:      &obs.Histogram{},
+		hbHandle:   &obs.Histogram{},
 	}
 }
 
@@ -143,7 +145,7 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 			})
 		}
 	}
-	s := newSession(sh.c.nextID.Add(1), hello, conn, cfg.Timeout, liveness, sh.hbGap, sh.noteHeartbeat)
+	s := newSession(sh.c.nextID.Add(1), hello, conn, cfg.Timeout, liveness, sh.hbGap, sh.hbHandle, sh.noteHeartbeat)
 	sh.sessions[s.id] = s
 	sh.mu.Unlock()
 	cfg.Log.Info("fleet: session open",
@@ -250,7 +252,7 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 }
 
 // loads converts the shard's live sessions into per-stream NodeLoads
-// — the heartbeat rollup input. Latency digests and lifecycle
+// — the heartbeat rollup input. Latency histograms and lifecycle
 // counters are node-level, so they ride on each node's first load
 // only (SummarizeFleet would double-count them otherwise). Loads are
 // not sorted; the rollup is order-independent by construction.
@@ -273,7 +275,7 @@ func (sh *shard) loads() []metrics.NodeLoad {
 			}
 			// Sketches and drift scores are per-stream (the heartbeat
 			// keys them by stream), so unlike the node-level latency
-			// digests they ride every load without double counting.
+			// histograms they ride every load without double counting.
 			for _, sk := range hb.Scores[si.Name] {
 				load.Scores.Merge(sk)
 			}
@@ -347,10 +349,13 @@ type ShardStat struct {
 	// Redirects counts hellos turned away under a stale placement
 	// epoch.
 	Redirects int
-	// HeartbeatGap digests the observed gap between consecutive
+	// HeartbeatGap is the histogram of the gap between consecutive
 	// heartbeats across the shard's sessions — its control-plane
-	// latency signal.
-	HeartbeatGap obs.Summary
+	// latency signal. HeartbeatHandling is the histogram of the time
+	// from reading a heartbeat record to the return of the shard's
+	// drift and canary hook: what a heartbeat costs the shard.
+	HeartbeatGap      obs.HistSnapshot
+	HeartbeatHandling obs.HistSnapshot
 	// Snapshots counts the state snapshots the shard wrote since the
 	// controller opened (recovery's included), and SnapshotBytes is the
 	// newest one's size on disk — zero on an in-memory controller. A
@@ -365,14 +370,15 @@ func (sh *shard) stats() ShardStat {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := ShardStat{
-		Shard:        sh.id,
-		Nodes:        len(sh.Nodes),
-		Sessions:     len(sh.sessions),
-		Uploads:      sh.Uploads,
-		UploadBits:   sh.UploadBits,
-		Redirects:    sh.redirects,
-		HeartbeatGap: sh.hbGap.Summary(),
-		Snapshots:    sh.snapshots,
+		Shard:             sh.id,
+		Nodes:             len(sh.Nodes),
+		Sessions:          len(sh.sessions),
+		Uploads:           sh.Uploads,
+		UploadBits:        sh.UploadBits,
+		Redirects:         sh.redirects,
+		HeartbeatGap:      sh.hbGap.Snapshot(),
+		HeartbeatHandling: sh.hbHandle.Snapshot(),
+		Snapshots:         sh.snapshots,
 	}
 	if sh.wal != nil {
 		st.SnapshotBytes = sh.wal.SnapshotSize()

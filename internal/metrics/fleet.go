@@ -44,23 +44,20 @@ type NodeLoad struct {
 	// edge-side awaiting a controller ack) from its latest heartbeat.
 	// Node-level like Evicted: set it on a single load per node.
 	PendingUploads int
-	// ExtractLat, MCPushLat, QueueWaitLat, and UploadRTTLat digest the
+	// ExtractLat, MCPushLat, QueueWaitLat, and UploadRTTLat are the
 	// node's latency histograms (base-DNN extraction, MC push,
 	// scheduler queue wait, upload send-to-ack round trip) as carried
 	// in heartbeats. Like Evicted/Reconnects they are node-level: when
 	// a node contributes one NodeLoad per stream, set them on a single
 	// load so SummarizeFleet does not double-count observations.
-	ExtractLat   obs.Summary
-	MCPushLat    obs.Summary
-	QueueWaitLat obs.Summary
-	UploadRTTLat obs.Summary
+	ExtractLat   obs.HistSnapshot
+	MCPushLat    obs.HistSnapshot
+	QueueWaitLat obs.HistSnapshot
+	UploadRTTLat obs.HistSnapshot
 	// Scores merges the stream's per-MC cumulative score sketches as
 	// carried in heartbeats — the semantic load next to the byte
-	// counters above. The sketch is integer state (fixed-point moments
-	// plus histogram counts), so rollups of it are exact under any
-	// shard grouping, unlike the worst-case latency digests. Keyed by
-	// stream in heartbeats, it is per-stream like Frames, not
-	// node-level like ExtractLat.
+	// counters above. Keyed by stream in heartbeats, it is per-stream
+	// like Frames, not node-level like ExtractLat.
 	Scores obs.SketchSnapshot
 	// DriftPSI and DriftKS are the worst most-recent drift scores
 	// across the stream's (stream, MC) pairs as scored by the
@@ -124,15 +121,13 @@ type FleetSummary struct {
 	// heartbeats.
 	PendingUploads int
 	// ExtractLat, MCPushLat, QueueWaitLat, and UploadRTTLat are the
-	// fleet's latency rollups, merged worst-case across nodes
-	// (obs.Summary.Merge): counts and sums add, quantiles and max take
-	// the maximum. The merged p95 is therefore the worst per-node p95,
-	// not a true fleet-wide quantile — a deliberately pessimistic bound
-	// that never hides a slow node behind a fast fleet average.
-	ExtractLat   obs.Summary
-	MCPushLat    obs.Summary
-	QueueWaitLat obs.Summary
-	UploadRTTLat obs.Summary
+	// fleet's latency histograms: the nodes' snapshots merged exactly
+	// (obs.HistSnapshot.Merge), so their quantiles are fleet-wide
+	// quantiles, the same under any shard grouping.
+	ExtractLat   obs.HistSnapshot
+	MCPushLat    obs.HistSnapshot
+	QueueWaitLat obs.HistSnapshot
+	UploadRTTLat obs.HistSnapshot
 	// AverageBitrate is total uploaded bits over total stream time
 	// across nodes with a known rate, in bits/s.
 	AverageBitrate float64
@@ -213,12 +208,12 @@ func (n NodeLoad) summary() FleetSummary {
 }
 
 // Merge folds another summary into s — the cross-shard rollup, and the
-// one merge rule SummarizeFleet applies load by load. Counts and totals
-// add; latency digests merge worst-case (obs.Summary.Merge);
-// AverageBitrate is recomputed from the exact RatedBits/RatedSeconds
-// sums; the hot-spot picks are maxima whose ties break toward the
-// smaller name, a proper semilattice, so the pick does not depend on
-// the order loads arrive in.
+// one merge rule SummarizeFleet applies load by load. Counts, totals,
+// latency histograms and score sketches add; AverageBitrate is
+// recomputed from the exact RatedBits/RatedSeconds sums; the hot-spot
+// picks are maxima whose ties break toward the smaller name, a proper
+// semilattice, so the pick does not depend on the order loads arrive
+// in.
 // Merge is associative and commutative, so shards may report in any
 // order, grouping, or interleaving and the rollup is identical — and
 // equal to SummarizeFleet over the concatenated loads.

@@ -146,26 +146,32 @@ func TestAveragePrecisionNoPositives(t *testing.T) {
 	}
 }
 
-func TestSummarizeFleetLatencyWorstCaseMerge(t *testing.T) {
-	fast := obs.Summary{Count: 100, Sum: 1000, P50: 8, P95: 20, P99: 30, Max: 40}
-	slow := obs.Summary{Count: 10, Sum: 5000, P50: 100, P95: 400, P99: 450, Max: 500}
+func TestSummarizeFleetLatencyMergesExactly(t *testing.T) {
+	var fast, slow, all obs.Histogram
+	for i := int64(0); i < 100; i++ {
+		fast.ObserveNs(8 + i%32)
+		all.ObserveNs(8 + i%32)
+	}
+	for i := int64(0); i < 10; i++ {
+		slow.ObserveNs(100 + 40*i)
+		all.ObserveNs(100 + 40*i)
+	}
 	sum := SummarizeFleet([]NodeLoad{
-		{Node: "a/cam0", ExtractLat: fast, QueueWaitLat: slow},
-		{Node: "b/cam0", ExtractLat: slow, QueueWaitLat: fast},
-		{Node: "b/cam1"}, // second stream of node b: zero summaries, no double count
+		{Node: "a/cam0", ExtractLat: fast.Snapshot(), QueueWaitLat: slow.Snapshot()},
+		{Node: "b/cam0", ExtractLat: slow.Snapshot(), QueueWaitLat: fast.Snapshot()},
+		{Node: "b/cam1"}, // second stream of node b: empty histograms, no double count
 	})
-	// Counts and sums add; quantiles and max take the worst node.
-	if sum.ExtractLat.Count != 110 || sum.ExtractLat.Sum != 6000 {
-		t.Fatalf("count/sum merge wrong: %+v", sum.ExtractLat)
+	// Both rollups hold every observation once: the snapshot of one
+	// histogram fed all of them, not the worse node's quantiles.
+	want := all.Snapshot()
+	if sum.ExtractLat != want || sum.QueueWaitLat != want {
+		t.Fatalf("latency rollup %+v / %+v, want %+v", sum.ExtractLat, sum.QueueWaitLat, want)
 	}
-	if sum.ExtractLat.P50 != 100 || sum.ExtractLat.P95 != 400 || sum.ExtractLat.P99 != 450 || sum.ExtractLat.Max != 500 {
-		t.Fatalf("quantile merge not worst-case: %+v", sum.ExtractLat)
+	if p50, slowP50 := sum.ExtractLat.Quantile(0.50), slow.Quantile(0.50); p50 >= slowP50 {
+		t.Fatalf("fleet p50 %d is the slow node's (%d), not the fleet's", p50, slowP50)
 	}
-	if sum.QueueWaitLat.P95 != 400 {
-		t.Fatalf("queue-wait merge wrong: %+v", sum.QueueWaitLat)
-	}
-	// Unset summaries on extra per-stream loads contribute nothing.
-	if sum.MCPushLat.Count != 0 || sum.MCPushLat.P95 != 0 {
-		t.Fatalf("uninstrumented summary polluted rollup: %+v", sum.MCPushLat)
+	// Empty histograms on extra per-stream loads contribute nothing.
+	if sum.MCPushLat != (obs.HistSnapshot{}) {
+		t.Fatalf("uninstrumented histogram polluted rollup: %+v", sum.MCPushLat)
 	}
 }

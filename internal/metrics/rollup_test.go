@@ -17,15 +17,12 @@ func rollupLoads(n int) []NodeLoad {
 	rng := rand.New(rand.NewSource(42))
 	loads := make([]NodeLoad, n)
 	for i := range loads {
-		sum := func(count uint64) obs.Summary {
-			return obs.Summary{
-				Count: count,
-				Sum:   int64(count) * (1000 + rng.Int63n(9000)),
-				P50:   rng.Int63n(1 << 20),
-				P95:   rng.Int63n(1 << 22),
-				P99:   rng.Int63n(1 << 24),
-				Max:   rng.Int63n(1 << 26),
+		hist := func(count int) obs.HistSnapshot {
+			var h obs.Histogram
+			for k := 0; k < count; k++ {
+				h.ObserveNs(rng.Int63n(1 << uint(10+rng.Intn(16))))
 			}
+			return h.Snapshot()
 		}
 		loads[i] = NodeLoad{
 			Node:                   nodeName(i),
@@ -40,10 +37,10 @@ func rollupLoads(n int) []NodeLoad {
 			ArchiveEvictedBytes:    rng.Int63n(1 << 22),
 			Evicted:                rng.Intn(3),
 			Reconnects:             rng.Intn(5),
-			ExtractLat:             sum(uint64(rng.Intn(100))),
-			MCPushLat:              sum(uint64(rng.Intn(100))),
-			QueueWaitLat:           sum(uint64(rng.Intn(100))),
-			UploadRTTLat:           sum(uint64(rng.Intn(100))),
+			ExtractLat:             hist(rng.Intn(100)),
+			MCPushLat:              hist(rng.Intn(100)),
+			QueueWaitLat:           hist(rng.Intn(100)),
+			UploadRTTLat:           hist(rng.Intn(100)),
 		}
 	}
 	return loads

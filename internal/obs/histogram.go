@@ -153,54 +153,17 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Summary is a compact, wire-friendly digest of a histogram: the
-// count, the exact sum, and interpolated tail quantiles in ns. It is
-// what heartbeats carry to the fleet controller.
-type Summary struct {
-	Count         uint64
-	Sum           int64
-	P50, P95, P99 int64
-	Max           int64
-}
-
-// Summary digests the histogram's current state.
-func (h *Histogram) Summary() Summary {
-	s := h.Snapshot()
-	return Summary{
-		Count: s.Count,
-		Sum:   s.Sum,
-		P50:   s.Quantile(0.50),
-		P95:   s.Quantile(0.95),
-		P99:   s.Quantile(0.99),
-		Max:   s.Max,
-	}
-}
-
-// Merge folds another summary in. Counts and sums add; quantiles and
-// the max merge by worst case (the larger value wins). Quantiles of
-// different distributions cannot be averaged meaningfully, so a fleet
-// rollup reports the worst node's tail — a pessimistic but honest
-// bound: if the rollup's p95 is fine, every node's p95 is fine. The
-// cost is that merged quantiles depend on how loads are grouped only
-// in the sense of being an upper envelope; they are not the true
-// fleet-wide quantiles. Contrast SketchSnapshot.Merge, which carries
-// full (binned, fixed-point) state and is therefore exact: the merged
-// sketch is bit-for-bit the sketch of the combined observations under
-// any grouping. Summary trades that exactness for a digest small
-// enough to quote per heartbeat per stage.
-func (s *Summary) Merge(o Summary) {
+// Merge folds another snapshot in: counts, sums and buckets add, and
+// the max takes the larger. Every field is an integer total or a
+// maximum, so the merge is exact — associative, commutative, and the
+// merged snapshot is the snapshot of the combined observations under
+// any grouping. That is what lets heartbeats carry per-node snapshots
+// and the fleet rollup report true fleet-wide quantiles.
+func (s *HistSnapshot) Merge(o HistSnapshot) {
 	s.Count += o.Count
 	s.Sum += o.Sum
-	s.P50 = max(s.P50, o.P50)
-	s.P95 = max(s.P95, o.P95)
-	s.P99 = max(s.P99, o.P99)
 	s.Max = max(s.Max, o.Max)
-}
-
-// Mean returns the average observation in ns, 0 when empty.
-func (s Summary) Mean() float64 {
-	if s.Count == 0 {
-		return 0
+	for i := range s.Buckets {
+		s.Buckets[i] += o.Buckets[i]
 	}
-	return float64(s.Sum) / float64(s.Count)
 }

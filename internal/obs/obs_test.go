@@ -93,7 +93,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 				h.ObserveNs(rng.Int63n(1 << 30))
 				if i%512 == 0 {
 					// Read while others write: snapshots must be safe.
-					_ = h.Summary()
+					_ = h.Snapshot()
 				}
 			}
 		}(int64(w))
@@ -112,13 +112,34 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestSummaryMergeWorstCase(t *testing.T) {
-	a := Summary{Count: 10, Sum: 100, P50: 5, P95: 50, P99: 70, Max: 80}
-	b := Summary{Count: 4, Sum: 400, P50: 9, P95: 20, P99: 90, Max: 95}
-	a.Merge(b)
-	want := Summary{Count: 14, Sum: 500, P50: 9, P95: 50, P99: 90, Max: 95}
-	if a != want {
-		t.Fatalf("merge = %+v, want %+v", a, want)
+// TestHistSnapshotMergeExact pins that merging snapshots is the
+// snapshot of the combined observations: counts, sums and buckets add,
+// the max takes the larger, so merged quantiles are the quantiles of
+// everything observed, and the empty snapshot is the identity.
+func TestHistSnapshotMergeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var fast, slow, all Histogram
+	for i := 0; i < 1000; i++ {
+		ns := 500 + rng.Int63n(5000)
+		fast.ObserveNs(ns)
+		all.ObserveNs(ns)
+	}
+	for i := 0; i < 40; i++ {
+		ns := 1<<22 + rng.Int63n(1<<24)
+		slow.ObserveNs(ns)
+		all.ObserveNs(ns)
+	}
+	merged := fast.Snapshot()
+	merged.Merge(slow.Snapshot())
+	merged.Merge(HistSnapshot{})
+	if want := all.Snapshot(); merged != want {
+		t.Fatalf("merge = %+v, want %+v", merged, want)
+	}
+	// 40 of the 1040 observations are slow, so the combined p99 falls
+	// among them although the fast node, with most of the traffic,
+	// never saw one.
+	if p99 := merged.Quantile(0.99); p99 < 1<<22 {
+		t.Fatalf("merged p99 %d ignores the slow node", p99)
 	}
 }
 

@@ -153,13 +153,17 @@ func (r *Registry) Snapshot() []Metric {
 		out = append(out, Metric{Name: name, Value: float64(g.Value())})
 	}
 	for name, h := range r.hists {
-		s := h.Summary()
+		s := h.Snapshot()
+		mean := 0.0
+		if s.Count > 0 {
+			mean = float64(s.Sum) / float64(s.Count)
+		}
 		out = append(out,
 			Metric{Name: name + "/count", Value: float64(s.Count)},
-			Metric{Name: name + "/mean", Value: s.Mean()},
-			Metric{Name: name + "/p50", Value: float64(s.P50)},
-			Metric{Name: name + "/p95", Value: float64(s.P95)},
-			Metric{Name: name + "/p99", Value: float64(s.P99)},
+			Metric{Name: name + "/mean", Value: mean},
+			Metric{Name: name + "/p50", Value: float64(s.Quantile(0.50))},
+			Metric{Name: name + "/p95", Value: float64(s.Quantile(0.95))},
+			Metric{Name: name + "/p99", Value: float64(s.Quantile(0.99))},
 			Metric{Name: name + "/max", Value: float64(s.Max)},
 		)
 	}
@@ -190,7 +194,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	knames := sortedKeys(r.sketches)
 	counters := make(map[string]int64, len(cnames))
 	gauges := make(map[string]int64, len(gnames))
-	sums := make(map[string]Summary, len(hnames))
+	hists := make(map[string]HistSnapshot, len(hnames))
 	sketches := make(map[string]SketchSnapshot, len(knames))
 	help := make(map[string]string, len(r.help))
 	for _, n := range cnames {
@@ -200,7 +204,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		gauges[n] = r.gauges[n].Value()
 	}
 	for _, n := range hnames {
-		sums[n] = r.hists[n].Summary()
+		hists[n] = r.hists[n].Snapshot()
 	}
 	for _, n := range knames {
 		sketches[n] = r.sketches[n].Snapshot()
@@ -238,10 +242,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if err := writeHelp(n); err != nil {
 			return err
 		}
-		s := sums[n]
+		s := hists[n]
 		_, err := fmt.Fprintf(w,
 			"# TYPE %s summary\n%s{quantile=\"0.5\"} %d\n%s{quantile=\"0.95\"} %d\n%s{quantile=\"0.99\"} %d\n%s_sum %d\n%s_count %d\n",
-			n, n, s.P50, n, s.P95, n, s.P99, n, s.Sum, n, s.Count)
+			n, n, s.Quantile(0.50), n, s.Quantile(0.95), n, s.Quantile(0.99), n, s.Sum, n, s.Count)
 		if err != nil {
 			return err
 		}

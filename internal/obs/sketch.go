@@ -107,9 +107,8 @@ type SketchSnapshot struct {
 }
 
 // Merge folds another snapshot in. Every field is an integer total, so
-// unlike Summary.Merge this is exact — not a worst-case bound:
-// merging per-shard sketches in any order or grouping reproduces the
-// unsharded sketch bit for bit.
+// the merge is exact: merging per-shard sketches in any order or
+// grouping reproduces the unsharded sketch bit for bit.
 func (s *SketchSnapshot) Merge(o SketchSnapshot) {
 	s.Count += o.Count
 	s.Passes += o.Passes

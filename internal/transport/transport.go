@@ -10,14 +10,16 @@
 //
 //	uint32 magic | uint16 version | stream of records
 //	record:  uint8 kind | uint32 length | uint32 crc32(payload) | payload
-//	payload: the fixed binary layout of KindUpload (UploadRecord) and
-//	         KindUploadAck (internal/fleet's UploadAck); gob otherwise
+//	payload: the fixed binary layout of KindUpload (UploadRecord),
+//	         KindUploadAck and KindHeartbeat (internal/fleet's
+//	         UploadAck and Heartbeat); gob otherwise
 //
-// The two records every upload costs have a binary layout because a
-// gob stream spends more on its type descriptor than on the record,
-// and decoding one compiles a decoder per record. Everything
-// else — hellos, deploys, fetches, heartbeats — is rare or large
-// enough for gob's self-description to be worth it.
+// The records every upload costs, and the heartbeat every node sends
+// each interval, have a binary layout because a gob stream spends more
+// on its type descriptor than on the record, and decoding one compiles
+// a decoder per record. Everything else — hellos, deploys, fetches —
+// is rare or large enough for gob's self-description to be worth it.
+// Every layout decodes through one LayoutReader.
 //
 // The per-record CRC turns wire damage (bit flips, mid-record byte
 // loss) into a typed ErrCorrupt at the reader instead of a gob decode
@@ -49,6 +51,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -57,12 +60,13 @@ import (
 
 // magic identifies the wire format, including the record framing
 // revision and payload layouts. It was bumped (…04 → …05) when records
-// gained the CRC field, and again (…05 → …06) when upload and
-// upload-ack payloads left gob for their binary layout: an older build
-// pairs with this one only up to the handshake, where the stale magic
-// is rejected cleanly — without the bump the handshake would succeed
-// and the session would fail mid-stream on its first upload.
-const magic = 0xFF00FF06
+// gained the CRC field, again (…05 → …06) when upload and upload-ack
+// payloads left gob for their binary layout, and again (…06 → …07)
+// when heartbeats did: an older build pairs with this one only up to
+// the handshake, where the stale magic is rejected cleanly — without
+// the bump the handshake would succeed and the session would fail
+// mid-stream on its first upload or heartbeat.
+const magic = 0xFF00FF07
 
 // Protocol versions. A client announces the version it speaks in its
 // header; the server echoes the version it accepts back.
@@ -178,8 +182,9 @@ func ReadHeader(r io.Reader) (uint16, error) {
 }
 
 // AppendPayload appends payload's record encoding to b: its
-// AppendBinary when it has one (the upload and upload-ack layouts), a
-// self-describing gob stream otherwise. DecodeRecord reverses it.
+// AppendBinary when it has one (the upload, upload-ack and heartbeat
+// layouts), a self-describing gob stream otherwise. DecodeRecord
+// reverses it.
 func AppendPayload(b []byte, payload any) ([]byte, error) {
 	if ba, ok := payload.(encoding.BinaryAppender); ok {
 		return ba.AppendBinary(b)
@@ -299,7 +304,7 @@ var zeroChunk [readChunk]byte
 
 // DecodeRecord decodes a payload AppendPayload encoded — a record read
 // by ReadRecord — into into: with its UnmarshalBinary when it has one
-// (the upload and upload-ack layouts), gob otherwise.
+// (the upload, upload-ack and heartbeat layouts), gob otherwise.
 func DecodeRecord(body []byte, into any) error {
 	var err error
 	if bu, ok := into.(encoding.BinaryUnmarshaler); ok {
@@ -351,8 +356,7 @@ func (r UploadRecord) ToUpload() core.Upload {
 
 // AppendBinary appends the record's binary layout to b.
 func (r UploadRecord) AppendBinary(b []byte) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(len(r.MCName)))
-	b = append(b, r.MCName...)
+	b = AppendString(b, r.MCName)
 	b = binary.AppendUvarint(b, r.EventID)
 	b = binary.AppendVarint(b, int64(r.Start))
 	b = binary.AppendVarint(b, int64(r.End))
@@ -372,85 +376,123 @@ func (r UploadRecord) MarshalBinary() ([]byte, error) { return r.AppendBinary(ni
 
 // UnmarshalBinary decodes exactly one record's binary layout.
 func (r *UploadRecord) UnmarshalBinary(data []byte) error {
-	d := layoutReader{buf: data}
+	d := NewLayoutReader(data)
 	rec := UploadRecord{
-		MCName:  d.string(),
-		EventID: d.uvarint(),
-		Start:   d.int(),
-		End:     d.int(),
-		Bits:    d.varint(),
-		Final:   d.bool(),
-		Seq:     d.uvarint(),
+		MCName:  d.String(),
+		EventID: d.Uvarint(),
+		Start:   d.Int(),
+		End:     d.Int(),
+		Bits:    d.Varint(),
+		Final:   d.Bool(),
+		Seq:     d.Uvarint(),
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return fmt.Errorf("upload record: %w", err)
 	}
 	*r = rec
 	return nil
 }
 
-// layoutReader reads a binary layout field by field. The first
-// malformed field records an error and every later read returns zero,
-// so a decoder reads all its fields and checks once, in finish.
-type layoutReader struct {
+// AppendString appends s as a binary layout string: its uvarint byte
+// length, then its bytes. LayoutReader.String reads it back.
+func AppendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// AppendFloat64 appends v as its 8 IEEE 754 bytes, little-endian.
+// LayoutReader.Float64 reads it back.
+func AppendFloat64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// LayoutReader reads a binary record layout field by field — the one
+// decoder every fixed-layout payload (uploads, upload acks, heartbeats)
+// goes through. The first malformed field records an error and every
+// later read returns zero, so a decoder reads all its fields and
+// checks once, in Finish.
+type LayoutReader struct {
 	buf []byte
 	err error
 }
 
-func (d *layoutReader) fail(err error) {
+// NewLayoutReader returns a reader over one payload.
+func NewLayoutReader(data []byte) LayoutReader { return LayoutReader{buf: data} }
+
+// Fail records err as the layout's error (the first one wins) and
+// drops the unread bytes, so every later read returns zero. Decoders
+// call it for checks of their own, such as a duplicate map key.
+func (d *LayoutReader) Fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
 	d.buf = nil
 }
 
-func (d *layoutReader) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (d *LayoutReader) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
-		d.fail(errors.New("truncated or overlong uvarint"))
+		d.Fail(errors.New("truncated or overlong uvarint"))
 		return 0
 	}
 	d.buf = d.buf[n:]
 	return v
 }
 
-func (d *layoutReader) varint() int64 {
+// Varint reads a zigzag-encoded signed varint.
+func (d *LayoutReader) Varint() int64 {
 	v, n := binary.Varint(d.buf)
 	if n <= 0 {
-		d.fail(errors.New("truncated or overlong varint"))
+		d.Fail(errors.New("truncated or overlong varint"))
 		return 0
 	}
 	d.buf = d.buf[n:]
 	return v
 }
 
-func (d *layoutReader) int() int {
-	v := d.varint()
+// Int reads a signed varint that must fit an int.
+func (d *LayoutReader) Int() int {
+	v := d.Varint()
 	if int64(int(v)) != v {
-		d.fail(fmt.Errorf("%d overflows int", v))
+		d.Fail(fmt.Errorf("%d overflows int", v))
 		return 0
 	}
 	return int(v)
 }
 
-func (d *layoutReader) bool() bool {
+// Bool reads a flag byte, refusing anything but 0 or 1.
+func (d *LayoutReader) Bool() bool {
 	if len(d.buf) == 0 {
-		d.fail(errors.New("truncated flag"))
+		d.Fail(errors.New("truncated flag"))
 		return false
 	}
 	v := d.buf[0]
 	if v > 1 {
-		d.fail(fmt.Errorf("flag byte %d, want 0 or 1", v))
+		d.Fail(fmt.Errorf("flag byte %d, want 0 or 1", v))
 		return false
 	}
 	d.buf = d.buf[1:]
 	return v == 1
 }
 
-func (d *layoutReader) string() string {
-	n := d.uvarint()
+// Float64 reads a float64 as its 8 IEEE 754 bytes, little-endian, so
+// every value (NaN payloads included) crosses the wire bit for bit.
+func (d *LayoutReader) Float64() float64 {
+	if len(d.buf) < 8 {
+		d.Fail(fmt.Errorf("float64 of 8 bytes, %d left", len(d.buf)))
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
+	d.buf = d.buf[8:]
+	return v
+}
+
+// String reads a string AppendString wrote.
+func (d *LayoutReader) String() string {
+	n := d.Uvarint()
 	if n > uint64(len(d.buf)) {
-		d.fail(fmt.Errorf("string of %d bytes, %d left", n, len(d.buf)))
+		d.Fail(fmt.Errorf("string of %d bytes, %d left", n, len(d.buf)))
 		return ""
 	}
 	s := string(d.buf[:n])
@@ -458,9 +500,22 @@ func (d *layoutReader) string() string {
 	return s
 }
 
-// finish reports the first malformed field, or bytes left over after
+// Count reads an entry count (a uvarint) for a sequence whose entries
+// take at least minBytes each, refusing a count the remaining bytes
+// could not hold — so a hostile prefix cannot make the decoder
+// allocate for entries that are not there.
+func (d *LayoutReader) Count(minBytes int) int {
+	n := d.Uvarint()
+	if n > uint64(len(d.buf)/minBytes) {
+		d.Fail(fmt.Errorf("%d entries of at least %d bytes, %d bytes left", n, minBytes, len(d.buf)))
+		return 0
+	}
+	return int(n)
+}
+
+// Finish reports the first malformed field, or bytes left over after
 // the last one.
-func (d *layoutReader) finish() error {
+func (d *LayoutReader) Finish() error {
 	if d.err == nil && len(d.buf) > 0 {
 		return fmt.Errorf("%d trailing bytes", len(d.buf))
 	}

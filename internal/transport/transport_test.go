@@ -54,6 +54,18 @@ func TestReadHeaderRefusesGobUploadMagic(t *testing.T) {
 	}
 }
 
+// TestReadHeaderRefusesGobHeartbeatMagic pins the magic bump that came
+// with the binary heartbeat layout: an agent still sending gob
+// heartbeats announces the previous magic and is refused at the
+// handshake, before its first heartbeat could be misread.
+func TestReadHeaderRefusesGobHeartbeatMagic(t *testing.T) {
+	stale := []byte{0xFF, 0x00, 0xFF, 0x06, 0x00, Version2}
+	_, err := ReadHeader(bytes.NewReader(stale))
+	if err == nil || errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("previous-magic handshake error = %v, want bad magic", err)
+	}
+}
+
 // TestUploadLayout pins the upload record's wire bytes field by field,
 // and that WriteRecord and DecodeRecord go through the layout rather
 // than gob.

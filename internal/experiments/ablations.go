@@ -134,7 +134,8 @@ func WindowBufferAblation(w io.Writer, o Options, frames int) (*WindowBufferResu
 	mc.Flush()
 	res.BufferedSec = time.Since(start).Seconds() / float64(frames)
 
-	// Unbuffered: rebuild and rerun the full window per frame.
+	// Unbuffered: rebuild and rerun the full window per frame, on the
+	// same compiled programs Push runs.
 	start = time.Now()
 	for i := range fms {
 		mc.Prob(mc.BuildInput(fms, i))

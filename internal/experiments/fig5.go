@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/filter"
 	"repro/internal/mobilenet"
+	"repro/internal/nn"
 	"repro/internal/perfmodel"
 	"repro/internal/vision"
 )
@@ -103,7 +104,9 @@ func Throughput(w io.Writer, o Options, ks []int, frames int) (*ThroughputResult
 			return nil, err
 		}
 		point.FPS["discrete"] = fps
-		point.FPS["mobilenets"] = measureMobileNets(o, imgs, k)
+		if point.FPS["mobilenets"], err = measureMobileNets(o, imgs, k); err != nil {
+			return nil, err
+		}
 		res.Measured = append(res.Measured, point)
 		logf(w, o, "measured k=%d: %v", k, point.FPS)
 	}
@@ -175,21 +178,27 @@ func measureDCs(o Options, d *dataset.Dataset, imgs []*vision.Image, k int) (flo
 	return float64(len(imgs)) / elapsed, nil
 }
 
-// measureMobileNets times k full MobileNet classifier forwards per
-// frame (the naive multi-tenancy baseline). One model instance stands
-// in for k (identical weights time identically); the paper-scale
-// memory model marks where k instances stop fitting.
-func measureMobileNets(o Options, imgs []*vision.Image, k int) float64 {
+// measureMobileNets times k full MobileNet classifier runs per frame
+// (the naive multi-tenancy baseline), the whole classifier compiled
+// into one program like every other curve's networks. One model
+// instance stands in for k (identical weights time identically); the
+// paper-scale memory model marks where k instances stop fitting.
+func measureMobileNets(o Options, imgs []*vision.Image, k int) (float64, error) {
 	m := mobilenet.New(mobilenet.Config{WidthMult: o.MCWidthMult, IncludeTop: true, NumClasses: 2, Seed: o.Seed + 200})
+	prog, err := nn.Compile(m.Net, []int{1, imgs[0].H, imgs[0].W, 3})
+	if err != nil {
+		return 0, err
+	}
+	ws := prog.NewWorkspace()
 	start := time.Now()
 	for _, img := range imgs {
 		x := img.ToTensor()
 		for i := 0; i < k; i++ {
-			m.Net.Forward(x, false)
+			prog.Run(ws, x)
 		}
 	}
 	elapsed := time.Since(start).Seconds()
-	return float64(len(imgs)) / elapsed
+	return float64(len(imgs)) / elapsed, nil
 }
 
 // projectThroughput extends the curves to the paper's native

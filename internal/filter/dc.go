@@ -76,6 +76,12 @@ type DC struct {
 	inputDims []int
 
 	normMean, normInvStd []float32
+
+	// The inference program Prob runs, compiled on first use, and its
+	// arenas.
+	prog *nn.Program
+	ws   *nn.Workspace
+	in   *tensor.Tensor
 }
 
 // SetNormalization installs per-channel pixel standardization, the
@@ -159,28 +165,35 @@ func (d *DC) Net() *nn.Network { return d.net }
 func (d *DC) InputShape() []int { return append([]int(nil), d.inputDims...) }
 
 // BuildInput crops a [1,H,W,3] frame tensor to the DC's region and
-// applies input normalization when configured.
+// applies input normalization when configured, into a fresh tensor.
+// Used to build training samples.
 func (d *DC) BuildInput(frame *tensor.Tensor) *tensor.Tensor {
-	out := frame
-	if !(d.cropPx.X0 == 0 && d.cropPx.Y0 == 0 && d.cropPx.X1 == frame.Shape[2] && d.cropPx.Y1 == frame.Shape[1]) {
-		out = frame.CropHW(d.cropPx.Y0, d.cropPx.Y1, d.cropPx.X0, d.cropPx.X1)
-	}
-	if d.normMean != nil {
-		if out == frame {
-			out = frame.Clone()
-		}
-		for i := range out.Data {
-			ci := i % 3
-			out.Data[i] = (out.Data[i] - d.normMean[ci]) * d.normInvStd[ci]
-		}
-	}
-	return out
+	return d.buildInto(tensor.New(d.inputDims...), frame)
 }
 
-// Prob classifies a [1,H,W,3] frame tensor.
+// buildInto writes frame's crop, normalized when configured, into dst
+// (shaped like InputShape) and returns dst.
+func (d *DC) buildInto(dst, frame *tensor.Tensor) *tensor.Tensor {
+	frame.CropHWInto(dst, d.cropPx.Y0, d.cropPx.Y1, d.cropPx.X0, d.cropPx.X1)
+	if d.normMean != nil {
+		normalize(dst.Data, d.normMean, d.normInvStd)
+	}
+	return dst
+}
+
+// Prob classifies a [1,H,W,3] frame tensor on the DC's compiled
+// program, which tracks later training of Net; after the first call it
+// allocates nothing. Prob is not safe for concurrent use.
 func (d *DC) Prob(frame *tensor.Tensor) float32 {
-	logit := d.net.Forward(d.BuildInput(frame), false)
-	return sigmoid(logit.Data[0])
+	if d.prog == nil {
+		prog, err := nn.Compile(d.net, d.inputDims)
+		if err != nil {
+			// NewDC only builds layers a program supports.
+			panic(fmt.Sprintf("filter: %s: compile: %v", d.cfg.Name, err))
+		}
+		d.prog, d.ws, d.in = prog, prog.NewWorkspace(), tensor.New(d.inputDims...)
+	}
+	return sigmoid(d.prog.Run(d.ws, d.buildInto(d.in, frame)).Data[0])
 }
 
 // MAddsPerFrame returns the DC's per-frame multiply-adds. Unlike an

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/mobilenet"
@@ -48,7 +49,7 @@ func TestMCInputShapes(t *testing.T) {
 		}
 		in := mc.InputShape()
 		x := tensor.New(in...)
-		logit := mc.Net().Forward(x, false)
+		logit := mc.Net().Forward(x)
 		if logit.Len() != 1 {
 			t.Fatalf("%v: logit shape %v", arch, logit.Shape)
 		}
@@ -122,8 +123,8 @@ func TestWindowedStreamingMatchesBatch(t *testing.T) {
 		if c.Frame != i {
 			t.Fatalf("classification %d has frame %d", i, c.Frame)
 		}
-		want := mc.Prob(mc.BuildInput(fms, i))
-		if diff := c.Prob - want; diff > 1e-5 || diff < -1e-5 {
+		// Both sides run the same programs on the same reduced maps.
+		if want := mc.Prob(mc.BuildInput(fms, i)); math.Float32bits(c.Prob) != math.Float32bits(want) {
 			t.Fatalf("frame %d: streamed %v, batch %v", i, c.Prob, want)
 		}
 	}
@@ -189,7 +190,7 @@ func TestWindowReduceGradients(t *testing.T) {
 	x := tensor.New(1, 3, 3, 6)
 	rng.FillNormal(x, 0, 1)
 
-	out := wr.Forward(x.Clone(), true)
+	out := wr.Forward(x.Clone())
 	grad := tensor.New(out.Shape...)
 	grad.Fill(1)
 	gin := wr.Backward(grad)
@@ -198,9 +199,9 @@ func TestWindowReduceGradients(t *testing.T) {
 	for i := 0; i < x.Len(); i++ {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		up := wr.Forward(x.Clone(), false).Sum()
+		up := wr.Forward(x.Clone()).Sum()
 		x.Data[i] = orig - eps
-		down := wr.Forward(x.Clone(), false).Sum()
+		down := wr.Forward(x.Clone()).Sum()
 		x.Data[i] = orig
 		num := (up - down) / (2 * eps)
 		diff := num - float64(gin.Data[i])
@@ -241,12 +242,18 @@ func TestMCTrainsOnSyntheticFeatureMaps(t *testing.T) {
 	if _, err := train.Fit(mc.Net(), samples, train.Config{Epochs: 6, BatchSize: 8, Seed: 1, Optimizer: train.NewAdam(0.01)}); err != nil {
 		t.Fatal(err)
 	}
-	if acc := train.Accuracy(mc.Net(), samples, 0.5); acc < 0.9 {
+	if acc := train.Accuracy(mc.Prob, samples, 0.5); acc < 0.9 {
 		t.Fatalf("MC failed to learn: accuracy %v", acc)
 	}
 }
 
+// TestDCBuildsAcrossSweep builds every DC of the sweep and, with a
+// crop and input normalization set, pins Prob's compiled program and
+// arena input to the training pass over BuildInput bit for bit, and
+// Prob to zero allocations once warm.
 func TestDCBuildsAcrossSweep(t *testing.T) {
+	crop := vision.Rect{X0: 8, Y0: 5, X1: 88, Y1: 50}
+	mean, std := []float32{0.4, 0.5, 0.3}, []float32{0.2, 0.25, 0.3}
 	for _, cfg := range DCSweep(1) {
 		dc, err := NewDC(cfg, 96, 54)
 		if err != nil {
@@ -259,6 +266,23 @@ func TestDCBuildsAcrossSweep(t *testing.T) {
 		}
 		if dc.MAddsPerFrame() <= 0 {
 			t.Fatalf("%s: madds %d", cfg.Name, dc.MAddsPerFrame())
+		}
+
+		cfg.Crop = &crop
+		dc, err = NewDC(cfg, 96, 54)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		if err := dc.SetNormalization(mean, std); err != nil {
+			t.Fatal(err)
+		}
+		tensor.NewRNG(cfg.Seed).FillUniform(x, 0, 1)
+		got := dc.Prob(x)
+		if want := sigmoid(dc.Net().Forward(dc.BuildInput(x)).Data[0]); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s: Prob %v, training pass %v", cfg.Name, got, want)
+		}
+		if n := testing.AllocsPerRun(5, func() { dc.Prob(x) }); n != 0 {
+			t.Fatalf("%s: Prob allocates %v objects per frame, want 0", cfg.Name, n)
 		}
 	}
 }
@@ -364,6 +388,48 @@ func TestChannelStats(t *testing.T) {
 	if m, s := ChannelStats(nil); m != nil || s != nil {
 		t.Fatal("empty stats should be nil")
 	}
+
+	// The per-pixel loop sums in the order of the per-element one it
+	// replaced, so the statistics are bit-identical; an odd channel
+	// count catches a stride slip.
+	fms := make([]*tensor.Tensor, 3)
+	for i := range fms {
+		fms[i] = tensor.New(1, 4, 5, 7)
+		tensor.NewRNG(int64(30+i)).FillNormal(fms[i], float32(i), 2)
+	}
+	mean, std = ChannelStats(fms)
+	wantMean, wantStd := channelStatsPerElement(fms)
+	for ci := range wantMean {
+		if math.Float32bits(mean[ci]) != math.Float32bits(wantMean[ci]) || math.Float32bits(std[ci]) != math.Float32bits(wantStd[ci]) {
+			t.Fatalf("channel %d: stats (%v, %v), per-element loop (%v, %v)", ci, mean[ci], std[ci], wantMean[ci], wantStd[ci])
+		}
+	}
+}
+
+// channelStatsPerElement is ChannelStats as it was, indexing the
+// channel of every element with i % c: the oracle for the per-pixel
+// loop.
+func channelStatsPerElement(fms []*tensor.Tensor) (mean, std []float32) {
+	c := fms[0].Shape[3]
+	sum := make([]float64, c)
+	sum2 := make([]float64, c)
+	var count float64
+	for _, fm := range fms {
+		for i, v := range fm.Data {
+			ci := i % c
+			sum[ci] += float64(v)
+			sum2[ci] += float64(v) * float64(v)
+		}
+		count += float64(fm.Len() / c)
+	}
+	mean = make([]float32, c)
+	std = make([]float32, c)
+	for i := 0; i < c; i++ {
+		mu := sum[i] / count
+		mean[i] = float32(mu)
+		std[i] = float32(math.Sqrt(max(sum2[i]/count-mu*mu, 0)))
+	}
+	return mean, std
 }
 
 func TestNormalizationAffectsCropMap(t *testing.T) {
@@ -439,7 +505,7 @@ func TestPushFastPathMatchesNetwork(t *testing.T) {
 				if cl.Frame != i {
 					t.Fatalf("%v: classification %d has frame %d", arch, i, cl.Frame)
 				}
-				want := sigmoid(mc.Net().Forward(mc.BuildInput(fms, i), false).Data[0])
+				want := sigmoid(mc.Net().Forward(mc.BuildInput(fms, i)).Data[0])
 				diff := float64(cl.Prob) - float64(want)
 				if diff < 0 {
 					diff = -diff
@@ -579,7 +645,7 @@ func TestPushFastPathTracksTraining(t *testing.T) {
 	if before == after {
 		t.Fatal("Push ignored a weight update: fast path served stale weights")
 	}
-	want := sigmoid(mc.Net().Forward(mc.CropMap(fm), false).Data[0])
+	want := sigmoid(mc.Net().Forward(mc.CropMap(fm)).Data[0])
 	diff := float64(after) - float64(want)
 	if diff < 0 {
 		diff = -diff
@@ -630,7 +696,7 @@ func TestPushTracksLoadAndFineTune(t *testing.T) {
 			probs := make([]float32, len(cls))
 			for i, c := range cls {
 				want := mc.Prob(mc.BuildInput(fms, c.Frame))
-				if abs(float64(c.Prob)-float64(want)) > 1e-5 {
+				if math.Float32bits(c.Prob) != math.Float32bits(want) {
 					t.Fatalf("%v %s frame %d: streamed %v vs net %v", arch, when, c.Frame, c.Prob, want)
 				}
 				probs[i] = c.Prob
@@ -639,7 +705,7 @@ func TestPushTracksLoadAndFineTune(t *testing.T) {
 		}
 		before := stream("after LoadMC")
 		for i, c := range before {
-			if want := orig.Prob(orig.BuildInput(fms, i)); abs(float64(c)-float64(want)) > 1e-5 {
+			if want := orig.Prob(orig.BuildInput(fms, i)); math.Float32bits(c) != math.Float32bits(want) {
 				t.Fatalf("%v: loaded MC streams %v for frame %d, the saved one computes %v", arch, c, i, want)
 			}
 		}

@@ -43,9 +43,9 @@ type MC struct {
 	pushed   int
 	decided  int
 
-	// Inference fast path (compiled lazily on first use; repacks
-	// weights the optimizer Touched, so training the net and streaming
-	// interleave safely).
+	// Inference programs, which Push and Prob run (compiled lazily on
+	// first use; they repack weights the optimizer Touched, so training
+	// the net and streaming interleave safely).
 	// prog covers the whole net for the plain architectures and the
 	// post-concat head for the windowed one; reduceProg is the
 	// windowed per-frame 1×1 reduction.
@@ -54,6 +54,7 @@ type MC struct {
 	reduceProg *nn.Program
 	reduceWs   *nn.Workspace
 	cropBuf    *tensor.Tensor   // arena for CropMap on the streaming path
+	frameBuf   *tensor.Tensor   // arena for one frame of a Prob window
 	winBuf     *tensor.Tensor   // arena for the window concat
 	winParts   []*tensor.Tensor // reused concat argument slice
 	ringFree   []*tensor.Tensor // recycled reduced-map buffers
@@ -224,10 +225,11 @@ func ChannelStats(fms []*tensor.Tensor) (mean, std []float32) {
 	sum2 := make([]float64, c)
 	var count float64
 	for _, fm := range fms {
-		for i, v := range fm.Data {
-			ci := i % c
-			sum[ci] += float64(v)
-			sum2[ci] += float64(v) * float64(v)
+		for px := fm.Data; len(px) >= c; px = px[c:] {
+			for ci, v := range px[:c] {
+				sum[ci] += float64(v)
+				sum2[ci] += float64(v) * float64(v)
+			}
 		}
 		count += float64(fm.Len() / c)
 	}
@@ -292,15 +294,16 @@ func (m *MC) streamInput(fm *tensor.Tensor) *tensor.Tensor {
 		fm.CropHWInto(m.cropBuf, m.cropFM.Y0, m.cropFM.Y1, m.cropFM.X0, m.cropFM.X1)
 	}
 	if m.normMean != nil {
-		m.normalize(m.cropBuf.Data)
+		normalize(m.cropBuf.Data, m.normMean, m.normInvStd)
 	}
 	return m.cropBuf
 }
 
-// normalize applies the per-channel input normalization to NHWC data
-// in place, one pixel (one run of channels) at a time.
-func (m *MC) normalize(data []float32) {
-	mean, invStd := m.normMean, m.normInvStd[:len(m.normMean)]
+// normalize applies a per-channel input normalization to NHWC data in
+// place, one pixel (one run of channels) at a time: the one loop of
+// both classifier families, for training samples and inference alike.
+func normalize(data, mean, invStd []float32) {
+	invStd = invStd[:len(mean)]
 	for c := len(mean); len(data) >= c; data = data[c:] {
 		for ci, v := range data[:c] {
 			data[ci] = (v - mean[ci]) * invStd[ci]
@@ -319,7 +322,7 @@ func (m *MC) CropMap(fm *tensor.Tensor) *tensor.Tensor {
 		if out == fm {
 			out = fm.Clone()
 		}
-		m.normalize(out.Data)
+		normalize(out.Data, m.normMean, m.normInvStd)
 	}
 	return out
 }
@@ -349,11 +352,44 @@ func (m *MC) BuildInput(fms []*tensor.Tensor, center int) *tensor.Tensor {
 	return tensor.ConcatChannels(parts...)
 }
 
-// Prob runs the network on a prepared input (see BuildInput) and
-// returns the sigmoid probability.
+// Prob classifies a prepared input (see BuildInput) on the compiled
+// programs Push runs and returns the sigmoid probability. For the
+// windowed architecture it reduces each frame of the window in turn and
+// runs the head on the concatenation: Push's work without the
+// buffering. Like Push, it is not safe for concurrent use.
 func (m *MC) Prob(x *tensor.Tensor) float32 {
-	logit := m.net.Forward(x, false)
-	return sigmoid(logit.Data[0])
+	m.ensureFastPath()
+	if m.spec.Arch != WindowedLocalizedBinary {
+		return sigmoid(m.prog.Run(m.ws, x).Data[0])
+	}
+	c, win := m.fmShape[3], m.spec.Window
+	if m.frameBuf == nil {
+		m.frameBuf = tensor.New(x.Shape[0], x.Shape[1], x.Shape[2], c)
+	}
+	m.winParts = m.winParts[:0]
+	for f := 0; f < win; f++ {
+		for px, dst := 0, m.frameBuf.Data; len(dst) >= c; px, dst = px+1, dst[c:] {
+			copy(dst[:c], x.Data[(px*win+f)*c:])
+		}
+		reduced := m.reduceProg.Run(m.reduceWs, m.frameBuf)
+		buf := m.ringGet(reduced.Shape)
+		copy(buf.Data, reduced.Data)
+		m.winParts = append(m.winParts, buf)
+	}
+	p := m.runHead()
+	m.ringFree = append(m.ringFree, m.winParts...)
+	return p
+}
+
+// runHead concatenates the reduced maps in winParts and runs the
+// windowed head program on them.
+func (m *MC) runHead() float32 {
+	if m.winBuf == nil {
+		p0 := m.winParts[0]
+		m.winBuf = tensor.New(1, p0.Shape[1], p0.Shape[2], p0.Shape[3]*m.spec.Window)
+	}
+	tensor.ConcatChannelsInto(m.winBuf, m.winParts...)
+	return sigmoid(m.prog.Run(m.ws, m.winBuf).Data[0])
 }
 
 // Push streams the next frame's raw stage feature map through the MC
@@ -500,13 +536,7 @@ func (m *MC) drainWindows(flush bool) []Classification {
 			}
 			m.winParts = append(m.winParts, m.buf[i-m.bufStart])
 		}
-		if m.winBuf == nil {
-			p0 := m.winParts[0]
-			m.winBuf = tensor.New(1, p0.Shape[1], p0.Shape[2], p0.Shape[3]*m.spec.Window)
-		}
-		tensor.ConcatChannelsInto(m.winBuf, m.winParts...)
-		x := m.prog.Run(m.ws, m.winBuf)
-		m.clsBuf = append(m.clsBuf, Classification{Frame: frame, Prob: sigmoid(x.Data[0])})
+		m.clsBuf = append(m.clsBuf, Classification{Frame: frame, Prob: m.runHead()})
 		m.decided++
 		for m.bufStart < m.decided-half {
 			m.ringFree = append(m.ringFree, m.buf[0])

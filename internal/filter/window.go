@@ -66,10 +66,10 @@ func (w *WindowReduce) MAdds(in []int) int64 {
 	return int64(w.Win) * w.Conv.MAdds([]int{n, h, wd, w.inC})
 }
 
-// Forward implements nn.Layer: split the window channels, stack the
-// frames along the batch dimension, run the shared convolution once,
-// and re-assemble.
-func (w *WindowReduce) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+// Forward implements nn.Layer, the training pass: split the window
+// channels, stack the frames along the batch dimension, run the shared
+// convolution once, and re-assemble.
+func (w *WindowReduce) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, _, _ := w.splitShape(x.Shape)
 	sizes := make([]int, w.Win)
 	for i := range sizes {
@@ -77,7 +77,7 @@ func (w *WindowReduce) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	}
 	parts := tensor.SplitChannels(x, sizes...)
 	stacked := stackBatch(parts)
-	out := w.Conv.Forward(stacked, training)
+	out := w.Conv.Forward(stacked)
 	outParts := unstackBatch(out, w.Win, n)
 	return tensor.ConcatChannels(outParts...)
 }

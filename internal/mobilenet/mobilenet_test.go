@@ -129,7 +129,7 @@ func TestActivationsStayScaled(t *testing.T) {
 func TestIncludeTopShape(t *testing.T) {
 	m := New(Config{WidthMult: 0.25, NumClasses: 10, IncludeTop: true, Seed: 1})
 	x := tensor.New(1, 32, 32, 3)
-	out := m.Net.Forward(x, false)
+	out := m.Net.Forward(x)
 	if !reflect.DeepEqual(out.Shape, []int{1, 10}) {
 		t.Fatalf("classifier output shape %v, want [1 10]", out.Shape)
 	}
@@ -171,9 +171,34 @@ func TestBatchNormVariantBuilds(t *testing.T) {
 	}
 }
 
+// layerwise runs net one layer at a time up to and including the layer
+// named upto: each layer's Forward, except a batch-norm, whose Forward
+// normalizes by the batch's statistics; it runs as a one-layer program,
+// the running-statistics loop. These are the loops the extractor's
+// program runs.
+func layerwise(t *testing.T, net *nn.Network, x *tensor.Tensor, upto string) *tensor.Tensor {
+	t.Helper()
+	for _, l := range net.Layers() {
+		if bn, ok := l.(*nn.BatchNorm); ok {
+			prog, err := nn.CompileLayers(bn.LayerName, []nn.Layer{bn}, x.Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x = prog.Run(prog.NewWorkspace(), x)
+		} else {
+			x = l.Forward(x)
+		}
+		if l.Name() == upto {
+			return x
+		}
+	}
+	t.Fatalf("network %q has no layer %q", net.NetName, upto)
+	return nil
+}
+
 // TestExtractorMatchesLayerwise pins the compiled fast path against
-// the layer-by-layer inference pass, with and without batch-norm, for
-// several stages.
+// the layer-by-layer walk, with and without batch-norm, for several
+// stages.
 func TestExtractorMatchesLayerwise(t *testing.T) {
 	for _, bn := range []bool{false, true} {
 		m := New(Config{WidthMult: 0.25, BatchNorm: bn, Seed: 2})
@@ -198,7 +223,7 @@ func TestExtractorMatchesLayerwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := m.Net.ForwardTo(x.Clone(), false, tap)
+			want := layerwise(t, m.Net, x.Clone(), tap)
 			got, err := ext.Extract(x, stage)
 			if err != nil {
 				t.Fatal(err)

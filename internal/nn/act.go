@@ -36,12 +36,10 @@ func (r *ReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
 func (r *ReLU) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
 	r.forwardInto(x.Data, out.Data)
-	if training {
-		r.lastOut = out
-	}
+	r.lastOut = out
 	return out
 }
 
@@ -67,7 +65,7 @@ func (r *ReLU) forwardInto(x, out []float32) {
 // Forward copied through, NaN aside.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastOut == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", r.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", r.LayerName))
 	}
 	out := tensor.New(grad.Shape...)
 	for i, y := range r.lastOut.Data {

@@ -9,8 +9,10 @@ import (
 
 // BatchNorm normalizes each channel of an NHWC tensor to zero mean and
 // unit variance over the batch and spatial dims, then applies a learned
-// per-channel scale (gamma) and shift (beta). During inference it uses
-// running statistics accumulated with exponential moving averages.
+// per-channel scale (gamma) and shift (beta). Forward, the training
+// pass, normalizes by the batch's own statistics and folds them into
+// running statistics (exponential moving averages), which a compiled
+// Program normalizes by.
 //
 // MobileNet v1 places a BatchNorm after every convolution; the builder
 // in internal/mobilenet exposes it behind a flag (folded away by
@@ -74,16 +76,12 @@ func (b *BatchNorm) MAdds(in []int) int64 {
 }
 
 // Forward implements Layer.
-func (b *BatchNorm) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, h, w, c := checkRank4(b.LayerName, x.Shape)
 	if c != b.Channels {
 		panic(fmt.Sprintf("nn: %s expects %d channels, got %d", b.LayerName, b.Channels, c))
 	}
 	out := tensor.New(x.Shape...)
-	if !training {
-		b.inferInto(x.Data, out.Data, make([]float32, 2*c))
-		return out
-	}
 	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
 	count := n * h * w
 
@@ -150,8 +148,7 @@ func bnFold(bn *BatchNorm, scratch []float32) (scale, shift []float32) {
 
 // inferInto writes the inference-mode normalization of x into out,
 // out[i] = x[i]·scale[i%C] + shift[i%C] with the bnFold of scratch: the
-// one loop, run by Forward(x, false) and by a compiled program's
-// stand-alone batch-norm op.
+// loop of a compiled program's stand-alone batch-norm op.
 func (b *BatchNorm) inferInto(x, out, scratch []float32) {
 	scale, shift := bnFold(b, scratch)
 	c := b.Channels
@@ -166,7 +163,7 @@ func (b *BatchNorm) inferInto(x, out, scratch []float32) {
 // Backward implements Layer using the standard batch-norm gradient.
 func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if b.lastXHat == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", b.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", b.LayerName))
 	}
 	c := b.Channels
 	count := b.lastN

@@ -103,7 +103,7 @@ func (c *Conv2D) MAdds(in []int) int64 {
 // Forward implements Layer. It runs on the lowered-GEMM fast path (see
 // fastpath.go); the historical direct loop survives as the reference
 // kernel in reference.go, which the fast path is test-pinned against.
-func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	_, _, _, ic := checkRank4(c.LayerName, x.Shape)
 	if ic != c.inC {
 		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", c.LayerName, c.inC, ic))
@@ -112,16 +112,14 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	out := tensor.New(g.n, g.oh, g.ow, g.f)
 	ep := tensor.Epilogue{Bias: c.B.Value.Data}
 	convForward(g, x.Data, c.W.Value.Data, out.Data, ep)
-	if training {
-		c.lastX = x
-	}
+	c.lastX = x
 	return out
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastX == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", c.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", c.LayerName))
 	}
 	x := c.lastX
 	n, h, w, ic := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -235,7 +233,7 @@ func (d *DepthwiseConv2D) MAdds(in []int) int64 {
 // Forward implements Layer. It runs on the specialized direct
 // depthwise kernel (fastpath.go) with hoisted bounds; the historical
 // loop survives as the reference kernel in reference.go.
-func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (d *DepthwiseConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	_, _, _, ic := checkRank4(d.LayerName, x.Shape)
 	if ic != d.channels {
 		panic(fmt.Sprintf("nn: %s expects %d channels, got %d", d.LayerName, d.channels, ic))
@@ -244,16 +242,14 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tenso
 	out := tensor.New(g.n, g.oh, g.ow, g.ic)
 	ep := tensor.Epilogue{Bias: d.B.Value.Data}
 	depthwiseForward(g, x.Data, d.W.Value.Data, out.Data, ep)
-	if training {
-		d.lastX = x
-	}
+	d.lastX = x
 	return out
 }
 
 // Backward implements Layer.
 func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastX == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", d.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", d.LayerName))
 	}
 	x := d.lastX
 	n, h, w, ic := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]

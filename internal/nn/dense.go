@@ -33,17 +33,15 @@ func (f *Flatten) OutShape(in []int) []int {
 func (f *Flatten) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	if training {
-		f.lastShape = append([]int(nil), x.Shape...)
-	}
+func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
+	f.lastShape = append([]int(nil), x.Shape...)
 	return x.Reshape(f.OutShape(x.Shape)...)
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.lastShape == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", f.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", f.LayerName))
 	}
 	out := grad.Reshape(f.lastShape...)
 	f.lastShape = nil
@@ -100,21 +98,19 @@ func (d *Dense) MAdds(in []int) int64 {
 // Forward implements Layer. It runs as a GEMM (fastpath.go); the
 // historical per-row loop survives as the reference kernel in
 // reference.go.
-func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := d.OutShape(x.Shape)[0]
 	out := tensor.New(n, d.Out)
 	ep := tensor.Epilogue{Bias: d.B.Value.Data}
 	gemmRows(n, d.Out, d.In, x.Data, d.W.Value.Data, out.Data, ep)
-	if training {
-		d.lastX = x
-	}
+	d.lastX = x
 	return out
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastX == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", d.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", d.LayerName))
 	}
 	x := d.lastX
 	n := x.Shape[0]

@@ -31,3 +31,24 @@ func (p *Program) CheckPacked() (checked int, err error) {
 	}
 	return checked, nil
 }
+
+// Layerwise is the oracle a compiled program is compared with: it runs
+// net one layer at a time through each layer's Forward, except that a
+// batch-norm runs inferInto, the running-statistics loop, since its
+// Forward normalizes by the batch's own statistics. These are the loops
+// a program runs, so a program must match the result bit for bit. It
+// returns the final output and every layer's output by name.
+func Layerwise(net *Network, x *tensor.Tensor) (out *tensor.Tensor, taps map[string]*tensor.Tensor) {
+	taps = make(map[string]*tensor.Tensor, len(net.Layers()))
+	for _, l := range net.Layers() {
+		if bn, ok := l.(*BatchNorm); ok {
+			y := tensor.New(x.Shape...)
+			bn.inferInto(x.Data, y.Data, make([]float32, 2*bn.Channels))
+			x = y
+		} else {
+			x = l.Forward(x)
+		}
+		taps[l.Name()] = x
+	}
+	return x, taps
+}

@@ -4,24 +4,25 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file holds the inference fast path's layer kernels: the
-// single-pass convolution lowering plus the GEMM-backed convolution and
+// This file holds the layers' forward kernels: the single-pass
+// convolution lowering plus the GEMM-backed convolution and
 // fully-connected forward passes, and a specialized direct depthwise
 // kernel. The same kernels serve two callers with different buffer
 // policies:
 //
-//   - The layers' Forward methods (training and ad-hoc inference)
-//     allocate their scratch and pack their weights per call, and
-//     parallelize row blocks with parFor. Results are bitwise
-//     independent of the worker count because every output row is
-//     computed by the same sequential k-loop regardless of which
-//     goroutine runs it.
-//   - Compiled inference programs (program.go) hold the weights already
-//     packed, pass preallocated workspace scratch and run serially, so
-//     steady-state per-frame execution performs zero heap allocations
-//     and re-lowers nothing that did not change since the last frame;
-//     cross-frame parallelism comes from streams and microclassifier
-//     fan-out, not from inside a kernel.
+//   - Compiled programs (program.go), the only inference engine, hold
+//     the weights already packed, pass preallocated workspace scratch
+//     and run serially, so steady-state per-frame execution performs
+//     zero heap allocations and re-lowers nothing that did not change
+//     since the last frame; cross-frame parallelism comes from streams
+//     and microclassifier fan-out, not from inside a kernel.
+//   - The layers' Forward methods, the training pass, allocate their
+//     scratch and pack their weights per call, and parallelize row
+//     blocks with parFor. Results are bitwise independent of the worker
+//     count because every output row is computed by the same sequential
+//     k-loop regardless of which goroutine runs it. A training batch
+//     smaller than tensor.SmallM rows (the last, partial one) takes the
+//     GEMM's small-M path.
 
 // convGeom captures the resolved geometry of one convolution.
 type convGeom struct {

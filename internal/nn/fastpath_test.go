@@ -56,7 +56,7 @@ func TestConv2DFastMatchesReference(t *testing.T) {
 			g.FillNormal(l.B.Value, 0, 0.5)
 			x := tensor.New(tc.batch, tc.h, tc.w, tc.ic)
 			g.FillNormal(x, 0, 1)
-			close5(t, tc.name, l.Forward(x, false), l.forwardReference(x), 1e-5)
+			close5(t, tc.name, l.Forward(x), l.forwardReference(x), 1e-5)
 		})
 	}
 }
@@ -69,7 +69,7 @@ func TestDepthwiseFastMatchesReference(t *testing.T) {
 			g.FillNormal(l.B.Value, 0, 0.5)
 			x := tensor.New(tc.batch, tc.h, tc.w, tc.ic)
 			g.FillNormal(x, 0, 1)
-			close5(t, tc.name, l.Forward(x, false), l.forwardReference(x), 1e-5)
+			close5(t, tc.name, l.Forward(x), l.forwardReference(x), 1e-5)
 		})
 	}
 }
@@ -83,7 +83,7 @@ func TestDenseFastMatchesReference(t *testing.T) {
 		g.FillNormal(l.B.Value, 0, 0.5)
 		x := tensor.New(tc.batch, tc.in)
 		g.FillNormal(x, 0, 1)
-		close5(t, "dense", l.Forward(x, false), l.forwardReference(x), 1e-5)
+		close5(t, "dense", l.Forward(x), l.forwardReference(x), 1e-5)
 	}
 }
 
@@ -150,10 +150,11 @@ func buildFusedNet(t *testing.T, head string) (*Network, *tensor.Tensor) {
 }
 
 // TestProgramMatchesNetwork pins the frozen, fused program to the
-// layer-by-layer inference pass bit for bit, the batch-norm fold
+// layer-by-layer walk of Layerwise bit for bit, the batch-norm fold
 // included: the final output and the output of every op (a fused
-// group's last layer). Both engines run each operator through the same
-// loop, so there is nothing to tolerate.
+// group's last layer). The walk runs each operator through the loop the
+// program runs, so there is nothing to tolerate; the reference kernels
+// pin that loop's arithmetic.
 func TestProgramMatchesNetwork(t *testing.T) {
 	for _, head := range fusedHeads {
 		t.Run(head, func(t *testing.T) {
@@ -164,7 +165,7 @@ func TestProgramMatchesNetwork(t *testing.T) {
 			}
 			ws := prog.NewWorkspace()
 			names := net.LayerNames()
-			want, wantTaps := net.ForwardTaps(x.Clone(), false, names...)
+			want, wantTaps := Layerwise(net, x.Clone())
 			sameBits(t, "final", prog.Run(ws, x), want)
 			ops := map[int]bool{}
 			for _, name := range names {
@@ -200,7 +201,8 @@ func TestProgramTracksLiveWeights(t *testing.T) {
 		p.Touch() // the contract for raw Value.Data writes
 	}
 	after := prog.Run(ws, x)
-	sameBits(t, "live-weights", after, net.Forward(x.Clone(), false))
+	want, _ := Layerwise(net, x.Clone())
+	sameBits(t, "live-weights", after, want)
 	same := true
 	for i := range before.Data {
 		if before.Data[i] != after.Data[i] {
@@ -241,7 +243,7 @@ func TestProgramZeroAlloc(t *testing.T) {
 // TestProgramConcurrentWorkspaces runs two workspaces of one program
 // from two goroutines, starting on weights that were just Touched so
 // both race to repack. Run under -race; the outputs must equal the
-// layer-by-layer pass bit for bit on every iteration.
+// layer-by-layer walk bit for bit on every iteration.
 func TestProgramConcurrentWorkspaces(t *testing.T) {
 	net, x := buildFusedNet(t, "flatten-dense")
 	prog, err := Compile(net, x.Shape)
@@ -277,7 +279,8 @@ func TestProgramConcurrentWorkspaces(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		sameBits(t, "concurrent", want, net.Forward(x.Clone(), false))
+		layerwise, _ := Layerwise(net, x.Clone())
+		sameBits(t, "concurrent", want, layerwise)
 	}
 }
 
@@ -290,7 +293,7 @@ func TestFrozenInferenceDoesNotContaminateTraining(t *testing.T) {
 
 	// Gradients without any interleaved inference.
 	netA, x := build()
-	outA := netA.Forward(x.Clone(), true)
+	outA := netA.Forward(x.Clone())
 	gradA := tensor.New(outA.Shape...)
 	gradA.Fill(1)
 	netA.Backward(gradA)
@@ -303,7 +306,7 @@ func TestFrozenInferenceDoesNotContaminateTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := prog.NewWorkspace()
-	outB := netB.Forward(x.Clone(), true)
+	outB := netB.Forward(x.Clone())
 
 	var statsBefore []float32
 	for _, l := range netB.Layers() {
@@ -356,9 +359,9 @@ func TestForwardDeterministicAcrossWorkers(t *testing.T) {
 	old := Workers
 	defer func() { Workers = old }()
 	Workers = 1
-	serial := l.Forward(x, false)
+	serial := l.Forward(x)
 	Workers = 7
-	parallel := l.Forward(x, false)
+	parallel := l.Forward(x)
 	for i := range serial.Data {
 		if serial.Data[i] != parallel.Data[i] {
 			t.Fatalf("conv forward depends on worker count at %d", i)
@@ -459,9 +462,9 @@ func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
 				}
 			}
 			Workers = 1
-			same("Forward", l.Forward(x, false))
+			same("Forward", l.Forward(x))
 			Workers = 3
-			same("Forward/3 workers", l.Forward(x, false))
+			same("Forward/3 workers", l.Forward(x))
 
 			prog, err := CompileLayers("c", []Layer{l}, x.Shape)
 			if err != nil {

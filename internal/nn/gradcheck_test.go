@@ -11,7 +11,7 @@ import (
 // loss: the weighted sum of outputs against fixed coefficients, which
 // gives a well-defined gradient of ones*coeff at the output.
 func lossOf(l Layer, x *tensor.Tensor, coeff []float32) float64 {
-	out := l.Forward(x, true)
+	out := l.Forward(x)
 	var s float64
 	for i, v := range out.Data {
 		s += float64(v) * float64(coeff[i%len(coeff)])
@@ -26,7 +26,7 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	coeff := []float32{0.7, -1.3, 0.4, 1.1, -0.5}
 
 	// Analytic gradients.
-	out := l.Forward(x.Clone(), true)
+	out := l.Forward(x.Clone())
 	grad := tensor.New(out.Shape...)
 	for i := range grad.Data {
 		grad.Data[i] = coeff[i%len(coeff)]
@@ -204,7 +204,7 @@ func TestGradNetworkComposite(t *testing.T) {
 		Add(NewDense("fc", 2*2*3, 1, g))
 
 	x := randInput(1, 4, 4, 2)
-	out := net.Forward(x.Clone(), true)
+	out := net.Forward(x.Clone())
 	grad := tensor.New(out.Shape...)
 	grad.Fill(1)
 	gin := net.Backward(grad)
@@ -213,9 +213,9 @@ func TestGradNetworkComposite(t *testing.T) {
 	for i := 0; i < x.Len(); i++ {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		up := net.Forward(x.Clone(), false).Sum()
+		up := net.Forward(x.Clone()).Sum()
 		x.Data[i] = orig - eps
-		down := net.Forward(x.Clone(), false).Sum()
+		down := net.Forward(x.Clone()).Sum()
 		x.Data[i] = orig
 		num := (up - down) / (2 * eps)
 		if math.Abs(num-float64(gin.Data[i])) > 3e-2*(1+math.Abs(num)) {

@@ -41,7 +41,7 @@ func TestConvKnownValues(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(i) // 0..8, sum 36
 	}
-	out := c.Forward(x, false)
+	out := c.Forward(x)
 	if !reflect.DeepEqual(out.Shape, []int{1, 1, 1, 1}) {
 		t.Fatalf("conv out shape %v", out.Shape)
 	}
@@ -59,7 +59,7 @@ func TestConvSamePaddingCenters(t *testing.T) {
 	c.B.Value.Zero()
 	x := tensor.New(1, 4, 5, 1)
 	tensor.NewRNG(2).FillNormal(x, 0, 1)
-	out := c.Forward(x, false)
+	out := c.Forward(x)
 	if !out.SameShape(x) {
 		t.Fatalf("same-padded conv changed shape: %v", out.Shape)
 	}
@@ -78,7 +78,7 @@ func TestDepthwiseActsPerChannel(t *testing.T) {
 	d.B.Value.Zero()
 	x := tensor.New(1, 2, 2, 2)
 	x.Fill(1)
-	out := d.Forward(x, false)
+	out := d.Forward(x)
 	for p := 0; p < 4; p++ {
 		if out.Data[p*2] != 2 || out.Data[p*2+1] != 3 {
 			t.Fatalf("depthwise mixed channels: %v", out.Data)
@@ -92,7 +92,7 @@ func TestDenseKnownValues(t *testing.T) {
 	copy(d.W.Value.Data, []float32{1, 2, 3, 4}) // [[1,2],[3,4]]
 	copy(d.B.Value.Data, []float32{10, 20})
 	x := tensor.FromSlice([]float32{1, 1}, 1, 2)
-	out := d.Forward(x, false)
+	out := d.Forward(x)
 	if out.Data[0] != 14 || out.Data[1] != 26 {
 		t.Fatalf("dense = %v, want [14 26]", out.Data)
 	}
@@ -106,7 +106,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 4, 4, 1)
-	out := m.Forward(x, false)
+	out := m.Forward(x)
 	want := []float32{6, 8, 14, 16}
 	if !reflect.DeepEqual(out.Data, want) {
 		t.Fatalf("maxpool = %v, want %v", out.Data, want)
@@ -118,7 +118,7 @@ func TestGlobalMaxFindsAnyLocation(t *testing.T) {
 	x := tensor.New(1, 5, 7, 1)
 	x.Fill(-1)
 	x.Set(9, 0, 3, 6, 0)
-	out := gm.Forward(x, false)
+	out := gm.Forward(x)
 	if out.Data[0] != 9 {
 		t.Fatalf("global max = %v, want 9", out.Data[0])
 	}
@@ -127,7 +127,7 @@ func TestGlobalMaxFindsAnyLocation(t *testing.T) {
 func TestReLU6Caps(t *testing.T) {
 	r := NewReLU6("r")
 	x := tensor.FromSlice([]float32{-3, 3, 9}, 3)
-	out := r.Forward(x, false)
+	out := r.Forward(x)
 	if out.Data[0] != 0 || out.Data[1] != 3 || out.Data[2] != 6 {
 		t.Fatalf("relu6 = %v", out.Data)
 	}
@@ -146,7 +146,7 @@ func TestReLUBackwardMask(t *testing.T) {
 		{NewReLU("r"), []bool{false, false, false, true, true, true, true, true}},
 		{NewReLU6("r6"), []bool{false, false, false, true, true, true, false, false}},
 	} {
-		tc.r.Forward(tensor.FromSlice(append([]float32(nil), x...), len(x)), true)
+		tc.r.Forward(tensor.FromSlice(append([]float32(nil), x...), len(x)))
 		grad := tensor.New(len(x))
 		grad.Fill(1)
 		gin := tc.r.Backward(grad)
@@ -181,7 +181,10 @@ func TestMAddsFormulas(t *testing.T) {
 	}
 }
 
-func TestNetworkTapsAndForwardTo(t *testing.T) {
+// TestProgramTapsAndRunTo reads intermediate activations the way the
+// base DNN's extractor does: by layer name through OpIndex, either from
+// a whole Run or from a RunTo that stops at the tap.
+func TestProgramTapsAndRunTo(t *testing.T) {
 	g := tensor.NewRNG(1)
 	net := NewNetwork("t").
 		Add(NewConv2D("conv1", 1, 2, 3, 1, Same, g)).
@@ -189,19 +192,28 @@ func TestNetworkTapsAndForwardTo(t *testing.T) {
 		Add(NewConv2D("conv2", 2, 3, 3, 2, Same, g)).
 		Add(NewReLU("relu2"))
 	x := randInput(1, 8, 8, 1)
-
-	out, taps := net.ForwardTaps(x, false, "relu1", "relu2")
-	if !reflect.DeepEqual(taps["relu1"].Shape, []int{1, 8, 8, 2}) {
-		t.Fatalf("tap relu1 shape %v", taps["relu1"].Shape)
+	prog, err := Compile(net, x.Shape)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if taps["relu2"] != out {
-		t.Fatal("final tap should be the network output")
+	ws := prog.NewWorkspace()
+	out := prog.Run(ws, x)
+	i1, ok1 := prog.OpIndex("relu1")
+	i2, ok2 := prog.OpIndex("relu2")
+	if !ok1 || !ok2 {
+		t.Fatal("fused ReLU taps not addressable")
 	}
-
-	mid := net.ForwardTo(x, false, "relu1")
+	tap := prog.Output(ws, i1).Clone()
+	if !reflect.DeepEqual(tap.Shape, []int{1, 8, 8, 2}) {
+		t.Fatalf("tap relu1 shape %v", tap.Shape)
+	}
+	if prog.Output(ws, i2) != out {
+		t.Fatal("final tap should be the program output")
+	}
+	mid := prog.RunTo(prog.NewWorkspace(), x, i1)
 	for i := range mid.Data {
-		if mid.Data[i] != taps["relu1"].Data[i] {
-			t.Fatal("ForwardTo disagrees with ForwardTaps")
+		if mid.Data[i] != tap.Data[i] {
+			t.Fatal("RunTo disagrees with Run's tap")
 		}
 	}
 }
@@ -213,7 +225,7 @@ func TestNetworkMAddsTo(t *testing.T) {
 		Add(NewConv2D("conv2", 2, 3, 3, 1, Same, g))
 	in := []int{1, 8, 8, 1}
 	m1, shape1 := net.MAddsTo("conv1", in)
-	if m1 != net.Layer("conv1").MAdds(in) {
+	if m1 != net.Layers()[0].MAdds(in) {
 		t.Fatal("MAddsTo(conv1) wrong")
 	}
 	if !reflect.DeepEqual(shape1, []int{1, 8, 8, 2}) {
@@ -256,8 +268,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(1, 4, 4, 1)
-	a := src.Forward(x.Clone(), false)
-	b := dst.Forward(x.Clone(), false)
+	a := src.Forward(x.Clone())
+	b := dst.Forward(x.Clone())
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("loaded network differs from saved network")
@@ -298,7 +310,7 @@ func TestBatchNormNormalizes(t *testing.T) {
 	x := tensor.New(4, 3, 3, 2)
 	g := tensor.NewRNG(7)
 	g.FillNormal(x, 5, 3)
-	out := bn.Forward(x, true)
+	out := bn.Forward(x)
 	// Per-channel mean ~0 and var ~1 after normalization with
 	// gamma=1, beta=0.
 	for ci := 0; ci < 2; ci++ {
@@ -329,7 +341,11 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	bn.RunningVar.Data[0] = 4
 	x := tensor.New(1, 1, 1, 1)
 	x.Data[0] = 14
-	out := bn.Forward(x, false)
+	prog, err := Compile(NewNetwork("bn").Add(bn), x.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := prog.Run(prog.NewWorkspace(), x)
 	// (14-10)/sqrt(4+eps) ~= 2.
 	if out.Data[0] < 1.99 || out.Data[0] > 2.01 {
 		t.Fatalf("bn inference = %v, want ~2", out.Data[0])
@@ -343,9 +359,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	old := Workers
 	defer func() { Workers = old }()
 	Workers = 1
-	serial := c.Forward(x, false)
+	serial := c.Forward(x)
 	Workers = 8
-	par := c.Forward(x, false)
+	par := c.Forward(x)
 	for i := range serial.Data {
 		if serial.Data[i] != par.Data[i] {
 			t.Fatal("parallel conv differs from serial")

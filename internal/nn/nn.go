@@ -1,14 +1,15 @@
 // Package nn is a pure-Go CPU neural-network engine: the stand-in for
 // the Caffe and TensorFlow backends that the FilterForward paper runs
-// on. It provides forward inference, full backpropagation (so the
-// repository can train microclassifiers and discrete classifiers
-// offline, as the paper's application developers do), exact
-// multiply-add accounting matching the paper's §4.5 cost formulas, and
-// serialization.
+// on. It provides compiled inference (Program), full backpropagation
+// (so the repository can train microclassifiers and discrete
+// classifiers offline, as the paper's application developers do),
+// exact multiply-add accounting matching the paper's §4.5 cost
+// formulas, and serialization.
 //
-// Tensors are NHWC. Layers cache whatever they need for the backward
-// pass during Forward(x, training=true); calling Backward without a
-// preceding training-mode Forward panics.
+// Tensors are NHWC. A compiled Program is the only inference engine. A
+// layer's Forward is the training pass: it caches whatever Backward
+// needs (batch-norm normalizes by the batch's own statistics), and
+// calling Backward without a preceding Forward panics.
 package nn
 
 import (
@@ -53,9 +54,9 @@ func newParam(name string, shape ...int) *Param {
 type Layer interface {
 	// Name returns the layer's identifier, unique within a Network.
 	Name() string
-	// Forward computes the layer output. When training is true the
-	// layer caches activations needed by Backward.
-	Forward(x *tensor.Tensor, training bool) *tensor.Tensor
+	// Forward computes the layer output of the training pass and
+	// caches the activations Backward needs.
+	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes dLoss/dOutput and returns dLoss/dInput,
 	// accumulating parameter gradients along the way.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -71,9 +72,10 @@ type Layer interface {
 	MAdds(in []int) int64
 }
 
-// Network is an ordered sequence of layers with support for "taps":
-// reading the activations of any named intermediate layer, which is how
-// microclassifiers pull feature maps out of the base DNN.
+// Network is an ordered sequence of named layers. A name addresses a
+// "tap": the activation of an intermediate layer, which is how
+// microclassifiers pull feature maps out of the base DNN (a compiled
+// Program reads it, see Program.OpIndex).
 type Network struct {
 	// NetName labels the network in serialized form and diagnostics.
 	NetName string
@@ -100,20 +102,6 @@ func (n *Network) Add(l Layer) *Network {
 // Layers returns the layer slice in execution order.
 func (n *Network) Layers() []Layer { return n.layers }
 
-// Layer returns the named layer, or nil if absent.
-func (n *Network) Layer(name string) Layer {
-	if i, ok := n.byName[name]; ok {
-		return n.layers[i]
-	}
-	return nil
-}
-
-// HasLayer reports whether the network contains a layer with the name.
-func (n *Network) HasLayer(name string) bool {
-	_, ok := n.byName[name]
-	return ok
-}
-
 // LayerNames returns all layer names in execution order.
 func (n *Network) LayerNames() []string {
 	names := make([]string, len(n.layers))
@@ -123,47 +111,10 @@ func (n *Network) LayerNames() []string {
 	return names
 }
 
-// Forward runs the full network.
-func (n *Network) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+// Forward runs the training pass of the full network.
+func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range n.layers {
-		x = l.Forward(x, training)
-	}
-	return x
-}
-
-// ForwardTaps runs the full network and additionally returns the output
-// activation of every requested tap layer. Tap outputs are the tensors
-// produced by the named layers (not copies; callers must not mutate
-// them if they later run Backward).
-func (n *Network) ForwardTaps(x *tensor.Tensor, training bool, taps ...string) (out *tensor.Tensor, tapOut map[string]*tensor.Tensor) {
-	want := make(map[string]bool, len(taps))
-	for _, t := range taps {
-		if !n.HasLayer(t) {
-			panic(fmt.Sprintf("nn: network %q has no layer %q", n.NetName, t))
-		}
-		want[t] = true
-	}
-	tapOut = make(map[string]*tensor.Tensor, len(taps))
-	for _, l := range n.layers {
-		x = l.Forward(x, training)
-		if want[l.Name()] {
-			tapOut[l.Name()] = x
-		}
-	}
-	return x, tapOut
-}
-
-// ForwardTo runs the network only up to and including the named layer,
-// returning that layer's activation. This is the feature-extractor fast
-// path: when every microclassifier taps at or before layer L, the base
-// DNN need not execute past L.
-func (n *Network) ForwardTo(x *tensor.Tensor, training bool, layer string) *tensor.Tensor {
-	idx, ok := n.byName[layer]
-	if !ok {
-		panic(fmt.Sprintf("nn: network %q has no layer %q", n.NetName, layer))
-	}
-	for _, l := range n.layers[:idx+1] {
-		x = l.Forward(x, training)
+		x = l.Forward(x)
 	}
 	return x
 }

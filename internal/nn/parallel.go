@@ -6,8 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// Workers controls the maximum goroutine fan-out used inside
-// convolution loops. It defaults to GOMAXPROCS. Set it to 1 for fully
+// Workers controls the maximum goroutine fan-out used inside the
+// training pass's convolution and GEMM loops (compiled programs run
+// serially). It defaults to GOMAXPROCS. Set it to 1 for fully
 // deterministic single-threaded timing (bench/ does this so that its
 // timings reflect algorithmic cost, not scheduler noise).
 var Workers = runtime.GOMAXPROCS(0)

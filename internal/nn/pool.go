@@ -43,14 +43,10 @@ func (m *MaxPool2D) OutShape(in []int) []int {
 func (m *MaxPool2D) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (m *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(m.OutShape(x.Shape)...)
-	var arg []int32
-	if training {
-		arg = make([]int32, out.Len())
-		m.lastArg, m.lastShape = arg, append([]int(nil), x.Shape...)
-	}
-	m.forwardInto(x, out, arg)
+	m.lastArg, m.lastShape = make([]int32, out.Len()), append([]int(nil), x.Shape...)
+	m.forwardInto(x, out, m.lastArg)
 	return out
 }
 
@@ -100,7 +96,7 @@ func (m *MaxPool2D) forwardInto(x, out *tensor.Tensor, arg []int32) {
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if m.lastArg == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", m.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", m.LayerName))
 	}
 	gin := tensor.New(m.lastShape...)
 	for i, off := range m.lastArg {
@@ -137,12 +133,10 @@ func (g *GlobalAvgPool) OutShape(in []int) []int {
 func (g *GlobalAvgPool) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
-func (g *GlobalAvgPool) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (g *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(g.OutShape(x.Shape)...)
 	g.forwardInto(x, out)
-	if training {
-		g.lastShape = append([]int(nil), x.Shape...)
-	}
+	g.lastShape = append([]int(nil), x.Shape...)
 	return out
 }
 
@@ -169,7 +163,7 @@ func (g *GlobalAvgPool) forwardInto(x, out *tensor.Tensor) {
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if g.lastShape == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", g.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", g.LayerName))
 	}
 	n, h, w, c := g.lastShape[0], g.lastShape[1], g.lastShape[2], g.lastShape[3]
 	gin := tensor.New(g.lastShape...)
@@ -216,14 +210,10 @@ func (g *GlobalMax) OutShape(in []int) []int {
 func (g *GlobalMax) MAdds(in []int) int64 { return 0 }
 
 // Forward implements Layer.
-func (g *GlobalMax) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (g *GlobalMax) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(g.OutShape(x.Shape)...)
-	var arg []int32
-	if training {
-		arg = make([]int32, out.Len())
-		g.lastArg, g.lastShape = arg, append([]int(nil), x.Shape...)
-	}
-	g.forwardInto(x, out, arg)
+	g.lastArg, g.lastShape = make([]int32, out.Len()), append([]int(nil), x.Shape...)
+	g.forwardInto(x, out, g.lastArg)
 	return out
 }
 
@@ -253,7 +243,7 @@ func (g *GlobalMax) forwardInto(x, out *tensor.Tensor, arg []int32) {
 // Backward implements Layer.
 func (g *GlobalMax) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if g.lastArg == nil {
-		panic(fmt.Sprintf("nn: %s Backward without training Forward", g.LayerName))
+		panic(fmt.Sprintf("nn: %s Backward without Forward", g.LayerName))
 	}
 	gin := tensor.New(g.lastShape...)
 	for i, off := range g.lastArg {

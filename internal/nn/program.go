@@ -15,8 +15,9 @@ import (
 // intermediate shape is resolved at compile time, and execution writes
 // into a Workspace's preallocated slot buffers so the steady state
 // performs zero heap allocations. Every other layer runs as its own op
-// through the same inference loop its Forward uses, so the two engines
-// share one kernel per operator.
+// through the loop its Forward uses, except a stand-alone batch-norm,
+// which runs its running-statistics loop (inferInto). Programs are the
+// only inference engine; Forward is the training pass.
 //
 // Programs never serve stale weights. The weight matrix of every GEMM
 // op is kept in the layout its kernel consumes, packed on the first run

@@ -50,8 +50,8 @@ func stalenessNetFewRows() (*nn.Network, *tensor.Tensor) {
 // TestProgramNeverServesStaleWeights sweeps the in-place weight
 // writers: after an SGD step, an Adam step and a LoadParams, the
 // compiled program (which has already run, so it holds packed copies)
-// must agree with the layer-by-layer pass, and every packed copy must
-// equal a fresh lowering of the live weights. The training forwards
+// must agree with the layer-by-layer walk (Layerwise), and every packed
+// copy must equal a fresh lowering of the live weights. The training forwards
 // also move the batch-norm running statistics, which carry no stamp:
 // the program folds them on every run.
 func TestProgramNeverServesStaleWeights(t *testing.T) {
@@ -74,7 +74,8 @@ func neverServesStaleWeights(t *testing.T, net *nn.Network, x *tensor.Tensor, pa
 
 	check := func(after string) {
 		t.Helper()
-		got, want := prog.Run(ws, x), net.Forward(x.Clone(), false)
+		want, _ := nn.Layerwise(net, x.Clone())
+		got := prog.Run(ws, x)
 		for i := range want.Data {
 			g, w := float64(got.Data[i]), float64(want.Data[i])
 			if math.Abs(g-w) > 1e-5*(1+math.Abs(w)) {
@@ -90,7 +91,7 @@ func neverServesStaleWeights(t *testing.T, net *nn.Network, x *tensor.Tensor, pa
 		}
 	}
 	step := func(opt train.Optimizer) {
-		out := net.Forward(x.Clone(), true)
+		out := net.Forward(x.Clone())
 		grad := tensor.New(out.Shape...)
 		tensor.NewRNG(32).FillNormal(grad, 0, 1)
 		net.Backward(grad)

@@ -107,16 +107,22 @@ type Rates struct {
 	Base, MC, DC, MobileNet float64
 }
 
-// MeasureNetRate times forward passes of net at the given input shape
-// and returns achieved multiply-adds per second (plus a floor of one
-// op to avoid division by zero for madds-free nets).
-func MeasureNetRate(net *nn.Network, in []int, reps int) float64 {
+// MeasureNetRate compiles net at the given input shape, times runs of
+// the program (the engine every inference in the repository runs on),
+// and returns achieved multiply-adds per second (plus a floor of one op
+// to avoid division by zero for madds-free nets).
+func MeasureNetRate(net *nn.Network, in []int, reps int) (float64, error) {
+	prog, err := nn.Compile(net, in)
+	if err != nil {
+		return 0, fmt.Errorf("perfmodel: measure %s: %w", net.NetName, err)
+	}
+	ws := prog.NewWorkspace()
 	x := tensor.New(in...)
 	tensor.NewRNG(1).FillNormal(x, 0, 1)
-	net.Forward(x, false) // warm-up
+	prog.Run(ws, x) // warm-up: packs the weights
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		net.Forward(x, false)
+		prog.Run(ws, x)
 	}
 	elapsed := time.Since(start).Seconds() / float64(reps)
 	madds := net.MAdds(in)
@@ -126,7 +132,7 @@ func MeasureNetRate(net *nn.Network, in []int, reps int) float64 {
 	if elapsed <= 0 {
 		elapsed = 1e-9
 	}
-	return float64(madds) / elapsed
+	return float64(madds) / elapsed, nil
 }
 
 // Calibrate measures per-class rates using working-scale instances of
@@ -134,21 +140,28 @@ func MeasureNetRate(net *nn.Network, in []int, reps int) float64 {
 func Calibrate(workingW, workingH int) (Rates, error) {
 	base := mobilenet.New(mobilenet.Config{WidthMult: 0.25, Seed: 1})
 	var r Rates
+	var err error
 
-	r.Base = MeasureNetRate(base.Net, []int{1, workingH, workingW, 3}, 2)
+	if r.Base, err = MeasureNetRate(base.Net, []int{1, workingH, workingW, 3}, 2); err != nil {
+		return r, err
+	}
 	r.MobileNet = r.Base
 
 	mc, err := filter.NewMC(filter.Spec{Name: "cal-mc", Arch: filter.LocalizedBinary, Seed: 2}, base, workingW, workingH)
 	if err != nil {
 		return r, err
 	}
-	r.MC = MeasureNetRate(mc.Net(), mc.InputShape(), 5)
+	if r.MC, err = MeasureNetRate(mc.Net(), mc.InputShape(), 5); err != nil {
+		return r, err
+	}
 
 	dc, err := filter.NewDC(filter.DCConfig{Name: "cal-dc", Seed: 3}, workingW, workingH)
 	if err != nil {
 		return r, err
 	}
-	r.DC = MeasureNetRate(dc.Net(), dc.InputShape(), 3)
+	if r.DC, err = MeasureNetRate(dc.Net(), dc.InputShape(), 3); err != nil {
+		return r, err
+	}
 	return r, nil
 }
 

@@ -1,9 +1,12 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/filter"
+	"repro/internal/mobilenet"
+	"repro/internal/nn"
 	"repro/internal/vision"
 )
 
@@ -126,7 +129,25 @@ func TestCalibrateRatesPositive(t *testing.T) {
 }
 
 func TestMAddsFreeNetRateFloor(t *testing.T) {
-	// A network with zero multiply-adds must not divide by zero.
-	m := New(64, 36)
-	_ = m // construction only; MeasureNetRate floor covered by Calibrate
+	// A network with zero multiply-adds must not divide by zero: its
+	// rate is the one-op floor over the measured time.
+	net := nn.NewNetwork("max-only").Add(nn.NewGlobalMax("max"))
+	r, err := MeasureNetRate(net, []int{1, 4, 6, 3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r <= 0 || math.IsInf(r, 0) || math.IsNaN(r) {
+		t.Fatalf("madds-free net rate = %v, want finite and positive", r)
+	}
+
+	// A net a program cannot compile (the windowed MC's, whose
+	// WindowReduce only trains) is an error, not a rate.
+	base := mobilenet.New(mobilenet.Config{WidthMult: 0.25, Seed: 1})
+	mc, err := filter.NewMC(filter.Spec{Name: "win", Arch: filter.WindowedLocalizedBinary, Seed: 1}, base, 64, 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeasureNetRate(mc.Net(), mc.InputShape(), 1); err == nil {
+		t.Fatal("uncompilable net measured without error")
+	}
 }

@@ -197,7 +197,7 @@ func (s *Service) Retrain(node, stream, mcName string, start, end int) (Result, 
 	res.Loss = loss
 	res.HoldoutAccuracy = 1
 	if len(holdout) > 0 {
-		res.HoldoutAccuracy = train.Accuracy(mc.Net(), holdout, threshold)
+		res.HoldoutAccuracy = train.Accuracy(mc.Prob, holdout, threshold)
 	}
 
 	mc.SetVersion(res.Version)

@@ -88,7 +88,7 @@ func FitClasses(net *nn.Network, samples []ClassSample, cfg Config) (float64, er
 				copy(x.Data[bi*per:(bi+1)*per], samples[si].X.Data)
 				classes[bi] = samples[si].Class
 			}
-			logits := net.Forward(x, true)
+			logits := net.Forward(x)
 			loss, grad := SoftmaxCE(logits, classes)
 			net.Backward(grad)
 			cfg.Optimizer.Step(params)

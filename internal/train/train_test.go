@@ -135,6 +135,27 @@ func TestStepZeroesGradients(t *testing.T) {
 	}
 }
 
+// compiled returns a compiled program for net at the given input shape
+// and one workspace on it: the inference engine the tests score with.
+func compiled(t *testing.T, net *nn.Network, shape ...int) func(*tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	prog, err := nn.Compile(net, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := prog.NewWorkspace()
+	return func(x *tensor.Tensor) *tensor.Tensor { return prog.Run(ws, x) }
+}
+
+// probOf scores one sample with net's compiled program: the sigmoid of
+// its logit.
+func probOf(t *testing.T, net *nn.Network, shape ...int) func(*tensor.Tensor) float32 {
+	run := compiled(t, net, shape...)
+	return func(x *tensor.Tensor) float32 {
+		return float32(1 / (1 + math.Exp(-float64(run(x).Data[0]))))
+	}
+}
+
 // makeBlobs builds a linearly separable 2-D dataset.
 func makeBlobs(n int, seed int64) []Sample {
 	rng := tensor.NewRNG(seed)
@@ -161,7 +182,7 @@ func TestFitLearnsSeparableData(t *testing.T) {
 	if loss > 0.2 {
 		t.Fatalf("final loss %v too high", loss)
 	}
-	if acc := Accuracy(net, samples, 0.5); acc < 0.95 {
+	if acc := Accuracy(probOf(t, net, 1, 2), samples, 0.5); acc < 0.95 {
 		t.Fatalf("train accuracy %v < 0.95", acc)
 	}
 }
@@ -192,7 +213,7 @@ func TestFitConvNet(t *testing.T) {
 	if _, err := Fit(net, samples, Config{Epochs: 10, BatchSize: 8, Seed: 1, Optimizer: NewAdam(0.01)}); err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(net, samples, 0.5); acc < 0.9 {
+	if acc := Accuracy(probOf(t, net, 1, 6, 6, 1), samples, 0.5); acc < 0.9 {
 		t.Fatalf("conv accuracy %v < 0.9", acc)
 	}
 }
@@ -218,11 +239,11 @@ func TestFitBalancedClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every positive must be detected.
+	prob := probOf(t, net, 1, 2)
 	missed := 0
 	for _, s := range samples {
 		if s.Y == 1 {
-			p := Predict(net, []*tensor.Tensor{s.X})[0]
-			if p < 0.5 {
+			if p := prob(s.X); p < 0.5 {
 				missed++
 			}
 		}
@@ -329,10 +350,10 @@ func TestFitClassesLearnsSeparable(t *testing.T) {
 	if loss > 0.2 {
 		t.Fatalf("multiclass loss %v too high", loss)
 	}
+	run := compiled(t, net, 1, 2)
 	correct := 0
 	for _, s := range samples {
-		out := net.Forward(s.X, false)
-		_, arg := out.Max()
+		_, arg := run(s.X).Max()
 		if arg == s.Class {
 			correct++
 		}

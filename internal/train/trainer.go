@@ -88,7 +88,7 @@ func Fit(net *nn.Network, samples []Sample, cfg Config) (float64, error) {
 				end = len(order)
 			}
 			x, y := batchOf(samples, order[start:end])
-			logits := net.Forward(x, true)
+			logits := net.Forward(x)
 			loss, grad := BCEWithLogits(logits, y)
 			net.Backward(grad)
 			cfg.Optimizer.Step(params)
@@ -171,32 +171,16 @@ func Split(samples []Sample, holdoutFrac float64, seed int64) (fit, holdout []Sa
 	return shuffled[n:], shuffled[:n]
 }
 
-// Predict runs net in inference mode over samples and returns the
-// sigmoid probability for each.
-func Predict(net *nn.Network, xs []*tensor.Tensor) []float32 {
-	out := make([]float32, len(xs))
-	for i, x := range xs {
-		logit := net.Forward(x, false)
-		out[i] = float32(1 / (1 + math.Exp(-float64(logit.Data[0]))))
-	}
-	return out
-}
-
-// Accuracy returns the fraction of samples whose thresholded prediction
-// matches the label.
-func Accuracy(net *nn.Network, samples []Sample, threshold float32) float64 {
+// Accuracy returns the fraction of samples whose thresholded
+// probability matches the label. prob scores one sample, typically a
+// classifier's Prob, which runs a compiled program.
+func Accuracy(prob func(*tensor.Tensor) float32, samples []Sample, threshold float32) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	correct := 0
 	for _, s := range samples {
-		logit := net.Forward(s.X, false)
-		p := float32(1 / (1 + math.Exp(-float64(logit.Data[0]))))
-		pred := float32(0)
-		if p >= threshold {
-			pred = 1
-		}
-		if (pred >= 0.5) == (s.Y >= 0.5) {
+		if (prob(s.X) >= threshold) == (s.Y >= 0.5) {
 			correct++
 		}
 	}

@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		connect   = fs.String("connect", "", "optional ffserve address to join as a fleet agent")
 		nodeName  = fs.String("node", "edge", "node name announced to the controller")
 		stream    = fs.String("stream", "cam0", "stream name announced to the controller")
-		reconnect = fs.Bool("reconnect", true, "auto-reconnect with backoff when the controller session dies; buffered uploads are retransmitted and deduplicated on resume")
 
 		archiveDir     = fs.String("archive-dir", "", "archive the full original stream to per-stream segment files under this directory; demand-fetch then serves from disk")
 		archiveBudget  = fs.Int64("archive-budget", 0, "archive byte budget (0 = unbounded; oldest segments evicted first)")
@@ -120,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ArchiveToDisk: *archiveDir != "", ArchiveBitrate: *archiveBitrate,
 			Obs: observer,
 		},
-		Reconnect:     *reconnect,
 		ArchiveDir:    *archiveDir,
 		ArchiveBudget: *archiveBudget,
 	})
@@ -167,19 +165,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -deploy) before the stream can start.
 	if mcName == "" {
 		log.Info("ffrun: waiting for the controller to deploy a microclassifier")
+		// A session lost meanwhile resumes on its own, and the
+		// controller re-deploys from intent.
 		for len(agent.DeployedMCs(*stream)) == 0 {
-			select {
-			case <-agent.Done():
-				// With -reconnect the agent redials and the controller
-				// re-deploys on resume; only a non-resilient agent
-				// gives up here.
-				if !*reconnect {
-					log.Error("ffrun: controller disconnected before deploying")
-					return 1
-				}
-				time.Sleep(100 * time.Millisecond)
-			case <-time.After(100 * time.Millisecond):
-			}
+			time.Sleep(100 * time.Millisecond)
 		}
 		mcName = agent.DeployedMCs(*stream)[0]
 		log.Info("ffrun: controller deployed", "mc", mcName)

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -48,8 +50,10 @@ func newContextArchiver(dir string, budget int64) *contextArchiver {
 }
 
 // Save appends fetched frames under the node/stream's store, spreading
-// the fetch's coded-bit accounting evenly across them. Saves are
-// serialized so each fetch's frames stay contiguous on disk.
+// the fetch's coded-bit accounting evenly across them (the first
+// bits % len(frames) frames carry one bit more, so the store accounts
+// every bit). Saves are serialized so each fetch's frames stay
+// contiguous on disk.
 func (c *contextArchiver) Save(node, stream string, frames []*vision.Image, bits int64) error {
 	if len(frames) == 0 {
 		return nil
@@ -71,9 +75,13 @@ func (c *contextArchiver) Save(node, stream string, frames []*vision.Image, bits
 		}
 		c.stores[key] = st
 	}
-	perFrame := bits / int64(len(frames))
-	for _, f := range frames {
-		if _, err := st.Append(f, perFrame); err != nil {
+	n := int64(len(frames))
+	for i, f := range frames {
+		share := bits / n
+		if int64(i) < bits%n {
+			share++
+		}
+		if _, err := st.Append(f, share); err != nil {
 			return err
 		}
 	}
@@ -88,33 +96,45 @@ func (c *contextArchiver) Close() {
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, serves until
+// interrupted, writing its summaries to stdout and its log to stderr,
+// and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ffserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("listen", "127.0.0.1:7004", "listen address")
-		interval = flag.Duration("interval", 5*time.Second, "summary interval")
-		frames   = flag.Int("frames", 2000, "stream length assumed when printing coverage")
-		hbMiss   = flag.Int("heartbeat-miss", 5, "evict a session after this many missed heartbeat intervals (0 disables liveness eviction)")
-		shards   = flag.Int("shards", 1, "controller shards; nodes are placed by consistent hashing and per-shard summaries are merged into the fleet rollup")
+		addr     = fs.String("listen", "127.0.0.1:7004", "listen address")
+		interval = fs.Duration("interval", 5*time.Second, "summary interval")
+		frames   = fs.Int("frames", 2000, "stream length assumed when printing coverage")
+		hbMiss   = fs.Int("heartbeat-miss", 5, "evict a session after this many missed heartbeat intervals (0 disables liveness eviction)")
+		shards   = fs.Int("shards", 1, "controller shards; nodes are placed by consistent hashing and per-shard summaries are merged into the fleet rollup")
 
-		stateDir = flag.String("state-dir", "", "persist per-shard control-plane state (intent, ledgers, canary records) under this directory and recover it on restart (empty keeps state in memory)")
-		walSync  = flag.Bool("wal-sync", false, "fsync every wal append (survives machine power loss; default page-cache durability survives process crashes)")
+		stateDir = fs.String("state-dir", "", "persist per-shard control-plane state (intent, ledgers, canary records) under this directory and recover it on restart (empty keeps state in memory)")
+		walSync  = fs.Bool("wal-sync", false, "fsync every wal append (survives machine power loss; default page-cache durability survives process crashes)")
 
-		deploy    = flag.String("deploy", "", "MC weights file (from fftrain) to deploy to every connecting node")
-		deployTo  = flag.String("deploy-stream", "", "stream to deploy onto (default: each node's first advertised stream)")
-		threshold = flag.Float64("threshold", 0.5, "decision threshold for -deploy")
+		deploy    = fs.String("deploy", "", "MC weights file (from fftrain) to deploy to every connecting node")
+		deployTo  = fs.String("deploy-stream", "", "stream to deploy onto (default: each node's first advertised stream)")
+		threshold = fs.Float64("threshold", 0.5, "decision threshold for -deploy")
 
-		fetchCtx     = flag.Int("fetch-context", 0, "frames of archived context to demand-fetch before each completed event (0 disables)")
-		fetchBitrate = flag.Float64("fetch-bitrate", 30_000, "demand-fetch re-encode bitrate (b/s)")
+		fetchCtx     = fs.Int("fetch-context", 0, "frames of archived context to demand-fetch before each completed event (0 disables)")
+		fetchBitrate = fs.Float64("fetch-bitrate", 30_000, "demand-fetch re-encode bitrate (b/s)")
 
-		archiveDir    = flag.String("archive-dir", "", "persist demand-fetched context frames into per-node/stream archive stores under this directory")
-		archiveBudget = flag.Int64("archive-budget", 0, "per-stream byte budget for -archive-dir stores (0 = unbounded; oldest segments evicted first)")
+		archiveDir    = fs.String("archive-dir", "", "persist demand-fetched context frames into per-node/stream archive stores under this directory")
+		archiveBudget = fs.Int64("archive-budget", 0, "per-stream byte budget for -archive-dir stores (0 = unbounded; oldest segments evicted first)")
 
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/health, /debug/trace.json, and /debug/pprof on this address (empty disables)")
-		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON lines")
-		sloSpec   = flag.String("slo", "", "SLO threshold overrides as name=warn[:crit] or name=off, comma-separated (e.g. \"extract_p99_ms=20:100,drift_psi=0.1\"); empty keeps the defaults")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, /debug/health, /debug/trace.json, and /debug/pprof on this address (empty disables)")
+		logJSON   = fs.Bool("log-json", false, "emit structured logs as JSON lines")
+		sloSpec   = fs.String("slo", "", "SLO threshold overrides as name=warn[:crit] or name=off, comma-separated (e.g. \"extract_p99_ms=20:100,drift_psi=0.1\"); empty keeps the defaults")
 	)
-	flag.Parse()
-	log := obs.NewLogger(os.Stderr, *logJSON, slog.LevelInfo)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	log := obs.NewLogger(stderr, *logJSON, slog.LevelInfo)
 
 	// The controller-side observer carries fleet rollup gauges (updated
 	// every summary tick from heartbeat data) rather than hot-path
@@ -124,7 +144,7 @@ func main() {
 	sloRules, err := health.Parse(*sloSpec, fleetSLOs())
 	if err != nil {
 		log.Error("ffserve: bad -slo spec", "spec", *sloSpec, "err", err)
-		os.Exit(1)
+		return 1
 	}
 	ht := &healthTick{eng: health.New(sloRules), log: log}
 	if *debugAddr != "" {
@@ -133,7 +153,7 @@ func main() {
 		dbg, err := obs.ServeMux(*debugAddr, mux)
 		if err != nil {
 			log.Error("ffserve: debug server failed", "err", err)
-			os.Exit(1)
+			return 1
 		}
 		defer dbg.Close()
 		log.Info("ffserve: debug server listening",
@@ -152,7 +172,7 @@ func main() {
 		mcBytes, err = os.ReadFile(*deploy)
 		if err != nil {
 			log.Error("ffserve: read deploy weights failed", "file", *deploy, "err", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -235,28 +255,30 @@ func main() {
 	ctrl, _, err = fleet.OpenController(cfg)
 	if err != nil {
 		log.Error("ffserve: open controller failed", "state-dir", *stateDir, "err", err)
-		os.Exit(1)
+		return 1
 	}
 	bound, err := ctrl.Listen("tcp", *addr)
 	if err != nil {
 		log.Error("ffserve: listen failed", "addr", *addr, "err", err)
-		os.Exit(1)
+		ctrl.Close()
+		return 1
 	}
 	log.Info("ffserve: listening", "addr", bound.String(), "kernel", tensor.Kernel())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
+	defer signal.Stop(stop)
 	ht.interval = *interval
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C:
-			printSummary(ctrl, *frames, observer, ht)
+			printSummary(stdout, ctrl, *frames, observer, ht)
 		case <-stop:
 			log.Info("ffserve: shutting down")
 			ctrl.Close()
-			return
+			return 0
 		}
 	}
 }
@@ -332,7 +354,7 @@ func (h *healthTick) eval(sum metrics.FleetSummary, stats []fleet.ShardStat, evi
 // also evaluates the SLO engine for the tick and refreshes the
 // observer's fleet gauges, so -debug-addr's /metrics and /healthz
 // track the same rollup the console shows.
-func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht *healthTick) {
+func printSummary(w io.Writer, ctrl *fleet.Controller, frames int, observer *obs.Observer, ht *healthTick) {
 	nodes := ctrl.ListNodes()
 	// Application summaries are read under the controller's lock so
 	// they are consistent against concurrent session uploads.
@@ -385,19 +407,19 @@ func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht
 		return
 	}
 
-	fmt.Printf("-- %d node(s) connected --\n", len(nodes))
+	fmt.Fprintf(w, "-- %d node(s) connected --\n", len(nodes))
 	for _, n := range nodes {
-		fmt.Printf("  session %-3d %-16s shard %d, %d stream(s), %d uploads\n",
+		fmt.Fprintf(w, "  session %-3d %-16s shard %d, %d stream(s), %d uploads\n",
 			n.ID, n.Node, n.Shard, len(n.Streams), n.Uploads)
 		for _, si := range n.Streams {
 			st := n.Heartbeat.Streams[si.Name]
-			fmt.Printf("    %-20s %dx%d@%d  %6d frames, %8d bits uplinked\n",
+			fmt.Fprintf(w, "    %-20s %dx%d@%d  %6d frames, %8d bits uplinked\n",
 				si.Name, si.Width, si.Height, si.FPS, st.Frames, st.UploadedBits)
 		}
 	}
 	if len(stats) > 1 {
 		for _, s := range stats {
-			fmt.Printf("  shard %d: %d node(s), %d session(s), %d ledger uploads, %d redirects, hb gap p95 %s\n",
+			fmt.Fprintf(w, "  shard %d: %d node(s), %d session(s), %d ledger uploads, %d redirects, hb gap p95 %s\n",
 				s.Shard, s.Nodes, s.Sessions, s.Uploads, s.Redirects,
 				time.Duration(s.HeartbeatGap.Quantile(0.95)))
 		}
@@ -406,20 +428,20 @@ func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht
 		updateShardGauges(observer, stats)
 	}
 	if ht != nil {
-		printHealthLine(ht.eng, status)
+		printHealthLine(w, ht.eng, status)
 	}
 	if sum.Frames > 0 {
-		fmt.Printf("  fleet: %d uploads, %d bits, avg %.1f kb/s, hottest %s at %.1f kb/s\n",
+		fmt.Fprintf(w, "  fleet: %d uploads, %d bits, avg %.1f kb/s, hottest %s at %.1f kb/s\n",
 			sum.Uploads, sum.UploadedBits, sum.AverageBitrate/1000, sum.MaxNode, sum.MaxNodeBitrate/1000)
 		// Fleet-wide quantiles: the nodes' histograms merge exactly.
 		if sum.ExtractLat.Count > 0 {
-			fmt.Printf("  fleet latency: extract p50 %s p95 %s p99 %s; mc push p95 %s; queue wait p95 %s\n",
+			fmt.Fprintf(w, "  fleet latency: extract p50 %s p95 %s p99 %s; mc push p95 %s; queue wait p95 %s\n",
 				time.Duration(sum.ExtractLat.Quantile(0.50)), time.Duration(sum.ExtractLat.Quantile(0.95)),
 				time.Duration(sum.ExtractLat.Quantile(0.99)), time.Duration(sum.MCPushLat.Quantile(0.95)),
 				time.Duration(sum.QueueWaitLat.Quantile(0.95)))
 		}
 		if sum.UploadRTTLat.Count > 0 {
-			fmt.Printf("  fleet upload rtt: p50 %s p95 %s p99 %s (max %s)\n",
+			fmt.Fprintf(w, "  fleet upload rtt: p50 %s p95 %s p99 %s (max %s)\n",
 				time.Duration(sum.UploadRTTLat.Quantile(0.50)), time.Duration(sum.UploadRTTLat.Quantile(0.95)),
 				time.Duration(sum.UploadRTTLat.Quantile(0.99)), time.Duration(sum.UploadRTTLat.Max))
 		}
@@ -427,28 +449,28 @@ func printSummary(ctrl *fleet.Controller, frames int, observer *obs.Observer, ht
 		// the worst recent window and how many (stream, MC) pairs are
 		// currently flagged.
 		if sum.Scores.Count > 0 {
-			fmt.Printf("  fleet drift: %d score obs, pass rate %.3f, worst psi %.3f (%s), worst ks %.3f, %d pair(s) drifted\n",
+			fmt.Fprintf(w, "  fleet drift: %d score obs, pass rate %.3f, worst psi %.3f (%s), worst ks %.3f, %d pair(s) drifted\n",
 				sum.Scores.Count, sum.Scores.PassRate(), sum.MaxDriftPSI, sum.MaxDriftNode, sum.MaxDriftKS, sum.Drifted)
 		}
 		if sum.MaxMCVersion > 0 || sum.CanariesActive+sum.CanariesPromoted+sum.CanariesRolledBack+sum.CanariesExpired > 0 {
-			fmt.Printf("  fleet models: max version %d; canaries %d active, %d promoted, %d rolled back, %d expired\n",
+			fmt.Fprintf(w, "  fleet models: max version %d; canaries %d active, %d promoted, %d rolled back, %d expired\n",
 				sum.MaxMCVersion, sum.CanariesActive, sum.CanariesPromoted, sum.CanariesRolledBack, sum.CanariesExpired)
 		}
 		if ev > 0 || rc > 0 {
-			fmt.Printf("  fleet lifecycle: %d session(s) evicted, %d reconnect(s)\n", ev, rc)
+			fmt.Fprintf(w, "  fleet lifecycle: %d session(s) evicted, %d reconnect(s)\n", ev, rc)
 		}
 		if observer != nil {
 			sum.Evicted, sum.Reconnects = ev, rc
 			updateFleetGauges(observer, sum)
 		}
 		if sum.ArchiveBytes > 0 || sum.ArchiveEvictedSegments > 0 {
-			fmt.Printf("  edge archives: %.1f MB on disk, %d segments evicted (%.1f MB reclaimed)\n",
+			fmt.Fprintf(w, "  edge archives: %.1f MB on disk, %d segments evicted (%.1f MB reclaimed)\n",
 				float64(sum.ArchiveBytes)/1e6, sum.ArchiveEvictedSegments, float64(sum.ArchiveEvictedBytes)/1e6)
 		}
 	}
 
 	for _, a := range apps {
-		fmt.Printf("  %-32s %6d frames, %8d bits, %d events\n",
+		fmt.Fprintf(w, "  %-32s %6d frames, %8d bits, %d events\n",
 			a.name, a.covered, a.bits, a.events)
 	}
 }
@@ -509,9 +531,9 @@ func describeFleetGauges(reg *obs.Registry) {
 
 // printHealthLine prints the tick's SLO outcome: the overall status
 // and, when not healthy, the firing rules with their current values.
-func printHealthLine(eng *health.Engine, status health.Status) {
+func printHealthLine(w io.Writer, eng *health.Engine, status health.Status) {
 	if status == health.Healthy {
-		fmt.Println("  health: ok")
+		fmt.Fprintln(w, "  health: ok")
 		return
 	}
 	_, rules := eng.Status()
@@ -521,7 +543,7 @@ func printHealthLine(eng *health.Engine, status health.Status) {
 			line += fmt.Sprintf(" [%s %.3g]", rs.Rule.Name, rs.Value)
 		}
 	}
-	fmt.Println(line)
+	fmt.Fprintln(w, line)
 }
 
 // updateShardGauges mirrors per-shard load, heartbeat-cadence and

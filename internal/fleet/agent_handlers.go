@@ -1,0 +1,188 @@
+package fleet
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/filter"
+	"repro/internal/transport"
+	"repro/internal/vision"
+)
+
+// withEdge runs f on the stream's pipeline through its scheduler
+// queue, serialized with the stream's frames, and returns f's uploads
+// prefixed "<stream>/". f runs on a worker, so it must not take a.mu.
+func (a *Agent) withEdge(stream string, f func(*core.EdgeNode) ([]core.Upload, error)) ([]core.Upload, error) {
+	for {
+		s, err := a.pool()
+		if err != nil {
+			return nil, err
+		}
+		// A pool StartScheduler retired after the lookup refuses f
+		// unrun; f then runs on the replacement.
+		if ups, err := s.Do(stream, f); !errors.Is(err, core.ErrSchedulerClosed) {
+			return ups, err
+		}
+	}
+}
+
+// handleDeploy installs a shipped microclassifier on the target
+// stream after the stream's in-flight frames: live, or as a shadow
+// canary candidate for Canary requests. Promote swaps an installed
+// shadow into the live slot, shipping the displaced incumbent's final
+// uploads before the ack, like an undeploy.
+func (a *Agent) handleDeploy(req DeployRequest) {
+	var mc *filter.MC
+	var err error
+	if !req.Promote {
+		mc, err = a.loadMC(req.Stream, req.MC)
+	}
+	var ups []core.Upload
+	if err == nil {
+		ups, err = a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
+			switch {
+			case req.Promote:
+				return e.PromoteShadow(req.MCName)
+			case req.Canary:
+				return nil, e.DeployShadow(mc, req.Threshold, req.Epoch)
+			}
+			return nil, e.DeployLive(mc, req.Threshold)
+		})
+	}
+	if err == nil && !req.Canary {
+		// Only intent-tracked deployments (gen > 0) join the managed
+		// inventory reported in resume hellos: a direct Session.Deploy
+		// bypasses intent by contract, and announcing it would invite
+		// reconciliation to undeploy it as an intent-less extra.
+		switch {
+		case req.Promote:
+			a.noteManaged(req.Stream, req.MCName, true)
+		case req.Gen > 0:
+			a.noteManaged(req.Stream, mc.Spec().Name, true)
+		}
+		a.noteGen(req.Gen)
+		a.sendUploads(ups)
+	}
+	a.ack(req.Seq, err)
+}
+
+// loadMC decodes a shipped microclassifier against the stream's base
+// DNN and frame size, on the control loop rather than a worker.
+func (a *Agent) loadMC(stream string, data []byte) (*filter.MC, error) {
+	a.mu.Lock()
+	e := a.node.Stream(stream)
+	a.mu.Unlock()
+	if e == nil {
+		return nil, fmt.Errorf("unknown stream %q", stream)
+	}
+	cfg := e.Config()
+	return filter.LoadMC(bytes.NewReader(data), cfg.Base, cfg.FrameWidth, cfg.FrameHeight)
+}
+
+// noteManaged updates the stream's remote-managed MC inventory.
+func (a *Agent) noteManaged(stream, name string, deployed bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	s := a.stream(stream)
+	switch {
+	case s == nil:
+	case deployed:
+		s.managed[name] = true
+	default:
+		delete(s.managed, name)
+	}
+}
+
+// noteGen records the highest deploy generation applied, reported in
+// resume hellos.
+func (a *Agent) noteGen(gen uint64) {
+	a.sessMu.Lock()
+	a.lastGen = max(a.lastGen, gen)
+	a.sessMu.Unlock()
+}
+
+// handleUndeploy removes an MC, shipping its final uploads before the
+// ack so the controller sees a complete event record. A canary
+// rollback discards the shadow candidate instead: shadows are never
+// part of the reconciled deployment set, so there is no managed
+// inventory or generation to touch.
+func (a *Agent) handleUndeploy(req UndeployRequest) {
+	ups, err := a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
+		if req.Canary {
+			return nil, e.UndeployShadow(req.MCName)
+		}
+		return e.Undeploy(req.MCName)
+	})
+	if err == nil && !req.Canary {
+		a.noteManaged(req.Stream, req.MCName, false)
+		a.noteGen(req.Gen)
+		a.sendUploads(ups)
+	}
+	a.ack(req.Seq, err)
+}
+
+// handleFetch serves a demand-fetch from the stream's local archive,
+// serialized with the stream's frames so the shared uplink accounting
+// stays deterministic. When the request asks for data, the decoder-
+// side reconstructions stream back as chunked FetchData records ahead
+// of the response trailer.
+func (a *Agent) handleFetch(req FetchRequest) {
+	resp := FetchResponse{Seq: req.Seq, Stream: req.Stream, Start: req.Start, End: req.End}
+	var src core.FrameSource
+	a.mu.Lock()
+	if s := a.stream(req.Stream); s != nil {
+		src = s.src
+	}
+	a.mu.Unlock()
+	var recons []*vision.Image
+	_, err := a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
+		var err error
+		recons, resp.Bits, err = e.FetchArchive(src, req.Start, req.End, req.Bitrate)
+		return nil, err
+	})
+	if err != nil {
+		resp.Err = err.Error()
+	} else if req.IncludeData {
+		if err := a.sendFetchData(req, recons); err != nil {
+			resp.Err = err.Error()
+		}
+	}
+	_ = a.writeRecord(transport.KindFetchResponse, resp)
+}
+
+// sendFetchData streams reconstructions back in chunks sized to stay
+// well under the transport's record limit.
+func (a *Agent) sendFetchData(req FetchRequest, recons []*vision.Image) error {
+	perFrame := 1
+	if len(recons) > 0 {
+		frameBytes := len(recons[0].Pix)*4 + 64
+		if perFrame = (transport.MaxRecordBytes / 4) / frameBytes; perFrame < 1 {
+			perFrame = 1
+		}
+	}
+	for lo := 0; lo < len(recons); lo += perFrame {
+		hi := lo + perFrame
+		if hi > len(recons) {
+			hi = len(recons)
+		}
+		fd := FetchData{Seq: req.Seq, Stream: req.Stream, Frames: make([]FrameData, 0, hi-lo)}
+		for _, img := range recons[lo:hi] {
+			fd.Frames = append(fd.Frames, FrameData{W: img.W, H: img.H, Pix: img.Pix})
+		}
+		if err := a.writeRecord(transport.KindFetchData, fd); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ack answers a deploy or undeploy request.
+func (a *Agent) ack(seq uint64, err error) {
+	ack := Ack{Seq: seq}
+	if err != nil {
+		ack.Err = err.Error()
+	}
+	_ = a.writeRecord(transport.KindAck, ack)
+}

@@ -121,7 +121,6 @@ func TestChaosFleetSoak(t *testing.T) {
 			Node:          name,
 			Edge:          edgeCfg,
 			Heartbeat:     40 * time.Millisecond,
-			Reconnect:     true,
 			ReconnectMin:  20 * time.Millisecond,
 			ReconnectMax:  250 * time.Millisecond,
 			ReconnectSeed: chaosSeed,

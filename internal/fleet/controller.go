@@ -171,11 +171,6 @@ type Controller struct {
 	ring   *ring
 	conns  map[net.Conn]struct{} // every open conn, incl. pre-hello
 	wg     sync.WaitGroup
-
-	// recovery holds the stats of the StateDir replay OpenController
-	// performed, nil for an in-memory controller. Written once before
-	// the controller serves.
-	recovery *RecoveryStats
 }
 
 // NewController constructs a controller with cfg.Shards shards. With
@@ -237,10 +232,6 @@ func OpenController(cfg ControllerConfig) (*Controller, *RecoveryStats, error) {
 		"replay", stats.Replay)
 	return c, stats, nil
 }
-
-// LastRecovery returns the stats of the state replay OpenController
-// performed, nil for a controller without a StateDir.
-func (c *Controller) LastRecovery() *RecoveryStats { return c.recovery }
 
 // NumShards returns the current shard count.
 func (c *Controller) NumShards() int {
@@ -612,7 +603,7 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 
 	// Tell the moved sessions why they died, best-effort, off the
 	// router lock: a partitioned edge won't get the record, but its
-	// reconnect monitor redials regardless.
+	// connection loop redials regardless.
 	for _, r := range redirects {
 		_ = r.s.write(transport.KindRedirect,
 			Redirect{Shard: r.to, Epoch: epoch, Reason: "re-homed"})
@@ -932,15 +923,6 @@ func (c *Controller) Undeploy(node, stream, mcName string) error {
 		return fmt.Errorf("fleet: undeploy %s/%s %q: %w", node, stream, mcName, ErrDeferred)
 	}
 	return sess.undeploy(stream, mcName, gen)
-}
-
-// DeployMC serializes a constructed microclassifier and ships it.
-func (c *Controller) DeployMC(node, stream string, mc *filter.MC, threshold float32) error {
-	var buf bytes.Buffer
-	if err := mc.Save(&buf); err != nil {
-		return err
-	}
-	return c.Deploy(node, stream, buf.Bytes(), threshold)
 }
 
 // Intent returns the controller's intended MC deployment for a node

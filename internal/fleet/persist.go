@@ -715,6 +715,5 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	}
 
 	stats.Replay = time.Since(start)
-	c.recovery = stats
 	return stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,18 +48,13 @@ func TestSessionDeregisteredOnExit(t *testing.T) {
 	}
 	waitFor(t, "clean session deregistered", func() bool { return len(ctrl.ListNodes()) == 0 })
 
-	// Abrupt connection loss (no goodbye).
+	// Abrupt connection loss (no goodbye). A hand-driven hello, because
+	// an agent would resume.
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent2, err := NewAgent(AgentConfig{Node: "leak-2", Edge: edgeCfg, Heartbeat: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agent2.Handshake(conn); err != nil {
-		t.Fatal(err)
-	}
+	fakeHello(t, conn, "leak-2")
 	waitFor(t, "session registered", func() bool { return len(ctrl.ListNodes()) == 1 })
 	conn.Close() // simulate a crash: no bye record
 	waitFor(t, "errored session deregistered", func() bool { return len(ctrl.ListNodes()) == 0 })
@@ -101,7 +97,7 @@ func TestControllerRestartAdoptsNode(t *testing.T) {
 
 	agent, err := NewAgent(AgentConfig{
 		Node: "edge-r", Edge: edgeCfg, Heartbeat: 30 * time.Millisecond,
-		Reconnect: true, ReconnectMin: 20 * time.Millisecond, ReconnectMax: 200 * time.Millisecond,
+		ReconnectMin: 20 * time.Millisecond, ReconnectMax: 200 * time.Millisecond,
 		WriteTimeout: time.Second,
 		Dial:         func(network, addr string) (net.Conn, error) { return n.Dial("edge-r", addr) },
 	})
@@ -164,91 +160,62 @@ func TestControllerRestartAdoptsNode(t *testing.T) {
 	})
 }
 
-// TestManualReconnectRetransmits covers the non-monitor resume path:
-// an agent without auto-reconnect that loses a session with unacked
-// uploads must retransmit them when the caller manually Connects
-// again — the handshake, not the monitor, owns the resend reset.
-func TestManualReconnectRetransmits(t *testing.T) {
+// TestConnectRefusedWhenConnectedOrClosed: Connect on a connected
+// agent used to dial and send a resume hello, which the controller
+// accepted — evicting the live session as stale and counting a
+// reconnect — before the agent refused locally. A connected or closed
+// agent must refuse before dialing.
+func TestConnectRefusedWhenConnectedOrClosed(t *testing.T) {
 	base := testBase()
-	edgeCfg := core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base, UploadBitrate: 30_000, MaxChunkFrames: 4}
-	n := simnet.New(9)
+	edgeCfg := core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base, UploadBitrate: 30_000}
+	n := simnet.New(7)
 	ln, err := n.Listen("dc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Generous timeout: the stalled ack write must not hit its
-	// deadline (ending the session early) before the script severs
-	// the link itself.
 	ctrl := NewController(ControllerConfig{Timeout: 5 * time.Second})
 	ctrl.Serve(ln)
 	defer ctrl.Close()
 
-	agent, err := NewAgent(AgentConfig{
-		Node: "edge-m", Edge: edgeCfg, Heartbeat: 30 * time.Millisecond,
-		WriteTimeout: time.Second, // Reconnect deliberately off
-		Dial:         func(network, addr string) (net.Conn, error) { return n.Dial("edge-m", addr) },
-	})
+	var dials atomic.Int32
+	agent, err := NewAgent(AgentConfig{Node: "edge-twice", Edge: edgeCfg, Heartbeat: -1,
+		Dial: func(_, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return n.Dial("edge-twice", addr)
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := agent.AddStream("cam0", 48, 27, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Close()
-	mc, err := filter.NewMC(filter.Spec{Name: "m", Arch: filter.PoolingClassifier, Seed: 2}, base, 48, 27)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Deploy(mc, -1); err != nil {
+	if _, err := agent.AddStream("cam0", 48, 27, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := agent.Connect("sim", "dc"); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, "session registered", func() bool { return len(ctrl.ListNodes()) == 1 })
+	id := agent.SessionID()
 
-	// Starve the ack path, produce uploads, then sever: they are
-	// received but unacked, so they stay pending.
-	n.SetStall("dc", "edge-m", true)
-	bg := vision.Background(48, 27, nil, 2)
-	scene := &vision.Scene{Background: bg, NoiseStd: 0.01}
-	var gt []core.Upload
-	for i := 0; i < 8; i++ {
-		ups, err := agent.ProcessFrame("cam0", scene.Render(nil, 1, tensor.NewRNG(int64(i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gt = append(gt, ups...)
+	if err := agent.Connect("sim", "dc"); err == nil {
+		t.Fatal("second Connect on a connected agent succeeded")
 	}
-	if len(gt) == 0 {
-		t.Fatal("no uploads produced (vacuous)")
+	if d := dials.Load(); d != 1 {
+		t.Fatalf("second Connect dialed: %d dials, want 1", d)
 	}
-	waitFor(t, "uploads received pre-sever", func() bool {
-		got := 0
-		ctrl.WithNodeDatacenter("edge-m", func(dc *core.Datacenter) { got = len(dc.Uploads("cam0/m")) })
-		return got == len(gt)
-	})
-	if p, _ := agent.PendingUploads(); p == 0 {
-		t.Fatal("uploads acked through a stalled ack path")
+	if nodes := ctrl.ListNodes(); len(nodes) != 1 || nodes[0].ID != id || !agent.Connected() {
+		t.Fatalf("live session %d did not survive: nodes %+v, connected %v", id, nodes, agent.Connected())
 	}
-	n.Partition("edge-m", "dc")
-	waitFor(t, "session severed", func() bool { return !agent.Connected() })
-	n.SetStall("dc", "edge-m", false)
-	n.Heal("edge-m", "dc")
+	if ev, rc := ctrl.Lifecycle(); ev != 0 || rc != 0 {
+		t.Fatalf("lifecycle = (%d evicted, %d reconnects), want (0, 0)", ev, rc)
+	}
 
-	// Manual re-Connect: the unacked tail must be rewritten and acked,
-	// and dedup must keep the ledger exact.
-	if err := agent.Connect("sim", "dc"); err != nil {
+	if err := agent.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "retransmitted tail acked", func() bool {
-		p, _ := agent.PendingUploads()
-		return p == 0
-	})
-	got := 0
-	ctrl.WithNodeDatacenter("edge-m", func(dc *core.Datacenter) { got = len(dc.Uploads("cam0/m")) })
-	if got != len(gt) {
-		t.Fatalf("ledger after manual reconnect: %d uploads, want %d", got, len(gt))
+	if err := agent.Connect("sim", "dc"); err == nil {
+		t.Fatal("Connect on a closed agent succeeded")
+	}
+	if d := dials.Load(); d != 1 {
+		t.Fatalf("Connect on a closed agent dialed: %d dials, want 1", d)
 	}
 }
 
@@ -265,6 +232,14 @@ func dialFakeEdge(t *testing.T, n *simnet.Network, node string) *fakeEdge {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fakeHello(t, conn, node)
+	return &fakeEdge{t: t, conn: conn}
+}
+
+// fakeHello opens a session for node over conn by hand: header and
+// hello out, header and welcome back.
+func fakeHello(t *testing.T, conn net.Conn, node string) {
+	t.Helper()
 	if err := transport.WriteHeader(conn, transport.Version2); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +253,6 @@ func dialFakeEdge(t *testing.T, n *simnet.Network, node string) *fakeEdge {
 	if err != nil || kind != transport.KindWelcome {
 		t.Fatalf("welcome: kind %d, err %v", kind, err)
 	}
-	return &fakeEdge{t: t, conn: conn}
 }
 
 // readDeploy returns the next deploy request's sequence number.

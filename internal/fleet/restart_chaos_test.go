@@ -46,7 +46,6 @@ func mkRestartAgent(t *testing.T, n *simnet.Network, name string) *chaosAgent {
 		Node:          name,
 		Edge:          restartEdgeCfg(),
 		Heartbeat:     40 * time.Millisecond,
-		Reconnect:     true,
 		ReconnectMin:  20 * time.Millisecond,
 		ReconnectMax:  250 * time.Millisecond,
 		ReconnectSeed: chaosSeed,

@@ -142,7 +142,6 @@ func TestShardedChaosSoak(t *testing.T) {
 			Node:          name,
 			Edge:          edgeCfg,
 			Heartbeat:     100 * time.Millisecond,
-			Reconnect:     true,
 			ReconnectMin:  20 * time.Millisecond,
 			ReconnectMax:  250 * time.Millisecond,
 			ReconnectSeed: chaosSeed,

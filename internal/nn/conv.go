@@ -100,9 +100,10 @@ func (c *Conv2D) MAdds(in []int) int64 {
 	return int64(out[0]) * int64(out[1]) * int64(out[2]) * int64(c.inC) * int64(c.Kernel*c.Kernel) * int64(c.Filters)
 }
 
-// Forward implements Layer. It runs on the lowered-GEMM fast path (see
-// fastpath.go); the historical direct loop survives as the reference
-// kernel in reference.go, which the fast path is test-pinned against.
+// Forward implements Layer. It runs as a GEMM over the input in place
+// (see fastpath.go); the historical direct loop survives as the
+// reference kernel in reference.go, which the fast path is test-pinned
+// against.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	_, _, _, ic := checkRank4(c.LayerName, x.Shape)
 	if ic != c.inC {

@@ -102,7 +102,7 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := d.OutShape(x.Shape)[0]
 	out := tensor.New(n, d.Out)
 	ep := tensor.Epilogue{Bias: d.B.Value.Data}
-	gemmRows(n, d.Out, d.In, x.Data, d.W.Value.Data, out.Data, ep)
+	gemmForward(n, d.Out, tensor.Matrix(x.Data, d.In), d.W.Value.Data, out.Data, ep)
 	d.lastX = x
 	return out
 }

@@ -4,25 +4,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file holds the layers' forward kernels: the single-pass
-// convolution lowering plus the GEMM-backed convolution and
-// fully-connected forward passes, and a specialized direct depthwise
-// kernel. The same kernels serve two callers with different buffer
-// policies:
+// This file holds the layers' forward kernels: the GEMM-backed
+// convolution and fully-connected forward passes, which hand the GEMM
+// their input in place (tensor.ARows), and a specialized direct
+// depthwise kernel. The same kernels serve two callers with different
+// buffer policies:
 //
 //   - Compiled programs (program.go), the only inference engine, hold
-//     the weights already packed, pass preallocated workspace scratch
-//     and run serially, so steady-state per-frame execution performs
-//     zero heap allocations and re-lowers nothing that did not change
-//     since the last frame; cross-frame parallelism comes from streams
-//     and microclassifier fan-out, not from inside a kernel.
+//     the weights already packed, stage a padded convolution's input in
+//     a preallocated workspace slot and run serially, so steady-state
+//     per-frame execution performs zero heap allocations and re-packs
+//     nothing that did not change since the last frame; cross-frame
+//     parallelism comes from streams and microclassifier fan-out, not
+//     from inside a kernel.
 //   - The layers' Forward methods, the training pass, allocate their
-//     scratch and pack their weights per call, and parallelize row
+//     staging and pack their weights per call, and parallelize row
 //     blocks with parFor. Results are bitwise independent of the worker
 //     count because every output row is computed by the same sequential
-//     k-loop regardless of which goroutine runs it. A training batch
-//     smaller than tensor.SmallM rows (the last, partial one) takes the
-//     GEMM's small-M path.
+//     k-loop regardless of which goroutine runs it.
 
 // convGeom captures the resolved geometry of one convolution.
 type convGeom struct {
@@ -48,150 +47,88 @@ func (d *DepthwiseConv2D) geom(shape []int) convGeom {
 		oh: oh, ow: ow, padY: padY, padX: padX, f: ic}
 }
 
-// isPointwise reports whether the convolution is a 1×1 stride-1
-// unpadded map — in which case the lowered matrix is the input itself
-// and the GEMM reads the activations directly.
-func (g convGeom) isPointwise() bool {
-	return g.k == 1 && g.s == 1 && g.padY == 0 && g.padX == 0
-}
-
-// colWidth is the lowered matrix's row length (K·K·inC).
+// colWidth is the GEMM depth of the convolution: one receptive field,
+// K·K·inC floats.
 func (g convGeom) colWidth() int { return g.k * g.k * g.ic }
 
-// lowerPanels lowers the NHWC input for output rows [row0, row1) —
-// indexed (b, oy, ox) in row-major order over [n, oh, ow] — straight
-// into the GEMM's A-panel layout (tensor.GemmPanels): what im2col
-// followed by the GEMM's own packing pass would produce, in one pass
-// over the input and with no row-major matrix in between. Row r of the
-// lowered matrix is the K·K·inC receptive field of output position r,
-// zero where a tap falls outside the input; its (kx, ci) runs match the
-// input's (x, channel) layout, so a panel's four rows interleave as
-// whole spans. zeros is a read-only run of at least inC zeros. Lanes of
-// the last panel past row1 repeat row1-1. dst needs
-// tensor.PackASize(row1-row0, colWidth()) elements.
-func (g convGeom) lowerPanels(xd []float32, row0, row1 int, zeros, dst []float32) {
-	kw := g.colWidth()
-	rowC := g.k * g.ic
-	zeros = zeros[:g.ic]
-	var (
-		rowBase    [4]int  // index of input pixel (b, 0, ix0), possibly left of the row
-		iy0        [4]int  // input y of tap ky=0
-		kxLo, kxHi [4]int  // taps [kxLo, kxHi) fall inside the input's width
-		wide       [4]bool // every kx does
-		src        [4][]float32
-	)
-	for p0 := row0; p0 < row1; p0 += 4 {
-		for l := range src {
-			r := p0 + l
-			if r >= row1 {
-				r = row1 - 1
-			}
-			b, oy, ox := r/(g.oh*g.ow), r/g.ow%g.oh, r%g.ow
-			ix0 := ox*g.s - g.padX
-			iy0[l] = oy*g.s - g.padY
-			rowBase[l] = (b*g.h*g.w + ix0) * g.ic
-			kxLo[l], kxHi[l] = 0, g.k
-			if ix0 < 0 {
-				kxLo[l] = -ix0
-			}
-			if ix0+g.k > g.w {
-				kxHi[l] = g.w - ix0
-			}
-			wide[l] = kxLo[l] == 0 && kxHi[l] == g.k
-		}
-		panel := dst[(p0-row0)*kw : (p0-row0+4)*kw]
-		for ky := 0; ky < g.k; ky++ {
-			seg := panel[ky*rowC*4 : (ky+1)*rowC*4]
-			var at [4]int   // index of input pixel (b, iy, ix0), possibly left of the row
-			var inY [4]bool // input row iy exists
-			whole := true
-			for l := range at {
-				iy := iy0[l] + ky
-				inY[l] = iy >= 0 && iy < g.h
-				at[l] = rowBase[l] + iy*g.w*g.ic
-				whole = whole && inY[l] && wide[l]
-			}
-			if whole {
-				tensor.VecInterleave4(seg, xd[at[0]:at[0]+rowC], xd[at[1]:at[1]+rowC],
-					xd[at[2]:at[2]+rowC], xd[at[3]:at[3]+rowC])
-				continue
-			}
-			for kx := 0; kx < g.k; kx++ {
-				for l := range src {
-					src[l] = zeros
-					if inY[l] && kx >= kxLo[l] && kx < kxHi[l] {
-						o := at[l] + kx*g.ic
-						src[l] = xd[o : o+g.ic]
-					}
-				}
-				tensor.VecInterleave4(seg[kx*g.ic*4:(kx+1)*g.ic*4], src[0], src[1], src[2], src[3])
-			}
+// staged returns the height and width of the input with the padding its
+// taps need: the top and left pads before the input's first row and
+// column, whatever the last output's taps reach past its last ones
+// after them. It is (h, w) when every tap lies inside the input.
+func (g convGeom) staged() (hs, ws int) {
+	return max(g.padY+g.h, (g.oh-1)*g.s+g.k), max(g.padX+g.w, (g.ow-1)*g.s+g.k)
+}
+
+// inPlace reports whether every tap lies inside the input, so the GEMM
+// reads the receptive fields straight from it. Otherwise it reads them
+// from a copy with a zero halo (stage).
+func (g convGeom) inPlace() bool {
+	hs, ws := g.staged()
+	return hs == g.h && ws == g.w
+}
+
+// stage copies the NHWC input into dst, an [n, hs, ws, inC] buffer (see
+// staged), at row padY and column padX of each image. It writes only
+// the interior, so a halo that starts zero stays zero: its taps
+// multiply +0 as the padding's did in im2col.
+func (g convGeom) stage(xd, dst []float32) {
+	hs, ws := g.staged()
+	rowLen := g.w * g.ic
+	for b := 0; b < g.n; b++ {
+		for y := 0; y < g.h; y++ {
+			src := (b*g.h + y) * rowLen
+			at := ((b*hs+y+g.padY)*ws + g.padX) * g.ic
+			copy(dst[at:at+rowLen], xd[src:src+rowLen])
 		}
 	}
 }
 
-// rowBlock returns the row-block length the training path splits an
-// m-row GEMM into: whole 4-row panels, so blocks never share one.
-func rowBlock(m int) int {
-	blocks := gemmBlocks(m)
-	return ((m+blocks-1)/blocks + 3) &^ 3
+// rows describes the GEMM's left operand over x, the input when
+// inPlace, else its staged copy: output position (b, oy, ox) reads its
+// receptive field as K segments, one per kernel row ky, of K·inC floats
+// at row oy·s+ky, column ox·s of image b — the im2col row, in its
+// order, without the copy.
+func (g convGeom) rows(x []float32) tensor.ARows {
+	hs, ws := g.staged()
+	return tensor.ARows{Data: x, Segs: g.k, Len: g.k * g.ic, Pitch: ws * g.ic,
+		Width: g.ow, Height: g.oh, Step: g.s * g.ic, LineStep: g.s * ws * g.ic, ImageStep: hs * ws * g.ic}
 }
 
-// convForward runs the convolution as a lowered GEMM with the fused
+// convForward runs the convolution as a GEMM over its input in place,
+// staged with a zero halo when the padding needs one, with the fused
 // epilogue, writing into out (length n·oh·ow·f). This is the layers'
-// Forward path: it packs the weights and allocates its scratch per
-// call, and splits the rows across parFor blocks.
+// Forward path.
 func convForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue) {
-	m := g.n * g.oh * g.ow
-	kk := g.colWidth()
+	if !g.inPlace() {
+		hs, ws := g.staged()
+		staged := make([]float32, g.n*hs*ws*g.ic)
+		g.stage(xd, staged)
+		xd = staged
+	}
+	gemmForward(g.n*g.oh*g.ow, g.f, g.rows(xd), wd, out, ep)
+}
+
+// gemmForward multiplies the m rows a describes against the weights w
+// (row-major, a.Segs·a.Len × n) with the fused epilogue, writing the
+// m×n result into c: the layers' Forward path. It packs the weights per
+// call and splits the rows across parFor blocks of whole eight-row
+// tiles.
+func gemmForward(m, n int, a tensor.ARows, w, c []float32, ep tensor.Epilogue) {
 	if m == 0 {
 		return
 	}
-	if g.isPointwise() {
-		gemmRows(m, g.f, kk, xd, wd, out, ep)
-		return
-	}
-	pb := make([]float32, tensor.PackBSize(kk, g.f))
-	tensor.PackB(kk, g.f, wd, pb)
-	zeros := make([]float32, g.ic)
-	chunk := rowBlock(m)
-	parFor((m+chunk-1)/chunk, func(bi int) {
-		// Address a closure-local copy of the epilogue: taking &ep on
-		// the shared parameter would force it onto the heap for every
-		// caller.
-		epc := ep
-		lo := bi * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		ap := make([]float32, tensor.PackASize(hi-lo, kk))
-		g.lowerPanels(xd, lo, hi, zeros, ap)
-		tensor.GemmPanels(hi-lo, g.f, kk, ap, pb, out[lo*g.f:], &epc)
-	})
-}
-
-// gemmRows multiplies a row-major activation matrix against the
-// weights across parFor row blocks (the layers' Forward path).
-func gemmRows(m, n, k int, a, b, c []float32, ep tensor.Epilogue) {
-	if m < tensor.SmallM {
-		epSmall := ep // see convForward
-		tensor.Gemm(m, n, k, a, b, c, &epSmall, nil, nil)
-		return
-	}
+	k := a.Segs * a.Len
 	pb := make([]float32, tensor.PackBSize(k, n))
-	tensor.PackB(k, n, b, pb)
-	chunk := rowBlock(m)
+	tensor.PackB(k, n, w, pb)
+	blocks := gemmBlocks(m)
+	chunk := ((m+blocks-1)/blocks + 7) &^ 7
 	parFor((m+chunk-1)/chunk, func(bi int) {
-		epc := ep // see convForward
+		// Address closure-local copies: taking &ep or &a on the shared
+		// parameters would force them onto the heap for every caller.
+		epc, rows := ep, a
 		lo := bi * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		rows := hi - lo
-		tensor.GemmPacked(rows, n, k, a[lo*k:], pb, c[lo*n:], &epc,
-			make([]float32, tensor.PackASize(rows, k)))
+		rows.First = lo
+		tensor.GemmInPlace(min(chunk, m-lo), n, &rows, pb, c[lo*n:], &epc)
 	})
 }
 
@@ -216,7 +153,7 @@ func gemmBlocks(m int) int {
 // across parFor.
 func depthwiseForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue) {
 	parFor(g.n*g.oh, func(job int) {
-		epc := ep // see convForward
+		epc := ep // see gemmForward
 		depthwiseRow(g, xd, wd, out, &epc, job)
 	})
 }

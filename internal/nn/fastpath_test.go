@@ -96,7 +96,7 @@ func sameBits(t *testing.T, who string, got, want *tensor.Tensor) {
 	}
 	for i := range want.Data {
 		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-			t.Fatalf("%s: [%d] program %v, network %v", who, i, got.Data[i], want.Data[i])
+			t.Fatalf("%s: [%d] %v, want %v", who, i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -369,61 +369,113 @@ func TestForwardDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// im2col is the first pass of the previous three-pass lowering, kept as
-// the oracle for lowerPanels: it lowers the NHWC input block rows
-// [row0, row1) into a row-major matrix, one row of K·K·inC per output
+// im2col is the first pass of the scalar oracle: it lowers the NHWC
+// input into a row-major matrix, one row of K·K·inC per output
 // position, zero where a tap falls outside the input.
-func (g convGeom) im2col(xd []float32, row0, row1 int, col []float32) {
+func (g convGeom) im2col(xd []float32) []float32 {
 	kw := g.colWidth()
-	rowC := g.k * g.ic
-	for r := row0; r < row1; r++ {
-		b := r / (g.oh * g.ow)
-		oy := r / g.ow % g.oh
-		ox := r % g.ow
-		dst := col[(r-row0)*kw : (r-row0+1)*kw]
-		iy0 := oy*g.s - g.padY
-		ix0 := ox*g.s - g.padX
+	col := make([]float32, g.n*g.oh*g.ow*kw)
+	for r := 0; r < g.n*g.oh*g.ow; r++ {
+		b, oy, ox := r/(g.oh*g.ow), r/g.ow%g.oh, r%g.ow
 		for ky := 0; ky < g.k; ky++ {
 			for kx := 0; kx < g.k; kx++ {
-				seg := dst[ky*rowC+kx*g.ic : ky*rowC+(kx+1)*g.ic]
-				iy, ix := iy0+ky, ix0+kx
+				iy, ix := oy*g.s-g.padY+ky, ox*g.s-g.padX+kx
 				if iy < 0 || iy >= g.h || ix < 0 || ix >= g.w {
-					for i := range seg {
-						seg[i] = 0
-					}
 					continue
 				}
 				src := ((b*g.h+iy)*g.w + ix) * g.ic
-				copy(seg, xd[src:src+g.ic])
+				copy(col[r*kw+(ky*g.k+kx)*g.ic:], xd[src:src+g.ic])
 			}
 		}
 	}
+	return col
 }
 
-// convThreePass is the previous program path for one convolution:
-// im2col into a row-major matrix, then tensor.Gemm, which packs both
-// operands and runs the microkernel (or, under tensor.SmallM rows,
-// streams B unpacked).
-func convThreePass(l *Conv2D, x *tensor.Tensor) *tensor.Tensor {
-	g := l.geom(x.Shape)
-	m, kk := g.n*g.oh*g.ow, g.colWidth()
-	col := x.Data
-	if !g.isPointwise() {
-		col = make([]float32, m*kk)
-		g.im2col(x.Data, 0, m, col)
+// gemmThreePass is the scalar oracle every GEMM-backed op is pinned
+// to, after the rows are gathered (im2col, or a dense input as it
+// lies): each element of the m×k rows a times the k×n weights w sums
+// its k products from +0 in ascending order, each product rounded
+// before its add, then takes the epilogue in tensor's applyOne order —
+// bias, scale/shift, ReLU and its cap. It shares no kernel, tile walk
+// or packing with the code under test.
+func gemmThreePass(m, n, k int, a, w []float32, ep tensor.Epilogue) []float32 {
+	c := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var v float32
+			for p := 0; p < k; p++ {
+				v += float32(a[i*k+p] * w[p*n+j])
+			}
+			if ep.Bias != nil {
+				v += ep.Bias[j]
+			}
+			if ep.Scale != nil {
+				v = float32(v*ep.Scale[j]) + ep.Shift[j]
+			}
+			if ep.ReLU {
+				if v < 0 {
+					v = 0
+				} else if ep.Cap > 0 && v > ep.Cap {
+					v = ep.Cap
+				}
+			}
+			c[i*n+j] = v
+		}
 	}
+	return c
+}
+
+// convThreePass is the scalar oracle for one convolution: im2col, then
+// gemmThreePass.
+func convThreePass(l *Conv2D, x *tensor.Tensor, ep tensor.Epilogue) *tensor.Tensor {
+	g := l.geom(x.Shape)
 	out := tensor.New(g.n, g.oh, g.ow, g.f)
-	tensor.Gemm(m, g.f, kk, col, l.W.Value.Data, out.Data, &tensor.Epilogue{Bias: l.B.Value.Data},
-		make([]float32, tensor.PackASize(m, kk)), make([]float32, tensor.PackBSize(kk, g.f)))
+	copy(out.Data, gemmThreePass(g.n*g.oh*g.ow, g.f, g.colWidth(), g.im2col(x.Data), l.W.Value.Data, ep))
 	return out
 }
 
-// TestConvLoweringBitwiseMatchesThreePass pins the single-pass
-// lowering (and the prepacked weights behind it) to the previous
-// im2col → pack → kernel route with ==, not a tolerance: the golden
+// specials are the values a kernel may not treat like ordinary
+// numbers: the NaN this machine's arithmetic generates (the only one
+// injected, so which NaN survives a sum cannot depend on operand
+// order), ±Inf, −0 and denormals.
+func specials() []float32 {
+	inf := float32(math.Inf(1))
+	return []float32{inf - inf, inf, -inf, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff)}
+}
+
+// sprinkle writes each special into v at a seeded position.
+func sprinkle(rng *tensor.RNG, v []float32) {
+	for _, s := range specials() {
+		v[rng.Intn(len(v))] = s
+	}
+}
+
+// bnReLU6 returns a batch-norm over c channels with non-trivial running
+// statistics, a ReLU6 after it, and the epilogue a program folds them
+// into behind bias.
+func bnReLU6(rng *tensor.RNG, name string, c int, bias []float32) ([]Layer, tensor.Epilogue) {
+	bn := NewBatchNorm(name+"/bn", c)
+	rng.FillNormal(bn.Gamma.Value, 1, 0.2)
+	rng.FillNormal(bn.Beta.Value, 0, 0.2)
+	rng.FillNormal(bn.RunningMean, 0, 0.3)
+	rng.FillUniform(bn.RunningVar, 0.5, 1.5)
+	scale, shift := bnFold(bn, make([]float32, 2*c))
+	return []Layer{bn, NewReLU6(name + "/relu6")},
+		tensor.Epilogue{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 6}
+}
+
+// TestConvLoweringBitwiseMatchesThreePass pins the convolution — its
+// input read in place or through the zero-haloed staging copy, and the
+// prepacked weights — to the scalar oracle's three passes (im2col, the
+// scalar sums, the epilogue) with ==, not a tolerance: the golden
 // digests of bench/ depend on every output element keeping its
 // sequential mul-then-add order over k. Both callers are checked: the
-// layers' Forward at two worker counts, and a compiled program.
+// layers' Forward at one and seven workers, and compiled programs, one
+// with the conv alone and one fusing batch-norm and ReLU6. Inputs,
+// weights and biases hold NaN, ±Inf, −0 and denormals, and the weights
+// of the first and last taps are infinite, so a halo tap multiplies
+// +0 by Inf as im2col's zero did.
 func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
 	table := append(convShapeTable[:len(convShapeTable):len(convShapeTable)], []struct {
 		name           string
@@ -438,6 +490,12 @@ func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
 		{"pointwise-rows-mod4", 3, 6, 64, 128, 1, 1, Same, 1},
 		{"pointwise-under-smallm", 2, 3, 16, 12, 1, 1, Same, 1},
 		{"windowed-mc-head", 4, 6, 160, 32, 3, 1, Same, 1}, // 24×1440×32
+		{"windowed-mc-conv2", 4, 6, 32, 32, 3, 2, Same, 1}, // m=6
+		{"base-conv1", 54, 96, 3, 8, 3, 2, Same, 1},        // pads only right and bottom
+		{"dc-conv1", 39, 96, 3, 32, 3, 2, Same, 1},         // the DC's first conv on a 96×39 frame
+		{"pointwise-m6", 2, 3, 256, 32, 1, 1, Same, 1},
+		{"pointwise-m25", 5, 5, 64, 16, 1, 1, Same, 1},
+		{"pointwise-stride2", 5, 7, 8, 9, 1, 2, Same, 2},
 	}...)
 	old := Workers
 	defer func() { Workers = old }()
@@ -448,31 +506,150 @@ func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
 			rng.FillNormal(l.B.Value, 0, 0.5)
 			x := tensor.New(tc.batch, tc.h, tc.w, tc.ic)
 			rng.FillNormal(x, 0, 1)
-			want := convThreePass(l, x)
+			sprinkle(rng, x.Data)
+			sprinkle(rng, l.W.Value.Data)
+			sprinkle(rng, l.B.Value.Data)
+			w := l.W.Value.Data
+			w[0], w[len(w)-1] = float32(math.Inf(1)), float32(math.Inf(-1))
+			bias := l.B.Value.Data
+			want := convThreePass(l, x, tensor.Epilogue{Bias: bias})
 
-			same := func(who string, got *tensor.Tensor) {
-				t.Helper()
-				if !got.SameShape(want) {
-					t.Fatalf("%s: shape %v vs %v", who, got.Shape, want.Shape)
-				}
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Fatalf("%s: [%d] %v, three-pass oracle %v", who, i, got.Data[i], want.Data[i])
-					}
-				}
-			}
 			Workers = 1
-			same("Forward", l.Forward(x))
-			Workers = 3
-			same("Forward/3 workers", l.Forward(x))
+			sameBits(t, "Forward", l.Forward(x), want)
+			Workers = 7
+			sameBits(t, "Forward/7 workers", l.Forward(x), want)
 
 			prog, err := CompileLayers("c", []Layer{l}, x.Shape)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ws := prog.NewWorkspace()
-			same("Program.Run", prog.Run(ws, x))
-			same("Program.Run again", prog.Run(ws, x))
+			sameBits(t, "Program.Run", prog.Run(ws, x), want)
+			sameBits(t, "Program.Run again", prog.Run(ws, x), want)
+
+			tail, ep := bnReLU6(rng, "c", tc.f, bias)
+			prog, err = CompileLayers("c+bn+relu6", append([]Layer{l}, tail...), x.Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "Program with BN + ReLU6", prog.Run(prog.NewWorkspace(), x), convThreePass(l, x, ep))
+		})
+	}
+}
+
+// TestDenseBitwiseMatchesThreePass pins the fully-connected layer to
+// the scalar oracle with ==, through both callers: Forward at one and
+// seven workers, and compiled programs with and without a fused ReLU6.
+// The batches are a microclassifier's one row, six rows (one ragged
+// tile) and 25 (several tiles and a ragged one); the widths include a
+// localized head's 192→32 fc1 and a lone output column. Inputs,
+// weights and biases hold NaN, ±Inf, −0 and denormals.
+func TestDenseBitwiseMatchesThreePass(t *testing.T) {
+	old := Workers
+	defer func() { Workers = old }()
+	for _, tc := range []struct{ batch, in, out int }{
+		{1, 192, 32}, {6, 192, 32}, {25, 192, 32}, {1, 32, 1}, {6, 7, 9}, {25, 33, 17},
+	} {
+		rng := tensor.NewRNG(31)
+		d := NewDense("fc", tc.in, tc.out, rng)
+		rng.FillNormal(d.B.Value, 0, 0.5)
+		x := tensor.New(tc.batch, tc.in)
+		rng.FillNormal(x, 0, 1)
+		sprinkle(rng, x.Data)
+		sprinkle(rng, d.W.Value.Data)
+		sprinkle(rng, d.B.Value.Data)
+		who := func(s string) string { return fmt.Sprintf("%+v %s", tc, s) }
+		bias := d.B.Value.Data
+		want := tensor.New(tc.batch, tc.out)
+		copy(want.Data, gemmThreePass(tc.batch, tc.out, tc.in, x.Data, d.W.Value.Data, tensor.Epilogue{Bias: bias}))
+
+		Workers = 1
+		sameBits(t, who("Forward"), d.Forward(x), want)
+		Workers = 7
+		sameBits(t, who("Forward/7 workers"), d.Forward(x), want)
+
+		prog, err := CompileLayers("fc", []Layer{d}, x.Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, who("Program.Run"), prog.Run(prog.NewWorkspace(), x), want)
+
+		ep := tensor.Epilogue{Bias: bias, ReLU: true, Cap: 6}
+		copy(want.Data, gemmThreePass(tc.batch, tc.out, tc.in, x.Data, d.W.Value.Data, ep))
+		prog, err = CompileLayers("fc+relu6", []Layer{d, NewReLU6("fc/relu6")}, x.Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, who("Program with ReLU6"), prog.Run(prog.NewWorkspace(), x), want)
+	}
+}
+
+// TestProgramWorkspaceReuseKeepsHalo runs a program whose convolutions
+// stage their inputs with a zero halo on X, then on Y, with one
+// workspace: the result must equal Y on a fresh workspace bit for bit.
+// X is full of NaN and Inf, so a staging copy that ever wrote its halo
+// would leave them where Y's run reads zeros.
+func TestProgramWorkspaceReuseKeepsHalo(t *testing.T) {
+	rng := tensor.NewRNG(33)
+	c1 := NewConv2D("conv1", 3, 8, 3, 1, Same, rng)
+	c2 := NewConv2D("conv2", 8, 8, 3, 2, Same, rng)
+	prog, err := CompileLayers("halo", []Layer{c1, NewReLU("conv1/relu"), c2}, []int{2, 7, 9, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := 0
+	for _, op := range prog.ops {
+		if op.stage >= 0 {
+			staged++
+		}
+	}
+	if staged != 2 {
+		t.Fatalf("%d of the program's convolutions stage their input, want 2", staged)
+	}
+	x, y := tensor.New(2, 7, 9, 3), tensor.New(2, 7, 9, 3)
+	rng.FillNormal(y, 0, 1)
+	inf := float32(math.Inf(1))
+	for i := range x.Data {
+		x.Data[i] = []float32{inf - inf, inf, -inf}[i%3]
+	}
+	ws := prog.NewWorkspace()
+	prog.Run(ws, x)
+	sameBits(t, "Y after X", prog.Run(ws, y), prog.Run(prog.NewWorkspace(), y))
+}
+
+// BenchmarkConv times, as compiled single-layer programs, the four
+// GEMM-backed layers that carry the time of a frame at the benchmark's
+// 96×54 frame size and width multiplier 0.25: the base DNN's first
+// convolution (3×3, stride 2, over three channels: the staged halo and
+// 27-deep receptive fields), its largest pointwise convolution, the
+// windowed microclassifier's first convolution (3×3 over 160 channels
+// of a 6×4 map) and a microclassifier's batch-1 fc1.
+func BenchmarkConv(b *testing.B) {
+	rng := tensor.NewRNG(43)
+	for _, s := range []struct {
+		name  string
+		layer Layer
+		in    []int
+	}{
+		{"base-conv1-96x54x3-s2", NewConv2D("conv1", 3, 8, 3, 2, Same, rng), []int{1, 54, 96, 3}},
+		{"base-pw-6x4x128", NewConv2D("conv5_1/sep", 128, 128, 1, 1, Same, rng), []int{1, 4, 6, 128}},
+		{"windowed-conv1-6x4x160", NewConv2D("conv1", 160, 32, 3, 1, Same, rng), []int{1, 4, 6, 160}},
+		{"fc1-1x192x32", NewDense("fc1", 192, 32, rng), []int{1, 192}},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			x := tensor.New(s.in...)
+			rng.FillNormal(x, 0, 1)
+			prog, err := CompileLayers(s.name, []Layer{s.layer, NewReLU("relu")}, x.Shape)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ws := prog.NewWorkspace()
+			prog.Run(ws, x)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prog.Run(ws, x)
+			}
+			b.ReportMetric(float64(s.layer.MAdds(x.Shape))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAdd/s")
 		})
 	}
 }
@@ -531,11 +708,9 @@ func depthwiseRowScalar(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, j
 // rows cover channel counts that are all vector tail or leave one, the
 // padded edges, rows with no interior span and rows that are nearly
 // all interior (the base DNN's 48-wide first depthwise layer), Valid
-// padding, and NaN, ±Inf and −0 in the input.
+// padding, and NaN, ±Inf, −0 and denormals in the input.
 func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 	rng := tensor.NewRNG(41)
-	inf := float32(math.Inf(1))
-	specials := []float32{inf - inf, inf, -inf, float32(math.Copysign(0, -1))}
 	for _, tc := range []struct {
 		h, w, ic, k, s int
 		pad            Padding
@@ -552,7 +727,7 @@ func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 		rng.FillNormal(l.B.Value, 0, 0.5)
 		x := tensor.New(2, tc.h, tc.w, tc.ic)
 		rng.FillNormal(x, 0, 2)
-		for i, s := range specials {
+		for i, s := range specials() {
 			x.Data[(i*131+7)%len(x.Data)] = s
 		}
 		g := l.geom(x.Shape)
@@ -587,17 +762,11 @@ func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 			same(fmt.Sprintf("Forward ep#%d", ei), got)
 		}
 
-		bn := NewBatchNorm("d/bn", tc.ic)
-		rng.FillNormal(bn.Gamma.Value, 1, 0.2)
-		rng.FillNormal(bn.Beta.Value, 0, 0.2)
-		rng.FillNormal(bn.RunningMean, 0, 0.3)
-		rng.FillUniform(bn.RunningVar, 0.5, 1.5)
-		prog, err := CompileLayers("d", []Layer{l, bn, NewReLU6("d/relu6")}, x.Shape)
+		tail, ep := bnReLU6(rng, "d", tc.ic, bias)
+		prog, err := CompileLayers("d", append([]Layer{l}, tail...), x.Shape)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scale, shift = bnFold(bn, make([]float32, 2*tc.ic))
-		ep := tensor.Epilogue{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 6}
 		for job := 0; job < g.n*g.oh; job++ {
 			depthwiseRowScalar(g, x.Data, l.W.Value.Data, want, ep, job)
 		}
@@ -609,7 +778,7 @@ func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 // benchmark's frame size (96×39 at width multiplier 0.25; width ×
 // height × channels below) as a compiled program runs them, fused with
 // batch-norm and ReLU: stride 1 and 2, 8 to 128 channels. It sits in nn,
-// not beside BenchmarkGemmPanels in tensor, because a layer is more
+// not beside BenchmarkGemmInPlace in tensor, because a layer is more
 // than its interior span: the border pixels and the tap lists are
 // part of the cost.
 func BenchmarkDepthwise(b *testing.B) {

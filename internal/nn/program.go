@@ -43,9 +43,7 @@ type Program struct {
 	slots   []slotSpec
 	byName  map[string]int // layer name -> op producing its output
 
-	maxPackA   int
-	maxScratch int       // per-channel scale+shift scratch (2·C)
-	zeros      []float32 // read-only: lowerPanels' out-of-bounds taps
+	maxScratch int // per-channel scale+shift scratch (2·C)
 }
 
 // packedWeights is one op's copy of its layer's weights in kernel
@@ -108,9 +106,12 @@ type progOp struct {
 	out  int    // output slot
 
 	// pw is the packed weight copy of a conv or dense op (every one
-	// runs the panel GEMM, whatever its row count); nil for the other
-	// ops, a depthwise op included: its kernel reads the weights live.
+	// runs GemmInPlace, whatever its row count); nil for the other ops,
+	// a depthwise op included: its kernel reads the weights live.
 	pw *packedWeights
+	// stage is a conv op's slot for its input staged with a zero halo
+	// (convGeom.stage); -1 when every tap lies inside the input.
+	stage int
 
 	conv  *Conv2D
 	dw    *DepthwiseConv2D
@@ -160,13 +161,8 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 		p.byName[op.name] = len(p.ops) - 1
 		cur = op.out
 	}
-	// panelGemm prepares an m-row product against w (k×n row-major)
-	// on the panel GEMM: A-panel scratch in the workspace, B panels in
-	// the program.
-	panelGemm := func(m, n, k int, w *Param) *packedWeights {
-		if a := tensor.PackASize(m, k); a > p.maxPackA {
-			p.maxPackA = a
-		}
+	// packedB keeps w (k×n row-major) in the program in PackB panels.
+	packedB := func(k, n int, w *Param) *packedWeights {
 		return &packedWeights{src: w, size: tensor.PackBSize(k, n),
 			pack: func(dst []float32) { tensor.PackB(k, n, w.Value.Data, dst) }}
 	}
@@ -194,9 +190,11 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 				op.act, op.name = r, r.LayerName
 				consumed++
 			}
-			op.pw = panelGemm(op.g.n*op.g.oh*op.g.ow, op.g.f, op.g.colWidth(), t.W)
-			if !op.g.isPointwise() && op.g.ic > len(p.zeros) {
-				p.zeros = make([]float32, op.g.ic)
+			op.pw = packedB(op.g.colWidth(), op.g.f, t.W)
+			op.stage = -1
+			if !op.g.inPlace() {
+				hs, ws := op.g.staged()
+				op.stage = addSlot([]int{op.g.n, hs, ws, op.g.ic}, -1)
 			}
 			op.out = addSlot(shape, -1)
 			emit(op)
@@ -225,7 +223,7 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 				op.act, op.name = r, r.LayerName
 				consumed++
 			}
-			op.pw = panelGemm(op.batch, t.Out, t.In, t.W)
+			op.pw = packedB(t.In, t.Out, t.W)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
@@ -311,8 +309,8 @@ func (p *Program) OpIndex(layerName string) (int, bool) {
 }
 
 // NewWorkspace allocates the arena a single executor needs: one buffer
-// per op output plus the A-panel scratch, all sized at compile time
-// (packed weights live in the Program, not here). Workspaces are not
+// per op output and per staged convolution input, all sized at compile
+// time (packed weights live in the Program, not here). Workspaces are not
 // safe for concurrent use; allocate one per goroutine and reuse it
 // across frames — after the first Run the steady state allocates
 // nothing.
@@ -320,7 +318,6 @@ func (p *Program) NewWorkspace() *Workspace {
 	ws := &Workspace{
 		prog:    p,
 		bufs:    make([]*tensor.Tensor, len(p.slots)),
-		packA:   make([]float32, p.maxPackA),
 		scratch: make([]float32, p.maxScratch),
 	}
 	for i, s := range p.slots {
@@ -334,12 +331,13 @@ func (p *Program) NewWorkspace() *Workspace {
 }
 
 // Workspace is the per-executor arena for one compiled Program: slot
-// buffers for every op output, the GEMM's A-panel buffer, and the
-// batch-norm fold scratch. See Program.NewWorkspace.
+// buffers for every op output and for every convolution input staged
+// with a zero halo, and the batch-norm fold scratch. A staging slot's
+// halo is zero from allocation and no run writes it. See
+// Program.NewWorkspace.
 type Workspace struct {
 	prog    *Program
 	bufs    []*tensor.Tensor
-	packA   []float32
 	scratch []float32
 }
 
@@ -395,13 +393,13 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 			ep.ReLU, ep.Cap = true, op.act.Cap
 		}
 		g := op.g
-		m, kk := g.n*g.oh*g.ow, g.colWidth()
-		if g.isPointwise() {
-			tensor.GemmPacked(m, g.f, kk, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
-		} else {
-			g.lowerPanels(in.Data, 0, m, p.zeros, ws.packA)
-			tensor.GemmPanels(m, g.f, kk, ws.packA, op.pw.fresh(), out.Data, &ep)
+		x := in.Data
+		if op.stage >= 0 {
+			x = ws.bufs[op.stage].Data
+			g.stage(in.Data, x)
 		}
+		rows := g.rows(x)
+		tensor.GemmInPlace(g.n*g.oh*g.ow, g.f, &rows, op.pw.fresh(), out.Data, &ep)
 
 	case opDepthwise:
 		ep := tensor.Epilogue{Bias: op.dw.B.Value.Data}
@@ -422,7 +420,8 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 			ep.ReLU, ep.Cap = true, op.act.Cap
 		}
 		d := op.dense
-		tensor.GemmPacked(op.batch, d.Out, d.In, in.Data, op.pw.fresh(), out.Data, &ep, ws.packA)
+		rows := tensor.Matrix(in.Data, d.In)
+		tensor.GemmInPlace(op.batch, d.Out, &rows, op.pw.fresh(), out.Data, &ep)
 
 	case opBatchNorm:
 		op.bn.inferInto(in.Data, out.Data, ws.scratch)

@@ -1,35 +1,36 @@
 package tensor
 
-// This file is the inference fast path's compute core: a cache-blocked,
-// register-tiled single-precision GEMM with a fused epilogue, the
-// primitive that im2col-lowered convolutions, pointwise convolutions,
-// and fully-connected layers in internal/nn all reduce to. It is
-// deliberately allocation-free: callers supply packing scratch buffers
-// (see PackASize/PackBSize), so steady-state per-frame inference never
-// touches the garbage collector.
+// This file is the inference fast path's compute core: a register-tiled
+// single-precision GEMM with a fused epilogue, the primitive that
+// convolutions and fully-connected layers in internal/nn all reduce to.
+// The left operand, A, is read where it lies — a row-major matrix, or a
+// convolution's receptive fields over its input — through an ARows
+// descriptor, so nothing lowers or packs A; only B, the weights, is
+// packed, once, into column panels (PackB). It is allocation-free, so
+// steady-state per-frame inference never touches the garbage collector.
 //
 // Layout conventions: all matrices are dense row-major. A is m×k, B is
 // k×n, C is m×n. The convolution weight layout [K,K,inC,outC] used by
 // internal/nn is already the row-major [k*k*inC, outC] matrix this GEMM
 // wants, so weights never need transposition.
 //
-// The inner microkernel computes a register tile from packed panels:
-// A in panels of four rows, B in panels of eight columns. amd64 has two
-// tiers, picked once at package initialization (gemm_kernel_amd64.go):
-// an eight-lane AVX2 kernel that runs two adjacent A panels as one 8×8
-// tile where the CPU has it, and the four-lane SSE 4×8 kernel of the
-// amd64 baseline for everything else, a leftover single panel included.
+// The microkernel computes a register tile of A rows, each from its own
+// base, against one B panel of eight columns. amd64 has two tiers,
+// picked once at package initialization (gemm_kernel_amd64.go): an
+// eight-lane AVX2 kernel over eight rows where the CPU has it, and the
+// four-lane SSE kernel of the amd64 baseline over four rows otherwise.
 // Other architectures, and -tags purego, run a portable Go 4×8 kernel
 // (gemm_kernel_generic.go). Every kernel accumulates each output
 // element over k in the same sequential multiply-then-add order, so
 // results are bitwise identical across kernels, row splits, and worker
 // counts.
 
-// gemmMR×gemmNR is the panel geometry, and the tile of the 4×8
-// kernels: four A rows against eight B columns.
+// gemmMR×gemmNR is the tile of the 4×8 kernels: four A rows against
+// eight B columns. The AVX2 tile is tileMax rows high.
 const (
-	gemmMR = 4
-	gemmNR = 8
+	gemmMR  = 4
+	gemmNR  = 8
+	tileMax = 2 * gemmMR
 )
 
 // SmallM switches Gemm to the unpacked row-block path: below this row
@@ -100,8 +101,10 @@ func (ep *Epilogue) activate(v float32, j int) float32 {
 
 func roundUp(x, to int) int { return (x + to - 1) / to * to }
 
-// PackASize returns the scratch length GemmPacked needs to pack an
-// m×k A matrix (rows padded to the microkernel tile height).
+// PackASize returns the length of an A-panel scratch for an m×k
+// matrix (rows padded to four). GemmPacked and Gemm read A in place and
+// ignore their scratchA; the size stays for callers that still
+// allocate one.
 func PackASize(m, k int) int { return roundUp(m, gemmMR) * k }
 
 // PackBSize returns the scratch length needed by PackB for a k×n B
@@ -145,101 +148,140 @@ func PackB(k, n int, b, dst []float32) {
 	}
 }
 
-// packA packs row-major A (m×k) into row panels of height gemmMR:
-// panel i0 holds rows [i0, i0+4) interleaved per k-step, so element
-// (i0+r, p) sits at dst[i0*k + p*4 + r] (VecInterleave4's layout). The
-// lanes of the last panel past m repeat row m-1; GemmPanels discards
-// what the microkernel computes for them.
-func packA(m, k int, a, dst []float32) {
-	row := func(i int) []float32 {
-		if i >= m {
-			i = m - 1
-		}
-		return a[i*k : (i+1)*k]
+// ARows describes GemmInPlace's m×k left operand where it lies in
+// Data, with no copy. Row r is Segs segments of Len contiguous floats,
+// Pitch floats apart (k = Segs·Len), from a base offset. The rows are
+// positions in raster order over images of Height lines of Width
+// positions, starting at position First: the row at image i, line y,
+// position x has its base at i·ImageStep + y·LineStep + x·Step. A
+// row-major matrix is one segment per row (Matrix); a k×k convolution's
+// rows are its receptive fields, one segment per kernel row, over an
+// input in which every tap lies (internal/nn stages a zero halo where
+// the padding needs one).
+type ARows struct {
+	Data                      []float32
+	Segs, Len, Pitch          int
+	Width, Height             int
+	Step, LineStep, ImageStep int
+	First                     int
+}
+
+// Matrix describes a row-major matrix of k columns: row r is the one
+// segment a[r·k : (r+1)·k].
+func Matrix(a []float32, k int) ARows {
+	return ARows{Data: a, Segs: 1, Len: k, Width: 1, Height: 1, ImageStep: k}
+}
+
+// rowWalk yields the bases of consecutive rows of an ARows.
+type rowWalk struct {
+	a    *ARows
+	x, y int // position of the next row in its line and image
+	at   int // base of the next row
+	img  int // base of the next row's image
+	last int // the largest base whose row lies inside Data
+}
+
+// walk starts at row First. The rows must lie inside Data: the assembly
+// kernels read them unchecked, so next checks each base it yields.
+func (a *ARows) walk() rowWalk {
+	y, x := a.First/a.Width%a.Height, a.First%a.Width
+	img := a.First / (a.Width * a.Height) * a.ImageStep
+	if a.Len <= 0 || a.Pitch < 0 {
+		panic("tensor: GEMM rows need segments of positive length, a non-negative pitch apart")
 	}
-	for i0 := 0; i0 < m; i0 += gemmMR {
-		VecInterleave4(dst[i0*k:(i0+gemmMR)*k], row(i0), row(i0+1), row(i0+2), row(i0+3))
+	last := len(a.Data) - (a.Segs-1)*a.Pitch - a.Len
+	if last < 0 {
+		panic("tensor: GEMM operand shorter than one row")
+	}
+	return rowWalk{a: a, x: x, y: y, at: img + y*a.LineStep + x*a.Step, img: img, last: last}
+}
+
+// next returns the next row's base and steps past it.
+func (w *rowWalk) next() int {
+	o := w.at
+	if uint(o) > uint(w.last) {
+		panic("tensor: GEMM row outside its operand")
+	}
+	w.at += w.a.Step
+	if w.x++; w.x == w.a.Width {
+		w.x = 0
+		if w.y++; w.y == w.a.Height {
+			w.y = 0
+			w.img += w.a.ImageStep
+		}
+		w.at = w.img + w.y*w.a.LineStep
+	}
+	return o
+}
+
+// GemmInPlace computes C = A·B for the m rows that a describes, with B
+// (k = a.Segs·a.Len rows, n columns) packed by PackB, and applies ep to
+// each completed block of rows while it is cache-hot (the fused
+// write-back). C is m×n row-major and fully overwritten. The rows run
+// through the microkernel one tile at a time — tileRows() consecutive
+// rows, whatever lines or images they cross, each read from its own
+// base. The last tile's rows past m repeat its last live row, and the
+// last B panel is zero-padded past n; such a tile lands in a stack tile
+// and only its live rows and columns are copied out. Every output
+// element accumulates over k in the same sequential order whichever
+// tile holds it, so callers may split the rows across goroutines
+// (ARows.First) for bitwise identical results.
+func GemmInPlace(m, n int, a *ARows, bp, c []float32, ep *Epilogue) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	k := a.Segs * a.Len
+	if k <= 0 {
+		epilogueOnly(m, n, c, ep)
+		return
+	}
+	_ = bp[roundUp(n, gemmNR)*k-1]
+	_ = c[m*n-1]
+	h := tileRows()
+	var offs [tileMax]int
+	var tile [tileMax * gemmNR]float32
+	rows := a.walk()
+	for i0 := 0; i0 < m; i0 += h {
+		live := min(h, m-i0)
+		for r := range offs[:live] {
+			offs[r] = rows.next()
+		}
+		for r := live; r < h; r++ {
+			offs[r] = offs[live-1]
+		}
+		block := c[i0*n : (i0+live)*n]
+		for j0 := 0; j0 < n; j0 += gemmNR {
+			b := bp[j0*k : (j0+gemmNR)*k]
+			if live == h && j0+gemmNR <= n {
+				kernTile(a, &offs, b, block[j0:], n)
+				continue
+			}
+			kernTile(a, &offs, b, tile[:], gemmNR)
+			w := min(n-j0, gemmNR)
+			for r := 0; r < live; r++ {
+				copy(block[r*n+j0:r*n+j0+w], tile[r*gemmNR:r*gemmNR+w])
+			}
+		}
+		ep.Apply(block, live, n)
 	}
 }
 
-// GemmPacked computes C = A·B with B already packed by PackB; the
-// epilogue is applied to each completed row block while it is still
-// cache-hot (the fused write-back). a holds the unpacked row-major m×k
-// block; scratchA needs PackASize(m, k) elements. C rows are fully
-// overwritten. Row blocks are independent and every output element
-// accumulates over k in the same sequential order, so callers may
-// split m across goroutines (each with its own scratchA) for bitwise
-// identical results.
+// GemmPacked computes C = A·B for a row-major m×k A, with B already
+// packed by PackB: GemmInPlace over Matrix(a, k). scratchA is unused —
+// A is read where it lies — and may be nil.
 func GemmPacked(m, n, k int, a, bp, c []float32, ep *Epilogue, scratchA []float32) {
-	packA(m, k, a, scratchA)
-	GemmPanels(m, n, k, scratchA, bp, c, ep)
+	rows := Matrix(a, k)
+	GemmInPlace(m, n, &rows, bp, c, ep)
 }
 
-// GemmPanels is GemmPacked for an A that is already in panel layout
-// (see packA; PackASize(m, k) elements): every 4-row panel, the ragged
-// last one included, runs through a microkernel — in pairs through the
-// eight-row tier where there is one, the rest through the 4×8 kernel.
-// What the lanes of the last panel past m hold is irrelevant: their
-// outputs land in a stack tile and are dropped.
-func GemmPanels(m, n, k int, ap, bp, c []float32, ep *Epilogue) {
-	nFull := n - n%gemmNR
-	i0 := gemmPanelPairs(m, n, k, ap, bp, c, ep)
-	for ; i0+gemmMR <= m; i0 += gemmMR {
-		panel := ap[i0*k : (i0+gemmMR)*k]
-		c0 := c[(i0+0)*n : (i0+1)*n]
-		c1 := c[(i0+1)*n : (i0+2)*n]
-		c2 := c[(i0+2)*n : (i0+3)*n]
-		c3 := c[(i0+3)*n : (i0+4)*n]
-		for j0 := 0; j0 < nFull; j0 += gemmNR {
-			kern4x8(k, panel, bp[j0*k:(j0+gemmNR)*k], c0[j0:], c1[j0:], c2[j0:], c3[j0:])
+// epilogueOnly writes the product of an empty k extent: every element
+// is the epilogue of +0.
+func epilogueOnly(m, n int, c []float32, ep *Epilogue) {
+	for i := 0; i < m; i++ {
+		row := c[i*n : (i+1)*n]
+		for j := range row {
+			row[j] = ep.applyOne(0, j)
 		}
-		if nFull < n {
-			kernColsTail(k, n-nFull, panel, bp[nFull*k:], c0[nFull:], c1[nFull:], c2[nFull:], c3[nFull:])
-		}
-		ep.Apply(c[i0*n:], gemmMR, n)
-	}
-	if i0 < m {
-		gemmRaggedBlock(gemmMR, m, n, k, i0, ap, bp, c, ep)
-	}
-}
-
-// gemmRaggedBlock finishes rows [i0, m) of C, fewer than the h (4 or
-// 8) rows of the panel block that starts at i0: each h×8 tile goes to
-// the stack and only the live rows (and, in the zero-padded last B
-// panel, the live columns) are copied out, then the epilogue runs over
-// each live row. Same kernels, same k order as a full block.
-func gemmRaggedBlock(h, m, n, k, i0 int, ap, bp, c []float32, ep *Epilogue) {
-	block := ap[i0*k : (i0+h)*k]
-	var tile [2 * gemmMR * gemmNR]float32
-	for j0 := 0; j0 < n; j0 += gemmNR {
-		b := bp[j0*k : (j0+gemmNR)*k]
-		if h == gemmMR {
-			kern4x8(k, block, b, tile[:], tile[gemmNR:], tile[2*gemmNR:], tile[3*gemmNR:])
-		} else {
-			kern8x8(k, block, b, tile[:], gemmNR)
-		}
-		w := min(n-j0, gemmNR)
-		for r := 0; i0+r < m; r++ {
-			copy(c[(i0+r)*n+j0:(i0+r)*n+j0+w], tile[r*gemmNR:r*gemmNR+w])
-		}
-	}
-	ep.Apply(c[i0*n:], m-i0, n)
-}
-
-// kernColsTail computes the trailing (n % 8) columns of one 4-row
-// block from the final zero-padded B panel, each product rounded
-// before its add on every target.
-func kernColsTail(k, nj int, ap, bpPanel []float32, c0, c1, c2, c3 []float32) {
-	for jj := 0; jj < nj; jj++ {
-		var s0, s1, s2, s3 float32
-		for p := 0; p < k; p++ {
-			b := bpPanel[p*gemmNR+jj]
-			s0 += float32(ap[p*gemmMR+0] * b)
-			s1 += float32(ap[p*gemmMR+1] * b)
-			s2 += float32(ap[p*gemmMR+2] * b)
-			s3 += float32(ap[p*gemmMR+3] * b)
-		}
-		c0[jj], c1[jj], c2[jj], c3[jj] = s0, s1, s2, s3
 	}
 }
 
@@ -298,21 +340,12 @@ func axpy1(n, k int, a, b, c []float32) {
 }
 
 // Gemm computes C = A·B (A m×k, B k×n, C m×n, all row-major) with the
-// fused epilogue applied on write-back. scratchA and scratchB are
-// packing buffers of at least PackASize/PackBSize elements; they (and
-// ep) may be nil only when m < SmallM, where the unpacked path
+// fused epilogue applied on write-back. scratchB is a packing buffer of
+// at least PackBSize elements; scratchA is unused (A is read in place).
+// Both, and ep, may be nil when m < SmallM, where the unpacked path
 // runs. C is fully overwritten.
 func Gemm(m, n, k int, a, b, c []float32, ep *Epilogue, scratchA, scratchB []float32) {
 	if m <= 0 || n <= 0 {
-		return
-	}
-	if k <= 0 {
-		for i := 0; i < m; i++ {
-			row := c[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = ep.applyOne(0, j)
-			}
-		}
 		return
 	}
 	if m < SmallM {
@@ -320,5 +353,5 @@ func Gemm(m, n, k int, a, b, c []float32, ep *Epilogue, scratchA, scratchB []flo
 		return
 	}
 	PackB(k, n, b, scratchB)
-	GemmPacked(m, n, k, a, scratchB, c, ep, scratchA)
+	GemmPacked(m, n, k, a, scratchB, c, ep, nil)
 }

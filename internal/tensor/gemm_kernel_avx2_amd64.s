@@ -2,30 +2,46 @@
 
 #include "textflag.h"
 
-// func kern8x8AVX2(k int, ap, bp, c *float32, ldc int)
+// func kern8x8AVX2(a *float32, offs *[8]int, segs, seglen, pitch int, bp, c *float32, ldc int)
 //
 // Eight-lane AVX2 GEMM microkernel: accumulates an 8-row × 8-column
-// tile from two adjacent 4-row A panels (the second starts 4k floats
-// after ap) and one 8-column B panel,
-//   C[r][j]   = Σ_p ap[p*4+r]      * bp[p*8+j]   r = 0..3
-//   C[4+r][j] = Σ_p ap[4k+p*4+r]   * bp[p*8+j]
-// and stores row r raw at c + r*ldc floats (the Go caller applies the
-// fused epilogue per completed row block). Y0..Y7 accumulate one row
+// tile C[r][j] = Σ_p A[r][p] * bp[p*8+j] and stores row r raw at
+// c + r*ldc floats (the Go caller applies the fused epilogue per
+// completed row block). Row r of A is read in place, as in kern4x8SSE:
+// segs segments of seglen floats from a + offs[r] floats, pitch floats
+// apart. R8..R13, SI and DI point one past the current segment of rows
+// 0..7 and CX counts up from -seglen to 0. Y0..Y7 accumulate one row
 // each, Y8 holds the streamed B vector, Y9..Y12 the broadcast A
 // elements and their products. VMULPS/VADDPS are unfused (no FMA) and
 // take their operands in the SSE kernel's order (B first in the
 // product, the accumulator first in the sum), so every lane
 // accumulates over p exactly as kern4x8SSE and the portable Go kernel
 // do, NaN propagation included.
-TEXT ·kern8x8AVX2(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), CX
-	MOVQ ap+8(FP), AX
-	MOVQ bp+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), SI
-	MOVQ CX, DX
-	SHLQ $4, DX // bytes in one A panel: the second panel is (AX)(DX*1)
-	SHLQ $2, SI // row stride of C in bytes
+TEXT ·kern8x8AVX2(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), AX
+	MOVQ seglen+24(FP), CX
+	LEAQ (AX)(CX*4), AX
+	MOVQ offs+8(FP), DX
+	MOVQ 0(DX), R8
+	LEAQ (AX)(R8*4), R8
+	MOVQ 8(DX), R9
+	LEAQ (AX)(R9*4), R9
+	MOVQ 16(DX), R10
+	LEAQ (AX)(R10*4), R10
+	MOVQ 24(DX), R11
+	LEAQ (AX)(R11*4), R11
+	MOVQ 32(DX), R12
+	LEAQ (AX)(R12*4), R12
+	MOVQ 40(DX), R13
+	LEAQ (AX)(R13*4), R13
+	MOVQ 48(DX), SI
+	LEAQ (AX)(SI*4), SI
+	MOVQ 56(DX), DI
+	LEAQ (AX)(DI*4), DI
+	MOVQ segs+16(FP), DX
+	MOVQ pitch+32(FP), AX
+	SHLQ $2, AX // segment pitch in bytes
+	MOVQ bp+40(FP), BX
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -36,13 +52,17 @@ TEXT ·kern8x8AVX2(SB), NOSPLIT, $0-40
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
 
+segment8:
+	MOVQ seglen+24(FP), CX
+	NEGQ CX
+
 loop8:
 	VMOVUPS (BX), Y8
 
-	VBROADCASTSS (AX), Y9
-	VBROADCASTSS 4(AX), Y10
-	VBROADCASTSS 8(AX), Y11
-	VBROADCASTSS 12(AX), Y12
+	VBROADCASTSS (R8)(CX*4), Y9
+	VBROADCASTSS (R9)(CX*4), Y10
+	VBROADCASTSS (R10)(CX*4), Y11
+	VBROADCASTSS (R11)(CX*4), Y12
 	VMULPS       Y9, Y8, Y9
 	VMULPS       Y10, Y8, Y10
 	VMULPS       Y11, Y8, Y11
@@ -52,10 +72,10 @@ loop8:
 	VADDPS       Y11, Y2, Y2
 	VADDPS       Y12, Y3, Y3
 
-	VBROADCASTSS (AX)(DX*1), Y9
-	VBROADCASTSS 4(AX)(DX*1), Y10
-	VBROADCASTSS 8(AX)(DX*1), Y11
-	VBROADCASTSS 12(AX)(DX*1), Y12
+	VBROADCASTSS (R12)(CX*4), Y9
+	VBROADCASTSS (R13)(CX*4), Y10
+	VBROADCASTSS (SI)(CX*4), Y11
+	VBROADCASTSS (DI)(CX*4), Y12
 	VMULPS       Y9, Y8, Y9
 	VMULPS       Y10, Y8, Y10
 	VMULPS       Y11, Y8, Y11
@@ -65,11 +85,24 @@ loop8:
 	VADDPS       Y11, Y6, Y6
 	VADDPS       Y12, Y7, Y7
 
-	ADDQ $16, AX
 	ADDQ $32, BX
-	DECQ CX
+	INCQ CX
 	JNZ  loop8
 
+	ADDQ AX, R8
+	ADDQ AX, R9
+	ADDQ AX, R10
+	ADDQ AX, R11
+	ADDQ AX, R12
+	ADDQ AX, R13
+	ADDQ AX, SI
+	ADDQ AX, DI
+	DECQ DX
+	JNZ  segment8
+
+	MOVQ    c+48(FP), DI
+	MOVQ    ldc+56(FP), SI
+	SHLQ    $2, SI // row stride of C in bytes
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, (DI)(SI*1)
 	LEAQ    (DI)(SI*2), DI

@@ -111,59 +111,11 @@ func TestGemmZeroK(t *testing.T) {
 	}
 }
 
-// packAStrided and gemmPackedThreePass are the previous GemmPacked,
-// kept as the oracle the current one is pinned to bit for bit: A packed
-// in four strided passes per panel with the last panel zero-padded,
-// and rows past the last full panel computed by a scalar row kernel.
-func packAStrided(m, k int, a, dst []float32) {
-	for i0 := 0; i0 < m; i0 += gemmMR {
-		panel := dst[i0*k : (i0+gemmMR)*k]
-		for r := 0; r < gemmMR; r++ {
-			for p := 0; p < k; p++ {
-				var v float32
-				if i0+r < m {
-					v = a[(i0+r)*k+p]
-				}
-				panel[p*gemmMR+r] = v
-			}
-		}
-	}
-}
-
-func gemmPackedThreePass(m, n, k int, a, bp, c []float32, ep *Epilogue, scratchA []float32) {
-	packAStrided(m, k, a, scratchA)
-	nFull := n - n%gemmNR
-	i0 := 0
-	for ; i0+gemmMR <= m; i0 += gemmMR {
-		ap := scratchA[i0*k : (i0+gemmMR)*k]
-		c0, c1 := c[(i0+0)*n:(i0+1)*n], c[(i0+1)*n:(i0+2)*n]
-		c2, c3 := c[(i0+2)*n:(i0+3)*n], c[(i0+3)*n:(i0+4)*n]
-		for j0 := 0; j0 < nFull; j0 += gemmNR {
-			kern4x8(k, ap, bp[j0*k:(j0+gemmNR)*k], c0[j0:], c1[j0:], c2[j0:], c3[j0:])
-		}
-		if nFull < n {
-			kernColsTail(k, n-nFull, ap, bp[nFull*k:], c0[nFull:], c1[nFull:], c2[nFull:], c3[nFull:])
-		}
-	}
-	for ; i0 < m; i0++ {
-		lane := i0 % gemmMR
-		ap := scratchA[(i0-lane)*k:]
-		for j := 0; j < n; j++ {
-			panel := bp[(j-j%gemmNR)*k:]
-			var s float32
-			for p := 0; p < k; p++ {
-				s += ap[p*gemmMR+lane] * panel[p*gemmNR+j%gemmNR]
-			}
-			c[i0*n+j] = s
-		}
-	}
-	ep.Apply(c, m, n)
-}
-
-// TestGemmPackedBitwiseMatchesThreePass pins the interleaving packA
-// and the kernel-on-ragged-panel row tail to the previous
-// implementation with ==: every output element must keep its
-// sequential mul-then-add order over k. The shapes cover every m%4 and
+// TestGemmPackedBitwiseMatchesThreePass pins GemmPacked to the scalar
+// oracle's three passes — the rows gathered where they lie, each
+// element summed from +0 with every product rounded before its add,
+// then the epilogue — with ==: every output element must keep its
+// sequential mul-then-add order over k. The shapes cover every m%8 and
 // n%8, the 6×3 maps of a 96×39 frame (m=18), and the windowed
 // microclassifier's head (24×1440×32).
 func TestGemmPackedBitwiseMatchesThreePass(t *testing.T) {
@@ -171,38 +123,18 @@ func TestGemmPackedBitwiseMatchesThreePass(t *testing.T) {
 	shapes := []struct{ m, n, k int }{
 		{8, 8, 8}, {9, 8, 5}, {10, 9, 16}, {11, 15, 7}, {12, 16, 27}, {13, 1, 32},
 		{17, 6, 64}, {18, 64, 64}, {18, 128, 64}, {21, 17, 40}, {33, 33, 33}, {24, 32, 1440},
-		{1, 8, 3}, {3, 12, 9}, {5, 7, 31},
+		{1, 8, 3}, {3, 12, 9}, {5, 7, 31}, {6, 32, 128}, {14, 9, 12}, {15, 24, 20},
 	}
 	for _, s := range shapes {
 		a, b := randMat(g, s.m*s.k), randMat(g, s.k*s.n)
 		ep := &Epilogue{Bias: randMat(g, s.n), Scale: randMat(g, s.n), Shift: randMat(g, s.n), ReLU: true, Cap: 6}
 		bp := make([]float32, PackBSize(s.k, s.n))
 		PackB(s.k, s.n, b, bp)
-		want, got := make([]float32, s.m*s.n), make([]float32, s.m*s.n)
-		gemmPackedThreePass(s.m, s.n, s.k, a, bp, want, ep, make([]float32, PackASize(s.m, s.k)))
+		rows := Matrix(a, s.k)
+		want, got := gemmScalar(s.m, s.n, &rows, b, ep), make([]float32, s.m*s.n)
 		GemmPacked(s.m, s.n, s.k, a, bp, got, ep, make([]float32, PackASize(s.m, s.k)))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("m=%d n=%d k=%d: [%d] %v, three-pass oracle %v", s.m, s.n, s.k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestVecInterleave4(t *testing.T) {
-	g := NewRNG(12)
-	for n := 0; n <= 13; n++ {
-		rows := [4][]float32{randMat(g, n), randMat(g, n), randMat(g, n), randMat(g, n)}
-		dst := randMat(g, 4*n+2) // two guard elements past the end
-		guard := [2]float32{dst[4*n], dst[4*n+1]}
-		VecInterleave4(dst, rows[0], rows[1], rows[2], rows[3])
-		for i := 0; i < 4*n; i++ {
-			if dst[i] != rows[i%4][i/4] {
-				t.Fatalf("n=%d: dst[%d] = %v, want row %d element %d = %v", n, i, dst[i], i%4, i/4, rows[i%4][i/4])
-			}
-		}
-		if dst[4*n] != guard[0] || dst[4*n+1] != guard[1] {
-			t.Fatalf("n=%d: wrote past 4n", n)
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("m=%d n=%d k=%d: [%d] %v, scalar oracle %v", s.m, s.n, s.k, i, got[i], want[i])
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // kernelTiers lists the assembly tiers this machine can run; use()
-// makes GemmPanels walk that tier until the test ends.
+// makes GemmInPlace walk that tier until the test ends.
 func kernelTiers(t *testing.T) []kernelTier {
 	detected := useAVX2
 	t.Cleanup(func() { useAVX2 = detected })
@@ -23,9 +23,8 @@ func kernelTiers(t *testing.T) []kernelTier {
 
 // TestKernelDispatch checks that the CPUID probe is what selected the
 // tier at package initialization, that the probe agrees with the
-// operating system's view of the CPU, and that the selection is what
-// GemmPanels walks: with the flag off no rows go through the eight-row
-// tier.
+// operating system's view of the CPU, and that the selection is the
+// tile GemmInPlace walks: four rows with the flag off, eight with it on.
 func TestKernelDispatch(t *testing.T) {
 	have := detectAVX2()
 	if useAVX2 != have {
@@ -48,32 +47,16 @@ func TestKernelDispatch(t *testing.T) {
 	t.Logf("dispatch: CPUID probe avx2=%v, kernel %q", have, Kernel())
 
 	tiers := kernelTiers(t)
-	g := NewRNG(16)
-	const n, k = 9, 5
-	bp := randMat(g, PackBSize(k, n))
-	pairRows := func(m, k int) int {
-		return gemmPanelPairs(m, n, k, randMat(g, PackASize(m, k)), bp, make([]float32, m*n), nil)
-	}
 	tiers[0].use()
-	if Kernel() != "sse" {
-		t.Fatalf("flag forced off: Kernel() = %q", Kernel())
-	}
-	for m := 1; m <= 17; m++ {
-		if got := pairRows(m, k); got != 0 {
-			t.Fatalf("flag forced off: %d of %d rows took the eight-row tier", got, m)
-		}
+	if Kernel() != "sse" || tileRows() != gemmMR {
+		t.Fatalf("flag forced off: Kernel() = %q, %d-row tiles", Kernel(), tileRows())
 	}
 	if !have {
 		return
 	}
 	tiers[1].use()
-	for m, want := range map[int]int{1: 0, 4: 0, 5: 5, 7: 7, 8: 8, 9: 8, 12: 8, 13: 13, 16: 16, 17: 16} {
-		if got := pairRows(m, k); got != want {
-			t.Fatalf("avx2: %d of %d rows took the eight-row tier, want %d", got, m, want)
-		}
-	}
-	if got := pairRows(9, 0); got != 0 {
-		t.Fatalf("avx2, k=0: %d rows took the eight-row tier, which has no panel to read", got)
+	if Kernel() != "avx2" || tileRows() != tileMax {
+		t.Fatalf("flag on: Kernel() = %q, %d-row tiles", Kernel(), tileRows())
 	}
 }
 
@@ -107,7 +90,7 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	nans := 0
 	for i, tier := range tiers {
 		tier.use()
-		GemmPacked(m, n, k, a, bp, out[i], ep, make([]float32, PackASize(m, k)))
+		GemmPacked(m, n, k, a, bp, out[i], ep, nil)
 	}
 	for _, v := range out[0] {
 		if v != v {

@@ -1,55 +1,57 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 )
 
-// kernelTier is one microkernel tier GemmPanels can walk in this
+// kernelTier is one microkernel tier GemmInPlace can walk in this
 // build (kernelTiers lists them per build); use() selects it.
 type kernelTier struct {
 	name string
 	use  func()
 }
 
-// kern4x8Go is a copy of the portable microkernel
-// (gemm_kernel_generic.go), which an amd64 build does not compile: the
-// generic tier of the tests below, on every build.
-func kern4x8Go(k int, ap, bp []float32, tile *[gemmMR][gemmNR]float32) {
-	*tile = [gemmMR][gemmNR]float32{}
-	for p := 0; p < k; p++ {
-		for r := 0; r < gemmMR; r++ {
-			a := ap[p*gemmMR+r]
-			for j := 0; j < gemmNR; j++ {
-				tile[r][j] += a * bp[p*gemmNR+j]
-			}
-		}
-	}
+// rowBase is the base of row r of a, from the ARows definition and
+// nothing the GEMM itself uses.
+func rowBase(a *ARows, r int) int {
+	r += a.First
+	return r/(a.Width*a.Height)*a.ImageStep + r/a.Width%a.Height*a.LineStep + r%a.Width*a.Step
 }
 
-// gemmPanelsGo is the raw (no epilogue) panel product on kern4x8Go:
-// one 4×8 tile per (A panel, B panel), live rows and columns copied
-// out.
-func gemmPanelsGo(m, n, k int, ap, bp, c []float32) {
-	var tile [gemmMR][gemmNR]float32
-	for i0 := 0; i0 < m; i0 += gemmMR {
-		for j0 := 0; j0 < n; j0 += gemmNR {
-			kern4x8Go(k, ap[i0*k:(i0+gemmMR)*k], bp[j0*k:(j0+gemmNR)*k], &tile)
-			for r := 0; r < gemmMR && i0+r < m; r++ {
-				for j := 0; j < gemmNR && j0+j < n; j++ {
-					c[(i0+r)*n+j0+j] = tile[r][j]
-				}
+// gemmScalar is the oracle every GEMM route is pinned to: for each
+// output element, the k products of its A row, gathered segment by
+// segment from where the row lies, and its B column (b row-major k×n),
+// summed from +0 in ascending order with each product rounded before
+// its add, then the epilogue in applyOne order. It shares no kernel,
+// tile walk or packing with the code under test.
+func gemmScalar(m, n int, a *ARows, b []float32, ep *Epilogue) []float32 {
+	c := make([]float32, m*n)
+	row := make([]float32, 0, a.Segs*a.Len)
+	for i := 0; i < m; i++ {
+		row = row[:0]
+		for s := 0; s < a.Segs; s++ {
+			o := rowBase(a, i) + s*a.Pitch
+			row = append(row, a.Data[o:o+a.Len]...)
+		}
+		for j := 0; j < n; j++ {
+			var s float32
+			for p, x := range row {
+				s += float32(x * b[p*n+j])
 			}
+			c[i*n+j] = ep.applyOne(s, j)
 		}
 	}
+	return c
 }
 
 // machineNaN is the NaN this machine's arithmetic generates. The
 // tables inject only this one: when two different NaNs meet, the
 // survivor depends on operand order, which Go does not fix for the
-// code it compiles (the assembly tiers do fix it, see
-// TestKernelTiersKeepNaNPayloads).
+// code it compiles, the scalar oracle's included (the assembly tiers do
+// fix it, see TestKernelTiersKeepNaNPayloads).
 var (
 	inf32      = float32(math.Inf(1))
 	machineNaN = inf32 - inf32
@@ -81,16 +83,48 @@ func sameBits(a, b []float32) int {
 	return -1
 }
 
-// TestKernelTiersBitwiseEqual runs the three GEMM entry points on
-// every microkernel tier this machine has and compares the outputs,
-// as bit patterns, with the generic tier: every output element must
-// accumulate over k in sequential multiply-then-add order whatever
+// stridedRows lays out an m-row operand of depth k the way a
+// convolution's receptive fields lie in its input — segs segments per
+// row (k = segs·len), consecutive rows overlapping, lines and images
+// that do not follow on evenly (a tile of four or eight rows wraps
+// one), a first row past the start — over Data that is machineNaN
+// wherever no row reads, so a kernel that strays returns NaN. The rows
+// hold random values with specials sprinkled in.
+func stridedRows(g *RNG, m, k, segs int) *ARows {
+	l := k / segs
+	a := &ARows{Segs: segs, Len: l, Pitch: l + 3, Width: 5, Height: 2, Step: max(l/2, 1), First: 3}
+	a.LineStep = a.Width*a.Step + 7
+	a.ImageStep = a.Height*a.LineStep + 11
+	a.Data = make([]float32, rowBase(a, m-1)+(segs-1)*a.Pitch+l+2)
+	for i := range a.Data {
+		a.Data[i] = machineNaN
+	}
+	for i := 0; i < m; i++ {
+		for s := 0; s < segs; s++ {
+			o := rowBase(a, i) + s*a.Pitch
+			for p := o; p < o+l; p++ {
+				a.Data[p] = float32(g.NormFloat64())
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		sprinkle(g, a.Data[rowBase(a, i):rowBase(a, i)+l])
+	}
+	return a
+}
+
+// TestKernelTiersBitwiseEqual runs the GEMM entry points on every
+// microkernel tier this machine has and compares the outputs, as bit
+// patterns, with the scalar oracle (gemmScalar): every output element
+// must accumulate over k in sequential multiply-then-add order whatever
 // kernel computes it, or the golden digests of bench/ break. The row
-// counts cover a single panel, an exact pair, a ragged pair and a pair
-// plus a single (full and ragged); the column counts a lone tail
-// column (the detector's conv3), full panels, and tails beside them;
-// k = 0 has no panel to read. Each epilogue stage runs with and
-// without the others.
+// counts run from a single row through several tiles, full and ragged,
+// on both tile heights; the column counts a lone tail column (the
+// detector's conv3), full panels, and tails beside them; k = 0 has
+// nothing to read. GemmInPlace reads both a row-major matrix and rows
+// of one and of three segments laid out like a convolution's receptive
+// fields, whose tiles wrap lines and images. Each epilogue stage runs
+// with and without the others.
 func TestKernelTiersBitwiseEqual(t *testing.T) {
 	g := NewRNG(14)
 	ks := []int{0, 1, 3, 27, 288, 1440}
@@ -118,39 +152,44 @@ func TestKernelTiersBitwiseEqual(t *testing.T) {
 			for m := 1; m <= maxM; m++ {
 				a := randMat(g, m*k)
 				sprinkle(g, a)
-				ap := make([]float32, PackASize(m, k))
-				packA(m, k, a, ap)
-				// The lanes past m are never read back: poison them.
-				for i := m; i < roundUp(m, gemmMR); i++ {
-					for p := 0; p < k; p++ {
-						ap[(i-i%gemmMR)*k+p*gemmMR+i%gemmMR] = machineNaN
-					}
+				matrix := Matrix(a, k)
+				layouts := []*ARows{&matrix}
+				if k > 0 {
+					layouts = append(layouts, stridedRows(g, m, k, 1))
 				}
-				raw := make([]float32, m*n)
-				gemmPanelsGo(m, n, k, ap, bp, raw)
-				want, got := make([]float32, m*n), make([]float32, m*n)
-				scratchA, scratchB := make([]float32, len(ap)), make([]float32, len(bp))
+				if k > 0 && k%3 == 0 {
+					layouts = append(layouts, stridedRows(g, m, k, 3))
+				}
+				got := make([]float32, m*n)
+				scratchB := make([]float32, len(bp))
 				for ei, ep := range eps {
-					for i, v := range raw {
-						want[i] = ep.applyOne(v, i%n)
+					wants := make([][]float32, len(layouts))
+					for li, rows := range layouts {
+						wants[li] = gemmScalar(m, n, rows, b, ep)
 					}
 					for _, tier := range tiers {
 						tier.use()
-						for _, entry := range []struct {
+						type entry struct {
 							name string
+							want []float32
 							run  func()
-						}{
-							{"GemmPanels", func() { GemmPanels(m, n, k, ap, bp, got, ep) }},
-							{"GemmPacked", func() { GemmPacked(m, n, k, a, bp, got, ep, scratchA) }},
-							{"Gemm", func() { Gemm(m, n, k, a, b, got, ep, scratchA, scratchB) }},
-						} {
+						}
+						entries := []entry{
+							{"GemmPacked", wants[0], func() { GemmPacked(m, n, k, a, bp, got, ep, nil) }},
+							{"Gemm", wants[0], func() { Gemm(m, n, k, a, b, got, ep, nil, scratchB) }},
+						}
+						for li, rows := range layouts {
+							entries = append(entries, entry{fmt.Sprintf("GemmInPlace/%d-segment layout %d", rows.Segs, li), wants[li],
+								func() { GemmInPlace(m, n, rows, bp, got, ep) }})
+						}
+						for _, e := range entries {
 							for i := range got {
 								got[i] = -12345 // must be overwritten
 							}
-							entry.run()
-							if i := sameBits(got, want); i >= 0 {
-								t.Fatalf("%s on %s, m=%d n=%d k=%d ep#%d: [%d] %v (%#08x), generic tier %v (%#08x)",
-									entry.name, tier.name, m, n, k, ei, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+							e.run()
+							if i := sameBits(got, e.want); i >= 0 {
+								t.Fatalf("%s on %s, m=%d n=%d k=%d ep#%d: [%d] %v (%#08x), scalar oracle %v (%#08x)",
+									e.name, tier.name, m, n, k, ei, i, got[i], math.Float32bits(got[i]), e.want[i], math.Float32bits(e.want[i]))
 							}
 						}
 					}
@@ -161,8 +200,9 @@ func TestKernelTiersBitwiseEqual(t *testing.T) {
 	t.Logf("GEMM tiers covered: %s (this process runs %q)", tierNames(tiers), Kernel())
 }
 
-// tierNames lists the generic tier, which the tests compute directly,
-// and then the tiers they switched to.
+// tierNames lists the generic tier, which the tests compute directly
+// (for the GEMM, as the scalar oracle), and then the tiers they
+// switched to.
 func tierNames(tiers []kernelTier) string {
 	names := []string{"generic"}
 	for _, tier := range tiers {
@@ -234,11 +274,13 @@ func TestDepthwiseTiersBitwiseEqual(t *testing.T) {
 	t.Logf("depthwise tiers covered: %s (this process runs %q)", tierNames(tiers), Kernel())
 }
 
-// BenchmarkGemmPanels times the panel product on the shapes that carry
-// a many-microclassifier frame: the windowed head (24×1440×32), a
+// BenchmarkGemmInPlace times the GEMM on the row-major shapes that
+// carry a many-microclassifier frame: the windowed head (24×1440×32), a
 // localized microclassifier's pointwise convolution over its crop
-// (6×128×32, a ragged pair), and a base-DNN pointwise layer.
-func BenchmarkGemmPanels(b *testing.B) {
+// (6×128×32, one ragged tile), a base-DNN pointwise layer and a batch-1
+// dense layer. internal/nn's BenchmarkConv times whole layers,
+// receptive fields and halo included.
+func BenchmarkGemmInPlace(b *testing.B) {
 	for _, s := range []struct {
 		name    string
 		m, n, k int
@@ -250,12 +292,12 @@ func BenchmarkGemmPanels(b *testing.B) {
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			g := NewRNG(15)
-			ap, bp := randMat(g, PackASize(s.m, s.k)), randMat(g, PackBSize(s.k, s.n))
+			a, bp := Matrix(randMat(g, s.m*s.k), s.k), randMat(g, PackBSize(s.k, s.n))
 			c := make([]float32, s.m*s.n)
 			ep := &Epilogue{Bias: randMat(g, s.n), ReLU: true}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				GemmPanels(s.m, s.n, s.k, ap, bp, c, ep)
+				GemmInPlace(s.m, s.n, &a, bp, c, ep)
 			}
 			b.ReportMetric(float64(s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAdd/s")
 		})

@@ -550,12 +550,19 @@ func printHealthLine(w io.Writer, eng *health.Engine, status health.Status) {
 // compaction stats into ff_fleet_shard_<i>_* gauges, the balance view
 // that shows a hot or empty shard at a glance, and each shard's
 // heartbeat handling time into ff_ctrl_shard_<i>_heartbeat_* gauges.
+// ledger_uploads and ledger_bits total the ledgers of the nodes a shard
+// owns now, uploads they delivered before a re-home included: a re-home
+// moves them between shards, and their sum over shards is the fleet's.
 func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 	o.Reg.Gauge("ff_fleet_shards").Set(int64(len(stats)))
 	for _, s := range stats {
 		o.Reg.ShardGauge(s.Shard, "nodes").Set(int64(s.Nodes))
 		o.Reg.ShardGauge(s.Shard, "sessions").Set(int64(s.Sessions))
+		o.Reg.Describe(fmt.Sprintf("ff_fleet_shard_%d_ledger_uploads", s.Shard),
+			"deduplicated uploads in the ledgers of the nodes the shard owns now, those delivered before a re-home included")
 		o.Reg.ShardGauge(s.Shard, "ledger_uploads").Set(int64(s.Uploads))
+		o.Reg.Describe(fmt.Sprintf("ff_fleet_shard_%d_ledger_bits", s.Shard),
+			"coded bits of the uploads counted by ledger_uploads")
 		o.Reg.ShardGauge(s.Shard, "ledger_bits").Set(s.UploadBits)
 		o.Reg.ShardGauge(s.Shard, "redirects").Set(int64(s.Redirects))
 		o.Reg.ShardGauge(s.Shard, "hb_gap_p95_ns").Set(s.HeartbeatGap.Quantile(0.95))

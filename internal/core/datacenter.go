@@ -13,6 +13,10 @@ import (
 // context video from an edge node's local archive.
 type Datacenter struct {
 	uploads map[string][]Upload // MC name -> segments
+	// count and bits total every held upload, kept as they arrive so
+	// Totals costs nothing per upload. They are derived, not encoded.
+	count int
+	bits  int64
 }
 
 // NewDatacenter constructs an empty receiver.
@@ -23,6 +27,8 @@ func NewDatacenter() *Datacenter {
 // Receive accepts one upload.
 func (d *Datacenter) Receive(u Upload) {
 	d.uploads[u.MCName] = append(d.uploads[u.MCName], u)
+	d.count++
+	d.bits += u.Bits
 }
 
 // ReceiveAll accepts a batch of uploads.
@@ -32,15 +38,29 @@ func (d *Datacenter) ReceiveAll(us []Upload) {
 	}
 }
 
-// Absorb accepts every upload another receiver holds, in its order.
-func (d *Datacenter) Absorb(o *Datacenter) {
+// Absorb accepts every upload another receiver holds, in its order,
+// under MC names prefixed with prefix (the fleet controller merges its
+// per-node ledgers into one "node/stream/mc" view this way).
+func (d *Datacenter) Absorb(prefix string, o *Datacenter) {
 	for name, us := range o.uploads {
-		d.uploads[name] = append(d.uploads[name], us...)
+		key := prefix + name
+		for _, u := range us {
+			u.MCName = key
+			d.uploads[key] = append(d.uploads[key], u)
+		}
 	}
+	d.count += o.count
+	d.bits += o.bits
+}
+
+// Totals returns how many uploads the receiver holds and their bits,
+// across every application.
+func (d *Datacenter) Totals() (uploads int, bits int64) {
+	return d.count, d.bits
 }
 
 // GobEncode encodes the received uploads, so a receiver can be part of
-// a gob-encoded value (the fleet controller's snapshots and fold
+// a gob-encoded value (the fleet controller's snapshots and move-in
 // records). Only the accounting fields take space on a controller:
 // its uploads carry no Frames and no Delay, and gob skips zero fields.
 func (d *Datacenter) GobEncode() ([]byte, error) {
@@ -49,12 +69,21 @@ func (d *Datacenter) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode replaces the receiver's uploads with the encoded ones. gob
-// allocates a top-level map even for an empty ledger, so Receive can
-// write into the result.
+// GobDecode replaces the receiver's uploads with the encoded ones and
+// recounts its totals. gob allocates a top-level map even for an empty
+// ledger, so Receive can write into the result.
 func (d *Datacenter) GobDecode(data []byte) error {
-	d.uploads = nil
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(&d.uploads)
+	*d = Datacenter{}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&d.uploads); err != nil {
+		return err
+	}
+	for _, us := range d.uploads {
+		d.count += len(us)
+		for _, u := range us {
+			d.bits += u.Bits
+		}
+	}
+	return nil
 }
 
 // KnownApplications returns the sorted MC names that have received at

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -121,7 +122,9 @@ type nodeState struct {
 	// LastSeq is the highest upload sequence number accepted from the
 	// node; retransmissions at or below it are dropped.
 	LastSeq uint64
-	// DC accumulates the node's deduplicated uploads across sessions.
+	// DC is the node's upload ledger: its deduplicated uploads across
+	// sessions and re-homes, and the only copy of them the controller
+	// keeps (Controller.Datacenter merges every node's).
 	DC *core.Datacenter
 	// Evicted counts sessions the controller force-closed (liveness
 	// timeouts and stale sessions replaced by a reconnect).
@@ -228,7 +231,7 @@ func OpenController(cfg ControllerConfig) (*Controller, *RecoveryStats, error) {
 	cfg.Log.Info("fleet: state recovered",
 		"dirs", stats.Dirs, "nodes", stats.Nodes,
 		"records", stats.RecordsReplayed, "snapshot_bytes", stats.SnapshotBytes,
-		"torn_bytes", stats.TornBytes, "folded_dirs", stats.FoldedDirs,
+		"torn_bytes", stats.TornBytes,
 		"replay", stats.Replay)
 	return c, stats, nil
 }
@@ -294,23 +297,25 @@ func (c *Controller) onNode(name string, create bool, f func(*shard, *nodeState)
 	}
 }
 
-// Datacenter returns a merged snapshot of every shard's aggregate
-// receiver: every deduplicated upload from every session, keyed
-// "node/stream/mc". The snapshot is consistent per shard and safe to
-// query while sessions are live.
+// Datacenter returns a merged snapshot of every node's ledger: every
+// deduplicated upload from every session, keyed "node/stream/mc",
+// each key's uploads in arrival order. It is built from the ledgers of
+// the nodes each shard owns, under that shard's lock, so the snapshot
+// is consistent per shard and safe to query while sessions are live.
 func (c *Controller) Datacenter() *core.Datacenter {
 	merged := core.NewDatacenter()
 	for _, sh := range c.snapshotShards() {
 		sh.mu.Lock()
-		merged.Absorb(sh.DC)
+		for name, st := range sh.Nodes {
+			merged.Absorb(name+"/", st.DC)
+		}
 		sh.mu.Unlock()
 	}
 	return merged
 }
 
-// WithDatacenter runs f with a merged snapshot of the aggregate
-// receivers (see Datacenter). f must not call back into the
-// controller.
+// WithDatacenter runs f with the merged snapshot of every node's
+// ledger (see Datacenter). f must not call back into the controller.
 func (c *Controller) WithDatacenter(f func(*core.Datacenter)) {
 	f(c.Datacenter())
 }
@@ -478,13 +483,14 @@ func (c *Controller) handleConn(conn net.Conn) error {
 // bumps first, so in-flight registrations and API calls that routed
 // under the old ring abort and retry instead of landing on a shard
 // that no longer owns their node. Moved nodes' state records
-// (ledger high-water mark, intent, lifecycle counters, datacenter)
-// transfer wholesale to their new owner, and their live sessions are
-// closed with a redirect — the edge reconnects and its resume hello
-// reconciles on the new shard exactly like any other reconnect.
-// Shrinking folds the retired shards' aggregate history (ledger
-// totals, datacenter) into shard 0, so fleet-global sums are
-// preserved.
+// (upload ledger and its high-water mark, intent, lifecycle counters)
+// transfer wholesale to their new owner as move-in records, and their
+// live sessions are closed with a redirect — the edge reconnects and
+// its resume hello reconciles on the new shard exactly like any other
+// reconnect. Ledgers move with their nodes, so fleet-global sums are
+// preserved. Shrinking deletes a retired shard's state directory only
+// once every move-in out of it is synced on its new owner; otherwise
+// the directory stays and the next recovery re-homes from it.
 func (c *Controller) Resize(shards int) (moved int, err error) {
 	if shards < 1 {
 		return 0, fmt.Errorf("fleet: shard count %d, need at least 1", shards)
@@ -552,6 +558,9 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 		to int
 	}
 	var redirects []redirectTarget
+	// lost marks each shard a move-in out of which did not reach its
+	// new owner's log (or, below, its disk).
+	lost := make(map[int]bool)
 	for _, m := range moves {
 		from, to := c.shards[m.from], c.shards[m.to]
 		from.mu.Lock()
@@ -579,7 +588,9 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 		// source shard's log can never resurrect.
 		to.mu.Lock()
 		st.Rehomed++
-		to.commit(&moveInRec{Name: m.node, Node: st})
+		if !to.commit(&moveInRec{Name: m.node, Node: st}) {
+			lost[m.from] = true
+		}
 		to.mu.Unlock()
 		moved++
 		c.cfg.Log.Info("fleet: node re-homed",
@@ -587,15 +598,39 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 	}
 
 	if shards < old {
-		// Retired shards no longer own nodes (the moves above emptied
-		// them), but their accepted-upload history must survive for
-		// fleet-global sums: fold it into shard 0.
+		// The moves above emptied the retired shards, but until the
+		// move-ins out of them are synced, a retired directory is the
+		// only durable copy of its nodes: sync every log that took one.
+		synced := make(map[int]bool)
+		for _, m := range moves {
+			if m.from < shards {
+				continue
+			}
+			if _, done := synced[m.to]; !done {
+				to := c.shards[m.to]
+				to.mu.Lock()
+				synced[m.to] = to.wal == nil || to.wal.Sync() == nil
+				to.mu.Unlock()
+			}
+			if !synced[m.to] {
+				lost[m.from] = true
+			}
+		}
 		for _, sh := range c.shards[shards:] {
 			sh.mu.Lock()
 			w := sh.wal
 			sh.wal = nil
 			sh.mu.Unlock()
-			c.shards[0].absorb(&sh.shardState, w)
+			if w == nil {
+				continue
+			}
+			dir := w.Dir()
+			w.Close()
+			if lost[sh.id] {
+				c.cfg.Log.Error("fleet: retired shard's move-ins not durable, keeping state dir", "dir", dir)
+				continue
+			}
+			_ = os.RemoveAll(dir)
 		}
 		c.shards = c.shards[:shards]
 	}
@@ -812,8 +847,8 @@ func (c *Controller) Rehomed() int {
 }
 
 // ShardStats snapshots every shard's load — node and session counts,
-// ledger totals, redirect counts, heartbeat-gap digests — ordered by
-// shard index.
+// its nodes' ledger totals, redirect counts, heartbeat-gap digests —
+// ordered by shard index.
 func (c *Controller) ShardStats() []ShardStat {
 	shards := c.snapshotShards()
 	stats := make([]ShardStat, 0, len(shards))

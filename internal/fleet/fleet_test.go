@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,8 +182,17 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wire run: controller + agent over real TCP on loopback.
-	ctrl := NewController(ControllerConfig{Timeout: 15 * time.Second})
+	// Wire run: controller + agent over real TCP on loopback. ref is
+	// fed every accepted upload under its node prefix: what the merged
+	// datacenter view must read.
+	var refMu sync.Mutex
+	ref := core.NewDatacenter()
+	ctrl := NewController(ControllerConfig{Timeout: 15 * time.Second, OnUpload: func(s *Session, u core.Upload) {
+		refMu.Lock()
+		defer refMu.Unlock()
+		u.MCName = s.Node() + "/" + u.MCName
+		ref.Receive(u)
+	}})
 	addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -251,9 +261,9 @@ func TestEndToEndOverTCP(t *testing.T) {
 			t.Fatalf("upload %d differs from baseline:\n got %+v\nwant %+v", i, g, w)
 		}
 	}
-	// The aggregate datacenter saw them too, keyed by node so a
+	// The merged datacenter view has them too, keyed by node so a
 	// second node running the same application cannot collide. (The
-	// aggregate write trails the per-session received count, so poll
+	// ledger write trails the per-session received count, so poll
 	// under the controller's lock.)
 	aggBits := func() int64 {
 		var bits int64
@@ -283,6 +293,43 @@ func TestEndToEndOverTCP(t *testing.T) {
 		return !at.IsZero() && hb.Streams["cam0"].Frames == cfg.Frames &&
 			hb.Streams["cam0"].UploadedBits >= dcBase.TotalBits("fleet-mc")
 	})
+
+	// The merged view is built from the node ledgers: it reads the same
+	// after the node's ledger moves out to another shard and back.
+	grow := 2
+	for newRing(grow).owner("edge-1") == 0 {
+		grow++
+	}
+	if moved, err := ctrl.Resize(grow); err != nil || moved != 1 {
+		t.Fatalf("grow to %d shards moved %d nodes (err %v), want edge-1", grow, moved, err)
+	}
+	if moved, err := ctrl.Resize(1); err != nil || moved != 1 {
+		t.Fatalf("shrink moved %d nodes (err %v), want edge-1", moved, err)
+	}
+	waitFor(t, "reference ledger", func() bool {
+		refMu.Lock()
+		defer refMu.Unlock()
+		n, _ := ref.Totals()
+		return n == len(want)
+	})
+	merged := ctrl.Datacenter()
+	refMu.Lock()
+	defer refMu.Unlock()
+	keys := ref.KnownApplications()
+	if got := merged.KnownApplications(); !reflect.DeepEqual(got, keys) {
+		t.Fatalf("merged view applications %v, want %v", got, keys)
+	}
+	for _, key := range keys {
+		if got, want := merged.Uploads(key), ref.Uploads(key); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: merged uploads\n got %+v\nwant %+v", key, got, want)
+		}
+		if got, want := merged.Events(key), ref.Events(key); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: merged events\n got %+v\nwant %+v", key, got, want)
+		}
+		if got, want := merged.TotalBits(key), ref.TotalBits(key); got != want {
+			t.Fatalf("%s: merged view %d bits, want %d", key, got, want)
+		}
+	}
 }
 
 // TestLiveDeployUndeployAndErrors exercises mid-stream deployment,

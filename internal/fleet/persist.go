@@ -20,15 +20,15 @@ import (
 )
 
 // The shard is a deterministic state machine over typed records. Every
-// mutation of a logged field — a node's intent, deploy generation, and
-// dedup high-water mark, the node and shard ledgers and their totals, a
-// canary's start, install epoch, and verdict, a drift baseline freeze,
-// a node arriving from another shard, a retired shard's history folding
-// in — is one record below, and shardState.apply is the only code that
-// performs it. The live path (shard.commit) logs the record and then
-// applies the typed value it already holds; recovery (replayLog) decodes
-// each logged record and calls the same apply. Replay equals live by
-// construction, not by keeping two copies of every mutation in step.
+// mutation of a logged field — a node's intent, deploy generation,
+// dedup high-water mark and upload ledger, a canary's start, install
+// epoch, and verdict, a drift baseline freeze, a node arriving from
+// another shard — is one record below, and shardState.apply is the
+// only code that performs it. The live path (shard.commit) logs the
+// record and then applies the typed value it already holds; recovery
+// (replayLog) decodes each logged record and calls the same apply.
+// Replay equals live by construction, not by keeping two copies of
+// every mutation in step.
 //
 // What heartbeats alone derive is soft state and has no record: a drift
 // pair's window boundary, scores, and drifted flag (and the reset of a
@@ -66,11 +66,6 @@ const (
 	// as the incarnation number that picks the winner when several logs
 	// hold copies of the same node.
 	wrecMoveIn uint8 = 11
-	// wrecFold records a retired shard's aggregate history (ledger
-	// totals, datacenter) folding into this shard, keyed by the retired
-	// log's directory identity so replay never counts a fold twice even
-	// if the retired directory survives a crash.
-	wrecFold uint8 = 12
 	// wrecUpload records one deduplicated sequenced upload — the full
 	// record, not just the high-water mark, so recovery rebuilds the
 	// ledger record for record (a lost acked upload is unrecoverable:
@@ -81,8 +76,9 @@ const (
 	wrecUpload uint8 = 13
 	// Kind 2 was the gob-encoded upload record, kinds 8 and 9 the
 	// move-in and fold records of the format that mirrored the state in
-	// separate snapshot structs, and kind 10 an upload over the retired
-	// one-way protocol. Reserved: never reuse the numbers. A log that
+	// separate snapshot structs, kind 10 an upload over the retired
+	// one-way protocol, and kind 12 a retired shard's aggregate ledger
+	// folding into shard 0. Reserved: never reuse the numbers. A log that
 	// still holds one fails replay with the unknown-kind error instead
 	// of being half-decoded.
 )
@@ -98,7 +94,6 @@ func (*canaryEpochRec) kind() uint8   { return wrecCanaryEpoch }
 func (*canaryVerdictRec) kind() uint8 { return wrecCanaryVerdict }
 func (*driftBaselineRec) kind() uint8 { return wrecDriftBaseline }
 func (*moveInRec) kind() uint8        { return wrecMoveIn }
-func (*foldRec) kind() uint8          { return wrecFold }
 
 // newRecord maps an on-disk kind to an empty record to decode into.
 var newRecord = [...]func() record{
@@ -110,7 +105,6 @@ var newRecord = [...]func() record{
 	wrecCanaryVerdict: func() record { return new(canaryVerdictRec) },
 	wrecDriftBaseline: func() record { return new(driftBaselineRec) },
 	wrecMoveIn:        func() record { return new(moveInRec) },
-	wrecFold:          func() record { return new(foldRec) },
 }
 
 // decodeRecord turns one logged (kind, payload) back into its typed
@@ -223,37 +217,21 @@ type moveInRec struct {
 	Node *nodeState
 }
 
-// foldRec is the wrecFold payload. FromID is zero only on an in-memory
-// controller, whose shards have no store and so no identity.
-type foldRec struct {
-	FromID     uint64
-	Uploads    int
-	UploadBits int64
-	DC         *core.Datacenter
-}
-
 // shardState is the durable part of a shard: what the log's records
 // rebuild, and — gob-encoded as it stands — what a snapshot holds. The
 // live shard embeds one and recovery builds one per log directory, both
 // through apply. Every field of it and of the types it holds is
 // exported, because gob encodes only exported fields.
+//
+// Each upload lives in exactly one place: the ledger of the node that
+// sent it (nodeState.DC), which moves between shards with the rest of
+// the node record. Fleet-wide views are merged from those ledgers.
 type shardState struct {
 	Nodes map[string]*nodeState
-	DC    *core.Datacenter // aggregate across the shard's nodes, keyed "node/stream/mc"
-	// Uploads and UploadBits are the shard ledger totals: every
-	// deduplicated upload accepted, across all of the shard's nodes.
-	Uploads    int
-	UploadBits int64
-	// Folded lists the directory identities of retired shard stores
-	// whose aggregate history this shard has absorbed (fold records):
-	// recovery skips and deletes a directory in this list, so a crash
-	// between a fold and the retired directory's removal cannot
-	// double-count it. Only shard 0 folds.
-	Folded []uint64
 }
 
 func newShardState() shardState {
-	return shardState{Nodes: make(map[string]*nodeState), DC: core.NewDatacenter()}
+	return shardState{Nodes: make(map[string]*nodeState)}
 }
 
 // node returns (creating if needed) the record for a node name. Live
@@ -271,7 +249,7 @@ func (s *shardState) node(name string) *nodeState {
 // apply performs one record's mutation. It is the only writer of the
 // logged fields (see the vocabulary above) and it never fails. Every
 // kind is also idempotent — absolute generations, max-merged epochs,
-// overwritten baselines, identity-keyed folds, seq-deduped uploads —
+// overwritten baselines, wholesale move-ins, seq-deduped uploads —
 // so a record reaching a state that already reflects it changes
 // nothing.
 func (s *shardState) apply(rec record) {
@@ -297,21 +275,13 @@ func (s *shardState) apply(rec record) {
 		}
 	case *uploadRec:
 		st := s.node(r.Node)
-		up := r.Rec.ToUpload()
 		if r.Rec.Seq != 0 {
 			if r.Rec.Seq <= st.LastSeq {
 				return // a retransmission, or a record the snapshot already counted
 			}
 			st.LastSeq = r.Rec.Seq
 		}
-		st.DC.Receive(up)
-		// The aggregate view prefixes the node name so two nodes running
-		// the same application don't collide; the per-node datacenter
-		// keeps the edge's own naming.
-		up.MCName = r.Node + "/" + up.MCName
-		s.DC.Receive(up)
-		s.Uploads++
-		s.UploadBits += up.Bits
+		st.DC.Receive(r.Rec.ToUpload())
 	case *seqResetRec:
 		s.node(r.Node).LastSeq = 0
 	case *canaryStartRec:
@@ -357,20 +327,6 @@ func (s *shardState) apply(rec record) {
 		// truth at move time; anything this shard accumulated before is a
 		// stale earlier incarnation (A→B→A re-homes land here).
 		s.Nodes[r.Name] = r.Node
-	case *foldRec:
-		// Folds are keyed by the retired store's identity: a record whose
-		// source this shard already absorbed (the snapshot preceding it
-		// was taken after the fold applied) must not double-count. With
-		// no store there is no identity, and nothing to replay the fold.
-		if r.FromID != 0 {
-			if slices.Contains(s.Folded, r.FromID) {
-				return
-			}
-			s.Folded = append(s.Folded, r.FromID)
-		}
-		s.Uploads += r.Uploads
-		s.UploadBits += r.UploadBits
-		s.DC.Absorb(r.DC)
 	default:
 		panic(fmt.Sprintf("fleet: apply: no mutation defined for record %T", rec))
 	}
@@ -382,7 +338,7 @@ func (s *shardState) apply(rec record) {
 // names would decode into a state that quietly lost them; recovery
 // refuses any snapshot that does not start with this number instead.
 // Bump it whenever a durable field is renamed or changes meaning.
-const stateFormat = 2
+const stateFormat = 3
 
 // encodeGob gob-encodes vs, in order, as one stream.
 func encodeGob(vs ...any) ([]byte, error) {
@@ -467,36 +423,6 @@ func (sh *shard) snapshotLocked() error {
 	return nil
 }
 
-// absorb folds a retired shard's aggregate history — ledger totals and
-// datacenter — into sh, always shard 0, and retires the shard's log w
-// (nil on an in-memory controller). The fold record is keyed by w's
-// identity and committed and synced before w's directory is deleted,
-// so a crash anywhere either replays the fold or re-folds the surviving
-// directory, and never counts it twice. A directory whose fold did not
-// reach the log stays in place: it is the only durable copy of its
-// history, and the next recovery folds it. absorb reports whether the
-// fold is durable. Callers must not hold sh.mu.
-func (sh *shard) absorb(from *shardState, w *walog.Log) bool {
-	fold := &foldRec{Uploads: from.Uploads, UploadBits: from.UploadBits, DC: from.DC}
-	if w != nil {
-		fold.FromID = w.ID()
-	}
-	sh.mu.Lock()
-	durable := sh.commit(fold) && (sh.wal == nil || sh.wal.Sync() == nil)
-	sh.mu.Unlock()
-	if w == nil {
-		return durable
-	}
-	dir := w.Dir()
-	w.Close()
-	if durable {
-		_ = os.RemoveAll(dir)
-	} else {
-		sh.c.cfg.Log.Error("fleet: retired shard fold not durable, keeping state dir", "dir", dir)
-	}
-	return durable
-}
-
 // replayLog rebuilds one log directory's shard state — its snapshot,
 // then every wal record through apply — and counts the records.
 func replayLog(l *walog.Log) (shardState, int, error) {
@@ -526,11 +452,8 @@ func replayLog(l *walog.Log) (shardState, int, error) {
 // RecoveryStats summarizes a controller's state recovery from its
 // StateDir: what was replayed, what it cost, and what was repaired.
 type RecoveryStats struct {
-	// Dirs is the number of shard log directories found; FoldedDirs
-	// how many of them were retired (out of range for the configured
-	// shard count, or already folded) and absorbed into shard 0.
-	Dirs       int
-	FoldedDirs int
+	// Dirs is the number of shard log directories found.
+	Dirs int
 	// Nodes is the number of node records recovered (after resolving
 	// duplicates across logs by incarnation).
 	Nodes int
@@ -561,8 +484,8 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 // owner's wal before the stale copy is dropped from memory, so a crash
 // at any point leaves the newest incarnation durable exactly once.
 // Retired directories (index beyond the configured shard count) are
-// then folded into shard 0 and deleted, exactly as Resize retires a
-// shard (shard.absorb).
+// deleted once every winner they held is durable on its new owner,
+// exactly as Resize retires a shard.
 func (c *Controller) recoverState() (*RecoveryStats, error) {
 	start := time.Now()
 	stats := &RecoveryStats{}
@@ -576,11 +499,10 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	}
 
 	type recovered struct {
-		idx     int
-		path    string
-		log     *walog.Log
-		state   shardState
-		records int
+		idx   int
+		path  string
+		log   *walog.Log
+		state shardState
 	}
 	var dirs []recovered
 	for i, path := range paths {
@@ -593,32 +515,12 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 			l.Close()
 			return nil, fmt.Errorf("fleet: replay %s: %w", path, err)
 		}
-		dirs = append(dirs, recovered{idx: idxs[i], path: path, log: l, state: state, records: records})
+		dirs = append(dirs, recovered{idx: idxs[i], path: path, log: l, state: state})
+		stats.RecordsReplayed += records
 		stats.SnapshotBytes += l.SnapshotSize()
 		stats.TornBytes += l.TornBytes()
 	}
 	stats.Dirs = len(dirs)
-
-	// Union of folded directory identities: a directory in the set has
-	// already been absorbed — skip its contents, delete it.
-	folded := make(map[uint64]bool)
-	for _, d := range dirs {
-		for _, id := range d.state.Folded {
-			folded[id] = true
-		}
-	}
-	kept := dirs[:0]
-	for _, d := range dirs {
-		if folded[d.log.ID()] {
-			d.log.Close()
-			_ = os.RemoveAll(d.path)
-			stats.FoldedDirs++
-			continue
-		}
-		kept = append(kept, d)
-		stats.RecordsReplayed += d.records
-	}
-	dirs = kept
 
 	// Attach logs and state: an in-range directory's replayed state IS
 	// its shard's state; out-of-range ones (a previous run had more
@@ -646,10 +548,9 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	// move between logs bumps it, so the highest copy is the newest.
 	// Ties break toward higher generation, then lower directory index —
 	// deterministic, and unreachable when move ordering held. Retired
-	// directories are considered too: their nodes moved out before
-	// retirement (Resize empties a shard before folding it), so copies
-	// there are stale unless a crash cut that Resize short before it
-	// moved them out.
+	// directories are considered too: Resize deletes one only once its
+	// nodes' move-ins are durable elsewhere, so a surviving retired
+	// directory may hold the only durable copy of a node.
 	type winner struct {
 		st     *nodeState
 		srcIdx int
@@ -699,15 +600,14 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	stats.Nodes = len(winners)
 
 	// With every winner durable on its owner, retired directories hold
-	// only stale copies and aggregate history: fold and delete them.
+	// only stale copies: delete them.
 	for _, d := range retired {
-		if c.shards[0].absorb(&d.state, d.log) {
-			stats.FoldedDirs++
-		}
+		d.log.Close()
+		_ = os.RemoveAll(d.path)
 	}
 
-	// Compact: with move-ins and folds durable, snapshot order across
-	// shards no longer matters.
+	// Compact: with move-ins durable, snapshot order across shards no
+	// longer matters.
 	for _, sh := range c.shards {
 		if err := sh.snapshotLocked(); err != nil {
 			c.cfg.Log.Error("fleet: recovery snapshot failed", "shard", sh.id, "err", err)

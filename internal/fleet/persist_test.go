@@ -63,8 +63,6 @@ func fullState() shardState {
 	sk := cumSketch(alt(0.2, 0.7, 16))
 	node := core.NewDatacenter()
 	node.Receive(core.Upload{MCName: "cam0/mc-1", EventID: 3, Start: 10, End: 14, Bits: 900, Final: true})
-	agg := core.NewDatacenter()
-	agg.Receive(core.Upload{MCName: "edge-1/cam0/mc-1", EventID: 3, Start: 10, End: 14, Bits: 900, Final: true})
 	return shardState{
 		Nodes: map[string]*nodeState{"edge-1": {
 			Intent: map[string]map[string]deployment{"cam0": {"mc-1": {MC: []byte{1, 2, 3}, Threshold: 0.5, Version: 2}}},
@@ -80,9 +78,6 @@ func fullState() shardState {
 				Outcome: CanaryRolledBack, Reason: "pass-rate gap",
 			}},
 		}},
-		DC:      agg,
-		Uploads: 1, UploadBits: 900,
-		Folded: []uint64{77},
 	}
 }
 
@@ -121,8 +116,7 @@ func TestStateRoundTrip(t *testing.T) {
 	want := fullState()
 	requireFull(t, "shardState", reflect.ValueOf(want))
 	if got := snapshotRoundTrip(t, want); !reflect.DeepEqual(got, want) {
-		t.Errorf("snapshot round trip:\n got  %+v %+v\n      %s\n want %+v %+v\n      %s", got, got.DC, withoutMCBytes(*got.Nodes["edge-1"]),
-			want, want.DC, withoutMCBytes(*want.Nodes["edge-1"]))
+		t.Errorf("snapshot round trip:\n got  %s\n want %s", withoutMCBytes(*got.Nodes["edge-1"]), withoutMCBytes(*want.Nodes["edge-1"]))
 	}
 	payload, err := encodeGob(&moveInRec{Name: "edge-1", Node: want.Nodes["edge-1"]})
 	if err != nil {
@@ -151,7 +145,6 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 		&canaryVerdictRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", Version: 2, Outcome: CanaryPromoted},
 		&driftBaselineRec{Node: "edge-1", Key: "cam0/mc-1", Baseline: sk, Version: 1},
 		&moveInRec{Name: "edge-1", Node: fullState().Nodes["edge-1"]},
-		&foldRec{FromID: 5, Uploads: 1, UploadBits: 900, DC: fullState().DC},
 		&uploadRec{Node: "edge-1", Rec: up},
 	}
 	var kinds []int
@@ -167,7 +160,7 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 			st.apply(rec)
 			// Every map the record wrote into is usable afterwards.
 			st.apply(&uploadRec{Node: "edge-1", Rec: transport.UploadRecord{MCName: "cam0/mc-2", Seq: 99}})
-			if st.Uploads == 0 || len(st.Nodes["edge-1"].DC.Uploads("cam0/mc-2")) != 1 {
+			if len(st.Nodes["edge-1"].DC.Uploads("cam0/mc-2")) != 1 {
 				t.Fatalf("ledger unusable after kind %d: %+v", rec.kind(), st)
 			}
 		})
@@ -177,11 +170,13 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesParentFormat writes state directories the way the
-// previous format did — a snapshot of mirror structs, and a move-in
-// record carrying a mirror of the node — with those shapes declared
-// here. Recovery must refuse each with an error naming the directory,
-// recover no node, and leave the directory as it found it.
+// TestOpenRefusesParentFormat writes state directories the way earlier
+// formats did — a snapshot of mirror structs and a move-in record
+// carrying a mirror of the node; a format-2 snapshot still carrying the
+// shard-wide aggregate ledger and folded identities; a fold record —
+// with those shapes declared here. Recovery must refuse each with an
+// error naming the directory, recover no node, and leave the directory
+// as it found it.
 func TestOpenRefusesParentFormat(t *testing.T) {
 	type parentUpload struct {
 		MCName     string
@@ -211,6 +206,24 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 		Folded     []uint64
 	}
 	type parentMoveIn struct{ Node parentNode }
+	// format2Shard is shardState as format 2 had it; format2Fold its
+	// fold record (kind 12).
+	type format2Shard struct {
+		Nodes      map[string]*nodeState
+		DC         *core.Datacenter
+		Uploads    int
+		UploadBits int64
+		Folded     []uint64
+	}
+	type format2Fold struct {
+		FromID     uint64
+		Uploads    int
+		UploadBits int64
+		DC         *core.Datacenter
+	}
+	nodeLedger, aggLedger := core.NewDatacenter(), core.NewDatacenter()
+	nodeLedger.Receive(core.Upload{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true})
+	aggLedger.Receive(core.Upload{MCName: "edge-1/cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true})
 	ledger := []parentUpload{{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true}}
 	node := parentNode{
 		Name: "edge-1", Gen: 1, LastSeq: 1, Rehomed: 1, Uploads: ledger,
@@ -223,14 +236,20 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 
 	for _, tc := range []struct {
 		name     string
-		snapshot any   // nil: no snapshot
+		snapshot []any // gob-encoded in order; nil: no snapshot
 		kind     uint8 // a record appended after the intent record; 0: none
 		record   any
 		want     string // in the error
 	}{
-		{name: "snapshot", snapshot: parentShard{Uploads: 1, UploadBits: 100, DC: ledger, Nodes: []parentNode{node}},
+		{name: "snapshot", snapshot: []any{parentShard{Uploads: 1, UploadBits: 100, DC: ledger, Nodes: []parentNode{node}}},
 			want: fmt.Sprintf("not in state format %d", stateFormat)},
 		{name: "move-in", kind: 8, record: parentMoveIn{Node: node}, want: "unknown wal record kind 8"},
+		{name: "format-2", snapshot: []any{2, format2Shard{
+			Nodes: map[string]*nodeState{"edge-1": {Gen: 1, LastSeq: 1, DC: nodeLedger}},
+			DC:    aggLedger, Uploads: 1, UploadBits: 100, Folded: []uint64{77},
+		}}, want: "not in state format 3"},
+		{name: "fold", kind: 12, record: format2Fold{FromID: 77, Uploads: 1, UploadBits: 100, DC: aggLedger},
+			want: "unknown wal record kind 12"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -240,7 +259,7 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.snapshot != nil {
-				payload, err := encodeGob(tc.snapshot)
+				payload, err := encodeGob(tc.snapshot...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -526,11 +527,13 @@ func TestRestartRecoversDeferredIntent(t *testing.T) {
 	}
 }
 
-// TestResizeShrinkFoldDurable checks the shrink fold is a WAL record:
-// after Resize folds retired shards' aggregate history into shard 0, a
-// crash (no snapshot) must not lose it, and a second recovery must not
-// double-count it — the fold is keyed by the retired store's identity.
-func TestResizeShrinkFoldDurable(t *testing.T) {
+// TestResizeShrinkMoveInDurable checks that a shrink carries every
+// ledger to its new owner as a durable move-in: after Resize retires two
+// of three shards, their directories are gone, and a crash (no
+// snapshot, so recovery is pure wal replay) followed by two recoveries
+// must find every node's ledger, the ShardStats totals, and the merged
+// Datacenter view equal to the edges' ground truth.
+func TestResizeShrinkMoveInDurable(t *testing.T) {
 	stateDir := t.TempDir()
 	n := simnet.New(chaosSeed)
 	ln, err := n.Listen("dc")
@@ -541,7 +544,7 @@ func TestResizeShrinkFoldDurable(t *testing.T) {
 		Timeout:       5 * time.Second,
 		Shards:        3,
 		StateDir:      stateDir,
-		SnapshotEvery: -1, // no automatic compaction: the fold record itself must carry the history
+		SnapshotEvery: -1, // no automatic compaction: the move-in records themselves must carry the ledgers
 	}
 	ctrl, _, err := OpenController(cfg)
 	if err != nil {
@@ -574,26 +577,17 @@ func TestResizeShrinkFoldDurable(t *testing.T) {
 		waitFor(t, c.name+" uploads", func() bool {
 			total := -1
 			ctrl.WithNodeDatacenter(c.name, func(dc *core.Datacenter) {
-				total = 0
-				for _, app := range dc.KnownApplications() {
-					total += len(dc.Uploads(app))
-				}
+				total, _ = dc.Totals()
 			})
 			return total == c.gtCount()
 		})
 	}
-	loaded := 0
-	for _, s := range ctrl.ShardStats() {
-		if s.Uploads > 0 {
-			loaded++
-		}
+	retiring := 0
+	for _, s := range ctrl.ShardStats()[1:] {
+		retiring += s.Uploads
 	}
-	if loaded < 2 {
-		t.Fatalf("only %d shards carry uploads; the fold would be trivial", loaded)
-	}
-	wantUploads := 0
-	for _, c := range agents {
-		wantUploads += c.gtCount()
+	if retiring == 0 {
+		t.Fatal("the retiring shards own no uploads; the shrink would move no ledger")
 	}
 	for _, c := range agents {
 		c.agent.Close()
@@ -602,47 +596,132 @@ func TestResizeShrinkFoldDurable(t *testing.T) {
 	if _, err := ctrl.Resize(1); err != nil {
 		t.Fatal(err)
 	}
-	// Retired stores are gone the moment the fold is durable.
+	// Retired stores are gone once the move-ins out of them are durable.
 	for i := 1; i < 3; i++ {
 		if _, err := os.Stat(filepath.Join(stateDir, shardDirName(i))); !os.IsNotExist(err) {
-			t.Fatalf("retired shard dir %d still present after durable fold (err %v)", i, err)
+			t.Fatalf("retired shard dir %d still present after a durable shrink (err %v)", i, err)
 		}
 	}
+	checkLedgers(t, ctrl, agents)
 	ctrl.Crash()
 
-	ctrl2, _, err := OpenController(ControllerConfig{Timeout: 5 * time.Second, Shards: 1, StateDir: stateDir})
+	// Recover twice: the second replays the same snapshot-less wal over
+	// again and must read the same.
+	for round := 1; round <= 2; round++ {
+		ctrl, _, err = OpenController(ControllerConfig{Timeout: 5 * time.Second, Shards: 1, StateDir: stateDir})
+		if err != nil {
+			t.Fatalf("recovery %d: %v", round, err)
+		}
+		checkLedgers(t, ctrl, agents)
+		ctrl.Crash()
+	}
+}
+
+// TestResizeShrinkKeepsUndurableDir checks the other half of the shrink
+// contract: when a move-in out of a retired shard does not reach its new
+// owner's log, the retired directory is the only durable copy of the
+// node, so Resize keeps it and the next recovery re-homes the node from
+// it, ledger and all.
+func TestResizeShrinkKeepsUndurableDir(t *testing.T) {
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := ctrl2.ShardStats()
-	if len(stats) != 1 || stats[0].Uploads != wantUploads {
-		t.Fatalf("recovered fold: shard stats %+v, want %d uploads on shard 0", stats, wantUploads)
+	cfg := ControllerConfig{Timeout: 5 * time.Second, Shards: 2, StateDir: t.TempDir(), SnapshotEvery: -1}
+	ctrl, _, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Node ledgers survived the fold + crash record for record.
+	ctrl.Serve(ln)
+	defer func() { ctrl.Crash() }()
+	node := "edge-0"
+	for i := 1; newRing(2).owner(node) != 1; i++ {
+		node = fmt.Sprintf("edge-%d", i)
+	}
+	edge := dialScripted(t, n, Hello{Node: node})
+	edge.upload(1, 0)
+	edge.upload(2, 10)
+	edge.conn.Close()
+
+	// Shard 0's log stops taking appends: the move-in fails.
+	sh0 := ctrl.snapshotShards()[0]
+	sh0.mu.Lock()
+	sh0.wal.Abandon()
+	sh0.mu.Unlock()
+	if _, err := ctrl.Resize(1); err != nil {
+		t.Fatal(err)
+	}
+	retired := filepath.Join(cfg.StateDir, shardDirName(1))
+	if _, err := os.Stat(retired); err != nil {
+		t.Fatalf("retired dir removed though its move-in was not durable: %v", err)
+	}
+	live := captureLogged(ctrl)
+	if uploads, _ := live.Nodes[node].DC.Totals(); uploads != 2 {
+		t.Fatalf("moved node holds %d uploads, want 2", uploads)
+	}
+	ctrl.Crash()
+
+	cfg.Shards = 1
+	ctrl, _, err = OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered := captureLogged(ctrl); !reflect.DeepEqual(recovered, live) {
+		t.Fatalf("recovery from the kept dir differs:\n live      %s\n recovered %s",
+			withoutMCBytes(live.Nodes[node]), withoutMCBytes(recovered.Nodes[node]))
+	}
+	if _, err := os.Stat(retired); !os.IsNotExist(err) {
+		t.Fatalf("recovery kept the retired dir once the node was re-homed (err %v)", err)
+	}
+}
+
+// checkLedgers requires every agent's ledger on ctrl, the ShardStats
+// totals, and the merged Datacenter view to equal the agents' ground
+// truth record for record.
+func checkLedgers(t *testing.T, ctrl *Controller, agents []*chaosAgent) {
+	t.Helper()
+	same := func(g, w core.Upload) bool {
+		return g.EventID == w.EventID && g.Start == w.Start && g.End == w.End && g.Bits == w.Bits && g.Final == w.Final
+	}
+	merged := ctrl.Datacenter()
+	wantUploads, wantBits, apps := 0, int64(0), 0
 	for _, c := range agents {
-		if err := ctrl2.WithNodeDatacenter(c.name, func(dc *core.Datacenter) {
+		if err := ctrl.WithNodeDatacenter(c.name, func(dc *core.Datacenter) {
+			if got := dc.KnownApplications(); len(got) != len(c.gt) {
+				t.Fatalf("%s ledger apps %v, ground truth has %d MCs", c.name, got, len(c.gt))
+			}
 			for app, want := range c.gt {
-				got := dc.Uploads(app)
-				if len(got) != len(want) {
-					t.Fatalf("%s %s: %d uploads after fold recovery, want %d", c.name, app, len(got), len(want))
+				got, view := dc.Uploads(app), merged.Uploads(c.name+"/"+app)
+				if len(got) != len(want) || len(view) != len(want) {
+					t.Fatalf("%s %s: ledger %d uploads, merged view %d, want %d", c.name, app, len(got), len(view), len(want))
 				}
+				for i, w := range want {
+					if got[i].MCName != w.MCName || !same(got[i], w) {
+						t.Fatalf("%s %s upload %d differs:\n got %+v\nwant %+v", c.name, app, i, got[i], w)
+					}
+					if view[i].MCName != c.name+"/"+w.MCName || !same(view[i], w) {
+						t.Fatalf("%s %s merged upload %d differs:\n got %+v\nwant %+v", c.name, app, i, view[i], w)
+					}
+					wantBits += w.Bits
+				}
+				apps++
 			}
 		}); err != nil {
 			t.Fatal(err)
 		}
+		wantUploads += c.gtCount()
 	}
-	ctrl2.Crash()
-
-	// Idempotence: recovering again (the fold records replay a second
-	// time, against the same snapshot-less wal) must not double-count.
-	ctrl3, _, err := OpenController(ControllerConfig{Timeout: 5 * time.Second, Shards: 1, StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
+	if got := len(merged.KnownApplications()); got != apps {
+		t.Fatalf("merged view holds %d applications, ground truth %d", got, apps)
 	}
-	defer ctrl3.Close()
-	stats = ctrl3.ShardStats()
-	if len(stats) != 1 || stats[0].Uploads != wantUploads {
-		t.Fatalf("second recovery double-counted the fold: %+v, want %d uploads", stats, wantUploads)
+	gotUploads, gotBits := 0, int64(0)
+	for _, s := range ctrl.ShardStats() {
+		gotUploads += s.Uploads
+		gotBits += s.UploadBits
+	}
+	if gotUploads != wantUploads || gotBits != wantBits {
+		t.Fatalf("shard stats total %d uploads / %d bits, ground truth %d / %d", gotUploads, gotBits, wantUploads, wantBits)
 	}
 }
 

@@ -35,10 +35,9 @@ var ErrEvicted = errors.New("fleet: session replaced by reconnect")
 var ErrRedirected = errors.New("fleet: session re-homed to another shard")
 
 // Session is the controller's view of one connected edge node. Its
-// uploads land in the owning shard's ledgers — the node's and the
-// shard's aggregate (Controller.WithNodeDatacenter and
-// Controller.Datacenter read them); the session itself only counts
-// them. All methods are safe for concurrent use.
+// uploads land in the node's ledger on the owning shard
+// (Controller.WithNodeDatacenter reads it, and Controller.Datacenter
+// merges every node's); the session itself only counts them. All methods are safe for concurrent use.
 type Session struct {
 	id      uint64
 	node    string

@@ -28,10 +28,9 @@ type shard struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*Session
-	// shardState is the durable part — node records, the aggregate
-	// datacenter, ledger totals, folded store identities. Its logged
-	// fields change only through commit (log, then apply); see
-	// persist.go.
+	// shardState is the durable part: the node records, ledgers
+	// included. Its logged fields change only through commit (log, then
+	// apply); see persist.go.
 	shardState
 	// redirects counts hellos and sessions this shard turned away
 	// because the placement epoch moved under them.
@@ -208,8 +207,8 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 // longer owns the node record (re-home raced the delivery), is
 // dropped WITHOUT an ack: no shard is accounting it here, so the edge
 // must keep it buffered and retransmit to the node's current owner.
-// Fresh uploads are committed: logged, then applied to the node and
-// shard datacenters and the shard ledger totals.
+// Fresh uploads are committed: logged, then applied to the node's
+// ledger.
 func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, ack bool) {
 	sh.mu.Lock()
 	// An evicted session must not touch the node ledger: its
@@ -342,8 +341,10 @@ type ShardStat struct {
 	// sessions); Sessions counts live sessions.
 	Nodes    int
 	Sessions int
-	// Uploads and UploadBits are the shard ledger totals: every
-	// deduplicated upload the shard ever accepted.
+	// Uploads and UploadBits total the ledgers of the nodes the shard
+	// owns now: every deduplicated upload those nodes delivered, on
+	// whichever shard they were. A re-home moves a node's share with it,
+	// so the sum over shards is the fleet's total.
 	Uploads    int
 	UploadBits int64
 	// Redirects counts hellos turned away under a stale placement
@@ -373,12 +374,15 @@ func (sh *shard) stats() ShardStat {
 		Shard:             sh.id,
 		Nodes:             len(sh.Nodes),
 		Sessions:          len(sh.sessions),
-		Uploads:           sh.Uploads,
-		UploadBits:        sh.UploadBits,
 		Redirects:         sh.redirects,
 		HeartbeatGap:      sh.hbGap.Snapshot(),
 		HeartbeatHandling: sh.hbHandle.Snapshot(),
 		Snapshots:         sh.snapshots,
+	}
+	for _, ns := range sh.Nodes {
+		uploads, bits := ns.DC.Totals()
+		st.Uploads += uploads
+		st.UploadBits += bits
 	}
 	if sh.wal != nil {
 		st.SnapshotBytes = sh.wal.SnapshotSize()

@@ -3,8 +3,8 @@
 package tensor
 
 // The register-blocked kernels that end in the epilogue: Epilogue.Apply
-// and the depthwise span, each in the two amd64 tiers the GEMM has
-// (epilogue_amd64.s). useAVX2 picks eight lanes over four. Every lane
+// and the depthwise span, each in two vector widths (epilogue_amd64.s):
+// eight lanes on the AVX2 and AVX-512 tiers, four on SSE. Every lane
 // does what applyOne and depthwiseGo do, with its operands in one fixed
 // order (the input or running value first in a product or a sum, zero
 // first in the ReLU's MAX, the cap first in its MIN), the order the
@@ -36,9 +36,10 @@ func (ep *Epilogue) mode() int {
 	return m
 }
 
-// lanes is the vector width of the tier this process runs.
+// lanes is the vector width of the epilogue and the depthwise span on
+// the tier this process runs: the AVX-512 tier keeps them at eight.
 func lanes() int {
-	if useAVX2 {
+	if cpuTier >= tierAVX2 {
 		return 8
 	}
 	return 4
@@ -71,7 +72,7 @@ func (ep *Epilogue) applyVec(c []float32, m, n int) int {
 	}
 	_ = c[(m-1)*n+nv-1]
 	bias, scale, shift := ep.vecOperands(nv)
-	if useAVX2 {
+	if lanes() == 8 {
 		epilogueAVX2(m, nv, n, &c[0], bias, scale, shift, mode, ep.Cap)
 	} else {
 		epilogueSSE(m, nv, n, &c[0], bias, scale, shift, mode, ep.Cap)
@@ -97,7 +98,7 @@ func depthwiseVec(dst []float32, npix, ic, xstride int, taps []Tap, ep *Epilogue
 		tp = &taps[0]
 	}
 	bias, scale, shift := ep.vecOperands(nc)
-	if useAVX2 {
+	if lanes() == 8 {
 		depthwiseAVX2(&dst[0], npix, nc, ic, xstride, tp, len(taps), bias, scale, shift, ep.mode(), ep.Cap)
 	} else {
 		depthwiseSSE(&dst[0], npix, nc, ic, xstride, tp, len(taps), bias, scale, shift, ep.mode(), ep.Cap)

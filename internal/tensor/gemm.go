@@ -15,18 +15,20 @@ package tensor
 // wants, so weights never need transposition.
 //
 // The microkernel computes a register tile of A rows, each from its own
-// base, against one B panel of eight columns. amd64 has two tiers,
-// picked once at package initialization (gemm_kernel_amd64.go): an
-// eight-lane AVX2 kernel over eight rows where the CPU has it, and the
-// four-lane SSE kernel of the amd64 baseline over four rows otherwise.
-// Other architectures, and -tags purego, run a portable Go 4×8 kernel
+// base, against one B panel of eight columns, or two adjacent ones.
+// amd64 has three tiers, picked once at package initialization
+// (gemm_kernel_amd64.go): a sixteen-lane AVX-512 kernel over eight rows
+// and two panels where the CPU has AVX512F, an eight-lane AVX2 kernel
+// over eight rows and one panel where it has AVX2, and the four-lane
+// SSE kernel of the amd64 baseline over four rows otherwise. Other
+// architectures, and -tags purego, run a portable Go 4×8 kernel
 // (gemm_kernel_generic.go). Every kernel accumulates each output
 // element over k in the same sequential multiply-then-add order, so
 // results are bitwise identical across kernels, row splits, and worker
 // counts.
 
 // gemmMR×gemmNR is the tile of the 4×8 kernels: four A rows against
-// eight B columns. The AVX2 tile is tileMax rows high.
+// eight B columns. The AVX2 and AVX-512 tiles are tileMax rows high.
 const (
 	gemmMR  = 4
 	gemmNR  = 8
@@ -220,12 +222,14 @@ func (w *rowWalk) next() int {
 // write-back). C is m×n row-major and fully overwritten. The rows run
 // through the microkernel one tile at a time — tileRows() consecutive
 // rows, whatever lines or images they cross, each read from its own
-// base. The last tile's rows past m repeat its last live row, and the
-// last B panel is zero-padded past n; such a tile lands in a stack tile
-// and only its live rows and columns are copied out. Every output
-// element accumulates over k in the same sequential order whichever
-// tile holds it, so callers may split the rows across goroutines
-// (ARows.First) for bitwise identical results.
+// base — and the columns tileCols() at a time while that many packed
+// columns remain, one panel at a time after that. The last tile's rows
+// past m repeat its last live row, and the last B panel is zero-padded
+// past n; such a tile lands in a stack tile and only its live rows and
+// columns are copied out. Every output element accumulates over k in
+// the same sequential order whichever tile holds it, so callers may
+// split the rows across goroutines (ARows.First) for bitwise identical
+// results.
 func GemmInPlace(m, n int, a *ARows, bp, c []float32, ep *Epilogue) {
 	if m <= 0 || n <= 0 {
 		return
@@ -235,11 +239,12 @@ func GemmInPlace(m, n int, a *ARows, bp, c []float32, ep *Epilogue) {
 		epilogueOnly(m, n, c, ep)
 		return
 	}
-	_ = bp[roundUp(n, gemmNR)*k-1]
+	np := roundUp(n, gemmNR)
+	_ = bp[np*k-1]
 	_ = c[m*n-1]
-	h := tileRows()
+	h, wide := tileRows(), tileCols()
 	var offs [tileMax]int
-	var tile [tileMax * gemmNR]float32
+	var tile [tileMax * 2 * gemmNR]float32
 	rows := a.walk()
 	for i0 := 0; i0 < m; i0 += h {
 		live := min(h, m-i0)
@@ -250,16 +255,19 @@ func GemmInPlace(m, n int, a *ARows, bp, c []float32, ep *Epilogue) {
 			offs[r] = offs[live-1]
 		}
 		block := c[i0*n : (i0+live)*n]
-		for j0 := 0; j0 < n; j0 += gemmNR {
-			b := bp[j0*k : (j0+gemmNR)*k]
-			if live == h && j0+gemmNR <= n {
+		for j0, w := 0, wide; j0 < n; j0 += w {
+			if j0+w > np {
+				w = gemmNR
+			}
+			b := bp[j0*k : (j0+w)*k]
+			if live == h && j0+w <= n {
 				kernTile(a, &offs, b, block[j0:], n)
 				continue
 			}
-			kernTile(a, &offs, b, tile[:], gemmNR)
-			w := min(n-j0, gemmNR)
+			kernTile(a, &offs, b, tile[:], w)
+			cols := min(n-j0, w)
 			for r := 0; r < live; r++ {
-				copy(block[r*n+j0:r*n+j0+w], tile[r*gemmNR:r*gemmNR+w])
+				copy(block[r*n+j0:r*n+j0+cols], tile[r*w:r*w+cols])
 			}
 		}
 		ep.Apply(block, live, n)

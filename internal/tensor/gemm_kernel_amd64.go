@@ -2,80 +2,123 @@
 
 package tensor
 
-// The amd64 build carries two microkernel tiers over the same A rows
+// The amd64 build carries three microkernel tiers over the same A rows
 // and B panels. The four-lane SSE 4×8 kernel needs nothing past the
 // amd64 baseline; the eight-lane AVX2 8×8 kernel
-// (gemm_kernel_avx2_amd64.s) runs eight rows at once and is selected
-// once, at package initialization, when the CPU and the operating
-// system support it. Both accumulate each output element over p in
+// (gemm_kernel_avx2_amd64.s) runs eight rows at once; the sixteen-lane
+// AVX-512 8×16 kernel (gemm_kernel_avx512_amd64.s) runs the same eight
+// rows against two adjacent B panels. The tier is selected once, at
+// package initialization, from what the CPU and the operating system
+// support. Every kernel accumulates each output element over p in
 // sequential multiply-then-add order (lane-parallel across columns,
 // never across k, never fused), so results are bitwise identical to
 // each other and to the portable Go kernel.
 
-// useAVX2 selects the eight-row tile. It is written only here and by
-// tests.
-var useAVX2 = detectAVX2()
+// tier is a microkernel tier: the instruction set the GEMM tile, the
+// depthwise span and the epilogue run on.
+type tier uint8
 
-// detectAVX2 reports whether AVX2 instructions may run: the CPU has
-// AVX and AVX2, and the operating system saves the YMM state (OSXSAVE
-// set and XCR0 enabling both the SSE and AVX register files).
-func detectAVX2() bool {
+const (
+	tierSSE tier = iota
+	tierAVX2
+	tierAVX512
+)
+
+// cpuTier is the tier this process runs. It is written only here and
+// by tests; tileRows, tileCols, lanes and Kernel all derive from it.
+var cpuTier = detectTier()
+
+// detectTier reads the highest tier whose instructions may run:
+//   - avx2: the CPU has AVX and AVX2, and the operating system saves
+//     the YMM state (OSXSAVE set, XCR0 enabling the SSE and AVX
+//     register files);
+//   - avx512: in addition the CPU has AVX512F (CPUID.7.0:EBX bit 16)
+//     and XCR0 enables the opmask and both halves of the ZMM state
+//     (XCR0 & 0xE6 == 0xE6).
+func detectTier() tier {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return tierSSE
 	}
 	const osxsave, avx = 1 << 27, 1 << 28
 	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+		return tierSSE
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
+	xcr0, _ := xgetbv()
+	if xcr0&6 != 6 {
+		return tierSSE
 	}
-	const avx2 = 1 << 5
+	const avx2, avx512f = 1 << 5, 1 << 16
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	switch {
+	case ebx&avx2 == 0:
+		return tierSSE
+	case ebx&avx512f != 0 && xcr0&0xe6 == 0xe6:
+		return tierAVX512
+	}
+	return tierAVX2
 }
 
-// Kernel names the GEMM microkernel tier this process runs: "avx2",
-// "sse", or (other architectures and -tags purego) "generic".
-func Kernel() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "sse"
+func (t tier) String() string {
+	return [...]string{tierSSE: "sse", tierAVX2: "avx2", tierAVX512: "avx512"}[t]
 }
+
+// Kernel names the GEMM microkernel tier this process runs: "avx512",
+// "avx2", "sse", or (other architectures and -tags purego) "generic".
+func Kernel() string { return cpuTier.String() }
 
 // tileRows is the height of the tile GemmInPlace walks: eight rows on
-// the AVX2 tier, four on the SSE tier.
+// the AVX2 and AVX-512 tiers, four on the SSE tier.
 func tileRows() int {
-	if useAVX2 {
+	if cpuTier >= tierAVX2 {
 		return tileMax
 	}
 	return gemmMR
 }
 
-// kernTile computes one tile over the full k extent — the tileRows()
-// rows of a whose bases are in offs, against the B panel bp — and stores
-// it raw, row r at c[r*ldc:]. The rows were checked against a.Data when
-// their bases were taken (rowWalk.next).
-func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int) {
-	_ = bp[a.Segs*a.Len*gemmNR-1]
-	if useAVX2 {
-		_ = c[7*ldc+7]
-		kern8x8AVX2(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
-		return
+// tileCols is the widest tile GemmInPlace walks: two B panels on the
+// AVX-512 tier, one elsewhere.
+func tileCols() int {
+	if cpuTier == tierAVX512 {
+		return 2 * gemmNR
 	}
-	_ = c[3*ldc+7]
-	kern4x8SSE(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
+	return gemmNR
 }
 
-// Implemented in gemm_kernel_amd64.s and gemm_kernel_avx2_amd64.s.
+// kernTile computes one tile over the full k extent — the tileRows()
+// rows of a whose bases are in offs, against the B panels bp (one, or
+// two adjacent ones on the AVX-512 tier) — and stores it raw, row r at
+// c[r*ldc:]. The rows were checked against a.Data when their bases were
+// taken (rowWalk.next).
+func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int) {
+	k := a.Segs * a.Len
+	switch {
+	case len(bp) == 2*gemmNR*k:
+		_ = c[7*ldc+15]
+		kern8x16AVX512(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
+	case cpuTier >= tierAVX2:
+		_ = bp[gemmNR*k-1]
+		_ = c[7*ldc+7]
+		kern8x8AVX2(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
+	default:
+		_ = bp[gemmNR*k-1]
+		_ = c[3*ldc+7]
+		kern4x8SSE(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
+	}
+}
+
+// Implemented in gemm_kernel_amd64.s, gemm_kernel_avx2_amd64.s and
+// gemm_kernel_avx512_amd64.s. kern8x16AVX512 reads its second panel
+// segs·seglen·8 floats past its first.
 //
 //go:noescape
 func kern4x8SSE(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int)
 
 //go:noescape
 func kern8x8AVX2(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int)
+
+//go:noescape
+func kern8x16AVX512(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,13 +2,16 @@
 
 package tensor
 
-// Kernel names the GEMM microkernel tier this process runs: "avx2" or
-// "sse" on amd64, "generic" for the portable Go kernel.
+// Kernel names the GEMM microkernel tier this process runs: "avx512",
+// "avx2" or "sse" on amd64, "generic" for the portable Go kernel.
 func Kernel() string { return "generic" }
 
 // tileRows is the height of the tile GemmInPlace walks: the portable
 // kernel's four rows.
 func tileRows() int { return gemmMR }
+
+// tileCols is the width of the tile GemmInPlace walks: one B panel.
+func tileCols() int { return gemmNR }
 
 // kernTile is the portable microkernel: one 4×8 tile — the four rows of
 // a whose bases are in offs, against the B panel bp — stored raw, row r

@@ -9,61 +9,74 @@ import (
 	"testing"
 )
 
-// kernelTiers lists the assembly tiers this machine can run; use()
-// makes GemmInPlace walk that tier until the test ends.
-func kernelTiers(t *testing.T) []kernelTier {
-	detected := useAVX2
-	t.Cleanup(func() { useAVX2 = detected })
-	tiers := []kernelTier{{"sse", func() { useAVX2 = false }}}
-	if detectAVX2() {
-		tiers = append(tiers, kernelTier{"avx2", func() { useAVX2 = true }})
+// kernelTiers lists the assembly tiers this machine can run, lowest
+// first; use() makes GemmInPlace, the epilogue and the depthwise span
+// run that tier until the test or benchmark ends.
+func kernelTiers(tb testing.TB) []kernelTier {
+	detected := cpuTier
+	tb.Cleanup(func() { cpuTier = detected })
+	var tiers []kernelTier
+	for t := tierSSE; t <= detectTier(); t++ {
+		tiers = append(tiers, kernelTier{t.String(), func() { cpuTier = t }})
 	}
 	return tiers
 }
 
 // TestKernelDispatch checks that the CPUID probe is what selected the
 // tier at package initialization, that the probe agrees with the
-// operating system's view of the CPU, and that the selection is the
-// tile GemmInPlace walks: four rows with the flag off, eight with it on.
+// operating system's view of the CPU (avx2 and avx512f in
+// /proc/cpuinfo), and that each tier is what GemmInPlace, the epilogue
+// and the depthwise span walk: its own Kernel() name, tile and lanes.
 func TestKernelDispatch(t *testing.T) {
-	have := detectAVX2()
-	if useAVX2 != have {
-		t.Fatalf("useAVX2 = %v at start-up, CPUID probe says %v", useAVX2, have)
+	have := detectTier()
+	if cpuTier != have {
+		t.Fatalf("tier %v at start-up, CPUID probe says %v", cpuTier, have)
 	}
-	if want := map[bool]string{true: "avx2", false: "sse"}[have]; Kernel() != want {
-		t.Fatalf("Kernel() = %q, want %q", Kernel(), want)
+	if Kernel() != have.String() {
+		t.Fatalf("Kernel() = %q, want %q", Kernel(), have.String())
 	}
 	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		for _, line := range strings.Split(string(info), "\n") {
 			if key, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "flags" {
-				listed := strings.Contains(" "+flags+" ", " avx2 ")
-				if listed != have {
-					t.Fatalf("/proc/cpuinfo lists avx2: %v, CPUID probe says %v", listed, have)
+				for _, f := range []struct {
+					flag  string
+					probe bool
+				}{{"avx2", have >= tierAVX2}, {"avx512f", have == tierAVX512}} {
+					if listed := strings.Contains(" "+flags+" ", " "+f.flag+" "); listed != f.probe {
+						t.Fatalf("/proc/cpuinfo lists %s: %v, CPUID probe says %v", f.flag, listed, f.probe)
+					}
 				}
 				break
 			}
 		}
 	}
-	t.Logf("dispatch: CPUID probe avx2=%v, kernel %q", have, Kernel())
+	t.Logf("dispatch: CPUID probe selects %q", Kernel())
 
+	want := []struct {
+		name             string
+		rows, cols, lane int
+	}{
+		{"sse", gemmMR, gemmNR, 4},
+		{"avx2", tileMax, gemmNR, 8},
+		{"avx512", tileMax, 2 * gemmNR, 8},
+	}
 	tiers := kernelTiers(t)
-	tiers[0].use()
-	if Kernel() != "sse" || tileRows() != gemmMR {
-		t.Fatalf("flag forced off: Kernel() = %q, %d-row tiles", Kernel(), tileRows())
-	}
-	if !have {
-		return
-	}
-	tiers[1].use()
-	if Kernel() != "avx2" || tileRows() != tileMax {
-		t.Fatalf("flag on: Kernel() = %q, %d-row tiles", Kernel(), tileRows())
+	for i, tier := range tiers {
+		tier.use()
+		w := want[i]
+		if tier.name != w.name || Kernel() != w.name || tileRows() != w.rows || tileCols() != w.cols || lanes() != w.lane {
+			t.Fatalf("tier %q: Kernel() = %q, %d×%d tiles, %d lanes; want %q, %d×%d, %d",
+				tier.name, Kernel(), tileRows(), tileCols(), lanes(), w.name, w.rows, w.cols, w.lane)
+		}
 	}
 }
 
-// TestKernelTiersKeepNaNPayloads holds the two assembly tiers to more
-// than the generic tier can be held to: with several different NaNs in
-// the operands, which one survives a product or a sum depends on
-// operand order, and the AVX2 kernel keeps the SSE kernel's.
+// TestKernelTiersKeepNaNPayloads holds the assembly tiers to more than
+// the generic tier can be held to: with several different NaNs in the
+// operands, which one survives a product or a sum depends on operand
+// order, and the AVX2 and AVX-512 kernels keep the SSE kernel's. The
+// 13×17 GEMM runs, on the AVX-512 tier, a full pair of panels, a
+// ragged pair and single panels after them.
 func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	tiers := kernelTiers(t)
 	if len(tiers) < 2 {
@@ -86,10 +99,11 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	ep.Bias[2] = math.Float32frombits(0x7fc0b1a5)
 	ep.Scale[5] = math.Float32frombits(0xffc05ca1)
 	ep.Shift[6] = math.Float32frombits(0x7fc05f17)
-	out := [2][]float32{make([]float32, m*n), make([]float32, m*n)}
+	out := make([][]float32, len(tiers))
 	nans := 0
 	for i, tier := range tiers {
 		tier.use()
+		out[i] = make([]float32, m*n)
 		GemmPacked(m, n, k, a, bp, out[i], ep, nil)
 	}
 	for _, v := range out[0] {
@@ -100,8 +114,10 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	if nans == 0 || nans == m*n {
 		t.Fatalf("%d of %d outputs are NaN: the table exercises nothing", nans, m*n)
 	}
-	if i := sameBits(out[0], out[1]); i >= 0 {
-		t.Fatalf("[%d] sse %#08x, avx2 %#08x", i, math.Float32bits(out[0][i]), math.Float32bits(out[1][i]))
+	for ti := 1; ti < len(tiers); ti++ {
+		if i := sameBits(out[0], out[ti]); i >= 0 {
+			t.Fatalf("[%d] sse %#08x, %s %#08x", i, math.Float32bits(out[0][i]), tiers[ti].name, math.Float32bits(out[ti][i]))
+		}
 	}
 
 	// The depthwise span: NaNs of different payloads in the inputs, the
@@ -141,7 +157,14 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	if nans == 0 || nans == npix*ic {
 		t.Fatalf("depthwise: %d of %d outputs are NaN: the table exercises nothing", nans, npix*ic)
 	}
-	if i := sameBits(out[0], out[1]); i >= 0 {
-		t.Fatalf("depthwise [%d] sse %#08x, avx2 %#08x", i, math.Float32bits(out[0][i]), math.Float32bits(out[1][i]))
+	for ti := 1; ti < len(tiers); ti++ {
+		if i := sameBits(out[0], out[ti]); i >= 0 {
+			t.Fatalf("depthwise [%d] sse %#08x, %s %#08x", i, math.Float32bits(out[0][i]), tiers[ti].name, math.Float32bits(out[ti][i]))
+		}
 	}
+	names := make([]string, len(tiers))
+	for i, tier := range tiers {
+		names[i] = tier.name
+	}
+	t.Logf("NaN payload tiers covered: %s (this process runs %q)", strings.Join(names, " "), Kernel())
 }

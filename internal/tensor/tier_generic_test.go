@@ -6,13 +6,13 @@ import "testing"
 
 // kernelTiers lists the tiers this build can run: the portable kernel
 // alone.
-func kernelTiers(t *testing.T) []kernelTier {
+func kernelTiers(tb testing.TB) []kernelTier {
 	return []kernelTier{{"generic", func() {}}}
 }
 
-// TestKernelDispatch: a portable build has one tier, four rows high.
+// TestKernelDispatch: a portable build has one tier, a 4×8 tile.
 func TestKernelDispatch(t *testing.T) {
-	if Kernel() != "generic" || tileRows() != gemmMR {
-		t.Fatalf("Kernel() = %q, %d-row tiles, want generic, %d", Kernel(), tileRows(), gemmMR)
+	if Kernel() != "generic" || tileRows() != gemmMR || tileCols() != gemmNR {
+		t.Fatalf("Kernel() = %q, %d×%d tiles, want generic, %d×%d", Kernel(), tileRows(), tileCols(), gemmMR, gemmNR)
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,21 @@ func TestKernelTiersBitwiseEqual(t *testing.T) {
 	const maxM = 25
 	if testing.Short() {
 		ks = []int{0, 1, 27, 288}
+	}
+	// On the AVX-512 tier the column walk takes two panels at a time
+	// while both lie inside the packed width, then a single one. The
+	// column counts must reach every case of that walk.
+	for _, c := range []struct {
+		walk string
+		hit  func(n int) bool
+	}{
+		{"a full pair", func(n int) bool { return n >= 2*gemmNR }},
+		{"a pair whose second panel is padded", func(n int) bool { return n%(2*gemmNR) > gemmNR }},
+		{"a pair, then a single panel", func(n int) bool { return n > 2*gemmNR && roundUp(n, gemmNR)%(2*gemmNR) != 0 }},
+	} {
+		if !slices.ContainsFunc(ns, c.hit) {
+			t.Fatalf("no column count in %v walks %s", ns, c.walk)
+		}
 	}
 	tiers := kernelTiers(t)
 	for _, k := range ks {
@@ -275,12 +291,15 @@ func TestDepthwiseTiersBitwiseEqual(t *testing.T) {
 }
 
 // BenchmarkGemmInPlace times the GEMM on the row-major shapes that
-// carry a many-microclassifier frame: the windowed head (24×1440×32), a
+// carry a many-microclassifier frame, on every tier this machine has
+// (one sub-benchmark per shape and tier, e.g.
+// windowed-head-24x32x1440/avx512): the windowed head (24×1440×32), a
 // localized microclassifier's pointwise convolution over its crop
 // (6×128×32, one ragged tile), a base-DNN pointwise layer and a batch-1
 // dense layer. internal/nn's BenchmarkConv times whole layers,
-// receptive fields and halo included.
+// receptive fields and halo included, on the tier the process runs.
 func BenchmarkGemmInPlace(b *testing.B) {
+	tiers := kernelTiers(b)
 	for _, s := range []struct {
 		name    string
 		m, n, k int
@@ -290,16 +309,18 @@ func BenchmarkGemmInPlace(b *testing.B) {
 		{"base-pw-84x64x32", 84, 64, 32},
 		{"dense-1x32x576", 1, 32, 576},
 	} {
-		b.Run(s.name, func(b *testing.B) {
-			g := NewRNG(15)
-			a, bp := Matrix(randMat(g, s.m*s.k), s.k), randMat(g, PackBSize(s.k, s.n))
-			c := make([]float32, s.m*s.n)
-			ep := &Epilogue{Bias: randMat(g, s.n), ReLU: true}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				GemmInPlace(s.m, s.n, &a, bp, c, ep)
-			}
-			b.ReportMetric(float64(s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAdd/s")
-		})
+		g := NewRNG(15)
+		a, bp := Matrix(randMat(g, s.m*s.k), s.k), randMat(g, PackBSize(s.k, s.n))
+		c := make([]float32, s.m*s.n)
+		ep := &Epilogue{Bias: randMat(g, s.n), ReLU: true}
+		for _, tier := range tiers {
+			b.Run(s.name+"/"+tier.name, func(b *testing.B) {
+				tier.use()
+				for i := 0; i < b.N; i++ {
+					GemmInPlace(s.m, s.n, &a, bp, c, ep)
+				}
+				b.ReportMetric(float64(s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAdd/s")
+			})
+		}
 	}
 }

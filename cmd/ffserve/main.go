@@ -356,8 +356,8 @@ func (h *healthTick) eval(sum metrics.FleetSummary, stats []fleet.ShardStat, evi
 // track the same rollup the console shows.
 func printSummary(w io.Writer, ctrl *fleet.Controller, frames int, observer *obs.Observer, ht *healthTick) {
 	nodes := ctrl.ListNodes()
-	// Application summaries are read under the controller's lock so
-	// they are consistent against concurrent session uploads.
+	// Application summaries come from one merged snapshot of the
+	// ledgers, consistent per shard against concurrent session uploads.
 	type appLine struct {
 		name    string
 		covered int
@@ -365,17 +365,16 @@ func printSummary(w io.Writer, ctrl *fleet.Controller, frames int, observer *obs
 		events  int
 	}
 	var apps []appLine
-	ctrl.WithDatacenter(func(dc *core.Datacenter) {
-		for _, name := range dc.KnownApplications() { // sorted
-			covered := 0
-			for _, l := range dc.PredictedLabels(name, frames) {
-				if l {
-					covered++
-				}
+	dc := ctrl.Datacenter()
+	for _, name := range dc.KnownApplications() { // sorted
+		covered := 0
+		for _, l := range dc.PredictedLabels(name, frames) {
+			if l {
+				covered++
 			}
-			apps = append(apps, appLine{name, covered, dc.TotalBits(name), len(dc.Events(name))})
 		}
-	})
+		apps = append(apps, appLine{name, covered, dc.TotalBits(name), len(dc.Events(name))})
+	}
 	// The fleet view is the cross-shard rollup: each shard summarizes
 	// its own sessions' heartbeat loads, and the summaries merge. This
 	// is exactly what a multi-process deployment would do — no code

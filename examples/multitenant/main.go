@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -20,6 +22,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main without the process: it writes the example's report to w.
+func run(w io.Writer) error {
 	d := dataset.Generate(dataset.Jackson(96, 120, 1))
 	cfg := d.Cfg
 	base := mobilenet.New(mobilenet.Config{WidthMult: 0.25, BatchNorm: true, Seed: 42})
@@ -29,7 +38,7 @@ func main() {
 		Base: base, UploadBitrate: 50_000,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Twelve tenants: four of each architecture, alternating between
@@ -53,33 +62,34 @@ func main() {
 		}
 		mc, err := filter.NewMC(spec, base, cfg.Width, cfg.Height)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Untrained MCs with an unreachable threshold: this example
 		// measures compute sharing, not accuracy.
 		if err := edge.Deploy(mc, 2); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	for i := 0; i < cfg.Frames; i++ {
 		if _, err := edge.ProcessFrame(d.Frame(i)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	st := edge.Stats()
 	perFrameBase := st.BaseDNNTime.Seconds() / float64(st.Frames)
 	perFrameMCs := st.MCTime.Seconds() / float64(st.Frames)
-	fmt.Printf("%d tenants on one stream, %d frames\n", len(edge.MCNames()), st.Frames)
-	fmt.Printf("base DNN:  %.4f s/frame (paid once, shared by all tenants)\n", perFrameBase)
-	fmt.Printf("all MCs:   %.4f s/frame (total marginal cost)\n", perFrameMCs)
-	fmt.Printf("per MC:    %.5f s/frame average\n", perFrameMCs/12)
-	fmt.Println("\nper-tenant marginal time:")
+	fmt.Fprintf(w, "%d tenants on one stream, %d frames\n", len(edge.MCNames()), st.Frames)
+	fmt.Fprintf(w, "base DNN:  %.4f s/frame (paid once, shared by all tenants)\n", perFrameBase)
+	fmt.Fprintf(w, "all MCs:   %.4f s/frame (total marginal cost)\n", perFrameMCs)
+	fmt.Fprintf(w, "per MC:    %.5f s/frame average\n", perFrameMCs/12)
+	fmt.Fprintln(w, "\nper-tenant marginal time:")
 	for _, name := range edge.MCNames() {
-		fmt.Printf("  %-36s %.5f s/frame\n", name, st.MCTimeBy[name].Seconds()/float64(st.Frames))
+		fmt.Fprintf(w, "  %-36s %.5f s/frame\n", name, st.MCTimeBy[name].Seconds()/float64(st.Frames))
 	}
 	naive := (perFrameBase + perFrameMCs/12) * 12
-	fmt.Printf("\nwithout sharing, 12 tenants would cost ~%.4f s/frame; sharing costs %.4f (%.1fx better)\n",
+	fmt.Fprintf(w, "\nwithout sharing, 12 tenants would cost ~%.4f s/frame; sharing costs %.4f (%.1fx better)\n",
 		naive, perFrameBase+perFrameMCs, naive/(perFrameBase+perFrameMCs))
+	return nil
 }

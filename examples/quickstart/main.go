@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -21,6 +23,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main without the process: it writes the example's report to w.
+func run(w io.Writer) error {
 	// A 20-second synthetic camera stream (Jackson-style scene).
 	d := dataset.Generate(dataset.Jackson(96, 300, 1))
 	cfg := d.Cfg
@@ -38,7 +47,7 @@ func main() {
 		Seed: 7,
 	}, base, cfg.Width, cfg.Height)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The edge node: decode -> base DNN -> MCs -> smooth -> re-encode
@@ -50,30 +59,31 @@ func main() {
 		UplinkBandwidth: 200_000, // a 200 kb/s link
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := edge.Deploy(mc, 0.45); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	dc := core.NewDatacenter()
 	for i := 0; i < cfg.Frames; i++ {
 		uploads, err := edge.ProcessFrame(d.Frame(i))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, u := range uploads {
-			fmt.Printf("upload: event %d frames [%d,%d) %d bits\n", u.EventID, u.Start, u.End, u.Bits)
+			fmt.Fprintf(w, "upload: event %d frames [%d,%d) %d bits\n", u.EventID, u.Start, u.End, u.Bits)
 		}
 		dc.ReceiveAll(uploads)
 	}
 	tail, err := edge.Flush()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dc.ReceiveAll(tail)
 
 	st := edge.Stats()
-	fmt.Printf("\nprocessed %d frames; uploaded %d frames in %d segments (%.1f kb/s average)\n",
+	fmt.Fprintf(w, "\nprocessed %d frames; uploaded %d frames in %d segments (%.1f kb/s average)\n",
 		st.Frames, st.UploadedFrames, st.Uploads, st.AverageUploadBitrate(cfg.FPS)/1000)
+	return nil
 }

@@ -450,9 +450,8 @@ func (e *EdgeNode) Undeploy(name string) ([]Upload, error) {
 // idempotent across agent reconnects). The candidate usually shares
 // its name with the incumbent it may replace; names never collide
 // because shadows live in their own namespace. epoch is the
-// controller's install counter for the slot (zero from controllers
-// predating it), reported back verbatim so each install's sketch is
-// distinguishable from its predecessor's.
+// controller's install counter for the slot, reported back verbatim so
+// each install's sketch is distinguishable from its predecessor's.
 func (e *EdgeNode) DeployShadow(mc *filter.MC, threshold float32, epoch uint64) error {
 	shape := mc.FeatureMapShape()
 	if shape[1] <= 0 || shape[2] <= 0 {

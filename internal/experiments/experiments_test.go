@@ -114,40 +114,44 @@ func TestBandwidthSmoke(t *testing.T) {
 }
 
 func TestThroughputSmoke(t *testing.T) {
-	res, err := Throughput(io.Discard, tinyOptions(), []int{1, 4}, 3)
+	res, err := Throughput(io.Discard, tinyOptions(), []int{1, 32}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Measured) != 2 || len(res.Projected) != 2 {
-		t.Fatalf("points: measured %d projected %d", len(res.Measured), len(res.Projected))
+	if len(res.Measured) != 2 {
+		t.Fatalf("measured points = %d, want 2", len(res.Measured))
 	}
 	// Measured rates are wall-clock and move with the machine's load;
-	// only their sanity is a fact (bench/ measures the numbers).
+	// only their sanity is a fact (bench/ measures the numbers). The
+	// paper's memory model fits 30 MobileNets, so k=32 is OOM (NaN)
+	// and is not timed.
 	for _, p := range res.Measured {
 		for _, sys := range throughputSystems {
-			if v := p.FPS[sys]; v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			v := p.FPS[sys]
+			if sys == "mobilenets" && p.K > 30 {
+				if !math.IsNaN(v) {
+					t.Fatalf("measured MobileNets at k=%d = %v, want OOM (NaN)", p.K, v)
+				}
+				continue
+			}
+			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("measured %s at k=%d: %v", sys, p.K, v)
 			}
 		}
 	}
-	// By multiply-add count, k independent classifiers cost exactly k
-	// times one; FF shares the base DNN, so it must scale better.
-	dcRatio := res.Projected[0].FPS["discrete"] / res.Projected[1].FPS["discrete"]
-	ffRatio := res.Projected[0].FPS["ff-localized"] / res.Projected[1].FPS["ff-localized"]
-	if ffRatio >= dcRatio {
-		t.Fatalf("FF scaled as badly as DCs: ff %v dc %v", ffRatio, dcRatio)
+	// The report ffbench -json writes must still encode: OOM is null.
+	data, err := json.Marshal(res)
+	if err != nil || !strings.Contains(string(data), `"mobilenets":null`) {
+		t.Fatalf("OOM point does not encode as null: %v\n%s", err, data)
 	}
-	// Paper-scale projection: MobileNets OOM beyond 30 instances.
-	proj, err := Throughput(io.Discard, tinyOptions(), []int{32}, 2)
-	if err != nil {
+	var decoded struct {
+		Measured []struct{ FPS map[string]*float64 }
+	}
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(proj.Projected[0].FPS["mobilenets"]) {
-		t.Fatal("projected MobileNets at k=32 should be OOM")
-	}
-	// The report ffbench -json writes must still encode: OOM is null.
-	if data, err := json.Marshal(proj); err != nil || !strings.Contains(string(data), `"mobilenets":null`) {
-		t.Fatalf("OOM point does not encode as null: %v\n%s", err, data)
+	if m := decoded.Measured; len(m) != 2 || m[0].FPS["mobilenets"] == nil || m[1].FPS["mobilenets"] != nil {
+		t.Fatalf("mobilenets should be a number at k=1 and null at k=32: %s", data)
 	}
 }
 

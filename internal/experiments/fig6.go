@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/filter"
 	"repro/internal/vision"
@@ -47,28 +46,9 @@ func Breakdown(w io.Writer, o Options, arch filter.Arch, ks []int, frames int) (
 	res := &BreakdownResult{Arch: arch}
 
 	for _, k := range ks {
-		edge, err := core.NewEdgeNode(core.Config{
-			FrameWidth: d.Cfg.Width, FrameHeight: d.Cfg.Height, FPS: d.Cfg.FPS,
-			Base: base, UploadBitrate: 100_000,
-		})
+		edge, _, err := measureFF(o, base, d, imgs, arch, k)
 		if err != nil {
 			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			mc, err := filter.NewMC(filter.Spec{
-				Name: fmt.Sprintf("%v-%d", arch, i), Arch: arch, Hidden: 32, Seed: o.Seed + int64(i),
-			}, base, d.Cfg.Width, d.Cfg.Height)
-			if err != nil {
-				return nil, err
-			}
-			if err := edge.Deploy(mc, 2); err != nil {
-				return nil, err
-			}
-		}
-		for _, img := range imgs {
-			if _, err := edge.ProcessFrame(img); err != nil {
-				return nil, err
-			}
 		}
 		st := edge.Stats()
 		res.Points = append(res.Points, BreakdownPoint{

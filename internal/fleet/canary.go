@@ -141,8 +141,8 @@ func observeCanary(st *nodeState, node string, hb Heartbeat, cfg CanaryConfig) [
 				// the candidate after a reconnect): re-anchor the
 				// window on the fresh sketches. The epoch check catches
 				// a fresh sketch whose count already caught up between
-				// heartbeats; count regression is the fallback for
-				// agents predating epochs (always echoing zero).
+				// heartbeats; count regression catches a reinstall that
+				// repeats an epoch this evaluator has already seen.
 				cs.BaseShadow = obs.SketchSnapshot{}
 				cs.BaseLive = live
 			}

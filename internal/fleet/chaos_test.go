@@ -444,10 +444,7 @@ func TestChaosFleetSoak(t *testing.T) {
 			for _, u := range want {
 				bits += u.Bits
 			}
-			var gotBits int64
-			ctrl.WithDatacenter(func(dc *core.Datacenter) {
-				gotBits = dc.TotalBits(c.name + "/" + app)
-			})
+			gotBits := ctrl.Datacenter().TotalBits(c.name + "/" + app)
 			if gotBits != bits {
 				t.Fatalf("%s aggregate bits for %s = %d, want %d", c.name, app, gotBits, bits)
 			}

@@ -314,12 +314,6 @@ func (c *Controller) Datacenter() *core.Datacenter {
 	return merged
 }
 
-// WithDatacenter runs f with the merged snapshot of every node's
-// ledger (see Datacenter). f must not call back into the controller.
-func (c *Controller) WithDatacenter(f func(*core.Datacenter)) {
-	f(c.Datacenter())
-}
-
 // WithNodeDatacenter runs f with the named node's cross-session
 // receiver under its owning shard's lock: every upload the node ever
 // delivered (deduplicated across reconnects and re-homes), keyed with
@@ -984,16 +978,8 @@ func (c *Controller) Intent(node string) (map[string][]string, uint64) {
 // for one node/stream/MC, for byte-level verification of converged
 // deployments.
 func (c *Controller) IntentMCBytes(node, stream, mcName string) ([]byte, bool) {
-	var out []byte
-	var ok bool
-	c.onNode(node, false, func(_ *shard, st *nodeState) {
-		dep, found := st.Intent[stream][mcName]
-		if found {
-			out = append([]byte(nil), dep.MC...)
-			ok = true
-		}
-	})
-	return out, ok
+	mc, _, ok := c.IntentDeployment(node, stream, mcName)
+	return mc, ok
 }
 
 // IntentDeployment returns the intended MC bytes and decision

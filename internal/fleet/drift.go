@@ -86,8 +86,8 @@ type driftState struct {
 	// backwards marks an MC redeploy, which resets the pair).
 	Prev obs.SketchSnapshot
 	Last obs.SketchSnapshot
-	// Version is the model version behind the sketches (zero for
-	// agents predating versioning). A version change marks a redeploy
+	// Version is the model version behind the sketches (zero for an
+	// unversioned artifact). A version change marks a redeploy
 	// even when the fresh sketch's count has already caught up to the
 	// old cumulative count between heartbeats.
 	Version uint64
@@ -116,8 +116,7 @@ type driftEvent struct {
 // mutex, commits the records, so a restarted controller scores windows
 // against the same reference distribution instead of re-accumulating
 // one shifted by however long the outage lasted. versions carries the
-// model version behind each sketch (nil from agents predating
-// versioning).
+// model version behind each sketch (zero for an unversioned artifact).
 func observeScores(st *nodeState, node string, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) (events []driftEvent, freezes []*driftBaselineRec) {
 	for stream, mcs := range scores {
 		for mc, cur := range mcs {
@@ -133,13 +132,13 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 			ver := versions[stream][mc]
 			if (ds.Last.Count > 0 && ver != ds.Version) || cur.Count < ds.Last.Count {
 				// The model version changed, or the cumulative count
-				// went backwards (a redeploy reported by an agent too
-				// old to carry versions): the sketches now describe a
-				// different model, and the old baseline must not score
-				// it. Keying on the version catches the case the count
-				// check alone misses — a redeployed MC whose fresh
-				// sketch reaches the old cumulative count between
-				// heartbeats.
+				// went backwards (a redeploy that kept the version, as
+				// an unversioned artifact does): the sketches now
+				// describe a fresh deployment, and the old baseline
+				// must not score it. Keying on the version catches the
+				// case the count check alone misses — a redeployed MC
+				// whose fresh sketch reaches the old cumulative count
+				// between heartbeats.
 				*ds = driftState{}
 			}
 			ds.Version = ver
@@ -239,7 +238,7 @@ type DriftReport struct {
 	// Node, Stream, and MC identify the deployed microclassifier.
 	Node, Stream, MC string
 	// Version is the model version behind the scored sketches (zero
-	// for unversioned artifacts or agents predating versioning).
+	// for unversioned artifacts).
 	Version uint64
 	// PSI and KS are the most recent scored window's statistics
 	// against the frozen baseline (zero until the first window).

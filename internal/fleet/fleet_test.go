@@ -264,12 +264,8 @@ func TestEndToEndOverTCP(t *testing.T) {
 	// The merged datacenter view has them too, keyed by node so a
 	// second node running the same application cannot collide. (The
 	// ledger write trails the per-session received count, so poll
-	// under the controller's lock.)
-	aggBits := func() int64 {
-		var bits int64
-		ctrl.WithDatacenter(func(dc *core.Datacenter) { bits = dc.TotalBits("edge-1/" + name) })
-		return bits
-	}
+	// the merged snapshot.)
+	aggBits := func() int64 { return ctrl.Datacenter().TotalBits("edge-1/" + name) }
 	waitFor(t, "aggregate bits", func() bool { return aggBits() == dcBase.TotalBits("fleet-mc") })
 
 	// Wire-level demand-fetch of event context matches the

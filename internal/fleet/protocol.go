@@ -59,8 +59,8 @@ type Hello struct {
 	// inventory, mirroring Deployed. Reconciliation withdraws reported
 	// shadows whose canary record is decided or gone — without it a
 	// lost rollback push would leave a dead candidate scoring frames
-	// forever on a node that reconnects without restarting. Nil from
-	// older agents (gob zero), which disables shadow withdrawal only.
+	// forever on a node that reconnects without restarting. Nil when
+	// the node holds no shadows.
 	// The inventory also covers controller restarts: a durable
 	// controller recovers undecided canary records from its state dir,
 	// so a resume hello reporting the matching shadow is re-adopted
@@ -118,16 +118,12 @@ type DeployRequest struct {
 	Gen uint64
 	// Version echoes the MC artifact's model version (filter.Spec
 	// .Version, already inside MC) for edge-side logging without a
-	// second decode. Zero from older controllers.
+	// second decode. Zero for an unversioned artifact.
 	Version uint64
 	// Canary installs the MC as a shadow candidate: it scores frames
 	// alongside the same-named incumbent into a private sketch without
 	// affecting uploads, until the controller promotes or rolls it
-	// back. Older agents decode the field as false and treat the
-	// request as a live deploy. Nothing on the controller checks for
-	// that: StartCanary asks only for a same-named incumbent (in intent,
-	// or in the node's last heartbeat sketches), so a canary assumes an
-	// agent that knows the field.
+	// back.
 	Canary bool
 	// Epoch is the controller's install counter for the canary's
 	// shadow slot, starting at 1 and bumped on every reconciliation

@@ -1,12 +1,9 @@
 package perfmodel
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/filter"
-	"repro/internal/mobilenet"
-	"repro/internal/nn"
 	"repro/internal/vision"
 )
 
@@ -41,7 +38,7 @@ func TestBaseCostDominatesMC(t *testing.T) {
 	// The premise of Figure 6: the base DNN costs orders of magnitude
 	// more madds than one MC.
 	m := New(1920, 1080)
-	base, err := m.BaseCost("conv4_2/sep", "conv5_6/sep")
+	base, err := m.base.MAddsTo("conv5_6/sep", []int{1, m.FrameH, m.FrameW, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,74 +77,11 @@ func TestDCSweepSpansPaperRange(t *testing.T) {
 	}
 }
 
-func TestBreakEvenExistsAndIsSmall(t *testing.T) {
-	// With equal rates across systems, break-even is
-	// base/(dc-mc); pick illustrative paper-like costs.
-	r := Rates{Base: 1e9, MC: 1e9, DC: 1e9, MobileNet: 1e9}
-	k := BreakEvenK(3_000, 100, 1_100, r, 100)
-	if k != 3 {
-		t.Fatalf("break-even = %d, want 3", k)
-	}
-	if BreakEvenK(1_000_000, 100, 101, r, 10) != -1 {
-		t.Fatal("impossible break-even not detected")
-	}
-}
-
-func TestThroughputCurvesCross(t *testing.T) {
-	// FF starts slower (upfront base cost) and overtakes as k grows.
-	r := Rates{Base: 1e9, MC: 1e9, DC: 1e9, MobileNet: 1e9}
-	base, mc, dc := int64(3000), int64(100), int64(1100)
-	ff1 := Throughput(FFSecondsPerFrame(base, repeat(mc, 1), r))
-	dc1 := Throughput(NSecondsPerFrame(dc, 1, r.DC))
-	if ff1 >= dc1 {
-		t.Fatal("FF should start below DCs at k=1")
-	}
-	ff50 := Throughput(FFSecondsPerFrame(base, repeat(mc, 50), r))
-	dc50 := Throughput(NSecondsPerFrame(dc, 50, r.DC))
-	if ff50 <= dc50 {
-		t.Fatal("FF should beat DCs at k=50")
-	}
-}
-
 func TestMemoryModelMatchesPaper(t *testing.T) {
 	// §4.4: multiple MobileNets run out of memory beyond 30
 	// instances.
 	m := PaperMemoryModel()
 	if got := m.MaxInstances(); got != 30 {
 		t.Fatalf("max MobileNet instances = %d, want 30", got)
-	}
-}
-
-func TestCalibrateRatesPositive(t *testing.T) {
-	r, err := Calibrate(64, 36)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Base <= 0 || r.MC <= 0 || r.DC <= 0 || r.MobileNet <= 0 {
-		t.Fatalf("rates not positive: %+v", r)
-	}
-}
-
-func TestMAddsFreeNetRateFloor(t *testing.T) {
-	// A network with zero multiply-adds must not divide by zero: its
-	// rate is the one-op floor over the measured time.
-	net := nn.NewNetwork("max-only").Add(nn.NewGlobalMax("max"))
-	r, err := MeasureNetRate(net, []int{1, 4, 6, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r <= 0 || math.IsInf(r, 0) || math.IsNaN(r) {
-		t.Fatalf("madds-free net rate = %v, want finite and positive", r)
-	}
-
-	// A net a program cannot compile (the windowed MC's, whose
-	// WindowReduce only trains) is an error, not a rate.
-	base := mobilenet.New(mobilenet.Config{WidthMult: 0.25, Seed: 1})
-	mc, err := filter.NewMC(filter.Spec{Name: "win", Arch: filter.WindowedLocalizedBinary, Seed: 1}, base, 64, 36)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MeasureNetRate(mc.Net(), mc.InputShape(), 1); err == nil {
-		t.Fatal("uncompilable net measured without error")
 	}
 }

@@ -119,7 +119,7 @@ func main() {
 	if ctxStart < 0 {
 		ctxStart = 0
 	}
-	frames, bits, err := dc.DemandFetch(edge, testDay, ctxStart, first.Start, 30_000)
+	frames, bits, err := edge.FetchArchive(testDay, ctxStart, first.Start, 30_000)
 	if err != nil {
 		log.Fatal(err)
 	}

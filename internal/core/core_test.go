@@ -368,53 +368,31 @@ func TestFetchArchiveMatchesDemandFetch(t *testing.T) {
 	cfg := Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base, UploadBitrate: 50_000}
 	frames := testFrames(10)
 	src := frameSlice(frames)
-
-	run := func() int64 {
-		e := newNode(t, cfg, map[filter.Arch]float32{filter.LocalizedBinary: 2})
-		for _, f := range frames {
-			if _, err := e.ProcessFrame(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		recons, bits, err := e.FetchArchive(src, 2, 6, 30_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recons) != 4 || bits <= 0 {
-			t.Fatalf("fetch archive: %d frames, %d bits", len(recons), bits)
-		}
-		st := e.Stats()
-		if st.DemandFetchBits != bits || st.DemandFetches != 1 {
-			t.Fatalf("fetch not accounted: DemandFetchBits=%d DemandFetches=%d, fetch %d", st.DemandFetchBits, st.DemandFetches, bits)
-		}
-		if st.UploadedBits != 0 {
-			t.Fatalf("fetch bits folded into UploadedBits (%d); want a dedicated stat", st.UploadedBits)
-		}
-		return bits
-	}
-	direct := run()
-
-	// Datacenter.DemandFetch delegates to the same path.
 	e := newNode(t, cfg, map[filter.Arch]float32{filter.LocalizedBinary: 2})
 	for _, f := range frames {
 		if _, err := e.ProcessFrame(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, bits, err := NewDatacenter().DemandFetch(e, src, 2, 6, 30_000)
+	recons, bits, err := e.FetchArchive(src, 2, 6, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bits != direct {
-		t.Fatalf("DemandFetch %d bits, FetchArchive %d bits", bits, direct)
+	if len(recons) != 4 || bits <= 0 {
+		t.Fatalf("fetch archive: %d frames, %d bits", len(recons), bits)
+	}
+	st := e.Stats()
+	if st.DemandFetchBits != bits || st.DemandFetches != 1 {
+		t.Fatalf("fetch not accounted: DemandFetchBits=%d DemandFetches=%d, fetch %d", st.DemandFetchBits, st.DemandFetches, bits)
+	}
+	if st.UploadedBits != 0 {
+		t.Fatalf("fetch bits folded into UploadedBits (%d); want a dedicated stat", st.UploadedBits)
 	}
 	if _, _, err := e.FetchArchive(nil, 2, 6, 30_000); err == nil {
 		t.Fatal("nil archive source accepted")
 	}
 }
 
-// Demand-fetch traffic shares the uplink with uploads, so its
-// queueing delay must surface in MaxUplinkDelay.
 func TestFetchArchiveRecordsUplinkDelay(t *testing.T) {
 	base := testBase()
 	cfg := Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base,
@@ -579,15 +557,14 @@ func TestDemandFetch(t *testing.T) {
 		}
 	}
 	src := frameSlice(frames)
-	dc := NewDatacenter()
-	recons, bits, err := dc.DemandFetch(e, src, 2, 6, 30_000)
+	recons, bits, err := e.FetchArchive(src, 2, 6, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recons) != 4 || bits <= 0 {
 		t.Fatalf("demand fetch: %d frames, %d bits", len(recons), bits)
 	}
-	if _, _, err := dc.DemandFetch(e, src, 5, 5, 30_000); err == nil {
+	if _, _, err := e.FetchArchive(src, 5, 5, 30_000); err == nil {
 		t.Fatal("empty fetch range accepted")
 	}
 }

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"sort"
-
-	"repro/internal/vision"
 )
 
 // Datacenter is the cloud side of FilterForward: it receives uploaded
-// event segments per application and can demand-fetch additional
-// context video from an edge node's local archive.
+// event segments per application. Context video around them is
+// demand-fetched from the edge node's archive (EdgeNode.FetchArchive).
 type Datacenter struct {
 	uploads map[string][]Upload // MC name -> segments
 	// count and bits total every held upload, kept as they arrive so
@@ -138,12 +136,4 @@ func (d *Datacenter) Events(mcName string) map[uint64][]Upload {
 		out[u.EventID] = append(out[u.EventID], u)
 	}
 	return out
-}
-
-// DemandFetch retrieves frames [start, end) from the edge node's
-// archive (its FrameSource), re-encoded at the given bitrate, and
-// accounts the transfer against the uplink. This is the §3.2
-// demand-fetch path for context around matched segments.
-func (d *Datacenter) DemandFetch(edge *EdgeNode, src FrameSource, start, end int, bitrate float64) ([]*vision.Image, int64, error) {
-	return edge.FetchArchive(src, start, end, bitrate)
 }

@@ -718,9 +718,9 @@ func (e *EdgeNode) AttachArchive(store FrameArchive) error {
 // the frames come off disk; un-archived configs fall back to the live
 // source src. The archive stores the full-fidelity originals, so both
 // paths re-encode identical input and produce byte-identical
-// reconstructions and bit counts. Both the in-process
-// Datacenter.DemandFetch and the fleet agent's wire-level demand-fetch
-// go through here, so their accounting is identical by construction.
+// reconstructions and bit counts. In-process callers and the fleet
+// agent's wire-level demand-fetch both go through here, so their
+// accounting is identical by construction.
 func (e *EdgeNode) FetchArchive(src FrameSource, start, end int, bitrate float64) ([]*vision.Image, int64, error) {
 	if start < 0 || end <= start {
 		return nil, 0, fmt.Errorf("core: bad demand-fetch range [%d,%d)", start, end)

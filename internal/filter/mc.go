@@ -171,9 +171,6 @@ func (m *MC) SetVersion(v uint64) { m.spec.Version = v }
 // Stage returns the base-DNN stage this MC taps.
 func (m *MC) Stage() string { return m.spec.Stage }
 
-// CropFM returns the crop rectangle in feature-map coordinates.
-func (m *MC) CropFM() vision.Rect { return m.cropFM }
-
 // FeatureMapShape returns the uncropped stage activation shape.
 func (m *MC) FeatureMapShape() []int { return append([]int(nil), m.fmShape...) }
 

@@ -177,7 +177,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	dcBase := core.NewDatacenter()
 	dcBase.ReceiveAll(want)
-	_, wantBits, err := dcBase.DemandFetch(edge, testDay, lo, hi, 30_000)
+	_, wantBits, err := edge.FetchArchive(testDay, lo, hi, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -30,17 +30,27 @@ import (
 // Replay equals live by construction, not by keeping two copies of
 // every mutation in step.
 //
+// A snapshot is records too: one move-in record per node, framed as on
+// the wire, replayed by the same decode-and-apply loop before the wal.
+//
 // What heartbeats alone derive is soft state and has no record: a drift
 // pair's window boundary, scores, and drifted flag (and the reset of a
 // pair whose model version changed — replay restores the last frozen
 // baseline and the first heartbeat re-detects the change), an undecided
 // canary's window anchors and progress, a node's Evicted/Reconnects
 // counters, and the existence of a node record with nothing logged in
-// it. A snapshot is shardState itself, gob-encoded, so soft state rides
-// along in it; a WAL-only recovery starts soft state from zero and the
-// next heartbeats rebuild it.
+// it. A move-in record carries the whole node, so soft state rides
+// along in a snapshot; a WAL-only recovery starts soft state from zero
+// and the next heartbeats rebuild it.
 //
 // The kind numbers are on-disk format — append only, never renumber.
+// They also version the payloads: gob matches fields by name and
+// silently drops those it cannot place, so a payload whose durable
+// fields (its own or those of the types it carries) are renamed or
+// change meaning gets a new kind, and the old number is reserved below.
+// A log still holding the old kind then fails replay with the
+// unknown-kind error instead of decoding into a state that quietly
+// lost fields.
 const (
 	// wrecIntent records one intent change: a deploy (MC set), an
 	// undeploy or rollback (Remove), with the node's post-op generation.
@@ -60,11 +70,12 @@ const (
 	// (node, stream/mc) pair.
 	wrecDriftBaseline uint8 = 7
 	// wrecMoveIn records a node state arriving on this shard — a
-	// Resize re-home, or recovery placing a node on a different shard
-	// than the log it was recovered from. The payload is the nodeState
-	// itself; apply adopts it wholesale, and the Rehomed counter acts
-	// as the incarnation number that picks the winner when several logs
-	// hold copies of the same node.
+	// Resize re-home, recovery placing a node on a different shard
+	// than the log it was recovered from, or a snapshot, which holds
+	// one per node. The payload is the nodeState itself; apply adopts
+	// it wholesale, and the Rehomed counter acts as the incarnation
+	// number that picks the winner when several logs hold copies of the
+	// same node. Only a mover bumps Rehomed; a snapshot never does.
 	wrecMoveIn uint8 = 11
 	// wrecUpload records one deduplicated sequenced upload — the full
 	// record, not just the high-water mark, so recovery rebuilds the
@@ -218,10 +229,11 @@ type moveInRec struct {
 }
 
 // shardState is the durable part of a shard: what the log's records
-// rebuild, and — gob-encoded as it stands — what a snapshot holds. The
-// live shard embeds one and recovery builds one per log directory, both
-// through apply. Every field of it and of the types it holds is
-// exported, because gob encodes only exported fields.
+// rebuild. A snapshot holds it as one move-in record per node. The live
+// shard embeds one and recovery builds one per log directory, both
+// through apply. Every field of nodeState and of the types it holds is
+// exported, because a move-in record is gob and gob encodes only
+// exported fields.
 //
 // Each upload lives in exactly one place: the ledger of the node that
 // sent it (nodeState.DC), which moves between shards with the rest of
@@ -332,26 +344,6 @@ func (s *shardState) apply(rec record) {
 	}
 }
 
-// stateFormat heads every snapshot: the payload is gob(stateFormat)
-// followed by gob(shardState). gob matches fields by name and silently
-// drops those it cannot place, so a snapshot written under other field
-// names would decode into a state that quietly lost them; recovery
-// refuses any snapshot that does not start with this number instead.
-// Bump it whenever a durable field is renamed or changes meaning.
-const stateFormat = 3
-
-// encodeGob gob-encodes vs, in order, as one stream.
-func encodeGob(vs ...any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range vs {
-		if err := enc.Encode(v); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
 // commit is the live half of the state machine: compact if due (see
 // compactDue), log the record, apply it. Callers hold sh.mu. It reports
 // whether the record reached the log (always true without a state
@@ -371,6 +363,7 @@ func (sh *shard) commit(rec record) bool {
 	if sh.wal != nil {
 		if sh.compactDue() {
 			if err := sh.snapshotLocked(); err != nil {
+				sh.failedAt = sh.wal.Pending()
 				sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id, "err", err)
 			}
 		}
@@ -403,50 +396,64 @@ func (sh *shard) commit(rec record) bool {
 // alone rewrites the whole growing state every SnapshotEvery records,
 // quadratic in the run. Recovery then reads the snapshot plus a wal no
 // larger than it (or than SnapshotEvery records): about twice the state.
+// After a failed compaction the count restarts from the failure, so a
+// full disk or a missing directory costs one attempt per SnapshotEvery
+// records, not a re-encode of the whole state on every commit.
 // Callers hold sh.mu and a shard with a wal.
 func (sh *shard) compactDue() bool {
 	every := sh.c.cfg.SnapshotEvery
-	return every >= 0 && sh.wal.Pending() >= every && sh.wal.Size() >= sh.wal.SnapshotSize()
+	return every >= 0 && sh.wal.Pending()-sh.failedAt >= every && sh.wal.Size() >= sh.wal.SnapshotSize()
 }
 
-// snapshotLocked writes the shard's full state as a snapshot,
-// compacting the wal. Callers hold sh.mu and a shard with a wal.
+// snapshotLocked compacts the wal into a snapshot of the shard's
+// state: one move-in record per node, framed as on the wire. Callers
+// hold sh.mu and a shard with a wal.
 func (sh *shard) snapshotLocked() error {
-	payload, err := encodeGob(stateFormat, &sh.shardState)
-	if err != nil {
-		return err
+	var buf bytes.Buffer
+	for _, name := range slices.Sorted(maps.Keys(sh.Nodes)) {
+		if err := transport.WriteRecord(&buf, wrecMoveIn, &moveInRec{Name: name, Node: sh.Nodes[name]}); err != nil {
+			return err
+		}
 	}
-	if err := sh.wal.WriteSnapshot(payload); err != nil {
+	if err := sh.wal.WriteSnapshot(buf.Bytes()); err != nil {
 		return err
 	}
 	sh.snapshots++
+	sh.failedAt = 0
 	return nil
 }
 
-// replayLog rebuilds one log directory's shard state — its snapshot,
-// then every wal record through apply — and counts the records.
+// replayLog rebuilds one log directory's shard state: the snapshot's
+// records, then the wal's, each decoded and applied in order. It
+// returns the state and the number of wal records replayed.
 func replayLog(l *walog.Log) (shardState, int, error) {
-	s := newShardState()
-	if snap := l.Snapshot(); snap != nil {
-		dec := gob.NewDecoder(bytes.NewReader(snap))
-		var format int
-		if err := dec.Decode(&format); err != nil || format != stateFormat {
-			return s, 0, fmt.Errorf("snapshot is not in state format %d (written by an older version?)", stateFormat)
+	var recs []walog.Record
+	snap := bytes.NewReader(l.Snapshot())
+	for {
+		kind, payload, err := transport.ReadRecord(snap)
+		if err == io.EOF {
+			break
 		}
-		s = shardState{}
-		if err := dec.Decode(&s); err != nil {
-			return s, 0, fmt.Errorf("snapshot: %w", err)
+		if err != nil {
+			return shardState{}, 0, fmt.Errorf("snapshot is not a record stream (written by an older version?): %w", err)
 		}
+		recs = append(recs, walog.Record{Kind: kind, Payload: payload})
 	}
-	records := l.Records()
-	for i, r := range records {
+	inSnapshot := len(recs)
+	recs = append(recs, l.Records()...)
+	s := newShardState()
+	for i, r := range recs {
 		rec, err := decodeRecord(r.Kind, r.Payload)
 		if err != nil {
-			return s, i, fmt.Errorf("record %d (kind %d): %w", i, r.Kind, err)
+			where := fmt.Sprintf("record %d", i-inSnapshot)
+			if i < inSnapshot {
+				where = fmt.Sprintf("snapshot record %d", i)
+			}
+			return s, 0, fmt.Errorf("%s (kind %d): %w", where, r.Kind, err)
 		}
 		s.apply(rec)
 	}
-	return s, len(records), nil
+	return s, len(recs) - inSnapshot, nil
 }
 
 // RecoveryStats summarizes a controller's state recovery from its

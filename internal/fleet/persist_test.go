@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"log/slog"
 	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,28 +61,47 @@ func requireFull(t *testing.T, path string, v reflect.Value) {
 	}
 }
 
-// fullState is a shard state in which every field of every durable type
-// holds a non-zero value.
+// fullState is a shard state of two nodes in which every field of
+// every durable type holds a non-zero value, so a snapshot of it is
+// more than one move-in record.
 func fullState() shardState {
+	return shardState{Nodes: map[string]*nodeState{"edge-1": fullNode(0), "edge-2": fullNode(1)}}
+}
+
+// fullNode is a node record with every durable field set; i shifts the
+// values so two nodes differ.
+func fullNode(i int) *nodeState {
 	sk := cumSketch(alt(0.2, 0.7, 16))
-	node := core.NewDatacenter()
-	node.Receive(core.Upload{MCName: "cam0/mc-1", EventID: 3, Start: 10, End: 14, Bits: 900, Final: true})
-	return shardState{
-		Nodes: map[string]*nodeState{"edge-1": {
-			Intent: map[string]map[string]deployment{"cam0": {"mc-1": {MC: []byte{1, 2, 3}, Threshold: 0.5, Version: 2}}},
-			Gen:    4, LastSeq: 9, DC: node, Evicted: 1, Reconnects: 2, Rehomed: 3,
-			Drift: map[string]*driftState{"cam0/mc-1": {
-				Baseline: sk, BaselineSet: true, Prev: sk, Last: sk, Version: 2,
-				PSI: 0.3, KS: 0.4, Windows: 5, Drifted: true,
-			}},
-			Canary: map[string]*canaryState{"cam0/mc-1": {
-				MC: []byte{4, 5}, Threshold: 0.25, Version: 3, IncumbentVersion: 2,
-				Epoch: 2, SeenEpoch: 1, BaseLive: sk, BaseShadow: sk, LastLive: sk, LastShadow: sk,
-				Heartbeats: 7, Observations: 64, AgreePSI: 0.01, Spread: 0.2, PassDelta: 0.05,
-				Outcome: CanaryRolledBack, Reason: "pass-rate gap",
-			}},
+	ledger := core.NewDatacenter()
+	ledger.Receive(core.Upload{MCName: "cam0/mc-1", EventID: uint64(3 + i), Start: 10, End: 14, Bits: 900, Final: true})
+	u := uint64(i)
+	return &nodeState{
+		Intent: map[string]map[string]deployment{"cam0": {"mc-1": {MC: []byte{1, 2, 3}, Threshold: 0.5, Version: 2 + u}}},
+		Gen:    4 + u, LastSeq: 9 + u, DC: ledger, Evicted: 1 + i, Reconnects: 2 + i, Rehomed: 3 + i,
+		Drift: map[string]*driftState{"cam0/mc-1": {
+			Baseline: sk, BaselineSet: true, Prev: sk, Last: sk, Version: 2 + u,
+			PSI: 0.3, KS: 0.4, Windows: 5 + i, Drifted: true,
+		}},
+		Canary: map[string]*canaryState{"cam0/mc-1": {
+			MC: []byte{4, 5}, Threshold: 0.25, Version: 3 + u, IncumbentVersion: 2 + u,
+			Epoch: 2 + u, SeenEpoch: 1 + u, BaseLive: sk, BaseShadow: sk, LastLive: sk, LastShadow: sk,
+			Heartbeats: 7 + i, Observations: 64, AgreePSI: 0.01, Spread: 0.2, PassDelta: 0.05,
+			Outcome: CanaryRolledBack, Reason: "pass-rate gap",
 		}},
 	}
+}
+
+// encodeGob gob-encodes vs, in order, as one stream: how the tests
+// write payloads in shapes the current code no longer logs.
+func encodeGob(vs ...any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
 }
 
 // snapshotRoundTrip writes st as a shard snapshot into a fresh log
@@ -110,24 +133,20 @@ func snapshotRoundTrip(t *testing.T, st shardState) shardState {
 
 // TestStateRoundTrip stands in for the field-by-field mirror structs
 // snapshots used to have: every durable field must be exported and
-// must survive a snapshot and a move-in record unchanged. A field added
-// later fails here until fullState gives it a value.
+// must survive a snapshot — one move-in record per node, replayed
+// through decodeRecord and apply — unchanged. A field added later
+// fails here until fullNode gives it a value.
 func TestStateRoundTrip(t *testing.T) {
 	want := fullState()
 	requireFull(t, "shardState", reflect.ValueOf(want))
-	if got := snapshotRoundTrip(t, want); !reflect.DeepEqual(got, want) {
-		t.Errorf("snapshot round trip:\n got  %s\n want %s", withoutMCBytes(*got.Nodes["edge-1"]), withoutMCBytes(*want.Nodes["edge-1"]))
+	got := snapshotRoundTrip(t, want)
+	if !slices.Equal(slices.Sorted(maps.Keys(got.Nodes)), slices.Sorted(maps.Keys(want.Nodes))) {
+		t.Fatalf("snapshot round trip recovered nodes %v, want %v", slices.Sorted(maps.Keys(got.Nodes)), slices.Sorted(maps.Keys(want.Nodes)))
 	}
-	payload, err := encodeGob(&moveInRec{Name: "edge-1", Node: want.Nodes["edge-1"]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := decodeRecord(wrecMoveIn, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.(*moveInRec); got.Name != "edge-1" || !reflect.DeepEqual(got.Node, want.Nodes["edge-1"]) {
-		t.Errorf("move-in round trip: %s, want %s", withoutMCBytes(*got.Node), withoutMCBytes(*want.Nodes["edge-1"]))
+	for name, node := range want.Nodes {
+		if !reflect.DeepEqual(got.Nodes[name], node) {
+			t.Errorf("snapshot round trip of %s:\n got  %s\n want %s", name, withoutMCBytes(*got.Nodes[name]), withoutMCBytes(*node))
+		}
 	}
 }
 
@@ -173,8 +192,9 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 // TestOpenRefusesParentFormat writes state directories the way earlier
 // formats did — a snapshot of mirror structs and a move-in record
 // carrying a mirror of the node; a format-2 snapshot still carrying the
-// shard-wide aggregate ledger and folded identities; a fold record —
-// with those shapes declared here. Recovery must refuse each with an
+// shard-wide aggregate ledger and folded identities; a fold record; a
+// format-3 snapshot, gob(3) then gob(shardState), from before
+// snapshots were move-in records — with those shapes declared here. Recovery must refuse each with an
 // error naming the directory, recover no node, and leave the directory
 // as it found it.
 func TestOpenRefusesParentFormat(t *testing.T) {
@@ -233,6 +253,7 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const notRecords = "snapshot is not a record stream"
 
 	for _, tc := range []struct {
 		name     string
@@ -242,14 +263,17 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 		want     string // in the error
 	}{
 		{name: "snapshot", snapshot: []any{parentShard{Uploads: 1, UploadBits: 100, DC: ledger, Nodes: []parentNode{node}}},
-			want: fmt.Sprintf("not in state format %d", stateFormat)},
+			want: notRecords},
 		{name: "move-in", kind: 8, record: parentMoveIn{Node: node}, want: "unknown wal record kind 8"},
 		{name: "format-2", snapshot: []any{2, format2Shard{
 			Nodes: map[string]*nodeState{"edge-1": {Gen: 1, LastSeq: 1, DC: nodeLedger}},
 			DC:    aggLedger, Uploads: 1, UploadBits: 100, Folded: []uint64{77},
-		}}, want: "not in state format 3"},
+		}}, want: notRecords},
 		{name: "fold", kind: 12, record: format2Fold{FromID: 77, Uploads: 1, UploadBits: 100, DC: aggLedger},
 			want: "unknown wal record kind 12"},
+		{name: "format-3", snapshot: []any{3, shardState{
+			Nodes: map[string]*nodeState{"edge-1": {Gen: 1, LastSeq: 1, DC: nodeLedger}},
+		}}, want: notRecords},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -391,6 +415,93 @@ func TestCompactionAmortized(t *testing.T) {
 	}
 	if stats.RecordsReplayed == 0 {
 		t.Fatalf("recovery replayed no wal: %+v", stats)
+	}
+	if after := nodeUploads(t, ctrl, "edge-1", "cam0/mc-1"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovered ledger holds %d uploads and differs from the %d before the crash", len(after), len(before))
+	}
+}
+
+// lockedBuffer is a log sink the shard goroutines and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) count(s string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return strings.Count(b.buf.String(), s)
+}
+
+// TestFailedCompactionRetriesAfterSnapshotEvery removes a shard's
+// directory under its open log, so every compaction fails while appends
+// still land, and drives 200 uploads at SnapshotEvery 8. A failed
+// compaction must be retried only SnapshotEvery records later, not on
+// every commit; once the directory is back, the next retry succeeds and
+// recovery from it finds every upload.
+func TestFailedCompactionRetriesAfterSnapshotEvery(t *testing.T) {
+	const uploads, every = 200, 8
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs lockedBuffer
+	root := t.TempDir()
+	cfg := ControllerConfig{
+		Timeout: 10 * time.Second, StateDir: root, SnapshotEvery: every,
+		Log: slog.New(slog.NewTextHandler(&logs, nil)),
+	}
+	ctrl, _, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Serve(ln)
+	defer func() { ctrl.Crash() }()
+	edge := dialScripted(t, n, Hello{Node: "edge-1"})
+	dir := filepath.Join(root, shardDirName(0))
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= uploads; seq++ {
+		edge.upload(seq, 10*int(seq))
+	}
+	sh := ctrl.snapshotShards()[0]
+	sh.mu.Lock()
+	pending := sh.wal.Pending()
+	sh.mu.Unlock()
+	// commit checks before its append, so the last check saw pending-1
+	// records: one attempt at each multiple of SnapshotEvery up to it.
+	failed := logs.count("wal snapshot failed")
+	if want := (pending - 1) / every; failed != want {
+		t.Fatalf("%d commits over a missing directory attempted %d snapshots, want one per %d records: %d", pending, failed, every, want)
+	}
+	if st := ctrl.ShardStats()[0]; st.Snapshots != 1 {
+		t.Fatalf("%d snapshots written, want only the one at open", st.Snapshots)
+	}
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(uploads + 1); seq <= uploads+every; seq++ {
+		edge.upload(seq, 10*int(seq))
+	}
+	if st := ctrl.ShardStats()[0]; st.Snapshots != 2 {
+		t.Fatalf("%d snapshots written after the directory came back, want 2", st.Snapshots)
+	}
+	before := nodeUploads(t, ctrl, "edge-1", "cam0/mc-1")
+	if len(before) != uploads+every {
+		t.Fatalf("ledger holds %d uploads, %d were sent", len(before), uploads+every)
+	}
+	ctrl.Crash()
+	if ctrl, _, err = OpenController(cfg); err != nil {
+		t.Fatal(err)
 	}
 	if after := nodeUploads(t, ctrl, "edge-1", "cam0/mc-1"); !reflect.DeepEqual(after, before) {
 		t.Fatalf("recovered ledger holds %d uploads and differs from the %d before the crash", len(after), len(before))

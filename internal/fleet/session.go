@@ -144,13 +144,9 @@ func (s *Session) Deploy(stream string, mc []byte, threshold float32) error {
 }
 
 func (s *Session) deploy(stream string, mc []byte, threshold float32, gen, version uint64) error {
-	resp, err := s.roundTrip(transport.KindDeploy, func(seq uint64) any {
+	return s.request(transport.KindDeploy, func(seq uint64) any {
 		return DeployRequest{Seq: seq, Stream: stream, MC: mc, Threshold: threshold, Gen: gen, Version: version}
 	})
-	if err != nil {
-		return err
-	}
-	return ackErr(resp)
 }
 
 // deployCanary ships a candidate MC as a shadow deployment: it scores
@@ -158,38 +154,26 @@ func (s *Session) deploy(stream string, mc []byte, threshold float32, gen, versi
 // the controller promotes or rolls it back. epoch is the controller's
 // install counter for the shadow slot, echoed back in heartbeats.
 func (s *Session) deployCanary(stream string, mc []byte, threshold float32, version, epoch uint64) error {
-	resp, err := s.roundTrip(transport.KindDeploy, func(seq uint64) any {
+	return s.request(transport.KindDeploy, func(seq uint64) any {
 		return DeployRequest{Seq: seq, Stream: stream, MC: mc, Threshold: threshold, Version: version, Canary: true, Epoch: epoch}
 	})
-	if err != nil {
-		return err
-	}
-	return ackErr(resp)
 }
 
 // promoteCanary atomically swaps the named shadow candidate into the
 // live slot on the edge. The candidate bytes are already on the node;
 // only the name crosses the wire.
 func (s *Session) promoteCanary(stream, mcName string, gen, version uint64) error {
-	resp, err := s.roundTrip(transport.KindDeploy, func(seq uint64) any {
+	return s.request(transport.KindDeploy, func(seq uint64) any {
 		return DeployRequest{Seq: seq, Stream: stream, MCName: mcName, Gen: gen, Version: version, Promote: true}
 	})
-	if err != nil {
-		return err
-	}
-	return ackErr(resp)
 }
 
 // undeployCanary removes the named shadow candidate — the rollback
 // path. The live deployment is untouched.
 func (s *Session) undeployCanary(stream, mcName string) error {
-	resp, err := s.roundTrip(transport.KindUndeploy, func(seq uint64) any {
+	return s.request(transport.KindUndeploy, func(seq uint64) any {
 		return UndeployRequest{Seq: seq, Stream: stream, MCName: mcName, Canary: true}
 	})
-	if err != nil {
-		return err
-	}
-	return ackErr(resp)
 }
 
 // Undeploy removes a microclassifier from the named stream and waits
@@ -200,13 +184,9 @@ func (s *Session) Undeploy(stream, mcName string) error {
 }
 
 func (s *Session) undeploy(stream, mcName string, gen uint64) error {
-	resp, err := s.roundTrip(transport.KindUndeploy, func(seq uint64) any {
+	return s.request(transport.KindUndeploy, func(seq uint64) any {
 		return UndeployRequest{Seq: seq, Stream: stream, MCName: mcName, Gen: gen}
 	})
-	if err != nil {
-		return err
-	}
-	return ackErr(resp)
 }
 
 // Fetch demand-fetches frames [start, end) of a stream's archive,
@@ -259,7 +239,13 @@ type fetchReply struct {
 // controller keeps its intent for reconciliation.
 var ErrRejected = errors.New("fleet: edge rejected request")
 
-func ackErr(resp any) error {
+// request sends one deploy or undeploy request and waits for the
+// edge's ack, failing with ErrRejected when the edge refused it.
+func (s *Session) request(kind uint8, build func(seq uint64) any) error {
+	resp, err := s.roundTrip(kind, build)
+	if err != nil {
+		return err
+	}
 	ack, ok := resp.(Ack)
 	if !ok {
 		return fmt.Errorf("fleet: unexpected response %T to request", resp)

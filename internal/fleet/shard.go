@@ -42,6 +42,10 @@ type shard struct {
 	// snapshots counts the snapshots written to wal since the
 	// controller opened. Guarded by mu.
 	snapshots int
+	// failedAt is the wal's Pending count when the last compaction
+	// failed, zero once one succeeds: compactDue counts SnapshotEvery
+	// records from it. Guarded by mu.
+	failedAt int
 
 	// hbGap observes the gap between consecutive heartbeats of each
 	// session — the shard's control-latency signal — and hbHandle how

@@ -169,18 +169,6 @@ func (n *Network) live(from, to string) []*pipe {
 	return kept
 }
 
-// Pipes returns how many pipes (two per connection, one each way) the
-// registry currently tracks, dead or alive — the leak observable.
-func (n *Network) Pipes() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	total := 0
-	for _, ps := range n.pipes {
-		total += len(ps)
-	}
-	return total
-}
-
 // SetLatency sets the one-way delivery delay for the direction,
 // applied to existing and future connections.
 func (n *Network) SetLatency(from, to string, d time.Duration) {

@@ -21,12 +21,15 @@
 // is rare or large enough for gob's self-description to be worth it.
 // Every layout decodes through one LayoutReader.
 //
-// The per-record CRC turns wire damage (bit flips, mid-record byte
-// loss) into a typed ErrCorrupt at the reader instead of a gob decode
-// error — or worse, a silent desync that hangs the session. Readers
-// never trust the length prefix for allocation: payloads are read in
-// bounded chunks, so a hostile or damaged header cannot force a large
-// up-front allocation.
+// The record framing is internal/walog's (walog.Frame and
+// walog.ReadRecord): a wire record and a logged record are the same
+// bytes, so the controller's durable state store and the wire share
+// one framing implementation. The per-record CRC turns wire damage
+// (bit flips, mid-record byte loss) into a typed ErrCorrupt at the
+// reader instead of a gob decode error — or worse, a silent desync
+// that hangs the session. Readers never trust the length prefix for
+// allocation: payloads are read in bounded chunks, so a hostile or
+// damaged header cannot force a large up-front allocation.
 //
 // Version 2 is the only version served: the connection is
 // bidirectional — after the client header the server answers with its
@@ -49,13 +52,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/walog"
 )
 
 // magic identifies the wire format, including the record framing
@@ -132,15 +135,7 @@ const (
 
 // MaxRecordBytes bounds a single record payload, keeping a
 // misbehaving peer from forcing unbounded allocation.
-const MaxRecordBytes = 16 << 20
-
-// readChunk bounds how much ReadRecord allocates ahead of the bytes
-// actually arriving, so a length prefix claiming MaxRecordBytes on a
-// truncated stream costs one chunk, not 16 MB.
-const readChunk = 64 << 10
-
-// recHeaderLen is the record frame header: kind + length + crc32.
-const recHeaderLen = 9
+const MaxRecordBytes = walog.MaxRecordBytes
 
 // ErrVersion is wrapped by handshake errors caused by a version this
 // build does not speak.
@@ -149,8 +144,9 @@ var ErrVersion = errors.New("unsupported version")
 // ErrCorrupt is wrapped by record-read errors caused by wire damage —
 // a length prefix beyond the record limit or a payload failing its
 // CRC. Sessions treat it as a broken connection and reconnect rather
-// than trying to resync the stream.
-var ErrCorrupt = errors.New("corrupt record")
+// than trying to resync the stream. It is walog.ErrCorrupt: the
+// framing is shared.
+var ErrCorrupt = walog.ErrCorrupt
 
 // WriteHeader writes the protocol header (magic + version) to w.
 func WriteHeader(w io.Writer, version uint16) error {
@@ -198,17 +194,13 @@ func AppendPayload(b []byte, payload any) ([]byte, error) {
 // one framed record in a single Write. The caller is responsible for
 // serializing concurrent writers.
 func WriteRecord(w io.Writer, kind uint8, payload any) error {
-	buf, err := AppendPayload(make([]byte, recHeaderLen, recHeaderLen+64), payload)
+	buf, err := AppendPayload(make([]byte, walog.RecordHeaderLen, walog.RecordHeaderLen+64), payload)
 	if err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
 	}
-	size := len(buf) - recHeaderLen
-	if size > MaxRecordBytes {
-		return fmt.Errorf("transport: record of %d bytes exceeds limit", size)
+	if err := walog.Frame(buf, kind, buf[walog.RecordHeaderLen:]); err != nil {
+		return fmt.Errorf("transport: %w", err)
 	}
-	buf[0] = kind
-	binary.BigEndian.PutUint32(buf[1:5], uint32(size))
-	binary.BigEndian.PutUint32(buf[5:9], crc32.ChecksumIEEE(buf[recHeaderLen:]))
 	_, err = w.Write(buf)
 	return err
 }
@@ -227,48 +219,11 @@ func WriteRecordDeadline(conn net.Conn, kind uint8, payload any, timeout time.Du
 }
 
 // ReadRecord reads one framed record, returning its kind and raw
-// payload bytes. A clean end of stream at a record boundary returns
-// io.EOF; truncation mid-record returns io.ErrUnexpectedEOF; a length
-// prefix beyond the limit or a payload failing its CRC returns an
-// error wrapping ErrCorrupt. The payload buffer grows in bounded
-// chunks as bytes arrive, never from the length prefix alone.
-func ReadRecord(r io.Reader) (uint8, []byte, error) {
-	var rhdr [recHeaderLen]byte
-	if _, err := io.ReadFull(r, rhdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, err
-	}
-	size := binary.BigEndian.Uint32(rhdr[1:5])
-	sum := binary.BigEndian.Uint32(rhdr[5:9])
-	if size > MaxRecordBytes {
-		return 0, nil, fmt.Errorf("transport: %w: length prefix claims %d bytes (limit %d)", ErrCorrupt, size, MaxRecordBytes)
-	}
-	cap0 := int(size)
-	if cap0 > readChunk {
-		cap0 = readChunk
-	}
-	body := make([]byte, 0, cap0)
-	for len(body) < int(size) {
-		n := int(size) - len(body)
-		if n > readChunk {
-			n = readChunk
-		}
-		off := len(body)
-		body = append(body, zeroChunk[:n]...)
-		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, err
-		}
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, fmt.Errorf("transport: %w: payload checksum mismatch (kind %d, %d bytes)", ErrCorrupt, rhdr[0], size)
-	}
-	return rhdr[0], body, nil
-}
+// payload bytes, with walog.ReadRecord: a clean end of stream at a
+// record boundary returns io.EOF; truncation mid-record returns
+// io.ErrUnexpectedEOF; a length prefix beyond the limit or a payload
+// failing its CRC returns an error wrapping ErrCorrupt.
+func ReadRecord(r io.Reader) (uint8, []byte, error) { return walog.ReadRecord(r) }
 
 // ReadRecordDeadline is ReadRecord with every read bounded by a
 // silence deadline — the heartbeat-liveness primitive: a peer that
@@ -298,9 +253,6 @@ func (r progressReader) Read(p []byte) (int, error) {
 	}
 	return r.conn.Read(p)
 }
-
-// zeroChunk is the shared zero source ReadRecord grows buffers from.
-var zeroChunk [readChunk]byte
 
 // DecodeRecord decodes a payload AppendPayload encoded — a record read
 // by ReadRecord — into into: with its UnmarshalBinary when it has one

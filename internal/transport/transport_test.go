@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/walog"
 )
 
 // TestReadHeaderRejects pins every way a handshake is refused: each
@@ -89,7 +90,7 @@ func TestUploadLayout(t *testing.T) {
 	if err := WriteRecord(&buf, KindUpload, rec); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != recHeaderLen+len(want) || buf.Len() != 34 {
+	if buf.Len() != walog.RecordHeaderLen+len(want) || buf.Len() != 34 {
 		t.Fatalf("framed upload is %d bytes, want 34", buf.Len())
 	}
 	_, body, err := ReadRecord(&buf)

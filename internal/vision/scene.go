@@ -73,9 +73,6 @@ func (r Rect) Intersect(o *Object) float64 {
 	return (x1 - x0) * (y1 - y0)
 }
 
-// Area returns the rectangle's area in square pixels.
-func (r Rect) Area() int { return (r.X1 - r.X0) * (r.Y1 - r.Y0) }
-
 // Scale maps the rectangle from one coordinate space to another,
 // rounding outward minimally. It is used to rescale the paper's
 // pixel-space crop regions (Table 3c) to working-scale frames and to

@@ -11,11 +11,11 @@ import (
 
 // frameRecord frames one record the way Append does.
 func frameRecord(kind uint8, payload []byte) []byte {
-	buf := make([]byte, recHeaderLen+len(payload))
+	buf := make([]byte, RecordHeaderLen+len(payload))
 	buf[0] = kind
 	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[5:9], crc32.ChecksumIEEE(payload))
-	copy(buf[recHeaderLen:], payload)
+	copy(buf[RecordHeaderLen:], payload)
 	return buf
 }
 
@@ -47,7 +47,7 @@ func FuzzWALReadRecord(f *testing.F) {
 	f.Add(frameRecord(0, nil)) // empty payload
 	f.Add(append(append([]byte(nil), whole...), whole...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, body, err := ReadRecord(bytesReader(data))
+		kind, body, err := ReadRecord(bytes.NewReader(data))
 		if err != nil {
 			// Errors must be diagnosable, never a desync: damage and
 			// oversize claims wrap ErrCorrupt; truncation is an EOF
@@ -55,7 +55,7 @@ func FuzzWALReadRecord(f *testing.F) {
 			return
 		}
 		// On success the framing must be internally consistent.
-		if len(body) > len(data)-recHeaderLen {
+		if len(body) > len(data)-RecordHeaderLen {
 			t.Fatalf("body of %d bytes from %d input bytes", len(body), len(data))
 		}
 		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[5:9]) {

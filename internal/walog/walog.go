@@ -9,7 +9,10 @@
 //	wal-<gen>     header | stream of framed records (ops since snapshot)
 //	snapshot.tmp  transient, only during WriteSnapshot
 //
-// Framing reuses internal/transport's checksummed-record idiom:
+// Every record is framed by Frame and read back by ReadRecord.
+// internal/transport frames its wire records with the same two
+// functions, so a logged record and a wire record are the same bytes.
+// The file header and the record frame:
 //
 //	header: uint32 magic | uint16 version | uint8 ftype | uint8 pad |
 //	        uint64 dirID | uint64 gen
@@ -36,6 +39,7 @@
 package walog
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -73,15 +77,15 @@ const readChunk = 64 << 10
 // dirID + gen.
 const headerLen = 24
 
-// recHeaderLen is the record frame header: kind + length + crc32.
-const recHeaderLen = 9
+// RecordHeaderLen is the record frame header: kind + length + crc32.
+const RecordHeaderLen = 9
 
-// ErrCorrupt is wrapped by read errors caused by on-disk damage — a
-// bad magic, a length prefix beyond the record limit, or a payload
-// failing its CRC. Open treats a corrupt record inside the wal as the
-// torn tail (truncates and recovers); a corrupt snapshot or header is
-// surfaced, because silently dropping a snapshot would lose state.
-var ErrCorrupt = errors.New("walog: corrupt record")
+// ErrCorrupt is wrapped by read errors caused by damage — a bad magic,
+// a length prefix beyond the record limit, or a payload failing its
+// CRC. Open treats a corrupt record inside the wal as the torn tail
+// (truncates and recovers); a corrupt snapshot or header is surfaced,
+// because silently dropping a snapshot would lose state.
+var ErrCorrupt = errors.New("corrupt record")
 
 // Record is one replayed log entry: an opaque kind byte and payload,
 // both owned by the caller after Open.
@@ -291,14 +295,11 @@ func (l *Log) Append(kind uint8, payload []byte) error {
 	if l.f == nil {
 		return os.ErrClosed
 	}
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("walog: record of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
+	var hdr [RecordHeaderLen]byte
+	if err := Frame(hdr[:], kind, payload); err != nil {
+		return fmt.Errorf("walog: %w", err)
 	}
-	buf := make([]byte, recHeaderLen+len(payload))
-	buf[0] = kind
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[5:9], crc32.ChecksumIEEE(payload))
-	copy(buf[recHeaderLen:], payload)
+	buf := append(hdr[:], payload...)
 	if _, err := l.f.Write(buf); err != nil {
 		return err
 	}
@@ -326,8 +327,9 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	if l.f == nil {
 		return os.ErrClosed
 	}
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("walog: snapshot of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
+	var rhdr [RecordHeaderLen]byte
+	if err := Frame(rhdr[:], typeSnapshot, payload); err != nil {
+		return fmt.Errorf("walog: snapshot: %w", err)
 	}
 	next := l.gen + 1
 	nf, err := os.OpenFile(filepath.Join(l.dir, walName(next)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -355,18 +357,10 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	}
 	werr := writeFileHeader(sf, typeSnapshot, l.id, next)
 	if werr == nil {
-		_, werr = sf.Seek(headerLen, io.SeekStart)
+		_, werr = sf.WriteAt(rhdr[:], headerLen)
 	}
 	if werr == nil {
-		var rhdr [recHeaderLen]byte
-		rhdr[0] = typeSnapshot
-		binary.BigEndian.PutUint32(rhdr[1:5], uint32(len(payload)))
-		binary.BigEndian.PutUint32(rhdr[5:9], crc32.ChecksumIEEE(payload))
-		if _, err := sf.Write(rhdr[:]); err != nil {
-			werr = err
-		} else if _, err := sf.Write(payload); err != nil {
-			werr = err
-		}
+		_, werr = sf.WriteAt(payload, headerLen+RecordHeaderLen)
 	}
 	if werr == nil {
 		werr = sf.Sync()
@@ -394,7 +388,7 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	l.size = headerLen
 	l.pending = 0
 	l.snapshot = payload
-	l.snapSize = headerLen + recHeaderLen + int64(len(payload))
+	l.snapSize = headerLen + RecordHeaderLen + int64(len(payload))
 	l.records, l.tornBytes = nil, 0
 	old.Close()
 	_ = os.Remove(filepath.Join(l.dir, walName(oldGen)))
@@ -425,6 +419,21 @@ func (l *Log) Abandon() {
 	}
 }
 
+// Frame writes the frame header of one record — its kind, the payload
+// length and the payload's checksum — into hdr[:RecordHeaderLen]. The
+// payload follows the header; ReadRecord reads the pair back. A
+// payload over MaxRecordBytes is refused, since no reader would
+// accept it.
+func Frame(hdr []byte, kind uint8, payload []byte) error {
+	if len(payload) > MaxRecordBytes {
+		return fmt.Errorf("record of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
+	}
+	hdr[0] = kind
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
+	return nil
+}
+
 // ReadRecord reads one framed record from r, returning its kind and
 // payload. A clean end of stream at a record boundary returns io.EOF;
 // truncation mid-record returns io.ErrUnexpectedEOF; a length prefix
@@ -432,7 +441,7 @@ func (l *Log) Abandon() {
 // wrapping ErrCorrupt. The payload buffer grows in bounded chunks as
 // bytes arrive, never from the length prefix alone.
 func ReadRecord(r io.Reader) (uint8, []byte, error) {
-	var rhdr [recHeaderLen]byte
+	var rhdr [RecordHeaderLen]byte
 	if _, err := io.ReadFull(r, rhdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
@@ -442,7 +451,7 @@ func ReadRecord(r io.Reader) (uint8, []byte, error) {
 	size := binary.BigEndian.Uint32(rhdr[1:5])
 	sum := binary.BigEndian.Uint32(rhdr[5:9])
 	if size > MaxRecordBytes {
-		return 0, nil, fmt.Errorf("walog: %w: length prefix claims %d bytes (limit %d)", ErrCorrupt, size, MaxRecordBytes)
+		return 0, nil, fmt.Errorf("%w: length prefix claims %d bytes (limit %d)", ErrCorrupt, size, MaxRecordBytes)
 	}
 	cap0 := int(size)
 	if cap0 > readChunk {
@@ -464,7 +473,7 @@ func ReadRecord(r io.Reader) (uint8, []byte, error) {
 		}
 	}
 	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, fmt.Errorf("walog: %w: payload checksum mismatch (kind %d, %d bytes)", ErrCorrupt, rhdr[0], size)
+		return 0, nil, fmt.Errorf("%w: payload checksum mismatch (kind %d, %d bytes)", ErrCorrupt, rhdr[0], size)
 	}
 	return rhdr[0], body, nil
 }
@@ -489,7 +498,7 @@ func parseSnapshot(data []byte) (id, gen uint64, payload []byte, err error) {
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	kind, payload, err := ReadRecord(bytesReader(data[headerLen:]))
+	kind, payload, err := ReadRecord(bytes.NewReader(data[headerLen:]))
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("%w: snapshot record: %v", ErrCorrupt, err)
 	}
@@ -590,21 +599,4 @@ func (r *offsetReader) Read(p []byte) (int, error) {
 	n, err := r.f.Read(p)
 	r.off += int64(n)
 	return n, err
-}
-
-// bytesReader avoids importing bytes for one call site.
-type sliceReader struct {
-	data []byte
-	off  int
-}
-
-func bytesReader(b []byte) *sliceReader { return &sliceReader{data: b} }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
 }

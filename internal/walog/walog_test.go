@@ -81,7 +81,7 @@ func TestTornTailTruncation(t *testing.T) {
 			appendRaw(t, path, []byte{3, 0, 0}) // 3 of 9 header bytes
 		}},
 		{"partial payload", func(path string, t *testing.T) {
-			var hdr [recHeaderLen]byte
+			var hdr [RecordHeaderLen]byte
 			hdr[0] = 4
 			binary.BigEndian.PutUint32(hdr[1:5], 100)
 			binary.BigEndian.PutUint32(hdr[5:9], 0xdead)
@@ -89,14 +89,14 @@ func TestTornTailTruncation(t *testing.T) {
 		}},
 		{"bad crc", func(path string, t *testing.T) {
 			body := []byte("damaged")
-			var hdr [recHeaderLen]byte
+			var hdr [RecordHeaderLen]byte
 			hdr[0] = 4
 			binary.BigEndian.PutUint32(hdr[1:5], uint32(len(body)))
 			binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(body)^0xFF)
 			appendRaw(t, path, append(hdr[:], body...))
 		}},
 		{"oversize length claim", func(path string, t *testing.T) {
-			var hdr [recHeaderLen]byte
+			var hdr [RecordHeaderLen]byte
 			hdr[0] = 4
 			binary.BigEndian.PutUint32(hdr[1:5], MaxRecordBytes+1)
 			appendRaw(t, path, hdr[:])
@@ -241,7 +241,7 @@ func TestCrashDuringSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		writeFileHeader(of, typeWAL, id, 0)
-		var hdr [recHeaderLen]byte
+		var hdr [RecordHeaderLen]byte
 		hdr[0] = 1
 		body := []byte("stale-pre-snapshot-record")
 		binary.BigEndian.PutUint32(hdr[1:5], uint32(len(body)))
@@ -335,7 +335,7 @@ func TestReadRecordBoundedAllocation(t *testing.T) {
 	hdr := []byte{1, 0x00, 0xF0, 0x00, 0x00, 0, 0, 0, 0} // claims ~15 MB
 	input := append(hdr, make([]byte, 32)...)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := ReadRecord(bytesReader(input)); err == nil {
+		if _, _, err := ReadRecord(bytes.NewReader(input)); err == nil {
 			t.Fatal("truncated 15 MB claim accepted")
 		}
 	})
@@ -379,4 +379,35 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	n := copy(p, r.data[r.off:])
 	r.off += n
 	return n, nil
+}
+
+// TestFrameMatchesLayout pins Frame to the record layout the readers
+// expect, and the limit it shares with them: an over-limit payload is
+// refused by Append and WriteSnapshot before anything reaches disk.
+func TestFrameMatchesLayout(t *testing.T) {
+	payload := []byte("frame-layout")
+	var hdr [RecordHeaderLen]byte
+	if err := Frame(hdr[:], 7, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := append(hdr[:], payload...), frameRecord(7, payload); !bytes.Equal(got, want) {
+		t.Fatalf("Frame wrote %x, want %x", got, want)
+	}
+
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	huge := make([]byte, MaxRecordBytes+1)
+	if err := l.Append(1, huge); err == nil {
+		t.Fatal("Append accepted an over-limit record")
+	}
+	if err := l.WriteSnapshot(huge); err == nil {
+		t.Fatal("WriteSnapshot accepted an over-limit snapshot")
+	}
+	if l.Size() != headerLen || l.Gen() != 0 || l.Pending() != 0 {
+		t.Fatalf("refused writes changed the log: size %d, gen %d, pending %d", l.Size(), l.Gen(), l.Pending())
+	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -476,15 +478,14 @@ func (c *Controller) handleConn(conn net.Conn) error {
 // moved. New placement takes effect atomically: the placement epoch
 // bumps first, so in-flight registrations and API calls that routed
 // under the old ring abort and retry instead of landing on a shard
-// that no longer owns their node. Moved nodes' state records
-// (upload ledger and its high-water mark, intent, lifecycle counters)
-// transfer wholesale to their new owner as move-in records, and their
-// live sessions are closed with a redirect — the edge reconnects and
-// its resume hello reconciles on the new shard exactly like any other
-// reconnect. Ledgers move with their nodes, so fleet-global sums are
-// preserved. Shrinking deletes a retired shard's state directory only
-// once every move-in out of it is synced on its new owner; otherwise
-// the directory stays and the next recovery re-homes from it.
+// that no longer owns their node. The move itself is rehomeLocked's:
+// each moved node's whole record reaches its new owner as a durable
+// move-in, so fleet-global sums are preserved, and its live sessions
+// close with a redirect — the edge reconnects and its resume hello
+// reconciles on the new shard exactly like any other reconnect. A
+// retired shard whose move-ins did not all become durable keeps its
+// state directory for the next recovery to re-home from; Resize still
+// succeeds.
 func (c *Controller) Resize(shards int) (moved int, err error) {
 	if shards < 1 {
 		return 0, fmt.Errorf("fleet: shard count %d, need at least 1", shards)
@@ -499,38 +500,61 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 	// committing to the resize: a store that cannot open must abort
 	// the whole operation, not leave a shard accepting state it cannot
 	// log.
-	var newLogs []*walog.Log
-	if c.cfg.StateDir != "" && shards > old {
-		for i := old; i < shards; i++ {
-			l, lerr := walog.Open(filepath.Join(c.cfg.StateDir, shardDirName(i)))
-			if lerr != nil {
-				for _, opened := range newLogs {
-					opened.Close()
+	var added []*shard
+	for i := old; i < shards; i++ {
+		sh := newShard(i, c)
+		if c.cfg.StateDir != "" {
+			if sh.wal, err = c.openShardLog(i); err != nil {
+				for _, a := range added {
+					a.wal.Close()
 				}
 				c.mu.Unlock()
-				return 0, fmt.Errorf("fleet: open shard log %d: %w", i, lerr)
+				return 0, err
 			}
-			newLogs = append(newLogs, l)
 		}
+		added = append(added, sh)
 	}
 	// Epoch first, then the ring: any routing decision that read the
 	// old ring fails its epoch check, and any that reads the new
 	// epoch (via onNode's retry) blocks on c.mu until the new ring is
-	// in place.
-	c.epoch.Add(1)
-	epoch := c.epoch.Load()
-	for i := old; i < shards; i++ {
-		sh := newShard(i, c)
-		if newLogs != nil {
-			sh.wal = newLogs[i-old]
-		}
-		c.shards = append(c.shards, sh)
-	}
+	// in place. After the bump no new node record can appear under the
+	// old placement (creation paths re-check the epoch), so
+	// rehomeLocked's scan is complete.
+	epoch := c.epoch.Add(1)
+	c.shards = append(c.shards, added...)
 	c.ring = newRing(shards)
+	ring := c.ring
+	moved, redirected, _ := c.rehomeLocked(shards)
+	c.mu.Unlock()
 
-	// Collect the moves under the new ring. After the epoch bump no
-	// new node record can appear under the old placement (creation
-	// paths re-check the epoch), so the scan is complete.
+	// Tell the moved sessions why they died, best-effort, off the
+	// router lock: a partitioned edge won't get the record, but its
+	// connection loop redials regardless.
+	for _, s := range redirected {
+		_ = s.write(transport.KindRedirect,
+			Redirect{Shard: ring.owner(s.Node()), Epoch: epoch, Reason: "re-homed"})
+		s.conn.Close()
+	}
+	return moved, nil
+}
+
+// rehomeLocked is the one path that moves node records between shard
+// logs, for a Resize and for recovery alike. Under the current ring it
+// moves every node record held by a shard other than its owner: the
+// record's incarnation (Rehomed) bumps, a move-in carrying it commits
+// on the owner, and the node's sessions on the old shard close for a
+// redirect. Then it syncs each log that took a move-in, once per log,
+// and retires every shard at index keep or above: its log closes, and
+// its directory is deleted only when every move-in out of it is
+// durable — otherwise the directory is the only durable copy of those
+// nodes and stays for the next recovery to re-home from. A process
+// crash at any point therefore leaves each node's newest incarnation
+// in some log (see README, "Fsync policy and re-homing", for the one
+// power-loss window). It returns the number of nodes moved, the sessions closed,
+// and the sorted indices of the shards some move-in out of which did
+// not become durable. Callers hold c.mu (or own a controller that does
+// not serve yet), with c.ring built for keep shards.
+func (c *Controller) rehomeLocked(keep int) (moved int, redirected []*Session, lost []int) {
 	type move struct {
 		node     string
 		from, to int
@@ -547,22 +571,13 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 	}
 	sort.Slice(moves, func(i, j int) bool { return moves[i].node < moves[j].node })
 
-	type redirectTarget struct {
-		s  *Session
-		to int
-	}
-	var redirects []redirectTarget
-	// lost marks each shard a move-in out of which did not reach its
-	// new owner's log (or, below, its disk).
-	lost := make(map[int]bool)
+	epoch := c.epoch.Load()
+	failed := make(map[int]bool)   // sources with a move-in not durable
+	sources := make(map[int][]int) // target -> the sources of its move-ins
 	for _, m := range moves {
 		from, to := c.shards[m.from], c.shards[m.to]
 		from.mu.Lock()
 		st := from.Nodes[m.node]
-		if st == nil {
-			from.mu.Unlock()
-			continue
-		}
 		delete(from.Nodes, m.node)
 		for id, s := range from.sessions {
 			if s.Node() == m.node {
@@ -572,7 +587,7 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 				// serveSession cannot also count this session.
 				s.markDone(ErrRedirected)
 				delete(from.sessions, id)
-				redirects = append(redirects, redirectTarget{s: s, to: m.to})
+				redirected = append(redirected, s)
 			}
 		}
 		from.mu.Unlock()
@@ -583,62 +598,52 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 		to.mu.Lock()
 		st.Rehomed++
 		if !to.commit(&moveInRec{Name: m.node, Node: st}) {
-			lost[m.from] = true
+			failed[m.from] = true
 		}
 		to.mu.Unlock()
-		moved++
+		sources[m.to] = append(sources[m.to], m.from)
 		c.cfg.Log.Info("fleet: node re-homed",
 			"node", m.node, "from", m.from, "to", m.to, "epoch", epoch)
 	}
-
-	if shards < old {
-		// The moves above emptied the retired shards, but until the
-		// move-ins out of them are synced, a retired directory is the
-		// only durable copy of its nodes: sync every log that took one.
-		synced := make(map[int]bool)
-		for _, m := range moves {
-			if m.from < shards {
-				continue
-			}
-			if _, done := synced[m.to]; !done {
-				to := c.shards[m.to]
-				to.mu.Lock()
-				synced[m.to] = to.wal == nil || to.wal.Sync() == nil
-				to.mu.Unlock()
-			}
-			if !synced[m.to] {
-				lost[m.from] = true
+	for _, to := range slices.Sorted(maps.Keys(sources)) {
+		sh := c.shards[to]
+		sh.mu.Lock()
+		synced := sh.wal == nil || sh.wal.Sync() == nil
+		sh.mu.Unlock()
+		if !synced {
+			for _, from := range sources[to] {
+				failed[from] = true
 			}
 		}
-		for _, sh := range c.shards[shards:] {
-			sh.mu.Lock()
-			w := sh.wal
-			sh.wal = nil
-			sh.mu.Unlock()
-			if w == nil {
-				continue
-			}
-			dir := w.Dir()
-			w.Close()
-			if lost[sh.id] {
-				c.cfg.Log.Error("fleet: retired shard's move-ins not durable, keeping state dir", "dir", dir)
-				continue
-			}
-			_ = os.RemoveAll(dir)
+	}
+	for _, sh := range c.shards[keep:] {
+		sh.mu.Lock()
+		w := sh.wal
+		sh.wal = nil
+		sh.mu.Unlock()
+		if w == nil {
+			continue
 		}
-		c.shards = c.shards[:shards]
+		dir := w.Dir()
+		w.Close()
+		if failed[sh.id] {
+			c.cfg.Log.Error("fleet: retired shard's move-ins not durable, keeping state dir", "dir", dir)
+			continue
+		}
+		_ = os.RemoveAll(dir)
 	}
-	c.mu.Unlock()
+	c.shards = c.shards[:keep]
+	return len(moves), redirected, slices.Sorted(maps.Keys(failed))
+}
 
-	// Tell the moved sessions why they died, best-effort, off the
-	// router lock: a partitioned edge won't get the record, but its
-	// connection loop redials regardless.
-	for _, r := range redirects {
-		_ = r.s.write(transport.KindRedirect,
-			Redirect{Shard: r.to, Epoch: epoch, Reason: "re-homed"})
-		r.s.conn.Close()
+// openShardLog opens shard i's log under StateDir, creating it if
+// absent.
+func (c *Controller) openShardLog(i int) (*walog.Log, error) {
+	l, err := walog.Open(filepath.Join(c.cfg.StateDir, shardDirName(i)))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: open shard log %d: %w", i, err)
 	}
-	return moved, nil
+	return l, nil
 }
 
 // reconcileItem is one reconciliation push: a re-deploy of missing

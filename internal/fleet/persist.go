@@ -9,7 +9,6 @@ import (
 	"io"
 	"maps"
 	"os"
-	"path/filepath"
 	"slices"
 	"time"
 
@@ -478,143 +477,85 @@ type RecoveryStats struct {
 // shardDirName names shard i's log directory under StateDir.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
-// recoverState replays every shard log directory under cfg.StateDir
-// into the controller's shards, creating directories for shards that
-// lack one. Called once from OpenController before the controller
-// serves, so no locks are needed; the controller's ring and shard
-// slice are already built for cfg.Shards.
-//
-// Ordering contract with Resize re-homing: node records recovered from
-// a log whose directory index no longer matches the current ring are
-// re-homed at recovery — the winning copy's incarnation (Rehomed) is
-// bumped and a move-in record is committed and synced to the new
-// owner's wal before the stale copy is dropped from memory, so a crash
-// at any point leaves the newest incarnation durable exactly once.
-// Retired directories (index beyond the configured shard count) are
-// deleted once every winner they held is durable on its new owner,
-// exactly as Resize retires a shard.
+// recoverState opens the previous configuration and resizes it to
+// cfg.Shards. Every "shard-NNNN" directory under cfg.StateDir is
+// replayed into shard NNNN — indices at or beyond cfg.Shards included,
+// gaps left as log-less shards — and each in-range shard without a
+// directory gets a fresh log. Where several logs hold the same node,
+// the copy of highest incarnation (Rehomed) wins, then the higher
+// generation, then the lower directory index, and the others are
+// dropped. rehomeLocked then moves each node to its owner and retires
+// the out-of-range shards exactly as Resize does; recovery fails if
+// any move-in did not become durable. Called once from OpenController
+// before the controller serves. Every log it opens lives in c.shards,
+// so OpenController's cleanup closes them all on failure.
 func (c *Controller) recoverState() (*RecoveryStats, error) {
 	start := time.Now()
 	stats := &RecoveryStats{}
-	root := c.cfg.StateDir
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := os.MkdirAll(c.cfg.StateDir, 0o755); err != nil {
 		return nil, err
 	}
-	idxs, paths, err := walog.ListDirs(root, "shard-")
+	idxs, paths, err := walog.ListDirs(c.cfg.StateDir, "shard-")
 	if err != nil {
 		return nil, err
 	}
-
-	type recovered struct {
-		idx   int
-		path  string
-		log   *walog.Log
-		state shardState
-	}
-	var dirs []recovered
+	keep := len(c.shards)
 	for i, path := range paths {
-		l, err := walog.Open(path)
-		if err != nil {
+		for len(c.shards) <= idxs[i] {
+			c.shards = append(c.shards, newShard(len(c.shards), c))
+		}
+		sh := c.shards[idxs[i]]
+		if sh.wal != nil {
+			return nil, fmt.Errorf("fleet: two state directories for shard %d: %s and %s", idxs[i], sh.wal.Dir(), path)
+		}
+		if sh.wal, err = walog.Open(path); err != nil {
 			return nil, fmt.Errorf("fleet: open shard log %s: %w", path, err)
 		}
-		state, records, err := replayLog(l)
+		state, records, err := replayLog(sh.wal)
 		if err != nil {
-			l.Close()
 			return nil, fmt.Errorf("fleet: replay %s: %w", path, err)
 		}
-		dirs = append(dirs, recovered{idx: idxs[i], path: path, log: l, state: state})
+		sh.shardState = state
 		stats.RecordsReplayed += records
-		stats.SnapshotBytes += l.SnapshotSize()
-		stats.TornBytes += l.TornBytes()
+		stats.SnapshotBytes += sh.wal.SnapshotSize()
+		stats.TornBytes += sh.wal.TornBytes()
 	}
-	stats.Dirs = len(dirs)
-
-	// Attach logs and state: an in-range directory's replayed state IS
-	// its shard's state; out-of-range ones (a previous run had more
-	// shards) retire below.
-	var retired []recovered
-	for _, d := range dirs {
-		if d.idx < len(c.shards) {
-			c.shards[d.idx].wal, c.shards[d.idx].shardState = d.log, d.state
-			continue
-		}
-		retired = append(retired, d)
-	}
-	// Shards without a directory (first boot, or the count grew).
-	for i, sh := range c.shards {
-		if sh.wal != nil {
-			continue
-		}
-		l, err := walog.Open(filepath.Join(root, shardDirName(i)))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: create shard log %d: %w", i, err)
-		}
-		sh.wal = l
-	}
-	// Resolve node winners across logs by incarnation (Rehomed): every
-	// move between logs bumps it, so the highest copy is the newest.
-	// Ties break toward higher generation, then lower directory index —
-	// deterministic, and unreachable when move ordering held. Retired
-	// directories are considered too: Resize deletes one only once its
-	// nodes' move-ins are durable elsewhere, so a surviving retired
-	// directory may hold the only durable copy of a node.
-	type winner struct {
-		st     *nodeState
-		srcIdx int
-	}
-	winners := make(map[string]winner)
-	for _, d := range dirs {
-		for name, st := range d.state.Nodes {
-			w, ok := winners[name]
-			if !ok || cmp.Or(
-				cmp.Compare(st.Rehomed, w.st.Rehomed),
-				cmp.Compare(st.Gen, w.st.Gen),
-				cmp.Compare(w.srcIdx, d.idx)) > 0 {
-				winners[name] = winner{st: st, srcIdx: d.idx}
+	stats.Dirs = len(paths)
+	for _, sh := range c.shards[:keep] {
+		if sh.wal == nil {
+			if sh.wal, err = c.openShardLog(sh.id); err != nil {
+				return nil, err
 			}
 		}
 	}
 
-	// Place winners under the current ring. A node landing on a shard
-	// other than its source log is a re-home: a move-in at the next
-	// incarnation, durable on the new owner before anything else, so no
-	// crash can leave two logs claiming the same incarnation. Then every
-	// shard drops what it does not own — losing copies and moved-out
-	// winners alike (the owner's own copy is the winner by now: either
-	// it won from the shard's own log, or the move-in replaced it).
-	for _, name := range slices.Sorted(maps.Keys(winners)) {
-		w := winners[name]
-		target := c.ring.owner(name)
-		if w.srcIdx == target {
-			continue
-		}
-		w.st.Rehomed++
-		sh := c.shards[target]
-		if !sh.commit(&moveInRec{Name: name, Node: w.st}) {
-			return nil, fmt.Errorf("fleet: recovery move-in %q to shard %d: wal append failed", name, target)
-		}
-		if err := sh.wal.Sync(); err != nil {
-			return nil, fmt.Errorf("fleet: recovery move-in %q to shard %d: %w", name, target, err)
-		}
-	}
-	for i, sh := range c.shards {
-		for name := range sh.Nodes {
-			if c.ring.owner(name) != i {
+	// Every move between logs bumps the incarnation, so the highest copy
+	// is the newest; the tie-breaks are deterministic and unreachable
+	// when move ordering held. Shards are visited in index order, so a
+	// full tie keeps the lower index.
+	held := make(map[string]*shard) // the shard holding each node's winning copy
+	for _, sh := range c.shards {
+		for name, st := range sh.Nodes {
+			w := held[name]
+			if w != nil && cmp.Or(
+				cmp.Compare(st.Rehomed, w.Nodes[name].Rehomed),
+				cmp.Compare(st.Gen, w.Nodes[name].Gen)) <= 0 {
 				delete(sh.Nodes, name)
+				continue
 			}
+			if w != nil {
+				delete(w.Nodes, name)
+			}
+			held[name] = sh
 		}
 	}
-	stats.Nodes = len(winners)
+	stats.Nodes = len(held)
 
-	// With every winner durable on its owner, retired directories hold
-	// only stale copies: delete them.
-	for _, d := range retired {
-		d.log.Close()
-		_ = os.RemoveAll(d.path)
+	if _, _, lost := c.rehomeLocked(keep); len(lost) > 0 {
+		return nil, fmt.Errorf("fleet: recovery: move-ins out of shards %v are not durable", lost)
 	}
-
 	// Compact: with move-ins durable, snapshot order across shards no
-	// longer matters.
+	// longer matters, and the dropped copies leave the logs.
 	for _, sh := range c.shards {
 		if err := sh.snapshotLocked(); err != nil {
 			c.cfg.Log.Error("fleet: recovery snapshot failed", "shard", sh.id, "err", err)

@@ -784,3 +784,210 @@ func TestRestartAfterShardCountGrow(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartAfterRuntimeGrowCrash checks a live grow followed by a
+// crash: Resize 1→3 re-homes nodes while their agents are connected
+// (they follow the redirect to the new owner), more uploads land, and a
+// crash with no snapshot leaves recovery only the move-in records to
+// place each ledger by. Two recoveries at 3 shards must both find every
+// ledger equal to the edges' ground truth.
+func TestRestartAfterRuntimeGrowCrash(t *testing.T) {
+	stateDir := t.TempDir()
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ControllerConfig{Timeout: 5 * time.Second, Shards: 1, StateDir: stateDir, SnapshotEvery: -1}
+	ctrl, _, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Serve(ln)
+
+	var agents []*chaosAgent
+	for _, name := range []string{"edge-0", "edge-1", "edge-2", "edge-3", "edge-4", "edge-5"} {
+		agents = append(agents, mkRestartAgent(t, n, name))
+	}
+	mc := saveVersionedMC(t, "mc-1", 11, 1)
+	for _, c := range agents {
+		if err := ctrl.Deploy(c.name, "cam0", mc, -1); err != nil {
+			t.Fatalf("deploy to %s: %v", c.name, err)
+		}
+	}
+	landed := func() {
+		for _, c := range agents {
+			waitFor(t, c.name+" uploads", func() bool {
+				total := -1
+				ctrl.WithNodeDatacenter(c.name, func(dc *core.Datacenter) {
+					total, _ = dc.Totals()
+				})
+				return total == c.gtCount()
+			})
+		}
+	}
+	for _, c := range agents {
+		waitFor(t, c.name+" deployed", func() bool {
+			return len(c.agent.DeployedMCs("cam0")) == 1
+		})
+		c.feed(t, 8)
+	}
+	landed()
+
+	moved, err := ctrl.Resize(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == 0 {
+		t.Fatal("the grow moved no node; the test would not cross a log")
+	}
+	for _, c := range agents {
+		c.feed(t, 8)
+	}
+	landed()
+	grown := 0
+	for _, s := range ctrl.ShardStats()[1:] {
+		grown += s.Uploads
+	}
+	if grown == 0 {
+		t.Fatal("the new shards own no uploads; no ledger crossed a log")
+	}
+	for _, c := range agents {
+		c.agent.Close()
+	}
+	checkLedgers(t, ctrl, agents)
+	ctrl.Crash()
+
+	cfg.Shards = 3
+	for round := 1; round <= 2; round++ {
+		ctrl, _, err = OpenController(cfg)
+		if err != nil {
+			t.Fatalf("recovery %d: %v", round, err)
+		}
+		checkLedgers(t, ctrl, agents)
+		ctrl.Crash()
+	}
+}
+
+// TestRestartFromSparseDirs reopens a state dir whose shard directories
+// are {0, 1, 3} at 2 shards: shard 3 is retired and shard 2 never had a
+// directory. Every node must land on its ring owner exactly once,
+// shard-0003 must be gone, and a second recovery must agree.
+func TestRestartFromSparseDirs(t *testing.T) {
+	stateDir := t.TempDir()
+	ctrl, _, err := OpenController(ControllerConfig{Timeout: time.Second, Shards: 4, StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := saveVersionedMC(t, "mc-1", 11, 1)
+	ring4 := newRing(4)
+	var names []string
+	from3 := 0
+	for i := 0; len(names) < 12; i++ {
+		name := fmt.Sprintf("edge-%d", i)
+		switch ring4.owner(name) {
+		case 2:
+			continue // shard 2's directory goes below, so it holds no node
+		case 3:
+			from3++
+		}
+		names = append(names, name)
+		if err := ctrl.Deploy(name, "cam0", mc, -1); !errors.Is(err, ErrDeferred) {
+			t.Fatalf("deploy to offline %s = %v", name, err)
+		}
+	}
+	if from3 == 0 {
+		t.Fatal("no node on shard 3; the retired directory would hold nothing to re-home")
+	}
+	ctrl.Crash()
+	if err := os.RemoveAll(filepath.Join(stateDir, shardDirName(2))); err != nil {
+		t.Fatal(err)
+	}
+
+	ring2 := newRing(2)
+	for round := 1; round <= 2; round++ {
+		ctrl, stats, err := OpenController(ControllerConfig{Timeout: time.Second, Shards: 2, StateDir: stateDir})
+		if err != nil {
+			t.Fatalf("recovery %d: %v", round, err)
+		}
+		if stats.Nodes != len(names) {
+			t.Fatalf("recovery %d found %d nodes, want %d", round, stats.Nodes, len(names))
+		}
+		shards := ctrl.snapshotShards()
+		if len(shards) != 2 {
+			t.Fatalf("recovery %d left %d shards, want 2", round, len(shards))
+		}
+		for _, name := range names {
+			var on []int
+			for i, sh := range shards {
+				if sh.Nodes[name] != nil {
+					on = append(on, i)
+				}
+			}
+			if want := ring2.owner(name); len(on) != 1 || on[0] != want {
+				t.Fatalf("recovery %d: %s held by shards %v, want only its owner %d", round, name, on, want)
+			}
+			if _, gen := ctrl.Intent(name); gen != 1 {
+				t.Fatalf("recovery %d: %s gen %d, want 1", round, name, gen)
+			}
+		}
+		for _, i := range []int{2, 3} {
+			if _, err := os.Stat(filepath.Join(stateDir, shardDirName(i))); !os.IsNotExist(err) {
+				t.Fatalf("recovery %d: %s present at 2 shards (err %v)", round, shardDirName(i), err)
+			}
+		}
+		ctrl.Crash()
+	}
+}
+
+// TestRestartFailedOpenClosesLogs checks that a recovery that fails
+// part way closes every log it opened: a 3-shard state dir whose last
+// snapshot is damaged, or that names shard 1 twice, is refused, and
+// refusing it again and again must not leave file descriptors behind.
+func TestRestartFailedOpenClosesLogs(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open files")
+	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(stateDir string) error
+	}{
+		{"damaged snapshot", func(stateDir string) error {
+			return os.WriteFile(filepath.Join(stateDir, shardDirName(2), "snapshot"), []byte("not a snapshot"), 0o644)
+		}},
+		{"shard named twice", func(stateDir string) error {
+			return os.Mkdir(filepath.Join(stateDir, "shard-1"), 0o755)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ControllerConfig{Timeout: time.Second, Shards: 3, StateDir: t.TempDir()}
+			ctrl, _, err := OpenController(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctrl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.damage(cfg.StateDir); err != nil {
+				t.Fatal(err)
+			}
+			before := openFDs()
+			for i := 0; i < 5; i++ {
+				if ctrl, _, err := OpenController(cfg); err == nil {
+					ctrl.Close()
+					t.Fatal("recovery accepted the damaged state dir")
+				}
+			}
+			if after := openFDs(); after > before {
+				t.Fatalf("5 failed recoveries left %d more open files (%d -> %d)", after-before, before, after)
+			}
+		})
+	}
+}

@@ -469,23 +469,27 @@ func TestMultiStreamDeployUndeploy(t *testing.T) {
 	}
 	sched := m.NewScheduler(SchedulerConfig{Workers: 2})
 	defer sched.Close()
-	newMC := func(name string, seed int64) *filter.MC {
+	deploy := func(stream, name string, seed int64) error {
 		mc, err := filter.NewMC(filter.Spec{Name: name, Arch: filter.PoolingClassifier, Seed: seed}, base, 48, 27)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mc
+		_, err = sched.Do(stream, func(e *EdgeNode) ([]Upload, error) { return nil, e.DeployLive(mc, -1) })
+		return err
 	}
-	if err := sched.Deploy("cam0", newMC("m", 4), -1); err != nil {
+	undeploy := func(stream, name string) ([]Upload, error) {
+		return sched.Do(stream, func(e *EdgeNode) ([]Upload, error) { return e.Undeploy(name) })
+	}
+	if err := deploy("cam0", "m", 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Deploy("nope", newMC("m", 4), -1); err == nil {
+	if err := deploy("nope", "m", 4); err == nil {
 		t.Fatal("deploy to unknown stream accepted")
 	}
 	frames := testFrames(7)
 	for i, f := range frames {
 		if i == 3 {
-			if err := sched.Deploy("cam0", newMC("late", 5), -1); err != nil {
+			if err := deploy("cam0", "late", 5); err != nil {
 				t.Fatalf("mid-stream deploy: %v", err)
 			}
 		}
@@ -493,7 +497,7 @@ func TestMultiStreamDeployUndeploy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ups, err := sched.Undeploy("cam0", "late")
+	ups, err := undeploy("cam0", "late")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +509,7 @@ func TestMultiStreamDeployUndeploy(t *testing.T) {
 			t.Fatalf("late MC upload starts at %d, before its deployment frame 3", u.Start)
 		}
 	}
-	if _, err := sched.Undeploy("nope", "m"); err == nil {
+	if _, err := undeploy("nope", "m"); err == nil {
 		t.Fatal("undeploy on unknown stream accepted")
 	}
 	if err := sched.Err(); err != nil {

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -210,7 +211,10 @@ type mcStep struct {
 	dt  time.Duration
 }
 
-// deployedMC is one application's MC with its per-stream state.
+// deployedMC is one application's MC with its per-stream state. A
+// canary shadow is the same slot without the live half: it is pushed
+// in the same fan-out and its MC records scores into sketch, but it
+// never gets a smoother or detector and its event fields stay unused.
 type deployedMC struct {
 	mc        *filter.MC
 	threshold float32
@@ -218,44 +222,26 @@ type deployedMC struct {
 	detector  *event.Detector
 
 	// sketch accumulates the MC's score distribution since deploy —
-	// the semantic signal heartbeats carry for fleet drift detection.
-	// Always on: a sketch is a few hundred bytes and recording is
-	// allocation-free, so observer-less nodes still report one.
+	// the semantic signal heartbeats carry for fleet drift detection
+	// and canary verdicts. Always on: a sketch is a few hundred bytes
+	// and recording is allocation-free, so observer-less nodes still
+	// report one.
 	sketch *obs.ScoreSketch
 
-	// offset maps the MC's local frame counter (0 at deploy time) to
-	// stream frame indices; non-zero for live mid-stream deployments.
+	// epoch is a shadow's controller-assigned install counter, echoed
+	// in heartbeats so the controller can tell a fresh sketch from the
+	// previous install's even when the counts line up.
+	epoch uint64
+
+	// offset maps the MC's local frame counter (0 when the slot went
+	// live) to stream frame indices; non-zero for mid-stream
+	// deployments and promoted shadows.
 	offset int
 
 	// open event segment assembly.
 	openID    uint64
 	segStart  int
 	segFrames int
-}
-
-// shadowMC is a canary candidate evaluated in the shadow of the live
-// deployment: it consumes the same shared feature maps as the
-// incumbents, but its classifications feed only a private score
-// sketch — no smoothing, no event assembly, no uploads. The
-// controller compares the shadow's sketch against the incumbent's to
-// decide promotion or rollback.
-type shadowMC struct {
-	mc        *filter.MC
-	threshold float32
-	sketch    *obs.ScoreSketch
-	// epoch is the controller-assigned install counter for this shadow
-	// slot, echoed in heartbeats so the controller can tell a fresh
-	// sketch from the previous install's even when the counts line up.
-	epoch uint64
-	// offset maps the shadow's local frame counter to stream indices,
-	// carried into the live deployment on promotion so windowed tails
-	// keep correct stream coordinates.
-	offset int
-	// cls holds phase 2a's result for phase 2b. MC.Push returns a
-	// slice that is reused by that MC's next Push/Flush, so the
-	// shadow fan-out copies the classifications out instead of
-	// aliasing the ring.
-	cls []filter.Classification
 }
 
 // EdgeNode is a FilterForward edge instance bound to one camera
@@ -273,7 +259,7 @@ type EdgeNode struct {
 	// shadows are canary candidates scoring alongside the incumbents;
 	// they never produce uploads. Owned by the pipeline goroutine;
 	// mu guards the list for observers.
-	shadows []*shadowMC
+	shadows []*deployedMC
 	meta    map[int]FrameMeta
 
 	// ext is this node's private handle onto the shared base DNN's
@@ -302,14 +288,14 @@ type EdgeNode struct {
 
 	// Hot-path arenas, owned by the pipeline goroutine: xbuf is the
 	// ingest tensor ToTensorInto fills each frame; steps is phase 2a's
-	// per-MC result slots; curMaps points at the extractor's feature
-	// maps for the frame in flight; mcRun is the prebuilt fan-out
-	// body (building the closure per frame would allocate).
-	xbuf      *tensor.Tensor
-	steps     []mcStep
-	curMaps   map[string]*tensor.Tensor
-	mcRun     func(int)
-	shadowRun func(int)
+	// result slots, live MCs first, then shadows; curMaps points at the
+	// extractor's feature maps for the frame in flight; mcRun is the
+	// prebuilt fan-out body (building the closure per frame would
+	// allocate).
+	xbuf    *tensor.Tensor
+	steps   []mcStep
+	curMaps map[string]*tensor.Tensor
+	mcRun   func(int)
 
 	// obs is the node's observability sink (nil disables); sid is the
 	// stream's interned trace ID.
@@ -343,17 +329,15 @@ func NewEdgeNode(cfg Config) (*EdgeNode, error) {
 		e.sid = e.obs.Trace.StreamID(cfg.StreamLabel)
 	}
 	e.mcRun = func(i int) {
-		d := e.mcs[i]
+		var d *deployedMC
+		if i < len(e.mcs) {
+			d = e.mcs[i]
+		} else {
+			d = e.shadows[i-len(e.mcs)]
+		}
 		t1 := time.Now()
 		cls := d.mc.Push(e.curMaps[d.mc.Stage()])
 		e.steps[i] = mcStep{cls: cls, dt: time.Since(t1)}
-	}
-	e.shadowRun = func(i int) {
-		s := e.shadows[i]
-		// Copy, don't alias: the returned slice is only valid until
-		// this MC's next Push, and the copy is what phase 2b (and the
-		// heartbeat snapshot) may still be reading.
-		s.cls = append(s.cls[:0], s.mc.Push(e.curMaps[s.mc.Stage()])...)
 	}
 	if cfg.UplinkBandwidth > 0 {
 		e.uplink = NewTokenBucket(cfg.UplinkBandwidth, cfg.UplinkBandwidth) // 1 s burst
@@ -387,59 +371,71 @@ func (e *EdgeNode) DeployLive(mc *filter.MC, threshold float32) error {
 }
 
 func (e *EdgeNode) deploy(mc *filter.MC, threshold float32) error {
-	for _, d := range e.mcs {
-		if d.mc.Spec().Name == mc.Spec().Name {
-			return fmt.Errorf("core: duplicate MC name %q", mc.Spec().Name)
-		}
+	if indexOf(e.mcs, mc.Spec().Name) >= 0 {
+		return fmt.Errorf("core: duplicate MC name %q", mc.Spec().Name)
 	}
-	shape := mc.FeatureMapShape()
-	if shape[1] <= 0 || shape[2] <= 0 {
-		return fmt.Errorf("core: MC %q has empty feature map", mc.Spec().Name)
+	d, err := e.install(mc, threshold)
+	if err != nil {
+		return err
 	}
-	mc.Reset()
-	sketch := &obs.ScoreSketch{}
-	var agg *obs.ScoreSketch
-	if e.obs != nil {
-		mc.Instrument(e.obs.Trace, e.obs.MCPush, e.sid, e.nextFrame)
-		agg = e.obs.Scores
-	}
-	mc.InstrumentScores(sketch, agg, float64(threshold))
-	d := &deployedMC{
-		mc:        mc,
-		threshold: threshold,
-		smoother:  event.NewSmoother(e.cfg.SmoothN, e.cfg.SmoothK),
-		detector:  event.NewDetector(),
-		sketch:    sketch,
-		offset:    e.nextFrame,
-	}
+	e.arm(d)
 	e.mu.Lock()
 	e.mcs = append(e.mcs, d)
 	e.mu.Unlock()
-	e.stages = e.stageUnion()
-	e.steps = make([]mcStep, len(e.mcs))
+	e.reslot()
 	return nil
+}
+
+// install readies mc for a slot that starts at the next frame, live or
+// shadow: it checks the feature map, resets streaming state, attaches
+// the node's push-latency sinks, and has the MC record its scores into
+// a fresh per-slot sketch (Push and Flush do the recording). A live
+// slot is then armed; a shadow stays as installed.
+func (e *EdgeNode) install(mc *filter.MC, threshold float32) (*deployedMC, error) {
+	shape := mc.FeatureMapShape()
+	if shape[1] <= 0 || shape[2] <= 0 {
+		return nil, fmt.Errorf("core: MC %q has empty feature map", mc.Spec().Name)
+	}
+	mc.Reset()
+	if e.obs != nil {
+		mc.Instrument(e.obs.Trace, e.obs.MCPush, e.sid, e.nextFrame)
+	}
+	d := &deployedMC{mc: mc, threshold: threshold, sketch: &obs.ScoreSketch{}}
+	mc.InstrumentScores(d.sketch, nil, float64(threshold))
+	return d, nil
+}
+
+// arm gives an installed slot, whose MC must be fresh, its live half
+// from the next frame on: fresh smoothing and event state whose frame
+// 0 is that stream frame, and scores that also feed the node
+// aggregate.
+func (e *EdgeNode) arm(d *deployedMC) {
+	d.offset = e.nextFrame
+	if e.obs != nil {
+		d.mc.Instrument(e.obs.Trace, e.obs.MCPush, e.sid, e.nextFrame)
+		d.mc.InstrumentScores(d.sketch, e.obs.Scores, float64(d.threshold))
+	}
+	d.smoother = event.NewSmoother(e.cfg.SmoothN, e.cfg.SmoothK)
+	d.detector = event.NewDetector()
 }
 
 // Undeploy removes a deployed microclassifier by name, draining its
 // classifier and smoother tails and closing any open event. The final
 // uploads (if any) are returned so they still reach the datacenter.
 func (e *EdgeNode) Undeploy(name string) ([]Upload, error) {
-	for i, d := range e.mcs {
-		if d.mc.Spec().Name != name {
-			continue
-		}
-		ups, err := e.flushMC(d)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.mcs = append(e.mcs[:i], e.mcs[i+1:]...)
-		e.mu.Unlock()
-		e.stages = e.stageUnion()
-		e.steps = make([]mcStep, len(e.mcs))
-		return ups, nil
+	i := indexOf(e.mcs, name)
+	if i < 0 {
+		return nil, fmt.Errorf("core: no deployed MC named %q", name)
 	}
-	return nil, fmt.Errorf("core: no deployed MC named %q", name)
+	ups, err := e.flushMC(e.mcs[i])
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.mcs = slices.Delete(e.mcs, i, i+1)
+	e.mu.Unlock()
+	e.reslot()
+	return ups, nil
 }
 
 // DeployShadow installs a canary candidate that scores every frame
@@ -453,115 +449,122 @@ func (e *EdgeNode) Undeploy(name string) ([]Upload, error) {
 // controller's install counter for the slot, reported back verbatim so
 // each install's sketch is distinguishable from its predecessor's.
 func (e *EdgeNode) DeployShadow(mc *filter.MC, threshold float32, epoch uint64) error {
-	shape := mc.FeatureMapShape()
-	if shape[1] <= 0 || shape[2] <= 0 {
-		return fmt.Errorf("core: shadow MC %q has empty feature map", mc.Spec().Name)
+	s, err := e.install(mc, threshold)
+	if err != nil {
+		return err
 	}
-	mc.Reset()
-	if e.obs != nil {
-		mc.Instrument(e.obs.Trace, e.obs.MCPush, e.sid, e.nextFrame)
-	}
-	s := &shadowMC{
-		mc:        mc,
-		threshold: threshold,
-		sketch:    &obs.ScoreSketch{},
-		epoch:     epoch,
-		offset:    e.nextFrame,
-	}
+	s.epoch = epoch
 	e.mu.Lock()
-	replaced := false
-	for i, old := range e.shadows {
-		if old.mc.Spec().Name == mc.Spec().Name {
-			e.shadows[i] = s
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
+	if i := indexOf(e.shadows, mc.Spec().Name); i >= 0 {
+		e.shadows[i] = s
+	} else {
 		e.shadows = append(e.shadows, s)
 	}
 	e.mu.Unlock()
-	e.stages = e.stageUnion()
+	e.reslot()
 	return nil
 }
 
 // UndeployShadow removes a canary candidate by name — the rollback
 // path. Its sketch is discarded with it.
 func (e *EdgeNode) UndeployShadow(name string) error {
-	for i, s := range e.shadows {
-		if s.mc.Spec().Name != name {
-			continue
-		}
-		e.mu.Lock()
-		e.shadows = append(e.shadows[:i], e.shadows[i+1:]...)
-		e.mu.Unlock()
-		e.stages = e.stageUnion()
-		return nil
+	i := indexOf(e.shadows, name)
+	if i < 0 {
+		return fmt.Errorf("core: no shadow MC named %q", name)
 	}
-	return fmt.Errorf("core: no shadow MC named %q", name)
+	e.mu.Lock()
+	e.shadows = slices.Delete(e.shadows, i, i+1)
+	e.mu.Unlock()
+	e.reslot()
+	return nil
 }
 
 // PromoteShadow atomically swaps the named canary candidate into the
 // live slot of the same-named incumbent: the incumbent is flushed
 // (its final uploads are returned so open events still reach the
-// datacenter) and the candidate takes over event assembly from the
-// next frame with fresh smoothing state. The candidate keeps its
-// shadow-period score sketch — it describes the same model — so the
-// controller's version-keyed drift detector re-baselines on the
-// version change, not on a count reset.
+// datacenter) and the candidate's slot is armed in place, taking over
+// event assembly at the next frame with fresh smoothing state. The
+// candidate keeps its shadow-period score sketch — it describes the
+// same model — so the controller's version-keyed drift detector
+// re-baselines on the version change, not on a count reset.
 func (e *EdgeNode) PromoteShadow(name string) ([]Upload, error) {
-	si := -1
-	for i, s := range e.shadows {
-		if s.mc.Spec().Name == name {
-			si = i
-			break
-		}
-	}
+	si := indexOf(e.shadows, name)
 	if si < 0 {
 		return nil, fmt.Errorf("core: no shadow MC named %q", name)
 	}
-	s := e.shadows[si]
-	for i, d := range e.mcs {
-		if d.mc.Spec().Name != name {
-			continue
-		}
-		ups, err := e.flushMC(d)
-		if err != nil {
-			return nil, err
-		}
-		var agg *obs.ScoreSketch
-		if e.obs != nil {
-			agg = e.obs.Scores
-		}
-		s.mc.InstrumentScores(s.sketch, agg, float64(s.threshold))
-		e.mu.Lock()
-		e.mcs[i] = &deployedMC{
-			mc:        s.mc,
-			threshold: s.threshold,
-			smoother:  event.NewSmoother(e.cfg.SmoothN, e.cfg.SmoothK),
-			detector:  event.NewDetector(),
-			sketch:    s.sketch,
-			offset:    s.offset,
-		}
-		e.shadows = append(e.shadows[:si], e.shadows[si+1:]...)
-		e.mu.Unlock()
-		e.stages = e.stageUnion()
-		return ups, nil
+	i := indexOf(e.mcs, name)
+	if i < 0 {
+		return nil, fmt.Errorf("core: no deployed MC named %q to promote over", name)
 	}
-	return nil, fmt.Errorf("core: no deployed MC named %q to promote over", name)
+	ups, err := e.flushMC(e.mcs[i])
+	if err != nil {
+		return nil, err
+	}
+	// The candidate restarts at the next frame, as a live deploy would:
+	// its windowed tail drains into its sketch, and the incumbent's
+	// flush already covered those frames.
+	s := e.shadows[si]
+	s.mc.Flush()
+	e.arm(s)
+	e.mu.Lock()
+	e.mcs[i] = s
+	e.shadows = slices.Delete(e.shadows, si, si+1)
+	e.mu.Unlock()
+	e.reslot()
+	return ups, nil
 }
+
+// indexOf returns the position of the slot running the named MC, -1
+// when absent.
+func indexOf(slots []*deployedMC, name string) int {
+	return slices.IndexFunc(slots, func(d *deployedMC) bool { return d.mc.Spec().Name == name })
+}
+
+// byName maps every live (or, with shadow, every shadow) slot's MC
+// name to f of the slot, nil when there is none. It reads the list
+// under mu, so the accessors built on it are safe to call while
+// another goroutine owns the pipeline: the fields they read are set
+// before a slot is published, and sketch counters are atomic.
+func byName[T any](e *EdgeNode, shadow bool, f func(*deployedMC) T) map[string]T {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	slots := e.mcs
+	if shadow {
+		slots = e.shadows
+	}
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make(map[string]T, len(slots))
+	for _, d := range slots {
+		out[d.mc.Spec().Name] = f(d)
+	}
+	return out
+}
+
+// names lists the live (or shadow) slots' MC names in deployment
+// order, read under mu like byName.
+func (e *EdgeNode) names(shadow bool) []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	slots := e.mcs
+	if shadow {
+		slots = e.shadows
+	}
+	out := make([]string, len(slots))
+	for i, d := range slots {
+		out[i] = d.mc.Spec().Name
+	}
+	return out
+}
+
+// MCNames returns deployed MC names in deployment order. Safe to call
+// while another goroutine owns the pipeline.
+func (e *EdgeNode) MCNames() []string { return e.names(false) }
 
 // ShadowNames returns the canary candidates' names in deployment
 // order. Safe to call while another goroutine owns the pipeline.
-func (e *EdgeNode) ShadowNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	names := make([]string, len(e.shadows))
-	for i, s := range e.shadows {
-		names[i] = s.mc.Spec().Name
-	}
-	return names
-}
+func (e *EdgeNode) ShadowNames() []string { return e.names(true) }
 
 // MC returns the deployed microclassifier with the given name, nil
 // when absent. The returned MC is live pipeline state: inspect it
@@ -570,107 +573,42 @@ func (e *EdgeNode) ShadowNames() []string {
 func (e *EdgeNode) MC(name string) *filter.MC {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, d := range e.mcs {
-		if d.mc.Spec().Name == name {
-			return d.mc
-		}
+	if i := indexOf(e.mcs, name); i >= 0 {
+		return e.mcs[i].mc
 	}
 	return nil
 }
 
-// MCNames returns deployed MC names in deployment order. Safe to call
-// while another goroutine owns the pipeline.
-func (e *EdgeNode) MCNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	names := make([]string, len(e.mcs))
-	for i, d := range e.mcs {
-		names[i] = d.mc.Spec().Name
-	}
-	return names
-}
-
 // ScoreSketches returns a snapshot of every deployed MC's cumulative
-// score sketch since deploy, keyed by MC name. Safe to call while
-// another goroutine owns the pipeline: sketch counters are atomic and
-// mu guards the MC list. This is what the fleet agent folds into
-// heartbeats.
-func (e *EdgeNode) ScoreSketches() map[string]obs.SketchSnapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.mcs) == 0 {
-		return nil
-	}
-	out := make(map[string]obs.SketchSnapshot, len(e.mcs))
-	for _, d := range e.mcs {
-		out[d.mc.Spec().Name] = d.sketch.Snapshot()
-	}
-	return out
-}
+// score sketch since deploy, keyed by MC name — what the fleet agent
+// folds into heartbeats. Safe to call while another goroutine owns the
+// pipeline.
+func (e *EdgeNode) ScoreSketches() map[string]obs.SketchSnapshot { return byName(e, false, sketchOf) }
 
 // ShadowSketches returns a snapshot of every canary candidate's score
 // sketch, keyed by MC name — the shadow-side signal heartbeats carry
 // for the controller's promote/rollback decision. Safe to call while
 // another goroutine owns the pipeline.
-func (e *EdgeNode) ShadowSketches() map[string]obs.SketchSnapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.shadows) == 0 {
-		return nil
-	}
-	out := make(map[string]obs.SketchSnapshot, len(e.shadows))
-	for _, s := range e.shadows {
-		out[s.mc.Spec().Name] = s.sketch.Snapshot()
-	}
-	return out
-}
+func (e *EdgeNode) ShadowSketches() map[string]obs.SketchSnapshot { return byName(e, true, sketchOf) }
 
 // MCVersions returns the deployed MCs' model versions keyed by name
 // (zero for unversioned artifacts). Safe to call while another
 // goroutine owns the pipeline.
-func (e *EdgeNode) MCVersions() map[string]uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.mcs) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(e.mcs))
-	for _, d := range e.mcs {
-		out[d.mc.Spec().Name] = d.mc.Spec().Version
-	}
-	return out
-}
+func (e *EdgeNode) MCVersions() map[string]uint64 { return byName(e, false, versionOf) }
 
 // ShadowVersions returns the canary candidates' model versions keyed
 // by name. Safe to call while another goroutine owns the pipeline.
-func (e *EdgeNode) ShadowVersions() map[string]uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.shadows) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(e.shadows))
-	for _, s := range e.shadows {
-		out[s.mc.Spec().Name] = s.mc.Spec().Version
-	}
-	return out
-}
+func (e *EdgeNode) ShadowVersions() map[string]uint64 { return byName(e, true, versionOf) }
 
 // ShadowEpochs returns the canary candidates' controller-assigned
 // install counters keyed by name (see DeployShadow). Safe to call
 // while another goroutine owns the pipeline.
 func (e *EdgeNode) ShadowEpochs() map[string]uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.shadows) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(e.shadows))
-	for _, s := range e.shadows {
-		out[s.mc.Spec().Name] = s.epoch
-	}
-	return out
+	return byName(e, true, func(d *deployedMC) uint64 { return d.epoch })
 }
+
+func sketchOf(d *deployedMC) obs.SketchSnapshot { return d.sketch.Snapshot() }
+func versionOf(d *deployedMC) uint64            { return d.mc.Spec().Version }
 
 // Stats returns a snapshot of the node's counters. Safe to call while
 // another goroutine owns the pipeline.
@@ -869,14 +807,11 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 	// its own Push), so the fan-out is deterministic; per-MC timing is
 	// written to a private slot and aggregated after the join. The
 	// fan-out body and result slots are node fields: rebuilding them
-	// per frame would allocate.
+	// per frame would allocate. Canary shadows ride the same fan-out
+	// after the live MCs; their MCs record their own scores, and
+	// neither the timing nor phase 2b reads their slots.
 	e.curMaps = maps
-	nn.ForEach(len(e.mcs), e.cfg.MCWorkers, e.mcRun)
-	// Canary candidates consume the same maps in their own fan-out;
-	// their results are copies (see shadowRun), never pipeline inputs.
-	if len(e.shadows) > 0 {
-		nn.ForEach(len(e.shadows), e.cfg.MCWorkers, e.shadowRun)
-	}
+	nn.ForEach(len(e.steps), e.cfg.MCWorkers, e.mcRun)
 	e.curMaps = nil
 
 	e.mu.Lock()
@@ -901,14 +836,6 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 			uploads = append(uploads, ups...)
 		}
 	}
-	// Shadow candidates only record scores: no smoothing, no events,
-	// no uploads. The cls slices are the shadow's own copies, so this
-	// read cannot race the MCs' ring reuse.
-	for _, s := range e.shadows {
-		for _, c := range s.cls {
-			s.sketch.Observe(float64(c.Prob), c.Prob >= s.threshold)
-		}
-	}
 	e.evict()
 	if o != nil {
 		o.Trace.RecordFrame(e.sid, int64(idx), tFrame, time.Since(tFrame))
@@ -928,12 +855,10 @@ func (e *EdgeNode) Flush() ([]Upload, error) {
 		}
 		uploads = append(uploads, ups...)
 	}
-	// Windowed shadow candidates have classification tails too; drain
-	// them into their sketches so the canary window sees every frame.
+	// Windowed shadows have classification tails too; their MCs record
+	// them into the sketches, so the canary window sees every frame.
 	for _, s := range e.shadows {
-		for _, c := range s.mc.Flush() {
-			s.sketch.Observe(float64(c.Prob), c.Prob >= s.threshold)
-		}
+		s.mc.Flush()
 	}
 	return uploads, nil
 }
@@ -1073,24 +998,17 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 	return up, nil
 }
 
-// stageUnion returns the distinct base-DNN stages needed by the
-// deployed MCs and shadow candidates.
-func (e *EdgeNode) stageUnion() []string {
-	seen := make(map[string]bool)
-	var stages []string
-	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			stages = append(stages, s)
+// reslot rebuilds what follows the slot lists after a deploy or
+// undeploy: the distinct base-DNN stages the live MCs and shadows tap,
+// and phase 2a's result slots.
+func (e *EdgeNode) reslot() {
+	e.stages = e.stages[:0]
+	for _, d := range slices.Concat(e.mcs, e.shadows) {
+		if !slices.Contains(e.stages, d.mc.Stage()) {
+			e.stages = append(e.stages, d.mc.Stage())
 		}
 	}
-	for _, d := range e.mcs {
-		add(d.mc.Stage())
-	}
-	for _, s := range e.shadows {
-		add(s.mc.Stage())
-	}
-	return stages
+	e.steps = make([]mcStep, len(e.mcs)+len(e.shadows))
 }
 
 // retain stores an original frame in the ring buffer.

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/filter"
 	"repro/internal/obs"
 	"repro/internal/vision"
 )
@@ -37,8 +36,8 @@ type SchedulerConfig struct {
 	Workers int
 	// OnResult, when set, receives every processed frame's outcome.
 	// It is invoked from worker goroutines — do not call back into the
-	// scheduler from it (Submit is fine; the blocking ops Do, Deploy,
-	// Undeploy, Flush, Wait, and Close are not).
+	// scheduler from it (Submit is fine; the blocking ops Do, Flush,
+	// FlushAll, Wait, and Close are not).
 	OnResult func(Result)
 }
 
@@ -175,19 +174,6 @@ func (s *Scheduler) Do(stream string, fn func(e *EdgeNode) ([]Upload, error)) ([
 		return nil, err
 	}
 	return prefixUploads(stream, ups), nil
-}
-
-// Deploy installs a microclassifier live on the named stream, after
-// the stream's in-flight frames.
-func (s *Scheduler) Deploy(stream string, mc *filter.MC, threshold float32) error {
-	_, err := s.Do(stream, func(e *EdgeNode) ([]Upload, error) { return nil, e.DeployLive(mc, threshold) })
-	return err
-}
-
-// Undeploy removes a microclassifier from the named stream, returning
-// its final uploads with stream-prefixed MC names.
-func (s *Scheduler) Undeploy(stream, mcName string) ([]Upload, error) {
-	return s.Do(stream, func(e *EdgeNode) ([]Upload, error) { return e.Undeploy(mcName) })
 }
 
 // Flush drains the named stream's pipeline tail after its in-flight

@@ -63,7 +63,7 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	if _, err := sched.FlushAll(); err == nil {
 		t.Fatal("FlushAll after Close succeeded")
 	}
-	if _, err := sched.Undeploy(streams[0], "mc0"); err == nil {
+	if _, err := sched.Do(streams[0], func(e *EdgeNode) ([]Upload, error) { return e.Undeploy("mc0") }); err == nil {
 		t.Fatal("Undeploy after Close succeeded")
 	}
 	// Wait and repeated Close are no-ops, not deadlocks.

@@ -184,13 +184,14 @@ func TestSchedulerLiveOpsUnderLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := sched.Deploy(name, mc, -1); err != nil {
+				if _, err := sched.Do(name, func(e *EdgeNode) ([]Upload, error) { return nil, e.DeployLive(mc, -1) }); err != nil {
 					t.Errorf("live deploy: %v", err)
 					return
 				}
 			}
 			for _, name := range streams {
-				ups, err := sched.Undeploy(name, fmt.Sprintf("live%d", round))
+				mcName := fmt.Sprintf("live%d", round)
+				ups, err := sched.Do(name, func(e *EdgeNode) ([]Upload, error) { return e.Undeploy(mcName) })
 				if err != nil {
 					t.Errorf("live undeploy: %v", err)
 					return

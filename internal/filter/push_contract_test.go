@@ -8,9 +8,9 @@ import (
 )
 
 // TestPushReturnedSliceReusedByNextPush pins the Push contract the
-// canary path depends on: the returned slice is backed by a buffer
-// the SAME MC reuses on its next Push, so a caller that holds on to
-// it across frames (the edge's shadow fan-out) must copy. Pushes on
+// edge's shared MC fan-out depends on: the returned slice is backed by
+// a buffer the SAME MC reuses on its next Push, so a caller that holds
+// on to it across frames must copy. Pushes on
 // other MC instances leave it untouched — which is why interleaving
 // an incumbent and a candidate within one frame is safe, and why the
 // hazard only appears when a stored slice outlives its own MC's next
@@ -54,10 +54,11 @@ func TestPushReturnedSliceReusedByNextPush(t *testing.T) {
 	}
 
 	// The candidate's OWN next Push reuses the backing buffer — the
-	// old slice is invalidated in place. This is the reuse the edge
-	// pipeline's shadow copy defends against; if Push ever switches
-	// to fresh allocations, core.shadowRun's copy rationale (and this
-	// pin) should be revisited together.
+	// old slice is invalidated in place. This is why the edge pipeline
+	// reads each MC's Push result within the frame and has shadows
+	// record their scores inside Push (InstrumentScores) rather than
+	// keep the slice; if Push ever switches to fresh allocations, this
+	// pin should be revisited.
 	clsB := candidate.Push(fmB)
 	if len(clsB) != 1 {
 		t.Fatalf("pooling classifier emitted %d classifications", len(clsB))

@@ -76,8 +76,9 @@ func TestGemmMatchesNaive(t *testing.T) {
 }
 
 // TestGemmPackedRowSplit verifies that splitting the row range across
-// independent GemmPacked calls (how the training path parallelizes)
-// is bitwise identical to one call over the full matrix.
+// independent GemmPacked calls is bitwise identical to one call over
+// the full matrix — the property that lets callers split rows across
+// goroutines through ARows.First.
 func TestGemmPackedRowSplit(t *testing.T) {
 	g := NewRNG(8)
 	m, n, k := 21, 17, 40

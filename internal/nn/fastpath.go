@@ -150,60 +150,77 @@ func gemmBlocks(m int) int {
 
 // depthwiseForward is the layers' Forward path of the depthwise
 // convolution: depthwiseRow over every output row, the rows split
-// across parFor.
+// across parFor, on span lists built for this call.
 func depthwiseForward(g convGeom, xd, wd, out []float32, ep tensor.Epilogue) {
+	rows := g.dwRows()
 	parFor(g.n*g.oh, func(job int) {
 		epc := ep // see gemmForward
-		depthwiseRow(g, xd, wd, out, &epc, job)
+		depthwiseRow(g, rows, xd, wd, out, &epc, job)
 	})
 }
 
-// depthwiseRow computes one output row (batch b, row oy encoded in
-// job) of a depthwise convolution at any stride: each channel
-// convolves with its own K×K filter, the bias starts the accumulator,
-// and the batch-norm scale/shift and ReLU close it, all inside
-// tensor.DepthwiseSpan. The interior pixels, whose K columns all fall
-// inside the input row, are one span s·inC floats apart; each border
-// pixel is a span of its own. A span gets the taps, in (ky, kx) order,
-// that fall inside the input for every one of its pixels. Both the
-// layers' Forward and a compiled program run it, reading the weights
-// and the epilogue vectors live.
-func depthwiseRow(g convGeom, xd, wd, out []float32, ep *tensor.Epilogue, job int) {
-	b, oy := job/g.oh, job%g.oh
-	iy0 := oy*g.s - g.padY
-	kyLo, kyHi := max(0, -iy0), min(g.k, g.h-iy0)
+// dwRows splits each output row of the depthwise convolution into its
+// spans (tensor.Span) and builds their taps. The interior pixels, whose
+// K columns all fall inside the input row, are one span s·inC floats
+// apart; each border pixel is a span of its own. A span's taps are
+// those that fall inside the input for every one of its pixels, in
+// (ky, kx) order, as offsets from the first input line the row reads
+// and from the weights of that line's kernel row. So the list depends
+// only on which kernel rows fall inside the input, and rows that share
+// them share one list: a compiled program builds a handful once, at
+// compile time, and a run builds none.
+func (g convGeom) dwRows() [][]tensor.Span {
 	// Interior: ox·s - padX ≥ 0 and ox·s - padX + K ≤ w.
 	oxLo, oxHi := (g.padX+g.s-1)/g.s, 0
 	if r := g.w + g.padX - g.k; r >= 0 {
 		oxHi = min(g.ow, r/g.s+1)
 	}
-	var buf [9]tensor.Tap // a 3×3 kernel's taps stay on the stack
-	taps := buf[:]
-	if g.k*g.k > len(buf) {
-		taps = make([]tensor.Tap, g.k*g.k)
-	}
-	row := out[job*g.ow*g.ic : (job+1)*g.ow*g.ic]
-	for ox0 := 0; ox0 < g.ow; {
-		ox1 := ox0 + 1
-		if ox0 == oxLo && oxLo < oxHi {
-			ox1 = oxHi
+	rows := make([][]tensor.Span, g.oh)
+	built := map[[2]int][]tensor.Span{}
+	for oy := range rows {
+		iy0 := oy*g.s - g.padY
+		kyLo, kyHi := max(0, -iy0), min(g.k, g.h-iy0)
+		if spans, ok := built[[2]int{kyLo, kyHi}]; ok {
+			rows[oy] = spans
+			continue
 		}
-		ix0 := ox0*g.s - g.padX // a span of several pixels is interior: every kx
-		kxLo, kxHi := max(0, -ix0), min(g.k, g.w-ix0)
-		n := 0
-		for ky := kyLo; ky < kyHi; ky++ {
-			xRow := ((b*g.h+iy0+ky)*g.w + ix0) * g.ic
-			for kx := kxLo; kx < kxHi; kx++ {
-				w := (ky*g.k + kx) * g.ic
-				// Field by field: a composite literal is built on the
-				// stack and copied, and the copy stalls on the stores
-				// just made.
-				taps[n].X = xd[xRow+kx*g.ic:]
-				taps[n].W = wd[w : w+g.ic]
-				n++
+		var spans []tensor.Span
+		for ox0 := 0; ox0 < g.ow; {
+			ox1 := ox0 + 1
+			if ox0 == oxLo && oxLo < oxHi {
+				ox1 = oxHi
 			}
+			ix0 := ox0*g.s - g.padX // a span of several pixels is interior: every kx
+			sp := tensor.Span{Out: ox0, Npix: ox1 - ox0}
+			for ky := kyLo; ky < kyHi; ky++ {
+				for kx := max(0, -ix0); kx < min(g.k, g.w-ix0); kx++ {
+					sp.Taps = append(sp.Taps, tensor.Tap{X: ((ky-kyLo)*g.w + ix0 + kx) * g.ic, W: ((ky-kyLo)*g.k + kx) * g.ic})
+				}
+			}
+			spans = append(spans, sp)
+			ox0 = ox1
 		}
-		tensor.DepthwiseSpan(row[ox0*g.ic:ox1*g.ic], ox1-ox0, g.ic, g.s*g.ic, taps[:n], ep)
-		ox0 = ox1
+		built[[2]int{kyLo, kyHi}] = spans
+		rows[oy] = spans
 	}
+	return rows
+}
+
+// depthwiseRow computes one output row (batch b, row oy encoded in
+// job) of a depthwise convolution at any stride: each channel
+// convolves with its own K×K filter, the bias starts the accumulator,
+// and the batch-norm scale/shift and ReLU close it, all inside one
+// tensor.DepthwiseSpans call over the row's spans (dwRows). Both the
+// layers' Forward and a compiled program run it, reading the weights
+// and the epilogue vectors live.
+func depthwiseRow(g convGeom, rows [][]tensor.Span, xd, wd, out []float32, ep *tensor.Epilogue, job int) {
+	b, oy := job/g.oh, job%g.oh
+	iy0 := oy*g.s - g.padY
+	kyLo, kyHi := max(0, -iy0), min(g.k, g.h-iy0)
+	var x, w []float32
+	if kyLo < kyHi {
+		x = xd[(b*g.h+iy0+kyLo)*g.w*g.ic:]
+		w = wd[kyLo*g.k*g.ic:]
+	}
+	tensor.DepthwiseSpans(out[job*g.ow*g.ic:(job+1)*g.ow*g.ic], g.ic, g.s*g.ic, x, w, rows[oy], ep)
 }

@@ -217,7 +217,10 @@ func TestProgramTracksLiveWeights(t *testing.T) {
 
 // TestProgramZeroAlloc pins the steady-state execution of a compiled
 // program at zero heap allocations per frame — and the run that
-// repacks after a weight update too: repacking is in place.
+// repacks after a weight update too: repacking is in place. A
+// depthwise op larger than 3×3 (5×5 over 12×12×16, with batch-norm and
+// ReLU) runs without allocating too: its span lists are built at compile
+// time, whatever the kernel size.
 func TestProgramZeroAlloc(t *testing.T) {
 	net, x := buildFusedNet(t, "flatten-dense")
 	prog, err := Compile(net, x.Shape)
@@ -228,6 +231,20 @@ func TestProgramZeroAlloc(t *testing.T) {
 	prog.Run(ws, x) // warm up: first pack
 	if n := testing.AllocsPerRun(50, func() { prog.Run(ws, x) }); n != 0 {
 		t.Fatalf("program Run allocates %v objects per frame, want 0", n)
+	}
+
+	g := tensor.NewRNG(9)
+	x5 := tensor.New(1, 12, 12, 16)
+	g.FillNormal(x5, 0, 1)
+	dw5, err := CompileLayers("dw5x5", []Layer{NewDepthwiseConv2D("dw", 16, 5, 1, Same, g),
+		NewBatchNorm("dw/bn", 16), NewReLU("dw/relu")}, x5.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws5 := dw5.NewWorkspace()
+	dw5.Run(ws5, x5)
+	if n := testing.AllocsPerRun(50, func() { dw5.Run(ws5, x5) }); n != 0 {
+		t.Fatalf("a 5×5 depthwise program allocates %v objects per run, want 0", n)
 	}
 	params := net.Params()
 	if n := testing.AllocsPerRun(50, func() {

@@ -122,8 +122,9 @@ type progOp struct {
 	gap   *GlobalAvgPool
 	gmax  *GlobalMax
 
-	g     convGeom // conv/depthwise geometry
-	batch int      // dense: rows
+	g      convGeom        // conv/depthwise geometry
+	dwRows [][]tensor.Span // depthwise: each output row's spans and taps
+	batch  int             // dense: rows
 }
 
 type slotSpec struct {
@@ -202,6 +203,7 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 		case *DepthwiseConv2D:
 			op := progOp{kind: opDepthwise, dw: t, in: cur, name: t.LayerName}
 			op.g = t.geom(shape)
+			op.dwRows = op.g.dwRows()
 			shape = t.OutShape(shape)
 			if bn, ok := fuseBN(layers, i+consumed, op.g.ic); ok {
 				op.bn, op.name = bn, bn.LayerName
@@ -310,10 +312,10 @@ func (p *Program) OpIndex(layerName string) (int, bool) {
 
 // NewWorkspace allocates the arena a single executor needs: one buffer
 // per op output and per staged convolution input, all sized at compile
-// time (packed weights live in the Program, not here). Workspaces are not
-// safe for concurrent use; allocate one per goroutine and reuse it
-// across frames — after the first Run the steady state allocates
-// nothing.
+// time (packed weights and depthwise span lists live in the Program, not
+// here). Workspaces are not safe for concurrent use; allocate one per
+// goroutine and reuse it across frames — after the first Run the
+// steady state allocates nothing.
 func (p *Program) NewWorkspace() *Workspace {
 	ws := &Workspace{
 		prog:    p,
@@ -411,7 +413,7 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		}
 		// Inline loop, no closure: the arena path stays allocation-free.
 		for job := 0; job < op.g.n*op.g.oh; job++ {
-			depthwiseRow(op.g, in.Data, op.dw.W.Value.Data, out.Data, &ep, job)
+			depthwiseRow(op.g, op.dwRows, in.Data, op.dw.W.Value.Data, out.Data, &ep, job)
 		}
 
 	case opDense:

@@ -15,7 +15,7 @@ package tensor
 // wants, so weights never need transposition.
 //
 // The microkernel computes a register tile of A rows, each from its own
-// base, against one B panel of eight columns, or two adjacent ones.
+// base, against one B panel of eight columns, or a pair of them.
 // amd64 has three tiers, picked once at package initialization
 // (gemm_kernel_amd64.go): a sixteen-lane AVX-512 kernel over eight rows
 // and two panels where the CPU has AVX512F, an eight-lane AVX2 kernel
@@ -23,9 +23,10 @@ package tensor
 // SSE kernel of the amd64 baseline over four rows otherwise. Other
 // architectures, and -tags purego, run a portable Go 4×8 kernel
 // (gemm_kernel_generic.go). Every kernel accumulates each output
-// element over k in the same sequential multiply-then-add order, so
-// results are bitwise identical across kernels, row splits, and worker
-// counts.
+// element over k in the same sequential multiply-then-add order and
+// then applies the epilogue to it in the same order, in registers
+// before its one store, so results are bitwise identical across
+// kernels, row splits, and worker counts.
 
 // gemmMR×gemmNR is the tile of the 4×8 kernels: four A rows against
 // eight B columns. The AVX2 and AVX-512 tiles are tileMax rows high.
@@ -46,9 +47,9 @@ const SmallM = 8
 // element, in order: add Bias[j], then scale/shift (the inference-time
 // batch-norm fold: v*Scale[j]+Shift[j]), then ReLU with optional Cap
 // (ReLU6 when Cap=6). All slices are indexed by output column and may
-// be nil to skip that step. The epilogue runs on each completed row
-// block while it is still cache-hot, so the activation never takes an
-// extra pass over cold memory.
+// be nil to skip that step. The GEMM's tile kernels and the depthwise
+// span apply it to their accumulators in registers, before their one
+// store, so the activation never takes a pass of its own.
 type Epilogue struct {
 	Bias  []float32
 	Scale []float32
@@ -58,17 +59,22 @@ type Epilogue struct {
 }
 
 // Apply transforms the first m rows of c, each n columns long, in
-// place, in one pass: each vector of a row is loaded once, takes bias,
-// scale/shift and ReLU in registers and is stored once (applyVec); the
-// columns past the last whole vector, and every column of the portable
-// build, run applyOne in the same order.
-func (ep *Epilogue) Apply(c []float32, m, n int) {
+// place, one element at a time in applyOne's order. The kernels apply
+// the epilogue themselves; Gemm's unpacked path for short blocks calls
+// this, and GemmInPlace runs it (applyCols) only on a tile whose
+// columns run past the product's (n = 1, say), whose vectors the
+// kernels would read past their end.
+func (ep *Epilogue) Apply(c []float32, m, n int) { ep.applyCols(c, m, n, 0) }
+
+// applyCols runs Apply over columns [j0, n) only.
+func (ep *Epilogue) applyCols(c []float32, m, n, j0 int) {
 	if ep == nil || m <= 0 {
 		return
 	}
-	for j0 := ep.applyVec(c, m, n); j0 < n; j0++ {
-		for i := 0; i < m; i++ {
-			c[i*n+j0] = ep.applyOne(c[i*n+j0], j0)
+	for i := 0; i < m; i++ {
+		row := c[i*n : (i+1)*n]
+		for j := j0; j < n; j++ {
+			row[j] = ep.applyOne(row[j], j)
 		}
 	}
 }
@@ -110,42 +116,29 @@ func roundUp(x, to int) int { return (x + to - 1) / to * to }
 func PackASize(m, k int) int { return roundUp(m, gemmMR) * k }
 
 // PackBSize returns the scratch length needed by PackB for a k×n B
-// matrix (columns padded to the microkernel tile width).
-func PackBSize(k, n int) int { return roundUp(n, gemmNR) * k }
+// matrix (columns padded to a whole pair of panels).
+func PackBSize(k, n int) int { return roundUp(n, 2*gemmNR) * k }
 
-// PackB packs row-major B (k×n) into column panels of width gemmNR:
-// panel j0 holds columns [j0, j0+8) interleaved per k-step, zero-padded
-// past n. The packed layout makes the microkernel's B reads perfectly
+// PackB packs row-major B (k×n) into pairs of column panels, each
+// panel gemmNR columns wide: the pair at column j0 (a multiple of 16)
+// holds columns [j0, j0+16), k-step p at dst[j0·k + 16p:], panel j0's
+// eight floats then panel j0+8's, zero-padded past n. A sixteen-lane
+// tile loads one k-step of a pair as one vector; an eight-lane tile
+// reads one panel, a half of each k-step. The reads of either are
 // sequential. dst must have at least PackBSize(k, n) elements.
 func PackB(k, n int, b, dst []float32) {
-	j0 := 0
-	for ; j0+gemmNR <= n; j0 += gemmNR {
-		panel := dst[j0*k : (j0+gemmNR)*k : (j0+gemmNR)*k]
-		for p := 0; p < k; p++ {
-			row := b[p*n+j0 : p*n+j0+gemmNR : p*n+j0+gemmNR]
-			q := p * gemmNR
-			panel[q] = row[0]
-			panel[q+1] = row[1]
-			panel[q+2] = row[2]
-			panel[q+3] = row[3]
-			panel[q+4] = row[4]
-			panel[q+5] = row[5]
-			panel[q+6] = row[6]
-			panel[q+7] = row[7]
-		}
+	const pw = 2 * gemmNR
+	np := roundUp(n, pw)
+	if np*k == 0 {
+		return
 	}
-	if j0 < n {
-		panel := dst[j0*k : (j0+gemmNR)*k]
-		jMax := n - j0
+	_ = dst[np*k-1]
+	for j0 := 0; j0 < np; j0 += pw {
+		live := min(n-j0, pw)
 		for p := 0; p < k; p++ {
-			row := b[p*n+j0:]
-			q := p * gemmNR
-			for j := 0; j < jMax; j++ {
-				panel[q+j] = row[j]
-			}
-			for j := jMax; j < gemmNR; j++ {
-				panel[q+j] = 0
-			}
+			q := dst[j0*k+p*pw : j0*k+(p+1)*pw]
+			copy(q, b[p*n+j0:p*n+j0+live])
+			clear(q[live:])
 		}
 	}
 }
@@ -218,17 +211,20 @@ func (w *rowWalk) next() int {
 
 // GemmInPlace computes C = A·B for the m rows that a describes, with B
 // (k = a.Segs·a.Len rows, n columns) packed by PackB, and applies ep to
-// each completed block of rows while it is cache-hot (the fused
-// write-back). C is m×n row-major and fully overwritten. The rows run
-// through the microkernel one tile at a time — tileRows() consecutive
-// rows, whatever lines or images they cross, each read from its own
-// base — and the columns tileCols() at a time while that many packed
-// columns remain, one panel at a time after that. The last tile's rows
-// past m repeat its last live row, and the last B panel is zero-padded
-// past n; such a tile lands in a stack tile and only its live rows and
-// columns are copied out. Every output element accumulates over k in
-// the same sequential order whichever tile holds it, so callers may
-// split the rows across goroutines (ARows.First) for bitwise identical
+// every element in the tile kernel that computes it, before its one
+// store (the fused write-back). C is m×n row-major and fully
+// overwritten. The rows run through the microkernel one tile at a time
+// — tileRows() consecutive rows, whatever lines or images they cross,
+// each read from its own base — and the columns tileCols() at a time
+// while that many packed columns remain, one panel at a time after
+// that. The last tile's rows past m repeat its last live row, and the
+// last B panel is zero-padded past n; such a tile lands in a stack tile
+// and only its live rows and columns are copied out. A tile whose
+// columns run past n leaves the stack tile raw and takes the epilogue
+// in Go (Epilogue.Apply) as it is copied out. Every output element
+// accumulates over k in the same sequential order whichever tile holds
+// it, and takes the epilogue in the same order, so callers may split
+// the rows across goroutines (ARows.First) for bitwise identical
 // results.
 func GemmInPlace(m, n int, a *ARows, bp, c []float32, ep *Epilogue) {
 	if m <= 0 || n <= 0 {
@@ -240,8 +236,10 @@ func GemmInPlace(m, n int, a *ARows, bp, c []float32, ep *Epilogue) {
 		return
 	}
 	np := roundUp(n, gemmNR)
-	_ = bp[np*k-1]
+	_ = bp[PackBSize(k, n)-1]
 	_ = c[m*n-1]
+	var fused, raw kernEpilogue
+	ep.kernel(&fused, n)
 	h, wide := tileRows(), tileCols()
 	var offs [tileMax]int
 	var tile [tileMax * 2 * gemmNR]float32
@@ -259,18 +257,29 @@ func GemmInPlace(m, n int, a *ARows, bp, c []float32, ep *Epilogue) {
 			if j0+w > np {
 				w = gemmNR
 			}
-			b := bp[j0*k : (j0+w)*k]
+			// The tile's panels, from its first column on: a k-step of
+			// their pair is 16 floats, of which a one-panel tile reads
+			// one half.
+			pair := j0 &^ (2*gemmNR - 1)
+			at := pair*k + j0 - pair
+			b := bp[at : at+2*gemmNR*(k-1)+w]
 			if live == h && j0+w <= n {
-				kernTile(a, &offs, b, block[j0:], n)
+				kernTile(a, &offs, b, block[j0:], n, &fused, j0)
 				continue
 			}
-			kernTile(a, &offs, b, tile[:], w)
 			cols := min(n-j0, w)
+			if cols == w {
+				kernTile(a, &offs, b, tile[:], w, &fused, j0)
+			} else {
+				kernTile(a, &offs, b, tile[:], w, &raw, 0)
+			}
 			for r := 0; r < live; r++ {
 				copy(block[r*n+j0:r*n+j0+cols], tile[r*w:r*w+cols])
 			}
+			if cols < w {
+				ep.applyCols(block, live, n, j0)
+			}
 		}
-		ep.Apply(block, live, n)
 	}
 }
 

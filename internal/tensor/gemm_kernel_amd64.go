@@ -7,12 +7,13 @@ package tensor
 // amd64 baseline; the eight-lane AVX2 8×8 kernel
 // (gemm_kernel_avx2_amd64.s) runs eight rows at once; the sixteen-lane
 // AVX-512 8×16 kernel (gemm_kernel_avx512_amd64.s) runs the same eight
-// rows against two adjacent B panels. The tier is selected once, at
+// rows against a pair of B panels. The tier is selected once, at
 // package initialization, from what the CPU and the operating system
 // support. Every kernel accumulates each output element over p in
 // sequential multiply-then-add order (lane-parallel across columns,
-// never across k, never fused), so results are bitwise identical to
-// each other and to the portable Go kernel.
+// never across k, never fused) and applies the epilogue to its
+// accumulators in applyOne's order before it stores them, so results
+// are bitwise identical to each other and to the portable Go kernel.
 
 // tier is a microkernel tier: the instruction set the GEMM tile, the
 // depthwise span and the epilogue run on.
@@ -86,39 +87,43 @@ func tileCols() int {
 }
 
 // kernTile computes one tile over the full k extent — the tileRows()
-// rows of a whose bases are in offs, against the B panels bp (one, or
-// two adjacent ones on the AVX-512 tier) — and stores it raw, row r at
+// rows of a whose bases are in offs, against the B panels bp (a pair
+// as PackB lays it out, 16k floats, on the AVX-512 tier; or one panel,
+// the first or last eight of each k-step's 16 floats) — applies ep to
+// it, its
+// per-column vectors read from column col on, and stores it, row r at
 // c[r*ldc:]. The rows were checked against a.Data when their bases were
-// taken (rowWalk.next).
-func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int) {
+// taken (rowWalk.next), and ep's vectors over every column of the
+// product (Epilogue.kernel); a tile whose columns run past the
+// product's takes a zero ep.
+func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int, ep *kernEpilogue, col int) {
 	k := a.Segs * a.Len
 	switch {
 	case len(bp) == 2*gemmNR*k:
 		_ = c[7*ldc+15]
-		kern8x16AVX512(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
+		kern8x16AVX512(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc, ep, col)
 	case cpuTier >= tierAVX2:
-		_ = bp[gemmNR*k-1]
+		_ = bp[2*gemmNR*(k-1)+gemmNR-1]
 		_ = c[7*ldc+7]
-		kern8x8AVX2(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
+		kern8x8AVX2(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc, ep, col)
 	default:
-		_ = bp[gemmNR*k-1]
+		_ = bp[2*gemmNR*(k-1)+gemmNR-1]
 		_ = c[3*ldc+7]
-		kern4x8SSE(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc)
+		kern4x8SSE(&a.Data[0], offs, a.Segs, a.Len, a.Pitch, &bp[0], &c[0], ldc, ep, col)
 	}
 }
 
 // Implemented in gemm_kernel_amd64.s, gemm_kernel_avx2_amd64.s and
-// gemm_kernel_avx512_amd64.s. kern8x16AVX512 reads its second panel
-// segs·seglen·8 floats past its first.
+// gemm_kernel_avx512_amd64.s. Each steps through bp 16 floats a k-step.
 //
 //go:noescape
-func kern4x8SSE(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int)
+func kern4x8SSE(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int, ep *kernEpilogue, col int)
 
 //go:noescape
-func kern8x8AVX2(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int)
+func kern8x8AVX2(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int, ep *kernEpilogue, col int)
 
 //go:noescape
-func kern8x16AVX512(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int)
+func kern8x16AVX512(a *float32, offs *[tileMax]int, segs, seglen, pitch int, bp, c *float32, ldc int, ep *kernEpilogue, col int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

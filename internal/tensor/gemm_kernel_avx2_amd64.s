@@ -1,14 +1,26 @@
 //go:build amd64 && !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
-// func kern8x8AVX2(a *float32, offs *[8]int, segs, seglen, pitch int, bp, c *float32, ldc int)
+// op v, Yr, Yr for every accumulator: v second, the accumulator first.
+#define EACH8(op, v) \
+	op v, Y0, Y0; op v, Y1, Y1; op v, Y2, Y2; op v, Y3, Y3; \
+	op v, Y4, Y4; op v, Y5, Y5; op v, Y6, Y6; op v, Y7, Y7
+
+// op Yr, k, Yr for every accumulator: k first.
+#define EACH8K(op, k) \
+	op Y0, k, Y0; op Y1, k, Y1; op Y2, k, Y2; op Y3, k, Y3; \
+	op Y4, k, Y4; op Y5, k, Y5; op Y6, k, Y6; op Y7, k, Y7
+
+// func kern8x8AVX2(a *float32, offs *[8]int, segs, seglen, pitch int, bp, c *float32, ldc int, ep *kernEpilogue, col int)
 //
 // Eight-lane AVX2 GEMM microkernel: accumulates an 8-row × 8-column
-// tile C[r][j] = Σ_p A[r][p] * bp[p*8+j] and stores row r raw at
-// c + r*ldc floats (the Go caller applies the fused epilogue per
-// completed row block). Row r of A is read in place, as in kern4x8SSE:
-// segs segments of seglen floats from a + offs[r] floats, pitch floats
+// tile C[r][j] = Σ_p A[r][p] * bp[p*16+j] (one panel of a pair as
+// PackB lays it out), applies the epilogue ep to it in registers, its
+// per-column vectors read from column col on, and stores row r at
+// c + r*ldc floats. Row r of A is read in place, as in kern4x8SSE: segs
+// segments of seglen floats from a + offs[r] floats, pitch floats
 // apart. R8..R13, SI and DI point one past the current segment of rows
 // 0..7 and CX counts up from -seglen to 0. Y0..Y7 accumulate one row
 // each, Y8 holds the streamed B vector, Y9..Y12 the broadcast A
@@ -16,8 +28,9 @@
 // take their operands in the SSE kernel's order (B first in the
 // product, the accumulator first in the sum), so every lane
 // accumulates over p exactly as kern4x8SSE and the portable Go kernel
-// do, NaN propagation included.
-TEXT ·kern8x8AVX2(SB), NOSPLIT, $0-64
+// do, NaN propagation included. The epilogue keeps the operand order
+// of kern8x16AVX512's, with Y8 and Y9 holding its operands.
+TEXT ·kern8x8AVX2(SB), NOSPLIT, $0-80
 	MOVQ a+0(FP), AX
 	MOVQ seglen+24(FP), CX
 	LEAQ (AX)(CX*4), AX
@@ -85,7 +98,7 @@ loop8:
 	VADDPS       Y11, Y6, Y6
 	VADDPS       Y12, Y7, Y7
 
-	ADDQ $32, BX
+	ADDQ $64, BX // the next k-step of the panel's pair
 	INCQ CX
 	JNZ  loop8
 
@@ -100,6 +113,37 @@ loop8:
 	DECQ DX
 	JNZ  segment8
 
+	MOVQ    ep+64(FP), AX
+	MOVQ    kernEpilogue_mode(AX), DX
+	MOVQ    col+72(FP), CX
+	SHLQ    $2, CX
+	TESTQ   $const_epBias, DX
+	JZ      scale8
+	MOVQ    kernEpilogue_bias(AX), BX
+	VMOVUPS (BX)(CX*1), Y8
+	EACH8(VADDPS, Y8)
+
+scale8:
+	TESTQ   $const_epScale, DX
+	JZ      relu8
+	MOVQ    kernEpilogue_scale(AX), BX
+	VMOVUPS (BX)(CX*1), Y8
+	MOVQ    kernEpilogue_shift(AX), BX
+	VMOVUPS (BX)(CX*1), Y9
+	EACH8(VMULPS, Y8)
+	EACH8(VADDPS, Y9)
+
+relu8:
+	TESTQ  $const_epReLU, DX
+	JZ     store8
+	VXORPS Y8, Y8, Y8
+	EACH8K(VMAXPS, Y8)
+	TESTQ  $const_epCap, DX
+	JZ     store8
+	VBROADCASTSS kernEpilogue_cap(AX), Y8
+	EACH8K(VMINPS, Y8)
+
+store8:
 	MOVQ    c+48(FP), DI
 	MOVQ    ldc+56(FP), SI
 	SHLQ    $2, SI // row stride of C in bytes

@@ -1,29 +1,42 @@
 //go:build amd64 && !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
-// func kern8x16AVX512(a *float32, offs *[8]int, segs, seglen, pitch int, bp, c *float32, ldc int)
+// op v, Zr, Zr for every accumulator: v second, the accumulator first.
+#define EACH16(op, v) \
+	op v, Z0, Z0; op v, Z1, Z1; op v, Z2, Z2; op v, Z3, Z3; \
+	op v, Z4, Z4; op v, Z5, Z5; op v, Z6, Z6; op v, Z7, Z7
+
+// op Zr, k, Zr for every accumulator: k first.
+#define EACH16K(op, k) \
+	op Z0, k, Z0; op Z1, k, Z1; op Z2, k, Z2; op Z3, k, Z3; \
+	op Z4, k, Z4; op Z5, k, Z5; op Z6, k, Z6; op Z7, k, Z7
+
+// func kern8x16AVX512(a *float32, offs *[8]int, segs, seglen, pitch int, bp, c *float32, ldc int, ep *kernEpilogue, col int)
 //
 // Sixteen-lane AVX-512 GEMM microkernel: accumulates an 8-row ×
-// 16-column tile from two adjacent B panels, C[r][j] = Σ_p A[r][p] *
-// bp[p*8+j] for j < 8 and Σ_p A[r][p] * bp[k*8+p*8+j-8] for j ≥ 8
-// (k = segs*seglen), and stores row r raw at c + r*ldc floats (the Go
-// caller applies the fused epilogue per completed row block). Row r of
-// A is read in place, as in kern8x8AVX2: segs segments of seglen
-// floats from a + offs[r] floats, pitch floats apart. R8..R13, SI and
-// DI point one past the current segment of rows 0..7, CX counts up
-// from -seglen to 0, and R15 is the byte distance from the first panel
-// to the second. Z0..Z7 accumulate one row each; Z8 holds the
-// streamed B vector, panel j0 in its low half (VMOVUPS) and panel j0+8
-// in its high half (VINSERTF64X4, which AVX512F has; VINSERTF32X8
-// would need AVX512DQ); Z9..Z12 hold the products. Staying below Z16
-// leaves VZEROUPPER to clear the upper state of every register the
-// kernel wrote. Only AVX512F instructions run. VMULPS.BCST broadcasts each row's A element into
-// an unfused product with B as its first operand, and VADDPS takes the
-// accumulator first — the operand order of kern8x8AVX2 and kern4x8SSE
-// — so every lane accumulates over p exactly as they and the portable
-// Go kernel do, NaN propagation included.
-TEXT ·kern8x16AVX512(SB), NOSPLIT, $0-64
+// 16-column tile from a pair of B panels as PackB lays it out,
+// C[r][j] = Σ_p A[r][p] * bp[p*16+j] (k = segs*seglen), applies the
+// epilogue ep to it in registers, its per-column vectors read from
+// column col on, and stores row r at c + r*ldc floats. Row r of A is
+// read in place, as in kern8x8AVX2: segs segments of seglen floats from
+// a + offs[r] floats, pitch floats apart. R8..R13, SI and DI point one
+// past the current segment of rows 0..7 and CX counts up from -seglen
+// to 0. Z0..Z7 accumulate one row each; Z8 holds the streamed B
+// vector, one k-step of the pair in one load; Z9..Z12 hold the
+// products.
+// Staying below Z16 leaves VZEROUPPER to clear the upper state of
+// every register the kernel wrote. Only AVX512F instructions run.
+// VMULPS.BCST broadcasts each row's A element into an unfused product
+// with B as its first operand, and VADDPS takes the accumulator first —
+// the operand order of kern8x8AVX2 and kern4x8SSE — so every lane
+// accumulates over p exactly as they and the portable Go kernel do,
+// NaN propagation included. The epilogue keeps the operand order of
+// applyOne and the depthwise kernels: the accumulator first in its
+// sums and product, zero first in the ReLU's MAX and the cap first in
+// its MIN (Z8 and Z9 hold the operands).
+TEXT ·kern8x16AVX512(SB), NOSPLIT, $0-80
 	MOVQ a+0(FP), AX
 	MOVQ seglen+24(FP), CX
 	LEAQ (AX)(CX*4), AX
@@ -44,13 +57,10 @@ TEXT ·kern8x16AVX512(SB), NOSPLIT, $0-64
 	LEAQ (AX)(SI*4), SI
 	MOVQ 56(DX), DI
 	LEAQ (AX)(DI*4), DI
-	MOVQ  segs+16(FP), DX
-	MOVQ  DX, R15
-	IMULQ CX, R15
-	SHLQ  $5, R15 // second panel: k*8 floats past the first
-	MOVQ  pitch+32(FP), AX
-	SHLQ  $2, AX  // segment pitch in bytes
-	MOVQ  bp+40(FP), BX
+	MOVQ segs+16(FP), DX
+	MOVQ pitch+32(FP), AX
+	SHLQ $2, AX // segment pitch in bytes
+	MOVQ bp+40(FP), BX
 
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
@@ -66,8 +76,7 @@ segment16:
 	NEGQ CX
 
 loop16:
-	VMOVUPS      (BX), Y8
-	VINSERTF64X4 $1, (BX)(R15*1), Z8, Z8
+	VMOVUPS (BX), Z8
 
 	VMULPS.BCST (R8)(CX*4), Z8, Z9
 	VMULPS.BCST (R9)(CX*4), Z8, Z10
@@ -87,7 +96,7 @@ loop16:
 	VADDPS      Z11, Z6, Z6
 	VADDPS      Z12, Z7, Z7
 
-	ADDQ $32, BX
+	ADDQ $64, BX
 	INCQ CX
 	JNZ  loop16
 
@@ -102,6 +111,37 @@ loop16:
 	DECQ DX
 	JNZ  segment16
 
+	MOVQ  ep+64(FP), AX
+	MOVQ  kernEpilogue_mode(AX), DX
+	MOVQ  col+72(FP), CX
+	SHLQ  $2, CX
+	TESTQ $const_epBias, DX
+	JZ    scale16
+	MOVQ  kernEpilogue_bias(AX), BX
+	VMOVUPS (BX)(CX*1), Z8
+	EACH16(VADDPS, Z8)
+
+scale16:
+	TESTQ   $const_epScale, DX
+	JZ      relu16
+	MOVQ    kernEpilogue_scale(AX), BX
+	VMOVUPS (BX)(CX*1), Z8
+	MOVQ    kernEpilogue_shift(AX), BX
+	VMOVUPS (BX)(CX*1), Z9
+	EACH16(VMULPS, Z8)
+	EACH16(VADDPS, Z9)
+
+relu16:
+	TESTQ  $const_epReLU, DX
+	JZ     store16
+	VPXORD Z8, Z8, Z8
+	EACH16K(VMAXPS, Z8)
+	TESTQ  $const_epCap, DX
+	JZ     store16
+	VBROADCASTSS kernEpilogue_cap(AX), Z8
+	EACH16K(VMINPS, Z8)
+
+store16:
 	MOVQ    c+48(FP), DI
 	MOVQ    ldc+56(FP), SI
 	SHLQ    $2, SI // row stride of C in bytes

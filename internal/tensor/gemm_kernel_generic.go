@@ -13,14 +13,29 @@ func tileRows() int { return gemmMR }
 // tileCols is the width of the tile GemmInPlace walks: one B panel.
 func tileCols() int { return gemmNR }
 
+// kernEpilogue is an Epilogue as kernTile takes it: the portable
+// kernel applies it in Go.
+type kernEpilogue = Epilogue
+
+// kernel fills k, which is zero, with a copy of ep; a nil ep applies
+// nothing. A copy, not ep itself: storing ep through k would make
+// every caller's epilogue escape to the heap.
+func (ep *Epilogue) kernel(k *kernEpilogue, n int) {
+	if ep != nil {
+		*k = *ep
+	}
+}
+
 // kernTile is the portable microkernel: one 4×8 tile — the four rows of
-// a whose bases are in offs, against the B panel bp — stored raw, row r
-// at c[r*ldc:]. Each output element accumulates over p sequentially,
+// a whose bases are in offs, against the B panel bp (eight floats of
+// each 16-float k-step, as PackB pairs panels) — with ep applied,
+// its per-column vectors read from column col on, stored row r at
+// c[r*ldc:]. Each output element accumulates over p sequentially,
 // segment by segment, with the product rounded before the add
 // (float32(a*b) keeps a compiler that may fuse x*y + z from doing so),
-// so the result is bitwise identical to the amd64 kernels on every
-// target.
-func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int) {
+// and then takes the epilogue in applyOne's order, so the result is
+// bitwise identical to the amd64 kernels on every target.
+func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int, ep *kernEpilogue, col int) {
 	var t [gemmMR][gemmNR]float32
 	p := 0
 	for s := 0; s < a.Segs; s++ {
@@ -31,7 +46,7 @@ func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int) {
 		a3 := a.Data[offs[3]+seg : offs[3]+seg+a.Len]
 		for i, x0 := range a0 {
 			x1, x2, x3 := a1[i], a2[i], a3[i]
-			bv := bp[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
+			bv := bp[2*gemmNR*p : 2*gemmNR*p+gemmNR : 2*gemmNR*p+gemmNR]
 			for j := 0; j < gemmNR; j++ {
 				b := bv[j]
 				t[0][j] += float32(x0 * b)
@@ -43,6 +58,9 @@ func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int) {
 		}
 	}
 	for r := range t {
-		copy(c[r*ldc:r*ldc+gemmNR], t[r][:])
+		row := c[r*ldc : r*ldc+gemmNR]
+		for j, v := range t[r] {
+			row[j] = ep.applyOne(v, col+j)
+		}
 	}
 }

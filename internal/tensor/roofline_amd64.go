@@ -14,14 +14,16 @@ package tensor
 const probeChains = 12
 
 // Implemented in roofline_amd64.s. mulAddProbe8 and fmaProbe8 need
-// AVX (and fmaProbe8 FMA), mulAddProbe16 AVX512F, and copyProbe AVX;
-// copyProbe copies n floats, a positive multiple of 32, from src to
-// dst.
+// AVX (and fmaProbe8 FMA), mulAddProbe16 and fmaProbe16 AVX512F, and
+// copyProbe AVX; copyProbe copies n floats, a positive multiple of 32,
+// from src to dst.
 func mulAddProbe8(n int)
 
 func mulAddProbe16(n int)
 
 func fmaProbe8(n int)
+
+func fmaProbe16(n int)
 
 //go:noescape
 func copyProbe(dst, src *float32, n int)

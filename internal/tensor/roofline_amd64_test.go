@@ -7,11 +7,12 @@ import "testing"
 // BenchmarkRoofline reports the ceilings a GEMM microkernel on this
 // machine works under, from the probes in roofline_amd64.s: GMAdd/s of
 // unfused VMULPS+VADDPS at eight lanes (the AVX2 kernel's mix) and at
-// sixteen (the AVX-512 kernel's), of VFMADD231PS at eight, and GB/s of
-// a stream copy (bytes read plus bytes written, as STREAM counts them)
-// of 256 KiB, which fits in L2, and of 32 MiB, which does not (it may
-// still fit in a large L3). A probe whose instructions this machine
-// lacks is skipped.
+// sixteen (the AVX-512 kernel's), of VFMADD231PS at eight and at
+// sixteen (the mixes of kernels in FMA order), and GB/s of a stream
+// copy (bytes read plus bytes written, as STREAM counts them) of 256
+// KiB, which fits in L2, and of 32 MiB, which does not (it may still
+// fit in a large L3). A probe whose instructions this machine lacks is
+// skipped.
 func BenchmarkRoofline(b *testing.B) {
 	const iters = 4096 // probe iterations per call
 	_, _, ecx, _ := cpuid(1, 0)
@@ -25,6 +26,7 @@ func BenchmarkRoofline(b *testing.B) {
 		{"mul-add-8", 8, cpuTier >= tierAVX2, mulAddProbe8},
 		{"mul-add-16", 16, cpuTier == tierAVX512, mulAddProbe16},
 		{"fma-8", 8, cpuTier >= tierAVX2 && hasFMA, fmaProbe8},
+		{"fma-16", 16, cpuTier == tierAVX512, fmaProbe16},
 	} {
 		b.Run(p.name, func(b *testing.B) {
 			if !p.ok {

@@ -58,7 +58,7 @@ func TestKernelDispatch(t *testing.T) {
 	}{
 		{"sse", gemmMR, gemmNR, 4},
 		{"avx2", tileMax, gemmNR, 8},
-		{"avx512", tileMax, 2 * gemmNR, 8},
+		{"avx512", tileMax, 2 * gemmNR, 16},
 	}
 	tiers := kernelTiers(t)
 	for i, tier := range tiers {
@@ -99,6 +99,20 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	ep.Bias[2] = math.Float32frombits(0x7fc0b1a5)
 	ep.Scale[5] = math.Float32frombits(0xffc05ca1)
 	ep.Shift[6] = math.Float32frombits(0x7fc05f17)
+	// The kernels apply the epilogue to full tiles and to the ragged
+	// rows 8..12 alike; column 16 is the ragged-column tile, which takes
+	// it in Go. Column 3 (NaN in b) meets a NaN bias; columns 10 and 16
+	// meet NaNs of three payloads in bias, scale and shift; −0 in bias,
+	// scale and shift turns values into ±0 ahead of the ReLU's MAX.
+	negZero := float32(math.Copysign(0, -1))
+	ep.Bias[3] = math.Float32frombits(0xffc0b1a6)
+	for _, j := range []int{10, 16} {
+		ep.Bias[j] = math.Float32frombits(0x7fc0dea0 + uint32(j))
+		ep.Scale[j] = math.Float32frombits(0xffc0dea1 + uint32(j))
+		ep.Shift[j] = math.Float32frombits(0x7fc0dea2 + uint32(j))
+	}
+	ep.Bias[11], ep.Scale[12], ep.Shift[12] = negZero, negZero, negZero
+	ep.Scale[15], ep.Shift[15] = negZero, negZero
 	out := make([][]float32, len(tiers))
 	nans := 0
 	for i, tier := range tiers {
@@ -123,43 +137,65 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	// The depthwise span: NaNs of different payloads in the inputs, the
 	// weights and the bias meet in its products and sums. Tap t's weight
 	// for channel t is a NaN, and so is its input there at every pixel
-	// (both the four-pixel blocks and the single pixels after them), so
-	// each product in those lanes has two NaN operands; the bias of
-	// channel 9 is a NaN that the NaN products of that lane are added
-	// to, the NaN sums of channels 0 and 1 meet a NaN scale and shift,
-	// and tap 2's zero weight meets an infinite input.
-	const ic, npix, ntaps = 16, 7, 9
-	taps := make([]Tap, ntaps)
-	for t := range taps {
-		taps[t] = Tap{X: randMat(g, npix*ic), W: randMat(g, ic)}
-		taps[t].W[t] = math.Float32frombits(0x7fc00100 + uint32(t))
-		for p := 0; p < npix; p++ {
-			taps[t].X[p*ic+t] = math.Float32frombits(0xffc00200 + uint32(16*p+t))
-			taps[t].X[p*ic+9] = math.Float32frombits(0x7fc00300 + uint32(16*p+t))
+	// (every pixel block the kernels walk), so each product in those
+	// lanes has two NaN operands; the bias of channel 9 is a NaN that the
+	// NaN products of that lane are added to, the NaN sums of channels 0
+	// and 1 meet a NaN scale and shift, and tap 2's zero weight meets an
+	// infinite input. The spans past the first repeat the pattern in
+	// their last eight channels — on AVX-512 the eight-lane block beside
+	// the sixteen-lane ones — and walk eight-pixel blocks (24×9) and two
+	// blocks of channels against four pixels and eight against one
+	// (136×5).
+	for _, sp := range []struct{ ic, npix int }{{16, 7}, {24, 9}, {136, 5}} {
+		const ntaps = 9
+		ic, npix := sp.ic, sp.npix
+		x, w := make([]float32, 0, ntaps*npix*ic), make([]float32, 0, ntaps*ic)
+		taps := make([]Tap, ntaps)
+		for t := range taps {
+			taps[t] = Tap{X: len(x), W: len(w)}
+			x, w = append(x, randMat(g, npix*ic)...), append(w, randMat(g, ic)...)
+			chans := []int{t}
+			if ic > 16 {
+				chans = append(chans, ic-8+t%8)
+			}
+			for _, c := range chans {
+				w[taps[t].W+c] = math.Float32frombits(0x7fc00100 + uint32(t))
+				for p := 0; p < npix; p++ {
+					x[taps[t].X+p*ic+c] = math.Float32frombits(0xffc00200 + uint32(16*p+t))
+				}
+			}
+			for p := 0; p < npix; p++ {
+				x[taps[t].X+p*ic+9] = math.Float32frombits(0x7fc00300 + uint32(16*p+t))
+			}
 		}
-	}
-	taps[2].W[11], taps[2].X[3*ic+11] = 0, inf32
-	dwEp := &Epilogue{Bias: randMat(g, ic), Scale: randMat(g, ic), Shift: randMat(g, ic), ReLU: true, Cap: 6}
-	dwEp.Bias[9] = math.Float32frombits(0x7fc0beef)
-	dwEp.Scale[0] = math.Float32frombits(0xffc05ca1)
-	dwEp.Shift[1] = math.Float32frombits(0x7fc05f17)
-	for i, tier := range tiers {
-		tier.use()
-		out[i] = make([]float32, npix*ic)
-		DepthwiseSpan(out[i], npix, ic, ic, taps, dwEp)
-	}
-	nans = 0
-	for _, v := range out[0] {
-		if v != v {
-			nans++
+		w[taps[2].W+11], x[taps[2].X+3*ic+11] = 0, inf32
+		dwEp := &Epilogue{Bias: randMat(g, ic), Scale: randMat(g, ic), Shift: randMat(g, ic), ReLU: true, Cap: 6}
+		dwEp.Bias[9] = math.Float32frombits(0x7fc0beef)
+		dwEp.Scale[0] = math.Float32frombits(0xffc05ca1)
+		dwEp.Shift[1] = math.Float32frombits(0x7fc05f17)
+		if ic > 16 {
+			dwEp.Bias[ic-7] = math.Float32frombits(0xffc0beef)
+			dwEp.Scale[ic-8] = math.Float32frombits(0x7fc05ca2)
+			dwEp.Shift[ic-8] = math.Float32frombits(0xffc05f18)
 		}
-	}
-	if nans == 0 || nans == npix*ic {
-		t.Fatalf("depthwise: %d of %d outputs are NaN: the table exercises nothing", nans, npix*ic)
-	}
-	for ti := 1; ti < len(tiers); ti++ {
-		if i := sameBits(out[0], out[ti]); i >= 0 {
-			t.Fatalf("depthwise [%d] sse %#08x, %s %#08x", i, math.Float32bits(out[0][i]), tiers[ti].name, math.Float32bits(out[ti][i]))
+		for i, tier := range tiers {
+			tier.use()
+			out[i] = make([]float32, npix*ic)
+			DepthwiseSpans(out[i], ic, ic, x, w, []Span{{Npix: npix, Taps: taps}}, dwEp)
+		}
+		nans = 0
+		for _, v := range out[0] {
+			if v != v {
+				nans++
+			}
+		}
+		if nans == 0 || nans == npix*ic {
+			t.Fatalf("depthwise %d×%d: %d of %d outputs are NaN: the table exercises nothing", ic, npix, nans, npix*ic)
+		}
+		for ti := 1; ti < len(tiers); ti++ {
+			if i := sameBits(out[0], out[ti]); i >= 0 {
+				t.Fatalf("depthwise %d×%d [%d] sse %#08x, %s %#08x", ic, npix, i, math.Float32bits(out[0][i]), tiers[ti].name, math.Float32bits(out[ti][i]))
+			}
 		}
 	}
 	names := make([]string, len(tiers))

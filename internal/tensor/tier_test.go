@@ -229,20 +229,43 @@ func tierNames(tiers []kernelTier) string {
 	return strings.Join(names, " ")
 }
 
-// TestDepthwiseTiersBitwiseEqual runs DepthwiseSpan on every tier this
+// depthwiseTaps lays out ntaps taps of a span of npix pixels, ic
+// channels and input stride xstride in one input and one weight array,
+// in reverse order and a few floats apart, with random values and NaN,
+// ±Inf, −0 and denormals sprinkled in.
+func depthwiseTaps(g *RNG, ntaps, npix, ic, xstride int) (x, w []float32, taps []Tap) {
+	span := (npix-1)*xstride + ic
+	x, w = randMat(g, ntaps*(span+3)), randMat(g, ntaps*(ic+5))
+	sprinkle(g, x)
+	sprinkle(g, w)
+	taps = make([]Tap, ntaps)
+	for i := range taps {
+		at := ntaps - 1 - i
+		taps[i] = Tap{X: at * (span + 3), W: at * (ic + 5)}
+	}
+	return x, w, taps
+}
+
+// TestDepthwiseTiersBitwiseEqual runs DepthwiseSpans on every tier this
 // machine has and compares the outputs, as bit patterns, with the
-// generic tier (depthwiseGo over every channel). The channel counts are
-// all vector tail, one four-lane vector, vectors and a tail, and whole
-// eight-lane vectors; the pixel counts run the four-pixel blocks, the
-// single pixels after them, or both; the taps number one to nine, read
-// pixels one or two apart, and hold NaN, ±Inf, −0 and denormals in
-// inputs and weights. Every epilogue of TestKernelTiersBitwiseEqual
-// closes the span, and nothing past the span may be written.
+// generic tier (depthwiseGo over every channel): first on one span at
+// a time, then on rows of several spans. The channel counts are
+// all vector tail, one four-lane vector, vectors and a tail, whole
+// eight-lane vectors, and sixteen-lane blocks beside an eight-lane
+// block and a tail (24, 29, 40, 136: on AVX-512 one to eight blocks of
+// sixteen, then a block of eight); the pixel counts reach every pixel
+// block the kernels walk — eight pixels, four, single ones, their
+// mixes, and a last eight backed up over four pixels (12) or one (15)
+// already stored; the taps number none to nine, read pixels one or two apart,
+// lie in reverse order in their arrays, and hold NaN, ±Inf, −0 and
+// denormals in inputs and weights. Every epilogue of
+// TestKernelTiersBitwiseEqual closes the span, and nothing past the
+// span may be written.
 func TestDepthwiseTiersBitwiseEqual(t *testing.T) {
 	g := NewRNG(18)
 	tiers := kernelTiers(t)
 	const guard = 8
-	for _, ic := range []int{1, 3, 4, 5, 8, 13, 16, 64} {
+	for _, ic := range []int{1, 3, 4, 5, 8, 13, 16, 64, 24, 29, 40, 136} {
 		bias, scale, shift := randMat(g, ic), randMat(g, ic), randMat(g, ic)
 		eps := []*Epilogue{
 			{},
@@ -252,26 +275,20 @@ func TestDepthwiseTiersBitwiseEqual(t *testing.T) {
 			{ReLU: true, Cap: 0.5},
 			{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 6},
 		}
-		for ntaps := 1; ntaps <= 9; ntaps++ {
+		for ntaps := 0; ntaps <= 9; ntaps++ {
 			for _, step := range []int{1, 2} {
-				for _, npix := range []int{1, 4, 7} {
+				for _, npix := range []int{1, 4, 7, 8, 9, 12, 15, 17} {
 					xstride := step * ic
-					taps := make([]Tap, ntaps)
-					for i := range taps {
-						x, w := randMat(g, (npix-1)*xstride+ic), randMat(g, ic)
-						sprinkle(g, x)
-						sprinkle(g, w)
-						taps[i] = Tap{X: x, W: w}
-					}
+					x, w, taps := depthwiseTaps(g, ntaps, npix, ic, xstride)
 					want, got := make([]float32, npix*ic), make([]float32, npix*ic+guard)
 					for ei, ep := range eps {
-						depthwiseGo(want, npix, ic, xstride, 0, taps, ep)
+						depthwiseGo(want, npix, ic, xstride, 0, x, w, taps, ep)
 						for _, tier := range tiers {
 							tier.use()
 							for i := range got {
 								got[i] = -12345 // must be overwritten, and the guard kept
 							}
-							DepthwiseSpan(got[:npix*ic], npix, ic, xstride, taps, ep)
+							DepthwiseSpans(got[:npix*ic], ic, xstride, x, w, []Span{{Npix: npix, Taps: taps}}, ep)
 							if i := sameBits(got[:npix*ic], want); i >= 0 {
 								t.Fatalf("%s, ic=%d taps=%d step=%d npix=%d ep#%d: [%d] %v (%#08x), generic tier %v (%#08x)",
 									tier.name, ic, ntaps, step, npix, ei, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
@@ -287,7 +304,87 @@ func TestDepthwiseTiersBitwiseEqual(t *testing.T) {
 			}
 		}
 	}
+	depthwiseRowsBitwiseEqual(t, g, tiers)
 	t.Logf("depthwise tiers covered: %s (this process runs %q)", tierNames(tiers), Kernel())
+}
+
+// depthwiseRowsBitwiseEqual runs rows of spans the way a convolution
+// lays them out — a border pixel, an interior run, more border pixels —
+// each span with its own taps (some with none, and an empty span), in
+// one DepthwiseSpans call per row, against depthwiseGo span by span.
+func depthwiseRowsBitwiseEqual(t *testing.T, g *RNG, tiers []kernelTier) {
+	const guard = 8
+	for _, ic := range []int{5, 8, 24, 40, 136} {
+		ep := &Epilogue{Bias: randMat(g, ic), Scale: randMat(g, ic), Shift: randMat(g, ic), ReLU: true, Cap: 6}
+		for _, runs := range [][]int{{1, 22, 1}, {9, 1}, {1, 4, 0, 1, 1}, {3, 15, 2}} {
+			const xstride = 2 // pixels apart, in units of ic
+			npix := 0
+			for _, n := range runs {
+				npix += n
+			}
+			x, w := randMat(g, (npix*xstride+12)*ic), randMat(g, 12*ic)
+			sprinkle(g, x)
+			sprinkle(g, w)
+			var spans []Span
+			out := 0
+			for i, n := range runs {
+				taps := make([]Tap, (i*5+3)%9) // 3, 8, 4, 0, 5 taps
+				for j := range taps {
+					taps[j] = Tap{X: (out*xstride + (j*7)%12) * ic, W: ((j*5 + i) % 12) * ic}
+				}
+				spans = append(spans, Span{Out: out, Npix: n, Taps: taps})
+				out += n
+			}
+			want, got := make([]float32, npix*ic), make([]float32, npix*ic+guard)
+			for _, sp := range spans {
+				depthwiseGo(want[sp.Out*ic:], sp.Npix, ic, xstride*ic, 0, x, w, sp.Taps, ep)
+			}
+			for _, tier := range tiers {
+				tier.use()
+				for i := range got {
+					got[i] = -12345
+				}
+				DepthwiseSpans(got[:npix*ic], ic, xstride*ic, x, w, spans, ep)
+				if i := sameBits(got[:npix*ic], want); i >= 0 {
+					t.Fatalf("%s, ic=%d row %v: [%d] %v (%#08x), generic tier %v (%#08x)",
+						tier.name, ic, runs, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+				for _, v := range got[npix*ic:] {
+					if v != -12345 {
+						t.Fatalf("%s, ic=%d row %v: wrote past the row", tier.name, ic, runs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDepthwiseSpansChecks: a span past the end of dst, or a tap that
+// reads past the input or the weights for any pixel or channel of its
+// span, panics before a kernel runs, and a negative offset does too.
+func TestDepthwiseSpansChecks(t *testing.T) {
+	const npix, ic, xstride = 3, 16, 32
+	x, w := make([]float32, (npix-1)*xstride+ic+4), make([]float32, 2*ic)
+	dst := make([]float32, npix*ic)
+	ep := &Epilogue{}
+	DepthwiseSpans(dst, ic, xstride, x, w, []Span{{Npix: npix, Taps: []Tap{{X: 4, W: ic}}}}, ep)
+	for _, bad := range []Span{
+		{Npix: npix, Taps: []Tap{{X: 0, W: 0}, {X: 5, W: 0}}},
+		{Npix: npix, Taps: []Tap{{X: 0, W: 0}, {X: 0, W: ic + 1}}},
+		{Npix: npix, Taps: []Tap{{X: 0, W: 0}, {X: -1, W: 0}}},
+		{Npix: npix, Taps: []Tap{{X: 0, W: 0}, {X: 0, W: -1}}},
+		{Out: 1, Npix: npix},
+		{Out: -1, Npix: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("span %+v outside dst[%d], x[%d], w[%d]: no panic", bad, len(dst), len(x), len(w))
+				}
+			}()
+			DepthwiseSpans(dst, ic, xstride, x, w, []Span{{Npix: 1}, bad}, ep)
+		}()
+	}
 }
 
 // BenchmarkGemmInPlace times the GEMM on the row-major shapes that
@@ -320,6 +417,57 @@ func BenchmarkGemmInPlace(b *testing.B) {
 					GemmInPlace(s.m, s.n, &a, bp, c, ep)
 				}
 				b.ReportMetric(float64(s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAdd/s")
+			})
+		}
+	}
+}
+
+// BenchmarkDepthwiseSpan times DepthwiseSpans on the spans of a
+// base-DNN frame (96×54 input, width multiplier 0.25), on every tier
+// this machine has (one sub-benchmark per span and tier, e.g.
+// conv2_1-interior-46px-ic8/avx512): each depthwise layer's interior
+// span, nine taps over pixels stride·ic apart, and a one-pixel border
+// span with the six taps a left-edge pixel keeps, 8 to 128 channels,
+// with batch-norm and ReLU closing each, one span per call. The taps
+// lie as a 3×3 kernel's do over an input row, as internal/nn lays them
+// out. internal/nn's BenchmarkDepthwise times whole layers, a row per
+// call.
+func BenchmarkDepthwiseSpan(b *testing.B) {
+	tiers := kernelTiers(b)
+	for _, s := range []struct {
+		name                 string
+		npix, ic, stride, kx int // kx: the first kernel column the span reads
+	}{
+		{"conv2_1-interior", 46, 8, 1, 0},
+		{"conv2_1-border", 1, 8, 1, 1},
+		{"conv2_2-interior", 23, 16, 2, 0},
+		{"conv3_1-interior", 22, 32, 1, 0},
+		{"conv3_1-border", 1, 32, 1, 1},
+		{"conv4_1-interior", 10, 64, 1, 0},
+		{"conv4_1-border", 1, 64, 1, 1},
+		{"conv5-interior", 4, 128, 1, 0},
+		{"conv5-border", 1, 128, 1, 1},
+	} {
+		const k = 3
+		g := NewRNG(19)
+		width := (s.npix-1)*s.stride + k // input pixels per line
+		x, w := randMat(g, k*width*s.ic), randMat(g, k*k*s.ic)
+		var taps []Tap
+		for ky := 0; ky < k; ky++ {
+			for kx := s.kx; kx < k; kx++ {
+				taps = append(taps, Tap{X: (ky*width + kx - s.kx) * s.ic, W: (ky*k + kx) * s.ic})
+			}
+		}
+		ep := &Epilogue{Bias: randMat(g, s.ic), Scale: randMat(g, s.ic), Shift: randMat(g, s.ic), ReLU: true}
+		dst := make([]float32, s.npix*s.ic)
+		spans := []Span{{Npix: s.npix, Taps: taps}}
+		for _, tier := range tiers {
+			b.Run(fmt.Sprintf("%s-%dpx-ic%d/%s", s.name, s.npix, s.ic, tier.name), func(b *testing.B) {
+				tier.use()
+				for i := 0; i < b.N; i++ {
+					DepthwiseSpans(dst, s.ic, s.stride*s.ic, x, w, spans, ep)
+				}
+				b.ReportMetric(float64(s.npix*s.ic*len(taps))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAdd/s")
 			})
 		}
 	}

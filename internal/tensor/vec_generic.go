@@ -16,12 +16,8 @@ func VecAxpy(alpha float32, x, y []float32) {
 	}
 }
 
-// applyVec is Epilogue.Apply's vector pass; the portable build has
-// none, so applyOne covers every column.
-func (ep *Epilogue) applyVec(c []float32, m, n int) int { return 0 }
-
-// depthwiseVec is DepthwiseSpan's vector kernel; the portable build has
-// none, so depthwiseGo computes every channel.
-func depthwiseVec(dst []float32, npix, ic, xstride int, taps []Tap, ep *Epilogue) int {
+// depthwiseVec is DepthwiseSpans' vector kernel; the portable build
+// has none, so depthwiseGo computes every channel.
+func depthwiseVec(dst []float32, ic, xstride int, x, w []float32, spans []Span, ep *Epilogue) int {
 	return 0
 }

@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hbMiss   = fs.Int("heartbeat-miss", 5, "evict a session after this many missed heartbeat intervals (0 disables liveness eviction)")
 		shards   = fs.Int("shards", 1, "controller shards; nodes are placed by consistent hashing and per-shard summaries are merged into the fleet rollup")
 
-		stateDir = fs.String("state-dir", "", "persist per-shard control-plane state (intent, ledgers, canary records) under this directory and recover it on restart (empty keeps state in memory)")
+		stateDir = fs.String("state-dir", "", "persist per-shard control-plane state (intent, ledgers, drift baselines) under this directory and recover it on restart (empty keeps state in memory)")
 		walSync  = fs.Bool("wal-sync", false, "fsync every wal append (survives machine power loss; default page-cache durability survives process crashes)")
 
 		deploy    = fs.String("deploy", "", "MC weights file (from fftrain) to deploy to every connecting node")
@@ -451,9 +451,8 @@ func printSummary(w io.Writer, ctrl *fleet.Controller, frames int, observer *obs
 			fmt.Fprintf(w, "  fleet drift: %d score obs, pass rate %.3f, worst psi %.3f (%s), worst ks %.3f, %d pair(s) drifted\n",
 				sum.Scores.Count, sum.Scores.PassRate(), sum.MaxDriftPSI, sum.MaxDriftNode, sum.MaxDriftKS, sum.Drifted)
 		}
-		if sum.MaxMCVersion > 0 || sum.CanariesActive+sum.CanariesPromoted+sum.CanariesRolledBack+sum.CanariesExpired > 0 {
-			fmt.Fprintf(w, "  fleet models: max version %d; canaries %d active, %d promoted, %d rolled back, %d expired\n",
-				sum.MaxMCVersion, sum.CanariesActive, sum.CanariesPromoted, sum.CanariesRolledBack, sum.CanariesExpired)
+		if sum.MaxMCVersion > 0 {
+			fmt.Fprintf(w, "  fleet models: max version %d\n", sum.MaxMCVersion)
 		}
 		if ev > 0 || rc > 0 {
 			fmt.Fprintf(w, "  fleet lifecycle: %d session(s) evicted, %d reconnect(s)\n", ev, rc)
@@ -496,10 +495,6 @@ func updateFleetGauges(o *obs.Observer, sum metrics.FleetSummary) {
 	o.Reg.Gauge("ff_fleet_drift_pairs").Set(int64(sum.Drifted))
 	o.Reg.Gauge("ff_fleet_score_observations").Set(int64(sum.Scores.Count))
 	o.Reg.Gauge("ff_fleet_mc_version").Set(int64(sum.MaxMCVersion))
-	o.Reg.Gauge("ff_fleet_canary_active").Set(int64(sum.CanariesActive))
-	o.Reg.Gauge("ff_fleet_canary_promoted").Set(int64(sum.CanariesPromoted))
-	o.Reg.Gauge("ff_fleet_canary_rolled_back").Set(int64(sum.CanariesRolledBack))
-	o.Reg.Gauge("ff_fleet_canary_expired").Set(int64(sum.CanariesExpired))
 }
 
 // describeFleetGauges registers HELP text for the summary-tick gauges
@@ -519,10 +514,6 @@ func describeFleetGauges(reg *obs.Registry) {
 		"ff_fleet_drift_pairs":        "(stream, MC) pairs currently above a drift alert threshold",
 		"ff_fleet_score_observations": "MC score observations aggregated across the fleet",
 		"ff_fleet_mc_version":         "highest deployed MC model version across the fleet",
-		"ff_fleet_canary_active":      "canary candidates currently under shadow evaluation",
-		"ff_fleet_canary_promoted":    "canary candidates promoted into the live slot (recorded verdicts)",
-		"ff_fleet_canary_rolled_back": "canary candidates rolled back on regression (recorded verdicts)",
-		"ff_fleet_canary_expired":     "canary candidates expired undecided (recorded verdicts)",
 	} {
 		reg.Describe(name, help)
 	}
@@ -569,7 +560,7 @@ func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 		o.Reg.ShardGauge(s.Shard, "snapshot_bytes").Set(s.SnapshotBytes)
 		for _, q := range []float64{0.50, 0.99} {
 			name := fmt.Sprintf("ff_ctrl_shard_%d_heartbeat_p%.0f_ns", s.Shard, q*100)
-			o.Reg.Describe(name, "time the shard took to handle a heartbeat, from reading the record to the end of its drift and canary evaluation")
+			o.Reg.Describe(name, "time the shard took to handle a heartbeat, from reading the record to the end of its drift evaluation")
 			o.Reg.Gauge(name).Set(s.HeartbeatHandling.Quantile(q))
 		}
 	}

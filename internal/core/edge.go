@@ -211,10 +211,7 @@ type mcStep struct {
 	dt  time.Duration
 }
 
-// deployedMC is one application's MC with its per-stream state. A
-// canary shadow is the same slot without the live half: it is pushed
-// in the same fan-out and its MC records scores into sketch, but it
-// never gets a smoother or detector and its event fields stay unused.
+// deployedMC is one application's MC with its per-stream state.
 type deployedMC struct {
 	mc        *filter.MC
 	threshold float32
@@ -222,20 +219,14 @@ type deployedMC struct {
 	detector  *event.Detector
 
 	// sketch accumulates the MC's score distribution since deploy —
-	// the semantic signal heartbeats carry for fleet drift detection
-	// and canary verdicts. Always on: a sketch is a few hundred bytes
-	// and recording is allocation-free, so observer-less nodes still
-	// report one.
+	// the semantic signal heartbeats carry for fleet drift detection.
+	// Always on: a sketch is a few hundred bytes and recording is
+	// allocation-free, so observer-less nodes still report one.
 	sketch *obs.ScoreSketch
-
-	// epoch is a shadow's controller-assigned install counter, echoed
-	// in heartbeats so the controller can tell a fresh sketch from the
-	// previous install's even when the counts line up.
-	epoch uint64
 
 	// offset maps the MC's local frame counter (0 when the slot went
 	// live) to stream frame indices; non-zero for mid-stream
-	// deployments and promoted shadows.
+	// deployments.
 	offset int
 
 	// open event segment assembly.
@@ -254,13 +245,9 @@ type deployedMC struct {
 // goroutine while the pipeline is running: mu guards the state they
 // read against the owner's writes.
 type EdgeNode struct {
-	cfg Config
-	mcs []*deployedMC
-	// shadows are canary candidates scoring alongside the incumbents;
-	// they never produce uploads. Owned by the pipeline goroutine;
-	// mu guards the list for observers.
-	shadows []*deployedMC
-	meta    map[int]FrameMeta
+	cfg  Config
+	mcs  []*deployedMC
+	meta map[int]FrameMeta
 
 	// ext is this node's private handle onto the shared base DNN's
 	// frozen inference fast path: a per-stream workspace arena keeps
@@ -288,10 +275,9 @@ type EdgeNode struct {
 
 	// Hot-path arenas, owned by the pipeline goroutine: xbuf is the
 	// ingest tensor ToTensorInto fills each frame; steps is phase 2a's
-	// result slots, live MCs first, then shadows; curMaps points at the
-	// extractor's feature maps for the frame in flight; mcRun is the
-	// prebuilt fan-out body (building the closure per frame would
-	// allocate).
+	// result slots, one per MC; curMaps points at the extractor's
+	// feature maps for the frame in flight; mcRun is the prebuilt
+	// fan-out body (building the closure per frame would allocate).
 	xbuf    *tensor.Tensor
 	steps   []mcStep
 	curMaps map[string]*tensor.Tensor
@@ -329,12 +315,7 @@ func NewEdgeNode(cfg Config) (*EdgeNode, error) {
 		e.sid = e.obs.Trace.StreamID(cfg.StreamLabel)
 	}
 	e.mcRun = func(i int) {
-		var d *deployedMC
-		if i < len(e.mcs) {
-			d = e.mcs[i]
-		} else {
-			d = e.shadows[i-len(e.mcs)]
-		}
+		d := e.mcs[i]
 		t1 := time.Now()
 		cls := d.mc.Push(e.curMaps[d.mc.Stage()])
 		e.steps[i] = mcStep{cls: cls, dt: time.Since(t1)}
@@ -370,53 +351,37 @@ func (e *EdgeNode) DeployLive(mc *filter.MC, threshold float32) error {
 	return e.deploy(mc, threshold)
 }
 
+// deploy checks the feature map, resets mc's streaming state, and
+// gives it a slot from the next frame on: fresh smoothing and event
+// state whose frame 0 is that stream frame, the node's push-latency
+// sinks, and a fresh per-slot score sketch (Push and Flush do the
+// recording) that also feeds the node aggregate.
 func (e *EdgeNode) deploy(mc *filter.MC, threshold float32) error {
-	if indexOf(e.mcs, mc.Spec().Name) >= 0 {
-		return fmt.Errorf("core: duplicate MC name %q", mc.Spec().Name)
+	name := mc.Spec().Name
+	if indexOf(e.mcs, name) >= 0 {
+		return fmt.Errorf("core: duplicate MC name %q", name)
 	}
-	d, err := e.install(mc, threshold)
-	if err != nil {
-		return err
+	shape := mc.FeatureMapShape()
+	if shape[1] <= 0 || shape[2] <= 0 {
+		return fmt.Errorf("core: MC %q has empty feature map", name)
 	}
-	e.arm(d)
+	mc.Reset()
+	d := &deployedMC{
+		mc: mc, threshold: threshold, sketch: &obs.ScoreSketch{}, offset: e.nextFrame,
+		smoother: event.NewSmoother(e.cfg.SmoothN, e.cfg.SmoothK),
+		detector: event.NewDetector(),
+	}
+	var agg *obs.ScoreSketch
+	if e.obs != nil {
+		mc.Instrument(e.obs.Trace, e.obs.MCPush, e.sid, e.nextFrame)
+		agg = e.obs.Scores
+	}
+	mc.InstrumentScores(d.sketch, agg, float64(threshold))
 	e.mu.Lock()
 	e.mcs = append(e.mcs, d)
 	e.mu.Unlock()
 	e.reslot()
 	return nil
-}
-
-// install readies mc for a slot that starts at the next frame, live or
-// shadow: it checks the feature map, resets streaming state, attaches
-// the node's push-latency sinks, and has the MC record its scores into
-// a fresh per-slot sketch (Push and Flush do the recording). A live
-// slot is then armed; a shadow stays as installed.
-func (e *EdgeNode) install(mc *filter.MC, threshold float32) (*deployedMC, error) {
-	shape := mc.FeatureMapShape()
-	if shape[1] <= 0 || shape[2] <= 0 {
-		return nil, fmt.Errorf("core: MC %q has empty feature map", mc.Spec().Name)
-	}
-	mc.Reset()
-	if e.obs != nil {
-		mc.Instrument(e.obs.Trace, e.obs.MCPush, e.sid, e.nextFrame)
-	}
-	d := &deployedMC{mc: mc, threshold: threshold, sketch: &obs.ScoreSketch{}}
-	mc.InstrumentScores(d.sketch, nil, float64(threshold))
-	return d, nil
-}
-
-// arm gives an installed slot, whose MC must be fresh, its live half
-// from the next frame on: fresh smoothing and event state whose frame
-// 0 is that stream frame, and scores that also feed the node
-// aggregate.
-func (e *EdgeNode) arm(d *deployedMC) {
-	d.offset = e.nextFrame
-	if e.obs != nil {
-		d.mc.Instrument(e.obs.Trace, e.obs.MCPush, e.sid, e.nextFrame)
-		d.mc.InstrumentScores(d.sketch, e.obs.Scores, float64(d.threshold))
-	}
-	d.smoother = event.NewSmoother(e.cfg.SmoothN, e.cfg.SmoothK)
-	d.detector = event.NewDetector()
 }
 
 // Undeploy removes a deployed microclassifier by name, draining its
@@ -438,133 +403,41 @@ func (e *EdgeNode) Undeploy(name string) ([]Upload, error) {
 	return ups, nil
 }
 
-// DeployShadow installs a canary candidate that scores every frame
-// alongside the live deployment without affecting uploads: its
-// classifications feed only a private score sketch that heartbeats
-// report for the controller's promote/rollback decision. A shadow
-// with the same name replaces the previous one (the canary deploy is
-// idempotent across agent reconnects). The candidate usually shares
-// its name with the incumbent it may replace; names never collide
-// because shadows live in their own namespace. epoch is the
-// controller's install counter for the slot, reported back verbatim so
-// each install's sketch is distinguishable from its predecessor's.
-func (e *EdgeNode) DeployShadow(mc *filter.MC, threshold float32, epoch uint64) error {
-	s, err := e.install(mc, threshold)
-	if err != nil {
-		return err
-	}
-	s.epoch = epoch
-	e.mu.Lock()
-	if i := indexOf(e.shadows, mc.Spec().Name); i >= 0 {
-		e.shadows[i] = s
-	} else {
-		e.shadows = append(e.shadows, s)
-	}
-	e.mu.Unlock()
-	e.reslot()
-	return nil
-}
-
-// UndeployShadow removes a canary candidate by name — the rollback
-// path. Its sketch is discarded with it.
-func (e *EdgeNode) UndeployShadow(name string) error {
-	i := indexOf(e.shadows, name)
-	if i < 0 {
-		return fmt.Errorf("core: no shadow MC named %q", name)
-	}
-	e.mu.Lock()
-	e.shadows = slices.Delete(e.shadows, i, i+1)
-	e.mu.Unlock()
-	e.reslot()
-	return nil
-}
-
-// PromoteShadow atomically swaps the named canary candidate into the
-// live slot of the same-named incumbent: the incumbent is flushed
-// (its final uploads are returned so open events still reach the
-// datacenter) and the candidate's slot is armed in place, taking over
-// event assembly at the next frame with fresh smoothing state. The
-// candidate keeps its shadow-period score sketch — it describes the
-// same model — so the controller's version-keyed drift detector
-// re-baselines on the version change, not on a count reset.
-func (e *EdgeNode) PromoteShadow(name string) ([]Upload, error) {
-	si := indexOf(e.shadows, name)
-	if si < 0 {
-		return nil, fmt.Errorf("core: no shadow MC named %q", name)
-	}
-	i := indexOf(e.mcs, name)
-	if i < 0 {
-		return nil, fmt.Errorf("core: no deployed MC named %q to promote over", name)
-	}
-	ups, err := e.flushMC(e.mcs[i])
-	if err != nil {
-		return nil, err
-	}
-	// The candidate restarts at the next frame, as a live deploy would:
-	// its windowed tail drains into its sketch, and the incumbent's
-	// flush already covered those frames.
-	s := e.shadows[si]
-	s.mc.Flush()
-	e.arm(s)
-	e.mu.Lock()
-	e.mcs[i] = s
-	e.shadows = slices.Delete(e.shadows, si, si+1)
-	e.mu.Unlock()
-	e.reslot()
-	return ups, nil
-}
-
 // indexOf returns the position of the slot running the named MC, -1
 // when absent.
 func indexOf(slots []*deployedMC, name string) int {
 	return slices.IndexFunc(slots, func(d *deployedMC) bool { return d.mc.Spec().Name == name })
 }
 
-// byName maps every live (or, with shadow, every shadow) slot's MC
-// name to f of the slot, nil when there is none. It reads the list
-// under mu, so the accessors built on it are safe to call while
-// another goroutine owns the pipeline: the fields they read are set
-// before a slot is published, and sketch counters are atomic.
-func byName[T any](e *EdgeNode, shadow bool, f func(*deployedMC) T) map[string]T {
+// byName maps every deployed MC's name to f of its slot, nil when
+// there is none. It reads the list under mu, so the accessors built on
+// it are safe to call while another goroutine owns the pipeline: the
+// fields they read are set before a slot is published, and sketch
+// counters are atomic.
+func byName[T any](e *EdgeNode, f func(*deployedMC) T) map[string]T {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	slots := e.mcs
-	if shadow {
-		slots = e.shadows
-	}
-	if len(slots) == 0 {
+	if len(e.mcs) == 0 {
 		return nil
 	}
-	out := make(map[string]T, len(slots))
-	for _, d := range slots {
+	out := make(map[string]T, len(e.mcs))
+	for _, d := range e.mcs {
 		out[d.mc.Spec().Name] = f(d)
-	}
-	return out
-}
-
-// names lists the live (or shadow) slots' MC names in deployment
-// order, read under mu like byName.
-func (e *EdgeNode) names(shadow bool) []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	slots := e.mcs
-	if shadow {
-		slots = e.shadows
-	}
-	out := make([]string, len(slots))
-	for i, d := range slots {
-		out[i] = d.mc.Spec().Name
 	}
 	return out
 }
 
 // MCNames returns deployed MC names in deployment order. Safe to call
 // while another goroutine owns the pipeline.
-func (e *EdgeNode) MCNames() []string { return e.names(false) }
-
-// ShadowNames returns the canary candidates' names in deployment
-// order. Safe to call while another goroutine owns the pipeline.
-func (e *EdgeNode) ShadowNames() []string { return e.names(true) }
+func (e *EdgeNode) MCNames() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]string, len(e.mcs))
+	for i, d := range e.mcs {
+		out[i] = d.mc.Spec().Name
+	}
+	return out
+}
 
 // MC returns the deployed microclassifier with the given name, nil
 // when absent. The returned MC is live pipeline state: inspect it
@@ -583,32 +456,16 @@ func (e *EdgeNode) MC(name string) *filter.MC {
 // score sketch since deploy, keyed by MC name — what the fleet agent
 // folds into heartbeats. Safe to call while another goroutine owns the
 // pipeline.
-func (e *EdgeNode) ScoreSketches() map[string]obs.SketchSnapshot { return byName(e, false, sketchOf) }
-
-// ShadowSketches returns a snapshot of every canary candidate's score
-// sketch, keyed by MC name — the shadow-side signal heartbeats carry
-// for the controller's promote/rollback decision. Safe to call while
-// another goroutine owns the pipeline.
-func (e *EdgeNode) ShadowSketches() map[string]obs.SketchSnapshot { return byName(e, true, sketchOf) }
+func (e *EdgeNode) ScoreSketches() map[string]obs.SketchSnapshot {
+	return byName(e, func(d *deployedMC) obs.SketchSnapshot { return d.sketch.Snapshot() })
+}
 
 // MCVersions returns the deployed MCs' model versions keyed by name
 // (zero for unversioned artifacts). Safe to call while another
 // goroutine owns the pipeline.
-func (e *EdgeNode) MCVersions() map[string]uint64 { return byName(e, false, versionOf) }
-
-// ShadowVersions returns the canary candidates' model versions keyed
-// by name. Safe to call while another goroutine owns the pipeline.
-func (e *EdgeNode) ShadowVersions() map[string]uint64 { return byName(e, true, versionOf) }
-
-// ShadowEpochs returns the canary candidates' controller-assigned
-// install counters keyed by name (see DeployShadow). Safe to call
-// while another goroutine owns the pipeline.
-func (e *EdgeNode) ShadowEpochs() map[string]uint64 {
-	return byName(e, true, func(d *deployedMC) uint64 { return d.epoch })
+func (e *EdgeNode) MCVersions() map[string]uint64 {
+	return byName(e, func(d *deployedMC) uint64 { return d.mc.Spec().Version })
 }
-
-func sketchOf(d *deployedMC) obs.SketchSnapshot { return d.sketch.Snapshot() }
-func versionOf(d *deployedMC) uint64            { return d.mc.Spec().Version }
 
 // Stats returns a snapshot of the node's counters. Safe to call while
 // another goroutine owns the pipeline.
@@ -807,9 +664,7 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 	// its own Push), so the fan-out is deterministic; per-MC timing is
 	// written to a private slot and aggregated after the join. The
 	// fan-out body and result slots are node fields: rebuilding them
-	// per frame would allocate. Canary shadows ride the same fan-out
-	// after the live MCs; their MCs record their own scores, and
-	// neither the timing nor phase 2b reads their slots.
+	// per frame would allocate.
 	e.curMaps = maps
 	nn.ForEach(len(e.steps), e.cfg.MCWorkers, e.mcRun)
 	e.curMaps = nil
@@ -854,11 +709,6 @@ func (e *EdgeNode) Flush() ([]Upload, error) {
 			return nil, err
 		}
 		uploads = append(uploads, ups...)
-	}
-	// Windowed shadows have classification tails too; their MCs record
-	// them into the sketches, so the canary window sees every frame.
-	for _, s := range e.shadows {
-		s.mc.Flush()
 	}
 	return uploads, nil
 }
@@ -998,17 +848,17 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 	return up, nil
 }
 
-// reslot rebuilds what follows the slot lists after a deploy or
-// undeploy: the distinct base-DNN stages the live MCs and shadows tap,
-// and phase 2a's result slots.
+// reslot rebuilds what follows the slot list after a deploy or
+// undeploy: the distinct base-DNN stages the MCs tap, and phase 2a's
+// result slots.
 func (e *EdgeNode) reslot() {
 	e.stages = e.stages[:0]
-	for _, d := range slices.Concat(e.mcs, e.shadows) {
+	for _, d := range e.mcs {
 		if !slices.Contains(e.stages, d.mc.Stage()) {
 			e.stages = append(e.stages, d.mc.Stage())
 		}
 	}
-	e.steps = make([]mcStep, len(e.mcs)+len(e.shadows))
+	e.steps = make([]mcStep, len(e.mcs))
 }
 
 // retain stores an original frame in the ring buffer.

@@ -25,29 +25,11 @@ func obsNode(t *testing.T, o *obs.Observer, arch filter.Arch, archive bool) *Edg
 // pipeline — ingest decode, shared extraction, MC fan-out, smoothing,
 // span recording, histogram observation — at zero allocations per
 // steady-state frame, for both the immediate and the windowed MC
-// architectures, and with a windowed canary shadow scoring beside the
-// live MC.
+// architectures.
 func TestProcessFrameZeroAllocInstrumented(t *testing.T) {
-	for _, tc := range []struct {
-		arch   filter.Arch
-		shadow bool
-	}{
-		{filter.LocalizedBinary, false},
-		{filter.WindowedLocalizedBinary, false},
-		{filter.LocalizedBinary, true},
-	} {
-		arch := tc.arch
+	for _, arch := range []filter.Arch{filter.LocalizedBinary, filter.WindowedLocalizedBinary} {
 		o := obs.NewObserver(obs.Options{})
 		e := obsNode(t, o, arch, false)
-		if tc.shadow {
-			mc, err := filter.NewMC(filter.Spec{Name: "cand", Arch: filter.WindowedLocalizedBinary, Hidden: 8, Seed: 5}, e.cfg.Base, 48, 27)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.DeployShadow(mc, 0.5, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
 		img := testFrames(1)[0]
 		// Warm past classifier lag and smoothing lag so every ring and
 		// arena reaches steady state.
@@ -61,10 +43,7 @@ func TestProcessFrameZeroAllocInstrumented(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Fatalf("%v (shadow %v): instrumented ProcessFrame allocates %v objects per frame, want 0", arch, tc.shadow, n)
-		}
-		if tc.shadow && e.ShadowSketches()["cand"].Count == 0 {
-			t.Fatalf("%v: shadow sketch saw no observations", arch)
+			t.Fatalf("%v: instrumented ProcessFrame allocates %v objects per frame, want 0", arch, n)
 		}
 		if o.Frame.Count() == 0 || o.Extract.Count() == 0 {
 			t.Fatalf("%v: observer saw no frames", arch)

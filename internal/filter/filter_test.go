@@ -655,10 +655,9 @@ func TestPushFastPathTracksTraining(t *testing.T) {
 	}
 }
 
-// TestPushTracksLoadAndFineTune is the retraining loop's view of the
-// staleness contract: an MC restored by LoadMC streams the saved
-// weights, and after train.Fit fine-tunes its net in place (what
-// retrain.Service does to a loaded incumbent) the very next Push
+// TestPushTracksLoadAndFineTune is a fine-tune's view of the staleness
+// contract: an MC restored by LoadMC streams the saved weights, and
+// after train.Fit fine-tunes its net in place the very next Push
 // streams the fine-tuned ones, although the fast path had already
 // packed the old weights.
 func TestPushTracksLoadAndFineTune(t *testing.T) {

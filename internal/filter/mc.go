@@ -163,11 +163,6 @@ func (m *MC) Spec() Spec { return m.spec }
 // Net returns the trainable network. Its input is InputShape().
 func (m *MC) Net() *nn.Network { return m.net }
 
-// SetVersion stamps the MC's model version. The retraining pipeline
-// bumps the incumbent's version by one on each fine-tune so the fleet
-// can tell candidate from incumbent; the version rides Save.
-func (m *MC) SetVersion(v uint64) { m.spec.Version = v }
-
 // Stage returns the base-DNN stage this MC taps.
 func (m *MC) Stage() string { return m.spec.Stage }
 

@@ -12,7 +12,7 @@ import (
 // a buffer the SAME MC reuses on its next Push, so a caller that holds
 // on to it across frames must copy. Pushes on
 // other MC instances leave it untouched — which is why interleaving
-// an incumbent and a candidate within one frame is safe, and why the
+// two MCs within one frame is safe, and why the
 // hazard only appears when a stored slice outlives its own MC's next
 // Push.
 func TestPushReturnedSliceReusedByNextPush(t *testing.T) {
@@ -55,9 +55,9 @@ func TestPushReturnedSliceReusedByNextPush(t *testing.T) {
 
 	// The candidate's OWN next Push reuses the backing buffer — the
 	// old slice is invalidated in place. This is why the edge pipeline
-	// reads each MC's Push result within the frame and has shadows
-	// record their scores inside Push (InstrumentScores) rather than
-	// keep the slice; if Push ever switches to fresh allocations, this
+	// reads each MC's Push result within the frame and has MCs record
+	// their scores inside Push (InstrumentScores) rather than keep the
+	// slice; if Push ever switches to fresh allocations, this
 	// pin should be revisited.
 	clsB := candidate.Push(fmB)
 	if len(clsB) != 1 {

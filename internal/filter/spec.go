@@ -84,12 +84,12 @@ type Spec struct {
 	Hidden int
 	// Seed drives weight initialization.
 	Seed int64
-	// Version is the monotonic model version assigned by the
-	// datacenter retraining pipeline. Zero means the initial
-	// (unversioned) training artifact; each retrain bumps it by one.
-	// The version rides Save/LoadMC, the fleet deploy protocol, and
-	// heartbeats, so the controller can tell which incarnation of a
-	// same-named MC produced a score sketch.
+	// Version is the monotonic model version assigned in the
+	// datacenter. Zero means the initial (unversioned) training
+	// artifact; each re-trained artifact bumps it by one. The version
+	// rides Save/LoadMC, the fleet deploy protocol, and heartbeats, so
+	// the controller can tell which incarnation of a same-named MC
+	// produced a score sketch.
 	Version uint64
 	// WeightsHash fingerprints the serialized parameters (FNV-1a over
 	// the nn.SaveParams stream). Save stamps it; it identifies the

@@ -580,16 +580,6 @@ func (a *Agent) snapshot() Heartbeat {
 			}
 			hb.ScoreVersions[name] = e.MCVersions()
 		}
-		if shadows := e.ShadowSketches(); len(shadows) > 0 {
-			if hb.ShadowScores == nil {
-				hb.ShadowScores = make(map[string]map[string]obs.SketchSnapshot, len(a.streams))
-				hb.ShadowVersions = make(map[string]map[string]uint64, len(a.streams))
-				hb.ShadowEpochs = make(map[string]map[string]uint64, len(a.streams))
-			}
-			hb.ShadowScores[name] = shadows
-			hb.ShadowVersions[name] = e.ShadowVersions()
-			hb.ShadowEpochs[name] = e.ShadowEpochs()
-		}
 	}
 	if o := a.cfg.Edge.Obs; o != nil {
 		hb.Extract = o.Extract.Snapshot()

@@ -167,10 +167,8 @@ func (a *Agent) handshake(conn net.Conn) error {
 }
 
 // hello builds the session hello: the stream inventory, and for a
-// resume the deploy generation, the remote-managed MCs and the shadow
-// (canary candidate) MCs per stream, so reconciliation can re-push
-// what is missing and withdraw candidates whose rollback push was
-// lost.
+// resume the deploy generation and the remote-managed MCs per stream,
+// so reconciliation can re-push what is missing.
 func (a *Agent) hello(gen uint64, resume bool) Hello {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -190,15 +188,6 @@ func (a *Agent) hello(gen uint64, resume bool) Hello {
 			}
 			sort.Strings(names)
 			h.Deployed[s.info.Name] = names
-		}
-		if e := a.node.Stream(s.info.Name); e != nil {
-			if names := e.ShadowNames(); len(names) > 0 {
-				sort.Strings(names)
-				if h.Shadows == nil {
-					h.Shadows = make(map[string][]string, len(a.streams))
-				}
-				h.Shadows[s.info.Name] = names
-			}
 		}
 	}
 	return h

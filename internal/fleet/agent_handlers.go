@@ -29,41 +29,23 @@ func (a *Agent) withEdge(stream string, f func(*core.EdgeNode) ([]core.Upload, e
 }
 
 // handleDeploy installs a shipped microclassifier on the target
-// stream after the stream's in-flight frames: live, or as a shadow
-// canary candidate for Canary requests. Promote swaps an installed
-// shadow into the live slot, shipping the displaced incumbent's final
-// uploads before the ack, like an undeploy.
+// stream after the stream's in-flight frames.
 func (a *Agent) handleDeploy(req DeployRequest) {
-	var mc *filter.MC
-	var err error
-	if !req.Promote {
-		mc, err = a.loadMC(req.Stream, req.MC)
-	}
-	var ups []core.Upload
+	mc, err := a.loadMC(req.Stream, req.MC)
 	if err == nil {
-		ups, err = a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
-			switch {
-			case req.Promote:
-				return e.PromoteShadow(req.MCName)
-			case req.Canary:
-				return nil, e.DeployShadow(mc, req.Threshold, req.Epoch)
-			}
+		_, err = a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
 			return nil, e.DeployLive(mc, req.Threshold)
 		})
 	}
-	if err == nil && !req.Canary {
+	if err == nil {
 		// Only intent-tracked deployments (gen > 0) join the managed
 		// inventory reported in resume hellos: a direct Session.Deploy
 		// bypasses intent by contract, and announcing it would invite
 		// reconciliation to undeploy it as an intent-less extra.
-		switch {
-		case req.Promote:
-			a.noteManaged(req.Stream, req.MCName, true)
-		case req.Gen > 0:
+		if req.Gen > 0 {
 			a.noteManaged(req.Stream, mc.Spec().Name, true)
 		}
 		a.noteGen(req.Gen)
-		a.sendUploads(ups)
 	}
 	a.ack(req.Seq, err)
 }
@@ -104,18 +86,12 @@ func (a *Agent) noteGen(gen uint64) {
 }
 
 // handleUndeploy removes an MC, shipping its final uploads before the
-// ack so the controller sees a complete event record. A canary
-// rollback discards the shadow candidate instead: shadows are never
-// part of the reconciled deployment set, so there is no managed
-// inventory or generation to touch.
+// ack so the controller sees a complete event record.
 func (a *Agent) handleUndeploy(req UndeployRequest) {
 	ups, err := a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
-		if req.Canary {
-			return nil, e.UndeployShadow(req.MCName)
-		}
 		return e.Undeploy(req.MCName)
 	})
-	if err == nil && !req.Canary {
+	if err == nil {
 		a.noteManaged(req.Stream, req.MCName, false)
 		a.noteGen(req.Gen)
 		a.sendUploads(ups)

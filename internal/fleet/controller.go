@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,16 +69,12 @@ type ControllerConfig struct {
 	// per-MC score sketches heartbeats carry (zero fields take the
 	// package defaults).
 	Drift DriftConfig
-	// Canary parameterizes the canary evaluator that decides
-	// promotion or rollback for shadow candidates started with
-	// StartCanary (zero fields take the package defaults).
-	Canary CanaryConfig
 	// StateDir, when set, makes the controller durable: each shard
 	// keeps an append-only WAL plus snapshot store in a "shard-NNNN"
-	// directory under StateDir, every intent, ledger, canary, and
-	// drift-baseline mutation is logged before it is acknowledged
-	// anywhere, and OpenController replays the store on start. Empty
-	// keeps the controller fully in-memory.
+	// directory under StateDir, every intent, ledger, and drift-baseline
+	// mutation is logged before it is acknowledged anywhere, and
+	// OpenController replays the store on start. Empty keeps the
+	// controller fully in-memory.
 	StateDir string
 	// SnapshotEvery is the wal-record count between automatic
 	// per-shard snapshot compactions (DefaultSnapshotEvery when zero;
@@ -113,7 +108,7 @@ type deployment struct {
 // and it survives re-homes: a shard-count change moves the whole
 // record to the new owner as one move-in, so the ledger high-water
 // mark, intent, and lifecycle counters never fork. Intent, Gen,
-// LastSeq, DC, and the logged parts of Drift and Canary change only in
+// LastSeq, DC, and the logged parts of Drift change only in
 // shardState.apply; Evicted and Reconnects are soft.
 type nodeState struct {
 	// Intent is the intended deployment: stream -> MC name -> bytes.
@@ -144,11 +139,6 @@ type nodeState struct {
 	// record, so baselines, window boundaries, and scores survive
 	// re-homes without forking or resetting.
 	Drift map[string]*driftState
-	// Canary is the per-(stream, MC) canary-evaluation state, keyed
-	// "stream/mc" like Drift. It rides the node record through
-	// re-homes the same way, so an in-flight canary window survives a
-	// Resize without losing its baselines or double-deciding.
-	Canary map[string]*canaryState
 }
 
 // Controller is the datacenter side of the fleet control plane: a
@@ -191,10 +181,9 @@ func NewController(cfg ControllerConfig) *Controller {
 
 // OpenController constructs a controller and, when cfg.StateDir is
 // set, replays the per-shard WAL + snapshot store into it: deploy
-// intent and generations, exactly-once upload ledgers, model
-// versions, canary records, and drift baselines all resume where the
-// previous process left them. The returned stats are nil for an
-// in-memory controller.
+// intent and generations, exactly-once upload ledgers, model versions,
+// and drift baselines all resume where the previous process left them.
+// The returned stats are nil for an in-memory controller.
 func OpenController(cfg ControllerConfig) (*Controller, *RecoveryStats, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
@@ -209,7 +198,6 @@ func OpenController(cfg ControllerConfig) (*Controller, *RecoveryStats, error) {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	cfg.Drift.fillDefaults()
-	cfg.Canary.fillDefaults()
 	c := &Controller{
 		cfg:   cfg,
 		ring:  newRing(cfg.Shards),
@@ -647,23 +635,11 @@ func (c *Controller) openShardLog(i int) (*walog.Log, error) {
 }
 
 // reconcileItem is one reconciliation push: a re-deploy of missing
-// intent, a re-send of an undecided canary candidate, or (dep nil) a
-// withdrawal — of a managed MC whose intent was removed while the
-// node was away, or (canary set) of a reported shadow whose canary
-// record is decided or gone.
+// intent, or (dep nil) a withdrawal of a managed MC whose intent was
+// removed while the node was away.
 type reconcileItem struct {
 	stream, name string
 	dep          *deployment
-	// canary re-sends the deployment as a shadow candidate (the edge
-	// replaces a same-named shadow, so the push is idempotent; the
-	// evaluator re-anchors on the bumped epoch), or with dep nil
-	// withdraws the named shadow.
-	canary  bool
-	version uint64
-	// epoch is the canary re-push's install counter (see
-	// DeployRequest.Epoch): the record's epoch plus one, which the
-	// caller commits before pushing.
-	epoch uint64
 }
 
 // reconcileWorkLocked diffs the node's reported deployment against
@@ -701,33 +677,6 @@ func reconcileWorkLocked(st *nodeState, hello Hello) []reconcileItem {
 			}
 		}
 	}
-	// Undecided canary candidates are re-pushed as shadows: a node
-	// that reconnected lost them with its process, and the evaluation
-	// window picks back up from the fresh sketch. The bumped epoch
-	// tells the evaluator to re-anchor even if the fresh sketch's
-	// count catches up with the old one between heartbeats.
-	for key, cs := range st.Canary {
-		if cs.Outcome != "" {
-			continue
-		}
-		stream, name, _ := strings.Cut(key, "/")
-		d := deployment{MC: cs.MC, Threshold: cs.Threshold}
-		work = append(work, reconcileItem{
-			stream: stream, name: name, dep: &d, canary: true,
-			version: cs.Version, epoch: cs.Epoch + 1,
-		})
-	}
-	// Reported shadows with no undecided canary record are withdrawn:
-	// a rollback or expiry push that never reached the node (or a
-	// record this controller no longer tracks) must not leave a dead
-	// candidate scoring every frame forever.
-	for stream, reported := range hello.Shadows {
-		for _, name := range reported {
-			if cs := st.Canary[stream+"/"+name]; cs == nil || cs.Outcome != "" {
-				work = append(work, reconcileItem{stream: stream, name: name, canary: true})
-			}
-		}
-	}
 	return work
 }
 
@@ -742,14 +691,9 @@ func runReconcile(s *Session, gen uint64, work []reconcileItem) {
 		return work[i].name < work[j].name
 	})
 	for _, w := range work {
-		switch {
-		case w.canary && w.dep != nil:
-			_ = s.deployCanary(w.stream, w.dep.MC, w.dep.Threshold, w.version, w.epoch)
-		case w.canary:
-			_ = s.undeployCanary(w.stream, w.name)
-		case w.dep != nil:
+		if w.dep != nil {
 			_ = s.deploy(w.stream, w.dep.MC, w.dep.Threshold, gen, w.dep.Version)
-		default:
+		} else {
 			_ = s.undeploy(w.stream, w.name, gen)
 		}
 	}
@@ -982,24 +926,14 @@ func (c *Controller) Intent(node string) (map[string][]string, uint64) {
 // IntentMCBytes returns the serialized bytes the controller intends
 // for one node/stream/MC, for byte-level verification of converged
 // deployments.
-func (c *Controller) IntentMCBytes(node, stream, mcName string) ([]byte, bool) {
-	mc, _, ok := c.IntentDeployment(node, stream, mcName)
-	return mc, ok
-}
-
-// IntentDeployment returns the intended MC bytes and decision
-// threshold for one node/stream/MC — what internal/retrain warm-starts
-// a candidate from.
-func (c *Controller) IntentDeployment(node, stream, mcName string) (mc []byte, threshold float32, ok bool) {
+func (c *Controller) IntentMCBytes(node, stream, mcName string) (mc []byte, ok bool) {
 	c.onNode(node, false, func(_ *shard, st *nodeState) {
-		dep, found := st.Intent[stream][mcName]
-		if found {
+		if dep, found := st.Intent[stream][mcName]; found {
 			mc = append([]byte(nil), dep.MC...)
-			threshold = dep.Threshold
 			ok = true
 		}
 	})
-	return mc, threshold, ok
+	return mc, ok
 }
 
 // Fetch demand-fetches archived frames [start, end) of a stream on

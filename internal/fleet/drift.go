@@ -170,14 +170,14 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 	return events, freezes
 }
 
-// noteHeartbeat is the shard's per-heartbeat drift and canary hook,
-// invoked from the session reader goroutine. It runs the observers
-// over the heartbeat's sketches, commits the records they return
-// (baseline freezes, canary verdicts), and logs threshold transitions
-// and verdicts; a heartbeat landing after the session died or the node
-// re-homed is ignored, mirroring acceptUpload's staleness rules.
+// noteHeartbeat is the shard's per-heartbeat drift hook, invoked from
+// the session reader goroutine. It runs the drift observer over the
+// heartbeat's sketches, commits the baseline freezes it returns, and
+// logs threshold transitions; a heartbeat landing after the session
+// died or the node re-homed is ignored, mirroring acceptUpload's
+// staleness rules.
 func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
-	if len(hb.Scores) == 0 && len(hb.ShadowScores) == 0 {
+	if len(hb.Scores) == 0 {
 		return
 	}
 	sh.mu.Lock()
@@ -193,11 +193,7 @@ func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 		return
 	}
 	events, freezes := observeScores(st, s.node, hb.Scores, hb.ScoreVersions, sh.c.cfg.Drift)
-	verdicts := observeCanary(st, s.node, hb, sh.c.cfg.Canary)
 	for _, rec := range freezes {
-		sh.commit(rec)
-	}
-	for _, rec := range verdicts {
 		sh.commit(rec)
 	}
 	sh.mu.Unlock()
@@ -211,24 +207,6 @@ func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 				"node", ev.node, "target", ev.key, "shard", sh.id,
 				"psi", ev.psi, "ks", ev.ks, "window", ev.window)
 		}
-	}
-	for _, v := range verdicts {
-		if v.Outcome == CanaryPromoted {
-			sh.c.cfg.Log.Info("fleet: canary promoted",
-				"node", v.Node, "target", v.Stream+"/"+v.Name, "shard", sh.id,
-				"version", v.Version, "observations", v.Observations,
-				"agree_psi", v.AgreePSI, "spread", v.Spread, "pass_delta", v.PassDelta)
-		} else {
-			sh.c.cfg.Log.Warn("fleet: canary "+v.Outcome,
-				"node", v.Node, "target", v.Stream+"/"+v.Name, "shard", sh.id,
-				"version", v.Version, "observations", v.Observations,
-				"reason", v.Reason)
-		}
-		// The verdict's round trips (promote swap / shadow removal)
-		// must not run on this goroutine: it is the session reader,
-		// and a round trip here would wait on an ack only this
-		// goroutine can deliver.
-		go sh.c.resolveCanary(v)
 	}
 }
 

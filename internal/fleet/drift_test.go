@@ -1,10 +1,22 @@
 package fleet
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"net"
+	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/filter"
+	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/simnet"
+	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 // cumSketch builds a cumulative SketchSnapshot from a score history
@@ -16,6 +28,21 @@ func cumSketch(scores []float64) obs.SketchSnapshot {
 		s.Observe(v, v >= 0.5)
 	}
 	return s.Snapshot()
+}
+
+// alt returns n scores alternating between a and b — a distribution
+// with nonzero spread and a pass rate set by how the two values sit
+// around the 0.5 decision line.
+func alt(a, b float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		if i%2 == 0 {
+			out[i] = a
+		} else {
+			out[i] = b
+		}
+	}
+	return out
 }
 
 // observeScoresApplied runs the detector over one heartbeat the way
@@ -251,5 +278,181 @@ func TestDriftConfigOff(t *testing.T) {
 	}
 	if ds.PSI < DefaultDriftPSI {
 		t.Fatalf("test window too tame to prove anything: psi=%v", ds.PSI)
+	}
+}
+
+// TestDriftDetectedEndToEnd runs drift detection on the deterministic
+// simulated network, real frames through real MCs. Two edge nodes run
+// the same trained microclassifier over the same scene; then one
+// node's lighting shifts while the other replays its frames bit for
+// bit. The controller must flag the shifted node from heartbeat score
+// sketches alone and never flag the control, and the sharded rollup of
+// the sketches and drift maxima must equal the flat one.
+func TestDriftDetectedEndToEnd(t *testing.T) {
+	const (
+		frames                  = 96 // per-phase frame budget
+		fw, fh                  = 48, 27
+		control, drifting       = "edge-control", "edge-drift"
+		stream, mcName          = "cam0", "mc-loop"
+		seed              int64 = 1
+	)
+	// Same schedule, two lightings: BrightnessDrift only changes the
+	// Brightness(i) multiplier, so the drifted dataset renders the
+	// baseline's exact scene while its first quarter-sinusoid ramps the
+	// multiplier from 1.0 toward 1.7. Phase 2 replays the phase-1 frame
+	// indices on both nodes, so any score shift on the drifting node is
+	// attributable to lighting alone, not to the object schedule.
+	cfg := dataset.Jackson(fw, 4*frames, seed)
+	cfg.BrightnessDrift = 0
+	stationary := dataset.Generate(cfg)
+	cfg.BrightnessDrift = 0.7
+	drifted := dataset.Generate(cfg)
+
+	// An untrained head emits sigmoid(≈0) ≈ 0.5 for every frame — no
+	// score spread, so no input shift can move the sketch histogram. A
+	// short fit on stationary frames gives the head real weights (and
+	// the training-set normalization Save carries).
+	base := testBase()
+	mc, err := filter.NewMC(filter.Spec{Name: mcName, Arch: filter.PoolingClassifier, Seed: seed + 7}, base, fw, fh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fms := make([]*tensor.Tensor, 2*frames)
+	for i := range fms {
+		if fms[i], err = base.Extract(stationary.FrameTensor(i), mc.Stage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mc.SetNormalization(filter.ChannelStats(fms)); err != nil {
+		t.Fatal(err)
+	}
+	samples := make([]train.Sample, len(fms))
+	for i := range fms {
+		samples[i] = train.Sample{X: mc.BuildInput(fms, i)}
+		if stationary.Labels[i] {
+			samples[i].Y = 1
+		}
+	}
+	trainCfg := train.Config{Epochs: 8, BatchSize: 16, Seed: seed + 7, BalanceClasses: true, Optimizer: train.NewAdam(0.003)}
+	if _, err := train.Fit(mc.Net(), samples, trainCfg); err != nil {
+		t.Fatal(err)
+	}
+	var weights bytes.Buffer
+	if err := mc.Save(&weights); err != nil {
+		t.Fatal(err)
+	}
+
+	n := simnet.New(seed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController(ControllerConfig{
+		Timeout:       5 * time.Second,
+		HeartbeatMiss: 40,
+		Shards:        2,
+		// MinCount = one full phase: the baseline freezes on exactly the
+		// phase-1 observations and each window spans exactly one phase-2
+		// replay, so a window never straddles a partial content cycle
+		// (which would alias schedule variance into the drift score).
+		Drift: DriftConfig{PSI: DefaultDriftPSI, KS: DefaultDriftKS, MinCount: frames},
+	})
+	ctrl.Serve(ln)
+	defer ctrl.Close()
+
+	agents := map[string]*Agent{}
+	for _, node := range []string{control, drifting} {
+		// Threshold 2 keeps the wire clear of uploads: the test runs on
+		// the sketch path, not the event path.
+		if err := ctrl.Deploy(node, stream, weights.Bytes(), 2); !errors.Is(err, ErrDeferred) {
+			t.Fatalf("deploy to offline %s: %v", node, err)
+		}
+		a, err := NewAgent(AgentConfig{
+			Node:      node,
+			Edge:      core.Config{FrameWidth: fw, FrameHeight: fh, FPS: 15, Base: base, UploadBitrate: 30_000},
+			Heartbeat: 30 * time.Millisecond,
+			Dial:      func(_, addr string) (net.Conn, error) { return n.Dial(node, addr) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		if _, err := a.AddStream(stream, fw, fh, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Connect("sim", "dc"); err != nil {
+			t.Fatal(err)
+		}
+		agents[node] = a
+	}
+
+	feed := func(node string, d *dataset.Dataset, i int) {
+		t.Helper()
+		if _, err := agents[node].ProcessFrame(stream, d.Frame(i%d.Cfg.Frames)); err != nil {
+			t.Fatalf("%s frame %d: %v", node, i, err)
+		}
+	}
+	drift := func(node string) DriftReport {
+		for _, r := range ctrl.DriftReports() {
+			if r.Node == node {
+				return r
+			}
+		}
+		return DriftReport{}
+	}
+
+	waitFor(t, "deploy reconciliation", func() bool {
+		return len(agents[control].DeployedMCs(stream)) == 1 && len(agents[drifting].DeployedMCs(stream)) == 1
+	})
+
+	// Phase 1: both nodes stationary; both baselines freeze.
+	for i := 0; i < frames; i++ {
+		feed(control, stationary, i)
+		feed(drifting, stationary, i)
+	}
+	waitFor(t, "phase-1 baselines", func() bool {
+		c, d := drift(control), drift(drifting)
+		return c.Total >= frames && c.Baseline > 0 && d.Total >= frames && d.Baseline > 0
+	})
+	if drift(control).Drifted || drift(drifting).Drifted {
+		t.Fatalf("drift flagged on a stationary scene: %+v", ctrl.DriftReports())
+	}
+
+	// Phase 2: the control replays phase 1 bit for bit, the drifting
+	// node the same indices under the brightness ramp. Poll after every
+	// chunk so a false positive is caught whenever it happens, not just
+	// at the end of the phase.
+	detected := false
+	for fed := 0; fed < frames; {
+		for j := 0; j < 8; j, fed = j+1, fed+1 {
+			feed(control, stationary, fed)
+			feed(drifting, drifted, fed)
+		}
+		waitFor(t, "heartbeats after chunk", func() bool {
+			return drift(control).Total >= uint64(frames+fed) && drift(drifting).Total >= uint64(frames+fed)
+		})
+		if c := drift(control); c.Drifted {
+			t.Fatalf("false positive on the bit-identical control after %d frames: %+v", fed, c)
+		}
+		detected = detected || drift(drifting).Drifted
+	}
+	if !detected {
+		t.Fatalf("induced brightness drift went undetected: %+v", drift(drifting))
+	}
+	if c := drift(control); c.Windows == 0 || c.PSI != 0 {
+		t.Fatalf("control scored no window, or a replayed window moved it: %+v", c)
+	}
+
+	// The sharded rollup carries score sketches, drift maxima and MC
+	// versions; merging the per-shard summaries must reproduce the flat
+	// rollup bit for bit.
+	var flat []metrics.NodeLoad
+	var perShard []metrics.FleetSummary
+	for _, loads := range ctrl.ShardLoads() {
+		flat = append(flat, loads...)
+		perShard = append(perShard, metrics.SummarizeFleet(loads))
+	}
+	if merged, want := metrics.MergeFleet(perShard), metrics.SummarizeFleet(flat); !reflect.DeepEqual(merged, want) {
+		t.Fatalf("sharded rollup diverged from flat:\n%+v\n%+v", merged, want)
 	}
 }

@@ -64,7 +64,6 @@ func TestHeartbeatLayout(t *testing.T) {
 		0, 0, 0, 0, // UploadRTT
 		0,                       // Scores
 		1, 1, 'c', 1, 1, 'm', 7, // ScoreVersions
-		0, 0, 0, // ShadowScores, ShadowVersions, ShadowEpochs
 		1, // PendingUploads -1 (zigzag)
 	}
 	got, err := hb.MarshalBinary()
@@ -94,7 +93,7 @@ func malformedHeartbeats(tb testing.TB) map[string][]byte {
 		tb.Fatal(err)
 	}
 	// empty is Heartbeat{}: a zero stream count, four histograms of
-	// four zero bytes, five zero map counts and PendingUploads.
+	// four zero bytes, two zero map counts and PendingUploads.
 	empty, err := Heartbeat{}.MarshalBinary()
 	if err != nil {
 		tb.Fatal(err)
@@ -243,9 +242,6 @@ func randomHeartbeat(rng *rand.Rand) Heartbeat {
 	version := func() uint64 { return rng.Uint64() >> uint(rng.Intn(64)) }
 	hb.Scores = randomNested(rng, name, sketch)
 	hb.ScoreVersions = randomNested(rng, name, version)
-	hb.ShadowScores = randomNested(rng, name, sketch)
-	hb.ShadowVersions = randomNested(rng, name, version)
-	hb.ShadowEpochs = randomNested(rng, name, version)
 	hb.PendingUploads = int(i64())
 	return hb
 }
@@ -279,9 +275,6 @@ func decodedForm(hb Heartbeat) Heartbeat {
 	}
 	hb.Scores = nilEmpty(hb.Scores)
 	hb.ScoreVersions = nilEmpty(hb.ScoreVersions)
-	hb.ShadowScores = nilEmpty(hb.ShadowScores)
-	hb.ShadowVersions = nilEmpty(hb.ShadowVersions)
-	hb.ShadowEpochs = nilEmpty(hb.ShadowEpochs)
 	return hb
 }
 
@@ -300,7 +293,7 @@ func nilEmpty[V any](m map[string]map[string]V) map[string]map[string]V {
 }
 
 // TestHeartbeatLayoutRoundTrip is the layout's property test: random
-// heartbeats — nil and empty maps at both levels, shadows, sparse and
+// heartbeats — nil and empty maps at both levels, sparse and
 // extreme buckets — decode to exactly what was encoded.
 func TestHeartbeatLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed))

@@ -20,14 +20,13 @@ import (
 
 // The shard is a deterministic state machine over typed records. Every
 // mutation of a logged field — a node's intent, deploy generation,
-// dedup high-water mark and upload ledger, a canary's start, install
-// epoch, and verdict, a drift baseline freeze, a node arriving from
-// another shard — is one record below, and shardState.apply is the
-// only code that performs it. The live path (shard.commit) logs the
-// record and then applies the typed value it already holds; recovery
-// (replayLog) decodes each logged record and calls the same apply.
-// Replay equals live by construction, not by keeping two copies of
-// every mutation in step.
+// dedup high-water mark and upload ledger, a drift baseline freeze, a
+// node arriving from another shard — is one record below, and
+// shardState.apply is the only code that performs it. The live path
+// (shard.commit) logs the record and then applies the typed value it
+// already holds; recovery (replayLog) decodes each logged record and
+// calls the same apply. Replay equals live by construction, not by
+// keeping two copies of every mutation in step.
 //
 // A snapshot is records too: one move-in record per node, framed as on
 // the wire, replayed by the same decode-and-apply loop before the wal.
@@ -35,12 +34,11 @@ import (
 // What heartbeats alone derive is soft state and has no record: a drift
 // pair's window boundary, scores, and drifted flag (and the reset of a
 // pair whose model version changed — replay restores the last frozen
-// baseline and the first heartbeat re-detects the change), an undecided
-// canary's window anchors and progress, a node's Evicted/Reconnects
-// counters, and the existence of a node record with nothing logged in
-// it. A move-in record carries the whole node, so soft state rides
-// along in a snapshot; a WAL-only recovery starts soft state from zero
-// and the next heartbeats rebuild it.
+// baseline and the first heartbeat re-detects the change), a node's
+// Evicted/Reconnects counters, and the existence of a node record with
+// nothing logged in it. A move-in record carries the whole node, so
+// soft state rides along in a snapshot; a WAL-only recovery starts soft
+// state from zero and the next heartbeats rebuild it.
 //
 // The kind numbers are on-disk format — append only, never renumber.
 // They also version the payloads: gob matches fields by name and
@@ -57,25 +55,9 @@ const (
 	// wrecSeqReset records a fresh (non-resume) hello zeroing the
 	// node's dedup high-water mark for a new edge incarnation.
 	wrecSeqReset uint8 = 3
-	// wrecCanaryStart opens a canary record for a (node, stream, MC).
-	wrecCanaryStart uint8 = 4
-	// wrecCanaryEpoch records a reconciliation re-push bumping the
-	// shadow slot's install counter.
-	wrecCanaryEpoch uint8 = 5
-	// wrecCanaryVerdict records a verdict (promoted / rolled_back /
-	// expired) or the removal of a canary the edge refused.
-	wrecCanaryVerdict uint8 = 6
 	// wrecDriftBaseline records a drift baseline freeze for a
 	// (node, stream/mc) pair.
 	wrecDriftBaseline uint8 = 7
-	// wrecMoveIn records a node state arriving on this shard — a
-	// Resize re-home, recovery placing a node on a different shard
-	// than the log it was recovered from, or a snapshot, which holds
-	// one per node. The payload is the nodeState itself; apply adopts
-	// it wholesale, and the Rehomed counter acts as the incarnation
-	// number that picks the winner when several logs hold copies of the
-	// same node. Only a mover bumps Rehomed; a snapshot never does.
-	wrecMoveIn uint8 = 11
 	// wrecUpload records one deduplicated sequenced upload — the full
 	// record, not just the high-water mark, so recovery rebuilds the
 	// ledger record for record (a lost acked upload is unrecoverable:
@@ -84,13 +66,23 @@ const (
 	// prefixed, then the upload in transport.UploadRecord's binary
 	// layout (see uploadRec).
 	wrecUpload uint8 = 13
-	// Kind 2 was the gob-encoded upload record, kinds 8 and 9 the
-	// move-in and fold records of the format that mirrored the state in
-	// separate snapshot structs, kind 10 an upload over the retired
-	// one-way protocol, and kind 12 a retired shard's aggregate ledger
-	// folding into shard 0. Reserved: never reuse the numbers. A log that
-	// still holds one fails replay with the unknown-kind error instead
-	// of being half-decoded.
+	// wrecMoveIn records a node state arriving on this shard — a
+	// Resize re-home, recovery placing a node on a different shard
+	// than the log it was recovered from, or a snapshot, which holds
+	// one per node. The payload is the nodeState itself; apply adopts
+	// it wholesale, and the Rehomed counter acts as the incarnation
+	// number that picks the winner when several logs hold copies of the
+	// same node. Only a mover bumps Rehomed; a snapshot never does.
+	wrecMoveIn uint8 = 14
+	// Kind 2 was the gob-encoded upload record, kinds 4, 5 and 6 the
+	// retired canary's start, install-epoch and verdict records, kinds 8
+	// and 9 the move-in and fold records of the format that mirrored the
+	// state in separate snapshot structs, kind 10 an upload over the
+	// retired one-way protocol, kind 11 the move-in of a node record
+	// that still carried canary state, and kind 12 a retired shard's
+	// aggregate ledger folding into shard 0. Reserved: never reuse the
+	// numbers. A log that still holds one fails replay with the
+	// unknown-kind error instead of being half-decoded.
 )
 
 // record is one typed WAL record: the argument of shardState.apply.
@@ -99,9 +91,6 @@ type record interface{ kind() uint8 }
 func (*intentRec) kind() uint8        { return wrecIntent }
 func (*uploadRec) kind() uint8        { return wrecUpload }
 func (*seqResetRec) kind() uint8      { return wrecSeqReset }
-func (*canaryStartRec) kind() uint8   { return wrecCanaryStart }
-func (*canaryEpochRec) kind() uint8   { return wrecCanaryEpoch }
-func (*canaryVerdictRec) kind() uint8 { return wrecCanaryVerdict }
 func (*driftBaselineRec) kind() uint8 { return wrecDriftBaseline }
 func (*moveInRec) kind() uint8        { return wrecMoveIn }
 
@@ -110,9 +99,6 @@ var newRecord = [...]func() record{
 	wrecIntent:        func() record { return new(intentRec) },
 	wrecUpload:        func() record { return new(uploadRec) },
 	wrecSeqReset:      func() record { return new(seqResetRec) },
-	wrecCanaryStart:   func() record { return new(canaryStartRec) },
-	wrecCanaryEpoch:   func() record { return new(canaryEpochRec) },
-	wrecCanaryVerdict: func() record { return new(canaryVerdictRec) },
 	wrecDriftBaseline: func() record { return new(driftBaselineRec) },
 	wrecMoveIn:        func() record { return new(moveInRec) },
 }
@@ -131,11 +117,6 @@ func decodeRecord(kind uint8, payload []byte) (record, error) {
 	}
 	return rec, nil
 }
-
-// canaryRemoved is the wrecCanaryVerdict outcome for a canary record
-// dropped entirely (the edge rejected the shadow deploy) — apply
-// deletes the record instead of marking it decided.
-const canaryRemoved = "removed"
 
 // intentRec is the wrecIntent payload.
 type intentRec struct {
@@ -180,38 +161,6 @@ func (r *uploadRec) UnmarshalBinary(data []byte) error {
 // seqResetRec is the wrecSeqReset payload.
 type seqResetRec struct {
 	Node string
-}
-
-// canaryStartRec is the wrecCanaryStart payload.
-type canaryStartRec struct {
-	Node, Stream, Name string
-	MC                 []byte
-	Threshold          float32
-	Version            uint64
-	IncumbentVersion   uint64
-}
-
-// canaryEpochRec is the wrecCanaryEpoch payload.
-type canaryEpochRec struct {
-	Node, Stream, Name string
-	Epoch              uint64
-}
-
-// canaryVerdictRec is the wrecCanaryVerdict payload: the verdict and
-// the evaluation window it was reached on, frozen — everything
-// CanaryReport prints for a decided canary, so the report reads the
-// same before a crash and after a WAL-only recovery. (Logs written
-// before the window fields existed decode them as zero.)
-type canaryVerdictRec struct {
-	Node, Stream, Name string
-	Version            uint64
-	Outcome, Reason    string
-	// Observations is the shadow window's score count and Heartbeats
-	// the expiry clock at verdict time; AgreePSI, Spread, and PassDelta
-	// are the decision inputs.
-	Observations                uint64
-	Heartbeats                  int
-	AgreePSI, Spread, PassDelta float64
 }
 
 // driftBaselineRec is the wrecDriftBaseline payload.
@@ -259,10 +208,9 @@ func (s *shardState) node(name string) *nodeState {
 
 // apply performs one record's mutation. It is the only writer of the
 // logged fields (see the vocabulary above) and it never fails. Every
-// kind is also idempotent — absolute generations, max-merged epochs,
-// overwritten baselines, wholesale move-ins, seq-deduped uploads —
-// so a record reaching a state that already reflects it changes
-// nothing.
+// kind is also idempotent — absolute generations, overwritten
+// baselines, wholesale move-ins, seq-deduped uploads — so a record
+// reaching a state that already reflects it changes nothing.
 func (s *shardState) apply(rec record) {
 	switch r := rec.(type) {
 	case *intentRec:
@@ -270,9 +218,9 @@ func (s *shardState) apply(rec record) {
 		if r.Remove {
 			delete(st.Intent[r.Stream], r.Name)
 		} else {
-			// Maps are made on first write, here as in the drift and
-			// canary cases: a node record can be decoded with any of them
-			// nil (gob keeps a nil map nil).
+			// Maps are made on first write, here as in the drift case: a
+			// node record can be decoded with either of them nil (gob
+			// keeps a nil map nil).
 			if st.Intent == nil {
 				st.Intent = make(map[string]map[string]deployment)
 			}
@@ -295,33 +243,6 @@ func (s *shardState) apply(rec record) {
 		st.DC.Receive(r.Rec.ToUpload())
 	case *seqResetRec:
 		s.node(r.Node).LastSeq = 0
-	case *canaryStartRec:
-		st := s.node(r.Node)
-		if st.Canary == nil {
-			st.Canary = make(map[string]*canaryState)
-		}
-		st.Canary[r.Stream+"/"+r.Name] = &canaryState{
-			MC: r.MC, Threshold: r.Threshold, Version: r.Version,
-			IncumbentVersion: r.IncumbentVersion, Epoch: 1,
-		}
-	case *canaryEpochRec:
-		if cs := s.node(r.Node).Canary[r.Stream+"/"+r.Name]; cs != nil && r.Epoch > cs.Epoch {
-			cs.Epoch = r.Epoch
-		}
-	case *canaryVerdictRec:
-		st := s.node(r.Node)
-		key := r.Stream + "/" + r.Name
-		cs := st.Canary[key]
-		if cs == nil || cs.Version != r.Version {
-			return // verdict for a replaced record: ignore
-		}
-		if r.Outcome == canaryRemoved {
-			delete(st.Canary, key)
-			return
-		}
-		cs.Outcome, cs.Reason = r.Outcome, r.Reason
-		cs.Observations, cs.Heartbeats = r.Observations, r.Heartbeats
-		cs.AgreePSI, cs.Spread, cs.PassDelta = r.AgreePSI, r.Spread, r.PassDelta
 	case *driftBaselineRec:
 		st := s.node(r.Node)
 		if st.Drift == nil {

@@ -27,7 +27,6 @@ var durableTypes = []reflect.Type{
 	reflect.TypeFor[nodeState](),
 	reflect.TypeFor[deployment](),
 	reflect.TypeFor[driftState](),
-	reflect.TypeFor[canaryState](),
 }
 
 // requireFull fails for every field of a durable type reachable from v
@@ -81,12 +80,6 @@ func fullNode(i int) *nodeState {
 		Drift: map[string]*driftState{"cam0/mc-1": {
 			Baseline: sk, BaselineSet: true, Prev: sk, Last: sk, Version: 2 + u,
 			PSI: 0.3, KS: 0.4, Windows: 5 + i, Drifted: true,
-		}},
-		Canary: map[string]*canaryState{"cam0/mc-1": {
-			MC: []byte{4, 5}, Threshold: 0.25, Version: 3 + u, IncumbentVersion: 2 + u,
-			Epoch: 2 + u, SeenEpoch: 1 + u, BaseLive: sk, BaseShadow: sk, LastLive: sk, LastShadow: sk,
-			Heartbeats: 7 + i, Observations: 64, AgreePSI: 0.01, Spread: 0.2, PassDelta: 0.05,
-			Outcome: CanaryRolledBack, Reason: "pass-rate gap",
 		}},
 	}
 }
@@ -151,7 +144,7 @@ func TestStateRoundTrip(t *testing.T) {
 }
 
 // TestRecoveredEmptyNodeAppliesEveryKind recovers a node whose intent,
-// drift, canary and ledger are all empty — the maps a decode can leave
+// drift and ledger are all empty — the maps a decode can leave
 // nil — and applies one record of every live kind to it.
 func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 	sk := cumSketch(alt(0.2, 0.7, 16))
@@ -159,12 +152,9 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 	recs := []record{
 		&intentRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", MC: []byte{1}, Threshold: 0.5, Version: 1, Gen: 1},
 		&seqResetRec{Node: "edge-1"},
-		&canaryStartRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", MC: []byte{2}, Threshold: 0.5, Version: 2},
-		&canaryEpochRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", Epoch: 2},
-		&canaryVerdictRec{Node: "edge-1", Stream: "cam0", Name: "mc-1", Version: 2, Outcome: CanaryPromoted},
 		&driftBaselineRec{Node: "edge-1", Key: "cam0/mc-1", Baseline: sk, Version: 1},
-		&moveInRec{Name: "edge-1", Node: fullState().Nodes["edge-1"]},
 		&uploadRec{Node: "edge-1", Rec: up},
+		&moveInRec{Name: "edge-1", Node: fullState().Nodes["edge-1"]},
 	}
 	var kinds []int
 	for _, rec := range recs {
@@ -173,7 +163,7 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 			empty := newShardState()
 			empty.node("edge-1")
 			st := snapshotRoundTrip(t, empty)
-			if n := st.Nodes["edge-1"]; n == nil || n.Intent != nil || n.Drift != nil || n.Canary != nil {
+			if n := st.Nodes["edge-1"]; n == nil || n.Intent != nil || n.Drift != nil {
 				t.Fatalf("recovered node is not the empty one: %+v", n)
 			}
 			st.apply(rec)
@@ -194,9 +184,10 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 // carrying a mirror of the node; a format-2 snapshot still carrying the
 // shard-wide aggregate ledger and folded identities; a fold record; a
 // format-3 snapshot, gob(3) then gob(shardState), from before
-// snapshots were move-in records — with those shapes declared here. Recovery must refuse each with an
-// error naming the directory, recover no node, and leave the directory
-// as it found it.
+// snapshots were move-in records; a snapshot of kind-11 move-ins whose
+// node records still carried canary state — with those shapes declared
+// here. Recovery must refuse each with an error naming the directory,
+// recover no node, and leave the directory as it found it.
 func TestOpenRefusesParentFormat(t *testing.T) {
 	type parentUpload struct {
 		MCName     string
@@ -254,11 +245,40 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	const notRecords = "snapshot is not a record stream"
+	// canaryNode is nodeState as it was while node records carried
+	// canary state, and canaryMoveIn the kind-11 move-in that held it.
+	type parentCanary struct {
+		MC               []byte
+		Threshold        float32
+		Version, Epoch   uint64
+		Outcome, Reason  string
+		Observations     uint64
+		AgreePSI, Spread float64
+	}
+	type canaryNode struct {
+		Intent       map[string]map[string]deployment
+		Gen, LastSeq uint64
+		DC           *core.Datacenter
+		Canary       map[string]*parentCanary
+	}
+	type canaryMoveIn struct {
+		Name string
+		Node *canaryNode
+	}
+	var canarySnapshot bytes.Buffer
+	if err := transport.WriteRecord(&canarySnapshot, 11, &canaryMoveIn{Name: "edge-1", Node: &canaryNode{
+		Intent: map[string]map[string]deployment{"cam0": {"mc-1": {MC: []byte{1}, Threshold: 0.5, Version: 1}}},
+		Gen:    1, LastSeq: 1, DC: nodeLedger,
+		Canary: map[string]*parentCanary{"cam0/mc-1": {MC: []byte{2}, Threshold: 0.5, Version: 2, Epoch: 1}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name     string
-		snapshot []any // gob-encoded in order; nil: no snapshot
-		kind     uint8 // a record appended after the intent record; 0: none
+		snapshot []any  // gob-encoded in order; nil: no snapshot
+		records  []byte // a snapshot of framed records, when snapshot is nil
+		kind     uint8  // a record appended after the intent record; 0: none
 		record   any
 		want     string // in the error
 	}{
@@ -274,6 +294,7 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 		{name: "format-3", snapshot: []any{3, shardState{
 			Nodes: map[string]*nodeState{"edge-1": {Gen: 1, LastSeq: 1, DC: nodeLedger}},
 		}}, want: notRecords},
+		{name: "canary-move-in", records: canarySnapshot.Bytes(), want: "unknown wal record kind 11"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -282,12 +303,14 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			snap := tc.records
 			if tc.snapshot != nil {
-				payload, err := encodeGob(tc.snapshot...)
-				if err != nil {
+				if snap, err = encodeGob(tc.snapshot...); err != nil {
 					t.Fatal(err)
 				}
-				if err := l.WriteSnapshot(payload); err != nil {
+			}
+			if snap != nil {
+				if err := l.WriteSnapshot(snap); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -55,17 +55,6 @@ type Hello struct {
 	// restarted reports empty sets even if its generation looks
 	// current).
 	Deployed map[string][]string
-	// Shadows is the node's per-stream shadow (canary candidate)
-	// inventory, mirroring Deployed. Reconciliation withdraws reported
-	// shadows whose canary record is decided or gone — without it a
-	// lost rollback push would leave a dead candidate scoring frames
-	// forever on a node that reconnects without restarting. Nil when
-	// the node holds no shadows.
-	// The inventory also covers controller restarts: a durable
-	// controller recovers undecided canary records from its state dir,
-	// so a resume hello reporting the matching shadow is re-adopted
-	// (re-pushed with a bumped epoch), never withdrawn as untracked.
-	Shadows map[string][]string
 	// HeartbeatEvery is the node's heartbeat interval (non-positive:
 	// heartbeats disabled). The controller derives its liveness window
 	// from it: HeartbeatMiss consecutive silent intervals evict the
@@ -120,24 +109,6 @@ type DeployRequest struct {
 	// .Version, already inside MC) for edge-side logging without a
 	// second decode. Zero for an unversioned artifact.
 	Version uint64
-	// Canary installs the MC as a shadow candidate: it scores frames
-	// alongside the same-named incumbent into a private sketch without
-	// affecting uploads, until the controller promotes or rolls it
-	// back.
-	Canary bool
-	// Epoch is the controller's install counter for the canary's
-	// shadow slot, starting at 1 and bumped on every reconciliation
-	// re-push. The edge stores it with the shadow and echoes it in
-	// Heartbeat.ShadowEpochs, so the evaluator can re-anchor its window
-	// on any reinstall even when the fresh sketch's count has caught up
-	// with the old one. Zero outside canary deploys.
-	Epoch uint64
-	// Promote atomically swaps the named shadow candidate into the
-	// live slot; MC is empty (the edge already holds the candidate)
-	// and MCName names it.
-	Promote bool
-	// MCName names the shadow for Promote; derived from MC otherwise.
-	MCName string
 }
 
 // UndeployRequest removes a deployed microclassifier
@@ -150,9 +121,6 @@ type UndeployRequest struct {
 	// Gen is the controller's deploy generation after this request
 	// (see DeployRequest.Gen).
 	Gen uint64
-	// Canary removes the named shadow candidate instead of a live
-	// MC — the rollback path. The live deployment is untouched.
-	Canary bool
 }
 
 // Ack answers a deploy or undeploy request (edge → datacenter).
@@ -243,8 +211,6 @@ type StreamStats struct {
 //	Scores     count | count × (stream | count × (MC | Count | Passes |
 //	           Sum | SumSq | 32 bins))
 //	ScoreVersions: count | count × (stream | count × (MC | version))
-//	ShadowScores, ShadowVersions, ShadowEpochs: as Scores and
-//	           ScoreVersions
 //	PendingUploads
 //
 // A histogram sends only its nonzero buckets, each index as the delta
@@ -284,19 +250,6 @@ type Heartbeat struct {
 	// a version the controller falls back to cumulative-count
 	// regression.
 	ScoreVersions map[string]map[string]uint64
-	// ShadowScores and ShadowVersions mirror Scores/ScoreVersions for
-	// canary candidates running in shadow mode — the
-	// candidate-vs-incumbent signal the controller's canary evaluator
-	// consumes. Cumulative since shadow deploy.
-	ShadowScores   map[string]map[string]obs.SketchSnapshot
-	ShadowVersions map[string]map[string]uint64
-	// ShadowEpochs echoes each shadow's DeployRequest.Epoch (stream →
-	// MC name → install counter). The canary evaluator re-anchors its
-	// window whenever a pair's epoch changes — cumulative-count
-	// regression alone misses a reinstalled shadow whose fresh sketch
-	// caught up between heartbeats. Without an epoch the controller
-	// falls back to count regression.
-	ShadowEpochs map[string]map[string]uint64
 	// PendingUploads is the node-level count of uploads buffered
 	// awaiting a controller ack — the edge's backlog, an SLO input on
 	// the datacenter side (a growing backlog means the uplink or the
@@ -335,9 +288,6 @@ func (hb Heartbeat) AppendBinary(b []byte) ([]byte, error) {
 	}
 	b = appendNested(b, hb.Scores, appendSketch)
 	b = appendNested(b, hb.ScoreVersions, binary.AppendUvarint)
-	b = appendNested(b, hb.ShadowScores, appendSketch)
-	b = appendNested(b, hb.ShadowVersions, binary.AppendUvarint)
-	b = appendNested(b, hb.ShadowEpochs, binary.AppendUvarint)
 	return binary.AppendVarint(b, int64(hb.PendingUploads)), nil
 }
 
@@ -374,9 +324,6 @@ func (hb *Heartbeat) UnmarshalBinary(data []byte) error {
 	readUvarint := (*transport.LayoutReader).Uvarint
 	out.Scores = readNested(&d, minSketchBytes, readSketch)
 	out.ScoreVersions = readNested(&d, 1, readUvarint)
-	out.ShadowScores = readNested(&d, minSketchBytes, readSketch)
-	out.ShadowVersions = readNested(&d, 1, readUvarint)
-	out.ShadowEpochs = readNested(&d, 1, readUvarint)
 	out.PendingUploads = d.Int()
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("heartbeat: %w", err)

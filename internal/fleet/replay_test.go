@@ -31,10 +31,8 @@ type scriptedEdge struct {
 	wmu  sync.Mutex
 	// refuse makes the edge answer deploy requests with an error ack.
 	refuse atomic.Bool
-	// acks delivers upload acks; deploys every deploy request seen.
-	acks    chan uint64
-	mu      sync.Mutex
-	deploys []DeployRequest
+	// acks delivers upload acks.
+	acks chan uint64
 }
 
 // dialScripted opens a session for hello.Node over the simnet and
@@ -93,9 +91,6 @@ func (e *scriptedEdge) serve() {
 			if transport.DecodeRecord(body, &req) != nil {
 				return
 			}
-			e.mu.Lock()
-			e.deploys = append(e.deploys, req)
-			e.mu.Unlock()
 			ack := Ack{Seq: req.Seq}
 			if e.refuse.Load() {
 				ack.Err = "scripted refusal"
@@ -134,32 +129,12 @@ func (e *scriptedEdge) upload(seq uint64, start int) {
 	}
 }
 
-// sawDeploy reports whether the controller pushed a deploy matching f.
-func (e *scriptedEdge) sawDeploy(f func(DeployRequest) bool) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, req := range e.deploys {
-		if f(req) {
-			return true
-		}
-	}
-	return false
-}
-
-// canaryBeat is a heartbeat carrying mc-1's live sketch (model version
-// 1) and, when shadow is non-nil, the candidate's under an install
-// epoch.
-func canaryBeat(live, shadow []float64, epoch uint64) Heartbeat {
-	hb := Heartbeat{
-		Scores:        map[string]map[string]obs.SketchSnapshot{"cam0": {"mc-1": cumSketch(live)}},
+// scoreBeat is a heartbeat carrying mc-1's sketch (model version 1).
+func scoreBeat(scores []float64) Heartbeat {
+	return Heartbeat{
+		Scores:        map[string]map[string]obs.SketchSnapshot{"cam0": {"mc-1": cumSketch(scores)}},
 		ScoreVersions: map[string]map[string]uint64{"cam0": {"mc-1": 1}},
 	}
-	if shadow != nil {
-		hb.ShadowScores = map[string]map[string]obs.SketchSnapshot{"cam0": {"mc-1": cumSketch(shadow)}}
-		hb.ShadowVersions = map[string]map[string]uint64{"cam0": {"mc-1": 2}}
-		hb.ShadowEpochs = map[string]map[string]uint64{"cam0": {"mc-1": epoch}}
-	}
-	return hb
 }
 
 // loggedState is everything the WAL is answerable for, captured the
@@ -167,9 +142,8 @@ func canaryBeat(live, shadow []float64, epoch uint64) Heartbeat {
 type loggedState struct {
 	Nodes map[string]nodeState
 	// Shards lists, per shard, the names of the nodes it holds, sorted.
-	Shards   [][]string
-	Canaries []CanaryReport
-	Intents  map[string]string
+	Shards  [][]string
+	Intents map[string]string
 }
 
 func captureLogged(c *Controller) loggedState {
@@ -189,19 +163,10 @@ func captureLogged(c *Controller) loggedState {
 				logged.Prev, logged.Last, logged.PSI, logged.KS, logged.Windows, logged.Drifted = obs.SketchSnapshot{}, obs.SketchSnapshot{}, 0, 0, 0, false
 				ns.Drift[k] = &logged
 			}
-			ns.Canary = maps.Clone(st.Canary)
-			for k, cs := range ns.Canary {
-				logged := *cs
-				logged.SeenEpoch = 0
-				logged.BaseLive, logged.BaseShadow = obs.SketchSnapshot{}, obs.SketchSnapshot{}
-				logged.LastLive, logged.LastShadow = obs.SketchSnapshot{}, obs.SketchSnapshot{}
-				ns.Canary[k] = &logged
-			}
 			ls.Nodes[name] = ns
 		}
 		sh.mu.Unlock()
 	}
-	ls.Canaries = c.CanaryReports()
 	for name := range ls.Nodes {
 		intent, gen := c.Intent(name)
 		ls.Intents[name] = fmt.Sprintf("%v@%d", intent, gen)
@@ -211,7 +176,7 @@ func captureLogged(c *Controller) loggedState {
 
 // withoutMCBytes renders a node for a failure message: serialized MCs
 // are kilobytes of gob, reduced here to their first byte, and the
-// drift and canary records are printed by value, not by address.
+// drift records are printed by value, not by address.
 func withoutMCBytes(ns nodeState) string {
 	intent := map[string]map[string]deployment{}
 	for stream, mcs := range ns.Intent {
@@ -225,14 +190,8 @@ func withoutMCBytes(ns nodeState) string {
 	for k, d := range ns.Drift {
 		drift[k] = *d
 	}
-	canary := map[string]canaryState{}
-	for k, cs := range ns.Canary {
-		c := *cs
-		c.MC = c.MC[:1]
-		canary[k] = c
-	}
-	return fmt.Sprintf("gen=%d lastSeq=%d rehomed=%d intent=%+v drift=%+v canary=%+v dc=%+v",
-		ns.Gen, ns.LastSeq, ns.Rehomed, intent, drift, canary, ns.DC)
+	return fmt.Sprintf("gen=%d lastSeq=%d rehomed=%d intent=%+v drift=%+v dc=%+v",
+		ns.Gen, ns.LastSeq, ns.Rehomed, intent, drift, ns.DC)
 }
 
 // nodeNames returns count node names (prefix-N) whose owner changes
@@ -277,7 +236,6 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 		StateDir:      t.TempDir(),
 		SnapshotEvery: -1,
 		Drift:         DriftConfig{MinCount: 8},
-		Canary:        CanaryConfig{Window: 8},
 	}
 	ctrl, _, err := OpenController(cfg)
 	if err != nil {
@@ -331,47 +289,14 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 	edge.upload(3, 20)
 
 	// ---- Drift: the first heartbeat at MinCount freezes a baseline. --
-	edge.send(transport.KindHeartbeat, canaryBeat(alt(0.2, 0.7, 16), nil, 0))
+	edge.send(transport.KindHeartbeat, scoreBeat(alt(0.2, 0.7, 16)))
 	waitFor(t, "drift baseline frozen", func() bool {
 		reps := ctrl.DriftReports()
 		return len(reps) == 1 && reps[0].Baseline == 16
 	})
 
-	// ---- Canary: start, reconnect (epoch bump), verdict. -------------
-	if err := ctrl.StartCanary(node, "cam0", saveVersionedMC(t, "mc-1", 11, 2), 0.5); err != nil {
-		t.Fatal(err)
-	}
-	edge.send(transport.KindHeartbeat, canaryBeat(alt(0.2, 0.7, 16), alt(0.3, 0.8, 4), 1))
-	waitFor(t, "canary window anchored", func() bool {
-		reps := ctrl.CanaryReports()
-		return len(reps) == 1 && reps[0].Heartbeats == 1
-	})
-	edge.conn.Close()
-	edge = dialScripted(t, n, Hello{
-		Node: node, Resume: true, DeployGen: 7,
-		Deployed: map[string][]string{"cam0": {"mc-1"}},
-		Shadows:  map[string][]string{"cam0": {"mc-1"}},
-	})
-	waitFor(t, "shadow re-pushed under epoch 2", func() bool {
-		return edge.sawDeploy(func(r DeployRequest) bool { return r.Canary && r.Epoch == 2 })
-	})
-	// The reinstalled shadow reports a fresh sketch; both windows
-	// re-anchor on it, fill with matched behaviour, and promote.
-	edge.send(transport.KindHeartbeat, canaryBeat(alt(0.2, 0.7, 24), alt(0.3, 0.8, 4), 2))
-	edge.send(transport.KindHeartbeat, canaryBeat(alt(0.2, 0.7, 32), alt(0.3, 0.8, 12), 2))
-	waitFor(t, "canary promoted and swapped in", func() bool {
-		reps := ctrl.CanaryReports()
-		_, gen := ctrl.Intent(node)
-		return len(reps) == 1 && reps[0].State == CanaryPromoted && gen == 8 &&
-			edge.sawDeploy(func(r DeployRequest) bool { return r.Promote })
-	})
-	verdict := ctrl.CanaryReports()[0]
-	if verdict.Observations != 12 || verdict.Heartbeats != 3 || verdict.Spread == 0 {
-		t.Fatalf("verdict carries no window: %+v", verdict)
-	}
-
-	// Half way: everything above recovers from the snapshot (the decided
-	// canary's frozen window included), everything below from the log.
+	// Half way: everything above recovers from the snapshot, everything
+	// below from the log.
 	if midSnapshot {
 		for _, sh := range ctrl.snapshotShards() {
 			sh.mu.Lock()
@@ -382,24 +307,15 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 			}
 		}
 	}
-
-	// ---- Canary the edge refuses: started, then removed. -------------
 	if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-3", 15, 1), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	edge.refuse.Store(true)
-	if err := ctrl.StartCanary(node, "cam0", saveVersionedMC(t, "mc-3", 15, 2), 0.5); !errors.Is(err, ErrRejected) {
-		t.Fatalf("refused canary: %v", err)
-	}
-	edge.refuse.Store(false)
-	if reps := ctrl.CanaryReports(); len(reps) != 1 {
-		t.Fatalf("refused canary still tracked: %+v", reps)
-	}
+	wantGen(8)
 
 	// ---- A fresh (non-resume) hello resets the sequence space. -------
 	edge.conn.Close()
 	edge = dialScripted(t, n, Hello{
-		Node: node, DeployGen: 9,
+		Node: node, DeployGen: 8,
 		Deployed: map[string][]string{"cam0": {"mc-1", "mc-3"}},
 	})
 	edge.upload(1, 30) // a new incarnation's first upload, not a duplicate
@@ -453,15 +369,14 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 			}
 		}
 		t.Errorf("shards:\n live      %+v\n recovered %+v", live.Shards, recovered.Shards)
-		t.Errorf("canaries:\n live      %+v\n recovered %+v", live.Canaries, recovered.Canaries)
 		t.Errorf("intents:\n live      %v\n recovered %v", live.Intents, recovered.Intents)
 		t.Fatal("replayed state differs from the live state it was logged from")
 	}
 }
 
-// liveKinds are the record kinds the current format writes; 2, 8, 9,
-// 10 and 12 are retired (see the kind constants).
-var liveKinds = []int{1, 3, 4, 5, 6, 7, 11, 13}
+// liveKinds are the record kinds the current format writes; 2, 4, 5,
+// 6, 8, 9, 10, 11 and 12 are retired (see the kind constants).
+var liveKinds = []int{1, 3, 7, 13, 14}
 
 // TestRecordKindsRoundTrip pins the two statements of the kind-to-type
 // mapping against each other: the record a kind decodes into reports
@@ -485,11 +400,14 @@ func TestRecordKindsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesRetiredKind pins the reserved upload record
-// numbers: a log still holding a kind-2 record (the gob-encoded upload
-// that kind 13's binary layout replaced) or a kind-10 record (an upload
-// over the retired one-way protocol) fails recovery with the
-// unknown-kind error rather than being skipped or misread.
+// TestReplayRefusesRetiredKind pins the reserved record numbers: a log
+// still holding a kind-2 record (the gob-encoded upload that kind 13's
+// binary layout replaced), a kind-10 record (an upload over the retired
+// one-way protocol), a kind-4, 5 or 6 record (a retired canary's start,
+// install epoch or verdict) or a kind-11 record (a move-in whose node
+// record still carried canary state, replaced by kind 14) fails
+// recovery with the unknown-kind error rather than being skipped or
+// misread.
 func TestReplayRefusesRetiredKind(t *testing.T) {
 	up := transport.UploadRecord{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true, Seq: 1}
 	for _, tc := range []struct {
@@ -501,6 +419,25 @@ func TestReplayRefusesRetiredKind(t *testing.T) {
 			Rec  transport.UploadRecord
 		}{"edge-1", up}},
 		{10, struct{ Rec transport.UploadRecord }{up}},
+		{4, struct {
+			Node, Stream, Name string
+			MC                 []byte
+			Threshold          float32
+			Version            uint64
+		}{"edge-1", "cam0", "mc-1", []byte{1}, 0.5, 2}},
+		{5, struct {
+			Node, Stream, Name string
+			Epoch              uint64
+		}{"edge-1", "cam0", "mc-1", 2}},
+		{6, struct {
+			Node, Stream, Name string
+			Version            uint64
+			Outcome            string
+		}{"edge-1", "cam0", "mc-1", 2, "promoted"}},
+		{11, struct {
+			Name string
+			Node struct{ Gen, LastSeq uint64 }
+		}{"edge-1", struct{ Gen, LastSeq uint64 }{3, 7}}},
 	} {
 		t.Run(fmt.Sprintf("kind=%d", tc.kind), func(t *testing.T) {
 			dir := t.TempDir()

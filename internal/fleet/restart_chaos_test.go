@@ -20,11 +20,10 @@ import (
 // asserting version monotonicity across restarts.
 func saveVersionedMC(t *testing.T, name string, seed int64, version uint64) []byte {
 	t.Helper()
-	mc, err := filter.NewMC(filter.Spec{Name: name, Arch: filter.PoolingClassifier, Seed: seed}, testBase(), 48, 27)
+	mc, err := filter.NewMC(filter.Spec{Name: name, Arch: filter.PoolingClassifier, Seed: seed, Version: version}, testBase(), 48, 27)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetVersion(version)
 	var buf bytes.Buffer
 	if err := mc.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -71,13 +70,11 @@ func mkRestartAgent(t *testing.T, n *simnet.Network, name string) *chaosAgent {
 // TestRestartChaosSoak is the controller-restart chaos soak: a durable
 // 3-agent fleet is SIGKILL'd (Crash: no final snapshot, no sync)
 // mid-upload — with one agent's ack path stalled so an accepted but
-// unacked upload is in flight — and mid-canary, then restarted from
-// its state dir. The restarted controller must recover every
-// guarantee exactly: upload ledgers exactly-once record for record
-// (the unacked upload neither lost nor double-counted across the
-// retransmit), deploy generations and intent byte-identical, and the
-// in-flight canary resolving to a terminal verdict with no orphaned
-// shadow left on any edge.
+// unacked upload is in flight — then restarted from its state dir. The
+// restarted controller must recover every guarantee exactly: upload
+// ledgers exactly-once record for record (the unacked upload neither
+// lost nor double-counted across the retransmit), and deploy
+// generations and intent byte-identical.
 func TestRestartChaosSoak(t *testing.T) {
 	stateDir := t.TempDir()
 	n := simnet.New(chaosSeed)
@@ -94,7 +91,6 @@ func TestRestartChaosSoak(t *testing.T) {
 		// snapshot boundaries, so recovery replays snapshot + wal, not
 		// just one long wal.
 		SnapshotEvery: 8,
-		Canary:        CanaryConfig{Window: 16, ExpireAfter: 1 << 30},
 	}
 	ctrl, stats, err := OpenController(cfg)
 	if err != nil {
@@ -146,26 +142,15 @@ func TestRestartChaosSoak(t *testing.T) {
 		return func() bool { return nodeReceived(c.name) == c.gtCount() }
 	}
 
-	// ---- Healthy baseline, then open the canary. ---------------------
+	// ---- Healthy baseline. --------------------------------------------
 	for _, c := range all {
 		c.feed(t, 8)
 	}
 	for _, c := range all {
 		waitFor(t, c.name+" baseline uploads", caughtUp(c))
 	}
-	candidate := saveVersionedMC(t, "mc-2", 12, 2)
-	if err := ctrl.StartCanary("edge-2", "cam0", candidate, -1); err != nil {
-		t.Fatalf("start canary: %v", err)
-	}
-	waitFor(t, "shadow deployed on edge-2", func() bool {
-		return len(e2.edge.ShadowNames()) == 1
-	})
-	waitFor(t, "canary heartbeat anchored", func() bool {
-		reps := ctrl.CanaryReports()
-		return len(reps) == 1 && reps[0].Heartbeats > 0 && reps[0].State == "evaluating"
-	})
 
-	// ---- Crash mid-upload and mid-canary. ----------------------------
+	// ---- Crash mid-upload. -------------------------------------------
 	// Stall edge-1's ack path first: its next upload is accepted and
 	// logged by the controller but the ack never leaves, so at crash
 	// time an accepted-but-unacked upload is in flight — the sharpest
@@ -250,41 +235,6 @@ func TestRestartChaosSoak(t *testing.T) {
 			t.Fatalf("%s dropped %d uploads", c.name, dropped)
 		}
 	}
-
-	// ---- The recovered canary must resolve, not leak. ----------------
-	// Keep frames flowing until the evaluator reaches a verdict: the
-	// recovered record was re-armed (epoch bump) on resume, so the
-	// window re-anchors on the re-pushed shadow's fresh sketches.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		reps := ctrl.CanaryReports()
-		if len(reps) != 1 {
-			t.Fatalf("canary reports after restart: %+v", reps)
-		}
-		if reps[0].State != "evaluating" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recovered canary never resolved: %+v", reps[0])
-		}
-		e2.feed(t, 4)
-		time.Sleep(20 * time.Millisecond)
-	}
-	verdict := ctrl.CanaryReports()[0]
-	if verdict.Version != 2 || verdict.IncumbentVersion != 1 {
-		t.Fatalf("verdict versions not recovered: %+v", verdict)
-	}
-	// Whatever the verdict, no edge may carry an orphaned shadow two
-	// reconciliations later: a promote swaps the candidate live, a
-	// rollback withdraws it.
-	waitFor(t, "no orphaned shadow after verdict", func() bool {
-		for _, c := range all {
-			if len(c.edge.ShadowNames()) != 0 {
-				return false
-			}
-		}
-		return true
-	})
 
 	// ---- Exact convergence: ledgers record for record, intent
 	// byte-identical. ---------------------------------------------------
@@ -383,91 +333,6 @@ func TestRestartChaosSoak(t *testing.T) {
 	}
 	if gotUploads != wantUploads {
 		t.Fatalf("snapshot-only recovery holds %d uploads, want %d", gotUploads, wantUploads)
-	}
-}
-
-// TestRestartResumeAdoptsRecoveredCanaryShadow is the regression test
-// for resume-hello against a restarted controller: the agent's hello
-// reports its shadow inventory, and because the recovered canary
-// record is undecided, reconciliation must re-adopt the shadow
-// (re-push with a bumped epoch) — not withdraw it as untracked.
-func TestRestartResumeAdoptsRecoveredCanaryShadow(t *testing.T) {
-	stateDir := t.TempDir()
-	n := simnet.New(chaosSeed)
-	ln, err := n.Listen("dc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ControllerConfig{
-		Timeout:       5 * time.Second,
-		HeartbeatMiss: 15,
-		StateDir:      stateDir,
-		// The canary must stay undecided across the restart: the window
-		// and expiry sit far beyond the test's frame budget.
-		Canary: CanaryConfig{Window: 1 << 20, ExpireAfter: 1 << 30},
-	}
-	ctrl, _, err := OpenController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Serve(ln)
-
-	c := mkRestartAgent(t, n, "edge-1")
-	defer c.agent.Close()
-	if err := ctrl.Deploy("edge-1", "cam0", saveVersionedMC(t, "mc-1", 11, 1), -1); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "incumbent deployed", func() bool {
-		return len(c.agent.DeployedMCs("cam0")) == 1
-	})
-	if err := ctrl.StartCanary("edge-1", "cam0", saveVersionedMC(t, "mc-1", 11, 2), -1); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "shadow deployed", func() bool {
-		return len(c.edge.ShadowNames()) == 1
-	})
-	c.feed(t, 8)
-	waitFor(t, "canary window anchored", func() bool {
-		reps := ctrl.CanaryReports()
-		return len(reps) == 1 && reps[0].Heartbeats > 0
-	})
-
-	ctrl.Crash()
-	ln2, err := n.Listen("dc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl2, stats, err := OpenController(cfg)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer ctrl2.Close()
-	if stats.Nodes != 1 {
-		t.Fatalf("recovered %d nodes, want 1", stats.Nodes)
-	}
-	reps := ctrl2.CanaryReports()
-	if len(reps) != 1 || reps[0].State != "evaluating" || reps[0].Version != 2 {
-		t.Fatalf("recovered canary record: %+v", reps)
-	}
-	ctrl2.Serve(ln2)
-
-	waitFor(t, "agent resumed on restarted controller", func() bool {
-		return c.agent.Connected() && c.agent.Reconnects() >= 1
-	})
-	// Two reconciliation opportunities: the resume itself, plus a
-	// fresh round of frames and heartbeats. The shadow must survive
-	// both and keep scoring.
-	c.feed(t, 8)
-	waitFor(t, "recovered canary keeps observing", func() bool {
-		reps := ctrl2.CanaryReports()
-		return len(reps) == 1 && reps[0].State == "evaluating" && reps[0].Observations >= 4
-	})
-	if got := c.edge.ShadowNames(); len(got) != 1 {
-		t.Fatalf("shadow inventory after restart resume: %v, want the recovered candidate", got)
-	}
-	evicted, _ := ctrl2.Lifecycle()
-	if evicted != 0 {
-		t.Fatalf("restart resume evicted %d sessions", evicted)
 	}
 }
 

@@ -149,33 +149,6 @@ func (s *Session) deploy(stream string, mc []byte, threshold float32, gen, versi
 	})
 }
 
-// deployCanary ships a candidate MC as a shadow deployment: it scores
-// alongside the same-named incumbent without affecting uploads until
-// the controller promotes or rolls it back. epoch is the controller's
-// install counter for the shadow slot, echoed back in heartbeats.
-func (s *Session) deployCanary(stream string, mc []byte, threshold float32, version, epoch uint64) error {
-	return s.request(transport.KindDeploy, func(seq uint64) any {
-		return DeployRequest{Seq: seq, Stream: stream, MC: mc, Threshold: threshold, Version: version, Canary: true, Epoch: epoch}
-	})
-}
-
-// promoteCanary atomically swaps the named shadow candidate into the
-// live slot on the edge. The candidate bytes are already on the node;
-// only the name crosses the wire.
-func (s *Session) promoteCanary(stream, mcName string, gen, version uint64) error {
-	return s.request(transport.KindDeploy, func(seq uint64) any {
-		return DeployRequest{Seq: seq, Stream: stream, MCName: mcName, Gen: gen, Version: version, Promote: true}
-	})
-}
-
-// undeployCanary removes the named shadow candidate — the rollback
-// path. The live deployment is untouched.
-func (s *Session) undeployCanary(stream, mcName string) error {
-	return s.request(transport.KindUndeploy, func(seq uint64) any {
-		return UndeployRequest{Seq: seq, Stream: stream, MCName: mcName, Canary: true}
-	})
-}
-
 // Undeploy removes a microclassifier from the named stream and waits
 // for the edge's ack. The MC's final uploads arrive through the normal
 // upload path before the ack.

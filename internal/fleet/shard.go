@@ -138,16 +138,6 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 	// pusher, and double-pushing would end in a duplicate rejection
 	// that rolls back valid intent.
 	work := reconcileWorkLocked(st, hello)
-	for _, w := range work {
-		// Canary re-pushes go out under the shadow's next install epoch;
-		// the bump must be durable, or a replayed canary would trust
-		// sketches from an install it no longer knows about.
-		if w.canary && w.dep != nil {
-			sh.commit(&canaryEpochRec{
-				Node: hello.Node, Stream: w.stream, Name: w.name, Epoch: w.epoch,
-			})
-		}
-	}
 	s := newSession(sh.c.nextID.Add(1), hello, conn, cfg.Timeout, liveness, sh.hbGap, sh.hbHandle, sh.noteHeartbeat)
 	sh.sessions[s.id] = s
 	sh.mu.Unlock()
@@ -303,21 +293,6 @@ func (sh *shard) loads() []metrics.NodeLoad {
 						load.DriftKS = ds.KS
 					}
 				}
-				for key, cs := range ns.Canary {
-					if !strings.HasPrefix(key, prefix) {
-						continue
-					}
-					switch cs.Outcome {
-					case "":
-						load.CanariesActive++
-					case CanaryPromoted:
-						load.CanariesPromoted++
-					case CanaryRolledBack:
-						load.CanariesRolledBack++
-					case CanaryExpired:
-						load.CanariesExpired++
-					}
-				}
 			}
 			if i == 0 {
 				load.ExtractLat = hb.Extract
@@ -358,7 +333,7 @@ type ShardStat struct {
 	// heartbeats across the shard's sessions — its control-plane
 	// latency signal. HeartbeatHandling is the histogram of the time
 	// from reading a heartbeat record to the return of the shard's
-	// drift and canary hook: what a heartbeat costs the shard.
+	// drift hook: what a heartbeat costs the shard.
 	HeartbeatGap      obs.HistSnapshot
 	HeartbeatHandling obs.HistSnapshot
 	// Snapshots counts the state snapshots the shard wrote since the

@@ -70,14 +70,6 @@ type NodeLoad struct {
 	// stream's MCs (zero for unversioned artifacts). Per-stream, like
 	// Scores.
 	MCVersion uint64
-	// CanariesActive counts the stream's shadow candidates still under
-	// evaluation; CanariesPromoted, CanariesRolledBack, and
-	// CanariesExpired count decided ones still recorded in controller
-	// state. Per-stream, like Scores.
-	CanariesActive     int
-	CanariesPromoted   int
-	CanariesRolledBack int
-	CanariesExpired    int
 }
 
 // Bitrate returns the node's realized average uplink usage in bits/s
@@ -158,13 +150,6 @@ type FleetSummary struct {
 	// MaxMCVersion is the highest deployed model version anywhere in
 	// the fleet — a max, so it is exact under any shard grouping.
 	MaxMCVersion uint64
-	// CanariesActive, CanariesPromoted, CanariesRolledBack, and
-	// CanariesExpired total the fleet's canary states (sums, exact
-	// under any grouping).
-	CanariesActive     int
-	CanariesPromoted   int
-	CanariesRolledBack int
-	CanariesExpired    int
 }
 
 // SummarizeFleet rolls up per-node heartbeat loads into a fleet
@@ -191,8 +176,6 @@ func (n NodeLoad) summary() FleetSummary {
 		ExtractLat: n.ExtractLat, MCPushLat: n.MCPushLat,
 		QueueWaitLat: n.QueueWaitLat, UploadRTTLat: n.UploadRTTLat,
 		Scores: n.Scores, Drifted: n.Drifted, MaxDriftKS: n.DriftKS, MaxMCVersion: n.MCVersion,
-		CanariesActive: n.CanariesActive, CanariesPromoted: n.CanariesPromoted,
-		CanariesRolledBack: n.CanariesRolledBack, CanariesExpired: n.CanariesExpired,
 	}
 	if n.Frames > 0 && n.FPS > 0 {
 		s.RatedSeconds = float64(n.Frames) / float64(n.FPS)
@@ -254,10 +237,6 @@ func (s *FleetSummary) Merge(o FleetSummary) {
 	if o.MaxMCVersion > s.MaxMCVersion {
 		s.MaxMCVersion = o.MaxMCVersion
 	}
-	s.CanariesActive += o.CanariesActive
-	s.CanariesPromoted += o.CanariesPromoted
-	s.CanariesRolledBack += o.CanariesRolledBack
-	s.CanariesExpired += o.CanariesExpired
 	s.AverageBitrate = 0
 	if s.RatedSeconds > 0 {
 		s.AverageBitrate = float64(s.RatedBits) / s.RatedSeconds

@@ -143,28 +143,6 @@ func (s SketchSnapshot) Mean() float64 {
 	return float64(s.Sum) / SketchUnit / float64(s.Count)
 }
 
-// Variance returns the population score variance, 0 when empty.
-func (s SketchSnapshot) Variance() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := float64(s.SumSq)/SketchUnit/float64(s.Count) - m*m
-	if v < 0 {
-		return 0 // fixed-point rounding can dip epsilon-negative
-	}
-	return v
-}
-
-// StdDev returns the population score standard deviation, 0 when
-// empty. The canary evaluator uses it as a degeneracy check: a
-// candidate whose scores have (near) zero spread cannot discriminate
-// frames and is rolled back regardless of its agreement with the
-// incumbent.
-func (s SketchSnapshot) StdDev() float64 {
-	return math.Sqrt(s.Variance())
-}
-
 // PassRate returns the fraction of observations at or above the MC's
 // threshold, 0 when empty.
 func (s SketchSnapshot) PassRate() float64 {
@@ -186,8 +164,8 @@ const psiFloor = 1e-4
 // with per-bin proportions floored at 1e-4. PSI is symmetric in its
 // arguments and zero for identical distributions. Industry convention
 // reads < 0.1 as stable, 0.1–0.25 as moderate shift, and > 0.25 as a
-// major shift that warrants retraining. Returns 0 when either side is
-// empty (no evidence is not evidence of drift).
+// major shift. Returns 0 when either side is empty (no evidence is not
+// evidence of drift).
 func PSI(base, recent SketchSnapshot) float64 {
 	if base.Count == 0 || recent.Count == 0 {
 		return 0

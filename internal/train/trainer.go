@@ -147,30 +147,6 @@ func batchOf(samples []Sample, idx []int) (*tensor.Tensor, []float32) {
 	return x, y
 }
 
-// Split deterministically shuffles samples and partitions them into a
-// training set and a holdout of roughly holdoutFrac of the total. The
-// retraining pipeline fits on the first return and reports candidate
-// accuracy on the second, so promotion decisions never score a model
-// on frames it trained on. A fraction outside (0, 1) returns all
-// samples as the training set.
-func Split(samples []Sample, holdoutFrac float64, seed int64) (fit, holdout []Sample) {
-	if holdoutFrac <= 0 || holdoutFrac >= 1 || len(samples) < 2 {
-		return samples, nil
-	}
-	shuffled := append([]Sample(nil), samples...)
-	tensor.NewRNG(seed).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	n := int(math.Round(float64(len(shuffled)) * holdoutFrac))
-	if n < 1 {
-		n = 1
-	}
-	if n >= len(shuffled) {
-		n = len(shuffled) - 1
-	}
-	return shuffled[n:], shuffled[:n]
-}
-
 // Accuracy returns the fraction of samples whose thresholded
 // probability matches the label. prob scores one sample, typically a
 // classifier's Prob, which runs a compiled program.

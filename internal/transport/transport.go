@@ -64,12 +64,14 @@ import (
 // magic identifies the wire format, including the record framing
 // revision and payload layouts. It was bumped (…04 → …05) when records
 // gained the CRC field, again (…05 → …06) when upload and upload-ack
-// payloads left gob for their binary layout, and again (…06 → …07)
-// when heartbeats did: an older build pairs with this one only up to
-// the handshake, where the stale magic is rejected cleanly — without
-// the bump the handshake would succeed and the session would fail
-// mid-stream on its first upload or heartbeat.
-const magic = 0xFF00FF07
+// payloads left gob for their binary layout, again (…06 → …07) when
+// heartbeats did, and again (…07 → …08) when the hello, deploy,
+// undeploy and heartbeat payloads lost their canary and shadow fields:
+// an older build pairs with this one only up to the handshake, where
+// the stale magic is rejected cleanly — without the bump the handshake
+// would succeed and the session would fail mid-stream on its first
+// upload, deploy or heartbeat.
+const magic = 0xFF00FF08
 
 // Protocol versions. A client announces the version it speaks in its
 // header; the server echoes the version it accepts back.

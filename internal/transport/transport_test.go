@@ -67,6 +67,19 @@ func TestReadHeaderRefusesGobHeartbeatMagic(t *testing.T) {
 	}
 }
 
+// TestReadHeaderRefusesCanaryLayoutMagic pins the magic bump that came
+// with the removal of the canary fields from the hello, deploy,
+// undeploy and heartbeat payloads: a peer still laying them out
+// announces the previous magic and is refused at the handshake, before
+// its first deploy or heartbeat could be misread.
+func TestReadHeaderRefusesCanaryLayoutMagic(t *testing.T) {
+	stale := []byte{0xFF, 0x00, 0xFF, 0x07, 0x00, Version2}
+	_, err := ReadHeader(bytes.NewReader(stale))
+	if err == nil || errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("previous-magic handshake error = %v, want bad magic", err)
+	}
+}
+
 // TestUploadLayout pins the upload record's wire bytes field by field,
 // and that WriteRecord and DecodeRecord go through the layout rather
 // than gob.

@@ -202,9 +202,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if pending, dropped := agent.PendingUploads(); agent.Reconnects() > 0 || agent.Rehomes() > 0 || dropped > 0 || pending > 0 {
-		fmt.Fprintf(stdout, "fleet resilience   %d reconnects, %d shard re-homes (last shard %d), %d uploads awaiting ack, %d dropped by buffer cap\n",
-			agent.Reconnects(), agent.Rehomes(), agent.Shard(), pending, dropped)
+	if pending, dropped := agent.PendingUploads(); agent.Reconnects() > 0 || dropped > 0 || pending > 0 {
+		fmt.Fprintf(stdout, "fleet resilience   %d reconnects (last shard %d), %d uploads awaiting ack, %d dropped by buffer cap\n",
+			agent.Reconnects(), agent.Shard(), pending, dropped)
 	}
 
 	if vers := agent.MCVersions(*stream); len(vers) > 0 {

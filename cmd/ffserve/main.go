@@ -134,6 +134,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *interval <= 0 {
+		fmt.Fprintf(stderr, "ffserve: -interval must be positive, got %s\n", *interval)
+		return 2
+	}
 	log := obs.NewLogger(stderr, *logJSON, slog.LevelInfo)
 
 	// The controller-side observer carries fleet rollup gauges (updated
@@ -418,8 +422,8 @@ func printSummary(w io.Writer, ctrl *fleet.Controller, frames int, observer *obs
 	}
 	if len(stats) > 1 {
 		for _, s := range stats {
-			fmt.Fprintf(w, "  shard %d: %d node(s), %d session(s), %d ledger uploads, %d redirects, hb gap p95 %s\n",
-				s.Shard, s.Nodes, s.Sessions, s.Uploads, s.Redirects,
+			fmt.Fprintf(w, "  shard %d: %d node(s), %d session(s), %d ledger uploads, hb gap p95 %s\n",
+				s.Shard, s.Nodes, s.Sessions, s.Uploads,
 				time.Duration(s.HeartbeatGap.Quantile(0.95)))
 		}
 	}
@@ -541,20 +545,20 @@ func printHealthLine(w io.Writer, eng *health.Engine, status health.Status) {
 // that shows a hot or empty shard at a glance, and each shard's
 // heartbeat handling time into ff_ctrl_shard_<i>_heartbeat_* gauges.
 // ledger_uploads and ledger_bits total the ledgers of the nodes a shard
-// owns now, uploads they delivered before a re-home included: a re-home
-// moves them between shards, and their sum over shards is the fleet's.
+// owns, uploads they delivered before a restart re-homed them included:
+// a re-home moves them between shards, and their sum over shards is the
+// fleet's.
 func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 	o.Reg.Gauge("ff_fleet_shards").Set(int64(len(stats)))
 	for _, s := range stats {
 		o.Reg.ShardGauge(s.Shard, "nodes").Set(int64(s.Nodes))
 		o.Reg.ShardGauge(s.Shard, "sessions").Set(int64(s.Sessions))
 		o.Reg.Describe(fmt.Sprintf("ff_fleet_shard_%d_ledger_uploads", s.Shard),
-			"deduplicated uploads in the ledgers of the nodes the shard owns now, those delivered before a re-home included")
+			"deduplicated uploads in the ledgers of the nodes the shard owns, those delivered before a re-home included")
 		o.Reg.ShardGauge(s.Shard, "ledger_uploads").Set(int64(s.Uploads))
 		o.Reg.Describe(fmt.Sprintf("ff_fleet_shard_%d_ledger_bits", s.Shard),
 			"coded bits of the uploads counted by ledger_uploads")
 		o.Reg.ShardGauge(s.Shard, "ledger_bits").Set(s.UploadBits)
-		o.Reg.ShardGauge(s.Shard, "redirects").Set(int64(s.Redirects))
 		o.Reg.ShardGauge(s.Shard, "hb_gap_p95_ns").Set(s.HeartbeatGap.Quantile(0.95))
 		o.Reg.ShardGauge(s.Shard, "snapshots").Set(int64(s.Snapshots))
 		o.Reg.ShardGauge(s.Shard, "snapshot_bytes").Set(s.SnapshotBytes)

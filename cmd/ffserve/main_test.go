@@ -19,6 +19,8 @@ func TestExitCodes(t *testing.T) {
 		{"help", []string{"-h"}, 0, "-listen"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, "no-such-flag"},
 		{"bad slo spec", []string{"-slo", "extract_p99_ms"}, 1, "bad -slo spec"},
+		{"zero interval", []string{"-interval", "0"}, 2, "-interval"},
+		{"negative interval", []string{"-interval", "-1s"}, 2, "-interval"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder

@@ -121,12 +121,7 @@ type Agent struct {
 	sessionID  uint64
 	lastGen    uint64
 	reconnects int
-	// rehomes counts redirect records received — sessions the
-	// controller ended (or hellos it refused) because the node's
-	// owning shard changed; shard is the owner announced by the most
-	// recent welcome.
-	rehomes int
-	shard   int
+	shard      int // the owning shard announced by the most recent welcome
 
 	stop chan struct{} // closed by Close: ends the backoff and the heartbeats
 	wg   sync.WaitGroup
@@ -309,16 +304,6 @@ func (a *Agent) Reconnects() int {
 	a.sessMu.Lock()
 	defer a.sessMu.Unlock()
 	return a.reconnects
-}
-
-// Rehomes returns how many redirect records the agent has received —
-// sessions ended (or hellos refused) because a shard-count change
-// moved the node to a different controller shard. Every re-home also
-// shows up as a reconnect once the agent resumes on the new owner.
-func (a *Agent) Rehomes() int {
-	a.sessMu.Lock()
-	defer a.sessMu.Unlock()
-	return a.rehomes
 }
 
 // Shard returns the controller shard that owns the current (or most

@@ -14,7 +14,7 @@ import (
 
 // Connect dials a controller, runs the v2 handshake, and starts the
 // agent's connection loop, which owns the session from then on: when
-// it dies (connection loss, corruption, eviction, a re-home) the loop
+// it dies (connection loss, corruption, eviction) the loop
 // redials the same address with exponential backoff + jitter and
 // resumes, until Close. Connect returns the first attempt's error; it
 // refuses, without dialing, on a closed agent or one whose loop is
@@ -135,12 +135,6 @@ func (a *Agent) handshake(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	if kind == transport.KindRedirect {
-		// The hello landed on a shard that lost (or never had) the
-		// node while a re-shard was in flight. Redialing re-routes
-		// under the settled placement.
-		return a.redirected("hello refused for", body)
-	}
 	if kind != transport.KindWelcome {
 		return fmt.Errorf("fleet: controller answered record kind %d, want welcome", kind)
 	}
@@ -201,7 +195,7 @@ func (a *Agent) serve(conn net.Conn) {
 	a.wg.Add(1)
 	go a.tend(done)
 	// Why the session ended does not matter: the loop redials either
-	// way, and a redirect has already been counted.
+	// way.
 	_ = a.controlLoop(conn)
 	conn.Close()
 	a.sessMu.Lock()
@@ -271,31 +265,12 @@ func (a *Agent) controlLoop(conn net.Conn) error {
 				return err
 			}
 			a.handleUploadAck(ua)
-		case transport.KindRedirect:
-			// The node was re-homed to another shard mid-session. Treat
-			// it like any lost session — the loop redials, and the
-			// resume hello reconciles on the new owner.
-			return a.redirected("moved to", body)
 		case transport.KindBye:
 			return nil
 		default:
 			return fmt.Errorf("fleet: controller sent unknown record kind %d", kind)
 		}
 	}
-}
-
-// redirected decodes a redirect record, counts the re-home apart from
-// fault-driven reconnects (so operators can see placement churn), and
-// returns the ErrRedirected that ends the session or hello.
-func (a *Agent) redirected(what string, body []byte) error {
-	var rd Redirect
-	if err := transport.DecodeRecord(body, &rd); err != nil {
-		return err
-	}
-	a.sessMu.Lock()
-	a.rehomes++
-	a.sessMu.Unlock()
-	return fmt.Errorf("fleet: %s shard %d (%s): %w", what, rd.Shard, rd.Reason, ErrRedirected)
 }
 
 // writeRecord sends one non-upload record on the live connection,

@@ -4,11 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"net"
-	"os"
-	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,7 +17,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/vision"
-	"repro/internal/walog"
 )
 
 // DefaultTimeout bounds how long controller round trips (deploy,
@@ -48,7 +43,9 @@ type ControllerConfig struct {
 	// Shards is the number of controller shards the router places
 	// nodes on (1 when zero or negative — the unsharded controller).
 	// Each shard owns the full per-node state of the nodes the
-	// consistent-hash ring assigns it; Resize changes the count live.
+	// consistent-hash ring assigns it. The count is fixed for the life
+	// of the controller: a durable controller reopened with a different
+	// count re-homes its nodes during recovery.
 	Shards int
 	// OnSession, when non-nil, runs in its own goroutine for every
 	// edge session that completes its handshake — the hook ffserve
@@ -105,11 +102,11 @@ type deployment struct {
 // node name. It survives sessions — when the node reconnects, the
 // owning shard reconciles the node's reported state against the
 // intent here, and upload accounting continues without duplication —
-// and it survives re-homes: a shard-count change moves the whole
-// record to the new owner as one move-in, so the ledger high-water
-// mark, intent, and lifecycle counters never fork. Intent, Gen,
-// LastSeq, DC, and the logged parts of Drift change only in
-// shardState.apply; Evicted and Reconnects are soft.
+// and it survives re-homes: recovery under a changed shard count
+// moves the whole record to its new owner as one move-in, so the
+// ledger high-water mark, intent, and lifecycle counters never fork.
+// Intent, Gen, LastSeq, DC, and the logged parts of Drift change only
+// in shardState.apply; Evicted and Reconnects are soft.
 type nodeState struct {
 	// Intent is the intended deployment: stream -> MC name -> bytes.
 	Intent map[string]map[string]deployment
@@ -128,14 +125,14 @@ type nodeState struct {
 	Evicted int
 	// Reconnects counts resume hellos accepted for the node.
 	Reconnects int
-	// Rehomed counts moves between logs (a Resize re-home, or recovery
-	// placing the node on a different shard than its source log). The
-	// mover bumps it just before committing the move-in record that
-	// carries it, so it doubles as the node's incarnation number: when
-	// several logs hold copies of the node, the highest Rehomed wins.
+	// Rehomed counts moves between logs (recovery placing the node on a
+	// different shard than its source log). The mover bumps it just
+	// before committing the move-in record that carries it, so it
+	// doubles as the node's incarnation number: when several logs hold
+	// copies of the node, the highest Rehomed wins.
 	Rehomed int
 	// Drift is the per-(stream, MC) drift-detection state, keyed
-	// "stream/mc". It rides the node record: a Resize moves the whole
+	// "stream/mc". It rides the node record: a re-home moves the whole
 	// record, so baselines, window boundaries, and scores survive
 	// re-homes without forking or resetting.
 	Drift map[string]*driftState
@@ -143,29 +140,30 @@ type nodeState struct {
 
 // Controller is the datacenter side of the fleet control plane: a
 // thin router in front of one or more controller shards. The router
-// owns the listener, the consistent-hash ring, and the placement
-// epoch; each shard owns the session registry, exactly-once upload
-// ledger, deploy-generation intent, and datacenter stores for the
-// nodes hashed onto it. Connections are routed by the node name in
-// the hello; every datacenter API call (ListNodes, Deploy, Fetch)
-// resolves the owning shard the same way, so callers never see the
-// sharding except through ShardStats and NodeInfo.Shard.
+// owns the listener and the consistent-hash ring; each shard owns the
+// session registry, exactly-once upload ledger, deploy-generation
+// intent, and datacenter stores for the nodes hashed onto it.
+// Connections are routed by the node name in the hello; every
+// datacenter API call (ListNodes, Deploy, Fetch) resolves the owning
+// shard the same way, so callers never see the sharding except
+// through ShardStats and NodeInfo.Shard.
 type Controller struct {
 	cfg ControllerConfig
 
-	// epoch is the placement epoch, bumped (before the ring swap) by
-	// every Resize. Shards compare it against the epoch a routing
-	// decision was made under and refuse stale placements, which is
-	// what keeps a node's state on exactly one shard at all times.
-	epoch  atomic.Uint64
-	nextID atomic.Uint64 // session IDs, unique across shards
-
-	mu     sync.Mutex
-	ln     net.Listener
+	// shards and ring are fixed once OpenController returns, so routing
+	// is a pure function of the node name and reads them without a
+	// lock: a node's state lives on exactly one shard for the life of
+	// the process.
 	shards []*shard
 	ring   *ring
-	conns  map[net.Conn]struct{} // every open conn, incl. pre-hello
-	wg     sync.WaitGroup
+
+	nextID atomic.Uint64 // session IDs, unique across shards
+
+	// mu guards ln and conns.
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]struct{} // every open conn, incl. pre-hello
+	wg    sync.WaitGroup
 }
 
 // NewController constructs a controller with cfg.Shards shards. With
@@ -219,72 +217,35 @@ func OpenController(cfg ControllerConfig) (*Controller, *RecoveryStats, error) {
 		return nil, nil, err
 	}
 	cfg.Log.Info("fleet: state recovered",
-		"dirs", stats.Dirs, "nodes", stats.Nodes,
+		"dirs", stats.Dirs, "nodes", stats.Nodes, "moved", stats.Moved,
 		"records", stats.RecordsReplayed, "snapshot_bytes", stats.SnapshotBytes,
 		"torn_bytes", stats.TornBytes,
 		"replay", stats.Replay)
 	return c, stats, nil
 }
 
-// NumShards returns the current shard count.
-func (c *Controller) NumShards() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.shards)
-}
-
-// ShardOf returns the shard index currently owning a node name.
+// ShardOf returns the shard index owning a node name.
 func (c *Controller) ShardOf(node string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.ring.owner(node)
 }
 
-// placement resolves a node's owning shard together with the
-// placement epoch the answer is valid under.
-func (c *Controller) placement(node string) (int, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.owner(node), c.epoch.Load()
-}
-
-// snapshotShards returns the current shard slice for iteration.
-func (c *Controller) snapshotShards() []*shard {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*shard(nil), c.shards...)
-}
-
 // onNode runs f with the owning shard and the node's durable state,
-// both locked under the shard mutex and validated against the
-// placement epoch — the one way controller APIs touch per-node state.
-// If the epoch moves between the routing lookup and the shard lock
-// (a concurrent Resize), it re-routes and retries; the loop runs at
-// most once per concurrent resize. With create false and the node
-// unknown it returns false without calling f.
+// both under the shard mutex — the one way controller APIs touch
+// per-node state. With create false and the node unknown it returns
+// false without calling f.
 func (c *Controller) onNode(name string, create bool, f func(*shard, *nodeState)) bool {
-	for {
-		c.mu.Lock()
-		sh := c.shards[c.ring.owner(name)]
-		epoch := c.epoch.Load()
-		c.mu.Unlock()
-		sh.mu.Lock()
-		if c.epoch.Load() != epoch {
-			sh.mu.Unlock()
-			continue
+	sh := c.shards[c.ring.owner(name)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st := sh.Nodes[name]
+	if st == nil {
+		if !create {
+			return false
 		}
-		st := sh.Nodes[name]
-		if st == nil {
-			if !create {
-				sh.mu.Unlock()
-				return false
-			}
-			st = sh.node(name)
-		}
-		f(sh, st)
-		sh.mu.Unlock()
-		return true
+		st = sh.node(name)
 	}
+	f(sh, st)
+	return true
 }
 
 // Datacenter returns a merged snapshot of every node's ledger: every
@@ -294,7 +255,7 @@ func (c *Controller) onNode(name string, create bool, f func(*shard, *nodeState)
 // is consistent per shard and safe to query while sessions are live.
 func (c *Controller) Datacenter() *core.Datacenter {
 	merged := core.NewDatacenter()
-	for _, sh := range c.snapshotShards() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for name, st := range sh.Nodes {
 			merged.Absorb(name+"/", st.DC)
@@ -370,7 +331,7 @@ func (c *Controller) Serve(ln net.Listener) {
 // the next open replays no wal at all.
 func (c *Controller) Close() error {
 	err := c.teardown()
-	for _, sh := range c.snapshotShards() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		if sh.wal != nil {
 			if serr := sh.snapshotLocked(); serr != nil {
@@ -390,7 +351,7 @@ func (c *Controller) Close() error {
 // production shutdown is Close.
 func (c *Controller) Crash() {
 	_ = c.teardown()
-	for _, sh := range c.snapshotShards() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		if sh.wal != nil {
 			sh.wal.Abandon()
@@ -421,10 +382,8 @@ func (c *Controller) teardown() error {
 }
 
 // handleConn checks the protocol header, reads and validates the
-// hello, resolves the owning shard on the consistent-hash ring, and
-// hands the connection over pinned to the placement epoch. The shard
-// re-checks the epoch before registering and redirects if a resize
-// raced the hand-off. The pre-hello reads are bounded by the
+// hello, and hands the connection to the node's owning shard on the
+// consistent-hash ring. The pre-hello reads are bounded by the
 // controller timeout: a peer that dials and stalls must not pin a
 // goroutine and connection until controller shutdown. A peer
 // announcing a version this build does not speak is refused with
@@ -455,183 +414,7 @@ func (c *Controller) handleConn(conn net.Conn) error {
 	if hello.Node == "" {
 		return errors.New("fleet: hello without a node name")
 	}
-	c.mu.Lock()
-	sh := c.shards[c.ring.owner(hello.Node)]
-	epoch := c.epoch.Load()
-	c.mu.Unlock()
-	return sh.serveSession(conn, hello, epoch)
-}
-
-// Resize changes the shard count live and returns how many nodes
-// moved. New placement takes effect atomically: the placement epoch
-// bumps first, so in-flight registrations and API calls that routed
-// under the old ring abort and retry instead of landing on a shard
-// that no longer owns their node. The move itself is rehomeLocked's:
-// each moved node's whole record reaches its new owner as a durable
-// move-in, so fleet-global sums are preserved, and its live sessions
-// close with a redirect — the edge reconnects and its resume hello
-// reconciles on the new shard exactly like any other reconnect. A
-// retired shard whose move-ins did not all become durable keeps its
-// state directory for the next recovery to re-home from; Resize still
-// succeeds.
-func (c *Controller) Resize(shards int) (moved int, err error) {
-	if shards < 1 {
-		return 0, fmt.Errorf("fleet: shard count %d, need at least 1", shards)
-	}
-	c.mu.Lock()
-	old := len(c.shards)
-	if shards == old {
-		c.mu.Unlock()
-		return 0, nil
-	}
-	// A durable controller opens the new shards' state stores before
-	// committing to the resize: a store that cannot open must abort
-	// the whole operation, not leave a shard accepting state it cannot
-	// log.
-	var added []*shard
-	for i := old; i < shards; i++ {
-		sh := newShard(i, c)
-		if c.cfg.StateDir != "" {
-			if sh.wal, err = c.openShardLog(i); err != nil {
-				for _, a := range added {
-					a.wal.Close()
-				}
-				c.mu.Unlock()
-				return 0, err
-			}
-		}
-		added = append(added, sh)
-	}
-	// Epoch first, then the ring: any routing decision that read the
-	// old ring fails its epoch check, and any that reads the new
-	// epoch (via onNode's retry) blocks on c.mu until the new ring is
-	// in place. After the bump no new node record can appear under the
-	// old placement (creation paths re-check the epoch), so
-	// rehomeLocked's scan is complete.
-	epoch := c.epoch.Add(1)
-	c.shards = append(c.shards, added...)
-	c.ring = newRing(shards)
-	ring := c.ring
-	moved, redirected, _ := c.rehomeLocked(shards)
-	c.mu.Unlock()
-
-	// Tell the moved sessions why they died, best-effort, off the
-	// router lock: a partitioned edge won't get the record, but its
-	// connection loop redials regardless.
-	for _, s := range redirected {
-		_ = s.write(transport.KindRedirect,
-			Redirect{Shard: ring.owner(s.Node()), Epoch: epoch, Reason: "re-homed"})
-		s.conn.Close()
-	}
-	return moved, nil
-}
-
-// rehomeLocked is the one path that moves node records between shard
-// logs, for a Resize and for recovery alike. Under the current ring it
-// moves every node record held by a shard other than its owner: the
-// record's incarnation (Rehomed) bumps, a move-in carrying it commits
-// on the owner, and the node's sessions on the old shard close for a
-// redirect. Then it syncs each log that took a move-in, once per log,
-// and retires every shard at index keep or above: its log closes, and
-// its directory is deleted only when every move-in out of it is
-// durable — otherwise the directory is the only durable copy of those
-// nodes and stays for the next recovery to re-home from. A process
-// crash at any point therefore leaves each node's newest incarnation
-// in some log (see README, "Fsync policy and re-homing", for the one
-// power-loss window). It returns the number of nodes moved, the sessions closed,
-// and the sorted indices of the shards some move-in out of which did
-// not become durable. Callers hold c.mu (or own a controller that does
-// not serve yet), with c.ring built for keep shards.
-func (c *Controller) rehomeLocked(keep int) (moved int, redirected []*Session, lost []int) {
-	type move struct {
-		node     string
-		from, to int
-	}
-	var moves []move
-	for idx, sh := range c.shards {
-		sh.mu.Lock()
-		for name := range sh.Nodes {
-			if to := c.ring.owner(name); to != idx {
-				moves = append(moves, move{node: name, from: idx, to: to})
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(moves, func(i, j int) bool { return moves[i].node < moves[j].node })
-
-	epoch := c.epoch.Load()
-	failed := make(map[int]bool)   // sources with a move-in not durable
-	sources := make(map[int][]int) // target -> the sources of its move-ins
-	for _, m := range moves {
-		from, to := c.shards[m.from], c.shards[m.to]
-		from.mu.Lock()
-		st := from.Nodes[m.node]
-		delete(from.Nodes, m.node)
-		for id, s := range from.sessions {
-			if s.Node() == m.node {
-				// Not an eviction: the node did nothing wrong, the map
-				// changed. markDone pins ErrRedirected as the terminal
-				// error, so the post-run liveness accounting in
-				// serveSession cannot also count this session.
-				s.markDone(ErrRedirected)
-				delete(from.sessions, id)
-				redirected = append(redirected, s)
-			}
-		}
-		from.mu.Unlock()
-		// The move-in record carries the node's full state at its next
-		// incarnation: whichever log last wrote the node at the highest
-		// Rehomed wins recovery, so the stale copy still sitting in the
-		// source shard's log can never resurrect.
-		to.mu.Lock()
-		st.Rehomed++
-		if !to.commit(&moveInRec{Name: m.node, Node: st}) {
-			failed[m.from] = true
-		}
-		to.mu.Unlock()
-		sources[m.to] = append(sources[m.to], m.from)
-		c.cfg.Log.Info("fleet: node re-homed",
-			"node", m.node, "from", m.from, "to", m.to, "epoch", epoch)
-	}
-	for _, to := range slices.Sorted(maps.Keys(sources)) {
-		sh := c.shards[to]
-		sh.mu.Lock()
-		synced := sh.wal == nil || sh.wal.Sync() == nil
-		sh.mu.Unlock()
-		if !synced {
-			for _, from := range sources[to] {
-				failed[from] = true
-			}
-		}
-	}
-	for _, sh := range c.shards[keep:] {
-		sh.mu.Lock()
-		w := sh.wal
-		sh.wal = nil
-		sh.mu.Unlock()
-		if w == nil {
-			continue
-		}
-		dir := w.Dir()
-		w.Close()
-		if failed[sh.id] {
-			c.cfg.Log.Error("fleet: retired shard's move-ins not durable, keeping state dir", "dir", dir)
-			continue
-		}
-		_ = os.RemoveAll(dir)
-	}
-	c.shards = c.shards[:keep]
-	return len(moves), redirected, slices.Sorted(maps.Keys(failed))
-}
-
-// openShardLog opens shard i's log under StateDir, creating it if
-// absent.
-func (c *Controller) openShardLog(i int) (*walog.Log, error) {
-	l, err := walog.Open(filepath.Join(c.cfg.StateDir, shardDirName(i)))
-	if err != nil {
-		return nil, fmt.Errorf("fleet: open shard log %d: %w", i, err)
-	}
-	return l, nil
+	return c.shards[c.ring.owner(hello.Node)].serveSession(conn, hello)
 }
 
 // reconcileItem is one reconciliation push: a re-deploy of missing
@@ -724,7 +507,7 @@ type NodeInfo struct {
 // sorted by node name then session ID.
 func (c *Controller) ListNodes() []NodeInfo {
 	var infos []NodeInfo
-	for _, sh := range c.snapshotShards() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sessions := make([]*Session, 0, len(sh.sessions))
 		for _, s := range sh.sessions {
@@ -764,7 +547,7 @@ func (c *Controller) ListNodes() []NodeInfo {
 // resume) and resume hellos accepted. Both survive the sessions they
 // count, and both ride the node records through re-homes.
 func (c *Controller) Lifecycle() (evicted, reconnects int) {
-	for _, sh := range c.snapshotShards() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for _, st := range sh.Nodes {
 			evicted += st.Evicted
@@ -775,27 +558,12 @@ func (c *Controller) Lifecycle() (evicted, reconnects int) {
 	return evicted, reconnects
 }
 
-// Rehomed returns how many node moves the controller's resizes have
-// performed in total (a node moved twice counts twice).
-func (c *Controller) Rehomed() int {
-	total := 0
-	for _, sh := range c.snapshotShards() {
-		sh.mu.Lock()
-		for _, st := range sh.Nodes {
-			total += st.Rehomed
-		}
-		sh.mu.Unlock()
-	}
-	return total
-}
-
 // ShardStats snapshots every shard's load — node and session counts,
-// its nodes' ledger totals, redirect counts, heartbeat-gap digests —
-// ordered by shard index.
+// its nodes' ledger totals, heartbeat-gap digests — ordered by shard
+// index.
 func (c *Controller) ShardStats() []ShardStat {
-	shards := c.snapshotShards()
-	stats := make([]ShardStat, 0, len(shards))
-	for _, sh := range shards {
+	stats := make([]ShardStat, 0, len(c.shards))
+	for _, sh := range c.shards {
 		stats = append(stats, sh.stats())
 	}
 	return stats
@@ -807,9 +575,8 @@ func (c *Controller) ShardStats() []ShardStat {
 // fleet rollup; the result is identical to summarizing the
 // concatenation (the merge is associative and commutative).
 func (c *Controller) ShardLoads() [][]metrics.NodeLoad {
-	shards := c.snapshotShards()
-	loads := make([][]metrics.NodeLoad, 0, len(shards))
-	for _, sh := range shards {
+	loads := make([][]metrics.NodeLoad, 0, len(c.shards))
+	for _, sh := range c.shards {
 		loads = append(loads, sh.loads())
 	}
 	return loads
@@ -866,9 +633,7 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 	err := sess.deploy(stream, mc, threshold, gen, info.Version)
 	if err != nil && nameErr == nil && errors.Is(err, ErrRejected) {
 		// The node answered and refused: this intent can never apply.
-		// Roll back to the previous deployment, or to none. The rollback
-		// re-resolves the node record — a resize may have moved it to
-		// another shard mid round trip.
+		// Roll back to the previous deployment, or to none.
 		c.onNode(node, true, func(sh *shard, st *nodeState) {
 			sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: name,

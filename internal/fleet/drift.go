@@ -69,8 +69,8 @@ func (d *DriftConfig) fillDefaults() {
 // derives tumbling windows of at least MinCount observations by
 // subtracting the snapshot at the last window boundary, and scores
 // each window against the baseline frozen when the pair first reached
-// MinCount. The state lives in nodeState, so a Resize re-home moves
-// it wholesale with the node record and no window is ever lost or
+// MinCount. The state lives in nodeState, so a re-home moves it
+// wholesale with the node record and no window is ever lost or
 // double-scored across shards. Only the baseline freeze is logged (a
 // driftBaselineRec, which starts the pair over at the baseline);
 // everything after it — window boundary, scores, drifted flag — is
@@ -174,8 +174,7 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 // the session reader goroutine. It runs the drift observer over the
 // heartbeat's sketches, commits the baseline freezes it returns, and
 // logs threshold transitions; a heartbeat landing after the session
-// died or the node re-homed is ignored, mirroring acceptUpload's
-// staleness rules.
+// died is ignored, mirroring acceptUpload.
 func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 	if len(hb.Scores) == 0 {
 		return
@@ -187,12 +186,7 @@ func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
 		return
 	default:
 	}
-	st := sh.Nodes[s.node]
-	if st == nil {
-		sh.mu.Unlock()
-		return
-	}
-	events, freezes := observeScores(st, s.node, hb.Scores, hb.ScoreVersions, sh.c.cfg.Drift)
+	events, freezes := observeScores(sh.Nodes[s.node], s.node, hb.Scores, hb.ScoreVersions, sh.c.cfg.Drift)
 	for _, rec := range freezes {
 		sh.commit(rec)
 	}
@@ -235,7 +229,7 @@ type DriftReport struct {
 // drift state across all shards, sorted by node, stream, then MC.
 func (c *Controller) DriftReports() []DriftReport {
 	var out []DriftReport
-	for _, sh := range c.snapshotShards() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for name, st := range sh.Nodes {
 			for key, ds := range st.Drift {

@@ -290,18 +290,8 @@ func TestEndToEndOverTCP(t *testing.T) {
 			hb.Streams["cam0"].UploadedBits >= dcBase.TotalBits("fleet-mc")
 	})
 
-	// The merged view is built from the node ledgers: it reads the same
-	// after the node's ledger moves out to another shard and back.
-	grow := 2
-	for newRing(grow).owner("edge-1") == 0 {
-		grow++
-	}
-	if moved, err := ctrl.Resize(grow); err != nil || moved != 1 {
-		t.Fatalf("grow to %d shards moved %d nodes (err %v), want edge-1", grow, moved, err)
-	}
-	if moved, err := ctrl.Resize(1); err != nil || moved != 1 {
-		t.Fatalf("shrink moved %d nodes (err %v), want edge-1", moved, err)
-	}
+	// The merged view is built from the node ledgers: it holds exactly
+	// the uploads OnUpload saw.
 	waitFor(t, "reference ledger", func() bool {
 		refMu.Lock()
 		defer refMu.Unlock()

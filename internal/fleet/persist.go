@@ -9,6 +9,7 @@ import (
 	"io"
 	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"time"
 
@@ -66,13 +67,13 @@ const (
 	// prefixed, then the upload in transport.UploadRecord's binary
 	// layout (see uploadRec).
 	wrecUpload uint8 = 13
-	// wrecMoveIn records a node state arriving on this shard — a
-	// Resize re-home, recovery placing a node on a different shard
-	// than the log it was recovered from, or a snapshot, which holds
-	// one per node. The payload is the nodeState itself; apply adopts
-	// it wholesale, and the Rehomed counter acts as the incarnation
-	// number that picks the winner when several logs hold copies of the
-	// same node. Only a mover bumps Rehomed; a snapshot never does.
+	// wrecMoveIn records a node state arriving on this shard — recovery
+	// placing a node on a different shard than the log it was recovered
+	// from, or a snapshot, which holds one per node. The payload is the
+	// nodeState itself; apply adopts it wholesale, and the Rehomed
+	// counter acts as the incarnation number that picks the winner when
+	// several logs hold copies of the same node. Only a mover bumps
+	// Rehomed; a snapshot never does.
 	wrecMoveIn uint8 = 14
 	// Kind 2 was the gob-encoded upload record, kinds 4, 5 and 6 the
 	// retired canary's start, install-epoch and verdict records, kinds 8
@@ -195,8 +196,7 @@ func newShardState() shardState {
 }
 
 // node returns (creating if needed) the record for a node name. Live
-// callers hold the shard mutex and own the node under the current
-// placement epoch.
+// callers hold the shard mutex.
 func (s *shardState) node(name string) *nodeState {
 	st := s.Nodes[name]
 	if st == nil {
@@ -384,6 +384,10 @@ type RecoveryStats struct {
 	// Nodes is the number of node records recovered (after resolving
 	// duplicates across logs by incarnation).
 	Nodes int
+	// Moved is the number of node records re-homed onto a different
+	// shard than the log they were recovered from — nonzero when the
+	// shard count changed since the state was written.
+	Moved int
 	// RecordsReplayed counts wal records applied across all logs
 	// (snapshot contents not included).
 	RecordsReplayed int
@@ -405,11 +409,11 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 // directory gets a fresh log. Where several logs hold the same node,
 // the copy of highest incarnation (Rehomed) wins, then the higher
 // generation, then the lower directory index, and the others are
-// dropped. rehomeLocked then moves each node to its owner and retires
-// the out-of-range shards exactly as Resize does; recovery fails if
-// any move-in did not become durable. Called once from OpenController
-// before the controller serves. Every log it opens lives in c.shards,
-// so OpenController's cleanup closes them all on failure.
+// dropped. rehome then moves each node to its owner and retires the
+// out-of-range shards; recovery fails if any move-in did not become
+// durable. Called once from OpenController before the controller
+// serves. Every log it opens lives in c.shards, so OpenController's
+// cleanup closes them all on failure.
 func (c *Controller) recoverState() (*RecoveryStats, error) {
 	start := time.Now()
 	stats := &RecoveryStats{}
@@ -444,8 +448,9 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	stats.Dirs = len(paths)
 	for _, sh := range c.shards[:keep] {
 		if sh.wal == nil {
-			if sh.wal, err = c.openShardLog(sh.id); err != nil {
-				return nil, err
+			path := filepath.Join(c.cfg.StateDir, shardDirName(sh.id))
+			if sh.wal, err = walog.Open(path); err != nil {
+				return nil, fmt.Errorf("fleet: open shard log %s: %w", path, err)
 			}
 		}
 	}
@@ -472,7 +477,8 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	}
 	stats.Nodes = len(held)
 
-	if _, _, lost := c.rehomeLocked(keep); len(lost) > 0 {
+	var lost []int
+	if stats.Moved, lost = c.rehome(keep); len(lost) > 0 {
 		return nil, fmt.Errorf("fleet: recovery: move-ins out of shards %v are not durable", lost)
 	}
 	// Compact: with move-ins durable, snapshot order across shards no
@@ -485,4 +491,75 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 
 	stats.Replay = time.Since(start)
 	return stats, nil
+}
+
+// rehome is recovery's re-shard and the one path that moves node
+// records between shard logs. Under c.ring, built for keep shards, it
+// moves every node record held by a shard other than its owner: the
+// record's incarnation (Rehomed) bumps and a move-in carrying it
+// commits on the owner. Then it syncs each log that took a move-in,
+// once per log, and retires every shard at index keep or above: its
+// log closes, and its directory is deleted only when every move-in out
+// of it is durable — otherwise the directory is the only durable copy
+// of those nodes and stays for the next recovery to re-home from. A
+// process crash at any point therefore leaves each node's newest
+// incarnation in some log (see README, "Fsync policy and re-homing",
+// for the one power-loss window). It returns the number of nodes moved
+// and the sorted indices of the shards some move-in out of which did
+// not become durable. The controller must not serve yet.
+func (c *Controller) rehome(keep int) (moved int, lost []int) {
+	type move struct {
+		node     string
+		from, to int
+	}
+	var moves []move
+	for idx, sh := range c.shards {
+		for name := range sh.Nodes {
+			if to := c.ring.owner(name); to != idx {
+				moves = append(moves, move{node: name, from: idx, to: to})
+			}
+		}
+	}
+	slices.SortFunc(moves, func(a, b move) int { return cmp.Compare(a.node, b.node) })
+
+	failed := make(map[int]bool)   // sources with a move-in not durable
+	sources := make(map[int][]int) // target -> the sources of its move-ins
+	for _, m := range moves {
+		from, to := c.shards[m.from], c.shards[m.to]
+		st := from.Nodes[m.node]
+		delete(from.Nodes, m.node)
+		// The move-in record carries the node's full state at its next
+		// incarnation: whichever log last wrote the node at the highest
+		// Rehomed wins recovery, so the stale copy still sitting in the
+		// source shard's log can never resurrect.
+		st.Rehomed++
+		if !to.commit(&moveInRec{Name: m.node, Node: st}) {
+			failed[m.from] = true
+		}
+		sources[m.to] = append(sources[m.to], m.from)
+		c.cfg.Log.Info("fleet: node re-homed", "node", m.node, "from", m.from, "to", m.to)
+	}
+	for _, to := range slices.Sorted(maps.Keys(sources)) {
+		if w := c.shards[to].wal; w != nil && w.Sync() != nil {
+			for _, from := range sources[to] {
+				failed[from] = true
+			}
+		}
+	}
+	for _, sh := range c.shards[keep:] {
+		w := sh.wal
+		sh.wal = nil
+		if w == nil {
+			continue
+		}
+		dir := w.Dir()
+		w.Close()
+		if failed[sh.id] {
+			c.cfg.Log.Error("fleet: retired shard's move-ins not durable, keeping state dir", "dir", dir)
+			continue
+		}
+		_ = os.RemoveAll(dir)
+	}
+	c.shards = c.shards[:keep]
+	return len(moves), slices.Sorted(maps.Keys(failed))
 }

@@ -385,7 +385,7 @@ func TestCompactionAmortized(t *testing.T) {
 	ctrl.Serve(ln)
 	defer func() { ctrl.Crash() }()
 	edge := dialScripted(t, n, Hello{Node: "edge-1"})
-	sh := ctrl.snapshotShards()[0]
+	sh := ctrl.shards[0]
 	walSize := func() int64 {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -495,7 +495,7 @@ func TestFailedCompactionRetriesAfterSnapshotEvery(t *testing.T) {
 	for seq := uint64(1); seq <= uploads; seq++ {
 		edge.upload(seq, 10*int(seq))
 	}
-	sh := ctrl.snapshotShards()[0]
+	sh := ctrl.shards[0]
 	sh.mu.Lock()
 	pending := sh.wal.Pending()
 	sh.mu.Unlock()

@@ -74,22 +74,6 @@ type Welcome struct {
 	Shard int
 }
 
-// Redirect refuses or terminates a session because the node belongs
-// to a different controller shard (datacenter → edge). The edge
-// treats it like any other lost session: it redials, and its resume
-// hello reconciles ledger and deploy state on the owning shard.
-type Redirect struct {
-	// Shard is the owning shard at the time of the redirect — purely
-	// informational for a single-address fleet, where redialing the
-	// same endpoint routes correctly.
-	Shard int
-	// Epoch is the placement epoch the redirect was issued under.
-	Epoch uint64
-	// Reason describes why the session was turned away ("re-homed",
-	// "stale placement").
-	Reason string
-}
-
 // DeployRequest ships a microclassifier to an edge stream
 // (datacenter → edge). MC is the filter.(*MC).Save stream — the
 // architecture spec, the nn serializer's weight records, and the

@@ -148,7 +148,7 @@ type loggedState struct {
 
 func captureLogged(c *Controller) loggedState {
 	ls := loggedState{Nodes: map[string]nodeState{}, Intents: map[string]string{}}
-	for _, sh := range c.snapshotShards() {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		ls.Shards = append(ls.Shards, slices.Sorted(maps.Keys(sh.Nodes)))
 		for name, st := range sh.Nodes {
@@ -212,10 +212,12 @@ func nodeNames(prefix string, moving bool, count int) []string {
 // TestReplayEqualsLive drives one scripted sequence that emits every
 // WAL record kind, captures the logged state, crashes the controller,
 // recovers it, and requires the recovered state to equal the live one
-// field for field. With compaction off recovery is pure WAL replay, so
-// any mutation the live path makes that apply does not (or the other
-// way round) shows up as a difference; the second run forces a
-// snapshot mid-sequence so the same holds for snapshot + tail.
+// field for field. The sequence opens with a grow and a shrink by
+// restart, whose recoveries compact; after them compaction is off and
+// everything else recovers by pure WAL replay, so any mutation the live
+// path makes that apply does not (or the other way round) shows up as a
+// difference. The second run forces a snapshot mid-sequence so the same
+// holds for snapshot + tail.
 func TestReplayEqualsLive(t *testing.T) {
 	for _, midSnapshot := range []bool{false, true} {
 		t.Run(fmt.Sprintf("snapshot=%v", midSnapshot), func(t *testing.T) {
@@ -226,29 +228,54 @@ func TestReplayEqualsLive(t *testing.T) {
 
 func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 	n := simnet.New(chaosSeed)
-	ln, err := n.Listen("dc")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := ControllerConfig{
 		Timeout:       5 * time.Second,
-		Shards:        2,
 		StateDir:      t.TempDir(),
 		SnapshotEvery: -1,
 		Drift:         DriftConfig{MinCount: 8},
 	}
-	ctrl, _, err := OpenController(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var ctrl *Controller
+	// open (re)starts the controller at a shard count on a new listener.
+	open := func(shards int) {
+		t.Helper()
+		ln, err := n.Listen("dc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Shards = shards
+		if ctrl, _, err = OpenController(cfg); err != nil {
+			t.Fatal(err)
+		}
+		ctrl.Serve(ln)
 	}
-	ctrl.Serve(ln)
+	open(2)
 	defer func() { ctrl.Crash() }() // a no-op after the scripted crash
 
-	// The scripted node stays put through the resizes below: a move-in
-	// carries a node's whole state, and would paper over whatever the
-	// records before it failed to replay.
-	node := nodeNames("edge", false, 1)[0]
+	// ---- Re-shard by restart: a grow (move-in), a ledger on the new
+	// shard, a shrink (move-in back, ledger included). It comes first
+	// because recovery compacts every log: what the rest of the script
+	// logs then stays in the wal the final recovery replays. -----------
 	mc1 := saveVersionedMC(t, "mc-1", 11, 1)
+	movers := nodeNames("ghost", true, 2)
+	for _, name := range movers {
+		if err := ctrl.Deploy(name, "cam0", mc1, 0.5); !errors.Is(err, ErrDeferred) {
+			t.Fatalf("offline deploy to %s: %v", name, err)
+		}
+	}
+	ctrl.Crash()
+	open(3)
+	late := dialScripted(t, n, Hello{Node: movers[0], DeployGen: 1, Deployed: map[string][]string{"cam0": {"mc-1"}}})
+	late.upload(1, 0)
+	late.upload(2, 10)
+	late.conn.Close()
+	if stats := ctrl.ShardStats(); stats[2].Uploads != 2 {
+		t.Fatalf("shard 2 ledger before the shrink: %+v", stats[2])
+	}
+	ctrl.Crash()
+	open(2)
+
+	// The scripted node is one the re-shards left in place.
+	node := nodeNames("edge", false, 1)[0]
 	edge := dialScripted(t, n, Hello{Node: node})
 	wantGen := func(want uint64) {
 		t.Helper()
@@ -298,7 +325,7 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 	// Half way: everything above recovers from the snapshot, everything
 	// below from the log.
 	if midSnapshot {
-		for _, sh := range ctrl.snapshotShards() {
+		for _, sh := range ctrl.shards {
 			sh.mu.Lock()
 			err := sh.snapshotLocked()
 			sh.mu.Unlock()
@@ -321,31 +348,10 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 	edge.upload(1, 30) // a new incarnation's first upload, not a duplicate
 	edge.conn.Close()
 
-	// ---- Resize: grow (move-in), ledger on the new shard, shrink
-	// (move-in back, ledger included). ---------------------------------
-	movers := nodeNames("ghost", true, 2)
-	for _, name := range movers {
-		if err := ctrl.Deploy(name, "cam0", mc1, 0.5); !errors.Is(err, ErrDeferred) {
-			t.Fatalf("offline deploy to %s: %v", name, err)
-		}
-	}
-	if moved, err := ctrl.Resize(3); err != nil || moved < len(movers) {
-		t.Fatalf("grow moved %d nodes (err %v), want at least %d", moved, err, len(movers))
-	}
-	late := dialScripted(t, n, Hello{Node: movers[0], DeployGen: 1, Deployed: map[string][]string{"cam0": {"mc-1"}}})
-	late.upload(1, 0)
-	late.upload(2, 10)
-	late.conn.Close()
-	if stats := ctrl.ShardStats(); stats[2].Uploads != 2 {
-		t.Fatalf("shard 2 ledger before the shrink: %+v", stats[2])
-	}
-	if _, err := ctrl.Resize(2); err != nil {
-		t.Fatal(err)
-	}
-
 	// ---- Crash, recover from the log, compare. -----------------------
 	live := captureLogged(ctrl)
-	// The shrink moved the mover back home, its 2 uploads with it.
+	// The shrinking restart moved the mover back home, its 2 uploads
+	// with it.
 	mover := live.Nodes[movers[0]]
 	home := newRing(2).owner(movers[0])
 	if uploads, _ := mover.DC.Totals(); !slices.Contains(live.Shards[home], movers[0]) || mover.Rehomed != 2 || uploads != 2 ||

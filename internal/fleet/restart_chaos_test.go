@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -392,13 +393,14 @@ func TestRestartRecoversDeferredIntent(t *testing.T) {
 	}
 }
 
-// TestResizeShrinkMoveInDurable checks that a shrink carries every
-// ledger to its new owner as a durable move-in: after Resize retires two
-// of three shards, their directories are gone, and a crash (no
-// snapshot, so recovery is pure wal replay) followed by two recoveries
-// must find every node's ledger, the ShardStats totals, and the merged
-// Datacenter view equal to the edges' ground truth.
-func TestResizeShrinkMoveInDurable(t *testing.T) {
+// TestRestartShrinkMoveInDurable checks that a restart under fewer
+// shards carries every ledger to its new owner as a durable move-in:
+// state crashed at 3 shards (no snapshot, so the ledgers live only in
+// the wals) reopens at 1, the two retired directories are gone, and
+// every node's ledger, the ShardStats totals, and the merged Datacenter
+// view equal the edges' ground truth — and read the same after two more
+// recoveries.
+func TestRestartShrinkMoveInDurable(t *testing.T) {
 	stateDir := t.TempDir()
 	n := simnet.New(chaosSeed)
 	ln, err := n.Listen("dc")
@@ -447,9 +449,10 @@ func TestResizeShrinkMoveInDurable(t *testing.T) {
 			return total == c.gtCount()
 		})
 	}
-	retiring := 0
+	retiring, retiringNodes := 0, 0
 	for _, s := range ctrl.ShardStats()[1:] {
 		retiring += s.Uploads
+		retiringNodes += s.Nodes
 	}
 	if retiring == 0 {
 		t.Fatal("the retiring shards own no uploads; the shrink would move no ledger")
@@ -457,9 +460,15 @@ func TestResizeShrinkMoveInDurable(t *testing.T) {
 	for _, c := range agents {
 		c.agent.Close()
 	}
+	ctrl.Crash()
 
-	if _, err := ctrl.Resize(1); err != nil {
+	cfg.Shards = 1
+	ctrl, stats, err := OpenController(cfg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Moved != retiringNodes {
+		t.Fatalf("recovery moved %d nodes, the retired shards held %d", stats.Moved, retiringNodes)
 	}
 	// Retired stores are gone once the move-ins out of them are durable.
 	for i := 1; i < 3; i++ {
@@ -470,10 +479,10 @@ func TestResizeShrinkMoveInDurable(t *testing.T) {
 	checkLedgers(t, ctrl, agents)
 	ctrl.Crash()
 
-	// Recover twice: the second replays the same snapshot-less wal over
-	// again and must read the same.
+	// Recover twice: the second reads the same state over again and
+	// must find the same.
 	for round := 1; round <= 2; round++ {
-		ctrl, _, err = OpenController(ControllerConfig{Timeout: 5 * time.Second, Shards: 1, StateDir: stateDir})
+		ctrl, _, err = OpenController(cfg)
 		if err != nil {
 			t.Fatalf("recovery %d: %v", round, err)
 		}
@@ -482,12 +491,12 @@ func TestResizeShrinkMoveInDurable(t *testing.T) {
 	}
 }
 
-// TestResizeShrinkKeepsUndurableDir checks the other half of the shrink
-// contract: when a move-in out of a retired shard does not reach its new
-// owner's log, the retired directory is the only durable copy of the
-// node, so Resize keeps it and the next recovery re-homes the node from
-// it, ledger and all.
-func TestResizeShrinkKeepsUndurableDir(t *testing.T) {
+// TestRestartShrinkKeepsUndurableDir checks the other half of the
+// shrink contract: when a move-in out of a retired shard does not reach
+// its new owner's log, the retired directory is the only durable copy
+// of the node, so rehome keeps it and the next recovery re-homes the
+// node from it, ledger and all.
+func TestRestartShrinkKeepsUndurableDir(t *testing.T) {
 	n := simnet.New(chaosSeed)
 	ln, err := n.Listen("dc")
 	if err != nil {
@@ -509,13 +518,13 @@ func TestResizeShrinkKeepsUndurableDir(t *testing.T) {
 	edge.upload(2, 10)
 	edge.conn.Close()
 
-	// Shard 0's log stops taking appends: the move-in fails.
-	sh0 := ctrl.snapshotShards()[0]
-	sh0.mu.Lock()
-	sh0.wal.Abandon()
-	sh0.mu.Unlock()
-	if _, err := ctrl.Resize(1); err != nil {
-		t.Fatal(err)
+	// Run recovery's shrink by hand on the drained controller, with
+	// shard 0's log refusing appends: the move-in fails.
+	_ = ctrl.teardown()
+	ctrl.shards[0].wal.Abandon()
+	ctrl.ring = newRing(1)
+	if moved, lost := ctrl.rehome(1); moved != 1 || !slices.Equal(lost, []int{1}) {
+		t.Fatalf("rehome moved %d nodes, lost move-ins out of %v; want 1 and [1]", moved, lost)
 	}
 	retired := filepath.Join(cfg.StateDir, shardDirName(1))
 	if _, err := os.Stat(retired); err != nil {
@@ -650,11 +659,11 @@ func TestRestartAfterShardCountGrow(t *testing.T) {
 	}
 }
 
-// TestRestartAfterRuntimeGrowCrash checks a live grow followed by a
-// crash: Resize 1→3 re-homes nodes while their agents are connected
-// (they follow the redirect to the new owner), more uploads land, and a
-// crash with no snapshot leaves recovery only the move-in records to
-// place each ledger by. Two recoveries at 3 shards must both find every
+// TestRestartAfterRuntimeGrowCrash checks a grow by restart under a
+// connected fleet: a 1-shard controller crashes with its agents
+// connected and reopens at 3 shards, re-homing nodes during recovery;
+// the agents resume on their new owners and more uploads land, and a
+// final crash must leave two recoveries at 3 shards both finding every
 // ledger equal to the edges' ground truth.
 func TestRestartAfterRuntimeGrowCrash(t *testing.T) {
 	stateDir := t.TempDir()
@@ -674,6 +683,11 @@ func TestRestartAfterRuntimeGrowCrash(t *testing.T) {
 	for _, name := range []string{"edge-0", "edge-1", "edge-2", "edge-3", "edge-4", "edge-5"} {
 		agents = append(agents, mkRestartAgent(t, n, name))
 	}
+	defer func() {
+		for _, c := range agents {
+			c.agent.Close()
+		}
+	}()
 	mc := saveVersionedMC(t, "mc-1", 11, 1)
 	for _, c := range agents {
 		if err := ctrl.Deploy(c.name, "cam0", mc, -1); err != nil {
@@ -699,13 +713,20 @@ func TestRestartAfterRuntimeGrowCrash(t *testing.T) {
 	}
 	landed()
 
-	moved, err := ctrl.Resize(3)
+	ctrl.Crash()
+	ln2, err := n.Listen("dc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved == 0 {
+	cfg.Shards = 3
+	ctrl, stats, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Moved == 0 {
 		t.Fatal("the grow moved no node; the test would not cross a log")
 	}
+	ctrl.Serve(ln2)
 	for _, c := range agents {
 		c.feed(t, 8)
 	}
@@ -723,7 +744,6 @@ func TestRestartAfterRuntimeGrowCrash(t *testing.T) {
 	checkLedgers(t, ctrl, agents)
 	ctrl.Crash()
 
-	cfg.Shards = 3
 	for round := 1; round <= 2; round++ {
 		ctrl, _, err = OpenController(cfg)
 		if err != nil {
@@ -778,7 +798,7 @@ func TestRestartFromSparseDirs(t *testing.T) {
 		if stats.Nodes != len(names) {
 			t.Fatalf("recovery %d found %d nodes, want %d", round, stats.Nodes, len(names))
 		}
-		shards := ctrl.snapshotShards()
+		shards := ctrl.shards
 		if len(shards) != 2 {
 			t.Fatalf("recovery %d left %d shards, want 2", round, len(shards))
 		}

@@ -9,7 +9,7 @@ import (
 // ringVnodes is the number of virtual nodes each shard contributes to
 // the consistent-hash ring. 64 points per shard keeps the load spread
 // within a few percent of uniform at fleet scale while the ring stays
-// small enough to rebuild on every resize.
+// small enough to build on every controller open.
 const ringVnodes = 64
 
 // ringPoint is one virtual node on the ring.
@@ -23,8 +23,9 @@ type ringPoint struct {
 // to the shard owning the first point at or after the node's own
 // hash. Growing the shard count only moves nodes whose successor
 // point now belongs to a new shard; shrinking only moves the retired
-// shards' nodes — both are the minimal-movement property that makes
-// mid-soak re-homes cheap and deterministic.
+// shards' nodes — both are the minimal-movement property that keeps
+// the re-homes of a restart under a new shard count few and
+// deterministic.
 type ring struct {
 	shards int
 	points []ringPoint

@@ -14,8 +14,9 @@ func ringNames(n int) []string {
 }
 
 // TestRingDeterministic pins that placement is a pure function of the
-// (node, shard count) pair — two routers with the same shard count
-// must agree on every node, or redirects would loop forever.
+// (node, shard count) pair — two controllers with the same shard
+// count must agree on every node, or a restart would re-home nodes
+// whose count never changed.
 func TestRingDeterministic(t *testing.T) {
 	a, b := newRing(4), newRing(4)
 	for _, name := range ringNames(500) {
@@ -48,7 +49,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingMinimalMovementGrow pins the consistent-hashing contract on
 // growth: a node either keeps its owner or moves to one of the NEW
 // shards. Growing never shuffles nodes between surviving shards —
-// that is what makes a live Resize cheap.
+// that is what keeps re-sharding by restart cheap.
 func TestRingMinimalMovementGrow(t *testing.T) {
 	before, after := newRing(4), newRing(6)
 	moved := 0

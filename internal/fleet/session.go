@@ -28,10 +28,11 @@ var ErrLiveness = errors.New("fleet: heartbeat liveness timeout")
 // the node reconnected: the resumed session replaces the stale one.
 var ErrEvicted = errors.New("fleet: session replaced by reconnect")
 
-// ErrRedirected terminates a session whose node was re-homed to
-// another controller shard (a shard-count change moved it on the
-// consistent-hash ring). The edge reconnects and resumes on the new
-// owner; the agent surfaces the count via Rehomes.
+// ErrRedirected once terminated a session whose node a live
+// shard-count change moved to another controller shard.
+//
+// Deprecated: the shard count is fixed for the life of a controller,
+// so nothing returns or sends it; re-sharding is a restart.
 var ErrRedirected = errors.New("fleet: session re-homed to another shard")
 
 // Session is the controller's view of one connected edge node. Its
@@ -284,10 +285,9 @@ func (s *Session) write(kind uint8, payload any) error {
 // decides whether an upload is fresh (accepted → counted by Received)
 // and whether to ack it. The two are distinct: a dedup-dropped
 // retransmission is refused but still acked so the edge retires it,
-// while an upload refused because this shard no longer owns the node
-// must NOT be acked — the edge keeps it buffered and resends to the
-// node's new owner, or exactly-once would silently become at-most-once
-// across a re-home.
+// while an upload refused because the session is done or its record
+// did not reach the wal must NOT be acked — the edge keeps it buffered
+// and resends it, or exactly-once would silently become at-most-once.
 func (s *Session) run(onUpload func(*Session, transport.UploadRecord) (accept, ack bool)) error {
 	err := s.readLoop(onUpload)
 	s.markDone(err)

@@ -19,9 +19,9 @@ import (
 // ring places on it. Every per-node guarantee the monolithic
 // controller gave — upload dedup by sequence high-water mark, intent
 // reconciliation on resume, lifecycle counting — holds within a
-// shard, and a node only ever lives on one shard at a time (the
-// placement-epoch check in serveSession enforces it), so the
-// guarantees compose to fleet-global ones.
+// shard, and a node lives on exactly one shard for the life of the
+// process (the shard set and ring never change once the controller
+// opens), so the guarantees compose to fleet-global ones.
 type shard struct {
 	id int
 	c  *Controller
@@ -32,9 +32,6 @@ type shard struct {
 	// included. Its logged fields change only through commit (log, then
 	// apply); see persist.go.
 	shardState
-	// redirects counts hellos and sessions this shard turned away
-	// because the placement epoch moved under them.
-	redirects int
 	// wal is the shard's durable state store (nil on an in-memory
 	// controller): commit appends every record here before applying
 	// it, and snapshots compact it. Guarded by mu.
@@ -77,13 +74,8 @@ func (sh *shard) liveSessionLocked(node string) *Session {
 }
 
 // serveSession registers and runs one edge session whose hello the
-// router validated. epoch is the placement epoch the routing decision
-// was made under: if a concurrent Resize moved it before the
-// registration critical section, the shard mutates nothing and
-// redirects — the edge redials and the (new) owner registers it. The
-// check sits before any state change, so a stale placement can never
-// split a node's ledger or lifecycle counters across shards.
-func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
+// router validated and routed to this shard, the node's owner.
+func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 	cfg := &sh.c.cfg
 	liveness := time.Duration(0)
 	if cfg.HeartbeatMiss > 0 && hello.HeartbeatEvery > 0 {
@@ -91,22 +83,6 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 	}
 
 	sh.mu.Lock()
-	if sh.c.epoch.Load() != epoch {
-		// Placement moved while the hello was in flight. The routing
-		// decision may still be right (most resizes move few nodes),
-		// but re-checking here would need c.mu under sh.mu — the wrong
-		// lock order. Turning the hello away is always safe: redials
-		// are cheap and re-route under the new epoch.
-		sh.redirects++
-		sh.mu.Unlock()
-		if err := transport.WriteHeader(conn, transport.Version2); err != nil {
-			return err
-		}
-		shardNow, epochNow := sh.c.placement(hello.Node)
-		_ = transport.WriteRecordDeadline(conn, transport.KindRedirect,
-			Redirect{Shard: shardNow, Epoch: epochNow, Reason: "stale placement"}, cfg.Timeout)
-		return ErrRedirected
-	}
 	// A node has at most one live session: a returning node (crashed,
 	// partitioned, or NATed onto a new connection) replaces its stale
 	// session, which the registry would otherwise serve round trips to.
@@ -172,17 +148,11 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 	}
 	err := s.run(sh.acceptUpload)
 	// Liveness evictions end the session from inside its reader; count
-	// them against the node. The lookup must not auto-create: a resize
-	// may have re-homed the node record while this session was dying
-	// (its terminal error is then ErrRedirected, so this branch cannot
-	// double-count a moved node anyway).
+	// them against the node.
 	if terminal := s.Err(); errors.Is(terminal, ErrLiveness) {
 		sh.mu.Lock()
-		evicted := 0
-		if st := sh.Nodes[s.node]; st != nil {
-			st.Evicted++
-			evicted = st.Evicted
-		}
+		st.Evicted++
+		evicted := st.Evicted
 		sh.mu.Unlock()
 		cfg.Log.Warn("fleet: liveness eviction",
 			"node", s.node, "shard", sh.id, "session", s.id, "window", liveness,
@@ -197,12 +167,10 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello, epoch uint64) error {
 // acceptUpload is the node-level dedup gate. A sequenced upload at or
 // below the node's high-water mark is a retransmission of something
 // already accounted: dropped but acked, so the edge retires it. An
-// upload reaching a session that is already done, or a shard that no
-// longer owns the node record (re-home raced the delivery), is
-// dropped WITHOUT an ack: no shard is accounting it here, so the edge
-// must keep it buffered and retransmit to the node's current owner.
-// Fresh uploads are committed: logged, then applied to the node's
-// ledger.
+// upload reaching a session that is already done is dropped WITHOUT
+// an ack: nothing accounts it here, so the edge must keep it buffered
+// and retransmit on its next session. Fresh uploads are committed:
+// logged, then applied to the node's ledger.
 func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, ack bool) {
 	sh.mu.Lock()
 	// An evicted session must not touch the node ledger: its
@@ -216,14 +184,7 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 		return false, false
 	default:
 	}
-	// No auto-create: after a re-home the node record lives on another
-	// shard, and this session is a dead man walking (markDone raced
-	// with the move). Refusing keeps the moved ledger authoritative.
 	st := sh.Nodes[s.node]
-	if st == nil {
-		sh.mu.Unlock()
-		return false, false
-	}
 	if rec.Seq != 0 && rec.Seq <= st.LastSeq {
 		sh.mu.Unlock()
 		return false, true
@@ -277,21 +238,19 @@ func (sh *shard) loads() []metrics.NodeLoad {
 					load.MCVersion = v
 				}
 			}
-			if ns != nil {
-				prefix := si.Name + "/"
-				for key, ds := range ns.Drift {
-					if !strings.HasPrefix(key, prefix) {
-						continue
-					}
-					if ds.Drifted {
-						load.Drifted++
-					}
-					if ds.PSI > load.DriftPSI {
-						load.DriftPSI = ds.PSI
-					}
-					if ds.KS > load.DriftKS {
-						load.DriftKS = ds.KS
-					}
+			prefix := si.Name + "/"
+			for key, ds := range ns.Drift {
+				if !strings.HasPrefix(key, prefix) {
+					continue
+				}
+				if ds.Drifted {
+					load.Drifted++
+				}
+				if ds.PSI > load.DriftPSI {
+					load.DriftPSI = ds.PSI
+				}
+				if ds.KS > load.DriftKS {
+					load.DriftKS = ds.KS
 				}
 			}
 			if i == 0 {
@@ -300,10 +259,8 @@ func (sh *shard) loads() []metrics.NodeLoad {
 				load.QueueWaitLat = hb.QueueWait
 				load.UploadRTTLat = hb.UploadRTT
 				load.PendingUploads = hb.PendingUploads
-				if ns != nil {
-					load.Evicted = ns.Evicted
-					load.Reconnects = ns.Reconnects
-				}
+				load.Evicted = ns.Evicted
+				load.Reconnects = ns.Reconnects
 			}
 			loads = append(loads, load)
 		}
@@ -321,14 +278,11 @@ type ShardStat struct {
 	Nodes    int
 	Sessions int
 	// Uploads and UploadBits total the ledgers of the nodes the shard
-	// owns now: every deduplicated upload those nodes delivered, on
-	// whichever shard they were. A re-home moves a node's share with it,
-	// so the sum over shards is the fleet's total.
+	// owns: every deduplicated upload those nodes delivered, on whichever
+	// shard they were before a restart re-sharded them. A re-home moves a
+	// node's share with it, so the sum over shards is the fleet's total.
 	Uploads    int
 	UploadBits int64
-	// Redirects counts hellos turned away under a stale placement
-	// epoch.
-	Redirects int
 	// HeartbeatGap is the histogram of the gap between consecutive
 	// heartbeats across the shard's sessions — its control-plane
 	// latency signal. HeartbeatHandling is the histogram of the time
@@ -353,7 +307,6 @@ func (sh *shard) stats() ShardStat {
 		Shard:             sh.id,
 		Nodes:             len(sh.Nodes),
 		Sessions:          len(sh.sessions),
-		Redirects:         sh.redirects,
 		HeartbeatGap:      sh.hbGap.Snapshot(),
 		HeartbeatHandling: sh.hbHandle.Snapshot(),
 		Snapshots:         sh.snapshots,

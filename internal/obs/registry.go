@@ -97,9 +97,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // ShardGauge returns the gauge for one control-plane shard's metric,
 // named "ff_fleet_shard_<shard>_<name>" — the per-shard load/latency
 // surface a sharded fleet controller exports (node counts, ledger
-// sizes, heartbeat-gap tails). Shards come and go with resizes;
-// retired shards keep their last reading, which scrapes can drop by
-// comparing against the live shard count gauge.
+// sizes, heartbeat-gap tails). The shard set is fixed for the life of
+// a controller process, so the indices run from 0 to the shard count
+// gauge minus one.
 func (r *Registry) ShardGauge(shard int, name string) *Gauge {
 	return r.Gauge(fmt.Sprintf("ff_fleet_shard_%d_%s", shard, name))
 }

@@ -126,12 +126,13 @@ const (
 	// retransmitted after a reconnect, and the receiver deduplicates
 	// by sequence number — together, exactly-once upload accounting.
 	KindUploadAck uint8 = 12
-	// KindRedirect tells an edge its node is owned by a different
-	// controller shard (datacenter → edge). Sent instead of a welcome
-	// when a hello lands on the wrong shard of a sharded control
-	// plane, or mid-session when a shard-count change re-homes the
-	// node; the edge reconnects and its resume hello reconciles on the
-	// new owner exactly like any other reconnect.
+	// KindRedirect is reserved: it once told an edge that a live
+	// shard-count change had moved its node to another controller
+	// shard. Never reuse the number.
+	//
+	// Deprecated: the controller's shard count is fixed for its life,
+	// so nothing sends it; an agent receiving it treats it as an
+	// unknown kind and redials.
 	KindRedirect uint8 = 13
 )
 

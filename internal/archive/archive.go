@@ -159,6 +159,7 @@ type Store struct {
 
 	reqs chan request
 	wg   sync.WaitGroup
+	rec  []byte // the record being written; owned by the writer goroutine
 }
 
 // Open creates or reopens the archive at cfg.Dir, recovering from a
@@ -572,7 +573,8 @@ func (s *Store) append(req request) error {
 		active = seg
 	}
 
-	rec := encodeRecord(req.idx, req.bits, req.img)
+	s.rec = appendRecord(s.rec[:0], req.idx, req.bits, req.img)
+	rec := s.rec
 	off := active.bytes
 	if _, err := active.file.WriteAt(rec, off); err != nil {
 		return fmt.Errorf("archive: append frame %d: %w", req.idx, err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/vision"
 )
@@ -80,10 +81,14 @@ func decodeHeader(h []byte) (width, height, fps, start int, err error) {
 	return width, height, fps, start, nil
 }
 
-// encodeRecord serializes one frame record into a fresh buffer.
-func encodeRecord(index int, codedBits int64, img *vision.Image) []byte {
+// appendRecord appends one serialized frame record to dst and returns
+// the extended slice. The writer hands its own buffer back each frame
+// (dst[:0]), so a store's records reuse one allocation.
+func appendRecord(dst []byte, index int, codedBits int64, img *vision.Image) []byte {
 	payload := len(img.Pix) * 4
-	buf := make([]byte, recHeaderSize+payload+recTrailerSize)
+	n := recHeaderSize + payload + recTrailerSize
+	dst = slices.Grow(dst, n)
+	buf := dst[len(dst) : len(dst)+n]
 	binary.BigEndian.PutUint64(buf[0:8], uint64(index))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(codedBits))
 	binary.BigEndian.PutUint32(buf[16:20], uint32(payload))
@@ -93,7 +98,7 @@ func encodeRecord(index int, codedBits int64, img *vision.Image) []byte {
 		off += 4
 	}
 	binary.BigEndian.PutUint32(buf[off:off+4], crc32.ChecksumIEEE(buf[:off]))
-	return buf
+	return dst[:len(dst)+n]
 }
 
 // decodeRecord validates one full frame record and returns its index,

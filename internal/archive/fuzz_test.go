@@ -20,8 +20,8 @@ func fuzzFrame(seed float32) *vision.Image {
 // validSegmentBytes builds a clean two-record segment file in memory.
 func validSegmentBytes() []byte {
 	out := encodeHeader(4, 3, 15, 0)
-	out = append(out, encodeRecord(0, 1000, fuzzFrame(0.1))...)
-	out = append(out, encodeRecord(1, 1200, fuzzFrame(0.7))...)
+	out = appendRecord(out, 0, 1000, fuzzFrame(0.1))
+	out = appendRecord(out, 1, 1200, fuzzFrame(0.7))
 	return out
 }
 

@@ -94,21 +94,25 @@ func fdctRows(dst, src *block) {
 	}
 }
 
-// fdct8x8 computes the forward 2-D DCT of a block in place (rows then
+// fdctGo computes the forward 2-D DCT of a block in place (rows then
 // columns): tmp[k][y] = Σ_n b[y][n]·cos[k][n], then
-// b[k][x] = Σ_n tmp[x][n]·cos[k][n].
-func fdct8x8(b *block) {
+// b[k][x] = Σ_n tmp[x][n]·cos[k][n]. It is the generic tier of
+// fdct8x8.
+func fdctGo(b *block) {
 	var tmp block
 	fdctRows(&tmp, b)
 	fdctRows(b, &tmp)
 }
 
-// idct8x8 computes the inverse 2-D DCT of a block in place (columns
-// then rows), visiting only the coefficients named in nz: bit x*8+k
-// is set for every nonzero b[k][x] (it may be set for zero ones too).
-func idct8x8(b *block, nz uint64) {
+// idctGo computes the inverse 2-D DCT of a block in place (columns
+// then rows), visiting only the coefficients named in nz: bit k*8+x is
+// set for every nonzero b[k][x] (it may be set for zero ones too), and
+// whatever the other positions hold is never read. It is the generic
+// tier of idct8x8.
+func idctGo(b *block, nz uint64) {
 	var tmp block
 	var cols uint8 // bit x set: column x is visited
+	nz = transpose8(nz)
 	// Columns: tmp[n][x] = Σ_k b[k][x]·cos[k][n].
 	for x := 0; x < blockSize; x++ {
 		col := uint8(nz >> (x * blockSize))
@@ -163,6 +167,17 @@ func idct8x8(b *block, nz uint64) {
 	}
 }
 
+// transpose8 transposes an 8×8 bit matrix held a row a byte: bit
+// r*8+c of the result is bit c*8+r of m.
+func transpose8(m uint64) uint64 {
+	t := (m ^ m>>7) & 0x00aa00aa00aa00aa
+	m ^= t ^ t<<7
+	t = (m ^ m>>14) & 0x0000cccc0000cccc
+	m ^= t ^ t<<14
+	t = (m ^ m>>28) & 0x00000000f0f0f0f0
+	return m ^ t ^ t<<28
+}
+
 // jpegLuma is the standard JPEG luminance quantization matrix, used
 // for all planes (chroma is already subsampled).
 var jpegLuma = [blockSize][blockSize]float64{
@@ -199,24 +214,59 @@ func buildZigzag() [blockSize * blockSize]uint8 {
 	return order
 }
 
-// stepTable is the quantizer of one QP in zig-zag order:
+// stepTable is the quantizer of one QP, in raster order:
 // step = max(1, Q·qp/50), so qp 50 is JPEG quality ~50 and larger qp
-// is coarser. half[i] = step[i]/2 exactly (a power-of-two scaling of
-// a value ≥ 1).
+// is coarser. half[pos] = step[pos]/2 exactly (a power-of-two scaling
+// of a value ≥ 1).
 type stepTable struct {
-	step, half [blockSize * blockSize]float64
+	step, half block
 }
 
 // set fills the table for qp.
 func (t *stepTable) set(qp float64) {
-	for i, pos := range zigzag {
+	for pos := range t.step {
 		step := jpegLuma[pos/blockSize][pos%blockSize] * qp / 50
 		if step < 1 {
 			step = 1
 		}
-		t.step[i] = step
-		t.half[i] = step / 2
+		t.step[pos] = step
+		t.half[pos] = step / 2
 	}
+}
+
+// zigzagOf maps a raster-order bit set to the zig-zag order of the
+// same positions: for the eight bits of raster row r held in byte m,
+// zigzagOf[r][m] has bit i set for every zig-zag position i whose
+// raster position is named.
+var zigzagOf = func() (tab [blockSize][256]uint64) {
+	for i, pos := range zigzag {
+		r, bit := pos/blockSize, uint(pos%blockSize)
+		for m := range tab[r] {
+			if m>>bit&1 != 0 {
+				tab[r][m] |= 1 << i
+			}
+		}
+	}
+	return tab
+}()
+
+// liveGo returns the raster-order bit set of the nonzero levels of a
+// transformed block: bit pos is set when |b[pos]| ≥ half[pos]. It is
+// the generic tier of liveMask.
+//
+// |c| < step/2 ⇔ |c/step| rounds to a float below 0.5 ⇔ the level is
+// ±0: step/2 is exact, and the float quotient of anything below it is
+// at most the float just below 0.5.
+func liveGo(b *block, t *stepTable) uint64 {
+	var live uint64
+	for pos, v := range b {
+		var bit uint64
+		if math.Abs(v) >= t.half[pos] {
+			bit = 1
+		}
+		live |= bit << pos
+	}
+	return live
 }
 
 // quantizeBlock transforms, quantizes, and reconstructs one block of
@@ -227,45 +277,55 @@ func quantizeBlock(b *block, t *stepTable) (size int64, coded bool) {
 	fdct8x8(b)
 	// First find the nonzero levels, without a branch per coefficient
 	// (which way it would go is close to a coin toss in the middle of
-	// the scan): bit i of live is set when zig-zag position i has one.
-	// |c| < step/2 ⇔ |c/step| rounds to a float below 0.5 ⇔ the level
-	// is ±0: step/2 is exact, and the float quotient of anything below
-	// it is at most the float just below 0.5.
-	var live uint64
-	for i, pos := range &zigzag {
-		var bit uint64
-		if math.Abs(b[pos]) >= t.half[i] {
-			bit = 1
-		}
-		live |= bit << i
-	}
-	if live == 0 {
+	// the scan).
+	nz := liveMask(b, t)
+	if nz == 0 {
 		return 1, false // coded-block flag only
 	}
-	// Then code them. The zero levels in between are never written:
-	// nz tells idct8x8 which coefficients to read, and nothing reads
-	// the sign of a zero (see the exact-order rule).
-	//
-	// The level is math.Round(c/step), round half away from zero,
-	// computed as trunc(|q|+0.5) with q's sign: for 0.5 ≤ |q| < 2^51
-	// the two agree, because m−0.5 ≤ |q| < m+0.5 puts |q|+0.5 in
-	// [m, m+1) at least one float spacing below m+1, so the sum cannot
-	// round up to m+1. (Here |q| is at most 8·255.)
-	var nz uint64
+	size = codeLevels(b, t, nz)
+	idct8x8(b, nz)
+	return size + 8, true // + block header
+}
+
+// codeLevels quantizes and dequantizes the coefficients nz names (a
+// liveMask result) and returns their entropy-coded size: per level a
+// run-length prefix (~2 bits plus 1 per 4 zeros skipped in zig-zag
+// order), its magnitude class and a sign. The zero levels in between
+// are never written: nz tells idct8x8 which coefficients to read, and
+// nothing reads the sign of a zero (see the exact-order rule).
+func codeLevels(b *block, t *stepTable, nz uint64) int64 {
+	size := levels(b, t, nz)
+	var live uint64
+	for r := 0; r < blockSize; r++ {
+		live |= zigzagOf[r][uint8(nz>>(r*blockSize))]
+	}
+	size += 3 * int64(bits.OnesCount64(live))
 	next := 0 // zig-zag position after the previous nonzero level
 	for ; live != 0; live &= live - 1 {
 		i := bits.TrailingZeros64(live)
-		pos := zigzag[i]
-		step := t.step[i]
+		size += int64(uint(i-next) / 4)
+		next = i + 1
+	}
+	return size
+}
+
+// levelsGo quantizes and dequantizes the coefficients nz names, in
+// place, and returns the sum of their magnitude classes (the bit
+// lengths of the levels). It is the generic tier of levels.
+//
+// The level is math.Round(c/step), round half away from zero, computed
+// as trunc(|q|+0.5) with q's sign: for 0.5 ≤ |q| < 2^51 the two agree,
+// because m−0.5 ≤ |q| < m+0.5 puts |q|+0.5 in [m, m+1) at least one
+// float spacing below m+1, so the sum cannot round up to m+1. (Here
+// |q| is at most 8·255.)
+func levelsGo(b *block, t *stepTable, nz uint64) (classes int64) {
+	for ; nz != 0; nz &= nz - 1 {
+		pos := bits.TrailingZeros64(nz)
+		step := t.step[pos]
 		q := b[pos] / step
 		mag := int64(math.Abs(q) + 0.5)
 		b[pos] = math.Copysign(float64(mag), q) * step
-		// Entropy-size model: run-length prefix (~2 bits plus 1 per 4
-		// zeros skipped) + magnitude class + sign.
-		size += 2 + int64(uint(i-next)/4) + int64(bits.Len64(uint64(mag))) + 1
-		next = i + 1
-		nz |= 1 << (pos%blockSize*blockSize + pos/blockSize)
+		classes += int64(bits.Len64(uint64(mag)))
 	}
-	idct8x8(b, nz)
-	return size + 8, true // + block header
+	return classes
 }

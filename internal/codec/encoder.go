@@ -58,7 +58,8 @@ type Frame struct {
 // The encoder owns every plane it works on (an arena sized once for
 // the configured dimensions): the source frame in Y'CbCr, the
 // reconstruction being written and the previous reconstruction it
-// predicts from, the last two swapping roles each frame. None of them
+// predicts from, the last two swapping roles each frame. An intra
+// frame predicts from a constant 128 and reads no plane. None of them
 // is ever handed out, so steady-state encoding allocates only what
 // Encode returns.
 type Encoder struct {
@@ -68,9 +69,8 @@ type Encoder struct {
 	steps stepTable
 
 	src, recon, prev planes
-	flat             planes // all 128: the "prediction" of an intra frame
 
-	gopPos    int // frames coded since NewEncoder or Reset; prev is valid when > 0
+	gopPos    int // frames coded since NewEncoder, Restart or Reset; prev is valid when > 0
 	frames    int
 	totalBits int64
 }
@@ -82,13 +82,8 @@ func NewEncoder(cfg Config) *Encoder {
 		panic(fmt.Sprintf("codec: bad dims %dx%d", cfg.Width, cfg.Height))
 	}
 	e := &Encoder{cfg: cfg, qp: cfg.InitialQP}
-	for _, p := range []*planes{&e.src, &e.recon, &e.prev, &e.flat} {
+	for _, p := range []*planes{&e.src, &e.recon, &e.prev} {
 		*p = newPlanes(cfg.Width, cfg.Height)
-	}
-	for _, p := range e.flat {
-		for i := range p.pix {
-			p.pix[i] = 128
-		}
 	}
 	return e
 }
@@ -111,15 +106,15 @@ func (e *Encoder) EncodeBits(im *vision.Image) Frame {
 		panic(fmt.Sprintf("codec: frame %dx%d does not match encoder %dx%d", im.W, im.H, e.cfg.Width, e.cfg.Height))
 	}
 	intra := e.gopPos%e.cfg.GOP == 0
-	pred := &e.prev
-	if intra {
-		pred = &e.flat
-	}
 	toYCbCr(im, &e.src)
 	e.steps.set(e.qp)
 	bits := int64(64) // frame header
 	for i := range e.src {
-		bits += codePlane(&e.src[i], &pred[i], &e.recon[i], &e.steps)
+		var pred *plane
+		if !intra {
+			pred = &e.prev[i]
+		}
+		bits += codePlane(&e.src[i], pred, &e.recon[i], &e.steps)
 	}
 	e.prev, e.recon = e.recon, e.prev
 	e.gopPos++
@@ -152,7 +147,8 @@ func nextQP(cfg *Config, qp float64, bits int64, intra bool) float64 {
 func (e *Encoder) TotalBits() int64 { return e.totalBits }
 
 // FramesEncoded returns the number of frames consumed. Like TotalBits
-// it counts over the encoder's lifetime, across Reset.
+// it counts over the encoder's lifetime (since NewEncoder or Restart),
+// across Reset.
 func (e *Encoder) FramesEncoded() int { return e.frames }
 
 // AverageBitrate returns the realized bits per second so far.
@@ -168,6 +164,21 @@ func (e *Encoder) AverageBitrate() float64 {
 // a new coded segment.
 func (e *Encoder) Reset() {
 	e.gopPos = 0
+}
+
+// Restart returns the encoder to the state NewEncoder(cfg) builds:
+// cfg's InitialQP, the next frame a keyframe, and zero totals. Unlike
+// Reset it starts a new lifetime, under a new configuration, and it
+// keeps the planes when cfg has the encoder's dimensions (one encoder
+// can code segment after segment without allocating).
+func (e *Encoder) Restart(cfg Config) {
+	cfg.fillDefaults()
+	if cfg.Width != e.cfg.Width || cfg.Height != e.cfg.Height {
+		*e = *NewEncoder(cfg)
+		return
+	}
+	e.cfg, e.qp = cfg, cfg.InitialQP
+	e.gopPos, e.frames, e.totalBits = 0, 0, 0
 }
 
 // EncodeSegment compresses a sequence of frames as an independent

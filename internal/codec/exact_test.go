@@ -73,11 +73,11 @@ func testBlocks() []block {
 	return append(blocks, zero, allNegZero, row, col, big, tiny)
 }
 
-// nonzeroMap is the map idct8x8 takes: bit x*8+k for nonzero b[k][x].
+// nonzeroMap is the map idct8x8 takes: bit k*8+x for nonzero b[k][x].
 func nonzeroMap(b *block) (nz uint64) {
 	for i, v := range b {
 		if v != 0 {
-			nz |= 1 << (i%blockSize*blockSize + i/blockSize)
+			nz |= 1 << i
 		}
 	}
 	return nz
@@ -149,8 +149,9 @@ func TestQuantizeBlockMatchesReference(t *testing.T) {
 
 // FuzzQuantizeBlockMatchesReference feeds quantizeBlock what codePlane
 // does: residuals of two 8-bit blocks (or of one against 128), at any
-// QP the rate controller can reach.
+// QP the rate controller can reach, on every tier this machine has.
 func FuzzQuantizeBlockMatchesReference(f *testing.F) {
+	tiers := codecTiers(f)
 	f.Add([]byte{}, uint16(40))
 	f.Add([]byte{255}, uint16(1))
 	f.Add([]byte("a static block with a little sensor noise on top of a flat field"), uint16(400))
@@ -169,7 +170,10 @@ func FuzzQuantizeBlockMatchesReference(f *testing.F) {
 			}
 			b[i] = src - pred
 		}
-		checkQuantize(t, b, qp)
+		for _, tier := range tiers {
+			tier.use()
+			checkQuantize(t, b, qp)
+		}
 	})
 }
 
@@ -307,18 +311,62 @@ func TestEncodeBitsDoesNotAllocate(t *testing.T) {
 
 func benchmarkEncode(b *testing.B, encode func(*Encoder, *vision.Image) Frame) {
 	frames := roadwayClip(64)
-	enc := NewEncoder(Config{Width: 96, Height: 39, FPS: 15, TargetBitrate: 150_000})
-	b.ReportAllocs()
-	b.ResetTimer()
-	var bits int64
-	for i := 0; i < b.N; i++ {
-		bits += encode(enc, frames[i%len(frames)]).Bits
+	for _, tier := range codecTiers(b) {
+		b.Run(tier.name, func(b *testing.B) {
+			tier.use()
+			enc := NewEncoder(Config{Width: 96, Height: 39, FPS: 15, TargetBitrate: 150_000})
+			b.ReportAllocs()
+			b.ResetTimer()
+			var bits int64
+			for i := 0; i < b.N; i++ {
+				bits += encode(enc, frames[i%len(frames)]).Bits
+			}
+			b.ReportMetric(float64(bits)/float64(b.N), "bits/frame")
+		})
 	}
-	b.ReportMetric(float64(bits)/float64(b.N), "bits/frame")
 }
 
 // BenchmarkEncode and BenchmarkEncodeBits encode a 96×39 Roadway-like
-// clip with and without the RGB reconstruction. One op is one frame:
-// ns/op is ns per frame, allocs/op allocations per frame.
+// clip with and without the RGB reconstruction, on every tier this
+// machine has (one sub-benchmark per tier, e.g. BenchmarkEncodeBits/avx2).
+// One op is one frame: ns/op is ns per frame, allocs/op allocations per
+// frame.
 func BenchmarkEncode(b *testing.B)     { benchmarkEncode(b, (*Encoder).Encode) }
 func BenchmarkEncodeBits(b *testing.B) { benchmarkEncode(b, (*Encoder).EncodeBits) }
+
+// TestRestartMatchesNewEncoder: one encoder restarted for segment after
+// segment, at alternating bitrates and with a change of frame size,
+// codes each exactly as a fresh encoder does — bits, keyframes, QP
+// trajectory and reconstructions — and starts its totals afresh.
+func TestRestartMatchesNewEncoder(t *testing.T) {
+	clips := map[int][]*vision.Image{96: roadwayClip(24), 45: movingFrames(24, 45, 27, 35)}
+	enc := NewEncoder(Config{Width: 96, Height: 39})
+	for seg, s := range []struct {
+		w, start, end int
+		target        float64
+	}{{96, 0, 9, 150_000}, {96, 4, 20, 20_000}, {96, 9, 10, 150_000}, {45, 3, 17, 20_000}, {96, 12, 24, 20_000}} {
+		frames := clips[s.w][s.start:s.end]
+		cfg := Config{Width: frames[0].W, Height: frames[0].H, FPS: 15, TargetBitrate: s.target, GOP: 6}
+		enc.Restart(cfg)
+		fresh := NewEncoder(cfg)
+		for i, im := range frames {
+			got, want := enc.Encode(im), fresh.Encode(im)
+			if got.Bits != want.Bits || got.Keyframe != want.Keyframe || got.QP != want.QP {
+				t.Fatalf("segment %d frame %d: bits %d keyframe %v qp %v, fresh encoder %d %v %v",
+					seg, i, got.Bits, got.Keyframe, got.QP, want.Bits, want.Keyframe, want.QP)
+			}
+			for j, v := range got.Recon.Pix {
+				if math.Float32bits(v) != math.Float32bits(want.Recon.Pix[j]) {
+					t.Fatalf("segment %d frame %d: RGB value %d = %v, fresh encoder %v", seg, i, j, v, want.Recon.Pix[j])
+				}
+			}
+		}
+		if enc.TotalBits() != fresh.TotalBits() || enc.FramesEncoded() != len(frames) {
+			t.Fatalf("segment %d: totals %d bits %d frames, fresh encoder %d %d", seg,
+				enc.TotalBits(), enc.FramesEncoded(), fresh.TotalBits(), len(frames))
+		}
+		if want := SegmentBits(cfg, frames); enc.TotalBits() != want {
+			t.Fatalf("segment %d: %d bits, SegmentBits %d", seg, enc.TotalBits(), want)
+		}
+	}
+}

@@ -27,7 +27,8 @@ func newPlanes(w, h int) planes {
 // its 2×2 cell, summed from +0 in raster order: top-left, top-right,
 // bottom-left, bottom-right. Here and in fromYCbCr a product that
 // feeds a sum is written float32(x*y) so that no target fuses the two
-// (see the exact-order rule in dct.go).
+// (see the exact-order rule in dct.go). The vector tiers convert the
+// whole cells of each row pair (ycbcrCells) and this loop the rest.
 func toYCbCr(im *vision.Image, dst *planes) {
 	y, cb, cr := &dst[0], &dst[1], &dst[2]
 	w, cw := im.W, cb.w
@@ -35,7 +36,12 @@ func toYCbCr(im *vision.Image, dst *planes) {
 		rows := min(2, im.H-2*cy)
 		cbRow := cb.pix[cy*cw : cy*cw+cw]
 		crRow := cr.pix[cy*cw : cy*cw+cw]
-		for cx := range cbRow {
+		cx := 0
+		if rows == 2 {
+			off := 2 * cy * w
+			cx = ycbcrCells(im.Pix[off*3:(off+2*w)*3], y.pix[off:off+2*w], cbRow, crRow, w)
+		}
+		for ; cx < cw; cx++ {
 			cols := min(2, w-2*cx)
 			var cbSum, crSum float32
 			for dy := 0; dy < rows; dy++ {
@@ -59,7 +65,8 @@ func toYCbCr(im *vision.Image, dst *planes) {
 
 // fromYCbCr reconstructs an RGB image from src (nearest-neighbour
 // chroma upsampling). The image is freshly allocated and the caller's
-// to keep.
+// to keep. The vector tiers convert the leading pixels of each row
+// (rgbPixels) and this loop the rest.
 func fromYCbCr(src *planes) *vision.Image {
 	y, cb, cr := &src[0], &src[1], &src[2]
 	im := vision.NewImage(y.w, y.h)
@@ -68,8 +75,8 @@ func fromYCbCr(src *planes) *vision.Image {
 		cbRow := cb.pix[(yy/2)*cb.w : (yy/2)*cb.w+cb.w]
 		crRow := cr.pix[(yy/2)*cb.w : (yy/2)*cb.w+cb.w]
 		rgb := im.Pix[yy*y.w*3 : (yy*y.w+y.w)*3]
-		for xx, l := range lums {
-			lum := l / 255
+		for xx := rgbPixels(rgb, lums, cbRow, crRow); xx < len(lums); xx++ {
+			lum := lums[xx] / 255
 			cbv := cbRow[xx/2]/255 - 0.5
 			crv := crRow[xx/2]/255 - 0.5
 			r := lum + crv/0.713
@@ -91,9 +98,13 @@ func clamp01(v float32) float32 {
 	return v
 }
 
-// codePlane codes src against the prediction pred (a flat 128 plane
-// for intra), writing the reconstruction into recon and returning the
-// bits used. Frames whose dimensions are not block multiples are
+// flatRow is the prediction of an intra block, one row of it: every
+// row reads the same eight samples (a prediction stride of 0).
+var flatRow = [blockSize]float32{128, 128, 128, 128, 128, 128, 128, 128}
+
+// codePlane codes src against the prediction pred (nil for intra: a
+// flat 128 plane), writing the reconstruction into recon and returning
+// the bits used. Frames whose dimensions are not block multiples are
 // padded by clamp-to-edge: the last row and column of residuals repeat
 // to fill the ragged blocks, and the padding is not written back.
 func codePlane(src, pred, recon *plane, t *stepTable) int64 {
@@ -104,47 +115,68 @@ func codePlane(src, pred, recon *plane, t *stepTable) int64 {
 		rows := min(blockSize, src.h-by)
 		for bx := 0; bx < w; bx += blockSize {
 			cols := min(blockSize, w-bx)
-			for y := 0; y < rows; y++ {
-				off := (by+y)*w + bx
-				s := src.pix[off : off+cols]
-				p := pred.pix[off : off+cols]
-				row := blk[y*blockSize : y*blockSize+blockSize]
-				for x, v := range s {
-					row[x] = float64(v) - float64(p[x])
-				}
-				for x := cols; x < blockSize; x++ {
-					row[x] = row[cols-1]
-				}
+			off := by*w + bx
+			p, pstride := flatRow[:], 0
+			if pred != nil {
+				p, pstride = pred.pix[off:], w
 			}
-			for y := rows; y < blockSize; y++ {
-				copy(blk[y*blockSize:y*blockSize+blockSize], blk[(rows-1)*blockSize:])
-			}
+			residual(&blk, src.pix[off:], p, w, pstride, rows, cols)
 			b, coded := quantizeBlock(&blk, t)
 			bits += b
-			for y := 0; y < rows; y++ {
-				off := (by+y)*w + bx
-				p := pred.pix[off : off+cols]
-				r := recon.pix[off : off+cols]
-				if !coded {
-					// The reconstruction is the prediction: it is
-					// already in [0,255] and never −0, so adding +0
-					// and clamping would return it unchanged.
-					copy(r, p)
-					continue
+			if !coded {
+				// The reconstruction is the prediction: it is already
+				// in [0,255] and never −0, so adding +0 and clamping
+				// would return it unchanged.
+				for y := 0; y < rows; y++ {
+					copy(recon.pix[off+y*w:off+y*w+cols], p[y*pstride:y*pstride+cols])
 				}
-				row := blk[y*blockSize : y*blockSize+blockSize]
-				for x, pv := range p {
-					v := row[x] + float64(pv)
-					if v < 0 {
-						v = 0
-					}
-					if v > 255 {
-						v = 255
-					}
-					r[x] = float32(v)
-				}
+				continue
 			}
+			reconstruct(&blk, p, recon.pix[off:], w, pstride, rows, cols)
 		}
 	}
 	return bits
+}
+
+// residualGo fills b with the residuals of a rows×cols block, the
+// source rows stride apart from src[0] and the prediction rows pstride
+// apart from pred[0], repeating the last row and column to pad it. It
+// is the generic tier of residual.
+func residualGo(b *block, src, pred []float32, stride, pstride, rows, cols int) {
+	for y := 0; y < rows; y++ {
+		s := src[y*stride : y*stride+cols]
+		p := pred[y*pstride : y*pstride+cols]
+		row := b[y*blockSize : y*blockSize+blockSize]
+		for x, v := range s {
+			row[x] = float64(v) - float64(p[x])
+		}
+		for x := cols; x < blockSize; x++ {
+			row[x] = row[cols-1]
+		}
+	}
+	for y := rows; y < blockSize; y++ {
+		copy(b[y*blockSize:y*blockSize+blockSize], b[(rows-1)*blockSize:])
+	}
+}
+
+// reconGo writes the reconstruction of a rows×cols block, residuals b
+// plus prediction clamped to [0,255], to the rows stride apart from
+// recon[0]; the prediction is laid out as in residualGo. It is the
+// generic tier of reconstruct.
+func reconGo(b *block, pred, recon []float32, stride, pstride, rows, cols int) {
+	for y := 0; y < rows; y++ {
+		p := pred[y*pstride : y*pstride+cols]
+		r := recon[y*stride : y*stride+cols]
+		row := b[y*blockSize : y*blockSize+blockSize]
+		for x, pv := range p {
+			v := row[x] + float64(pv)
+			if v < 0 {
+				v = 0
+			}
+			if v > 255 {
+				v = 255
+			}
+			r[x] = float32(v)
+		}
+	}
 }

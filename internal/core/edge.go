@@ -264,6 +264,13 @@ type EdgeNode struct {
 	archive *codec.Encoder
 	store   FrameArchive // persistent archive; nil = accounting-only
 
+	// segEnc re-encodes every uploaded segment and demand fetch,
+	// restarted for each (built on first use), and segImgs is
+	// closeSegment's list of the segment's frames. Owned by the
+	// pipeline goroutine.
+	segEnc  *codec.Encoder
+	segImgs []*vision.Image
+
 	// frames is the retained-originals ring: frame f lives at
 	// frames[f%len(frames)], sized RetainFrames+1 so the window
 	// [nextFrame-RetainFrames, nextFrame] fits without collisions. A
@@ -537,10 +544,7 @@ func (e *EdgeNode) FetchArchive(src FrameSource, start, end int, bitrate float64
 		}
 	}
 	t0 := time.Now()
-	bits, recons := codec.EncodeSegment(codec.Config{
-		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
-		TargetBitrate: bitrate,
-	}, frames)
+	bits, recons := e.encodeSegment(bitrate, frames, true)
 	encodeTime := time.Since(t0)
 	if e.obs != nil {
 		e.obs.Fetch.Observe(encodeTime)
@@ -809,7 +813,8 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 	if end <= start {
 		return Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: start, Final: final}, nil
 	}
-	frames := make([]*vision.Image, 0, end-start)
+	frames := e.segImgs[:0]
+	defer func() { clear(frames) }() // hold no frame past its eviction
 	for f := start; f < end; f++ {
 		img := e.retained(f)
 		if img == nil {
@@ -817,17 +822,10 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 		}
 		frames = append(frames, img)
 	}
+	e.segImgs = frames
 	up := Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: end, Final: final}
-	segCfg := codec.Config{
-		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
-		TargetBitrate: e.cfg.UploadBitrate,
-	}
 	t0 := time.Now()
-	if e.cfg.KeepReconstructions {
-		up.Bits, up.Frames = codec.EncodeSegment(segCfg, frames)
-	} else {
-		up.Bits = codec.SegmentBits(segCfg, frames)
-	}
+	up.Bits, up.Frames = e.encodeSegment(e.cfg.UploadBitrate, frames, e.cfg.KeepReconstructions)
 	encodeTime := time.Since(t0)
 	if e.obs != nil {
 		e.obs.Encode.Observe(encodeTime)
@@ -846,6 +844,34 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 	e.stats.Uploads++
 	e.mu.Unlock()
 	return up, nil
+}
+
+// encodeSegment codes frames as one independent segment at bitrate on
+// the node's segment encoder, exactly as codec.EncodeSegment (keep) or
+// codec.SegmentBits would, and returns the bits and, when keep is set,
+// the reconstructions.
+func (e *EdgeNode) encodeSegment(bitrate float64, frames []*vision.Image, keep bool) (int64, []*vision.Image) {
+	cfg := codec.Config{
+		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
+		TargetBitrate: bitrate,
+	}
+	if e.segEnc == nil {
+		e.segEnc = codec.NewEncoder(cfg)
+	} else {
+		e.segEnc.Restart(cfg)
+	}
+	var recons []*vision.Image
+	if keep {
+		recons = make([]*vision.Image, len(frames))
+	}
+	for i, f := range frames {
+		if keep {
+			recons[i] = e.segEnc.Encode(f).Recon
+		} else {
+			e.segEnc.EncodeBits(f)
+		}
+	}
+	return e.segEnc.TotalBits(), recons
 }
 
 // reslot rebuilds what follows the slot list after a deploy or

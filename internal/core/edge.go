@@ -239,11 +239,12 @@ type deployedMC struct {
 // stream.
 //
 // Concurrency: an EdgeNode's pipeline (ProcessFrame, Flush, Deploy*,
-// Undeploy, FetchArchive) is single-owner — exactly one goroutine may
-// drive it at a time (the Scheduler serializes this per stream). The
-// observer methods Stats, Meta, and MCNames are safe to call from any
-// goroutine while the pipeline is running: mu guards the state they
-// read against the owner's writes.
+// Undeploy, FetchArchive, AccountFetch) is single-owner — exactly one
+// goroutine may drive it at a time (the Scheduler serializes this per
+// stream). The observer methods Stats, Meta, and MCNames, and a demand
+// fetch's ReadFetch, are safe to call from any goroutine while the
+// pipeline is running: mu guards the state the observers read against
+// the owner's writes, and ReadFetch touches no pipeline state.
 type EdgeNode struct {
 	cfg  Config
 	mcs  []*deployedMC
@@ -264,12 +265,16 @@ type EdgeNode struct {
 	archive *codec.Encoder
 	store   FrameArchive // persistent archive; nil = accounting-only
 
-	// segEnc re-encodes every uploaded segment and demand fetch,
-	// restarted for each (built on first use), and segImgs is
-	// closeSegment's list of the segment's frames. Owned by the
-	// pipeline goroutine.
+	// segEnc re-encodes every uploaded segment, restarted for each
+	// (built on first use), and segImgs is closeSegment's list of the
+	// segment's frames. Owned by the pipeline goroutine.
 	segEnc  *codec.Encoder
 	segImgs []*vision.Image
+
+	// fetchEnc re-encodes demand fetches the same way, off the
+	// pipeline: ReadFetch holds fetchMu while it uses it.
+	fetchMu  sync.Mutex
+	fetchEnc *codec.Encoder
 
 	// frames is the retained-originals ring: frame f lives at
 	// frames[f%len(frames)], sized RetainFrames+1 so the window
@@ -512,6 +517,19 @@ func (e *EdgeNode) AttachArchive(store FrameArchive) error {
 	return nil
 }
 
+// Fetch is a demand fetch between its two halves: what ReadFetch read
+// and re-encoded, for AccountFetch to charge to the node.
+type Fetch struct {
+	// Recons are the decoder-side reconstructions, in frame order.
+	Recons []*vision.Image
+	// Bits is the coded size of the re-encoded range.
+	Bits int64
+
+	start int
+	at    time.Time     // when the re-encode started
+	took  time.Duration // how long it ran
+}
+
 // FetchArchive reads frames [start, end) from the node's local archive
 // (§3.2: "edge nodes record the original video stream to disk"),
 // re-encodes them at the given bitrate, and accounts the transfer
@@ -520,49 +538,77 @@ func (e *EdgeNode) AttachArchive(store FrameArchive) error {
 // the frames come off disk; un-archived configs fall back to the live
 // source src. The archive stores the full-fidelity originals, so both
 // paths re-encode identical input and produce byte-identical
-// reconstructions and bit counts. In-process callers and the fleet
-// agent's wire-level demand-fetch both go through here, so their
-// accounting is identical by construction.
+// reconstructions and bit counts.
+//
+// It is ReadFetch then AccountFetch on the owner's goroutine. The
+// fleet agent runs the same two halves with ReadFetch off the
+// pipeline, so in-process and wire-level demand fetches share one
+// encode path and their accounting is identical by construction.
 func (e *EdgeNode) FetchArchive(src FrameSource, start, end int, bitrate float64) ([]*vision.Image, int64, error) {
+	f, err := e.ReadFetch(src, start, end, bitrate)
+	if err != nil {
+		return nil, 0, err
+	}
+	e.AccountFetch(f)
+	return f.Recons, f.Bits, nil
+}
+
+// ReadFetch is the half of FetchArchive that touches no pipeline
+// state: it reads frames [start, end) from the persistent archive, or
+// from src without one, and re-encodes them at bitrate as one
+// independent segment on the node's fetch encoder. Any goroutine may
+// call it while the owner processes frames; fetches serialize among
+// themselves. It sees only frames the owner has already archived, so
+// a caller that must serve frame N barriers on the owner after N's
+// submission first (Scheduler.Do). Nothing is charged to the node
+// until the owner runs AccountFetch.
+func (e *EdgeNode) ReadFetch(src FrameSource, start, end int, bitrate float64) (Fetch, error) {
 	if start < 0 || end <= start {
-		return nil, 0, fmt.Errorf("core: bad demand-fetch range [%d,%d)", start, end)
+		return Fetch{}, fmt.Errorf("core: bad demand-fetch range [%d,%d)", start, end)
 	}
 	var frames []*vision.Image
 	if e.store != nil {
 		var err error
 		frames, err = e.store.ReadRange(start, end)
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: demand-fetch: %w", err)
+			return Fetch{}, fmt.Errorf("core: demand-fetch: %w", err)
 		}
 	} else {
 		if src == nil {
-			return nil, 0, fmt.Errorf("core: no archive source")
+			return Fetch{}, fmt.Errorf("core: no archive source")
 		}
 		frames = make([]*vision.Image, 0, end-start)
 		for f := start; f < end; f++ {
 			frames = append(frames, src.Frame(f))
 		}
 	}
-	t0 := time.Now()
-	bits, recons := e.encodeSegment(bitrate, frames, true)
-	encodeTime := time.Since(t0)
+	e.fetchMu.Lock()
+	defer e.fetchMu.Unlock()
+	f := Fetch{start: start, at: time.Now()}
+	f.Bits, f.Recons = e.encodeSegment(&e.fetchEnc, bitrate, frames, true)
+	f.took = time.Since(f.at)
+	return f, nil
+}
+
+// AccountFetch is the owner's half of FetchArchive: it sends f's bits
+// on the uplink and adds the fetch to the node's stats and observer.
+func (e *EdgeNode) AccountFetch(f Fetch) {
 	if e.obs != nil {
-		e.obs.Fetch.Observe(encodeTime)
-		e.obs.Trace.Record(obs.StageFetch, e.sid, int64(start), t0, encodeTime)
+		e.obs.Fetch.Observe(f.took)
+		e.obs.Trace.Record(obs.StageFetch, e.sid, int64(f.start), f.at, f.took)
 	}
 	var delay float64
 	if e.uplink != nil {
-		delay = e.uplink.Send(bits)
+		delay = e.uplink.Send(f.Bits)
 	}
 	e.mu.Lock()
-	e.stats.EncodeTime += encodeTime
-	e.stats.DemandFetchBits += bits
+	e.stats.EncodeTime += f.took
+	e.stats.DemandFetchBits += f.Bits
 	e.stats.DemandFetches++
 	if delay > e.stats.MaxUplinkDelay {
 		e.stats.MaxUplinkDelay = delay
 	}
 	e.mu.Unlock()
-	return recons, bits, nil
 }
 
 // Meta returns the event-ID metadata recorded for a frame (nil when
@@ -825,7 +871,7 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 	e.segImgs = frames
 	up := Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: end, Final: final}
 	t0 := time.Now()
-	up.Bits, up.Frames = e.encodeSegment(e.cfg.UploadBitrate, frames, e.cfg.KeepReconstructions)
+	up.Bits, up.Frames = e.encodeSegment(&e.segEnc, e.cfg.UploadBitrate, frames, e.cfg.KeepReconstructions)
 	encodeTime := time.Since(t0)
 	if e.obs != nil {
 		e.obs.Encode.Observe(encodeTime)
@@ -847,18 +893,18 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 }
 
 // encodeSegment codes frames as one independent segment at bitrate on
-// the node's segment encoder, exactly as codec.EncodeSegment (keep) or
-// codec.SegmentBits would, and returns the bits and, when keep is set,
-// the reconstructions.
-func (e *EdgeNode) encodeSegment(bitrate float64, frames []*vision.Image, keep bool) (int64, []*vision.Image) {
+// *enc (built on first use, restarted after), exactly as
+// codec.EncodeSegment (keep) or codec.SegmentBits would, and returns
+// the bits and, when keep is set, the reconstructions.
+func (e *EdgeNode) encodeSegment(enc **codec.Encoder, bitrate float64, frames []*vision.Image, keep bool) (int64, []*vision.Image) {
 	cfg := codec.Config{
 		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
 		TargetBitrate: bitrate,
 	}
-	if e.segEnc == nil {
-		e.segEnc = codec.NewEncoder(cfg)
+	if *enc == nil {
+		*enc = codec.NewEncoder(cfg)
 	} else {
-		e.segEnc.Restart(cfg)
+		(*enc).Restart(cfg)
 	}
 	var recons []*vision.Image
 	if keep {
@@ -866,12 +912,12 @@ func (e *EdgeNode) encodeSegment(bitrate float64, frames []*vision.Image, keep b
 	}
 	for i, f := range frames {
 		if keep {
-			recons[i] = e.segEnc.Encode(f).Recon
+			recons[i] = (*enc).Encode(f).Recon
 		} else {
-			e.segEnc.EncodeBits(f)
+			(*enc).EncodeBits(f)
 		}
 	}
-	return e.segEnc.TotalBits(), recons
+	return (*enc).TotalBits(), recons
 }
 
 // reslot rebuilds what follows the slot list after a deploy or

@@ -33,11 +33,11 @@ func TestSegmentEncoderMatchesSegmentBits(t *testing.T) {
 	}{{0, 12, 50_000}, {5, 30, 4_000}, {12, 13, 50_000}, {3, 28, 50_000}, {0, 30, 4_000}} {
 		cfg := codec.Config{Width: 48, Height: 27, FPS: 15, TargetBitrate: s.bitrate}
 		want := codec.SegmentBits(cfg, frames[s.start:s.end])
-		if got, _ := e.encodeSegment(s.bitrate, frames[s.start:s.end], false); got != want {
+		if got, _ := e.encodeSegment(&e.segEnc, s.bitrate, frames[s.start:s.end], false); got != want {
 			t.Fatalf("segment %d [%d,%d) at %v b/s: %d bits, SegmentBits %d", i, s.start, s.end, s.bitrate, got, want)
 		}
 		wantBits, wantRecons := codec.EncodeSegment(cfg, frames[s.start:s.end])
-		gotBits, gotRecons := e.encodeSegment(s.bitrate, frames[s.start:s.end], true)
+		gotBits, gotRecons := e.encodeSegment(&e.segEnc, s.bitrate, frames[s.start:s.end], true)
 		if gotBits != wantBits || len(gotRecons) != len(wantRecons) {
 			t.Fatalf("segment %d with reconstructions: %d bits, %d frames; EncodeSegment %d, %d", i, gotBits, len(gotRecons), wantBits, len(wantRecons))
 		}

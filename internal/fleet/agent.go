@@ -498,9 +498,12 @@ func (a *Agent) Close() error {
 		a.wg.Wait()
 		return stopErr
 	}
-	a.wmu.Lock()
-	err := transport.WriteRecordDeadline(conn, transport.KindBye, struct{}{}, a.cfg.WriteTimeout)
-	a.wmu.Unlock()
+	bye, err := transport.EncodeRecord(transport.KindBye, struct{}{})
+	if err == nil {
+		a.wmu.Lock()
+		err = transport.WriteDeadline(conn, bye, a.cfg.WriteTimeout)
+		a.wmu.Unlock()
+	}
 	cerr := conn.Close()
 	a.wg.Wait()
 	// The controller may end the session first (its own goodbye, an

@@ -274,9 +274,15 @@ func (a *Agent) controlLoop(conn net.Conn) error {
 }
 
 // writeRecord sends one non-upload record on the live connection,
-// bounded by the write timeout. A write failure closes the
-// connection: the control loop exits and the connection loop redials.
+// bounded by the write timeout. The record is encoded before wmu is
+// taken, so a large one (a fetch's frames) never holds up the uploads
+// the scheduler's workers ship. A write failure closes the connection:
+// the control loop exits and the connection loop redials.
 func (a *Agent) writeRecord(kind uint8, payload any) error {
+	rec, err := transport.EncodeRecord(kind, payload)
+	if err != nil {
+		return err
+	}
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	a.sessMu.Lock()
@@ -285,9 +291,9 @@ func (a *Agent) writeRecord(kind uint8, payload any) error {
 	if conn == nil {
 		return ErrSessionClosed
 	}
-	err := transport.WriteRecordDeadline(conn, kind, payload, a.cfg.WriteTimeout)
-	if err != nil {
+	if err := transport.WriteDeadline(conn, rec, a.cfg.WriteTimeout); err != nil {
 		conn.Close()
+		return err
 	}
-	return err
+	return nil
 }

@@ -99,11 +99,15 @@ func (a *Agent) handleUndeploy(req UndeployRequest) {
 	a.ack(req.Seq, err)
 }
 
-// handleFetch serves a demand-fetch from the stream's local archive,
-// serialized with the stream's frames so the shared uplink accounting
-// stays deterministic. When the request asks for data, the decoder-
-// side reconstructions stream back as chunked FetchData records ahead
-// of the response trailer.
+// handleFetch serves a demand-fetch from the stream's local archive
+// without holding anything the frame path needs. A no-op barrier on
+// the stream's queue first lets every frame submitted before the
+// request reach the archive; the read and the re-encode then run here,
+// on the control goroutine, while the stream keeps processing frames;
+// only the uplink and stats accounting goes back through the stream's
+// queue. When the request asks for data, the decoder-side
+// reconstructions stream back as chunked FetchData records ahead of
+// the response trailer.
 func (a *Agent) handleFetch(req FetchRequest) {
 	resp := FetchResponse{Seq: req.Seq, Stream: req.Stream, Start: req.Start, End: req.End}
 	var src core.FrameSource
@@ -112,17 +116,29 @@ func (a *Agent) handleFetch(req FetchRequest) {
 		src = s.src
 	}
 	a.mu.Unlock()
-	var recons []*vision.Image
+	var edge *core.EdgeNode
 	_, err := a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
-		var err error
-		recons, resp.Bits, err = e.FetchArchive(src, req.Start, req.End, req.Bitrate)
-		return nil, err
+		edge = e
+		return nil, nil
 	})
+	var f core.Fetch
+	if err == nil {
+		f, err = edge.ReadFetch(src, req.Start, req.End, req.Bitrate)
+	}
+	if err == nil {
+		_, err = a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
+			e.AccountFetch(f)
+			return nil, nil
+		})
+	}
 	if err != nil {
 		resp.Err = err.Error()
-	} else if req.IncludeData {
-		if err := a.sendFetchData(req, recons); err != nil {
-			resp.Err = err.Error()
+	} else {
+		resp.Bits = f.Bits
+		if req.IncludeData {
+			if err := a.sendFetchData(req, f.Recons); err != nil {
+				resp.Err = err.Error()
+			}
 		}
 	}
 	_ = a.writeRecord(transport.KindFetchResponse, resp)

@@ -142,7 +142,13 @@ func (a *Agent) flushPending() {
 			return
 		}
 		a.sessMu.Unlock()
-		err := transport.WriteRecordDeadline(conn, transport.KindUpload, rec, a.cfg.WriteTimeout)
+		// Unlike writeRecord this encodes under wmu: the log hands out
+		// records in order only to one writer at a time, and an
+		// upload's few dozen bytes encode in well under a microsecond.
+		buf, err := transport.EncodeRecord(transport.KindUpload, rec)
+		if err == nil {
+			err = transport.WriteDeadline(conn, buf, a.cfg.WriteTimeout)
+		}
 		if o := a.cfg.Edge.Obs; o != nil && err == nil {
 			d := time.Since(t0)
 			o.Upload.Observe(d)

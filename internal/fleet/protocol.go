@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -137,10 +138,73 @@ type FrameData struct {
 // datacenter). A fetch's data records arrive in frame order, all
 // before its FetchResponse trailer; chunking keeps each record under
 // the transport's record size limit.
+//
+// Like Heartbeat, its payload is a fixed binary layout rather than
+// gob, so a fetch's megabytes of samples are copied, not reflected
+// over one value at a time:
+//
+//	uvarint Seq | Stream | count | count × (uvarint W | uvarint H |
+//	uvarint len(Pix) | len(Pix) × float32, 4 bytes little-endian)
+//
+// Samples cross bit for bit, NaN payloads included. Decoding refuses
+// truncated input, trailing bytes, a frame or sample count the
+// remaining bytes could not hold, and a frame whose W×H×3 is not its
+// sample count — checked by division, so no choice of dimensions can
+// wrap the product — and leaves the record untouched when it does.
 type FetchData struct {
 	Seq    uint64
 	Stream string
 	Frames []FrameData
+}
+
+// minFrameBytes is the smallest encoded frame: W, H and the sample
+// count take a byte each.
+const minFrameBytes = 3
+
+// AppendBinary appends the record's binary layout to b, growing b once
+// to the record's size.
+func (fd FetchData) AppendBinary(b []byte) ([]byte, error) {
+	size := 3*binary.MaxVarintLen64 + len(fd.Stream)
+	for _, f := range fd.Frames {
+		size += 3*binary.MaxVarintLen64 + 4*len(f.Pix)
+	}
+	b = slices.Grow(b, size)
+	b = binary.AppendUvarint(b, fd.Seq)
+	b = transport.AppendString(b, fd.Stream)
+	b = binary.AppendUvarint(b, uint64(len(fd.Frames)))
+	for _, f := range fd.Frames {
+		b = binary.AppendUvarint(b, uint64(f.W))
+		b = binary.AppendUvarint(b, uint64(f.H))
+		b = transport.AppendFloat32s(b, f.Pix)
+	}
+	return b, nil
+}
+
+// MarshalBinary returns the record's binary layout.
+func (fd FetchData) MarshalBinary() ([]byte, error) { return fd.AppendBinary(nil) }
+
+// UnmarshalBinary decodes exactly one record's binary layout.
+func (fd *FetchData) UnmarshalBinary(data []byte) error {
+	d := transport.NewLayoutReader(data)
+	out := FetchData{Seq: d.Uvarint(), Stream: d.String()}
+	if n := d.Count(minFrameBytes); n > 0 {
+		out.Frames = make([]FrameData, 0, n)
+		for ; n > 0; n-- {
+			w, h, pix := d.Uvarint(), d.Uvarint(), d.Float32s()
+			// w ≤ len/3 keeps 3·w from wrapping; then w·h·3 = len
+			// holds exactly when h = len/(3·w) with nothing left over.
+			if m := uint64(len(pix)); w == 0 || h == 0 || w > m/3 || m%(3*w) != 0 || h != m/(3*w) {
+				d.Fail(fmt.Errorf("a %dx%d frame with %d samples", w, h, len(pix)))
+				break
+			}
+			out.Frames = append(out.Frames, FrameData{W: int(w), H: int(h), Pix: pix})
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("fetch data: %w", err)
+	}
+	*fd = out
+	return nil
 }
 
 // FetchResponse answers a fetch request with the coded-segment

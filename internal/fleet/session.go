@@ -272,11 +272,16 @@ func (s *Session) dropPending(seq uint64) {
 }
 
 // write sends one record, bounded by the session timeout so a stalled
-// edge cannot hang the controller's writers.
+// edge cannot hang the controller's writers. It encodes before taking
+// wmu, so the lock covers only the write.
 func (s *Session) write(kind uint8, payload any) error {
+	rec, err := transport.EncodeRecord(kind, payload)
+	if err != nil {
+		return err
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return transport.WriteRecordDeadline(s.conn, kind, payload, s.timeout)
+	return transport.WriteDeadline(s.conn, rec, s.timeout)
 }
 
 // run is the session's reader loop; the controller drives it in the

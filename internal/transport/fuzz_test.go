@@ -28,13 +28,14 @@ func FuzzReadHeader(f *testing.F) {
 	f.Add(ok.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00})
-	f.Add([]byte{0xFF, 0x00, 0xFF, 0x08, 0x00, 0x63}) // bad version
-	f.Add([]byte{0xFF, 0x00, 0xFF, 0x08, 0x00, 0x01}) // retired version 1
-	f.Add([]byte{0xFF, 0x00, 0xFF, 0x08, 0x00, 0x00}) // version 0
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x09, 0x00, 0x63}) // bad version
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x09, 0x00, 0x01}) // retired version 1
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x09, 0x00, 0x00}) // version 0
 	f.Add([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x02}) // gob upload layout magic
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05}) // bad magic
 	f.Add([]byte{0xFF, 0x00, 0xFF, 0x06, 0x00, 0x02}) // gob heartbeat layout magic
 	f.Add([]byte{0xFF, 0x00, 0xFF, 0x07, 0x00, 0x02}) // canary layout magic
+	f.Add([]byte{0xFF, 0x00, 0xFF, 0x08, 0x00, 0x02}) // gob fetch-data layout magic
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := ReadHeader(bytes.NewReader(data))
 		if err != nil {

@@ -11,15 +11,18 @@
 //	uint32 magic | uint16 version | stream of records
 //	record:  uint8 kind | uint32 length | uint32 crc32(payload) | payload
 //	payload: the fixed binary layout of KindUpload (UploadRecord),
-//	         KindUploadAck and KindHeartbeat (internal/fleet's
-//	         UploadAck and Heartbeat); gob otherwise
+//	         KindUploadAck, KindHeartbeat and KindFetchData
+//	         (internal/fleet's UploadAck, Heartbeat and FetchData); gob
+//	         for the rest: hello, welcome, deploy, undeploy, ack, fetch
+//	         request, fetch response and bye
 //
-// The records every upload costs, and the heartbeat every node sends
-// each interval, have a binary layout because a gob stream spends more
-// on its type descriptor than on the record, and decoding one compiles
-// a decoder per record. Everything else — hellos, deploys, fetches —
-// is rare or large enough for gob's self-description to be worth it.
-// Every layout decodes through one LayoutReader.
+// The records every upload costs, the heartbeat every node sends each
+// interval, and the demand-fetched pixels have a binary layout: a gob
+// stream spends more on its type descriptor than on a small record,
+// compiles a decoder per record, and walks a large float32 slice one
+// value at a time. The remaining kinds are rare and small enough for
+// gob's self-description to be worth it. Every layout decodes through
+// one LayoutReader.
 //
 // The record framing is internal/walog's (walog.Frame and
 // walog.ReadRecord): a wire record and a logged record are the same
@@ -40,9 +43,11 @@
 // framing. Version 1, a one-way upload pipe with no node identity and
 // no acks, is no longer spoken: a peer announcing it gets ErrVersion.
 //
-// Reconstructed frames are not shipped (the receiver decodes uploads
-// from the coded bits in a real deployment); metadata, ranges, event
-// IDs, and coded sizes are.
+// Uploads carry metadata, ranges, event IDs and coded sizes, not
+// reconstructed frames: the receiver would decode those from the coded
+// bits in a real deployment. The one record that ships reconstructed
+// pixels is a demand fetch's KindFetchData, which the datacenter asks
+// for explicitly.
 package transport
 
 import (
@@ -55,6 +60,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -65,13 +71,14 @@ import (
 // revision and payload layouts. It was bumped (…04 → …05) when records
 // gained the CRC field, again (…05 → …06) when upload and upload-ack
 // payloads left gob for their binary layout, again (…06 → …07) when
-// heartbeats did, and again (…07 → …08) when the hello, deploy,
-// undeploy and heartbeat payloads lost their canary and shadow fields:
-// an older build pairs with this one only up to the handshake, where
-// the stale magic is rejected cleanly — without the bump the handshake
+// heartbeats did, again (…07 → …08) when the hello, deploy, undeploy
+// and heartbeat payloads lost their canary and shadow fields, and
+// again (…08 → …09) when fetch data left gob for its binary layout: an
+// older build pairs with this one only up to the handshake, where the
+// stale magic is rejected cleanly — without the bump the handshake
 // would succeed and the session would fail mid-stream on its first
-// upload, deploy or heartbeat.
-const magic = 0xFF00FF08
+// upload, deploy, heartbeat or fetch.
+const magic = 0xFF00FF09
 
 // Protocol versions. A client announces the version it speaks in its
 // header; the server echoes the version it accepts back.
@@ -181,9 +188,9 @@ func ReadHeader(r io.Reader) (uint16, error) {
 }
 
 // AppendPayload appends payload's record encoding to b: its
-// AppendBinary when it has one (the upload, upload-ack and heartbeat
-// layouts), a self-describing gob stream otherwise. DecodeRecord
-// reverses it.
+// AppendBinary when it has one (the upload, upload-ack, heartbeat and
+// fetch-data layouts), a self-describing gob stream otherwise.
+// DecodeRecord reverses it.
 func AppendPayload(b []byte, payload any) ([]byte, error) {
 	if ba, ok := payload.(encoding.BinaryAppender); ok {
 		return ba.AppendBinary(b)
@@ -193,32 +200,45 @@ func AppendPayload(b []byte, payload any) ([]byte, error) {
 	return out.Bytes(), err
 }
 
-// WriteRecord encodes payload with AppendPayload and writes it to w as
-// one framed record in a single Write. The caller is responsible for
-// serializing concurrent writers.
-func WriteRecord(w io.Writer, kind uint8, payload any) error {
+// EncodeRecord encodes payload with AppendPayload as one framed record
+// of kind, ready for a single Write. Writers encode before they take
+// whatever lock serializes their connection, so the lock covers only
+// the write.
+func EncodeRecord(kind uint8, payload any) ([]byte, error) {
 	buf, err := AppendPayload(make([]byte, walog.RecordHeaderLen, walog.RecordHeaderLen+64), payload)
 	if err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
+		return nil, fmt.Errorf("transport: encode: %w", err)
 	}
 	if err := walog.Frame(buf, kind, buf[walog.RecordHeaderLen:]); err != nil {
-		return fmt.Errorf("transport: %w", err)
+		return nil, fmt.Errorf("transport: %w", err)
 	}
-	_, err = w.Write(buf)
+	return buf, nil
+}
+
+// WriteRecord writes payload to w as one framed record (EncodeRecord)
+// in a single Write. The caller is responsible for serializing
+// concurrent writers.
+func WriteRecord(w io.Writer, kind uint8, payload any) error {
+	rec, err := EncodeRecord(kind, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(rec)
 	return err
 }
 
-// WriteRecordDeadline is WriteRecord with the write bounded by a
-// deadline, so a stalled peer cannot hang the writer forever. A
+// WriteDeadline writes one record EncodeRecord framed, bounded by a
+// deadline so a stalled peer cannot hang the writer forever. A
 // non-positive timeout writes without a deadline.
-func WriteRecordDeadline(conn net.Conn, kind uint8, payload any, timeout time.Duration) error {
+func WriteDeadline(conn net.Conn, rec []byte, timeout time.Duration) error {
 	if timeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return err
 		}
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	return WriteRecord(conn, kind, payload)
+	_, err := conn.Write(rec)
+	return err
 }
 
 // ReadRecord reads one framed record, returning its kind and raw
@@ -259,7 +279,8 @@ func (r progressReader) Read(p []byte) (int, error) {
 
 // DecodeRecord decodes a payload AppendPayload encoded — a record read
 // by ReadRecord — into into: with its UnmarshalBinary when it has one
-// (the upload, upload-ack and heartbeat layouts), gob otherwise.
+// (the upload, upload-ack, heartbeat and fetch-data layouts), gob
+// otherwise.
 func DecodeRecord(body []byte, into any) error {
 	var err error
 	if bu, ok := into.(encoding.BinaryUnmarshaler); ok {
@@ -361,11 +382,24 @@ func AppendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
+// AppendFloat32s appends v as its uvarint length, then each value as
+// its 4 IEEE 754 bytes, little-endian. LayoutReader.Float32s reads it
+// back.
+func AppendFloat32s(b []byte, v []float32) []byte {
+	b = binary.AppendUvarint(b, uint64(len(v)))
+	n := len(b)
+	b = slices.Grow(b, 4*len(v))[:n+4*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[n+4*i:], math.Float32bits(x))
+	}
+	return b
+}
+
 // LayoutReader reads a binary record layout field by field — the one
-// decoder every fixed-layout payload (uploads, upload acks, heartbeats)
-// goes through. The first malformed field records an error and every
-// later read returns zero, so a decoder reads all its fields and
-// checks once, in Finish.
+// decoder every fixed-layout payload (uploads, upload acks, heartbeats,
+// fetch data) goes through. The first malformed field records an
+// error and every later read returns zero, so a decoder reads all its
+// fields and checks once, in Finish.
 type LayoutReader struct {
 	buf []byte
 	err error
@@ -440,6 +474,23 @@ func (d *LayoutReader) Float64() float64 {
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
 	d.buf = d.buf[8:]
+	return v
+}
+
+// Float32s reads a slice AppendFloat32s wrote, bit for bit (NaN
+// payloads included). A length the remaining bytes could not hold is
+// refused before anything is allocated.
+func (d *LayoutReader) Float32s() []float32 {
+	n := d.Uvarint()
+	if n > uint64(len(d.buf)/4) {
+		d.Fail(fmt.Errorf("%d float32s, %d bytes left", n, len(d.buf)))
+		return nil
+	}
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[4*i:]))
+	}
+	d.buf = d.buf[4*n:]
 	return v
 }
 

@@ -2,10 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -48,11 +51,7 @@ func TestReadHeaderRejects(t *testing.T) {
 // announces the previous magic and is refused at the handshake, before
 // any record could be misread.
 func TestReadHeaderRefusesGobUploadMagic(t *testing.T) {
-	stale := []byte{0xFF, 0x00, 0xFF, 0x05, 0x00, Version2}
-	_, err := ReadHeader(bytes.NewReader(stale))
-	if err == nil || errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("previous-magic handshake error = %v, want bad magic", err)
-	}
+	refusesMagic(t, 0xFF00FF05)
 }
 
 // TestReadHeaderRefusesGobHeartbeatMagic pins the magic bump that came
@@ -60,11 +59,7 @@ func TestReadHeaderRefusesGobUploadMagic(t *testing.T) {
 // heartbeats announces the previous magic and is refused at the
 // handshake, before its first heartbeat could be misread.
 func TestReadHeaderRefusesGobHeartbeatMagic(t *testing.T) {
-	stale := []byte{0xFF, 0x00, 0xFF, 0x06, 0x00, Version2}
-	_, err := ReadHeader(bytes.NewReader(stale))
-	if err == nil || errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("previous-magic handshake error = %v, want bad magic", err)
-	}
+	refusesMagic(t, 0xFF00FF06)
 }
 
 // TestReadHeaderRefusesCanaryLayoutMagic pins the magic bump that came
@@ -73,10 +68,26 @@ func TestReadHeaderRefusesGobHeartbeatMagic(t *testing.T) {
 // announces the previous magic and is refused at the handshake, before
 // its first deploy or heartbeat could be misread.
 func TestReadHeaderRefusesCanaryLayoutMagic(t *testing.T) {
-	stale := []byte{0xFF, 0x00, 0xFF, 0x07, 0x00, Version2}
-	_, err := ReadHeader(bytes.NewReader(stale))
+	refusesMagic(t, 0xFF00FF07)
+}
+
+// TestReadHeaderRefusesGobFetchDataMagic pins the magic bump that
+// came with the binary fetch-data layout: an agent still sending gob
+// fetch data announces the previous magic and is refused at the
+// handshake, before its first fetch could be misread.
+func TestReadHeaderRefusesGobFetchDataMagic(t *testing.T) {
+	refusesMagic(t, 0xFF00FF08)
+}
+
+// refusesMagic checks a version-2 header carrying a retired magic is
+// refused as a bad magic, not a version mismatch.
+func refusesMagic(t *testing.T, stale uint32) {
+	t.Helper()
+	hdr := binary.BigEndian.AppendUint32(nil, stale)
+	hdr = binary.BigEndian.AppendUint16(hdr, Version2)
+	_, err := ReadHeader(bytes.NewReader(hdr))
 	if err == nil || errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("previous-magic handshake error = %v, want bad magic", err)
+		t.Fatalf("magic %#x handshake error = %v, want bad magic", stale, err)
 	}
 }
 
@@ -234,5 +245,39 @@ func TestUploadRecordConversion(t *testing.T) {
 	if back.MCName != u.MCName || back.EventID != u.EventID || back.Start != u.Start ||
 		back.End != u.End || back.Bits != u.Bits || back.Final != u.Final {
 		t.Fatalf("round trip changed upload: %+v vs %+v", back, u)
+	}
+}
+
+// TestFloat32sRoundTrip: AppendFloat32s and LayoutReader.Float32s
+// carry every value bit for bit, NaN payloads and -0 included.
+func TestFloat32sRoundTrip(t *testing.T) {
+	in := []float32{1, float32(math.Copysign(0, -1)), math.Float32frombits(0x7FC0_0001), math.Float32frombits(0xFF80_0002), float32(math.Inf(-1))}
+	d := NewLayoutReader(AppendFloat32s(nil, in))
+	out := d.Float32s()
+	if err := d.Finish(); err != nil || len(out) != len(in) {
+		t.Fatalf("read %d values (err %v), want %d", len(out), err, len(in))
+	}
+	for i := range in {
+		if math.Float32bits(out[i]) != math.Float32bits(in[i]) {
+			t.Fatalf("value %d: %#x, want %#x", i, math.Float32bits(out[i]), math.Float32bits(in[i]))
+		}
+	}
+}
+
+// TestFloat32sBoundedAllocation: a length prefix the remaining bytes
+// cannot hold is refused before the slice is made, so a hostile
+// count costs the reader nothing.
+func TestFloat32sBoundedAllocation(t *testing.T) {
+	data := append(binary.AppendUvarint(nil, 1<<22), make([]byte, 8)...) // claims 16 MB, holds 8 bytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := NewLayoutReader(data)
+	v := d.Float32s()
+	runtime.ReadMemStats(&after)
+	if v != nil || d.Finish() == nil {
+		t.Fatalf("a %d-value claim over 8 bytes read %d values, err %v", 1<<22, len(v), d.Finish())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("refusing the claim allocated %d bytes", grew)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // kernels: AVX2, four float64 lanes a YMM register, a block row in a
 // pair of them (codec_avx2_amd64.s), and AVX-512, eight lanes a ZMM
 // register, a block row in one (codec_avx512_amd64.s). The tier is the
-// one internal/tensor's CPUID probe selected for the GEMM: its sse
-// tier, which has no AVX, runs the generic kernels here. Every vector
+// one internal/tensor's CPUID probe selected for the GEMM, so a CPU
+// without AVX2 runs the generic kernels in both packages. Every vector
 // kernel keeps the exact-order rule of dct.go — the lanes run across
 // outputs, never across a sum, and every product is a VMULPD rounded
 // before its VADDPD, never an FMA — so each tier's output is bit for

@@ -22,9 +22,9 @@ func codecTiers(tb testing.TB) []codecTier {
 
 // TestCodecDispatch checks that the codec runs, from start-up, the
 // tier internal/tensor's CPUID probe affords: AVX-512 with its avx512
-// GEMM tier, AVX2 with avx2, the generic kernels with sse.
+// GEMM tier, AVX2 with avx2, the generic kernels with generic.
 func TestCodecDispatch(t *testing.T) {
-	for kernel, want := range map[string]tier{"avx512": tierAVX512, "avx2": tierAVX2, "sse": tierGeneric} {
+	for kernel, want := range map[string]tier{"avx512": tierAVX512, "avx2": tierAVX2, "generic": tierGeneric} {
 		if got := tierOf(kernel); got != want {
 			t.Fatalf("tierOf(%q) = %v, want %v", kernel, got, want)
 		}

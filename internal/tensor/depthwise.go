@@ -24,11 +24,11 @@ type Span struct {
 // before every add. Each output vector starts at its bias, accumulates
 // every tap in a register, takes the epilogue there and is stored
 // once: sixteen lanes wide on the AVX-512 tier (eight for a last block
-// of eight channels), eight on AVX2 and four on SSE, eight vectors at
-// a time across pixels and channel blocks where a span has them, and
-// all spans in one kernel call; the channels past the last whole
-// vector, and every channel of the portable build, run depthwiseGo in
-// the same order, so all tiers give the same bits. ep is not nil (a
+// of eight channels) and eight on AVX2, eight vectors at a time across
+// pixels and channel blocks where a span has them, and all spans in
+// one kernel call; the channels past the last whole vector, and every
+// channel on the generic tier, run depthwiseGo in the same order, so
+// all tiers give the same bits. ep is not nil (a
 // zero Epilogue applies nothing); xstride is not negative; every span
 // must lie inside dst, and every tap inside x and w for every pixel
 // and channel of its span. A caller that builds its spans once runs

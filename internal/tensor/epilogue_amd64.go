@@ -19,23 +19,32 @@ const (
 	epCap
 )
 
-// kernEpilogue is an Epilogue as the assembly kernels read it: the
-// first element of each per-column vector that is on (nil for a step
-// that is off), and the steps as ep* bits. A kernel reads a vector
-// from its own first column on, at an offset it is given.
+// kernEpilogue is an Epilogue as the kernels read it. The assembly
+// kernels read the first element of each per-column vector that is on
+// (nil for a step that is off), and the steps as ep* bits; a kernel
+// reads a vector from its own first column on, at an offset it is
+// given. The generic tier's Go tile reads a copy of the Epilogue.
 type kernEpilogue struct {
 	bias, scale, shift *float32
 	mode               int
 	cap                float32
+	generic            Epilogue
 }
 
-// kernel fills k, which is zero, with ep as the kernels read it,
-// bounds-checking ep's per-column vectors over columns [0, n), n > 0.
-// A nil ep applies nothing. k is filled in place, one field at a time:
-// a struct returned by value is copied in halves that straddle its
-// fields, and each such load stalls on the field stores just made.
+// kernel fills k, which is zero, with ep as the tier this process runs
+// reads it, bounds-checking ep's per-column vectors over columns
+// [0, n), n > 0, for the assembly tiers. A nil ep applies nothing. On
+// the generic tier k holds a copy of ep, not ep itself: storing ep
+// through k would make every caller's epilogue escape to the heap. k
+// is filled in place, one field at a time: a struct returned by value
+// is copied in halves that straddle its fields, and each such load
+// stalls on the field stores just made.
 func (ep *Epilogue) kernel(k *kernEpilogue, n int) {
 	if ep == nil {
+		return
+	}
+	if cpuTier == tierGeneric {
+		k.generic = *ep
 		return
 	}
 	mode := 0
@@ -59,7 +68,8 @@ func (ep *Epilogue) kernel(k *kernEpilogue, n int) {
 }
 
 // lanes is the widest vector the depthwise span runs on the tier this
-// process runs: sixteen lanes on AVX-512, eight on AVX2, four on SSE.
+// process runs: sixteen lanes on AVX-512, eight on AVX2, none on the
+// generic tier, where depthwiseGo computes every channel.
 func lanes() int {
 	switch cpuTier {
 	case tierAVX512:
@@ -67,5 +77,5 @@ func lanes() int {
 	case tierAVX2:
 		return 8
 	}
-	return 4
+	return 0
 }

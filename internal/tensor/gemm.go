@@ -16,20 +16,20 @@ package tensor
 //
 // The microkernel computes a register tile of A rows, each from its own
 // base, against one B panel of eight columns, or a pair of them.
-// amd64 has three tiers, picked once at package initialization
+// amd64 has two assembly tiers, picked once at package initialization
 // (gemm_kernel_amd64.go): a sixteen-lane AVX-512 kernel over eight rows
-// and two panels where the CPU has AVX512F, an eight-lane AVX2 kernel
-// over eight rows and one panel where it has AVX2, and the four-lane
-// SSE kernel of the amd64 baseline over four rows otherwise. Other
-// architectures, and -tags purego, run a portable Go 4×8 kernel
-// (gemm_kernel_generic.go). Every kernel accumulates each output
-// element over k in the same sequential multiply-then-add order and
-// then applies the epilogue to it in the same order, in registers
-// before its one store, so results are bitwise identical across
-// kernels, row splits, and worker counts.
+// and two panels where the CPU has AVX512F, and an eight-lane AVX2
+// kernel over eight rows and one panel where it has AVX2. Everything
+// else — an amd64 CPU without AVX2, other architectures, -tags purego —
+// runs the generic tier, the portable Go 4×8 kernel (gemm_kernel_go.go).
+// Every kernel accumulates each output element over k in the same
+// sequential multiply-then-add order and then applies the epilogue to
+// it in the same order, in registers before its one store, so results
+// are bitwise identical across kernels, row splits, and worker counts.
 
-// gemmMR×gemmNR is the tile of the 4×8 kernels: four A rows against
-// eight B columns. The AVX2 and AVX-512 tiles are tileMax rows high.
+// gemmMR×gemmNR is the tile of the portable 4×8 kernel: four A rows
+// against eight B columns. The AVX2 and AVX-512 tiles are tileMax rows
+// high.
 const (
 	gemmMR  = 4
 	gemmNR  = 8

@@ -19,17 +19,18 @@
 // tile C[r][j] = Σ_p A[r][p] * bp[p*16+j] (one panel of a pair as
 // PackB lays it out), applies the epilogue ep to it in registers, its
 // per-column vectors read from column col on, and stores row r at
-// c + r*ldc floats. Row r of A is read in place, as in kern4x8SSE: segs
-// segments of seglen floats from a + offs[r] floats, pitch floats
-// apart. R8..R13, SI and DI point one past the current segment of rows
-// 0..7 and CX counts up from -seglen to 0. Y0..Y7 accumulate one row
-// each, Y8 holds the streamed B vector, Y9..Y12 the broadcast A
-// elements and their products. VMULPS/VADDPS are unfused (no FMA) and
-// take their operands in the SSE kernel's order (B first in the
-// product, the accumulator first in the sum), so every lane
-// accumulates over p exactly as kern4x8SSE and the portable Go kernel
-// do, NaN propagation included. The epilogue keeps the operand order
-// of kern8x16AVX512's, with Y8 and Y9 holding its operands.
+// c + r*ldc floats. Row r of A is read in place: segs segments of
+// seglen floats from a + offs[r] floats, pitch floats apart, p running
+// through them in order. R8..R13, SI and DI point one past the current
+// segment of rows 0..7 and CX counts up from -seglen to 0, so one index
+// addresses all eight rows. Y0..Y7 accumulate one row each, Y8 holds
+// the streamed B vector, Y9..Y12 the broadcast A elements and their
+// products. VMULPS/VADDPS are unfused (no FMA) and take their operands
+// in one fixed order (B first in the product, the accumulator first in
+// the sum), so every lane accumulates over p exactly as the portable Go
+// kernel does, and a NaN comes through as TestKernelTiersKeepNaNPayloads
+// records it. The epilogue keeps the operand order of kern8x16AVX512's,
+// with Y8 and Y9 holding its operands.
 TEXT ·kern8x8AVX2(SB), NOSPLIT, $0-80
 	MOVQ a+0(FP), AX
 	MOVQ seglen+24(FP), CX

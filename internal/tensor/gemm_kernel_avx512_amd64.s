@@ -30,9 +30,9 @@
 // every register the kernel wrote. Only AVX512F instructions run.
 // VMULPS.BCST broadcasts each row's A element into an unfused product
 // with B as its first operand, and VADDPS takes the accumulator first —
-// the operand order of kern8x8AVX2 and kern4x8SSE — so every lane
-// accumulates over p exactly as they and the portable Go kernel do,
-// NaN propagation included. The epilogue keeps the operand order of
+// the operand order of kern8x8AVX2 — so every lane accumulates over p
+// exactly as it and the portable Go kernel do, NaN propagation
+// included. The epilogue keeps the operand order of
 // applyOne and the depthwise kernels: the accumulator first in its
 // sums and product, zero first in the ReLU's MAX and the cap first in
 // its MIN (Z8 and Z9 hold the operands).

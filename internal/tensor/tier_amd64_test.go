@@ -3,20 +3,24 @@
 package tensor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"strings"
 	"testing"
 )
 
-// kernelTiers lists the assembly tiers this machine can run, lowest
-// first; use() makes GemmInPlace, the epilogue and the depthwise span
-// run that tier until the test or benchmark ends.
+// kernelTiers lists the tiers this machine can run, generic first;
+// use() makes GemmInPlace, the epilogue and the depthwise span run that
+// tier until the test or benchmark ends.
 func kernelTiers(tb testing.TB) []kernelTier {
 	detected := cpuTier
 	tb.Cleanup(func() { cpuTier = detected })
 	var tiers []kernelTier
-	for t := tierSSE; t <= detectTier(); t++ {
+	for t := tierGeneric; t <= detectTier(); t++ {
 		tiers = append(tiers, kernelTier{t.String(), func() { cpuTier = t }})
 	}
 	return tiers
@@ -56,7 +60,7 @@ func TestKernelDispatch(t *testing.T) {
 		name             string
 		rows, cols, lane int
 	}{
-		{"sse", gemmMR, gemmNR, 4},
+		{"generic", gemmMR, gemmNR, 0},
 		{"avx2", tileMax, gemmNR, 8},
 		{"avx512", tileMax, 2 * gemmNR, 16},
 	}
@@ -71,16 +75,43 @@ func TestKernelDispatch(t *testing.T) {
 	}
 }
 
+// nanPayloadDigests are SHA-256 digests of the bits of
+// TestKernelTiersKeepNaNPayloads' outputs, each float32 little-endian
+// in order, as the four-lane SSE kernels that the assembly tiers
+// started from computed them. They fix the operand order every
+// assembly tier keeps.
+var nanPayloadDigests = map[string]string{
+	"gemm 13×16":      "6bda94d213c7619caa776bcfcb040c4695a48bb006b7a68db5eb3e5a308756f0",
+	"depthwise 16×7":  "fe0ecad3175dbdb48bdf02d3eee37ea4cddb6cf6d0ab8fc342729b73b4c91a2f",
+	"depthwise 24×9":  "175dec4d33bab05cf3625fb90426c718cecf5aeb014802257821eec3e65d0a31",
+	"depthwise 136×5": "d62b6f3a83f2eeb277e8f87e6ee163350fc2f7b6bf2c2bc36362f8863d899456",
+}
+
+// bitsDigest is the SHA-256 of v's bits, each float32 little-endian.
+func bitsDigest(v []float32) string {
+	b := make([]byte, 0, 4*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestKernelTiersKeepNaNPayloads holds the assembly tiers to more than
 // the generic tier can be held to: with several different NaNs in the
 // operands, which one survives a product or a sum depends on operand
-// order, and the AVX2 and AVX-512 kernels keep the SSE kernel's. The
-// 13×17 GEMM runs, on the AVX-512 tier, a full pair of panels, a
-// ragged pair and single panels after them.
+// order, and every assembly tier must give the bits in
+// nanPayloadDigests. The 13×17 GEMM runs, on the AVX-512 tier, a full
+// pair of panels, a ragged pair and single panels after them.
 func TestKernelTiersKeepNaNPayloads(t *testing.T) {
-	tiers := kernelTiers(t)
-	if len(tiers) < 2 {
-		t.Skip("one assembly tier on this machine")
+	var tiers []kernelTier
+	for _, tier := range kernelTiers(t) {
+		if tier.name != "generic" {
+			tiers = append(tiers, tier)
+		}
+	}
+	if len(tiers) == 0 {
+		t.Skip("no assembly tier on this machine")
 	}
 	g := NewRNG(17)
 	const m, n, k = 13, 17, 40
@@ -101,8 +132,9 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	ep.Shift[6] = math.Float32frombits(0x7fc05f17)
 	// The kernels apply the epilogue to full tiles and to the ragged
 	// rows 8..12 alike; column 16 is the ragged-column tile, which takes
-	// it in Go. Column 3 (NaN in b) meets a NaN bias; columns 10 and 16
-	// meet NaNs of three payloads in bias, scale and shift; −0 in bias,
+	// it in Go and stays out of the digest. Column 3 (NaN in b) meets a
+	// NaN bias; column 10 meets NaNs of three payloads in bias, scale
+	// and shift (so does 16, outside the digest); −0 in bias,
 	// scale and shift turns values into ±0 ahead of the ReLU's MAX.
 	negZero := float32(math.Copysign(0, -1))
 	ep.Bias[3] = math.Float32frombits(0xffc0b1a6)
@@ -113,26 +145,41 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 	}
 	ep.Bias[11], ep.Scale[12], ep.Shift[12] = negZero, negZero, negZero
 	ep.Scale[15], ep.Shift[15] = negZero, negZero
-	out := make([][]float32, len(tiers))
-	nans := 0
-	for i, tier := range tiers {
-		tier.use()
-		out[i] = make([]float32, m*n)
-		GemmPacked(m, n, k, a, bp, out[i], ep, nil)
-	}
-	for _, v := range out[0] {
-		if v != v {
-			nans++
+	check := func(name string, run func() []float32) {
+		want, ok := nanPayloadDigests[name]
+		if !ok {
+			t.Fatalf("%s: no digest recorded", name)
+		}
+		for _, tier := range tiers {
+			tier.use()
+			out := run()
+			size := len(out)
+			nans := 0
+			for _, v := range out {
+				if v != v {
+					nans++
+				}
+			}
+			if nans == 0 || nans == size {
+				t.Fatalf("%s on %s: %d of %d outputs are NaN: the table exercises nothing", name, tier.name, nans, size)
+			}
+			if got := bitsDigest(out); got != want {
+				t.Fatalf("%s on %s: bits digest %s, want %s", name, tier.name, got, want)
+			}
 		}
 	}
-	if nans == 0 || nans == m*n {
-		t.Fatalf("%d of %d outputs are NaN: the table exercises nothing", nans, m*n)
-	}
-	for ti := 1; ti < len(tiers); ti++ {
-		if i := sameBits(out[0], out[ti]); i >= 0 {
-			t.Fatalf("[%d] sse %#08x, %s %#08x", i, math.Float32bits(out[0][i]), tiers[ti].name, math.Float32bits(out[ti][i]))
+	// The digest covers columns 0..15 alone: column 16 is the
+	// ragged-column tile, whose epilogue runs in Go, and Go fixes no
+	// operand order (a -race build picks another NaN there).
+	check("gemm 13×16", func() []float32 {
+		c := make([]float32, m*n)
+		GemmPacked(m, n, k, a, bp, c, ep, nil)
+		var kernel []float32
+		for r := 0; r < m; r++ {
+			kernel = append(kernel, c[r*n:r*n+2*gemmNR]...)
 		}
-	}
+		return kernel
+	})
 
 	// The depthwise span: NaNs of different payloads in the inputs, the
 	// weights and the bias meet in its products and sums. Tap t's weight
@@ -178,25 +225,11 @@ func TestKernelTiersKeepNaNPayloads(t *testing.T) {
 			dwEp.Scale[ic-8] = math.Float32frombits(0x7fc05ca2)
 			dwEp.Shift[ic-8] = math.Float32frombits(0xffc05f18)
 		}
-		for i, tier := range tiers {
-			tier.use()
-			out[i] = make([]float32, npix*ic)
-			DepthwiseSpans(out[i], ic, ic, x, w, []Span{{Npix: npix, Taps: taps}}, dwEp)
-		}
-		nans = 0
-		for _, v := range out[0] {
-			if v != v {
-				nans++
-			}
-		}
-		if nans == 0 || nans == npix*ic {
-			t.Fatalf("depthwise %d×%d: %d of %d outputs are NaN: the table exercises nothing", ic, npix, nans, npix*ic)
-		}
-		for ti := 1; ti < len(tiers); ti++ {
-			if i := sameBits(out[0], out[ti]); i >= 0 {
-				t.Fatalf("depthwise %d×%d [%d] sse %#08x, %s %#08x", ic, npix, i, math.Float32bits(out[0][i]), tiers[ti].name, math.Float32bits(out[ti][i]))
-			}
-		}
+		check(fmt.Sprintf("depthwise %d×%d", ic, npix), func() []float32 {
+			out := make([]float32, npix*ic)
+			DepthwiseSpans(out, ic, ic, x, w, []Span{{Npix: npix, Taps: taps}}, dwEp)
+			return out
+		})
 	}
 	names := make([]string, len(tiers))
 	for i, tier := range tiers {

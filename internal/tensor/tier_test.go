@@ -216,15 +216,11 @@ func TestKernelTiersBitwiseEqual(t *testing.T) {
 	t.Logf("GEMM tiers covered: %s (this process runs %q)", tierNames(tiers), Kernel())
 }
 
-// tierNames lists the generic tier, which the tests compute directly
-// (for the GEMM, as the scalar oracle), and then the tiers they
-// switched to.
+// tierNames lists the tiers a test switched to.
 func tierNames(tiers []kernelTier) string {
-	names := []string{"generic"}
-	for _, tier := range tiers {
-		if tier.name != "generic" {
-			names = append(names, tier.name)
-		}
+	names := make([]string, len(tiers))
+	for i, tier := range tiers {
+		names[i] = tier.name
 	}
 	return strings.Join(names, " ")
 }
@@ -250,8 +246,8 @@ func depthwiseTaps(g *RNG, ntaps, npix, ic, xstride int) (x, w []float32, taps [
 // machine has and compares the outputs, as bit patterns, with the
 // generic tier (depthwiseGo over every channel): first on one span at
 // a time, then on rows of several spans. The channel counts are
-// all vector tail, one four-lane vector, vectors and a tail, whole
-// eight-lane vectors, and sixteen-lane blocks beside an eight-lane
+// all vector tail (1, 3, 4, 5), vectors and a tail, whole eight-lane
+// vectors, and sixteen-lane blocks beside an eight-lane
 // block and a tail (24, 29, 40, 136: on AVX-512 one to eight blocks of
 // sixteen, then a block of eight); the pixel counts reach every pixel
 // block the kernels walk — eight pixels, four, single ones, their
@@ -385,6 +381,43 @@ func TestDepthwiseSpansChecks(t *testing.T) {
 			DepthwiseSpans(dst, ic, xstride, x, w, []Span{{Npix: 1}, bad}, ep)
 		}()
 	}
+}
+
+// TestKernelsDoNotAllocate: GemmInPlace with every epilogue step on
+// (bias, scale/shift, ReLU with a cap) and DepthwiseSpans allocate
+// nothing on any tier. Each call takes an Epilogue built on the
+// caller's stack, as nn's layers build theirs, so a tier whose
+// kernel setup made the caller's epilogue escape would allocate it
+// here on every call.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	g := NewRNG(20)
+	const m, n, k = 13, 17, 40
+	rows := Matrix(randMat(g, m*k), k)
+	bp := randMat(g, PackBSize(k, n))
+	c := make([]float32, m*n)
+	bias, scale, shift := randMat(g, n), randMat(g, n), randMat(g, n)
+	const npix, ic = 9, 40
+	x, w, taps := depthwiseTaps(g, 9, npix, ic, ic)
+	spans := []Span{{Npix: npix, Taps: taps}}
+	dst := make([]float32, npix*ic)
+	dwBias, dwScale, dwShift := randMat(g, ic), randMat(g, ic), randMat(g, ic)
+	tiers := kernelTiers(t)
+	for _, tier := range tiers {
+		tier.use()
+		if allocs := testing.AllocsPerRun(20, func() {
+			ep := Epilogue{Bias: bias, Scale: scale, Shift: shift, ReLU: true, Cap: 6}
+			GemmInPlace(m, n, &rows, bp, c, &ep)
+		}); allocs != 0 {
+			t.Errorf("GemmInPlace on %s: %v allocs per call, want 0", tier.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			ep := Epilogue{Bias: dwBias, Scale: dwScale, Shift: dwShift, ReLU: true, Cap: 6}
+			DepthwiseSpans(dst, ic, ic, x, w, spans, &ep)
+		}); allocs != 0 {
+			t.Errorf("DepthwiseSpans on %s: %v allocs per call, want 0", tier.name, allocs)
+		}
+	}
+	t.Logf("allocation tiers covered: %s", tierNames(tiers))
 }
 
 // BenchmarkGemmInPlace times the GEMM on the row-major shapes that

@@ -543,7 +543,9 @@ func printHealthLine(w io.Writer, eng *health.Engine, status health.Status) {
 // updateShardGauges mirrors per-shard load, heartbeat-cadence and
 // compaction stats into ff_fleet_shard_<i>_* gauges, the balance view
 // that shows a hot or empty shard at a glance, and each shard's
-// heartbeat handling time into ff_ctrl_shard_<i>_heartbeat_* gauges.
+// heartbeat handling and wal append times into
+// ff_ctrl_shard_<i>_heartbeat_* and ff_ctrl_shard_<i>_wal_append_*
+// gauges.
 // ledger_uploads and ledger_bits total the ledgers of the nodes a shard
 // owns, uploads they delivered before a restart re-homed them included:
 // a re-home moves them between shards, and their sum over shards is the
@@ -566,6 +568,9 @@ func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 			name := fmt.Sprintf("ff_ctrl_shard_%d_heartbeat_p%.0f_ns", s.Shard, q*100)
 			o.Reg.Describe(name, "time the shard took to handle a heartbeat, from reading the record to the end of its drift evaluation")
 			o.Reg.Gauge(name).Set(s.HeartbeatHandling.Quantile(q))
+			name = fmt.Sprintf("ff_ctrl_shard_%d_wal_append_p%.0f_ns", s.Shard, q*100)
+			o.Reg.Describe(name, "time a committed record took to append to the shard's wal, its fsync included under -wal-sync")
+			o.Reg.Gauge(name).Set(s.WALAppend.Quantile(q))
 		}
 	}
 }

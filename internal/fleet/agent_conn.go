@@ -230,10 +230,12 @@ func (a *Agent) tend(done <-chan struct{}) {
 }
 
 // controlLoop serves the controller's requests on its connection
-// until goodbye or error.
+// until goodbye or error. Records are read into one reused buffer;
+// each is decoded (its decoder copies out) before the next read.
 func (a *Agent) controlLoop(conn net.Conn) error {
+	rd := transport.NewReader(conn, 0)
 	for {
-		kind, body, err := transport.ReadRecord(conn)
+		kind, body, err := rd.Read()
 		if err != nil {
 			if connGone(err) {
 				return nil

@@ -117,17 +117,22 @@ type driftEvent struct {
 // against the same reference distribution instead of re-accumulating
 // one shifted by however long the outage lasted. versions carries the
 // model version behind each sketch (zero for an unversioned artifact).
+//
+// A pair already tracked costs no allocation: its "stream/mc" key is
+// built in a stack buffer for the lookup, and made a string only when
+// the pair is inserted, frozen, or reported in an event.
 func observeScores(st *nodeState, node string, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) (events []driftEvent, freezes []*driftBaselineRec) {
+	var keyBuf [128]byte
 	for stream, mcs := range scores {
 		for mc, cur := range mcs {
-			key := stream + "/" + mc
+			key := append(append(append(keyBuf[:0], stream...), '/'), mc...)
 			if st.Drift == nil {
 				st.Drift = make(map[string]*driftState)
 			}
-			ds := st.Drift[key]
+			ds := st.Drift[string(key)]
 			if ds == nil {
 				ds = &driftState{}
-				st.Drift[key] = ds
+				st.Drift[string(key)] = ds
 			}
 			ver := versions[stream][mc]
 			if (ds.Last.Count > 0 && ver != ds.Version) || cur.Count < ds.Last.Count {
@@ -145,7 +150,7 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 			ds.Last = cur
 			if !ds.BaselineSet {
 				if cur.Count >= cfg.MinCount {
-					freezes = append(freezes, &driftBaselineRec{Node: node, Key: key, Baseline: cur, Version: ver})
+					freezes = append(freezes, &driftBaselineRec{Node: node, Key: string(key), Baseline: cur, Version: ver})
 				}
 				continue
 			}
@@ -153,14 +158,13 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 			if win.Count < cfg.MinCount {
 				continue
 			}
-			ds.PSI = obs.PSI(ds.Baseline, win)
-			ds.KS = obs.KS(ds.Baseline, win)
+			ds.PSI, ds.KS = obs.PSIKS(&ds.Baseline, &win)
 			ds.Windows++
 			ds.Prev = cur
 			drifted := ds.PSI >= cfg.PSI || ds.KS >= cfg.KS
 			if drifted != ds.Drifted {
 				events = append(events, driftEvent{
-					node: node, key: key, psi: ds.PSI, ks: ds.KS,
+					node: node, key: string(key), psi: ds.PSI, ks: ds.KS,
 					window: win.Count, started: drifted,
 				})
 			}
@@ -175,7 +179,7 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 // heartbeat's sketches, commits the baseline freezes it returns, and
 // logs threshold transitions; a heartbeat landing after the session
 // died is ignored, mirroring acceptUpload.
-func (sh *shard) noteHeartbeat(s *Session, hb Heartbeat) {
+func (sh *shard) noteHeartbeat(s *Session, hb *Heartbeat) {
 	if len(hb.Scores) == 0 {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,61 @@ func sampleHeartbeat() Heartbeat {
 		ScoreVersions:  map[string]map[string]uint64{"cam0": {"mc0": 2}},
 		PendingUploads: 1,
 	}
+}
+
+// otherHeartbeat shares no name with sampleHeartbeat, sets every
+// histogram and more buckets, and nests more entries: a target holding
+// it has something in every place a later decode must clear.
+func otherHeartbeat() Heartbeat {
+	var h obs.Histogram
+	for ns := int64(1); ns < 1<<30; ns *= 3 {
+		h.ObserveNs(ns)
+	}
+	sketch := func(seed float64) obs.SketchSnapshot {
+		var sk obs.ScoreSketch
+		for i := 0; i < 40; i++ {
+			sk.Observe(float64(i)/40*seed, i%3 == 0)
+		}
+		return sk.Snapshot()
+	}
+	return Heartbeat{
+		Streams: map[string]StreamStats{
+			"door": {Frames: 9, MaxUplinkDelay: 1.5},
+			"yard": {Frames: 7, ArchiveEvictedBytes: 3},
+		},
+		Extract: h.Snapshot(), MCPush: h.Snapshot(), QueueWait: h.Snapshot(), UploadRTT: h.Snapshot(),
+		Scores: map[string]map[string]obs.SketchSnapshot{
+			"door": {"person": sketch(1), "car": sketch(0.5)},
+			"yard": {"dog": sketch(0.9)},
+			"roof": nil,
+		},
+		ScoreVersions:  map[string]map[string]uint64{"door": {"person": 1, "car": 9}, "yard": {"dog": 4}},
+		PendingUploads: 12,
+	}
+}
+
+// decodeInPlace decodes data the way a session does: into a target
+// that already holds each of priors in turn, through one decoder. It
+// reports the first result that differs from want and wantErr, a fresh
+// UnmarshalBinary's.
+func decodeInPlace(data []byte, want Heartbeat, wantErr error, priors ...Heartbeat) error {
+	var dec hbDecoder
+	target := new(Heartbeat)
+	for _, prior := range priors {
+		if err := target.decode(must(prior.MarshalBinary()), &dec); err != nil {
+			return fmt.Errorf("prior %+v: %v", prior, err)
+		}
+		err := target.decode(data, &dec)
+		switch {
+		case wantErr != nil && (err == nil || err.Error() != wantErr.Error()):
+			return fmt.Errorf("over %+v: error %v, a fresh decode says %v", prior, err, wantErr)
+		case wantErr == nil && err != nil:
+			return fmt.Errorf("over %+v: error %v, a fresh decode accepts it", prior, err)
+		case wantErr == nil && !sameHeartbeat(*target, want):
+			return fmt.Errorf("over %+v: decoded %+v, a fresh decode gives %+v", prior, *target, want)
+		}
+	}
+	return nil
 }
 
 // TestHeartbeatLayout pins the heartbeat's wire bytes field by field,
@@ -135,6 +191,9 @@ func TestHeartbeatLayoutRefusesMalformed(t *testing.T) {
 		if !reflect.DeepEqual(hb, sampleHeartbeat()) {
 			t.Fatalf("%s: refused input changed the heartbeat to %+v", name, hb)
 		}
+		if err := decodeInPlace(b, Heartbeat{}, hb.UnmarshalBinary(b), sampleHeartbeat(), otherHeartbeat()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	// The last valid bucket index still decodes.
 	var hb Heartbeat
@@ -154,10 +213,18 @@ func must(b []byte, err error) []byte {
 // FuzzDecodeHeartbeat feeds arbitrary payloads to the heartbeat
 // layout's decoder: nothing panics, a refused input leaves the
 // heartbeat untouched, and an accepted one re-encodes to bytes that
-// decode back to the same heartbeat.
+// decode back to the same heartbeat. A session's in-place decode,
+// into a target holding sampleHeartbeat and then otherHeartbeat, gives
+// the same heartbeat or the same refusal.
 func FuzzDecodeHeartbeat(f *testing.F) {
 	f.Add(must(sampleHeartbeat().MarshalBinary()))
+	f.Add(must(otherHeartbeat().MarshalBinary()))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var fresh Heartbeat
+		freshErr := fresh.UnmarshalBinary(data)
+		if err := decodeInPlace(data, fresh, freshErr, sampleHeartbeat(), otherHeartbeat()); err != nil {
+			t.Fatalf("%x: %v", data, err)
+		}
 		hb := sampleHeartbeat()
 		if err := transport.DecodeRecord(data, &hb); err != nil {
 			if !reflect.DeepEqual(hb, sampleHeartbeat()) {
@@ -294,9 +361,13 @@ func nilEmpty[V any](m map[string]map[string]V) map[string]map[string]V {
 
 // TestHeartbeatLayoutRoundTrip is the layout's property test: random
 // heartbeats — nil and empty maps at both levels, sparse and
-// extreme buckets — decode to exactly what was encoded.
+// extreme buckets — encode within their maxSize bound and decode to
+// exactly what was encoded, and so does each decoded in place over the
+// one before it, as a session decodes.
 func TestHeartbeatLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed))
+	var dec hbDecoder
+	target := new(Heartbeat)
 	for i := 0; i < 2000; i++ {
 		hb := randomHeartbeat(rng)
 		b, err := hb.MarshalBinary()
@@ -310,29 +381,151 @@ func TestHeartbeatLayoutRoundTrip(t *testing.T) {
 		if want := decodedForm(hb); !reflect.DeepEqual(back, want) {
 			t.Fatalf("heartbeat %d round trip:\n got %+v\nwant %+v", i, back, want)
 		}
+		if len(b) > hb.maxSize() {
+			t.Fatalf("heartbeat %d encodes to %d bytes, past its bound %d", i, len(b), hb.maxSize())
+		}
+		if err := target.decode(b, &dec); err != nil || !reflect.DeepEqual(*target, back) {
+			t.Fatalf("heartbeat %d decoded in place over heartbeat %d: %+v (err %v), want %+v", i, i-1, *target, err, back)
+		}
 	}
 }
 
-// TestHeartbeatHandlingObservesWithoutAllocating pins the shard's
-// heartbeat timing at zero cost in allocations: handling a heartbeat
-// with the gap and handling histograms allocates exactly what it does
-// without them.
+// TestHeartbeatDecodeKeysPerLevel: a name may key a stream and an MC
+// at once, and decoding in place keeps the two apart, both in what it
+// keeps and in what it refuses as a duplicate.
+func TestHeartbeatDecodeKeysPerLevel(t *testing.T) {
+	var sk obs.SketchSnapshot
+	sk.Count, sk.Bins[3] = 1, 1
+	shared := Heartbeat{
+		Streams:       map[string]StreamStats{"x": {Frames: 1}},
+		Scores:        map[string]map[string]obs.SketchSnapshot{"x": {"x": sk, "y": sk}, "y": {"x": sk}},
+		ScoreVersions: map[string]map[string]uint64{"y": {"y": 3}},
+	}
+	b := must(shared.MarshalBinary())
+	if err := decodeInPlace(b, shared, nil, otherHeartbeat(), shared, sampleHeartbeat()); err != nil {
+		t.Fatal(err)
+	}
+	// Stream "x" twice, the second holding MC "x", which is read
+	// between the two claims of stream "x".
+	empty := must(Heartbeat{}.MarshalBinary())
+	sketch := appendSketch(nil, sk)
+	dup := bytes.Join([][]byte{
+		empty[:len(empty)-3],
+		{2, 1, 'x', 1, 1, 'y'}, sketch,
+		{1, 'x', 1, 1, 'x'}, sketch,
+		empty[len(empty)-2:],
+	}, nil)
+	var fresh Heartbeat
+	err := fresh.UnmarshalBinary(dup)
+	if err == nil || !strings.Contains(err.Error(), `duplicate key "x"`) {
+		t.Fatalf("a repeated stream decoded: %+v (err %v)", fresh, err)
+	}
+	if err := decodeInPlace(dup, Heartbeat{}, err, shared, sampleHeartbeat()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// gridHeartbeats encodes n cumulative heartbeats of a node with 8
+// streams of 8 MCs each, every one adding perMC scores to each MC's
+// sketch: the shape of a fleet node the drift detector scores.
+func gridHeartbeats(n, perMC int) [][]byte {
+	rng := rand.New(rand.NewSource(chaosSeed))
+	hb := Heartbeat{
+		Streams:       make(map[string]StreamStats),
+		Scores:        make(map[string]map[string]obs.SketchSnapshot),
+		ScoreVersions: make(map[string]map[string]uint64),
+	}
+	var lat obs.Histogram
+	out := make([][]byte, n)
+	for i := range out {
+		for s := 0; s < 8; s++ {
+			stream := fmt.Sprintf("cam%d", s)
+			st := hb.Streams[stream]
+			st.Frames += perMC
+			hb.Streams[stream] = st
+			if hb.Scores[stream] == nil {
+				hb.Scores[stream] = make(map[string]obs.SketchSnapshot)
+				hb.ScoreVersions[stream] = make(map[string]uint64)
+			}
+			for m := 0; m < 8; m++ {
+				mc := fmt.Sprintf("mc%d", m)
+				var sk obs.ScoreSketch
+				for k := 0; k < perMC; k++ {
+					score := rng.Float64() * rng.Float64()
+					sk.Observe(score, score >= 0.5)
+				}
+				cum := hb.Scores[stream][mc]
+				cum.Merge(sk.Snapshot())
+				hb.Scores[stream][mc] = cum
+				hb.ScoreVersions[stream][mc] = 1
+			}
+		}
+		lat.ObserveNs(int64(1000 + rng.Intn(100_000)))
+		hb.Extract = lat.Snapshot()
+		out[i] = must(hb.MarshalBinary())
+	}
+	return out
+}
+
+// TestHeartbeatHandlingObservesWithoutAllocating pins heartbeat
+// handling at zero allocations once warm: the decode into the spare
+// heartbeat reuses its maps and interned names, the gap and handling
+// histograms cost nothing, and neither does the shard's drift hook
+// scoring every MC of an 8-stream × 8-MC heartbeat against its frozen
+// baseline.
 func TestHeartbeatHandlingObservesWithoutAllocating(t *testing.T) {
-	body := must(sampleHeartbeat().MarshalBinary())
-	bare := newSession(1, Hello{Node: "bare"}, nil, 0, 0, nil, nil, nil)
-	timed := newSession(2, Hello{Node: "timed"}, nil, 0, 0, &obs.Histogram{}, &obs.Histogram{}, nil)
-	allocs := func(s *Session) float64 {
-		return testing.AllocsPerRun(200, func() {
-			if err := s.handleHeartbeat(body); err != nil {
+	ctrl := NewController(ControllerConfig{
+		Timeout: time.Second,
+		// No threshold: a window's scores never flip a pair to drifted,
+		// so no event is logged, and every window is still scored.
+		Drift: DriftConfig{PSI: DriftOff, KS: DriftOff},
+	})
+	defer ctrl.Close()
+	sh := ctrl.shards[0]
+	sh.mu.Lock()
+	sh.node("hooked")
+	sh.mu.Unlock()
+
+	sample := must(sampleHeartbeat().MarshalBinary())
+	// Each grid heartbeat adds a window of MinCount scores per MC, so
+	// the first freezes every baseline and each later one is scored.
+	grid := gridHeartbeats(240, DefaultDriftMinCount)
+	for _, tc := range []struct {
+		name   string
+		s      *Session
+		bodies [][]byte
+	}{
+		{"bare", newSession(1, Hello{Node: "bare"}, nil, 0, 0, nil, nil, nil), [][]byte{sample}},
+		{"timed", newSession(2, Hello{Node: "timed"}, nil, 0, 0, &obs.Histogram{}, &obs.Histogram{}, nil), [][]byte{sample}},
+		{"drift hook", newSession(3, Hello{Node: "hooked"}, nil, 0, 0, sh.hbGap, sh.hbHandle, sh.noteHeartbeat), grid},
+	} {
+		next := 0
+		handle := func() {
+			if err := tc.s.handleHeartbeat(tc.bodies[next%len(tc.bodies)]); err != nil {
 				t.Fatal(err)
 			}
-		})
+			next++
+		}
+		for i := 0; i < 3; i++ { // fill the current and the spare heartbeat
+			handle()
+		}
+		if allocs := testing.AllocsPerRun(200, handle); allocs != 0 {
+			t.Errorf("%s: handling a heartbeat allocates %v objects, want 0", tc.name, allocs)
+		}
 	}
-	if without, with := allocs(bare), allocs(timed); with != without {
-		t.Fatalf("heartbeat handling allocates %v objects with timing, %v without", with, without)
+	for _, h := range []*obs.Histogram{sh.hbHandle, sh.hbGap} {
+		if h.Count() == 0 {
+			t.Fatal("the shard's heartbeat timing observed nothing")
+		}
 	}
-	if timed.hbHandle.Count() == 0 || timed.hbGap.Count() == 0 {
-		t.Fatalf("timing observed nothing: handle %d, gap %d", timed.hbHandle.Count(), timed.hbGap.Count())
+	reports := ctrl.DriftReports()
+	if len(reports) != 64 {
+		t.Fatalf("%d drift pairs tracked, want 64", len(reports))
+	}
+	for _, r := range reports {
+		if r.Baseline == 0 || r.Windows < 200 {
+			t.Fatalf("%s/%s: baseline %d, %d windows scored; want a frozen baseline and every heartbeat scored", r.Stream, r.MC, r.Baseline, r.Windows)
+		}
 	}
 }
 
@@ -405,5 +598,84 @@ func TestFleetLatencyQuantilesExact(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: merged histogram %+v, want %+v", name, got, want)
 		}
+	}
+}
+
+// TestHeartbeatReadWhileDecodedInPlace: a session decodes heartbeats
+// into its reused maps while another goroutine reads them through
+// ShardLoads and ListNodes and writes to every map ListNodes returns.
+// The fleet flake guard runs it under -race: readers get copies or read
+// under the session's lock, so nothing here may race.
+func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
+	const beats = 300
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController(ControllerConfig{Timeout: 5 * time.Second, Shards: 2})
+	ctrl.Serve(ln)
+	defer ctrl.Close()
+	edge := dialScripted(t, n, Hello{Node: "reused"})
+
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		reads := 0
+		for {
+			select {
+			case <-stop:
+				done <- reads
+				return
+			default:
+			}
+			for _, loads := range ctrl.ShardLoads() {
+				for _, l := range loads {
+					_ = l.Scores.Count + l.ExtractLat.Count
+				}
+			}
+			for _, info := range ctrl.ListNodes() {
+				hb := info.Heartbeat
+				for name, st := range hb.Streams {
+					st.Frames = -1
+					hb.Streams[name] = st
+				}
+				if hb.Streams != nil {
+					hb.Streams["added"] = StreamStats{}
+				}
+				for stream, inner := range hb.Scores {
+					for mc := range inner {
+						delete(inner, mc)
+						inner["added-"+mc] = obs.SketchSnapshot{Count: 1}
+					}
+					delete(hb.Scores, stream)
+				}
+				for _, inner := range hb.ScoreVersions {
+					clear(inner)
+				}
+			}
+			reads++
+		}
+	}()
+	shapes := []Heartbeat{sampleHeartbeat(), otherHeartbeat(), {}}
+	for i := 1; i <= beats; i++ {
+		hb := shapes[i%len(shapes)]
+		hb.PendingUploads = i
+		edge.send(transport.KindHeartbeat, hb)
+	}
+	waitFor(t, "the last heartbeat", func() bool {
+		nodes := ctrl.ListNodes()
+		return len(nodes) == 1 && nodes[0].Heartbeat.PendingUploads == beats
+	})
+	close(stop)
+	if reads := <-done; reads == 0 {
+		t.Fatal("the reader goroutine never read the heartbeats")
+	}
+	// The last heartbeat decoded as sent, untouched by the writes to
+	// the copies.
+	want := shapes[beats%len(shapes)]
+	want.PendingUploads = beats
+	if got := ctrl.ListNodes()[0].Heartbeat; !sameHeartbeat(got, decodedForm(want)) {
+		t.Fatalf("latest heartbeat %+v, sent %+v", got, want)
 	}
 }

@@ -287,12 +287,17 @@ func (sh *shard) commit(rec record) bool {
 				sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id, "err", err)
 			}
 		}
-		payload, err := transport.AppendPayload(nil, rec)
+		payload, err := transport.AppendPayload(sh.encoded[:0], rec)
 		if err == nil {
+			if cap(payload) <= maxKeptEncoded {
+				sh.encoded = payload
+			}
+			start := time.Now()
 			err = sh.wal.Append(rec.kind(), payload)
-		}
-		if err == nil && sh.c.cfg.WALSync {
-			err = sh.wal.Sync()
+			if err == nil && sh.c.cfg.WALSync {
+				err = sh.wal.Sync()
+			}
+			sh.walAppend.Observe(time.Since(start))
 		}
 		if err != nil {
 			sh.c.cfg.Log.Error("fleet: wal append failed",
@@ -306,6 +311,11 @@ func (sh *shard) commit(rec record) bool {
 	sh.apply(rec)
 	return logged
 }
+
+// maxKeptEncoded bounds the encoding buffer a shard keeps between
+// commits, so one large record (an intent carrying its MC) does not pin
+// its size for the shard's life.
+const maxKeptEncoded = 1 << 20
 
 // compactDue reports whether commit should compact before its append:
 // once at least SnapshotEvery records AND at least as many bytes as the

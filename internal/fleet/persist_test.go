@@ -530,3 +530,50 @@ func TestFailedCompactionRetriesAfterSnapshotEvery(t *testing.T) {
 		t.Fatalf("recovered ledger holds %d uploads and differs from the %d before the crash", len(after), len(before))
 	}
 }
+
+// TestWALAppendObserved: every committed upload is timed into its
+// shard's WAL-append histogram, and committing an upload — encode,
+// append, timing — allocates nothing beyond the ledger's own growth.
+func TestWALAppendObserved(t *testing.T) {
+	const uploads = 40
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, _, err := OpenController(ControllerConfig{Timeout: 10 * time.Second, StateDir: t.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Serve(ln)
+	defer ctrl.Close()
+	edge := dialScripted(t, n, Hello{Node: "edge-1"})
+	for seq := uint64(1); seq <= uploads; seq++ {
+		edge.upload(seq, 10*int(seq))
+	}
+	sh := ctrl.shards[ctrl.ShardOf("edge-1")]
+	if got := ctrl.ShardStats()[sh.id].WALAppend.Count; got < uploads {
+		t.Fatalf("WAL-append histogram counted %d appends, %d uploads were committed", got, uploads)
+	}
+
+	// The same commits, driven straight into the shard: the ledger's
+	// amortized growth rounds away, so anything left is per commit.
+	s := newSession(99, Hello{Node: "edge-2"}, nil, 0, 0, nil, nil, nil)
+	sh.mu.Lock()
+	sh.node("edge-2")
+	sh.mu.Unlock()
+	seq := uint64(0)
+	before := sh.walAppend.Count()
+	allocs := testing.AllocsPerRun(500, func() {
+		seq++
+		if accept, ack := sh.acceptUpload(s, transport.UploadRecord{MCName: "cam0/mc-1", EventID: seq, Start: 1, End: 2, Bits: 8, Seq: seq}); !accept || !ack {
+			t.Fatalf("upload %d: accept %v, ack %v", seq, accept, ack)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("committing an upload allocates %v objects, want 0", allocs)
+	}
+	if got := sh.walAppend.Count() - before; got != seq {
+		t.Fatalf("%d commits observed %d appends", seq, got)
+	}
+}

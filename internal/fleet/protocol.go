@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -313,8 +315,10 @@ const (
 	minSketchBytes = 4 + obs.SketchBins // Count, Passes, Sum, SumSq, bins
 )
 
-// AppendBinary appends the heartbeat's binary layout to b.
+// AppendBinary appends the heartbeat's binary layout to b, growing b
+// once, to the bound maxSize computes.
 func (hb Heartbeat) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, hb.maxSize())
 	b = binary.AppendUvarint(b, uint64(len(hb.Streams)))
 	for name, st := range hb.Streams {
 		b = transport.AppendString(b, name)
@@ -339,45 +343,214 @@ func (hb Heartbeat) AppendBinary(b []byte) ([]byte, error) {
 	return binary.AppendVarint(b, int64(hb.PendingUploads)), nil
 }
 
+// maxSize bounds the heartbeat's encoded size: each stream and
+// histogram bucket at its widest, each sketch's moments at their width
+// and its bins at the width of its largest.
+func (hb *Heartbeat) maxSize() int {
+	const v = binary.MaxVarintLen64
+	n := 4*v + v // the counts of the three maps, PendingUploads
+	for name := range hb.Streams {
+		n += v + len(name) + 11*v + 8
+	}
+	for _, h := range [...]*obs.HistSnapshot{&hb.Extract, &hb.MCPush, &hb.QueueWait, &hb.UploadRTT} {
+		n += 4 * v
+		for _, c := range h.Buckets {
+			if c != 0 {
+				n += 2 * v
+			}
+		}
+	}
+	for stream, inner := range hb.Scores {
+		n += 2*v + len(stream)
+		for mc, s := range inner {
+			top := uint64(0)
+			for _, c := range s.Bins {
+				top = max(top, c)
+			}
+			n += v + len(mc) + uvarintLen(s.Count) + uvarintLen(s.Passes) + varintLen(s.Sum) + varintLen(s.SumSq) + obs.SketchBins*uvarintLen(top)
+		}
+	}
+	for stream, inner := range hb.ScoreVersions {
+		n += 2*v + len(stream)
+		for mc := range inner {
+			n += v + len(mc) + v
+		}
+	}
+	return n
+}
+
+// uvarintLen is the number of bytes x takes as a uvarint, varintLen as
+// a zigzag varint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(x int64) int   { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
+
 // MarshalBinary returns the heartbeat's binary layout.
 func (hb Heartbeat) MarshalBinary() ([]byte, error) { return hb.AppendBinary(nil) }
 
-// UnmarshalBinary decodes exactly one heartbeat's binary layout.
+// UnmarshalBinary decodes exactly one heartbeat's binary layout: the
+// same parser a session runs in place (decode), run on a fresh target
+// with a fresh decoder.
 func (hb *Heartbeat) UnmarshalBinary(data []byte) error {
-	d := transport.NewLayoutReader(data)
 	var out Heartbeat
-	if n := d.Count(minStreamBytes); n > 0 {
-		out.Streams = make(map[string]StreamStats, n)
-		for ; n > 0; n-- {
-			name := d.String()
-			putUnique(&d, out.Streams, name, StreamStats{
-				Frames:                 d.Int(),
-				Uploads:                d.Int(),
-				UploadedFrames:         d.Int(),
-				UploadedBits:           d.Varint(),
-				DemandFetchBits:        d.Varint(),
-				DemandFetches:          d.Int(),
-				MaxUplinkDelay:         d.Float64(),
-				ArchivedBits:           d.Varint(),
-				ArchiveBytes:           d.Varint(),
-				ArchiveSegments:        d.Int(),
-				ArchiveEvictedSegments: d.Int(),
-				ArchiveEvictedBytes:    d.Varint(),
-			})
-		}
-	}
-	for _, h := range [...]*obs.HistSnapshot{&out.Extract, &out.MCPush, &out.QueueWait, &out.UploadRTT} {
-		readHist(&d, h)
-	}
-	readUvarint := (*transport.LayoutReader).Uvarint
-	out.Scores = readNested(&d, minSketchBytes, readSketch)
-	out.ScoreVersions = readNested(&d, 1, readUvarint)
-	out.PendingUploads = d.Int()
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("heartbeat: %w", err)
+	if err := out.decode(data, new(hbDecoder)); err != nil {
+		return err
 	}
 	*hb = out
 	return nil
+}
+
+// decode parses one heartbeat's layout into hb in place. Every map is
+// refilled: an entry the layout holds overwrites the one under its key
+// (a sketch is stored out of line, so overwriting reuses its storage),
+// a key the layout lacks is deleted, and a map of no entries becomes
+// nil. Every histogram is zeroed before its buckets are read. Names
+// come from dec's intern table, so a heartbeat like the one hb held
+// decodes without allocating. On an error hb is left half-written:
+// UnmarshalBinary decodes into a fresh value and a session into its
+// spare, so neither exposes one.
+func (hb *Heartbeat) decode(data []byte, dec *hbDecoder) error {
+	if dec.names == nil || len(dec.names) > maxInternedNames {
+		dec.names = make(map[string]*internedName)
+	}
+	// The value readers are called through function values, so the
+	// layout reader escapes: the decoder lends its own.
+	d := &dec.d
+	*d = transport.NewLayoutReader(data)
+	defer func() { *d = transport.LayoutReader{} }() // keep no reference to data
+
+	n := d.Count(minStreamBytes)
+	var scope uint64
+	hb.Streams, scope = begin(dec, hb.Streams, n)
+	for range n {
+		name := dec.name(d.Bytes())
+		st := StreamStats{
+			Frames:                 d.Int(),
+			Uploads:                d.Int(),
+			UploadedFrames:         d.Int(),
+			UploadedBits:           d.Varint(),
+			DemandFetchBits:        d.Varint(),
+			DemandFetches:          d.Int(),
+			MaxUplinkDelay:         d.Float64(),
+			ArchivedBits:           d.Varint(),
+			ArchiveBytes:           d.Varint(),
+			ArchiveSegments:        d.Int(),
+			ArchiveEvictedSegments: d.Int(),
+			ArchiveEvictedBytes:    d.Varint(),
+		}
+		if dec.claim(d, name, outerKey, scope) {
+			hb.Streams[name.s] = st
+		}
+	}
+	sweep(dec, hb.Streams, n, outerKey, scope)
+	for _, h := range [...]*obs.HistSnapshot{&hb.Extract, &hb.MCPush, &hb.QueueWait, &hb.UploadRTT} {
+		readHist(d, h)
+	}
+	hb.Scores = readNested(d, dec, hb.Scores, minSketchBytes, readSketch)
+	hb.ScoreVersions = readNested(d, dec, hb.ScoreVersions, 1, (*transport.LayoutReader).Uvarint)
+	hb.PendingUploads = d.Int()
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("heartbeat: %w", err)
+	}
+	return nil
+}
+
+// clone returns a deep copy of hb, sharing no map with it.
+func (hb *Heartbeat) clone() Heartbeat {
+	out := *hb
+	out.Streams = maps.Clone(hb.Streams)
+	out.Scores = cloneNested(hb.Scores)
+	out.ScoreVersions = cloneNested(hb.ScoreVersions)
+	return out
+}
+
+func cloneNested[V any](m map[string]map[string]V) map[string]map[string]V {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]map[string]V, len(m))
+	for k, inner := range m {
+		out[k] = maps.Clone(inner)
+	}
+	return out
+}
+
+// hbDecoder is what heartbeat decodes into one target keep between
+// them: the layout reader, and an intern table of the stream and MC
+// names seen. Each name carries the scope of the map it was last
+// written to, at each nesting level, which is how a decode that
+// overwrites a map in place tells a duplicate key from a key the
+// previous decode left. The table starts over, between decodes, once it
+// holds more than maxInternedNames, so a node cycling through names
+// cannot grow it without limit.
+type hbDecoder struct {
+	d     transport.LayoutReader
+	names map[string]*internedName
+	scope uint64 // the newest map's scope; every map read takes a new one
+}
+
+// internedName is one entry of an hbDecoder's intern table.
+type internedName struct {
+	s       string
+	written [2]uint64 // by nesting level: the scope of the map last given this key
+}
+
+// Nesting levels of a heartbeat's maps: the top-level maps (Streams, and
+// Scores and ScoreVersions by stream), and the MC maps inside a stream.
+const (
+	outerKey = iota
+	innerKey
+)
+
+// maxInternedNames bounds an hbDecoder's intern table between decodes.
+const maxInternedNames = 4096
+
+// name returns the interned entry for b, adding it on first sight.
+func (dec *hbDecoder) name(b []byte) *internedName {
+	if e := dec.names[string(b)]; e != nil {
+		return e
+	}
+	e := &internedName{s: string(b)}
+	dec.names[e.s] = e
+	return e
+}
+
+// begin starts reading n entries into m in place: it returns m (nil for
+// no entries, a new map when m is nil) and the scope the entries' keys
+// are claimed in.
+func begin[V any](dec *hbDecoder, m map[string]V, n int) (map[string]V, uint64) {
+	dec.scope++
+	switch {
+	case n == 0:
+		return nil, dec.scope
+	case m == nil:
+		return make(map[string]V, n), dec.scope
+	}
+	return m, dec.scope
+}
+
+// claim marks name as a key of the map of scope at level, reporting
+// false and failing the layout if it already is one: a decoder that
+// let the last entry win would accept two encodings of one heartbeat.
+func (dec *hbDecoder) claim(d *transport.LayoutReader, name *internedName, level int, scope uint64) bool {
+	if name.written[level] == scope {
+		d.Fail(fmt.Errorf("duplicate key %q", name.s))
+		return false
+	}
+	name.written[level] = scope
+	return true
+}
+
+// sweep deletes the keys of m, which n entries of scope were read
+// into, that the scope did not claim: those an earlier decode left.
+func sweep[V any](dec *hbDecoder, m map[string]V, n, level int, scope uint64) {
+	if len(m) <= n {
+		return
+	}
+	for k := range m {
+		if e := dec.names[k]; e == nil || e.written[level] != scope {
+			delete(m, k)
+		}
+	}
 }
 
 // appendHist appends a histogram snapshot: Count, Sum, Max, then its
@@ -404,10 +577,11 @@ func appendHist(b []byte, h *obs.HistSnapshot) []byte {
 	return b
 }
 
-// readHist reads what appendHist wrote into h, refusing a bucket index
+// readHist reads what appendHist wrote into h, which it zeroes first
+// (the layout holds only the nonzero buckets), refusing a bucket index
 // that does not increase or falls outside the histogram.
 func readHist(d *transport.LayoutReader, h *obs.HistSnapshot) {
-	h.Count, h.Sum, h.Max = d.Uvarint(), d.Varint(), d.Varint()
+	*h = obs.HistSnapshot{Count: d.Uvarint(), Sum: d.Varint(), Max: d.Varint()}
 	prev := -1
 	for n := d.Count(2); n > 0; n-- { // an index delta and a count
 		delta, c := d.Uvarint(), d.Uvarint()
@@ -437,9 +611,7 @@ func appendSketch(b []byte, s obs.SketchSnapshot) []byte {
 
 func readSketch(d *transport.LayoutReader) obs.SketchSnapshot {
 	s := obs.SketchSnapshot{Count: d.Uvarint(), Passes: d.Uvarint(), Sum: d.Varint(), SumSq: d.Varint()}
-	for i := range s.Bins {
-		s.Bins[i] = d.Uvarint()
-	}
+	d.Uvarints(s.Bins[:])
 	return s
 }
 
@@ -457,38 +629,30 @@ func appendNested[V any](b []byte, m map[string]map[string]V, appendV func([]byt
 	return b
 }
 
-// readNested reads what appendNested wrote; a value takes at least
-// minValueBytes.
-func readNested[V any](d *transport.LayoutReader, minValueBytes int, readV func(*transport.LayoutReader) V) map[string]map[string]V {
+// readNested reads what appendNested wrote into m in place (see
+// decode), each stream's MC map into the one m held for the stream; a
+// value takes at least minValueBytes.
+func readNested[V any](d *transport.LayoutReader, dec *hbDecoder, m map[string]map[string]V, minValueBytes int, readV func(*transport.LayoutReader) V) map[string]map[string]V {
 	n := d.Count(2) // a stream name and an inner count
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]map[string]V, n)
-	for ; n > 0; n-- {
-		stream := d.String()
-		var inner map[string]V
-		if k := d.Count(1 + minValueBytes); k > 0 { // an MC name and a value
-			inner = make(map[string]V, k)
-			for ; k > 0; k-- {
-				mc := d.String()
-				putUnique(d, inner, mc, readV(d))
+	m, scope := begin(dec, m, n)
+	for range n {
+		stream := dec.name(d.Bytes())
+		k := d.Count(1 + minValueBytes) // an MC name and a value
+		inner, innerScope := begin(dec, m[stream.s], k)
+		for range k {
+			mc := dec.name(d.Bytes())
+			v := readV(d)
+			if dec.claim(d, mc, innerKey, innerScope) {
+				inner[mc.s] = v
 			}
 		}
-		putUnique(d, m, stream, inner)
+		sweep(dec, inner, k, innerKey, innerScope)
+		if dec.claim(d, stream, outerKey, scope) {
+			m[stream.s] = inner
+		}
 	}
+	sweep(dec, m, n, outerKey, scope)
 	return m
-}
-
-// putUnique stores m[k] = v, failing the layout on a duplicate key: a
-// decoder that let the last entry win would accept two encodings of
-// one heartbeat.
-func putUnique[V any](d *transport.LayoutReader, m map[string]V, k string, v V) {
-	if _, dup := m[k]; dup {
-		d.Fail(fmt.Errorf("duplicate key %q", k))
-		return
-	}
-	m[k] = v
 }
 
 // UploadAck acknowledges one received upload by its edge-assigned

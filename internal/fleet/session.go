@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/vision"
+	"repro/internal/walog"
 )
 
 // ErrSessionClosed is returned by session operations after the edge
@@ -59,9 +61,17 @@ type Session struct {
 	pending     map[uint64]chan any
 	fetchFrames map[uint64][]*vision.Image // data chunks awaiting their trailer
 	received    int
-	heartbeat   Heartbeat
+	heartbeat   *Heartbeat // the latest; its maps are not written again until it is the spare
 	heartbeatAt time.Time
 	runErr      error
+
+	// spare is the heartbeat the reader goroutine decodes the next
+	// record into, reusing its maps and hbDec's names; the two swap
+	// under mu. Owned by the reader goroutine, as are ackBuf, the
+	// reused upload-ack record, and hbDec.
+	spare  *Heartbeat
+	hbDec  hbDecoder
+	ackBuf []byte
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -73,11 +83,13 @@ type Session struct {
 	hbGap, hbHandle *obs.Histogram
 	// onHeartbeat, when non-nil, runs in the reader goroutine for
 	// every heartbeat after it is stored — the shard's drift-detector
-	// hook. Called outside s.mu; it may take shard locks.
-	onHeartbeat func(*Session, Heartbeat)
+	// hook. Called outside s.mu; it may take shard locks. The heartbeat
+	// it is handed is valid only during the call: its maps are reused
+	// by a later decode, so a hook that keeps any of it copies it.
+	onHeartbeat func(*Session, *Heartbeat)
 }
 
-func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Duration, hbGap, hbHandle *obs.Histogram, onHeartbeat func(*Session, Heartbeat)) *Session {
+func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Duration, hbGap, hbHandle *obs.Histogram, onHeartbeat func(*Session, *Heartbeat)) *Session {
 	return &Session{
 		id:          id,
 		node:        hello.Node,
@@ -87,11 +99,14 @@ func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Du
 		liveness:    liveness,
 		resumed:     hello.Resume,
 		pending:     make(map[uint64]chan any),
+		heartbeat:   new(Heartbeat),
+		spare:       new(Heartbeat),
 		fetchFrames: make(map[uint64][]*vision.Image),
 		done:        make(chan struct{}),
 		hbGap:       hbGap,
 		hbHandle:    hbHandle,
 		onHeartbeat: onHeartbeat,
+		ackBuf:      make([]byte, walog.RecordHeaderLen, walog.RecordHeaderLen+binary.MaxVarintLen64),
 	}
 }
 
@@ -117,12 +132,13 @@ func (s *Session) Received() int {
 	return s.received
 }
 
-// LastHeartbeat returns the most recent heartbeat and its arrival
-// time (zero time if none arrived yet).
+// LastHeartbeat returns a copy of the most recent heartbeat, sharing
+// no map with the session, and its arrival time (zero time if none
+// arrived yet). The caller may keep and modify it.
 func (s *Session) LastHeartbeat() (Heartbeat, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.heartbeat, s.heartbeatAt
+	return s.heartbeat.clone(), s.heartbeatAt
 }
 
 // Err returns the error that ended the session, nil while it is live
@@ -271,6 +287,19 @@ func (s *Session) dropPending(seq uint64) {
 	s.mu.Unlock()
 }
 
+// writeAck acknowledges one upload, encoding the record into the
+// reader goroutine's reused buffer: acks are written only from there.
+func (s *Session) writeAck(seq uint64) error {
+	b, _ := UploadAck{Seq: seq}.AppendBinary(s.ackBuf[:walog.RecordHeaderLen]) // the ack layout never fails
+	if err := walog.Frame(b, transport.KindUploadAck, b[walog.RecordHeaderLen:]); err != nil {
+		return err
+	}
+	s.ackBuf = b
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return transport.WriteDeadline(s.conn, b, s.timeout)
+}
+
 // write sends one record, bounded by the session timeout so a stalled
 // edge cannot hang the controller's writers. It encodes before taking
 // wmu, so the lock covers only the write.
@@ -330,9 +359,14 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 	// acked upload is on disk, so a controller crash can neither lose
 	// it nor (thanks to the recovered high-water mark) double-count
 	// its retransmission.
+	//
+	// Every record is read into one buffer, valid until the next read:
+	// each case below decodes its payload, copying out what it keeps,
+	// before the loop reads again.
 	ackBroken := false
+	rd := transport.NewReader(s.conn, s.liveness)
 	for {
-		kind, body, err := transport.ReadRecordDeadline(s.conn, s.liveness)
+		kind, body, err := rd.Read()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -345,8 +379,8 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 		switch kind {
 		case transport.KindUpload:
 			var rec transport.UploadRecord
-			if err := transport.DecodeRecord(body, &rec); err != nil {
-				return err
+			if err := rec.UnmarshalBinary(body); err != nil {
+				return fmt.Errorf("transport: decode: %w", err)
 			}
 			accept, ack := true, true
 			if onUpload != nil {
@@ -358,7 +392,7 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 				s.mu.Unlock()
 			}
 			if ack && rec.Seq != 0 && !ackBroken {
-				if err := s.write(transport.KindUploadAck, UploadAck{Seq: rec.Seq}); err != nil {
+				if err := s.writeAck(rec.Seq); err != nil {
 					// A write timeout means the live peer's downlink is
 					// stalled: end the session so the edge reconnects
 					// and ack flow resumes (retransmits dedup cleanly).
@@ -419,18 +453,20 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 	}
 }
 
-// handleHeartbeat decodes and stores one heartbeat record's payload,
-// observes the gap since the previous one, runs onHeartbeat, and
-// observes how long all of that took.
+// handleHeartbeat decodes one heartbeat record's payload into the
+// spare heartbeat and swaps it in as the latest, observes the gap since
+// the previous one, runs onHeartbeat, and observes how long all of that
+// took. Decoding in place, a heartbeat like the last one allocates
+// nothing. A refused payload leaves the latest heartbeat as it was.
 func (s *Session) handleHeartbeat(body []byte) error {
 	now := time.Now()
-	var hb Heartbeat
-	if err := transport.DecodeRecord(body, &hb); err != nil {
-		return err
+	hb := s.spare
+	if err := hb.decode(body, &s.hbDec); err != nil {
+		return fmt.Errorf("transport: decode: %w", err)
 	}
 	s.mu.Lock()
 	prev := s.heartbeatAt
-	s.heartbeat = hb
+	s.heartbeat, s.spare = hb, s.heartbeat
 	s.heartbeatAt = now
 	s.mu.Unlock()
 	if s.hbGap != nil && !prev.IsZero() {

@@ -43,11 +43,18 @@ type shard struct {
 	// failed, zero once one succeeds: compactDue counts SnapshotEvery
 	// records from it. Guarded by mu.
 	failedAt int
+	// encoded is the buffer commit encodes each record into, reused
+	// from one commit to the next, and upload the record acceptUpload
+	// commits, reused too: commit and apply copy out what they keep.
+	// Guarded by mu.
+	encoded []byte
+	upload  uploadRec
 
 	// hbGap observes the gap between consecutive heartbeats of each
 	// session — the shard's control-latency signal — and hbHandle how
-	// long the shard spent handling each one.
-	hbGap, hbHandle *obs.Histogram
+	// long the shard spent handling each one. walAppend observes each
+	// commit's wal append, its sync included when WALSync is set.
+	hbGap, hbHandle, walAppend *obs.Histogram
 }
 
 func newShard(id int, c *Controller) *shard {
@@ -58,6 +65,7 @@ func newShard(id int, c *Controller) *shard {
 		shardState: newShardState(),
 		hbGap:      &obs.Histogram{},
 		hbHandle:   &obs.Histogram{},
+		walAppend:  &obs.Histogram{},
 	}
 }
 
@@ -194,7 +202,8 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 	// retransmits — at-least-once delivery plus the durable high-water
 	// mark is what keeps the ledger exactly-once across controller
 	// crashes.
-	logged := sh.commit(&uploadRec{Node: s.node, Rec: rec})
+	sh.upload = uploadRec{Node: s.node, Rec: rec}
+	logged := sh.commit(&sh.upload)
 	sh.mu.Unlock()
 	if !logged {
 		return false, false
@@ -215,7 +224,10 @@ func (sh *shard) loads() []metrics.NodeLoad {
 	defer sh.mu.Unlock()
 	var loads []metrics.NodeLoad
 	for _, s := range sh.sessions {
-		hb, _ := s.LastHeartbeat()
+		// Read the latest heartbeat in place, under its session's lock,
+		// rather than copy it: the loads copy out what they keep.
+		s.mu.Lock()
+		hb := s.heartbeat
 		ns := sh.Nodes[s.Node()]
 		for i, si := range s.Streams() {
 			st := hb.Streams[si.Name]
@@ -264,6 +276,7 @@ func (sh *shard) loads() []metrics.NodeLoad {
 			}
 			loads = append(loads, load)
 		}
+		s.mu.Unlock()
 	}
 	return loads
 }
@@ -290,6 +303,10 @@ type ShardStat struct {
 	// drift hook: what a heartbeat costs the shard.
 	HeartbeatGap      obs.HistSnapshot
 	HeartbeatHandling obs.HistSnapshot
+	// WALAppend is the histogram of the time each committed record
+	// took to append to the shard's wal, its fsync included when
+	// WALSync is set — empty on an in-memory controller.
+	WALAppend obs.HistSnapshot
 	// Snapshots counts the state snapshots the shard wrote since the
 	// controller opened (recovery's included), and SnapshotBytes is the
 	// newest one's size on disk — zero on an in-memory controller. A
@@ -309,6 +326,7 @@ func (sh *shard) stats() ShardStat {
 		Sessions:          len(sh.sessions),
 		HeartbeatGap:      sh.hbGap.Snapshot(),
 		HeartbeatHandling: sh.hbHandle.Snapshot(),
+		WALAppend:         sh.walAppend.Snapshot(),
 		Snapshots:         sh.snapshots,
 	}
 	for _, ns := range sh.Nodes {

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 )
@@ -98,29 +97,6 @@ func F1(precision, recall float64) float64 {
 	return 2 * precision * recall / (precision + recall)
 }
 
-// FrameRecall is the standard frame-level recall, provided for
-// comparison with the paper's event-centric recall.
-func FrameRecall(truth, predicted []bool) float64 {
-	if len(truth) != len(predicted) {
-		panic(fmt.Sprintf("metrics: %d truth vs %d predicted frames", len(truth), len(predicted)))
-	}
-	tp, fn := 0, 0
-	for i, tr := range truth {
-		if !tr {
-			continue
-		}
-		if predicted[i] {
-			tp++
-		} else {
-			fn++
-		}
-	}
-	if tp+fn == 0 {
-		return 0
-	}
-	return float64(tp) / float64(tp+fn)
-}
-
 // ThresholdSweep evaluates predictions at multiple score thresholds
 // and returns the results, one per threshold. scores are per-frame
 // classifier probabilities; smoothing (if any) must already be
@@ -151,37 +127,4 @@ func BestF1(truth []bool, scores []float32, thresholds []float32, smooth func([]
 		}
 	}
 	return best, bestTh
-}
-
-// AveragePrecision computes the area under the precision-recall curve
-// (frame-level, rank-based) for per-frame scores against boolean
-// ground truth — a threshold-free complement to the event F1 used in
-// the paper's figures.
-func AveragePrecision(truth []bool, scores []float32) float64 {
-	if len(truth) != len(scores) {
-		panic(fmt.Sprintf("metrics: %d truth vs %d scores", len(truth), len(scores)))
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	totalPos := 0
-	for _, v := range truth {
-		if v {
-			totalPos++
-		}
-	}
-	if totalPos == 0 {
-		return 0
-	}
-	tp := 0
-	var ap float64
-	for rank, i := range idx {
-		if truth[i] {
-			tp++
-			ap += float64(tp) / float64(rank+1)
-		}
-	}
-	return ap / float64(totalPos)
 }

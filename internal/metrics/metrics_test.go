@@ -74,14 +74,6 @@ func TestF1HarmonicMean(t *testing.T) {
 	}
 }
 
-func TestFrameRecall(t *testing.T) {
-	truth := []bool{true, true, true, false}
-	pred := []bool{true, false, true, true}
-	if got := FrameRecall(truth, pred); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Fatalf("frame recall = %v", got)
-	}
-}
-
 func TestPrecisionIsBandwidthFraction(t *testing.T) {
 	// Precision 1.0 means all uploaded frames are relevant (§4.2): a
 	// prediction that uploads only true positives has precision 1 even
@@ -121,29 +113,6 @@ func TestEvaluateMismatchedLengthsPanic(t *testing.T) {
 		}
 	}()
 	Precision([]bool{true}, []bool{true, false})
-}
-
-func TestAveragePrecisionPerfectRanking(t *testing.T) {
-	truth := []bool{true, true, false, false}
-	scores := []float32{0.9, 0.8, 0.2, 0.1}
-	if got := AveragePrecision(truth, scores); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("AP = %v, want 1", got)
-	}
-}
-
-func TestAveragePrecisionWorstRanking(t *testing.T) {
-	truth := []bool{false, false, true}
-	scores := []float32{0.9, 0.8, 0.1}
-	// Single positive at rank 3: AP = 1/3.
-	if got := AveragePrecision(truth, scores); math.Abs(got-1.0/3.0) > 1e-9 {
-		t.Fatalf("AP = %v, want 1/3", got)
-	}
-}
-
-func TestAveragePrecisionNoPositives(t *testing.T) {
-	if AveragePrecision([]bool{false}, []float32{0.5}) != 0 {
-		t.Fatal("AP with no positives should be 0")
-	}
 }
 
 func TestSummarizeFleetLatencyMergesExactly(t *testing.T) {

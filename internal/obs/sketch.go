@@ -165,7 +165,8 @@ const psiFloor = 1e-4
 // arguments and zero for identical distributions. Industry convention
 // reads < 0.1 as stable, 0.1–0.25 as moderate shift, and > 0.25 as a
 // major shift. Returns 0 when either side is empty (no evidence is not
-// evidence of drift).
+// evidence of drift). PSIKS computes it and KS in one pass, to the same
+// bits; this is the definition it is tested against.
 func PSI(base, recent SketchSnapshot) float64 {
 	if base.Count == 0 || recent.Count == 0 {
 		return 0
@@ -191,7 +192,8 @@ func PSI(base, recent SketchSnapshot) float64 {
 // Ranges over [0, 1]; zero for identical distributions. Binning makes
 // it a lower bound on the exact KS distance, which is the safe
 // direction for an alert threshold. Returns 0 when either side is
-// empty.
+// empty. PSIKS computes it and PSI in one pass, to the same bits; this
+// is the definition it is tested against.
 func KS(base, recent SketchSnapshot) float64 {
 	if base.Count == 0 || recent.Count == 0 {
 		return 0
@@ -205,4 +207,32 @@ func KS(base, recent SketchSnapshot) float64 {
 		}
 	}
 	return worst
+}
+
+// PSIKS returns PSI(base, recent) and KS(base, recent) in one pass
+// over the bins, each proportion computed once for both. Every value
+// equals the one its own function returns, bit for bit: the same
+// expressions in the same order.
+func PSIKS(base, recent *SketchSnapshot) (psi, ks float64) {
+	if base.Count == 0 || recent.Count == 0 {
+		return 0, 0
+	}
+	var cp, cq float64
+	for i := 0; i < SketchBins; i++ {
+		p := float64(base.Bins[i]) / float64(base.Count)
+		q := float64(recent.Bins[i]) / float64(recent.Count)
+		cp += p
+		cq += q
+		if d := math.Abs(cp - cq); d > ks {
+			ks = d
+		}
+		if p < psiFloor {
+			p = psiFloor
+		}
+		if q < psiFloor {
+			q = psiFloor
+		}
+		psi += (q - p) * math.Log(q/p)
+	}
+	return psi, ks
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -160,6 +161,42 @@ func TestSketchPSIAndKS(t *testing.T) {
 	var empty SketchSnapshot
 	if PSI(empty, base) != 0 || PSI(base, empty) != 0 || KS(empty, base) != 0 {
 		t.Fatal("distance against an empty sketch must be 0, not drift")
+	}
+}
+
+// TestPSIKSMatchesTwoPass: the one-pass PSIKS returns PSI's and KS's
+// values bit for bit — on empty sides, identical and disjoint
+// distributions, bins below the PSI floor on either side, and random
+// sketches.
+func TestPSIKSMatchesTwoPass(t *testing.T) {
+	var tail SketchSnapshot // 20000 observations, one in each of two bins below the floor
+	tail.Count, tail.Bins[0], tail.Bins[5], tail.Bins[31] = 20000, 19998, 1, 1
+	cases := map[string][2]SketchSnapshot{
+		"both empty":      {{}, {}},
+		"empty base":      {{}, sketchOf([]float64{0.2, 0.4}, 0.5)},
+		"empty recent":    {sketchOf([]float64{0.2, 0.4}, 0.5), {}},
+		"identical":       {sketchOf([]float64{0.1, 0.5, 0.9}, 0.5), sketchOf([]float64{0.1, 0.5, 0.9}, 0.5)},
+		"disjoint":        {sketchOf([]float64{0.01, 0.02}, 0.5), sketchOf([]float64{0.98, 0.99}, 0.5)},
+		"floored base":    {tail, sketchOf([]float64{0, 0.2, 0.5, 1}, 0.5)},
+		"floored recent":  {sketchOf([]float64{0, 0.2, 0.5, 1}, 0.5), tail},
+		"floored on both": {tail, tail},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 50; i++ {
+		var pair [2]SketchSnapshot
+		for side := range pair {
+			for n := rng.Intn(400); n > 0; n-- {
+				pair[side].Bins[rng.Intn(SketchBins)]++
+				pair[side].Count++
+			}
+		}
+		cases[fmt.Sprintf("random %d", i)] = pair
+	}
+	for name, c := range cases {
+		psi, ks := PSIKS(&c[0], &c[1])
+		if math.Float64bits(psi) != math.Float64bits(PSI(c[0], c[1])) || math.Float64bits(ks) != math.Float64bits(KS(c[0], c[1])) {
+			t.Errorf("%s: PSIKS = (%v, %v), PSI and KS = (%v, %v)", name, psi, ks, PSI(c[0], c[1]), KS(c[0], c[1]))
+		}
 	}
 }
 

@@ -38,23 +38,3 @@ func BCEWithLogits(logits *tensor.Tensor, labels []float32) (float64, *tensor.Te
 	}
 	return loss / n, grad
 }
-
-// BCE computes mean binary cross-entropy between probabilities (the
-// output of a sigmoid layer) and {0,1} labels, returning the loss and
-// dLoss/dProbs. Probabilities are clamped away from 0 and 1.
-func BCE(probs *tensor.Tensor, labels []float32) (float64, *tensor.Tensor) {
-	if probs.Len() != len(labels) {
-		panic(fmt.Sprintf("train: %d probs vs %d labels", probs.Len(), len(labels)))
-	}
-	const eps = 1e-7
-	n := float64(len(labels))
-	grad := tensor.New(probs.Shape...)
-	var loss float64
-	for i, pv := range probs.Data {
-		p := math.Min(math.Max(float64(pv), eps), 1-eps)
-		y := float64(labels[i])
-		loss += -(y*math.Log(p) + (1-y)*math.Log(1-p))
-		grad.Data[i] = float32((p - y) / (p * (1 - p)) / n)
-	}
-	return loss / n, grad
-}

@@ -54,20 +54,6 @@ func TestBCEGradMatchesNumeric(t *testing.T) {
 	}
 }
 
-func TestBCEProbsMatchesLogits(t *testing.T) {
-	logits := tensor.FromSlice([]float32{0.7, -0.9}, 2)
-	labels := []float32{0, 1}
-	l1, _ := BCEWithLogits(logits, labels)
-	probs := tensor.New(2)
-	for i, z := range logits.Data {
-		probs.Data[i] = float32(1 / (1 + math.Exp(-float64(z))))
-	}
-	l2, _ := BCE(probs, labels)
-	if math.Abs(l1-l2) > 1e-5 {
-		t.Fatalf("BCE %v vs BCEWithLogits %v", l2, l1)
-	}
-}
-
 // quadratic is a trivial "network" target for optimizer tests:
 // minimize (w-3)^2 via its gradient 2(w-3).
 func quadStep(opt Optimizer, p *nn.Param, steps int) float32 {

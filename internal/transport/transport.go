@@ -242,10 +242,12 @@ func WriteDeadline(conn net.Conn, rec []byte, timeout time.Duration) error {
 }
 
 // ReadRecord reads one framed record, returning its kind and raw
-// payload bytes, with walog.ReadRecord: a clean end of stream at a
-// record boundary returns io.EOF; truncation mid-record returns
-// io.ErrUnexpectedEOF; a length prefix beyond the limit or a payload
-// failing its CRC returns an error wrapping ErrCorrupt.
+// payload bytes, which the caller owns, with walog.ReadRecord: a clean
+// end of stream at a record boundary returns io.EOF; truncation
+// mid-record returns io.ErrUnexpectedEOF; a length prefix beyond the
+// limit or a payload failing its CRC returns an error wrapping
+// ErrCorrupt. A loop reading one connection should use a Reader, which
+// reuses one buffer.
 func ReadRecord(r io.Reader) (uint8, []byte, error) { return walog.ReadRecord(r) }
 
 // ReadRecordDeadline is ReadRecord with every read bounded by a
@@ -261,6 +263,46 @@ func ReadRecordDeadline(conn net.Conn, timeout time.Duration) (uint8, []byte, er
 	}
 	defer conn.SetReadDeadline(time.Time{})
 	return ReadRecord(progressReader{conn: conn, timeout: timeout})
+}
+
+// Reader reads one connection's records into a buffer it reuses
+// (walog.ReadRecordBuf), so a steady stream of records costs no
+// allocation. A payload is valid only until the next Read: every
+// decoder copies what it keeps out of the payload (LayoutReader's
+// String and Float32s, gob), so decode before reading again. One
+// goroutine reads a Reader.
+type Reader struct {
+	conn    net.Conn
+	src     io.Reader // conn, or a progressReader over it
+	timeout time.Duration
+	buf     []byte
+}
+
+// maxKeptRead bounds the buffer a Reader keeps between records, so one
+// large record does not pin its size for the connection's life.
+const maxKeptRead = 1 << 20
+
+// NewReader returns a Reader over conn. A positive timeout bounds
+// every read as ReadRecordDeadline does; otherwise reads wait.
+func NewReader(conn net.Conn, timeout time.Duration) *Reader {
+	rd := &Reader{conn: conn, src: conn, timeout: timeout, buf: make([]byte, 0, 4<<10)}
+	if timeout > 0 {
+		rd.src = progressReader{conn: conn, timeout: timeout}
+	}
+	return rd
+}
+
+// Read reads the next record, with ReadRecordDeadline's errors. The
+// payload aliases the Reader's buffer until the next Read.
+func (rd *Reader) Read() (uint8, []byte, error) {
+	if rd.timeout > 0 {
+		defer rd.conn.SetReadDeadline(time.Time{})
+	}
+	kind, body, err := walog.ReadRecordBuf(rd.src, rd.buf)
+	if err == nil && cap(body) > cap(rd.buf) && cap(body) <= maxKeptRead {
+		rd.buf = body[:0]
+	}
+	return kind, body, err
 }
 
 // progressReader re-arms the connection's read deadline before each
@@ -494,16 +536,46 @@ func (d *LayoutReader) Float32s() []float32 {
 	return v
 }
 
+// Uvarints reads len(dst) unsigned varints into dst, as that many
+// Uvarint calls would, with fast paths for one- and two-byte values.
+// After a malformed one, it and every later entry read zero.
+func (d *LayoutReader) Uvarints(dst []uint64) {
+	buf := d.buf
+	for i := range dst {
+		if len(buf) > 0 && buf[0] < 0x80 {
+			dst[i], buf = uint64(buf[0]), buf[1:]
+			continue
+		}
+		if len(buf) > 1 && buf[1] < 0x80 {
+			dst[i], buf = uint64(buf[0]&0x7f)|uint64(buf[1])<<7, buf[2:]
+			continue
+		}
+		v, n := binary.Uvarint(buf)
+		if n <= 0 {
+			clear(dst[i:])
+			d.Fail(errors.New("truncated or overlong uvarint"))
+			return
+		}
+		dst[i], buf = v, buf[n:]
+	}
+	d.buf = buf
+}
+
 // String reads a string AppendString wrote.
-func (d *LayoutReader) String() string {
+func (d *LayoutReader) String() string { return string(d.Bytes()) }
+
+// Bytes reads a string AppendString wrote without copying it: the
+// result aliases the payload, so a decoder that keeps it must copy it
+// (String, or an intern table).
+func (d *LayoutReader) Bytes() []byte {
 	n := d.Uvarint()
 	if n > uint64(len(d.buf)) {
 		d.Fail(fmt.Errorf("string of %d bytes, %d left", n, len(d.buf)))
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n:n]
 	d.buf = d.buf[n:]
-	return s
+	return b
 }
 
 // Count reads an entry count (a uvarint) for a sequence whose entries

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -236,6 +237,106 @@ func TestReadRecordDeadlineProgress(t *testing.T) {
 	// Silence still times out.
 	if _, _, err := ReadRecordDeadline(sConn, 50*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("silent peer error = %v, want os.ErrDeadlineExceeded", err)
+	}
+}
+
+// loopConn is a net.Conn whose reads replay data over and over and
+// whose deadlines are no-ops: a connection that allocates nothing, so
+// a test can count what a Reader allocates.
+type loopConn struct {
+	net.Conn
+	data []byte
+	off  int
+}
+
+func (c *loopConn) Read(p []byte) (int, error) {
+	n := copy(p, c.data[c.off:])
+	c.off = (c.off + n) % len(c.data)
+	return n, nil
+}
+
+func (c *loopConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestReaderReusesBuffer: a Reader serves records of every size, keeps
+// the buffer a large record grew, and once warm reads without
+// allocating, with a silence deadline and without one.
+func TestReaderReusesBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	sizes := []int{0, 10, 5000, 300, 20_000, 1}
+	for i, n := range sizes {
+		payload := bytes.Repeat([]byte{byte(i + 1)}, n)
+		rec := make([]byte, walog.RecordHeaderLen, walog.RecordHeaderLen+n)
+		if err := walog.Frame(rec, uint8(i+1), payload); err != nil {
+			t.Fatal(err)
+		}
+		stream.Write(append(rec, payload...))
+	}
+	for _, timeout := range []time.Duration{0, time.Second} {
+		rd := NewReader(&loopConn{data: stream.Bytes()}, timeout)
+		readAll := func() {
+			for i, n := range sizes {
+				kind, body, err := rd.Read()
+				if err != nil || kind != uint8(i+1) || len(body) != n || (n > 0 && body[n-1] != byte(i+1)) {
+					t.Fatalf("record %d: kind %d, %d bytes, err %v", i, kind, len(body), err)
+				}
+			}
+		}
+		readAll()
+		if allocs := testing.AllocsPerRun(50, readAll); allocs != 0 {
+			t.Fatalf("timeout %v: %v allocations per %d records, want 0", timeout, allocs, len(sizes))
+		}
+	}
+}
+
+// TestReaderDeadline: a Reader with a timeout surfaces a silent peer as
+// os.ErrDeadlineExceeded, as ReadRecordDeadline does.
+func TestReaderDeadline(t *testing.T) {
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	go WriteRecord(cConn, KindBye, struct{}{})
+	rd := NewReader(sConn, 50*time.Millisecond)
+	if kind, _, err := rd.Read(); err != nil || kind != KindBye {
+		t.Fatalf("kind %d, err %v", kind, err)
+	}
+	if _, _, err := rd.Read(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent peer error = %v, want os.ErrDeadlineExceeded", err)
+	}
+}
+
+// TestUvarintsMatchesUvarint: Uvarints reads what that many Uvarint
+// calls read, and fails where they fail, over values of every width and
+// inputs cut short or overlong.
+func TestUvarintsMatchesUvarint(t *testing.T) {
+	var inputs [][]byte
+	var all []byte
+	for shift := 0; shift < 64; shift += 3 {
+		all = binary.AppendUvarint(all, 1<<shift|uint64(shift))
+	}
+	for n := 0; n <= len(all); n++ {
+		inputs = append(inputs, all[:n])
+	}
+	inputs = append(inputs,
+		[]byte{0x80, 0x00, 0x05},                 // a two-byte zero, then 5
+		bytes.Repeat([]byte{0xFF}, 11),           // overflows 64 bits
+		append(bytes.Repeat([]byte{0x80}, 9), 2), // overflows in the tenth byte
+	)
+	for _, in := range inputs {
+		for count := 0; count <= 24; count++ {
+			one := NewLayoutReader(in)
+			want := make([]uint64, count)
+			for i := range want {
+				want[i] = one.Uvarint()
+			}
+			many := NewLayoutReader(in)
+			got := make([]uint64, count)
+			for i := range got {
+				got[i] = 7 // dirt Uvarints must overwrite
+			}
+			many.Uvarints(got)
+			if !slices.Equal(got, want) || (one.err == nil) != (many.err == nil) || len(one.buf) != len(many.buf) {
+				t.Fatalf("%x, %d values: Uvarints %v (err %v, %d left), Uvarint %v (err %v, %d left)", in, count, got, many.err, len(many.buf), want, one.err, len(one.buf))
+			}
+		}
 	}
 }
 

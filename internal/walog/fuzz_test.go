@@ -3,6 +3,8 @@ package walog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -48,6 +50,15 @@ func FuzzWALReadRecord(f *testing.F) {
 	f.Add(append(append([]byte(nil), whole...), whole...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, body, err := ReadRecord(bytes.NewReader(data))
+		// The buffer-taking read gives the same record or error, into
+		// a dirty buffer too small for it or one with room to spare.
+		dirty := bytes.Repeat([]byte{0xA5}, RecordHeaderLen+1)
+		for _, buf := range [][]byte{dirty, make([]byte, 0, len(data)+64)} {
+			k, b, e := ReadRecordBuf(bytes.NewReader(data), buf)
+			if k != kind || !bytes.Equal(b, body) || (b == nil) != (body == nil) || fmt.Sprint(e) != fmt.Sprint(err) || errors.Is(e, ErrCorrupt) != errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadRecordBuf with a buffer of %d: kind %d, body %x, err %v; ReadRecord: kind %d, body %x, err %v", cap(buf), k, b, e, kind, body, err)
+			}
+		}
 		if err != nil {
 			// Errors must be diagnosable, never a desync: damage and
 			// oversize claims wrap ErrCorrupt; truncation is an EOF

@@ -69,9 +69,13 @@ const (
 // hostile length prefix from forcing unbounded allocation.
 const MaxRecordBytes = 16 << 20
 
-// readChunk bounds how much ReadRecord allocates ahead of the bytes
+// readChunk bounds how much ReadRecordBuf allocates ahead of the bytes
 // actually arriving.
 const readChunk = 64 << 10
+
+// maxKeptFrame bounds the framing buffer a Log keeps between appends,
+// so one large record does not pin its size for the log's life.
+const maxKeptFrame = 1 << 20
 
 // headerLen is the file header: magic + version + ftype + pad +
 // dirID + gen.
@@ -106,6 +110,9 @@ type Log struct {
 	size    int64    // bytes written to f, header included
 	pending int      // records appended (or replayed) since last snapshot
 
+	// frame is Append's reused framing buffer.
+	frame []byte
+
 	snapshot  []byte   // snapshot payload loaded at Open, nil if none
 	records   []Record // wal records replayed at Open
 	tornBytes int64    // bytes truncated from the wal tail at Open
@@ -120,7 +127,7 @@ func Open(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir}
+	l := &Log{dir: dir, frame: make([]byte, RecordHeaderLen, 256)}
 
 	snapPath := filepath.Join(dir, "snapshot")
 	data, err := os.ReadFile(snapPath)
@@ -288,18 +295,23 @@ func (l *Log) Pending() int { return l.pending }
 // Size returns the active wal's size in bytes, header included.
 func (l *Log) Size() int64 { return l.size }
 
-// Append frames one record and hands it to the OS. The write is
-// buffered only by the page cache: it survives a process crash as
-// written; call Sync to also survive machine power loss.
+// Append frames one record and hands it to the OS in one write. The
+// write is buffered only by the page cache: it survives a process crash
+// as written; call Sync to also survive machine power loss. The frame
+// is built in a buffer the log reuses, so an append allocates nothing;
+// the caller keeps payload.
 func (l *Log) Append(kind uint8, payload []byte) error {
 	if l.f == nil {
 		return os.ErrClosed
 	}
-	var hdr [RecordHeaderLen]byte
-	if err := Frame(hdr[:], kind, payload); err != nil {
+	buf := l.frame[:RecordHeaderLen]
+	if err := Frame(buf, kind, payload); err != nil {
 		return fmt.Errorf("walog: %w", err)
 	}
-	buf := append(hdr[:], payload...)
+	buf = append(buf, payload...)
+	if cap(buf) <= maxKeptFrame {
+		l.frame = buf
+	}
 	if _, err := l.f.Write(buf); err != nil {
 		return err
 	}
@@ -434,51 +446,76 @@ func Frame(hdr []byte, kind uint8, payload []byte) error {
 	return nil
 }
 
-// ReadRecord reads one framed record from r, returning its kind and
-// payload. A clean end of stream at a record boundary returns io.EOF;
-// truncation mid-record returns io.ErrUnexpectedEOF; a length prefix
-// beyond the limit or a payload failing its CRC returns an error
-// wrapping ErrCorrupt. The payload buffer grows in bounded chunks as
-// bytes arrive, never from the length prefix alone.
-func ReadRecord(r io.Reader) (uint8, []byte, error) {
-	var rhdr [RecordHeaderLen]byte
-	if _, err := io.ReadFull(r, rhdr[:]); err != nil {
+// ReadRecord reads one framed record from r, returning its kind and a
+// payload the caller owns. A clean end of stream at a record boundary
+// returns io.EOF; truncation mid-record returns io.ErrUnexpectedEOF; a
+// length prefix beyond the limit or a payload failing its CRC returns
+// an error wrapping ErrCorrupt. The payload buffer grows in bounded
+// chunks as bytes arrive, never from the length prefix alone. It is
+// ReadRecordBuf with no buffer to reuse.
+func ReadRecord(r io.Reader) (uint8, []byte, error) { return ReadRecordBuf(r, nil) }
+
+// ReadRecordBuf is ReadRecord reading into buf's storage: the frame
+// header is read into buf first (so cap(buf) below RecordHeaderLen
+// counts as no buffer), then a payload that fits cap(buf) over it,
+// without allocating; that payload aliases buf, so it is valid only
+// until buf is reused. A larger record grows a new buffer from
+// buf in readChunk steps as its bytes arrive, exactly as ReadRecord
+// does, so a hostile length prefix still costs at most one chunk. The
+// errors are ReadRecord's. buf's contents are ignored.
+func ReadRecordBuf(r io.Reader, buf []byte) (uint8, []byte, error) {
+	if cap(buf) < RecordHeaderLen {
+		// Room for a small payload too: an ack or an upload then costs
+		// one allocation, not two.
+		buf = make([]byte, RecordHeaderLen, 64)
+	}
+	rhdr := buf[:RecordHeaderLen]
+	if _, err := io.ReadFull(r, rhdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, err
 	}
-	size := binary.BigEndian.Uint32(rhdr[1:5])
+	kind := rhdr[0]
+	size := int(binary.BigEndian.Uint32(rhdr[1:5]))
 	sum := binary.BigEndian.Uint32(rhdr[5:9])
 	if size > MaxRecordBytes {
 		return 0, nil, fmt.Errorf("%w: length prefix claims %d bytes (limit %d)", ErrCorrupt, size, MaxRecordBytes)
 	}
-	cap0 := int(size)
-	if cap0 > readChunk {
-		cap0 = readChunk
-	}
-	body := make([]byte, 0, cap0)
-	for len(body) < int(size) {
-		n := int(size) - len(body)
-		if n > readChunk {
-			n = readChunk
+	// The header is parsed: its bytes are free to hold the payload.
+	var body []byte
+	if size <= cap(buf) {
+		body = buf[:size]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return 0, nil, unexpectedEOF(err)
 		}
-		off := len(body)
-		body = append(body, zeroChunk[:n]...)
-		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
+	} else {
+		body = buf[:0]
+		for len(body) < size {
+			n := min(size-len(body), readChunk)
+			off := len(body)
+			body = append(body, zeroChunk[:n]...)
+			if _, err := io.ReadFull(r, body[off:]); err != nil {
+				return 0, nil, unexpectedEOF(err)
 			}
-			return 0, nil, err
 		}
 	}
 	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, fmt.Errorf("%w: payload checksum mismatch (kind %d, %d bytes)", ErrCorrupt, rhdr[0], size)
+		return 0, nil, fmt.Errorf("%w: payload checksum mismatch (kind %d, %d bytes)", ErrCorrupt, kind, size)
 	}
-	return rhdr[0], body, nil
+	return kind, body, nil
 }
 
-// zeroChunk is the shared zero source ReadRecord grows buffers from.
+// unexpectedEOF maps a clean end of stream inside a record to
+// io.ErrUnexpectedEOF: only a record boundary may end the stream.
+func unexpectedEOF(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// zeroChunk is the shared zero source ReadRecordBuf grows buffers from.
 var zeroChunk [readChunk]byte
 
 // ParseSnapshot validates a snapshot file image and returns its dirID,

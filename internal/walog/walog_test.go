@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -348,6 +349,76 @@ func TestReadRecordBoundedAllocation(t *testing.T) {
 	}
 	if cr.maxReq > readChunk {
 		t.Fatalf("reader requested %d bytes in one call, chunk limit is %d", cr.maxReq, readChunk)
+	}
+}
+
+// TestReadRecordBufBoundedAllocation: with a small buffer, a length
+// prefix at MaxRecordBytes and nothing behind it costs at most one
+// readChunk — one allocation, of one chunk's bytes.
+func TestReadRecordBufBoundedAllocation(t *testing.T) {
+	hdr := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[1:5], MaxRecordBytes)
+	buf := make([]byte, 256)
+	r := bytes.NewReader(hdr)
+	read := func() {
+		r.Reset(hdr)
+		if _, _, err := ReadRecordBuf(r, buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("a %d-byte claim with no payload: err %v, want io.ErrUnexpectedEOF", MaxRecordBytes, err)
+		}
+	}
+	const runs = 50
+	if allocs := testing.AllocsPerRun(runs, read); allocs > 1 {
+		t.Fatalf("%v allocations per read, want at most one", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > readChunk+readChunk/8 {
+		t.Fatalf("%d bytes allocated per read, want at most one chunk of %d", per, readChunk)
+	}
+}
+
+// TestReadRecordBufFitsWithoutAllocating: a record whose frame fits the
+// buffer is read into it with no allocation, and its payload aliases
+// the buffer.
+func TestReadRecordBufFitsWithoutAllocating(t *testing.T) {
+	rec := frameRecord(5, bytes.Repeat([]byte("payload "), 100))
+	buf := make([]byte, 1024)
+	r := bytes.NewReader(rec)
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Reset(rec)
+		kind, body, err := ReadRecordBuf(r, buf)
+		if err != nil || kind != 5 || !bytes.Equal(body, rec[RecordHeaderLen:]) {
+			t.Fatalf("kind %d, body %q, err %v", kind, body, err)
+		}
+		if &body[0] != &buf[0] {
+			t.Fatal("a fitting payload was not read into the buffer")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per fitting read, want 0", allocs)
+	}
+}
+
+// TestAppendDoesNotAllocate pins Log.Append at zero allocations: the
+// frame is built in the log's reused buffer and written at once.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	l := mustOpen(t, t.TempDir())
+	defer l.Close()
+	payload := bytes.Repeat([]byte{7}, 200)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := l.Append(3, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %v objects, want 0", allocs)
+	}
+	if l.Pending() != 201 || l.Size() != headerLen+201*int64(RecordHeaderLen+len(payload)) {
+		t.Fatalf("pending %d, size %d after 201 appends", l.Pending(), l.Size())
 	}
 }
 

@@ -119,11 +119,12 @@ func main() {
 	if ctxStart < 0 {
 		ctxStart = 0
 	}
-	frames, bits, err := edge.FetchArchive(testDay, ctxStart, first.Start, 30_000)
+	f, err := edge.ReadFetch(testDay, ctxStart, first.Start, 30_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	quality := vision.PSNR(testDay.Frame(ctxStart), frames[0])
+	edge.AccountFetch(f)
+	quality := vision.PSNR(testDay.Frame(ctxStart), f.Recons[0])
 	fmt.Printf("demand-fetched context [%d,%d): %d frames, %d bits, first-frame PSNR %.1f dB\n",
-		ctxStart, first.Start, len(frames), bits, quality)
+		ctxStart, first.Start, len(f.Recons), f.Bits, quality)
 }

@@ -45,6 +45,17 @@ func newNode(t *testing.T, cfg Config, thresholds map[filter.Arch]float32) *Edge
 	return e
 }
 
+// fetch runs a whole demand fetch on the owner's goroutine: ReadFetch,
+// then AccountFetch.
+func fetch(e *EdgeNode, src FrameSource, start, end int, bitrate float64) ([]*vision.Image, int64, error) {
+	f, err := e.ReadFetch(src, start, end, bitrate)
+	if err != nil {
+		return nil, 0, err
+	}
+	e.AccountFetch(f)
+	return f.Recons, f.Bits, nil
+}
+
 func TestTokenBucketBasics(t *testing.T) {
 	b := NewTokenBucket(1000, 500)
 	if d := b.Send(400); d != 0 {
@@ -173,10 +184,24 @@ func TestEdgeNodeMultiTenantSharedExtraction(t *testing.T) {
 			}
 		}
 	}
-	// Frame metadata carries one event ID per MC (§3.5).
-	m := e.Meta(5)
-	if len(m) != 4 {
-		t.Fatalf("frame 5 metadata has %d entries, want 4: %v", len(m), m)
+	// Frame 5 belongs to exactly one event of each MC, named by the
+	// event ID of the one upload that carries it (§3.5).
+	in5 := map[string]int{}
+	for _, u := range ups {
+		if u.Start <= 5 && 5 < u.End {
+			if u.EventID == 0 {
+				t.Fatalf("upload %+v carries frame 5 with no event ID", u)
+			}
+			in5[u.MCName]++
+		}
+	}
+	if len(in5) != 4 {
+		t.Fatalf("frame 5 is in uploads of %d MCs, want 4: %v", len(in5), in5)
+	}
+	for name, n := range in5 {
+		if n != 1 {
+			t.Fatalf("frame 5 is in %d uploads of MC %s, want 1", n, name)
+		}
 	}
 	st := e.Stats()
 	if st.BaseDNNTime <= 0 || st.MCTime <= 0 {
@@ -266,10 +291,6 @@ func TestDeployValidation(t *testing.T) {
 	if _, err := e.ProcessFrame(vision.NewImage(48, 27)); err != nil {
 		t.Fatal(err)
 	}
-	mc3, _ := filter.NewMC(filter.Spec{Name: "b", Arch: filter.LocalizedBinary, Seed: 1}, base, 48, 27)
-	if err := e.Deploy(mc3, 0.5); err == nil {
-		t.Fatal("deploy after stream start accepted")
-	}
 	if _, err := e.ProcessFrame(vision.NewImage(10, 10)); err == nil {
 		t.Fatal("wrong frame size accepted")
 	}
@@ -292,7 +313,7 @@ func TestDeployLiveMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeployLive(late, -1); err != nil {
+	if err := e.Deploy(late, -1); err != nil {
 		t.Fatal(err)
 	}
 	var ups []Upload
@@ -374,7 +395,7 @@ func TestFetchArchiveMatchesDemandFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recons, bits, err := e.FetchArchive(src, 2, 6, 30_000)
+	recons, bits, err := fetch(e, src, 2, 6, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +409,7 @@ func TestFetchArchiveMatchesDemandFetch(t *testing.T) {
 	if st.UploadedBits != 0 {
 		t.Fatalf("fetch bits folded into UploadedBits (%d); want a dedicated stat", st.UploadedBits)
 	}
-	if _, _, err := e.FetchArchive(nil, 2, 6, 30_000); err == nil {
+	if _, _, err := fetch(e, nil, 2, 6, 30_000); err == nil {
 		t.Fatal("nil archive source accepted")
 	}
 }
@@ -407,7 +428,7 @@ func TestFetchArchiveRecordsUplinkDelay(t *testing.T) {
 	// Two large fetches over a 1 kb/s link: the second must queue.
 	src := frameSlice(frames)
 	for i := 0; i < 2; i++ {
-		if _, _, err := e.FetchArchive(src, 0, 10, 30_000); err != nil {
+		if _, _, err := fetch(e, src, 0, 10, 30_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,8 +441,8 @@ func TestFetchArchiveRecordsUplinkDelay(t *testing.T) {
 	}
 }
 
-// Regression: per-frame metadata must be evicted alongside retained
-// frames, or an always-matching stream grows e.meta without bound.
+// Regression: retained frames must be evicted as they leave the
+// window, or an always-matching stream holds every frame it uploads.
 func TestMetaEvictedWithFrames(t *testing.T) {
 	base := testBase()
 	cfg := Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base,
@@ -442,15 +463,12 @@ func TestMetaEvictedWithFrames(t *testing.T) {
 	if live > cfg.RetainFrames {
 		t.Fatalf("retained %d frames, window is %d", live, cfg.RetainFrames)
 	}
-	if len(e.meta) > cfg.RetainFrames {
-		t.Fatalf("meta map holds %d entries after 120 frames, window is %d (leak)", len(e.meta), cfg.RetainFrames)
+	// A frame within the window is still served.
+	if e.retained(115) == nil {
+		t.Fatal("in-window frame evicted")
 	}
-	// Metadata within the window is still served.
-	if e.Meta(115) == nil {
-		t.Fatal("in-window metadata evicted")
-	}
-	if e.Meta(10) != nil {
-		t.Fatal("out-of-window metadata survived")
+	if e.retained(10) != nil {
+		t.Fatal("out-of-window frame survived")
 	}
 }
 
@@ -474,7 +492,7 @@ func TestMultiStreamDeployUndeploy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sched.Do(stream, func(e *EdgeNode) ([]Upload, error) { return nil, e.DeployLive(mc, -1) })
+		_, err = sched.Do(stream, func(e *EdgeNode) ([]Upload, error) { return nil, e.Deploy(mc, -1) })
 		return err
 	}
 	undeploy := func(stream, name string) ([]Upload, error) {
@@ -561,14 +579,14 @@ func TestDemandFetch(t *testing.T) {
 		}
 	}
 	src := frameSlice(frames)
-	recons, bits, err := e.FetchArchive(src, 2, 6, 30_000)
+	recons, bits, err := fetch(e, src, 2, 6, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recons) != 4 || bits <= 0 {
 		t.Fatalf("demand fetch: %d frames, %d bits", len(recons), bits)
 	}
-	if _, _, err := e.FetchArchive(src, 5, 5, 30_000); err == nil {
+	if _, _, err := fetch(e, src, 5, 5, 30_000); err == nil {
 		t.Fatal("empty fetch range accepted")
 	}
 }
@@ -718,19 +736,18 @@ func TestQuickUploadsMatchSmoothing(t *testing.T) {
 		}
 		ups = append(ups, tail...)
 
-		uploaded := make([]bool, n)
+		// Every uploaded frame carries exactly one event ID (§3.5's
+		// per-frame metadata): that of the one upload it lies in.
+		ids := make([]uint64, n)
 		for _, u := range ups {
+			if u.EventID == 0 {
+				return false
+			}
 			for fi := u.Start; fi < u.End; fi++ {
-				if uploaded[fi] {
+				if ids[fi] != 0 {
 					return false // double upload
 				}
-				uploaded[fi] = true
-			}
-		}
-		// Frames with metadata are exactly the uploaded ones.
-		for i := 0; i < n; i++ {
-			if (e.Meta(i) != nil) != uploaded[i] {
-				return false
+				ids[fi] = u.EventID
 			}
 		}
 		return true

@@ -8,7 +8,7 @@ import (
 
 // Datacenter is the cloud side of FilterForward: it receives uploaded
 // event segments per application. Context video around them is
-// demand-fetched from the edge node's archive (EdgeNode.FetchArchive).
+// demand-fetched from the edge node's archive (EdgeNode.ReadFetch).
 type Datacenter struct {
 	uploads map[string][]Upload // MC name -> segments
 	// count and bits total every held upload, kept as they arrive so

@@ -137,8 +137,9 @@ func (c *Config) fillDefaults() error {
 type Upload struct {
 	// MCName identifies which application's microclassifier matched.
 	MCName string
-	// EventID is the MC-local monotonically increasing event ID
-	// carried in frame metadata (§3.5).
+	// EventID is the MC-local monotonically increasing event ID: §3.5's
+	// per-frame metadata, the event every frame in [Start, End) belongs
+	// to for this MC.
 	EventID uint64
 	// Start, End delimit the frame range [Start, End).
 	Start, End int
@@ -152,11 +153,6 @@ type Upload struct {
 	// Final marks the last chunk of an event.
 	Final bool
 }
-
-// FrameMeta is the per-frame metadata map from MC name to event ID
-// (§3.5: "if frame F is part of event X for MC A and event Y for MC B,
-// F's metadata will contain the mapping (A→X; B→Y)").
-type FrameMeta map[string]uint64
 
 // Stats aggregates an edge node's counters.
 type Stats struct {
@@ -238,17 +234,16 @@ type deployedMC struct {
 // EdgeNode is a FilterForward edge instance bound to one camera
 // stream.
 //
-// Concurrency: an EdgeNode's pipeline (ProcessFrame, Flush, Deploy*,
-// Undeploy, FetchArchive, AccountFetch) is single-owner — exactly one
-// goroutine may drive it at a time (the Scheduler serializes this per
-// stream). The observer methods Stats, Meta, and MCNames, and a demand
-// fetch's ReadFetch, are safe to call from any goroutine while the
-// pipeline is running: mu guards the state the observers read against
-// the owner's writes, and ReadFetch touches no pipeline state.
+// Concurrency: an EdgeNode's pipeline (ProcessFrame, Flush, Deploy,
+// Undeploy, AccountFetch) is single-owner — exactly one goroutine may
+// drive it at a time (the Scheduler serializes this per stream). The
+// observer methods Stats and MCNames, and a demand fetch's ReadFetch,
+// are safe to call from any goroutine while the pipeline is running:
+// mu guards the state the observers read against the owner's writes,
+// and ReadFetch touches no pipeline state.
 type EdgeNode struct {
-	cfg  Config
-	mcs  []*deployedMC
-	meta map[int]FrameMeta
+	cfg Config
+	mcs []*deployedMC
 
 	// ext is this node's private handle onto the shared base DNN's
 	// frozen inference fast path: a per-stream workspace arena keeps
@@ -300,7 +295,7 @@ type EdgeNode struct {
 	obs *obs.Observer
 	sid uint32
 
-	// mu guards externally observable state (stats, meta, mcs) between
+	// mu guards externally observable state (stats, mcs) between
 	// the pipeline owner and concurrent observers. All writes happen on
 	// the owner's goroutine; observers lock to read, and the owner
 	// locks only around writes (its own unlocked reads cannot race —
@@ -317,7 +312,6 @@ func NewEdgeNode(cfg Config) (*EdgeNode, error) {
 	e := &EdgeNode{
 		cfg:    cfg,
 		frames: make([]*vision.Image, cfg.RetainFrames+1),
-		meta:   make(map[int]FrameMeta),
 		ext:    cfg.Base.NewExtractor(),
 		xbuf:   tensor.New(1, cfg.FrameHeight, cfg.FrameWidth, 3),
 		obs:    cfg.Obs,
@@ -344,31 +338,16 @@ func NewEdgeNode(cfg Config) (*EdgeNode, error) {
 	return e, nil
 }
 
-// Deploy installs a microclassifier with a decision threshold. All MCs
-// must be deployed before the first frame is processed; use DeployLive
-// for mid-stream deployment (the fleet control plane's path).
+// Deploy installs a microclassifier with a decision threshold at any
+// frame boundary, before the first frame or while the stream runs (the
+// §3.2 remote deployment hook the fleet agent uses). It checks the
+// feature map, resets mc's streaming state, and gives it a slot from
+// the next frame on: fresh smoothing and event state whose frame 0 is
+// that stream frame, so its event frame ranges are reported in stream
+// coordinates, the node's push-latency sinks, and a fresh per-slot
+// score sketch (Push and Flush do the recording) that also feeds the
+// node aggregate.
 func (e *EdgeNode) Deploy(mc *filter.MC, threshold float32) error {
-	if e.nextFrame != 0 {
-		return fmt.Errorf("core: deploy after stream start (use DeployLive)")
-	}
-	return e.deploy(mc, threshold)
-}
-
-// DeployLive installs a microclassifier while the stream is running:
-// the MC starts classifying at the next frame, and its event frame
-// ranges are reported in stream coordinates. The MC must be fresh (its
-// streaming state is reset on deployment). This is the §3.2 remote
-// deployment hook the fleet agent uses.
-func (e *EdgeNode) DeployLive(mc *filter.MC, threshold float32) error {
-	return e.deploy(mc, threshold)
-}
-
-// deploy checks the feature map, resets mc's streaming state, and
-// gives it a slot from the next frame on: fresh smoothing and event
-// state whose frame 0 is that stream frame, the node's push-latency
-// sinks, and a fresh per-slot score sketch (Push and Flush do the
-// recording) that also feeds the node aggregate.
-func (e *EdgeNode) deploy(mc *filter.MC, threshold float32) error {
 	name := mc.Spec().Name
 	if indexOf(e.mcs, name) >= 0 {
 		return fmt.Errorf("core: duplicate MC name %q", name)
@@ -497,7 +476,7 @@ func (e *EdgeNode) Config() Config { return e.cfg }
 
 // AttachArchive connects a persistent frame archive to the ingest
 // path: every processed frame is appended to it (alongside the
-// codec-model ArchivedBits accounting), and FetchArchive serves
+// codec-model ArchivedBits accounting), and ReadFetch serves
 // demand-fetch ranges from it instead of the live source. The node
 // must be configured with ArchiveToDisk (the codec model supplies the
 // per-frame coded sizes), and the archive's next index must line up
@@ -530,35 +509,15 @@ type Fetch struct {
 	took  time.Duration // how long it ran
 }
 
-// FetchArchive reads frames [start, end) from the node's local archive
-// (§3.2: "edge nodes record the original video stream to disk"),
-// re-encodes them at the given bitrate, and accounts the transfer
-// against the uplink. It returns the decoder-side reconstructions and
-// the coded size. With a persistent archive attached (AttachArchive)
-// the frames come off disk; un-archived configs fall back to the live
-// source src. The archive stores the full-fidelity originals, so both
-// paths re-encode identical input and produce byte-identical
-// reconstructions and bit counts.
-//
-// It is ReadFetch then AccountFetch on the owner's goroutine. The
-// fleet agent runs the same two halves with ReadFetch off the
-// pipeline, so in-process and wire-level demand fetches share one
-// encode path and their accounting is identical by construction.
-func (e *EdgeNode) FetchArchive(src FrameSource, start, end int, bitrate float64) ([]*vision.Image, int64, error) {
-	f, err := e.ReadFetch(src, start, end, bitrate)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.AccountFetch(f)
-	return f.Recons, f.Bits, nil
-}
-
-// ReadFetch is the half of FetchArchive that touches no pipeline
-// state: it reads frames [start, end) from the persistent archive, or
-// from src without one, and re-encodes them at bitrate as one
-// independent segment on the node's fetch encoder. Any goroutine may
-// call it while the owner processes frames; fetches serialize among
-// themselves. It sees only frames the owner has already archived, so
+// ReadFetch is the first half of a demand fetch (§3.2: "edge nodes
+// record the original video stream to disk"), the half that touches no
+// pipeline state: it reads frames [start, end) from the persistent
+// archive (AttachArchive), or from the live source src without one,
+// and re-encodes them at bitrate as one independent segment on the
+// node's fetch encoder. The archive stores the full-fidelity
+// originals, so both sources give byte-identical reconstructions and
+// bit counts. Any goroutine may call it while the owner processes
+// frames; fetches serialize among themselves. It sees only frames the owner has already archived, so
 // a caller that must serve frame N barriers on the owner after N's
 // submission first (Scheduler.Do). Nothing is charged to the node
 // until the owner runs AccountFetch.
@@ -590,8 +549,10 @@ func (e *EdgeNode) ReadFetch(src FrameSource, start, end int, bitrate float64) (
 	return f, nil
 }
 
-// AccountFetch is the owner's half of FetchArchive: it sends f's bits
+// AccountFetch is the owner's half of a demand fetch: it sends f's bits
 // on the uplink and adds the fetch to the node's stats and observer.
+// The fleet agent and an in-process caller run the same two halves, so
+// their accounting is identical by construction.
 func (e *EdgeNode) AccountFetch(f Fetch) {
 	if e.obs != nil {
 		e.obs.Fetch.Observe(f.took)
@@ -609,24 +570,6 @@ func (e *EdgeNode) AccountFetch(f Fetch) {
 		e.stats.MaxUplinkDelay = delay
 	}
 	e.mu.Unlock()
-}
-
-// Meta returns the event-ID metadata recorded for a frame (nil when
-// the frame matched no MC, or when the frame has aged out of the
-// retention window — metadata is evicted alongside retained frames).
-// Safe to call while another goroutine owns the pipeline.
-func (e *EdgeNode) Meta(frame int) FrameMeta {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := e.meta[frame]
-	if m == nil {
-		return nil
-	}
-	out := make(FrameMeta, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // ProcessFrame pushes the next frame of the stream through the
@@ -729,8 +672,7 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 
 	// Phase 2b: smoothing, event assembly, and segment encoding run
 	// serially in deployment order — they share the uplink and the
-	// frame metadata, and their ordering defines event IDs and bit
-	// accounting.
+	// segment encoder, and their ordering defines bit accounting.
 	var uploads []Upload
 	for i, d := range e.mcs {
 		for _, c := range e.steps[i].cls {
@@ -806,7 +748,7 @@ func (e *EdgeNode) observe(d *deployedMC, c filter.Classification) ([]Upload, er
 }
 
 // decide handles one smoothed frame decision: transition detection,
-// metadata, segment assembly, and chunked upload. Decision frames are
+// segment assembly, and chunked upload. Decision frames are
 // in the MC's local counting; d.offset maps them to stream indices.
 func (e *EdgeNode) decide(d *deployedMC, dec event.Decision) ([]Upload, error) {
 	frame := d.offset + dec.Frame
@@ -827,14 +769,6 @@ func (e *EdgeNode) decide(d *deployedMC, dec event.Decision) ([]Upload, error) {
 		d.segStart = frame
 		d.segFrames = 0
 	}
-	e.mu.Lock()
-	m := e.meta[frame]
-	if m == nil {
-		m = make(FrameMeta)
-		e.meta[frame] = m
-	}
-	m[d.mc.Spec().Name] = id
-	e.mu.Unlock()
 	d.segFrames++
 	if d.segFrames >= e.cfg.MaxChunkFrames {
 		up, err := e.closeSegment(d, frame+1, false)
@@ -947,16 +881,12 @@ func (e *EdgeNode) retained(f int) *vision.Image {
 	return e.frames[f%len(e.frames)]
 }
 
-// evict drops frames that have fallen out of the retention window,
-// along with their event-ID metadata — the ring and the metadata map
-// are bounded by RetainFrames, so arbitrarily long runs hold constant
-// memory.
+// evict drops frames that have fallen out of the retention window —
+// the ring is bounded by RetainFrames, so arbitrarily long runs hold
+// constant memory.
 func (e *EdgeNode) evict() {
-	e.mu.Lock()
 	for e.oldestKept < e.nextFrame-e.cfg.RetainFrames {
 		e.frames[e.oldestKept%len(e.frames)] = nil
-		delete(e.meta, e.oldestKept)
 		e.oldestKept++
 	}
-	e.mu.Unlock()
 }

@@ -25,7 +25,7 @@ func TestFetchArchiveServedFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantRecons, wantBits, err := live.FetchArchive(src, 3, 9, 30_000)
+	wantRecons, wantBits, err := fetch(live, src, 3, 9, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFetchArchiveServedFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gotRecons, gotBits, err := disk.FetchArchive(nil, 3, 9, 30_000)
+	gotRecons, gotBits, err := fetch(disk, nil, 3, 9, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFetchArchiveServedFromDisk(t *testing.T) {
 
 	// Ranges the retention policy dropped (or that were never
 	// archived) error instead of silently falling back.
-	if _, _, err := disk.FetchArchive(src, 10, 20, 30_000); err == nil {
+	if _, _, err := fetch(disk, src, 10, 20, 30_000); err == nil {
 		t.Fatal("fetch beyond archived range succeeded")
 	}
 }

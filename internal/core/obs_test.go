@@ -188,7 +188,7 @@ func TestArchiveTimeAttribution(t *testing.T) {
 }
 
 // TestFetchArchiveEncodeTime is the regression test for the demand-
-// fetch timing bugfix: FetchArchive's re-encode must be attributed to
+// fetch timing bugfix: a demand fetch's re-encode must be attributed to
 // Stats.EncodeTime (it was previously dropped) and observed by the
 // fetch histogram.
 func TestFetchArchiveEncodeTime(t *testing.T) {
@@ -201,7 +201,7 @@ func TestFetchArchiveEncodeTime(t *testing.T) {
 		}
 	}
 	before := e.Stats().EncodeTime
-	if _, _, err := e.FetchArchive(frameSlice(frames), 2, 9, 40_000); err != nil {
+	if _, _, err := fetch(e, frameSlice(frames), 2, 9, 40_000); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()

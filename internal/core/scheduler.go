@@ -79,7 +79,7 @@ type streamQueue struct {
 // scheduler: direct calls to an EdgeNode's ProcessFrame, Deploy or
 // Flush would race with the workers. The node takes no new streams
 // once it has had a scheduler. Observer methods
-// (MultiStreamNode.Stats, EdgeNode.Stats/Meta/MCNames) remain safe at
+// (MultiStreamNode.Stats, EdgeNode.Stats/MCNames) remain safe at
 // any time.
 type Scheduler struct {
 	node *MultiStreamNode

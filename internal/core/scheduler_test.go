@@ -151,7 +151,7 @@ func TestSchedulerLiveOpsUnderLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var obs sync.WaitGroup
 	obs.Add(1)
-	go func() { // observer: aggregate + per-stream stats, names, metadata
+	go func() { // observer: aggregate + per-stream stats and names
 		defer obs.Done()
 		for {
 			select {
@@ -164,7 +164,6 @@ func TestSchedulerLiveOpsUnderLoad(t *testing.T) {
 				e := node.Stream(name)
 				_ = e.Stats()
 				_ = e.MCNames()
-				_ = e.Meta(5)
 			}
 		}
 	}()
@@ -184,7 +183,7 @@ func TestSchedulerLiveOpsUnderLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := sched.Do(name, func(e *EdgeNode) ([]Upload, error) { return nil, e.DeployLive(mc, -1) }); err != nil {
+				if _, err := sched.Do(name, func(e *EdgeNode) ([]Upload, error) { return nil, e.Deploy(mc, -1) }); err != nil {
 					t.Errorf("live deploy: %v", err)
 					return
 				}

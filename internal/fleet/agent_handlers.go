@@ -34,7 +34,7 @@ func (a *Agent) handleDeploy(req DeployRequest) {
 	mc, err := a.loadMC(req.Stream, req.MC)
 	if err == nil {
 		_, err = a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
-			return nil, e.DeployLive(mc, req.Threshold)
+			return nil, e.Deploy(mc, req.Threshold)
 		})
 	}
 	if err == nil {

@@ -600,10 +600,12 @@ func (c *Controller) Session(node string) (*Session, error) {
 // node, recording the deployment as intent on the owning shard so a
 // node that loses it (crash, partition) gets it re-pushed on
 // reconnect. With the node offline, the intent is still recorded and
-// ErrDeferred returned. A deployment the edge itself rejects
-// (ErrRejected) is rolled back out of the intent; a transport failure
-// keeps it, because the node's state is unknown and reconciliation
-// will settle it.
+// ErrDeferred returned. An intent the shard cannot log (a fenced shard,
+// see shard.commit) is neither recorded nor pushed, and the error
+// wraps the log's. A deployment the edge itself rejects (ErrRejected)
+// is rolled back out of the intent; a transport failure keeps it,
+// because the node's state is unknown and reconciliation will settle
+// it.
 func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) error {
 	info, nameErr := filter.MCInfo(bytes.NewReader(mc))
 	name := info.Name
@@ -612,11 +614,12 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 	var had bool
 	var gen uint64
 	var sess *Session
+	var logErr error
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
 		if nameErr == nil {
 			prev, had = st.Intent[stream][name]
 			gen = st.Gen + 1
-			sh.commit(&intentRec{
+			logErr = sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: name,
 				MC: mc, Threshold: threshold, Version: info.Version, Gen: gen,
 			})
@@ -624,6 +627,9 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 		sess = sh.liveSessionLocked(node)
 	})
 
+	if logErr != nil {
+		return fmt.Errorf("fleet: deploy %s/%s %q: %w", node, stream, name, logErr)
+	}
 	if sess == nil {
 		if nameErr != nil {
 			return fmt.Errorf("fleet: no connected node %q and undecodable MC bytes: %w", node, nameErr)
@@ -633,7 +639,8 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 	err := sess.deploy(stream, mc, threshold, gen, info.Version)
 	if err != nil && nameErr == nil && errors.Is(err, ErrRejected) {
 		// The node answered and refused: this intent can never apply.
-		// Roll back to the previous deployment, or to none.
+		// Roll back to the previous deployment, or to none; on a shard
+		// fenced since, the rollback is not logged and the intent stays.
 		c.onNode(node, true, func(sh *shard, st *nodeState) {
 			sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: name,
@@ -649,19 +656,24 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 // and withdraws it from the deployment intent, so reconciliation
 // stops restoring it. With the node offline the withdrawal is
 // recorded and ErrDeferred returned; the node's copy is removed when
-// it reconnects.
+// it reconnects. A withdrawal the shard cannot log is neither recorded
+// nor pushed, and the error wraps the log's.
 func (c *Controller) Undeploy(node, stream, mcName string) error {
 	var gen uint64
 	var sess *Session
+	var logErr error
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
 		if _, had := st.Intent[stream][mcName]; had {
-			sh.commit(&intentRec{
+			logErr = sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: mcName, Gen: st.Gen + 1, Remove: true,
 			})
 		}
 		gen = st.Gen
 		sess = sh.liveSessionLocked(node)
 	})
+	if logErr != nil {
+		return fmt.Errorf("fleet: undeploy %s/%s %q: %w", node, stream, mcName, logErr)
+	}
 	if sess == nil {
 		return fmt.Errorf("fleet: undeploy %s/%s %q: %w", node, stream, mcName, ErrDeferred)
 	}

@@ -176,9 +176,10 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 
 // noteHeartbeat is the shard's per-heartbeat drift hook, invoked from
 // the session reader goroutine. It runs the drift observer over the
-// heartbeat's sketches, commits the baseline freezes it returns, and
-// logs threshold transitions; a heartbeat landing after the session
-// died is ignored, mirroring acceptUpload.
+// heartbeat's sketches, commits the baseline freezes it returns (one
+// a fenced shard cannot log is skipped, and the next heartbeat returns
+// it again), and logs threshold transitions; a heartbeat landing after
+// the session died is ignored, mirroring acceptUpload.
 func (sh *shard) noteHeartbeat(s *Session, hb *Heartbeat) {
 	if len(hb.Scores) == 0 {
 		return

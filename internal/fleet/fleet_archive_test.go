@@ -30,9 +30,9 @@ func renderFrames(n int) []*vision.Image {
 
 // TestWireDemandFetchServedFromDisk is the tentpole acceptance test:
 // a wire demand-fetch served from the edge's on-disk archive returns
-// frames byte-identical to the in-process FetchArchive path (which
-// re-encodes from the live source), with identical DemandFetchBits
-// accounting.
+// frames byte-identical to an in-process fetch (ReadFetch then
+// AccountFetch, re-encoding from the live source), with identical
+// DemandFetchBits accounting.
 func TestWireDemandFetchServedFromDisk(t *testing.T) {
 	base := testBase()
 	frames := renderFrames(24)
@@ -51,8 +51,7 @@ func TestWireDemandFetchServedFromDisk(t *testing.T) {
 	}
 	lo, hi := 5, 17 // spans a segment boundary at the 8-frame segment length
 
-	// In-process baseline: the pre-archive FetchArchive path, straight
-	// off the live source.
+	// In-process baseline: ReadFetch straight off the live source.
 	baseline, err := core.NewEdgeNode(edgeCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +68,12 @@ func TestWireDemandFetchServedFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantRecons, wantBits, err := baseline.FetchArchive(frameSrc(frames), lo, hi, 20_000)
+	want, err := baseline.ReadFetch(frameSrc(frames), lo, hi, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline.AccountFetch(want)
+	wantRecons, wantBits := want.Recons, want.Bits
 	wantStats := baseline.Stats()
 
 	// Wire run: the agent's stream has NO live fallback source (nil) —

@@ -177,10 +177,12 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	dcBase := core.NewDatacenter()
 	dcBase.ReceiveAll(want)
-	_, wantBits, err := edge.FetchArchive(testDay, lo, hi, 30_000)
+	wantFetch, err := edge.ReadFetch(testDay, lo, hi, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	edge.AccountFetch(wantFetch)
+	wantBits := wantFetch.Bits
 
 	// Wire run: controller + agent over real TCP on loopback. ref is
 	// fed every accepted upload under its node prefix: what the merged
@@ -522,7 +524,7 @@ func TestAgentMatchesSequentialEdge(t *testing.T) {
 		var ups []core.Upload
 		for i := 0; i < rounds; i++ {
 			if si == 0 && i == deployAt {
-				if err := e.DeployLive(load(liveBytes), -1); err != nil {
+				if err := e.Deploy(load(liveBytes), -1); err != nil {
 					t.Fatal(err)
 				}
 			}

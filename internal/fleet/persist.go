@@ -265,12 +265,22 @@ func (s *shardState) apply(rec record) {
 }
 
 // commit is the live half of the state machine: compact if due (see
-// compactDue), log the record, apply it. Callers hold sh.mu. It reports
-// whether the record reached the log (always true without a state
-// dir). An append failure is logged and the record still applies —
-// durability is best-effort for every kind but an upload, which is
-// neither applied nor, by acceptUpload, acked: the edge keeps it
-// buffered and retransmits, so an acked upload is always on disk.
+// compactDue), log the record, apply it. Callers hold sh.mu. It returns
+// nil once the record is logged and applied (always, without a state
+// dir).
+//
+// The first append or sync error fences the shard: commit logs that
+// error once and returns it, and from then until the controller
+// reopens it appends nothing, applies nothing and returns the same
+// error for every record. A record that missed the wal therefore never
+// becomes live — no node sees a generation that recovery forgets, and
+// an upload is neither accounted nor, by acceptUpload, acked, so the
+// edge keeps it buffered and retransmits. And nothing lands behind a
+// wal tail a failed write may have torn, where recovery's truncation
+// at the torn record would take every later acked record with it.
+// Reopening truncates the torn tail. A failed compaction does not
+// fence: WriteSnapshot leaves the old snapshot and wal in place, and
+// compactDue backs off.
 //
 // Compaction runs BEFORE the append, never after: at entry every
 // logged record has been applied, so a snapshot taken here captures
@@ -278,9 +288,11 @@ func (s *shardState) apply(rec record) {
 // the fresh wal to replay on top of it. Compacting after the append
 // would snapshot state that lacks the just-logged record and then
 // delete the wal holding it.
-func (sh *shard) commit(rec record) bool {
-	logged := true
+func (sh *shard) commit(rec record) error {
 	if sh.wal != nil {
+		if sh.fenced != nil {
+			return sh.fenced
+		}
 		if sh.compactDue() {
 			if err := sh.snapshotLocked(); err != nil {
 				sh.failedAt = sh.wal.Pending()
@@ -300,16 +312,14 @@ func (sh *shard) commit(rec record) bool {
 			sh.walAppend.Observe(time.Since(start))
 		}
 		if err != nil {
-			sh.c.cfg.Log.Error("fleet: wal append failed",
+			sh.fenced = fmt.Errorf("fleet: shard %d fenced until reopen: wal append: %w", sh.id, err)
+			sh.c.cfg.Log.Error("fleet: wal append failed, shard fenced until reopen",
 				"shard", sh.id, "kind", rec.kind(), "err", err)
-			logged = false
+			return sh.fenced
 		}
 	}
-	if !logged && rec.kind() == wrecUpload {
-		return false
-	}
 	sh.apply(rec)
-	return logged
+	return nil
 }
 
 // maxKeptEncoded bounds the encoding buffer a shard keeps between
@@ -543,7 +553,11 @@ func (c *Controller) rehome(keep int) (moved int, lost []int) {
 		// Rehomed wins recovery, so the stale copy still sitting in the
 		// source shard's log can never resurrect.
 		st.Rehomed++
-		if !to.commit(&moveInRec{Name: m.node, Node: st}) {
+		if rec := (&moveInRec{Name: m.node, Node: st}); to.commit(rec) != nil {
+			// A fenced owner applies nothing, but the source directory,
+			// kept below, holds the node's durable copy: memory holds it
+			// too, as the next recovery will.
+			to.apply(rec)
 			failed[m.from] = true
 		}
 		sources[m.to] = append(sources[m.to], m.from)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"log/slog"
 	"maps"
@@ -528,6 +529,107 @@ func TestFailedCompactionRetriesAfterSnapshotEvery(t *testing.T) {
 	}
 	if after := nodeUploads(t, ctrl, "edge-1", "cam0/mc-1"); !reflect.DeepEqual(after, before) {
 		t.Fatalf("recovered ledger holds %d uploads and differs from the %d before the crash", len(after), len(before))
+	}
+}
+
+// TestFailedAppendFencesShard: the first failed wal append fences its
+// shard until reopen, and nothing after it is logged or applied. A
+// deploy and an undeploy return the append error, not ErrDeferred, and
+// push nothing; the intent and its generation stand; an upload is
+// neither accounted nor acked; a drift freeze is skipped; a fresh hello
+// that would reset the node's sequence space is refused; and the wal
+// takes no further append. A crash and reopen then recover exactly the
+// state from before the failure, and the reopened shard logs again.
+func TestFailedAppendFencesShard(t *testing.T) {
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ControllerConfig{Timeout: 5 * time.Second, StateDir: t.TempDir(), SnapshotEvery: -1, Drift: DriftConfig{MinCount: 8}}
+	ctrl, _, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Serve(ln)
+	defer func() { ctrl.Crash() }()
+	const node = "edge-1"
+	edge := dialScripted(t, n, Hello{Node: node})
+	if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-1", 11, 1), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	edge.upload(1, 0)
+	edge.upload(2, 10)
+	before := captureLogged(ctrl)
+	intent, gen := ctrl.Intent(node)
+	pushes := edge.pushes.Load()
+
+	sh := ctrl.shards[ctrl.ShardOf(node)]
+	sh.mu.Lock()
+	sh.wal.Abandon() // every append from here on fails
+	sh.mu.Unlock()
+	fenced := func(op string, err error) {
+		t.Helper()
+		if err == nil || errors.Is(err, ErrDeferred) || !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("%s on a fenced shard: %v, want the append error", op, err)
+		}
+	}
+	fenced("deploy", ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-2", 12, 1), 0.5))
+	appends := ctrl.ShardStats()[sh.id].WALAppend.Count
+	fenced("undeploy", ctrl.Undeploy(node, "cam0", "mc-1"))
+	if got, g := ctrl.Intent(node); !reflect.DeepEqual(got, intent) || g != gen {
+		t.Fatalf("intent %v@%d after the failed append, want %v@%d", got, g, intent, gen)
+	}
+	if got := edge.pushes.Load(); got != pushes {
+		t.Fatalf("%d requests pushed to the node after the failed append", got-pushes)
+	}
+
+	// A retransmission is acked before any commit, so the ack for the
+	// one sent behind a fresh upload arriving first shows that the fresh
+	// upload got none. The same barrier follows the heartbeat that
+	// reaches MinCount.
+	edge.send(transport.KindUpload, transport.UploadRecord{MCName: "cam0/mc-1", EventID: 3, Start: 20, End: 24, Bits: 1003, Final: true, Seq: 3})
+	edge.upload(2, 10)
+	edge.send(transport.KindHeartbeat, scoreBeat(alt(0.2, 0.7, 16)))
+	edge.upload(2, 10)
+	if got := nodeUploads(t, ctrl, node, "cam0/mc-1"); len(got) != 2 {
+		t.Fatalf("ledger holds %d uploads, want the 2 from before the failed append", len(got))
+	}
+	if reps := ctrl.DriftReports(); len(reps) != 1 || reps[0].Total != 16 || reps[0].Baseline != 0 {
+		t.Fatalf("drift after a heartbeat on a fenced shard: %+v, want 16 scores and no frozen baseline", reps)
+	}
+
+	edge.conn.Close()
+	conn, err := n.Dial(node, "dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := transport.WriteHeader(conn, transport.Version2); err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteRecord(conn, transport.KindHello, Hello{Node: node}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.ReadHeader(conn); err == nil {
+		t.Fatal("a fresh hello whose sequence reset cannot be logged was accepted")
+	}
+	if got := ctrl.ShardStats()[sh.id].WALAppend.Count; got != appends {
+		t.Fatalf("the wal took %d appends after the failed one", got-appends)
+	}
+
+	ctrl.Crash()
+	if ctrl, _, err = OpenController(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := captureLogged(ctrl); !reflect.DeepEqual(got, before) {
+		t.Fatalf("recovered %v\nwant the state before the failed append %v", got.Intents, before.Intents)
+	}
+	if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-2", 12, 1), 0.5); !errors.Is(err, ErrDeferred) {
+		t.Fatalf("deploy after reopen: %v, want it recorded for the offline node", err)
+	}
+	if _, g := ctrl.Intent(node); g != gen+1 {
+		t.Fatalf("generation %d after reopen and deploy, want %d", g, gen+1)
 	}
 }
 

@@ -31,6 +31,8 @@ type scriptedEdge struct {
 	wmu  sync.Mutex
 	// refuse makes the edge answer deploy requests with an error ack.
 	refuse atomic.Bool
+	// pushes counts the deploy and undeploy requests received.
+	pushes atomic.Int32
 	// acks delivers upload acks.
 	acks chan uint64
 }
@@ -87,6 +89,7 @@ func (e *scriptedEdge) serve() {
 		}
 		switch kind {
 		case transport.KindDeploy:
+			e.pushes.Add(1)
 			var req DeployRequest
 			if transport.DecodeRecord(body, &req) != nil {
 				return
@@ -97,6 +100,7 @@ func (e *scriptedEdge) serve() {
 			}
 			_ = e.write(transport.KindAck, ack)
 		case transport.KindUndeploy:
+			e.pushes.Add(1)
 			var req UndeployRequest
 			if transport.DecodeRecord(body, &req) != nil {
 				return

@@ -39,6 +39,10 @@ type shard struct {
 	// snapshots counts the snapshots written to wal since the
 	// controller opened. Guarded by mu.
 	snapshots int
+	// fenced is the error of the first failed wal append or sync, nil
+	// before one: commit then logs and applies nothing more until the
+	// controller reopens. Guarded by mu.
+	fenced error
 	// failedAt is the wal's Pending count when the last compaction
 	// failed, zero once one succeeds: compactDue counts SnapshotEvery
 	// records from it. Guarded by mu.
@@ -112,8 +116,13 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 		// incarnation's high-water mark would silently drop every
 		// upload the new process sends as a "duplicate". The reset must
 		// be logged: replaying the old mark over the new incarnation's
-		// uploads would drop them all the same way after a restart.
-		sh.commit(&seqResetRec{Node: hello.Node})
+		// uploads would drop them all the same way after a restart. A
+		// reset that cannot be logged refuses the hello.
+		if err := sh.commit(&seqResetRec{Node: hello.Node}); err != nil {
+			sh.mu.Unlock()
+			cfg.Log.Warn("fleet: fresh hello refused", "node", hello.Node, "shard", sh.id, "err", err)
+			return err
+		}
 	}
 	gen := st.Gen
 	// Snapshot the reconciliation work in the same critical section
@@ -203,9 +212,9 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 	// mark is what keeps the ledger exactly-once across controller
 	// crashes.
 	sh.upload = uploadRec{Node: s.node, Rec: rec}
-	logged := sh.commit(&sh.upload)
+	err := sh.commit(&sh.upload)
 	sh.mu.Unlock()
-	if !logged {
+	if err != nil {
 		return false, false
 	}
 	if hook := sh.c.cfg.OnUpload; hook != nil {

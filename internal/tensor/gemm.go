@@ -36,13 +36,6 @@ const (
 	tileMax = 2 * gemmMR
 )
 
-// SmallM switches Gemm to the unpacked row-block path: below this row
-// count packing B for a single product costs more than it saves (the
-// whole B matrix is streamed exactly once either way). A caller that
-// already holds a packed B has nothing to save and calls GemmPacked
-// whatever m is.
-const SmallM = 8
-
 // Epilogue describes the fused write-back applied to every GEMM output
 // element, in order: add Bias[j], then scale/shift (the inference-time
 // batch-norm fold: v*Scale[j]+Shift[j]), then ReLU with optional Cap
@@ -58,15 +51,11 @@ type Epilogue struct {
 	Cap   float32
 }
 
-// Apply transforms the first m rows of c, each n columns long, in
-// place, one element at a time in applyOne's order. The kernels apply
-// the epilogue themselves; Gemm's unpacked path for short blocks calls
-// this, and GemmInPlace runs it (applyCols) only on a tile whose
-// columns run past the product's (n = 1, say), whose vectors the
-// kernels would read past their end.
-func (ep *Epilogue) Apply(c []float32, m, n int) { ep.applyCols(c, m, n, 0) }
-
-// applyCols runs Apply over columns [j0, n) only.
+// applyCols transforms columns [j0, n) of the first m rows of c, each n
+// columns long, in place, one element at a time in applyOne's order.
+// The kernels apply the epilogue themselves; GemmInPlace runs this only
+// on a tile whose columns run past the product's (n = 1, say), whose
+// vectors the kernels would read past their end.
 func (ep *Epilogue) applyCols(c []float32, m, n, j0 int) {
 	if ep == nil || m <= 0 {
 		return
@@ -221,7 +210,7 @@ func (w *rowWalk) next() int {
 // last B panel is zero-padded past n; such a tile lands in a stack tile
 // and only its live rows and columns are copied out. A tile whose
 // columns run past n leaves the stack tile raw and takes the epilogue
-// in Go (Epilogue.Apply) as it is copied out. Every output element
+// in Go (applyCols) as it is copied out. Every output element
 // accumulates over k in the same sequential order whichever tile holds
 // it, and takes the epilogue in the same order, so callers may split
 // the rows across goroutines (ARows.First) for bitwise identical
@@ -302,72 +291,18 @@ func epilogueOnly(m, n int, c []float32, ep *Epilogue) {
 	}
 }
 
-// gemmSmall handles short A blocks (m < SmallM) without packing:
-// B is streamed once in row order while up to four C rows accumulate
-// in cache.
-func gemmSmall(m, n, k int, a, b, c []float32, ep *Epilogue) {
-	for i := 0; i < m*n; i++ {
-		c[i] = 0
-	}
-	i0 := 0
-	for ; i0+4 <= m; i0 += 4 {
-		axpy4(n, k, a[i0*k:], b, c[i0*n:])
-	}
-	switch m - i0 {
-	case 1:
-		axpy1(n, k, a[i0*k:], b, c[i0*n:])
-	case 2:
-		axpy2(n, k, a[i0*k:], b, c[i0*n:])
-	case 3:
-		axpy2(n, k, a[i0*k:], b, c[i0*n:])
-		axpy1(n, k, a[(i0+2)*k:], b, c[(i0+2)*n:])
-	}
-	ep.Apply(c, m, n)
-}
-
-func axpy4(n, k int, a, b, c []float32) {
-	c0 := c[0*n : 1*n : 1*n]
-	c1 := c[1*n : 2*n : 2*n]
-	c2 := c[2*n : 3*n : 3*n]
-	c3 := c[3*n : 4*n : 4*n]
-	for p := 0; p < k; p++ {
-		bv := b[p*n : (p+1)*n : (p+1)*n]
-		VecAxpy(a[p], bv, c0)
-		VecAxpy(a[k+p], bv, c1)
-		VecAxpy(a[2*k+p], bv, c2)
-		VecAxpy(a[3*k+p], bv, c3)
-	}
-}
-
-func axpy2(n, k int, a, b, c []float32) {
-	c0 := c[0*n : 1*n : 1*n]
-	c1 := c[1*n : 2*n : 2*n]
-	for p := 0; p < k; p++ {
-		bv := b[p*n : (p+1)*n : (p+1)*n]
-		VecAxpy(a[p], bv, c0)
-		VecAxpy(a[k+p], bv, c1)
-	}
-}
-
-func axpy1(n, k int, a, b, c []float32) {
-	c0 := c[0*n : 1*n : 1*n]
-	for p := 0; p < k; p++ {
-		VecAxpy(a[p], b[p*n:(p+1)*n:(p+1)*n], c0)
-	}
-}
-
 // Gemm computes C = A·B (A m×k, B k×n, C m×n, all row-major) with the
-// fused epilogue applied on write-back. scratchB is a packing buffer of
-// at least PackBSize elements; scratchA is unused (A is read in place).
-// Both, and ep, may be nil when m < SmallM, where the unpacked path
-// runs. C is fully overwritten.
+// fused epilogue applied on write-back: PackB into scratchB, then
+// GemmPacked. scratchB is a packing buffer of at least PackBSize(k, n)
+// elements; a shorter one (nil, say) is replaced by a fresh one.
+// scratchA is unused (A is read in place) and ep may be nil. C is fully
+// overwritten.
 func Gemm(m, n, k int, a, b, c []float32, ep *Epilogue, scratchA, scratchB []float32) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	if m < SmallM {
-		gemmSmall(m, n, k, a, b, c, ep)
-		return
+	if len(scratchB) < PackBSize(k, n) {
+		scratchB = make([]float32, PackBSize(k, n))
 	}
 	PackB(k, n, b, scratchB)
 	GemmPacked(m, n, k, a, scratchB, c, ep, nil)

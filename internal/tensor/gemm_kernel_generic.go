@@ -31,3 +31,9 @@ func (ep *Epilogue) kernel(k *kernEpilogue, n int) {
 func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int, ep *kernEpilogue, col int) {
 	kernTileGo(a, offs, bp, c, ldc, ep, col)
 }
+
+// depthwiseVec is DepthwiseSpans' vector kernel; the portable build
+// has none, so depthwiseGo computes every channel.
+func depthwiseVec(dst []float32, ic, xstride int, x, w []float32, spans []Span, ep *Epilogue) int {
+	return 0
+}

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/filter"
@@ -82,6 +83,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *bdrift >= 0 {
 		cfg.BrightnessDrift = float32(*bdrift)
+	}
+	if *archiveDir != "" && cfg.Width*cfg.Height > archive.MaxFramePixels {
+		log.Error("ffrun: frames too large to archive", "size", fmt.Sprintf("%dx%d", cfg.Width, cfg.Height), "max_pixels", archive.MaxFramePixels)
+		return 1
 	}
 	d := dataset.Generate(cfg)
 	log.Info("ffrun: starting", "dataset", *dsName, "frames", cfg.Frames,

@@ -56,3 +56,17 @@ func TestMissingWeightsRejected(t *testing.T) {
 		t.Fatalf("error does not name -weights: %s", stderr.String())
 	}
 }
+
+// A frame over the archive's one-record limit is refused before the
+// dataset is generated or the base DNN pretrained, not when the
+// archive opens.
+func TestOversizeArchiveFramesRejected(t *testing.T) {
+	var stdout, stderr strings.Builder
+	args := []string{"-width", "1920", "-frames", "60", "-weights", "unused", "-archive-dir", t.TempDir()}
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "too large to archive") {
+		t.Fatalf("error does not name the archive limit: %s", stderr.String())
+	}
+}

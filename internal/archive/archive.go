@@ -3,16 +3,18 @@
 // stream (§3.2: "edge nodes record the original video stream to disk
 // so that datacenter applications can demand-fetch additional video").
 //
-// A Store owns one directory of fixed-length segment files. Appends
-// flow through a dedicated writer goroutine; segments are fsynced when
-// they fill ("roll") so a crash loses at most the unsynced tail of the
-// active segment. A disk budget evicts oldest segments first, and Open
-// recovers from torn writes by truncating the damaged tail. Range
-// reads are safe from any number of goroutines concurrently with the
-// writer.
+// A Store owns one directory of fixed-length segment files, each a
+// run of walog records (see format.go): the framing and the torn-tail
+// scan are the controller log's. Appends flow through a dedicated
+// writer goroutine; segments are fsynced when they fill ("roll") so a
+// crash loses at most the unsynced tail of the active segment. A disk
+// budget evicts oldest segments first, and Open recovers from torn
+// writes by truncating the damaged tail. Range reads are safe from any
+// number of goroutines concurrently with the writer.
 package archive
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -24,6 +26,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/vision"
+	"repro/internal/walog"
 )
 
 // ErrEvicted is wrapped by ReadRange errors when the requested range
@@ -67,6 +70,9 @@ func (c *Config) fillDefaults() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("archive: bad frame dims %dx%d", c.Width, c.Height)
 	}
+	if c.Width*c.Height > MaxFramePixels {
+		return fmt.Errorf("archive: a %dx%d frame exceeds the %d-pixel limit of one record", c.Width, c.Height, MaxFramePixels)
+	}
 	if c.FPS <= 0 {
 		c.FPS = 15
 	}
@@ -108,14 +114,13 @@ type Stats struct {
 
 // segment is one on-disk segment file and its in-memory index.
 type segment struct {
-	path    string
-	file    *os.File
-	start   int     // stream index of the first record
-	count   int     // records written
-	bytes   int64   // on-disk size (header + records)
-	bits    int64   // codec-model bits of the records
-	offsets []int64 // byte offset of each record
-	sealed  bool    // full and fsynced; eviction candidate
+	path   string
+	file   *os.File
+	start  int   // stream index of the first frame record
+	count  int   // frame records written
+	bytes  int64 // on-disk size (header + records)
+	bits   int64 // codec-model bits of the records
+	sealed bool  // full and fsynced; eviction candidate
 }
 
 // request is one writer-goroutine work item: a frame append or a
@@ -193,7 +198,8 @@ func Open(cfg Config) (*Store, error) {
 // first segment with a damaged header or record becomes the new tail:
 // its good prefix is kept (torn bytes truncated) and every later
 // segment is removed — they cannot be contiguous with a truncated
-// predecessor.
+// predecessor. A file that does not scan from its first record, an
+// older segment layout included, reads as a torn header and goes too.
 func (s *Store) recover() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -206,37 +212,22 @@ func (s *Store) recover() error {
 		}
 	}
 	sort.Strings(paths) // zero-padded decimal start frames sort correctly
-	truncated := false
-	for i, path := range paths {
-		if truncated {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("archive: drop post-truncation segment: %w", err)
+	truncated := false  // a segment was cut short: every later one goes
+	for _, path := range paths {
+		var seg *segment
+		tornAt := int64(-1)
+		if !truncated {
+			if seg, tornAt, err = s.loadSegment(path); err != nil {
+				return err
 			}
-			s.stats.RecoveredSegments++
-			continue
 		}
-		seg, tornAt, err := s.loadSegment(path)
-		if err != nil {
-			return err
-		}
-		if seg == nil {
-			// Unreadable header: a crash before the first record's
-			// header hit disk. Drop the file and everything after.
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("archive: drop torn segment: %w", err)
-			}
-			s.stats.RecoveredSegments++
-			truncated = true
-			continue
-		}
-		if i > 0 && len(s.segs) > 0 {
-			prev := s.segs[len(s.segs)-1]
-			if seg.start != prev.start+prev.count {
+		if seg != nil && len(s.segs) > 0 {
+			if prev := s.segs[len(s.segs)-1]; seg.start != prev.start+prev.count {
 				seg.file.Close()
 				return fmt.Errorf("archive: segment gap: %q starts at frame %d, want %d", path, seg.start, prev.start+prev.count)
 			}
 		}
-		if tornAt >= 0 {
+		if seg != nil && tornAt >= 0 {
 			if err := seg.file.Truncate(tornAt); err != nil {
 				seg.file.Close()
 				return fmt.Errorf("archive: truncate torn tail: %w", err)
@@ -244,15 +235,20 @@ func (s *Store) recover() error {
 			s.stats.RecoveredBytes += seg.bytes - tornAt
 			seg.bytes = tornAt
 			truncated = true
-			if seg.count == 0 {
-				// Nothing valid beyond the header; drop the file.
+		}
+		if seg == nil || seg.count == 0 && tornAt >= 0 {
+			// After a truncation, with no whole header (a crash before
+			// it reached disk), or with nothing whole beyond it: drop
+			// the file, and every later one.
+			if seg != nil {
 				seg.file.Close()
-				if err := os.Remove(path); err != nil {
-					return fmt.Errorf("archive: drop torn segment: %w", err)
-				}
-				s.stats.RecoveredSegments++
-				continue
 			}
+			if err := os.Remove(path); err != nil {
+				return fmt.Errorf("archive: drop torn segment: %w", err)
+			}
+			s.stats.RecoveredSegments++
+			truncated = true
+			continue
 		}
 		seg.sealed = seg.count >= s.cfg.SegmentFrames
 		s.segs = append(s.segs, seg)
@@ -270,9 +266,10 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// loadSegment opens one segment file and scans its records. It
-// returns the segment (nil if even the header is unreadable) and the
-// byte offset of the first torn record (-1 when the file is clean).
+// loadSegment opens one segment file and scans its records with
+// walog.Scan. It returns the segment (nil when its first record is not
+// a whole segment header) and the byte offset of the first torn,
+// damaged or out-of-order record (-1 when the file is clean).
 func (s *Store) loadSegment(path string) (*segment, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -283,44 +280,42 @@ func (s *Store) loadSegment(path string) (*segment, int64, error) {
 		f.Close()
 		return nil, 0, fmt.Errorf("archive: %w", err)
 	}
-	size := fi.Size()
-	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
+	var seg *segment
+	var dimErr error
+	good, err := walog.Scan(bufio.NewReader(f), make([]byte, recordSize(s.frameBytes)), func(kind uint8, p []byte) error {
+		if seg == nil {
+			w, h, start, err := decodeHeader(kind, p)
+			if err != nil {
+				return err
+			}
+			if w != s.cfg.Width || h != s.cfg.Height {
+				dimErr = fmt.Errorf("archive: segment %q is %dx%d, store is %dx%d", path, w, h, s.cfg.Width, s.cfg.Height)
+				return dimErr
+			}
+			seg = &segment{path: path, file: f, start: start, bytes: fi.Size()}
+			return nil
+		}
+		idx, bits, err := decodeFrame(kind, p, s.frameBytes)
+		if err == nil && idx != seg.start+seg.count {
+			err = fmt.Errorf("archive: frame record %d out of order", idx)
+		}
+		if err == nil {
+			seg.count++
+			seg.bits += bits
+		}
+		return err
+	})
+	switch {
+	case dimErr != nil:
 		f.Close()
-		return nil, -1, nil // short or unreadable header: torn
-	}
-	w, h, _, start, err := decodeHeader(hdr)
-	if err != nil {
+		return nil, 0, dimErr
+	case seg == nil:
 		f.Close()
-		return nil, -1, nil // corrupt header: torn
+		return nil, -1, nil // no whole header: torn
+	case err != nil:
+		return seg, good, nil
 	}
-	if w != s.cfg.Width || h != s.cfg.Height {
-		f.Close()
-		return nil, 0, fmt.Errorf("archive: segment %q is %dx%d, store is %dx%d", path, w, h, s.cfg.Width, s.cfg.Height)
-	}
-	seg := &segment{path: path, file: f, start: start, bytes: size}
-	rec := recordSize(s.frameBytes)
-	buf := make([]byte, rec)
-	off := int64(headerSize)
-	for {
-		if off == size {
-			return seg, -1, nil // clean end
-		}
-		if off+rec > size {
-			return seg, off, nil // partial record: torn
-		}
-		if _, err := f.ReadAt(buf, off); err != nil {
-			return seg, off, nil
-		}
-		idx, bits, _, err := decodeRecord(buf, s.cfg.Width, s.cfg.Height)
-		if err != nil || idx != seg.start+seg.count {
-			return seg, off, nil // corrupt or out-of-order: torn
-		}
-		seg.offsets = append(seg.offsets, off)
-		seg.count++
-		seg.bits += bits
-		off += rec
-	}
+	return seg, -1, nil
 }
 
 // Append enqueues one frame (with its codec-model coded size, for
@@ -385,19 +380,6 @@ func (s *Store) NextFrame() int {
 	return s.next
 }
 
-// OldestFrame returns the oldest retained stream index (equal to
-// NextFrame when the store is empty).
-func (s *Store) OldestFrame() int {
-	s.mu.RLock()
-	if len(s.segs) > 0 {
-		v := s.segs[0].start
-		s.mu.RUnlock()
-		return v
-	}
-	s.mu.RUnlock()
-	return s.NextFrame()
-}
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
@@ -449,20 +431,28 @@ func (s *Store) ReadRange(start, end int) ([]*vision.Image, error) {
 	si := sort.Search(len(s.segs), func(i int) bool {
 		return s.segs[i].start+s.segs[i].count > start
 	})
-	buf := make([]byte, recordSize(s.frameBytes))
+	rec := recordSize(s.frameBytes)
+	buf := make([]byte, rec)
 	for f := start; f < end; {
 		seg := s.segs[si]
 		for ; f < end && f < seg.start+seg.count; f++ {
-			if _, err := seg.file.ReadAt(buf, seg.offsets[f-seg.start]); err != nil {
+			off := headerSize + int64(f-seg.start)*rec
+			if _, err := seg.file.ReadAt(buf, off); err != nil {
 				return nil, fmt.Errorf("archive: read frame %d: %w", f, err)
 			}
-			idx, _, img, err := decodeRecord(buf, s.cfg.Width, s.cfg.Height)
+			kind, p, err := walog.CheckRecord(buf)
+			if err != nil {
+				return nil, fmt.Errorf("archive: read frame %d: %w", f, err)
+			}
+			idx, _, err := decodeFrame(kind, p, s.frameBytes)
 			if err != nil {
 				return nil, fmt.Errorf("archive: frame %d: %w", f, err)
 			}
 			if idx != f {
 				return nil, fmt.Errorf("archive: frame %d record carries index %d", f, idx)
 			}
+			img := vision.NewImage(s.cfg.Width, s.cfg.Height)
+			decodePixels(p, img)
 			frames = append(frames, img)
 		}
 		si++
@@ -581,7 +571,6 @@ func (s *Store) append(req request) error {
 	}
 
 	s.mu.Lock()
-	active.offsets = append(active.offsets, off)
 	active.count++
 	active.bytes += int64(len(rec))
 	active.bits += req.bits

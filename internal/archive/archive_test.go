@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/vision"
+	"repro/internal/walog"
 )
 
 // testImage renders a deterministic, per-index-unique frame.
@@ -250,7 +251,7 @@ func TestCrashRecoveryCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a byte inside the 4th record's payload.
-	off := int64(headerSize) + 3*recordSize(8*6*3*4) + recHeaderSize + 11
+	off := int64(headerSize) + 3*recordSize(8*6*3*4) + recordSize(0) + 11
 	data[off] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -260,6 +261,38 @@ func TestCrashRecoveryCorruptRecord(t *testing.T) {
 	defer s.Close()
 	if got := s.NextFrame(); got != 3 {
 		t.Fatalf("recovered NextFrame %d, want 3 (records 3+ truncated)", got)
+	}
+	checkFrames(t, s, 0, 3)
+}
+
+// TestReadRangeChecksEachRecord damages a frame on disk under an open
+// store: the read that reaches it fails with walog.ErrCorrupt instead
+// of returning the damaged pixels, and the frames before it still read.
+func TestReadRangeChecksEachRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, 8, 0)
+	defer s.Close()
+	appendN(t, s, 0, 5)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "seg-000000000000.ffa"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a pixel byte of frame 3.
+	off := int64(headerSize) + 3*recordSize(8*6*3*4) + recordSize(0) + 11
+	b := []byte{0}
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := s.ReadRange(2, 5); !errors.Is(err, walog.ErrCorrupt) {
+		t.Fatalf("ReadRange over a damaged frame: %v, want walog.ErrCorrupt", err)
 	}
 	checkFrames(t, s, 0, 3)
 }

@@ -2,61 +2,46 @@ package archive
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"encoding/hex"
 	"math"
 	"testing"
 
 	"repro/internal/vision"
 )
 
-// oldEncodeRecord is the record encoder from before appendRecord, one
-// fresh buffer per record: the on-disk bytes appendRecord must keep.
-func oldEncodeRecord(index int, codedBits int64, img *vision.Image) []byte {
-	payload := len(img.Pix) * 4
-	buf := make([]byte, recHeaderSize+payload+recTrailerSize)
-	binary.BigEndian.PutUint64(buf[0:8], uint64(index))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(codedBits))
-	binary.BigEndian.PutUint32(buf[16:20], uint32(payload))
-	off := recHeaderSize
-	for _, v := range img.Pix {
-		binary.LittleEndian.PutUint32(buf[off:off+4], math.Float32bits(v))
-		off += 4
-	}
-	binary.BigEndian.PutUint32(buf[off:off+4], crc32.ChecksumIEEE(buf[:off]))
-	return buf
-}
-
-// TestAppendRecordKeepsTheOnDiskBytes: appendRecord writes exactly the
-// old encoding, whether it appends to an empty buffer, to one holding
-// other bytes (which it keeps), or to the writer's reused buffer; and
-// reusing the buffer does not allocate.
+// TestAppendRecordKeepsTheOnDiskBytes pins one frame record's bytes —
+// a 1x1 frame (0.5, -0, NaN) at index 3 with -7 coded bits — whether
+// appendRecord appends it to an empty buffer, to one holding other
+// bytes (which it keeps), or to the writer's reused buffer; decodeFrame
+// and decodePixels read it back, and reusing the buffer does not
+// allocate.
 func TestAppendRecordKeepsTheOnDiskBytes(t *testing.T) {
-	frames := []*vision.Image{fuzzFrame(0.1), fuzzFrame(-3), vision.NewImage(1, 1)}
-	frames[1].Pix[5] = float32(math.Copysign(0, -1))
-	frames[1].Pix[7] = float32(math.NaN())
-	var reused []byte
-	for i, img := range frames {
-		want := oldEncodeRecord(i*9+1, int64(1000*i-7), img)
-		if got := appendRecord(nil, i*9+1, int64(1000*i-7), img); !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: appendRecord(nil) differs from the old encoding", i)
-		}
-		prefix := []byte("segment header")
-		got := appendRecord(prefix, i*9+1, int64(1000*i-7), img)
-		if !bytes.Equal(got[:len(prefix)], []byte("segment header")) || !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("frame %d: appendRecord after a prefix differs from prefix + the old encoding", i)
-		}
-		reused = appendRecord(reused[:0], i*9+1, int64(1000*i-7), img)
-		if !bytes.Equal(reused, want) {
-			t.Fatalf("frame %d: appendRecord into the reused buffer differs from the old encoding", i)
-		}
-		if _, _, back, err := decodeRecord(reused, img.W, img.H); err != nil || len(back.Pix) != len(img.Pix) {
-			t.Fatalf("frame %d: decodeRecord: %v", i, err)
-		}
+	want, _ := hex.DecodeString("02" + "0000001c" + "f3cbfe7d" + // kind, length, crc32(payload)
+		"0000000000000003" + "fffffffffffffff9" + // frame index, coded bits
+		"0000003f" + "00000080" + "0000c07f") // 0.5, -0, NaN, little-endian
+	img := vision.NewImage(1, 1)
+	img.Pix[0], img.Pix[1], img.Pix[2] = 0.5, float32(math.Copysign(0, -1)), float32(math.NaN())
+	if got := appendRecord(nil, 3, -7, img); !bytes.Equal(got, want) {
+		t.Fatalf("appendRecord wrote %x, want %x", got, want)
 	}
-	img := fuzzFrame(0.5)
-	buf := appendRecord(nil, 0, 0, img)
-	if n := testing.AllocsPerRun(20, func() { buf = appendRecord(buf[:0], 3, 4, img) }); n != 0 {
+	prefix := []byte("segment header")
+	if got := appendRecord(prefix, 3, -7, img); !bytes.Equal(got[:len(prefix)], []byte("segment header")) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("appendRecord after a prefix wrote %x", got)
+	}
+	reused := appendRecord(nil, 0, 0, fuzzFrame(0.1))
+	if reused = appendRecord(reused[:0], 3, -7, img); !bytes.Equal(reused, want) {
+		t.Fatalf("appendRecord into the reused buffer wrote %x", reused)
+	}
+	idx, bits, err := decodeFrame(want[0], want[9:], 12)
+	back := vision.NewImage(1, 1)
+	decodePixels(want[9:], back)
+	if err != nil || idx != 3 || bits != -7 || math.Float32bits(back.Pix[1]) != math.Float32bits(img.Pix[1]) || !math.IsNaN(float64(back.Pix[2])) {
+		t.Fatalf("decoded index %d, bits %d, pixels %v, err %v", idx, bits, back.Pix, err)
+	}
+
+	frame := fuzzFrame(0.5)
+	buf := appendRecord(nil, 0, 0, frame)
+	if n := testing.AllocsPerRun(20, func() { buf = appendRecord(buf[:0], 3, 4, frame) }); n != 0 {
 		t.Fatalf("appendRecord into a reused buffer allocates %v times, want 0", n)
 	}
 }

@@ -17,7 +17,8 @@ func fuzzFrame(seed float32) *vision.Image {
 	return img
 }
 
-// validSegmentBytes builds a clean two-record segment file in memory.
+// validSegmentBytes builds a clean segment file of two frames in
+// memory.
 func validSegmentBytes() []byte {
 	out := encodeHeader(4, 3, 15, 0)
 	out = appendRecord(out, 0, 1000, fuzzFrame(0.1))
@@ -39,11 +40,11 @@ func FuzzOpenStore(f *testing.F) {
 	f.Add(whole[:len(whole)-5])              // torn record tail
 	f.Add([]byte{})                          // empty file
 	tornCRC := append([]byte(nil), whole...) // flip one payload byte
-	tornCRC[headerSize+recHeaderSize+2] ^= 0x20
+	tornCRC[headerSize+int(recordSize(0))+2] ^= 0x20
 	f.Add(tornCRC)
-	badMagic := append([]byte(nil), whole...)
-	badMagic[0] ^= 0xFF
-	f.Add(badMagic)
+	badKind := append([]byte(nil), whole...) // not a segment header record
+	badKind[0] ^= 0xFF
+	f.Add(badKind)
 	badDims := encodeHeader(4000, 3000, 15, 0) // header disagrees with store dims
 	f.Add(badDims)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -30,7 +29,9 @@ import (
 // keeping two copies of every mutation in step.
 //
 // A snapshot is records too: one move-in record per node, framed as on
-// the wire, replayed by the same decode-and-apply loop before the wal.
+// the wire. It becomes the compacted prefix of the log's next
+// generation, replayed by the same decode-and-apply loop as the records
+// appended after it.
 //
 // What heartbeats alone derive is soft state and has no record: a drift
 // pair's window boundary, scores, and drifted flag (and the reset of a
@@ -269,6 +270,12 @@ func (s *shardState) apply(rec record) {
 // nil once the record is logged and applied (always, without a state
 // dir).
 //
+// A record that cannot be logged at all — one too large to frame
+// (walog.ErrTooLarge: an intent whose MC exceeds the record limit) or
+// one that does not encode — is refused: commit returns the error and
+// applies nothing, and the shard goes on, since nothing was written
+// and so nothing is torn.
+//
 // The first append or sync error fences the shard: commit logs that
 // error once and returns it, and from then until the controller
 // reopens it appends nothing, applies nothing and returns the same
@@ -279,15 +286,15 @@ func (s *shardState) apply(rec record) {
 // wal tail a failed write may have torn, where recovery's truncation
 // at the torn record would take every later acked record with it.
 // Reopening truncates the torn tail. A failed compaction does not
-// fence: WriteSnapshot leaves the old snapshot and wal in place, and
+// fence: WriteSnapshot leaves the old generation in place, and
 // compactDue backs off.
 //
 // Compaction runs BEFORE the append, never after: at entry every
 // logged record has been applied, so a snapshot taken here captures
 // exactly the records it compacts away, and the new record lands in
-// the fresh wal to replay on top of it. Compacting after the append
-// would snapshot state that lacks the just-logged record and then
-// delete the wal holding it.
+// the fresh generation to replay on top of it. Compacting after the
+// append would snapshot state that lacks the just-logged record and
+// then delete the generation holding it.
 func (sh *shard) commit(rec record) error {
 	if sh.wal != nil {
 		if sh.fenced != nil {
@@ -300,17 +307,21 @@ func (sh *shard) commit(rec record) error {
 			}
 		}
 		payload, err := transport.AppendPayload(sh.encoded[:0], rec)
-		if err == nil {
-			if cap(payload) <= maxKeptEncoded {
-				sh.encoded = payload
-			}
-			start := time.Now()
-			err = sh.wal.Append(rec.kind(), payload)
-			if err == nil && sh.c.cfg.WALSync {
-				err = sh.wal.Sync()
-			}
-			sh.walAppend.Observe(time.Since(start))
+		if err != nil {
+			return fmt.Errorf("fleet: shard %d: encode record: %w", sh.id, err)
 		}
+		if cap(payload) <= maxKeptEncoded {
+			sh.encoded = payload
+		}
+		start := time.Now()
+		err = sh.wal.Append(rec.kind(), payload)
+		if errors.Is(err, walog.ErrTooLarge) {
+			return fmt.Errorf("fleet: shard %d: %w", sh.id, err)
+		}
+		if err == nil && sh.c.cfg.WALSync {
+			err = sh.wal.Sync()
+		}
+		sh.walAppend.Observe(time.Since(start))
 		if err != nil {
 			sh.fenced = fmt.Errorf("fleet: shard %d fenced until reopen: wal append: %w", sh.id, err)
 			sh.c.cfg.Log.Error("fleet: wal append failed, shard fenced until reopen",
@@ -363,37 +374,25 @@ func (sh *shard) snapshotLocked() error {
 	return nil
 }
 
-// replayLog rebuilds one log directory's shard state: the snapshot's
-// records, then the wal's, each decoded and applied in order. It
-// returns the state and the number of wal records replayed.
+// replayLog rebuilds one log directory's shard state: the records of
+// the log's compacted prefix, then those appended after it, decoded and
+// applied in order by one loop. It returns the state and the number of
+// records replayed after the prefix.
 func replayLog(l *walog.Log) (shardState, int, error) {
-	var recs []walog.Record
-	snap := bytes.NewReader(l.Snapshot())
-	for {
-		kind, payload, err := transport.ReadRecord(snap)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return shardState{}, 0, fmt.Errorf("snapshot is not a record stream (written by an older version?): %w", err)
-		}
-		recs = append(recs, walog.Record{Kind: kind, Payload: payload})
-	}
-	inSnapshot := len(recs)
-	recs = append(recs, l.Records()...)
 	s := newShardState()
-	for i, r := range recs {
+	prefix := l.Snapshot()
+	for i, r := range slices.Concat(prefix, l.Records()) {
 		rec, err := decodeRecord(r.Kind, r.Payload)
 		if err != nil {
-			where := fmt.Sprintf("record %d", i-inSnapshot)
-			if i < inSnapshot {
+			where := fmt.Sprintf("record %d", i-len(prefix))
+			if i < len(prefix) {
 				where = fmt.Sprintf("snapshot record %d", i)
 			}
 			return s, 0, fmt.Errorf("%s (kind %d): %w", where, r.Kind, err)
 		}
 		s.apply(rec)
 	}
-	return s, len(recs) - inSnapshot, nil
+	return s, len(l.Records()), nil
 }
 
 // RecoveryStats summarizes a controller's state recovery from its
@@ -408,11 +407,13 @@ type RecoveryStats struct {
 	// shard than the log they were recovered from — nonzero when the
 	// shard count changed since the state was written.
 	Moved int
-	// RecordsReplayed counts wal records applied across all logs
-	// (snapshot contents not included).
+	// RecordsReplayed counts the records applied across all logs from
+	// after their compacted prefixes (the prefixes' records not
+	// included).
 	RecordsReplayed int
-	// SnapshotBytes totals the snapshot files loaded; TornBytes totals
-	// the torn wal tails truncated on open.
+	// SnapshotBytes totals the header and compacted prefix of each
+	// log's generation loaded; TornBytes totals the torn wal tails
+	// truncated on open.
 	SnapshotBytes int64
 	TornBytes     int64
 	// Replay is the wall-clock cost of the whole recovery.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -187,7 +188,9 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 // format-3 snapshot, gob(3) then gob(shardState), from before
 // snapshots were move-in records; a snapshot of kind-11 move-ins whose
 // node records still carried canary state — with those shapes declared
-// here. Recovery must refuse each with an error naming the directory,
+// here; and a directory of walog format 1, which kept the compacted
+// state in a snapshot file beside a wal with a version-1 header.
+// Recovery must refuse each with an error naming the directory,
 // recover no node, and leave the directory as it found it.
 func TestOpenRefusesParentFormat(t *testing.T) {
 	type parentUpload struct {
@@ -245,7 +248,35 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const notRecords = "snapshot is not a record stream"
+	// A gob snapshot is no run of framed records: the compacted prefix
+	// it becomes does not scan.
+	const notRecords = "compacted prefix: corrupt record"
+	// v1Header is a walog format-1 file header: magic, version 1, file
+	// type, pad, directory ID and generation.
+	v1Header := func(ftype uint8, gen uint64) []byte {
+		hdr := binary.BigEndian.AppendUint32(nil, 0xFFA10C01)
+		hdr = binary.BigEndian.AppendUint16(hdr, 1)
+		hdr = append(hdr, ftype, 0)
+		hdr = binary.BigEndian.AppendUint64(hdr, 0xBEEF)
+		return binary.BigEndian.AppendUint64(hdr, gen)
+	}
+	var v1Wal bytes.Buffer
+	v1Wal.Write(v1Header(1, 1))
+	if err := transport.WriteRecord(&v1Wal, wrecIntent, &intentRec{Node: "edge-2", Stream: "cam0", Name: "mc-1", MC: []byte{1}, Gen: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var v1Snapshot bytes.Buffer
+	v1Snapshot.Write(v1Header(2, 1))
+	var moveIns bytes.Buffer
+	if err := transport.WriteRecord(&moveIns, wrecMoveIn, &moveInRec{Name: "edge-1", Node: &nodeState{Gen: 1, LastSeq: 1, DC: nodeLedger}}); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, walog.RecordHeaderLen)
+	if err := walog.Frame(frame, 2, moveIns.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	v1Snapshot.Write(frame)
+	v1Snapshot.Write(moveIns.Bytes())
 	// canaryNode is nodeState as it was while node records carried
 	// canary state, and canaryMoveIn the kind-11 move-in that held it.
 	type parentCanary struct {
@@ -281,7 +312,8 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 		records  []byte // a snapshot of framed records, when snapshot is nil
 		kind     uint8  // a record appended after the intent record; 0: none
 		record   any
-		want     string // in the error
+		files    map[string][]byte // the directory's files, written as they are
+		want     string            // in the error
 	}{
 		{name: "snapshot", snapshot: []any{parentShard{Uploads: 1, UploadBits: 100, DC: ledger, Nodes: []parentNode{node}}},
 			want: notRecords},
@@ -296,39 +328,53 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 			Nodes: map[string]*nodeState{"edge-1": {Gen: 1, LastSeq: 1, DC: nodeLedger}},
 		}}, want: notRecords},
 		{name: "canary-move-in", records: canarySnapshot.Bytes(), want: "unknown wal record kind 11"},
+		{name: "walog-format-1", files: map[string][]byte{"snapshot": v1Snapshot.Bytes(), "wal-1": v1Wal.Bytes()},
+			want: "format-1"},
+		{name: "walog-format-1-wal", files: map[string][]byte{"wal-1": v1Wal.Bytes()}, want: "format version 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
 			dir := filepath.Join(root, shardDirName(0))
-			l, err := walog.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := tc.records
-			if tc.snapshot != nil {
-				if snap, err = encodeGob(tc.snapshot...); err != nil {
+			if tc.files != nil {
+				if err := os.Mkdir(dir, 0o755); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if snap != nil {
-				if err := l.WriteSnapshot(snap); err != nil {
-					t.Fatal(err)
+				for name, b := range tc.files {
+					if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			if err := l.Append(wrecIntent, intent); err != nil {
-				t.Fatal(err)
-			}
-			if tc.record != nil {
-				payload, err := encodeGob(tc.record)
+			} else {
+				l, err := walog.Open(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := l.Append(tc.kind, payload); err != nil {
+				snap := tc.records
+				if tc.snapshot != nil {
+					if snap, err = encodeGob(tc.snapshot...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if snap != nil {
+					if err := l.WriteSnapshot(snap); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Append(wrecIntent, intent); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
+				if tc.record != nil {
+					payload, err := encodeGob(tc.record)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := l.Append(tc.kind, payload); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			before := readTree(t, root)
 
@@ -677,5 +723,95 @@ func TestWALAppendObserved(t *testing.T) {
 	}
 	if got := sh.walAppend.Count() - before; got != seq {
 		t.Fatalf("%d commits observed %d appends", seq, got)
+	}
+}
+
+// TestOversizeRecordDoesNotFenceShard: a deploy whose intent record is
+// too large to frame is refused with walog.ErrTooLarge, recorded
+// nowhere and pushed to no one, and its shard goes on: nothing was
+// written, so nothing is torn. A normal deploy on the same shard is
+// then logged and pushed, an upload is acked, and both survive a crash.
+func TestOversizeRecordDoesNotFenceShard(t *testing.T) {
+	n := simnet.New(chaosSeed)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ControllerConfig{Timeout: 5 * time.Second, StateDir: t.TempDir()}
+	ctrl, _, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Serve(ln)
+	defer func() { ctrl.Crash() }()
+	const node = "edge-1"
+	edge := dialScripted(t, n, Hello{Node: node})
+
+	mc := saveVersionedMC(t, "mc-big", 11, 1)
+	huge := append(mc, make([]byte, walog.MaxRecordBytes+1-len(mc))...)
+	err = ctrl.Deploy(node, "cam0", huge, 0.5)
+	if !errors.Is(err, walog.ErrTooLarge) || strings.Contains(err.Error(), "fenced") {
+		t.Fatalf("deploy of a %d-byte MC: %v, want walog.ErrTooLarge without a fence", len(huge), err)
+	}
+	if _, ok := ctrl.IntentMCBytes(node, "cam0", "mc-big"); ok || edge.pushes.Load() != 0 {
+		t.Fatalf("the refused deploy was recorded or pushed (%d pushes)", edge.pushes.Load())
+	}
+	small := saveVersionedMC(t, "mc-1", 12, 1)
+	if err := ctrl.Deploy(node, "cam0", small, 0.5); err != nil {
+		t.Fatalf("deploy on the same shard after the refused one: %v", err)
+	}
+	edge.upload(1, 0)
+
+	ctrl.Crash()
+	if ctrl, _, err = OpenController(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := ctrl.IntentMCBytes(node, "cam0", "mc-1"); !ok || !bytes.Equal(got, small) {
+		t.Fatal("the deploy after the refused one was not recovered")
+	}
+	if ups := nodeUploads(t, ctrl, node, "cam0/mc-1"); len(ups) != 1 {
+		t.Fatalf("recovered %d uploads, want the acked one", len(ups))
+	}
+}
+
+// TestStateOverRecordLimitCompacts: a shard whose state outgrows one
+// record's limit — three nodes holding about 5.5 MiB of intent each —
+// still compacts, since a snapshot is a run of per-node records with no
+// limit of its own. Close writes the final snapshot, so the reopen
+// replays no record after it, and every intent comes back byte for
+// byte.
+func TestStateOverRecordLimitCompacts(t *testing.T) {
+	var logs lockedBuffer
+	cfg := ControllerConfig{Timeout: time.Second, StateDir: t.TempDir(), Log: slog.New(slog.NewTextHandler(&logs, nil))}
+	ctrl, _, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcs := map[string][]byte{}
+	for i, node := range []string{"edge-1", "edge-2", "edge-3"} {
+		mc := saveVersionedMC(t, "mc-1", int64(11+i), 1)
+		mcs[node] = append(mc, bytes.Repeat([]byte{byte(i + 1)}, 11<<19-len(mc))...)
+		if err := ctrl.Deploy(node, "cam0", mcs[node], 0.5); !errors.Is(err, ErrDeferred) {
+			t.Fatalf("deploy to offline %s: %v, want ErrDeferred", node, err)
+		}
+	}
+	if err := ctrl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if failed := logs.count("snapshot failed"); failed != 0 {
+		t.Fatalf("%d snapshots failed:\n%s", failed, logs.buf.String())
+	}
+	ctrl, stats, err := OpenController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	if stats.RecordsReplayed != 0 || stats.SnapshotBytes < 3*11<<19 {
+		t.Fatalf("reopen after Close replayed %d records over a %d-byte snapshot, want 0 over all three intents", stats.RecordsReplayed, stats.SnapshotBytes)
+	}
+	for node, want := range mcs {
+		if got, ok := ctrl.IntentMCBytes(node, "cam0", "mc-1"); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("%s: recovered intent of %d bytes, want the %d deployed", node, len(got), len(want))
+		}
 	}
 }

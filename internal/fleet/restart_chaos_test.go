@@ -827,8 +827,9 @@ func TestRestartFromSparseDirs(t *testing.T) {
 
 // TestRestartFailedOpenClosesLogs checks that a recovery that fails
 // part way closes every log it opened: a 3-shard state dir whose last
-// snapshot is damaged, or that names shard 1 twice, is refused, and
-// refusing it again and again must not leave file descriptors behind.
+// shard's compacted prefix is damaged, or that names shard 1 twice, is
+// refused, and refusing it again and again must not leave file
+// descriptors behind.
 func TestRestartFailedOpenClosesLogs(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skip("no /proc/self/fd to count open files")
@@ -845,7 +846,18 @@ func TestRestartFailedOpenClosesLogs(t *testing.T) {
 		damage func(stateDir string) error
 	}{
 		{"damaged snapshot", func(stateDir string) error {
-			return os.WriteFile(filepath.Join(stateDir, shardDirName(2), "snapshot"), []byte("not a snapshot"), 0o644)
+			// Close compacted shard 2 last: its generation file ends in
+			// the compacted prefix, the node's move-in record.
+			gens, err := filepath.Glob(filepath.Join(stateDir, shardDirName(2), "wal-*"))
+			if err != nil || len(gens) != 1 {
+				return fmt.Errorf("shard 2 generation files %v: %v", gens, err)
+			}
+			b, err := os.ReadFile(gens[0])
+			if err != nil {
+				return err
+			}
+			b[len(b)-1] ^= 0x40
+			return os.WriteFile(gens[0], b, 0o644)
 		}},
 		{"shard named twice", func(stateDir string) error {
 			return os.Mkdir(filepath.Join(stateDir, "shard-1"), 0o755)
@@ -856,6 +868,13 @@ func TestRestartFailedOpenClosesLogs(t *testing.T) {
 			ctrl, _, err := OpenController(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			node := "edge-1"
+			for i := 2; ctrl.ShardOf(node) != 2; i++ {
+				node = fmt.Sprintf("edge-%d", i)
+			}
+			if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-1", 11, 1), 0.5); !errors.Is(err, ErrDeferred) {
+				t.Fatalf("deploy to offline %s: %v, want ErrDeferred", node, err)
 			}
 			if err := ctrl.Close(); err != nil {
 				t.Fatal(err)

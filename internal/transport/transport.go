@@ -26,8 +26,9 @@
 //
 // The record framing is internal/walog's (walog.Frame and
 // walog.ReadRecord): a wire record and a logged record are the same
-// bytes, so the controller's durable state store and the wire share
-// one framing implementation. The per-record CRC turns wire damage
+// bytes, and an edge archive segment (internal/archive) is a run of the
+// same records, so the wire, the controller's durable state store and
+// the edge's frame store share one framing implementation. The per-record CRC turns wire damage
 // (bit flips, mid-record byte loss) into a typed ErrCorrupt at the
 // reader instead of a gob decode error — or worse, a silent desync
 // that hangs the session. Readers never trust the length prefix for

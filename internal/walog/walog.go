@@ -1,22 +1,25 @@
 // Package walog is an append-only, CRC-framed write-ahead log with
-// snapshot compaction — the durable state store under each controller
-// shard (internal/fleet) and, by design, under anything else that
-// needs crash-recoverable state without a database dependency.
+// compaction — the durable state store under each controller shard
+// (internal/fleet) — and the one record framing this repository
+// writes: internal/transport frames its wire records with Frame and
+// ReadRecord, so a logged record and a wire record are the same bytes,
+// and internal/archive's segment files are runs of the same records,
+// recovered by the same Scan the log's Open calls.
 //
-// A log is a directory holding at most three kinds of file:
+// A log is a directory holding one file per generation:
 //
-//	snapshot      header | one framed record (the compacted state)
-//	wal-<gen>     header | stream of framed records (ops since snapshot)
-//	snapshot.tmp  transient, only during WriteSnapshot
+//	wal-<gen>      header | compacted prefix | records appended since
+//	wal-<gen>.tmp  transient, only while that generation is written
 //
-// Every record is framed by Frame and read back by ReadRecord.
-// internal/transport frames its wire records with the same two
-// functions, so a logged record and a wire record are the same bytes.
-// The file header and the record frame:
+// The header and the record frame:
 //
-//	header: uint32 magic | uint16 version | uint8 ftype | uint8 pad |
-//	        uint64 dirID | uint64 gen
+//	header: uint32 magic | uint16 version | uint64 len(prefix)
 //	record: uint8 kind | uint32 length | uint32 crc32(payload) | payload
+//
+// The compacted prefix is records too: the state WriteSnapshot was
+// handed, which must be whole framed records. No record, in the
+// prefix or after it, may exceed MaxRecordBytes; the prefix as a whole
+// has no limit.
 //
 // The per-record CRC turns torn or damaged bytes into a typed
 // ErrCorrupt instead of a silent desync, and the reader never trusts
@@ -27,20 +30,21 @@
 // Crash safety rests on two rules. First, appends are plain writes —
 // a record handed to the OS survives any process crash (SIGKILL
 // included); Sync is available when a caller must also survive machine
-// power loss. Second, snapshots are generation-fenced: WriteSnapshot
-// creates the next generation's empty wal file, atomically renames the
-// new snapshot (which names that generation) into place, and only then
-// deletes the old wal. Open replays exactly the wal file named by the
-// surviving snapshot and discards every other generation, so a crash
-// anywhere inside WriteSnapshot can neither lose acknowledged records
-// nor replay pre-snapshot records on top of the new snapshot. A
-// partially written final record — the torn tail of a crashed append —
-// is truncated away on reopen; everything before it replays.
+// power loss. Second, a generation file appears only whole:
+// WriteSnapshot (and Open, in an empty directory) writes
+// wal-<gen>.tmp, fsyncs it, renames it into place and syncs the
+// directory, and only then deletes the previous generation. Open keeps
+// the highest generation and removes every other one and every tmp
+// file, so a crash anywhere inside WriteSnapshot recovers either the
+// old generation or the new one, never a mixture. Since the prefix was
+// synced before its rename, damage inside it is surfaced as ErrCorrupt
+// and Open deletes nothing; a partially written record after it — the
+// torn tail of a crashed append — is truncated away on reopen, and
+// everything before it replays.
 package walog
 
 import (
-	"bytes"
-	"crypto/rand"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,22 +52,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// magic identifies a walog file (either type, see ftype).
+// magic identifies a walog generation file.
 const magic = 0xFFA10C01
 
-// formatVersion is the on-disk layout revision.
-const formatVersion = 1
-
-// File types, stored in the header's ftype byte.
-const (
-	typeWAL      = 1
-	typeSnapshot = 2
-)
+// formatVersion is the on-disk layout revision. Version 1 kept the
+// compacted state in a separate snapshot file, framed a second time as
+// one record; Open refuses it.
+const formatVersion = 2
 
 // MaxRecordBytes bounds a single record payload, keeping a damaged or
 // hostile length prefix from forcing unbounded allocation.
@@ -77,19 +78,23 @@ const readChunk = 64 << 10
 // so one large record does not pin its size for the log's life.
 const maxKeptFrame = 1 << 20
 
-// headerLen is the file header: magic + version + ftype + pad +
-// dirID + gen.
-const headerLen = 24
+// headerLen is the generation file header: magic + version + the
+// compacted prefix's length.
+const headerLen = 14
 
 // RecordHeaderLen is the record frame header: kind + length + crc32.
 const RecordHeaderLen = 9
 
 // ErrCorrupt is wrapped by read errors caused by damage — a bad magic,
 // a length prefix beyond the record limit, or a payload failing its
-// CRC. Open treats a corrupt record inside the wal as the torn tail
-// (truncates and recovers); a corrupt snapshot or header is surfaced,
-// because silently dropping a snapshot would lose state.
+// CRC. Open treats a corrupt record after the compacted prefix as the
+// torn tail (truncates and recovers); a corrupt header or prefix is
+// surfaced, because silently dropping compacted state would lose it.
 var ErrCorrupt = errors.New("corrupt record")
+
+// ErrTooLarge is wrapped by Frame's refusal of a payload over
+// MaxRecordBytes, and so by Append's: nothing was written.
+var ErrTooLarge = errors.New("record too large")
 
 // Record is one replayed log entry: an opaque kind byte and payload,
 // both owned by the caller after Open.
@@ -103,69 +108,70 @@ type Record struct {
 // the accessors are read-only after Open.
 type Log struct {
 	dir string
-	id  uint64
 	gen uint64
 
-	f       *os.File // active wal-<gen>
-	size    int64    // bytes written to f, header included
-	pending int      // records appended (or replayed) since last snapshot
+	f       *os.File // wal-<gen>, positioned at its end
+	prefix  int64    // bytes of the compacted prefix
+	size    int64    // bytes appended after the prefix
+	pending int      // records after the prefix, replayed or appended
 
 	// frame is Append's reused framing buffer.
 	frame []byte
 
-	snapshot  []byte   // snapshot payload loaded at Open, nil if none
-	records   []Record // wal records replayed at Open
-	tornBytes int64    // bytes truncated from the wal tail at Open
-	snapSize  int64    // snapshot file size at Open
+	snapshot  []Record // the compacted prefix's records read at Open
+	records   []Record // the records after it read at Open
+	tornBytes int64    // bytes truncated from the tail at Open
 }
 
-// Open opens (creating if necessary) the log directory, loads the
-// surviving snapshot, replays the active wal generation — truncating a
-// torn tail — and deletes stale generations left by an interrupted
-// WriteSnapshot.
+// Open opens the log directory, creating it and its first generation
+// if necessary. It refuses a format-1 directory, reads the highest
+// generation — its compacted prefix, then the records after it,
+// truncating a torn tail — and only then removes every other
+// generation file and tmp file an interrupted WriteSnapshot left.
 func Open(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, frame: make([]byte, RecordHeaderLen, 256)}
-
-	snapPath := filepath.Join(dir, "snapshot")
-	data, err := os.ReadFile(snapPath)
-	switch {
-	case err == nil:
-		id, gen, payload, err := parseSnapshot(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", snapPath, err)
-		}
-		l.id, l.gen, l.snapshot = id, gen, payload
-		l.snapSize = int64(len(data))
-	case errors.Is(err, os.ErrNotExist):
-		// No snapshot: generation 0, identity comes from an existing
-		// wal-0 or is minted fresh.
-	default:
-		return nil, err
-	}
-	// A snapshot.tmp is an interrupted WriteSnapshot that never reached
-	// the rename; its generation was never committed.
-	_ = os.Remove(filepath.Join(dir, "snapshot.tmp"))
-
-	if err := l.openWAL(); err != nil {
-		return nil, err
-	}
-	// Stale generations: wals before the snapshot's (their records are
-	// inside it) or after it (created by an interrupted WriteSnapshot,
-	// never appended to).
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	l := &Log{dir: dir, frame: make([]byte, RecordHeaderLen, 256)}
+	var gens []uint64
+	var files []string // every generation file and tmp file
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || name == walName(l.gen) {
-			continue
+		if name == "snapshot" {
+			return nil, fmt.Errorf("walog: %s holds a format-1 log (a snapshot file); this version reads format %d only", dir, formatVersion)
 		}
-		if _, perr := strconv.ParseUint(name[len("wal-"):], 10, 64); perr == nil {
+		s, ok := strings.CutPrefix(name, "wal-")
+		s, tmp := strings.CutSuffix(s, ".tmp")
+		if g, err := strconv.ParseUint(s, 10, 64); ok && err == nil {
+			files = append(files, name)
+			if !tmp {
+				gens = append(gens, g)
+			}
+		}
+	}
+	if len(gens) > 0 {
+		l.gen = slices.Max(gens)
+		path := filepath.Join(dir, walName(l.gen))
+		if l.f, err = os.OpenFile(path, os.O_RDWR, 0); err != nil {
+			return nil, err
+		}
+		if err := l.load(); err != nil {
+			l.f.Close()
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	for _, name := range files {
+		if name != walName(l.gen) {
 			_ = os.Remove(filepath.Join(dir, name))
+		}
+	}
+	if l.f == nil {
+		if l.f, err = l.create(0, nil); err != nil {
+			return nil, err
 		}
 	}
 	return l, nil
@@ -173,133 +179,131 @@ func Open(dir string) (*Log, error) {
 
 func walName(gen uint64) string { return "wal-" + strconv.FormatUint(gen, 10) }
 
-// openWAL opens (creating if absent or unusably short) the active
-// generation's wal and replays its records, truncating the torn tail.
-func (l *Log) openWAL() error {
-	path := filepath.Join(l.dir, walName(l.gen))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// load reads l.f: the header, the compacted prefix's records (any
+// damage there is an error) and the records after it, truncating the
+// torn tail, and leaves l.f positioned for appends.
+func (l *Log) load() error {
+	info, err := l.f.Stat()
 	if err != nil {
 		return err
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if info.Size() < headerLen {
-		// Empty or torn during creation: (re)write the header. Any
-		// partial header bytes belong to no committed record.
-		if l.id == 0 {
-			l.id = newDirID()
-		}
-		if err := writeFileHeader(f, typeWAL, l.id, l.gen); err != nil {
-			f.Close()
-			return err
-		}
-		// WriteAt leaves the offset untouched; appends go after the
-		// header, and a torn partial header is gone (truncate).
-		if err := f.Truncate(headerLen); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.Seek(headerLen, io.SeekStart); err != nil {
-			f.Close()
-			return err
-		}
-		l.f, l.size = f, headerLen
-		return nil
-	}
+	size := info.Size()
 	var hdr [headerLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return err
+	if _, err := l.f.ReadAt(hdr[:], 0); err != nil {
+		return fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
-	id, gen, err := parseFileHeader(hdr, typeWAL)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", path, err)
+	if m := binary.BigEndian.Uint32(hdr[0:4]); m != magic {
+		return fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
 	}
-	if l.snapshot != nil && id != l.id {
-		f.Close()
-		return fmt.Errorf("%s: %w: wal dirID %#x does not match snapshot dirID %#x", path, ErrCorrupt, id, l.id)
+	if v := binary.BigEndian.Uint16(hdr[4:6]); v != formatVersion {
+		return fmt.Errorf("walog: format version %d; this version reads format %d only", v, formatVersion)
 	}
-	if gen != l.gen {
-		f.Close()
-		return fmt.Errorf("%s: %w: wal generation %d in file named for %d", path, ErrCorrupt, gen, l.gen)
+	prefix := binary.BigEndian.Uint64(hdr[6:14])
+	if prefix > uint64(size-headerLen) {
+		return fmt.Errorf("%w: compacted prefix of %d bytes in a %d-byte file", ErrCorrupt, prefix, size)
 	}
-	l.id = id
+	l.prefix = int64(prefix)
 
-	// Replay, remembering the end of the last whole record so the torn
-	// tail — truncation mid-record, a failed CRC, an oversize length
-	// claim — can be cut off. Bytes before the damage all replay.
-	if _, err := f.Seek(headerLen, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-	r := &offsetReader{f: f}
-	good := int64(headerLen)
-	for {
-		kind, payload, err := ReadRecord(r)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean boundary
-			}
-			l.tornBytes = info.Size() - good
-			if terr := f.Truncate(good); terr != nil {
-				f.Close()
-				return terr
-			}
-			break
+	r := bufio.NewReaderSize(io.NewSectionReader(l.f, headerLen, size-headerLen), readChunk)
+	if _, err := Scan(io.LimitReader(r, l.prefix), nil, func(kind uint8, payload []byte) error {
+		l.snapshot = append(l.snapshot, Record{Kind: kind, Payload: payload})
+		return nil
+	}); err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		l.records = append(l.records, Record{Kind: kind, Payload: payload})
-		good = headerLen + r.off
+		return fmt.Errorf("compacted prefix: %w", err)
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
+	tail, err := Scan(r, nil, func(kind uint8, payload []byte) error {
+		l.records = append(l.records, Record{Kind: kind, Payload: payload})
+		return nil
+	})
+	good := headerLen + l.prefix + tail
+	if err != nil {
+		// A torn or damaged record after the prefix — truncation
+		// mid-record, a failed CRC, an oversize length claim — and
+		// whatever follows it are cut off; every record before it
+		// replays.
+		l.tornBytes = size - good
+		if err := l.f.Truncate(good); err != nil {
+			return err
+		}
+	}
+	if _, err := l.f.Seek(good, io.SeekStart); err != nil {
 		return err
 	}
-	l.f, l.size = f, good
-	l.pending = len(l.records)
+	l.size, l.pending = tail, len(l.records)
 	return nil
 }
 
-// ID returns the directory's stable identity, minted when the
-// directory was first created and preserved across snapshots.
-func (l *Log) ID() uint64 { return l.id }
+// create writes generation gen with prefix as its compacted state:
+// into wal-<gen>.tmp, synced, then renamed into place with the
+// directory synced, so the file only ever appears whole. It returns
+// the file positioned for appends after the prefix.
+func (l *Log) create(gen uint64, prefix []byte) (*os.File, error) {
+	path := filepath.Join(l.dir, walName(gen))
+	f, err := os.OpenFile(path+".tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	var hdr [headerLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], magic)
+	binary.BigEndian.PutUint16(hdr[4:6], formatVersion)
+	binary.BigEndian.PutUint64(hdr[6:14], uint64(len(prefix)))
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(prefix)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path + ".tmp")
+		return nil, err
+	}
+	syncDir(l.dir)
+	return f, nil
+}
 
-// Gen returns the active wal generation.
+// Gen returns the active generation.
 func (l *Log) Gen() uint64 { return l.gen }
 
 // Dir returns the directory path.
 func (l *Log) Dir() string { return l.dir }
 
-// Snapshot returns the snapshot payload loaded at Open, nil when the
-// directory had none. Replay order is Snapshot first, then Records.
-func (l *Log) Snapshot() []byte { return l.snapshot }
+// Snapshot returns the compacted prefix's records read at Open, nil
+// when it had none. Replay order is Snapshot first, then Records.
+func (l *Log) Snapshot() []Record { return l.snapshot }
 
-// Records returns the wal records replayed at Open, in append order.
+// Records returns the records after the compacted prefix read at
+// Open, in append order.
 func (l *Log) Records() []Record { return l.records }
 
-// TornBytes returns how many trailing bytes Open truncated from the
-// wal (zero for a cleanly closed log).
+// TornBytes returns how many trailing bytes Open truncated (zero for
+// a cleanly closed log).
 func (l *Log) TornBytes() int64 { return l.tornBytes }
 
-// SnapshotSize returns the snapshot file's size at Open (zero when the
-// directory had none).
-func (l *Log) SnapshotSize() int64 { return l.snapSize }
+// SnapshotSize returns the bytes the active generation was created
+// with: its header and compacted prefix.
+func (l *Log) SnapshotSize() int64 { return headerLen + l.prefix }
 
-// Pending returns the records accumulated in the active wal since the
-// last snapshot (replayed records included) — the compaction signal.
+// Pending returns the records after the compacted prefix (replayed
+// records included) — the compaction signal.
 func (l *Log) Pending() int { return l.pending }
 
-// Size returns the active wal's size in bytes, header included.
+// Size returns the bytes of the records after the compacted prefix.
 func (l *Log) Size() int64 { return l.size }
 
 // Append frames one record and hands it to the OS in one write. The
 // write is buffered only by the page cache: it survives a process crash
 // as written; call Sync to also survive machine power loss. The frame
 // is built in a buffer the log reuses, so an append allocates nothing;
-// the caller keeps payload.
+// the caller keeps payload. A payload over MaxRecordBytes is refused
+// with ErrTooLarge before anything is written.
 func (l *Log) Append(kind uint8, payload []byte) error {
 	if l.f == nil {
 		return os.ErrClosed
@@ -320,7 +324,7 @@ func (l *Log) Append(kind uint8, payload []byte) error {
 	return nil
 }
 
-// Sync flushes the active wal to stable storage.
+// Sync flushes the active generation to stable storage.
 func (l *Log) Sync() error {
 	if l.f == nil {
 		return os.ErrClosed
@@ -328,87 +332,33 @@ func (l *Log) Sync() error {
 	return l.f.Sync()
 }
 
-// WriteSnapshot durably replaces the log's state with payload and
-// resets the wal. The sequence is crash-safe at every step: the next
-// generation's empty wal is created and synced first, then the
-// snapshot naming that generation is written, synced, and atomically
-// renamed into place, and only then is the old generation deleted.
-// Open resolves any intermediate state to either the old snapshot+wal
-// or the new ones, never a mixture.
+// WriteSnapshot durably replaces the log's state with payload, which
+// must be whole framed records: it becomes the compacted prefix of the
+// next generation, written whole by create, and appends go there from
+// then on. Only then is the old generation deleted, so a crash at any
+// step leaves the old generation or the new one for Open, never a
+// mixture. The payload is not checked here: one that is not whole
+// records still replaces the old generation, and every later Open
+// refuses the log as ErrCorrupt.
 func (l *Log) WriteSnapshot(payload []byte) error {
 	if l.f == nil {
 		return os.ErrClosed
 	}
-	var rhdr [RecordHeaderLen]byte
-	if err := Frame(rhdr[:], typeSnapshot, payload); err != nil {
-		return fmt.Errorf("walog: snapshot: %w", err)
-	}
-	next := l.gen + 1
-	nf, err := os.OpenFile(filepath.Join(l.dir, walName(next)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := l.create(l.gen+1, payload)
 	if err != nil {
 		return err
 	}
-	if err := writeFileHeader(nf, typeWAL, l.id, next); err != nil {
-		nf.Close()
-		return err
-	}
-	if _, err := nf.Seek(headerLen, io.SeekStart); err != nil {
-		nf.Close()
-		return err
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return err
-	}
-
-	tmp := filepath.Join(l.dir, "snapshot.tmp")
-	sf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		nf.Close()
-		return err
-	}
-	werr := writeFileHeader(sf, typeSnapshot, l.id, next)
-	if werr == nil {
-		_, werr = sf.WriteAt(rhdr[:], headerLen)
-	}
-	if werr == nil {
-		_, werr = sf.WriteAt(payload, headerLen+RecordHeaderLen)
-	}
-	if werr == nil {
-		werr = sf.Sync()
-	}
-	if cerr := sf.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, "snapshot")); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(l.dir)
-
-	// The new snapshot+wal pair is committed; the old generation is now
-	// garbage (Open would delete it too if this removal is lost).
-	old := l.f
-	oldGen := l.gen
-	l.f, l.gen = nf, next
-	l.size = headerLen
-	l.pending = 0
-	l.snapshot = payload
-	l.snapSize = headerLen + RecordHeaderLen + int64(len(payload))
-	l.records, l.tornBytes = nil, 0
-	old.Close()
-	_ = os.Remove(filepath.Join(l.dir, walName(oldGen)))
+	l.f.Close()
+	old := filepath.Join(l.dir, walName(l.gen))
+	l.f, l.gen = f, l.gen+1
+	l.prefix, l.size, l.pending = int64(len(payload)), 0, 0
+	l.snapshot, l.records, l.tornBytes = nil, nil, 0
+	_ = os.Remove(old) // Open removes it too if this is lost
 	return nil
 }
 
-// Close syncs and closes the active wal. The directory remains valid
-// for a later Open.
+// Close syncs and closes the active generation. The directory remains
+// valid for a later Open.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
@@ -421,9 +371,9 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Abandon closes the active wal without syncing — test support for
-// simulating a process crash: whatever the OS holds is what recovery
-// sees.
+// Abandon closes the active generation without syncing — test support
+// for simulating a process crash: whatever the OS holds is what
+// recovery sees.
 func (l *Log) Abandon() {
 	if l.f != nil {
 		l.f.Close()
@@ -434,11 +384,11 @@ func (l *Log) Abandon() {
 // Frame writes the frame header of one record — its kind, the payload
 // length and the payload's checksum — into hdr[:RecordHeaderLen]. The
 // payload follows the header; ReadRecord reads the pair back. A
-// payload over MaxRecordBytes is refused, since no reader would
-// accept it.
+// payload over MaxRecordBytes is refused with ErrTooLarge, since no
+// reader would accept it.
 func Frame(hdr []byte, kind uint8, payload []byte) error {
 	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("record of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, len(payload), MaxRecordBytes)
 	}
 	hdr[0] = kind
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
@@ -506,6 +456,26 @@ func ReadRecordBuf(r io.Reader, buf []byte) (uint8, []byte, error) {
 	return kind, body, nil
 }
 
+// CheckRecord checks that b is exactly one framed record, in place: it
+// returns the kind and a payload that aliases b, so a caller that
+// reads a record whole (one ReadAt of a known size) checks it without
+// a copy. A b shorter than a frame header is io.ErrUnexpectedEOF; a
+// length prefix that disagrees with len(b) or a payload failing its
+// CRC returns an error wrapping ErrCorrupt.
+func CheckRecord(b []byte) (uint8, []byte, error) {
+	if len(b) < RecordHeaderLen {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	kind, payload := b[0], b[RecordHeaderLen:]
+	if size := binary.BigEndian.Uint32(b[1:5]); int64(size) != int64(len(payload)) {
+		return 0, nil, fmt.Errorf("%w: length prefix claims %d bytes, record holds %d", ErrCorrupt, size, len(payload))
+	}
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[5:9]) {
+		return 0, nil, fmt.Errorf("%w: payload checksum mismatch (kind %d, %d bytes)", ErrCorrupt, kind, len(payload))
+	}
+	return kind, payload, nil
+}
+
 // unexpectedEOF maps a clean end of stream inside a record to
 // io.ErrUnexpectedEOF: only a record boundary may end the stream.
 func unexpectedEOF(err error) error {
@@ -518,67 +488,27 @@ func unexpectedEOF(err error) error {
 // zeroChunk is the shared zero source ReadRecordBuf grows buffers from.
 var zeroChunk [readChunk]byte
 
-// ParseSnapshot validates a snapshot file image and returns its dirID,
-// generation, and payload. Exported for fuzzing; Open uses it
-// internally.
-func ParseSnapshot(data []byte) (id, gen uint64, payload []byte, err error) {
-	return parseSnapshot(data)
-}
-
-func parseSnapshot(data []byte) (id, gen uint64, payload []byte, err error) {
-	if len(data) < headerLen {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot of %d bytes, header needs %d", ErrCorrupt, len(data), headerLen)
-	}
-	var hdr [headerLen]byte
-	copy(hdr[:], data)
-	id, gen, err = parseFileHeader(hdr, typeSnapshot)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	kind, payload, err := ReadRecord(bytes.NewReader(data[headerLen:]))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot record: %v", ErrCorrupt, err)
-	}
-	if kind != typeSnapshot {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot record kind %d", ErrCorrupt, kind)
-	}
-	return id, gen, payload, nil
-}
-
-func writeFileHeader(f *os.File, ftype uint8, id, gen uint64) error {
-	var hdr [headerLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], magic)
-	binary.BigEndian.PutUint16(hdr[4:6], formatVersion)
-	hdr[6] = ftype
-	binary.BigEndian.PutUint64(hdr[8:16], id)
-	binary.BigEndian.PutUint64(hdr[16:24], gen)
-	_, err := f.WriteAt(hdr[:], 0)
-	return err
-}
-
-func parseFileHeader(hdr [headerLen]byte, wantType uint8) (id, gen uint64, err error) {
-	if binary.BigEndian.Uint32(hdr[0:4]) != magic {
-		return 0, 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.BigEndian.Uint32(hdr[0:4]))
-	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != formatVersion {
-		return 0, 0, fmt.Errorf("walog: unsupported format version %d", v)
-	}
-	if hdr[6] != wantType {
-		return 0, 0, fmt.Errorf("%w: file type %d, want %d", ErrCorrupt, hdr[6], wantType)
-	}
-	return binary.BigEndian.Uint64(hdr[8:16]), binary.BigEndian.Uint64(hdr[16:24]), nil
-}
-
-// newDirID mints a random non-zero directory identity.
-func newDirID() uint64 {
-	var b [8]byte
+// Scan reads framed records from r in order and hands each to fn. It
+// stops at a clean end of stream at a record boundary and returns nil,
+// or at a record ReadRecordBuf refuses (torn or damaged) or fn refuses,
+// and returns that error. Either way it also returns the bytes of the
+// records fn accepted: the offset where a torn tail begins. Each
+// payload is read as ReadRecordBuf reads it into buf: with a nil buf
+// it is the caller's to keep; otherwise it is valid until fn returns.
+func Scan(r io.Reader, buf []byte, fn func(kind uint8, payload []byte) error) (int64, error) {
+	var n int64
 	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			panic("walog: reading random identity: " + err.Error())
+		kind, payload, err := ReadRecordBuf(r, buf)
+		if err == io.EOF {
+			return n, nil
 		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id
+		if err == nil {
+			err = fn(kind, payload)
 		}
+		if err != nil {
+			return n, err
+		}
+		n += RecordHeaderLen + int64(len(payload))
 	}
 }
 
@@ -623,17 +553,4 @@ func ListDirs(root, prefix string) (idx []int, paths []string, err error) {
 		paths = append(paths, d.p)
 	}
 	return idx, paths, nil
-}
-
-// offsetReader reads from an *os.File sequentially while tracking the
-// offset consumed — how Open knows where the last whole record ended.
-type offsetReader struct {
-	f   *os.File
-	off int64
-}
-
-func (r *offsetReader) Read(p []byte) (int, error) {
-	n, err := r.f.Read(p)
-	r.off += int64(n)
-	return n, err
 }

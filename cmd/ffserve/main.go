@@ -16,6 +16,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/archive"
@@ -99,7 +100,7 @@ func (c *contextArchiver) Close() {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main without the process: it parses args, serves until
-// interrupted, writing its summaries to stdout and its log to stderr,
+// SIGINT or SIGTERM, writing its summaries to stdout and its log to stderr,
 // and returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ffserve", flag.ContinueOnError)
@@ -270,7 +271,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	log.Info("ffserve: listening", "addr", bound.String(), "kernel", tensor.Kernel())
 
 	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(stop)
 	ht.interval = *interval
 	tick := time.NewTicker(*interval)

@@ -34,7 +34,7 @@ func TestMultiStreamBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col := NewUploadCollector()
+	col := newUploadCollector()
 	sched := node.NewScheduler(SchedulerConfig{Workers: 2, OnResult: col.OnResult})
 	defer sched.Close()
 	if _, err := node.AddStream("cam-c", 48, 27); err == nil {

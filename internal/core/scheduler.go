@@ -317,44 +317,3 @@ func prefixUploads(stream string, ups []Upload) []Upload {
 	}
 	return ups
 }
-
-// UploadCollector is a ready-made OnResult sink that records each
-// stream's uploads in processing order — what a sequential loop over
-// each stream's EdgeNode.ProcessFrame would have accumulated, with
-// stream-prefixed MC names.
-type UploadCollector struct {
-	mu       sync.Mutex
-	byStream map[string][]Upload
-}
-
-// NewUploadCollector constructs an empty collector.
-func NewUploadCollector() *UploadCollector {
-	return &UploadCollector{byStream: make(map[string][]Upload)}
-}
-
-// OnResult implements the SchedulerConfig callback.
-func (c *UploadCollector) OnResult(r Result) {
-	if len(r.Uploads) == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.byStream[r.Stream] = append(c.byStream[r.Stream], r.Uploads...)
-	c.mu.Unlock()
-}
-
-// Add appends uploads (e.g. a flush tail) under the stream's log.
-func (c *UploadCollector) Add(stream string, ups []Upload) {
-	if len(ups) == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.byStream[stream] = append(c.byStream[stream], ups...)
-	c.mu.Unlock()
-}
-
-// Uploads returns the recorded uploads of one stream, in order.
-func (c *UploadCollector) Uploads(stream string) []Upload {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Upload(nil), c.byStream[stream]...)
-}

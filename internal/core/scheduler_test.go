@@ -100,7 +100,7 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 
 	// Concurrent run: 4 workers over the streams, MCs fanned out 3-wide.
 	par := buildSchedNode(t, 3)
-	col := NewUploadCollector()
+	col := newUploadCollector()
 	sched := par.NewScheduler(SchedulerConfig{Workers: 4, OnResult: col.OnResult})
 	for i := 0; i < nFrames; i++ {
 		for _, name := range streams {
@@ -145,7 +145,7 @@ func TestSchedulerLiveOpsUnderLoad(t *testing.T) {
 	node := buildSchedNode(t, 2)
 	streams := node.StreamNames()
 	frames := schedFrames(9, 20)
-	col := NewUploadCollector()
+	col := newUploadCollector()
 	sched := node.NewScheduler(SchedulerConfig{Workers: 4, OnResult: col.OnResult})
 
 	stop := make(chan struct{})
@@ -227,4 +227,45 @@ func TestSchedulerLiveOpsUnderLoad(t *testing.T) {
 	if _, err := sched.Flush("nope"); err == nil {
 		t.Fatal("unknown stream accepted")
 	}
+}
+
+// uploadCollector is an OnResult sink that records each stream's
+// uploads in processing order — what a sequential loop over each
+// stream's EdgeNode.ProcessFrame would have accumulated, with
+// stream-prefixed MC names.
+type uploadCollector struct {
+	mu       sync.Mutex
+	byStream map[string][]Upload
+}
+
+// newUploadCollector constructs an empty collector.
+func newUploadCollector() *uploadCollector {
+	return &uploadCollector{byStream: make(map[string][]Upload)}
+}
+
+// OnResult implements the SchedulerConfig callback.
+func (c *uploadCollector) OnResult(r Result) {
+	if len(r.Uploads) == 0 {
+		return
+	}
+	c.mu.Lock()
+	c.byStream[r.Stream] = append(c.byStream[r.Stream], r.Uploads...)
+	c.mu.Unlock()
+}
+
+// Add appends uploads (e.g. a flush tail) under the stream's log.
+func (c *uploadCollector) Add(stream string, ups []Upload) {
+	if len(ups) == 0 {
+		return
+	}
+	c.mu.Lock()
+	c.byStream[stream] = append(c.byStream[stream], ups...)
+	c.mu.Unlock()
+}
+
+// Uploads returns the recorded uploads of one stream, in order.
+func (c *uploadCollector) Uploads(stream string) []Upload {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]Upload(nil), c.byStream[stream]...)
 }

@@ -88,10 +88,10 @@ func TestRestartChaosSoak(t *testing.T) {
 		HeartbeatMiss: 15,
 		Shards:        2,
 		StateDir:      stateDir,
-		// Small compaction threshold: the soak must cross several
-		// snapshot boundaries, so recovery replays snapshot + wal, not
-		// just one long wal.
-		SnapshotEvery: 8,
+		// Small compaction threshold: the soak compacts mid-run with
+		// nodes in the snapshot, so recovery replays a compacted prefix
+		// plus the records after it, not just one long wal.
+		SnapshotEvery: 4,
 	}
 	ctrl, stats, err := OpenController(cfg)
 	if err != nil {
@@ -100,6 +100,9 @@ func TestRestartChaosSoak(t *testing.T) {
 	if stats == nil || stats.Nodes != 0 || stats.RecordsReplayed != 0 {
 		t.Fatalf("fresh state dir recovered %+v, want empty stats", stats)
 	}
+	// The first open wrote generation 1 with an empty prefix: a log
+	// this size has compacted nothing.
+	emptySnap := ctrl.shards[0].wal.SnapshotSize()
 	ctrl.Serve(ln)
 
 	e1 := mkRestartAgent(t, n, "edge-1")
@@ -175,6 +178,17 @@ func TestRestartChaosSoak(t *testing.T) {
 	for _, c := range all {
 		ledgerBefore[c.name] = nodeReceived(c.name)
 	}
+	// A compaction holding nodes happened before the crash: some
+	// shard's log is past generation 1 with a non-empty prefix.
+	compacted := false
+	for _, sh := range ctrl.shards {
+		sh.mu.Lock()
+		compacted = compacted || sh.wal.Gen() > 1 && sh.wal.SnapshotSize() > emptySnap
+		sh.mu.Unlock()
+	}
+	if !compacted {
+		t.Fatalf("no shard compacted its nodes before the crash (SnapshotEvery=%d)", cfg.SnapshotEvery)
+	}
 	ctrl.Crash()
 	n.SetStall("dc", "edge-1", false)
 
@@ -198,8 +212,8 @@ func TestRestartChaosSoak(t *testing.T) {
 	if stats2.Nodes != 3 {
 		t.Fatalf("recovered %d nodes, want 3 (stats %+v)", stats2.Nodes, stats2)
 	}
-	if stats2.SnapshotBytes == 0 {
-		t.Fatalf("no snapshot loaded despite SnapshotEvery=%d: %+v", cfg.SnapshotEvery, stats2)
+	if stats2.SnapshotBytes <= int64(stats2.Dirs)*emptySnap {
+		t.Fatalf("recovery loaded no compacted prefix despite SnapshotEvery=%d: %+v", cfg.SnapshotEvery, stats2)
 	}
 	ctrl = ctrl2 // the assertion closures below read through ctrl
 

@@ -26,7 +26,11 @@
 //
 // Conns support read/write deadlines (errors satisfy
 // errors.Is(err, os.ErrDeadlineExceeded)), so transport-level liveness
-// timeouts are testable without real sockets.
+// timeouts are testable without real sockets. A deadline costs nothing
+// until an operation blocks: setting one only records it, and a timer
+// is armed only while a read or write waits. A write appends to the
+// pipe's buffer in place, so the simulated wire costs about what a
+// socket's send and receive do per message.
 package simnet
 
 import (
@@ -364,6 +368,11 @@ type dropSpan struct {
 	n   int64
 }
 
+// maxKeptBuf bounds the buffer a drained pipe keeps for its next
+// write, so one large transfer does not pin its size for the
+// connection's life.
+const maxKeptBuf = 1 << 20
+
 // pipe is one direction of a connection: an unbounded elastic buffer
 // with fault hooks. Stream offsets (for corruption and drops) count
 // bytes as written, before drops are applied.
@@ -374,7 +383,8 @@ type pipe struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	buf     []byte
+	buf     []byte // unread bytes are buf[roff:]
+	roff    int
 	written int64 // pre-fault stream position
 	wclosed bool  // write end closed: reader drains then EOF
 	rclosed bool  // read end closed
@@ -422,6 +432,7 @@ func (p *pipe) dropAhead(skip, k int) {
 func (p *pipe) sever() {
 	p.mu.Lock()
 	p.severed = true
+	p.stopTimers()
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -429,6 +440,7 @@ func (p *pipe) sever() {
 func (p *pipe) closeWrite() {
 	p.mu.Lock()
 	p.wclosed = true
+	p.stopTimers()
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -436,22 +448,28 @@ func (p *pipe) closeWrite() {
 func (p *pipe) closeRead() {
 	p.mu.Lock()
 	p.rclosed = true
+	p.stopTimers()
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
 
+// stopTimers stops both deadline timers. Callers hold p.mu.
+func (p *pipe) stopTimers() {
+	if p.rTimer != nil {
+		p.rTimer.Stop()
+	}
+	if p.wTimer != nil {
+		p.wTimer.Stop()
+	}
+}
+
+// setReadDeadline and setWriteDeadline only record the deadline and
+// wake blocked operations to re-check it: a timer is armed by wait,
+// only while an operation blocks, so a deadline set and cleared around
+// every record costs nothing.
 func (p *pipe) setReadDeadline(t time.Time) {
 	p.mu.Lock()
 	p.rDeadline = t
-	if p.rTimer != nil {
-		p.rTimer.Stop()
-		p.rTimer = nil
-	}
-	if !t.IsZero() {
-		if d := time.Until(t); d > 0 {
-			p.rTimer = time.AfterFunc(d, p.cond.Broadcast)
-		}
-	}
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -459,17 +477,35 @@ func (p *pipe) setReadDeadline(t time.Time) {
 func (p *pipe) setWriteDeadline(t time.Time) {
 	p.mu.Lock()
 	p.wDeadline = t
-	if p.wTimer != nil {
-		p.wTimer.Stop()
-		p.wTimer = nil
-	}
-	if !t.IsZero() {
-		if d := time.Until(t); d > 0 {
-			p.wTimer = time.AfterFunc(d, p.cond.Broadcast)
-		}
-	}
 	p.mu.Unlock()
 	p.cond.Broadcast()
+}
+
+// wait blocks until the pipe's state changes. With a deadline set it
+// first arms the direction's timer (*tm, reused across waits) to wake
+// the pipe then. Reader and writer keep separate timers, so a stalled
+// writer's short deadline and a reader's long one both fire on time.
+// Callers hold p.mu and have checked the deadline has not passed;
+// every waiter re-checks its condition on waking, so a stale timer
+// firing is harmless.
+func (p *pipe) wait(deadline time.Time, tm **time.Timer) {
+	if !deadline.IsZero() {
+		if d := time.Until(deadline); *tm == nil {
+			*tm = time.AfterFunc(d, p.wake)
+		} else {
+			(*tm).Reset(d)
+		}
+	}
+	p.cond.Wait()
+}
+
+// wake is the deadline timers' callback. It broadcasts under p.mu: a
+// waiter holds p.mu from its deadline check until cond.Wait releases
+// it, so the wakeup cannot fall between the two and be lost.
+func (p *pipe) wake() {
+	p.mu.Lock()
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
 func expired(t time.Time) bool { return !t.IsZero() && !time.Now().Before(t) }
@@ -517,14 +553,28 @@ func (p *pipe) write(b []byte) (int, error) {
 		if expired(p.wDeadline) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		p.cond.Wait()
+		p.wait(p.wDeadline, &p.wTimer)
 	}
-	data := append([]byte(nil), b...)
-	start := p.written
-	p.written += int64(len(data))
-	p.applyCorruption(start, data)
-	data = p.applyDrops(start, data)
-	p.buf = append(p.buf, data...)
+	// Append in place; armed faults transform the appended span. An
+	// append that does not fit first drops the bytes already read, as
+	// bytes.Buffer does: it slides the unread bytes down when they and
+	// b fit in half the buffer, and otherwise moves them to a buffer of
+	// twice the capacity, so a growing backlog is copied O(1) times
+	// per byte.
+	if len(p.buf)+len(b) > cap(p.buf) {
+		unread := p.buf[p.roff:]
+		if len(unread)+len(b) <= cap(p.buf)/2 {
+			p.buf = p.buf[:copy(p.buf, unread)]
+		} else {
+			p.buf = append(make([]byte, 0, 2*cap(p.buf)+len(b)), unread...)
+		}
+		p.roff = 0
+	}
+	start, n := p.written, len(p.buf)
+	p.written += int64(len(b))
+	p.buf = append(p.buf, b...)
+	p.applyCorruption(start, p.buf[n:])
+	p.buf = p.buf[:n+len(p.applyDrops(start, p.buf[n:]))]
 	p.cond.Broadcast()
 	return len(b), nil
 }
@@ -592,7 +642,7 @@ func (p *pipe) read(b []byte) (int, error) {
 		if p.rclosed {
 			return 0, io.ErrClosedPipe
 		}
-		if len(p.buf) > 0 {
+		if p.roff < len(p.buf) {
 			break
 		}
 		if p.wclosed {
@@ -601,12 +651,16 @@ func (p *pipe) read(b []byte) (int, error) {
 		if expired(p.rDeadline) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		p.cond.Wait()
+		p.wait(p.rDeadline, &p.rTimer)
 	}
-	n := copy(b, p.buf)
-	p.buf = p.buf[n:]
-	if len(p.buf) == 0 {
-		p.buf = nil
+	n := copy(b, p.buf[p.roff:])
+	p.roff += n
+	if p.roff == len(p.buf) { // drained: keep the storage for the next write
+		p.roff = 0
+		p.buf = p.buf[:0]
+		if cap(p.buf) > maxKeptBuf {
+			p.buf = nil
+		}
 	}
 	return n, nil
 }

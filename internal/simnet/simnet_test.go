@@ -132,7 +132,7 @@ func TestDialErrors(t *testing.T) {
 
 func TestReadDeadline(t *testing.T) {
 	n := New(1)
-	cc, _ := accept1(t, n, "edge", "dc")
+	cc, sc := accept1(t, n, "edge", "dc")
 	cc.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
 	start := time.Now()
 	_, err := cc.Read(make([]byte, 1))
@@ -142,13 +142,17 @@ func TestReadDeadline(t *testing.T) {
 	if time.Since(start) < 20*time.Millisecond {
 		t.Fatal("deadline fired way too early")
 	}
-	// Clearing the deadline makes reads block again (and data arrives).
+	// Clearing the deadline makes reads block again, past the old
+	// deadline, until data arrives.
 	cc.SetReadDeadline(time.Time{})
 	go func() {
-		time.Sleep(10 * time.Millisecond)
-		n2, _ := cc.(*Conn), 0
-		_ = n2
+		time.Sleep(50 * time.Millisecond)
+		sc.Write([]byte("x"))
 	}()
+	b := make([]byte, 1)
+	if _, err := cc.Read(b); err != nil || b[0] != 'x' {
+		t.Fatalf("read after clearing the deadline = %q, %v", b, err)
+	}
 }
 
 func TestStallAndWriteDeadline(t *testing.T) {
@@ -380,5 +384,244 @@ func TestLatencyAndBandwidthPaceWrites(t *testing.T) {
 	cc.SetWriteDeadline(time.Now().Add(5 * time.Millisecond))
 	if _, err := cc.Write(make([]byte, 1000)); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("paced write past deadline = %v, want os.ErrDeadlineExceeded", err)
+	}
+}
+
+// readResult runs one Read on c in a goroutine and reports its error.
+func readResult(c net.Conn) <-chan error {
+	ch := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 1))
+		ch <- err
+	}()
+	return ch
+}
+
+// within waits for the blocked operation's error, failing the test if
+// it takes longer than limit.
+func within(t *testing.T, what string, ch <-chan error, limit time.Duration) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("%s still blocked after %v", what, limit)
+		return nil
+	}
+}
+
+// TestReadDeadlineToPastUnblocks is the net.Conn idiom for interrupting
+// a blocked Read: setting the deadline to now.
+func TestReadDeadlineToPastUnblocks(t *testing.T) {
+	n := New(1)
+	cc, _ := accept1(t, n, "edge", "dc")
+	ch := readResult(cc)
+	time.Sleep(20 * time.Millisecond)
+	cc.SetReadDeadline(time.Now())
+	if err := within(t, "read", ch, 5*time.Second); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("interrupted read = %v, want os.ErrDeadlineExceeded", err)
+	}
+}
+
+func TestReadDeadlineMovedEarlier(t *testing.T) {
+	n := New(1)
+	cc, _ := accept1(t, n, "edge", "dc")
+	cc.SetReadDeadline(time.Now().Add(time.Minute))
+	ch := readResult(cc)
+	time.Sleep(20 * time.Millisecond) // the read blocks with its timer armed for a minute
+	cc.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
+	if err := within(t, "read", ch, 5*time.Second); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read = %v, want os.ErrDeadlineExceeded", err)
+	}
+}
+
+// TestDeadlinesPerDirection blocks a writer and a reader on the same
+// pipe, each with its own deadline, the short one armed first: a timer
+// shared by the two would be re-armed for the long deadline and leave
+// the short one asleep.
+func TestDeadlinesPerDirection(t *testing.T) {
+	for _, shortWriter := range []bool{true, false} {
+		n := New(1)
+		cc, sc := accept1(t, n, "edge", "dc") // cc writes and sc reads the edge->dc pipe
+		n.SetStall("edge", "dc", true)
+		write := func(d time.Duration) <-chan error {
+			cc.SetWriteDeadline(time.Now().Add(d))
+			ch := make(chan error, 1)
+			go func() {
+				_, err := cc.Write([]byte("stuck"))
+				ch <- err
+			}()
+			return ch
+		}
+		read := func(d time.Duration) <-chan error {
+			sc.SetReadDeadline(time.Now().Add(d))
+			return readResult(sc)
+		}
+		short, long, name := write, read, "stalled write"
+		if !shortWriter {
+			short, long, name = read, write, "read"
+		}
+		blocked := short(50 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the short side waits first
+		other := long(10 * time.Second)
+		if err := within(t, name, blocked, 2*time.Second); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s = %v, want os.ErrDeadlineExceeded", name, err)
+		}
+		cc.Close()
+		sc.Close()
+		within(t, "the long-deadline side after close", other, 5*time.Second)
+		// Close stopped the long side's timer: it would otherwise stay
+		// pending for its full 10s.
+		p := cc.(*Conn).wr
+		p.mu.Lock()
+		for _, tm := range []*time.Timer{p.rTimer, p.wTimer} {
+			if tm != nil && tm.Stop() {
+				t.Error("a deadline timer was still pending after Close")
+			}
+		}
+		p.mu.Unlock()
+	}
+}
+
+// TestDeadlineWakeupNotLost checks the deadline timer's callback
+// broadcasts under the pipe's lock. A blocking reader holds p.mu from
+// its deadline check until cond.Wait releases it; a timer firing in
+// that gap without the lock would broadcast to nobody, and the read
+// would sleep past its deadline for good. The test stands in for that
+// reader, holding p.mu while the timer fires.
+func TestDeadlineWakeupNotLost(t *testing.T) {
+	n := New(1)
+	cc, _ := accept1(t, n, "edge", "dc")
+	cc.SetReadDeadline(time.Now().Add(time.Millisecond))
+	if _, err := cc.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read = %v, want os.ErrDeadlineExceeded", err)
+	}
+	p := cc.(*Conn).rd
+	p.mu.Lock()
+	if p.rTimer == nil {
+		p.mu.Unlock()
+		t.Fatal("a blocked read with a deadline armed no timer")
+	}
+	p.rTimer.Reset(0)
+	time.Sleep(20 * time.Millisecond) // the timer fires inside the gap
+	rescued := false
+	rescue := time.AfterFunc(2*time.Second, func() {
+		p.mu.Lock()
+		rescued = true
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	})
+	p.cond.Wait()
+	lost := rescued
+	p.mu.Unlock()
+	rescue.Stop()
+	if lost {
+		t.Fatal("the deadline timer's wakeup was lost: it broadcast without the pipe's lock")
+	}
+}
+
+// TestSteadyTrafficDoesNotAllocate is the per-message cost of the
+// simulated wire: a write and a read, each with a deadline set and
+// cleared around it as transport does, allocate nothing.
+func TestSteadyTrafficDoesNotAllocate(t *testing.T) {
+	n := New(1)
+	cc, sc := accept1(t, n, "edge", "dc")
+	msg, got := make([]byte, 300), make([]byte, 300)
+	allocs := testing.AllocsPerRun(500, func() {
+		cc.SetWriteDeadline(time.Now().Add(time.Second))
+		if _, err := cc.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		cc.SetWriteDeadline(time.Time{})
+		sc.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := io.ReadFull(sc, got); err != nil {
+			t.Fatal(err)
+		}
+		sc.SetReadDeadline(time.Time{})
+	})
+	if allocs != 0 {
+		t.Fatalf("write+read allocates %v times, want 0", allocs)
+	}
+}
+
+// TestPipeBufferReuse streams 4 MiB through a pipe in uneven writes
+// and reads, so appends land behind unread bytes, slide them down and
+// grow the buffer past maxKeptBuf. The stream must arrive intact, and
+// the drained pipe must keep at most maxKeptBuf of storage.
+func TestPipeBufferReuse(t *testing.T) {
+	n := New(1)
+	cc, sc := accept1(t, n, "edge", "dc")
+	p := cc.(*Conn).wr
+	sc.SetReadDeadline(time.Now().Add(10 * time.Second)) // a lost byte fails, not hangs
+	want := make([]byte, 4<<20)
+	for i := range want {
+		want[i] = byte(i * 7 / 5)
+	}
+	got := make([]byte, 0, len(want))
+	read := func(k int) {
+		b := make([]byte, k)
+		if _, err := io.ReadFull(sc, b); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, b...)
+	}
+	writes := []int{1, 100, 5000, 70_000, 300_000}
+	reads := []int{3, 7000, 50_000, 150_000}
+	grown := 0
+	for i, w := 0, 0; w < len(want); i++ {
+		k := min(writes[i%len(writes)], len(want)-w)
+		if _, err := cc.Write(want[w : w+k]); err != nil {
+			t.Fatal(err)
+		}
+		w += k
+		read(min(reads[i%len(reads)], w-len(got)))
+		p.mu.Lock()
+		grown = max(grown, cap(p.buf))
+		p.mu.Unlock()
+	}
+	read(len(want) - len(got))
+	if !bytes.Equal(got, want) {
+		t.Fatal("stream damaged on its way through the pipe's buffer")
+	}
+	p.mu.Lock()
+	kept := cap(p.buf)
+	p.mu.Unlock()
+	if grown <= maxKeptBuf || kept > maxKeptBuf {
+		t.Fatalf("buffer grew to %d bytes and keeps %d drained, want > %d then <= %d", grown, kept, maxKeptBuf, maxKeptBuf)
+	}
+}
+
+// TestFaultsOnInPlaceAppend arms a drop and a corruption that land in
+// a write appended behind unread bytes: the faults still hit their
+// stream offsets.
+func TestFaultsOnInPlaceAppend(t *testing.T) {
+	n := New(3)
+	cc, sc := accept1(t, n, "edge", "dc")
+	// Drop [4, 12) and flip a bit at 14: the drop spans both writes,
+	// the flip lands in the second.
+	if err := n.DropNext("edge", "dc", 4, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CorruptNext("edge", "dc", 14); err != nil {
+		t.Fatal(err)
+	}
+	cc.Write([]byte("01234567"))
+	head := make([]byte, 2)
+	if _, err := io.ReadFull(sc, head); err != nil || string(head) != "01" {
+		t.Fatalf("head %q, %v", head, err)
+	}
+	cc.Write([]byte("89abcdef")) // appended behind "23", unread
+	got := make([]byte, 6)
+	if _, err := io.ReadFull(sc, got); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("23cdef")
+	for i := range got {
+		if (got[i] != want[i]) != (i == 4) {
+			t.Fatalf("got %q, want %q with only 'e' (stream offset 14) flipped", got, want)
+		}
+	}
+	if d := got[4] ^ want[4]; d&(d-1) != 0 {
+		t.Fatalf("offset 14 changed by %08b, want one bit", d)
 	}
 }

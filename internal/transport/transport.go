@@ -62,6 +62,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -204,9 +205,15 @@ func AppendPayload(b []byte, payload any) ([]byte, error) {
 // EncodeRecord encodes payload with AppendPayload as one framed record
 // of kind, ready for a single Write. Writers encode before they take
 // whatever lock serializes their connection, so the lock covers only
-// the write.
+// the write. The caller owns the returned bytes.
 func EncodeRecord(kind uint8, payload any) ([]byte, error) {
-	buf, err := AppendPayload(make([]byte, walog.RecordHeaderLen, walog.RecordHeaderLen+64), payload)
+	return frameRecord(make([]byte, 0, walog.RecordHeaderLen+64), kind, payload)
+}
+
+// frameRecord encodes payload as one framed record of kind into buf's
+// storage.
+func frameRecord(buf []byte, kind uint8, payload any) ([]byte, error) {
+	buf, err := AppendPayload(append(buf[:0], make([]byte, walog.RecordHeaderLen)...), payload)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode: %w", err)
 	}
@@ -216,15 +223,24 @@ func EncodeRecord(kind uint8, payload any) ([]byte, error) {
 	return buf, nil
 }
 
+// recordBufs holds WriteRecord's framing buffers. An io.Writer must
+// not retain what it is given, so a buffer is reusable once Write
+// returns.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // WriteRecord writes payload to w as one framed record (EncodeRecord)
-// in a single Write. The caller is responsible for serializing
-// concurrent writers.
+// in a single Write, framed into a pooled buffer. The caller is
+// responsible for serializing concurrent writers.
 func WriteRecord(w io.Writer, kind uint8, payload any) error {
-	rec, err := EncodeRecord(kind, payload)
-	if err != nil {
-		return err
+	bp := recordBufs.Get().(*[]byte)
+	rec, err := frameRecord(*bp, kind, payload)
+	if err == nil {
+		_, err = w.Write(rec)
+		if cap(rec) <= maxKeptRead {
+			*bp = rec
+		}
 	}
-	_, err = w.Write(rec)
+	recordBufs.Put(bp)
 	return err
 }
 
@@ -279,8 +295,9 @@ type Reader struct {
 	buf     []byte
 }
 
-// maxKeptRead bounds the buffer a Reader keeps between records, so one
-// large record does not pin its size for the connection's life.
+// maxKeptRead bounds the buffer a Reader keeps between records, and
+// the framing buffer WriteRecord returns to its pool, so one large
+// record does not pin its size for the connection's life.
 const maxKeptRead = 1 << 20
 
 // NewReader returns a Reader over conn. A positive timeout bounds

@@ -157,25 +157,35 @@ func TestUploadLayoutRefusesMalformed(t *testing.T) {
 	}
 }
 
+// TestRecordRoundTrip writes records of shrinking and growing sizes
+// back to back, so WriteRecord's reused framing buffer is exercised.
 func TestRecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	want := UploadRecord{MCName: "rt", EventID: 9, Start: 4, End: 8, Bits: 321, Final: true}
-	if err := WriteRecord(&buf, KindUpload, want); err != nil {
-		t.Fatal(err)
+	recs := []UploadRecord{
+		{MCName: "rt", EventID: 9, Start: 4, End: 8, Bits: 321, Final: true},
+		{MCName: strings.Repeat("long-", 2000), EventID: 10, Seq: 7},
+		{MCName: "s", Start: 1, End: 2},
 	}
-	kind, body, err := ReadRecord(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range recs {
+		if err := WriteRecord(&buf, KindUpload, want); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if kind != KindUpload {
-		t.Fatalf("kind = %d, want %d", kind, KindUpload)
-	}
-	var got UploadRecord
-	if err := DecodeRecord(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("round trip changed record: %+v vs %+v", got, want)
+	for _, want := range recs {
+		kind, body, err := ReadRecord(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != KindUpload {
+			t.Fatalf("kind = %d, want %d", kind, KindUpload)
+		}
+		var got UploadRecord
+		if err := DecodeRecord(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("round trip changed record: %+v vs %+v", got, want)
+		}
 	}
 	// A clean end of stream at a record boundary is io.EOF.
 	if _, _, err := ReadRecord(&buf); !errors.Is(err, io.EOF) {

@@ -58,10 +58,10 @@ type Config struct {
 	// evicted. A budget smaller than one segment still works: usage
 	// then peaks at roughly one segment.
 	Budget int64
-	// QueueDepth bounds the writer goroutine's mailbox (default 64
-	// frames).
-	QueueDepth int
 }
+
+// queueDepth bounds the writer goroutine's mailbox, in frames.
+const queueDepth = 64
 
 func (c *Config) fillDefaults() error {
 	if c.Dir == "" {
@@ -78,9 +78,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.SegmentFrames <= 0 {
 		c.SegmentFrames = 10 * c.FPS
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	return nil
 }
@@ -180,7 +177,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:        cfg,
 		frameBytes: cfg.Width * cfg.Height * 3 * 4,
-		reqs:       make(chan request, cfg.QueueDepth),
+		reqs:       make(chan request, queueDepth),
 	}
 	if err := s.recover(); err != nil {
 		s.closeFiles()

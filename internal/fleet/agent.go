@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -23,13 +24,16 @@ const DefaultHeartbeat = 2 * time.Second
 
 // Connection-loop defaults: exponential backoff with jitter between
 // these bounds, and a per-record write deadline so a stalled uplink
-// surfaces as a dead connection instead of a hung pipeline.
+// surfaces as a dead connection instead of a hung writer.
 const (
 	DefaultReconnectMin = 50 * time.Millisecond
 	DefaultReconnectMax = 5 * time.Second
 	DefaultWriteTimeout = 10 * time.Second
-	DefaultMaxPending   = 4096
 )
+
+// maxPending caps the unacked-upload resend log: an outage that
+// overflows it drops the oldest uploads, counted by PendingUploads.
+const maxPending = 4096
 
 // AgentConfig parameterizes an edge agent.
 type AgentConfig struct {
@@ -47,15 +51,11 @@ type AgentConfig struct {
 	// ReconnectSeed seeds the backoff jitter, so tests replay
 	// deterministically.
 	ReconnectSeed int64
-	// WriteTimeout bounds each record write and the handshake round
-	// trip (DefaultWriteTimeout when zero; negative disables). A
-	// timed-out write marks the connection dead.
+	// WriteTimeout bounds each record the connection's writer sends
+	// and the handshake round trip (DefaultWriteTimeout when zero;
+	// negative disables). A timed-out write marks the connection dead.
+	// Frames never wait on a write, so they never wait on this.
 	WriteTimeout time.Duration
-	// MaxPending caps the unacked-upload resend log
-	// (DefaultMaxPending when zero; negative unbounded). When a long
-	// outage overflows it, the oldest uploads are dropped and counted
-	// in DroppedUploads.
-	MaxPending int
 	// Dial overrides the dialer used by Connect and the connection
 	// loop (net.Dial when nil) — the hook internal/simnet tests plug
 	// a fault-injecting network into.
@@ -93,27 +93,28 @@ type AgentConfig struct {
 // tail and the controller deduplicates — exactly-once upload
 // accounting across arbitrary disconnects.
 //
-// The code follows three seams: the connection lifecycle
-// (agent_conn.go), the resend log (agent_resend.go) and the control
-// request handlers (agent_handlers.go).
+// After the handshake one writer goroutine per connection is the only
+// code that writes to it: workers, ProcessFrame and Flush append
+// uploads to the resend log and wake it, and control requests hand it
+// their framed replies. The code follows three seams: the connection
+// lifecycle and its writer (agent_conn.go), the resend log
+// (agent_resend.go) and the control request handlers
+// (agent_handlers.go).
 type Agent struct {
 	cfg  AgentConfig
 	node *core.MultiStreamNode
 
 	// mu guards the agent's own bookkeeping: the stream records and
 	// the worker pool. Pipeline state belongs to the pool, and no pool
-	// work takes mu. mu nests outside sessMu.
+	// work takes mu. mu nests outside sessMu: a pool drain holds mu
+	// while its workers append to the resend log under sessMu.
 	mu      sync.Mutex
 	sched   *core.Scheduler
 	streams []*agentStream // in AddStream order
 
-	// wmu serializes record writes to the connection. It nests outside
-	// sessMu, and nothing holding it takes mu.
-	wmu sync.Mutex
-
 	// sessMu guards the session state and the resend log.
 	sessMu     sync.Mutex
-	conn       net.Conn // the live session's connection; nil between sessions
+	link       *link // the live session's connection and writer; nil between sessions
 	log        resendLog
 	started    bool // Connect started the connection loop
 	everOnline bool // a session existed: hellos resume and uploads buffer
@@ -123,7 +124,8 @@ type Agent struct {
 	reconnects int
 	shard      int // the owning shard announced by the most recent welcome
 
-	stop chan struct{} // closed by Close: ends the backoff and the heartbeats
+	wake chan struct{} // one token: the resend log has records to offer
+	stop chan struct{} // closed by Close: ends the backoff
 	wg   sync.WaitGroup
 }
 
@@ -156,14 +158,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.ReconnectMax <= 0 {
 		cfg.ReconnectMax = DefaultReconnectMax
 	}
-	if cfg.ReconnectMax < cfg.ReconnectMin {
-		cfg.ReconnectMax = cfg.ReconnectMin
-	}
+	cfg.ReconnectMax = max(cfg.ReconnectMax, cfg.ReconnectMin)
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
-	}
-	if cfg.MaxPending == 0 {
-		cfg.MaxPending = DefaultMaxPending
 	}
 	if cfg.Dial == nil {
 		// A plain net.Dial to a blackholed host blocks for the OS
@@ -182,7 +179,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	return &Agent{
 		cfg:  cfg,
 		node: n,
-		log:  resendLog{max: cfg.MaxPending},
+		log:  resendLog{max: maxPending},
+		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 	}, nil
 }
@@ -295,7 +293,7 @@ func (a *Agent) SessionID() uint64 {
 func (a *Agent) Connected() bool {
 	a.sessMu.Lock()
 	defer a.sessMu.Unlock()
-	return a.conn != nil
+	return a.link != nil
 }
 
 // Reconnects returns how many times the agent has resumed a lost
@@ -357,8 +355,9 @@ func (a *Agent) Stats() core.Stats {
 
 // StartScheduler replaces the agent's worker pool with one of workers
 // workers (GOMAXPROCS when workers <= 0), so frames entered with Submit
-// run on up to that many streams at once. Uploads ship to the
-// controller from the worker that produced them, in per-stream order.
+// run on up to that many streams at once. The worker that produced an
+// upload appends it to the resend log, in per-stream order, and the
+// connection's writer ships it.
 // The running pool drains first, so whatever it already took — frames
 // or control requests — stays ahead of what follows.
 func (a *Agent) StartScheduler(workers int) error {
@@ -406,7 +405,7 @@ func (a *Agent) swapPool(workers int) (*core.Scheduler, error) {
 }
 
 // Submit feeds one frame of the named stream to the worker pool and
-// returns without waiting; the frame's uploads ship to the controller
+// returns without waiting; the frame's uploads join the resend log
 // when it is processed.
 func (a *Agent) Submit(stream string, img *vision.Image) error {
 	s, err := a.pool()
@@ -440,7 +439,7 @@ func (a *Agent) ProcessFrame(stream string, img *vision.Image) ([]core.Upload, e
 }
 
 // Flush drains every stream's pipeline tail, each after its in-flight
-// frames, and ships the final uploads.
+// frames, and hands the final uploads to the resend log.
 func (a *Agent) Flush() ([]core.Upload, error) {
 	s, err := a.pool()
 	if err != nil {
@@ -456,10 +455,10 @@ func (a *Agent) Flush() ([]core.Upload, error) {
 
 // Close stops the connection loop's backoff, stops the worker pool
 // (draining in-flight frames so their uploads still ship), flushes and
-// closes the per-stream archives, ships what the wire will still take,
-// says goodbye, closes the connection, and waits for the loops to
-// drain. Safe to call when never connected, more than once, and when
-// the controller has already ended the session.
+// closes the per-stream archives, has the writer ship what the wire
+// will still take and say goodbye, closes the connection, and waits
+// for the loops to drain. Safe to call when never connected, more than
+// once, and when the controller has already ended the session.
 func (a *Agent) Close() error {
 	a.sessMu.Lock()
 	alreadyClosed := a.closed
@@ -487,48 +486,38 @@ func (a *Agent) Close() error {
 			stopErr = err
 		}
 	}
-	// Best effort: drain the resend log into a live connection before
-	// the goodbye, so a clean shutdown loses nothing.
-	a.flushPending()
 	a.sessMu.Lock()
-	conn := a.conn
-	a.conn = nil
+	l := a.link
 	a.sessMu.Unlock()
-	if conn == nil || alreadyClosed {
+	if l == nil || alreadyClosed {
 		a.wg.Wait()
 		return stopErr
 	}
-	bye, err := transport.EncodeRecord(transport.KindBye, struct{}{})
-	if err == nil {
-		a.wmu.Lock()
-		err = transport.WriteDeadline(conn, bye, a.cfg.WriteTimeout)
-		a.wmu.Unlock()
-	}
-	cerr := conn.Close()
+	// Best effort: the writer offers the whole resend log before the
+	// goodbye, so a clean shutdown loses nothing the wire still takes.
+	err := a.send(transport.KindBye, struct{}{})
+	cerr := l.conn.Close()
 	a.wg.Wait()
 	// The controller may end the session first (its own goodbye, an
-	// eviction, a shutdown): the control loop then closes conn under
-	// us, and the goodbye and this second Close fail on a closed
-	// connection. A session that is already gone needs no goodbye.
+	// eviction, a shutdown): the control loop then closes the
+	// connection under us and its writer exits, so the goodbye finds no
+	// writer or fails on a closed connection, and so does this second
+	// Close. A session that is already gone needs no goodbye.
 	if connGone(err) {
 		err = nil
 	}
 	if connGone(cerr) {
 		cerr = nil
 	}
-	if stopErr != nil {
-		return stopErr
-	}
-	if err != nil {
-		return err
-	}
-	return cerr
+	return cmp.Or(stopErr, err, cerr)
 }
 
-// connGone reports whether err is what I/O on a connection returns
-// once either end has closed it: the session is over, not broken.
+// connGone reports whether err is what I/O on a connection, or a
+// record handed to its writer, meets once either end has closed it:
+// the session is over, not broken.
 func connGone(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe)
+	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) ||
+		errors.Is(err, ErrSessionClosed)
 }
 
 // snapshot collects the heartbeat payload from the pipeline.

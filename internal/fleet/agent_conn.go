@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/walog"
 )
 
 // Connect dials a controller, runs the v2 handshake, and starts the
@@ -45,7 +46,7 @@ func (a *Agent) Connect(network, addr string) error {
 // Connect; when it fails the loop ends and Connect may be retried.
 func (a *Agent) run(network, addr string, first chan<- error) {
 	defer a.wg.Done()
-	conn, err := a.dial(network, addr)
+	l, err := a.dial(network, addr)
 	if err != nil {
 		a.sessMu.Lock()
 		a.started = false
@@ -65,15 +66,15 @@ func (a *Agent) run(network, addr string, first chan<- error) {
 		seed = int64(h.Sum64()) ^ time.Now().UnixNano()
 	}
 	rng := rand.New(rand.NewSource(seed))
-	for conn != nil {
-		a.serve(conn)
-		conn = a.redial(network, addr, rng)
+	for l != nil {
+		a.serve(l)
+		l = a.redial(network, addr, rng)
 	}
 }
 
 // redial retries dial with exponential backoff + jitter until it
 // yields a session, or returns nil once the agent closes.
-func (a *Agent) redial(network, addr string, rng *rand.Rand) net.Conn {
+func (a *Agent) redial(network, addr string, rng *rand.Rand) *link {
 	for backoff := a.cfg.ReconnectMin; ; backoff = min(2*backoff, a.cfg.ReconnectMax) {
 		timer := time.NewTimer(backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1)))
 		select {
@@ -82,73 +83,73 @@ func (a *Agent) redial(network, addr string, rng *rand.Rand) net.Conn {
 			timer.Stop()
 			return nil
 		}
-		if conn, err := a.dial(network, addr); err == nil {
-			return conn
+		if l, err := a.dial(network, addr); err == nil {
+			return l
 		}
 	}
 }
 
 // dial connects and runs the handshake, which publishes the session.
-func (a *Agent) dial(network, addr string) (net.Conn, error) {
+func (a *Agent) dial(network, addr string) (*link, error) {
 	conn, err := a.cfg.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := a.handshake(conn); err != nil {
+	l, err := a.handshake(conn)
+	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return conn, nil
+	return l, nil
 }
 
 // handshake performs the hello/welcome exchange and publishes the
-// connection. Both directions are bounded by the write timeout so a
-// stalled or silent peer fails the attempt instead of wedging the
-// connection loop. Any incarnation that has held a session before
-// announces Resume — the controller must keep its dedup high-water
-// mark and reconcile, not treat the node as a fresh process.
-// Publishing starts a new resend-log epoch in the same critical
-// section, so everything unacked is offered again on this connection
-// and no write on an earlier one can move its cursor.
-func (a *Agent) handshake(conn net.Conn) error {
+// connection as a link for its writer. Both directions are bounded by
+// the write timeout so a stalled or silent peer fails the attempt
+// instead of wedging the connection loop. Any incarnation that has
+// held a session before announces Resume — the controller must keep
+// its dedup high-water mark and reconcile, not treat the node as a
+// fresh process. Publishing starts a new resend-log epoch in the same
+// critical section, so everything unacked is offered again on this
+// connection and no write on an earlier one can move its cursor.
+func (a *Agent) handshake(conn net.Conn) (*link, error) {
 	if t := a.cfg.WriteTimeout; t > 0 {
 		conn.SetDeadline(time.Now().Add(t))
 		defer conn.SetDeadline(time.Time{})
 	}
 	if err := transport.WriteHeader(conn, transport.Version2); err != nil {
-		return err
+		return nil, err
 	}
 	a.sessMu.Lock()
 	gen, resume := a.lastGen, a.everOnline
 	a.sessMu.Unlock()
 	if err := transport.WriteRecord(conn, transport.KindHello, a.hello(gen, resume)); err != nil {
-		return err
+		return nil, err
 	}
 	v, err := transport.ReadHeader(conn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if v != transport.Version2 {
-		return fmt.Errorf("fleet: controller answered %w %d", transport.ErrVersion, v)
+		return nil, fmt.Errorf("fleet: controller answered %w %d", transport.ErrVersion, v)
 	}
 	kind, body, err := transport.ReadRecord(conn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if kind != transport.KindWelcome {
-		return fmt.Errorf("fleet: controller answered record kind %d, want welcome", kind)
+		return nil, fmt.Errorf("fleet: controller answered record kind %d, want welcome", kind)
 	}
 	var w Welcome
 	if err := transport.DecodeRecord(body, &w); err != nil {
-		return err
+		return nil, err
 	}
 
 	a.sessMu.Lock()
 	defer a.sessMu.Unlock()
 	if a.closed {
-		return errors.New("fleet: agent closed")
+		return nil, errors.New("fleet: agent closed")
 	}
-	a.conn = conn
 	a.sessionID = w.SessionID
 	a.shard = w.Shard
 	a.lastGen = max(a.lastGen, w.DeployGen)
@@ -157,7 +158,16 @@ func (a *Agent) handshake(conn net.Conn) error {
 	}
 	a.everOnline = true
 	a.log.rewind()
-	return nil
+	a.link = &link{
+		conn:  conn,
+		epoch: a.log.epoch,
+		ctl:   make(chan []byte),
+		res:   make(chan error),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+		buf:   make([]byte, 0, 256),
+	}
+	return a.link, nil
 }
 
 // hello builds the session hello: the stream inventory, and for a
@@ -187,46 +197,81 @@ func (a *Agent) hello(gen uint64, resume bool) Hello {
 	return h
 }
 
-// serve runs one session until its connection ends: a companion
-// goroutine retransmits the unacked tail and sends heartbeats while
-// this one serves the controller's requests.
-func (a *Agent) serve(conn net.Conn) {
-	done := make(chan struct{})
-	a.wg.Add(1)
-	go a.tend(done)
+// serve runs one session until its connection ends: the link's writer
+// sends while this goroutine serves the controller's requests. The
+// writer has exited before the next connection is dialed, so one
+// connection never has two.
+func (a *Agent) serve(l *link) {
+	go a.write(l)
 	// Why the session ended does not matter: the loop redials either
 	// way.
-	_ = a.controlLoop(conn)
-	conn.Close()
+	_ = a.controlLoop(l.conn)
+	l.conn.Close()
+	close(l.quit)
+	<-l.done
 	a.sessMu.Lock()
-	a.conn = nil
+	a.link = nil
 	a.sessMu.Unlock()
-	close(done)
 }
 
-// tend is a session's writer-side companion: it offers the resend log
-// to the fresh connection, then reports per-stream stats every
-// heartbeat interval until the session ends or the agent closes. A
-// failed heartbeat write closes the connection (via writeRecord), so a
-// one-way stalled uplink is detected on the edge side too.
-func (a *Agent) tend(done <-chan struct{}) {
-	defer a.wg.Done()
-	a.flushPending()
-	if a.cfg.Heartbeat <= 0 {
-		return
+// link is one live connection and its writer: after the handshake the
+// writer goroutine is the only code that writes to conn. The writer
+// takes one control record at a time from ctl and answers on res
+// before it takes the next, so each sender reads its own result.
+type link struct {
+	conn  net.Conn
+	epoch uint64        // the resend-log epoch the handshake started
+	ctl   chan []byte   // framed control records handed to the writer
+	res   chan error    // the result of each one's write
+	quit  chan struct{} // closed once the control loop has ended the session
+	done  chan struct{} // closed when the writer exits
+	buf   []byte        // the writer's framing buffer for uploads and heartbeats
+}
+
+// write is the link's writer. It offers the resend log to the fresh
+// connection and again whenever a new upload wakes it, sends a
+// heartbeat every interval, and writes each control record a sender
+// hands it after every upload the log holds. A failed write closes
+// the connection, so the control loop ends and the connection loop
+// redials; a one-way stalled uplink is detected on the edge side by
+// the write timeout.
+func (a *Agent) write(l *link) {
+	defer close(l.done)
+	var tick <-chan time.Time
+	if a.cfg.Heartbeat > 0 {
+		t := time.NewTicker(a.cfg.Heartbeat)
+		defer t.Stop()
+		tick = t.C
 	}
-	tick := time.NewTicker(a.cfg.Heartbeat)
-	defer tick.Stop()
-	for {
+	err := a.drain(l)
+	for err == nil {
 		select {
-		case <-tick.C:
-			_ = a.writeRecord(transport.KindHeartbeat, a.snapshot())
-		case <-done:
-			return
-		case <-a.stop:
+		case <-a.wake:
+			err = a.drain(l)
+		case rec := <-l.ctl:
+			if err = a.drain(l); err == nil {
+				err = transport.WriteDeadline(l.conn, rec, a.cfg.WriteTimeout)
+			}
+			l.res <- err
+		case <-tick:
+			b, _ := a.snapshot().AppendBinary(l.buf[:walog.RecordHeaderLen]) // the heartbeat layout never fails
+			err = l.put(transport.KindHeartbeat, b, a.cfg.WriteTimeout)
+		case <-l.quit:
 			return
 		}
 	}
+	l.conn.Close()
+}
+
+// put frames b, a payload appended after RecordHeaderLen bytes of
+// room, as one record of kind and writes it, keeping b's storage as
+// the writer's buffer for the next record.
+func (l *link) put(kind uint8, b []byte, timeout time.Duration) error {
+	l.buf = b
+	if err := walog.Frame(b, kind, b[walog.RecordHeaderLen:]); err != nil {
+		return err
+	}
+	return transport.WriteDeadline(l.conn, b, timeout)
 }
 
 // controlLoop serves the controller's requests on its connection
@@ -244,58 +289,52 @@ func (a *Agent) controlLoop(conn net.Conn) error {
 		}
 		switch kind {
 		case transport.KindDeploy:
-			var req DeployRequest
-			if err := transport.DecodeRecord(body, &req); err != nil {
-				return err
-			}
-			a.handleDeploy(req)
+			err = serveRecord(body, a.handleDeploy)
 		case transport.KindUndeploy:
-			var req UndeployRequest
-			if err := transport.DecodeRecord(body, &req); err != nil {
-				return err
-			}
-			a.handleUndeploy(req)
+			err = serveRecord(body, a.handleUndeploy)
 		case transport.KindFetchRequest:
-			var req FetchRequest
-			if err := transport.DecodeRecord(body, &req); err != nil {
-				return err
-			}
-			a.handleFetch(req)
+			err = serveRecord(body, a.handleFetch)
 		case transport.KindUploadAck:
-			var ua UploadAck
-			if err := transport.DecodeRecord(body, &ua); err != nil {
-				return err
-			}
-			a.handleUploadAck(ua)
+			err = serveRecord(body, a.handleUploadAck)
 		case transport.KindBye:
 			return nil
 		default:
 			return fmt.Errorf("fleet: controller sent unknown record kind %d", kind)
 		}
+		if err != nil {
+			return err
+		}
 	}
 }
 
-// writeRecord sends one non-upload record on the live connection,
-// bounded by the write timeout. The record is encoded before wmu is
-// taken, so a large one (a fetch's frames) never holds up the uploads
-// the scheduler's workers ship. A write failure closes the connection:
-// the control loop exits and the connection loop redials.
-func (a *Agent) writeRecord(kind uint8, payload any) error {
+// serveRecord decodes one request payload and hands it to its handler.
+func serveRecord[T any](body []byte, handle func(T)) error {
+	var req T
+	if err := transport.DecodeRecord(body, &req); err != nil {
+		return err
+	}
+	handle(req)
+	return nil
+}
+
+// send frames payload as one record of kind and hands it to the live
+// connection's writer, returning the result of its write:
+// ErrSessionClosed when there is no session or its writer has exited.
+func (a *Agent) send(kind uint8, payload any) error {
 	rec, err := transport.EncodeRecord(kind, payload)
 	if err != nil {
 		return err
 	}
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
 	a.sessMu.Lock()
-	conn := a.conn
+	l := a.link
 	a.sessMu.Unlock()
-	if conn == nil {
+	if l == nil {
 		return ErrSessionClosed
 	}
-	if err := transport.WriteDeadline(conn, rec, a.cfg.WriteTimeout); err != nil {
-		conn.Close()
-		return err
+	select {
+	case l.ctl <- rec:
+		return <-l.res
+	case <-l.done:
+		return ErrSessionClosed
 	}
-	return nil
 }

@@ -38,13 +38,7 @@ func (a *Agent) handleDeploy(req DeployRequest) {
 		})
 	}
 	if err == nil {
-		// Only intent-tracked deployments (gen > 0) join the managed
-		// inventory reported in resume hellos: a direct Session.Deploy
-		// bypasses intent by contract, and announcing it would invite
-		// reconciliation to undeploy it as an intent-less extra.
-		if req.Gen > 0 {
-			a.noteManaged(req.Stream, mc.Spec().Name, true)
-		}
+		a.noteManaged(req.Stream, mc.Spec().Name, true)
 		a.noteGen(req.Gen)
 	}
 	a.ack(req.Seq, err)
@@ -85,8 +79,9 @@ func (a *Agent) noteGen(gen uint64) {
 	a.sessMu.Unlock()
 }
 
-// handleUndeploy removes an MC, shipping its final uploads before the
-// ack so the controller sees a complete event record.
+// handleUndeploy removes an MC and hands its final uploads to the
+// resend log before the ack, which the writer sends after them, so the
+// controller sees a complete event record.
 func (a *Agent) handleUndeploy(req UndeployRequest) {
 	ups, err := a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
 		return e.Undeploy(req.MCName)
@@ -131,17 +126,16 @@ func (a *Agent) handleFetch(req FetchRequest) {
 			return nil, nil
 		})
 	}
-	if err != nil {
-		resp.Err = err.Error()
-	} else {
+	if err == nil {
 		resp.Bits = f.Bits
 		if req.IncludeData {
-			if err := a.sendFetchData(req, f.Recons); err != nil {
-				resp.Err = err.Error()
-			}
+			err = a.sendFetchData(req, f.Recons)
 		}
 	}
-	_ = a.writeRecord(transport.KindFetchResponse, resp)
+	if err != nil {
+		resp.Err = err.Error()
+	}
+	_ = a.send(transport.KindFetchResponse, resp)
 }
 
 // sendFetchData streams reconstructions back in chunks sized to stay
@@ -150,20 +144,15 @@ func (a *Agent) sendFetchData(req FetchRequest, recons []*vision.Image) error {
 	perFrame := 1
 	if len(recons) > 0 {
 		frameBytes := len(recons[0].Pix)*4 + 64
-		if perFrame = (transport.MaxRecordBytes / 4) / frameBytes; perFrame < 1 {
-			perFrame = 1
-		}
+		perFrame = max((transport.MaxRecordBytes/4)/frameBytes, 1)
 	}
 	for lo := 0; lo < len(recons); lo += perFrame {
-		hi := lo + perFrame
-		if hi > len(recons) {
-			hi = len(recons)
-		}
+		hi := min(lo+perFrame, len(recons))
 		fd := FetchData{Seq: req.Seq, Stream: req.Stream, Frames: make([]FrameData, 0, hi-lo)}
 		for _, img := range recons[lo:hi] {
 			fd.Frames = append(fd.Frames, FrameData{W: img.W, H: img.H, Pix: img.Pix})
 		}
-		if err := a.writeRecord(transport.KindFetchData, fd); err != nil {
+		if err := a.send(transport.KindFetchData, fd); err != nil {
 			return err
 		}
 	}
@@ -176,5 +165,5 @@ func (a *Agent) ack(seq uint64, err error) {
 	if err != nil {
 		ack.Err = err.Error()
 	}
-	_ = a.writeRecord(transport.KindAck, ack)
+	_ = a.send(transport.KindAck, ack)
 }

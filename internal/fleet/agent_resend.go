@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/walog"
 )
 
 // resendLog is the agent's exactly-once upload buffer: a value with no
@@ -26,7 +28,7 @@ import (
 //   - an ack observes one round trip per retired record that was offered;
 //   - a write from a stale epoch changes nothing.
 type resendLog struct {
-	max     int        // pending cap; <= 0 is unbounded
+	max     int        // pending cap
 	seq     uint64     // last sequence number issued
 	epoch   uint64     // current connection epoch (0 before the first)
 	entries []logEntry // unacked, in sequence order
@@ -48,7 +50,7 @@ func (l *resendLog) add(rec transport.UploadRecord) {
 	l.seq++
 	rec.Seq = l.seq
 	l.entries = append(l.entries, logEntry{rec: rec})
-	if l.max > 0 && len(l.entries) > l.max {
+	if len(l.entries) > l.max {
 		l.entries = l.entries[1:]
 		l.dropped++
 		l.next = max(l.next-1, 0)
@@ -105,10 +107,11 @@ func (l *resendLog) ack(seq uint64, now time.Time, rtt *obs.Histogram) {
 	}
 }
 
-// sendUploads appends a batch of uploads to the resend log and pushes
-// it toward the controller. Before the agent has held a session the
-// batch is dropped (local-only operation); after that it waits in the
-// log for the current or the next connection.
+// sendUploads appends a batch of uploads to the resend log and wakes
+// the connection's writer; it never touches the network. Before the
+// agent has held a session the batch is dropped (local-only
+// operation); after that it waits in the log for the current or the
+// next connection.
 func (a *Agent) sendUploads(ups []core.Upload) {
 	if len(ups) == 0 {
 		return
@@ -122,33 +125,28 @@ func (a *Agent) sendUploads(ups []core.Upload) {
 		a.log.add(transport.ToRecord(u))
 	}
 	a.sessMu.Unlock()
-	a.flushPending()
+	select {
+	case a.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 }
 
-// flushPending writes the records the live connection has not carried
-// yet. Records stay in the log until acked; a write failure closes the
-// connection, which ends the session and hands over to the connection
-// loop, whose next connection offers them again.
-func (a *Agent) flushPending() {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
+// drain writes, on l's writer, the records l's connection has not
+// carried yet, each framed into the writer's buffer. Records stay in
+// the log until acked; a write failure ends the writer, whose
+// connection the next one replaces, and that one offers them again.
+func (a *Agent) drain(l *link) error {
 	a.sessMu.Lock()
 	defer a.sessMu.Unlock()
-	conn, epoch := a.conn, a.log.epoch
-	for conn != nil {
+	for {
 		t0 := time.Now()
-		rec, ok := a.log.take(epoch, t0)
+		rec, ok := a.log.take(l.epoch, t0)
 		if !ok {
-			return
+			return nil
 		}
 		a.sessMu.Unlock()
-		// Unlike writeRecord this encodes under wmu: the log hands out
-		// records in order only to one writer at a time, and an
-		// upload's few dozen bytes encode in well under a microsecond.
-		buf, err := transport.EncodeRecord(transport.KindUpload, rec)
-		if err == nil {
-			err = transport.WriteDeadline(conn, buf, a.cfg.WriteTimeout)
-		}
+		b, _ := rec.AppendBinary(l.buf[:walog.RecordHeaderLen]) // the upload layout never fails
+		err := l.put(transport.KindUpload, b, a.cfg.WriteTimeout)
 		if o := a.cfg.Edge.Obs; o != nil && err == nil {
 			d := time.Since(t0)
 			o.Upload.Observe(d)
@@ -156,10 +154,9 @@ func (a *Agent) flushPending() {
 		}
 		a.sessMu.Lock()
 		if err != nil {
-			conn.Close()
-			return
+			return err
 		}
-		a.log.wrote(epoch, rec.Seq)
+		a.log.wrote(l.epoch, rec.Seq)
 	}
 }
 
@@ -179,11 +176,9 @@ func (a *Agent) handleUploadAck(ua UploadAck) {
 // its "stream/mc" name; uploads from unprefixed (local) MCs land on a
 // node-level "uplink" track.
 func (a *Agent) uploadStreamID(mcName string) uint32 {
-	o := a.cfg.Edge.Obs
-	for i := 0; i < len(mcName); i++ {
-		if mcName[i] == '/' {
-			return o.Trace.StreamID(mcName[:i])
-		}
+	stream, _, ok := strings.Cut(mcName, "/")
+	if !ok {
+		stream = "uplink"
 	}
-	return o.Trace.StreamID("uplink")
+	return a.cfg.Edge.Obs.Trace.StreamID(stream)
 }

@@ -68,8 +68,8 @@ func (m *listModel) ack(k uint64, now time.Time) (n uint64, sum time.Duration) {
 }
 
 // resendState is one node of the enumeration: the log, the model, and
-// the write in flight. The agent holds wmu from take to wrote, so at
-// most one write is in flight.
+// the write in flight. A connection's one writer runs take to wrote,
+// so at most one write is in flight.
 type resendState struct {
 	log      resendLog
 	model    listModel

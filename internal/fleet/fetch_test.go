@@ -63,7 +63,7 @@ func TestFetchDataLayout(t *testing.T) {
 		0x00, 0x00, 0x00, 0x80, // -0
 		0x01, 0x00, 0xC0, 0x7F, // NaN, payload 1
 	}
-	got, err := fd.MarshalBinary()
+	got, err := fd.AppendBinary(nil)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("layout %x (err %v), want %x", got, err, want)
 	}
@@ -81,7 +81,7 @@ func TestFetchDataLayout(t *testing.T) {
 	}
 	sample := sampleFetchData()
 	back = FetchData{}
-	if err := transport.DecodeRecord(must(sample.MarshalBinary()), &back); err != nil || !sameFetchData(back, sample) {
+	if err := transport.DecodeRecord(must(sample.AppendBinary(nil)), &back); err != nil || !sameFetchData(back, sample) {
 		t.Fatalf("NaN-payload round trip: %+v (err %v), want %+v", back, err, sample)
 	}
 }
@@ -90,8 +90,8 @@ func TestFetchDataLayout(t *testing.T) {
 // the checked-in FuzzDecodeFetchData corpus holds the same cases.
 func malformedFetchData(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	valid := must(sampleFetchData().MarshalBinary())
-	head := must(FetchData{Seq: 9, Stream: "cam0"}.MarshalBinary())
+	valid := must(sampleFetchData().AppendBinary(nil))
+	head := must(FetchData{Seq: 9, Stream: "cam0"}.AppendBinary(nil))
 	head = head[:len(head)-1] // Seq and Stream, without the frame count
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	huge := binary.AppendUvarint(nil, 1<<32)
@@ -113,7 +113,7 @@ func malformedFetchData(tb testing.TB) map[string][]byte {
 // fetch-data record and every malformed case is an error that leaves
 // the target as it was, never a half-filled record.
 func TestFetchDataLayoutRefusesMalformed(t *testing.T) {
-	valid := must(sampleFetchData().MarshalBinary())
+	valid := must(sampleFetchData().AppendBinary(nil))
 	bad := malformedFetchData(t)
 	for n := range valid {
 		bad[fmt.Sprintf("prefix-%d", n)] = valid[:n]
@@ -135,7 +135,7 @@ func TestFetchDataLayoutRefusesMalformed(t *testing.T) {
 // and an accepted record re-encodes to bytes that decode back to the
 // same record, bit for bit.
 func FuzzDecodeFetchData(f *testing.F) {
-	f.Add(must(sampleFetchData().MarshalBinary()))
+	f.Add(must(sampleFetchData().AppendBinary(nil)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fd := sampleFetchData()
 		if err := transport.DecodeRecord(data, &fd); err != nil {
@@ -149,7 +149,7 @@ func FuzzDecodeFetchData(f *testing.F) {
 				t.Fatalf("accepted a %dx%d frame with %d samples", fr.W, fr.H, len(fr.Pix))
 			}
 		}
-		again := must(fd.MarshalBinary())
+		again := must(fd.AppendBinary(nil))
 		var back FetchData
 		if err := transport.DecodeRecord(again, &back); err != nil || !sameFetchData(back, fd) {
 			t.Fatalf("%x decoded to %+v, which re-encodes to %x and decodes to %+v (err %v)", data, fd, again, back, err)

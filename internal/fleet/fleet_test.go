@@ -388,7 +388,10 @@ func TestLiveDeployUndeployAndErrors(t *testing.T) {
 	}
 
 	// Undeploy drains the open event: its final uploads arrive before
-	// the ack.
+	// the ack. No wait: the agent's writer sends them ahead of the ack
+	// and the controller accounts an upload before it reads the next
+	// record, so the ledger holds the final upload once Undeploy
+	// returns.
 	sess, err := ctrl.Session("edge-2")
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +399,6 @@ func TestLiveDeployUndeployAndErrors(t *testing.T) {
 	if err := sess.Undeploy("cam0", "live"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "drained uploads", func() bool { return sess.Received() > 0 })
 	ups := nodeUploads(t, ctrl, "edge-2", "cam0/live")
 	if len(ups) == 0 || !ups[len(ups)-1].Final {
 		t.Fatalf("undeploy did not drain a final upload: %+v", ups)
@@ -662,19 +664,15 @@ func TestStartSchedulerUnderControlTraffic(t *testing.T) {
 	if err := agent.Connect("tcp", addr.String()); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := ctrl.Session("edge-swap")
-	if err != nil {
-		t.Fatal(err)
-	}
 	mc := saveMC(t, "ctl", 1)
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 30; i++ {
-			if err := sess.Deploy("cam0", mc, -1); err != nil {
+			if err := ctrl.Deploy("edge-swap", "cam0", mc, -1); err != nil {
 				done <- fmt.Errorf("deploy %d: %w", i, err)
 				return
 			}
-			if err := sess.Undeploy("cam0", "ctl"); err != nil {
+			if err := ctrl.Undeploy("edge-swap", "cam0", "ctl"); err != nil {
 				done <- fmt.Errorf("undeploy %d: %w", i, err)
 				return
 			}

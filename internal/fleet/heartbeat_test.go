@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func decodeInPlace(data []byte, want Heartbeat, wantErr error, priors ...Heartbe
 	var dec hbDecoder
 	target := new(Heartbeat)
 	for _, prior := range priors {
-		if err := target.decode(must(prior.MarshalBinary()), &dec); err != nil {
+		if err := target.decode(must(prior.AppendBinary(nil)), &dec); err != nil {
 			return fmt.Errorf("prior %+v: %v", prior, err)
 		}
 		err := target.decode(data, &dec)
@@ -122,7 +123,7 @@ func TestHeartbeatLayout(t *testing.T) {
 		1, 1, 'c', 1, 1, 'm', 7, // ScoreVersions
 		1, // PendingUploads -1 (zigzag)
 	}
-	got, err := hb.MarshalBinary()
+	got, err := hb.AppendBinary(nil)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("layout %x (err %v), want %x", got, err, want)
 	}
@@ -144,17 +145,17 @@ func TestHeartbeatLayout(t *testing.T) {
 // name; the checked-in FuzzDecodeHeartbeat corpus holds the same cases.
 func malformedHeartbeats(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	valid, err := sampleHeartbeat().MarshalBinary()
+	valid, err := sampleHeartbeat().AppendBinary(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	// empty is Heartbeat{}: a zero stream count, four histograms of
 	// four zero bytes, two zero map counts and PendingUploads.
-	empty, err := Heartbeat{}.MarshalBinary()
+	empty, err := Heartbeat{}.AppendBinary(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	one, err := Heartbeat{Streams: map[string]StreamStats{"cam0": {Frames: 1}}}.MarshalBinary()
+	one, err := Heartbeat{Streams: map[string]StreamStats{"cam0": {Frames: 1}}}.AppendBinary(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func malformedHeartbeats(tb testing.TB) map[string][]byte {
 // heartbeat and every malformed case is an error that leaves the
 // target as it was, never a half-filled heartbeat.
 func TestHeartbeatLayoutRefusesMalformed(t *testing.T) {
-	valid, err := sampleHeartbeat().MarshalBinary()
+	valid, err := sampleHeartbeat().AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestHeartbeatLayoutRefusesMalformed(t *testing.T) {
 	}
 	// The last valid bucket index still decodes.
 	var hb Heartbeat
-	top := append([]byte{0, 1, 0, 0, 1, obs.NumBuckets, 1}, must(Heartbeat{}.MarshalBinary())[5:]...)
+	top := append([]byte{0, 1, 0, 0, 1, obs.NumBuckets, 1}, must(Heartbeat{}.AppendBinary(nil))[5:]...)
 	if err := transport.DecodeRecord(top, &hb); err != nil || hb.Extract.Buckets[obs.NumBuckets-1] != 1 {
 		t.Fatalf("top bucket: %+v, err %v", hb.Extract, err)
 	}
@@ -217,8 +218,8 @@ func must(b []byte, err error) []byte {
 // into a target holding sampleHeartbeat and then otherHeartbeat, gives
 // the same heartbeat or the same refusal.
 func FuzzDecodeHeartbeat(f *testing.F) {
-	f.Add(must(sampleHeartbeat().MarshalBinary()))
-	f.Add(must(otherHeartbeat().MarshalBinary()))
+	f.Add(must(sampleHeartbeat().AppendBinary(nil)))
+	f.Add(must(otherHeartbeat().AppendBinary(nil)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fresh Heartbeat
 		freshErr := fresh.UnmarshalBinary(data)
@@ -232,7 +233,7 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 			}
 			return
 		}
-		again, err := hb.MarshalBinary()
+		again, err := hb.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +371,7 @@ func TestHeartbeatLayoutRoundTrip(t *testing.T) {
 	target := new(Heartbeat)
 	for i := 0; i < 2000; i++ {
 		hb := randomHeartbeat(rng)
-		b, err := hb.MarshalBinary()
+		b, err := hb.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,13 +402,13 @@ func TestHeartbeatDecodeKeysPerLevel(t *testing.T) {
 		Scores:        map[string]map[string]obs.SketchSnapshot{"x": {"x": sk, "y": sk}, "y": {"x": sk}},
 		ScoreVersions: map[string]map[string]uint64{"y": {"y": 3}},
 	}
-	b := must(shared.MarshalBinary())
+	b := must(shared.AppendBinary(nil))
 	if err := decodeInPlace(b, shared, nil, otherHeartbeat(), shared, sampleHeartbeat()); err != nil {
 		t.Fatal(err)
 	}
 	// Stream "x" twice, the second holding MC "x", which is read
 	// between the two claims of stream "x".
-	empty := must(Heartbeat{}.MarshalBinary())
+	empty := must(Heartbeat{}.AppendBinary(nil))
 	sketch := appendSketch(nil, sk)
 	dup := bytes.Join([][]byte{
 		empty[:len(empty)-3],
@@ -462,7 +463,7 @@ func gridHeartbeats(n, perMC int) [][]byte {
 		}
 		lat.ObserveNs(int64(1000 + rng.Intn(100_000)))
 		hb.Extract = lat.Snapshot()
-		out[i] = must(hb.MarshalBinary())
+		out[i] = must(hb.AppendBinary(nil))
 	}
 	return out
 }
@@ -486,7 +487,7 @@ func TestHeartbeatHandlingObservesWithoutAllocating(t *testing.T) {
 	sh.node("hooked")
 	sh.mu.Unlock()
 
-	sample := must(sampleHeartbeat().MarshalBinary())
+	sample := must(sampleHeartbeat().AppendBinary(nil))
 	// Each grid heartbeat adds a window of MinCount scores per MC, so
 	// the first freezes every baseline and each later one is scored.
 	grid := gridHeartbeats(240, DefaultDriftMinCount)
@@ -618,14 +619,13 @@ func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
 	defer ctrl.Close()
 	edge := dialScripted(t, n, Hello{Node: "reused"})
 
-	stop := make(chan struct{})
-	done := make(chan int)
+	stop, done := make(chan struct{}), make(chan struct{})
+	var reads atomic.Int64
 	go func() {
-		reads := 0
+		defer close(done)
 		for {
 			select {
 			case <-stop:
-				done <- reads
 				return
 			default:
 			}
@@ -654,27 +654,33 @@ func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
 					clear(inner)
 				}
 			}
-			reads++
+			reads.Add(1)
 		}
 	}()
+	// Send at least beats heartbeats, and go on until the reader has
+	// run: on one loaded CPU it may not be scheduled before the first
+	// beats have all been decoded.
 	shapes := []Heartbeat{sampleHeartbeat(), otherHeartbeat(), {}}
-	for i := 1; i <= beats; i++ {
-		hb := shapes[i%len(shapes)]
-		hb.PendingUploads = i
+	sent, deadline := 0, time.Now().Add(10*time.Second)
+	for sent < beats || reads.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader goroutine never read the heartbeats")
+		}
+		sent++
+		hb := shapes[sent%len(shapes)]
+		hb.PendingUploads = sent
 		edge.send(transport.KindHeartbeat, hb)
 	}
 	waitFor(t, "the last heartbeat", func() bool {
 		nodes := ctrl.ListNodes()
-		return len(nodes) == 1 && nodes[0].Heartbeat.PendingUploads == beats
+		return len(nodes) == 1 && nodes[0].Heartbeat.PendingUploads == sent
 	})
 	close(stop)
-	if reads := <-done; reads == 0 {
-		t.Fatal("the reader goroutine never read the heartbeats")
-	}
+	<-done
 	// The last heartbeat decoded as sent, untouched by the writes to
 	// the copies.
-	want := shapes[beats%len(shapes)]
-	want.PendingUploads = beats
+	want := shapes[sent%len(shapes)]
+	want.PendingUploads = sent
 	if got := ctrl.ListNodes()[0].Heartbeat; !sameHeartbeat(got, decodedForm(want)) {
 		t.Fatalf("latest heartbeat %+v, sent %+v", got, want)
 	}

@@ -182,9 +182,6 @@ func (fd FetchData) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary returns the record's binary layout.
-func (fd FetchData) MarshalBinary() ([]byte, error) { return fd.AppendBinary(nil) }
-
 // UnmarshalBinary decodes exactly one record's binary layout.
 func (fd *FetchData) UnmarshalBinary(data []byte) error {
 	d := transport.NewLayoutReader(data)
@@ -383,9 +380,6 @@ func (hb *Heartbeat) maxSize() int {
 // a zigzag varint.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 func varintLen(x int64) int   { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
-
-// MarshalBinary returns the heartbeat's binary layout.
-func (hb Heartbeat) MarshalBinary() ([]byte, error) { return hb.AppendBinary(nil) }
 
 // UnmarshalBinary decodes exactly one heartbeat's binary layout: the
 // same parser a session runs in place (decode), run on a fresh target
@@ -671,10 +665,6 @@ type UploadAck struct {
 func (a UploadAck) AppendBinary(b []byte) ([]byte, error) {
 	return binary.AppendUvarint(b, a.Seq), nil
 }
-
-// MarshalBinary returns the ack's binary layout; with UnmarshalBinary
-// it keeps gob symmetric should an ack ever be nested in a gob value.
-func (a UploadAck) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
 
 // UnmarshalBinary decodes exactly one ack's binary layout, refusing
 // truncated input and trailing bytes.

@@ -347,7 +347,7 @@ func TestSessionRequestTimeouts(t *testing.T) {
 			deployDone := make(chan struct{})
 			errCh := make(chan error, 1)
 			go func() {
-				errCh <- sess.Deploy("cam0", []byte("mc"), 0)
+				errCh <- ctrl.Deploy("edge-t", "cam0", []byte("mc"), 0)
 				close(deployDone)
 			}()
 			seq := f.readDeploy()
@@ -380,7 +380,7 @@ func TestSessionRequestTimeouts(t *testing.T) {
 				// The session survived: a fresh round trip completes,
 				// and the stale/late ack above was not delivered to it.
 				errCh2 := make(chan error, 1)
-				go func() { errCh2 <- sess.Deploy("cam0", []byte("mc"), 0) }()
+				go func() { errCh2 <- ctrl.Deploy("edge-t", "cam0", []byte("mc"), 0) }()
 				seq2 := f.readDeploy()
 				f.writeAck(seq2, "nope")
 				select {
@@ -561,7 +561,99 @@ func TestUploadRTTObservedWhenAckBeatsWrite(t *testing.T) {
 	if agent.Stats().Uploads == 0 && len(ups) == 0 {
 		t.Fatal("no uploads were sent (vacuous)")
 	}
+	// The writer ships uploads after the frames return: every one of
+	// them retired by an ack has had its round trip observed.
+	waitFor(t, "every upload acked", func() bool {
+		pending, _ := agent.PendingUploads()
+		return pending == 0
+	})
 	if observer.UploadRTT.Count() == 0 {
 		t.Fatal("uploads were acked while their writes were still returning, and no round trip was observed")
+	}
+}
+
+// TestStalledUplinkDoesNotStallFrames: with the uplink stalled, the
+// connection's writer waits on its write while the workers keep
+// processing frames, their uploads waiting in the resend log. Frames
+// must finish well inside the write timeout, not wait it out. Once the
+// link is cut and healed, the resumed session retransmits the log and
+// the ledger holds every upload exactly once.
+func TestStalledUplinkDoesNotStallFrames(t *testing.T) {
+	base := testBase()
+	// One-frame chunks: an open event uploads on every frame.
+	edgeCfg := core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: base, UploadBitrate: 30_000, MaxChunkFrames: 1}
+	n := simnet.New(7)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController(ControllerConfig{Timeout: 5 * time.Second})
+	ctrl.Serve(ln)
+	defer ctrl.Close()
+
+	const writeTimeout = 5 * time.Second
+	agent, err := NewAgent(AgentConfig{Node: "edge-s", Edge: edgeCfg, Heartbeat: -1, WriteTimeout: writeTimeout,
+		Dial: func(_, addr string) (net.Conn, error) { return n.Dial("edge-s", addr) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := agent.AddStream("cam0", 48, 27, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := filter.NewMC(filter.Spec{Name: "stall-mc", Arch: filter.LocalizedBinary, Hidden: 8, Seed: 3}, base, 48, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.Deploy(mc, -1); err != nil { // every frame matches
+		t.Fatal(err)
+	}
+	if err := agent.Connect("sim", "dc"); err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+
+	bg := vision.Background(48, 27, nil, 2)
+	scene := &vision.Scene{Background: bg, NoiseStd: 0.01}
+	n.SetStall("edge-s", "dc", true)
+	start := time.Now()
+	for i := 0; i < 40; i++ {
+		if err := agent.Submit("cam0", scene.Render(nil, 1, tensor.NewRNG(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := agent.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > writeTimeout/2 {
+		t.Fatalf("40 frames took %v behind a stalled uplink (write timeout %v): the frame path waited on the wire", took, writeTimeout)
+	}
+	if pending, _ := agent.PendingUploads(); pending == 0 {
+		t.Fatal("no upload waited behind the stall (vacuous)")
+	}
+	if !agent.Connected() || agent.Reconnects() != 0 {
+		t.Fatalf("session lost during the stall: connected %v, reconnects %d", agent.Connected(), agent.Reconnects())
+	}
+
+	// Cut the stalled connection and heal the link: the agent resumes
+	// and retransmits what was never acked.
+	n.Partition("edge-s", "dc")
+	n.SetStall("edge-s", "dc", false)
+	n.Heal("edge-s", "dc")
+	waitFor(t, "resumed session", func() bool { return agent.Reconnects() == 1 && agent.Connected() })
+	waitFor(t, "every upload acked", func() bool {
+		pending, _ := agent.PendingUploads()
+		return pending == 0
+	})
+	if _, dropped := agent.PendingUploads(); dropped != 0 {
+		t.Fatalf("%d uploads dropped", dropped)
+	}
+	ups := nodeUploads(t, ctrl, "edge-s", "cam0/stall-mc")
+	starts := make(map[int]bool, len(ups))
+	for _, u := range ups {
+		starts[u.Start] = true
+	}
+	if want := agent.Stats().Uploads; len(ups) != want || len(starts) != want {
+		t.Fatalf("ledger holds %d uploads over %d start frames, the edge sent %d: not exactly once", len(ups), len(starts), want)
 	}
 }

@@ -152,14 +152,9 @@ func (s *Session) Err() error {
 // Done is closed when the session ends.
 func (s *Session) Done() <-chan struct{} { return s.done }
 
-// Deploy ships a serialized microclassifier (a filter.(*MC).Save
-// stream) to the named stream and waits for the edge's ack. Direct
-// session deploys bypass the controller's intent tracking — prefer
-// Controller.Deploy for deployments that should survive reconnects.
-func (s *Session) Deploy(stream string, mc []byte, threshold float32) error {
-	return s.deploy(stream, mc, threshold, 0, 0)
-}
-
+// deploy ships a serialized microclassifier (a filter.(*MC).Save
+// stream) to the named stream at deploy generation gen and waits for
+// the edge's ack; Controller.Deploy and reconciliation call it.
 func (s *Session) deploy(stream string, mc []byte, threshold float32, gen, version uint64) error {
 	return s.request(transport.KindDeploy, func(seq uint64) any {
 		return DeployRequest{Seq: seq, Stream: stream, MC: mc, Threshold: threshold, Gen: gen, Version: version}

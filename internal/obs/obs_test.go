@@ -305,7 +305,7 @@ func TestSlowFrameTrigger(t *testing.T) {
 }
 
 func TestDebugServer(t *testing.T) {
-	o := NewObserver(Options{TraceCapacity: 16, Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	o := NewObserver(Options{Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	o.Frames.Inc()
 	o.Extract.Observe(time.Millisecond)
 	o.Trace.Record(StageExtract, o.Trace.StreamID("cam0"), 0, time.Now(), time.Millisecond)

@@ -7,9 +7,6 @@ import (
 
 // Options parameterizes an Observer.
 type Options struct {
-	// TraceCapacity is the span ring size (default
-	// DefaultTraceCapacity).
-	TraceCapacity int
 	// SlowFrame arms the slow-frame trigger: frames whose envelope
 	// exceeds it have their span chains logged. Zero disables.
 	SlowFrame time.Duration
@@ -56,7 +53,7 @@ func NewObserver(opts Options) *Observer {
 	}
 	o := &Observer{
 		Reg:   NewRegistry(),
-		Trace: NewTracer(opts.TraceCapacity),
+		Trace: NewTracer(traceCapacity),
 		Log:   log,
 	}
 	o.Trace.SetSlowFrame(opts.SlowFrame, log)

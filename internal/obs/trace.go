@@ -76,15 +76,12 @@ type Tracer struct {
 	slowLog *slog.Logger
 }
 
-// DefaultTraceCapacity is the ring size NewTracer uses for
-// capacity <= 0 — enough for a few hundred frames of a full pipeline.
-const DefaultTraceCapacity = 4096
+// traceCapacity is the ring size of an Observer's tracer — enough for
+// a few hundred frames of a full pipeline.
+const traceCapacity = 4096
 
-// NewTracer constructs a tracer with a fixed ring capacity.
+// NewTracer constructs a tracer with a fixed, positive ring capacity.
 func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	return &Tracer{
 		epoch: time.Now(),
 		buf:   make([]Span, capacity),

@@ -86,11 +86,11 @@ func FuzzReadRecord(f *testing.F) {
 // and an accepted one re-encodes to bytes that decode back to the same
 // record.
 func FuzzDecodeUpload(f *testing.F) {
-	valid, err := UploadRecord{MCName: "cam0/loc-crop", EventID: 41, Start: 1200, End: 1248, Bits: 187_344, Final: true, Seq: 977}.MarshalBinary()
+	valid, err := UploadRecord{MCName: "cam0/loc-crop", EventID: 41, Start: 1200, End: 1248, Bits: 187_344, Final: true, Seq: 977}.AppendBinary(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	extremes, err := UploadRecord{EventID: 1<<64 - 1, Start: -1 << 62, End: 1<<62 - 1, Bits: -1, Seq: 1<<64 - 1}.MarshalBinary()
+	extremes, err := UploadRecord{EventID: 1<<64 - 1, Start: -1 << 62, End: 1<<62 - 1, Bits: -1, Seq: 1<<64 - 1}.AppendBinary(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func FuzzDecodeUpload(f *testing.F) {
 			}
 			return
 		}
-		again, err := rec.MarshalBinary()
+		again, err := rec.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

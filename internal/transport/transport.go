@@ -203,9 +203,10 @@ func AppendPayload(b []byte, payload any) ([]byte, error) {
 }
 
 // EncodeRecord encodes payload with AppendPayload as one framed record
-// of kind, ready for a single Write. Writers encode before they take
-// whatever lock serializes their connection, so the lock covers only
-// the write. The caller owns the returned bytes.
+// of kind, ready for a single Write. Senders encode before they hand
+// the record to whatever serializes their connection's writes (a lock,
+// or a writer goroutine), so that covers only the write. The caller
+// owns the returned bytes.
 func EncodeRecord(kind uint8, payload any) ([]byte, error) {
 	return frameRecord(make([]byte, 0, walog.RecordHeaderLen+64), kind, payload)
 }
@@ -404,11 +405,6 @@ func (r UploadRecord) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, final)
 	return binary.AppendUvarint(b, r.Seq), nil
 }
-
-// MarshalBinary returns the record's binary layout. With
-// UnmarshalBinary it makes gob use the layout too, should a record
-// ever be nested in a gob value.
-func (r UploadRecord) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
 
 // UnmarshalBinary decodes exactly one record's binary layout.
 func (r *UploadRecord) UnmarshalBinary(data []byte) error {

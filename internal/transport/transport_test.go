@@ -107,7 +107,7 @@ func TestUploadLayout(t *testing.T) {
 		1,          // Final
 		0xD1, 0x07, // Seq 977
 	)
-	got, err := rec.MarshalBinary()
+	got, err := rec.AppendBinary(nil)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("layout %x (err %v), want %x", got, err, want)
 	}
@@ -132,7 +132,7 @@ func TestUploadLayout(t *testing.T) {
 // a trailing byte, and a Final byte other than 0 or 1 are errors that
 // leave the target record as it was, never a half-filled one.
 func TestUploadLayoutRefusesMalformed(t *testing.T) {
-	valid, err := UploadRecord{MCName: "mc", EventID: 300, Start: -5, End: 70_000, Bits: 1 << 40, Final: true, Seq: 1 << 30}.MarshalBinary()
+	valid, err := UploadRecord{MCName: "mc", EventID: 300, Start: -5, End: 70_000, Bits: 1 << 40, Final: true, Seq: 1 << 30}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

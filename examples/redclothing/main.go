@@ -119,12 +119,21 @@ func main() {
 	if ctxStart < 0 {
 		ctxStart = 0
 	}
-	f, err := edge.ReadFetch(testDay, ctxStart, first.Start, 30_000)
+	// The reconstructions stream through in chunks the edge reuses:
+	// score the first frame while its chunk is live.
+	var quality float64
+	fetched := 0
+	f, err := edge.ReadFetch(testDay, ctxStart, first.Start, 30_000, func(recons []*vision.Image) error {
+		if fetched == 0 {
+			quality = vision.PSNR(testDay.Frame(ctxStart), recons[0])
+		}
+		fetched += len(recons)
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	edge.AccountFetch(f)
-	quality := vision.PSNR(testDay.Frame(ctxStart), f.Recons[0])
 	fmt.Printf("demand-fetched context [%d,%d): %d frames, %d bits, first-frame PSNR %.1f dB\n",
-		ctxStart, first.Start, len(f.Recons), f.Bits, quality)
+		ctxStart, first.Start, fetched, f.Bits, quality)
 }

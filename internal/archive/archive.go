@@ -29,8 +29,8 @@ import (
 	"repro/internal/walog"
 )
 
-// ErrEvicted is wrapped by ReadRange errors when the requested range
-// has aged out of the retention budget.
+// ErrEvicted is wrapped by read errors (ReadRange, ReadInto) when the
+// requested range has aged out of the retention budget.
 var ErrEvicted = errors.New("archive: range evicted by retention")
 
 // ErrClosed is returned by operations on a closed store.
@@ -162,6 +162,11 @@ type Store struct {
 	reqs chan request
 	wg   sync.WaitGroup
 	rec  []byte // the record being written; owned by the writer goroutine
+
+	// readMu serializes ReadInto's use of rbuf, the record buffer
+	// every read goes through.
+	readMu sync.Mutex
+	rbuf   []byte
 }
 
 // Open creates or reopens the archive at cfg.Dir, recovering from a
@@ -317,8 +322,8 @@ func (s *Store) loadSegment(path string) (*segment, int64, error) {
 
 // Append enqueues one frame (with its codec-model coded size, for
 // accounting) and returns the stream index it was assigned. The write
-// happens on the writer goroutine; Sync or ReadRange force it to
-// disk-visible state. The image must not be mutated afterwards.
+// happens on the writer goroutine; Sync or a read of the frame force
+// it to disk-visible state. The image must not be mutated afterwards.
 func (s *Store) Append(img *vision.Image, codedBits int64) (int, error) {
 	if img.W != s.cfg.Width || img.H != s.cfg.Height {
 		return 0, fmt.Errorf("archive: frame %dx%d does not match store %dx%d", img.W, img.H, s.cfg.Width, s.cfg.Height)
@@ -399,62 +404,109 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// ReadRange returns the archived frames [start, end). It first
-// barriers on the writer so every frame appended before the call is
-// readable. Ranges older than the retention window fail with an error
-// wrapping ErrEvicted; ranges beyond the last appended frame fail
-// outright.
+// ReadRange returns the archived frames [start, end) in fresh images:
+// ReadInto images it allocates. Ranges older than the retention window
+// fail with an error wrapping ErrEvicted; ranges beyond the last
+// appended frame fail outright.
 func (s *Store) ReadRange(start, end int) ([]*vision.Image, error) {
 	if start < 0 || end <= start {
 		return nil, fmt.Errorf("archive: bad range [%d,%d)", start, end)
 	}
-	if err := s.Sync(); err != nil {
+	frames := make([]*vision.Image, end-start)
+	for i := range frames {
+		frames[i] = vision.NewImage(s.cfg.Width, s.cfg.Height)
+	}
+	if err := s.ReadInto(start, frames); err != nil {
 		return nil, err
+	}
+	return frames, nil
+}
+
+// ReadInto reads the archived frames [start, start+len(dst)) into dst,
+// images of the store's dimensions that the caller owns, overwriting
+// every sample: a reader that reuses its images chunk after chunk
+// allocates nothing. Every frame appended before the call is readable:
+// when the range reaches past what the writer has already written, it
+// first barriers on the writer (Sync). Errors are ReadRange's.
+func (s *Store) ReadInto(start int, dst []*vision.Image) error {
+	end := start + len(dst)
+	if start < 0 || end <= start {
+		return fmt.Errorf("archive: bad range [%d,%d)", start, end)
+	}
+	for _, img := range dst {
+		if img.W != s.cfg.Width || img.H != s.cfg.Height || len(img.Pix)*4 != s.frameBytes {
+			return fmt.Errorf("archive: a %dx%d image with %d samples cannot hold a %dx%d frame", img.W, img.H, len(img.Pix), s.cfg.Width, s.cfg.Height)
+		}
+	}
+	if err := s.barrier(end); err != nil {
+		return err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(s.segs) == 0 {
-		return nil, fmt.Errorf("archive: empty store, range [%d,%d): %w", start, end, ErrEvicted)
+		return fmt.Errorf("archive: empty store, range [%d,%d): %w", start, end, ErrEvicted)
 	}
 	first := s.segs[0]
 	last := s.segs[len(s.segs)-1]
 	if end > last.start+last.count {
-		return nil, fmt.Errorf("archive: range [%d,%d) beyond last archived frame %d", start, end, last.start+last.count)
+		return fmt.Errorf("archive: range [%d,%d) beyond last archived frame %d", start, end, last.start+last.count)
 	}
 	if start < first.start {
-		return nil, fmt.Errorf("archive: range [%d,%d) older than retained frame %d: %w", start, end, first.start, ErrEvicted)
+		return fmt.Errorf("archive: range [%d,%d) older than retained frame %d: %w", start, end, first.start, ErrEvicted)
 	}
-	frames := make([]*vision.Image, 0, end-start)
 	si := sort.Search(len(s.segs), func(i int) bool {
 		return s.segs[i].start+s.segs[i].count > start
 	})
 	rec := recordSize(s.frameBytes)
-	buf := make([]byte, rec)
+	s.readMu.Lock()
+	defer s.readMu.Unlock()
+	if s.rbuf == nil {
+		s.rbuf = make([]byte, rec)
+	}
+	buf := s.rbuf
 	for f := start; f < end; {
 		seg := s.segs[si]
 		for ; f < end && f < seg.start+seg.count; f++ {
 			off := headerSize + int64(f-seg.start)*rec
 			if _, err := seg.file.ReadAt(buf, off); err != nil {
-				return nil, fmt.Errorf("archive: read frame %d: %w", f, err)
+				return fmt.Errorf("archive: read frame %d: %w", f, err)
 			}
 			kind, p, err := walog.CheckRecord(buf)
 			if err != nil {
-				return nil, fmt.Errorf("archive: read frame %d: %w", f, err)
+				return fmt.Errorf("archive: read frame %d: %w", f, err)
 			}
 			idx, _, err := decodeFrame(kind, p, s.frameBytes)
 			if err != nil {
-				return nil, fmt.Errorf("archive: frame %d: %w", f, err)
+				return fmt.Errorf("archive: frame %d: %w", f, err)
 			}
 			if idx != f {
-				return nil, fmt.Errorf("archive: frame %d record carries index %d", f, idx)
+				return fmt.Errorf("archive: frame %d record carries index %d", f, idx)
 			}
-			img := vision.NewImage(s.cfg.Width, s.cfg.Height)
-			decodePixels(p, img)
-			frames = append(frames, img)
+			decodePixels(p, dst[f-start])
 		}
 		si++
 	}
-	return frames, nil
+	return nil
+}
+
+// barrier makes every frame before end that was appended before the
+// call readable. It waits for the writer (Sync) only when the store is
+// closed, failed, or has not yet written frame end-1: a reader working
+// through an older range chunk by chunk does not queue behind the
+// writer once per chunk.
+func (s *Store) barrier(end int) error {
+	s.sendMu.Lock()
+	closed := s.closed
+	s.sendMu.Unlock()
+	if !closed {
+		s.mu.RLock()
+		written := s.werr == nil && len(s.segs) > 0 && end <= s.segs[len(s.segs)-1].start+s.segs[len(s.segs)-1].count
+		s.mu.RUnlock()
+		if written {
+			return nil
+		}
+	}
+	return s.Sync()
 }
 
 // Close drains the writer queue, fsyncs the active segment, and

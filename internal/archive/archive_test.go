@@ -64,6 +64,53 @@ func checkFrames(t *testing.T, s *Store, start, end int) {
 	}
 }
 
+// TestReadIntoReusesImages reads a range chunk by chunk into the same
+// three images, across segment rolls: each chunk holds exactly what
+// ReadRange returns for it, a warm chunk read allocates nothing, and
+// images of the wrong size and bad ranges are refused.
+func TestReadIntoReusesImages(t *testing.T) {
+	s := openTest(t, t.TempDir(), 4, 0)
+	defer s.Close()
+	appendN(t, s, 0, 14)
+	dst := make([]*vision.Image, 3)
+	for i := range dst {
+		dst[i] = testImage(8, 6, 999) // stale samples ReadInto must overwrite
+	}
+	for lo := 1; lo < 14; lo += len(dst) {
+		chunk := dst[:min(len(dst), 14-lo)]
+		if err := s.ReadInto(lo, chunk); err != nil {
+			t.Fatalf("ReadInto(%d, %d frames): %v", lo, len(chunk), err)
+		}
+		want, err := s.ReadRange(lo, lo+len(chunk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, img := range chunk {
+			for p, v := range want[i].Pix {
+				if img.Pix[p] != v || v != testImage(8, 6, lo+i).Pix[p] {
+					t.Fatalf("frame %d sample %d: ReadInto %v, ReadRange %v", lo+i, p, img.Pix[p], v)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := s.ReadInto(2, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm ReadInto of written frames allocates %v times, want 0", allocs)
+	}
+	if err := s.ReadInto(0, []*vision.Image{vision.NewImage(6, 8)}); err == nil {
+		t.Fatal("ReadInto filled an image of the wrong dimensions")
+	}
+	if err := s.ReadInto(12, dst); err == nil {
+		t.Fatal("ReadInto beyond the last frame succeeded")
+	}
+	if err := s.ReadInto(0, nil); err == nil {
+		t.Fatal("an empty ReadInto succeeded")
+	}
+}
+
 func TestAppendReadRoundtrip(t *testing.T) {
 	s := openTest(t, t.TempDir(), 4, 0)
 	defer s.Close()

@@ -87,7 +87,9 @@ func TestQuantizeMoreQPFewerBits(t *testing.T) {
 func ycbcrRoundTrip(im *vision.Image) *vision.Image {
 	p := newPlanes(im.W, im.H)
 	toYCbCr(im, &p)
-	return fromYCbCr(&p)
+	back := vision.NewImage(im.W, im.H)
+	fromYCbCr(&p, back)
+	return back
 }
 
 func TestYCbCrRoundTripApprox(t *testing.T) {

@@ -89,10 +89,23 @@ func NewEncoder(cfg Config) *Encoder {
 }
 
 // Encode compresses one frame and returns its coded size and
-// reconstruction.
+// reconstruction, a fresh image: EncodeInto a new image.
 func (e *Encoder) Encode(im *vision.Image) Frame {
+	return e.EncodeInto(im, vision.NewImage(e.cfg.Width, e.cfg.Height))
+}
+
+// EncodeInto compresses one frame exactly as Encode does and writes
+// the reconstruction into dst, an image of the encoder's dimensions
+// that the caller owns (Frame.Recon is dst). Every sample of dst is
+// overwritten, so a caller reusing one image per slot codes frame
+// after frame without allocating.
+func (e *Encoder) EncodeInto(im, dst *vision.Image) Frame {
+	if dst.W != e.cfg.Width || dst.H != e.cfg.Height || len(dst.Pix) != dst.W*dst.H*3 {
+		panic(fmt.Sprintf("codec: reconstruction %dx%d does not match encoder %dx%d", dst.W, dst.H, e.cfg.Width, e.cfg.Height))
+	}
 	out := e.EncodeBits(im)
-	out.Recon = fromYCbCr(&e.prev)
+	fromYCbCr(&e.prev, dst)
+	out.Recon = dst
 	return out
 }
 

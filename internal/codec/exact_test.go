@@ -309,6 +309,35 @@ func TestEncodeBitsDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEncodeIntoMatchesEncode: coding a clip into two reused images,
+// taken in turn, gives Encode's bits and reconstructions bit for bit,
+// and allocates nothing once the images exist.
+func TestEncodeIntoMatchesEncode(t *testing.T) {
+	frames := roadwayClip(12)
+	cfg := Config{Width: 96, Height: 39, FPS: 15, TargetBitrate: 150_000, GOP: 5}
+	want, into := NewEncoder(cfg), NewEncoder(cfg)
+	dst := []*vision.Image{vision.NewImage(96, 39), vision.NewImage(96, 39)}
+	for i, f := range frames {
+		w, g := want.Encode(f), into.EncodeInto(f, dst[i%2])
+		if g.Recon != dst[i%2] || g.Bits != w.Bits || g.Keyframe != w.Keyframe || g.QP != w.QP {
+			t.Fatalf("frame %d: EncodeInto %+v, Encode %+v", i, g, w)
+		}
+		for j, v := range w.Recon.Pix {
+			if math.Float32bits(v) != math.Float32bits(g.Recon.Pix[j]) {
+				t.Fatalf("frame %d sample %d: EncodeInto %v, Encode %v", i, j, g.Recon.Pix[j], v)
+			}
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		into.EncodeInto(frames[i%len(frames)], dst[i%2])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("EncodeInto allocates %v times per frame in the steady state, want 0", allocs)
+	}
+}
+
 func benchmarkEncode(b *testing.B, encode func(*Encoder, *vision.Image) Frame) {
 	frames := roadwayClip(64)
 	for _, tier := range codecTiers(b) {

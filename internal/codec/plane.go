@@ -63,13 +63,12 @@ func toYCbCr(im *vision.Image, dst *planes) {
 	}
 }
 
-// fromYCbCr reconstructs an RGB image from src (nearest-neighbour
-// chroma upsampling). The image is freshly allocated and the caller's
-// to keep. The vector tiers convert the leading pixels of each row
+// fromYCbCr reconstructs src as RGB into im, an image of src's
+// dimensions, writing every sample (nearest-neighbour chroma
+// upsampling). The vector tiers convert the leading pixels of each row
 // (rgbPixels) and this loop the rest.
-func fromYCbCr(src *planes) *vision.Image {
+func fromYCbCr(src *planes, im *vision.Image) {
 	y, cb, cr := &src[0], &src[1], &src[2]
-	im := vision.NewImage(y.w, y.h)
 	for yy := 0; yy < y.h; yy++ {
 		lums := y.pix[yy*y.w : yy*y.w+y.w]
 		cbRow := cb.pix[(yy/2)*cb.w : (yy/2)*cb.w+cb.w]
@@ -85,7 +84,6 @@ func fromYCbCr(src *planes) *vision.Image {
 			rgb[3*xx], rgb[3*xx+1], rgb[3*xx+2] = clamp01(r), clamp01(g), clamp01(b)
 		}
 	}
-	return im
 }
 
 func clamp01(v float32) float32 {

@@ -209,7 +209,12 @@ func TestCodecTiersBitwiseEqual(t *testing.T) {
 			p := newPlanes(sz.w, sz.h)
 			toYCbCr(im, &p)
 			samePlanes(t, "toYCbCr "+what, &p, sy, scb, scr)
-			back := fromYCbCr(&p)
+			// A reused image: every stale sample must be overwritten.
+			back := vision.NewImage(sz.w, sz.h)
+			for i := range back.Pix {
+				back.Pix[i] = float32(math.NaN())
+			}
+			fromYCbCr(&p, back)
 			for i, v := range back.Pix {
 				if math.Float32bits(v) != math.Float32bits(wantRGB.Pix[i]) {
 					t.Fatalf("fromYCbCr %s: value %d = %v, reference %v", what, i, v, wantRGB.Pix[i])

@@ -46,14 +46,20 @@ func newNode(t *testing.T, cfg Config, thresholds map[filter.Arch]float32) *Edge
 }
 
 // fetch runs a whole demand fetch on the owner's goroutine: ReadFetch,
-// then AccountFetch.
+// keeping a copy of every chunk's reconstructions, then AccountFetch.
 func fetch(e *EdgeNode, src FrameSource, start, end int, bitrate float64) ([]*vision.Image, int64, error) {
-	f, err := e.ReadFetch(src, start, end, bitrate)
+	var recons []*vision.Image
+	f, err := e.ReadFetch(src, start, end, bitrate, func(chunk []*vision.Image) error {
+		for _, img := range chunk {
+			recons = append(recons, img.Clone())
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
 	e.AccountFetch(f)
-	return f.Recons, f.Bits, nil
+	return recons, f.Bits, nil
 }
 
 func TestTokenBucketBasics(t *testing.T) {

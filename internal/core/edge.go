@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/vision"
+	"repro/internal/walog"
 )
 
 // FrameSource supplies original frames by index. dataset.Dataset
@@ -34,16 +35,17 @@ type FrameSource interface {
 // FrameArchive is the persistent on-disk archive contract
 // (internal/archive.Store implements it): the ingest path appends
 // every original frame with its codec-model coded size, and
-// demand-fetch reads ranges back. Append is called from the pipeline
-// owner goroutine; ReadRange must be internally synchronized against
-// it.
+// demand-fetch reads ranges back chunk by chunk. Append is called from
+// the pipeline owner goroutine; ReadInto must be internally
+// synchronized against it.
 type FrameArchive interface {
 	// Append stores one full-fidelity frame and its codec-model coded
 	// size, returning the stream index it was assigned.
 	Append(img *vision.Image, codedBits int64) (int, error)
-	// ReadRange returns archived frames [start, end), failing for
-	// ranges evicted by retention or not yet archived.
-	ReadRange(start, end int) ([]*vision.Image, error)
+	// ReadInto reads archived frames [start, start+len(dst)) into dst,
+	// images of the stream's frame size that the caller owns, failing
+	// for ranges evicted by retention or not yet archived.
+	ReadInto(start int, dst []*vision.Image) error
 	// NextFrame is the next stream index Append will assign.
 	NextFrame() int
 }
@@ -267,9 +269,16 @@ type EdgeNode struct {
 	segImgs []*vision.Image
 
 	// fetchEnc re-encodes demand fetches the same way, off the
-	// pipeline: ReadFetch holds fetchMu while it uses it.
-	fetchMu  sync.Mutex
-	fetchEnc *codec.Encoder
+	// pipeline, one chunk at a time: fetchOrig holds a chunk of
+	// originals read from the archive, fetchSrc one taken from a live
+	// source, and fetchRecon a chunk of reconstructions. The images are
+	// kept from chunk to chunk and fetch to fetch. ReadFetch holds
+	// fetchMu while it uses them.
+	fetchMu    sync.Mutex
+	fetchEnc   *codec.Encoder
+	fetchOrig  []*vision.Image
+	fetchSrc   []*vision.Image
+	fetchRecon []*vision.Image
 
 	// frames is the retained-originals ring: frame f lives at
 	// frames[f%len(frames)], sized RetainFrames+1 so the window
@@ -499,14 +508,21 @@ func (e *EdgeNode) AttachArchive(store FrameArchive) error {
 // Fetch is a demand fetch between its two halves: what ReadFetch read
 // and re-encoded, for AccountFetch to charge to the node.
 type Fetch struct {
-	// Recons are the decoder-side reconstructions, in frame order.
-	Recons []*vision.Image
 	// Bits is the coded size of the re-encoded range.
 	Bits int64
 
 	start int
 	at    time.Time     // when the re-encode started
-	took  time.Duration // how long it ran
+	took  time.Duration // how long it ran, the archive reads and emit excluded
+}
+
+// FetchChunkFrames is how many frames of a w×h stream one chunk of a
+// demand fetch holds: as many as fit walog.ChunkBytes of samples, and
+// at least one. A chunk's reconstructions then travel as one wire
+// record that every buffer the wire keeps can hold, unless a single
+// frame is already larger.
+func FetchChunkFrames(w, h int) int {
+	return max(1, walog.ChunkBytes/(w*h*3*4))
 }
 
 // ReadFetch is the first half of a demand fetch (§3.2: "edge nodes
@@ -516,37 +532,90 @@ type Fetch struct {
 // and re-encodes them at bitrate as one independent segment on the
 // node's fetch encoder. The archive stores the full-fidelity
 // originals, so both sources give byte-identical reconstructions and
-// bit counts. Any goroutine may call it while the owner processes
-// frames; fetches serialize among themselves. It sees only frames the owner has already archived, so
-// a caller that must serve frame N barriers on the owner after N's
-// submission first (Scheduler.Do). Nothing is charged to the node
-// until the owner runs AccountFetch.
-func (e *EdgeNode) ReadFetch(src FrameSource, start, end int, bitrate float64) (Fetch, error) {
+// bit counts, and they are those of one codec.EncodeSegment over the
+// range.
+//
+// The range streams through in chunks of FetchChunkFrames: a chunk of
+// originals is read, coded, and its reconstructions handed to emit
+// before the next chunk is read, so the node holds one chunk of each
+// whatever the range. The images emit receives belong to ReadFetch and
+// are overwritten by the next chunk: emit sends or copies what it
+// keeps before it returns. An emit error ends the fetch and is
+// returned as is. emit runs under the node's fetch lock, since the
+// encoder's state runs on from chunk to chunk, so it must not start
+// another fetch on this node. With a nil emit the fetch only counts
+// bits: no reconstruction is built.
+//
+// Any goroutine may call it while the owner processes frames; fetches
+// serialize among themselves. It sees only frames the owner has
+// already archived, so a caller that must serve frame N barriers on
+// the owner after N's submission first (Scheduler.Do). Nothing is
+// charged to the node until the owner runs AccountFetch.
+func (e *EdgeNode) ReadFetch(src FrameSource, start, end int, bitrate float64, emit func(recons []*vision.Image) error) (Fetch, error) {
 	if start < 0 || end <= start {
 		return Fetch{}, fmt.Errorf("core: bad demand-fetch range [%d,%d)", start, end)
 	}
-	var frames []*vision.Image
-	if e.store != nil {
-		var err error
-		frames, err = e.store.ReadRange(start, end)
-		if err != nil {
-			return Fetch{}, fmt.Errorf("core: demand-fetch: %w", err)
-		}
-	} else {
-		if src == nil {
-			return Fetch{}, fmt.Errorf("core: no archive source")
-		}
-		frames = make([]*vision.Image, 0, end-start)
-		for f := start; f < end; f++ {
-			frames = append(frames, src.Frame(f))
-		}
+	if e.store == nil && src == nil {
+		return Fetch{}, fmt.Errorf("core: no archive source")
 	}
 	e.fetchMu.Lock()
 	defer e.fetchMu.Unlock()
-	f := Fetch{start: start, at: time.Now()}
-	f.Bits, f.Recons = e.encodeSegment(&e.fetchEnc, bitrate, frames, true)
-	f.took = time.Since(f.at)
+	defer clear(e.fetchSrc) // hold no live frame past the fetch
+	chunk := FetchChunkFrames(e.cfg.FrameWidth, e.cfg.FrameHeight)
+	e.restartEncoder(&e.fetchEnc, bitrate)
+	f := Fetch{start: start}
+	for lo := start; lo < end; lo += chunk {
+		frames, err := e.fetchChunk(src, lo, min(chunk, end-lo))
+		if err != nil {
+			return Fetch{}, fmt.Errorf("core: demand-fetch: %w", err)
+		}
+		t0 := time.Now()
+		if lo == start {
+			f.at = t0
+		}
+		if emit == nil {
+			for _, img := range frames {
+				e.fetchEnc.EncodeBits(img)
+			}
+			f.took += time.Since(t0)
+			continue
+		}
+		recons := e.frameBufs(&e.fetchRecon, len(frames))
+		for i, img := range frames {
+			e.fetchEnc.EncodeInto(img, recons[i])
+		}
+		f.took += time.Since(t0)
+		if err := emit(recons); err != nil {
+			return Fetch{}, err
+		}
+	}
+	f.Bits = e.fetchEnc.TotalBits()
 	return f, nil
+}
+
+// fetchChunk returns the n originals from frame lo on: read from the
+// archive into fetchOrig's images, or taken from the live source.
+// Callers hold fetchMu.
+func (e *EdgeNode) fetchChunk(src FrameSource, lo, n int) ([]*vision.Image, error) {
+	if e.store != nil {
+		frames := e.frameBufs(&e.fetchOrig, n)
+		return frames, e.store.ReadInto(lo, frames)
+	}
+	frames := e.fetchSrc[:0]
+	for f := lo; f < lo+n; f++ {
+		frames = append(frames, src.Frame(f))
+	}
+	e.fetchSrc = frames
+	return frames, nil
+}
+
+// frameBufs returns n images of the stream's frame size from *buf,
+// allocating only those it has never held.
+func (e *EdgeNode) frameBufs(buf *[]*vision.Image, n int) []*vision.Image {
+	for len(*buf) < n {
+		*buf = append(*buf, vision.NewImage(e.cfg.FrameWidth, e.cfg.FrameHeight))
+	}
+	return (*buf)[:n]
 }
 
 // AccountFetch is the owner's half of a demand fetch: it sends f's bits
@@ -831,15 +900,7 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 // codec.EncodeSegment (keep) or codec.SegmentBits would, and returns
 // the bits and, when keep is set, the reconstructions.
 func (e *EdgeNode) encodeSegment(enc **codec.Encoder, bitrate float64, frames []*vision.Image, keep bool) (int64, []*vision.Image) {
-	cfg := codec.Config{
-		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
-		TargetBitrate: bitrate,
-	}
-	if *enc == nil {
-		*enc = codec.NewEncoder(cfg)
-	} else {
-		(*enc).Restart(cfg)
-	}
+	e.restartEncoder(enc, bitrate)
 	var recons []*vision.Image
 	if keep {
 		recons = make([]*vision.Image, len(frames))
@@ -852,6 +913,20 @@ func (e *EdgeNode) encodeSegment(enc **codec.Encoder, bitrate float64, frames []
 		}
 	}
 	return (*enc).TotalBits(), recons
+}
+
+// restartEncoder readies *enc to code a new independent segment at
+// bitrate, building it on first use.
+func (e *EdgeNode) restartEncoder(enc **codec.Encoder, bitrate float64) {
+	cfg := codec.Config{
+		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
+		TargetBitrate: bitrate,
+	}
+	if *enc == nil {
+		*enc = codec.NewEncoder(cfg)
+	} else {
+		(*enc).Restart(cfg)
+	}
 }
 
 // reslot rebuilds what follows the slot list after a deploy or

@@ -127,6 +127,14 @@ type Agent struct {
 	wake chan struct{} // one token: the resend log has records to offer
 	stop chan struct{} // closed by Close: ends the backoff
 	wg   sync.WaitGroup
+
+	// ctlBuf is the buffer the control loop's handlers frame their
+	// records into (reply), and fetchData the record a demand fetch
+	// fills chunk after chunk: both are reused from record to record.
+	// Owned by the connection loop's goroutine, which runs one
+	// session's control loop at a time.
+	ctlBuf    []byte
+	fetchData FetchData
 }
 
 // agentStream is what the agent keeps per camera stream.
@@ -495,7 +503,10 @@ func (a *Agent) Close() error {
 	}
 	// Best effort: the writer offers the whole resend log before the
 	// goodbye, so a clean shutdown loses nothing the wire still takes.
-	err := a.send(transport.KindBye, struct{}{})
+	bye, err := transport.EncodeRecord(transport.KindBye, struct{}{})
+	if err == nil {
+		err = a.hand(bye)
+	}
 	cerr := l.conn.Close()
 	a.wg.Wait()
 	// The controller may end the session first (its own goodbye, an

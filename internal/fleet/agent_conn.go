@@ -317,14 +317,24 @@ func serveRecord[T any](body []byte, handle func(T)) error {
 	return nil
 }
 
-// send frames payload as one record of kind and hands it to the live
-// connection's writer, returning the result of its write:
-// ErrSessionClosed when there is no session or its writer has exited.
-func (a *Agent) send(kind uint8, payload any) error {
-	rec, err := transport.EncodeRecord(kind, payload)
+// reply frames payload as one record of kind into ctlBuf, which the
+// next reply reuses since the writer is done with a record once hand
+// returns, and hands it to the live connection's writer.
+func (a *Agent) reply(kind uint8, payload any) error {
+	rec, err := transport.FrameRecord(a.ctlBuf, kind, payload)
 	if err != nil {
 		return err
 	}
+	if cap(rec) <= walog.MaxKeptBytes {
+		a.ctlBuf = rec
+	}
+	return a.hand(rec)
+}
+
+// hand gives one framed record to the live connection's writer and
+// returns the result of its write: ErrSessionClosed when there is no
+// session or its writer has exited.
+func (a *Agent) hand(rec []byte) error {
 	a.sessMu.Lock()
 	l := a.link
 	a.sessMu.Unlock()

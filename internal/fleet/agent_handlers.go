@@ -100,9 +100,10 @@ func (a *Agent) handleUndeploy(req UndeployRequest) {
 // request reach the archive; the read and the re-encode then run here,
 // on the control goroutine, while the stream keeps processing frames;
 // only the uplink and stats accounting goes back through the stream's
-// queue. When the request asks for data, the decoder-side
-// reconstructions stream back as chunked FetchData records ahead of
-// the response trailer.
+// queue. When the request asks for data, each chunk's decoder-side
+// reconstructions go out as one FetchData record before the next chunk
+// is read, all ahead of the response trailer; a failure part way
+// through reaches the controller in the trailer's Err.
 func (a *Agent) handleFetch(req FetchRequest) {
 	resp := FetchResponse{Seq: req.Seq, Stream: req.Stream, Start: req.Start, End: req.End}
 	var src core.FrameSource
@@ -118,7 +119,11 @@ func (a *Agent) handleFetch(req FetchRequest) {
 	})
 	var f core.Fetch
 	if err == nil {
-		f, err = edge.ReadFetch(src, req.Start, req.End, req.Bitrate)
+		var emit func([]*vision.Image) error
+		if req.IncludeData {
+			emit = func(recons []*vision.Image) error { return a.sendFetchData(req, recons) }
+		}
+		f, err = edge.ReadFetch(src, req.Start, req.End, req.Bitrate, emit)
 	}
 	if err == nil {
 		_, err = a.withEdge(req.Stream, func(e *core.EdgeNode) ([]core.Upload, error) {
@@ -128,35 +133,24 @@ func (a *Agent) handleFetch(req FetchRequest) {
 	}
 	if err == nil {
 		resp.Bits = f.Bits
-		if req.IncludeData {
-			err = a.sendFetchData(req, f.Recons)
-		}
-	}
-	if err != nil {
+	} else {
 		resp.Err = err.Error()
 	}
-	_ = a.send(transport.KindFetchResponse, resp)
+	_ = a.reply(transport.KindFetchResponse, resp)
 }
 
-// sendFetchData streams reconstructions back in chunks sized to stay
-// well under the transport's record limit.
+// sendFetchData sends one chunk of reconstructions as one FetchData
+// record. The record, its frame list and its framing buffer are the
+// agent's, reused chunk after chunk; the samples are referenced, not
+// copied, until the writer has written them.
 func (a *Agent) sendFetchData(req FetchRequest, recons []*vision.Image) error {
-	perFrame := 1
-	if len(recons) > 0 {
-		frameBytes := len(recons[0].Pix)*4 + 64
-		perFrame = max((transport.MaxRecordBytes/4)/frameBytes, 1)
+	fd := &a.fetchData
+	fd.Seq, fd.Stream, fd.Frames = req.Seq, req.Stream, fd.Frames[:0]
+	for _, img := range recons {
+		fd.Frames = append(fd.Frames, FrameData{W: img.W, H: img.H, Pix: img.Pix})
 	}
-	for lo := 0; lo < len(recons); lo += perFrame {
-		hi := min(lo+perFrame, len(recons))
-		fd := FetchData{Seq: req.Seq, Stream: req.Stream, Frames: make([]FrameData, 0, hi-lo)}
-		for _, img := range recons[lo:hi] {
-			fd.Frames = append(fd.Frames, FrameData{W: img.W, H: img.H, Pix: img.Pix})
-		}
-		if err := a.send(transport.KindFetchData, fd); err != nil {
-			return err
-		}
-	}
-	return nil
+	defer clear(fd.Frames) // hold no samples past the write
+	return a.reply(transport.KindFetchData, fd)
 }
 
 // ack answers a deploy or undeploy request.
@@ -165,5 +159,5 @@ func (a *Agent) ack(seq uint64, err error) {
 	if err != nil {
 		ack.Err = err.Error()
 	}
-	_ = a.send(transport.KindAck, ack)
+	_ = a.reply(transport.KindAck, ack)
 }

@@ -193,8 +193,9 @@ func TestSessionRefusesWrappedFetchFrame(t *testing.T) {
 	}
 }
 
-// parkedArchive is an in-memory core.FrameArchive whose ReadRange
-// announces itself on parked, then waits for release.
+// parkedArchive is an in-memory core.FrameArchive whose reads
+// announce themselves on parked, when it has room, then wait for
+// release.
 type parkedArchive struct {
 	mu      sync.Mutex
 	frames  []*vision.Image
@@ -209,15 +210,21 @@ func (p *parkedArchive) Append(img *vision.Image, _ int64) (int, error) {
 	return len(p.frames) - 1, nil
 }
 
-func (p *parkedArchive) ReadRange(start, end int) ([]*vision.Image, error) {
-	p.parked <- struct{}{}
+func (p *parkedArchive) ReadInto(start int, dst []*vision.Image) error {
+	select {
+	case p.parked <- struct{}{}:
+	default:
+	}
 	<-p.release
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if end > len(p.frames) {
-		return nil, fmt.Errorf("range [%d,%d) beyond frame %d", start, end, len(p.frames))
+	if end := start + len(dst); end > len(p.frames) {
+		return fmt.Errorf("range [%d,%d) beyond frame %d", start, end, len(p.frames))
 	}
-	return append([]*vision.Image(nil), p.frames[start:end]...), nil
+	for i, img := range dst {
+		copy(img.Pix, p.frames[start+i].Pix)
+	}
+	return nil
 }
 
 func (p *parkedArchive) NextFrame() int {
@@ -236,9 +243,10 @@ type fetchRig struct {
 }
 
 // newFetchRig builds the rig; with a non-nil store the stream archives
-// into it, otherwise into an on-disk archive under a temporary
-// directory.
-func newFetchRig(t *testing.T, node string, store core.FrameArchive) *fetchRig {
+// into it, otherwise into an on-disk archive of 10-frame segments under
+// a temporary directory. tweak, if any, adjusts the controller's
+// configuration.
+func newFetchRig(t *testing.T, node string, store core.FrameArchive, tweak ...func(*ControllerConfig)) *fetchRig {
 	t.Helper()
 	base := testBase()
 	cfg := core.Config{
@@ -250,7 +258,11 @@ func newFetchRig(t *testing.T, node string, store core.FrameArchive) *fetchRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := NewController(ControllerConfig{Timeout: 20 * time.Second})
+	ccfg := ControllerConfig{Timeout: 20 * time.Second}
+	for _, f := range tweak {
+		f(&ccfg)
+	}
+	ctrl := NewController(ccfg)
 	ctrl.Serve(ln)
 	t.Cleanup(func() { ctrl.Close() })
 	acfg := AgentConfig{
@@ -258,7 +270,7 @@ func newFetchRig(t *testing.T, node string, store core.FrameArchive) *fetchRig {
 		Dial: func(_, addr string) (net.Conn, error) { return n.Dial(node, addr) },
 	}
 	if store == nil {
-		acfg.ArchiveDir = t.TempDir()
+		acfg.ArchiveDir, acfg.ArchiveSegmentFrames = t.TempDir(), 10
 	}
 	agent, err := NewAgent(acfg)
 	if err != nil {

@@ -68,12 +68,18 @@ func TestWireDemandFetchServedFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := baseline.ReadFetch(frameSrc(frames), lo, hi, 20_000)
+	var wantRecons []*vision.Image
+	want, err := baseline.ReadFetch(frameSrc(frames), lo, hi, 20_000, func(recons []*vision.Image) error {
+		for _, img := range recons {
+			wantRecons = append(wantRecons, img.Clone())
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseline.AccountFetch(want)
-	wantRecons, wantBits := want.Recons, want.Bits
+	wantBits := want.Bits
 	wantStats := baseline.Stats()
 
 	// Wire run: the agent's stream has NO live fallback source (nil) —

@@ -177,7 +177,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	dcBase := core.NewDatacenter()
 	dcBase.ReceiveAll(want)
-	wantFetch, err := edge.ReadFetch(testDay, lo, hi, 30_000)
+	wantFetch, err := edge.ReadFetch(testDay, lo, hi, 30_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

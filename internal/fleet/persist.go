@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -302,15 +301,16 @@ func (sh *shard) commit(rec record) error {
 		}
 		if sh.compactDue() {
 			if err := sh.snapshotLocked(); err != nil {
-				sh.failedAt = sh.wal.Pending()
-				sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id, "err", err)
+				size := sh.wal.Size()
+				sh.c.cfg.Log.Error("fleet: wal snapshot failed", "shard", sh.id,
+					"records", sh.failedAt, "wal_bytes", size, "encoded", sh.retrySize-size, "err", err)
 			}
 		}
 		payload, err := transport.AppendPayload(sh.encoded[:0], rec)
 		if err != nil {
 			return fmt.Errorf("fleet: shard %d: encode record: %w", sh.id, err)
 		}
-		if cap(payload) <= maxKeptEncoded {
+		if cap(payload) <= walog.MaxKeptBytes {
 			sh.encoded = payload
 		}
 		start := time.Now()
@@ -333,11 +333,6 @@ func (sh *shard) commit(rec record) error {
 	return nil
 }
 
-// maxKeptEncoded bounds the encoding buffer a shard keeps between
-// commits, so one large record (an intent carrying its MC) does not pin
-// its size for the shard's life.
-const maxKeptEncoded = 1 << 20
-
 // compactDue reports whether commit should compact before its append:
 // once at least SnapshotEvery records AND at least as many bytes as the
 // last snapshot have accumulated in the active wal. The byte rule makes
@@ -347,31 +342,54 @@ const maxKeptEncoded = 1 << 20
 // alone rewrites the whole growing state every SnapshotEvery records,
 // quadratic in the run. Recovery then reads the snapshot plus a wal no
 // larger than it (or than SnapshotEvery records): about twice the state.
-// After a failed compaction the count restarts from the failure, so a
-// full disk or a missing directory costs one attempt per SnapshotEvery
-// records, not a re-encode of the whole state on every commit.
-// Callers hold sh.mu and a shard with a wal.
+// A failed compaction is paid for the same way: the retry waits for
+// SnapshotEvery more records and for as many more wal bytes as the
+// failed attempt encoded. A full disk, a missing directory or a node
+// whose record outgrew walog.MaxRecordBytes then costs encodes that
+// total at most about the bytes the wal took, not a re-encode of the
+// whole state every SnapshotEvery records. Callers hold sh.mu and a
+// shard with a wal.
 func (sh *shard) compactDue() bool {
 	every := sh.c.cfg.SnapshotEvery
-	return every >= 0 && sh.wal.Pending()-sh.failedAt >= every && sh.wal.Size() >= sh.wal.SnapshotSize()
+	return every >= 0 && sh.wal.Pending()-sh.failedAt >= every && sh.wal.Size() >= max(sh.wal.SnapshotSize(), sh.retrySize)
 }
 
 // snapshotLocked compacts the wal into a snapshot of the shard's
-// state: one move-in record per node, framed as on the wire. Callers
-// hold sh.mu and a shard with a wal.
+// state. A failure leaves the wal as it was and sets failedAt and
+// retrySize from the bytes encoded. Callers hold sh.mu and a shard with
+// a wal.
 func (sh *shard) snapshotLocked() error {
-	var buf bytes.Buffer
-	for _, name := range slices.Sorted(maps.Keys(sh.Nodes)) {
-		if err := transport.WriteRecord(&buf, wrecMoveIn, &moveInRec{Name: name, Node: sh.Nodes[name]}); err != nil {
-			return err
-		}
+	state, err := sh.encodeState()
+	if err == nil {
+		err = sh.wal.WriteSnapshot(state)
 	}
-	if err := sh.wal.WriteSnapshot(buf.Bytes()); err != nil {
+	if err != nil {
+		sh.failedAt, sh.retrySize = sh.wal.Pending(), sh.wal.Size()+int64(len(state))
 		return err
 	}
 	sh.snapshots++
-	sh.failedAt = 0
+	sh.failedAt, sh.retrySize = 0, 0
 	return nil
+}
+
+// encodeState frames the shard's state as a snapshot: one move-in
+// record per node, framed as on the wire. On failure it returns what
+// it encoded, the record that failed included, with the error.
+// Callers hold sh.mu.
+func (sh *shard) encodeState() ([]byte, error) {
+	var buf []byte
+	for _, name := range slices.Sorted(maps.Keys(sh.Nodes)) {
+		at := len(buf)
+		var err error
+		buf, err = transport.AppendPayload(append(buf, make([]byte, walog.RecordHeaderLen)...), &moveInRec{Name: name, Node: sh.Nodes[name]})
+		if err == nil {
+			err = walog.Frame(buf[at:], wrecMoveIn, buf[at+walog.RecordHeaderLen:])
+		}
+		if err != nil {
+			return buf, fmt.Errorf("snapshot node %q: %w", name, err)
+		}
+	}
+	return buf, nil
 }
 
 // replayLog rebuilds one log directory's shard state: the records of

@@ -509,12 +509,40 @@ func (b *lockedBuffer) count(s string) int {
 	return strings.Count(b.buf.String(), s)
 }
 
+// failedSnapshots parses the records, wal_bytes and encoded
+// attributes of every "wal snapshot failed" line in logs.
+func failedSnapshots(t *testing.T, logs *lockedBuffer) (records []int, walBytes, encoded []int64) {
+	t.Helper()
+	logs.mu.Lock()
+	defer logs.mu.Unlock()
+	for _, line := range strings.Split(logs.buf.String(), "\n") {
+		if !strings.Contains(line, "wal snapshot failed") {
+			continue
+		}
+		var r int
+		var w, e int64
+		at := strings.Index(line, " records=")
+		if at < 0 {
+			t.Fatalf("failure log line without its counts: %s", line)
+		}
+		if _, err := fmt.Sscanf(line[at:], " records=%d wal_bytes=%d encoded=%d", &r, &w, &e); err != nil {
+			t.Fatalf("failure log line %q: %v", line, err)
+		}
+		records, walBytes, encoded = append(records, r), append(walBytes, w), append(encoded, e)
+	}
+	return records, walBytes, encoded
+}
+
 // TestFailedCompactionRetriesAfterSnapshotEvery removes a shard's
 // directory under its open log, so every compaction fails while appends
 // still land, and drives 200 uploads at SnapshotEvery 8. A failed
-// compaction must be retried only SnapshotEvery records later, not on
-// every commit; once the directory is back, the next retry succeeds and
-// recovery from it finds every upload.
+// compaction is retried only once SnapshotEvery more records and as
+// many more wal bytes as the failed attempt encoded have been
+// appended, and at the first commit where both hold; so the bytes that
+// failed attempts encode stay within a small multiple of the wal bytes
+// appended, where a retry every SnapshotEvery records would re-encode the
+// growing state dozens of times. Once the directory is back, a retry
+// succeeds and recovery from it finds every upload.
 func TestFailedCompactionRetriesAfterSnapshotEvery(t *testing.T) {
 	const uploads, every = 200, 8
 	n := simnet.New(chaosSeed)
@@ -544,13 +572,39 @@ func TestFailedCompactionRetriesAfterSnapshotEvery(t *testing.T) {
 	}
 	sh := ctrl.shards[0]
 	sh.mu.Lock()
-	pending := sh.wal.Pending()
+	walSize := sh.wal.Size()
 	sh.mu.Unlock()
-	// commit checks before its append, so the last check saw pending-1
-	// records: one attempt at each multiple of SnapshotEvery up to it.
-	failed := logs.count("wal snapshot failed")
-	if want := (pending - 1) / every; failed != want {
-		t.Fatalf("%d commits over a missing directory attempted %d snapshots, want one per %d records: %d", pending, failed, every, want)
+	records, walBytes, encoded := failedSnapshots(t, &logs)
+	if len(records) < 2 {
+		t.Fatalf("%d failed compactions over %d uploads, want at least 2 to check the retry rule", len(records), uploads)
+	}
+	if records[0] != every {
+		t.Fatalf("first compaction attempted after %d records, want %d", records[0], every)
+	}
+	// An upload record takes under maxRecord bytes framed in the wal: a
+	// retry one commit later than the byte rule allows would show as a
+	// byte gap that much beyond what the failure encoded.
+	const maxRecord = 64
+	var spent int64
+	for i := range records {
+		spent += encoded[i]
+		if i == 0 {
+			continue
+		}
+		recGap, byteGap := records[i]-records[i-1], walBytes[i]-walBytes[i-1]
+		if recGap < every || byteGap < encoded[i-1] {
+			t.Fatalf("attempt %d came %d records and %d wal bytes after one that encoded %d bytes, want at least %d records and %d bytes", i, recGap, byteGap, encoded[i-1], every, encoded[i-1])
+		}
+		if recGap != every && byteGap-encoded[i-1] >= maxRecord {
+			t.Fatalf("attempt %d came %d records and %d wal bytes after one that encoded %d bytes, later than the first commit that allowed it", i, recGap, byteGap, encoded[i-1])
+		}
+	}
+	t.Logf("%d failed compactions at records %v encoded %d bytes; the wal took %d", len(records), records, spent, walSize)
+	// Every attempt but the last is paid for by the wal bytes after it,
+	// and the last encodes one state, which here is about as large as
+	// the wal: three times the wal bounds them all.
+	if spent > 3*walSize {
+		t.Fatalf("%d failed compactions encoded %d bytes while the wal took %d, want at most three times the wal", len(records), spent, walSize)
 	}
 	if st := ctrl.ShardStats()[0]; st.Snapshots != 1 {
 		t.Fatalf("%d snapshots written, want only the one at open", st.Snapshots)
@@ -559,15 +613,17 @@ func TestFailedCompactionRetriesAfterSnapshotEvery(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for seq := uint64(uploads + 1); seq <= uploads+every; seq++ {
-		edge.upload(seq, 10*int(seq))
-	}
-	if st := ctrl.ShardStats()[0]; st.Snapshots != 2 {
-		t.Fatalf("%d snapshots written after the directory came back, want 2", st.Snapshots)
+	sent := uint64(uploads)
+	for ctrl.ShardStats()[0].Snapshots != 2 {
+		if sent == 2*uploads {
+			t.Fatalf("no compaction succeeded in the %d uploads after the directory came back", uploads)
+		}
+		sent++
+		edge.upload(sent, 10*int(sent))
 	}
 	before := nodeUploads(t, ctrl, "edge-1", "cam0/mc-1")
-	if len(before) != uploads+every {
-		t.Fatalf("ledger holds %d uploads, %d were sent", len(before), uploads+every)
+	if len(before) != int(sent) {
+		t.Fatalf("ledger holds %d uploads, %d were sent", len(before), sent)
 	}
 	ctrl.Crash()
 	if ctrl, _, err = OpenController(cfg); err != nil {

@@ -43,10 +43,14 @@ type shard struct {
 	// before one: commit then logs and applies nothing more until the
 	// controller reopens. Guarded by mu.
 	fenced error
-	// failedAt is the wal's Pending count when the last compaction
-	// failed, zero once one succeeds: compactDue counts SnapshotEvery
-	// records from it. Guarded by mu.
-	failedAt int
+	// failedAt and retrySize pace the retries of a failed compaction:
+	// the wal's Pending count when the last one failed, and its Size
+	// then plus the bytes that attempt encoded. compactDue waits for
+	// SnapshotEvery records after failedAt and for Size to reach
+	// retrySize; both are zero once a compaction succeeds. Guarded by
+	// mu.
+	failedAt  int
+	retrySize int64
 	// encoded is the buffer commit encodes each record into, reused
 	// from one commit to the next, and upload the record acceptUpload
 	// commits, reused too: commit and apply copy out what they keep.

@@ -30,7 +30,10 @@
 // until an operation blocks: setting one only records it, and a timer
 // is armed only while a read or write waits. A write appends to the
 // pipe's buffer in place, so the simulated wire costs about what a
-// socket's send and receive do per message.
+// socket's send and receive do per message, and like a socket's send
+// it blocks while the peer has more than a socket buffer's worth
+// unread, so a sender that outruns its reader waits rather than grows
+// the buffer.
 package simnet
 
 import (
@@ -370,12 +373,36 @@ type dropSpan struct {
 
 // maxKeptBuf bounds the buffer a drained pipe keeps for its next
 // write, so one large transfer does not pin its size for the
-// connection's life.
+// connection's life. It is walog.MaxKeptBytes, the bound on every
+// record buffer kept above the wire.
 const maxKeptBuf = 1 << 20
 
-// pipe is one direction of a connection: an unbounded elastic buffer
-// with fault hooks. Stream offsets (for corruption and drops) count
-// bytes as written, before drops are applied.
+// sockBuf is a pipe's socket-buffer bound: a write waits while the
+// reader has more than sockBuf bytes unread, as a send on a socket
+// whose buffers are full does. The wait honours the write deadline,
+// Close and a sever. A write into a pipe with at most sockBuf unread
+// goes through whole, however large, so one record larger than the
+// bound still crosses an idle pipe.
+//
+// sockBuf is half of maxKeptBuf, so the bound plus one write of up to
+// the other half fits the storage a pipe keeps: a stream of records
+// each within walog.ChunkBytes (a quarter of it), such as a demand
+// fetch's chunks, slides through that storage and never regrows it.
+// Two peers that each write before they read can wedge on any such
+// bound, as they can on a socket's. A fleet controller writes each
+// upload ack inline, while an agent's control loop, busy sending a
+// fetch, reads none; the acks that pile up are those of the uploads
+// the agent's writer sends during that one fetch. The resend log does
+// not bound them, since it drops its oldest record when full and goes
+// on taking new ones. An ack takes about 12 bytes, so the bound holds
+// some 40,000: a fetch during which more uploads than that go out
+// blocks the controller's ack write, then the agent's data write,
+// until the write deadline ends the session.
+const sockBuf = maxKeptBuf / 2
+
+// pipe is one direction of a connection: a buffer bounded like a
+// socket's (sockBuf), with fault hooks. Stream offsets (for corruption
+// and drops) count bytes as written, before drops are applied.
 type pipe struct {
 	from, to string
 	rng      *rand.Rand
@@ -547,7 +574,7 @@ func (p *pipe) write(b []byte) (int, error) {
 		if p.wclosed || p.rclosed {
 			return 0, io.ErrClosedPipe
 		}
-		if !p.sh.stalled {
+		if !p.sh.stalled && len(p.buf)-p.roff <= sockBuf {
 			break
 		}
 		if expired(p.wDeadline) {
@@ -560,13 +587,20 @@ func (p *pipe) write(b []byte) (int, error) {
 	// bytes.Buffer does: it slides the unread bytes down when they and
 	// b fit in half the buffer, and otherwise moves them to a buffer of
 	// twice the capacity, so a growing backlog is copied O(1) times
-	// per byte.
+	// per byte. Growth stops at maxKeptBuf while the bytes fit it, and
+	// a buffer of that size slides whenever they fit: with at most
+	// sockBuf unread, the slide leaves room for what a write brings.
 	if len(p.buf)+len(b) > cap(p.buf) {
 		unread := p.buf[p.roff:]
-		if len(unread)+len(b) <= cap(p.buf)/2 {
+		need := len(unread) + len(b)
+		if need <= cap(p.buf)/2 || cap(p.buf) >= maxKeptBuf && need <= cap(p.buf) {
 			p.buf = p.buf[:copy(p.buf, unread)]
 		} else {
-			p.buf = append(make([]byte, 0, 2*cap(p.buf)+len(b)), unread...)
+			size := 2*cap(p.buf) + len(b)
+			if need <= maxKeptBuf {
+				size = min(size, maxKeptBuf)
+			}
+			p.buf = append(make([]byte, 0, size), unread...)
 		}
 		p.roff = 0
 	}
@@ -653,8 +687,12 @@ func (p *pipe) read(b []byte) (int, error) {
 		}
 		p.wait(p.rDeadline, &p.rTimer)
 	}
+	unread := len(p.buf) - p.roff
 	n := copy(b, p.buf[p.roff:])
 	p.roff += n
+	if unread > sockBuf && unread-n <= sockBuf {
+		p.cond.Broadcast() // a writer waiting on the bound may go on
+	}
 	if p.roff == len(p.buf) { // drained: keep the storage for the next write
 		p.roff = 0
 		p.buf = p.buf[:0]

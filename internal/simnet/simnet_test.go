@@ -6,9 +6,12 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/walog"
 )
 
 var testListeners = struct {
@@ -544,50 +547,220 @@ func TestSteadyTrafficDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// pipeStorage is a pipe's buffer capacity and unread byte count.
+func pipeStorage(p *pipe) (capacity, unread int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return cap(p.buf), len(p.buf) - p.roff
+}
+
 // TestPipeBufferReuse streams 4 MiB through a pipe in uneven writes
-// and reads, so appends land behind unread bytes, slide them down and
-// grow the buffer past maxKeptBuf. The stream must arrive intact, and
-// the drained pipe must keep at most maxKeptBuf of storage.
+// from one goroutine while another reads it in uneven reads, so
+// appends land behind unread bytes, slide them down, grow the buffer,
+// and wait on the socket-buffer bound. The stream must arrive intact,
+// no write may leave more than sockBuf plus itself unread, and the
+// pipe's storage must never outgrow maxKeptBuf.
 func TestPipeBufferReuse(t *testing.T) {
 	n := New(1)
 	cc, sc := accept1(t, n, "edge", "dc")
 	p := cc.(*Conn).wr
 	sc.SetReadDeadline(time.Now().Add(10 * time.Second)) // a lost byte fails, not hangs
+	cc.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	want := make([]byte, 4<<20)
 	for i := range want {
 		want[i] = byte(i * 7 / 5)
 	}
+	writes := []int{1, 100, 5000, 70_000, 300_000}
+	type peak struct {
+		capacity, over int
+		err            error
+	}
+	wrote := make(chan peak, 1)
+	go func() {
+		var pk peak
+		for i, w := 0, 0; w < len(want); i++ {
+			k := min(writes[i%len(writes)], len(want)-w)
+			if _, pk.err = cc.Write(want[w : w+k]); pk.err != nil {
+				break
+			}
+			w += k
+			c, u := pipeStorage(p)
+			pk.capacity, pk.over = max(pk.capacity, c), max(pk.over, u-k-sockBuf)
+		}
+		wrote <- pk
+	}()
 	got := make([]byte, 0, len(want))
-	read := func(k int) {
-		b := make([]byte, k)
+	reads := []int{3, 7000, 50_000, 150_000}
+	for i := 0; len(got) < len(want); i++ {
+		b := make([]byte, min(reads[i%len(reads)], len(want)-len(got)))
 		if _, err := io.ReadFull(sc, b); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, b...)
 	}
-	writes := []int{1, 100, 5000, 70_000, 300_000}
-	reads := []int{3, 7000, 50_000, 150_000}
-	grown := 0
-	for i, w := 0, 0; w < len(want); i++ {
-		k := min(writes[i%len(writes)], len(want)-w)
-		if _, err := cc.Write(want[w : w+k]); err != nil {
-			t.Fatal(err)
-		}
-		w += k
-		read(min(reads[i%len(reads)], w-len(got)))
-		p.mu.Lock()
-		grown = max(grown, cap(p.buf))
-		p.mu.Unlock()
+	pk := <-wrote
+	if pk.err != nil {
+		t.Fatal(pk.err)
 	}
-	read(len(want) - len(got))
 	if !bytes.Equal(got, want) {
 		t.Fatal("stream damaged on its way through the pipe's buffer")
 	}
-	p.mu.Lock()
-	kept := cap(p.buf)
-	p.mu.Unlock()
-	if grown <= maxKeptBuf || kept > maxKeptBuf {
-		t.Fatalf("buffer grew to %d bytes and keeps %d drained, want > %d then <= %d", grown, kept, maxKeptBuf, maxKeptBuf)
+	if pk.over > 0 || pk.capacity > maxKeptBuf {
+		t.Fatalf("a write left %d bytes beyond the bound plus itself unread, and the buffer grew to %d bytes; want none beyond, and <= %d", pk.over, pk.capacity, maxKeptBuf)
+	}
+	if kept, _ := pipeStorage(p); kept > maxKeptBuf {
+		t.Fatalf("the drained pipe keeps %d bytes, want <= %d", kept, maxKeptBuf)
+	}
+}
+
+// TestOversizeWriteCrossesIdlePipe: a write of twice maxKeptBuf into
+// an empty pipe goes through whole, the next write waits for the
+// reader, and once the reader drains the pipe it lets the oversized
+// buffer go rather than keep it for the connection's life.
+func TestOversizeWriteCrossesIdlePipe(t *testing.T) {
+	n := New(1)
+	cc, sc := accept1(t, n, "edge", "dc")
+	p := cc.(*Conn).wr
+	big := bytes.Repeat([]byte{7}, 2*maxKeptBuf)
+	cc.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	if k, err := cc.Write(big); err != nil || k != len(big) {
+		t.Fatalf("a %d-byte write into an empty pipe: %d, %v", len(big), k, err)
+	}
+	cc.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
+	if _, err := cc.Write([]byte{1}); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a write behind %d unread bytes: %v, want it to wait out its deadline", len(big), err)
+	}
+	grown, _ := pipeStorage(p)
+	got := make([]byte, len(big))
+	if _, err := io.ReadFull(sc, got); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("read back %d bytes: %v", len(got), err)
+	}
+	if kept, unread := pipeStorage(p); grown <= maxKeptBuf || kept > maxKeptBuf || unread != 0 {
+		t.Fatalf("buffer grew to %d bytes and keeps %d (%d unread) drained, want > %d then <= %d", grown, kept, unread, maxKeptBuf, maxKeptBuf)
+	}
+}
+
+// TestBlockedWriterReleased fills a pipe past its bound, blocks a
+// writer behind it, and releases the writer each way it can be: a
+// read that brings the unread bytes down to the bound (the write then
+// lands), its write deadline, a Close of either end, and a sever. Each
+// release returns the writer with the matching result, and no
+// goroutine is left behind.
+func TestBlockedWriterReleased(t *testing.T) {
+	cases := []struct {
+		name    string
+		release func(n *Network, cc, sc net.Conn)
+		want    error // nil: the write lands
+	}{
+		{"read", func(_ *Network, _, sc net.Conn) {
+			io.ReadFull(sc, make([]byte, 2))
+		}, nil},
+		{"write deadline", func(_ *Network, cc, _ net.Conn) {
+			cc.SetWriteDeadline(time.Now().Add(10 * time.Millisecond))
+		}, os.ErrDeadlineExceeded},
+		{"close", func(_ *Network, cc, _ net.Conn) { cc.Close() }, io.ErrClosedPipe},
+		{"peer close", func(_ *Network, _, sc net.Conn) { sc.Close() }, io.ErrClosedPipe},
+		{"sever", func(n *Network, _, _ net.Conn) { n.Partition("edge", "dc") }, ErrSevered},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			n := New(1)
+			cc, sc := accept1(t, n, "edge", "dc")
+			if _, err := cc.Write(make([]byte, sockBuf+1)); err != nil {
+				t.Fatal(err)
+			}
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := cc.Write([]byte("next"))
+				wrote <- err
+			}()
+			select {
+			case err := <-wrote:
+				t.Fatalf("a write behind %d unread bytes returned %v, want it to wait", sockBuf+1, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			tc.release(n, cc, sc)
+			select {
+			case err := <-wrote:
+				if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+					t.Fatalf("released writer returned %v, want %v", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the writer was not released")
+			}
+			if tc.want == nil {
+				got := make([]byte, sockBuf+3)
+				sc.SetReadDeadline(time.Now().Add(10 * time.Second))
+				if _, err := io.ReadFull(sc, got); err != nil || string(got[sockBuf-1:]) != "next" {
+					t.Fatalf("after the release the stream reads %q, %v; want the write behind the backlog", got[sockBuf-1:], err)
+				}
+			}
+			cc.Close()
+			sc.Close()
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the release, %d before", runtime.NumGoroutine(), before)
+				}
+			}
+		})
+	}
+}
+
+// TestSockBufFitsKeptStorage: the bound plus one streamed record fits
+// the storage a pipe keeps, so a burst of records of walog.ChunkBytes
+// behind a slow reader slides through one buffer instead of regrowing
+// it, and the pipe's constants are the ones its doc says.
+func TestSockBufFitsKeptStorage(t *testing.T) {
+	if maxKeptBuf != walog.MaxKeptBytes {
+		t.Fatalf("maxKeptBuf is %d, walog.MaxKeptBytes %d", maxKeptBuf, walog.MaxKeptBytes)
+	}
+	const record = walog.ChunkBytes + walog.RecordHeaderLen + 64 // a chunk's samples, framing and layout header
+	if sockBuf+record > maxKeptBuf {
+		t.Fatalf("the bound %d plus a %d-byte record exceeds the %d bytes a pipe keeps", sockBuf, record, maxKeptBuf)
+	}
+	n := New(1)
+	cc, sc := accept1(t, n, "edge", "dc")
+	p := cc.(*Conn).wr
+	cc.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	sc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	const records = 64
+	done := make(chan error, 1)
+	go func() {
+		b := make([]byte, 4096)
+		for left := records * record; left > 0; {
+			k, err := sc.Read(b[:min(len(b), left)])
+			if err != nil {
+				done <- err
+				return
+			}
+			left -= k
+		}
+		done <- nil
+	}()
+	var storage []*byte // the distinct buffers the pipe wrote into
+	rec := make([]byte, record)
+	for i := 0; i < records; i++ {
+		if _, err := cc.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		p.mu.Lock()
+		if c := cap(p.buf); c > maxKeptBuf {
+			p.mu.Unlock()
+			t.Fatalf("record %d grew the pipe to %d bytes, beyond the %d it keeps", i, c, maxKeptBuf)
+		}
+		if at := &p.buf[:cap(p.buf)][cap(p.buf)-1]; len(storage) == 0 || storage[len(storage)-1] != at {
+			storage = append(storage, at)
+		}
+		p.mu.Unlock()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// Doubling from one record's size reaches maxKeptBuf in two steps;
+	// nothing after that may allocate again.
+	if len(storage) > 3 {
+		t.Fatalf("%d records of %d bytes went through %d buffers, want at most 3", records, record, len(storage))
 	}
 }
 

@@ -208,12 +208,14 @@ func AppendPayload(b []byte, payload any) ([]byte, error) {
 // or a writer goroutine), so that covers only the write. The caller
 // owns the returned bytes.
 func EncodeRecord(kind uint8, payload any) ([]byte, error) {
-	return frameRecord(make([]byte, 0, walog.RecordHeaderLen+64), kind, payload)
+	return FrameRecord(make([]byte, 0, walog.RecordHeaderLen+64), kind, payload)
 }
 
-// frameRecord encodes payload as one framed record of kind into buf's
-// storage.
-func frameRecord(buf []byte, kind uint8, payload any) ([]byte, error) {
+// FrameRecord is EncodeRecord into buf's storage, growing it only when
+// the record does not fit: a sender that frames record after record
+// into the buffer it got back allocates nothing once the buffer is
+// large enough.
+func FrameRecord(buf []byte, kind uint8, payload any) ([]byte, error) {
 	buf, err := AppendPayload(append(buf[:0], make([]byte, walog.RecordHeaderLen)...), payload)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode: %w", err)
@@ -224,9 +226,9 @@ func frameRecord(buf []byte, kind uint8, payload any) ([]byte, error) {
 	return buf, nil
 }
 
-// recordBufs holds WriteRecord's framing buffers. An io.Writer must
-// not retain what it is given, so a buffer is reusable once Write
-// returns.
+// recordBufs holds WriteRecord's framing buffers, each up to
+// walog.MaxKeptBytes. An io.Writer must not retain what it is given,
+// so a buffer is reusable once Write returns.
 var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteRecord writes payload to w as one framed record (EncodeRecord)
@@ -234,10 +236,10 @@ var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
 // responsible for serializing concurrent writers.
 func WriteRecord(w io.Writer, kind uint8, payload any) error {
 	bp := recordBufs.Get().(*[]byte)
-	rec, err := frameRecord(*bp, kind, payload)
+	rec, err := FrameRecord(*bp, kind, payload)
 	if err == nil {
 		_, err = w.Write(rec)
-		if cap(rec) <= maxKeptRead {
+		if cap(rec) <= walog.MaxKeptBytes {
 			*bp = rec
 		}
 	}
@@ -287,7 +289,9 @@ func ReadRecordDeadline(conn net.Conn, timeout time.Duration) (uint8, []byte, er
 // (walog.ReadRecordBuf), so a steady stream of records costs no
 // allocation. A payload is valid only until the next Read: every
 // decoder copies what it keeps out of the payload (LayoutReader's
-// String and Float32s, gob), so decode before reading again. One
+// String and Float32s, gob), so decode before reading again. It keeps
+// a buffer up to walog.MaxKeptBytes between records, so one large
+// record does not pin its size for the connection's life. One
 // goroutine reads a Reader.
 type Reader struct {
 	conn    net.Conn
@@ -295,11 +299,6 @@ type Reader struct {
 	timeout time.Duration
 	buf     []byte
 }
-
-// maxKeptRead bounds the buffer a Reader keeps between records, and
-// the framing buffer WriteRecord returns to its pool, so one large
-// record does not pin its size for the connection's life.
-const maxKeptRead = 1 << 20
 
 // NewReader returns a Reader over conn. A positive timeout bounds
 // every read as ReadRecordDeadline does; otherwise reads wait.
@@ -318,7 +317,7 @@ func (rd *Reader) Read() (uint8, []byte, error) {
 		defer rd.conn.SetReadDeadline(time.Time{})
 	}
 	kind, body, err := walog.ReadRecordBuf(rd.src, rd.buf)
-	if err == nil && cap(body) > cap(rd.buf) && cap(body) <= maxKeptRead {
+	if err == nil && cap(body) > cap(rd.buf) && cap(body) <= walog.MaxKeptBytes {
 		rd.buf = body[:0]
 	}
 	return kind, body, err

@@ -298,6 +298,48 @@ func TestReaderReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestReaderKeepsChunkRecords: a stream of records that carry one
+// walog.ChunkBytes chunk each (plus a layout header) reads without
+// allocating once the Reader is warm, where records just under
+// walog.MaxKeptBytes do not: ReadRecordBuf grows the buffer by append,
+// overshooting past the bound, and the Reader drops what it grew, so
+// every such record is read into a fresh buffer. That is why a
+// streamed record keeps to a quarter of the bound.
+func TestReaderKeepsChunkRecords(t *testing.T) {
+	stream := func(payload, records int) []byte {
+		var b []byte
+		for i := 0; i < records; i++ {
+			rec := make([]byte, walog.RecordHeaderLen, walog.RecordHeaderLen+payload)
+			body := bytes.Repeat([]byte{byte(i + 1)}, payload)
+			if err := walog.Frame(rec, KindFetchData, body); err != nil {
+				t.Fatal(err)
+			}
+			b = append(b, append(rec, body...)...)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		payload int
+		kept    bool
+	}{
+		{walog.ChunkBytes + 64, true},
+		{walog.MaxKeptBytes - 1024, false},
+	} {
+		const records = 3
+		rd := NewReader(&loopConn{data: stream(tc.payload, records)}, 0)
+		read := func() {
+			if _, body, err := rd.Read(); err != nil || len(body) != tc.payload {
+				t.Fatalf("%d-byte record: %d bytes, err %v", tc.payload, len(body), err)
+			}
+		}
+		read()
+		allocs := testing.AllocsPerRun(records*4, read)
+		if kept := allocs == 0; kept != tc.kept {
+			t.Fatalf("a warm Reader allocates %v times per %d-byte record; want none: %v", allocs, tc.payload, tc.kept)
+		}
+	}
+}
+
 // TestReaderDeadline: a Reader with a timeout surfaces a silent peer as
 // os.ErrDeadlineExceeded, as ReadRecordDeadline does.
 func TestReaderDeadline(t *testing.T) {

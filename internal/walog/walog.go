@@ -74,9 +74,22 @@ const MaxRecordBytes = 16 << 20
 // actually arriving.
 const readChunk = 64 << 10
 
-// maxKeptFrame bounds the framing buffer a Log keeps between appends,
-// so one large record does not pin its size for the log's life.
-const maxKeptFrame = 1 << 20
+// MaxKeptBytes bounds every record buffer kept from one record to the
+// next: a Log's framing buffer, a transport.Reader's read buffer,
+// transport.WriteRecord's pool, a fleet shard's encoding buffer and an
+// agent's framing buffer. One large record then does not pin its size
+// for the life of a log or a connection.
+const MaxKeptBytes = 1 << 20
+
+// ChunkBytes bounds the data one record of a longer stream carries,
+// beside a few bytes of layout header (a demand fetch's frames:
+// core.FetchChunkFrames): a quarter of MaxKeptBytes, so the record
+// fits every buffer that bound keeps. ReadRecordBuf grows a buffer by append, whose capacity
+// overshoots the record, and a simulated pipe (internal/simnet) holds
+// its socket-buffer bound of unread bytes plus one such record. A
+// record just under MaxKeptBytes fits neither and is read into a
+// freshly grown buffer every time.
+const ChunkBytes = MaxKeptBytes / 4
 
 // headerLen is the generation file header: magic + version + the
 // compacted prefix's length.
@@ -313,7 +326,7 @@ func (l *Log) Append(kind uint8, payload []byte) error {
 		return fmt.Errorf("walog: %w", err)
 	}
 	buf = append(buf, payload...)
-	if cap(buf) <= maxKeptFrame {
+	if cap(buf) <= MaxKeptBytes {
 		l.frame = buf
 	}
 	if _, err := l.f.Write(buf); err != nil {

@@ -262,6 +262,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		log.Error("ffserve: open controller failed", "state-dir", *stateDir, "err", err)
 		return 1
 	}
+	// The stop signals are caught before the listener opens: a signal
+	// sent once a client has been served must stop ffserve gracefully.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	bound, err := ctrl.Listen("tcp", *addr)
 	if err != nil {
 		log.Error("ffserve: listen failed", "addr", *addr, "err", err)
@@ -270,9 +275,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	log.Info("ffserve: listening", "addr", bound.String(), "kernel", tensor.Kernel())
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(stop)
 	ht.interval = *interval
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()

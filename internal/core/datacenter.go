@@ -1,30 +1,49 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
+	"slices"
 	"sort"
 )
 
 // Datacenter is the cloud side of FilterForward: it receives uploaded
 // event segments per application. Context video around them is
 // demand-fetched from the edge node's archive (EdgeNode.ReadFetch).
+//
+// It keeps what it accounts and nothing else: per upload the event ID,
+// frame range, bits and Final flag, 40 bytes under the application's
+// name, which is stored once. An upload's Delay and Frames are not
+// kept, so the uploads it returns carry neither; read them from the
+// uploads the edge node returned.
 type Datacenter struct {
-	uploads map[string][]Upload // MC name -> segments
+	uploads map[string][]entry // MC name -> segments, in arrival order
 	// count and bits total every held upload, kept as they arrive so
-	// Totals costs nothing per upload. They are derived, not encoded.
+	// Totals costs nothing per upload.
 	count int
 	bits  int64
 }
 
+// entry is one received upload as a Datacenter holds it: an Upload
+// without its MC name (the map key), Delay and Frames.
+type entry struct {
+	eventID    uint64
+	start, end int
+	bits       int64
+	final      bool
+}
+
+func (e entry) upload(mcName string) Upload {
+	return Upload{MCName: mcName, EventID: e.eventID, Start: e.start, End: e.end, Bits: e.bits, Final: e.final}
+}
+
 // NewDatacenter constructs an empty receiver.
 func NewDatacenter() *Datacenter {
-	return &Datacenter{uploads: make(map[string][]Upload)}
+	return &Datacenter{uploads: make(map[string][]entry)}
 }
 
 // Receive accepts one upload.
 func (d *Datacenter) Receive(u Upload) {
-	d.uploads[u.MCName] = append(d.uploads[u.MCName], u)
+	d.uploads[u.MCName] = append(d.uploads[u.MCName], entry{u.EventID, u.Start, u.End, u.Bits, u.Final})
 	d.count++
 	d.bits += u.Bits
 }
@@ -40,12 +59,9 @@ func (d *Datacenter) ReceiveAll(us []Upload) {
 // under MC names prefixed with prefix (the fleet controller merges its
 // per-node ledgers into one "node/stream/mc" view this way).
 func (d *Datacenter) Absorb(prefix string, o *Datacenter) {
-	for name, us := range o.uploads {
+	for name, es := range o.uploads {
 		key := prefix + name
-		for _, u := range us {
-			u.MCName = key
-			d.uploads[key] = append(d.uploads[key], u)
-		}
+		d.uploads[key] = append(d.uploads[key], es...)
 	}
 	d.count += o.count
 	d.bits += o.bits
@@ -57,31 +73,38 @@ func (d *Datacenter) Totals() (uploads int, bits int64) {
 	return d.count, d.bits
 }
 
-// GobEncode encodes the received uploads, so a receiver can be part of
-// a gob-encoded value (the fleet controller's snapshots and move-in
-// records). Only the accounting fields take space on a controller:
-// its uploads carry no Frames and no Delay, and gob skips zero fields.
-func (d *Datacenter) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(d.uploads)
-	return buf.Bytes(), err
-}
+// Applications returns how many applications Walk visits.
+func (d *Datacenter) Applications() int { return len(d.uploads) }
 
-// GobDecode replaces the receiver's uploads with the encoded ones and
-// recounts its totals. gob allocates a top-level map even for an empty
-// ledger, so Receive can write into the result.
-func (d *Datacenter) GobDecode(data []byte) error {
-	*d = Datacenter{}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&d.uploads); err != nil {
-		return err
-	}
-	for _, us := range d.uploads {
-		d.count += len(us)
-		for _, u := range us {
-			d.bits += u.Bits
+// Walk visits the ledger in place, for an encoder: each application,
+// in no set order, with its upload count, then each of its uploads in
+// arrival order, as an Upload without MC name, Delay or Frames.
+func (d *Datacenter) Walk(app func(mcName string, uploads int), upload func(Upload)) {
+	for name, es := range d.uploads {
+		app(name, len(es))
+		for _, e := range es {
+			upload(e.upload(""))
 		}
 	}
-	return nil
+}
+
+// Restore gives mcName the n uploads next returns, in order (their
+// MCName is ignored), sizing its segments once: a decoder rebuilds the
+// ledger Walk visited this way. It restores nothing and returns false
+// when mcName already has an entry.
+func (d *Datacenter) Restore(mcName string, n int, next func() Upload) bool {
+	if _, ok := d.uploads[mcName]; ok {
+		return false
+	}
+	es := make([]entry, n)
+	for i := range es {
+		u := next()
+		es[i] = entry{u.EventID, u.Start, u.End, u.Bits, u.Final}
+		d.bits += u.Bits
+	}
+	d.uploads[mcName] = es
+	d.count += n
+	return true
 }
 
 // KnownApplications returns the sorted MC names that have received at
@@ -96,18 +119,23 @@ func (d *Datacenter) KnownApplications() []string {
 }
 
 // Uploads returns the segments received for an application, ordered by
-// start frame.
+// start frame; segments that start on the same frame keep their
+// arrival order.
 func (d *Datacenter) Uploads(mcName string) []Upload {
-	us := append([]Upload(nil), d.uploads[mcName]...)
-	sort.Slice(us, func(i, j int) bool { return us[i].Start < us[j].Start })
+	es := d.uploads[mcName]
+	us := make([]Upload, len(es))
+	for i, e := range es {
+		us[i] = e.upload(mcName)
+	}
+	slices.SortStableFunc(us, func(a, b Upload) int { return cmp.Compare(a.Start, b.Start) })
 	return us
 }
 
 // TotalBits returns the bits received for an application.
 func (d *Datacenter) TotalBits(mcName string) int64 {
 	var total int64
-	for _, u := range d.uploads[mcName] {
-		total += u.Bits
+	for _, e := range d.uploads[mcName] {
+		total += e.bits
 	}
 	return total
 }
@@ -118,11 +146,9 @@ func (d *Datacenter) TotalBits(mcName string) int64 {
 // computed over.
 func (d *Datacenter) PredictedLabels(mcName string, totalFrames int) []bool {
 	labels := make([]bool, totalFrames)
-	for _, u := range d.uploads[mcName] {
-		for f := u.Start; f < u.End && f < totalFrames; f++ {
-			if f >= 0 {
-				labels[f] = true
-			}
+	for _, e := range d.uploads[mcName] {
+		for f := max(e.start, 0); f < e.end && f < totalFrames; f++ {
+			labels[f] = true
 		}
 	}
 	return labels
@@ -132,8 +158,8 @@ func (d *Datacenter) PredictedLabels(mcName string, totalFrames int) []bool {
 // distinct events and their covered frame ranges.
 func (d *Datacenter) Events(mcName string) map[uint64][]Upload {
 	out := make(map[uint64][]Upload)
-	for _, u := range d.uploads[mcName] {
-		out[u.EventID] = append(out[u.EventID], u)
+	for _, e := range d.uploads[mcName] {
+		out[e.eventID] = append(out[e.eventID], e.upload(mcName))
 	}
 	return out
 }

@@ -76,8 +76,10 @@ type Config struct {
 	// (default 256). It must cover classifier lag + smoothing lag +
 	// MaxChunkFrames.
 	RetainFrames int
-	// KeepReconstructions stores decoded uploads in each Upload for
-	// accuracy analysis. Disable for long throughput runs.
+	// KeepReconstructions stores decoded uploads in each Upload's
+	// Frames for accuracy analysis: read them from the uploads
+	// ProcessFrame and Flush return, since a Datacenter does not keep
+	// them. Disable for long throughput runs.
 	KeepReconstructions bool
 	// ArchiveToDisk accounts the bits of continuously archiving the
 	// full original stream to local disk at ArchiveBitrate. Disabled
@@ -147,10 +149,12 @@ type Upload struct {
 	Start, End int
 	// Bits is the coded size.
 	Bits int64
-	// Delay is the uplink queueing delay in seconds at send time.
+	// Delay is the uplink queueing delay in seconds at send time. The
+	// wire does not carry it and a Datacenter does not keep it.
 	Delay float64
 	// Frames holds the decoder-side reconstructions when the edge
-	// node is configured with KeepReconstructions.
+	// node is configured with KeepReconstructions. The wire does not
+	// carry them and a Datacenter does not keep them.
 	Frames []*vision.Image
 	// Final marks the last chunk of an event.
 	Final bool

@@ -42,13 +42,15 @@ import (
 // state from zero and the next heartbeats rebuild it.
 //
 // The kind numbers are on-disk format — append only, never renumber.
-// They also version the payloads: gob matches fields by name and
-// silently drops those it cannot place, so a payload whose durable
-// fields (its own or those of the types it carries) are renamed or
-// change meaning gets a new kind, and the old number is reserved below.
-// A log still holding the old kind then fails replay with the
-// unknown-kind error instead of decoding into a state that quietly
-// lost fields.
+// They also version the payloads. An upload and a move-in are binary
+// layouts, read field by field in a fixed order; the intent, seq-reset
+// and drift-baseline records are gob, which matches fields by name and
+// silently drops those it cannot place. So a payload whose layout
+// changes, or whose durable fields (its own or those of the types it
+// carries) are renamed or change meaning, gets a new kind, and the old
+// number is reserved below. A log still holding the old kind then fails
+// replay with the unknown-kind error instead of decoding into a state
+// that quietly lost fields.
 const (
 	// wrecIntent records one intent change: a deploy (MC set), an
 	// undeploy or rollback (Remove), with the node's post-op generation.
@@ -62,28 +64,28 @@ const (
 	// wrecUpload records one deduplicated sequenced upload — the full
 	// record, not just the high-water mark, so recovery rebuilds the
 	// ledger record for record (a lost acked upload is unrecoverable:
-	// the edge retired it from its resend buffer on the ack). It is the
-	// one kind not logged as gob: its payload is the node name, length
-	// prefixed, then the upload in transport.UploadRecord's binary
-	// layout (see uploadRec).
+	// the edge retired it from its resend buffer on the ack). Its
+	// payload is the node name, length prefixed, then the upload in
+	// transport.UploadRecord's binary layout (see uploadRec).
 	wrecUpload uint8 = 13
 	// wrecMoveIn records a node state arriving on this shard — recovery
 	// placing a node on a different shard than the log it was recovered
 	// from, or a snapshot, which holds one per node. The payload is the
-	// nodeState itself; apply adopts it wholesale, and the Rehomed
-	// counter acts as the incarnation number that picks the winner when
-	// several logs hold copies of the same node. Only a mover bumps
-	// Rehomed; a snapshot never does.
-	wrecMoveIn uint8 = 14
+	// whole nodeState in moveInRec's binary layout; apply adopts it
+	// wholesale, and the Rehomed counter acts as the incarnation number
+	// that picks the winner when several logs hold copies of the same
+	// node. Only a mover bumps Rehomed; a snapshot never does.
+	wrecMoveIn uint8 = 15
 	// Kind 2 was the gob-encoded upload record, kinds 4, 5 and 6 the
 	// retired canary's start, install-epoch and verdict records, kinds 8
 	// and 9 the move-in and fold records of the format that mirrored the
 	// state in separate snapshot structs, kind 10 an upload over the
 	// retired one-way protocol, kind 11 the move-in of a node record
-	// that still carried canary state, and kind 12 a retired shard's
-	// aggregate ledger folding into shard 0. Reserved: never reuse the
-	// numbers. A log that still holds one fails replay with the
-	// unknown-kind error instead of being half-decoded.
+	// that still carried canary state, kind 12 a retired shard's
+	// aggregate ledger folding into shard 0, and kind 14 the gob-encoded
+	// move-in that kind 15's binary layout replaced. Reserved: never
+	// reuse the numbers. A log that still holds one fails replay with
+	// the unknown-kind error instead of being half-decoded.
 )
 
 // record is one typed WAL record: the argument of shardState.apply.
@@ -107,7 +109,7 @@ var newRecord = [...]func() record{
 // decodeRecord turns one logged (kind, payload) back into its typed
 // record. A record's payload is the one a wire record of the same value
 // would carry (transport.AppendPayload): the binary layout for an
-// upload, gob for every other kind.
+// upload and a move-in, gob for every other kind.
 func decodeRecord(kind uint8, payload []byte) (record, error) {
 	if int(kind) >= len(newRecord) || newRecord[kind] == nil {
 		return nil, fmt.Errorf("unknown wal record kind %d", kind)
@@ -171,18 +173,156 @@ type driftBaselineRec struct {
 	Version   uint64
 }
 
-// moveInRec is the wrecMoveIn payload.
+// moveInRec is the wrecMoveIn payload: one node's whole state, logged
+// in transport's layout vocabulary as
+//
+//	Name | uvarint Gen | uvarint LastSeq |
+//	varint Evicted | varint Reconnects | varint Rehomed |
+//	intent: a count of streams, each its name and a count of MCs,
+//	  each its name, MC bytes, float32 Threshold, uvarint Version |
+//	ledger: a count of MCs, each its name and a count of uploads,
+//	  each uvarint EventID | varint Start | varint End−Start |
+//	  varint Bits | Final byte |
+//	drift: a count of pairs, each its key, the Baseline sketch,
+//	  BaselineSet, the Prev and Last sketches, uvarint Version,
+//	  float64 PSI, float64 KS, varint Windows, Drifted
+//
+// An MC's name is written once, not per upload, so a ledger takes
+// about 11 bytes an upload at frame-scale numbers (the gob node record
+// took about 32), and one node's record holds some 1.5 million uploads
+// within walog.MaxRecordBytes. Decoding refuses
+// truncated input, trailing bytes, a flag byte other than 0 or 1, a
+// repeated map key, and a count the remaining bytes could not hold,
+// before allocating for it. An empty intent or drift map decodes to
+// nil, an empty stream's MC map to an empty map.
 type moveInRec struct {
 	Name string
 	Node *nodeState
 }
 
+// Minimum encoded entry sizes, which bound the counts a move-in
+// decoder accepts.
+const (
+	minDeploymentBytes = 1 + 1 + 4 + 1                                // name, MC, Threshold, Version
+	minLedgerBytes     = 1 + 1 + 1 + 1 + 1                            // EventID, Start, End−Start, Bits, Final
+	minDriftBytes      = 1 + 3*minSketchBytes + 1 + 1 + 8 + 8 + 1 + 1 // key, sketches, BaselineSet, Version, PSI, KS, Windows, Drifted
+)
+
+func (r *moveInRec) AppendBinary(b []byte) ([]byte, error) {
+	st := r.Node
+	b = transport.AppendString(b, r.Name)
+	b = binary.AppendUvarint(b, st.Gen)
+	b = binary.AppendUvarint(b, st.LastSeq)
+	b = binary.AppendVarint(b, int64(st.Evicted))
+	b = binary.AppendVarint(b, int64(st.Reconnects))
+	b = binary.AppendVarint(b, int64(st.Rehomed))
+
+	b = binary.AppendUvarint(b, uint64(len(st.Intent)))
+	for stream, mcs := range st.Intent {
+		b = transport.AppendString(b, stream)
+		b = binary.AppendUvarint(b, uint64(len(mcs)))
+		for name, dep := range mcs {
+			b = transport.AppendString(b, name)
+			b = binary.AppendUvarint(b, uint64(len(dep.MC)))
+			b = append(b, dep.MC...)
+			b = transport.AppendFloat32(b, dep.Threshold)
+			b = binary.AppendUvarint(b, dep.Version)
+		}
+	}
+
+	b = binary.AppendUvarint(b, uint64(st.DC.Applications()))
+	st.DC.Walk(func(name string, n int) {
+		b = transport.AppendString(b, name)
+		b = binary.AppendUvarint(b, uint64(n))
+	}, func(u core.Upload) {
+		b = binary.AppendUvarint(b, u.EventID)
+		b = binary.AppendVarint(b, int64(u.Start))
+		b = binary.AppendVarint(b, int64(u.End-u.Start))
+		b = binary.AppendVarint(b, u.Bits)
+		b = transport.AppendBool(b, u.Final)
+	})
+
+	b = binary.AppendUvarint(b, uint64(len(st.Drift)))
+	for key, ds := range st.Drift {
+		b = transport.AppendString(b, key)
+		b = appendSketch(b, ds.Baseline)
+		b = transport.AppendBool(b, ds.BaselineSet)
+		b = appendSketch(b, ds.Prev)
+		b = appendSketch(b, ds.Last)
+		b = binary.AppendUvarint(b, ds.Version)
+		b = transport.AppendFloat64(b, ds.PSI)
+		b = transport.AppendFloat64(b, ds.KS)
+		b = binary.AppendVarint(b, int64(ds.Windows))
+		b = transport.AppendBool(b, ds.Drifted)
+	}
+	return b, nil
+}
+
+func (r *moveInRec) UnmarshalBinary(data []byte) error {
+	d := transport.NewLayoutReader(data)
+	name := d.String()
+	st := &nodeState{
+		Gen: d.Uvarint(), LastSeq: d.Uvarint(),
+		Evicted: d.Int(), Reconnects: d.Int(), Rehomed: d.Int(),
+		DC: core.NewDatacenter(),
+	}
+	if n := d.Count(2); n > 0 { // a stream name and a count
+		st.Intent = make(map[string]map[string]deployment, n)
+		for range n {
+			stream := d.String()
+			k := d.Count(minDeploymentBytes)
+			mcs := make(map[string]deployment, k)
+			for range k {
+				name := d.String()
+				dep := deployment{MC: append([]byte(nil), d.Bytes()...), Threshold: d.Float32(), Version: d.Uvarint()}
+				if _, dup := mcs[name]; dup {
+					d.Fail(fmt.Errorf("stream %q deploys %q twice", stream, name))
+				}
+				mcs[name] = dep
+			}
+			if _, dup := st.Intent[stream]; dup {
+				d.Fail(fmt.Errorf("intent for stream %q twice", stream))
+			}
+			st.Intent[stream] = mcs
+		}
+	}
+	next := func() core.Upload {
+		u := core.Upload{EventID: d.Uvarint(), Start: d.Int()}
+		u.End = u.Start + d.Int()
+		u.Bits, u.Final = d.Varint(), d.Bool()
+		return u
+	}
+	for n := d.Count(2); n > 0; n-- { // an MC name and a count
+		mc := d.String()
+		if !st.DC.Restore(mc, d.Count(minLedgerBytes), next) {
+			d.Fail(fmt.Errorf("ledger of %q twice", mc))
+		}
+	}
+	if n := d.Count(minDriftBytes); n > 0 {
+		st.Drift = make(map[string]*driftState, n)
+		for range n {
+			key := d.String()
+			ds := &driftState{Baseline: readSketch(&d), BaselineSet: d.Bool(), Prev: readSketch(&d), Last: readSketch(&d),
+				Version: d.Uvarint(), PSI: d.Float64(), KS: d.Float64(), Windows: d.Int(), Drifted: d.Bool()}
+			if _, dup := st.Drift[key]; dup {
+				d.Fail(fmt.Errorf("drift pair %q twice", key))
+			}
+			st.Drift[key] = ds
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("move-in record: %w", err)
+	}
+	r.Name, r.Node = name, st
+	return nil
+}
+
 // shardState is the durable part of a shard: what the log's records
 // rebuild. A snapshot holds it as one move-in record per node. The live
 // shard embeds one and recovery builds one per log directory, both
-// through apply. Every field of nodeState and of the types it holds is
-// exported, because a move-in record is gob and gob encodes only
-// exported fields.
+// through apply. A move-in record's layout (moveInRec) writes every
+// field of nodeState and of the types it holds, so a field added to
+// them needs layout code, or snapshots drop it.
 //
 // Each upload lives in exactly one place: the ledger of the node that
 // sent it (nodeState.DC), which moves between shards with the rest of
@@ -219,8 +359,7 @@ func (s *shardState) apply(rec record) {
 			delete(st.Intent[r.Stream], r.Name)
 		} else {
 			// Maps are made on first write, here as in the drift case: a
-			// node record can be decoded with either of them nil (gob
-			// keeps a nil map nil).
+			// node record decodes an empty one as nil (see moveInRec).
 			if st.Intent == nil {
 				st.Intent = make(map[string]map[string]deployment)
 			}
@@ -375,9 +514,14 @@ func (sh *shard) snapshotLocked() error {
 // encodeState frames the shard's state as a snapshot: one move-in
 // record per node, framed as on the wire. On failure it returns what
 // it encoded, the record that failed included, with the error.
-// Callers hold sh.mu.
+// Callers hold sh.mu and a shard with a wal.
+//
+// The buffer is allocated once, sized to the last snapshot plus the
+// log appended since: the state grows by about what was logged, and
+// by less for uploads (an upload's ~40 logged bytes become ~11 in its
+// node's ledger), so the snapshot fits it without regrowing.
 func (sh *shard) encodeState() ([]byte, error) {
-	var buf []byte
+	buf := make([]byte, 0, sh.wal.SnapshotSize()+sh.wal.Size())
 	for _, name := range slices.Sorted(maps.Keys(sh.Nodes)) {
 		at := len(buf)
 		var err error
@@ -398,17 +542,21 @@ func (sh *shard) encodeState() ([]byte, error) {
 // records replayed after the prefix.
 func replayLog(l *walog.Log) (shardState, int, error) {
 	s := newShardState()
-	prefix := l.Snapshot()
-	for i, r := range slices.Concat(prefix, l.Records()) {
-		rec, err := decodeRecord(r.Kind, r.Payload)
-		if err != nil {
-			where := fmt.Sprintf("record %d", i-len(prefix))
-			if i < len(prefix) {
-				where = fmt.Sprintf("snapshot record %d", i)
+	replay := func(recs []walog.Record, what string) error {
+		for i, r := range recs {
+			rec, err := decodeRecord(r.Kind, r.Payload)
+			if err != nil {
+				return fmt.Errorf("%s %d (kind %d): %w", what, i, r.Kind, err)
 			}
-			return s, 0, fmt.Errorf("%s (kind %d): %w", where, r.Kind, err)
+			s.apply(rec)
 		}
-		s.apply(rec)
+		return nil
+	}
+	if err := replay(l.Snapshot(), "snapshot record"); err != nil {
+		return s, 0, err
+	}
+	if err := replay(l.Records(), "record"); err != nil {
+		return s, 0, err
 	}
 	return s, len(l.Records()), nil
 }

@@ -32,8 +32,9 @@ var durableTypes = []reflect.Type{
 }
 
 // requireFull fails for every field of a durable type reachable from v
-// that is unexported (gob would drop it) or zero (a round trip of v
-// would not cover it).
+// that is unexported (durable fields are kept exported, as they were
+// while snapshots were gob) or zero (a round trip of v would not cover
+// it).
 func requireFull(t *testing.T, path string, v reflect.Value) {
 	t.Helper()
 	switch v.Kind() {
@@ -52,7 +53,7 @@ func requireFull(t *testing.T, path string, v reflect.Value) {
 			p := path + "." + f.Name
 			switch {
 			case !f.IsExported():
-				t.Errorf("%s is unexported: snapshots would drop it", p)
+				t.Errorf("%s is unexported: durable fields are kept exported", p)
 			case fv.IsZero() || (fv.Kind() == reflect.Map && fv.Len() == 0):
 				t.Errorf("%s is zero: give it a value so the round trip covers it", p)
 			default:
@@ -126,11 +127,12 @@ func snapshotRoundTrip(t *testing.T, st shardState) shardState {
 	return got
 }
 
-// TestStateRoundTrip stands in for the field-by-field mirror structs
-// snapshots used to have: every durable field must be exported and
-// must survive a snapshot — one move-in record per node, replayed
-// through decodeRecord and apply — unchanged. A field added later
-// fails here until fullNode gives it a value.
+// TestStateRoundTrip is the guard that a durable field gets layout
+// code: every durable field must be exported and must survive a
+// snapshot — one move-in record per node, in moveInRec's binary layout,
+// replayed through decodeRecord and apply — unchanged. A field added
+// later fails here until fullNode gives it a value, and then until
+// moveInRec writes and reads it.
 func TestStateRoundTrip(t *testing.T) {
 	want := fullState()
 	requireFull(t, "shardState", reflect.ValueOf(want))
@@ -181,18 +183,47 @@ func TestRecoveredEmptyNodeAppliesEveryKind(t *testing.T) {
 	}
 }
 
+// parentLedger gob-encodes a ledger the way core.Datacenter's
+// GobEncode did before the ledger left gob: as the gob stream of its
+// map of uploads. Embedded in a type named Datacenter, it reproduces a
+// gob-encoded *core.Datacenter byte for byte, since gob names a
+// GobEncoder by its type name.
+type parentLedger map[string][]core.Upload
+
+func (l parentLedger) GobEncode() ([]byte, error) {
+	return encodeGob(map[string][]core.Upload(l))
+}
+
 // TestOpenRefusesParentFormat writes state directories the way earlier
 // formats did — a snapshot of mirror structs and a move-in record
 // carrying a mirror of the node; a format-2 snapshot still carrying the
 // shard-wide aggregate ledger and folded identities; a fold record; a
 // format-3 snapshot, gob(3) then gob(shardState), from before
 // snapshots were move-in records; a snapshot of kind-11 move-ins whose
-// node records still carried canary state — with those shapes declared
-// here; and a directory of walog format 1, which kept the compacted
-// state in a snapshot file beside a wal with a version-1 header.
-// Recovery must refuse each with an error naming the directory,
-// recover no node, and leave the directory as it found it.
+// node records still carried canary state; a snapshot of kind-14
+// move-ins, the gob node records of the format before the binary
+// move-in — with those shapes declared here; and a directory of walog
+// format 1, which kept the compacted state in a snapshot file beside a
+// wal with a version-1 header. Recovery must refuse each with an error
+// naming the directory, recover no node, and leave the directory as it
+// found it.
 func TestOpenRefusesParentFormat(t *testing.T) {
+	// Datacenter, nodeState, shardState and moveInRec are the ledger,
+	// node record, shard state and move-in as gob encoded them while the
+	// node record was gob, under the names gob wrote.
+	type Datacenter struct{ parentLedger }
+	type nodeState struct {
+		Intent                       map[string]map[string]deployment
+		Gen, LastSeq                 uint64
+		DC                           *Datacenter
+		Evicted, Reconnects, Rehomed int
+		Drift                        map[string]*driftState
+	}
+	type shardState struct{ Nodes map[string]*nodeState }
+	type moveInRec struct {
+		Name string
+		Node *nodeState
+	}
 	type parentUpload struct {
 		MCName     string
 		EventID    uint64
@@ -225,7 +256,7 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 	// fold record (kind 12).
 	type format2Shard struct {
 		Nodes      map[string]*nodeState
-		DC         *core.Datacenter
+		DC         *Datacenter
 		Uploads    int
 		UploadBits int64
 		Folded     []uint64
@@ -234,11 +265,10 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 		FromID     uint64
 		Uploads    int
 		UploadBits int64
-		DC         *core.Datacenter
+		DC         *Datacenter
 	}
-	nodeLedger, aggLedger := core.NewDatacenter(), core.NewDatacenter()
-	nodeLedger.Receive(core.Upload{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true})
-	aggLedger.Receive(core.Upload{MCName: "edge-1/cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true})
+	nodeLedger := &Datacenter{parentLedger{"cam0/mc-1": {{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true}}}}
+	aggLedger := &Datacenter{parentLedger{"edge-1/cam0/mc-1": {{MCName: "edge-1/cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true}}}}
 	ledger := []parentUpload{{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true}}
 	node := parentNode{
 		Name: "edge-1", Gen: 1, LastSeq: 1, Rehomed: 1, Uploads: ledger,
@@ -267,8 +297,8 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 	}
 	var v1Snapshot bytes.Buffer
 	v1Snapshot.Write(v1Header(2, 1))
-	var moveIns bytes.Buffer
-	if err := transport.WriteRecord(&moveIns, wrecMoveIn, &moveInRec{Name: "edge-1", Node: &nodeState{Gen: 1, LastSeq: 1, DC: nodeLedger}}); err != nil {
+	var moveIns bytes.Buffer // one framed kind-14 move-in
+	if err := transport.WriteRecord(&moveIns, 14, &moveInRec{Name: "edge-1", Node: &nodeState{Gen: 1, LastSeq: 1, DC: nodeLedger}}); err != nil {
 		t.Fatal(err)
 	}
 	frame := make([]byte, walog.RecordHeaderLen)
@@ -290,7 +320,7 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 	type canaryNode struct {
 		Intent       map[string]map[string]deployment
 		Gen, LastSeq uint64
-		DC           *core.Datacenter
+		DC           *Datacenter
 		Canary       map[string]*parentCanary
 	}
 	type canaryMoveIn struct {
@@ -328,6 +358,7 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 			Nodes: map[string]*nodeState{"edge-1": {Gen: 1, LastSeq: 1, DC: nodeLedger}},
 		}}, want: notRecords},
 		{name: "canary-move-in", records: canarySnapshot.Bytes(), want: "unknown wal record kind 11"},
+		{name: "gob-move-in", records: moveIns.Bytes(), want: "unknown wal record kind 14"},
 		{name: "walog-format-1", files: map[string][]byte{"snapshot": v1Snapshot.Bytes(), "wal-1": v1Wal.Bytes()},
 			want: "format-1"},
 		{name: "walog-format-1-wal", files: map[string][]byte{"wal-1": v1Wal.Bytes()}, want: "format version 1"},

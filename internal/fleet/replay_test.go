@@ -385,8 +385,8 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 }
 
 // liveKinds are the record kinds the current format writes; 2, 4, 5,
-// 6, 8, 9, 10, 11 and 12 are retired (see the kind constants).
-var liveKinds = []int{1, 3, 7, 13, 14}
+// 6, 8, 9, 10, 11, 12 and 14 are retired (see the kind constants).
+var liveKinds = []int{1, 3, 7, 13, 15}
 
 // TestRecordKindsRoundTrip pins the two statements of the kind-to-type
 // mapping against each other: the record a kind decodes into reports
@@ -414,10 +414,10 @@ func TestRecordKindsRoundTrip(t *testing.T) {
 // still holding a kind-2 record (the gob-encoded upload that kind 13's
 // binary layout replaced), a kind-10 record (an upload over the retired
 // one-way protocol), a kind-4, 5 or 6 record (a retired canary's start,
-// install epoch or verdict) or a kind-11 record (a move-in whose node
-// record still carried canary state, replaced by kind 14) fails
-// recovery with the unknown-kind error rather than being skipped or
-// misread.
+// install epoch or verdict), a kind-11 record (a move-in whose node
+// record still carried canary state) or a kind-14 record (a gob
+// move-in, replaced by kind 15's binary layout) fails recovery with
+// the unknown-kind error rather than being skipped or misread.
 func TestReplayRefusesRetiredKind(t *testing.T) {
 	up := transport.UploadRecord{MCName: "cam0/mc-1", EventID: 1, End: 4, Bits: 100, Final: true, Seq: 1}
 	for _, tc := range []struct {
@@ -445,6 +445,10 @@ func TestReplayRefusesRetiredKind(t *testing.T) {
 			Outcome            string
 		}{"edge-1", "cam0", "mc-1", 2, "promoted"}},
 		{11, struct {
+			Name string
+			Node struct{ Gen, LastSeq uint64 }
+		}{"edge-1", struct{ Gen, LastSeq uint64 }{3, 7}}},
+		{14, struct {
 			Name string
 			Node struct{ Gen, LastSeq uint64 }
 		}{"edge-1", struct{ Gen, LastSeq uint64 }{3, 7}}},

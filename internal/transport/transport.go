@@ -190,9 +190,9 @@ func ReadHeader(r io.Reader) (uint16, error) {
 }
 
 // AppendPayload appends payload's record encoding to b: its
-// AppendBinary when it has one (the upload, upload-ack, heartbeat and
-// fetch-data layouts), a self-describing gob stream otherwise.
-// DecodeRecord reverses it.
+// AppendBinary when it has one (the upload, upload-ack, heartbeat,
+// fetch-data and move-in layouts), a self-describing gob stream
+// otherwise. DecodeRecord reverses it.
 func AppendPayload(b []byte, payload any) ([]byte, error) {
 	if ba, ok := payload.(encoding.BinaryAppender); ok {
 		return ba.AppendBinary(b)
@@ -339,8 +339,8 @@ func (r progressReader) Read(p []byte) (int, error) {
 
 // DecodeRecord decodes a payload AppendPayload encoded — a record read
 // by ReadRecord — into into: with its UnmarshalBinary when it has one
-// (the upload, upload-ack, heartbeat and fetch-data layouts), gob
-// otherwise.
+// (the upload, upload-ack, heartbeat, fetch-data and move-in layouts),
+// gob otherwise.
 func DecodeRecord(body []byte, into any) error {
 	var err error
 	if bu, ok := into.(encoding.BinaryUnmarshaler); ok {
@@ -397,11 +397,7 @@ func (r UploadRecord) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(r.Start))
 	b = binary.AppendVarint(b, int64(r.End))
 	b = binary.AppendVarint(b, r.Bits)
-	final := byte(0)
-	if r.Final {
-		final = 1
-	}
-	b = append(b, final)
+	b = AppendBool(b, r.Final)
 	return binary.AppendUvarint(b, r.Seq), nil
 }
 
@@ -431,10 +427,25 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// AppendBool appends v as a flag byte, 0 or 1. LayoutReader.Bool
+// reads it back.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 // AppendFloat64 appends v as its 8 IEEE 754 bytes, little-endian.
 // LayoutReader.Float64 reads it back.
 func AppendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// AppendFloat32 appends v as its 4 IEEE 754 bytes, little-endian.
+// LayoutReader.Float32 reads it back.
+func AppendFloat32(b []byte, v float32) []byte {
+	return binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 }
 
 // AppendFloat32s appends v as its uvarint length, then each value as
@@ -452,9 +463,9 @@ func AppendFloat32s(b []byte, v []float32) []byte {
 
 // LayoutReader reads a binary record layout field by field — the one
 // decoder every fixed-layout payload (uploads, upload acks, heartbeats,
-// fetch data) goes through. The first malformed field records an
-// error and every later read returns zero, so a decoder reads all its
-// fields and checks once, in Finish.
+// fetch data, the fleet controller's move-ins) goes through. The first
+// malformed field records an error and every later read returns zero,
+// so a decoder reads all its fields and checks once, in Finish.
 type LayoutReader struct {
 	buf []byte
 	err error
@@ -529,6 +540,18 @@ func (d *LayoutReader) Float64() float64 {
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
 	d.buf = d.buf[8:]
+	return v
+}
+
+// Float32 reads a float32 as its 4 IEEE 754 bytes, little-endian, bit
+// for bit.
+func (d *LayoutReader) Float32() float32 {
+	if len(d.buf) < 4 {
+		d.Fail(fmt.Errorf("float32 of 4 bytes, %d left", len(d.buf)))
+		return 0
+	}
+	v := math.Float32frombits(binary.LittleEndian.Uint32(d.buf))
+	d.buf = d.buf[4:]
 	return v
 }
 

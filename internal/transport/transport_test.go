@@ -401,8 +401,9 @@ func TestUploadRecordConversion(t *testing.T) {
 	}
 }
 
-// TestFloat32sRoundTrip: AppendFloat32s and LayoutReader.Float32s
-// carry every value bit for bit, NaN payloads and -0 included.
+// TestFloat32sRoundTrip: AppendFloat32s and LayoutReader.Float32s, and
+// AppendFloat32 and LayoutReader.Float32 one value at a time, carry
+// every value bit for bit, NaN payloads and -0 included.
 func TestFloat32sRoundTrip(t *testing.T) {
 	in := []float32{1, float32(math.Copysign(0, -1)), math.Float32frombits(0x7FC0_0001), math.Float32frombits(0xFF80_0002), float32(math.Inf(-1))}
 	d := NewLayoutReader(AppendFloat32s(nil, in))
@@ -414,6 +415,14 @@ func TestFloat32sRoundTrip(t *testing.T) {
 		if math.Float32bits(out[i]) != math.Float32bits(in[i]) {
 			t.Fatalf("value %d: %#x, want %#x", i, math.Float32bits(out[i]), math.Float32bits(in[i]))
 		}
+		one := NewLayoutReader(AppendFloat32(nil, in[i]))
+		if v := one.Float32(); one.Finish() != nil || math.Float32bits(v) != math.Float32bits(in[i]) {
+			t.Fatalf("value %d alone: %#x (err %v), want %#x", i, math.Float32bits(v), one.Finish(), math.Float32bits(in[i]))
+		}
+	}
+	short := NewLayoutReader([]byte{1, 2, 3})
+	if v := short.Float32(); v != 0 || short.Finish() == nil {
+		t.Fatalf("3 bytes read as float32 %v, err %v", v, short.Finish())
 	}
 }
 

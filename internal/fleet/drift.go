@@ -108,68 +108,76 @@ type driftEvent struct {
 	started   bool
 }
 
-// observeScores folds one heartbeat's cumulative score sketches into
-// the node's drift windows (soft state) and returns any threshold
-// transitions, plus a freeze record for every pair whose baseline is
-// due — first reaching MinCount, or again after a redeploy reset. It
-// freezes nothing itself: the caller, holding the owning shard's
-// mutex, commits the records, so a restarted controller scores windows
-// against the same reference distribution instead of re-accumulating
-// one shifted by however long the outage lasted. versions carries the
-// model version behind each sketch (zero for an unversioned artifact).
+// observeScores folds one heartbeat's cumulative score sketches, its
+// score table's Scores entries, into the node's drift windows (soft
+// state) and returns any threshold transitions, plus a freeze record
+// for every pair whose baseline is due — first reaching MinCount, or
+// again after a redeploy reset. It freezes nothing itself: the caller,
+// holding the owning shard's mutex, commits the records, so a restarted
+// controller scores windows against the same reference distribution
+// instead of re-accumulating one shifted by however long the outage
+// lasted. Each entry carries the model version behind its sketch (zero
+// for an unversioned artifact).
 //
-// A pair already tracked costs no allocation: its "stream/mc" key is
-// built in a stack buffer for the lookup, and made a string only when
-// the pair is inserted, frozen, or reported in an event.
-func observeScores(st *nodeState, node string, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) (events []driftEvent, freezes []*driftBaselineRec) {
-	var keyBuf [128]byte
-	for stream, mcs := range scores {
-		for mc, cur := range mcs {
-			key := append(append(append(keyBuf[:0], stream...), '/'), mc...)
-			if st.Drift == nil {
-				st.Drift = make(map[string]*driftState)
-			}
-			ds := st.Drift[string(key)]
-			if ds == nil {
-				ds = &driftState{}
-				st.Drift[string(key)] = ds
-			}
-			ver := versions[stream][mc]
-			if (ds.Last.Count > 0 && ver != ds.Version) || cur.Count < ds.Last.Count {
-				// The model version changed, or the cumulative count
-				// went backwards (a redeploy that kept the version, as
-				// an unversioned artifact does): the sketches now
-				// describe a fresh deployment, and the old baseline
-				// must not score it. Keying on the version catches the
-				// case the count check alone misses — a redeployed MC
-				// whose fresh sketch reaches the old cumulative count
-				// between heartbeats.
-				*ds = driftState{}
-			}
-			ds.Version = ver
-			ds.Last = cur
-			if !ds.BaselineSet {
-				if cur.Count >= cfg.MinCount {
-					freezes = append(freezes, &driftBaselineRec{Node: node, Key: string(key), Baseline: cur, Version: ver})
-				}
-				continue
-			}
-			win := cur.Sub(ds.Prev)
-			if win.Count < cfg.MinCount {
-				continue
-			}
-			ds.PSI, ds.KS = obs.PSIKS(&ds.Baseline, &win)
-			ds.Windows++
-			ds.Prev = cur
-			drifted := ds.PSI >= cfg.PSI || ds.KS >= cfg.KS
-			if drifted != ds.Drifted {
-				events = append(events, driftEvent{
-					node: node, key: string(key), psi: ds.PSI, ks: ds.KS,
-					window: win.Count, started: drifted,
-				})
-			}
-			ds.Drifted = drifted
+// A window is scored against the baseline's obs.Baseline tables, which
+// the entry's interned pair keeps beside the drift state they were
+// derived from. A driftState never takes a new baseline in place: a
+// reset clears its baseline, and nothing is scored until a freeze
+// installs a new driftState (apply), as recovery and a re-home do when
+// they rebuild the node record. So the tables are derived again exactly
+// when the state the node's Drift map holds is not the one they came
+// from, and the durable record never carries them. A pair already
+// tracked costs no allocation: its key was built when the decoder
+// interned it.
+func observeScores(st *nodeState, node string, t *scoreTable, cfg DriftConfig) (events []driftEvent, freezes []*driftBaselineRec) {
+	for i := range t.sketches {
+		e := &t.sketches[i]
+		p, cur := e.pair, &e.sketch
+		if st.Drift == nil {
+			st.Drift = make(map[string]*driftState)
 		}
+		ds := st.Drift[p.key]
+		if ds == nil {
+			ds = &driftState{}
+			st.Drift[p.key] = ds
+		}
+		if (ds.Last.Count > 0 && e.version != ds.Version) || cur.Count < ds.Last.Count {
+			// The model version changed, or the cumulative count
+			// went backwards (a redeploy that kept the version, as
+			// an unversioned artifact does): the sketches now
+			// describe a fresh deployment, and the old baseline
+			// must not score it. Keying on the version catches the
+			// case the count check alone misses — a redeployed MC
+			// whose fresh sketch reaches the old cumulative count
+			// between heartbeats.
+			*ds = driftState{}
+		}
+		ds.Version = e.version
+		ds.Last = *cur
+		if !ds.BaselineSet {
+			if cur.Count >= cfg.MinCount {
+				freezes = append(freezes, &driftBaselineRec{Node: node, Key: p.key, Baseline: *cur, Version: e.version})
+			}
+			continue
+		}
+		window := cur.Count - ds.Prev.Count
+		if window < cfg.MinCount {
+			continue
+		}
+		if p.ds != ds {
+			p.ds, p.base = ds, obs.NewBaseline(&ds.Baseline)
+		}
+		ds.PSI, ds.KS = p.base.Score(cur, &ds.Prev)
+		ds.Windows++
+		ds.Prev = *cur
+		drifted := ds.PSI >= cfg.PSI || ds.KS >= cfg.KS
+		if drifted != ds.Drifted {
+			events = append(events, driftEvent{
+				node: node, key: p.key, psi: ds.PSI, ks: ds.KS,
+				window: window, started: drifted,
+			})
+		}
+		ds.Drifted = drifted
 	}
 	return events, freezes
 }
@@ -180,8 +188,8 @@ func observeScores(st *nodeState, node string, scores map[string]map[string]obs.
 // a fenced shard cannot log is skipped, and the next heartbeat returns
 // it again), and logs threshold transitions; a heartbeat landing after
 // the session died is ignored, mirroring acceptUpload.
-func (sh *shard) noteHeartbeat(s *Session, hb *Heartbeat) {
-	if len(hb.Scores) == 0 {
+func (sh *shard) noteHeartbeat(s *Session, t *scoreTable) {
+	if len(t.sketches) == 0 {
 		return
 	}
 	sh.mu.Lock()
@@ -191,7 +199,7 @@ func (sh *shard) noteHeartbeat(s *Session, hb *Heartbeat) {
 		return
 	default:
 	}
-	events, freezes := observeScores(sh.Nodes[s.node], s.node, hb.Scores, hb.ScoreVersions, sh.c.cfg.Drift)
+	events, freezes := observeScores(sh.Nodes[s.node], s.node, t, sh.c.cfg.Drift)
 	for _, rec := range freezes {
 		sh.commit(rec)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,12 +50,32 @@ func alt(a, b float64, n int) []float64 {
 // noteHeartbeat does — observe, then apply every baseline-freeze
 // record to the node (named "n0") — and returns the transitions.
 func observeScoresApplied(st *nodeState, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64, cfg DriftConfig) []driftEvent {
-	events, freezes := observeScores(st, "n0", scores, versions, cfg)
+	events, freezes := observeScores(st, "n0", scoreTableOf(new(hbDecoder), scores, versions), cfg)
 	state := shardState{Nodes: map[string]*nodeState{"n0": st}}
 	for _, f := range freezes {
 		state.apply(f)
 	}
 	return events
+}
+
+// scoreTableOf is the score table a session decodes, through dec, from
+// a heartbeat carrying scores and versions.
+func scoreTableOf(dec *hbDecoder, scores map[string]map[string]obs.SketchSnapshot, versions map[string]map[string]uint64) *scoreTable {
+	var r hbRecord
+	if err := r.decode(must(Heartbeat{Scores: scores, ScoreVersions: versions}.AppendBinary(nil)), dec); err != nil {
+		panic(err)
+	}
+	return &r.scores
+}
+
+// sketchDelta is the window between two cumulative sketches, as far as
+// PSI and KS read it: the count and the bins.
+func sketchDelta(cur, prev obs.SketchSnapshot) obs.SketchSnapshot {
+	d := obs.SketchSnapshot{Count: cur.Count - prev.Count}
+	for i := range d.Bins {
+		d.Bins[i] = cur.Bins[i] - prev.Bins[i]
+	}
+	return d
 }
 
 // repeat returns n copies of v.
@@ -240,6 +261,120 @@ func TestObserveScoresVersionKeyedReset(t *testing.T) {
 	}
 	if !ds.BaselineSet || ds.Baseline.Mean() < 0.8 {
 		t.Fatalf("baseline not refrozen on the new model: %+v", ds)
+	}
+}
+
+// TestDriftTablesFollowRefreeze: a session's pair keeps its baseline's
+// scoring tables from one heartbeat to the next, and derives them again
+// once a redeploy has frozen a new baseline: every window scores to the
+// definitions' bits against the baseline in force.
+func TestDriftTablesFollowRefreeze(t *testing.T) {
+	cfg := DriftConfig{}
+	cfg.fillDefaults()
+	st := &nodeState{}
+	dec := new(hbDecoder) // one session's decoder throughout
+	var scored []float64
+	hb := func(scores []float64, version uint64) {
+		t.Helper()
+		prev := driftState{}
+		if ds := st.Drift["cam0/mc"]; ds != nil {
+			prev = *ds
+		}
+		tbl := scoreTableOf(dec, map[string]map[string]obs.SketchSnapshot{"cam0": {"mc": cumSketch(scores)}}, map[string]map[string]uint64{"cam0": {"mc": version}})
+		_, freezes := observeScores(st, "n0", tbl, cfg)
+		state := shardState{Nodes: map[string]*nodeState{"n0": st}}
+		for _, f := range freezes {
+			state.apply(f)
+		}
+		ds := st.Drift["cam0/mc"]
+		if ds.Windows > prev.Windows && ds.Version == prev.Version {
+			window := sketchDelta(ds.Last, prev.Prev)
+			if psi, ks := obs.PSI(ds.Baseline, window), obs.KS(ds.Baseline, window); math.Float64bits(ds.PSI) != math.Float64bits(psi) || math.Float64bits(ds.KS) != math.Float64bits(ks) {
+				t.Fatalf("window %d: scored (%v, %v), the definitions give (%v, %v)", ds.Windows, ds.PSI, ds.KS, psi, ks)
+			}
+			scored = append(scored, ds.PSI)
+		}
+	}
+	n := int(cfg.MinCount)
+	low, high, mixed := repeat(0.2, n), repeat(0.9, n), alt(0.2, 0.5, n)
+	cat := func(parts ...[]float64) []float64 { return slices.Concat(parts...) }
+	hb(low, 1)                   // freezes the low baseline
+	hb(cat(low, mixed), 1)       // scored against it
+	hb(cat(low, mixed, high), 1) // and again, from the tables kept
+	hb(high, 2)                  // a redeploy: the high baseline freezes
+	hb(cat(high, mixed), 2)      // scored against the new tables
+	hb(cat(high, mixed, low), 2) // and again
+	if len(scored) != 4 {
+		t.Fatalf("%d windows scored, want 4", len(scored))
+	}
+	if scored[0] == scored[2] {
+		t.Fatalf("the same window scored %v against either baseline", scored[0])
+	}
+}
+
+// TestDriftParityAcrossRecoveryAndRehome: a pair recovered from a
+// snapshot, or moved to another shard's state by a re-home, scores its
+// next windows to the same bits as a pair that never moved. The
+// baseline's scoring tables ride on the session's interned pairs, never
+// on the record, and are derived again for the rebuilt pair: the
+// recovered state is scored through the live session's decoder, whose
+// tables belong to the live pair's state, and the moved one through a
+// fresh decoder. Every window the live pair scores equals obs.PSI's and
+// obs.KS's bits.
+func TestDriftParityAcrossRecoveryAndRehome(t *testing.T) {
+	cfg := DriftConfig{}
+	cfg.fillDefaults()
+	beats := gridHeartbeats(16, int(cfg.MinCount)+8) // every beat after the first closes a window
+	var rec hbRecord
+	feed := func(st shardState, dec *hbDecoder, body []byte) {
+		t.Helper()
+		if err := rec.decode(body, dec); err != nil {
+			t.Fatal(err)
+		}
+		_, freezes := observeScores(st.Nodes["n0"], "n0", &rec.scores, cfg)
+		for _, f := range freezes {
+			st.apply(f)
+		}
+	}
+	live := newShardState()
+	live.node("n0")
+	dec := new(hbDecoder)
+	for _, body := range beats[:8] {
+		feed(live, dec, body)
+	}
+	recovered := snapshotRoundTrip(t, live)
+	payload := must((&moveInRec{Name: "n0", Node: live.Nodes["n0"]}).AppendBinary(nil))
+	mover, err := decodeRecord(wrecMoveIn, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := newShardState()
+	moved.apply(mover)
+	movedDec := new(hbDecoder)
+
+	for _, body := range beats[8:] {
+		prev := make(map[string]driftState)
+		for key, ds := range live.Nodes["n0"].Drift {
+			prev[key] = *ds
+		}
+		feed(live, dec, body)
+		feed(recovered, dec, body)
+		feed(moved, movedDec, body)
+		for key, ds := range live.Nodes["n0"].Drift {
+			if ds.Windows != prev[key].Windows+1 {
+				t.Fatalf("%s: %d windows scored, want %d", key, ds.Windows, prev[key].Windows+1)
+			}
+			window := sketchDelta(ds.Last, prev[key].Last)
+			if psi, ks := obs.PSI(ds.Baseline, window), obs.KS(ds.Baseline, window); math.Float64bits(ds.PSI) != math.Float64bits(psi) || math.Float64bits(ds.KS) != math.Float64bits(ks) {
+				t.Fatalf("%s: scored (%v, %v), the definitions give (%v, %v)", key, ds.PSI, ds.KS, psi, ks)
+			}
+			for name, other := range map[string]shardState{"recovered": recovered, "moved": moved} {
+				o := other.Nodes["n0"].Drift[key]
+				if o == nil || math.Float64bits(o.PSI) != math.Float64bits(ds.PSI) || math.Float64bits(o.KS) != math.Float64bits(ds.KS) || !reflect.DeepEqual(*o, *ds) {
+					t.Fatalf("%s %s: drift state %+v, the pair that never moved has %+v", name, key, o, ds)
+				}
+			}
+		}
 	}
 }
 

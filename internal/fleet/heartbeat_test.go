@@ -73,13 +73,13 @@ func otherHeartbeat() Heartbeat {
 	}
 }
 
-// decodeInPlace decodes data the way a session does: into a target
+// decodeInPlace decodes data the way a session does: into a record
 // that already holds each of priors in turn, through one decoder. It
 // reports the first result that differs from want and wantErr, a fresh
 // UnmarshalBinary's.
 func decodeInPlace(data []byte, want Heartbeat, wantErr error, priors ...Heartbeat) error {
 	var dec hbDecoder
-	target := new(Heartbeat)
+	target := new(hbRecord)
 	for _, prior := range priors {
 		if err := target.decode(must(prior.AppendBinary(nil)), &dec); err != nil {
 			return fmt.Errorf("prior %+v: %v", prior, err)
@@ -90,8 +90,8 @@ func decodeInPlace(data []byte, want Heartbeat, wantErr error, priors ...Heartbe
 			return fmt.Errorf("over %+v: error %v, a fresh decode says %v", prior, err, wantErr)
 		case wantErr == nil && err != nil:
 			return fmt.Errorf("over %+v: error %v, a fresh decode accepts it", prior, err)
-		case wantErr == nil && !sameHeartbeat(*target, want):
-			return fmt.Errorf("over %+v: decoded %+v, a fresh decode gives %+v", prior, *target, want)
+		case wantErr == nil && !sameHeartbeat(target.heartbeat(), want):
+			return fmt.Errorf("over %+v: decoded %+v, a fresh decode gives %+v", prior, target.heartbeat(), want)
 		}
 	}
 	return nil
@@ -362,13 +362,12 @@ func nilEmpty[V any](m map[string]map[string]V) map[string]map[string]V {
 
 // TestHeartbeatLayoutRoundTrip is the layout's property test: random
 // heartbeats — nil and empty maps at both levels, sparse and
-// extreme buckets — encode within their maxSize bound and decode to
-// exactly what was encoded, and so does each decoded in place over the
-// one before it, as a session decodes.
+// extreme buckets — decode to exactly what was encoded, and so does
+// each decoded in place over the one before it, as a session decodes.
 func TestHeartbeatLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed))
 	var dec hbDecoder
-	target := new(Heartbeat)
+	target := new(hbRecord)
 	for i := 0; i < 2000; i++ {
 		hb := randomHeartbeat(rng)
 		b, err := hb.AppendBinary(nil)
@@ -382,11 +381,8 @@ func TestHeartbeatLayoutRoundTrip(t *testing.T) {
 		if want := decodedForm(hb); !reflect.DeepEqual(back, want) {
 			t.Fatalf("heartbeat %d round trip:\n got %+v\nwant %+v", i, back, want)
 		}
-		if len(b) > hb.maxSize() {
-			t.Fatalf("heartbeat %d encodes to %d bytes, past its bound %d", i, len(b), hb.maxSize())
-		}
-		if err := target.decode(b, &dec); err != nil || !reflect.DeepEqual(*target, back) {
-			t.Fatalf("heartbeat %d decoded in place over heartbeat %d: %+v (err %v), want %+v", i, i-1, *target, err, back)
+		if err := target.decode(b, &dec); err != nil || !reflect.DeepEqual(target.heartbeat(), back) {
+			t.Fatalf("heartbeat %d decoded in place over heartbeat %d: %+v (err %v), want %+v", i, i-1, target.heartbeat(), err, back)
 		}
 	}
 }
@@ -409,7 +405,7 @@ func TestHeartbeatDecodeKeysPerLevel(t *testing.T) {
 	// Stream "x" twice, the second holding MC "x", which is read
 	// between the two claims of stream "x".
 	empty := must(Heartbeat{}.AppendBinary(nil))
-	sketch := appendSketch(nil, sk)
+	sketch := appendSketch(nil, &sk)
 	dup := bytes.Join([][]byte{
 		empty[:len(empty)-3],
 		{2, 1, 'x', 1, 1, 'y'}, sketch,
@@ -603,10 +599,12 @@ func TestFleetLatencyQuantilesExact(t *testing.T) {
 }
 
 // TestHeartbeatReadWhileDecodedInPlace: a session decodes heartbeats
-// into its reused maps while another goroutine reads them through
-// ShardLoads and ListNodes and writes to every map ListNodes returns.
-// The fleet flake guard runs it under -race: readers get copies or read
-// under the session's lock, so nothing here may race.
+// into its reused records — the Streams map and the score table — and
+// the shard's drift hook scores them, while another goroutine reads
+// them through ShardLoads and ListNodes and writes to every map
+// ListNodes returns. The fleet flake guard runs it under -race: readers
+// get copies or read under the session's lock, so nothing here may
+// race.
 func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
 	const beats = 300
 	n := simnet.New(chaosSeed)
@@ -631,7 +629,7 @@ func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
 			}
 			for _, loads := range ctrl.ShardLoads() {
 				for _, l := range loads {
-					_ = l.Scores.Count + l.ExtractLat.Count
+					_ = l.Scores.Count + l.ExtractLat.Count + l.MCVersion
 				}
 			}
 			for _, info := range ctrl.ListNodes() {
@@ -660,7 +658,13 @@ func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
 	// Send at least beats heartbeats, and go on until the reader has
 	// run: on one loaded CPU it may not be scheduled before the first
 	// beats have all been decoded.
-	shapes := []Heartbeat{sampleHeartbeat(), otherHeartbeat(), {}}
+	// The grid heartbeat holds eight MCs on cam0, the stream the edge
+	// announces, so ShardLoads reads them out of the score table.
+	var grid Heartbeat
+	if err := grid.UnmarshalBinary(gridHeartbeats(1, DefaultDriftMinCount)[0]); err != nil {
+		t.Fatal(err)
+	}
+	shapes := []Heartbeat{sampleHeartbeat(), otherHeartbeat(), {}, grid}
 	sent, deadline := 0, time.Now().Add(10*time.Second)
 	for sent < beats || reads.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -683,5 +687,17 @@ func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
 	want.PendingUploads = sent
 	if got := ctrl.ListNodes()[0].Heartbeat; !sameHeartbeat(got, decodedForm(want)) {
 		t.Fatalf("latest heartbeat %+v, sent %+v", got, want)
+	}
+	var wantScores, gotScores obs.SketchSnapshot
+	for _, sk := range want.Scores["cam0"] {
+		wantScores.Merge(sk)
+	}
+	for _, loads := range ctrl.ShardLoads() {
+		for _, l := range loads {
+			gotScores.Merge(l.Scores)
+		}
+	}
+	if gotScores != wantScores {
+		t.Fatalf("loads carry cam0 scores %+v, the latest heartbeat %+v", gotScores, wantScores)
 	}
 }

@@ -245,10 +245,10 @@ func (r *moveInRec) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(st.Drift)))
 	for key, ds := range st.Drift {
 		b = transport.AppendString(b, key)
-		b = appendSketch(b, ds.Baseline)
+		b = appendSketch(b, &ds.Baseline)
 		b = transport.AppendBool(b, ds.BaselineSet)
-		b = appendSketch(b, ds.Prev)
-		b = appendSketch(b, ds.Last)
+		b = appendSketch(b, &ds.Prev)
+		b = appendSketch(b, &ds.Last)
 		b = binary.AppendUvarint(b, ds.Version)
 		b = transport.AppendFloat64(b, ds.PSI)
 		b = transport.AppendFloat64(b, ds.KS)
@@ -302,8 +302,12 @@ func (r *moveInRec) UnmarshalBinary(data []byte) error {
 		st.Drift = make(map[string]*driftState, n)
 		for range n {
 			key := d.String()
-			ds := &driftState{Baseline: readSketch(&d), BaselineSet: d.Bool(), Prev: readSketch(&d), Last: readSketch(&d),
-				Version: d.Uvarint(), PSI: d.Float64(), KS: d.Float64(), Windows: d.Int(), Drifted: d.Bool()}
+			ds := new(driftState)
+			readSketch(&d, &ds.Baseline)
+			ds.BaselineSet = d.Bool()
+			readSketch(&d, &ds.Prev)
+			readSketch(&d, &ds.Last)
+			ds.Version, ds.PSI, ds.KS, ds.Windows, ds.Drifted = d.Uvarint(), d.Float64(), d.Float64(), d.Int(), d.Bool()
 			if _, dup := st.Drift[key]; dup {
 				d.Fail(fmt.Errorf("drift pair %q twice", key))
 			}

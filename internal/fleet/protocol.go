@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -312,10 +311,11 @@ const (
 	minSketchBytes = 4 + obs.SketchBins // Count, Passes, Sum, SumSq, bins
 )
 
-// AppendBinary appends the heartbeat's binary layout to b, growing b
-// once, to the bound maxSize computes.
+// AppendBinary appends the heartbeat's binary layout to b, in one walk
+// over its fields: b grows as appends need, so a buffer reused from the
+// last heartbeat, as the agent's writer and transport.WriteRecord reuse
+// theirs, does not grow at all.
 func (hb Heartbeat) AppendBinary(b []byte) ([]byte, error) {
-	b = slices.Grow(b, hb.maxSize())
 	b = binary.AppendUvarint(b, uint64(len(hb.Streams)))
 	for name, st := range hb.Streams {
 		b = transport.AppendString(b, name)
@@ -335,86 +335,70 @@ func (hb Heartbeat) AppendBinary(b []byte) ([]byte, error) {
 	for _, h := range [...]*obs.HistSnapshot{&hb.Extract, &hb.MCPush, &hb.QueueWait, &hb.UploadRTT} {
 		b = appendHist(b, h)
 	}
-	b = appendNested(b, hb.Scores, appendSketch)
-	b = appendNested(b, hb.ScoreVersions, binary.AppendUvarint)
+	b = binary.AppendUvarint(b, uint64(len(hb.Scores)))
+	for stream, inner := range hb.Scores {
+		b = transport.AppendString(b, stream)
+		b = binary.AppendUvarint(b, uint64(len(inner)))
+		for mc, s := range inner {
+			b = transport.AppendString(b, mc)
+			b = appendSketch(b, &s)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(hb.ScoreVersions)))
+	for stream, inner := range hb.ScoreVersions {
+		b = transport.AppendString(b, stream)
+		b = binary.AppendUvarint(b, uint64(len(inner)))
+		for mc, v := range inner {
+			b = transport.AppendString(b, mc)
+			b = binary.AppendUvarint(b, v)
+		}
+	}
 	return binary.AppendVarint(b, int64(hb.PendingUploads)), nil
 }
 
-// maxSize bounds the heartbeat's encoded size: each stream and
-// histogram bucket at its widest, each sketch's moments at their width
-// and its bins at the width of its largest.
-func (hb *Heartbeat) maxSize() int {
-	const v = binary.MaxVarintLen64
-	n := 4*v + v // the counts of the three maps, PendingUploads
-	for name := range hb.Streams {
-		n += v + len(name) + 11*v + 8
-	}
-	for _, h := range [...]*obs.HistSnapshot{&hb.Extract, &hb.MCPush, &hb.QueueWait, &hb.UploadRTT} {
-		n += 4 * v
-		for _, c := range h.Buckets {
-			if c != 0 {
-				n += 2 * v
-			}
-		}
-	}
-	for stream, inner := range hb.Scores {
-		n += 2*v + len(stream)
-		for mc, s := range inner {
-			top := uint64(0)
-			for _, c := range s.Bins {
-				top = max(top, c)
-			}
-			n += v + len(mc) + uvarintLen(s.Count) + uvarintLen(s.Passes) + varintLen(s.Sum) + varintLen(s.SumSq) + obs.SketchBins*uvarintLen(top)
-		}
-	}
-	for stream, inner := range hb.ScoreVersions {
-		n += 2*v + len(stream)
-		for mc := range inner {
-			n += v + len(mc) + v
-		}
-	}
-	return n
-}
-
-// uvarintLen is the number of bytes x takes as a uvarint, varintLen as
-// a zigzag varint.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-func varintLen(x int64) int   { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
-
 // UnmarshalBinary decodes exactly one heartbeat's binary layout: the
-// same parser a session runs in place (decode), run on a fresh target
-// with a fresh decoder.
+// same parser a session runs in place (decode), run on a fresh record
+// with a fresh decoder, and the record's value.
 func (hb *Heartbeat) UnmarshalBinary(data []byte) error {
-	var out Heartbeat
-	if err := out.decode(data, new(hbDecoder)); err != nil {
+	var r hbRecord
+	if err := r.decode(data, new(hbDecoder)); err != nil {
 		return err
 	}
-	*hb = out
+	*hb = r.heartbeat()
 	return nil
 }
 
-// decode parses one heartbeat's layout into hb in place. Every map is
-// refilled: an entry the layout holds overwrites the one under its key
-// (a sketch is stored out of line, so overwriting reuses its storage),
-// a key the layout lacks is deleted, and a map of no entries becomes
-// nil. Every histogram is zeroed before its buckets are read. Names
-// come from dec's intern table, so a heartbeat like the one hb held
-// decodes without allocating. On an error hb is left half-written:
-// UnmarshalBinary decodes into a fresh value and a session into its
-// spare, so neither exposes one.
-func (hb *Heartbeat) decode(data []byte, dec *hbDecoder) error {
-	if dec.names == nil || len(dec.names) > maxInternedNames {
-		dec.names = make(map[string]*internedName)
-	}
-	// The value readers are called through function values, so the
-	// layout reader escapes: the decoder lends its own.
-	d := &dec.d
-	*d = transport.NewLayoutReader(data)
-	defer func() { *d = transport.LayoutReader{} }() // keep no reference to data
+// hbRecord is a heartbeat as a session keeps it: the score sections in
+// a scoreTable, every other field in the embedded Heartbeat, whose
+// Scores and ScoreVersions stay nil. heartbeat builds the Heartbeat
+// value, nested maps and all, where one is handed out.
+type hbRecord struct {
+	Heartbeat
+	scores scoreTable
+}
 
+// decode parses one heartbeat's layout into r in place. The Streams
+// map is refilled: an entry the layout holds overwrites the one under
+// its key, a key the layout lacks is deleted, and a map of no entries
+// becomes nil. Every histogram is zeroed before its buckets are read,
+// and the score sections are read into r.scores, reusing its entries.
+// Names and pairs come from dec's intern table, so a heartbeat like the
+// one r held decodes without allocating. On an error r is left
+// half-written: UnmarshalBinary decodes into a fresh record and a
+// session into its spare, so neither exposes one.
+func (r *hbRecord) decode(data []byte, dec *hbDecoder) error {
+	if dec.names == nil || len(dec.names)+dec.pairs > maxInternedNames {
+		dec.names, dec.pairs = make(map[string]*internedName), 0
+	}
+	d := transport.NewLayoutReader(data)
 	n := d.Count(minStreamBytes)
-	var scope uint64
-	hb.Streams, scope = begin(dec, hb.Streams, n)
+	scope := dec.newScope()
+	switch {
+	case n == 0:
+		r.Streams = nil
+	case r.Streams == nil:
+		r.Streams = make(map[string]StreamStats, n)
+	}
 	for range n {
 		name := dec.name(d.Bytes())
 		st := StreamStats{
@@ -431,72 +415,217 @@ func (hb *Heartbeat) decode(data []byte, dec *hbDecoder) error {
 			ArchiveEvictedSegments: d.Int(),
 			ArchiveEvictedBytes:    d.Varint(),
 		}
-		if dec.claim(d, name, outerKey, scope) {
-			hb.Streams[name.s] = st
+		if dec.claim(&d, name, scope) {
+			r.Streams[name.s] = st
 		}
 	}
-	sweep(dec, hb.Streams, n, outerKey, scope)
-	for _, h := range [...]*obs.HistSnapshot{&hb.Extract, &hb.MCPush, &hb.QueueWait, &hb.UploadRTT} {
-		readHist(d, h)
+	if len(r.Streams) > n { // keys an earlier decode left
+		for k := range r.Streams {
+			if e := dec.names[k]; e == nil || e.written != scope {
+				delete(r.Streams, k)
+			}
+		}
 	}
-	hb.Scores = readNested(d, dec, hb.Scores, minSketchBytes, readSketch)
-	hb.ScoreVersions = readNested(d, dec, hb.ScoreVersions, 1, (*transport.LayoutReader).Uvarint)
-	hb.PendingUploads = d.Int()
+	for _, h := range [...]*obs.HistSnapshot{&r.Extract, &r.MCPush, &r.QueueWait, &r.UploadRTT} {
+		readHist(&d, h)
+	}
+	r.scores.read(&d, dec)
+	r.PendingUploads = d.Int()
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("heartbeat: %w", err)
 	}
 	return nil
 }
 
-// clone returns a deep copy of hb, sharing no map with it.
-func (hb *Heartbeat) clone() Heartbeat {
-	out := *hb
-	out.Streams = maps.Clone(hb.Streams)
-	out.Scores = cloneNested(hb.Scores)
-	out.ScoreVersions = cloneNested(hb.ScoreVersions)
-	return out
+// heartbeat returns r as a Heartbeat value that shares no map with r:
+// the Streams map copied, Scores and ScoreVersions built from the score
+// table.
+func (r *hbRecord) heartbeat() Heartbeat {
+	hb := r.Heartbeat
+	hb.Streams = maps.Clone(r.Streams)
+	hb.Scores = nestedMap(r.scores.sketchRuns, r.scores.sketches, func(e *pairSketch) (string, obs.SketchSnapshot) { return e.pair.mc, e.sketch })
+	hb.ScoreVersions = nestedMap(r.scores.versionRuns, r.scores.versions, func(e *pairVersion) (string, uint64) { return e.pair.mc, e.version })
+	return hb
 }
 
-func cloneNested[V any](m map[string]map[string]V) map[string]map[string]V {
-	if m == nil {
+// nestedMap builds a stream → MC → value map from a score section:
+// nil for no streams, a nil inner map for a stream of no entries.
+func nestedMap[E, V any](runs []streamRun, entries []E, kv func(*E) (string, V)) map[string]map[string]V {
+	if len(runs) == 0 {
 		return nil
 	}
-	out := make(map[string]map[string]V, len(m))
-	for k, inner := range m {
-		out[k] = maps.Clone(inner)
+	m := make(map[string]map[string]V, len(runs))
+	for _, run := range runs {
+		var inner map[string]V
+		if run.n > 0 {
+			inner = make(map[string]V, run.n)
+			for i := range entries[:run.n] {
+				mc, v := kv(&entries[i])
+				inner[mc] = v
+			}
+		}
+		m[run.name] = inner
+		entries = entries[run.n:]
 	}
-	return out
+	return m
 }
 
-// hbDecoder is what heartbeat decodes into one target keep between
-// them: the layout reader, and an intern table of the stream and MC
-// names seen. Each name carries the scope of the map it was last
-// written to, at each nesting level, which is how a decode that
-// overwrites a map in place tells a duplicate key from a key the
-// previous decode left. The table starts over, between decodes, once it
-// holds more than maxInternedNames, so a node cycling through names
-// cannot grow it without limit.
+// scoreTable is a heartbeat's two score sections, Scores and
+// ScoreVersions, as a session parses them: each section's entries in
+// wire order, stream after stream, each naming its (stream, MC) pair as
+// the session's decoder interned it. The drift detector, the shard's
+// loads and LastHeartbeat read it in place, so no sketch is copied into
+// a nested map and back out, and no pair's drift key is built per
+// heartbeat.
+type scoreTable struct {
+	sketches []pairSketch
+	versions []pairVersion
+	// sketchRuns and versionRuns are each section's streams in wire
+	// order, with their entry counts: a section's entries are its
+	// streams' runs, one after another.
+	sketchRuns, versionRuns []streamRun
+}
+
+// pairSketch is one Scores entry: a pair's cumulative sketch, and the
+// model version ScoreVersions gives the pair (zero when it gives none).
+type pairSketch struct {
+	pair    *scorePair
+	sketch  obs.SketchSnapshot
+	version uint64
+}
+
+// pairVersion is one ScoreVersions entry.
+type pairVersion struct {
+	pair    *scorePair
+	version uint64
+}
+
+// streamRun is one stream of a score section and its entry count.
+type streamRun struct {
+	name string
+	n    int
+}
+
+// scorePair is one (stream, MC) pair of a session's heartbeats, made
+// once by the session's decoder. Its MC name and key never change once
+// made; the other fields belong to the session's reader goroutine.
+type scorePair struct {
+	mc  string
+	key string // "stream/mc": the pair's key in nodeState.Drift
+	// claimed holds, by section (Scores, then ScoreVersions), the scope
+	// of the last read of that section that held the pair, and slot the
+	// pair's index in the Scores entries of the read that last claimed
+	// it there.
+	claimed [2]uint64
+	slot    int
+	// base is the frozen baseline of ds, the pair's drift state,
+	// prepared for scoring; observeScores derives it again whenever the
+	// node's Drift map holds another state for key (see there).
+	ds   *driftState
+	base obs.Baseline
+}
+
+// Score sections, the index of each in scorePair.claimed.
+const (
+	sketchSection = iota
+	versionSection
+)
+
+// streamSketches returns the Scores entries of the named stream.
+func (t *scoreTable) streamSketches(stream string) []pairSketch {
+	lo, hi := runOf(t.sketchRuns, stream)
+	return t.sketches[lo:hi]
+}
+
+// streamVersions returns the ScoreVersions entries of the named stream.
+func (t *scoreTable) streamVersions(stream string) []pairVersion {
+	lo, hi := runOf(t.versionRuns, stream)
+	return t.versions[lo:hi]
+}
+
+// runOf returns the entries [lo, hi) of the named stream's run, an
+// empty span when the section has none.
+func runOf(runs []streamRun, stream string) (lo, hi int) {
+	for _, run := range runs {
+		if run.name == stream {
+			return lo, lo + run.n
+		}
+		lo += run.n
+	}
+	return 0, 0
+}
+
+// read reads the Scores section, then the ScoreVersions section, into
+// t, refusing a stream twice in a section or an MC twice in a stream.
+func (t *scoreTable) read(d *transport.LayoutReader, dec *hbDecoder) {
+	t.sketches, t.sketchRuns = t.sketches[:0], t.sketchRuns[:0]
+	t.versions, t.versionRuns = t.versions[:0], t.versionRuns[:0]
+	sketchScope := dec.newScope()
+	for n := d.Count(2); n > 0; n-- { // a stream name and a count
+		stream := dec.name(d.Bytes())
+		k := d.Count(1 + minSketchBytes) // an MC name and a sketch
+		for range k {
+			p := dec.pair(d, stream, d.Bytes(), sketchSection, sketchScope)
+			p.slot = len(t.sketches)
+			if p.slot < cap(t.sketches) {
+				t.sketches = t.sketches[:p.slot+1]
+			} else {
+				t.sketches = append(t.sketches, pairSketch{})
+			}
+			e := &t.sketches[p.slot]
+			e.pair, e.version = p, 0
+			readSketch(d, &e.sketch)
+		}
+		dec.claim(d, stream, sketchScope)
+		t.sketchRuns = append(t.sketchRuns, streamRun{stream.s, k})
+	}
+	scope := dec.newScope()
+	for n := d.Count(2); n > 0; n-- {
+		stream := dec.name(d.Bytes())
+		k := d.Count(1 + 1) // an MC name and a version
+		for range k {
+			p := dec.pair(d, stream, d.Bytes(), versionSection, scope)
+			v := d.Uvarint()
+			t.versions = append(t.versions, pairVersion{p, v})
+			if p.claimed[sketchSection] == sketchScope {
+				t.sketches[p.slot].version = v
+			}
+		}
+		dec.claim(d, stream, scope)
+		t.versionRuns = append(t.versionRuns, streamRun{stream.s, k})
+	}
+}
+
+// hbDecoder is what heartbeat decodes into one session's records keep
+// between them: an intern table of the stream and MC names seen, each
+// stream name with the (stream, MC) pairs seen under it. Each name
+// carries the scope of the map or section it last keyed a stream of,
+// and each pair the scope of each section it was last read in, which is
+// how a decode that overwrites a record in place tells a duplicate key
+// from a key the previous decode left. The table starts over, between
+// decodes, once its names and pairs number more than maxInternedNames,
+// so a node cycling through names cannot grow it without limit.
 type hbDecoder struct {
-	d     transport.LayoutReader
 	names map[string]*internedName
-	scope uint64 // the newest map's scope; every map read takes a new one
+	pairs int    // the pairs interned under names
+	scope uint64 // the newest map's or section's scope
 }
 
 // internedName is one entry of an hbDecoder's intern table.
 type internedName struct {
 	s       string
-	written [2]uint64 // by nesting level: the scope of the map last given this key
+	written uint64                // the scope of the map or section last given this stream key
+	pairs   map[string]*scorePair // by MC name, the pairs of this stream
 }
-
-// Nesting levels of a heartbeat's maps: the top-level maps (Streams, and
-// Scores and ScoreVersions by stream), and the MC maps inside a stream.
-const (
-	outerKey = iota
-	innerKey
-)
 
 // maxInternedNames bounds an hbDecoder's intern table between decodes.
 const maxInternedNames = 4096
+
+// newScope returns a scope for the next map or section read.
+func (dec *hbDecoder) newScope() uint64 {
+	dec.scope++
+	return dec.scope
+}
 
 // name returns the interned entry for b, adding it on first sight.
 func (dec *hbDecoder) name(b []byte) *internedName {
@@ -508,43 +637,38 @@ func (dec *hbDecoder) name(b []byte) *internedName {
 	return e
 }
 
-// begin starts reading n entries into m in place: it returns m (nil for
-// no entries, a new map when m is nil) and the scope the entries' keys
-// are claimed in.
-func begin[V any](dec *hbDecoder, m map[string]V, n int) (map[string]V, uint64) {
-	dec.scope++
-	switch {
-	case n == 0:
-		return nil, dec.scope
-	case m == nil:
-		return make(map[string]V, n), dec.scope
-	}
-	return m, dec.scope
-}
-
-// claim marks name as a key of the map of scope at level, reporting
-// false and failing the layout if it already is one: a decoder that
-// let the last entry win would accept two encodings of one heartbeat.
-func (dec *hbDecoder) claim(d *transport.LayoutReader, name *internedName, level int, scope uint64) bool {
-	if name.written[level] == scope {
+// claim marks name as a stream key of the map or section of scope,
+// reporting false and failing the layout if it already is one: a
+// decoder that let the last entry win would accept two encodings of one
+// heartbeat.
+func (dec *hbDecoder) claim(d *transport.LayoutReader, name *internedName, scope uint64) bool {
+	if name.written == scope {
 		d.Fail(fmt.Errorf("duplicate key %q", name.s))
 		return false
 	}
-	name.written[level] = scope
+	name.written = scope
 	return true
 }
 
-// sweep deletes the keys of m, which n entries of scope were read
-// into, that the scope did not claim: those an earlier decode left.
-func sweep[V any](dec *hbDecoder, m map[string]V, n, level int, scope uint64) {
-	if len(m) <= n {
-		return
-	}
-	for k := range m {
-		if e := dec.names[k]; e == nil || e.written[level] != scope {
-			delete(m, k)
+// pair returns the interned pair of stream and the MC named mc, adding
+// it on first sight, and claims it for the section read of scope,
+// failing the layout if that read already holds it.
+func (dec *hbDecoder) pair(d *transport.LayoutReader, stream *internedName, mc []byte, section int, scope uint64) *scorePair {
+	p := stream.pairs[string(mc)]
+	if p == nil {
+		if stream.pairs == nil {
+			stream.pairs = make(map[string]*scorePair)
 		}
+		p = &scorePair{mc: string(mc)}
+		p.key = stream.s + "/" + p.mc
+		stream.pairs[p.mc] = p
+		dec.pairs++
 	}
+	if p.claimed[section] == scope {
+		d.Fail(fmt.Errorf("duplicate key %q", p.mc))
+	}
+	p.claimed[section] = scope
+	return p
 }
 
 // appendHist appends a histogram snapshot: Count, Sum, Max, then its
@@ -592,61 +716,21 @@ func readHist(d *transport.LayoutReader, h *obs.HistSnapshot) {
 	}
 }
 
-func appendSketch(b []byte, s obs.SketchSnapshot) []byte {
+func appendSketch(b []byte, s *obs.SketchSnapshot) []byte {
 	b = binary.AppendUvarint(b, s.Count)
 	b = binary.AppendUvarint(b, s.Passes)
 	b = binary.AppendVarint(b, s.Sum)
 	b = binary.AppendVarint(b, s.SumSq)
-	for _, c := range s.Bins {
+	for _, c := range s.Bins[:] { // a slice: ranging over the array would copy it
 		b = binary.AppendUvarint(b, c)
 	}
 	return b
 }
 
-func readSketch(d *transport.LayoutReader) obs.SketchSnapshot {
-	s := obs.SketchSnapshot{Count: d.Uvarint(), Passes: d.Uvarint(), Sum: d.Varint(), SumSq: d.Varint()}
+// readSketch reads what appendSketch wrote into s.
+func readSketch(d *transport.LayoutReader, s *obs.SketchSnapshot) {
+	s.Count, s.Passes, s.Sum, s.SumSq = d.Uvarint(), d.Uvarint(), d.Varint(), d.Varint()
 	d.Uvarints(s.Bins[:])
-	return s
-}
-
-// appendNested appends a stream → MC → value map.
-func appendNested[V any](b []byte, m map[string]map[string]V, appendV func([]byte, V) []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(m)))
-	for stream, inner := range m {
-		b = transport.AppendString(b, stream)
-		b = binary.AppendUvarint(b, uint64(len(inner)))
-		for mc, v := range inner {
-			b = transport.AppendString(b, mc)
-			b = appendV(b, v)
-		}
-	}
-	return b
-}
-
-// readNested reads what appendNested wrote into m in place (see
-// decode), each stream's MC map into the one m held for the stream; a
-// value takes at least minValueBytes.
-func readNested[V any](d *transport.LayoutReader, dec *hbDecoder, m map[string]map[string]V, minValueBytes int, readV func(*transport.LayoutReader) V) map[string]map[string]V {
-	n := d.Count(2) // a stream name and an inner count
-	m, scope := begin(dec, m, n)
-	for range n {
-		stream := dec.name(d.Bytes())
-		k := d.Count(1 + minValueBytes) // an MC name and a value
-		inner, innerScope := begin(dec, m[stream.s], k)
-		for range k {
-			mc := dec.name(d.Bytes())
-			v := readV(d)
-			if dec.claim(d, mc, innerKey, innerScope) {
-				inner[mc.s] = v
-			}
-		}
-		sweep(dec, inner, k, innerKey, innerScope)
-		if dec.claim(d, stream, outerKey, scope) {
-			m[stream.s] = inner
-		}
-	}
-	sweep(dec, m, n, outerKey, scope)
-	return m
 }
 
 // UploadAck acknowledges one received upload by its edge-assigned

@@ -61,15 +61,15 @@ type Session struct {
 	pending     map[uint64]chan any
 	fetchFrames map[uint64][]*vision.Image // data chunks awaiting their trailer
 	received    int
-	heartbeat   *Heartbeat // the latest; its maps are not written again until it is the spare
+	heartbeat   *hbRecord // the latest; not written again until it is the spare
 	heartbeatAt time.Time
 	runErr      error
 
-	// spare is the heartbeat the reader goroutine decodes the next
-	// record into, reusing its maps and hbDec's names; the two swap
-	// under mu. Owned by the reader goroutine, as are ackBuf, the
-	// reused upload-ack record, and hbDec.
-	spare  *Heartbeat
+	// spare is the heartbeat record the reader goroutine decodes the
+	// next heartbeat into, reusing its map, its score table and hbDec's
+	// names and pairs; the two swap under mu. Owned by the reader
+	// goroutine, as are ackBuf, the reused upload-ack record, and hbDec.
+	spare  *hbRecord
 	hbDec  hbDecoder
 	ackBuf []byte
 
@@ -82,14 +82,16 @@ type Session struct {
 	// histograms.
 	hbGap, hbHandle *obs.Histogram
 	// onHeartbeat, when non-nil, runs in the reader goroutine for
-	// every heartbeat after it is stored — the shard's drift-detector
-	// hook. Called outside s.mu; it may take shard locks. The heartbeat
-	// it is handed is valid only during the call: its maps are reused
-	// by a later decode, so a hook that keeps any of it copies it.
-	onHeartbeat func(*Session, *Heartbeat)
+	// every heartbeat after it is stored, with the heartbeat's score
+	// table — the shard's drift-detector hook. Called outside s.mu; it
+	// may take shard locks. The table is the latest heartbeat's, which
+	// readers holding s.mu read meanwhile, so the hook only reads it
+	// (and the fields of its pairs the reader goroutine owns); it is
+	// valid only during the call, since a later decode reuses it.
+	onHeartbeat func(*Session, *scoreTable)
 }
 
-func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Duration, hbGap, hbHandle *obs.Histogram, onHeartbeat func(*Session, *Heartbeat)) *Session {
+func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Duration, hbGap, hbHandle *obs.Histogram, onHeartbeat func(*Session, *scoreTable)) *Session {
 	return &Session{
 		id:          id,
 		node:        hello.Node,
@@ -99,8 +101,8 @@ func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Du
 		liveness:    liveness,
 		resumed:     hello.Resume,
 		pending:     make(map[uint64]chan any),
-		heartbeat:   new(Heartbeat),
-		spare:       new(Heartbeat),
+		heartbeat:   new(hbRecord),
+		spare:       new(hbRecord),
 		fetchFrames: make(map[uint64][]*vision.Image),
 		done:        make(chan struct{}),
 		hbGap:       hbGap,
@@ -138,7 +140,7 @@ func (s *Session) Received() int {
 func (s *Session) LastHeartbeat() (Heartbeat, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.heartbeat.clone(), s.heartbeatAt
+	return s.heartbeat.heartbeat(), s.heartbeatAt
 }
 
 // Err returns the error that ended the session, nil while it is live
@@ -449,7 +451,7 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 }
 
 // handleHeartbeat decodes one heartbeat record's payload into the
-// spare heartbeat and swaps it in as the latest, observes the gap since
+// spare record and swaps it in as the latest, observes the gap since
 // the previous one, runs onHeartbeat, and observes how long all of that
 // took. Decoding in place, a heartbeat like the last one allocates
 // nothing. A refused payload leaves the latest heartbeat as it was.
@@ -468,7 +470,7 @@ func (s *Session) handleHeartbeat(body []byte) error {
 		s.hbGap.Observe(now.Sub(prev))
 	}
 	if s.onHeartbeat != nil {
-		s.onHeartbeat(s, hb)
+		s.onHeartbeat(s, &hb.scores)
 	}
 	if s.hbHandle != nil {
 		s.hbHandle.Observe(time.Since(now))

@@ -237,8 +237,9 @@ func (sh *shard) loads() []metrics.NodeLoad {
 	defer sh.mu.Unlock()
 	var loads []metrics.NodeLoad
 	for _, s := range sh.sessions {
-		// Read the latest heartbeat in place, under its session's lock,
-		// rather than copy it: the loads copy out what they keep.
+		// Read the latest heartbeat in place, its score table included,
+		// under its session's lock, rather than copy it: the loads copy
+		// out what they keep.
 		s.mu.Lock()
 		hb := s.heartbeat
 		ns := sh.Nodes[s.Node()]
@@ -255,13 +256,11 @@ func (sh *shard) loads() []metrics.NodeLoad {
 			// Sketches and drift scores are per-stream (the heartbeat
 			// keys them by stream), so unlike the node-level latency
 			// histograms they ride every load without double counting.
-			for _, sk := range hb.Scores[si.Name] {
-				load.Scores.Merge(sk)
+			for _, e := range hb.scores.streamSketches(si.Name) {
+				load.Scores.Merge(e.sketch)
 			}
-			for _, v := range hb.ScoreVersions[si.Name] {
-				if v > load.MCVersion {
-					load.MCVersion = v
-				}
+			for _, e := range hb.scores.streamVersions(si.Name) {
+				load.MCVersion = max(load.MCVersion, e.version)
 			}
 			prefix := si.Name + "/"
 			for key, ds := range ns.Drift {

@@ -92,8 +92,9 @@ func (s *ScoreSketch) Snapshot() SketchSnapshot {
 // SketchSnapshot is a point-in-time copy of a ScoreSketch — the
 // wire format heartbeats carry to the controller (plain exported
 // fields, gob-friendly, fixed-size). All fields are integers, so Merge
-// and Sub are exact: associative, commutative, and independent of how
-// a fleet's sketches are grouped into shards.
+// is exact: associative, commutative, and independent of how a fleet's
+// sketches are grouped into shards, and so is the difference of two
+// cumulative snapshots a Baseline scores.
 type SketchSnapshot struct {
 	// Count and Passes are the observation and threshold-pass totals.
 	Count  uint64
@@ -119,22 +120,6 @@ func (s *SketchSnapshot) Merge(o SketchSnapshot) {
 	}
 }
 
-// Sub returns the delta s − o, the observations recorded after o was
-// taken. Heartbeat sketches are cumulative, so the controller derives
-// a rolling recent window by subtracting the previous cumulative
-// snapshot. Exact for the same reason Merge is.
-func (s SketchSnapshot) Sub(o SketchSnapshot) SketchSnapshot {
-	d := s
-	d.Count -= o.Count
-	d.Passes -= o.Passes
-	d.Sum -= o.Sum
-	d.SumSq -= o.SumSq
-	for i := range d.Bins {
-		d.Bins[i] -= o.Bins[i]
-	}
-	return d
-}
-
 // Mean returns the average score, 0 when empty.
 func (s SketchSnapshot) Mean() float64 {
 	if s.Count == 0 {
@@ -156,6 +141,9 @@ func (s SketchSnapshot) PassRate() float64 {
 // empty bin on one side would otherwise send the index to infinity.
 const psiFloor = 1e-4
 
+// psiFloorBits is psiFloor's bit pattern.
+var psiFloorBits = math.Float64bits(psiFloor)
+
 // PSI returns the Population Stability Index between a baseline and a
 // recent score distribution, computed over the 32 shared bins:
 //
@@ -165,8 +153,8 @@ const psiFloor = 1e-4
 // arguments and zero for identical distributions. Industry convention
 // reads < 0.1 as stable, 0.1–0.25 as moderate shift, and > 0.25 as a
 // major shift. Returns 0 when either side is empty (no evidence is not
-// evidence of drift). PSIKS computes it and KS in one pass, to the same
-// bits; this is the definition it is tested against.
+// evidence of drift). Baseline.Score computes it and KS in one pass,
+// to the same bits; this is the definition it is tested against.
 func PSI(base, recent SketchSnapshot) float64 {
 	if base.Count == 0 || recent.Count == 0 {
 		return 0
@@ -192,8 +180,8 @@ func PSI(base, recent SketchSnapshot) float64 {
 // Ranges over [0, 1]; zero for identical distributions. Binning makes
 // it a lower bound on the exact KS distance, which is the safe
 // direction for an alert threshold. Returns 0 when either side is
-// empty. PSIKS computes it and PSI in one pass, to the same bits; this
-// is the definition it is tested against.
+// empty. Baseline.Score computes it and PSI in one pass, to the same
+// bits; this is the definition it is tested against.
 func KS(base, recent SketchSnapshot) float64 {
 	if base.Count == 0 || recent.Count == 0 {
 		return 0
@@ -209,30 +197,66 @@ func KS(base, recent SketchSnapshot) float64 {
 	return worst
 }
 
-// PSIKS returns PSI(base, recent) and KS(base, recent) in one pass
-// over the bins, each proportion computed once for both. Every value
-// equals the one its own function returns, bit for bit: the same
-// expressions in the same order.
-func PSIKS(base, recent *SketchSnapshot) (psi, ks float64) {
-	if base.Count == 0 || recent.Count == 0 {
+// Baseline is a frozen reference distribution prepared for scoring
+// windows against it: its per-bin proportions floored for PSI, and
+// their running sums for KS, derived once when the baseline freezes
+// instead of once per window. The zero Baseline is an empty one, which
+// scores every window 0.
+type Baseline struct {
+	floored [SketchBins]float64 // max(pᵢ, 1e-4)
+	cdf     [SketchBins]float64 // p₀ + … + pᵢ, unfloored
+	set     bool                // derived from a baseline of at least one observation
+}
+
+// NewBaseline derives base's scoring tables.
+func NewBaseline(base *SketchSnapshot) Baseline {
+	b := Baseline{set: base.Count > 0}
+	if !b.set {
+		return b
+	}
+	var cp float64
+	for i, c := range base.Bins[:] {
+		p := float64(c) / float64(base.Count)
+		cp += p
+		b.cdf[i] = cp
+		b.floored[i] = max(p, psiFloor)
+	}
+	return b
+}
+
+// Score returns PSI(base, w) and KS(base, w) for the window w = cur −
+// prev of two cumulative snapshots, bit for bit: the definitions'
+// expressions in their order, with the baseline's side read from its
+// tables and the window's computed from cur and prev directly. A bin
+// whose two floored proportions are equal adds exactly +0 to PSI and is
+// skipped; the others' logarithms are taken in one batch (logs). The
+// loop over the bins takes no data-dependent branch: the values it
+// takes a maximum of are never negative, and for those the larger
+// float has the larger bits, so an integer max (a conditional move)
+// decides.
+func (b *Baseline) Score(cur, prev *SketchSnapshot) (psi, ks float64) {
+	n := cur.Count - prev.Count
+	if !b.set || n == 0 {
 		return 0, 0
 	}
-	var cp, cq float64
-	for i := 0; i < SketchBins; i++ {
-		p := float64(base.Bins[i]) / float64(base.Count)
-		q := float64(recent.Bins[i]) / float64(recent.Count)
-		cp += p
+	var diff, ratio [SketchBins]float64
+	var cq float64
+	var ksBits uint64
+	k := 0
+	for i := range SketchBins {
+		q := float64(cur.Bins[i]-prev.Bins[i]) / float64(n)
 		cq += q
-		if d := math.Abs(cp - cq); d > ks {
-			ks = d
+		ksBits = max(ksBits, math.Float64bits(b.cdf[i]-cq)&^(1<<63))
+		q = math.Float64frombits(max(math.Float64bits(q), psiFloorBits))
+		p := b.floored[i]
+		diff[k], ratio[k] = q-p, q/p
+		if q != p {
+			k++
 		}
-		if p < psiFloor {
-			p = psiFloor
-		}
-		if q < psiFloor {
-			q = psiFloor
-		}
-		psi += (q - p) * math.Log(q/p)
 	}
-	return psi, ks
+	logs(ratio[:k])
+	for j, l := range ratio[:k] {
+		psi += diff[j] * l
+	}
+	return psi, math.Float64frombits(ksBits)
 }

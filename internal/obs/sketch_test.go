@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -108,7 +109,23 @@ func TestSketchMergeExact(t *testing.T) {
 	}
 }
 
-func TestSketchSub(t *testing.T) {
+// sub is the window between two cumulative snapshots, field by field.
+func sub(cur, prev SketchSnapshot) SketchSnapshot {
+	d := cur
+	d.Count -= prev.Count
+	d.Passes -= prev.Passes
+	d.Sum -= prev.Sum
+	d.SumSq -= prev.SumSq
+	for i := range d.Bins {
+		d.Bins[i] -= prev.Bins[i]
+	}
+	return d
+}
+
+// TestBaselineScoresCumulativeDelta: the window Score reads off two
+// cumulative snapshots is the sketch of the scores observed between
+// them.
+func TestBaselineScoresCumulativeDelta(t *testing.T) {
 	var s ScoreSketch
 	for i := 0; i < 100; i++ {
 		s.Observe(0.3, false)
@@ -119,9 +136,19 @@ func TestSketchSub(t *testing.T) {
 		late[i] = 0.9
 		s.Observe(0.9, true)
 	}
-	window := s.Snapshot().Sub(prev)
-	if !reflect.DeepEqual(window, sketchOf(late, 0.5)) {
-		t.Fatalf("cumulative delta != direct sketch of the window:\n%+v", window)
+	cur := s.Snapshot()
+	if !reflect.DeepEqual(sub(cur, prev), sketchOf(late, 0.5)) {
+		t.Fatalf("cumulative delta != direct sketch of the window:\n%+v", sub(cur, prev))
+	}
+	base := sketchOf([]float64{0.3, 0.5, 0.7}, 0.5)
+	b := NewBaseline(&base)
+	psi, ks := b.Score(&cur, &prev)
+	if psi != PSI(base, sketchOf(late, 0.5)) || ks != KS(base, sketchOf(late, 0.5)) {
+		t.Fatalf("Score(cur, prev) = (%v, %v), the window's PSI and KS are (%v, %v)", psi, ks, PSI(base, sketchOf(late, 0.5)), KS(base, sketchOf(late, 0.5)))
+	}
+	var zero Baseline // an empty baseline scores nothing
+	if psi, ks := zero.Score(&cur, &prev); psi != 0 || ks != 0 {
+		t.Fatalf("the zero Baseline scores (%v, %v), want 0", psi, ks)
 	}
 }
 
@@ -164,39 +191,188 @@ func TestSketchPSIAndKS(t *testing.T) {
 	}
 }
 
-// TestPSIKSMatchesTwoPass: the one-pass PSIKS returns PSI's and KS's
-// values bit for bit — on empty sides, identical and disjoint
-// distributions, bins below the PSI floor on either side, and random
-// sketches.
-func TestPSIKSMatchesTwoPass(t *testing.T) {
+// scoreCorpus draws the baseline and cumulative pairs Baseline.Score
+// is checked on: random sketches at counts from a handful to 2^53,
+// bins empty on the baseline's side, the window's, both, or neither,
+// windows proportional to the baseline (identical distributions), all
+// of either side's mass in one bin, and empty sides.
+func scoreCorpus(rng *rand.Rand, n int) map[string][3]SketchSnapshot {
+	// draw fills bins with counts below 2^scale, each bin left empty
+	// with probability emptyP.
+	draw := func(scale int, emptyP float64) SketchSnapshot {
+		var s SketchSnapshot
+		for i := range s.Bins {
+			if rng.Float64() < emptyP {
+				continue
+			}
+			s.Bins[i] = uint64(rng.Int63n(int64(1) << scale))
+			s.Count += s.Bins[i]
+		}
+		return s
+	}
+	add := func(a, b SketchSnapshot) SketchSnapshot {
+		a.Merge(b)
+		return a
+	}
+	oneBin := func(count uint64) SketchSnapshot {
+		var s SketchSnapshot
+		s.Count = count
+		s.Bins[rng.Intn(SketchBins)] = count
+		return s
+	}
 	var tail SketchSnapshot // 20000 observations, one in each of two bins below the floor
 	tail.Count, tail.Bins[0], tail.Bins[5], tail.Bins[31] = 20000, 19998, 1, 1
-	cases := map[string][2]SketchSnapshot{
-		"both empty":      {{}, {}},
-		"empty base":      {{}, sketchOf([]float64{0.2, 0.4}, 0.5)},
-		"empty recent":    {sketchOf([]float64{0.2, 0.4}, 0.5), {}},
-		"identical":       {sketchOf([]float64{0.1, 0.5, 0.9}, 0.5), sketchOf([]float64{0.1, 0.5, 0.9}, 0.5)},
-		"disjoint":        {sketchOf([]float64{0.01, 0.02}, 0.5), sketchOf([]float64{0.98, 0.99}, 0.5)},
-		"floored base":    {tail, sketchOf([]float64{0, 0.2, 0.5, 1}, 0.5)},
-		"floored recent":  {sketchOf([]float64{0, 0.2, 0.5, 1}, 0.5), tail},
-		"floored on both": {tail, tail},
+	corpus := map[string][3]SketchSnapshot{ // baseline, prev, cur
+		"both empty":         {{}, {}, {}},
+		"empty base":         {{}, {}, sketchOf([]float64{0.2, 0.4}, 0.5)},
+		"empty window":       {sketchOf([]float64{0.2, 0.4}, 0.5), tail, tail},
+		"identical":          {sketchOf([]float64{0.1, 0.5, 0.9}, 0.5), tail, add(tail, sketchOf([]float64{0.1, 0.5, 0.9}, 0.5))},
+		"disjoint":           {sketchOf([]float64{0.01, 0.02}, 0.5), {}, sketchOf([]float64{0.98, 0.99}, 0.5)},
+		"floored base":       {tail, {}, sketchOf([]float64{0, 0.2, 0.5, 1}, 0.5)},
+		"floored window":     {sketchOf([]float64{0, 0.2, 0.5, 1}, 0.5), {}, tail},
+		"floored on both":    {tail, {}, tail},
+		"one bin each":       {oneBin(1 << 53), oneBin(7), add(oneBin(7), oneBin(1<<53-7))},
+		"one bin, same bin":  {{Count: 5, Bins: [SketchBins]uint64{5}}, {}, {Count: 1 << 53, Bins: [SketchBins]uint64{1 << 53}}},
+		"counts at 2^53":     {draw(48, 0.3), draw(48, 0.3), {}},
+		"proportional, 2^53": {},
 	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 50; i++ {
-		var pair [2]SketchSnapshot
-		for side := range pair {
-			for n := rng.Intn(400); n > 0; n-- {
-				pair[side].Bins[rng.Intn(SketchBins)]++
-				pair[side].Count++
+	// Counts at 2^53: the cumulative sketch ends at 2^53 observations.
+	c := corpus["counts at 2^53"]
+	c[2] = add(c[1], draw(48, 0.3))
+	corpus["counts at 2^53"] = c
+	base := draw(20, 0.5)
+	var scaled SketchSnapshot
+	for i, b := range base.Bins {
+		scaled.Bins[i] = b << 32
+		scaled.Count += b << 32
+	}
+	prev := draw(40, 0.2)
+	corpus["proportional, 2^53"] = [3]SketchSnapshot{base, prev, add(prev, scaled)}
+	for i := 0; i < n; i++ {
+		scale := 1 + rng.Intn(48)
+		base := draw(1+rng.Intn(48), rng.Float64())
+		prev := draw(scale, rng.Float64())
+		win := draw(1+rng.Intn(scale), rng.Float64())
+		switch rng.Intn(8) {
+		case 0: // the window is the baseline's distribution
+			win = SketchSnapshot{}
+			m := uint64(1 + rng.Intn(1000))
+			for j, b := range base.Bins {
+				win.Bins[j] = b * m
+				win.Count += b * m
+			}
+		case 1:
+			win = oneBin(uint64(1 + rng.Int63n(1<<20)))
+		case 2:
+			base = oneBin(uint64(1 + rng.Int63n(1<<20)))
+		}
+		corpus[fmt.Sprintf("random %d", i)] = [3]SketchSnapshot{base, prev, add(prev, win)}
+	}
+	return corpus
+}
+
+// TestBaselineScoreMatchesDefinitions: Score returns PSI's and KS's
+// values for the window between two cumulative snapshots, bit for bit,
+// over the score corpus.
+func TestBaselineScoreMatchesDefinitions(t *testing.T) {
+	for name, c := range scoreCorpus(rand.New(rand.NewSource(11)), 20000) {
+		base, prev, cur := c[0], c[1], c[2]
+		b := NewBaseline(&base)
+		psi, ks := b.Score(&cur, &prev)
+		win := sub(cur, prev)
+		wantPSI, wantKS := PSI(base, win), KS(base, win)
+		if math.Float64bits(psi) != math.Float64bits(wantPSI) || math.Float64bits(ks) != math.Float64bits(wantKS) {
+			t.Errorf("%s: Score = (%v, %v), PSI and KS = (%v, %v)", name, psi, ks, wantPSI, wantKS)
+		}
+	}
+}
+
+// logTier is one logarithm tier this build can run (logTiers lists
+// them); use() selects it.
+type logTier struct {
+	name string
+	use  func()
+}
+
+// TestLogsMatchMathLog: the batched logarithm gives math.Log's bits,
+// on every tier, for a million random positive normals, √2/2 times
+// every power of two (where the reduction's comparison decides) and
+// their neighbours, every power of two, and the ratios the PSI floor
+// can produce, 1e-4 and 1e4 — in batches of every length up to two
+// vector blocks and more.
+// Zeros, negatives, infinities, NaNs and subnormals, scattered among
+// them, take math.Log's special cases.
+func TestLogsMatchMathLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var in []float64
+	for len(in) < 1_000_000 {
+		// Random bits with the sign cleared: every positive normal is
+		// equally likely, so every exponent is covered.
+		if v := math.Float64frombits(rng.Uint64() >> 1); v >= 0x1p-1022 && v <= math.MaxFloat64 {
+			in = append(in, v)
+		}
+	}
+	in = append(in, 1e-4, 1e4, 1e-4/1e4, 1e4/1e-4)
+	for e := -1021; e <= 1023; e++ {
+		// √2/2 at every exponent, where the reduction's comparison
+		// decides (at 2^0 either branch gives the same bits), and its
+		// two neighbours.
+		h := math.Ldexp(math.Sqrt2/2, e)
+		in = append(in, math.Ldexp(1, e), h, math.Nextafter(h, 0), math.Nextafter(h, math.Inf(1)))
+	}
+	special := []float64{0, math.Copysign(0, -1), -1, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 0x1p-1023, math.Nextafter(0x1p-1022, 0)}
+	for _, v := range special {
+		in[rng.Intn(len(in))] = v
+	}
+	for _, tier := range logTiers(t) {
+		tier.use()
+		got := slices.Clone(in)
+		for rest := got; len(rest) > 0; { // batches of 1 to 20 values
+			n := min(1+rng.Intn(20), len(rest))
+			logs(rest[:n])
+			rest = rest[n:]
+		}
+		bad := 0
+		for i, v := range in {
+			if want := math.Log(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				if bad++; bad <= 10 {
+					t.Errorf("%s: logs(%v) = %v (%#x), math.Log says %v (%#x)", tier.name, v, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				}
 			}
 		}
-		cases[fmt.Sprintf("random %d", i)] = pair
-	}
-	for name, c := range cases {
-		psi, ks := PSIKS(&c[0], &c[1])
-		if math.Float64bits(psi) != math.Float64bits(PSI(c[0], c[1])) || math.Float64bits(ks) != math.Float64bits(KS(c[0], c[1])) {
-			t.Errorf("%s: PSIKS = (%v, %v), PSI and KS = (%v, %v)", name, psi, ks, PSI(c[0], c[1]), KS(c[0], c[1]))
+		if bad > 0 {
+			t.Errorf("%s: %d of %d values differ from math.Log", tier.name, bad, len(in))
 		}
+	}
+}
+
+// BenchmarkBaselineScore scores windows of the shape bench's synthetic
+// edge sends, 60 scores with most bins empty, against baselines of 60:
+// 64 pairs in turn, so no branch learns one pair's bins.
+func BenchmarkBaselineScore(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	type pair struct {
+		base      Baseline
+		prev, cur SketchSnapshot
+	}
+	pairs := make([]pair, 64)
+	for i := range pairs {
+		var sk ScoreSketch
+		observe := func(n int) SketchSnapshot {
+			for range n {
+				v := rng.Float64() * rng.Float64()
+				sk.Observe(v, v >= 0.5)
+			}
+			return sk.Snapshot()
+		}
+		base := observe(60)
+		pairs[i] = pair{base: NewBaseline(&base), prev: observe(60 * rng.Intn(100)), cur: observe(60)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		p := &pairs[i%len(pairs)]
+		p.base.Score(&p.cur, &p.prev)
 	}
 }
 

@@ -573,8 +573,8 @@ func (d *LayoutReader) Float32s() []float32 {
 }
 
 // Uvarints reads len(dst) unsigned varints into dst, as that many
-// Uvarint calls would, with fast paths for one- and two-byte values.
-// After a malformed one, it and every later entry read zero.
+// Uvarint calls would, with fast paths for values of up to three
+// bytes. After a malformed one, it and every later entry read zero.
 func (d *LayoutReader) Uvarints(dst []uint64) {
 	buf := d.buf
 	for i := range dst {
@@ -584,6 +584,10 @@ func (d *LayoutReader) Uvarints(dst []uint64) {
 		}
 		if len(buf) > 1 && buf[1] < 0x80 {
 			dst[i], buf = uint64(buf[0]&0x7f)|uint64(buf[1])<<7, buf[2:]
+			continue
+		}
+		if len(buf) > 2 && buf[2] < 0x80 {
+			dst[i], buf = uint64(buf[0]&0x7f)|uint64(buf[1]&0x7f)<<7|uint64(buf[2])<<14, buf[3:]
 			continue
 		}
 		v, n := binary.Uvarint(buf)

@@ -369,6 +369,7 @@ func TestUvarintsMatchesUvarint(t *testing.T) {
 	}
 	inputs = append(inputs,
 		[]byte{0x80, 0x00, 0x05},                 // a two-byte zero, then 5
+		[]byte{0xFF, 0x80, 0x00, 0x05},           // a three-byte 127, then 5
 		bytes.Repeat([]byte{0xFF}, 11),           // overflows 64 bits
 		append(bytes.Repeat([]byte{0x80}, 9), 2), // overflows in the tenth byte
 	)

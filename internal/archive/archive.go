@@ -29,12 +29,12 @@ import (
 	"repro/internal/walog"
 )
 
-// ErrEvicted is wrapped by read errors (ReadRange, ReadInto) when the
+// errEvicted is wrapped by read errors (ReadRange, ReadInto) when the
 // requested range has aged out of the retention budget.
-var ErrEvicted = errors.New("archive: range evicted by retention")
+var errEvicted = errors.New("archive: range evicted by retention")
 
-// ErrClosed is returned by operations on a closed store.
-var ErrClosed = errors.New("archive: store closed")
+// errClosed is returned by operations on a closed store.
+var errClosed = errors.New("archive: store closed")
 
 // Config parameterizes a Store.
 type Config struct {
@@ -340,7 +340,7 @@ func (s *Store) Append(img *vision.Image, codedBits int64) (int, error) {
 	s.sendMu.Lock()
 	if s.closed {
 		s.sendMu.Unlock()
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	idx := s.next
 	s.next++
@@ -351,7 +351,7 @@ func (s *Store) Append(img *vision.Image, codedBits int64) (int, error) {
 
 // Sync blocks until every previously appended frame is readable (and
 // written to the OS; only segment rolls fsync). It returns the first
-// writer error, or ErrClosed after Close.
+// writer error, or errClosed after Close.
 func (s *Store) Sync() error {
 	s.sendMu.Lock()
 	if s.closed {
@@ -359,7 +359,7 @@ func (s *Store) Sync() error {
 		if err := s.Err(); err != nil {
 			return err
 		}
-		return ErrClosed
+		return errClosed
 	}
 	done := make(chan struct{})
 	s.reqs <- request{done: done}
@@ -406,7 +406,7 @@ func (s *Store) Stats() Stats {
 
 // ReadRange returns the archived frames [start, end) in fresh images:
 // ReadInto images it allocates. Ranges older than the retention window
-// fail with an error wrapping ErrEvicted; ranges beyond the last
+// fail with an error wrapping errEvicted; ranges beyond the last
 // appended frame fail outright.
 func (s *Store) ReadRange(start, end int) ([]*vision.Image, error) {
 	if start < 0 || end <= start {
@@ -444,7 +444,7 @@ func (s *Store) ReadInto(start int, dst []*vision.Image) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(s.segs) == 0 {
-		return fmt.Errorf("archive: empty store, range [%d,%d): %w", start, end, ErrEvicted)
+		return fmt.Errorf("archive: empty store, range [%d,%d): %w", start, end, errEvicted)
 	}
 	first := s.segs[0]
 	last := s.segs[len(s.segs)-1]
@@ -452,7 +452,7 @@ func (s *Store) ReadInto(start int, dst []*vision.Image) error {
 		return fmt.Errorf("archive: range [%d,%d) beyond last archived frame %d", start, end, last.start+last.count)
 	}
 	if start < first.start {
-		return fmt.Errorf("archive: range [%d,%d) older than retained frame %d: %w", start, end, first.start, ErrEvicted)
+		return fmt.Errorf("archive: range [%d,%d) older than retained frame %d: %w", start, end, first.start, errEvicted)
 	}
 	si := sort.Search(len(s.segs), func(i int) bool {
 		return s.segs[i].start+s.segs[i].count > start
@@ -511,7 +511,7 @@ func (s *Store) barrier(end int) error {
 
 // Close drains the writer queue, fsyncs the active segment, and
 // releases every file handle. Safe to call once; later operations
-// return ErrClosed.
+// return errClosed.
 func (s *Store) Close() error {
 	s.sendMu.Lock()
 	if s.closed {

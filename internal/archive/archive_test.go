@@ -187,9 +187,9 @@ func TestRetentionStaysUnderBudget(t *testing.T) {
 		t.Fatalf("archived bits %d, want %d", st.ArchivedBits, 40*50)
 	}
 
-	// Evicted ranges fail with ErrEvicted; the retained tail reads.
-	if _, err := s.ReadRange(0, 2); !errors.Is(err, ErrEvicted) {
-		t.Fatalf("read of evicted range: %v, want ErrEvicted", err)
+	// Evicted ranges fail with errEvicted; the retained tail reads.
+	if _, err := s.ReadRange(0, 2); !errors.Is(err, errEvicted) {
+		t.Fatalf("read of evicted range: %v, want errEvicted", err)
 	}
 	checkFrames(t, s, st.OldestFrame, 40)
 
@@ -408,14 +408,14 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(testImage(8, 6, 0), 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append after close: %v, want ErrClosed", err)
+	if _, err := s.Append(testImage(8, 6, 0), 0); !errors.Is(err, errClosed) {
+		t.Fatalf("append after close: %v, want errClosed", err)
 	}
-	if err := s.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("sync after close: %v, want ErrClosed", err)
+	if err := s.Sync(); !errors.Is(err, errClosed) {
+		t.Fatalf("sync after close: %v, want errClosed", err)
 	}
-	if _, err := s.ReadRange(0, 2); !errors.Is(err, ErrClosed) {
-		t.Fatalf("read after close: %v, want ErrClosed", err)
+	if _, err := s.ReadRange(0, 2); !errors.Is(err, errClosed) {
+		t.Fatalf("read after close: %v, want errClosed", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("double close: %v", err)

@@ -230,7 +230,7 @@ func TestEncoderStatsAndReset(t *testing.T) {
 	for _, f := range frames {
 		enc.Encode(f)
 	}
-	if enc.FramesEncoded() != 4 || enc.TotalBits() <= 0 {
+	if enc.frames != 4 || enc.TotalBits() <= 0 {
 		t.Fatal("encoder stats wrong")
 	}
 	if enc.AverageBitrate() <= 0 {
@@ -246,11 +246,11 @@ func TestEncoderStatsAndReset(t *testing.T) {
 	}
 	// Reset starts a new GOP, not a new lifetime: the three totals
 	// keep describing the same six frames.
-	if got := enc.FramesEncoded(); got != 6 {
-		t.Fatalf("FramesEncoded() = %d after 4 frames, a Reset and 2 more; want 6", got)
+	if got := enc.frames; got != 6 {
+		t.Fatalf("frames = %d after 4 frames, a Reset and 2 more; want 6", got)
 	}
 	if got, want := enc.AverageBitrate(), float64(enc.TotalBits())/6*15; got != want {
-		t.Fatalf("AverageBitrate() = %v, want TotalBits/FramesEncoded*FPS = %v", got, want)
+		t.Fatalf("AverageBitrate() = %v, want TotalBits/frames*FPS = %v", got, want)
 	}
 }
 

@@ -71,7 +71,7 @@ type Encoder struct {
 	src, recon, prev planes
 
 	gopPos    int // frames coded since NewEncoder, Restart or Reset; prev is valid when > 0
-	frames    int
+	frames    int // frames consumed since NewEncoder or Restart, across Reset
 	totalBits int64
 }
 
@@ -158,11 +158,6 @@ func nextQP(cfg *Config, qp float64, bits int64, intra bool) float64 {
 
 // TotalBits returns the bits spent so far.
 func (e *Encoder) TotalBits() int64 { return e.totalBits }
-
-// FramesEncoded returns the number of frames consumed. Like TotalBits
-// it counts over the encoder's lifetime (since NewEncoder or Restart),
-// across Reset.
-func (e *Encoder) FramesEncoded() int { return e.frames }
 
 // AverageBitrate returns the realized bits per second so far.
 func (e *Encoder) AverageBitrate() float64 {

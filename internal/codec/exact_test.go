@@ -272,9 +272,9 @@ func TestEncoderMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				if enc.TotalBits() != total || enc.FramesEncoded() != n || enc.qp != ref.qp {
+				if enc.TotalBits() != total || enc.frames != n || enc.qp != ref.qp {
 					t.Fatalf("%dx%d %s: totals %d bits %d frames qp %v, reference %d %d %v",
-						sz.w, sz.h, scene, enc.TotalBits(), enc.FramesEncoded(), enc.qp, total, n, ref.qp)
+						sz.w, sz.h, scene, enc.TotalBits(), enc.frames, enc.qp, total, n, ref.qp)
 				}
 			}
 		}
@@ -390,9 +390,9 @@ func TestRestartMatchesNewEncoder(t *testing.T) {
 				}
 			}
 		}
-		if enc.TotalBits() != fresh.TotalBits() || enc.FramesEncoded() != len(frames) {
+		if enc.TotalBits() != fresh.TotalBits() || enc.frames != len(frames) {
 			t.Fatalf("segment %d: totals %d bits %d frames, fresh encoder %d %d", seg,
-				enc.TotalBits(), enc.FramesEncoded(), fresh.TotalBits(), len(frames))
+				enc.TotalBits(), enc.frames, fresh.TotalBits(), len(frames))
 		}
 		if want := SegmentBits(cfg, frames); enc.TotalBits() != want {
 			t.Fatalf("segment %d: %d bits, SegmentBits %d", seg, enc.TotalBits(), want)

@@ -2,38 +2,35 @@ package core
 
 import "fmt"
 
-// TokenBucket models the bandwidth-constrained uplink between an edge
+// tokenBucket models the bandwidth-constrained uplink between an edge
 // node and the datacenter (§2.2.1): a link of a fixed rate with a
 // bounded burst allowance. Sends never fail; they queue, and the
 // bucket reports the queueing delay each send would experience.
-type TokenBucket struct {
-	// Rate is the sustained link rate in bits per second.
-	Rate float64
-	// Burst is the bucket depth in bits.
-	Burst float64
+type tokenBucket struct {
+	rate  float64 // sustained link rate, bits per second
+	burst float64 // bucket depth, bits
 
-	tokens   float64
-	now      float64 // virtual clock, seconds
-	backlog  float64 // bits waiting beyond the bucket
-	sentBits int64
+	tokens  float64
+	now     float64 // virtual clock, seconds
+	backlog float64 // bits waiting beyond the bucket
 }
 
-// NewTokenBucket constructs a full bucket.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
+// newTokenBucket constructs a full bucket.
+func newTokenBucket(rate, burst float64) *tokenBucket {
 	if rate <= 0 || burst <= 0 {
 		panic(fmt.Sprintf("core: bad token bucket rate=%v burst=%v", rate, burst))
 	}
-	return &TokenBucket{Rate: rate, Burst: burst, tokens: burst}
+	return &tokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// Advance moves the virtual clock forward by dt seconds, refilling
+// advance moves the virtual clock forward by dt seconds, refilling
 // tokens and draining backlog.
-func (b *TokenBucket) Advance(dt float64) {
+func (b *tokenBucket) advance(dt float64) {
 	if dt < 0 {
 		panic("core: negative time step")
 	}
 	b.now += dt
-	refill := b.Rate * dt
+	refill := b.rate * dt
 	if b.backlog > 0 {
 		drained := refill
 		if drained > b.backlog {
@@ -45,31 +42,24 @@ func (b *TokenBucket) Advance(dt float64) {
 		}
 	}
 	b.tokens += refill
-	if b.tokens > b.Burst {
-		b.tokens = b.Burst
+	if b.tokens > b.burst {
+		b.tokens = b.burst
 	}
 }
 
-// Send enqueues bits for transmission and returns the queueing delay
+// send enqueues bits for transmission and returns the queueing delay
 // in seconds this data experiences (0 when the bucket covers it).
-func (b *TokenBucket) Send(bits int64) float64 {
+func (b *tokenBucket) send(bits int64) float64 {
 	if bits < 0 {
 		panic("core: negative send")
 	}
-	b.sentBits += bits
 	f := float64(bits)
 	if f <= b.tokens {
 		b.tokens -= f
-		return b.backlog / b.Rate
+		return b.backlog / b.rate
 	}
 	short := f - b.tokens
 	b.tokens = 0
 	b.backlog += short
-	return b.backlog / b.Rate
+	return b.backlog / b.rate
 }
-
-// Backlog returns the bits currently queued beyond the link's burst.
-func (b *TokenBucket) Backlog() float64 { return b.backlog }
-
-// SentBits returns the total bits offered to the link.
-func (b *TokenBucket) SentBits() int64 { return b.sentBits }

@@ -91,23 +91,23 @@ func TestTokenBucketEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewTokenBucket(tc.rate, tc.burst)
+			b := newTokenBucket(tc.rate, tc.burst)
 			for i, s := range tc.steps {
 				if s.isSend {
-					if got := b.Send(s.send); math.Abs(got-s.wantDelay) > 1e-9 {
+					if got := b.send(s.send); math.Abs(got-s.wantDelay) > 1e-9 {
 						t.Fatalf("step %d: Send(%d) delay %v, want %v", i, s.send, got, s.wantDelay)
 					}
 				} else {
-					b.Advance(s.advance)
+					b.advance(s.advance)
 				}
 				// Invariant: positive tokens and positive backlog never
 				// coexist — refill always pays the queue first.
-				if b.tokens > 0 && b.Backlog() > 0 {
-					t.Fatalf("step %d: tokens %v and backlog %v both positive", i, b.tokens, b.Backlog())
+				if b.tokens > 0 && b.backlog > 0 {
+					t.Fatalf("step %d: tokens %v and backlog %v both positive", i, b.tokens, b.backlog)
 				}
 			}
-			if math.Abs(b.Backlog()-tc.wantBacklog) > 1e-9 {
-				t.Fatalf("final backlog %v, want %v", b.Backlog(), tc.wantBacklog)
+			if math.Abs(b.backlog-tc.wantBacklog) > 1e-9 {
+				t.Fatalf("final backlog %v, want %v", b.backlog, tc.wantBacklog)
 			}
 		})
 	}
@@ -126,20 +126,21 @@ func TestTokenBucketContractPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero rate", func() { NewTokenBucket(0, 10) })
-	mustPanic("negative rate", func() { NewTokenBucket(-1, 10) })
-	mustPanic("zero burst", func() { NewTokenBucket(10, 0) })
-	mustPanic("negative dt", func() { NewTokenBucket(10, 10).Advance(-0.001) })
-	mustPanic("negative send", func() { NewTokenBucket(10, 10).Send(-1) })
+	mustPanic("zero rate", func() { newTokenBucket(0, 10) })
+	mustPanic("negative rate", func() { newTokenBucket(-1, 10) })
+	mustPanic("zero burst", func() { newTokenBucket(10, 0) })
+	mustPanic("negative dt", func() { newTokenBucket(10, 10).advance(-0.001) })
+	mustPanic("negative send", func() { newTokenBucket(10, 10).send(-1) })
 }
 
-// TestTokenBucketSentBits checks the offered-load counter includes
-// queued (not yet drained) bits.
+// TestTokenBucketSentBits checks that the bucket accounts every bit
+// offered, queued (not yet drained) bits included: with no time
+// passing, the tokens spent plus the backlog are the bits sent.
 func TestTokenBucketSentBits(t *testing.T) {
-	b := NewTokenBucket(100, 100)
-	b.Send(60)
-	b.Send(300) // mostly queued
-	if got := b.SentBits(); got != 360 {
-		t.Fatalf("SentBits %d, want 360", got)
+	b := newTokenBucket(100, 100)
+	b.send(60)
+	b.send(300) // mostly queued
+	if got := b.burst - b.tokens + b.backlog; got != 360 {
+		t.Fatalf("spent tokens + backlog = %v, want 360 bits sent", got)
 	}
 }

@@ -63,24 +63,25 @@ func fetch(e *EdgeNode, src FrameSource, start, end int, bitrate float64) ([]*vi
 }
 
 func TestTokenBucketBasics(t *testing.T) {
-	b := NewTokenBucket(1000, 500)
-	if d := b.Send(400); d != 0 {
+	b := newTokenBucket(1000, 500)
+	if d := b.send(400); d != 0 {
 		t.Fatalf("within burst delayed %v", d)
 	}
 	// 100 tokens left; sending 600 queues 500 bits -> 0.5 s delay.
-	if d := b.Send(600); math.Abs(d-0.5) > 1e-9 {
+	if d := b.send(600); math.Abs(d-0.5) > 1e-9 {
 		t.Fatalf("overload delay = %v, want 0.5", d)
 	}
-	b.Advance(0.25) // drains 250 bits of backlog
-	if math.Abs(b.Backlog()-250) > 1e-9 {
-		t.Fatalf("backlog = %v, want 250", b.Backlog())
+	// Every bit sent is spent tokens or backlog.
+	if sent := b.burst - b.tokens + b.backlog; sent != 1000 {
+		t.Fatalf("spent tokens + backlog = %v, want 1000 bits sent", sent)
 	}
-	b.Advance(10)
-	if b.Backlog() != 0 {
+	b.advance(0.25) // drains 250 bits of backlog
+	if math.Abs(b.backlog-250) > 1e-9 {
+		t.Fatalf("backlog = %v, want 250", b.backlog)
+	}
+	b.advance(10)
+	if b.backlog != 0 {
 		t.Fatal("backlog not drained")
-	}
-	if b.SentBits() != 1000 {
-		t.Fatalf("sent = %d", b.SentBits())
 	}
 }
 
@@ -669,34 +670,32 @@ func TestAverageUploadBitrate(t *testing.T) {
 	}
 }
 
-// Property: under arbitrary interleavings of Send and Advance, the
-// bucket never reports negative backlog, delays are non-negative and
-// non-decreasing in queued bits, and SentBits accounts every send.
+// Property: under arbitrary interleavings of send and advance, the
+// bucket never reports negative backlog, delays are non-negative, and
+// it accounts every bit sent: the spent tokens plus the backlog are
+// the bits sent that refills have not yet paid back.
 func TestQuickTokenBucket(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
-		b := NewTokenBucket(1+rng.Float64()*10000, 1+rng.Float64()*5000)
-		var sent int64
-		prevDelay := -1.0
+		b := newTokenBucket(1+rng.Float64()*10000, 1+rng.Float64()*5000)
+		owed := 0.0 // bits sent and not yet paid back by refills
 		for i := 0; i < 50; i++ {
 			if rng.Float32() < 0.5 {
 				bits := int64(rng.Intn(4000))
-				d := b.Send(bits)
-				sent += bits
-				if d < 0 {
+				owed += float64(bits)
+				if b.send(bits) < 0 {
 					return false
 				}
-				prevDelay = d
 			} else {
-				b.Advance(rng.Float64())
-				prevDelay = -1
+				dt := rng.Float64()
+				owed -= min(owed, b.rate*dt)
+				b.advance(dt)
 			}
-			if b.Backlog() < 0 {
+			if b.backlog < 0 || math.Abs(b.burst-b.tokens+b.backlog-owed) > 1e-6*(1+owed) {
 				return false
 			}
 		}
-		_ = prevDelay
-		return b.SentBits() == sent
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

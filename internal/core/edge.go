@@ -262,7 +262,7 @@ type EdgeNode struct {
 	// union per frame. Owned by the pipeline goroutine.
 	stages []string
 
-	uplink  *TokenBucket
+	uplink  *tokenBucket
 	archive *codec.Encoder
 	store   FrameArchive // persistent archive; nil = accounting-only
 
@@ -340,7 +340,7 @@ func NewEdgeNode(cfg Config) (*EdgeNode, error) {
 		e.steps[i] = mcStep{cls: cls, dt: time.Since(t1)}
 	}
 	if cfg.UplinkBandwidth > 0 {
-		e.uplink = NewTokenBucket(cfg.UplinkBandwidth, cfg.UplinkBandwidth) // 1 s burst
+		e.uplink = newTokenBucket(cfg.UplinkBandwidth, cfg.UplinkBandwidth) // 1 s burst
 	}
 	if cfg.ArchiveToDisk {
 		e.archive = codec.NewEncoder(codec.Config{
@@ -633,7 +633,7 @@ func (e *EdgeNode) AccountFetch(f Fetch) {
 	}
 	var delay float64
 	if e.uplink != nil {
-		delay = e.uplink.Send(f.Bits)
+		delay = e.uplink.send(f.Bits)
 	}
 	e.mu.Lock()
 	e.stats.EncodeTime += f.took
@@ -668,7 +668,7 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 	e.nextFrame++
 	e.retain(idx, img)
 	if e.uplink != nil {
-		e.uplink.Advance(1 / float64(e.cfg.FPS))
+		e.uplink.advance(1 / float64(e.cfg.FPS))
 	}
 	var archivedBits int64
 	var archiveTime time.Duration
@@ -885,7 +885,7 @@ func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, err
 		e.obs.Trace.Record(obs.StageEncode, e.sid, int64(start), t0, encodeTime)
 	}
 	if e.uplink != nil {
-		up.Delay = e.uplink.Send(up.Bits)
+		up.Delay = e.uplink.send(up.Bits)
 	}
 	e.mu.Lock()
 	e.stats.EncodeTime += encodeTime

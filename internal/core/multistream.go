@@ -54,8 +54,8 @@ func (m *MultiStreamNode) AddStream(name string, frameW, frameH int) (*EdgeNode,
 // Stream returns a registered stream's pipeline, or nil.
 func (m *MultiStreamNode) Stream(name string) *EdgeNode { return m.streams[name] }
 
-// StreamNames returns the registered stream names in addition order.
-func (m *MultiStreamNode) StreamNames() []string {
+// streamNames returns the registered stream names in addition order.
+func (m *MultiStreamNode) streamNames() []string {
 	return append([]string(nil), m.order...)
 }
 

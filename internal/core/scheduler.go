@@ -123,9 +123,6 @@ func (m *MultiStreamNode) NewScheduler(cfg SchedulerConfig) *Scheduler {
 // returns.
 var ErrSchedulerClosed = errors.New("core: scheduler closed")
 
-// Workers returns the pool size.
-func (s *Scheduler) Workers() int { return s.cfg.Workers }
-
 // Submit enqueues one frame of the named stream and returns without
 // waiting for it to be processed. Frames of a stream are processed in
 // submission order; the outcome reaches OnResult.
@@ -185,7 +182,7 @@ func (s *Scheduler) Flush(stream string) ([]Upload, error) {
 // FlushAll drains every stream in registration order.
 func (s *Scheduler) FlushAll() ([]Upload, error) {
 	var all []Upload
-	for _, name := range s.node.StreamNames() {
+	for _, name := range s.node.streamNames() {
 		ups, err := s.Flush(name)
 		if err != nil {
 			return nil, err

@@ -14,7 +14,7 @@ import (
 // instead of hanging or panicking.
 func TestSchedulerShutdownDrains(t *testing.T) {
 	node := buildSchedNode(t, 2)
-	streams := node.StreamNames()
+	streams := node.streamNames()
 	frames := schedFrames(3, 12)
 
 	var results atomic.Int64

@@ -143,7 +143,7 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 // MCs deploy and undeploy live and observers poll stats and metadata.
 func TestSchedulerLiveOpsUnderLoad(t *testing.T) {
 	node := buildSchedNode(t, 2)
-	streams := node.StreamNames()
+	streams := node.streamNames()
 	frames := schedFrames(9, 20)
 	col := newUploadCollector()
 	sched := node.NewScheduler(SchedulerConfig{Workers: 4, OnResult: col.OnResult})

@@ -395,9 +395,9 @@ func (s *scheduled) at(i int) vision.Object {
 	return o
 }
 
-// ObjectsAt returns the sprites visible in frame i (cars first so that
+// objectsAt returns the sprites visible in frame i (cars first so that
 // pedestrians draw on top).
-func (d *Dataset) ObjectsAt(i int) []*vision.Object {
+func (d *Dataset) objectsAt(i int) []*vision.Object {
 	var cars, people []*vision.Object
 	for idx := range d.objects {
 		s := &d.objects[idx]
@@ -414,9 +414,9 @@ func (d *Dataset) ObjectsAt(i int) []*vision.Object {
 	return append(cars, people...)
 }
 
-// Brightness returns the lighting multiplier at frame i: a slow
+// brightness returns the lighting multiplier at frame i: a slow
 // sinusoidal drift across the recording.
-func (d *Dataset) Brightness(i int) float32 {
+func (d *Dataset) brightness(i int) float32 {
 	if d.Cfg.BrightnessDrift == 0 {
 		return 1
 	}
@@ -431,7 +431,7 @@ func (d *Dataset) Frame(i int) *vision.Image {
 		panic(fmt.Sprintf("dataset: frame %d out of range [0,%d)", i, d.Cfg.Frames))
 	}
 	noiseRNG := tensor.NewRNG(d.Cfg.Seed*1_000_003 + int64(i))
-	return d.scene.Render(d.ObjectsAt(i), d.Brightness(i), noiseRNG)
+	return d.scene.Render(d.objectsAt(i), d.brightness(i), noiseRNG)
 }
 
 // FrameTensor renders frame i as a [1,H,W,3] tensor.

@@ -73,7 +73,7 @@ func TestLabelsMatchGeometry(t *testing.T) {
 	region := d.Cfg.Region()
 	for i := 0; i < d.Cfg.Frames; i++ {
 		want := false
-		for _, o := range d.ObjectsAt(i) {
+		for _, o := range d.objectsAt(i) {
 			if !d.Cfg.matches(o.Kind) {
 				continue
 			}
@@ -150,7 +150,7 @@ func TestJacksonDistractorPedestriansStayOutOfRegion(t *testing.T) {
 		if d.Labels[i] {
 			continue
 		}
-		for _, o := range d.ObjectsAt(i) {
+		for _, o := range d.objectsAt(i) {
 			if o.Kind == vision.Car {
 				continue
 			}
@@ -168,7 +168,7 @@ func TestRoadwayHasNonRedPedestriansInRegion(t *testing.T) {
 	region := d.Cfg.Region()
 	found := false
 	for i := 0; i < d.Cfg.Frames && !found; i += 5 {
-		for _, o := range d.ObjectsAt(i) {
+		for _, o := range d.objectsAt(i) {
 			if o.Kind == vision.Pedestrian && region.Intersect(o) > 0 {
 				found = true
 				break
@@ -197,7 +197,7 @@ func TestRegionScalesToWorkingCoords(t *testing.T) {
 func TestBrightnessDriftBounded(t *testing.T) {
 	d := Generate(Jackson(96, 100, 8))
 	for i := 0; i < 100; i++ {
-		b := d.Brightness(i)
+		b := d.brightness(i)
 		if b < 0.94 || b > 1.06 {
 			t.Fatalf("brightness(%d) = %v outside drift bounds", i, b)
 		}

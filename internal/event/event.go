@@ -150,6 +150,3 @@ func (d *Detector) Observe(positive bool) (id uint64, started bool) {
 	}
 	return d.current, false
 }
-
-// EventsSeen returns the number of events started so far.
-func (d *Detector) EventsSeen() uint64 { return d.nextID - 1 }

@@ -120,8 +120,8 @@ func TestDetectorAssignsMonotonicIDs(t *testing.T) {
 			t.Fatalf("ids = %v, want %v", ids, want)
 		}
 	}
-	if d.EventsSeen() != 3 {
-		t.Fatalf("EventsSeen = %d, want 3", d.EventsSeen())
+	if seen := d.nextID - 1; seen != 3 {
+		t.Fatalf("events started = %d, want 3", seen)
 	}
 }
 

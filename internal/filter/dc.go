@@ -161,9 +161,6 @@ func (d *DC) Config() DCConfig { return d.cfg }
 // Net returns the trainable network (input BuildInput shape).
 func (d *DC) Net() *nn.Network { return d.net }
 
-// InputShape returns the network input shape.
-func (d *DC) InputShape() []int { return append([]int(nil), d.inputDims...) }
-
 // BuildInput crops a [1,H,W,3] frame tensor to the DC's region and
 // applies input normalization when configured, into a fresh tensor.
 // Used to build training samples.
@@ -172,7 +169,7 @@ func (d *DC) BuildInput(frame *tensor.Tensor) *tensor.Tensor {
 }
 
 // buildInto writes frame's crop, normalized when configured, into dst
-// (shaped like InputShape) and returns dst.
+// (shaped like d.inputDims) and returns dst.
 func (d *DC) buildInto(dst, frame *tensor.Tensor) *tensor.Tensor {
 	frame.CropHWInto(dst, d.cropPx.Y0, d.cropPx.Y1, d.cropPx.X0, d.cropPx.X1)
 	if d.normMean != nil {

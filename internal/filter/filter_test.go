@@ -47,7 +47,7 @@ func TestMCInputShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}
-		in := mc.InputShape()
+		in := mc.inputShape()
 		x := tensor.New(in...)
 		logit := mc.Net().Forward(x)
 		if logit.Len() != 1 {
@@ -67,8 +67,8 @@ func TestMCCropShrinksInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh := full.InputShape()[1]
-	ch := cropped.InputShape()[1]
+	fh := full.inputShape()[1]
+	ch := cropped.inputShape()[1]
 	if ch >= fh {
 		t.Fatalf("crop did not shrink input: %d vs %d", ch, fh)
 	}
@@ -133,14 +133,14 @@ func TestWindowedStreamingMatchesBatch(t *testing.T) {
 func TestWindowedLag(t *testing.T) {
 	base := testBase(t)
 	mc, _ := NewMC(Spec{Name: "lag", Arch: WindowedLocalizedBinary, Window: 5, Hidden: 8, Seed: 8}, base, 64, 36)
-	if mc.Lag() != 2 {
-		t.Fatalf("lag = %d, want 2", mc.Lag())
-	}
+	// A window of 5 lags by 2 frames: frame 0 is classified on the
+	// third push.
 	fm := tensor.New(mc.FeatureMapShape()...)
-	if got := mc.Push(fm); len(got) != 0 {
-		t.Fatalf("windowed MC classified with 1 frame: %+v", got)
+	for i := 1; i <= 2; i++ {
+		if got := mc.Push(fm); len(got) != 0 {
+			t.Fatalf("windowed MC classified with %d frames: %+v", i, got)
+		}
 	}
-	mc.Push(fm)
 	got := mc.Push(fm)
 	if len(got) != 1 || got[0].Frame != 0 {
 		t.Fatalf("expected frame-0 decision after 3 pushes, got %+v", got)
@@ -186,7 +186,7 @@ func TestMCMarginalCostFarBelowBaseDNN(t *testing.T) {
 func TestWindowReduceGradients(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	conv := nn.NewConv2D("wr/conv", 2, 4, 1, 1, nn.Same, rng)
-	wr := NewWindowReduce("wr", conv, 3, 2)
+	wr := newWindowReduce("wr", conv, 3, 2)
 	x := tensor.New(1, 3, 3, 6)
 	rng.FillNormal(x, 0, 1)
 
@@ -206,7 +206,7 @@ func TestWindowReduceGradients(t *testing.T) {
 		num := (up - down) / (2 * eps)
 		diff := num - float64(gin.Data[i])
 		if diff > 2e-2*(1+abs(num)) || diff < -2e-2*(1+abs(num)) {
-			t.Fatalf("WindowReduce grad[%d]: analytic %v numeric %v", i, gin.Data[i], num)
+			t.Fatalf("windowReduce grad[%d]: analytic %v numeric %v", i, gin.Data[i], num)
 		}
 	}
 }
@@ -229,7 +229,7 @@ func TestMCTrainsOnSyntheticFeatureMaps(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	var samples []train.Sample
 	for i := 0; i < 120; i++ {
-		x := tensor.New(mc.InputShape()...)
+		x := tensor.New(mc.inputShape()...)
 		rng.FillNormal(x, 0, 0.3)
 		y := float32(i % 2)
 		if y == 1 {
@@ -316,7 +316,7 @@ func TestDCCropAppliedToPixels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := dc.InputShape()
+	in := dc.inputDims
 	if in[1] != 30 || in[2] != 40 {
 		t.Fatalf("DC input shape %v, want [1 30 40 3]", in)
 	}
@@ -365,8 +365,8 @@ func TestMCSaveLoadRoundTrip(t *testing.T) {
 	}
 	fm := tensor.New(fmShape...)
 	tensor.NewRNG(22).FillNormal(fm, 0, 1)
-	a := src.Prob(src.CropMap(fm))
-	b := dst.Prob(dst.CropMap(fm))
+	a := src.Prob(src.cropMap(fm))
+	b := dst.Prob(dst.cropMap(fm))
 	if a != b {
 		t.Fatalf("loaded MC differs: %v vs %v", a, b)
 	}
@@ -446,12 +446,12 @@ func TestNormalizationAffectsCropMap(t *testing.T) {
 	if err := mc.SetNormalization(mean, std); err != nil {
 		t.Fatal(err)
 	}
-	out := mc.CropMap(fm)
+	out := mc.cropMap(fm)
 	if out.Data[0] != 0 {
 		t.Fatalf("normalized value = %v, want 0", out.Data[0])
 	}
 	if fm.Data[0] != 2 {
-		t.Fatal("CropMap mutated its input")
+		t.Fatal("cropMap mutated its input")
 	}
 	if err := mc.SetNormalization(mean[:1], std[:1]); err == nil {
 		t.Fatal("wrong-length normalization accepted")
@@ -530,9 +530,9 @@ func TestPushZeroAlloc(t *testing.T) {
 		}
 		fm := tensor.New(mc.FeatureMapShape()...)
 		tensor.NewRNG(7).FillNormal(fm, 0, 1)
-		// Warm up past the window lag so the ring and result buffers
-		// reach steady state.
-		for i := 0; i < mc.Lag()+3; i++ {
+		// Warm up past the window lag (half the window) so the ring
+		// and result buffers reach steady state.
+		for i := 0; i < mc.spec.Window+3; i++ {
 			mc.Push(fm)
 		}
 		if n := testing.AllocsPerRun(50, func() { mc.Push(fm) }); n != 0 {
@@ -569,7 +569,7 @@ func TestInstrumentedPushZeroAlloc(t *testing.T) {
 		mc.InstrumentScores(sk, agg, 0.5)
 		fm := tensor.New(mc.FeatureMapShape()...)
 		tensor.NewRNG(7).FillNormal(fm, 0, 1)
-		for i := 0; i < mc.Lag()+3; i++ {
+		for i := 0; i < mc.spec.Window+3; i++ {
 			mc.Push(fm)
 		}
 		before := h.Count()
@@ -645,7 +645,7 @@ func TestPushFastPathTracksTraining(t *testing.T) {
 	if before == after {
 		t.Fatal("Push ignored a weight update: fast path served stale weights")
 	}
-	want := sigmoid(mc.Net().Forward(mc.CropMap(fm)).Data[0])
+	want := sigmoid(mc.Net().Forward(mc.cropMap(fm)).Data[0])
 	diff := float64(after) - float64(want)
 	if diff < 0 {
 		diff = -diff

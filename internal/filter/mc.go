@@ -32,7 +32,7 @@ type MC struct {
 
 	net    *nn.Network
 	reduce *nn.Conv2D // windowed only: shared 1×1 reduction
-	head   []nn.Layer // windowed only: layers after WindowReduce
+	head   []nn.Layer // windowed only: layers after windowReduce
 
 	// Optional per-channel input normalization (see SetNormalization).
 	normMean, normInvStd []float32
@@ -53,7 +53,7 @@ type MC struct {
 	ws         *nn.Workspace
 	reduceProg *nn.Program
 	reduceWs   *nn.Workspace
-	cropBuf    *tensor.Tensor   // arena for CropMap on the streaming path
+	cropBuf    *tensor.Tensor   // arena for cropMap on the streaming path
 	frameBuf   *tensor.Tensor   // arena for one frame of a Prob window
 	winBuf     *tensor.Tensor   // arena for the window concat
 	winParts   []*tensor.Tensor // reused concat argument slice
@@ -132,7 +132,7 @@ func (m *MC) build() error {
 		// Fig. 2c: shared per-frame 1×1 conv (32 filters) → concat →
 		// conv3×3(32, s1) → conv3×3(32, s2) → FC 200 → FC 1.
 		m.reduce = nn.NewConv2D(name+"/reduce", c, 32, 1, 1, nn.Same, rng)
-		net.Add(NewWindowReduce(name+"/window", m.reduce, m.spec.Window, c)).
+		net.Add(newWindowReduce(name+"/window", m.reduce, m.spec.Window, c)).
 			Add(nn.NewConv2D(name+"/conv1", 32*m.spec.Window, 32, 3, 1, nn.Same, rng)).
 			Add(nn.NewReLU(name + "/relu1")).
 			Add(nn.NewConv2D(name+"/conv2", 32, 32, 3, 2, nn.Same, rng)).
@@ -160,7 +160,7 @@ func (m *MC) build() error {
 // Spec returns the MC's specification (with defaults filled).
 func (m *MC) Spec() Spec { return m.spec }
 
-// Net returns the trainable network. Its input is InputShape().
+// Net returns the trainable network. Its input is inputShape().
 func (m *MC) Net() *nn.Network { return m.net }
 
 // Stage returns the base-DNN stage this MC taps.
@@ -169,9 +169,9 @@ func (m *MC) Stage() string { return m.spec.Stage }
 // FeatureMapShape returns the uncropped stage activation shape.
 func (m *MC) FeatureMapShape() []int { return append([]int(nil), m.fmShape...) }
 
-// InputShape returns the network input shape (cropped; concatenated
+// inputShape returns the network input shape (cropped; concatenated
 // across the window for the windowed architecture).
-func (m *MC) InputShape() []int {
+func (m *MC) inputShape() []int {
 	h := m.cropFM.Y1 - m.cropFM.Y0
 	w := m.cropFM.X1 - m.cropFM.X0
 	c := m.fmShape[3]
@@ -261,7 +261,7 @@ func (m *MC) ensureFastPath() {
 				m.head, []int{1, h, w, m.reduce.Filters * m.spec.Window})
 		}
 	} else {
-		m.prog, err = nn.Compile(m.net, m.InputShape())
+		m.prog, err = nn.Compile(m.net, m.inputShape())
 	}
 	if err != nil {
 		panic(fmt.Sprintf("filter: %s: compile fast path: %v", m.spec.Name, err))
@@ -303,9 +303,9 @@ func normalize(data, mean, invStd []float32) {
 	}
 }
 
-// CropMap applies the MC's crop and input normalization to a raw
+// cropMap applies the MC's crop and input normalization to a raw
 // stage feature map.
-func (m *MC) CropMap(fm *tensor.Tensor) *tensor.Tensor {
+func (m *MC) cropMap(fm *tensor.Tensor) *tensor.Tensor {
 	out := fm
 	if !(m.cropFM.X0 == 0 && m.cropFM.Y0 == 0 && m.cropFM.X1 == fm.Shape[2] && m.cropFM.Y1 == fm.Shape[1]) {
 		out = fm.CropHW(m.cropFM.Y0, m.cropFM.Y1, m.cropFM.X0, m.cropFM.X1)
@@ -327,7 +327,7 @@ func (m *MC) CropMap(fm *tensor.Tensor) *tensor.Tensor {
 // samples.
 func (m *MC) BuildInput(fms []*tensor.Tensor, center int) *tensor.Tensor {
 	if m.spec.Arch != WindowedLocalizedBinary {
-		return m.CropMap(fms[center])
+		return m.cropMap(fms[center])
 	}
 	half := m.spec.Window / 2
 	parts := make([]*tensor.Tensor, 0, m.spec.Window)
@@ -339,7 +339,7 @@ func (m *MC) BuildInput(fms []*tensor.Tensor, center int) *tensor.Tensor {
 		if i >= len(fms) {
 			i = len(fms) - 1
 		}
-		parts = append(parts, m.CropMap(fms[i]))
+		parts = append(parts, m.cropMap(fms[i]))
 	}
 	return tensor.ConcatChannels(parts...)
 }
@@ -540,21 +540,12 @@ func (m *MC) drainWindows(flush bool) []Classification {
 	return m.clsBuf
 }
 
-// Lag returns how many frames of input the MC needs beyond a frame
-// before it can classify it (Window/2 for windowed, else 0).
-func (m *MC) Lag() int {
-	if m.spec.Arch == WindowedLocalizedBinary {
-		return m.spec.Window / 2
-	}
-	return 0
-}
-
 // MAddsPerFrame returns the MC's marginal multiply-adds per frame.
 // With buffered=true the windowed architecture pays its 1×1 reduction
 // once per frame plus the head; with buffered=false the reduction is
 // charged Window times (the cost the buffering optimization avoids).
 func (m *MC) MAddsPerFrame(buffered bool) int64 {
-	total := m.net.MAdds(m.InputShape())
+	total := m.net.MAdds(m.inputShape())
 	if m.spec.Arch == WindowedLocalizedBinary && buffered {
 		h := m.cropFM.Y1 - m.cropFM.Y0
 		w := m.cropFM.X1 - m.cropFM.X0

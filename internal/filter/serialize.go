@@ -79,15 +79,6 @@ func MCInfo(r io.Reader) (Spec, error) {
 	return s.Spec, nil
 }
 
-// MCName reads just the microclassifier name from a Save stream.
-func MCName(r io.Reader) (string, error) {
-	s, err := MCInfo(r)
-	if err != nil {
-		return "", err
-	}
-	return s.Name, nil
-}
-
 // LoadMC reconstructs a microclassifier saved with Save against a base
 // DNN and frame geometry, restoring weights and normalization. The
 // base model and frame size must match the ones the MC was built for.

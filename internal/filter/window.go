@@ -7,7 +7,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// WindowReduce is the first stage of the windowed, localized binary
+// windowReduce is the first stage of the windowed, localized binary
 // classifier (Fig. 2c): a single 1×1 convolution applied independently
 // to each frame of a W-frame window whose input arrives as a
 // depthwise concatenation [N, H, W, C·Win]. The convolution weights
@@ -16,10 +16,10 @@ import (
 // once per new frame and its output is reused by every window that
 // contains the frame.
 //
-// WindowReduce implements nn.Layer so the whole windowed MC trains as
+// windowReduce implements nn.Layer so the whole windowed MC trains as
 // one network; the wrapped Conv2D is shared with the MC's streaming
 // path.
-type WindowReduce struct {
+type windowReduce struct {
 	LayerName string
 	// Conv is the shared per-frame 1×1 reduction.
 	Conv *nn.Conv2D
@@ -29,22 +29,22 @@ type WindowReduce struct {
 	inC int
 }
 
-// NewWindowReduce wraps conv (inC -> reduced channels, kernel 1) for a
+// newWindowReduce wraps conv (inC -> reduced channels, kernel 1) for a
 // win-frame window.
-func NewWindowReduce(name string, conv *nn.Conv2D, win, inC int) *WindowReduce {
+func newWindowReduce(name string, conv *nn.Conv2D, win, inC int) *windowReduce {
 	if win <= 0 {
 		panic(fmt.Sprintf("filter: bad window %d", win))
 	}
-	return &WindowReduce{LayerName: name, Conv: conv, Win: win, inC: inC}
+	return &windowReduce{LayerName: name, Conv: conv, Win: win, inC: inC}
 }
 
 // Name implements nn.Layer.
-func (w *WindowReduce) Name() string { return w.LayerName }
+func (w *windowReduce) Name() string { return w.LayerName }
 
 // Params implements nn.Layer: the shared convolution's parameters.
-func (w *WindowReduce) Params() []*nn.Param { return w.Conv.Params() }
+func (w *windowReduce) Params() []*nn.Param { return w.Conv.Params() }
 
-func (w *WindowReduce) splitShape(in []int) (n, h, wd int) {
+func (w *windowReduce) splitShape(in []int) (n, h, wd int) {
 	if len(in) != 4 || in[3] != w.inC*w.Win {
 		panic(fmt.Sprintf("filter: %s expects [N,H,W,%d] input, got %v", w.LayerName, w.inC*w.Win, in))
 	}
@@ -52,7 +52,7 @@ func (w *WindowReduce) splitShape(in []int) (n, h, wd int) {
 }
 
 // OutShape implements nn.Layer.
-func (w *WindowReduce) OutShape(in []int) []int {
+func (w *windowReduce) OutShape(in []int) []int {
 	n, h, wd := w.splitShape(in)
 	per := w.Conv.OutShape([]int{n, h, wd, w.inC})
 	return []int{n, per[1], per[2], per[3] * w.Win}
@@ -61,7 +61,7 @@ func (w *WindowReduce) OutShape(in []int) []int {
 // MAdds implements nn.Layer: the unbuffered (training-time) cost of
 // reducing every frame in the window. The buffered inference cost is
 // 1/Win of this; the MC accounts for that separately.
-func (w *WindowReduce) MAdds(in []int) int64 {
+func (w *windowReduce) MAdds(in []int) int64 {
 	n, h, wd := w.splitShape(in)
 	return int64(w.Win) * w.Conv.MAdds([]int{n, h, wd, w.inC})
 }
@@ -69,7 +69,7 @@ func (w *WindowReduce) MAdds(in []int) int64 {
 // Forward implements nn.Layer, the training pass: split the window
 // channels, stack the frames along the batch dimension, run the shared
 // convolution once, and re-assemble.
-func (w *WindowReduce) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (w *windowReduce) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, _, _ := w.splitShape(x.Shape)
 	sizes := make([]int, w.Win)
 	for i := range sizes {
@@ -83,7 +83,7 @@ func (w *WindowReduce) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements nn.Layer.
-func (w *WindowReduce) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (w *windowReduce) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Shape[0]
 	redC := grad.Shape[3] / w.Win
 	sizes := make([]int, w.Win)

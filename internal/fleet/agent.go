@@ -19,16 +19,16 @@ import (
 	"repro/internal/vision"
 )
 
-// DefaultHeartbeat is the agent's stats-reporting interval.
-const DefaultHeartbeat = 2 * time.Second
+// defaultHeartbeat is the agent's stats-reporting interval.
+const defaultHeartbeat = 2 * time.Second
 
 // Connection-loop defaults: exponential backoff with jitter between
 // these bounds, and a per-record write deadline so a stalled uplink
 // surfaces as a dead connection instead of a hung writer.
 const (
-	DefaultReconnectMin = 50 * time.Millisecond
-	DefaultReconnectMax = 5 * time.Second
-	DefaultWriteTimeout = 10 * time.Second
+	defaultReconnectMin = 50 * time.Millisecond
+	defaultReconnectMax = 5 * time.Second
+	defaultWriteTimeout = 10 * time.Second
 )
 
 // maxPending caps the unacked-upload resend log: an outage that
@@ -42,17 +42,17 @@ type AgentConfig struct {
 	// Edge supplies the shared pipeline defaults (base DNN, bitrates,
 	// smoothing) for every stream, as core.MultiStreamNode does.
 	Edge core.Config
-	// Heartbeat is the stats-reporting interval (DefaultHeartbeat
-	// when zero; negative disables heartbeats).
+	// Heartbeat is the stats-reporting interval (2 s when zero;
+	// negative disables heartbeats).
 	Heartbeat time.Duration
 	// ReconnectMin and ReconnectMax bound the connection loop's
-	// backoff between redials (DefaultReconnectMin/Max when zero).
+	// backoff between redials (50 ms and 5 s when zero).
 	ReconnectMin, ReconnectMax time.Duration
 	// ReconnectSeed seeds the backoff jitter, so tests replay
 	// deterministically.
 	ReconnectSeed int64
 	// WriteTimeout bounds each record the connection's writer sends
-	// and the handshake round trip (DefaultWriteTimeout when zero;
+	// and the handshake round trip (10 s when zero;
 	// negative disables). A timed-out write marks the connection dead.
 	// Frames never wait on a write, so they never wait on this.
 	WriteTimeout time.Duration
@@ -129,12 +129,12 @@ type Agent struct {
 	wg   sync.WaitGroup
 
 	// ctlBuf is the buffer the control loop's handlers frame their
-	// records into (reply), and fetchData the record a demand fetch
+	// records into (reply), and fetchRec the record a demand fetch
 	// fills chunk after chunk: both are reused from record to record.
 	// Owned by the connection loop's goroutine, which runs one
 	// session's control loop at a time.
-	ctlBuf    []byte
-	fetchData FetchData
+	ctlBuf   []byte
+	fetchRec fetchData
 }
 
 // agentStream is what the agent keeps per camera stream.
@@ -158,17 +158,17 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, errors.New("fleet: agent needs a node name")
 	}
 	if cfg.Heartbeat == 0 {
-		cfg.Heartbeat = DefaultHeartbeat
+		cfg.Heartbeat = defaultHeartbeat
 	}
 	if cfg.ReconnectMin <= 0 {
-		cfg.ReconnectMin = DefaultReconnectMin
+		cfg.ReconnectMin = defaultReconnectMin
 	}
 	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = DefaultReconnectMax
+		cfg.ReconnectMax = defaultReconnectMax
 	}
 	cfg.ReconnectMax = max(cfg.ReconnectMax, cfg.ReconnectMin)
 	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
+		cfg.WriteTimeout = defaultWriteTimeout
 	}
 	if cfg.Dial == nil {
 		// A plain net.Dial to a blackholed host blocks for the OS
@@ -176,7 +176,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		// Close mid-outage; bound it like every other I/O step.
 		dialTimeout := cfg.WriteTimeout
 		if dialTimeout <= 0 {
-			dialTimeout = DefaultWriteTimeout
+			dialTimeout = defaultWriteTimeout
 		}
 		cfg.Dial = (&net.Dialer{Timeout: dialTimeout}).Dial
 	}
@@ -295,13 +295,6 @@ func (a *Agent) SessionID() uint64 {
 	a.sessMu.Lock()
 	defer a.sessMu.Unlock()
 	return a.sessionID
-}
-
-// Connected reports whether a session is currently live.
-func (a *Agent) Connected() bool {
-	a.sessMu.Lock()
-	defer a.sessMu.Unlock()
-	return a.link != nil
 }
 
 // Reconnects returns how many times the agent has resumed a lost
@@ -528,7 +521,7 @@ func (a *Agent) Close() error {
 // the session is over, not broken.
 func connGone(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) ||
-		errors.Is(err, ErrSessionClosed)
+		errors.Is(err, errSessionClosed)
 }
 
 // snapshot collects the heartbeat payload from the pipeline.

@@ -332,19 +332,19 @@ func (a *Agent) reply(kind uint8, payload any) error {
 }
 
 // hand gives one framed record to the live connection's writer and
-// returns the result of its write: ErrSessionClosed when there is no
+// returns the result of its write: errSessionClosed when there is no
 // session or its writer has exited.
 func (a *Agent) hand(rec []byte) error {
 	a.sessMu.Lock()
 	l := a.link
 	a.sessMu.Unlock()
 	if l == nil {
-		return ErrSessionClosed
+		return errSessionClosed
 	}
 	select {
 	case l.ctl <- rec:
 		return <-l.res
 	case <-l.done:
-		return ErrSessionClosed
+		return errSessionClosed
 	}
 }

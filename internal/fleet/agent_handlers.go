@@ -101,7 +101,7 @@ func (a *Agent) handleUndeploy(req UndeployRequest) {
 // on the control goroutine, while the stream keeps processing frames;
 // only the uplink and stats accounting goes back through the stream's
 // queue. When the request asks for data, each chunk's decoder-side
-// reconstructions go out as one FetchData record before the next chunk
+// reconstructions go out as one fetchData record before the next chunk
 // is read, all ahead of the response trailer; a failure part way
 // through reaches the controller in the trailer's Err.
 func (a *Agent) handleFetch(req FetchRequest) {
@@ -139,15 +139,15 @@ func (a *Agent) handleFetch(req FetchRequest) {
 	_ = a.reply(transport.KindFetchResponse, resp)
 }
 
-// sendFetchData sends one chunk of reconstructions as one FetchData
+// sendFetchData sends one chunk of reconstructions as one fetchData
 // record. The record, its frame list and its framing buffer are the
 // agent's, reused chunk after chunk; the samples are referenced, not
 // copied, until the writer has written them.
 func (a *Agent) sendFetchData(req FetchRequest, recons []*vision.Image) error {
-	fd := &a.fetchData
+	fd := &a.fetchRec
 	fd.Seq, fd.Stream, fd.Frames = req.Seq, req.Stream, fd.Frames[:0]
 	for _, img := range recons {
-		fd.Frames = append(fd.Frames, FrameData{W: img.W, H: img.H, Pix: img.Pix})
+		fd.Frames = append(fd.Frames, frameData{W: img.W, H: img.H, Pix: img.Pix})
 	}
 	defer clear(fd.Frames) // hold no samples past the write
 	return a.reply(transport.KindFetchData, fd)

@@ -193,7 +193,7 @@ func TestChaosFleetSoak(t *testing.T) {
 	// its uploads buffer, then reconnect delivers them exactly once.
 	n.Partition("edge-1", "dc")
 	waitFor(t, "edge-1 session gone", func() bool {
-		return len(ctrl.ListNodes()) == 2 && !e1.agent.Connected()
+		return len(ctrl.ListNodes()) == 2 && !connected(e1.agent)
 	})
 	for _, c := range all {
 		c.feed(t, 8) // edge-1 processes these fully offline
@@ -203,7 +203,7 @@ func TestChaosFleetSoak(t *testing.T) {
 	}
 	n.Heal("edge-1", "dc")
 	waitFor(t, "edge-1 resumed", func() bool {
-		return e1.agent.Reconnects() == 1 && e1.agent.Connected()
+		return e1.agent.Reconnects() == 1 && connected(e1.agent)
 	})
 	for _, c := range all {
 		waitFor(t, c.name+" post-partition uploads", caughtUp(c))
@@ -224,8 +224,8 @@ func TestChaosFleetSoak(t *testing.T) {
 	}
 	n.Heal("edge-2", "dc")
 	n.Heal("edge-3", "dc")
-	waitFor(t, "edge-2 resumed", func() bool { return e2.agent.Reconnects() == 1 && e2.agent.Connected() })
-	waitFor(t, "edge-3 resumed", func() bool { return e3.agent.Reconnects() == 1 && e3.agent.Connected() })
+	waitFor(t, "edge-2 resumed", func() bool { return e2.agent.Reconnects() == 1 && connected(e2.agent) })
+	waitFor(t, "edge-3 resumed", func() bool { return e3.agent.Reconnects() == 1 && connected(e3.agent) })
 	waitFor(t, "reconcile deployed mc-2b", func() bool {
 		mcs := e2.agent.DeployedMCs("cam0")
 		return len(mcs) == 2 && mcs[0] == "mc-2" && mcs[1] == "mc-2b"
@@ -280,7 +280,7 @@ func TestChaosFleetSoak(t *testing.T) {
 	})
 	n.SetStall("edge-1", "dc", false)
 	waitFor(t, "edge-1 back after eviction", func() bool {
-		return e1.agent.Reconnects() == 2 && e1.agent.Connected()
+		return e1.agent.Reconnects() == 2 && connected(e1.agent)
 	})
 
 	// ---- Phase 4: wire corruption — flip one bit in the next
@@ -302,7 +302,7 @@ func TestChaosFleetSoak(t *testing.T) {
 		t.Fatalf("corrupted session error = %v, want transport.ErrCorrupt", err)
 	}
 	waitFor(t, "edge-1 back after corruption", func() bool {
-		return e1.agent.Reconnects() == 3 && e1.agent.Connected()
+		return e1.agent.Reconnects() == 3 && connected(e1.agent)
 	})
 
 	// ---- Phase 5: ack starvation — stall the downlink so upload
@@ -315,11 +315,11 @@ func TestChaosFleetSoak(t *testing.T) {
 		t.Fatal("upload acked while the ack path was stalled")
 	}
 	n.Partition("edge-3", "dc")
-	waitFor(t, "edge-3 session severed", func() bool { return !e3.agent.Connected() })
+	waitFor(t, "edge-3 session severed", func() bool { return !connected(e3.agent) })
 	n.SetStall("dc", "edge-3", false)
 	n.Heal("edge-3", "dc")
 	waitFor(t, "edge-3 resumed again", func() bool {
-		return e3.agent.Reconnects() == 2 && e3.agent.Connected()
+		return e3.agent.Reconnects() == 2 && connected(e3.agent)
 	})
 	waitFor(t, "retransmitted tail acked", func() bool {
 		pending, _ := e3.agent.PendingUploads()

@@ -19,9 +19,9 @@ import (
 	"repro/internal/vision"
 )
 
-// DefaultTimeout bounds how long controller round trips (deploy,
+// defaultTimeout bounds how long controller round trips (deploy,
 // undeploy, fetch) wait for an edge response.
-const DefaultTimeout = 30 * time.Second
+const defaultTimeout = 30 * time.Second
 
 // ErrDeferred is returned by intent-tracked operations (Deploy,
 // Undeploy) when the node has no live session: the intent is
@@ -30,8 +30,8 @@ var ErrDeferred = errors.New("fleet: node offline, intent recorded for reconnect
 
 // ControllerConfig parameterizes a Controller.
 type ControllerConfig struct {
-	// Timeout bounds request/response round trips (DefaultTimeout
-	// when zero).
+	// Timeout bounds request/response round trips (30 s when
+	// zero).
 	Timeout time.Duration
 	// HeartbeatMiss is the liveness budget: a session whose edge has
 	// been silent for HeartbeatMiss consecutive heartbeat intervals
@@ -74,7 +74,7 @@ type ControllerConfig struct {
 	// controller fully in-memory.
 	StateDir string
 	// SnapshotEvery is the wal-record count between automatic
-	// per-shard snapshot compactions (DefaultSnapshotEvery when zero;
+	// per-shard snapshot compactions (1024 when zero;
 	// negative disables automatic compaction — snapshots then happen
 	// only at Close and recovery).
 	SnapshotEvery int
@@ -85,9 +85,9 @@ type ControllerConfig struct {
 	WALSync bool
 }
 
-// DefaultSnapshotEvery is the wal-record count between automatic
+// defaultSnapshotEvery is the wal-record count between automatic
 // per-shard snapshot compactions.
-const DefaultSnapshotEvery = 1024
+const defaultSnapshotEvery = 1024
 
 // deployment is one intended microclassifier deployment. Version
 // mirrors the Spec.Version decoded from MC, cached so reconciliation
@@ -184,7 +184,7 @@ func NewController(cfg ControllerConfig) *Controller {
 // The returned stats are nil for an in-memory controller.
 func OpenController(cfg ControllerConfig) (*Controller, *RecoveryStats, error) {
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
+		cfg.Timeout = defaultTimeout
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -193,7 +193,7 @@ func OpenController(cfg ControllerConfig) (*Controller, *RecoveryStats, error) {
 		cfg.Log = slog.New(slog.DiscardHandler)
 	}
 	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
+		cfg.SnapshotEvery = defaultSnapshotEvery
 	}
 	cfg.Drift.fillDefaults()
 	c := &Controller{
@@ -519,7 +519,7 @@ func (c *Controller) ListNodes() []NodeInfo {
 		}
 		sh.mu.Unlock()
 		for _, s := range sessions {
-			hb, at := s.LastHeartbeat()
+			hb, at := s.lastHeartbeat()
 			age := time.Duration(-1)
 			if !at.IsZero() {
 				age = time.Since(at)
@@ -527,7 +527,7 @@ func (c *Controller) ListNodes() []NodeInfo {
 			lc := counters[s.Node()]
 			infos = append(infos, NodeInfo{
 				ID: s.ID(), Node: s.Node(), Streams: s.Streams(),
-				Uploads: s.Received(), Heartbeat: hb, HeartbeatAge: age,
+				Uploads: s.received(), Heartbeat: hb, HeartbeatAge: age,
 				Resumed: s.Resumed(), Shard: sh.id,
 				Evicted: lc[0], Reconnects: lc[1],
 			})
@@ -602,7 +602,7 @@ func (c *Controller) Session(node string) (*Session, error) {
 // reconnect. With the node offline, the intent is still recorded and
 // ErrDeferred returned. An intent the shard cannot log (a fenced shard,
 // see shard.commit) is neither recorded nor pushed, and the error
-// wraps the log's. A deployment the edge itself rejects (ErrRejected)
+// wraps the log's. A deployment the edge itself rejects (errRejected)
 // is rolled back out of the intent; a transport failure keeps it,
 // because the node's state is unknown and reconciliation will settle
 // it.
@@ -637,7 +637,7 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 		return fmt.Errorf("fleet: deploy %s/%s %q: %w", node, stream, name, ErrDeferred)
 	}
 	err := sess.deploy(stream, mc, threshold, gen, info.Version)
-	if err != nil && nameErr == nil && errors.Is(err, ErrRejected) {
+	if err != nil && nameErr == nil && errors.Is(err, errRejected) {
 		// The node answered and refused: this intent can never apply.
 		// Roll back to the previous deployment, or to none; on a shard
 		// fenced since, the rollback is not logged and the intent stays.

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -15,15 +13,15 @@ import (
 const (
 	DefaultDriftPSI      = 0.25
 	DefaultDriftKS       = 0.35
-	DefaultDriftMinCount = 32
+	defaultDriftMinCount = 32
 )
 
-// DriftOff disables one statistic's threshold entirely when assigned
+// driftOff disables one statistic's threshold entirely when assigned
 // to DriftConfig.PSI or DriftConfig.KS — the per-threshold analogue of
 // ffserve's `-slo name=off`. fillDefaults maps it to +Inf, so the
 // disabled statistic can never flag drift on its own (zero still means
 // "use the default").
-const DriftOff = -1
+const driftOff = -1
 
 // DriftConfig parameterizes the controller's semantic drift detector,
 // which compares each deployed MC's recent score distribution against
@@ -38,7 +36,7 @@ type DriftConfig struct {
 	// independent trigger (KS catches localized CDF shifts PSI's
 	// log-ratio form can understate).
 	//
-	// Set PSI or KS to DriftOff to disable that statistic.
+	// Set PSI or KS to -1 to disable that statistic.
 	KS float64
 	// MinCount is the minimum number of score observations before a
 	// baseline freezes and before a window is scored — small windows
@@ -48,19 +46,19 @@ type DriftConfig struct {
 
 func (d *DriftConfig) fillDefaults() {
 	switch {
-	case d.PSI == DriftOff:
+	case d.PSI == driftOff:
 		d.PSI = math.Inf(1)
 	case d.PSI <= 0:
 		d.PSI = DefaultDriftPSI
 	}
 	switch {
-	case d.KS == DriftOff:
+	case d.KS == driftOff:
 		d.KS = math.Inf(1)
 	case d.KS <= 0:
 		d.KS = DefaultDriftKS
 	}
 	if d.MinCount == 0 {
-		d.MinCount = DefaultDriftMinCount
+		d.MinCount = defaultDriftMinCount
 	}
 }
 
@@ -215,59 +213,4 @@ func (sh *shard) noteHeartbeat(s *Session, t *scoreTable) {
 				"psi", ev.psi, "ks", ev.ks, "window", ev.window)
 		}
 	}
-}
-
-// DriftReport is one (node, stream, MC) pair's current drift status —
-// the operator-facing view of the detector state.
-type DriftReport struct {
-	// Node, Stream, and MC identify the deployed microclassifier.
-	Node, Stream, MC string
-	// Version is the model version behind the scored sketches (zero
-	// for unversioned artifacts).
-	Version uint64
-	// PSI and KS are the most recent scored window's statistics
-	// against the frozen baseline (zero until the first window).
-	PSI, KS float64
-	// Baseline is the observation count the baseline froze at (zero
-	// while still accumulating); Total is the cumulative observation
-	// count from the latest heartbeat.
-	Baseline, Total uint64
-	// Windows counts scored windows; Drifted reports whether the pair
-	// is currently above either alert threshold.
-	Windows int
-	Drifted bool
-}
-
-// DriftReports snapshots every tracked (node, stream, MC) pair's
-// drift state across all shards, sorted by node, stream, then MC.
-func (c *Controller) DriftReports() []DriftReport {
-	var out []DriftReport
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for name, st := range sh.Nodes {
-			for key, ds := range st.Drift {
-				stream, mc, _ := strings.Cut(key, "/")
-				r := DriftReport{
-					Node: name, Stream: stream, MC: mc,
-					Version: ds.Version, PSI: ds.PSI, KS: ds.KS,
-					Total: ds.Last.Count, Windows: ds.Windows, Drifted: ds.Drifted,
-				}
-				if ds.BaselineSet {
-					r.Baseline = ds.Baseline.Count
-				}
-				out = append(out, r)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		if out[i].Stream != out[j].Stream {
-			return out[i].Stream < out[j].Stream
-		}
-		return out[i].MC < out[j].MC
-	})
-	return out
 }

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math"
 	"net"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +21,47 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
+
+// driftReport is one (node, stream, MC) pair's drift state as the
+// tests read it.
+type driftReport struct {
+	Node, Stream, MC string
+	Version          uint64
+	PSI, KS          float64
+	// Baseline is the count the baseline froze at (zero while still
+	// accumulating); Total is the latest heartbeat's cumulative count.
+	Baseline, Total uint64
+	Windows         int
+	Drifted         bool
+}
+
+// driftReports snapshots every tracked pair's drift state across all
+// shards, sorted by node, stream, then MC.
+func driftReports(c *Controller) []driftReport {
+	var out []driftReport
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		for name, st := range sh.Nodes {
+			for key, ds := range st.Drift {
+				stream, mc, _ := strings.Cut(key, "/")
+				r := driftReport{
+					Node: name, Stream: stream, MC: mc,
+					Version: ds.Version, PSI: ds.PSI, KS: ds.KS,
+					Total: ds.Last.Count, Windows: ds.Windows, Drifted: ds.Drifted,
+				}
+				if ds.BaselineSet {
+					r.Baseline = ds.Baseline.Count
+				}
+				out = append(out, r)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(out, func(a, b driftReport) int {
+		return cmp.Or(strings.Compare(a.Node, b.Node), strings.Compare(a.Stream, b.Stream), strings.Compare(a.MC, b.MC))
+	})
+	return out
+}
 
 // cumSketch builds a cumulative SketchSnapshot from a score history
 // (every score at or above 0.5 counts as a pass), mirroring what an
@@ -378,22 +421,22 @@ func TestDriftParityAcrossRecoveryAndRehome(t *testing.T) {
 	}
 }
 
-// TestDriftConfigOff verifies the DriftOff sentinel disables a single
+// TestDriftConfigOff verifies the driftOff sentinel disables a single
 // statistic: with PSI off, a window that would trip the PSI threshold
 // but not the KS threshold must stay quiet, while zero still means
 // "use the default".
 func TestDriftConfigOff(t *testing.T) {
-	cfg := DriftConfig{PSI: DriftOff}
+	cfg := DriftConfig{PSI: driftOff}
 	cfg.fillDefaults()
 	if !math.IsInf(cfg.PSI, 1) {
-		t.Fatalf("DriftOff PSI = %v, want +Inf", cfg.PSI)
+		t.Fatalf("driftOff PSI = %v, want +Inf", cfg.PSI)
 	}
-	if cfg.KS != DefaultDriftKS || cfg.MinCount != DefaultDriftMinCount {
+	if cfg.KS != DefaultDriftKS || cfg.MinCount != defaultDriftMinCount {
 		t.Fatalf("zero fields lost defaults: %+v", cfg)
 	}
 
 	// Both off: even a wholesale distribution swap cannot flag drift.
-	both := DriftConfig{PSI: DriftOff, KS: DriftOff}
+	both := DriftConfig{PSI: driftOff, KS: driftOff}
 	both.fillDefaults()
 	st := &nodeState{}
 	hb := func(scores []float64) []driftEvent {
@@ -527,13 +570,13 @@ func TestDriftDetectedEndToEnd(t *testing.T) {
 			t.Fatalf("%s frame %d: %v", node, i, err)
 		}
 	}
-	drift := func(node string) DriftReport {
-		for _, r := range ctrl.DriftReports() {
+	drift := func(node string) driftReport {
+		for _, r := range driftReports(ctrl) {
 			if r.Node == node {
 				return r
 			}
 		}
-		return DriftReport{}
+		return driftReport{}
 	}
 
 	waitFor(t, "deploy reconciliation", func() bool {
@@ -550,7 +593,7 @@ func TestDriftDetectedEndToEnd(t *testing.T) {
 		return c.Total >= frames && c.Baseline > 0 && d.Total >= frames && d.Baseline > 0
 	})
 	if drift(control).Drifted || drift(drifting).Drifted {
-		t.Fatalf("drift flagged on a stationary scene: %+v", ctrl.DriftReports())
+		t.Fatalf("drift flagged on a stationary scene: %+v", driftReports(ctrl))
 	}
 
 	// Phase 2: the control replays phase 1 bit for bit, the drifting

@@ -20,7 +20,7 @@ import (
 // a chunk, an exact multiple of it, a multiple plus one, and one inside
 // a single segment's neighbourhood across a roll (the rig's archive
 // rolls every 10 frames) each return one codec.EncodeSegment over the
-// range, bits and samples, through the chunked FetchData records.
+// range, bits and samples, through the chunked fetchData records.
 func TestFetchStreamsRangesOverWire(t *testing.T) {
 	chunk := core.FetchChunkFrames(48, 27)
 	r := newFetchRig(t, "edge-c", nil)
@@ -72,7 +72,7 @@ func (a *failOnceArchive) NextFrame() int {
 }
 
 // TestFetchErrorAfterFirstChunk: a read that fails after the first
-// chunk's FetchData went out reaches the controller in the response's
+// chunk's fetchData went out reaches the controller in the response's
 // Err, and FetchFrames returns the error with no frames, never the
 // partial range as a success. The session stays in step: the next
 // fetch of the same range returns all of it.
@@ -86,7 +86,7 @@ func TestFetchErrorAfterFirstChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, resp, err := r.ctrl.FetchFrames("edge-e", "cam0", 0, 2*chunk+4, 20_000)
-	if !errors.Is(err, ErrRejected) || got != nil || resp.Err == "" {
+	if !errors.Is(err, errRejected) || got != nil || resp.Err == "" {
 		t.Fatalf("fetch with a failed second read: %d frames, response %+v, err %v; want no frames and the read error", len(got), resp, err)
 	}
 	if st := r.edge.Stats(); st.DemandFetches != 0 {

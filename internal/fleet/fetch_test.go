@@ -22,15 +22,15 @@ import (
 // sampleFetchData has two frames, one of them carrying a NaN payload
 // and a negative zero, so a round trip that goes through float64 or
 // compares with == would show.
-func sampleFetchData() FetchData {
-	return FetchData{Seq: 9, Stream: "cam0", Frames: []FrameData{
+func sampleFetchData() fetchData {
+	return fetchData{Seq: 9, Stream: "cam0", Frames: []frameData{
 		{W: 2, H: 1, Pix: []float32{0.5, math.Float32frombits(0x7FC0_0001), 1, float32(math.Copysign(0, -1)), 0.25, math.Float32frombits(0xFF80_0002)}},
 		{W: 1, H: 1, Pix: []float32{0, 1, 2}},
 	}}
 }
 
 // sameFetchData is reflect.DeepEqual with samples compared bit for bit.
-func sameFetchData(a, b FetchData) bool {
+func sameFetchData(a, b fetchData) bool {
 	if a.Seq != b.Seq || a.Stream != b.Stream || len(a.Frames) != len(b.Frames) {
 		return false
 	}
@@ -52,7 +52,7 @@ func sameFetchData(a, b FetchData) bool {
 // and that WriteRecord and DecodeRecord go through the layout rather
 // than gob.
 func TestFetchDataLayout(t *testing.T) {
-	fd := FetchData{Seq: 5, Stream: "c", Frames: []FrameData{
+	fd := fetchData{Seq: 5, Stream: "c", Frames: []frameData{
 		{W: 1, H: 1, Pix: []float32{1, float32(math.Copysign(0, -1)), math.Float32frombits(0x7FC0_0001)}},
 	}}
 	want := []byte{
@@ -75,12 +75,12 @@ func TestFetchDataLayout(t *testing.T) {
 	if err != nil || !bytes.Equal(body, want) {
 		t.Fatalf("record body %x (err %v), want the layout %x", body, err, want)
 	}
-	var back FetchData
+	var back fetchData
 	if err := transport.DecodeRecord(body, &back); err != nil || !sameFetchData(back, fd) {
 		t.Fatalf("decoded %+v (err %v), want %+v", back, err, fd)
 	}
 	sample := sampleFetchData()
-	back = FetchData{}
+	back = fetchData{}
 	if err := transport.DecodeRecord(must(sample.AppendBinary(nil)), &back); err != nil || !sameFetchData(back, sample) {
 		t.Fatalf("NaN-payload round trip: %+v (err %v), want %+v", back, err, sample)
 	}
@@ -91,7 +91,7 @@ func TestFetchDataLayout(t *testing.T) {
 func malformedFetchData(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	valid := must(sampleFetchData().AppendBinary(nil))
-	head := must(FetchData{Seq: 9, Stream: "cam0"}.AppendBinary(nil))
+	head := must(fetchData{Seq: 9, Stream: "cam0"}.AppendBinary(nil))
 	head = head[:len(head)-1] // Seq and Stream, without the frame count
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	huge := binary.AppendUvarint(nil, 1<<32)
@@ -150,7 +150,7 @@ func FuzzDecodeFetchData(f *testing.F) {
 			}
 		}
 		again := must(fd.AppendBinary(nil))
-		var back FetchData
+		var back fetchData
 		if err := transport.DecodeRecord(again, &back); err != nil || !sameFetchData(back, fd) {
 			t.Fatalf("%x decoded to %+v, which re-encodes to %x and decodes to %+v (err %v)", data, fd, again, back, err)
 		}
@@ -181,7 +181,7 @@ func TestSessionRefusesWrappedFetchFrame(t *testing.T) {
 		if transport.DecodeRecord(body, &req) != nil {
 			return
 		}
-		fd := FetchData{Seq: req.Seq, Stream: req.Stream, Frames: []FrameData{{W: 1 << 32, H: 1 << 32}}}
+		fd := fetchData{Seq: req.Seq, Stream: req.Stream, Frames: []frameData{{W: 1 << 32, H: 1 << 32}}}
 		if transport.WriteRecord(f.conn, transport.KindFetchData, fd) != nil {
 			return
 		}

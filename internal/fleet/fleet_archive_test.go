@@ -153,7 +153,7 @@ func TestWireDemandFetchServedFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "archive heartbeat", func() bool {
-		hb, at := sess.LastHeartbeat()
+		hb, at := sess.lastHeartbeat()
 		ss := hb.Streams["cam0"]
 		return !at.IsZero() && ss.ArchiveSegments > 0 && ss.ArchiveBytes > 0 &&
 			ss.ArchivedBits == wantStats.ArchivedBits && ss.DemandFetchBits == wantBits
@@ -263,7 +263,7 @@ func TestWireArchiveRetentionUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "eviction heartbeat", func() bool {
-		hb, at := sess.LastHeartbeat()
+		hb, at := sess.lastHeartbeat()
 		ss := hb.Streams["cam0"]
 		return !at.IsZero() && ss.ArchiveEvictedSegments == ast.EvictedSegments &&
 			ss.ArchiveEvictedBytes == ast.EvictedBytes && ss.ArchiveBytes <= budget && ss.ArchiveBytes > 0

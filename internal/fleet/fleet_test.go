@@ -243,9 +243,9 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "uploads", func() bool { return sess.Received() >= len(want) })
-	if sess.Received() != len(want) {
-		t.Fatalf("session received %d uploads, want %d", sess.Received(), len(want))
+	waitFor(t, "uploads", func() bool { return sess.received() >= len(want) })
+	if sess.received() != len(want) {
+		t.Fatalf("session received %d uploads, want %d", sess.received(), len(want))
 	}
 
 	// Uploads are attributed to the node and match the baseline
@@ -287,7 +287,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	// for one carrying both totals rather than latching the first
 	// full-frame-count beat.
 	waitFor(t, "heartbeat", func() bool {
-		hb, at := sess.LastHeartbeat()
+		hb, at := sess.lastHeartbeat()
 		return !at.IsZero() && hb.Streams["cam0"].Frames == cfg.Frames &&
 			hb.Streams["cam0"].UploadedBits >= dcBase.TotalBits("fleet-mc")
 	})
@@ -756,7 +756,7 @@ func TestHeartbeatCarriesLatencySummaries(t *testing.T) {
 	}
 	var hb Heartbeat
 	waitFor(t, "latency heartbeat", func() bool {
-		got, at := sess.LastHeartbeat()
+		got, at := sess.lastHeartbeat()
 		if at.IsZero() {
 			return false
 		}

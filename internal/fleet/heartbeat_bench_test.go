@@ -21,7 +21,7 @@ func BenchmarkHeartbeatIntake(b *testing.B) {
 	ctrl := NewController(ControllerConfig{
 		Timeout: time.Second,
 		// No threshold: no event is logged, and every window is scored.
-		Drift: DriftConfig{PSI: DriftOff, KS: DriftOff},
+		Drift: DriftConfig{PSI: driftOff, KS: driftOff},
 	})
 	defer ctrl.Close()
 	sh := ctrl.shards[0]

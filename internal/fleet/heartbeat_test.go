@@ -475,7 +475,7 @@ func TestHeartbeatHandlingObservesWithoutAllocating(t *testing.T) {
 		Timeout: time.Second,
 		// No threshold: a window's scores never flip a pair to drifted,
 		// so no event is logged, and every window is still scored.
-		Drift: DriftConfig{PSI: DriftOff, KS: DriftOff},
+		Drift: DriftConfig{PSI: driftOff, KS: driftOff},
 	})
 	defer ctrl.Close()
 	sh := ctrl.shards[0]
@@ -486,7 +486,7 @@ func TestHeartbeatHandlingObservesWithoutAllocating(t *testing.T) {
 	sample := must(sampleHeartbeat().AppendBinary(nil))
 	// Each grid heartbeat adds a window of MinCount scores per MC, so
 	// the first freezes every baseline and each later one is scored.
-	grid := gridHeartbeats(240, DefaultDriftMinCount)
+	grid := gridHeartbeats(240, defaultDriftMinCount)
 	for _, tc := range []struct {
 		name   string
 		s      *Session
@@ -515,7 +515,7 @@ func TestHeartbeatHandlingObservesWithoutAllocating(t *testing.T) {
 			t.Fatal("the shard's heartbeat timing observed nothing")
 		}
 	}
-	reports := ctrl.DriftReports()
+	reports := driftReports(ctrl)
 	if len(reports) != 64 {
 		t.Fatalf("%d drift pairs tracked, want 64", len(reports))
 	}
@@ -661,7 +661,7 @@ func TestHeartbeatReadWhileDecodedInPlace(t *testing.T) {
 	// The grid heartbeat holds eight MCs on cam0, the stream the edge
 	// announces, so ShardLoads reads them out of the score table.
 	var grid Heartbeat
-	if err := grid.UnmarshalBinary(gridHeartbeats(1, DefaultDriftMinCount)[0]); err != nil {
+	if err := grid.UnmarshalBinary(gridHeartbeats(1, defaultDriftMinCount)[0]); err != nil {
 		t.Fatal(err)
 	}
 	shapes := []Heartbeat{sampleHeartbeat(), otherHeartbeat(), {}, grid}

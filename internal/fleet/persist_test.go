@@ -728,7 +728,7 @@ func TestFailedAppendFencesShard(t *testing.T) {
 	if got := nodeUploads(t, ctrl, node, "cam0/mc-1"); len(got) != 2 {
 		t.Fatalf("ledger holds %d uploads, want the 2 from before the failed append", len(got))
 	}
-	if reps := ctrl.DriftReports(); len(reps) != 1 || reps[0].Total != 16 || reps[0].Baseline != 0 {
+	if reps := driftReports(ctrl); len(reps) != 1 || reps[0].Total != 16 || reps[0].Baseline != 0 {
 		t.Fatalf("drift after a heartbeat on a fenced shard: %+v, want 16 scores and no frozen baseline", reps)
 	}
 

@@ -120,7 +120,7 @@ type Ack struct {
 // stream's local archive at Bitrate and account the transfer against
 // its uplink (datacenter → edge) — the §3.2 demand-fetch path. With
 // IncludeData the edge also streams the decoder-side reconstructions
-// back as FetchData records ahead of the response trailer.
+// back as fetchData records ahead of the response trailer.
 type FetchRequest struct {
 	Seq         uint64
 	Stream      string
@@ -129,13 +129,13 @@ type FetchRequest struct {
 	IncludeData bool
 }
 
-// FrameData is one reconstructed frame on the wire.
-type FrameData struct {
+// frameData is one reconstructed frame on the wire.
+type frameData struct {
 	W, H int
 	Pix  []float32
 }
 
-// FetchData carries a chunk of demand-fetched frames (edge →
+// fetchData carries a chunk of demand-fetched frames (edge →
 // datacenter). A fetch's data records arrive in frame order, all
 // before its FetchResponse trailer; chunking keeps each record under
 // the transport's record size limit.
@@ -152,10 +152,10 @@ type FrameData struct {
 // remaining bytes could not hold, and a frame whose W×H×3 is not its
 // sample count — checked by division, so no choice of dimensions can
 // wrap the product — and leaves the record untouched when it does.
-type FetchData struct {
+type fetchData struct {
 	Seq    uint64
 	Stream string
-	Frames []FrameData
+	Frames []frameData
 }
 
 // minFrameBytes is the smallest encoded frame: W, H and the sample
@@ -164,7 +164,7 @@ const minFrameBytes = 3
 
 // AppendBinary appends the record's binary layout to b, growing b once
 // to the record's size.
-func (fd FetchData) AppendBinary(b []byte) ([]byte, error) {
+func (fd fetchData) AppendBinary(b []byte) ([]byte, error) {
 	size := 3*binary.MaxVarintLen64 + len(fd.Stream)
 	for _, f := range fd.Frames {
 		size += 3*binary.MaxVarintLen64 + 4*len(f.Pix)
@@ -182,11 +182,11 @@ func (fd FetchData) AppendBinary(b []byte) ([]byte, error) {
 }
 
 // UnmarshalBinary decodes exactly one record's binary layout.
-func (fd *FetchData) UnmarshalBinary(data []byte) error {
+func (fd *fetchData) UnmarshalBinary(data []byte) error {
 	d := transport.NewLayoutReader(data)
-	out := FetchData{Seq: d.Uvarint(), Stream: d.String()}
+	out := fetchData{Seq: d.Uvarint(), Stream: d.String()}
 	if n := d.Count(minFrameBytes); n > 0 {
-		out.Frames = make([]FrameData, 0, n)
+		out.Frames = make([]frameData, 0, n)
 		for ; n > 0; n-- {
 			w, h, pix := d.Uvarint(), d.Uvarint(), d.Float32s()
 			// w ≤ len/3 keeps 3·w from wrapping; then w·h·3 = len
@@ -195,7 +195,7 @@ func (fd *FetchData) UnmarshalBinary(data []byte) error {
 				d.Fail(fmt.Errorf("a %dx%d frame with %d samples", w, h, len(pix)))
 				break
 			}
-			out.Frames = append(out.Frames, FrameData{W: int(w), H: int(h), Pix: pix})
+			out.Frames = append(out.Frames, frameData{W: int(w), H: int(h), Pix: pix})
 		}
 	}
 	if err := d.Finish(); err != nil {
@@ -207,7 +207,7 @@ func (fd *FetchData) UnmarshalBinary(data []byte) error {
 
 // FetchResponse answers a fetch request with the coded-segment
 // accounting (edge → datacenter). Pixel data travels in the preceding
-// FetchData records when the request asked for it; accounting-only
+// fetchData records when the request asked for it; accounting-only
 // fetches (IncludeData false) ship no pixels at all.
 type FetchResponse struct {
 	Seq        uint64
@@ -474,7 +474,7 @@ func nestedMap[E, V any](runs []streamRun, entries []E, kv func(*E) (string, V))
 // ScoreVersions, as a session parses them: each section's entries in
 // wire order, stream after stream, each naming its (stream, MC) pair as
 // the session's decoder interned it. The drift detector, the shard's
-// loads and LastHeartbeat read it in place, so no sketch is copied into
+// loads and lastHeartbeat read it in place, so no sketch is copied into
 // a nested map and back out, and no pair's drift key is built per
 // heartbeat.
 type scoreTable struct {

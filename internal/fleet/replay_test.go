@@ -294,11 +294,11 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 	}
 	edge.refuse.Store(true)
 	// A new name refused: rolled back to no deployment at all.
-	if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-x", 12, 1), 0.5); !errors.Is(err, ErrRejected) {
+	if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-x", 12, 1), 0.5); !errors.Is(err, errRejected) {
 		t.Fatalf("refused deploy: %v", err)
 	}
 	// A replacement for mc-1 refused: rolled back to the previous bytes.
-	if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-1", 13, 9), 0.25); !errors.Is(err, ErrRejected) {
+	if err := ctrl.Deploy(node, "cam0", saveVersionedMC(t, "mc-1", 13, 9), 0.25); !errors.Is(err, errRejected) {
 		t.Fatalf("refused redeploy: %v", err)
 	}
 	edge.refuse.Store(false)
@@ -322,7 +322,7 @@ func testReplayEqualsLive(t *testing.T, midSnapshot bool) {
 	// ---- Drift: the first heartbeat at MinCount freezes a baseline. --
 	edge.send(transport.KindHeartbeat, scoreBeat(alt(0.2, 0.7, 16)))
 	waitFor(t, "drift baseline frozen", func() bool {
-		reps := ctrl.DriftReports()
+		reps := driftReports(ctrl)
 		return len(reps) == 1 && reps[0].Baseline == 16
 	})
 

@@ -130,7 +130,7 @@ func TestControllerRestartAdoptsNode(t *testing.T) {
 
 	waitFor(t, "resume against restarted controller", func() bool {
 		_, rc := ctrl2.Lifecycle()
-		return rc == 1 && agent.Connected()
+		return rc == 1 && connected(agent)
 	})
 	// Give reconciliation a beat, then check the MC survived adoption.
 	time.Sleep(100 * time.Millisecond)
@@ -201,8 +201,8 @@ func TestConnectRefusedWhenConnectedOrClosed(t *testing.T) {
 	if d := dials.Load(); d != 1 {
 		t.Fatalf("second Connect dialed: %d dials, want 1", d)
 	}
-	if nodes := ctrl.ListNodes(); len(nodes) != 1 || nodes[0].ID != id || !agent.Connected() {
-		t.Fatalf("live session %d did not survive: nodes %+v, connected %v", id, nodes, agent.Connected())
+	if nodes := ctrl.ListNodes(); len(nodes) != 1 || nodes[0].ID != id || !connected(agent) {
+		t.Fatalf("live session %d did not survive: nodes %+v, connected %v", id, nodes, connected(agent))
 	}
 	if ev, rc := ctrl.Lifecycle(); ev != 0 || rc != 0 {
 		t.Fatalf("lifecycle = (%d evicted, %d reconnects), want (0, 0)", ev, rc)
@@ -224,6 +224,13 @@ func TestConnectRefusedWhenConnectedOrClosed(t *testing.T) {
 type fakeEdge struct {
 	t    *testing.T
 	conn net.Conn
+}
+
+// connected reports whether the agent holds a live session.
+func connected(a *Agent) bool {
+	a.sessMu.Lock()
+	defer a.sessMu.Unlock()
+	return a.link != nil
 }
 
 func dialFakeEdge(t *testing.T, n *simnet.Network, node string) *fakeEdge {
@@ -279,6 +286,60 @@ func (f *fakeEdge) writeAck(seq uint64, errStr string) {
 	}
 }
 
+// TestWelcomePrecedesRequests opens a session whose controller-to-edge
+// direction is stalled, so the handshake reply waits on the wire, and
+// starts a Deploy as soon as the session is registered. When the stall
+// lifts, the edge must read the version header and the Welcome before
+// the deploy request.
+func TestWelcomePrecedesRequests(t *testing.T) {
+	n := simnet.New(1)
+	ln, err := n.Listen("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController(ControllerConfig{Timeout: 5 * time.Second})
+	ctrl.Serve(ln)
+	defer ctrl.Close()
+
+	n.SetStall("dc", "edge-w", true) // applies to the connection dialled next
+	conn, err := n.Dial("edge-w", "dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := transport.WriteHeader(conn, transport.Version2); err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteRecord(conn, transport.KindHello, Hello{Node: "edge-w"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "session registered", func() bool {
+		_, err := ctrl.Session("edge-w")
+		return err == nil
+	})
+	deployErr := make(chan error, 1)
+	go func() { deployErr <- ctrl.Deploy("edge-w", "cam0", []byte("mc"), 0) }()
+	time.Sleep(20 * time.Millisecond) // let the Deploy reach its write
+	n.SetStall("dc", "edge-w", false)
+
+	if _, err := transport.ReadHeader(conn); err != nil {
+		t.Fatalf("first bytes from the controller are not the header: %v", err)
+	}
+	if kind, _, err := transport.ReadRecord(conn); err != nil || kind != transport.KindWelcome {
+		t.Fatalf("first record: kind %d, err %v; want the Welcome", kind, err)
+	}
+	f := &fakeEdge{t: t, conn: conn}
+	f.writeAck(f.readDeploy(), "")
+	select {
+	case err := <-deployErr:
+		if err != nil {
+			t.Fatalf("Deploy: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Deploy never returned")
+	}
+}
+
 // TestSessionRequestTimeouts covers the round-trip timer branches:
 // responses landing after the timeout, sessions closing mid-request,
 // and the session surviving both.
@@ -302,7 +363,7 @@ func TestSessionRequestTimeouts(t *testing.T) {
 				f.writeAck(seq, "")
 			},
 			wantErr: func(err error) bool {
-				return err != nil && !errors.Is(err, ErrSessionClosed) && !errors.Is(err, ErrRejected)
+				return err != nil && !errors.Is(err, errSessionClosed) && !errors.Is(err, errRejected)
 			},
 			errDesc: "timeout",
 			after:   true,
@@ -312,8 +373,8 @@ func TestSessionRequestTimeouts(t *testing.T) {
 			drive: func(t *testing.T, f *fakeEdge, seq uint64, deployDone <-chan struct{}) {
 				f.conn.Close()
 			},
-			wantErr: func(err error) bool { return errors.Is(err, ErrSessionClosed) },
-			errDesc: "ErrSessionClosed",
+			wantErr: func(err error) bool { return errors.Is(err, errSessionClosed) },
+			errDesc: "errSessionClosed",
 		},
 		{
 			name: "stray ack for an unknown sequence",
@@ -385,8 +446,8 @@ func TestSessionRequestTimeouts(t *testing.T) {
 				f.writeAck(seq2, "nope")
 				select {
 				case err := <-errCh2:
-					if !errors.Is(err, ErrRejected) {
-						t.Fatalf("follow-up Deploy error = %v, want ErrRejected", err)
+					if !errors.Is(err, errRejected) {
+						t.Fatalf("follow-up Deploy error = %v, want errRejected", err)
 					}
 				case <-time.After(10 * time.Second):
 					t.Fatal("follow-up Deploy never returned")
@@ -631,8 +692,8 @@ func TestStalledUplinkDoesNotStallFrames(t *testing.T) {
 	if pending, _ := agent.PendingUploads(); pending == 0 {
 		t.Fatal("no upload waited behind the stall (vacuous)")
 	}
-	if !agent.Connected() || agent.Reconnects() != 0 {
-		t.Fatalf("session lost during the stall: connected %v, reconnects %d", agent.Connected(), agent.Reconnects())
+	if !connected(agent) || agent.Reconnects() != 0 {
+		t.Fatalf("session lost during the stall: connected %v, reconnects %d", connected(agent), agent.Reconnects())
 	}
 
 	// Cut the stalled connection and heal the link: the agent resumes
@@ -640,7 +701,7 @@ func TestStalledUplinkDoesNotStallFrames(t *testing.T) {
 	n.Partition("edge-s", "dc")
 	n.SetStall("edge-s", "dc", false)
 	n.Heal("edge-s", "dc")
-	waitFor(t, "resumed session", func() bool { return agent.Reconnects() == 1 && agent.Connected() })
+	waitFor(t, "resumed session", func() bool { return agent.Reconnects() == 1 && connected(agent) })
 	waitFor(t, "every upload acked", func() bool {
 		pending, _ := agent.PendingUploads()
 		return pending == 0

@@ -237,7 +237,7 @@ func TestRestartChaosSoak(t *testing.T) {
 
 	for _, c := range all {
 		waitFor(t, c.name+" reconnected after restart", func() bool {
-			return c.agent.Connected() && c.agent.Reconnects() >= 1
+			return connected(c.agent) && c.agent.Reconnects() >= 1
 		})
 	}
 	for _, c := range all {

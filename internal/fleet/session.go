@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,19 +17,19 @@ import (
 	"repro/internal/walog"
 )
 
-// ErrSessionClosed is returned by session operations after the edge
+// errSessionClosed is returned by session operations after the edge
 // disconnected.
-var ErrSessionClosed = errors.New("fleet: session closed")
+var errSessionClosed = errors.New("fleet: session closed")
 
-// ErrLiveness terminates a session whose edge went silent for the
+// errLiveness terminates a session whose edge went silent for the
 // liveness window (HeartbeatMiss consecutive heartbeat intervals) —
 // the controller's eviction of a node that stalled or vanished
 // without closing its connection.
-var ErrLiveness = errors.New("fleet: heartbeat liveness timeout")
+var errLiveness = errors.New("fleet: heartbeat liveness timeout")
 
-// ErrEvicted terminates a session the controller force-closed because
+// errEvicted terminates a session the controller force-closed because
 // the node reconnected: the resumed session replaces the stale one.
-var ErrEvicted = errors.New("fleet: session replaced by reconnect")
+var errEvicted = errors.New("fleet: session replaced by reconnect")
 
 // ErrRedirected once terminated a session whose node a live
 // shard-count change moved to another controller shard.
@@ -60,7 +61,7 @@ type Session struct {
 	nextSeq     uint64
 	pending     map[uint64]chan any
 	fetchFrames map[uint64][]*vision.Image // data chunks awaiting their trailer
-	received    int
+	nReceived   int
 	heartbeat   *hbRecord // the latest; not written again until it is the spare
 	heartbeatAt time.Time
 	runErr      error
@@ -127,17 +128,17 @@ func (s *Session) Streams() []StreamInfo {
 	return append([]StreamInfo(nil), s.streams...)
 }
 
-// Received returns the number of uploads accepted from this edge.
-func (s *Session) Received() int {
+// received returns the number of uploads accepted from this edge.
+func (s *Session) received() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.received
+	return s.nReceived
 }
 
-// LastHeartbeat returns a copy of the most recent heartbeat, sharing
+// lastHeartbeat returns a copy of the most recent heartbeat, sharing
 // no map with the session, and its arrival time (zero time if none
 // arrived yet). The caller may keep and modify it.
-func (s *Session) LastHeartbeat() (Heartbeat, time.Time) {
+func (s *Session) lastHeartbeat() (Heartbeat, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.heartbeat.heartbeat(), s.heartbeatAt
@@ -186,7 +187,7 @@ func (s *Session) Fetch(stream string, start, end int, bitrate float64) (FetchRe
 
 // FetchFrames demand-fetches frames [start, end) of a stream's
 // archive and streams the decoder-side reconstructions back through
-// the v2 transport (chunked FetchData records ahead of the response
+// the v2 transport (chunked fetchData records ahead of the response
 // trailer), returning the frames alongside the edge's accounting.
 func (s *Session) FetchFrames(stream string, start, end int, bitrate float64) ([]*vision.Image, FetchResponse, error) {
 	return s.fetch(stream, start, end, bitrate, true)
@@ -204,7 +205,7 @@ func (s *Session) fetch(stream string, start, end int, bitrate float64, includeD
 		return nil, FetchResponse{}, fmt.Errorf("fleet: unexpected response %T to fetch", resp)
 	}
 	if fr.resp.Err != "" {
-		return nil, fr.resp, fmt.Errorf("fleet: edge %q fetch: %w: %s", s.node, ErrRejected, fr.resp.Err)
+		return nil, fr.resp, fmt.Errorf("fleet: edge %q fetch: %w: %s", s.node, errRejected, fr.resp.Err)
 	}
 	if includeData && len(fr.frames) != end-start {
 		return fr.frames, fr.resp, fmt.Errorf("fleet: edge %q fetch returned %d frames, want %d", s.node, len(fr.frames), end-start)
@@ -219,15 +220,15 @@ type fetchReply struct {
 	frames []*vision.Image
 }
 
-// ErrRejected is wrapped by request errors where the edge itself
+// errRejected is wrapped by request errors where the edge itself
 // refused the request (unknown stream, bad MC bytes, duplicate
 // deploy). The request reached the node and was answered — as opposed
 // to transport failures, where the node's state is unknown and the
 // controller keeps its intent for reconciliation.
-var ErrRejected = errors.New("fleet: edge rejected request")
+var errRejected = errors.New("fleet: edge rejected request")
 
 // request sends one deploy or undeploy request and waits for the
-// edge's ack, failing with ErrRejected when the edge refused it.
+// edge's ack, failing with errRejected when the edge refused it.
 func (s *Session) request(kind uint8, build func(seq uint64) any) error {
 	resp, err := s.roundTrip(kind, build)
 	if err != nil {
@@ -238,7 +239,7 @@ func (s *Session) request(kind uint8, build func(seq uint64) any) error {
 		return fmt.Errorf("fleet: unexpected response %T to request", resp)
 	}
 	if ack.Err != "" {
-		return fmt.Errorf("%w: %s", ErrRejected, ack.Err)
+		return fmt.Errorf("%w: %s", errRejected, ack.Err)
 	}
 	return nil
 }
@@ -250,7 +251,7 @@ func (s *Session) roundTrip(kind uint8, build func(seq uint64) any) (any, error)
 	select {
 	case <-s.done:
 		s.mu.Unlock()
-		return nil, ErrSessionClosed
+		return nil, errSessionClosed
 	default:
 	}
 	s.nextSeq++
@@ -270,7 +271,7 @@ func (s *Session) roundTrip(kind uint8, build func(seq uint64) any) (any, error)
 		return resp, nil
 	case <-s.done:
 		s.dropPending(seq)
-		return nil, ErrSessionClosed
+		return nil, errSessionClosed
 	case <-timer.C:
 		s.dropPending(seq)
 		return nil, fmt.Errorf("fleet: edge %q: no response within %v", s.node, s.timeout)
@@ -310,6 +311,21 @@ func (s *Session) write(kind uint8, payload any) error {
 	return transport.WriteDeadline(s.conn, rec, s.timeout)
 }
 
+// welcome writes the version header and the Welcome in one write
+// bounded by the session timeout, then releases wmu, which
+// serveSession takes before it registers the session.
+func (s *Session) welcome(w Welcome) error {
+	defer s.wmu.Unlock()
+	rec, err := transport.EncodeRecord(transport.KindWelcome, w)
+	if err != nil {
+		return err
+	}
+	var hs bytes.Buffer
+	transport.WriteHeader(&hs, transport.Version2) // a bytes.Buffer write does not fail
+	hs.Write(rec)
+	return transport.WriteDeadline(s.conn, hs.Bytes(), s.timeout)
+}
+
 // run is the session's reader loop; the controller drives it in the
 // connection's goroutine. It returns after a clean goodbye, a read
 // error, a liveness eviction, or the connection closing. onUpload
@@ -341,7 +357,7 @@ func (s *Session) markDone(err error) {
 // resume). Closing the connection unblocks the reader loop, whose
 // exit deregisters the session.
 func (s *Session) evict() {
-	s.markDone(ErrEvicted)
+	s.markDone(errEvicted)
 	s.conn.Close()
 }
 
@@ -369,7 +385,7 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 				return nil
 			}
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				return fmt.Errorf("fleet: edge %q silent for %v: %w", s.node, s.liveness, ErrLiveness)
+				return fmt.Errorf("fleet: edge %q silent for %v: %w", s.node, s.liveness, errLiveness)
 			}
 			return err
 		}
@@ -385,7 +401,7 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			}
 			if accept {
 				s.mu.Lock()
-				s.received++
+				s.nReceived++
 				s.mu.Unlock()
 			}
 			if ack && rec.Seq != 0 && !ackBroken {
@@ -408,7 +424,7 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			}
 			s.deliver(ack.Seq, ack)
 		case transport.KindFetchData:
-			var fd FetchData
+			var fd fetchData
 			if err := transport.DecodeRecord(body, &fd); err != nil {
 				return err
 			}

@@ -136,6 +136,10 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 	// that rolls back valid intent.
 	work := reconcileWorkLocked(st, hello)
 	s := newSession(sh.c.nextID.Add(1), hello, conn, cfg.Timeout, liveness, sh.hbGap, sh.hbHandle, sh.noteHeartbeat)
+	// Hold the session's writer from registration until the Welcome is
+	// out: a Deploy or Fetch that finds the session in the registry
+	// meanwhile must not put its request ahead of the handshake.
+	s.wmu.Lock()
 	sh.sessions[s.id] = s
 	sh.mu.Unlock()
 	cfg.Log.Info("fleet: session open",
@@ -151,10 +155,7 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 		sh.mu.Unlock()
 	}()
 
-	if err := transport.WriteHeader(conn, transport.Version2); err != nil {
-		return err
-	}
-	if err := s.write(transport.KindWelcome, Welcome{SessionID: s.id, DeployGen: gen, Shard: sh.id}); err != nil {
+	if err := s.welcome(Welcome{SessionID: s.id, DeployGen: gen, Shard: sh.id}); err != nil {
 		return err
 	}
 	// Reconcile every session against intent, not just resumes:
@@ -170,7 +171,7 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 	err := s.run(sh.acceptUpload)
 	// Liveness evictions end the session from inside its reader; count
 	// them against the node.
-	if terminal := s.Err(); errors.Is(terminal, ErrLiveness) {
+	if terminal := s.Err(); errors.Is(terminal, errLiveness) {
 		sh.mu.Lock()
 		st.Evicted++
 		evicted := st.Evicted
@@ -180,7 +181,7 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 			"evicted", evicted)
 	} else {
 		cfg.Log.Info("fleet: session closed",
-			"node", s.node, "shard", sh.id, "session", s.id, "uploads", s.Received())
+			"node", s.node, "shard", sh.id, "session", s.id, "uploads", s.received())
 	}
 	return err
 }

@@ -168,7 +168,7 @@ func TestShardedChaosSoak(t *testing.T) {
 			mcs := c.agent.DeployedMCs("cam0")
 			return len(mcs) == 1 && mcs[0] == "mc-soak"
 		}, func() string {
-			return fmt.Sprintf("deployed=%v connected=%v", c.agent.DeployedMCs("cam0"), c.agent.Connected())
+			return fmt.Sprintf("deployed=%v connected=%v", c.agent.DeployedMCs("cam0"), connected(c.agent))
 		})
 	}
 
@@ -210,7 +210,7 @@ func TestShardedChaosSoak(t *testing.T) {
 			}, func() string {
 				pending, dropped := c.agent.PendingUploads()
 				return fmt.Sprintf("ledger=%d gt=%d pending=%d dropped=%d connected=%v",
-					nodeReceived(c.name), c.gtCount(), pending, dropped, c.agent.Connected())
+					nodeReceived(c.name), c.gtCount(), pending, dropped, connected(c.agent))
 			})
 		}
 	}
@@ -254,10 +254,10 @@ func TestShardedChaosSoak(t *testing.T) {
 	// reconnects — dedup and resume make them invisible.
 	for _, c := range agents[0:10] {
 		waitSoak(t, c.name+" resumed after partition", func() bool {
-			return c.agent.Reconnects() >= 1 && c.agent.Connected()
+			return c.agent.Reconnects() >= 1 && connected(c.agent)
 		}, func() string {
 			return fmt.Sprintf("reconnects=%d connected=%v registered=%d",
-				c.agent.Reconnects(), c.agent.Connected(), len(ctrl.ListNodes()))
+				c.agent.Reconnects(), connected(c.agent), len(ctrl.ListNodes()))
 		})
 	}
 	converge("post-partition")
@@ -275,11 +275,11 @@ func TestShardedChaosSoak(t *testing.T) {
 	// spurious eviction under heavy load.
 	waitSoak(t, "liveness evictions", func() bool {
 		ev, _ := ctrl.Lifecycle()
-		return ev >= 2 && !agents[11].agent.Connected() && !agents[57].agent.Connected()
+		return ev >= 2 && !connected(agents[11].agent) && !connected(agents[57].agent)
 	}, func() string {
 		ev, rc := ctrl.Lifecycle()
 		return fmt.Sprintf("evicted=%d reconnects=%d registered=%d stalled-connected=%v/%v",
-			ev, rc, len(ctrl.ListNodes()), agents[11].agent.Connected(), agents[57].agent.Connected())
+			ev, rc, len(ctrl.ListNodes()), connected(agents[11].agent), connected(agents[57].agent))
 	})
 	for _, name := range stalled {
 		n.SetStall(name, "dc", false)
@@ -287,9 +287,9 @@ func TestShardedChaosSoak(t *testing.T) {
 	for _, i := range []int{11, 57} {
 		c := agents[i]
 		waitSoak(t, c.name+" back after eviction", func() bool {
-			return c.agent.Connected() && c.agent.Reconnects() >= 1
+			return connected(c.agent) && c.agent.Reconnects() >= 1
 		}, func() string {
-			return fmt.Sprintf("reconnects=%d connected=%v", c.agent.Reconnects(), c.agent.Connected())
+			return fmt.Sprintf("reconnects=%d connected=%v", c.agent.Reconnects(), connected(c.agent))
 		})
 	}
 
@@ -307,7 +307,7 @@ func TestShardedChaosSoak(t *testing.T) {
 	// difference means a moved node's detector state was dropped or
 	// reset by the re-home.
 	waitSoak(t, "sketch reports settled before re-shard", func() bool {
-		reps := ctrl.DriftReports()
+		reps := driftReports(ctrl)
 		if len(reps) != shardedSoakAgents {
 			return false
 		}
@@ -318,10 +318,10 @@ func TestShardedChaosSoak(t *testing.T) {
 		}
 		return true
 	}, func() string {
-		reps := ctrl.DriftReports()
+		reps := driftReports(ctrl)
 		return fmt.Sprintf("reports=%d", len(reps))
 	})
-	sketchesBefore := ctrl.DriftReports()
+	sketchesBefore := driftReports(ctrl)
 	evBefore, rcBefore := ctrl.Lifecycle()
 	if err := ctrl.Close(); err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestShardedChaosSoak(t *testing.T) {
 	// Detector state rode the re-home: the sketch reports — cumulative
 	// counts, frozen baselines, window tallies, scores — are identical
 	// to the pre-resize capture, including for every moved node.
-	if sketchesAfter := ctrl.DriftReports(); !reflect.DeepEqual(sketchesAfter, sketchesBefore) {
+	if sketchesAfter := driftReports(ctrl); !reflect.DeepEqual(sketchesAfter, sketchesBefore) {
 		t.Fatalf("re-shard changed the drift/sketch reports:\nbefore %+v\nafter  %+v", sketchesBefore, sketchesAfter)
 	}
 
@@ -407,7 +407,7 @@ func TestShardedChaosSoak(t *testing.T) {
 			return pending == 0
 		}, func() string {
 			pending, dropped := c.agent.PendingUploads()
-			return fmt.Sprintf("pending=%d dropped=%d connected=%v", pending, dropped, c.agent.Connected())
+			return fmt.Sprintf("pending=%d dropped=%d connected=%v", pending, dropped, connected(c.agent))
 		})
 		if _, dropped := c.agent.PendingUploads(); dropped != 0 {
 			t.Fatalf("%s dropped %d uploads from the resend buffer", c.name, dropped)

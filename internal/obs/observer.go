@@ -52,39 +52,39 @@ func NewObserver(opts Options) *Observer {
 		log = slog.Default()
 	}
 	o := &Observer{
-		Reg:   NewRegistry(),
+		Reg:   newRegistry(),
 		Trace: NewTracer(traceCapacity),
 		Log:   log,
 	}
-	o.Trace.SetSlowFrame(opts.SlowFrame, log)
+	o.Trace.setSlowFrame(opts.SlowFrame, log)
 	instrument := func(name, help string) {
 		o.Reg.Describe(name, help)
 	}
 	instrument("ff_frames_total", "Frames processed across all streams.")
-	o.Frames = o.Reg.Counter("ff_frames_total")
+	o.Frames = o.Reg.counter("ff_frames_total")
 	instrument("ff_frame_ns", "Whole ProcessFrame envelope latency in nanoseconds.")
-	o.Frame = o.Reg.Histogram("ff_frame_ns")
+	o.Frame = o.Reg.histogram("ff_frame_ns")
 	instrument("ff_queue_wait_ns", "Scheduler mailbox wait before a frame is served, in nanoseconds.")
-	o.QueueWait = o.Reg.Histogram("ff_queue_wait_ns")
+	o.QueueWait = o.Reg.histogram("ff_queue_wait_ns")
 	instrument("ff_decode_ns", "Frame decode latency in nanoseconds.")
-	o.Decode = o.Reg.Histogram("ff_decode_ns")
+	o.Decode = o.Reg.histogram("ff_decode_ns")
 	instrument("ff_extract_ns", "Base-DNN feature extraction latency in nanoseconds.")
-	o.Extract = o.Reg.Histogram("ff_extract_ns")
+	o.Extract = o.Reg.histogram("ff_extract_ns")
 	instrument("ff_mc_push_ns", "Microclassifier push latency in nanoseconds.")
-	o.MCPush = o.Reg.Histogram("ff_mc_push_ns")
+	o.MCPush = o.Reg.histogram("ff_mc_push_ns")
 	instrument("ff_encode_ns", "Event-segment encode latency in nanoseconds.")
-	o.Encode = o.Reg.Histogram("ff_encode_ns")
+	o.Encode = o.Reg.histogram("ff_encode_ns")
 	instrument("ff_archive_encode_ns", "Continuous-archive codec-model encode latency in nanoseconds.")
-	o.ArchiveEncode = o.Reg.Histogram("ff_archive_encode_ns")
+	o.ArchiveEncode = o.Reg.histogram("ff_archive_encode_ns")
 	instrument("ff_archive_append_ns", "Continuous-archive disk append latency in nanoseconds.")
-	o.ArchiveAppend = o.Reg.Histogram("ff_archive_append_ns")
+	o.ArchiveAppend = o.Reg.histogram("ff_archive_append_ns")
 	instrument("ff_upload_send_ns", "Wire send latency of one upload record in nanoseconds.")
-	o.Upload = o.Reg.Histogram("ff_upload_send_ns")
+	o.Upload = o.Reg.histogram("ff_upload_send_ns")
 	instrument("ff_upload_rtt_ns", "Upload send-to-ack round trip in nanoseconds.")
-	o.UploadRTT = o.Reg.Histogram("ff_upload_rtt_ns")
+	o.UploadRTT = o.Reg.histogram("ff_upload_rtt_ns")
 	instrument("ff_fetch_ns", "Demand-fetch service latency in nanoseconds.")
-	o.Fetch = o.Reg.Histogram("ff_fetch_ns")
+	o.Fetch = o.Reg.histogram("ff_fetch_ns")
 	instrument("ff_mc_scores", "Microclassifier score distribution across all deployed MCs on this node.")
-	o.Scores = o.Reg.Sketch("ff_mc_scores")
+	o.Scores = o.Reg.sketch("ff_mc_scores")
 	return o
 }

@@ -48,8 +48,8 @@ type Registry struct {
 	help     map[string]string
 }
 
-// NewRegistry constructs an empty registry.
-func NewRegistry() *Registry {
+// newRegistry constructs an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
@@ -60,7 +60,7 @@ func NewRegistry() *Registry {
 }
 
 // Describe registers HELP text for the named instrument.
-// WritePrometheus emits it as a "# HELP" line ahead of the "# TYPE"
+// writePrometheus emits it as a "# HELP" line ahead of the "# TYPE"
 // line, which metric linters expect. Describing an instrument is
 // optional and idempotent; the last text registered wins.
 func (r *Registry) Describe(name, help string) {
@@ -69,9 +69,9 @@ func (r *Registry) Describe(name, help string) {
 	r.help[name] = help
 }
 
-// Counter returns the named counter, creating it on first use. Names
+// counter returns the named counter, creating it on first use. Names
 // should be valid Prometheus identifiers ([a-zA-Z_][a-zA-Z0-9_]*).
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -104,8 +104,8 @@ func (r *Registry) ShardGauge(shard int, name string) *Gauge {
 	return r.Gauge(fmt.Sprintf("ff_fleet_shard_%d_%s", shard, name))
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
+// histogram returns the named histogram, creating it on first use.
+func (r *Registry) histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
@@ -116,10 +116,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Sketch returns the named score sketch, creating it on first use.
+// sketch returns the named score sketch, creating it on first use.
 // Sketches render on /metrics as Prometheus histograms with bucket
 // boundaries at the 32 bin edges over [0, 1].
-func (r *Registry) Sketch(name string) *ScoreSketch {
+func (r *Registry) sketch(name string) *ScoreSketch {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.sketches[name]
@@ -179,14 +179,14 @@ func (r *Registry) Snapshot() []Metric {
 	return out
 }
 
-// WritePrometheus renders the registry in the Prometheus text
+// writePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as single
 // samples, latency histograms as summaries with quantile labels, and
 // score sketches as histograms with bucket boundaries at the bin
 // edges. Instruments with Describe'd help text get a "# HELP" line
 // ahead of their "# TYPE" line. Output is sorted by name for
 // deterministic scrapes.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	cnames := sortedKeys(r.counters)
 	gnames := sortedKeys(r.gauges)

@@ -13,21 +13,21 @@ import (
 // described registry: # HELP ahead of # TYPE, escaping, and stable
 // ordering — the contract metric linters check.
 func TestWritePrometheusHelpGolden(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Describe("ff_frames_total", "Frames processed across all streams.")
-	r.Counter("ff_frames_total").Add(42)
+	r.counter("ff_frames_total").Add(42)
 	r.Describe("ff_queue_depth", `Depth with a \ backslash
 and a newline.`)
 	r.Gauge("ff_queue_depth").Set(7)
 	r.Describe("ff_extract_ns", "Extraction latency in nanoseconds.")
-	h := r.Histogram("ff_extract_ns")
+	h := r.histogram("ff_extract_ns")
 	h.ObserveNs(1000)
 	h.ObserveNs(1000)
 	// Undescribed instruments get no HELP line, only TYPE.
-	r.Counter("ff_undescribed_total").Inc()
+	r.counter("ff_undescribed_total").Inc()
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.writePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	p50 := h.Quantile(0.50)
@@ -54,15 +54,15 @@ and a newline.`)
 }
 
 func TestWritePrometheusSketch(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Describe("ff_mc_scores", "MC score distribution.")
-	sk := r.Sketch("ff_mc_scores")
+	sk := r.sketch("ff_mc_scores")
 	sk.Observe(0.10, false) // bin 3  (0.09375–0.125)
 	sk.Observe(0.90, true)  // bin 28 (0.875–0.90625)
 	sk.Observe(0.95, true)  // bin 30 (0.9375–0.96875)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.writePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -99,7 +99,7 @@ func TestWritePrometheusSketch(t *testing.T) {
 // (one instrument, not two drifting copies), and distinct shards can
 // never collide because the shard index is a complete %d prefix.
 func TestShardGaugeNames(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.ShardGauge(3, "nodes")
 	if again := r.ShardGauge(3, "nodes"); again != a {
 		t.Fatal("ShardGauge is not get-or-create")
@@ -130,7 +130,7 @@ func TestShardGaugeNames(t *testing.T) {
 // sorted and internally consistent (a histogram's expanded entries
 // all present), and the final snapshot complete.
 func TestSnapshotOrderingUnderConcurrentCreation(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const writers, per = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -141,13 +141,13 @@ func TestSnapshotOrderingUnderConcurrentCreation(t *testing.T) {
 			for i := 0; i < per; i++ {
 				switch rng.Intn(4) {
 				case 0:
-					r.Counter(fmt.Sprintf("ff_c_%d_%d", w, i)).Inc()
+					r.counter(fmt.Sprintf("ff_c_%d_%d", w, i)).Inc()
 				case 1:
 					r.Gauge(fmt.Sprintf("ff_g_%d_%d", w, i)).Set(1)
 				case 2:
-					r.Histogram(fmt.Sprintf("ff_h_%d_%d", w, i)).ObserveNs(10)
+					r.histogram(fmt.Sprintf("ff_h_%d_%d", w, i)).ObserveNs(10)
 				default:
-					r.Sketch(fmt.Sprintf("ff_s_%d_%d", w, i)).Observe(0.5, true)
+					r.sketch(fmt.Sprintf("ff_s_%d_%d", w, i)).Observe(0.5, true)
 				}
 			}
 		}(w)

@@ -17,11 +17,11 @@ func NewDebugMux(o *Observer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		o.Reg.WritePrometheus(w)
+		o.Reg.writePrometheus(w)
 	})
 	mux.HandleFunc("/debug/trace.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		o.Trace.WriteTraceJSON(w)
+		o.Trace.writeTraceJSON(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

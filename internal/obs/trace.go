@@ -60,7 +60,7 @@ type Span struct {
 
 // Tracer records pipeline spans into a fixed-size ring buffer. Record
 // is mutex-guarded (a single uncontended lock, no allocation) and safe
-// for concurrent writers; Snapshot and WriteTraceJSON may run while
+// for concurrent writers; Snapshot and writeTraceJSON may run while
 // recording continues. An optional slow-frame trigger logs the full
 // span chain of any frame whose envelope exceeds a threshold.
 type Tracer struct {
@@ -89,11 +89,11 @@ func NewTracer(capacity int) *Tracer {
 	}
 }
 
-// SetSlowFrame arms the slow-frame trigger: any StageFrame span with
+// setSlowFrame arms the slow-frame trigger: any StageFrame span with
 // duration at or above threshold has its full span chain logged to
 // log. A zero threshold (or nil logger) disables the trigger. Not
 // concurrency-safe with recording; configure before the pipeline runs.
-func (t *Tracer) SetSlowFrame(threshold time.Duration, log *slog.Logger) {
+func (t *Tracer) setSlowFrame(threshold time.Duration, log *slog.Logger) {
 	t.slowNs = int64(threshold)
 	t.slowLog = log
 }
@@ -209,11 +209,11 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteTraceJSON dumps the ring as Chrome trace_event JSON, loadable
+// writeTraceJSON dumps the ring as Chrome trace_event JSON, loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing. Each stream is a
 // named thread; spans are complete events with the frame index in
 // args. Safe to call while recording continues.
-func (t *Tracer) WriteTraceJSON(w io.Writer) error {
+func (t *Tracer) writeTraceJSON(w io.Writer) error {
 	spans := t.Snapshot()
 	t.mu.Lock()
 	streams := append([]string(nil), t.streams...)

@@ -21,9 +21,9 @@ import (
 	"repro/internal/vision"
 )
 
-// NumClasses is the pretext-task label count: background, pedestrian,
+// numClasses is the pretext-task label count: background, pedestrian,
 // red pedestrian, car.
-const NumClasses = 4
+const numClasses = 4
 
 // Config controls pretraining.
 type Config struct {
@@ -61,12 +61,12 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Sample generates one pretext example: a random background with at
+// sample generates one pretext example: a random background with at
 // most one sprite, labelled by the sprite kind (0 = none).
-func Sample(rng *tensor.RNG, size int) (*tensor.Tensor, int) {
+func sample(rng *tensor.RNG, size int) (*tensor.Tensor, int) {
 	bg := vision.Background(size, size, nil, rng.Int63())
 	scene := &vision.Scene{Background: bg, NoiseStd: 0.015}
-	class := rng.Intn(NumClasses)
+	class := rng.Intn(numClasses)
 	var objs []*vision.Object
 	if class != 0 {
 		h := 6 + rng.Float64()*10
@@ -110,7 +110,7 @@ func Run(m *mobilenet.Model, cfg Config) (float64, error) {
 
 	samples := make([]train.ClassSample, cfg.Samples)
 	for i := range samples {
-		x, class := Sample(rng, cfg.InputSize)
+		x, class := sample(rng, cfg.InputSize)
 		samples[i] = train.ClassSample{X: x, Class: class}
 	}
 
@@ -125,7 +125,7 @@ func Run(m *mobilenet.Model, cfg Config) (float64, error) {
 		full.Add(l)
 	}
 	full.Add(nn.NewGlobalAvgPool("pretrain/pool"))
-	full.Add(nn.NewDense("pretrain/fc", deepC, NumClasses, headRNG))
+	full.Add(nn.NewDense("pretrain/fc", deepC, numClasses, headRNG))
 
 	progress := func(epoch int, loss float64) {
 		if cfg.Log != nil {

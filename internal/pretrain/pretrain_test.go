@@ -12,11 +12,11 @@ func TestSampleShapesAndClasses(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	seen := map[int]bool{}
 	for i := 0; i < 40; i++ {
-		x, class := Sample(rng, 32)
+		x, class := sample(rng, 32)
 		if x.Shape[1] != 32 || x.Shape[2] != 32 || x.Shape[3] != 3 {
 			t.Fatalf("sample shape %v", x.Shape)
 		}
-		if class < 0 || class >= NumClasses {
+		if class < 0 || class >= numClasses {
 			t.Fatalf("class %d out of range", class)
 		}
 		seen[class] = true
@@ -39,8 +39,8 @@ func TestRunReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(loss) || loss >= math.Log(NumClasses) {
-		t.Fatalf("pretraining made no progress: loss %v (chance %.3f)", loss, math.Log(NumClasses))
+	if math.IsNaN(loss) || loss >= math.Log(numClasses) {
+		t.Fatalf("pretraining made no progress: loss %v (chance %.3f)", loss, math.Log(numClasses))
 	}
 	for _, p := range m.Net.Params() {
 		if p.Name == "conv1/weights" && p.Value.Data[0] == before {

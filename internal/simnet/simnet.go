@@ -20,9 +20,6 @@
 //	n.Partition("edge-1", "dc")          // both directions sever, dials refused
 //	n.Heal("edge-1", "dc")               // dials work again (severed conns stay dead)
 //	n.CorruptNext("edge-1", "dc", 12)    // flip one bit 12 bytes ahead in the stream
-//	n.DropNext("edge-1", "dc", 9, 4)     // drop 4 bytes starting 9 bytes ahead
-//	n.SetLatency("edge-1", "dc", 5*time.Millisecond)
-//	n.SetBandwidth("edge-1", "dc", 1<<20) // bytes/s pacing
 //
 // Conns support read/write deadlines (errors satisfy
 // errors.Is(err, os.ErrDeadlineExceeded)), so transport-level liveness
@@ -44,34 +41,26 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
 
-// ErrSevered is returned by reads and writes on a partitioned
+// errSevered is returned by reads and writes on a partitioned
 // connection — the simnet analogue of a reset TCP connection.
-var ErrSevered = errors.New("simnet: connection severed by partition")
+var errSevered = errors.New("simnet: connection severed by partition")
 
-// ErrRefused is returned by Dial when the target is not listening or
+// errRefused is returned by Dial when the target is not listening or
 // the address pair is partitioned.
-var ErrRefused = errors.New("simnet: connection refused")
+var errRefused = errors.New("simnet: connection refused")
 
-// Addr is a simnet endpoint address.
-type Addr struct{ Name string }
+// simAddr is a simnet endpoint address.
+type simAddr struct{ name string }
 
 // Network implements net.Addr.
-func (a Addr) Network() string { return "sim" }
+func (a simAddr) Network() string { return "sim" }
 
 // String implements net.Addr.
-func (a Addr) String() string { return a.Name }
-
-// shape is the steady-state link model for one direction.
-type shape struct {
-	latency time.Duration
-	bps     float64 // bytes/s; 0 = unlimited
-	stalled bool
-}
+func (a simAddr) String() string { return a.name }
 
 // Network is an in-memory network namespace. All methods are safe for
 // concurrent use.
@@ -82,7 +71,7 @@ type Network struct {
 	listeners map[string]*Listener
 	pipes     map[string][]*pipe // direction key -> live pipes
 	cut       map[string]bool    // partitioned address pairs
-	defaults  map[string]shape   // direction key -> shape for future conns
+	stalled   map[string]bool    // direction key -> stalled, for future conns
 }
 
 // New constructs a network whose injected randomness (corruption bit
@@ -93,7 +82,7 @@ func New(seed int64) *Network {
 		listeners: make(map[string]*Listener),
 		pipes:     make(map[string][]*pipe),
 		cut:       make(map[string]bool),
-		defaults:  make(map[string]shape),
+		stalled:   make(map[string]bool),
 	}
 }
 
@@ -132,26 +121,26 @@ func (n *Network) Dial(from, to string) (net.Conn, error) {
 	n.mu.Lock()
 	if n.cut[pairKey(from, to)] {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("simnet: dial %s->%s: %w (partitioned)", from, to, ErrRefused)
+		return nil, fmt.Errorf("simnet: dial %s->%s: %w (partitioned)", from, to, errRefused)
 	}
 	l := n.listeners[to]
 	if l == nil {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("simnet: dial %s->%s: %w", from, to, ErrRefused)
+		return nil, fmt.Errorf("simnet: dial %s->%s: %w", from, to, errRefused)
 	}
-	c2s := newPipe(from, to, n.rngFor(from, to), n.defaults[dirKey(from, to)])
-	s2c := newPipe(to, from, n.rngFor(to, from), n.defaults[dirKey(to, from)])
+	c2s := newPipe(from, to, n.rngFor(from, to), n.stalled[dirKey(from, to)])
+	s2c := newPipe(to, from, n.rngFor(to, from), n.stalled[dirKey(to, from)])
 	n.pipes[dirKey(from, to)] = append(n.pipes[dirKey(from, to)], c2s)
 	n.pipes[dirKey(to, from)] = append(n.pipes[dirKey(to, from)], s2c)
-	client := &Conn{local: Addr{from}, remote: Addr{to}, rd: s2c, wr: c2s}
-	server := &Conn{local: Addr{to}, remote: Addr{from}, rd: c2s, wr: s2c}
+	client := &conn{local: simAddr{from}, remote: simAddr{to}, rd: s2c, wr: c2s}
+	server := &conn{local: simAddr{to}, remote: simAddr{from}, rd: c2s, wr: s2c}
 	n.mu.Unlock()
 
 	select {
 	case l.backlog <- server:
 		return client, nil
 	case <-l.closed:
-		return nil, fmt.Errorf("simnet: dial %s->%s: %w", from, to, ErrRefused)
+		return nil, fmt.Errorf("simnet: dial %s->%s: %w", from, to, errRefused)
 	}
 }
 
@@ -176,43 +165,15 @@ func (n *Network) live(from, to string) []*pipe {
 	return kept
 }
 
-// SetLatency sets the one-way delivery delay for the direction,
-// applied to existing and future connections.
-func (n *Network) SetLatency(from, to string, d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sh := n.defaults[dirKey(from, to)]
-	sh.latency = d
-	n.defaults[dirKey(from, to)] = sh
-	for _, p := range n.live(from, to) {
-		p.setShape(func(s *shape) { s.latency = d })
-	}
-}
-
-// SetBandwidth caps the direction's throughput in bytes/s (0 removes
-// the cap), applied to existing and future connections.
-func (n *Network) SetBandwidth(from, to string, bps float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sh := n.defaults[dirKey(from, to)]
-	sh.bps = bps
-	n.defaults[dirKey(from, to)] = sh
-	for _, p := range n.live(from, to) {
-		p.setShape(func(s *shape) { s.bps = bps })
-	}
-}
-
 // SetStall stalls (or releases) the direction: while stalled, writes
 // block — a one-way dead link whose reverse path still flows. Applies
 // to existing and future connections.
 func (n *Network) SetStall(from, to string, stalled bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sh := n.defaults[dirKey(from, to)]
-	sh.stalled = stalled
-	n.defaults[dirKey(from, to)] = sh
+	n.stalled[dirKey(from, to)] = stalled
 	for _, p := range n.live(from, to) {
-		p.setShape(func(s *shape) { s.stalled = stalled })
+		p.setStalled(stalled)
 	}
 }
 
@@ -234,24 +195,8 @@ func (n *Network) CorruptNext(from, to string, skip int) error {
 	return nil
 }
 
-// DropNext drops k bytes starting `skip` bytes ahead of the
-// direction's current stream position — a deterministic mid-record
-// byte loss. Returns an error when no live connection matches.
-func (n *Network) DropNext(from, to string, skip, k int) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	live := n.live(from, to)
-	if len(live) == 0 {
-		return fmt.Errorf("simnet: drop %s->%s: no live connection", from, to)
-	}
-	for _, p := range live {
-		p.dropAhead(skip, k)
-	}
-	return nil
-}
-
 // Partition severs every live connection between a and b (reads and
-// writes on both ends fail with ErrSevered) and refuses new dials
+// writes on both ends fail with errSevered) and refuses new dials
 // between them until Heal.
 func (n *Network) Partition(a, b string) {
 	n.mu.Lock()
@@ -313,26 +258,26 @@ func (l *Listener) Close() error {
 }
 
 // Addr returns the listener's simnet address.
-func (l *Listener) Addr() net.Addr { return Addr{l.addr} }
+func (l *Listener) Addr() net.Addr { return simAddr{l.addr} }
 
-// Conn is one endpoint of a simnet connection. It implements net.Conn,
+// conn is one endpoint of a simnet connection. It implements net.Conn,
 // including deadlines.
-type Conn struct {
-	local, remote Addr
+type conn struct {
+	local, remote simAddr
 	rd, wr        *pipe // rd: peer->me, wr: me->peer
 
 	closeOnce sync.Once
 }
 
 // Read implements net.Conn.
-func (c *Conn) Read(b []byte) (int, error) { return c.rd.read(b) }
+func (c *conn) Read(b []byte) (int, error) { return c.rd.read(b) }
 
 // Write implements net.Conn.
-func (c *Conn) Write(b []byte) (int, error) { return c.wr.write(b) }
+func (c *conn) Write(b []byte) (int, error) { return c.wr.write(b) }
 
 // Close closes both directions: the peer drains buffered bytes then
 // sees io.EOF; this end's pending and future operations fail.
-func (c *Conn) Close() error {
+func (c *conn) Close() error {
 	c.closeOnce.Do(func() {
 		c.wr.closeWrite()
 		c.rd.closeRead()
@@ -341,34 +286,28 @@ func (c *Conn) Close() error {
 }
 
 // LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr { return c.local }
+func (c *conn) LocalAddr() net.Addr { return c.local }
 
 // RemoteAddr implements net.Conn.
-func (c *Conn) RemoteAddr() net.Addr { return c.remote }
+func (c *conn) RemoteAddr() net.Addr { return c.remote }
 
 // SetDeadline implements net.Conn.
-func (c *Conn) SetDeadline(t time.Time) error {
+func (c *conn) SetDeadline(t time.Time) error {
 	c.rd.setReadDeadline(t)
 	c.wr.setWriteDeadline(t)
 	return nil
 }
 
 // SetReadDeadline implements net.Conn.
-func (c *Conn) SetReadDeadline(t time.Time) error {
+func (c *conn) SetReadDeadline(t time.Time) error {
 	c.rd.setReadDeadline(t)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn.
-func (c *Conn) SetWriteDeadline(t time.Time) error {
+func (c *conn) SetWriteDeadline(t time.Time) error {
 	c.wr.setWriteDeadline(t)
 	return nil
-}
-
-// dropSpan is a pending byte-loss fault: stream offsets [off, off+n).
-type dropSpan struct {
-	off int64
-	n   int64
 }
 
 // maxKeptBuf bounds the buffer a drained pipe keeps for its next
@@ -401,8 +340,8 @@ const maxKeptBuf = 1 << 20
 const sockBuf = maxKeptBuf / 2
 
 // pipe is one direction of a connection: a buffer bounded like a
-// socket's (sockBuf), with fault hooks. Stream offsets (for corruption
-// and drops) count bytes as written, before drops are applied.
+// socket's (sockBuf), with fault hooks. Stream offsets (for
+// corruption) count bytes as written.
 type pipe struct {
 	from, to string
 	rng      *rand.Rand
@@ -412,21 +351,20 @@ type pipe struct {
 
 	buf     []byte // unread bytes are buf[roff:]
 	roff    int
-	written int64 // pre-fault stream position
+	written int64 // stream position
 	wclosed bool  // write end closed: reader drains then EOF
 	rclosed bool  // read end closed
 	severed bool
-	sh      shape
+	stalled bool // writes block until released
 
 	corruptAt []int64
-	drops     []dropSpan
 
 	rDeadline, wDeadline time.Time
 	rTimer, wTimer       *time.Timer
 }
 
-func newPipe(from, to string, rng *rand.Rand, sh shape) *pipe {
-	p := &pipe{from: from, to: to, rng: rng, sh: sh}
+func newPipe(from, to string, rng *rand.Rand, stalled bool) *pipe {
+	p := &pipe{from: from, to: to, rng: rng, stalled: stalled}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -437,9 +375,9 @@ func (p *pipe) dead() bool {
 	return p.severed || p.wclosed || p.rclosed
 }
 
-func (p *pipe) setShape(f func(*shape)) {
+func (p *pipe) setStalled(stalled bool) {
 	p.mu.Lock()
-	f(&p.sh)
+	p.stalled = stalled
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -447,12 +385,6 @@ func (p *pipe) setShape(f func(*shape)) {
 func (p *pipe) corruptAhead(skip int) {
 	p.mu.Lock()
 	p.corruptAt = append(p.corruptAt, p.written+int64(skip))
-	p.mu.Unlock()
-}
-
-func (p *pipe) dropAhead(skip, k int) {
-	p.mu.Lock()
-	p.drops = append(p.drops, dropSpan{off: p.written + int64(skip), n: int64(k)})
 	p.mu.Unlock()
 }
 
@@ -537,44 +469,21 @@ func (p *pipe) wake() {
 
 func expired(t time.Time) bool { return !t.IsZero() && !time.Now().Before(t) }
 
-// write applies pacing (latency + bandwidth), waits out stalls, then
-// delivers b through the fault transforms into the buffer. The
-// reported count is always len(b): from the sender's view the bytes
-// left the host — corruption and loss happen on the wire.
+// write waits out stalls and the socket-buffer bound, then delivers b
+// through the fault transforms into the buffer. The reported count is
+// always len(b): from the sender's view the bytes left the host —
+// corruption happens on the wire.
 func (p *pipe) write(b []byte) (int, error) {
-	p.mu.Lock()
-	sh := p.sh
-	deadline := p.wDeadline
-	p.mu.Unlock()
-
-	// Sender-side pacing. A write deadline bounds the pacing sleep too.
-	var pace time.Duration
-	pace = sh.latency
-	if sh.bps > 0 {
-		pace += time.Duration(float64(len(b)) / sh.bps * float64(time.Second))
-	}
-	if pace > 0 {
-		if !deadline.IsZero() {
-			if until := time.Until(deadline); until < pace {
-				if until > 0 {
-					time.Sleep(until)
-				}
-				return 0, os.ErrDeadlineExceeded
-			}
-		}
-		time.Sleep(pace)
-	}
-
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.severed {
-			return 0, ErrSevered
+			return 0, errSevered
 		}
 		if p.wclosed || p.rclosed {
 			return 0, io.ErrClosedPipe
 		}
-		if !p.sh.stalled && len(p.buf)-p.roff <= sockBuf {
+		if !p.stalled && len(p.buf)-p.roff <= sockBuf {
 			break
 		}
 		if expired(p.wDeadline) {
@@ -608,7 +517,6 @@ func (p *pipe) write(b []byte) (int, error) {
 	p.written += int64(len(b))
 	p.buf = append(p.buf, b...)
 	p.applyCorruption(start, p.buf[n:])
-	p.buf = p.buf[:n+len(p.applyDrops(start, p.buf[n:]))]
 	p.cond.Broadcast()
 	return len(b), nil
 }
@@ -630,48 +538,12 @@ func (p *pipe) applyCorruption(start int64, data []byte) {
 	p.corruptAt = left
 }
 
-// applyDrops removes the byte spans armed for loss from this write.
-// Callers hold p.mu.
-func (p *pipe) applyDrops(start int64, data []byte) []byte {
-	if len(p.drops) == 0 {
-		return data
-	}
-	// Highest offsets first, so a cut never shifts the positions of
-	// spans still to apply (span offsets index the pre-drop stream).
-	sort.Slice(p.drops, func(i, j int) bool { return p.drops[i].off > p.drops[j].off })
-	var left []dropSpan
-	for _, d := range p.drops {
-		lo, hi := d.off, d.off+d.n
-		end := start + int64(len(data))
-		if hi <= start || lo >= end {
-			if lo >= end {
-				left = append(left, d)
-			}
-			continue
-		}
-		cutLo, cutHi := lo-start, hi-start
-		if cutLo < 0 {
-			cutLo = 0
-		}
-		if cutHi > int64(len(data)) {
-			// The span continues into future writes.
-			left = append(left, dropSpan{off: end, n: hi - end})
-			cutHi = int64(len(data))
-		}
-		data = append(data[:cutLo], data[cutHi:]...)
-		// Later spans' offsets are stream positions, which do not
-		// shift: they index the pre-drop stream.
-	}
-	p.drops = left
-	return data
-}
-
 func (p *pipe) read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.severed {
-			return 0, ErrSevered
+			return 0, errSevered
 		}
 		if p.rclosed {
 			return 0, io.ErrClosedPipe

@@ -117,8 +117,8 @@ func TestConnBasics(t *testing.T) {
 
 func TestDialErrors(t *testing.T) {
 	n := New(1)
-	if _, err := n.Dial("edge", "nobody"); !errors.Is(err, ErrRefused) {
-		t.Fatalf("dial to missing listener = %v, want ErrRefused", err)
+	if _, err := n.Dial("edge", "nobody"); !errors.Is(err, errRefused) {
+		t.Fatalf("dial to missing listener = %v, want errRefused", err)
 	}
 	ln, err := n.Listen("dc")
 	if err != nil {
@@ -128,8 +128,8 @@ func TestDialErrors(t *testing.T) {
 		t.Fatal("double listen accepted")
 	}
 	ln.Close()
-	if _, err := n.Dial("edge", "dc"); !errors.Is(err, ErrRefused) {
-		t.Fatalf("dial to closed listener = %v, want ErrRefused", err)
+	if _, err := n.Dial("edge", "dc"); !errors.Is(err, errRefused) {
+		t.Fatalf("dial to closed listener = %v, want errRefused", err)
 	}
 }
 
@@ -207,14 +207,14 @@ func TestPartitionAndHeal(t *testing.T) {
 	cc, sc := accept1(t, n, "edge", "dc")
 	n.Partition("edge", "dc")
 
-	if _, err := cc.Write([]byte("x")); !errors.Is(err, ErrSevered) {
-		t.Fatalf("write on severed conn = %v, want ErrSevered", err)
+	if _, err := cc.Write([]byte("x")); !errors.Is(err, errSevered) {
+		t.Fatalf("write on severed conn = %v, want errSevered", err)
 	}
-	if _, err := sc.Read(make([]byte, 1)); !errors.Is(err, ErrSevered) {
-		t.Fatalf("read on severed conn = %v, want ErrSevered", err)
+	if _, err := sc.Read(make([]byte, 1)); !errors.Is(err, errSevered) {
+		t.Fatalf("read on severed conn = %v, want errSevered", err)
 	}
-	if _, err := n.Dial("edge", "dc"); !errors.Is(err, ErrRefused) {
-		t.Fatalf("dial while partitioned = %v, want ErrRefused", err)
+	if _, err := n.Dial("edge", "dc"); !errors.Is(err, errRefused) {
+		t.Fatalf("dial while partitioned = %v, want errRefused", err)
 	}
 	// Other endpoints are unaffected.
 	oc, os2 := accept1(t, n, "edge-2", "dc")
@@ -228,7 +228,7 @@ func TestPartitionAndHeal(t *testing.T) {
 
 	n.Heal("edge", "dc")
 	// The severed conn stays dead; a fresh dial works.
-	if _, err := cc.Write([]byte("x")); !errors.Is(err, ErrSevered) {
+	if _, err := cc.Write([]byte("x")); !errors.Is(err, errSevered) {
 		t.Fatal("severed conn came back to life")
 	}
 	nc, ns := accept1(t, n, "edge", "dc2")
@@ -259,11 +259,11 @@ func TestPartitionUnblocksWaiters(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	n.Partition("edge", "dc")
-	if err := <-werr; !errors.Is(err, ErrSevered) {
-		t.Fatalf("blocked write = %v, want ErrSevered", err)
+	if err := <-werr; !errors.Is(err, errSevered) {
+		t.Fatalf("blocked write = %v, want errSevered", err)
 	}
-	if err := <-rerr; !errors.Is(err, ErrSevered) {
-		t.Fatalf("blocked read = %v, want ErrSevered", err)
+	if err := <-rerr; !errors.Is(err, errSevered) {
+		t.Fatalf("blocked read = %v, want errSevered", err)
 	}
 }
 
@@ -329,64 +329,6 @@ func TestCorruptOffsetSpansWrites(t *testing.T) {
 	}
 	if got[10] == want[10] {
 		t.Fatal("offset 10 unchanged")
-	}
-}
-
-func TestDropNext(t *testing.T) {
-	n := New(1)
-	cc, sc := accept1(t, n, "edge", "dc")
-	if err := n.DropNext("edge", "dc", 4, 3); err != nil {
-		t.Fatal(err)
-	}
-	cc.Write([]byte("0123456789"))
-	cc.Write([]byte("tail"))
-	got := make([]byte, 11)
-	if _, err := io.ReadFull(sc, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "0123789tail" {
-		t.Fatalf("got %q, want %q", got, "0123789tail")
-	}
-}
-
-func TestDropSpanAcrossWrites(t *testing.T) {
-	n := New(1)
-	cc, sc := accept1(t, n, "edge", "dc")
-	// Drop [4, 12): the last 4 bytes of the first write and the first
-	// 4 of the second.
-	if err := n.DropNext("edge", "dc", 4, 8); err != nil {
-		t.Fatal(err)
-	}
-	cc.Write([]byte("01234567"))
-	cc.Write([]byte("89abcdef"))
-	got := make([]byte, 8)
-	if _, err := io.ReadFull(sc, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "0123cdef" {
-		t.Fatalf("got %q, want %q", got, "0123cdef")
-	}
-}
-
-func TestLatencyAndBandwidthPaceWrites(t *testing.T) {
-	n := New(1)
-	n.SetLatency("edge", "dc", 20*time.Millisecond)
-	n.SetBandwidth("edge", "dc", 100_000) // 100 kB/s -> 10ms per 1000 bytes
-	cc, sc := accept1(t, n, "edge", "dc")
-	start := time.Now()
-	if _, err := cc.Write(make([]byte, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(sc, make([]byte, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 25*time.Millisecond {
-		t.Fatalf("paced delivery took %v, want >= 30ms-ish", el)
-	}
-	// A write deadline shorter than the pacing fails with a timeout.
-	cc.SetWriteDeadline(time.Now().Add(5 * time.Millisecond))
-	if _, err := cc.Write(make([]byte, 1000)); !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("paced write past deadline = %v, want os.ErrDeadlineExceeded", err)
 	}
 }
 
@@ -475,7 +417,7 @@ func TestDeadlinesPerDirection(t *testing.T) {
 		within(t, "the long-deadline side after close", other, 5*time.Second)
 		// Close stopped the long side's timer: it would otherwise stay
 		// pending for its full 10s.
-		p := cc.(*Conn).wr
+		p := cc.(*conn).wr
 		p.mu.Lock()
 		for _, tm := range []*time.Timer{p.rTimer, p.wTimer} {
 			if tm != nil && tm.Stop() {
@@ -499,7 +441,7 @@ func TestDeadlineWakeupNotLost(t *testing.T) {
 	if _, err := cc.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("read = %v, want os.ErrDeadlineExceeded", err)
 	}
-	p := cc.(*Conn).rd
+	p := cc.(*conn).rd
 	p.mu.Lock()
 	if p.rTimer == nil {
 		p.mu.Unlock()
@@ -563,7 +505,7 @@ func pipeStorage(p *pipe) (capacity, unread int) {
 func TestPipeBufferReuse(t *testing.T) {
 	n := New(1)
 	cc, sc := accept1(t, n, "edge", "dc")
-	p := cc.(*Conn).wr
+	p := cc.(*conn).wr
 	sc.SetReadDeadline(time.Now().Add(10 * time.Second)) // a lost byte fails, not hangs
 	cc.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	want := make([]byte, 4<<20)
@@ -620,7 +562,7 @@ func TestPipeBufferReuse(t *testing.T) {
 func TestOversizeWriteCrossesIdlePipe(t *testing.T) {
 	n := New(1)
 	cc, sc := accept1(t, n, "edge", "dc")
-	p := cc.(*Conn).wr
+	p := cc.(*conn).wr
 	big := bytes.Repeat([]byte{7}, 2*maxKeptBuf)
 	cc.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	if k, err := cc.Write(big); err != nil || k != len(big) {
@@ -660,7 +602,7 @@ func TestBlockedWriterReleased(t *testing.T) {
 		}, os.ErrDeadlineExceeded},
 		{"close", func(_ *Network, cc, _ net.Conn) { cc.Close() }, io.ErrClosedPipe},
 		{"peer close", func(_ *Network, _, sc net.Conn) { sc.Close() }, io.ErrClosedPipe},
-		{"sever", func(n *Network, _, _ net.Conn) { n.Partition("edge", "dc") }, ErrSevered},
+		{"sever", func(n *Network, _, _ net.Conn) { n.Partition("edge", "dc") }, errSevered},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -721,7 +663,7 @@ func TestSockBufFitsKeptStorage(t *testing.T) {
 	}
 	n := New(1)
 	cc, sc := accept1(t, n, "edge", "dc")
-	p := cc.(*Conn).wr
+	p := cc.(*conn).wr
 	cc.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	sc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	const records = 64
@@ -764,17 +706,13 @@ func TestSockBufFitsKeptStorage(t *testing.T) {
 	}
 }
 
-// TestFaultsOnInPlaceAppend arms a drop and a corruption that land in
-// a write appended behind unread bytes: the faults still hit their
-// stream offsets.
+// TestFaultsOnInPlaceAppend arms a corruption that lands in a write
+// appended behind unread bytes: the fault still hits its stream
+// offset.
 func TestFaultsOnInPlaceAppend(t *testing.T) {
 	n := New(3)
 	cc, sc := accept1(t, n, "edge", "dc")
-	// Drop [4, 12) and flip a bit at 14: the drop spans both writes,
-	// the flip lands in the second.
-	if err := n.DropNext("edge", "dc", 4, 8); err != nil {
-		t.Fatal(err)
-	}
+	// Flip a bit at 14, which lands in the second write.
 	if err := n.CorruptNext("edge", "dc", 14); err != nil {
 		t.Fatal(err)
 	}
@@ -783,18 +721,18 @@ func TestFaultsOnInPlaceAppend(t *testing.T) {
 	if _, err := io.ReadFull(sc, head); err != nil || string(head) != "01" {
 		t.Fatalf("head %q, %v", head, err)
 	}
-	cc.Write([]byte("89abcdef")) // appended behind "23", unread
-	got := make([]byte, 6)
+	cc.Write([]byte("89abcdef")) // appended behind "234567", unread
+	got := make([]byte, 14)
 	if _, err := io.ReadFull(sc, got); err != nil {
 		t.Fatal(err)
 	}
-	want := []byte("23cdef")
+	want := []byte("23456789abcdef")
 	for i := range got {
-		if (got[i] != want[i]) != (i == 4) {
+		if (got[i] != want[i]) != (i == 12) {
 			t.Fatalf("got %q, want %q with only 'e' (stream offset 14) flipped", got, want)
 		}
 	}
-	if d := got[4] ^ want[4]; d&(d-1) != 0 {
+	if d := got[12] ^ want[12]; d&(d-1) != 0 {
 		t.Fatalf("offset 14 changed by %08b, want one bit", d)
 	}
 }

@@ -109,16 +109,16 @@ func (t *Tensor) Fill(v float32) {
 // At returns the element at the given indices. Intended for tests and
 // low-rate access; hot loops index Data directly.
 func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.Offset(idx...)]
+	return t.Data[t.offset(idx...)]
 }
 
 // Set assigns the element at the given indices.
 func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.Offset(idx...)] = v
+	t.Data[t.offset(idx...)] = v
 }
 
-// Offset converts multi-dimensional indices to a flat offset.
-func (t *Tensor) Offset(idx ...int) int {
+// offset converts multi-dimensional indices to a flat offset.
+func (t *Tensor) offset(idx ...int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.Shape)))
 	}
@@ -233,29 +233,6 @@ func (t *Tensor) CropHWInto(dst *Tensor, y0, y1, x0, x1 int) {
 			srcRow := ((b*h+(y+y0))*w + x0) * c
 			dstRow := ((b*ch+y)*cw + 0) * c
 			copy(dst.Data[dstRow:dstRow+cw*c], t.Data[srcRow:srcRow+cw*c])
-		}
-	}
-}
-
-// PasteHW adds src into the spatial region of t starting at (y0, x0).
-// It is the adjoint of CropHW and is used during backpropagation
-// through a crop.
-func (t *Tensor) PasteHW(src *Tensor, y0, x0 int) {
-	if t.Rank() != 4 || src.Rank() != 4 {
-		panic("tensor: PasteHW needs rank-4 NHWC tensors")
-	}
-	n, h, w, c := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-	sn, sh, sw, sc := src.Shape[0], src.Shape[1], src.Shape[2], src.Shape[3]
-	if sn != n || sc != c || y0 < 0 || x0 < 0 || y0+sh > h || x0+sw > w {
-		panic(fmt.Sprintf("tensor: paste of %v at (%d,%d) does not fit %v", src.Shape, y0, x0, t.Shape))
-	}
-	for b := 0; b < n; b++ {
-		for y := 0; y < sh; y++ {
-			dstRow := ((b*h+(y+y0))*w + x0) * c
-			srcRow := ((b*sh+y)*sw + 0) * c
-			for i := 0; i < sw*c; i++ {
-				t.Data[dstRow+i] += src.Data[srcRow+i]
-			}
 		}
 	}
 }

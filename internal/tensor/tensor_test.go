@@ -27,8 +27,8 @@ func TestFromSliceValidates(t *testing.T) {
 
 func TestOffsetRowMajor(t *testing.T) {
 	x := New(2, 3, 4)
-	if got := x.Offset(1, 2, 3); got != 1*12+2*4+3 {
-		t.Fatalf("Offset(1,2,3) = %d, want 23", got)
+	if got := x.offset(1, 2, 3); got != 1*12+2*4+3 {
+		t.Fatalf("offset(1,2,3) = %d, want 23", got)
 	}
 	x.Set(42, 1, 2, 3)
 	if x.At(1, 2, 3) != 42 {
@@ -129,7 +129,7 @@ func TestCropPasteAdjoint(t *testing.T) {
 	x := New(1, 4, 4, 1)
 	g := New(1, 2, 2, 1)
 	g.Fill(1)
-	x.PasteHW(g, 1, 2)
+	pasteHW(x, g, 1, 2)
 	var sum float32
 	for _, v := range x.Data {
 		sum += v
@@ -207,7 +207,7 @@ func TestHeInitStatistics(t *testing.T) {
 	}
 }
 
-// Property: CropHW then PasteHW into a zero tensor reproduces the
+// Property: CropHW then pasteHW into a zero tensor reproduces the
 // cropped region and only that region.
 func TestQuickCropPaste(t *testing.T) {
 	f := func(seed int64) bool {
@@ -227,7 +227,7 @@ func TestQuickCropPaste(t *testing.T) {
 		}
 		crop := x.CropHW(y0, y1, x0, x1)
 		back := New(1, h, w, c)
-		back.PasteHW(crop, y0, x0)
+		pasteHW(back, crop, y0, x0)
 		for y := 0; y < h; y++ {
 			for xx := 0; xx < w; xx++ {
 				for ch := 0; ch < c; ch++ {
@@ -276,5 +276,21 @@ func TestQuickConcatSplit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pasteHW adds src into the spatial region of t starting at (y0, x0):
+// the adjoint of CropHW, which the crop tests check it against.
+func pasteHW(t, src *Tensor, y0, x0 int) {
+	n, h, w, c := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
+	sh, sw := src.Shape[1], src.Shape[2]
+	for b := 0; b < n; b++ {
+		for y := 0; y < sh; y++ {
+			dstRow := ((b*h+(y+y0))*w + x0) * c
+			srcRow := ((b*sh+y)*sw + 0) * c
+			for i := 0; i < sw*c; i++ {
+				t.Data[dstRow+i] += src.Data[srcRow+i]
+			}
+		}
 	}
 }

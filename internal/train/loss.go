@@ -11,11 +11,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// BCEWithLogits computes mean binary cross-entropy between logits and
+// bceWithLogits computes mean binary cross-entropy between logits and
 // {0,1} labels, returning the loss and dLoss/dLogits. Working in logit
 // space keeps the gradient numerically stable (sigmoid(z)-y) and avoids
 // saturating the final sigmoid during training.
-func BCEWithLogits(logits *tensor.Tensor, labels []float32) (float64, *tensor.Tensor) {
+func bceWithLogits(logits *tensor.Tensor, labels []float32) (float64, *tensor.Tensor) {
 	if logits.Len() != len(labels) {
 		panic(fmt.Sprintf("train: %d logits vs %d labels", logits.Len(), len(labels)))
 	}

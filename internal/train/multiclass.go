@@ -8,11 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// SoftmaxCE computes mean softmax cross-entropy for logits of shape
+// softmaxCE computes mean softmax cross-entropy for logits of shape
 // [N, C] against integer class labels, returning the loss and
 // dLoss/dLogits. Used for pretraining the base DNN on a
 // classification pretext task (the stand-in for ImageNet training).
-func SoftmaxCE(logits *tensor.Tensor, classes []int) (float64, *tensor.Tensor) {
+func softmaxCE(logits *tensor.Tensor, classes []int) (float64, *tensor.Tensor) {
 	if logits.Rank() != 2 || logits.Shape[0] != len(classes) {
 		panic(fmt.Sprintf("train: logits %v vs %d labels", logits.Shape, len(classes)))
 	}
@@ -89,7 +89,7 @@ func FitClasses(net *nn.Network, samples []ClassSample, cfg Config) (float64, er
 				classes[bi] = samples[si].Class
 			}
 			logits := net.Forward(x)
-			loss, grad := SoftmaxCE(logits, classes)
+			loss, grad := softmaxCE(logits, classes)
 			net.Backward(grad)
 			cfg.Optimizer.Step(params)
 			epochLoss += loss

@@ -10,7 +10,7 @@ import (
 
 func TestBCEWithLogitsKnownValues(t *testing.T) {
 	logits := tensor.FromSlice([]float32{0}, 1)
-	loss, grad := BCEWithLogits(logits, []float32{1})
+	loss, grad := bceWithLogits(logits, []float32{1})
 	if math.Abs(loss-math.Log(2)) > 1e-6 {
 		t.Fatalf("loss = %v, want ln2", loss)
 	}
@@ -21,7 +21,7 @@ func TestBCEWithLogitsKnownValues(t *testing.T) {
 
 func TestBCEWithLogitsStableAtExtremes(t *testing.T) {
 	logits := tensor.FromSlice([]float32{50, -50}, 2)
-	loss, grad := BCEWithLogits(logits, []float32{1, 0})
+	loss, grad := bceWithLogits(logits, []float32{1, 0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss not finite: %v", loss)
 	}
@@ -38,14 +38,14 @@ func TestBCEWithLogitsStableAtExtremes(t *testing.T) {
 func TestBCEGradMatchesNumeric(t *testing.T) {
 	logits := tensor.FromSlice([]float32{0.3, -1.2, 2.0}, 3)
 	labels := []float32{1, 0, 1}
-	_, grad := BCEWithLogits(logits, labels)
+	_, grad := bceWithLogits(logits, labels)
 	const eps = 1e-3
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		up, _ := BCEWithLogits(logits, labels)
+		up, _ := bceWithLogits(logits, labels)
 		logits.Data[i] = orig - eps
-		down, _ := BCEWithLogits(logits, labels)
+		down, _ := bceWithLogits(logits, labels)
 		logits.Data[i] = orig
 		num := (up - down) / (2 * eps)
 		if math.Abs(num-float64(grad.Data[i])) > 1e-4 {
@@ -273,7 +273,7 @@ func TestEpochFraction(t *testing.T) {
 func TestSoftmaxCEKnownValues(t *testing.T) {
 	// Uniform logits over 3 classes: loss = ln 3 and grads p-1/y.
 	logits := tensor.New(1, 3)
-	loss, grad := SoftmaxCE(logits, []int{1})
+	loss, grad := softmaxCE(logits, []int{1})
 	if math.Abs(loss-math.Log(3)) > 1e-6 {
 		t.Fatalf("loss = %v, want ln3", loss)
 	}
@@ -286,14 +286,14 @@ func TestSoftmaxCEKnownValues(t *testing.T) {
 func TestSoftmaxCEGradMatchesNumeric(t *testing.T) {
 	logits := tensor.FromSlice([]float32{0.5, -1.0, 2.0, 0.1, 0.2, -0.3}, 2, 3)
 	classes := []int{2, 0}
-	_, grad := SoftmaxCE(logits, classes)
+	_, grad := softmaxCE(logits, classes)
 	const eps = 1e-3
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		up, _ := SoftmaxCE(logits, classes)
+		up, _ := softmaxCE(logits, classes)
 		logits.Data[i] = orig - eps
-		down, _ := SoftmaxCE(logits, classes)
+		down, _ := softmaxCE(logits, classes)
 		logits.Data[i] = orig
 		num := (up - down) / (2 * eps)
 		if math.Abs(num-float64(grad.Data[i])) > 1e-4 {
@@ -304,7 +304,7 @@ func TestSoftmaxCEGradMatchesNumeric(t *testing.T) {
 
 func TestSoftmaxCEStableAtExtremes(t *testing.T) {
 	logits := tensor.FromSlice([]float32{100, -100, 0}, 1, 3)
-	loss, grad := SoftmaxCE(logits, []int{0})
+	loss, grad := softmaxCE(logits, []int{0})
 	if math.IsNaN(loss) || loss > 1e-6 {
 		t.Fatalf("confident correct prediction loss = %v", loss)
 	}
@@ -363,5 +363,5 @@ func TestSoftmaxCEBadClassPanics(t *testing.T) {
 			t.Fatal("bad class did not panic")
 		}
 	}()
-	SoftmaxCE(tensor.New(1, 3), []int{5})
+	softmaxCE(tensor.New(1, 3), []int{5})
 }

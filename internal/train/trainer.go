@@ -89,7 +89,7 @@ func Fit(net *nn.Network, samples []Sample, cfg Config) (float64, error) {
 			}
 			x, y := batchOf(samples, order[start:end])
 			logits := net.Forward(x)
-			loss, grad := BCEWithLogits(logits, y)
+			loss, grad := bceWithLogits(logits, y)
 			net.Backward(grad)
 			cfg.Optimizer.Step(params)
 			epochLoss += loss

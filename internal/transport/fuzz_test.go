@@ -41,7 +41,7 @@ func FuzzReadHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if v < Version2 || v > MaxVersion {
+		if v < Version2 || v > maxVersion {
 			t.Fatalf("ReadHeader accepted version %d", v)
 		}
 	})

@@ -88,8 +88,8 @@ const (
 	// Version2 is the bidirectional fleet control plane, and the oldest
 	// version this build speaks.
 	Version2 = 2
-	// MaxVersion is the newest version this build speaks.
-	MaxVersion = Version2
+	// maxVersion is the newest version this build speaks.
+	maxVersion = Version2
 )
 
 // Record kinds. The numbers are wire format: append only, never
@@ -145,10 +145,6 @@ const (
 	KindRedirect uint8 = 13
 )
 
-// MaxRecordBytes bounds a single record payload, keeping a
-// misbehaving peer from forcing unbounded allocation.
-const MaxRecordBytes = walog.MaxRecordBytes
-
 // ErrVersion is wrapped by handshake errors caused by a version this
 // build does not speak.
 var ErrVersion = errors.New("unsupported version")
@@ -173,7 +169,7 @@ func WriteHeader(w io.Writer, version uint16) error {
 
 // ReadHeader reads and validates a protocol header, returning the
 // peer's announced version. Versions below Version2 or above
-// MaxVersion fail with an error wrapping ErrVersion.
+// maxVersion fail with an error wrapping ErrVersion.
 func ReadHeader(r io.Reader) (uint16, error) {
 	var hdr [6]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -183,7 +179,7 @@ func ReadHeader(r io.Reader) (uint16, error) {
 		return 0, errors.New("transport: bad magic")
 	}
 	v := binary.BigEndian.Uint16(hdr[4:6])
-	if v < Version2 || v > MaxVersion {
+	if v < Version2 || v > maxVersion {
 		return 0, fmt.Errorf("transport: %w %d", ErrVersion, v)
 	}
 	return v, nil

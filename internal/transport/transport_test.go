@@ -20,10 +20,10 @@ import (
 
 // TestReadHeaderRejects pins every way a handshake is refused: each
 // version this build does not speak (zero, the retired one-way v1, and
-// anything above MaxVersion) wraps ErrVersion; a wrong magic and a
+// anything above maxVersion) wraps ErrVersion; a wrong magic and a
 // handshake cut short are errors of their own.
 func TestReadHeaderRejects(t *testing.T) {
-	for _, v := range []uint16{0, 1, MaxVersion + 1, 99} {
+	for _, v := range []uint16{0, 1, maxVersion + 1, 99} {
 		var buf bytes.Buffer
 		if err := WriteHeader(&buf, v); err != nil {
 			t.Fatal(err)

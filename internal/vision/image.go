@@ -49,8 +49,8 @@ func (im *Image) Set(x, y int, r, g, b float32) {
 	im.Pix[off], im.Pix[off+1], im.Pix[off+2] = r, g, b
 }
 
-// FillRect paints an axis-aligned rectangle, clipped to the image.
-func (im *Image) FillRect(x0, y0, x1, y1 int, r, g, b float32) {
+// fillRect paints an axis-aligned rectangle, clipped to the image.
+func (im *Image) fillRect(x0, y0, x1, y1 int, r, g, b float32) {
 	if x0 < 0 {
 		x0 = 0
 	}
@@ -72,9 +72,9 @@ func (im *Image) FillRect(x0, y0, x1, y1 int, r, g, b float32) {
 	}
 }
 
-// FillEllipse paints an axis-aligned ellipse inscribed in the given
+// fillEllipse paints an axis-aligned ellipse inscribed in the given
 // rectangle, clipped to the image.
-func (im *Image) FillEllipse(x0, y0, x1, y1 int, r, g, b float32) {
+func (im *Image) fillEllipse(x0, y0, x1, y1 int, r, g, b float32) {
 	cx := float64(x0+x1) / 2
 	cy := float64(y0+y1) / 2
 	rx := float64(x1-x0) / 2
@@ -93,11 +93,11 @@ func (im *Image) FillEllipse(x0, y0, x1, y1 int, r, g, b float32) {
 	}
 }
 
-// AddNoise perturbs every channel with Gaussian noise of the given
+// addNoise perturbs every channel with Gaussian noise of the given
 // standard deviation, clamping to [0,1]. It models sensor noise, which
 // is what makes consecutive frames non-identical and gives the video
 // codec realistic residuals.
-func (im *Image) AddNoise(rng *tensor.RNG, std float32) {
+func (im *Image) addNoise(rng *tensor.RNG, std float32) {
 	if std <= 0 {
 		return
 	}
@@ -107,9 +107,9 @@ func (im *Image) AddNoise(rng *tensor.RNG, std float32) {
 	}
 }
 
-// ScaleBrightness multiplies all pixels by f, clamping to [0,1]. It
+// scaleBrightness multiplies all pixels by f, clamping to [0,1]. It
 // models slow lighting drift over a recording session.
-func (im *Image) ScaleBrightness(f float32) {
+func (im *Image) scaleBrightness(f float32) {
 	for i := range im.Pix {
 		im.Pix[i] = clamp01(im.Pix[i] * f)
 	}
@@ -136,33 +136,18 @@ func (im *Image) ToTensorInto(dst *tensor.Tensor) *tensor.Tensor {
 	return dst
 }
 
-// FromTensor converts a [1,H,W,3] tensor back to an image (a copy).
-func FromTensor(t *tensor.Tensor) *Image {
-	if t.Rank() != 4 || t.Shape[0] != 1 || t.Shape[3] != 3 {
-		panic(fmt.Sprintf("vision: FromTensor needs [1,H,W,3], got %v", t.Shape))
-	}
-	im := NewImage(t.Shape[2], t.Shape[1])
-	copy(im.Pix, t.Data)
-	return im
-}
-
-// MSE returns the mean squared error between two same-sized images.
-func MSE(a, b *Image) float64 {
+// PSNR returns the peak signal-to-noise ratio in dB between two
+// same-sized images with peak value 1.0. Identical images return +Inf.
+func PSNR(a, b *Image) float64 {
 	if a.W != b.W || a.H != b.H {
-		panic("vision: MSE size mismatch")
+		panic("vision: PSNR size mismatch")
 	}
 	var s float64
 	for i := range a.Pix {
 		d := float64(a.Pix[i] - b.Pix[i])
 		s += d * d
 	}
-	return s / float64(len(a.Pix))
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB between two images
-// with peak value 1.0. Identical images return +Inf.
-func PSNR(a, b *Image) float64 {
-	mse := MSE(a, b)
+	mse := s / float64(len(a.Pix))
 	if mse == 0 {
 		return math.Inf(1)
 	}

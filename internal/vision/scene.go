@@ -163,34 +163,34 @@ func hash01(v int64) float32 {
 	return float32(u%1000000) / 1000000
 }
 
-// Draw renders the object onto the image. Sprites are deliberately
+// draw renders the object onto the image. Sprites are deliberately
 // simple — the point is that targets and distractors differ in shape
 // and color the way real scene content does, at the handful-of-pixels
 // scale that wide-angle surveillance imposes (§2.2.2 of the paper).
-func (o *Object) Draw(im *Image) {
+func (o *Object) draw(im *Image) {
 	x0, y0 := int(o.X), int(o.Y)
 	x1, y1 := int(o.X+o.W), int(o.Y+o.H)
 	switch o.Kind {
 	case Pedestrian, PedestrianRed:
 		// Head: top fifth, skin-tone ellipse.
 		headH := maxI(1, (y1-y0)/5)
-		im.FillEllipse(x0+(x1-x0)/4, y0, x1-(x1-x0)/4, y0+headH, 0.85, 0.7, 0.6)
+		im.fillEllipse(x0+(x1-x0)/4, y0, x1-(x1-x0)/4, y0+headH, 0.85, 0.7, 0.6)
 		// Torso: middle, body color (red accent for PedestrianRed).
 		torsoEnd := y0 + (y1-y0)*3/5
 		body := o.Body
 		if o.Kind == PedestrianRed {
 			body = o.Accent // accent holds the red garment color
 		}
-		im.FillRect(x0, y0+headH, x1, torsoEnd, body[0], body[1], body[2])
+		im.fillRect(x0, y0+headH, x1, torsoEnd, body[0], body[1], body[2])
 		// Legs: bottom, darker.
-		im.FillRect(x0+(x1-x0)/6, torsoEnd, x1-(x1-x0)/6, y1, 0.15, 0.15, 0.18)
+		im.fillRect(x0+(x1-x0)/6, torsoEnd, x1-(x1-x0)/6, y1, 0.15, 0.15, 0.18)
 	case Car:
 		// Body with a roof band and dark wheels.
-		im.FillRect(x0, y0+(y1-y0)/3, x1, y1, o.Body[0], o.Body[1], o.Body[2])
-		im.FillRect(x0+(x1-x0)/5, y0, x1-(x1-x0)/5, y0+(y1-y0)/2, o.Accent[0], o.Accent[1], o.Accent[2])
+		im.fillRect(x0, y0+(y1-y0)/3, x1, y1, o.Body[0], o.Body[1], o.Body[2])
+		im.fillRect(x0+(x1-x0)/5, y0, x1-(x1-x0)/5, y0+(y1-y0)/2, o.Accent[0], o.Accent[1], o.Accent[2])
 		wheelR := maxI(1, (y1-y0)/4)
-		im.FillEllipse(x0+wheelR, y1-wheelR, x0+3*wheelR, y1+wheelR, 0.05, 0.05, 0.05)
-		im.FillEllipse(x1-3*wheelR, y1-wheelR, x1-wheelR, y1+wheelR, 0.05, 0.05, 0.05)
+		im.fillEllipse(x0+wheelR, y1-wheelR, x0+3*wheelR, y1+wheelR, 0.05, 0.05, 0.05)
+		im.fillEllipse(x1-3*wheelR, y1-wheelR, x1-wheelR, y1+wheelR, 0.05, 0.05, 0.05)
 	}
 }
 
@@ -207,12 +207,12 @@ type Scene struct {
 func (s *Scene) Render(objects []*Object, brightness float32, rng *tensor.RNG) *Image {
 	im := s.Background.Clone()
 	for _, o := range objects {
-		o.Draw(im)
+		o.draw(im)
 	}
 	if brightness != 0 && brightness != 1 {
-		im.ScaleBrightness(brightness)
+		im.scaleBrightness(brightness)
 	}
-	im.AddNoise(rng, s.NoiseStd)
+	im.addNoise(rng, s.NoiseStd)
 	return im
 }
 

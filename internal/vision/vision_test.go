@@ -19,7 +19,7 @@ func TestImageSetAt(t *testing.T) {
 
 func TestFillRectClips(t *testing.T) {
 	im := NewImage(4, 4)
-	im.FillRect(-5, -5, 100, 2, 1, 1, 1)
+	im.fillRect(-5, -5, 100, 2, 1, 1, 1)
 	r, _, _ := im.At(0, 0)
 	if r != 1 {
 		t.Fatal("rect did not paint inside")
@@ -32,7 +32,7 @@ func TestFillRectClips(t *testing.T) {
 
 func TestFillEllipseInscribed(t *testing.T) {
 	im := NewImage(10, 10)
-	im.FillEllipse(0, 0, 10, 10, 1, 0, 0)
+	im.fillEllipse(0, 0, 10, 10, 1, 0, 0)
 	// Center painted, corner not.
 	r, _, _ := im.At(5, 5)
 	if r != 1 {
@@ -50,9 +50,12 @@ func TestTensorRoundTrip(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = rng.Float32()
 	}
-	back := FromTensor(im.ToTensor())
+	x := im.ToTensor()
+	if x.Shape[0] != 1 || x.Shape[1] != 4 || x.Shape[2] != 5 || x.Shape[3] != 3 {
+		t.Fatalf("tensor shape %v, want [1 4 5 3]", x.Shape)
+	}
 	for i := range im.Pix {
-		if back.Pix[i] != im.Pix[i] {
+		if x.Data[i] != im.Pix[i] {
 			t.Fatal("tensor round trip lost data")
 		}
 	}
@@ -75,8 +78,8 @@ func TestPSNR(t *testing.T) {
 
 func TestNoiseClamps(t *testing.T) {
 	im := NewImage(16, 16)
-	im.FillRect(0, 0, 16, 16, 1, 1, 1)
-	im.AddNoise(tensor.NewRNG(2), 0.5)
+	im.fillRect(0, 0, 16, 16, 1, 1, 1)
+	im.addNoise(tensor.NewRNG(2), 0.5)
 	for _, v := range im.Pix {
 		if v < 0 || v > 1 {
 			t.Fatalf("noise escaped [0,1]: %v", v)
@@ -157,7 +160,7 @@ func TestPedestrianRedHasRedTorso(t *testing.T) {
 	im := NewImage(40, 40)
 	o := &Object{Kind: PedestrianRed, X: 10, Y: 10, W: 8, H: 20,
 		Body: [3]float32{0.2, 0.2, 0.8}, Accent: [3]float32{0.9, 0.1, 0.1}}
-	o.Draw(im)
+	o.draw(im)
 	// Sample the torso center: must be the accent (red) color.
 	r, g, b := im.At(14, 10+4+4) // below the head band
 	if r != 0.9 || g != 0.1 || b != 0.1 {
@@ -169,7 +172,7 @@ func TestPlainPedestrianKeepsBodyColor(t *testing.T) {
 	im := NewImage(40, 40)
 	o := &Object{Kind: Pedestrian, X: 10, Y: 10, W: 8, H: 20,
 		Body: [3]float32{0.2, 0.2, 0.8}, Accent: [3]float32{0.9, 0.1, 0.1}}
-	o.Draw(im)
+	o.draw(im)
 	r, g, b := im.At(14, 18)
 	if r != 0.2 || g != 0.2 || b != 0.8 {
 		t.Fatalf("pedestrian torso = (%v,%v,%v), want body color", r, g, b)

@@ -189,7 +189,7 @@ func TestLowBitrateDestroysSmallDetails(t *testing.T) {
 	scene := &vision.Scene{Background: bg}
 	obj := &vision.Object{Kind: vision.PedestrianRed, X: 40, Y: 35, W: 4, H: 9,
 		Body: [3]float32{0.2, 0.5, 0.7}, Accent: [3]float32{0.95, 0.1, 0.1}}
-	frame := scene.Render([]*vision.Object{obj}, 1, tensor.NewRNG(8))
+	frame := scene.Render([]vision.Object{*obj}, 1, tensor.NewRNG(8))
 
 	errAround := func(recon *vision.Image) float64 {
 		var s float64

@@ -1,6 +1,9 @@
 package codec
 
-import "repro/internal/vision"
+import (
+	"repro/internal/tensor"
+	"repro/internal/vision"
+)
 
 // plane is a single-channel float32 image with values in [0,255].
 type plane struct {
@@ -81,19 +84,9 @@ func fromYCbCr(src *planes, im *vision.Image) {
 			r := lum + crv/0.713
 			b := lum + cbv/0.564
 			g := (lum - float32(0.299*r) - float32(0.114*b)) / 0.587
-			rgb[3*xx], rgb[3*xx+1], rgb[3*xx+2] = clamp01(r), clamp01(g), clamp01(b)
+			rgb[3*xx], rgb[3*xx+1], rgb[3*xx+2] = tensor.Clamp01(r), tensor.Clamp01(g), tensor.Clamp01(b)
 		}
 	}
-}
-
-func clamp01(v float32) float32 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // flatRow is the prediction of an intra block, one row of it: every

@@ -3,6 +3,7 @@ package codec
 import (
 	"math"
 
+	"repro/internal/tensor"
 	"repro/internal/vision"
 )
 
@@ -174,7 +175,7 @@ func refFromYCbCr(y, cb, cr *plane) *vision.Image {
 			r := lum + crv/0.713
 			b := lum + cbv/0.564
 			g := (lum - 0.299*r - 0.114*b) / 0.587
-			im.Set(xx, yy, clamp01(r), clamp01(g), clamp01(b))
+			im.Set(xx, yy, tensor.Clamp01(r), tensor.Clamp01(g), tensor.Clamp01(b))
 		}
 	}
 	return im

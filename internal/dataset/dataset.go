@@ -20,6 +20,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/tensor"
 	"repro/internal/vision"
@@ -347,21 +348,20 @@ func (c *Config) matches(k vision.ObjectKind) bool {
 
 // computeGroundTruth derives per-frame labels and event ranges from
 // object geometry: a frame is positive when a target overlaps the task
-// region by at least a quarter of the target's area.
+// region by at least a quarter of the target's area. It walks each
+// target's own lifetime, not every frame against every object.
 func (d *Dataset) computeGroundTruth(region vision.Rect) {
-	for i := 0; i < d.Cfg.Frames; i++ {
-		for _, s := range d.objects {
-			if !d.Cfg.matches(s.obj.Kind) {
-				continue
-			}
-			if i < s.t0 || i >= s.t0+s.life {
+	for k := range d.objects {
+		s := &d.objects[k]
+		if !d.Cfg.matches(s.obj.Kind) {
+			continue
+		}
+		for i := max(s.t0, 0); i < min(s.t0+s.life, d.Cfg.Frames); i++ {
+			if d.Labels[i] {
 				continue
 			}
 			o := s.at(i)
-			if region.Intersect(&o) >= 0.25*o.W*o.H {
-				d.Labels[i] = true
-				break
-			}
+			d.Labels[i] = region.Intersect(&o) >= 0.25*o.W*o.H
 		}
 	}
 	d.Events = EventsFromLabels(d.Labels)
@@ -395,23 +395,18 @@ func (s *scheduled) at(i int) vision.Object {
 	return o
 }
 
-// objectsAt returns the sprites visible in frame i (cars first so that
-// pedestrians draw on top).
-func (d *Dataset) objectsAt(i int) []*vision.Object {
-	var cars, people []*vision.Object
-	for idx := range d.objects {
-		s := &d.objects[idx]
-		if i < s.t0 || i >= s.t0+s.life {
-			continue
-		}
-		o := s.at(i)
-		if o.Kind == vision.Car {
-			cars = append(cars, &o)
-		} else {
-			people = append(people, &o)
+// visibleAt appends the sprites visible in frame i to objs, cars
+// first so that pedestrians draw on top.
+func (d *Dataset) visibleAt(i int, objs []vision.Object) []vision.Object {
+	for _, cars := range [2]bool{true, false} {
+		for k := range d.objects {
+			s := &d.objects[k]
+			if i >= s.t0 && i < s.t0+s.life && (s.obj.Kind == vision.Car) == cars {
+				objs = append(objs, s.at(i))
+			}
 		}
 	}
-	return append(cars, people...)
+	return objs
 }
 
 // brightness returns the lighting multiplier at frame i: a slow
@@ -424,14 +419,28 @@ func (d *Dataset) brightness(i int) float32 {
 	return 1 + d.Cfg.BrightnessDrift*float32(math.Sin(phase))
 }
 
+// frameState is what one Frame call borrows from framePool: the
+// noise generator, reseeded for the frame, and the visible sprites.
+type frameState struct {
+	rng  *tensor.RNG
+	objs []vision.Object
+}
+
+var framePool = sync.Pool{New: func() any { return &frameState{rng: tensor.NewRNG(0)} }}
+
 // Frame renders frame i. Rendering is deterministic and random-access:
-// the same index always yields the identical frame.
+// the same index always yields the identical frame. Frame allocates
+// only the image it returns, and is safe to call concurrently.
 func (d *Dataset) Frame(i int) *vision.Image {
 	if i < 0 || i >= d.Cfg.Frames {
 		panic(fmt.Sprintf("dataset: frame %d out of range [0,%d)", i, d.Cfg.Frames))
 	}
-	noiseRNG := tensor.NewRNG(d.Cfg.Seed*1_000_003 + int64(i))
-	return d.scene.Render(d.objectsAt(i), d.brightness(i), noiseRNG)
+	fs := framePool.Get().(*frameState)
+	fs.rng.Seed(d.Cfg.Seed*1_000_003 + int64(i))
+	fs.objs = d.visibleAt(i, fs.objs[:0])
+	im := d.scene.Render(fs.objs, d.brightness(i), fs.rng)
+	framePool.Put(fs)
+	return im
 }
 
 // FrameTensor renders frame i as a [1,H,W,3] tensor.

@@ -1,6 +1,11 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/vision"
@@ -68,22 +73,42 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestLabelsMatchGeometry holds the labels, which Generate derives by
+// walking each target's lifetime, to the brute-force definition: frame
+// i is positive when any target-kind object alive at i overlaps the
+// region by a quarter of its area, every frame checked against every
+// object.
 func TestLabelsMatchGeometry(t *testing.T) {
-	d := Generate(Jackson(96, 400, 4))
-	region := d.Cfg.Region()
-	for i := 0; i < d.Cfg.Frames; i++ {
-		want := false
-		for _, o := range d.objectsAt(i) {
-			if !d.Cfg.matches(o.Kind) {
-				continue
-			}
-			if region.Intersect(o) >= 0.25*o.W*o.H {
-				want = true
-				break
+	var cfgs []Config
+	for _, seed := range []int64{4, 17, -3, 1 << 40} {
+		dense := Roadway(96, 1200, seed)
+		dense.EventsPer1000, dense.MeanEventFrames = 12, 40
+		cfgs = append(cfgs, Jackson(96, 1200, seed), Roadway(96, 1200, seed), dense)
+	}
+	for _, cfg := range cfgs {
+		d := Generate(cfg)
+		region := d.Cfg.Region()
+		want := make([]bool, d.Cfg.Frames)
+		for i := range want {
+			for k := range d.objects {
+				s := &d.objects[k]
+				if !d.Cfg.matches(s.obj.Kind) || i < s.t0 || i >= s.t0+s.life {
+					continue
+				}
+				o := s.at(i)
+				if region.Intersect(&o) >= 0.25*o.W*o.H {
+					want[i] = true
+					break
+				}
 			}
 		}
-		if want != d.Labels[i] {
-			t.Fatalf("frame %d label %v, geometry says %v", i, d.Labels[i], want)
+		for i := range want {
+			if want[i] != d.Labels[i] {
+				t.Fatalf("%s seed %d: frame %d label %v, geometry says %v", cfg.Name, cfg.Seed, i, d.Labels[i], want[i])
+			}
+		}
+		if got, want := len(d.Events), len(EventsFromLabels(want)); got != want {
+			t.Fatalf("%s seed %d: %d events, geometry says %d", cfg.Name, cfg.Seed, got, want)
 		}
 	}
 }
@@ -150,11 +175,11 @@ func TestJacksonDistractorPedestriansStayOutOfRegion(t *testing.T) {
 		if d.Labels[i] {
 			continue
 		}
-		for _, o := range d.objectsAt(i) {
+		for _, o := range d.visibleAt(i, nil) {
 			if o.Kind == vision.Car {
 				continue
 			}
-			if region.Intersect(o) >= 0.25*o.W*o.H {
+			if region.Intersect(&o) >= 0.25*o.W*o.H {
 				t.Fatalf("frame %d: pedestrian in region but label negative", i)
 			}
 		}
@@ -168,8 +193,8 @@ func TestRoadwayHasNonRedPedestriansInRegion(t *testing.T) {
 	region := d.Cfg.Region()
 	found := false
 	for i := 0; i < d.Cfg.Frames && !found; i += 5 {
-		for _, o := range d.objectsAt(i) {
-			if o.Kind == vision.Pedestrian && region.Intersect(o) > 0 {
+		for _, o := range d.visibleAt(i, nil) {
+			if o.Kind == vision.Pedestrian && region.Intersect(&o) > 0 {
 				found = true
 				break
 			}
@@ -212,4 +237,93 @@ func TestFrameOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	d.Frame(10)
+}
+
+// frameDigests are SHA-256 digests of every frame's pixels (each
+// float32's bits, little-endian, frame after frame), recorded from the
+// renderer that drew each sample with one math/rand NormFloat64 call on
+// a fresh rand.Rand per frame. A faster generator or render loop must
+// keep them: every figure, fixture and benchmark clip is built from
+// these frames.
+var frameDigests = []struct {
+	cfg    Config
+	digest string
+}{
+	{Jackson(96, 150, 3), "35db12704aee90191641e51fc5c3ce9611ff4cab867d4fc42445557de3f1bcb5"},
+	{Roadway(96, 150, 12), "b6e5c6c9b2ab9546bf7673cf7ade19bc862e3a766b563ec7a05c504bc811a94a"},
+	{Jackson(48, 60, -7), "b9ea9f631cf4d562afc07a726bc7586279d643d6fdf05de05e01cb104bd91073"},
+	{Roadway(160, 40, 0), "ba4b5316f8c6bac9b7aad25c90455deb87867477fd865b40c90bb4f6f8014e78"},
+}
+
+func TestFrameDigests(t *testing.T) {
+	for _, c := range frameDigests {
+		d := Generate(c.cfg)
+		h := sha256.New()
+		var b [4]byte
+		for i := 0; i < c.cfg.Frames; i++ {
+			for _, v := range d.Frame(i).Pix {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
+			t.Errorf("%s %dx%d, %d frames, seed %d: frame digest %s, want %s", c.cfg.Name, c.cfg.Width, c.cfg.Height, c.cfg.Frames, c.cfg.Seed, got, c.digest)
+		}
+	}
+}
+
+// TestFrameAllocatesOnlyItsImage: Frame's generator and sprite list
+// come from a pool, so a frame costs the image it returns (its header
+// and its pixels) and nothing else.
+func TestFrameAllocatesOnlyItsImage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's sync.Pool drops items at random")
+	}
+	d := Generate(Roadway(96, 200, 21))
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Frame(i % 200)
+		i++
+	})
+	if allocs > 2 {
+		t.Fatalf("Frame allocates %v times per call, want 2 (the image and its pixels)", allocs)
+	}
+}
+
+// TestFrameConcurrent: goroutines rendering the same frames at once,
+// each drawing generators from the shared pool, get the frames a
+// sequential render gets.
+func TestFrameConcurrent(t *testing.T) {
+	d := Generate(Jackson(48, 40, 13))
+	want := make([][]float32, d.Cfg.Frames)
+	for i := range want {
+		want[i] = d.Frame(i).Pix
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range want {
+				i := (k + 7*w) % len(want)
+				for p, v := range d.Frame(i).Pix {
+					if math.Float32bits(v) != math.Float32bits(want[i][p]) {
+						t.Errorf("goroutine %d, frame %d: [%d] %v, sequential %v", w, i, p, v, want[i][p])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// BenchmarkFrame renders the frames of a benchmark-sized Roadway clip
+// (96×39) in turn: sprites, brightness drift and sensor noise.
+func BenchmarkFrame(b *testing.B) {
+	d := Generate(Roadway(96, 1200, 41))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Frame(i % 1200)
+	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -28,8 +29,13 @@ type BatchNorm struct {
 	Beta  *Param // [C]
 
 	// RunningMean and RunningVar are the inference-time statistics.
+	// A compiled program caches their fold and refolds after Forward
+	// moves them; code that sets them directly must do so before a
+	// program over this layer first runs.
 	RunningMean *tensor.Tensor // [C]
 	RunningVar  *tensor.Tensor // [C]
+
+	stats atomic.Uint64 // running-statistics updates (Forward calls)
 
 	// Backward cache.
 	lastXHat *tensor.Tensor
@@ -122,17 +128,15 @@ func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 		b.RunningMean.Data[ci] = b.Momentum*b.RunningMean.Data[ci] + (1-b.Momentum)*float32(mean[ci])
 		b.RunningVar.Data[ci] = b.Momentum*b.RunningVar.Data[ci] + (1-b.Momentum)*float32(variance[ci])
 	}
+	b.stats.Add(1)
 	b.lastXHat, b.lastStd, b.lastN = xhat, std, count
 	return out
 }
 
 // bnFold writes the inference-time batch-norm fold into scratch (2·C
 // floats): scale = gamma/sqrt(var+eps), shift = beta - mean·scale. The
-// fold is recomputed from the live running statistics on every
-// execution (O(C), negligible next to the convolution it fuses into),
-// which is what keeps frozen programs coherent with ongoing training.
-// The product is rounded before the subtraction, as on amd64, so that
-// no target fuses the two.
+// product is rounded before the subtraction, as on amd64, so that no
+// target fuses the two.
 func bnFold(bn *BatchNorm, scratch []float32) (scale, shift []float32) {
 	c := bn.Channels
 	scale, shift = scratch[:c], scratch[c:2*c]
@@ -146,11 +150,17 @@ func bnFold(bn *BatchNorm, scratch []float32) (scale, shift []float32) {
 	return scale, shift
 }
 
+// version changes whenever an input of bn's fold does: gamma or beta
+// is Touched, or Forward moves the running statistics. Each count only
+// grows, so the sum moves when any of them does.
+func (b *BatchNorm) version() uint64 {
+	return b.Gamma.version.Load() + b.Beta.version.Load() + b.stats.Load()
+}
+
 // inferInto writes the inference-mode normalization of x into out,
-// out[i] = x[i]·scale[i%C] + shift[i%C] with the bnFold of scratch: the
-// loop of a compiled program's stand-alone batch-norm op.
-func (b *BatchNorm) inferInto(x, out, scratch []float32) {
-	scale, shift := bnFold(b, scratch)
+// out[i] = x[i]·scale[i%C] + shift[i%C] with bn's fold: the loop of a
+// compiled program's stand-alone batch-norm op.
+func (b *BatchNorm) inferInto(x, out, scale, shift []float32) {
 	c := b.Channels
 	for px := 0; px+c <= len(x); px += c {
 		src, dst := x[px:px+c], out[px:px+c]

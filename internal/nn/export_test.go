@@ -43,7 +43,8 @@ func Layerwise(net *Network, x *tensor.Tensor) (out *tensor.Tensor, taps map[str
 	for _, l := range net.Layers() {
 		if bn, ok := l.(*BatchNorm); ok {
 			y := tensor.New(x.Shape...)
-			bn.inferInto(x.Data, y.Data, make([]float32, 2*bn.Channels))
+			scale, shift := bnFold(bn, make([]float32, 2*bn.Channels))
+			bn.inferInto(x.Data, y.Data, scale, shift)
 			x = y
 		} else {
 			x = l.Forward(x)

@@ -23,8 +23,9 @@ import (
 // Optimizers in internal/train consume Params.
 //
 // A Param carries a version stamp. Compiled programs keep weight
-// matrices in their kernels' packed layout and compare the stamp on
-// every execution to learn when to repack, so whoever writes
+// matrices in their kernels' packed layout, and batch-norm folds of
+// gamma and beta, and compare the stamp on every execution to learn
+// when to recompute them, so whoever writes
 // Value.Data in place must call Touch afterwards: train.SGD.Step,
 // train.Adam.Step and LoadParams do; code that pokes Value.Data
 // directly does so itself. The layers' Forward methods read Value

@@ -23,13 +23,15 @@ import (
 // op is kept in the layout its kernel consumes, packed on the first run
 // that reaches the op and shared by every Workspace; each execution
 // compares the copy's stamp with the Param's version and repacks, in
-// place, only when the Param was Touched since (see Param). Everything
-// else — biases, batch-norm parameters and running statistics, the
-// weights of a depthwise op (its kernel reads them in place) — is read
-// live at execution time. So training a network and running
-// its compiled program interleave safely, and the program never touches
-// training state (activation caches, pooling argmaxes, batch-norm batch
-// statistics).
+// place, only when the Param was Touched since (see Param). A
+// batch-norm's fold (its scale and shift) is kept the same way, per op,
+// and recomputed only when gamma or beta was Touched or a training
+// Forward moved the running statistics since. Everything else —
+// biases, the weights of a depthwise op (its kernel reads them in
+// place) — is read live at execution time. So training a network and
+// running its compiled program interleave safely, and the program never
+// touches training state (activation caches, pooling argmaxes,
+// batch-norm batch statistics).
 //
 // A Program's structure is immutable after Compile and it is safe to
 // share across goroutines; each concurrent executor needs its own
@@ -42,30 +44,31 @@ type Program struct {
 	ops     []progOp
 	slots   []slotSpec
 	byName  map[string]int // layer name -> op producing its output
-
-	maxScratch int // per-channel scale+shift scratch (2·C)
 }
 
-// packedWeights is one op's copy of its layer's weights in kernel
-// layout, owned by the Program and shared by its executors.
+// packedWeights is what one op derives from its layer's parameters
+// ahead of running: a weight matrix in the layout its kernel consumes,
+// or a batch-norm's fold. It is owned by the Program and shared by its
+// executors.
 type packedWeights struct {
-	src  *Param
-	size int
-	pack func(dst []float32) // lowers src.Value into dst
+	version func() uint64 // moves whenever an input of pack changes
+	size    int
+	pack    func(dst []float32) // lowers the live parameters into dst
 
 	mu    sync.Mutex
-	stamp atomic.Uint64 // src's version + 1 at the last pack; 0: never packed
+	stamp atomic.Uint64 // version + 1 at the last pack; 0: never packed
 	data  []float32
 }
 
-// fresh returns the packed copy, first repacking it if src was Touched
-// since the last pack. The steady state is two atomic loads and one
-// compare. Executors that find the copy stale at the same time
-// serialize on mu and all but the first find it fresh again; no
-// executor can still be reading the old copy, since the weight write
-// that staled it already had to be ordered after every earlier run.
+// fresh returns the packed copy, first repacking it if its version
+// moved since the last pack. The steady state is an atomic load, a
+// version read and one compare. Executors that find the copy stale at
+// the same time serialize on mu and all but the first find it fresh
+// again; no executor can still be reading the old copy, since the
+// parameter write that staled it already had to be ordered after every
+// earlier run.
 func (pw *packedWeights) fresh() []float32 {
-	if pw.stamp.Load() != pw.src.version.Load()+1 {
+	if pw.stamp.Load() != pw.version()+1 {
 		pw.repack()
 	}
 	return pw.data
@@ -74,7 +77,7 @@ func (pw *packedWeights) fresh() []float32 {
 func (pw *packedWeights) repack() {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
-	v := pw.src.version.Load() + 1
+	v := pw.version() + 1
 	if pw.stamp.Load() == v {
 		return
 	}
@@ -83,6 +86,13 @@ func (pw *packedWeights) repack() {
 	}
 	pw.pack(pw.data)
 	pw.stamp.Store(v)
+}
+
+// freshFold returns a batch-norm fold's scale and shift (see bnFold).
+func (pw *packedWeights) freshFold() (scale, shift []float32) {
+	d := pw.fresh()
+	c := len(d) / 2
+	return d[:c:c], d[c:]
 }
 
 type opKind int
@@ -112,11 +122,14 @@ type progOp struct {
 	// stage is a conv op's slot for its input staged with a zero halo
 	// (convGeom.stage); -1 when every tap lies inside the input.
 	stage int
+	// fold is the batch-norm fold of a batch-norm op, or of one fused
+	// into a conv or depthwise op; nil otherwise.
+	fold *packedWeights
 
+	bn    *BatchNorm // a stand-alone batch-norm op's layer
 	conv  *Conv2D
 	dw    *DepthwiseConv2D
 	dense *Dense
-	bn    *BatchNorm
 	act   *ReLU
 	mp    *MaxPool2D
 	gap   *GlobalAvgPool
@@ -164,13 +177,13 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 	}
 	// packedB keeps w (k×n row-major) in the program in PackB panels.
 	packedB := func(k, n int, w *Param) *packedWeights {
-		return &packedWeights{src: w, size: tensor.PackBSize(k, n),
+		return &packedWeights{version: w.version.Load, size: tensor.PackBSize(k, n),
 			pack: func(dst []float32) { tensor.PackB(k, n, w.Value.Data, dst) }}
 	}
-	needScratch := func(c int) {
-		if 2*c > p.maxScratch {
-			p.maxScratch = 2 * c
-		}
+	// folded keeps bn's fold in the program.
+	folded := func(bn *BatchNorm) *packedWeights {
+		return &packedWeights{version: bn.version, size: 2 * bn.Channels,
+			pack: func(dst []float32) { bnFold(bn, dst) }}
 	}
 
 	i := 0
@@ -183,9 +196,8 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			op.g = t.geom(shape)
 			shape = t.OutShape(shape)
 			if bn, ok := fuseBN(layers, i+consumed, op.g.f); ok {
-				op.bn, op.name = bn, bn.LayerName
+				op.fold, op.name = folded(bn), bn.LayerName
 				consumed++
-				needScratch(op.g.f)
 			}
 			if r, ok := fuseReLU(layers, i+consumed); ok {
 				op.act, op.name = r, r.LayerName
@@ -206,9 +218,8 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			op.dwRows = op.g.dwRows()
 			shape = t.OutShape(shape)
 			if bn, ok := fuseBN(layers, i+consumed, op.g.ic); ok {
-				op.bn, op.name = bn, bn.LayerName
+				op.fold, op.name = folded(bn), bn.LayerName
 				consumed++
-				needScratch(op.g.ic)
 			}
 			if r, ok := fuseReLU(layers, i+consumed); ok {
 				op.act, op.name = r, r.LayerName
@@ -230,9 +241,8 @@ func CompileLayers(name string, layers []Layer, inShape []int) (*Program, error)
 			emit(op)
 
 		case *BatchNorm:
-			op := progOp{kind: opBatchNorm, bn: t, in: cur, name: t.LayerName}
+			op := progOp{kind: opBatchNorm, bn: t, fold: folded(t), in: cur, name: t.LayerName}
 			shape = t.OutShape(shape)
-			needScratch(t.Channels)
 			op.out = addSlot(shape, -1)
 			emit(op)
 
@@ -318,9 +328,8 @@ func (p *Program) OpIndex(layerName string) (int, bool) {
 // steady state allocates nothing.
 func (p *Program) NewWorkspace() *Workspace {
 	ws := &Workspace{
-		prog:    p,
-		bufs:    make([]*tensor.Tensor, len(p.slots)),
-		scratch: make([]float32, p.maxScratch),
+		prog: p,
+		bufs: make([]*tensor.Tensor, len(p.slots)),
 	}
 	for i, s := range p.slots {
 		if s.aliasOf >= 0 {
@@ -334,13 +343,11 @@ func (p *Program) NewWorkspace() *Workspace {
 
 // Workspace is the per-executor arena for one compiled Program: slot
 // buffers for every op output and for every convolution input staged
-// with a zero halo, and the batch-norm fold scratch. A staging slot's
-// halo is zero from allocation and no run writes it. See
-// Program.NewWorkspace.
+// with a zero halo. A staging slot's halo is zero from allocation and
+// no run writes it. See Program.NewWorkspace.
 type Workspace struct {
-	prog    *Program
-	bufs    []*tensor.Tensor
-	scratch []float32
+	prog *Program
+	bufs []*tensor.Tensor
 }
 
 // Run executes the whole program on x and returns the final
@@ -388,8 +395,8 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 	switch op.kind {
 	case opConv:
 		ep := tensor.Epilogue{Bias: op.conv.B.Value.Data}
-		if op.bn != nil {
-			ep.Scale, ep.Shift = bnFold(op.bn, ws.scratch)
+		if op.fold != nil {
+			ep.Scale, ep.Shift = op.fold.freshFold()
 		}
 		if op.act != nil {
 			ep.ReLU, ep.Cap = true, op.act.Cap
@@ -405,8 +412,8 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 
 	case opDepthwise:
 		ep := tensor.Epilogue{Bias: op.dw.B.Value.Data}
-		if op.bn != nil {
-			ep.Scale, ep.Shift = bnFold(op.bn, ws.scratch)
+		if op.fold != nil {
+			ep.Scale, ep.Shift = op.fold.freshFold()
 		}
 		if op.act != nil {
 			ep.ReLU, ep.Cap = true, op.act.Cap
@@ -426,7 +433,8 @@ func (p *Program) exec(ws *Workspace, op *progOp, in, out *tensor.Tensor) {
 		tensor.GemmInPlace(op.batch, d.Out, &rows, op.pw.fresh(), out.Data, &ep)
 
 	case opBatchNorm:
-		op.bn.inferInto(in.Data, out.Data, ws.scratch)
+		scale, shift := op.fold.freshFold()
+		op.bn.inferInto(in.Data, out.Data, scale, shift)
 
 	case opReLU:
 		op.act.forwardInto(in.Data, out.Data)

@@ -52,8 +52,9 @@ func stalenessNetFewRows() (*nn.Network, *tensor.Tensor) {
 // compiled program (which has already run, so it holds packed copies)
 // must agree with the layer-by-layer walk (Layerwise), and every packed
 // copy must equal a fresh lowering of the live weights. The training forwards
-// also move the batch-norm running statistics, which carry no stamp:
-// the program folds them on every run.
+// also move the batch-norm running statistics, which the program's
+// cached fold must follow (TestProgramRefoldsBatchNorm pins that bit
+// for bit).
 func TestProgramNeverServesStaleWeights(t *testing.T) {
 	t.Run("conv, depthwise, pointwise, dense", func(t *testing.T) {
 		net, x := stalenessNet()
@@ -116,6 +117,76 @@ func neverServesStaleWeights(t *testing.T, net *nn.Network, x *tensor.Tensor, pa
 	if !moved {
 		t.Fatal("two optimizer steps left the program's output unchanged")
 	}
+
+	if err := nn.LoadParams(&saved, net); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadParams")
+}
+
+// TestProgramRefoldsBatchNorm: a program keeps each batch-norm's fold
+// (scale and shift) per op and recomputes it only when gamma or beta
+// is Touched or a training Forward moves the running statistics. After
+// each such change the program, which has already run and holds a
+// fold, must equal the layer walk bit for bit, and its output must
+// have moved, so a stale fold cannot pass. The net has a batch-norm
+// fused into a convolution, one fused into a depthwise convolution,
+// and a stand-alone one.
+func TestProgramRefoldsBatchNorm(t *testing.T) {
+	g := tensor.NewRNG(35)
+	net := nn.NewNetwork("refold")
+	net.Add(nn.NewConv2D("conv1", 3, 8, 3, 1, nn.Same, g)).
+		Add(nn.NewBatchNorm("conv1/bn", 8)).
+		Add(nn.NewReLU("conv1/relu")).
+		Add(nn.NewDepthwiseConv2D("conv2/dw", 8, 3, 1, nn.Same, g)).
+		Add(nn.NewBatchNorm("conv2/bn", 8)).
+		Add(nn.NewReLU("conv2/relu")).
+		Add(nn.NewBatchNorm("alone/bn", 8)).
+		Add(nn.NewFlatten("flatten")).
+		Add(nn.NewDense("fc", 5*6*8, 3, g))
+	x := tensor.New(4, 5, 6, 3)
+	g.FillNormal(x, 0, 1)
+	prog, err := nn.Compile(net, x.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := prog.NewWorkspace()
+	var last []float32
+	check := func(after string) {
+		t.Helper()
+		want, _ := nn.Layerwise(net, x.Clone())
+		got := prog.Run(ws, x)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("after %s: [%d] program %v, layer walk %v", after, i, got.Data[i], want.Data[i])
+			}
+		}
+		moved := last == nil
+		for i, v := range got.Data {
+			moved = moved || v != last[i]
+		}
+		if !moved {
+			t.Fatalf("after %s: the program's output did not move", after)
+		}
+		last = append(last[:0], got.Data...)
+	}
+
+	check("compile")
+	var saved bytes.Buffer
+	if err := nn.SaveParams(&saved, net); err != nil {
+		t.Fatal(err)
+	}
+
+	// A training forward alone moves only the running statistics.
+	net.Forward(x.Clone())
+	check("a training forward")
+
+	out := net.Forward(x.Clone())
+	grad := tensor.New(out.Shape...)
+	tensor.NewRNG(36).FillNormal(grad, 0, 1)
+	net.Backward(grad)
+	train.NewSGD(0.1, 0, 0).Step(net.Params())
+	check("one training step")
 
 	if err := nn.LoadParams(&saved, net); err != nil {
 		t.Fatal(err)

@@ -67,10 +67,10 @@ func sample(rng *tensor.RNG, size int) (*tensor.Tensor, int) {
 	bg := vision.Background(size, size, nil, rng.Int63())
 	scene := &vision.Scene{Background: bg, NoiseStd: 0.015}
 	class := rng.Intn(numClasses)
-	var objs []*vision.Object
+	var objs []vision.Object
 	if class != 0 {
 		h := 6 + rng.Float64()*10
-		o := &vision.Object{
+		o := vision.Object{
 			W: h / 2.5, H: h,
 			X: rng.Float64() * (float64(size) - h),
 			Y: float64(size)/3 + rng.Float64()*(float64(size)*2/3-h),

@@ -37,3 +37,9 @@ func kernTile(a *ARows, offs *[tileMax]int, bp, c []float32, ldc int, ep *kernEp
 func depthwiseVec(dst []float32, ic, xstride int, x, w []float32, spans []Span, ep *Epilogue) int {
 	return 0
 }
+
+// noiseFast is NoisePixels' fast path: the portable build runs the
+// generic tier.
+func noiseFast(pix []float32, words []uint64, gain, std float32) int {
+	return noiseGo(pix, words, gain, std)
+}

@@ -14,8 +14,8 @@ import (
 )
 
 // kernelTiers lists the tiers this machine can run, generic first;
-// use() makes GemmInPlace, the epilogue and the depthwise span run that
-// tier until the test or benchmark ends.
+// use() makes GemmInPlace, the epilogue, the depthwise span and
+// NoisePixels' fast path run that tier until the test or benchmark ends.
 func kernelTiers(tb testing.TB) []kernelTier {
 	detected := cpuTier
 	tb.Cleanup(func() { cpuTier = detected })

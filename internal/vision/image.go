@@ -9,6 +9,7 @@ package vision
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -30,11 +31,10 @@ func NewImage(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]float32, w*h*3)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. Its pixels are allocated and copied in
+// one step, never zeroed first.
 func (im *Image) Clone() *Image {
-	c := NewImage(im.W, im.H)
-	copy(c.Pix, im.Pix)
-	return c
+	return &Image{W: im.W, H: im.H, Pix: slices.Clone(im.Pix)}
 }
 
 // At returns the RGB value at (x, y).
@@ -93,25 +93,11 @@ func (im *Image) fillEllipse(x0, y0, x1, y1 int, r, g, b float32) {
 	}
 }
 
-// addNoise perturbs every channel with Gaussian noise of the given
-// standard deviation, clamping to [0,1]. It models sensor noise, which
-// is what makes consecutive frames non-identical and gives the video
-// codec realistic residuals.
-func (im *Image) addNoise(rng *tensor.RNG, std float32) {
-	if std <= 0 {
-		return
-	}
-	for i := range im.Pix {
-		v := im.Pix[i] + std*float32(rng.NormFloat64())
-		im.Pix[i] = clamp01(v)
-	}
-}
-
 // scaleBrightness multiplies all pixels by f, clamping to [0,1]. It
 // models slow lighting drift over a recording session.
 func (im *Image) scaleBrightness(f float32) {
 	for i := range im.Pix {
-		im.Pix[i] = clamp01(im.Pix[i] * f)
+		im.Pix[i] = tensor.Clamp01(im.Pix[i] * f)
 	}
 }
 
@@ -152,14 +138,4 @@ func PSNR(a, b *Image) float64 {
 		return math.Inf(1)
 	}
 	return -10 * math.Log10(mse)
-}
-
-func clamp01(v float32) float32 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

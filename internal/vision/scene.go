@@ -203,16 +203,25 @@ type Scene struct {
 }
 
 // Render draws the objects over the background and applies brightness
-// drift and sensor noise, returning a new frame.
-func (s *Scene) Render(objects []*Object, brightness float32, rng *tensor.RNG) *Image {
+// drift and sensor noise, returning a new frame. Brightness and noise
+// take one pass over the pixels (tensor.RNG.NoisePixels): each value is
+// scaled by brightness and clamped to [0,1] (unless brightness is 0 or
+// 1), then takes NoiseStd times one normal draw and is clamped again.
+// A scene without noise draws nothing from rng.
+func (s *Scene) Render(objects []Object, brightness float32, rng *tensor.RNG) *Image {
 	im := s.Background.Clone()
-	for _, o := range objects {
-		o.draw(im)
+	for i := range objects {
+		objects[i].draw(im)
 	}
-	if brightness != 0 && brightness != 1 {
+	if brightness == 0 {
+		brightness = 1
+	}
+	switch {
+	case s.NoiseStd > 0:
+		rng.NoisePixels(im.Pix, brightness, s.NoiseStd)
+	case brightness != 1:
 		im.scaleBrightness(brightness)
 	}
-	im.addNoise(rng, s.NoiseStd)
 	return im
 }
 

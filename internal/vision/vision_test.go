@@ -77,10 +77,10 @@ func TestPSNR(t *testing.T) {
 }
 
 func TestNoiseClamps(t *testing.T) {
-	im := NewImage(16, 16)
-	im.fillRect(0, 0, 16, 16, 1, 1, 1)
-	im.addNoise(tensor.NewRNG(2), 0.5)
-	for _, v := range im.Pix {
+	bg := NewImage(16, 16)
+	bg.fillRect(0, 0, 16, 16, 1, 1, 1)
+	s := &Scene{Background: bg, NoiseStd: 0.5}
+	for _, v := range s.Render(nil, 1.1, tensor.NewRNG(2)).Pix {
 		if v < 0 || v > 1 {
 			t.Fatalf("noise escaped [0,1]: %v", v)
 		}
@@ -184,7 +184,7 @@ func TestSceneRenderDoesNotMutateBackground(t *testing.T) {
 	orig := bg.Clone()
 	s := &Scene{Background: bg, NoiseStd: 0.02}
 	obj := &Object{Kind: Car, X: 5, Y: 20, W: 10, H: 5, Body: [3]float32{0.7, 0.1, 0.1}}
-	_ = s.Render([]*Object{obj}, 1.0, tensor.NewRNG(3))
+	_ = s.Render([]Object{*obj}, 1.0, tensor.NewRNG(3))
 	for i := range bg.Pix {
 		if bg.Pix[i] != orig.Pix[i] {
 			t.Fatal("Render mutated the background")
@@ -196,7 +196,7 @@ func TestSceneRenderPlacesObject(t *testing.T) {
 	bg := Background(32, 32, nil, 1)
 	s := &Scene{Background: bg}
 	obj := &Object{Kind: Car, X: 8, Y: 20, W: 12, H: 6, Body: [3]float32{0.9, 0.05, 0.05}}
-	frame := s.Render([]*Object{obj}, 1.0, tensor.NewRNG(4))
+	frame := s.Render([]Object{*obj}, 1.0, tensor.NewRNG(4))
 	// Car body occupies the lower 2/3 of its box.
 	r, _, _ := frame.At(14, 25)
 	if r < 0.8 {

@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shards   = fs.Int("shards", 1, "controller shards; nodes are placed by consistent hashing and per-shard summaries are merged into the fleet rollup")
 
 		stateDir = fs.String("state-dir", "", "persist per-shard control-plane state (intent, ledgers, drift baselines) under this directory and recover it on restart (empty keeps state in memory)")
-		walSync  = fs.Bool("wal-sync", false, "fsync every wal append (survives machine power loss; default page-cache durability survives process crashes)")
+		walSync  = fs.Bool("wal-sync", false, "fsync every wal write before acking what it carries; one write, and one fsync, covers the uploads a session sent together (survives machine power loss; default page-cache durability survives process crashes)")
 
 		deploy    = fs.String("deploy", "", "MC weights file (from fftrain) to deploy to every connecting node")
 		deployTo  = fs.String("deploy-stream", "", "stream to deploy onto (default: each node's first advertised stream)")
@@ -546,9 +546,10 @@ func printHealthLine(w io.Writer, eng *health.Engine, status health.Status) {
 // updateShardGauges mirrors per-shard load, heartbeat-cadence and
 // compaction stats into ff_fleet_shard_<i>_* gauges, the balance view
 // that shows a hot or empty shard at a glance, and each shard's
-// heartbeat handling and wal append times into
+// heartbeat handling and wal write times into
 // ff_ctrl_shard_<i>_heartbeat_* and ff_ctrl_shard_<i>_wal_append_*
-// gauges.
+// gauges, and its wal write and record counts into
+// ff_ctrl_shard_<i>_wal_writes and _wal_records.
 // ledger_uploads and ledger_bits total the ledgers of the nodes a shard
 // owns, uploads they delivered before a restart re-homed them included:
 // a re-home moves them between shards, and their sum over shards is the
@@ -572,9 +573,15 @@ func updateShardGauges(o *obs.Observer, stats []fleet.ShardStat) {
 			o.Reg.Describe(name, "time the shard took to handle a heartbeat, from reading the record to the end of its drift evaluation")
 			o.Reg.Gauge(name).Set(s.HeartbeatHandling.Quantile(q))
 			name = fmt.Sprintf("ff_ctrl_shard_%d_wal_append_p%.0f_ns", s.Shard, q*100)
-			o.Reg.Describe(name, "time a committed record took to append to the shard's wal, its fsync included under -wal-sync")
+			o.Reg.Describe(name, "time one committed group of records took to write to the shard's wal, its fsync included under -wal-sync")
 			o.Reg.Gauge(name).Set(s.WALAppend.Quantile(q))
 		}
+		name := fmt.Sprintf("ff_ctrl_shard_%d_wal_writes", s.Shard)
+		o.Reg.Describe(name, "wal writes since the controller opened, one per committed group of records (a session's uploads that arrived together share one)")
+		o.Reg.Gauge(name).Set(int64(s.WALWrites))
+		name = fmt.Sprintf("ff_ctrl_shard_%d_wal_records", s.Shard)
+		o.Reg.Describe(name, "records the shard's wal writes carried since the controller opened")
+		o.Reg.Gauge(name).Set(int64(s.WALRecords))
 	}
 }
 

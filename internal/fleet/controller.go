@@ -78,10 +78,12 @@ type ControllerConfig struct {
 	// negative disables automatic compaction — snapshots then happen
 	// only at Close and recovery).
 	SnapshotEvery int
-	// WALSync forces an fsync after every appended record. Off,
-	// appends reach the OS page cache synchronously — they survive a
-	// process kill, and an OS crash loses at most a tail that reopen
-	// detects and truncates.
+	// WALSync forces an fsync after every wal write: one write, and so
+	// one fsync, covers a group of records — a session's uploads that
+	// arrived together — and no upload is acked before the fsync that
+	// covers it. Off, writes reach the OS page cache synchronously, still
+	// before any ack — they survive a process kill, and an OS crash
+	// loses at most a tail that reopen detects and truncates.
 	WALSync bool
 }
 
@@ -619,7 +621,7 @@ func (c *Controller) Deploy(node, stream string, mc []byte, threshold float32) e
 		if nameErr == nil {
 			prev, had = st.Intent[stream][name]
 			gen = st.Gen + 1
-			logErr = sh.commit(&intentRec{
+			_, logErr = sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: name,
 				MC: mc, Threshold: threshold, Version: info.Version, Gen: gen,
 			})
@@ -664,7 +666,7 @@ func (c *Controller) Undeploy(node, stream, mcName string) error {
 	var logErr error
 	c.onNode(node, true, func(sh *shard, st *nodeState) {
 		if _, had := st.Intent[stream][mcName]; had {
-			logErr = sh.commit(&intentRec{
+			_, logErr = sh.commit(&intentRec{
 				Node: node, Stream: stream, Name: mcName, Gen: st.Gen + 1, Remove: true,
 			})
 		}

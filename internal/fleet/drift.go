@@ -185,7 +185,7 @@ func observeScores(st *nodeState, node string, t *scoreTable, cfg DriftConfig) (
 // heartbeat's sketches, commits the baseline freezes it returns (one
 // a fenced shard cannot log is skipped, and the next heartbeat returns
 // it again), and logs threshold transitions; a heartbeat landing after
-// the session died is ignored, mirroring acceptUpload.
+// the session died is ignored, mirroring acceptUploads.
 func (sh *shard) noteHeartbeat(s *Session, t *scoreTable) {
 	if len(t.sketches) == 0 {
 		return

@@ -225,7 +225,7 @@ func BenchmarkCompaction(b *testing.B) {
 			}
 		}
 		start := 7 * int(seq)
-		if err := sh.commit(&uploadRec{Node: fmt.Sprintf("edge-%d", seq%2), Rec: transport.UploadRecord{
+		if _, err := sh.commit(&uploadRec{Node: fmt.Sprintf("edge-%d", seq%2), Rec: transport.UploadRecord{
 			MCName: fmt.Sprintf("cam0/mc-%d", seq%4), EventID: seq / 3, Start: start, End: start + 5, Bits: 4000 + int64(seq%97), Final: seq%3 == 0, Seq: seq,
 		}}); err != nil {
 			b.Fatal(err)

@@ -407,40 +407,46 @@ func (s *shardState) apply(rec record) {
 	}
 }
 
-// commit is the live half of the state machine: compact if due (see
-// compactDue), log the record, apply it. Callers hold sh.mu. It returns
-// nil once the record is logged and applied (always, without a state
-// dir).
+// commit is the live half of the state machine, and it takes a group of
+// records as its one unit: a session's uploads that arrived together,
+// or a single intent, seq-reset, drift-baseline or move-in record. It
+// compacts if due (see compactDue), drops the group's retransmissions
+// (see fresh), frames the rest into one buffer, hands that to the wal in
+// one write — synced once under WALSync — and applies the records in
+// order. Callers hold sh.mu. It returns the records it kept, logged and
+// applied (always, without a state dir), or an error with nothing
+// applied; the returned slice aliases group's storage.
 //
-// A record that cannot be logged at all — one too large to frame
+// A group that cannot be logged at all — a record too large to frame
 // (walog.ErrTooLarge: an intent whose MC exceeds the record limit) or
 // one that does not encode — is refused: commit returns the error and
 // applies nothing, and the shard goes on, since nothing was written
 // and so nothing is torn.
 //
-// The first append or sync error fences the shard: commit logs that
+// The first failed write or sync fences the shard: commit logs that
 // error once and returns it, and from then until the controller
-// reopens it appends nothing, applies nothing and returns the same
-// error for every record. A record that missed the wal therefore never
-// becomes live — no node sees a generation that recovery forgets, and
-// an upload is neither accounted nor, by acceptUpload, acked, so the
-// edge keeps it buffered and retransmits. And nothing lands behind a
-// wal tail a failed write may have torn, where recovery's truncation
-// at the torn record would take every later acked record with it.
-// Reopening truncates the torn tail. A failed compaction does not
-// fence: WriteSnapshot leaves the old generation in place, and
-// compactDue backs off.
+// reopens it writes nothing, applies nothing and returns the same
+// error for every group that keeps a record. A record that missed the
+// wal therefore never becomes live — no node sees a generation that
+// recovery forgets, and an upload is neither accounted nor, by
+// acceptUploads, acked, so the edge keeps it buffered and retransmits.
+// And nothing lands behind a wal tail a failed write may have torn,
+// where recovery's truncation at the torn record would take every
+// later acked record with it. Reopening truncates the torn tail. A
+// failed compaction does not fence: WriteSnapshot leaves the old
+// generation in place, and compactDue backs off.
 //
-// Compaction runs BEFORE the append, never after: at entry every
-// logged record has been applied, so a snapshot taken here captures
-// exactly the records it compacts away, and the new record lands in
-// the fresh generation to replay on top of it. Compacting after the
-// append would snapshot state that lacks the just-logged record and
-// then delete the generation holding it.
-func (sh *shard) commit(rec record) error {
-	if sh.wal != nil {
+// Compaction runs BEFORE the write, at a group boundary, never after
+// or inside a group: at entry every logged record has been applied, so
+// a snapshot taken here captures exactly the records it compacts away,
+// and the group lands in the fresh generation to replay on top of it.
+// Compacting after the write would snapshot state that lacks the
+// just-logged records and then delete the generation holding them.
+func (sh *shard) commit(group ...record) ([]record, error) {
+	group = sh.fresh(group)
+	if sh.wal != nil && len(group) > 0 {
 		if sh.fenced != nil {
-			return sh.fenced
+			return group, sh.fenced
 		}
 		if sh.compactDue() {
 			if err := sh.snapshotLocked(); err != nil {
@@ -449,34 +455,74 @@ func (sh *shard) commit(rec record) error {
 					"records", sh.failedAt, "wal_bytes", size, "encoded", sh.retrySize-size, "err", err)
 			}
 		}
-		payload, err := transport.AppendPayload(sh.encoded[:0], rec)
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d: encode record: %w", sh.id, err)
+		buf := sh.encoded[:0]
+		for _, rec := range group {
+			at := len(buf)
+			var err error
+			if buf, err = transport.AppendPayload(append(buf, make([]byte, walog.RecordHeaderLen)...), rec); err != nil {
+				return group, fmt.Errorf("fleet: shard %d: encode record: %w", sh.id, err)
+			}
+			if err := walog.Frame(buf[at:], rec.kind(), buf[at+walog.RecordHeaderLen:]); err != nil {
+				return group, fmt.Errorf("fleet: shard %d: %w", sh.id, err)
+			}
 		}
-		if cap(payload) <= walog.MaxKeptBytes {
-			sh.encoded = payload
+		if cap(buf) <= walog.MaxKeptBytes {
+			sh.encoded = buf
 		}
 		start := time.Now()
-		err = sh.wal.Append(rec.kind(), payload)
-		if errors.Is(err, walog.ErrTooLarge) {
-			return fmt.Errorf("fleet: shard %d: %w", sh.id, err)
-		}
+		err := sh.wal.AppendRecords(buf)
 		if err == nil && sh.c.cfg.WALSync {
 			err = sh.wal.Sync()
 		}
 		sh.walAppend.Observe(time.Since(start))
+		sh.walWrites++
+		sh.walRecords += len(group)
 		if err != nil {
 			sh.fenced = fmt.Errorf("fleet: shard %d fenced until reopen: wal append: %w", sh.id, err)
 			sh.c.cfg.Log.Error("fleet: wal append failed, shard fenced until reopen",
-				"shard", sh.id, "kind", rec.kind(), "err", err)
-			return sh.fenced
+				"shard", sh.id, "records", len(group), "err", err)
+			return group, sh.fenced
 		}
 	}
-	sh.apply(rec)
-	return nil
+	for _, rec := range group {
+		sh.apply(rec)
+	}
+	return group, nil
 }
 
-// compactDue reports whether commit should compact before its append:
+// fresh drops from group, in place, every sequenced upload at or below
+// its node's high-water mark — the node's LastSeq, or the highest
+// sequence number kept earlier in the group: a retransmission of a
+// record already logged, or logged with this group. Callers hold sh.mu.
+func (sh *shard) fresh(group []record) []record {
+	kept := group[:0]
+	var node string
+	var mark uint64
+	seen := false
+	for _, rec := range group {
+		if u, ok := rec.(*uploadRec); ok && u.Rec.Seq != 0 {
+			if !seen || u.Node != node {
+				seen, node, mark = true, u.Node, 0
+				if st := sh.Nodes[node]; st != nil {
+					mark = st.LastSeq
+				}
+				for _, k := range kept {
+					if ku, ok := k.(*uploadRec); ok && ku.Node == node {
+						mark = max(mark, ku.Rec.Seq)
+					}
+				}
+			}
+			if u.Rec.Seq <= mark {
+				continue
+			}
+			mark = u.Rec.Seq
+		}
+		kept = append(kept, rec)
+	}
+	return kept
+}
+
+// compactDue reports whether commit should compact before its write:
 // once at least SnapshotEvery records AND at least as many bytes as the
 // last snapshot have accumulated in the active wal. The byte rule makes
 // every snapshot paid for by an equal volume of log appended after it,
@@ -724,7 +770,8 @@ func (c *Controller) rehome(keep int) (moved int, lost []int) {
 		// Rehomed wins recovery, so the stale copy still sitting in the
 		// source shard's log can never resurrect.
 		st.Rehomed++
-		if rec := (&moveInRec{Name: m.node, Node: st}); to.commit(rec) != nil {
+		rec := &moveInRec{Name: m.node, Node: st}
+		if _, err := to.commit(rec); err != nil {
 			// A fenced owner applies nothing, but the source directory,
 			// kept below, holds the node's durable copy: memory holds it
 			// too, as the next recovery will.

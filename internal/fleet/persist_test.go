@@ -766,9 +766,11 @@ func TestFailedAppendFencesShard(t *testing.T) {
 	}
 }
 
-// TestWALAppendObserved: every committed upload is timed into its
-// shard's WAL-append histogram, and committing an upload — encode,
-// append, timing — allocates nothing beyond the ledger's own growth.
+// TestWALAppendObserved: every wal write — one per committed group of
+// records — is timed into its shard's WAL-append histogram and counted
+// in WALWrites, WALRecords counts the records those writes carried, and
+// committing a group of uploads — frame, write, timing — allocates
+// nothing beyond the ledger's own growth.
 func TestWALAppendObserved(t *testing.T) {
 	const uploads = 40
 	n := simnet.New(chaosSeed)
@@ -784,32 +786,43 @@ func TestWALAppendObserved(t *testing.T) {
 	defer ctrl.Close()
 	edge := dialScripted(t, n, Hello{Node: "edge-1"})
 	for seq := uint64(1); seq <= uploads; seq++ {
-		edge.upload(seq, 10*int(seq))
+		edge.upload(seq, 10*int(seq)) // waits for the ack: a group of one
 	}
 	sh := ctrl.shards[ctrl.ShardOf("edge-1")]
-	if got := ctrl.ShardStats()[sh.id].WALAppend.Count; got < uploads {
-		t.Fatalf("WAL-append histogram counted %d appends, %d uploads were committed", got, uploads)
+	st := ctrl.ShardStats()[sh.id]
+	if int(st.WALAppend.Count) != st.WALWrites || st.WALWrites != uploads || st.WALRecords != uploads {
+		t.Fatalf("%d uploads, each acked before the next was sent: %d appends timed, %d wal writes carrying %d records; want %d of each",
+			uploads, st.WALAppend.Count, st.WALWrites, st.WALRecords, uploads)
 	}
 
-	// The same commits, driven straight into the shard: the ledger's
-	// amortized growth rounds away, so anything left is per commit.
+	// Groups of four, driven straight into the shard: the ledger's
+	// amortized growth rounds away, so anything left is per group.
 	s := newSession(99, Hello{Node: "edge-2"}, nil, 0, 0, nil, nil, nil)
 	sh.mu.Lock()
 	sh.node("edge-2")
 	sh.mu.Unlock()
+	ups := make([]uploadRec, 4)
+	group := make([]record, len(ups))
 	seq := uint64(0)
-	before := sh.walAppend.Count()
 	allocs := testing.AllocsPerRun(500, func() {
-		seq++
-		if accept, ack := sh.acceptUpload(s, transport.UploadRecord{MCName: "cam0/mc-1", EventID: seq, Start: 1, End: 2, Bits: 8, Seq: seq}); !accept || !ack {
-			t.Fatalf("upload %d: accept %v, ack %v", seq, accept, ack)
+		for i := range ups {
+			seq++
+			ups[i] = uploadRec{Node: "edge-2", Rec: transport.UploadRecord{MCName: "cam0/mc-1", EventID: seq, Start: 1, End: 2, Bits: 8, Seq: seq}}
+			group[i] = &ups[i]
+		}
+		if accepted, ackUpTo := sh.acceptUploads(s, group); accepted != len(ups) || ackUpTo < seq {
+			t.Fatalf("uploads up to %d: %d accepted, acks up to %d", seq, accepted, ackUpTo)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("committing an upload allocates %v objects, want 0", allocs)
+		t.Fatalf("committing a group of %d uploads allocates %v objects, want 0", len(ups), allocs)
 	}
-	if got := sh.walAppend.Count() - before; got != seq {
-		t.Fatalf("%d commits observed %d appends", seq, got)
+	after := ctrl.ShardStats()[sh.id]
+	if writes, records := after.WALWrites-st.WALWrites, after.WALRecords-st.WALRecords; writes != int(seq)/len(ups) || records != int(seq) {
+		t.Fatalf("%d uploads in groups of %d took %d wal writes carrying %d records", seq, len(ups), writes, records)
+	}
+	if int(after.WALAppend.Count) != after.WALWrites {
+		t.Fatalf("%d appends timed for %d wal writes", after.WALAppend.Count, after.WALWrites)
 	}
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -69,10 +68,14 @@ type Session struct {
 	// spare is the heartbeat record the reader goroutine decodes the
 	// next heartbeat into, reusing its map, its score table and hbDec's
 	// names and pairs; the two swap under mu. Owned by the reader
-	// goroutine, as are ackBuf, the reused upload-ack record, and hbDec.
-	spare  *hbRecord
-	hbDec  hbDecoder
-	ackBuf []byte
+	// goroutine, as are hbDec, uploads and group, the pending uploads
+	// and the group of records pointing at them that the reader hands
+	// to the shard, and ackBuf, where it frames their acks.
+	spare   *hbRecord
+	hbDec   hbDecoder
+	uploads []uploadRec
+	group   []record
+	ackBuf  []byte
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -109,7 +112,6 @@ func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Du
 		hbGap:       hbGap,
 		hbHandle:    hbHandle,
 		onHeartbeat: onHeartbeat,
-		ackBuf:      make([]byte, walog.RecordHeaderLen, walog.RecordHeaderLen+binary.MaxVarintLen64),
 	}
 }
 
@@ -285,19 +287,6 @@ func (s *Session) dropPending(seq uint64) {
 	s.mu.Unlock()
 }
 
-// writeAck acknowledges one upload, encoding the record into the
-// reader goroutine's reused buffer: acks are written only from there.
-func (s *Session) writeAck(seq uint64) error {
-	b, _ := UploadAck{Seq: seq}.AppendBinary(s.ackBuf[:walog.RecordHeaderLen]) // the ack layout never fails
-	if err := walog.Frame(b, transport.KindUploadAck, b[walog.RecordHeaderLen:]); err != nil {
-		return err
-	}
-	s.ackBuf = b
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return transport.WriteDeadline(s.conn, b, s.timeout)
-}
-
 // write sends one record, bounded by the session timeout so a stalled
 // edge cannot hang the controller's writers. It encodes before taking
 // wmu, so the lock covers only the write.
@@ -328,15 +317,16 @@ func (s *Session) welcome(w Welcome) error {
 
 // run is the session's reader loop; the controller drives it in the
 // connection's goroutine. It returns after a clean goodbye, a read
-// error, a liveness eviction, or the connection closing. onUpload
-// decides whether an upload is fresh (accepted → counted by Received)
-// and whether to ack it. The two are distinct: a dedup-dropped
-// retransmission is refused but still acked so the edge retires it,
-// while an upload refused because the session is done or its record
-// did not reach the wal must NOT be acked — the edge keeps it buffered
-// and resends it, or exactly-once would silently become at-most-once.
-func (s *Session) run(onUpload func(*Session, transport.UploadRecord) (accept, ack bool)) error {
-	err := s.readLoop(onUpload)
+// error, a liveness eviction, or the connection closing. accept commits
+// a group of uploads (see flushUploads), returning how many were fresh
+// (counted by Received) and the highest sequence number to ack. The two
+// are distinct: a dedup-dropped retransmission is refused but still
+// acked so the edge retires it, while an upload refused because the
+// session is done or its record did not reach the wal must NOT be
+// acked — the edge keeps it buffered and resends it, or exactly-once
+// would silently become at-most-once.
+func (s *Session) run(accept func(*Session, []record) (accepted int, ackUpTo uint64)) error {
+	err := s.readLoop(accept)
 	s.markDone(err)
 	return err
 }
@@ -361,25 +351,32 @@ func (s *Session) evict() {
 	s.conn.Close()
 }
 
-func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (accept, ack bool)) error {
-	// Acks are best-effort: they only trim the edge's resend buffer
-	// (dedup makes retransmissions harmless), so a failed ack write —
-	// typical when an edge says goodbye and closes while its final
-	// uploads are still buffered here — must not abort the drain.
-	// Ordering, however, is load-bearing: the ack is written only
-	// after onUpload returns, and on a durable controller acceptUpload
-	// logs the record to the shard wal before returning ack=true — an
-	// acked upload is on disk, so a controller crash can neither lose
-	// it nor (thanks to the recovered high-water mark) double-count
-	// its retransmission.
-	//
+func (s *Session) readLoop(accept func(*Session, []record) (accepted int, ackUpTo uint64)) error {
 	// Every record is read into one buffer, valid until the next read:
 	// each case below decodes its payload, copying out what it keeps,
-	// before the loop reads again.
+	// before the loop reads again. Uploads the Reader already holds
+	// whole wait in s.uploads and are committed as one group when the
+	// next record is not one of them or is not in hand yet, or the read
+	// fails: before any other record is handled, and before the loop
+	// would wait on the connection.
 	ackBroken := false
 	rd := transport.NewReader(s.conn, s.liveness)
 	for {
 		kind, body, err := rd.Read()
+		if err == nil && kind == transport.KindUpload {
+			s.uploads = append(s.uploads, uploadRec{Node: s.node})
+			if err = s.uploads[len(s.uploads)-1].Rec.UnmarshalBinary(body); err != nil {
+				s.uploads = s.uploads[:len(s.uploads)-1]
+				err = fmt.Errorf("transport: decode: %w", err)
+			} else if rd.Buffered() {
+				continue
+			}
+		}
+		if len(s.uploads) > 0 {
+			if ferr := s.flushUploads(accept, &ackBroken); ferr != nil {
+				return ferr
+			}
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -391,32 +388,7 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 		}
 		switch kind {
 		case transport.KindUpload:
-			var rec transport.UploadRecord
-			if err := rec.UnmarshalBinary(body); err != nil {
-				return fmt.Errorf("transport: decode: %w", err)
-			}
-			accept, ack := true, true
-			if onUpload != nil {
-				accept, ack = onUpload(s, rec)
-			}
-			if accept {
-				s.mu.Lock()
-				s.nReceived++
-				s.mu.Unlock()
-			}
-			if ack && rec.Seq != 0 && !ackBroken {
-				if err := s.writeAck(rec.Seq); err != nil {
-					// A write timeout means the live peer's downlink is
-					// stalled: end the session so the edge reconnects
-					// and ack flow resumes (retransmits dedup cleanly).
-					// Any other failure is the peer-already-gone
-					// goodbye drain — keep reading, stop acking.
-					if errors.Is(err, os.ErrDeadlineExceeded) {
-						return fmt.Errorf("fleet: ack upload %d: %w", rec.Seq, err)
-					}
-					ackBroken = true
-				}
-			}
+			// Committed with its group above.
 		case transport.KindAck:
 			var ack Ack
 			if err := transport.DecodeRecord(body, &ack); err != nil {
@@ -464,6 +436,60 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			return fmt.Errorf("fleet: edge %q sent unknown record kind %d", s.node, kind)
 		}
 	}
+}
+
+// flushUploads commits the pending uploads as one group and acks the
+// ones accept allows in one write, their acks framed back to back.
+// Acks are best-effort: they only trim the edge's resend buffer (dedup
+// makes retransmissions harmless), so a failed ack write — typical when
+// an edge says goodbye and closes while its final uploads are still
+// buffered here — must not abort the drain. Ordering, however, is
+// load-bearing: no ack is written before accept returns, and on a
+// durable controller accept logs the group to the shard wal (and syncs
+// it under WALSync) before it returns — an acked upload is on disk, so
+// a controller crash can neither lose it nor (thanks to the recovered
+// high-water mark) double-count its retransmission. It returns an
+// error only when the ack write timed out.
+func (s *Session) flushUploads(accept func(*Session, []record) (accepted int, ackUpTo uint64), ackBroken *bool) error {
+	s.group = s.group[:0]
+	for i := range s.uploads {
+		s.group = append(s.group, &s.uploads[i])
+	}
+	accepted, ackUpTo := accept(s, s.group)
+	if accepted > 0 {
+		s.mu.Lock()
+		s.nReceived += accepted
+		s.mu.Unlock()
+	}
+	b := s.ackBuf[:0]
+	for i := range s.uploads {
+		if seq := s.uploads[i].Rec.Seq; seq != 0 && seq <= ackUpTo {
+			at := len(b)
+			b, _ = UploadAck{Seq: seq}.AppendBinary(append(b, make([]byte, walog.RecordHeaderLen)...)) // the ack layout never fails
+			_ = walog.Frame(b[at:], transport.KindUploadAck, b[at+walog.RecordHeaderLen:])             // nor a frame of a few bytes
+		}
+	}
+	if cap(b) <= walog.MaxKeptBytes {
+		s.ackBuf = b
+	}
+	s.uploads = s.uploads[:0]
+	if len(b) == 0 || *ackBroken {
+		return nil
+	}
+	s.wmu.Lock()
+	err := transport.WriteDeadline(s.conn, b, s.timeout)
+	s.wmu.Unlock()
+	if err != nil {
+		// A write timeout means the live peer's downlink is stalled:
+		// end the session so the edge reconnects and ack flow resumes
+		// (retransmits dedup cleanly). Any other failure is the
+		// peer-already-gone goodbye drain — keep reading, stop acking.
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return fmt.Errorf("fleet: ack uploads: %w", err)
+		}
+		*ackBroken = true
+	}
+	return nil
 }
 
 // handleHeartbeat decodes one heartbeat record's payload into the

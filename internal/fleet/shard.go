@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/walog"
 )
 
@@ -51,17 +51,18 @@ type shard struct {
 	// mu.
 	failedAt  int
 	retrySize int64
-	// encoded is the buffer commit encodes each record into, reused
-	// from one commit to the next, and upload the record acceptUpload
-	// commits, reused too: commit and apply copy out what they keep.
+	// encoded is the buffer commit frames each group into, reused from
+	// one commit to the next: the wal and apply copy out what they keep.
 	// Guarded by mu.
 	encoded []byte
-	upload  uploadRec
+	// walWrites counts commit's wal writes, one per group, and
+	// walRecords the records they carried. Guarded by mu.
+	walWrites, walRecords int
 
 	// hbGap observes the gap between consecutive heartbeats of each
 	// session — the shard's control-latency signal — and hbHandle how
 	// long the shard spent handling each one. walAppend observes each
-	// commit's wal append, its sync included when WALSync is set.
+	// group's wal write, its sync included when WALSync is set.
 	hbGap, hbHandle, walAppend *obs.Histogram
 }
 
@@ -122,7 +123,7 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 		// be logged: replaying the old mark over the new incarnation's
 		// uploads would drop them all the same way after a restart. A
 		// reset that cannot be logged refuses the hello.
-		if err := sh.commit(&seqResetRec{Node: hello.Node}); err != nil {
+		if _, err := sh.commit(&seqResetRec{Node: hello.Node}); err != nil {
 			sh.mu.Unlock()
 			cfg.Log.Warn("fleet: fresh hello refused", "node", hello.Node, "shard", sh.id, "err", err)
 			return err
@@ -168,7 +169,7 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 	if hook := cfg.OnSession; hook != nil {
 		go hook(s)
 	}
-	err := s.run(sh.acceptUpload)
+	err := s.run(sh.acceptUploads)
 	// Liveness evictions end the session from inside its reader; count
 	// them against the node.
 	if terminal := s.Err(); errors.Is(terminal, errLiveness) {
@@ -186,14 +187,16 @@ func (sh *shard) serveSession(conn net.Conn, hello Hello) error {
 	return err
 }
 
-// acceptUpload is the node-level dedup gate. A sequenced upload at or
-// below the node's high-water mark is a retransmission of something
-// already accounted: dropped but acked, so the edge retires it. An
-// upload reaching a session that is already done is dropped WITHOUT
-// an ack: nothing accounts it here, so the edge must keep it buffered
-// and retransmit on its next session. Fresh uploads are committed:
-// logged, then applied to the node's ledger.
-func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, ack bool) {
+// acceptUploads is the node-level gate for one group of a session's
+// uploads. It commits the group — logged in one write, then applied to
+// the node's ledger, its retransmissions dropped (see commit) — and
+// runs OnUpload for each upload it kept. It returns how many it kept
+// and the highest sequence number the session may ack: every one once
+// the group is committed; on a failed commit only those at or below the
+// node's high-water mark, retransmissions of what was logged before, so
+// the edge retires them and keeps the rest buffered to retransmit; and
+// none to a session that is already done, which nothing accounts here.
+func (sh *shard) acceptUploads(s *Session, group []record) (accepted int, ackUpTo uint64) {
 	sh.mu.Lock()
 	// An evicted session must not touch the node ledger: its
 	// replacement may already have reset the dedup high-water mark,
@@ -203,29 +206,27 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 	select {
 	case <-s.done:
 		sh.mu.Unlock()
-		return false, false
+		return 0, 0
 	default:
-	}
-	st := sh.Nodes[s.node]
-	if rec.Seq != 0 && rec.Seq <= st.LastSeq {
-		sh.mu.Unlock()
-		return false, true
 	}
 	// Log before ack: an upload whose record did not reach the wal is
 	// neither applied nor acked, so the edge keeps it buffered and
 	// retransmits — at-least-once delivery plus the durable high-water
 	// mark is what keeps the ledger exactly-once across controller
 	// crashes.
-	sh.upload = uploadRec{Node: s.node, Rec: rec}
-	err := sh.commit(&sh.upload)
-	sh.mu.Unlock()
+	kept, err := sh.commit(group...)
 	if err != nil {
-		return false, false
+		ackUpTo = sh.Nodes[s.node].LastSeq
+		sh.mu.Unlock()
+		return 0, ackUpTo
 	}
+	sh.mu.Unlock()
 	if hook := sh.c.cfg.OnUpload; hook != nil {
-		hook(s, rec.ToUpload())
+		for _, rec := range kept {
+			hook(s, rec.(*uploadRec).Rec.ToUpload())
+		}
 	}
-	return true, true
+	return len(kept), math.MaxUint64
 }
 
 // loads converts the shard's live sessions into per-stream NodeLoads
@@ -316,10 +317,14 @@ type ShardStat struct {
 	// drift hook: what a heartbeat costs the shard.
 	HeartbeatGap      obs.HistSnapshot
 	HeartbeatHandling obs.HistSnapshot
-	// WALAppend is the histogram of the time each committed record
-	// took to append to the shard's wal, its fsync included when
-	// WALSync is set — empty on an in-memory controller.
-	WALAppend obs.HistSnapshot
+	// WALAppend is the histogram of the time each committed group took
+	// to write to the shard's wal, its fsync included when WALSync is
+	// set — empty on an in-memory controller. WALWrites counts those
+	// writes since the controller opened, the one that fenced the shard
+	// included, and WALRecords the records they carried: a session's
+	// uploads that arrived together share one write.
+	WALAppend             obs.HistSnapshot
+	WALWrites, WALRecords int
 	// Snapshots counts the state snapshots the shard wrote since the
 	// controller opened (recovery's included), and SnapshotBytes is the
 	// newest one's size on disk — zero on an in-memory controller. A
@@ -340,6 +345,8 @@ func (sh *shard) stats() ShardStat {
 		HeartbeatGap:      sh.hbGap.Snapshot(),
 		HeartbeatHandling: sh.hbHandle.Snapshot(),
 		WALAppend:         sh.walAppend.Snapshot(),
+		WALWrites:         sh.walWrites,
+		WALRecords:        sh.walRecords,
 		Snapshots:         sh.snapshots,
 	}
 	for _, ns := range sh.Nodes {

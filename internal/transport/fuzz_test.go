@@ -6,7 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/walog"
 )
@@ -213,4 +216,116 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	n := copy(p, r.data[r.off:])
 	r.off += n
 	return n, nil
+}
+
+// shortConn is a net.Conn over a fixed stream whose reads return short:
+// each Read takes its size from the next cut byte (1 to 64 bytes, or up
+// to the whole request for a cut byte's high values), and the read that
+// reaches the end returns io.EOF along with its bytes when the cut
+// byte's low bit is set, alone on the next Read otherwise. It counts
+// its reads.
+type shortConn struct {
+	net.Conn
+	data, cuts []byte
+	reads      int
+}
+
+func (c *shortConn) Read(p []byte) (int, error) {
+	c.reads++
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	cut := byte(0xFF)
+	if len(c.cuts) > 0 {
+		cut, c.cuts = c.cuts[0], c.cuts[1:]
+	}
+	n := min(len(p), len(c.data))
+	if cut < 0xC0 {
+		n = min(n, int(cut%64)+1)
+	}
+	copy(p, c.data[:n])
+	c.data = c.data[n:]
+	if len(c.data) == 0 && cut&1 == 1 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (c *shortConn) SetReadDeadline(time.Time) error { return nil }
+
+// errClass names the part of ReadRecord's error contract an error
+// falls in.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "none"
+	case err == io.EOF:
+		return "EOF"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "unexpected EOF"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	return "other: " + err.Error()
+}
+
+// readerStream frames n upload records of growing names back to back.
+func readerStream(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	for i := range n {
+		rec := UploadRecord{MCName: strings.Repeat("m", 7*i), EventID: uint64(i), Start: i, End: i + 3, Bits: 100, Seq: uint64(i + 1)}
+		if err := WriteRecord(&buf, KindUpload, rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzReader feeds a stream of records, cut short or damaged, through a
+// Reader over a connection that returns random short reads: every
+// record it returns is the one ReadRecord returns from the same bytes,
+// the error it stops at falls in the same class (io.EOF only at a
+// record boundary, io.ErrUnexpectedEOF inside a record, ErrCorrupt for
+// a bad length or CRC), a Read after Buffered reported a whole record
+// makes no conn Read, and the buffer never grows more than a step past
+// the bytes that arrived.
+func FuzzReader(f *testing.F) {
+	stream := readerStream(f, 6)
+	f.Add(stream, []byte{})
+	f.Add(stream, []byte{0, 1, 2, 3, 62, 63, 0xFF, 5})
+	f.Add(stream[:len(stream)-4], []byte{8, 9, 0xC1}) // cut inside the last record
+	f.Add(stream[:len(stream)-40], []byte{3})         // cut inside a header
+	f.Add(stream[:0], []byte{1})                      // nothing at all
+	flipped := append([]byte(nil), stream...)
+	flipped[len(flipped)/2] ^= 0x10 // a payload or header bit flip
+	f.Add(flipped, []byte{17, 0xC3, 2})
+	forged := append([]byte{KindUpload, 0x00, 0xF0, 0x00, 0x00, 0, 0, 0, 0}, make([]byte, 300)...)
+	f.Add(forged, []byte{0xFE})
+	f.Add(append(stream[:len(stream):len(stream)], KindUpload, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0), []byte{0xFF})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		ref := bytes.NewReader(data)
+		conn := &shortConn{data: data, cuts: cuts}
+		rd := NewReader(conn, time.Hour)
+		for i := 0; ; i++ {
+			wantKind, wantBody, wantErr := ReadRecord(ref)
+			buffered, reads := rd.Buffered(), conn.reads
+			kind, body, err := rd.Read()
+			if buffered && conn.reads != reads {
+				t.Fatalf("record %d: Buffered reported a whole record, and Read read the conn", i)
+			}
+			if errClass(err) != errClass(wantErr) {
+				t.Fatalf("record %d: Reader error %v, ReadRecord error %v", i, err, wantErr)
+			}
+			if len(rd.buf) > max(4<<10, len(data)+readerStep) {
+				t.Fatalf("record %d: a %d-byte buffer for %d bytes of stream", i, len(rd.buf), len(data))
+			}
+			if wantErr != nil {
+				return
+			}
+			if kind != wantKind || !bytes.Equal(body, wantBody) {
+				t.Fatalf("record %d: Reader kind %d, %d bytes; ReadRecord kind %d, %d bytes", i, kind, len(body), wantKind, len(wantBody))
+			}
+		}
+	})
 }

@@ -281,42 +281,119 @@ func ReadRecordDeadline(conn net.Conn, timeout time.Duration) (uint8, []byte, er
 	return ReadRecord(progressReader{conn: conn, timeout: timeout})
 }
 
-// Reader reads one connection's records into a buffer it reuses
-// (walog.ReadRecordBuf), so a steady stream of records costs no
-// allocation. A payload is valid only until the next Read: every
-// decoder copies what it keeps out of the payload (LayoutReader's
-// String and Float32s, gob), so decode before reading again. It keeps
-// a buffer up to walog.MaxKeptBytes between records, so one large
-// record does not pin its size for the connection's life. One
+// Reader reads one connection's records through a buffer it reuses:
+// one conn Read takes whatever the peer has sent, so a burst of records
+// costs one read, and a steady stream of them costs no allocation.
+// Before each conn Read it re-arms the silence deadline, as
+// ReadRecordDeadline does. A payload aliases the buffer and is valid
+// only until the next Read: every decoder copies what it keeps out of
+// the payload (LayoutReader's String and Float32s, gob), so decode
+// before reading again. Buffered reports whether the next Read can
+// return a whole record without a conn Read.
+//
+// The buffer starts at 4 KiB. A record that does not fit grows it by at
+// most readerStep past the bytes that have arrived, never from the
+// length prefix alone, so a forged prefix costs one step, not
+// walog.MaxRecordBytes. A buffer grown to readerStep or less is kept;
+// a larger one, grown by a demand fetch's chunks, is kept while such
+// records keep coming and gives way to the 4 KiB start once a record of
+// at most readerStep has been read and nothing more is buffered, so one
+// fetch does not pin its chunk size for the connection's life. One
 // goroutine reads a Reader.
 type Reader struct {
 	conn    net.Conn
-	src     io.Reader // conn, or a progressReader over it
 	timeout time.Duration
-	buf     []byte
+	start   []byte // the buffer every Reader starts with
+	buf     []byte // start or a grown buffer, at its full length
+	r, w    int    // buf[r:w] arrived and is not yet returned
 }
+
+// readerStep bounds how far a Reader grows its buffer past the bytes
+// that have arrived, and the buffer it keeps whatever records follow:
+// walog's read chunk.
+const readerStep = 64 << 10
 
 // NewReader returns a Reader over conn. A positive timeout bounds
-// every read as ReadRecordDeadline does; otherwise reads wait.
+// every conn Read as ReadRecordDeadline does; otherwise reads wait.
 func NewReader(conn net.Conn, timeout time.Duration) *Reader {
-	rd := &Reader{conn: conn, src: conn, timeout: timeout, buf: make([]byte, 0, 4<<10)}
-	if timeout > 0 {
-		rd.src = progressReader{conn: conn, timeout: timeout}
-	}
-	return rd
+	start := make([]byte, 4<<10)
+	return &Reader{conn: conn, timeout: timeout, start: start, buf: start}
 }
 
-// Read reads the next record, with ReadRecordDeadline's errors. The
-// payload aliases the Reader's buffer until the next Read.
+// Read returns the next record, with ReadRecord's errors: io.EOF only
+// when the stream ends at a record boundary, io.ErrUnexpectedEOF when
+// it ends inside one, an error wrapping ErrCorrupt for a length prefix
+// over walog.MaxRecordBytes or a payload failing its CRC, and the
+// connection's own error (os.ErrDeadlineExceeded after a silent
+// timeout) otherwise. The payload aliases the Reader's buffer until the
+// next Read.
 func (rd *Reader) Read() (uint8, []byte, error) {
-	if rd.timeout > 0 {
-		defer rd.conn.SetReadDeadline(time.Time{})
+	if err := rd.fill(walog.RecordHeaderLen); err != nil {
+		if errors.Is(err, io.EOF) && rd.w > rd.r {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, err
 	}
-	kind, body, err := walog.ReadRecordBuf(rd.src, rd.buf)
-	if err == nil && cap(body) > cap(rd.buf) && cap(body) <= walog.MaxKeptBytes {
-		rd.buf = body[:0]
+	size := binary.BigEndian.Uint32(rd.buf[rd.r+1:])
+	if size > walog.MaxRecordBytes {
+		return 0, nil, fmt.Errorf("%w: length prefix claims %d bytes (limit %d)", ErrCorrupt, size, walog.MaxRecordBytes)
+	}
+	n := walog.RecordHeaderLen + int(size)
+	if err := rd.fill(n); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, err
+	}
+	kind, body, err := walog.CheckRecord(rd.buf[rd.r : rd.r+n])
+	rd.r += n
+	if rd.r == rd.w {
+		rd.r, rd.w = 0, 0
+		if len(rd.buf) > readerStep && (n <= readerStep || len(rd.buf) > walog.MaxKeptBytes) {
+			rd.buf = rd.start
+		}
 	}
 	return kind, body, err
+}
+
+// Buffered reports whether a whole record has arrived that no Read has
+// returned yet: the next Read then returns without a conn Read.
+func (rd *Reader) Buffered() bool {
+	have := rd.w - rd.r
+	return have >= walog.RecordHeaderLen &&
+		have-walog.RecordHeaderLen >= int(binary.BigEndian.Uint32(rd.buf[rd.r+1:]))
+}
+
+// fill reads from the connection until n bytes of the record at r have
+// arrived, moving them to the front of the buffer or growing it when
+// they do not fit. Bytes that arrive with an error still count; the
+// error is returned only when they fall short.
+func (rd *Reader) fill(n int) error {
+	if rd.w-rd.r >= n {
+		return nil
+	}
+	if rd.r+n > len(rd.buf) && n <= len(rd.buf) {
+		rd.w = copy(rd.buf, rd.buf[rd.r:rd.w])
+		rd.r = 0
+	}
+	for rd.w-rd.r < n {
+		if rd.w == len(rd.buf) {
+			have := rd.w - rd.r
+			grown := make([]byte, min(n, have+readerStep))
+			rd.r, rd.w, rd.buf = 0, copy(grown, rd.buf[rd.r:rd.w]), grown
+		}
+		if rd.timeout > 0 {
+			if err := rd.conn.SetReadDeadline(time.Now().Add(rd.timeout)); err != nil {
+				return err
+			}
+		}
+		k, err := rd.conn.Read(rd.buf[rd.w:])
+		rd.w += k
+		if err != nil && rd.w-rd.r < n {
+			return err
+		}
+	}
+	return nil
 }
 
 // progressReader re-arms the connection's read deadline before each

@@ -299,12 +299,10 @@ func TestReaderReusesBuffer(t *testing.T) {
 }
 
 // TestReaderKeepsChunkRecords: a stream of records that carry one
-// walog.ChunkBytes chunk each (plus a layout header) reads without
-// allocating once the Reader is warm, where records just under
-// walog.MaxKeptBytes do not: ReadRecordBuf grows the buffer by append,
-// overshooting past the bound, and the Reader drops what it grew, so
-// every such record is read into a fresh buffer. That is why a
-// streamed record keeps to a quarter of the bound.
+// walog.ChunkBytes chunk each (plus a layout header), and a stream of
+// records just under walog.MaxKeptBytes, read without allocating once
+// the Reader is warm: a buffer grown to a large record is kept while
+// such records keep coming.
 func TestReaderKeepsChunkRecords(t *testing.T) {
 	stream := func(payload, records int) []byte {
 		var b []byte
@@ -318,26 +316,76 @@ func TestReaderKeepsChunkRecords(t *testing.T) {
 		}
 		return b
 	}
-	for _, tc := range []struct {
-		payload int
-		kept    bool
-	}{
-		{walog.ChunkBytes + 64, true},
-		{walog.MaxKeptBytes - 1024, false},
-	} {
+	for _, payload := range []int{walog.ChunkBytes + 64, walog.MaxKeptBytes - 1024} {
 		const records = 3
-		rd := NewReader(&loopConn{data: stream(tc.payload, records)}, 0)
+		rd := NewReader(&loopConn{data: stream(payload, records)}, 0)
 		read := func() {
-			if _, body, err := rd.Read(); err != nil || len(body) != tc.payload {
-				t.Fatalf("%d-byte record: %d bytes, err %v", tc.payload, len(body), err)
+			if _, body, err := rd.Read(); err != nil || len(body) != payload {
+				t.Fatalf("%d-byte record: %d bytes, err %v", payload, len(body), err)
 			}
 		}
 		read()
-		allocs := testing.AllocsPerRun(records*4, read)
-		if kept := allocs == 0; kept != tc.kept {
-			t.Fatalf("a warm Reader allocates %v times per %d-byte record; want none: %v", allocs, tc.payload, tc.kept)
+		if allocs := testing.AllocsPerRun(records*4, read); allocs != 0 {
+			t.Fatalf("a warm Reader allocates %v times per %d-byte record, want 0", allocs, payload)
 		}
 	}
+}
+
+// TestReaderDropsGrownBuffer: after a 256 KiB record (a demand
+// fetch's chunk), small records that drain the connection bring the
+// Reader back to its 4 KiB start, and a length prefix forged to claim
+// 15 MB grows the buffer by at most one step past the bytes that
+// arrived.
+func TestReaderDropsGrownBuffer(t *testing.T) {
+	var writes [][]byte
+	for _, n := range []int{100, walog.ChunkBytes, 30, 40} {
+		rec, err := EncodeRecord(KindUpload, UploadRecord{MCName: strings.Repeat("x", n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes = append(writes, rec)
+	}
+	rd := NewReader(&chunkConn{writes: writes}, 0)
+	for i, want := range []int{4 << 10, walog.ChunkBytes, 4 << 10, 4 << 10} {
+		if _, _, err := rd.Read(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if i == 1 && len(rd.buf) <= readerStep {
+			t.Fatalf("after the %d-byte record the buffer holds %d bytes, want it grown", walog.ChunkBytes, len(rd.buf))
+		}
+		if i != 1 && len(rd.buf) > want {
+			t.Fatalf("after record %d the buffer holds %d bytes, want at most %d", i, len(rd.buf), want)
+		}
+	}
+
+	const arrived = 100 << 10
+	forged := append([]byte{KindUpload, 0x00, 0xF0, 0x00, 0x00, 0, 0, 0, 0}, make([]byte, arrived)...)
+	rd = NewReader(&chunkConn{writes: [][]byte{forged}}, 0)
+	if _, _, err := rd.Read(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a forged prefix over %d bytes: %v, want io.ErrUnexpectedEOF", arrived, err)
+	}
+	if len(rd.buf) > len(forged)+readerStep {
+		t.Fatalf("%d bytes arrived and the buffer grew to %d", len(forged), len(rd.buf))
+	}
+}
+
+// chunkConn is a net.Conn whose reads return its writes one at a time,
+// as a socket does once a peer's write has arrived whole and nothing
+// follows it, then io.EOF.
+type chunkConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if len(c.writes) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.writes[0])
+	if c.writes[0] = c.writes[0][n:]; len(c.writes[0]) == 0 {
+		c.writes = c.writes[1:]
+	}
+	return n, nil
 }
 
 // TestReaderDeadline: a Reader with a timeout surfaces a silent peer as

@@ -65,9 +65,9 @@ func FuzzWALReadRecord(f *testing.F) {
 		// a dirty buffer too small for it or one with room to spare.
 		dirty := bytes.Repeat([]byte{0xA5}, RecordHeaderLen+1)
 		for _, buf := range [][]byte{dirty, make([]byte, 0, len(data)+64)} {
-			k, b, e := ReadRecordBuf(bytes.NewReader(data), buf)
+			k, b, e := readRecordBuf(bytes.NewReader(data), buf)
 			if k != kind || !bytes.Equal(b, body) || (b == nil) != (body == nil) || fmt.Sprint(e) != fmt.Sprint(err) || errors.Is(e, ErrCorrupt) != errors.Is(err, ErrCorrupt) {
-				t.Fatalf("ReadRecordBuf with a buffer of %d: kind %d, body %x, err %v; ReadRecord: kind %d, body %x, err %v", cap(buf), k, b, e, kind, body, err)
+				t.Fatalf("readRecordBuf with a buffer of %d: kind %d, body %x, err %v; ReadRecord: kind %d, body %x, err %v", cap(buf), k, b, e, kind, body, err)
 			}
 		}
 		// The in-place check accepts exactly one whole record, the one

@@ -70,7 +70,7 @@ const formatVersion = 2
 // hostile length prefix from forcing unbounded allocation.
 const MaxRecordBytes = 16 << 20
 
-// readChunk bounds how much ReadRecordBuf allocates ahead of the bytes
+// readChunk bounds how much readRecordBuf allocates ahead of the bytes
 // actually arriving.
 const readChunk = 64 << 10
 
@@ -84,7 +84,7 @@ const MaxKeptBytes = 1 << 20
 // ChunkBytes bounds the data one record of a longer stream carries,
 // beside a few bytes of layout header (a demand fetch's frames:
 // core.FetchChunkFrames): a quarter of MaxKeptBytes, so the record
-// fits every buffer that bound keeps. ReadRecordBuf grows a buffer by append, whose capacity
+// fits every buffer that bound keeps. readRecordBuf grows a buffer by append, whose capacity
 // overshoots the record, and a simulated pipe (internal/simnet) holds
 // its socket-buffer bound of unread bytes plus one such record. A
 // record just under MaxKeptBytes fits neither and is read into a
@@ -126,6 +126,7 @@ type Log struct {
 	f       *os.File // wal-<gen>, positioned at its end
 	prefix  int64    // bytes of the compacted prefix
 	size    int64    // bytes appended after the prefix
+	synced  int64    // size as of the last Sync
 	pending int      // records after the prefix, replayed or appended
 
 	// frame is Append's reused framing buffer.
@@ -329,11 +330,39 @@ func (l *Log) Append(kind uint8, payload []byte) error {
 	if cap(buf) <= MaxKeptBytes {
 		l.frame = buf
 	}
-	if _, err := l.f.Write(buf); err != nil {
+	return l.write(buf, 1)
+}
+
+// AppendRecords hands b, a run of whole records the caller framed
+// (each a Frame header, then its payload), to the OS in one write, as
+// Append does one record: a group of records costs one write and, with
+// Sync, one fsync. A b that does not split into whole records by its
+// length prefixes is refused with ErrCorrupt before anything is
+// written. The caller keeps b.
+func (l *Log) AppendRecords(b []byte) error {
+	if l.f == nil {
+		return os.ErrClosed
+	}
+	n := 0
+	for off := 0; off < len(b); n++ {
+		if len(b)-off < RecordHeaderLen {
+			return fmt.Errorf("walog: %w: %d bytes after the last whole record", ErrCorrupt, len(b)-off)
+		}
+		off += RecordHeaderLen + int(binary.BigEndian.Uint32(b[off+1:off+5]))
+		if off > len(b) {
+			return fmt.Errorf("walog: %w: a record runs past the %d bytes given", ErrCorrupt, len(b))
+		}
+	}
+	return l.write(b, n)
+}
+
+// write hands b, records whole framed records, to the OS in one write.
+func (l *Log) write(b []byte, records int) error {
+	if _, err := l.f.Write(b); err != nil {
 		return err
 	}
-	l.size += int64(len(buf))
-	l.pending++
+	l.size += int64(len(b))
+	l.pending += records
 	return nil
 }
 
@@ -342,8 +371,16 @@ func (l *Log) Sync() error {
 	if l.f == nil {
 		return os.ErrClosed
 	}
-	return l.f.Sync()
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.synced = l.size
+	return nil
 }
+
+// Synced returns how many of the Size bytes are known to be on stable
+// storage: Size as of the last Sync since Open or WriteSnapshot.
+func (l *Log) Synced() int64 { return l.synced }
 
 // WriteSnapshot durably replaces the log's state with payload, which
 // must be whole framed records: it becomes the compacted prefix of the
@@ -364,7 +401,7 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	l.f.Close()
 	old := filepath.Join(l.dir, walName(l.gen))
 	l.f, l.gen = f, l.gen+1
-	l.prefix, l.size, l.pending = int64(len(payload)), 0, 0
+	l.prefix, l.size, l.synced, l.pending = int64(len(payload)), 0, 0, 0
 	l.snapshot, l.records, l.tornBytes = nil, nil, 0
 	_ = os.Remove(old) // Open removes it too if this is lost
 	return nil
@@ -415,10 +452,10 @@ func Frame(hdr []byte, kind uint8, payload []byte) error {
 // length prefix beyond the limit or a payload failing its CRC returns
 // an error wrapping ErrCorrupt. The payload buffer grows in bounded
 // chunks as bytes arrive, never from the length prefix alone. It is
-// ReadRecordBuf with no buffer to reuse.
-func ReadRecord(r io.Reader) (uint8, []byte, error) { return ReadRecordBuf(r, nil) }
+// readRecordBuf with no buffer to reuse.
+func ReadRecord(r io.Reader) (uint8, []byte, error) { return readRecordBuf(r, nil) }
 
-// ReadRecordBuf is ReadRecord reading into buf's storage: the frame
+// readRecordBuf is ReadRecord reading into buf's storage: the frame
 // header is read into buf first (so cap(buf) below RecordHeaderLen
 // counts as no buffer), then a payload that fits cap(buf) over it,
 // without allocating; that payload aliases buf, so it is valid only
@@ -426,7 +463,7 @@ func ReadRecord(r io.Reader) (uint8, []byte, error) { return ReadRecordBuf(r, ni
 // buf in readChunk steps as its bytes arrive, exactly as ReadRecord
 // does, so a hostile length prefix still costs at most one chunk. The
 // errors are ReadRecord's. buf's contents are ignored.
-func ReadRecordBuf(r io.Reader, buf []byte) (uint8, []byte, error) {
+func readRecordBuf(r io.Reader, buf []byte) (uint8, []byte, error) {
 	if cap(buf) < RecordHeaderLen {
 		// Room for a small payload too: an ack or an upload then costs
 		// one allocation, not two.
@@ -498,20 +535,20 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// zeroChunk is the shared zero source ReadRecordBuf grows buffers from.
+// zeroChunk is the shared zero source readRecordBuf grows buffers from.
 var zeroChunk [readChunk]byte
 
 // Scan reads framed records from r in order and hands each to fn. It
 // stops at a clean end of stream at a record boundary and returns nil,
-// or at a record ReadRecordBuf refuses (torn or damaged) or fn refuses,
+// or at a record readRecordBuf refuses (torn or damaged) or fn refuses,
 // and returns that error. Either way it also returns the bytes of the
 // records fn accepted: the offset where a torn tail begins. Each
-// payload is read as ReadRecordBuf reads it into buf: with a nil buf
+// payload is read as readRecordBuf reads it into buf: with a nil buf
 // it is the caller's to keep; otherwise it is valid until fn returns.
 func Scan(r io.Reader, buf []byte, fn func(kind uint8, payload []byte) error) (int64, error) {
 	var n int64
 	for {
-		kind, payload, err := ReadRecordBuf(r, buf)
+		kind, payload, err := readRecordBuf(r, buf)
 		if err == io.EOF {
 			return n, nil
 		}

@@ -503,7 +503,7 @@ func TestReadRecordBufBoundedAllocation(t *testing.T) {
 	r := bytes.NewReader(hdr)
 	read := func() {
 		r.Reset(hdr)
-		if _, _, err := ReadRecordBuf(r, buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, _, err := readRecordBuf(r, buf); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("a %d-byte claim with no payload: err %v, want io.ErrUnexpectedEOF", MaxRecordBytes, err)
 		}
 	}
@@ -531,7 +531,7 @@ func TestReadRecordBufFitsWithoutAllocating(t *testing.T) {
 	r := bytes.NewReader(rec)
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Reset(rec)
-		kind, body, err := ReadRecordBuf(r, buf)
+		kind, body, err := readRecordBuf(r, buf)
 		if err != nil || kind != 5 || !bytes.Equal(body, rec[RecordHeaderLen:]) {
 			t.Fatalf("kind %d, body %q, err %v", kind, body, err)
 		}
